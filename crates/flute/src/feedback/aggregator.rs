@@ -1,19 +1,28 @@
 //! fec-audit: deny(panic)
 //!
-//! Sender-side digest aggregation for massive fan-out: one sender, 10⁴–10⁶
-//! receivers, one estimator.
+//! Sender-side digest ingestion: the one feedback consumer, from a single
+//! receiver to 10⁶ of them, in front of one estimator.
 //!
-//! A [`FeedbackAggregator`] generalises the single-stream
-//! [`FeedbackLoop`](super::FeedbackLoop) to a receiver *population*. Each
-//! digest is keyed by its source address and deduped against that
-//! receiver's own `report_seq` (the return channel duplicates and reorders
-//! per receiver, exactly as before). But only the **worst** receiver's
-//! loss sketch is folded into the central
+//! A [`FeedbackAggregator`] owns an
+//! [`AdaptiveController`](fec_adapt::AdaptiveController) and a table of
+//! receivers keyed by source address. The return channel is itself UDP,
+//! so digests arrive **late, twice, or never**, per receiver:
+//!
+//! * each digest carries a monotone `report_seq`; anything at or below
+//!   its receiver's last accepted sequence is
+//!   [`AggregateOutcome::Deduped`], so a duplicated or reordered digest
+//!   can never double-count observations, and one receiver's sequence
+//!   space never shadows another's;
+//! * a *lost* digest only costs its own sketch — later digests carry
+//!   later observations (and exact cumulative counters), so the estimator
+//!   window fills a little slower and re-planning continues.
+//!
+//! Only the **worst** receiver's loss sketch is folded into the central
 //! [`OnlineGilbertEstimator`](fec_adapt::OnlineGilbertEstimator): the
 //! controller plans repair for the receiver that needs it most, and every
 //! other digest costs O(1) bookkeeping instead of an estimator push per
-//! observation — per-digest work drops from O(n) streams to O(unique
-//! worst case).
+//! observation. A population of one is its own worst receiver, so a
+//! single-receiver session folds every fresh digest.
 //!
 //! "Worst" is the receiver with the highest cumulative loss fraction,
 //! compared with exact integer cross-multiplication and a deterministic
@@ -27,9 +36,11 @@
 //! [`idle_ticks`](AggregatorConfig::idle_ticks) calls to
 //! [`advance_tick`](FeedbackAggregator::advance_tick) without a fresh
 //! digest, so a million receivers that left keep neither memory nor a
-//! vote in population completion. The controller sees the fleet through
-//! one [`PopulationSummary`] per replan — count, worst-case loss,
-//! completion quantiles — not n digest streams.
+//! vote in population completion; a receiver that was merely quiet is
+//! re-tracked, completion state included, by its next (cumulative)
+//! digest. The controller sees the fleet through one
+//! [`PopulationSummary`] per replan — count, worst-case loss, completion
+//! quantiles — not n digest streams.
 //!
 //! NACK sections are unioned across the population into per-`(toi,
 //! block)` missing-ESI sets; [`take_nack_requests`]
@@ -162,7 +173,7 @@ impl ReceiverState {
     }
 }
 
-/// Sender half of the live adaptive loop, at population scale.
+/// Sender half of the live adaptive loop.
 #[derive(Debug)]
 pub struct FeedbackAggregator {
     tsi: u32,
@@ -181,8 +192,8 @@ pub struct FeedbackAggregator {
     /// Tracked receivers whose digests report the whole session done.
     session_complete_count: u64,
     /// TOIs whose population completion has been recorded as a positive
-    /// controller outcome (once each, like the single-stream loop —
-    /// completion itself stays dynamic: a late joiner reopens it).
+    /// controller outcome (once each — completion itself stays dynamic:
+    /// a late joiner reopens it).
     outcome_recorded: BTreeSet<u32>,
     /// Histogram of per-receiver completion fractions (10% buckets) so
     /// quantiles cost O(1) memory and O(buckets) time.
@@ -196,15 +207,6 @@ pub struct FeedbackAggregator {
 impl FeedbackAggregator {
     /// An aggregator for session `tsi` with a fresh controller.
     pub fn new(tsi: u32, config: AggregatorConfig, controller: ControllerConfig) -> Self {
-        FeedbackAggregator::with_controller(tsi, config, AdaptiveController::new(controller))
-    }
-
-    /// An aggregator around an existing (possibly pre-warmed) controller.
-    pub fn with_controller(
-        tsi: u32,
-        config: AggregatorConfig,
-        controller: AdaptiveController,
-    ) -> Self {
         FeedbackAggregator {
             tsi,
             config: AggregatorConfig {
@@ -212,7 +214,7 @@ impl FeedbackAggregator {
                 max_receivers: config.max_receivers.max(1),
                 nack_budget: config.nack_budget,
             },
-            controller,
+            controller: AdaptiveController::new(controller),
             receivers: BTreeMap::new(),
             worst: None,
             tick: 0,
@@ -229,11 +231,14 @@ impl FeedbackAggregator {
 
     /// Starts recording aggregation activity into `registry`: the
     /// `fec_feedback_*` family (digest outcomes, tracked receivers,
-    /// evictions, NACK symbols). Counters pick up from the current stats,
-    /// so attaching mid-stream keeps the exported conservation invariant
+    /// evictions, NACK symbols), the estimator's p/q and Wilson-CI
+    /// gauges, and observation/replan/backoff/completion counts. Counters
+    /// pick up from the current stats, so attaching mid-stream keeps the
+    /// exported conservation invariant
     /// (`folded + accepted + deduped + foreign == ingested`) intact.
     pub fn attach_telemetry(&mut self, registry: &Registry) {
         let m = AggregatorMetrics::register(registry);
+        m.observations.add(self.stats.observations);
         m.folded.add(self.stats.folded);
         m.accepted.add(self.stats.accepted);
         m.deduped.add(self.stats.deduped);
@@ -268,8 +273,7 @@ impl FeedbackAggregator {
 
         let tracked = self.receivers.contains_key(&src);
         if tracked {
-            // Per-receiver dedup: the same monotone report_seq guard the
-            // single-stream loop applies, but per source.
+            // Per-receiver dedup: a monotone report_seq guard per source.
             if let Some(state) = self.receivers.get(&src) {
                 if report.report_seq <= state.last_report_seq {
                     self.stats.deduped += 1;
@@ -424,6 +428,9 @@ impl FeedbackAggregator {
         for _ in &newly_population_complete {
             self.controller.record_outcome(true);
         }
+        if let Some(m) = &self.metrics {
+            m.completed.add(newly_population_complete.len() as u64);
+        }
 
         if folds {
             self.worst = Some(src);
@@ -432,6 +439,18 @@ impl FeedbackAggregator {
             self.stats.observations += observations;
             if let Some(m) = &self.metrics {
                 m.folded.inc();
+                m.observations.add(observations);
+                if let Some(est) = self.controller.estimate() {
+                    m.p.set(est.params.p());
+                    m.q.set(est.params.q());
+                    m.p_upper.set(est.p_global_upper());
+                    m.p_ci_low.set(est.p_ci.lo);
+                    m.p_ci_high.set(est.p_ci.hi);
+                    m.q_ci_low.set(est.q_ci.lo);
+                    m.q_ci_high.set(est.q_ci.hi);
+                }
+                m.window
+                    .set(self.controller.estimator().window_len() as f64);
             }
             AggregateOutcome::Folded { observations }
         } else {
@@ -584,18 +603,24 @@ impl FeedbackAggregator {
         1.0
     }
 
-    /// Hands the controller the current population summary and re-plans
-    /// a `k`-packet object — the fan-out analogue of
-    /// [`FeedbackLoop::replan`](super::FeedbackLoop::replan).
+    /// Hands the controller the current population summary, reconsiders
+    /// the tuple and re-plans a `k`-packet in-flight object (see
+    /// [`AdaptiveController::replan`]).
     pub fn replan(&mut self, k: usize) -> Replan {
+        if let Some(m) = &self.metrics {
+            m.replans.inc();
+        }
         self.controller.note_population(self.summary());
         self.controller.replan(k)
     }
 
     /// Records that an object's schedule was exhausted without the
-    /// population completing it.
+    /// population completing it — the channel beat the plan.
     pub fn record_failure(&mut self) {
         self.controller.record_outcome(false);
+        if let Some(m) = &self.metrics {
+            m.backoffs.inc();
+        }
     }
 
     /// Drains the unioned NACK requests as per-block missing-ESI lists,
@@ -652,11 +677,6 @@ impl FeedbackAggregator {
         &self.controller
     }
 
-    /// Mutable access to the controller (manual warm-up, tuning).
-    pub fn controller_mut(&mut self) -> &mut AdaptiveController {
-        &mut self.controller
-    }
-
     /// Aggregation statistics so far.
     pub fn stats(&self) -> AggregateStats {
         self.stats
@@ -705,6 +725,164 @@ mod tests {
 
     fn agg() -> FeedbackAggregator {
         FeedbackAggregator::new(7, AggregatorConfig::default(), ControllerConfig::default())
+    }
+
+    /// A digest whose sketch is `n` × (99 received, 1 lost): ~1% loss in
+    /// short bursts, 100 observations per repetition.
+    fn light_digest(seq: u32, n: u32) -> ReceptionReport {
+        let run = |lost, len| LossRun { lost, len };
+        let mut d = digest(seq, seq * 10, seq * 90);
+        d.runs = (0..n)
+            .flat_map(|_| [run(false, 99), run(true, 1)])
+            .collect();
+        d
+    }
+
+    // The population-of-one cases: one fixed source address, the return
+    // channel dropping, duplicating and reordering its digests.
+
+    #[test]
+    fn duplicates_and_reordering_are_deduped_at_one_source() {
+        let mut a = agg();
+        let r1 = light_digest(1, 2);
+        let r2 = light_digest(2, 2);
+        assert!(matches!(
+            a.ingest(addr(1), &r1),
+            AggregateOutcome::Folded { .. }
+        ));
+        let after_one = *a.controller().estimator().counts();
+        assert_eq!(
+            a.ingest(addr(1), &r1),
+            AggregateOutcome::Deduped,
+            "duplicate"
+        );
+        assert_eq!(
+            a.controller().estimator().counts(),
+            &after_one,
+            "duplicate did not double-count"
+        );
+        assert!(matches!(
+            a.ingest(addr(1), &r2),
+            AggregateOutcome::Folded { .. }
+        ));
+        assert_eq!(
+            a.ingest(addr(1), &r1),
+            AggregateOutcome::Deduped,
+            "reordered"
+        );
+        assert_eq!(a.stats().folded, 2);
+        assert_eq!(a.stats().deduped, 2);
+        assert_eq!(a.stats().observations, 400);
+    }
+
+    #[test]
+    fn lost_digests_do_not_stall_replanning() {
+        let mut a = FeedbackAggregator::new(
+            7,
+            AggregatorConfig::default(),
+            ControllerConfig {
+                min_observations: 500,
+                confirm_after: 1,
+                ..ControllerConfig::default()
+            },
+        );
+        // Digests 1..=3 lost in transit; 4 and 40 arrive.
+        a.ingest(addr(1), &light_digest(4, 4));
+        a.ingest(addr(1), &light_digest(40, 4));
+        let replan = a.replan(10_000);
+        assert_ne!(
+            replan.reconsideration,
+            fec_adapt::Reconsideration::NoEstimate
+        );
+        assert!(
+            replan.plan.is_some(),
+            "estimator kept working across losses"
+        );
+    }
+
+    #[test]
+    fn completion_records_outcomes_once() {
+        let mut a = agg();
+        // A failure arms the controller's backoff (2 successes to clear),
+        // which makes every `record_outcome(true)` observable.
+        a.record_failure();
+        let mut r = light_digest(1, 1);
+        r.entries[0].complete = true;
+        r.entries.push(ReportEntry {
+            toi: 0,
+            received: 3,
+            lost: 0,
+            complete: true, // the FDT never counts as an object outcome
+        });
+        a.ingest(addr(1), &r);
+        assert_eq!(a.completed().collect::<Vec<_>>(), vec![1]);
+        assert!(a.is_complete(1));
+        assert!(a.controller().in_failure_backoff(), "one outcome, not two");
+        // The same completion in a later digest is not a new outcome.
+        let mut r2 = light_digest(2, 1);
+        r2.entries[0].complete = true;
+        r2.session_complete = true;
+        a.ingest(addr(1), &r2);
+        assert!(a.controller().in_failure_backoff(), "still one outcome");
+        assert!(a.session_complete());
+    }
+
+    #[test]
+    fn ingest_datagram_roundtrips_the_wire() {
+        let mut a = agg();
+        let wire = light_digest(1, 3).to_bytes().unwrap();
+        assert_eq!(
+            a.ingest_datagram(addr(1), &wire).unwrap(),
+            AggregateOutcome::Folded { observations: 300 }
+        );
+        assert!(a.ingest_datagram(addr(1), b"garbage").is_err());
+    }
+
+    /// The case a single shared `report_seq` never had: the lone receiver
+    /// goes quiet for more than `idle_ticks` re-plan rounds (suppression
+    /// backoff on a clean channel does exactly this), is evicted, and its
+    /// next cumulative digest restores everything the eviction dropped.
+    #[test]
+    fn lone_receiver_is_retracked_after_eviction() {
+        let mut a = FeedbackAggregator::new(
+            7,
+            AggregatorConfig {
+                idle_ticks: 2,
+                ..AggregatorConfig::default()
+            },
+            ControllerConfig::default(),
+        );
+        a.record_failure(); // arm the backoff: outcomes become countable
+        let mut done = light_digest(1, 1);
+        done.entries[0].complete = true;
+        a.ingest(addr(1), &done);
+        assert!(a.is_complete(1));
+        assert!(a.controller().in_failure_backoff());
+
+        for _ in 0..3 {
+            a.advance_tick();
+        }
+        assert_eq!(a.receiver_count(), 0, "silent receiver evicted");
+        assert_eq!(a.stats().evicted, 1);
+        assert!(!a.is_complete(1), "no population, no completion");
+        assert!(!a.session_complete());
+
+        // Digests are cumulative: the next one carries the completion
+        // flag again and re-tracks the receiver in one step.
+        let mut fin = light_digest(2, 1);
+        fin.entries[0].complete = true;
+        fin.session_complete = true;
+        assert!(matches!(
+            a.ingest(addr(1), &fin),
+            AggregateOutcome::Folded { .. }
+        ));
+        assert_eq!(a.receiver_count(), 1);
+        assert!(a.is_complete(1), "completion state restored");
+        assert!(
+            a.controller().in_failure_backoff(),
+            "re-tracking must not record the outcome a second time"
+        );
+        assert!(a.session_complete(), "the session still ends");
     }
 
     #[test]
@@ -889,6 +1067,8 @@ mod tests {
             esis: vec![4, 8],
         }];
         a.ingest(addr(1), &nacked); // folded, with NACK symbols
+        a.replan(100);
+        a.record_failure();
         a.advance_tick();
         a.advance_tick(); // everyone idle -> evicted
 
@@ -918,6 +1098,17 @@ mod tests {
             format!("fec_feedback_receivers {}", a.receiver_count()),
             format!("fec_feedback_evicted_total {}", s.evicted),
             format!("fec_feedback_nack_symbols_total {}", s.nack_symbols),
+            // The estimator/controller series ride the same consumer,
+            // pre-attach observations back-filled.
+            format!("fec_observations_total {}", s.observations),
+            format!(
+                "fec_estimator_window {}",
+                a.controller().estimator().window_len()
+            ),
+            "fec_estimator_p ".to_string(),
+            "fec_replans_total 1".to_string(),
+            "fec_backoffs_total 1".to_string(),
+            "fec_objects_completed_total 0".to_string(),
         ] {
             assert!(text.contains(&line), "missing {line:?} in:\n{text}");
         }
@@ -1023,6 +1214,8 @@ mod tests {
         let mut d = digest(1, 1, 9);
         d.tsi = 8;
         assert_eq!(a.ingest(addr(1), &d), AggregateOutcome::ForeignSession);
+        assert_eq!(a.controller().estimator().window_len(), 0);
+        assert_eq!(a.receiver_count(), 0, "a foreign source is not tracked");
         a.ingest(addr(1), &digest(1, 1, 9));
         a.ingest(addr(1), &digest(1, 1, 9));
         a.ingest(addr(2), &digest(1, 0, 10));

@@ -130,11 +130,15 @@ impl ObjectTransmissionInfo {
 
     /// Reconstructs the `CodeSpec` a receiver must use.
     ///
-    /// The expansion ratio is recovered from `(k, n)`: the paper's 1.5/2.5
-    /// map to their exact enum values, anything else becomes a `Custom`
-    /// ratio nudged so the floor-based layout derivation reproduces `n`
-    /// exactly (verified here — a mismatch is an error, not a silent
-    /// corruption).
+    /// The expansion ratio is recovered from `(k, n)` by trial: the
+    /// paper's 1.5 and 2.5 first, then a `Custom` ratio nudged so
+    /// `floor(k · ratio)` lands on `n`. The first candidate whose layout
+    /// reproduces both advertised totals wins. The paper ratios cannot
+    /// be recognised from `n / k` alone: a blocked code (RSE) applies the
+    /// ratio per block, so with uneven blocks the total `n` is a sum of
+    /// per-block floors and `n / k` is neither 1.5 nor a ratio that
+    /// rebuilds the same partition. No match is an error, not a silent
+    /// corruption.
     pub fn code_spec(&self) -> Result<CodeSpec, FluteError> {
         let k = self.k as usize;
         if k == 0 {
@@ -147,34 +151,29 @@ impl ObjectTransmissionInfo {
                 reason: format!("OTI with n = {} <= k = {}", self.n, self.k),
             });
         }
-        let exact = self.n as f64 / self.k as f64;
-        let ratio = if (exact - 1.5).abs() < 1e-12 {
-            ExpansionRatio::R1_5
-        } else if (exact - 2.5).abs() < 1e-12 {
-            ExpansionRatio::R2_5
-        } else {
-            // Nudge up half a symbol so floor(k * ratio) lands on n.
-            ExpansionRatio::Custom((self.n as f64 + 0.5) / self.k as f64)
-        };
-        let spec = CodeSpec {
+        [
+            ExpansionRatio::R1_5,
+            ExpansionRatio::R2_5,
+            ExpansionRatio::Custom((self.n as f64 + 0.5) / self.k as f64),
+        ]
+        .into_iter()
+        .map(|ratio| CodeSpec {
             code: self.code.clone(),
             k,
             ratio,
             matrix_seed: self.matrix_seed,
-        };
-        let layout = spec.layout()?;
-        if layout.total_packets() != self.n as u64 || layout.total_source() != self.k as u64 {
-            return Err(FluteError::Unsupported {
-                reason: format!(
-                    "cannot reproduce advertised geometry k={} n={} (derived {}/{})",
-                    self.k,
-                    self.n,
-                    layout.total_source(),
-                    layout.total_packets()
-                ),
-            });
-        }
-        Ok(spec)
+        })
+        .find(|spec| {
+            spec.layout().is_ok_and(|layout| {
+                layout.total_packets() == self.n as u64 && layout.total_source() == self.k as u64
+            })
+        })
+        .ok_or_else(|| FluteError::Unsupported {
+            reason: format!(
+                "cannot reproduce advertised geometry k={} n={}",
+                self.k, self.n
+            ),
+        })
     }
 
     /// Serialises the OTI blob.
@@ -334,6 +333,25 @@ mod tests {
         let layout = spec.layout().unwrap();
         assert_eq!(layout.total_source(), 97);
         assert_eq!(layout.total_packets(), 241);
+    }
+
+    /// RSE applies the ratio per block, so uneven blocks make the total
+    /// `n` a sum of per-block floors: 319 of these 400 geometries (the
+    /// paper's k = 20 000 among them) used to advertise an OTI no
+    /// receiver could turn back into the sender's code.
+    #[test]
+    fn uneven_rse_blocks_round_trip() {
+        for ratio in [ExpansionRatio::R1_5, ExpansionRatio::R2_5] {
+            for k in (100..=20_000).step_by(100) {
+                let spec = CodeSpec::rse(k, ratio);
+                let oti =
+                    ObjectTransmissionInfo::from_spec(&spec, 1024, (k * 1024) as u64).unwrap();
+                let back = oti
+                    .code_spec()
+                    .unwrap_or_else(|e| panic!("k = {k}, ratio {ratio}: {e}"));
+                assert_eq!(back, spec, "k = {k}");
+            }
+        }
     }
 
     #[test]

@@ -25,8 +25,8 @@
 //!   mid-flight plan amendments;
 //! * [`feedback`] — the live adaptive loop's return channel: EXT_SEQ
 //!   sequence stamping, [`ReceptionReport`] digests, the receiver-side
-//!   [`ReportEmitter`] and the sender-side [`FeedbackLoop`] driving an
-//!   online channel estimator and §6.2 re-planning.
+//!   [`ReportEmitter`] and the sender-side [`FeedbackAggregator`]
+//!   driving an online channel estimator and §6.2 re-planning.
 //!
 //! ## What is implemented, and what is not (smoltcp-style)
 //!
@@ -66,8 +66,8 @@ pub use alc::AlcPacket;
 pub use error::FluteError;
 pub use fdt::{FdtInstance, FileEntry};
 pub use feedback::{
-    AggregateOutcome, AggregatorConfig, FeedbackAggregator, FeedbackLoop, NackEntry,
-    ReceptionReport, ReportConfig, ReportEmitter, ReportOutcome,
+    AggregateOutcome, AggregatorConfig, FeedbackAggregator, NackEntry, ReceptionReport,
+    ReportConfig, ReportEmitter,
 };
 pub use fti::{code_for_fti, fti_for_code, ObjectTransmissionInfo};
 pub use lct::{HeaderExtension, LctHeader};

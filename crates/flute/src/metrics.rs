@@ -74,12 +74,31 @@ impl StreamMetrics {
     }
 }
 
-/// Sender-side feedback-loop metrics ([`FeedbackLoop`](crate::FeedbackLoop)).
+/// Sender-side feedback metrics
+/// ([`FeedbackAggregator`](crate::feedback::FeedbackAggregator)).
+///
+/// Conservation invariant (tested): every ingested digest lands in
+/// exactly one `fec_feedback_digests_total` outcome —
+/// `folded + accepted + deduped + foreign == ingested`.
 #[derive(Debug)]
-pub(crate) struct LoopMetrics {
-    pub applied: Counter,
-    pub stale: Counter,
+pub(crate) struct AggregatorMetrics {
+    /// Fresh digest from the population's worst receiver: its sketch was
+    /// folded into the central estimator.
+    pub folded: Counter,
+    /// Fresh digest tracked per-receiver but not folded (not the worst).
+    pub accepted: Counter,
+    /// Duplicate or out-of-order `report_seq` for its receiver.
+    pub deduped: Counter,
+    /// Wrong-session digest.
     pub foreign: Counter,
+    /// Receivers currently tracked.
+    pub receivers: Gauge,
+    /// Receivers evicted after going idle.
+    pub evicted: Counter,
+    /// Distinct symbols queued for targeted repair from NACK sections.
+    pub nack_symbols: Counter,
+    /// NACK symbols dropped by the per-source rate limit.
+    pub throttled: Counter,
     pub observations: Counter,
     pub replans: Counter,
     pub backoffs: Counter,
@@ -94,14 +113,31 @@ pub(crate) struct LoopMetrics {
     pub window: Gauge,
 }
 
-impl LoopMetrics {
-    pub fn register(registry: &Registry) -> LoopMetrics {
-        let digests = "fec_digests_total";
+impl AggregatorMetrics {
+    pub fn register(registry: &Registry) -> AggregatorMetrics {
+        let digests = "fec_feedback_digests_total";
         let digests_help = "Reception-report digests ingested by the sender, by outcome.";
-        LoopMetrics {
-            applied: registry.counter_with(digests, digests_help, &[("outcome", "applied")]),
-            stale: registry.counter_with(digests, digests_help, &[("outcome", "stale")]),
+        AggregatorMetrics {
+            folded: registry.counter_with(digests, digests_help, &[("outcome", "folded")]),
+            accepted: registry.counter_with(digests, digests_help, &[("outcome", "accepted")]),
+            deduped: registry.counter_with(digests, digests_help, &[("outcome", "deduped")]),
             foreign: registry.counter_with(digests, digests_help, &[("outcome", "foreign")]),
+            receivers: registry.gauge(
+                "fec_feedback_receivers",
+                "Receivers currently tracked by the feedback aggregator.",
+            ),
+            evicted: registry.counter(
+                "fec_feedback_evicted_total",
+                "Receivers evicted from the aggregator after going idle.",
+            ),
+            nack_symbols: registry.counter(
+                "fec_feedback_nack_symbols_total",
+                "Distinct symbols queued for targeted repair from NACK digests.",
+            ),
+            throttled: registry.counter(
+                "fec_feedback_throttled_total",
+                "NACK symbols dropped by the per-source rate limit.",
+            ),
             observations: registry.counter(
                 "fec_observations_total",
                 "Per-packet loss observations folded into the estimator.",
@@ -116,7 +152,7 @@ impl LoopMetrics {
             ),
             completed: registry.counter(
                 "fec_objects_completed_total",
-                "Objects some digest reported fully decoded.",
+                "Objects every tracked receiver reported fully decoded.",
             ),
             p: registry.gauge(
                 "fec_estimator_p",
@@ -149,62 +185,6 @@ impl LoopMetrics {
             window: registry.gauge(
                 "fec_estimator_window",
                 "Loss observations currently inside the estimator window.",
-            ),
-        }
-    }
-}
-
-/// Sender-side fan-out aggregation metrics
-/// ([`FeedbackAggregator`](crate::feedback::FeedbackAggregator)).
-///
-/// Conservation invariant (tested): every ingested digest lands in
-/// exactly one `fec_feedback_digests_total` outcome —
-/// `folded + accepted + deduped + foreign == ingested`.
-#[derive(Debug)]
-pub(crate) struct AggregatorMetrics {
-    /// Fresh digest from the population's worst receiver: its sketch was
-    /// folded into the central estimator.
-    pub folded: Counter,
-    /// Fresh digest tracked per-receiver but not folded (not the worst).
-    pub accepted: Counter,
-    /// Duplicate or out-of-order `report_seq` for its receiver.
-    pub deduped: Counter,
-    /// Wrong-session digest.
-    pub foreign: Counter,
-    /// Receivers currently tracked.
-    pub receivers: Gauge,
-    /// Receivers evicted after going idle.
-    pub evicted: Counter,
-    /// Distinct symbols queued for targeted repair from NACK sections.
-    pub nack_symbols: Counter,
-    /// NACK symbols dropped by the per-source rate limit.
-    pub throttled: Counter,
-}
-
-impl AggregatorMetrics {
-    pub fn register(registry: &Registry) -> AggregatorMetrics {
-        let digests = "fec_feedback_digests_total";
-        let digests_help = "Digests processed by the fan-out aggregator, by outcome.";
-        AggregatorMetrics {
-            folded: registry.counter_with(digests, digests_help, &[("outcome", "folded")]),
-            accepted: registry.counter_with(digests, digests_help, &[("outcome", "accepted")]),
-            deduped: registry.counter_with(digests, digests_help, &[("outcome", "deduped")]),
-            foreign: registry.counter_with(digests, digests_help, &[("outcome", "foreign")]),
-            receivers: registry.gauge(
-                "fec_feedback_receivers",
-                "Receivers currently tracked by the fan-out aggregator.",
-            ),
-            evicted: registry.counter(
-                "fec_feedback_evicted_total",
-                "Receivers evicted from the aggregator after going idle.",
-            ),
-            nack_symbols: registry.counter(
-                "fec_feedback_nack_symbols_total",
-                "Distinct symbols queued for targeted repair from NACK digests.",
-            ),
-            throttled: registry.counter(
-                "fec_feedback_throttled_total",
-                "NACK symbols dropped by the per-source rate limit.",
             ),
         }
     }

@@ -1144,6 +1144,36 @@ mod tests {
         );
     }
 
+    /// The paper's k = 20 000 under RSE: 118 blocks that do not come out
+    /// even, so the advertised `n` is a sum of per-block floors. The
+    /// receiver must rebuild the sender's exact block partition from the
+    /// OTI alone — and then recover every tenth packet from parity.
+    #[test]
+    fn rse_k20000_uneven_blocks_roundtrip_byte_true() {
+        let data = object_bytes(20_000 * 16 - 5);
+        let mut sender = FluteSender::new(SenderConfig::new(7));
+        sender
+            .add_object(
+                1,
+                "file:///paper-scale.bin",
+                &data,
+                fec_codec::builtin::rse(),
+                ExpansionRatio::R1_5,
+                16,
+                0,
+                TxModel::Interleaved,
+            )
+            .unwrap();
+        let mut receiver = FluteReceiver::new(7);
+        for (i, dg) in sender.datagrams(5).unwrap().iter().enumerate() {
+            if i % 10 != 9 {
+                receiver.push_datagram(dg).unwrap();
+            }
+        }
+        assert!(receiver.all_complete());
+        assert_eq!(receiver.take_object(1).unwrap(), data);
+    }
+
     /// The full NACK loop on one stream: drop known symbols, let the
     /// receiver's digest name them, aggregate, queue targeted repair,
     /// and verify exactly those symbols close the object byte-exactly.
@@ -1747,7 +1777,9 @@ mod tests {
 
     #[test]
     fn receiver_reports_feed_the_sender_loop() {
-        use crate::feedback::{FeedbackLoop, ReportConfig, ReportOutcome};
+        use crate::feedback::{
+            AggregateOutcome, AggregatorConfig, FeedbackAggregator, ReportConfig,
+        };
         use fec_adapt::ControllerConfig;
         use fec_channel::{GilbertChannel, GilbertParams, LinkEmulator, LossModel};
 
@@ -1759,8 +1791,10 @@ mod tests {
             report_every: 64,
             ..ReportConfig::default()
         });
-        let mut feedback = FeedbackLoop::new(
+        let src = std::net::SocketAddr::from(([127, 0, 0, 1], 4000));
+        let mut feedback = FeedbackAggregator::new(
             7,
+            AggregatorConfig::default(),
             ControllerConfig {
                 min_observations: 100,
                 ..ControllerConfig::default()
@@ -1780,13 +1814,13 @@ mod tests {
             if let Some(report) = receiver.poll_report() {
                 digests += 1;
                 let outcome = feedback
-                    .ingest_datagram(&report.to_bytes().unwrap())
+                    .ingest_datagram(src, &report.to_bytes().unwrap())
                     .unwrap();
-                assert!(matches!(outcome, ReportOutcome::Applied { .. }));
+                assert!(matches!(outcome, AggregateOutcome::Folded { .. }));
             }
         }
         let report = receiver.flush_report().expect("observations exist");
-        feedback.ingest(&report);
+        feedback.ingest(src, &report);
         assert!(digests > 3, "batching produced {digests} digests");
         assert_eq!(receiver.object(1).unwrap(), &data[..]);
         assert!(feedback.is_complete(1));

@@ -5,18 +5,33 @@
 //! pin the two guarantees the live loop depends on:
 //!
 //! 1. the estimator state after any impaired delivery equals the state
-//!    after the in-order delivery of exactly the digest subset the loop
-//!    accepted (no double counting, no out-of-order corruption), and
+//!    after the in-order delivery of exactly the digest subset the
+//!    aggregator accepted (no double counting, no out-of-order corruption), and
 //! 2. re-planning never stalls: as long as *any* digest stream keeps
 //!    arriving, the controller keeps producing estimates and plans.
 //!
-//! The digest wire format itself is fuzzed for parse robustness too.
+//! Every digest here comes from one fixed source address: the single
+//! receiver is a population of one, which is its own worst receiver, so
+//! every accepted digest folds. (`fanout_props.rs` pins the same
+//! guarantees with healthy receivers interleaved.) The digest wire format
+//! itself is fuzzed for parse robustness too.
+
+use std::net::SocketAddr;
 
 use fec_adapt::{ControllerConfig, Reconsideration};
 use fec_flute::feedback::{
-    FeedbackLoop, LossRun, NackEntry, ReceptionReport, ReportEntry, ReportOutcome,
+    AggregateOutcome, AggregatorConfig, FeedbackAggregator, LossRun, NackEntry, ReceptionReport,
+    ReportEntry,
 };
 use proptest::prelude::*;
+
+fn src() -> SocketAddr {
+    SocketAddr::from(([10, 0, 0, 1], 4000))
+}
+
+fn aggregator(config: ControllerConfig) -> FeedbackAggregator {
+    FeedbackAggregator::new(7, AggregatorConfig::default(), config)
+}
 
 /// A plausible digest stream: `count` digests with ~1–20% loss sketches.
 fn digest_stream(count: u32, loss_burst: u32, calm_run: u32) -> Vec<ReceptionReport> {
@@ -87,24 +102,24 @@ proptest! {
         let digests = digest_stream(12, loss_burst, calm_run);
         let delivered = impair(&digests, &copies, &shuffle_keys);
 
-        let mut impaired = FeedbackLoop::new(7, ControllerConfig::default());
+        let mut impaired = aggregator(ControllerConfig::default());
         let mut accepted_seqs = Vec::new();
         for d in &delivered {
             // Through the wire: serialization must never drop fidelity.
-            let outcome = impaired.ingest_datagram(&d.to_bytes().unwrap()).unwrap();
-            if matches!(outcome, ReportOutcome::Applied { .. }) {
+            let outcome = impaired.ingest_datagram(src(), &d.to_bytes().unwrap()).unwrap();
+            if matches!(outcome, AggregateOutcome::Folded { .. }) {
                 accepted_seqs.push(d.report_seq);
             }
         }
 
         // The accepted subset is strictly increasing by construction…
         prop_assert!(accepted_seqs.windows(2).all(|w| w[0] < w[1]));
-        // …and a clean loop fed exactly that subset in order agrees on
-        // every piece of estimator state.
-        let mut clean = FeedbackLoop::new(7, ControllerConfig::default());
+        // …and a clean aggregator fed exactly that subset in order agrees
+        // on every piece of estimator state.
+        let mut clean = aggregator(ControllerConfig::default());
         for seq in &accepted_seqs {
             let d = &digests[(*seq - 1) as usize];
-            prop_assert!(matches!(clean.ingest(d), ReportOutcome::Applied { .. }));
+            prop_assert!(matches!(clean.ingest(src(), d), AggregateOutcome::Folded { .. }));
         }
         prop_assert_eq!(
             impaired.controller().estimator().counts(),
@@ -115,12 +130,14 @@ proptest! {
             clean.controller().estimator().window_len()
         );
         prop_assert_eq!(impaired.stats().observations, clean.stats().observations);
-        // Duplicates were all rejected: applied count never exceeds the
-        // number of distinct digests.
-        prop_assert!(impaired.stats().applied <= digests.len() as u64);
+        // Duplicates were all rejected: the folded count never exceeds
+        // the number of distinct digests, and every delivery is accounted.
+        let stats = impaired.stats();
+        prop_assert!(stats.folded <= digests.len() as u64);
+        prop_assert_eq!(stats.folded + stats.deduped, delivered.len() as u64);
     }
 
-    /// However many digests the channel eats, the loop keeps planning as
+    /// However many digests the channel eats, the sender keeps planning as
     /// soon as enough observations got through — and a freshly arriving
     /// digest after a blackout revives it immediately.
     #[test]
@@ -135,14 +152,14 @@ proptest! {
             confirm_after: 1,
             ..ControllerConfig::default()
         };
-        let mut fb = FeedbackLoop::new(7, config);
+        let mut fb = aggregator(config);
         for d in &delivered {
-            fb.ingest(d);
+            fb.ingest(src(), d);
         }
         // Blackout recovery: one final in-order digest always lands.
         let mut last = digests.last().unwrap().clone();
         last.report_seq = 1000;
-        prop_assert!(matches!(fb.ingest(&last), ReportOutcome::Applied { .. }));
+        prop_assert!(matches!(fb.ingest(src(), &last), AggregateOutcome::Folded { .. }));
 
         let replan = fb.replan(10_000);
         prop_assert_ne!(replan.reconsideration, Reconsideration::NoEstimate);

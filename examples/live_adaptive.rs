@@ -1,30 +1,90 @@
-//! The live adaptive loop, end to end in one process: a FLUTE sender
-//! streaming through a Gilbert-impaired link, a receiver emitting
-//! reception-report digests, and a feedback loop amending the
-//! transmission in flight.
+//! The live adaptive loop, end to end in one process: the engine the CLI
+//! ships ([`live::send_session`]) streaming a FLUTE session through a
+//! Gilbert-impaired link, a receiver emitting reception-report digests,
+//! and the feedback amending the transmission in flight.
 //!
 //! This is `fec-broadcast send --adaptive` / `recv --report-to` with the
-//! sockets replaced by `fec_channel::LinkEmulator`, so the whole run is
+//! sockets replaced by `fec_channel::LinkEmulator` behind the engine's
+//! [`PathSink`] / [`DigestSource`] seams, so the whole run is
 //! deterministic. Run with:
 //!
 //! ```text
 //! cargo run --release --example live_adaptive
 //! ```
 
-use fec_broadcast::adapt::ControllerConfig;
+use std::cell::RefCell;
+use std::collections::VecDeque;
+use std::net::SocketAddr;
+use std::rc::Rc;
+
 use fec_broadcast::channel::{GilbertChannel, GilbertParams, LinkConfig, LinkEmulator, LossModel};
-use fec_broadcast::flute::feedback::{FeedbackLoop, ReportConfig, ReportOutcome};
+use fec_broadcast::flute::feedback::ReportConfig;
 use fec_broadcast::flute::{FluteReceiver, FluteSender, SenderConfig};
+use fec_broadcast::live::{self, DigestSource, PathSink, SendConfig};
 use fec_broadcast::prelude::*;
-use fec_broadcast::telemetry::EstimatorSample;
+use fec_broadcast::wire::{BufferPool, PoolBuf};
+
+/// The far end of the link: the receiver, and the digests it has queued
+/// for the return trip.
+struct FarEnd {
+    receiver: FluteReceiver,
+    digests: VecDeque<PoolBuf>,
+}
+
+/// The forward path: impaired link, straight into the receiver.
+struct ForwardPath {
+    link: LinkEmulator,
+    far: Rc<RefCell<FarEnd>>,
+    pool: BufferPool,
+}
+
+impl PathSink for ForwardPath {
+    fn send_burst(&mut self, burst: &[Vec<u8>]) -> Result<(u64, u64), String> {
+        let far = &mut *self.far.borrow_mut();
+        let delivered = self.link.transmit_batch(burst);
+        far.receiver
+            .push_datagrams(&delivered)
+            .map_err(|e| e.to_string())?;
+        // Return path: whenever the emitter's batch threshold fills (or
+        // the session completes: the FIN digest), a digest crosses back.
+        let report = if far.receiver.all_complete() {
+            far.receiver.flush_report()
+        } else {
+            far.receiver.poll_report()
+        };
+        if let Some(report) = report {
+            let bytes = report.to_bytes().map_err(|e| e.to_string())?;
+            far.digests.push_back(self.pool.buf_from(&bytes));
+        }
+        Ok((
+            delivered.len() as u64,
+            delivered.iter().map(|d| d.len() as u64).sum(),
+        ))
+    }
+
+    fn dropped(&self) -> u64 {
+        self.link.stats().dropped()
+    }
+}
+
+struct ReturnPath(Rc<RefCell<FarEnd>>);
+
+impl DigestSource for ReturnPath {
+    fn try_recv_digests(&mut self, max: usize) -> std::io::Result<Vec<(PoolBuf, SocketAddr)>> {
+        let receiver_addr = SocketAddr::from(([127, 0, 0, 1], 4000));
+        let digests = &mut self.0.borrow_mut().digests;
+        let n = max.min(digests.len());
+        Ok(digests.drain(..n).map(|d| (d, receiver_addr)).collect())
+    }
+}
 
 fn main() {
     let tsi = 5;
-    let started = std::time::Instant::now();
 
-    // Everything below records into one registry; render_prometheus() at
-    // the end shows the same text a `--metrics-addr` scrape would return.
+    // Everything below records into one registry and one event log, as
+    // `--metrics-addr` / `--telemetry-log` would.
     let registry = Registry::new();
+    let events = EventLog::bounded(4096);
 
     // A session of three 16 KiB objects, encoded at the conservative
     // prior's ratio 2.5 (the sender does not know the channel yet).
@@ -63,7 +123,6 @@ fn main() {
         },
         9,
     );
-
     link.attach_telemetry(&registry);
 
     let mut receiver = FluteReceiver::new(tsi);
@@ -72,123 +131,80 @@ fn main() {
         ..ReportConfig::default()
     });
     receiver.attach_telemetry(&registry);
-    let mut feedback = FeedbackLoop::new(
-        tsi,
-        ControllerConfig {
-            window: 5_000,
-            min_observations: 250,
-            confirm_after: 1,
-            ..ControllerConfig::default()
-        },
-    );
-    feedback.attach_telemetry(&registry);
+    let far = Rc::new(RefCell::new(FarEnd {
+        receiver,
+        digests: VecDeque::new(),
+    }));
 
-    let mut stream = sender.stream(0x5EED);
-    stream.attach_telemetry(&registry);
-    let full = stream.full_total();
+    let full = sender.data_packet_count();
     println!(
-        "session: 3 × 16 KiB at ratio 2.5 → {} data packets if sent statically\n\
+        "session: 3 × 16 KiB at ratio 2.5 → {full} data packets if sent statically\n\
          channel: p_global = {:.1}%, mean burst {:.1}\n",
-        full,
         params.global_loss_probability() * 100.0,
         params.mean_burst_length().unwrap()
     );
 
-    let mut on_wire = 0u64;
-    let mut bytes_on_wire = 0u64;
-    while let Some(datagram) = stream.next_datagram().unwrap() {
-        on_wire += 1;
-        bytes_on_wire += datagram.len() as u64;
-        // Forward path: impaired link, straight into the receiver.
-        for delivered in link.transmit(&datagram) {
-            receiver.push_datagrams(&[&delivered]).unwrap();
-        }
-        // Return path: whenever the emitter's batch threshold fills, the
-        // digest crosses back and the sender re-plans the object in
-        // flight.
-        if let Some(report) = receiver.poll_report() {
-            let wire = report.to_bytes().unwrap();
-            if let ReportOutcome::Applied { completed, .. } =
-                feedback.ingest_datagram(&wire).unwrap()
-            {
-                for toi in &completed {
-                    println!("  ← digest: object {toi} complete");
-                    // Nothing more is needed for a decoded object.
-                    stream.stop_object(*toi).unwrap();
-                }
-            }
-            if feedback.session_complete() {
-                println!("  ← digest: session complete — stopping early");
-                break;
-            }
-            if let Some(toi) = stream.current_toi() {
-                let k = stream.source_count(toi).unwrap() as usize;
-                let replan = feedback.replan(k);
-                if let Some(plan) = &replan.plan {
-                    let amendment = stream.amend_plan(toi, Some(plan)).unwrap();
-                    if let fec_broadcast::core::Amendment::Truncated { saved } = amendment {
-                        println!(
-                            "  → re-plan: object {toi} now stops at {} of its schedule \
-                             ({saved} packets cut; bound {:.2}%)",
-                            plan.n_sent,
-                            plan.p_global * 100.0
-                        );
-                    }
-                }
-            }
+    let mut paths = [ForwardPath {
+        link,
+        far: far.clone(),
+        pool: BufferPool::with_config(2048, 64),
+    }];
+    let outcome = live::send_session(
+        &sender,
+        0x5EED,
+        &mut paths,
+        Some(&mut ReturnPath(far.clone())),
+        &SendConfig {
+            window: 5_000,
+            replan_every: 64,
+        },
+        Some((&registry, &events)),
+    )
+    .unwrap();
+
+    // Every control decision the engine took is in the event log (the
+    // same records `--telemetry-log` writes as JSONL).
+    for record in events.drain() {
+        match record.event {
+            Event::ObjectComplete { toi } => println!("  ← digest: object {toi} complete"),
+            Event::ReplanIssued {
+                toi,
+                target,
+                schedule,
+            } => println!(
+                "  → re-plan: object {toi} now stops at {target} packets \
+                 (session plan {schedule} of {full})"
+            ),
+            _ => {}
         }
     }
 
+    let far = &mut *far.borrow_mut();
     for (i, object) in objects.iter().enumerate() {
         assert_eq!(
-            receiver.object(i as u32 + 1).expect("decoded"),
+            far.receiver.object(i as u32 + 1).expect("decoded"),
             &object[..],
             "object {} must decode byte-exactly",
             i + 1
         );
     }
-    receiver.finalize_telemetry();
-    let stats = feedback.stats();
+    far.receiver.finalize_telemetry();
+    let on_wire = outcome.sent + outcome.dropped;
     println!(
         "\ndelivered all 3 objects with {on_wire} datagrams on the wire \
-         ({:.0}% of the static worst-case {full});\n\
-         {} digests applied, {} observations, estimator bound {}",
+         ({:.0}% of the static worst-case {full})",
         on_wire as f64 / full as f64 * 100.0,
-        stats.applied,
-        stats.observations,
-        feedback.controller().estimate().map_or_else(
-            || "-".into(),
-            |e| format!("{:.2}%", e.p_global_upper() * 100.0)
-        ),
     );
 
     // The same SessionSummary an adaptive `send --metrics-addr` prints on
     // exit: goodput, overhead against the static worst case, and the
-    // estimator's final state.
-    let mut summary = SessionSummary::new(tsi as u64);
-    summary.datagrams_sent = on_wire;
-    summary.bytes_sent = bytes_on_wire;
-    summary.object_bytes = objects.iter().map(|o| o.len() as u64).sum();
-    summary.full_schedule = full;
-    summary.replans = stats.applied;
-    summary.digests_applied = stats.applied;
-    summary.objects_completed = objects.len() as u32;
-    summary.elapsed_secs = started.elapsed().as_secs_f64();
-    if let Some(est) = feedback.controller().estimate() {
-        summary.estimator.push(EstimatorSample {
-            observations: stats.observations,
-            p: est.params.p(),
-            q: est.params.q(),
-            p_upper: est.p_global_upper(),
-        });
-    }
-    summary.finalize();
-    println!("\n{}", summary.to_json());
+    // estimator's trajectory.
+    println!("\n{}", outcome.summary.to_json());
 
     assert!(on_wire < full, "the adaptive loop must save packets");
     assert!(
-        summary.overhead_ratio < 1.0,
+        outcome.summary.overhead_ratio < 1.0,
         "overhead {:.3} must undercut the static worst case",
-        summary.overhead_ratio
+        outcome.summary.overhead_ratio
     );
 }

@@ -123,26 +123,26 @@ USAGE:
                      [--ratio <r>] [--symbol <bytes>] [--seed <n>]
                      [--loss-p <p> --loss-q <q>] [--pace <micros>]
                      [--adaptive --report-addr <addr:port>]
-                     [--window <pkts>] [--replan-every <pkts>] [--fanout]
+                     [--window <pkts>] [--replan-every <pkts>]
                      [--metrics-addr <addr:port>] [--telemetry-log <path>]
       FLUTE/ALC file broadcast over UDP. --loss-p/--loss-q inject Gilbert
       losses at the sender for reproducible demos. --pace sleeps that many
       microseconds between datagrams (default 0: full speed), stretching a
       session out so a human — or a Prometheus scrape — can watch it.
-      With --adaptive the sender binds --report-addr for reception-report
-      digests, estimates the channel online and truncates/extends the
-      transmission live (§6.2 re-planning); receivers must run with
-      `recv --report-to` set to the same address. --fanout swaps the
-      single-stream feedback loop for the population aggregator: digests
-      are keyed by source address, deduped per receiver, only the worst
-      receiver's sketch reaches the estimator, and receiver NACKs become
-      targeted repair symbols instead of whole-schedule extension — the
-      multi-receiver mode (pair with `recv --nack --population`).
-      --paths stripes the (static) schedule across several destinations
-      with a credit scheduler: source symbols prefer the first-listed
-      (fastest) path, repair symbols the last — list links fastest-first.
-      Pair with a `recv` whose --listen names the same addresses. --pace
-      then applies per path. Incompatible with --dest/--adaptive/--fanout.
+      With --adaptive (--fanout is accepted as a synonym) the sender binds
+      --report-addr for reception-report digests from any number of
+      receivers: digests are keyed by source address and deduped per
+      receiver, the worst receiver's loss sketch drives the online
+      channel estimate, the transmission is truncated/extended live
+      (§6.2 re-planning), receiver NACKs become targeted repair symbols,
+      and the session ends when every tracked receiver reports it
+      complete. Receivers run `recv --report-to` with the same address
+      (add `--nack --population <n>` when many of them listen).
+      --paths stripes the schedule across several destinations with a
+      credit scheduler: source symbols prefer the first-listed (fastest)
+      path, repair symbols the last — list links fastest-first. Pair
+      with a `recv` whose --listen names the same addresses. --pace then
+      applies per path. Replaces --dest; not combinable with --adaptive.
 
   fec-broadcast recv --listen <addr:port>[,<addr:port>...] [--tsi <n>] [--out <path>]
                      [--timeout <secs>]
@@ -157,8 +157,8 @@ USAGE:
       suppression: aggregate feedback stays O(log n) across n receivers);
       --jitter-seed de-synchronises report times ±25%; --backoff doubles
       the interval up to 2^exp while the channel stays clean. --nack adds
-      per-block missing-ESI lists to each digest so a `send --fanout`
-      sender can emit targeted repairs. Several comma-separated --listen
+      per-block missing-ESI lists to each digest so an adaptive sender
+      can emit targeted repairs. Several comma-separated --listen
       addresses bond the receive: one socket + drain thread per address,
       datagrams path-tagged into a single decoder (the receiving half of
       `send --paths`).
@@ -166,7 +166,7 @@ USAGE:
 Observability (send / recv / sweep): --metrics-addr serves a Prometheus
 text endpoint (`curl http://addr:port/metrics`) for the lifetime of the
 command; --telemetry-log appends one JSON event per line to the given
-file. With either flag, adaptive `send` also prints a SessionSummary
+file. With either flag, `send` also prints a SessionSummary
 JSON document (goodput, overhead vs the static worst case, estimator
 trajectory) on exit.
 
@@ -218,13 +218,7 @@ fn get_usize(opts: &HashMap<String, String>, key: &str, default: usize) -> Resul
 }
 
 fn channel_from(opts: &HashMap<String, String>) -> Result<Option<GilbertParams>, String> {
-    match (get_f64(opts, "p")?, get_f64(opts, "q")?) {
-        (Some(p), Some(q)) => GilbertParams::new(p, q)
-            .map(Some)
-            .map_err(|e| e.to_string()),
-        (None, None) => Ok(None),
-        _ => Err("--p and --q must be given together".into()),
-    }
+    channel_from_keys(opts, "p", "q")
 }
 
 /// Observability context shared by `send`, `recv` and `sweep`: the metric
@@ -763,8 +757,27 @@ fn cmd_send(opts: &HashMap<String, String>) -> Result<(), String> {
     let ratio = ratio_from(get_f64(opts, "ratio")?.unwrap_or(1.5))?;
     let symbol = get_usize(opts, "symbol", 1024)?;
     let seed = get_usize(opts, "seed", 1)? as u64;
-    let pace = pacer_from_micros(get_usize(opts, "pace", 0)? as u64);
+    let pace_micros = get_usize(opts, "pace", 0)? as u64;
     let injected = channel_from_keys(opts, "loss-p", "loss-q")?;
+    // --fanout is a spelling of --adaptive: one receiver reporting is a
+    // population of one.
+    let adaptive = opts.contains_key("adaptive") || opts.contains_key("fanout");
+    let dests: Vec<&str> = match (opts.get("paths"), opts.get("dest")) {
+        (Some(_), Some(_)) => {
+            return Err("--paths replaces --dest (give every destination in --paths)".into())
+        }
+        (Some(_), None) if adaptive => {
+            return Err("--paths stripes a static schedule; it cannot combine with \
+                 --adaptive or --fanout (run the feedback loop on one path)"
+                .into())
+        }
+        (Some(paths), None) => split_addrs(paths),
+        (None, Some(dest)) => vec![dest.as_str()],
+        (None, None) => Vec::new(),
+    };
+    if dests.is_empty() {
+        return Err("--dest is required (addr:port), or --paths a1:p1,a2:p2,...".into());
+    }
 
     let object = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let name = std::path::Path::new(path)
@@ -786,114 +799,13 @@ fn cmd_send(opts: &HashMap<String, String>) -> Result<(), String> {
         )
         .map_err(|e| e.to_string())?;
 
-    // Bonded striping: `--paths a1,a2,...` replaces `--dest` and fans
-    // the one schedule out across several sockets.
-    if let Some(paths_arg) = opts.get("paths") {
-        if opts.contains_key("adaptive") || opts.contains_key("fanout") {
-            return Err("--paths stripes a static schedule; it cannot combine with \
-                 --adaptive or --fanout (run the feedback loop on one path)"
-                .into());
-        }
-        if opts.contains_key("dest") {
-            return Err("--paths replaces --dest (give every destination in --paths)".into());
-        }
-        return send_bonded(opts, &session, paths_arg, seed, tsi, &name, object.len());
-    }
-
-    let dest = opts.get("dest").ok_or("--dest is required (addr:port)")?;
-    let socket = std::net::UdpSocket::bind("0.0.0.0:0").map_err(|e| e.to_string())?;
-    let mut wire_tx = BatchSender::connect(socket, resolve_dest(dest)?, Backend::detect(), pace)
-        .map_err(|e| format!("connect {dest}: {e}"))?;
     let mut telemetry = Telemetry::from_opts(opts)?;
-    if telemetry.enabled() {
-        wire_tx.attach_telemetry(&telemetry.registry);
-    }
-    // Opportunistic UDP GSO: the wire format is unchanged (the kernel
-    // segments super-datagrams), so a refusal just means per-datagram sends.
-    if wire_tx.enable_gso().is_ok() {
-        eprintln!("wire: UDP generic segmentation offload active");
-    }
-    let mut sink = WireSink::new(wire_tx, injected, seed);
-    let (sent, dropped, summary) = if opts.contains_key("fanout") {
-        send_fanout(
-            opts,
-            &session,
-            &mut sink,
-            seed,
-            tsi,
-            &mut telemetry,
-            object.len() as u64,
-        )?
-    } else if opts.contains_key("adaptive") {
-        send_adaptive(
-            opts,
-            &session,
-            &mut sink,
-            seed,
-            tsi,
-            &mut telemetry,
-            object.len() as u64,
-        )?
-    } else {
-        send_static(
-            &session,
-            &mut sink,
-            seed,
-            tsi,
-            &telemetry,
-            object.len() as u64,
-        )?
-    };
-    println!(
-        "sent '{name}' ({} bytes) to {dest}: {sent} datagrams transmitted, {dropped} dropped by injected loss\n\
-         session: tsi {tsi}, {} + {} @ ratio {}, {symbol}-byte symbols",
-        object.len(),
-        code.name(),
-        tx.name(),
-        ratio.as_f64()
-    );
-    if let Some(mut summary) = summary {
-        summary.finalize();
-        println!("{}", summary.to_json());
-    }
-    telemetry.drain()?;
-    Ok(())
-}
-
-/// The bonded send loop (`send --paths a1,a2,...`): one FLUTE schedule
-/// striped across N real sockets by a [`PathScheduler`] with uniform
-/// shares and argument-order delay ranks (list the fastest link first —
-/// source symbols prefer early paths, repair symbols late ones, after
-/// Kurant's multipath-FEC ordering). Static schedule only; the in-band
-/// feedback loops stay single-path.
-fn send_bonded(
-    opts: &HashMap<String, String>,
-    session: &fec_broadcast::flute::FluteSender,
-    paths_arg: &str,
-    seed: u64,
-    tsi: u32,
-    name: &str,
-    object_len: usize,
-) -> Result<(), String> {
-    use fec_broadcast::bond::PathScheduler;
-    use fec_broadcast::telemetry::PathMetrics;
-
-    let dests: Vec<&str> = paths_arg
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .collect();
-    if dests.len() < 2 {
-        return Err("--paths needs at least two comma-separated addr:port destinations".into());
-    }
-    let pace_micros = get_usize(opts, "pace", 0)? as u64;
-    let injected = channel_from_keys(opts, "loss-p", "loss-q")?;
-    let mut telemetry = Telemetry::from_opts(opts)?;
-
     // One wire stack per path. Injected loss (if any) walks an
     // independent Gilbert process per path, seeded per index, so a demo
-    // shows genuinely heterogeneous links.
-    let mut sinks: Vec<WireSink> = Vec::with_capacity(dests.len());
+    // shows genuinely heterogeneous links; path 0 keeps the loss-process
+    // seed single-path sessions have always used, so a given --seed
+    // reproduces the same erasure pattern.
+    let mut paths = Vec::with_capacity(dests.len());
     for (i, dest) in dests.iter().enumerate() {
         let socket = std::net::UdpSocket::bind("0.0.0.0:0").map_err(|e| e.to_string())?;
         let mut wire_tx = BatchSender::connect(
@@ -906,94 +818,84 @@ fn send_bonded(
         if telemetry.enabled() {
             wire_tx.attach_telemetry(&telemetry.registry);
         }
-        let _ = wire_tx.enable_gso();
-        sinks.push(WireSink::new(
-            wire_tx,
-            injected,
-            seed.wrapping_add(i as u64).wrapping_mul(0x9E37_79B9),
-        ));
+        // Opportunistic UDP GSO: the wire format is unchanged (the kernel
+        // segments super-datagrams), so a refusal just means
+        // per-datagram sends.
+        if wire_tx.enable_gso().is_ok() {
+            eprintln!("wire: UDP generic segmentation offload active on path {i}");
+        }
+        let link = injected.map(|params| {
+            let link_seed = seed.wrapping_add((i as u64).wrapping_mul(0x9E37_79B9)) ^ 0x10c0;
+            LinkEmulator::new(Box::new(GilbertChannel::new(params, link_seed)), link_seed)
+        });
+        paths.push(live::WirePath::new(wire_tx, link));
     }
-    let path_metrics = telemetry
-        .enabled()
-        .then(|| PathMetrics::register_all(&telemetry.registry, dests.len()));
 
-    let mut scheduler = PathScheduler::new(dests.len());
-    let mut stream = session.stream(seed);
-    if telemetry.enabled() {
-        stream.attach_telemetry(&telemetry.registry);
-        if let Some(metrics) = &path_metrics {
-            for m in metrics {
-                m.share.set(1.0 / dests.len() as f64);
-            }
+    // The reception-report return channel, if anyone reports. Digests
+    // ride the batched engine's address-aware control-plane poll: the
+    // source address is the aggregator's receiver key.
+    let mut report_rx = if adaptive {
+        let addr = opts
+            .get("report-addr")
+            .ok_or("--adaptive requires --report-addr (addr:port to receive digests on)")?;
+        let socket = std::net::UdpSocket::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
+        let mut rx =
+            BatchReceiver::new(socket, BufferPool::with_config(2048, 64), Backend::detect());
+        if telemetry.enabled() {
+            rx.attach_telemetry(&telemetry.registry);
         }
-    }
-    let full_total = stream.full_total();
-    telemetry.record(Event::SessionStart {
-        tsi: tsi as u64,
-        objects: session.fdt().files.len() as u32,
-        full_schedule: full_total,
-    });
-
-    let mut bursts: Vec<Vec<Vec<u8>>> = vec![Vec::new(); dests.len()];
-    let mut sent_on = vec![0u64; dests.len()];
-    let mut sent = 0u64;
-    let mut flush = |path: usize,
-                     bursts: &mut Vec<Vec<Vec<u8>>>,
-                     sent_on: &mut Vec<u64>,
-                     sent: &mut u64|
-     -> Result<(), String> {
-        if bursts[path].is_empty() {
-            return Ok(());
-        }
-        let (delivered, _bytes) = sinks[path].send_burst(&bursts[path])?;
-        sent_on[path] += delivered;
-        *sent += delivered;
-        if let Some(metrics) = &path_metrics {
-            metrics[path].datagrams.add(delivered);
-        }
-        bursts[path].clear();
-        Ok(())
+        Some(rx)
+    } else {
+        None
     };
-    while let Some((path, dg)) = stream
-        .next_datagram_routed(|is_source| scheduler.route(is_source).unwrap_or(0))
-        .map_err(|e| e.to_string())?
-    {
-        bursts[path].push(dg);
-        if bursts[path].len() >= MAX_BURST {
-            flush(path, &mut bursts, &mut sent_on, &mut sent)?;
+    let config = live::SendConfig {
+        window: get_usize(opts, "window", 20_000)?,
+        replan_every: get_usize(opts, "replan-every", 64)?,
+    };
+    let outcome = live::send_session(
+        &session,
+        seed,
+        &mut paths,
+        report_rx
+            .as_mut()
+            .map(|rx| rx as &mut dyn live::DigestSource),
+        &config,
+        telemetry
+            .enabled()
+            .then_some((&telemetry.registry, &telemetry.events)),
+    )?;
+    println!(
+        "sent '{name}' ({} bytes) to {}: {} datagrams transmitted, {} dropped by injected loss\n\
+         session: tsi {tsi}, {} + {} @ ratio {}, {symbol}-byte symbols",
+        object.len(),
+        dests.join(","),
+        outcome.sent,
+        outcome.dropped,
+        code.name(),
+        tx.name(),
+        ratio.as_f64()
+    );
+    if dests.len() > 1 {
+        for (i, (dest, p)) in dests.iter().zip(&outcome.paths).enumerate() {
+            println!(
+                "  path {i} -> {dest}: {} datagrams ({} source, {} repair)",
+                p.datagrams, p.source, p.repair
+            );
         }
     }
-    for path in 0..dests.len() {
-        flush(path, &mut bursts, &mut sent_on, &mut sent)?;
+    if telemetry.enabled() {
+        println!("{}", outcome.summary.to_json());
     }
-    let dropped: u64 = sinks.iter().map(WireSink::dropped).sum();
-    telemetry.record(Event::SessionEnd {
-        tsi: tsi as u64,
-        datagrams: sent,
-        planned: full_total,
-        completed: 0,
-    });
     telemetry.drain()?;
-
-    let per_path: Vec<String> = dests
-        .iter()
-        .zip(&sent_on)
-        .enumerate()
-        .map(|(i, (dest, n))| {
-            format!(
-                "  path {i} -> {dest}: {n} datagrams ({} source, {} repair)",
-                scheduler.source_routed(i),
-                scheduler.repair_routed(i)
-            )
-        })
-        .collect();
-    println!(
-        "sent '{name}' ({object_len} bytes) across {} bonded paths: \
-         {sent} datagrams transmitted, {dropped} dropped by injected loss\n{}",
-        dests.len(),
-        per_path.join("\n")
-    );
     Ok(())
+}
+
+/// Splits a comma-separated `addr:port` list (`--paths`, `--listen`).
+fn split_addrs(list: &str) -> Vec<&str> {
+    list.split(',')
+        .map(str::trim)
+        .filter(|s| !s.is_empty())
+        .collect()
 }
 
 /// Maps `--pace <micros>` onto the wire engine's token bucket.
@@ -1021,615 +923,6 @@ fn resolve_dest(dest: &str) -> Result<std::net::SocketAddr, String> {
         .ok_or_else(|| format!("{dest}: no usable address"))
 }
 
-/// The send-side wire stack: the batched engine, optionally behind a
-/// Gilbert link emulator when `--loss-p/--loss-q` are given. Keeping the
-/// emulator in front of the engine (rather than gating datagram-by-
-/// datagram inside the send loops) means both send commands run the
-/// exact same burst path as a clean session, and drop accounting comes
-/// off the link's [`LinkStats`].
-enum WireSink {
-    Clean(BatchSender),
-    Emulated {
-        link: LinkEmulator,
-        sender: BatchSender,
-    },
-}
-
-impl WireSink {
-    fn new(sender: BatchSender, injected: Option<GilbertParams>, seed: u64) -> WireSink {
-        match injected {
-            None => WireSink::Clean(sender),
-            Some(params) => WireSink::Emulated {
-                // Same loss-process seed the pre-engine loops used, so
-                // a given seed reproduces the same erasure pattern.
-                link: LinkEmulator::new(
-                    Box::new(GilbertChannel::new(params, seed ^ 0x10c0)),
-                    seed ^ 0x10c0,
-                ),
-                sender,
-            },
-        }
-    }
-
-    /// Sends one burst; returns `(datagrams delivered, payload bytes)`.
-    /// Injected loss erases datagrams before the wire, so delivered can
-    /// be less than offered — the gap shows up in [`WireSink::dropped`].
-    fn send_burst<D: AsRef<[u8]>>(&mut self, burst: &[D]) -> Result<(u64, u64), String> {
-        match self {
-            WireSink::Clean(sender) => {
-                let refs: Vec<&[u8]> = burst.iter().map(|d| d.as_ref()).collect();
-                let bytes = refs.iter().map(|d| d.len() as u64).sum();
-                let n = sender.send_burst(&refs).map_err(|e| e.to_string())?;
-                Ok((n as u64, bytes))
-            }
-            WireSink::Emulated { link, sender } => {
-                let survivors = link.transmit_batch(burst);
-                let refs: Vec<&[u8]> = survivors.iter().map(|d| d.as_slice()).collect();
-                let bytes = refs.iter().map(|d| d.len() as u64).sum();
-                let n = sender.send_burst(&refs).map_err(|e| e.to_string())?;
-                Ok((n as u64, bytes))
-            }
-        }
-    }
-
-    /// Datagrams the injected loss erased so far.
-    fn dropped(&self) -> u64 {
-        match self {
-            WireSink::Clean(_) => 0,
-            WireSink::Emulated { link, .. } => link.stats().dropped(),
-        }
-    }
-}
-
-/// The fixed-schedule send loop, instrumented: every burst bumps the
-/// session counters so a scrape of `--metrics-addr` shows live progress.
-/// The whole schedule rides the batched engine in [`MAX_BURST`]-datagram
-/// syscalls.
-fn send_static(
-    session: &fec_broadcast::flute::FluteSender,
-    sink: &mut WireSink,
-    seed: u64,
-    tsi: u32,
-    telemetry: &Telemetry,
-    object_bytes: u64,
-) -> Result<(u64, u64, Option<SessionSummary>), String> {
-    let datagrams = session.datagrams(seed).map_err(|e| e.to_string())?;
-    let datagram_counter = telemetry.registry.counter_with(
-        "fec_session_datagrams_total",
-        "Datagrams emitted by the sender session, by kind.",
-        &[("kind", "data")],
-    );
-    let byte_counter = telemetry.registry.counter(
-        "fec_session_bytes_total",
-        "UDP payload bytes emitted by the sender session.",
-    );
-    telemetry.record(Event::SessionStart {
-        tsi: tsi as u64,
-        objects: session.fdt().files.len() as u32,
-        full_schedule: datagrams.len() as u64,
-    });
-    let started = std::time::Instant::now();
-    let mut summary = SessionSummary::new(tsi as u64);
-    summary.object_bytes = object_bytes;
-    summary.full_schedule = datagrams.len() as u64;
-    let mut sent = 0u64;
-    for chunk in datagrams.chunks(MAX_BURST) {
-        let (delivered, bytes) = sink.send_burst(chunk)?;
-        sent += delivered;
-        datagram_counter.add(delivered);
-        byte_counter.add(bytes);
-        summary.bytes_sent += bytes;
-    }
-    let dropped = sink.dropped();
-    summary.datagrams_sent = sent;
-    summary.elapsed_secs = started.elapsed().as_secs_f64();
-    telemetry.record(Event::SessionEnd {
-        tsi: tsi as u64,
-        datagrams: sent,
-        planned: datagrams.len() as u64,
-        completed: 0,
-    });
-    Ok((sent, dropped, telemetry.enabled().then_some(summary)))
-}
-
-/// The live adaptive send loop: emit bursts through a [`SessionStream`],
-/// drain reception-report digests from the feedback socket, and re-plan
-/// the in-flight object between bursts. Every control decision lands in
-/// the telemetry context as a structured event, and the
-/// [`SessionSummary`] (returned when telemetry is on) captures the run's
-/// goodput, overhead versus the static worst case, and the estimator
-/// trajectory.
-fn send_adaptive(
-    opts: &HashMap<String, String>,
-    session: &fec_broadcast::flute::FluteSender,
-    sink: &mut WireSink,
-    seed: u64,
-    tsi: u32,
-    telemetry: &mut Telemetry,
-    object_bytes: u64,
-) -> Result<(u64, u64, Option<SessionSummary>), String> {
-    use fec_broadcast::adapt::ControllerConfig;
-    use fec_broadcast::flute::feedback::FeedbackLoop;
-    use fec_broadcast::flute::{ReceptionReport, ReportOutcome};
-    use fec_broadcast::telemetry::EstimatorSample;
-
-    let report_addr = opts
-        .get("report-addr")
-        .ok_or("--adaptive requires --report-addr (addr:port to receive digests on)")?;
-    let window = get_usize(opts, "window", 20_000)?;
-    let replan_every = get_usize(opts, "replan-every", 64)?.max(1);
-    let report_socket =
-        std::net::UdpSocket::bind(report_addr).map_err(|e| format!("bind {report_addr}: {e}"))?;
-    // Digests ride the batched engine too: one non-blocking poll drains
-    // every queued report in a single syscall on Linux.
-    let mut report_rx = BatchReceiver::new(
-        report_socket,
-        BufferPool::with_config(2048, 64),
-        Backend::detect(),
-    );
-
-    let mut feedback = FeedbackLoop::new(
-        tsi,
-        ControllerConfig {
-            window,
-            confirm_after: 1,
-            ..ControllerConfig::default()
-        },
-    );
-    let mut stream = session.stream(seed);
-    if telemetry.enabled() {
-        stream.attach_telemetry(&telemetry.registry);
-        feedback.attach_telemetry(&telemetry.registry);
-        report_rx.attach_telemetry(&telemetry.registry);
-    }
-    let full_total = stream.full_total();
-    telemetry.record(Event::SessionStart {
-        tsi: tsi as u64,
-        objects: session.fdt().files.len() as u32,
-        full_schedule: full_total,
-    });
-    let started = std::time::Instant::now();
-    let mut summary = SessionSummary::new(tsi as u64);
-    summary.object_bytes = object_bytes;
-    summary.full_schedule = full_total;
-    let mut sent = 0u64;
-    // Bursts stay inside the replan cadence so control decisions keep
-    // their per-`replan_every` granularity.
-    let burst_cap = replan_every.min(MAX_BURST);
-    let mut burst: Vec<Vec<u8>> = Vec::with_capacity(burst_cap);
-    let mut offered = 0u64;
-    let mut next_replan_at = replan_every as u64;
-    let mut linger_until: Option<std::time::Instant> = None;
-
-    loop {
-        // Drain every pending digest.
-        loop {
-            let digests = report_rx
-                .try_recv_burst(MAX_BURST)
-                .map_err(|e| e.to_string())?;
-            if digests.is_empty() {
-                break;
-            }
-            for dg in &digests {
-                let report = match ReceptionReport::from_bytes(dg) {
-                    Ok(report) => report,
-                    Err(e) => {
-                        eprintln!("ignoring malformed digest: {e}");
-                        continue;
-                    }
-                };
-                match feedback.ingest(&report) {
-                    ReportOutcome::Applied {
-                        observations,
-                        completed,
-                    } => {
-                        summary.digests_applied += 1;
-                        summary.objects_completed += completed.len() as u32;
-                        telemetry.record(Event::DigestReceived {
-                            report_seq: report.report_seq as u64,
-                            observations,
-                            applied: true,
-                        });
-                        if telemetry.enabled() {
-                            if let Some(est) = feedback.controller().estimate() {
-                                telemetry.record(Event::EstimateUpdated {
-                                    p: est.params.p(),
-                                    q: est.params.q(),
-                                    p_upper: est.p_global_upper(),
-                                    window: feedback.controller().estimator().window_len() as u64,
-                                });
-                                summary.estimator.push(EstimatorSample {
-                                    observations: feedback.stats().observations,
-                                    p: est.params.p(),
-                                    q: est.params.q(),
-                                    p_upper: est.p_global_upper(),
-                                });
-                            }
-                        }
-                        // Objects the receiver already decoded need nothing
-                        // more: stop their emission where it stands.
-                        for toi in completed {
-                            telemetry.record(Event::ObjectComplete { toi });
-                            stream.stop_object(toi).map_err(|e| e.to_string())?;
-                        }
-                    }
-                    // Stale or foreign: dropped by design, but still logged.
-                    _ => telemetry.record(Event::DigestReceived {
-                        report_seq: report.report_seq as u64,
-                        observations: report.observations(),
-                        applied: false,
-                    }),
-                }
-            }
-        }
-        if feedback.session_complete() {
-            eprintln!(
-                "receiver reported the session complete after {sent} datagrams \
-                 ({} planned, {full_total} full)",
-                stream.planned_total()
-            );
-            break;
-        }
-        burst.clear();
-        while burst.len() < burst_cap {
-            match stream.next_datagram().map_err(|e| e.to_string())? {
-                Some(dg) => burst.push(dg),
-                None => break,
-            }
-        }
-        if burst.is_empty() {
-            // Planned emission exhausted: linger for the digests still
-            // in flight before declaring the plan insufficient.
-            let now = std::time::Instant::now();
-            match linger_until {
-                None => linger_until = Some(now + std::time::Duration::from_millis(1500)),
-                Some(deadline) if now < deadline => {}
-                Some(_) => {
-                    if stream.planned_total() < full_total {
-                        // The plan was too optimistic: fall back to the
-                        // full schedules and keep going.
-                        eprintln!(
-                            "no completion report after the planned {} datagrams; \
-                             reverting to the full schedule",
-                            stream.planned_total()
-                        );
-                        feedback.record_failure();
-                        summary.backoffs += 1;
-                        for toi in session.fdt().files.iter().map(|f| f.toi) {
-                            if !feedback.is_complete(toi) {
-                                telemetry.record(Event::BackoffTriggered { reverted: toi });
-                                stream.amend_plan(toi, None).map_err(|e| e.to_string())?;
-                            }
-                        }
-                        linger_until = None;
-                    } else {
-                        eprintln!(
-                            "full schedule exhausted without a completion report \
-                             (receiver gone, or losses beyond the code budget)"
-                        );
-                        break;
-                    }
-                }
-            }
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            continue;
-        }
-        linger_until = None;
-        offered += burst.len() as u64;
-        let (delivered, bytes) = sink.send_burst(&burst)?;
-        sent += delivered;
-        summary.bytes_sent += bytes;
-        // Re-plan the in-flight object periodically.
-        if offered >= next_replan_at {
-            next_replan_at = offered + replan_every as u64;
-            if let Some(toi) = stream.current_toi() {
-                let k = stream.source_count(toi).expect("in-flight TOI") as usize;
-                let replan = feedback.replan(k);
-                summary.replans += 1;
-                stream
-                    .amend_plan(toi, replan.plan.as_ref())
-                    .map_err(|e| e.to_string())?;
-                telemetry.record(Event::ReplanIssued {
-                    toi,
-                    target: replan.plan.as_ref().map_or(full_total, |p| p.n_sent),
-                    schedule: stream.planned_total(),
-                });
-            }
-        }
-    }
-    let dropped = sink.dropped();
-    summary.datagrams_sent = sent;
-    summary.elapsed_secs = started.elapsed().as_secs_f64();
-    telemetry.record(Event::SessionEnd {
-        tsi: tsi as u64,
-        datagrams: sent,
-        planned: stream.planned_total(),
-        completed: summary.objects_completed,
-    });
-    let stats = feedback.stats();
-    eprintln!(
-        "feedback: {} digests applied ({} stale, {} foreign), {} observations; \
-         estimator bound {}",
-        stats.applied,
-        stats.stale,
-        stats.foreign,
-        stats.observations,
-        feedback.controller().estimate().map_or_else(
-            || "-".into(),
-            |e| format!("{:.2}%", e.p_global_upper() * 100.0)
-        ),
-    );
-    Ok((sent, dropped, telemetry.enabled().then_some(summary)))
-}
-
-/// The population-scale send loop (`send --fanout`): digests from any
-/// number of receivers land in a [`FeedbackAggregator`] keyed by source
-/// address — deduped per receiver, only the worst receiver's sketch
-/// folded into the estimator — and the population's NACK union drains
-/// into *targeted* repair symbols instead of whole-schedule extension.
-/// Structure mirrors [`send_adaptive`]; the differences are exactly the
-/// three fan-out layers (aggregation, suppression-aware ingest, NACK
-/// repair).
-fn send_fanout(
-    opts: &HashMap<String, String>,
-    session: &fec_broadcast::flute::FluteSender,
-    sink: &mut WireSink,
-    seed: u64,
-    tsi: u32,
-    telemetry: &mut Telemetry,
-    object_bytes: u64,
-) -> Result<(u64, u64, Option<SessionSummary>), String> {
-    use std::collections::BTreeMap;
-
-    use fec_broadcast::adapt::ControllerConfig;
-    use fec_broadcast::flute::feedback::{AggregateOutcome, AggregatorConfig, FeedbackAggregator};
-    use fec_broadcast::flute::ReceptionReport;
-    use fec_broadcast::telemetry::EstimatorSample;
-
-    let report_addr = opts
-        .get("report-addr")
-        .ok_or("--fanout requires --report-addr (addr:port to receive digests on)")?;
-    let window = get_usize(opts, "window", 20_000)?;
-    let replan_every = get_usize(opts, "replan-every", 64)?.max(1);
-    let report_socket =
-        std::net::UdpSocket::bind(report_addr).map_err(|e| format!("bind {report_addr}: {e}"))?;
-    // The feedback drain needs source addresses (the aggregator's key),
-    // so it rides the engine's address-aware control-plane poll rather
-    // than the batched data-plane path.
-    let mut report_rx = BatchReceiver::new(
-        report_socket,
-        BufferPool::with_config(2048, 64),
-        Backend::detect(),
-    );
-
-    let mut agg = FeedbackAggregator::new(
-        tsi,
-        AggregatorConfig::default(),
-        ControllerConfig {
-            window,
-            confirm_after: 1,
-            ..ControllerConfig::default()
-        },
-    );
-    let mut stream = session.stream(seed);
-    if telemetry.enabled() {
-        stream.attach_telemetry(&telemetry.registry);
-        agg.attach_telemetry(&telemetry.registry);
-        report_rx.attach_telemetry(&telemetry.registry);
-    }
-    let full_total = stream.full_total();
-    telemetry.record(Event::SessionStart {
-        tsi: tsi as u64,
-        objects: session.fdt().files.len() as u32,
-        full_schedule: full_total,
-    });
-    let started = std::time::Instant::now();
-    let mut summary = SessionSummary::new(tsi as u64);
-    summary.object_bytes = object_bytes;
-    summary.full_schedule = full_total;
-    let mut sent = 0u64;
-    let burst_cap = replan_every.min(MAX_BURST);
-    let mut burst: Vec<Vec<u8>> = Vec::with_capacity(burst_cap);
-    let mut offered = 0u64;
-    let mut next_replan_at = replan_every as u64;
-    let mut linger_until: Option<std::time::Instant> = None;
-    let mut stopped: std::collections::BTreeSet<u32> = std::collections::BTreeSet::new();
-    let mut repairs_queued = 0u64;
-
-    loop {
-        // Drain every pending digest, keyed by the receiver that sent it.
-        loop {
-            let digests = report_rx
-                .try_recv_burst_from(MAX_BURST)
-                .map_err(|e| e.to_string())?;
-            if digests.is_empty() {
-                break;
-            }
-            for (dg, src) in &digests {
-                let report = match ReceptionReport::from_bytes(dg) {
-                    Ok(report) => report,
-                    Err(e) => {
-                        eprintln!("ignoring malformed digest from {src}: {e}");
-                        continue;
-                    }
-                };
-                let outcome = agg.ingest(*src, &report);
-                // Fresh digests advance population state whether or not
-                // they reach the estimator; dedups and foreigners don't.
-                let applied = matches!(
-                    outcome,
-                    AggregateOutcome::Folded { .. } | AggregateOutcome::Accepted
-                );
-                if applied {
-                    summary.digests_applied += 1;
-                }
-                telemetry.record(Event::DigestReceived {
-                    report_seq: report.report_seq as u64,
-                    observations: report.observations(),
-                    applied,
-                });
-                if telemetry.enabled() && matches!(outcome, AggregateOutcome::Folded { .. }) {
-                    if let Some(est) = agg.controller().estimate() {
-                        telemetry.record(Event::EstimateUpdated {
-                            p: est.params.p(),
-                            q: est.params.q(),
-                            p_upper: est.p_global_upper(),
-                            window: agg.controller().estimator().window_len() as u64,
-                        });
-                        summary.estimator.push(EstimatorSample {
-                            observations: agg.stats().observations,
-                            p: est.params.p(),
-                            q: est.params.q(),
-                            p_upper: est.p_global_upper(),
-                        });
-                    }
-                }
-            }
-        }
-        // Objects the whole tracked population decoded stop where they
-        // stand (a later joiner's digest reopens them via NACKs).
-        let complete: Vec<u32> = agg
-            .completed()
-            .filter(|toi| !stopped.contains(toi))
-            .collect();
-        for toi in complete {
-            stopped.insert(toi);
-            summary.objects_completed += 1;
-            telemetry.record(Event::ObjectComplete { toi });
-            stream.stop_object(toi).map_err(|e| e.to_string())?;
-        }
-        if agg.session_complete() {
-            eprintln!(
-                "all {} tracked receivers report the session complete after {sent} datagrams \
-                 ({} planned, {full_total} full)",
-                agg.receiver_count(),
-                stream.planned_total()
-            );
-            break;
-        }
-        // Targeted repair: the population's missing-symbol union becomes
-        // queued repair packets (deduped downstream against in-flight
-        // schedule slots), not a longer carousel.
-        let requests = agg.take_nack_requests();
-        if !requests.is_empty() {
-            let mut by_toi: BTreeMap<u32, Vec<fec_broadcast::flute::feedback::NackEntry>> =
-                BTreeMap::new();
-            for req in requests {
-                by_toi.entry(req.toi).or_default().push(req);
-            }
-            for (toi, group) in by_toi {
-                let requested: u64 = group.iter().map(|g| g.esis.len() as u64).sum();
-                let queued = stream.queue_repair(&group);
-                repairs_queued += queued;
-                telemetry.record(Event::RepairQueued {
-                    toi,
-                    requested,
-                    queued,
-                });
-            }
-        }
-        burst.clear();
-        while burst.len() < burst_cap {
-            match stream.next_datagram().map_err(|e| e.to_string())? {
-                Some(dg) => burst.push(dg),
-                None => break,
-            }
-        }
-        if burst.is_empty() {
-            // Planned emission (and repair queue) exhausted: linger for
-            // digests still in flight before judging the plan.
-            let now = std::time::Instant::now();
-            match linger_until {
-                None => linger_until = Some(now + std::time::Duration::from_millis(1500)),
-                Some(deadline) if now < deadline => {}
-                Some(_) => {
-                    if stream.planned_total() < full_total {
-                        eprintln!(
-                            "population incomplete after the planned {} datagrams; \
-                             reverting to the full schedule",
-                            stream.planned_total()
-                        );
-                        agg.record_failure();
-                        summary.backoffs += 1;
-                        for toi in session.fdt().files.iter().map(|f| f.toi) {
-                            if !agg.is_complete(toi) {
-                                telemetry.record(Event::BackoffTriggered { reverted: toi });
-                                stream.amend_plan(toi, None).map_err(|e| e.to_string())?;
-                            }
-                        }
-                        linger_until = None;
-                    } else {
-                        eprintln!(
-                            "full schedule exhausted without population completion \
-                             ({} receivers tracked, median completion {:.0}%; \
-                             receivers gone, or losses beyond the code budget)",
-                            agg.receiver_count(),
-                            agg.summary().completion_quantiles[1] * 100.0
-                        );
-                        break;
-                    }
-                }
-            }
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            continue;
-        }
-        linger_until = None;
-        offered += burst.len() as u64;
-        let (delivered, bytes) = sink.send_burst(&burst)?;
-        sent += delivered;
-        summary.bytes_sent += bytes;
-        // Re-plan (and advance the idle-eviction clock) periodically.
-        if offered >= next_replan_at {
-            next_replan_at = offered + replan_every as u64;
-            agg.advance_tick();
-            if let Some((toi, k)) = stream
-                .current_toi()
-                .and_then(|toi| stream.source_count(toi).map(|k| (toi, k)))
-            {
-                let replan = agg.replan(k as usize);
-                summary.replans += 1;
-                stream
-                    .amend_plan(toi, replan.plan.as_ref())
-                    .map_err(|e| e.to_string())?;
-                telemetry.record(Event::ReplanIssued {
-                    toi,
-                    target: replan.plan.as_ref().map_or(full_total, |p| p.n_sent),
-                    schedule: stream.planned_total(),
-                });
-            }
-        }
-    }
-    let dropped = sink.dropped();
-    summary.datagrams_sent = sent;
-    summary.elapsed_secs = started.elapsed().as_secs_f64();
-    telemetry.record(Event::SessionEnd {
-        tsi: tsi as u64,
-        datagrams: sent,
-        planned: stream.planned_total(),
-        completed: summary.objects_completed,
-    });
-    let stats = agg.stats();
-    let pop = agg.summary();
-    eprintln!(
-        "fan-out feedback: {} receivers tracked, {} digests \
-         ({} folded, {} accepted, {} deduped, {} evicted), \
-         {} observations, {repairs_queued} targeted repairs; \
-         worst receiver loss {:.2}%, completion p10/p50/p90 {:.0}%/{:.0}%/{:.0}%",
-        pop.receivers,
-        stats.ingested,
-        stats.folded,
-        stats.accepted,
-        stats.deduped,
-        stats.evicted,
-        stats.observations,
-        pop.worst_loss * 100.0,
-        pop.completion_quantiles[0] * 100.0,
-        pop.completion_quantiles[1] * 100.0,
-        pop.completion_quantiles[2] * 100.0,
-    );
-    Ok((sent, dropped, telemetry.enabled().then_some(summary)))
-}
-
 fn cmd_recv(opts: &HashMap<String, String>) -> Result<(), String> {
     use fec_broadcast::flute::feedback::ReportConfig;
     use fec_broadcast::flute::FluteReceiver;
@@ -1637,11 +930,7 @@ fn cmd_recv(opts: &HashMap<String, String>) -> Result<(), String> {
     let listen = opts
         .get("listen")
         .ok_or("--listen is required (addr:port, or a1:p1,a2:p2,... to bond)")?;
-    let addrs: Vec<&str> = listen
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .collect();
+    let addrs = split_addrs(listen);
     if addrs.is_empty() {
         return Err("--listen needs at least one addr:port".into());
     }
@@ -1673,16 +962,15 @@ fn cmd_recv(opts: &HashMap<String, String>) -> Result<(), String> {
     // instead of a fresh allocation per datagram, and an error
     // discipline (see [`live::drain_loop`]) that retries `EINTR` and
     // survives transient socket errors instead of silently ending the
-    // session. With several `--listen` addresses (a bonded sender's
-    // `send --paths`), each socket's drain tags its datagrams with the
-    // path index so per-path sequence accounting stays honest.
-    let bonded = addrs.len() > 1;
+    // session. Every socket's drain tags its datagrams with the path
+    // index (one `--listen` address is path 0; several are the receiving
+    // half of `send --paths`), so per-path sequence accounting stays
+    // honest.
     let pool = BufferPool::new();
     if telemetry.enabled() {
         pool.attach_telemetry(&telemetry.registry);
     }
-    let (single_tx, single_rx) = std::sync::mpsc::channel();
-    let (tagged_tx, tagged_rx) = std::sync::mpsc::channel();
+    let (datagram_tx, datagram_rx) = std::sync::mpsc::channel();
     for (path, addr) in addrs.iter().enumerate() {
         let socket = std::net::UdpSocket::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
         socket
@@ -1699,15 +987,10 @@ fn cmd_recv(opts: &HashMap<String, String>) -> Result<(), String> {
         if telemetry.enabled() {
             wire_rx.attach_telemetry(&telemetry.registry);
         }
-        if bonded {
-            drop(live::spawn_drain_on(wire_rx, path, tagged_tx.clone()));
-        } else {
-            drop(live::spawn_drain(wire_rx, single_tx.clone()));
-        }
+        drop(live::spawn_drain(wire_rx, path, datagram_tx.clone()));
     }
     // The decode side must observe disconnect when every drain ends.
-    drop(single_tx);
-    drop(tagged_tx);
+    drop(datagram_tx);
 
     let mut session = FluteReceiver::new(tsi);
     if reporting.is_some() {
@@ -1743,7 +1026,7 @@ fn cmd_recv(opts: &HashMap<String, String>) -> Result<(), String> {
     };
 
     // The decode loop lives in [`live::receive_session`]: bursts from the
-    // drain thread feed the decoder's batched path, digests ship through
+    // drain threads feed the decoder's batched path, digests ship through
     // the *lossy* return channel (a failed send is counted, never fatal),
     // and a malformed datagram costs itself, not its burst.
     let config = live::ReceiveConfig {
@@ -1757,11 +1040,7 @@ fn cmd_recv(opts: &HashMap<String, String>) -> Result<(), String> {
         )),
         ..Default::default()
     };
-    let outcome = if bonded {
-        live::receive_session_multipath(&mut session, &tagged_rx, ship, &config)?
-    } else {
-        live::receive_session(&mut session, &single_rx, ship, &config)?
-    };
+    let outcome = live::receive_session(&mut session, &datagram_rx, ship, &config)?;
     let live::ReceiveOutcome { toi, datagrams, .. } = outcome;
     if outcome.rejected > 0 || outcome.ship_failures > 0 {
         eprintln!(
@@ -1797,7 +1076,7 @@ fn cmd_recv(opts: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-/// Like [`channel_from`] but with configurable option names.
+/// A Gilbert channel from a `--<p_key>`/`--<q_key>` pair, if given.
 fn channel_from_keys(
     opts: &HashMap<String, String>,
     p_key: &str,

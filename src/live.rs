@@ -1,13 +1,23 @@
-//! Live-session wire plumbing shared by the CLI and the fault tests.
+//! fec-audit: deny(panic)
 //!
-//! The `send`/`recv` commands used to speak to their sockets directly,
-//! and three latent bugs lived in that plumbing: the receive drain thread
-//! died on *any* `recv_from` error (a stray `EINTR` ended the session),
-//! a single failed digest `send_to` aborted the whole receive (the return
-//! channel is lossy by design), and one malformed datagram could poison
-//! an entire decode burst. This module centralises the loops so the
-//! fixes are testable without sockets:
+//! The live session engine: one send loop and one receive loop, shared by
+//! the CLI, the examples and the acceptance tests.
 //!
+//! A live session varies along three axes — how many paths carry it, how
+//! many receivers report on it, and whether anyone reports at all — and
+//! none of them selects a different loop:
+//!
+//! * [`send_session`] — pulls bursts from a
+//!   [`SessionStream`](fec_flute::SessionStream), routes each datagram
+//!   through a [`PathScheduler`] over 1..N [`PathSink`]s, and drains
+//!   reception-report digests from a [`DigestSource`] into the one
+//!   feedback consumer, [`FeedbackAggregator`]. A single path is N = 1
+//!   paths; a single receiver is a population of one; a static session
+//!   is a session nobody reports on.
+//! * [`receive_session`] — the decode loop, over datagrams tagged with
+//!   the path (bound socket) they arrived on; a single-socket receiver
+//!   tags everything 0. Reception reports ship through a *lossy* hook:
+//!   failures are counted and logged, never fatal.
 //! * [`drain_loop`] / [`spawn_drain`] — pull bursts from a
 //!   [`BurstSource`] (the batched engine's [`BatchReceiver`], or a
 //!   scripted source in tests) and forward datagrams to the decode
@@ -15,21 +25,32 @@
 //!   [`fec_wire::classify_recv_error`]: interrupted
 //!   syscalls retry, only an idle read timeout ends the session, and
 //!   anything else is logged, counted, and survived.
-//! * [`receive_session`] — the decode loop. Reception reports ship
-//!   through a *lossy* hook: failures are counted and logged, never
-//!   fatal.
 //! * [`push_salvaging`] — feeds a burst to the FLUTE receiver and, if
 //!   the batched path reports an error, replays the burst one datagram
 //!   at a time so the bad datagram is skipped instead of sinking its
 //!   4000-odd good neighbours.
+//!
+//! Everything here handles bytes from the network (digests on the send
+//! side, datagrams on the receive side), so the module is panic-free by
+//! lint.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::io;
+use std::net::SocketAddr;
 use std::sync::mpsc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use fec_flute::{FluteReceiver, ReceiverEvent, ReceptionReport};
-use fec_telemetry::Counter;
-use fec_wire::{classify_recv_error, BatchReceiver, PoolBuf, RecvDisposition, MAX_BURST};
+use fec_adapt::ControllerConfig;
+use fec_bond::PathScheduler;
+use fec_channel::LinkEmulator;
+use fec_flute::feedback::{AggregateOutcome, AggregatorConfig, FeedbackAggregator, NackEntry};
+use fec_flute::{FluteReceiver, FluteSender, ReceiverEvent, ReceptionReport};
+use fec_telemetry::{
+    Counter, EstimatorSample, Event, EventLog, PathMetrics, Registry, SessionSummary,
+};
+use fec_wire::{
+    classify_recv_error, BatchReceiver, BatchSender, PoolBuf, RecvDisposition, MAX_BURST,
+};
 
 /// Consecutive transient receive errors tolerated before the drain loop
 /// concludes the socket is wedged and gives up. Transients are expected
@@ -67,37 +88,10 @@ pub struct DrainStats {
     pub transients: u64,
 }
 
-/// Where a drain loop forwards datagrams: the plain channel in the
-/// single-socket session, or a path-tagging channel when the receiver is
-/// bound to several addresses (bonded transport's multi-bind mode).
-pub trait DatagramSink {
-    /// Forwards one datagram; `false` means the decode side hung up.
-    fn forward(&self, datagram: PoolBuf) -> bool;
-}
-
-impl DatagramSink for mpsc::Sender<PoolBuf> {
-    fn forward(&self, datagram: PoolBuf) -> bool {
-        self.send(datagram).is_ok()
-    }
-}
-
-/// Tags every datagram with the path index of the socket it arrived on,
-/// so the decode loop can keep per-path EXT_SEQ accounting honest.
-pub struct TaggedSink {
-    /// The bonded path index this sink's socket belongs to.
-    pub path: usize,
-    /// The shared decode-side channel.
-    pub tx: mpsc::Sender<(usize, PoolBuf)>,
-}
-
-impl DatagramSink for TaggedSink {
-    fn forward(&self, datagram: PoolBuf) -> bool {
-        self.tx.send((self.path, datagram)).is_ok()
-    }
-}
-
-/// Pulls bursts from `source` and forwards each datagram into `tx` until
-/// the session ends. The error discipline is the whole point:
+/// Pulls bursts from `source` and forwards each datagram into `tx`, tagged
+/// with the index `path` of the socket it arrived on (so the decode loop
+/// can keep per-path EXT_SEQ accounting honest), until the session ends.
+/// The error discipline is the whole point:
 ///
 /// * `Interrupted` (`EINTR`) — retry immediately; a signal delivery is
 ///   not an event.
@@ -108,9 +102,10 @@ impl DatagramSink for TaggedSink {
 ///   socket is wedged, not hiccuping).
 ///
 /// Also returns when the decode side hangs up (`tx` disconnected).
-pub fn drain_loop<S: BurstSource, T: DatagramSink>(
+pub fn drain_loop<S: BurstSource>(
     source: &mut S,
-    tx: &T,
+    path: usize,
+    tx: &mpsc::Sender<(usize, PoolBuf)>,
     max_burst: usize,
 ) -> DrainStats {
     let mut stats = DrainStats::default();
@@ -122,7 +117,7 @@ pub fn drain_loop<S: BurstSource, T: DatagramSink>(
                 stats.bursts += 1;
                 stats.datagrams += burst.len() as u64;
                 for dg in burst {
-                    if !tx.forward(dg) {
+                    if tx.send((path, dg)).is_err() {
                         return stats; // decoder hung up: session is over
                     }
                 }
@@ -150,22 +145,10 @@ pub fn drain_loop<S: BurstSource, T: DatagramSink>(
 }
 
 /// Runs [`drain_loop`] on a dedicated thread so a slow decode never lets
-/// the kernel receive queue overflow. The handle yields the loop's
+/// the kernel receive queue overflow — one call per bound socket, all
+/// feeding the same decode channel. The handle yields the loop's
 /// [`DrainStats`]; dropping it detaches the thread (the CLI does).
 pub fn spawn_drain<S>(
-    mut source: S,
-    tx: mpsc::Sender<PoolBuf>,
-) -> std::thread::JoinHandle<DrainStats>
-where
-    S: BurstSource + Send + 'static,
-{
-    std::thread::spawn(move || drain_loop(&mut source, &tx, MAX_BURST))
-}
-
-/// Like [`spawn_drain`], but every datagram is tagged with `path` — one
-/// call per bound socket in the receiver's multi-bind (bonded) mode, all
-/// feeding the same decode channel.
-pub fn spawn_drain_on<S>(
     mut source: S,
     path: usize,
     tx: mpsc::Sender<(usize, PoolBuf)>,
@@ -173,52 +156,51 @@ pub fn spawn_drain_on<S>(
 where
     S: BurstSource + Send + 'static,
 {
-    std::thread::spawn(move || drain_loop(&mut source, &TaggedSink { path, tx }, MAX_BURST))
+    std::thread::spawn(move || drain_loop(&mut source, path, &tx, MAX_BURST))
 }
 
-/// Feeds a burst through [`FluteReceiver::push_datagrams`]; if the
-/// batched path errors, replays the burst one datagram at a time so only
-/// the offending datagrams are dropped. Returns the events (one per
-/// accepted datagram) and how many datagrams were rejected — both the
-/// per-datagram [`ReceiverEvent::Rejected`] skips the batched path
-/// already performs and any salvage-pass casualties.
+/// Feeds a burst that arrived on `path` through
+/// [`FluteReceiver::push_datagrams_on`]; if the batched path errors,
+/// replays the burst one datagram at a time so only the offending
+/// datagrams are dropped. Returns the events (one per accepted datagram)
+/// and how many datagrams were rejected — both the per-datagram
+/// [`ReceiverEvent::Rejected`] skips the batched path already performs
+/// and any salvage-pass casualties.
 pub fn push_salvaging<D: AsRef<[u8]>>(
     session: &mut FluteReceiver,
+    path: usize,
     burst: &[D],
 ) -> (Vec<ReceiverEvent>, u64) {
-    match session.push_datagrams(burst) {
-        Ok(events) => {
-            let rejected = events
-                .iter()
-                .filter(|e| matches!(e, ReceiverEvent::Rejected))
-                .count() as u64;
-            (events, rejected)
-        }
+    let (events, undecodable) = match session.push_datagrams_on(path, burst) {
+        Ok(events) => (events, 0),
         Err(burst_error) => {
             // The batched path hit a datagram it could not even skip
             // (e.g. a forged payload ID the decoder rejects). Replay
             // one-by-one: good datagrams land, bad ones are dropped.
             let mut events = Vec::with_capacity(burst.len());
-            let mut rejected = 0u64;
-            let mut logged = false;
+            let mut undecodable = 0u64;
             for dg in burst {
-                match session.push_datagram(dg.as_ref()) {
-                    Ok(event) => events.push(event),
+                match session.push_datagrams_on(path, std::slice::from_ref(dg)) {
+                    Ok(mut singles) => events.append(&mut singles),
                     Err(e) => {
-                        rejected += 1;
-                        if !logged {
+                        undecodable += 1;
+                        if undecodable == 1 {
                             eprintln!(
-                                "dropping bad datagram (salvaging the remaining burst): \
-                                 {e} (burst error: {burst_error})"
+                                "dropping bad datagram on path {path} (salvaging the \
+                                 remaining burst): {e} (burst error: {burst_error})"
                             );
-                            logged = true;
                         }
                     }
                 }
             }
-            (events, rejected)
+            (events, undecodable)
         }
-    }
+    };
+    let skipped = events
+        .iter()
+        .filter(|e| matches!(e, ReceiverEvent::Rejected))
+        .count() as u64;
+    (events, skipped + undecodable)
 }
 
 /// Knobs for [`receive_session`]. The defaults match the CLI.
@@ -262,88 +244,19 @@ pub struct ReceiveOutcome {
     pub ship_failures: u64,
 }
 
-/// The receive decode loop: pull datagrams from the drain thread's
-/// channel, decode in bursts, and ship reception-report digests through
-/// `ship` until an object completes.
+/// The receive decode loop: pull path-tagged datagrams from the drain
+/// threads' channel, decode in bursts grouped by path (so the per-path
+/// EXT_SEQ gap accounting stays honest across a bond), and ship
+/// reception-report digests through `ship` until an object completes.
 ///
 /// `ship` is treated as *lossy by design*: a failure is logged and
 /// counted (see [`ReceiveConfig::ship_failure_counter`]) but never ends
 /// the session — the sender's digest protocol already tolerates missing
 /// reports, exactly like it tolerates lost data datagrams.
 ///
-/// Errors only when the channel disconnects (the drain thread saw the
+/// Errors only when the channel disconnects (every drain thread saw the
 /// read timeout expire) before any object completed.
 pub fn receive_session<F>(
-    session: &mut FluteReceiver,
-    datagrams: &mpsc::Receiver<PoolBuf>,
-    mut ship: F,
-    config: &ReceiveConfig,
-) -> Result<ReceiveOutcome, String>
-where
-    F: FnMut(&ReceptionReport) -> Result<(), String>,
-{
-    let mut outcome = ReceiveOutcome::default();
-    let mut burst: Vec<PoolBuf> = Vec::new();
-    let toi = 'decode: loop {
-        burst.clear();
-        match datagrams.recv_timeout(config.flush_interval) {
-            Ok(dg) => burst.push(dg),
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                // Idle tick: ship whatever the emitter has batched so the
-                // sender's estimator never starves on a quiet channel.
-                if let Some(report) = session.flush_report() {
-                    ship_lossy(&mut ship, &report, &mut outcome, config);
-                }
-                continue;
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                return Err(format!(
-                    "timed out after {} datagrams without completing the object \
-                     (losses beyond the code's budget, or no sender running)",
-                    outcome.datagrams
-                ))
-            }
-        }
-        while burst.len() < config.burst_cap {
-            match datagrams.try_recv() {
-                Ok(dg) => burst.push(dg),
-                Err(_) => break,
-            }
-        }
-        outcome.datagrams += burst.len() as u64;
-        let (events, rejected) = push_salvaging(session, &burst);
-        if rejected > 0 {
-            outcome.rejected += rejected;
-            if let Some(c) = &config.rejected_counter {
-                c.add(rejected);
-            }
-        }
-        for event in events {
-            if let ReceiverEvent::ObjectComplete { toi } = event {
-                break 'decode toi;
-            }
-        }
-        if let Some(report) = session.poll_report() {
-            ship_lossy(&mut ship, &report, &mut outcome, config);
-        }
-    };
-    // Final FIN digests (repeated: the return channel is lossy too) so an
-    // adaptive sender stops transmitting immediately.
-    for _ in 0..config.fin_repeats {
-        if let Some(report) = session.flush_report() {
-            ship_lossy(&mut ship, &report, &mut outcome, config);
-        }
-    }
-    outcome.toi = toi;
-    Ok(outcome)
-}
-
-/// The multi-bind (bonded) decode loop: datagrams arrive path-tagged
-/// from several [`spawn_drain_on`] threads, and each burst is fed
-/// through [`FluteReceiver::push_datagrams_on`] grouped by path, so the
-/// per-path EXT_SEQ gap accounting stays honest across the bond. Ship
-/// semantics and fault discipline match [`receive_session`] exactly.
-pub fn receive_session_multipath<F>(
     session: &mut FluteReceiver,
     datagrams: &mpsc::Receiver<(usize, PoolBuf)>,
     mut ship: F,
@@ -359,6 +272,8 @@ where
         match datagrams.recv_timeout(config.flush_interval) {
             Ok(tagged) => burst.push(tagged),
             Err(mpsc::RecvTimeoutError::Timeout) => {
+                // Idle tick: ship whatever the emitter has batched so the
+                // sender's estimator never starves on a quiet channel.
                 if let Some(report) = session.flush_report() {
                     ship_lossy(&mut ship, &report, &mut outcome, config);
                 }
@@ -391,7 +306,7 @@ where
             if slice.is_empty() {
                 continue;
             }
-            let (events, rejected) = push_salvaging_on(session, path, &slice);
+            let (events, rejected) = push_salvaging(session, path, &slice);
             if rejected > 0 {
                 outcome.rejected += rejected;
                 if let Some(c) = &config.rejected_counter {
@@ -408,6 +323,8 @@ where
             ship_lossy(&mut ship, &report, &mut outcome, config);
         }
     };
+    // Final FIN digests (repeated: the return channel is lossy too) so an
+    // adaptive sender stops transmitting immediately.
     for _ in 0..config.fin_repeats {
         if let Some(report) = session.flush_report() {
             ship_lossy(&mut ship, &report, &mut outcome, config);
@@ -415,46 +332,6 @@ where
     }
     outcome.toi = toi;
     Ok(outcome)
-}
-
-/// [`push_salvaging`]'s per-path twin: feeds a burst through
-/// [`FluteReceiver::push_datagrams_on`] and, on a batch error, replays
-/// one datagram at a time so only the offender is dropped.
-pub fn push_salvaging_on<D: AsRef<[u8]>>(
-    session: &mut FluteReceiver,
-    path: usize,
-    burst: &[D],
-) -> (Vec<ReceiverEvent>, u64) {
-    match session.push_datagrams_on(path, burst) {
-        Ok(events) => {
-            let rejected = events
-                .iter()
-                .filter(|e| matches!(e, ReceiverEvent::Rejected))
-                .count() as u64;
-            (events, rejected)
-        }
-        Err(burst_error) => {
-            let mut events = Vec::with_capacity(burst.len());
-            let mut rejected = 0u64;
-            let mut logged = false;
-            for dg in burst {
-                match session.push_datagrams_on(path, std::slice::from_ref(dg)) {
-                    Ok(mut singles) => events.append(&mut singles),
-                    Err(e) => {
-                        rejected += 1;
-                        if !logged {
-                            eprintln!(
-                                "dropping bad datagram on path {path} (salvaging the \
-                                 remaining burst): {e} (burst error: {burst_error})"
-                            );
-                            logged = true;
-                        }
-                    }
-                }
-            }
-            (events, rejected)
-        }
-    }
 }
 
 fn ship_lossy<F>(
@@ -474,4 +351,447 @@ fn ship_lossy<F>(
             eprintln!("digest not shipped (return channel is lossy by design): {e}");
         }
     }
+}
+
+/// How long a sender whose planned emission ran dry waits for digests
+/// still in flight before judging the plan (and, after a backoff to the
+/// full schedule, the session).
+const LINGER: Duration = Duration::from_millis(1500);
+
+/// How long the sender naps between feedback polls while lingering.
+const IDLE_NAP: Duration = Duration::from_millis(20);
+
+/// One outgoing path of a live session: the wire in production, an
+/// in-process link in tests.
+pub trait PathSink {
+    /// Sends one burst; returns `(datagrams delivered, bytes delivered)`.
+    /// A path that injects loss erases datagrams before the wire, so
+    /// delivered can be less than offered — the gap shows up in
+    /// [`dropped`](PathSink::dropped).
+    fn send_burst(&mut self, burst: &[Vec<u8>]) -> Result<(u64, u64), String>;
+
+    /// Datagrams this path's injected loss erased so far.
+    fn dropped(&self) -> u64;
+}
+
+/// The wire stack of one path: the batched engine (which paces), behind
+/// an optional link emulator for reproducible injected loss. Keeping the
+/// emulator in front of the engine means a lossy demo runs the exact
+/// burst path of a clean session, and drop accounting comes off the
+/// link's [`LinkStats`](fec_channel::LinkStats).
+pub struct WirePath {
+    sender: BatchSender,
+    link: Option<LinkEmulator>,
+}
+
+impl WirePath {
+    /// A path over `sender`; `link`, if given, erases datagrams first.
+    pub fn new(sender: BatchSender, link: Option<LinkEmulator>) -> WirePath {
+        WirePath { sender, link }
+    }
+}
+
+impl PathSink for WirePath {
+    fn send_burst(&mut self, burst: &[Vec<u8>]) -> Result<(u64, u64), String> {
+        let survivors;
+        let offered = match &mut self.link {
+            Some(link) => {
+                survivors = link.transmit_batch(burst);
+                survivors.as_slice()
+            }
+            None => burst,
+        };
+        let refs: Vec<&[u8]> = offered.iter().map(Vec::as_slice).collect();
+        let bytes = refs.iter().map(|d| d.len() as u64).sum();
+        let n = self.sender.send_burst(&refs).map_err(|e| e.to_string())?;
+        Ok((n as u64, bytes))
+    }
+
+    fn dropped(&self) -> u64 {
+        self.link.as_ref().map_or(0, |link| link.stats().dropped())
+    }
+}
+
+/// Where a sender polls reception-report digests from: the feedback
+/// socket's [`BatchReceiver`] in production, a queue in tests. The source
+/// address is the aggregator's receiver key.
+pub trait DigestSource {
+    /// Every digest queued right now (at most `max`), without blocking;
+    /// an empty vector means the return channel is quiet.
+    fn try_recv_digests(&mut self, max: usize) -> io::Result<Vec<(PoolBuf, SocketAddr)>>;
+}
+
+impl DigestSource for BatchReceiver {
+    fn try_recv_digests(&mut self, max: usize) -> io::Result<Vec<(PoolBuf, SocketAddr)>> {
+        self.try_recv_burst_from(max)
+    }
+}
+
+/// Knobs for [`send_session`]'s feedback loop. The defaults match the
+/// CLI; a session without a [`DigestSource`] uses neither.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SendConfig {
+    /// Sliding estimation window of the channel estimator, in packets.
+    pub window: usize,
+    /// Datagrams between re-plan rounds (each round also advances the
+    /// aggregator's idle-eviction clock).
+    pub replan_every: usize,
+}
+
+impl Default for SendConfig {
+    fn default() -> SendConfig {
+        SendConfig {
+            window: 20_000,
+            replan_every: 64,
+        }
+    }
+}
+
+/// What one path carried.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct PathOutcome {
+    /// Datagrams delivered to the path's wire.
+    pub datagrams: u64,
+    /// Source symbols (and session control) the scheduler routed here.
+    pub source: u64,
+    /// Repair symbols the scheduler routed here.
+    pub repair: u64,
+}
+
+/// How a [`send_session`] went.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SendOutcome {
+    /// Datagrams delivered to the wire, all paths.
+    pub sent: u64,
+    /// Datagrams erased by the paths' injected loss.
+    pub dropped: u64,
+    /// Per-path split, in path order.
+    pub paths: Vec<PathOutcome>,
+    /// Goodput, overhead versus the static worst case, control activity
+    /// and (with telemetry on) the estimator trajectory — finalized.
+    pub summary: SessionSummary,
+}
+
+/// The live send loop. Per round it drains every pending digest into a
+/// [`FeedbackAggregator`] keyed by source address, stops objects the
+/// whole tracked population decoded, turns the population's NACK union
+/// into targeted repair packets, emits one burst — each datagram routed
+/// by a [`PathScheduler`] with uniform shares and listing-order delay
+/// ranks (source symbols prefer early paths, repair symbols late ones,
+/// after Kurant's multipath-FEC ordering) — and every
+/// [`replan_every`](SendConfig::replan_every) datagrams re-plans the
+/// object in flight (§6.2) and advances the idle-eviction clock.
+///
+/// The session ends when every tracked receiver reports it complete. If
+/// the planned emission runs dry first, the sender lingers 1.5 s for
+/// digests in flight, then backs off to the full schedule (recording the
+/// failure with the controller), and gives up only once that is exhausted
+/// too. Without a `feedback` source nobody can report, so the session is
+/// the full schedule, once.
+///
+/// With `telemetry`, the stream, the aggregator and the paths register
+/// their metric families and every control decision lands in the event
+/// log.
+pub fn send_session<P: PathSink>(
+    session: &FluteSender,
+    seed: u64,
+    paths: &mut [P],
+    mut feedback: Option<&mut dyn DigestSource>,
+    config: &SendConfig,
+    telemetry: Option<(&Registry, &EventLog)>,
+) -> Result<SendOutcome, String> {
+    if paths.is_empty() {
+        return Err("a session needs at least one path".into());
+    }
+    let tsi = session.tsi();
+    let fdt = session.fdt();
+    let tois: Vec<u32> = fdt.files.iter().map(|f| f.toi).collect();
+    let record = |event: Event| {
+        if let Some((_, events)) = telemetry {
+            events.record(event);
+        }
+    };
+
+    let mut agg = FeedbackAggregator::new(
+        tsi,
+        AggregatorConfig::default(),
+        ControllerConfig {
+            window: config.window,
+            confirm_after: 1,
+            ..ControllerConfig::default()
+        },
+    );
+    // Whether anyone can report: without a digest source the feedback
+    // half of every round below is skipped.
+    let closed_loop = feedback.is_some();
+    let mut scheduler = PathScheduler::new(paths.len());
+    let mut stream = session.stream(seed);
+    let mut path_metrics = Vec::new();
+    if let Some((registry, _)) = telemetry {
+        stream.attach_telemetry(registry);
+        if closed_loop {
+            agg.attach_telemetry(registry);
+        }
+        path_metrics = PathMetrics::register_all(registry, paths.len());
+        for m in &path_metrics {
+            m.share.set(1.0 / paths.len() as f64);
+        }
+    }
+    let full_total = stream.full_total();
+    record(Event::SessionStart {
+        tsi: tsi as u64,
+        objects: tois.len() as u32,
+        full_schedule: full_total,
+    });
+    let started = Instant::now();
+    let mut summary = SessionSummary::new(tsi as u64);
+    summary.full_schedule = full_total;
+    summary.object_bytes = fdt.files.iter().map(|f| f.oti.transfer_length).sum();
+
+    // Bursts stay inside the replan cadence so control decisions keep
+    // their per-`replan_every` granularity.
+    let replan_every = config.replan_every.max(1);
+    let burst_cap = if closed_loop {
+        replan_every.min(MAX_BURST)
+    } else {
+        MAX_BURST
+    };
+    let mut bursts: Vec<Vec<Vec<u8>>> = vec![Vec::new(); paths.len()];
+    let mut outcomes = vec![PathOutcome::default(); paths.len()];
+    let mut sent = 0u64;
+    let mut offered = 0u64;
+    let mut next_replan_at = replan_every as u64;
+    let mut linger_until: Option<Instant> = None;
+    let mut stopped: BTreeSet<u32> = BTreeSet::new();
+    let mut repairs_queued = 0u64;
+
+    loop {
+        if let Some(source) = feedback.as_deref_mut() {
+            // Drain every pending digest, keyed by the receiver that
+            // sent it.
+            loop {
+                let digests = source
+                    .try_recv_digests(MAX_BURST)
+                    .map_err(|e| e.to_string())?;
+                if digests.is_empty() {
+                    break;
+                }
+                for (dg, src) in &digests {
+                    let report = match ReceptionReport::from_bytes(dg) {
+                        Ok(report) => report,
+                        Err(e) => {
+                            eprintln!("ignoring malformed digest from {src}: {e}");
+                            continue;
+                        }
+                    };
+                    let outcome = agg.ingest(*src, &report);
+                    // Fresh digests advance population state whether or
+                    // not they reach the estimator; dedups and foreigners
+                    // don't.
+                    let applied = matches!(
+                        outcome,
+                        AggregateOutcome::Folded { .. } | AggregateOutcome::Accepted
+                    );
+                    summary.digests_applied += u64::from(applied);
+                    record(Event::DigestReceived {
+                        report_seq: report.report_seq as u64,
+                        observations: report.observations(),
+                        applied,
+                    });
+                    if telemetry.is_none() || !matches!(outcome, AggregateOutcome::Folded { .. }) {
+                        continue;
+                    }
+                    if let Some(est) = agg.controller().estimate() {
+                        record(Event::EstimateUpdated {
+                            p: est.params.p(),
+                            q: est.params.q(),
+                            p_upper: est.p_global_upper(),
+                            window: agg.controller().estimator().window_len() as u64,
+                        });
+                        summary.estimator.push(EstimatorSample {
+                            observations: agg.stats().observations,
+                            p: est.params.p(),
+                            q: est.params.q(),
+                            p_upper: est.p_global_upper(),
+                        });
+                    }
+                }
+            }
+            // Objects the whole tracked population decoded stop where
+            // they stand (a later joiner's digest reopens them via
+            // NACKs).
+            let complete: Vec<u32> = agg.completed().filter(|t| !stopped.contains(t)).collect();
+            for toi in complete {
+                stopped.insert(toi);
+                summary.objects_completed += 1;
+                record(Event::ObjectComplete { toi });
+                stream.stop_object(toi).map_err(|e| e.to_string())?;
+            }
+            if agg.session_complete() {
+                eprintln!(
+                    "all {} tracked receiver(s) reported the session complete after {sent} \
+                     datagrams ({} planned, {full_total} full)",
+                    agg.receiver_count(),
+                    stream.planned_total()
+                );
+                break;
+            }
+            // Targeted repair: the population's missing-symbol union
+            // becomes queued repair packets (deduped downstream against
+            // in-flight schedule slots), not a longer carousel.
+            let mut by_toi: BTreeMap<u32, Vec<NackEntry>> = BTreeMap::new();
+            for request in agg.take_nack_requests() {
+                by_toi.entry(request.toi).or_default().push(request);
+            }
+            for (toi, group) in by_toi {
+                let requested: u64 = group.iter().map(|g| g.esis.len() as u64).sum();
+                let queued = stream.queue_repair(&group);
+                repairs_queued += queued;
+                record(Event::RepairQueued {
+                    toi,
+                    requested,
+                    queued,
+                });
+            }
+        }
+
+        let mut pulled = 0usize;
+        while pulled < burst_cap {
+            let Some((path, dg)) = stream
+                .next_datagram_routed(|is_source| scheduler.route(is_source).unwrap_or(0))
+                .map_err(|e| e.to_string())?
+            else {
+                break;
+            };
+            bursts
+                .get_mut(path)
+                .ok_or_else(|| format!("datagram routed to unknown path {path}"))?
+                .push(dg);
+            pulled += 1;
+        }
+        if pulled == 0 {
+            if !closed_loop {
+                break;
+            }
+            // Planned emission (and repair queue) exhausted: linger for
+            // digests still in flight before judging the plan.
+            let now = Instant::now();
+            match linger_until {
+                None => linger_until = Some(now + LINGER),
+                Some(deadline) if now < deadline => {}
+                Some(_) if stream.planned_total() < full_total => {
+                    // The plan was too optimistic: fall back to the full
+                    // schedules and keep going.
+                    eprintln!(
+                        "no completion report after the planned {} datagrams; \
+                         reverting to the full schedule",
+                        stream.planned_total()
+                    );
+                    agg.record_failure();
+                    summary.backoffs += 1;
+                    // Only objects still open: one the population already
+                    // decoded stays stopped even if its receivers have
+                    // since gone quiet and been evicted.
+                    for &toi in tois.iter().filter(|toi| !stopped.contains(toi)) {
+                        record(Event::BackoffTriggered { reverted: toi });
+                        stream.amend_plan(toi, None).map_err(|e| e.to_string())?;
+                    }
+                    linger_until = None;
+                }
+                Some(_) => {
+                    let [_, median, _] = agg.summary().completion_quantiles;
+                    eprintln!(
+                        "full schedule exhausted without a completion report \
+                         ({} receivers tracked, median completion {:.0}%; \
+                         receivers gone, or losses beyond the code budget)",
+                        agg.receiver_count(),
+                        median * 100.0
+                    );
+                    break;
+                }
+            }
+            std::thread::sleep(IDLE_NAP);
+            continue;
+        }
+        linger_until = None;
+        offered += pulled as u64;
+        let per_path = paths.iter_mut().zip(&mut bursts).zip(&mut outcomes);
+        for (path, ((sink, burst), outcome)) in per_path.enumerate() {
+            if burst.is_empty() {
+                continue;
+            }
+            let (delivered, bytes) = sink.send_burst(burst)?;
+            burst.clear();
+            outcome.datagrams += delivered;
+            sent += delivered;
+            summary.bytes_sent += bytes;
+            if let Some(m) = path_metrics.get(path) {
+                m.datagrams.add(delivered);
+            }
+        }
+        // Re-plan (and advance the idle-eviction clock) periodically.
+        if closed_loop && offered >= next_replan_at {
+            next_replan_at = offered + replan_every as u64;
+            agg.advance_tick();
+            if let Some((toi, k)) = stream
+                .current_toi()
+                .and_then(|toi| stream.source_count(toi).map(|k| (toi, k)))
+            {
+                let replan = agg.replan(k as usize);
+                summary.replans += 1;
+                stream
+                    .amend_plan(toi, replan.plan.as_ref())
+                    .map_err(|e| e.to_string())?;
+                record(Event::ReplanIssued {
+                    toi,
+                    target: replan.plan.as_ref().map_or(full_total, |p| p.n_sent),
+                    schedule: stream.planned_total(),
+                });
+            }
+        }
+    }
+
+    for (path, outcome) in outcomes.iter_mut().enumerate() {
+        outcome.source = scheduler.source_routed(path);
+        outcome.repair = scheduler.repair_routed(path);
+    }
+    summary.datagrams_sent = sent;
+    summary.elapsed_secs = started.elapsed().as_secs_f64();
+    summary.finalize();
+    record(Event::SessionEnd {
+        tsi: tsi as u64,
+        datagrams: sent,
+        planned: stream.planned_total(),
+        completed: summary.objects_completed,
+    });
+    if closed_loop {
+        let stats = agg.stats();
+        let pop = agg.summary();
+        let [p10, p50, p90] = pop.completion_quantiles.map(|q| q * 100.0);
+        eprintln!(
+            "feedback: {} receivers tracked, {} digests applied ({} folded, {} accepted, \
+             {} deduped, {} foreign, {} evicted), {} observations, {repairs_queued} targeted \
+             repairs; estimator bound {}, worst receiver loss {:.2}%, completion \
+             p10/p50/p90 {p10:.0}%/{p50:.0}%/{p90:.0}%",
+            pop.receivers,
+            summary.digests_applied,
+            stats.folded,
+            stats.accepted,
+            stats.deduped,
+            stats.foreign,
+            stats.evicted,
+            stats.observations,
+            agg.controller().estimate().map_or_else(
+                || "-".into(),
+                |e| format!("{:.2}%", e.p_global_upper() * 100.0)
+            ),
+            pop.worst_loss * 100.0,
+        );
+    }
+    Ok(SendOutcome {
+        sent,
+        dropped: paths.iter().map(|p| p.dropped()).sum(),
+        paths: outcomes,
+        summary,
+    })
 }

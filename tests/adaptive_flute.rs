@@ -8,9 +8,10 @@
 //!    plan** — the full `ratio 2.5` schedule a feedback-free sender ships
 //!    (§6.2's "significantly less than the n packets that would have been
 //!    sent otherwise"), and
-//! 3. doing it through the real machinery: EXT_SEQ gap detection,
-//!    reception-report digests over a return socket, digest-driven online
-//!    estimation, and mid-flight plan amendments.
+//! 3. doing it through the real machinery — the send loop under test is
+//!    [`live::send_session`], the one the CLI runs: EXT_SEQ gap
+//!    detection, reception-report digests over a return socket,
+//!    digest-driven online estimation, and mid-flight plan amendments.
 //!
 //! Loss placement is sender-side (the datagram is withheld from the
 //! socket), so the loss pattern is exactly reproducible while the
@@ -19,11 +20,12 @@
 use std::net::UdpSocket;
 use std::time::{Duration, Instant};
 
-use fec_broadcast::adapt::ControllerConfig;
 use fec_broadcast::channel::{GilbertParams, LinkEmulator, LossModel};
-use fec_broadcast::flute::feedback::{FeedbackLoop, ReportConfig};
+use fec_broadcast::flute::feedback::ReportConfig;
 use fec_broadcast::flute::{FluteReceiver, FluteSender, SenderConfig};
+use fec_broadcast::live::{self, SendConfig, SendOutcome, WirePath};
 use fec_broadcast::prelude::*;
+use fec_broadcast::wire::{Backend, BatchReceiver, BatchSender, BufferPool, Pacer};
 
 const TSI: u32 = 21;
 const SYMBOL: usize = 64;
@@ -56,128 +58,57 @@ fn build_session() -> FluteSender {
     sender
 }
 
-struct SenderOutcome {
-    data_sent: u64,
-    data_dropped: u64,
-    full_total: u64,
-    truncations: u64,
-    digests_applied: u64,
-}
-
-/// The adaptive send loop (the CLI's `send --adaptive` in library form).
+/// The send side is the engine the CLI ships — [`live::send_session`] —
+/// over one real-socket path behind a Gilbert link emulator. Returns the
+/// outcome and how many re-plans truncated the object in flight (read
+/// off the stream's own `fec_plan_amendments_total` series).
 fn run_sender(
     session: &FluteSender,
     data_dest: std::net::SocketAddr,
     report_socket: UdpSocket,
-) -> SenderOutcome {
-    let data_socket = UdpSocket::bind("127.0.0.1:0").unwrap();
-    report_socket.set_nonblocking(true).unwrap();
-
+) -> (SendOutcome, u64) {
     // ~2.4% bursty loss: p = 0.01, q = 0.4 (mean burst 2.5 packets).
     let params = GilbertParams::new(0.01, 0.4).unwrap();
     let model: Box<dyn LossModel> =
         Box::new(fec_broadcast::channel::GilbertChannel::new(params, 0xC4A2));
-    let mut link = LinkEmulator::new(model, 7);
-
-    let mut feedback = FeedbackLoop::new(
-        TSI,
-        ControllerConfig {
-            window: 5_000,
-            min_observations: 250,
-            confirm_after: 1,
-            ..ControllerConfig::default()
-        },
+    // Pacing (≈2 ms per 32 datagrams) leaves the receiver — same
+    // machine, debug builds included — room to decode and report back;
+    // the whole session still takes well under a second.
+    let wire = BatchSender::connect(
+        UdpSocket::bind("127.0.0.1:0").unwrap(),
+        data_dest,
+        Backend::detect(),
+        Pacer::per_datagram_micros(60),
+    )
+    .unwrap();
+    let mut paths = [WirePath::new(wire, Some(LinkEmulator::new(model, 7)))];
+    let mut reports = BatchReceiver::new(
+        report_socket,
+        BufferPool::with_config(2048, 64),
+        Backend::detect(),
     );
-    let mut stream = session.stream(0x5EED);
-    let full_total = stream.full_total();
-    let mut truncations = 0u64;
-    let mut buf = [0u8; 65536];
-    let mut linger_until: Option<Instant> = None;
-    let deadline = Instant::now() + Duration::from_secs(30);
-
-    while Instant::now() < deadline {
-        let mut digest_applied = false;
-        while let Ok((len, _)) = report_socket.recv_from(&mut buf) {
-            use fec_broadcast::flute::ReportOutcome;
-            if let Ok(ReportOutcome::Applied { completed, .. }) =
-                feedback.ingest_datagram(&buf[..len])
-            {
-                digest_applied = true;
-                // An object the receiver already decoded needs nothing
-                // more: stop its emission where it stands.
-                for toi in completed {
-                    stream.stop_object(toi).unwrap();
-                }
-            }
-        }
-        if feedback.session_complete() {
-            break;
-        }
-        // Re-plan whenever fresh channel knowledge arrived (plus on the
-        // pacing tick below): coupling the re-plan to digest arrival keeps
-        // the test independent of sender/receiver scheduling jitter.
-        if digest_applied {
-            if let Some(toi) = stream.current_toi() {
-                let k = stream.source_count(toi).unwrap() as usize;
-                let replan = feedback.replan(k);
-                if let Ok(fec_broadcast::core::Amendment::Truncated { .. }) =
-                    stream.amend_plan(toi, replan.plan.as_ref())
-                {
-                    truncations += 1;
-                }
-            }
-        }
-        match stream.next_datagram().unwrap() {
-            Some(dg) => {
-                linger_until = None;
-                for delivered in link.transmit(&dg) {
-                    data_socket.send_to(&delivered, data_dest).unwrap();
-                }
-                let offered = link.stats().offered;
-                if offered.is_multiple_of(32) {
-                    // Pacing: leave the receiver (same machine, debug
-                    // builds included) room to decode and report back —
-                    // the whole session still takes well under a second.
-                    std::thread::sleep(Duration::from_millis(2));
-                    if let Some(toi) = stream.current_toi() {
-                        let k = stream.source_count(toi).unwrap() as usize;
-                        let replan = feedback.replan(k);
-                        if let Ok(fec_broadcast::core::Amendment::Truncated { .. }) =
-                            stream.amend_plan(toi, replan.plan.as_ref())
-                        {
-                            truncations += 1;
-                        }
-                    }
-                }
-            }
-            None => {
-                // Give in-flight digests a moment; if the plan proves too
-                // thin, revert to the full schedule rather than fail.
-                match linger_until {
-                    None => linger_until = Some(Instant::now() + Duration::from_millis(1200)),
-                    Some(t) if Instant::now() >= t => {
-                        feedback.record_failure();
-                        for toi in 1..=OBJECTS as u32 {
-                            if !feedback.is_complete(toi) {
-                                stream.amend_plan(toi, None).unwrap();
-                            }
-                        }
-                        linger_until = None;
-                    }
-                    Some(_) => {}
-                }
-                std::thread::sleep(Duration::from_millis(10));
-            }
-        }
-    }
-    let stats = link.stats();
-    SenderOutcome {
-        data_sent: stats.delivered,
-        data_dropped: stats.dropped,
-        full_total,
-        truncations,
-        digests_applied: feedback.stats().applied,
-    }
+    let registry = Registry::new();
+    let events = EventLog::bounded(64);
+    let outcome = live::send_session(
+        session,
+        0x5EED,
+        &mut paths,
+        Some(&mut reports),
+        &SendConfig {
+            window: 5_000,
+            replan_every: 32,
+        },
+        Some((&registry, &events)),
+    )
+    .unwrap();
+    let truncations = registry
+        .counter_with(
+            "fec_plan_amendments_total",
+            "Mid-flight plan amendments applied to the stream, by action.",
+            &[("action", "truncated")],
+        )
+        .get();
+    (outcome, truncations)
 }
 
 /// The receive loop (the CLI's `recv --report-to` in library form).
@@ -245,17 +176,15 @@ fn live_adaptive_session_beats_the_static_worst_case_plan() {
     let receiver_thread = std::thread::spawn(move || run_receiver(data_socket, report_addr));
     // Give the receiver a head start on its socket.
     std::thread::sleep(Duration::from_millis(100));
-    let outcome = run_sender(&session, data_addr, report_socket);
+    let (outcome, truncations) = run_sender(&session, data_addr, report_socket);
     let receiver = receiver_thread.join().unwrap();
 
+    let full_total = outcome.summary.full_schedule;
     eprintln!(
         "adaptive sender: {} data+fdt datagrams on the wire ({} dropped by the channel), \
-         static worst-case plan = {} data packets; {} truncating amendments, {} digests",
-        outcome.data_sent,
-        outcome.data_dropped,
-        outcome.full_total,
-        outcome.truncations,
-        outcome.digests_applied
+         static worst-case plan = {full_total} data packets; {truncations} truncating \
+         amendments, {} digests",
+        outcome.sent, outcome.dropped, outcome.summary.digests_applied
     );
 
     // (1) Reliability: every object decoded byte-exactly.
@@ -269,16 +198,19 @@ fn live_adaptive_session_beats_the_static_worst_case_plan() {
     }
 
     // (2) Economy: fewer packets than the static worst-case plan (which
-    // ships the full schedule; `data_sent` even includes our FDT repeats
-    // and the packets the channel ate, so this is conservative).
+    // ships the full schedule; `sent` even includes our FDT repeats and
+    // the packets the channel ate, so this is conservative).
     assert!(
-        outcome.data_sent + outcome.data_dropped < (outcome.full_total * 85) / 100,
-        "adaptive loop sent {} of the static worst case {}",
-        outcome.data_sent + outcome.data_dropped,
-        outcome.full_total
+        outcome.sent + outcome.dropped < (full_total * 85) / 100,
+        "adaptive loop sent {} of the static worst case {full_total}",
+        outcome.sent + outcome.dropped,
     );
 
     // (3) The loop really ran: digests arrived and plans moved.
-    assert!(outcome.digests_applied >= 3, "{}", outcome.digests_applied);
-    assert!(outcome.truncations >= 1, "no plan truncation happened");
+    assert!(
+        outcome.summary.digests_applied >= 3,
+        "{}",
+        outcome.summary.digests_applied
+    );
+    assert!(truncations >= 1, "no plan truncation happened");
 }

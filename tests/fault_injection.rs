@@ -295,7 +295,7 @@ mod wire_faults {
             Step::Burst(vec![vec![5u8; 50]]),
         ]);
         let (tx, rx) = mpsc::channel();
-        let stats = live::drain_loop(&mut source, &tx, 64);
+        let stats = live::drain_loop(&mut source, 3, &tx, 64);
         assert_eq!(
             stats,
             DrainStats {
@@ -305,11 +305,18 @@ mod wire_faults {
                 transients: 1,
             }
         );
-        let delivered: Vec<Vec<u8>> = rx.try_iter().map(|b| b.to_vec()).collect();
+        let delivered: Vec<(usize, Vec<u8>)> =
+            rx.try_iter().map(|(p, b)| (p, b.to_vec())).collect();
         assert_eq!(
             delivered,
-            vec![vec![1u8; 10], vec![2u8; 20], vec![3u8; 30], vec![4u8; 40]],
-            "every datagram that arrived around the faults must be forwarded"
+            vec![
+                (3, vec![1u8; 10]),
+                (3, vec![2u8; 20]),
+                (3, vec![3u8; 30]),
+                (3, vec![4u8; 40])
+            ],
+            "every datagram that arrived around the faults must be forwarded, \
+             tagged with the drain's path"
         );
     }
 
@@ -323,7 +330,7 @@ mod wire_faults {
         ]);
         let (tx, rx) = mpsc::channel();
         drop(rx);
-        let stats = live::drain_loop(&mut source, &tx, 64);
+        let stats = live::drain_loop(&mut source, 0, &tx, 64);
         assert_eq!(stats.bursts, 1, "first failed send must end the loop");
     }
 
@@ -356,11 +363,11 @@ mod wire_faults {
         datagrams
     }
 
-    fn feed(datagrams: Vec<Vec<u8>>) -> mpsc::Receiver<PoolBuf> {
+    fn feed(datagrams: Vec<Vec<u8>>) -> mpsc::Receiver<(usize, PoolBuf)> {
         let pool = BufferPool::new();
         let (tx, rx) = mpsc::channel();
         for dg in &datagrams {
-            tx.send(pool.buf_from(dg)).unwrap();
+            tx.send((0, pool.buf_from(dg))).unwrap();
         }
         // Leak the sender so `receive_session` never sees a disconnect:
         // the object completes long before the channel drains dry.

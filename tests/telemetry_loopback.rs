@@ -1,18 +1,22 @@
 //! Acceptance test for the observability layer on a live session: the
-//! full adaptive loop (sender stream → impaired link → receiver →
+//! full adaptive loop (the send engine → impaired link → receiver →
 //! digests → feedback) instrumented into one registry, scraped over a
 //! **real HTTP connection** mid-flight, with the structured event log
 //! drained to JSONL and parsed back.
 
+use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
+use std::rc::Rc;
 
-use fec_broadcast::adapt::ControllerConfig;
 use fec_broadcast::channel::{GilbertParams, LinkConfig, LinkEmulator, LossModel};
-use fec_broadcast::flute::feedback::{FeedbackLoop, ReportConfig, ReportOutcome};
+use fec_broadcast::flute::feedback::ReportConfig;
 use fec_broadcast::flute::{FluteReceiver, FluteSender, SenderConfig};
+use fec_broadcast::live::{self, DigestSource, PathSink, SendConfig};
 use fec_broadcast::prelude::*;
 use fec_broadcast::telemetry::EventRecord;
+use fec_broadcast::wire::{BufferPool, PoolBuf};
 
 const TSI: u32 = 33;
 
@@ -36,6 +40,68 @@ fn scrape(addr: std::net::SocketAddr) -> String {
         "missing exposition content type: {head}"
     );
     body.to_string()
+}
+
+/// The far end of the in-process link: the receiver and the digests it
+/// has queued for the return trip.
+struct FarEnd {
+    receiver: FluteReceiver,
+    digests: VecDeque<PoolBuf>,
+}
+
+/// The forward path: impaired link straight into the receiver, with one
+/// scrape of the metrics endpoint a quarter of the way through.
+struct ScrapedPath {
+    link: LinkEmulator,
+    far: Rc<RefCell<FarEnd>>,
+    pool: BufferPool,
+    metrics_addr: SocketAddr,
+    scrape_at: u64,
+    on_wire: u64,
+    scraped_mid_session: bool,
+}
+
+impl PathSink for ScrapedPath {
+    fn send_burst(&mut self, burst: &[Vec<u8>]) -> Result<(u64, u64), String> {
+        let far = &mut *self.far.borrow_mut();
+        let delivered = self.link.transmit_batch(burst);
+        far.receiver.push_datagrams(&delivered).unwrap();
+        let report = if far.receiver.all_complete() {
+            far.receiver.flush_report()
+        } else {
+            far.receiver.poll_report()
+        };
+        if let Some(report) = report {
+            far.digests
+                .push_back(self.pool.buf_from(&report.to_bytes().unwrap()));
+        }
+        self.on_wire += burst.len() as u64;
+        if !self.scraped_mid_session && self.on_wire >= self.scrape_at {
+            // Mid-flight scrape: counters must already be moving.
+            let body = scrape(self.metrics_addr);
+            assert!(series_value(&body, "fec_session_datagrams_total{kind=\"data\"}") > 0.0);
+            self.scraped_mid_session = true;
+        }
+        Ok((
+            burst.len() as u64,
+            burst.iter().map(|d| d.len() as u64).sum(),
+        ))
+    }
+
+    fn dropped(&self) -> u64 {
+        0 // the link is the channel here, not sender-side injection
+    }
+}
+
+struct ReturnPath(Rc<RefCell<FarEnd>>);
+
+impl DigestSource for ReturnPath {
+    fn try_recv_digests(&mut self, max: usize) -> std::io::Result<Vec<(PoolBuf, SocketAddr)>> {
+        let receiver_addr = SocketAddr::from(([127, 0, 0, 1], 4000));
+        let digests = &mut self.0.borrow_mut().digests;
+        let n = max.min(digests.len());
+        Ok(digests.drain(..n).map(|d| (d, receiver_addr)).collect())
+    }
 }
 
 /// Extracts the value of an exact series line (`name value` or
@@ -100,73 +166,48 @@ fn live_session_exposes_metrics_and_events() {
         ..ReportConfig::default()
     });
     receiver.attach_telemetry(&registry);
-    let mut feedback = FeedbackLoop::new(
-        TSI,
-        ControllerConfig {
+    let far = Rc::new(RefCell::new(FarEnd {
+        receiver,
+        digests: VecDeque::new(),
+    }));
+    let full = sender.data_packet_count();
+    let mut paths = [ScrapedPath {
+        link,
+        far: far.clone(),
+        pool: BufferPool::with_config(2048, 64),
+        metrics_addr: server.local_addr(),
+        scrape_at: full / 4,
+        on_wire: 0,
+        scraped_mid_session: false,
+    }];
+
+    // The engine registers the stream and feedback metric families and
+    // writes the session's lifecycle into the event log itself.
+    let outcome = live::send_session(
+        &sender,
+        0xFEED,
+        &mut paths,
+        Some(&mut ReturnPath(far.clone())),
+        &SendConfig {
             window: 5_000,
-            min_observations: 250,
-            confirm_after: 1,
-            ..ControllerConfig::default()
+            replan_every: 64,
         },
-    );
-    feedback.attach_telemetry(&registry);
-    let mut stream = sender.stream(0xFEED);
-    stream.attach_telemetry(&registry);
-    let full = stream.full_total();
-
-    events.record(Event::SessionStart {
-        tsi: TSI as u64,
-        objects: objects.len() as u32,
-        full_schedule: full,
-    });
-
-    let mut on_wire = 0u64;
-    let mut scraped_mid_session = false;
-    while let Some(datagram) = stream.next_datagram().unwrap() {
-        on_wire += 1;
-        for delivered in link.transmit(&datagram) {
-            receiver.push_datagrams(&[&delivered]).unwrap();
-        }
-        if on_wire == full / 4 {
-            // Mid-flight scrape: counters must already be moving.
-            let body = scrape(server.local_addr());
-            assert!(series_value(&body, "fec_session_datagrams_total{kind=\"data\"}") > 0.0);
-            scraped_mid_session = true;
-        }
-        if let Some(report) = receiver.poll_report() {
-            let wire = report.to_bytes().unwrap();
-            if let ReportOutcome::Applied { completed, .. } =
-                feedback.ingest_datagram(&wire).unwrap()
-            {
-                for toi in completed {
-                    events.record(Event::ObjectComplete { toi });
-                    stream.stop_object(toi).unwrap();
-                }
-            }
-            if feedback.session_complete() {
-                break;
-            }
-            if let Some(toi) = stream.current_toi() {
-                let k = stream.source_count(toi).unwrap() as usize;
-                let replan = feedback.replan(k);
-                stream.amend_plan(toi, replan.plan.as_ref()).unwrap();
-            }
-        }
-    }
+        Some((&registry, &events)),
+    )
+    .unwrap();
+    let on_wire = outcome.sent;
     assert!(
-        scraped_mid_session,
+        paths[0].scraped_mid_session,
         "session ended before the mid-flight scrape"
     );
+    let far = &mut *far.borrow_mut();
     for (i, object) in objects.iter().enumerate() {
-        assert_eq!(receiver.object(i as u32 + 1).expect("decoded"), &object[..]);
+        assert_eq!(
+            far.receiver.object(i as u32 + 1).expect("decoded"),
+            &object[..]
+        );
     }
-    receiver.finalize_telemetry();
-    events.record(Event::SessionEnd {
-        tsi: TSI as u64,
-        datagrams: on_wire,
-        planned: stream.planned_total(),
-        completed: objects.len() as u32,
-    });
+    far.receiver.finalize_telemetry();
 
     // Final scrape: every layer of the stack must have reported in.
     let body = scrape(server.local_addr());
@@ -180,7 +221,7 @@ fn live_session_exposes_metrics_and_events() {
         "feedback loop never re-planned"
     );
     assert!(
-        series_value(&body, "fec_digests_total{outcome=\"applied\"}") > 0.0,
+        series_value(&body, "fec_feedback_digests_total{outcome=\"folded\"}") > 0.0,
         "no digest reached the estimator"
     );
     // The estimator gauges exist even before convergence (value may be 0).
