@@ -185,8 +185,8 @@ fn main() {
 
     let t0 = Instant::now();
     {
-        // Decode every block from its parity-heavy tail (worst case: full
-        // matrix inversion per block).
+        // Decode every block from its parity-heavy tail (worst case: every
+        // parity symbol used, the largest minor a block can have to invert).
         let mut off = 0usize;
         for (bi, b) in partition.blocks().iter().enumerate() {
             let mut rx: Vec<(u32, &[u8])> = Vec::with_capacity(b.k);

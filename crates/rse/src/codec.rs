@@ -1,16 +1,44 @@
 //! The single-block systematic Reed-Solomon erasure codec.
 
-use fec_gf256::{kernels, Matrix};
+use fec_gf256::{kernels, Gf256, Matrix};
 
 use crate::{RseError, MAX_N};
 
 /// A systematic `(k, n)` Reed-Solomon erasure codec over GF(2^8).
 ///
 /// The generator matrix is `G = V * V_top^{-1}` where `V` is the `n x k`
-/// Vandermonde matrix on distinct points `alpha^i`: its top `k x k` part is
-/// the identity (so the first `k` encoding symbols *are* the source symbols),
-/// and any `k` rows remain linearly independent, which gives the MDS
-/// property: any `k` of the `n` encoding symbols reconstruct the source.
+/// Vandermonde matrix on distinct points `x_i = alpha^i`: its top `k x k`
+/// part is the identity (so the first `k` encoding symbols *are* the source
+/// symbols), and any `k` rows remain linearly independent, which gives the
+/// MDS property: any `k` of the `n` encoding symbols reconstruct the source.
+///
+/// # Construction
+///
+/// `G` is never computed as that product. Row `i` of `G` is the vector `g`
+/// with `g * V_top = V[i]`, i.e. `sum_j g[j] * x_j^m = x_i^m` for every
+/// `m < k`: the weights that interpolate a polynomial of degree `< k` at
+/// `x_i` from its values at `x_0 .. x_{k-1}`. Those weights are the Lagrange
+/// basis polynomials evaluated at `x_i`, so for a parity row (`i >= k`, and
+/// subtraction being addition in characteristic 2)
+///
+/// ```text
+/// G[i][j] = P_i / ((x_i + x_j) * D_j)
+/// P_i = prod_{m < k} (x_i + x_m)        D_j = prod_{m < k, m != j} (x_j + x_m)
+/// ```
+///
+/// which is `O(k * n)` field operations with no inversion and no matrix
+/// product, and the same bytes as `V * V_top^{-1}` (the inverse is unique;
+/// `tests/oracle.rs` checks the equality shape by shape).
+///
+/// # Decoding
+///
+/// Decoding solves for the erased source symbols only. With `e` source
+/// symbols missing among the first `k` received, exactly `e` of those are
+/// parity; parity `p` satisfies `y_p = sum_j G[p][j] * s_j`, so moving the
+/// received sources to the left-hand side leaves the `e x e` system
+/// `y_p + sum_{j received} G[p][j] * s_j = sum_{j missing} G[p][j] * s_j`.
+/// Its matrix is a square minor of the parity rows, invertible because the
+/// code is MDS. Received source symbols are never multiplied by anything.
 ///
 /// ```
 /// use fec_rse::RseCodec;
@@ -40,12 +68,24 @@ impl RseCodec {
         if k == 0 || k > n || n > MAX_N {
             return Err(RseError::BadParameters { k, n });
         }
-        let v = Matrix::vandermonde(n, k);
-        let top = v.select_rows(&(0..k).collect::<Vec<_>>());
-        let top_inv = top
-            .inverted()
-            .expect("Vandermonde top block is always invertible");
-        let gen = v.mul(&top_inv).expect("shape checked");
+        // The points are distinct for n <= 255, so no factor below is zero.
+        let x: Vec<Gf256> = (0..n).map(Gf256::alpha_pow).collect();
+        let inv_d: Vec<Gf256> = (0..k)
+            .map(|j| {
+                let d: Gf256 = (0..k).filter(|&m| m != j).map(|m| x[j] + x[m]).product();
+                d.inv()
+            })
+            .collect();
+        let mut gen = Matrix::zero(n, k);
+        for j in 0..k {
+            gen.set(j, j, Gf256::ONE);
+        }
+        for i in k..n {
+            let p: Gf256 = x[..k].iter().map(|&xm| x[i] + xm).product();
+            for j in 0..k {
+                gen.set(i, j, p * inv_d[j] / (x[i] + x[j]));
+            }
+        }
         Ok(RseCodec { k, n, gen })
     }
 
@@ -113,20 +153,24 @@ impl RseCodec {
         Ok(sym)
     }
 
-    /// Decodes the `k` source symbols from any `k` distinct received symbols.
+    /// Recovers the source symbols that are *not* among the first `k`
+    /// entries of `received`, as `(esi, payload)` pairs in ascending ESI
+    /// order (empty when all `k` are source symbols).
     ///
-    /// `received` holds `(esi, payload)` pairs; extras beyond the first `k`
-    /// distinct ESIs are ignored (an MDS code gains nothing from them).
-    pub fn decode(&self, received: &[(u32, &[u8])]) -> Result<Vec<Vec<u8>>, RseError> {
-        // Collect the first k distinct, validated symbols.
-        let mut esis: Vec<u32> = Vec::with_capacity(self.k);
-        let mut payloads: Vec<&[u8]> = Vec::with_capacity(self.k);
+    /// `received` holds `(esi, payload)` pairs; entries beyond the first `k`
+    /// are ignored (an MDS code gains nothing from them), and the first `k`
+    /// must be distinct, in range and of one length.
+    pub fn recover_missing(
+        &self,
+        received: &[(u32, &[u8])],
+    ) -> Result<Vec<(u32, Vec<u8>)>, RseError> {
+        let mut seen = [false; MAX_N];
         let mut sym_len: Option<usize> = None;
-        for &(esi, payload) in received {
+        for &(esi, payload) in received.iter().take(self.k) {
             if (esi as usize) >= self.n {
                 return Err(RseError::BadEsi { esi, n: self.n });
             }
-            if esis.contains(&esi) {
+            if std::mem::replace(&mut seen[esi as usize], true) {
                 return Err(RseError::DuplicateEsi { esi });
             }
             match sym_len {
@@ -139,39 +183,78 @@ impl RseCodec {
                 }
                 _ => {}
             }
-            esis.push(esi);
-            payloads.push(payload);
-            if esis.len() == self.k {
-                break;
-            }
         }
-        if esis.len() < self.k {
+        if received.len() < self.k {
             return Err(RseError::NotEnoughSymbols {
-                have: esis.len(),
+                have: received.len(),
                 need: self.k,
             });
         }
         let sym_len = sym_len.unwrap_or(0);
 
-        // Fast path: all k source symbols present.
-        if esis.iter().all(|&e| (e as usize) < self.k) {
-            let mut out = vec![vec![0u8; sym_len]; self.k];
-            for (&esi, &payload) in esis.iter().zip(&payloads) {
-                out[esi as usize].copy_from_slice(payload);
+        let missing: Vec<usize> = (0..self.k).filter(|&j| !seen[j]).collect();
+        if missing.is_empty() {
+            return Ok(Vec::new());
+        }
+        let mut parities: Vec<(usize, &[u8])> = Vec::with_capacity(missing.len());
+        let mut source_esis: Vec<usize> = Vec::with_capacity(self.k - missing.len());
+        let mut source_payloads: Vec<&[u8]> = Vec::with_capacity(self.k - missing.len());
+        for &(esi, payload) in &received[..self.k] {
+            if (esi as usize) < self.k {
+                source_esis.push(esi as usize);
+                source_payloads.push(payload);
+            } else {
+                parities.push((esi as usize, payload));
             }
-            return Ok(out);
         }
 
-        // General path: y = A x where A is the k x k sub-generator for the
-        // received ESIs; x = A^-1 y.
-        let rows: Vec<usize> = esis.iter().map(|&e| e as usize).collect();
-        let a = self.gen.select_rows(&rows);
-        let a_inv = a
+        // One equation per received parity (there are exactly as many as
+        // missing sources): fold the known sources into its payload, keep
+        // the coefficients of the unknown ones.
+        let e = missing.len();
+        let mut minor = Matrix::zero(e, e);
+        let mut known = Vec::with_capacity(source_esis.len());
+        let mut rhs: Vec<Vec<u8>> = Vec::with_capacity(e);
+        for (r, &(esi, payload)) in parities.iter().enumerate() {
+            let row = self.gen.row(esi);
+            for (c, &j) in missing.iter().enumerate() {
+                minor.set(r, c, Gf256(row[j]));
+            }
+            known.clear();
+            known.extend(source_esis.iter().map(|&j| row[j]));
+            let mut y = payload.to_vec();
+            kernels::addmul_acc_many(&mut y, &source_payloads, &known);
+            rhs.push(y);
+        }
+        let solve = minor
             .inverted()
-            .expect("any k rows of a systematic Vandermonde generator are independent");
-        let mut out = vec![vec![0u8; sym_len]; self.k];
-        for (j, out_sym) in out.iter_mut().enumerate() {
-            kernels::dot_product(out_sym, a_inv.row(j), &payloads);
+            .expect("a square minor of an MDS generator's parity rows is invertible");
+        let rhs: Vec<&[u8]> = rhs.iter().map(|y| y.as_slice()).collect();
+        Ok(missing
+            .iter()
+            .enumerate()
+            .map(|(c, &j)| {
+                let mut sym = vec![0u8; sym_len];
+                kernels::addmul_acc_many(&mut sym, &rhs, solve.row(c));
+                (j as u32, sym)
+            })
+            .collect())
+    }
+
+    /// Decodes the `k` source symbols from any `k` distinct received symbols.
+    ///
+    /// [`recover_missing`](Self::recover_missing) plus a copy of every
+    /// received source symbol; same contract on `received`.
+    pub fn decode(&self, received: &[(u32, &[u8])]) -> Result<Vec<Vec<u8>>, RseError> {
+        let recovered = self.recover_missing(received)?;
+        let mut out = vec![Vec::new(); self.k];
+        for &(esi, payload) in &received[..self.k] {
+            if (esi as usize) < self.k {
+                out[esi as usize] = payload.to_vec();
+            }
+        }
+        for (esi, payload) in recovered {
+            out[esi as usize] = payload;
         }
         Ok(out)
     }
@@ -281,6 +364,60 @@ mod tests {
         let parity = c.encode_refs(&refs).unwrap();
         let rx: Vec<(u32, &[u8])> = vec![(2, parity[0].as_slice()), (3, parity[1].as_slice())];
         assert_eq!(c.decode(&rx).unwrap(), src);
+    }
+
+    /// Parity bytes recorded from the `V * V_top^{-1}` construction (commit
+    /// 2575948). The parity is what crosses the wire under FTI id 129, so
+    /// these may only change together with the encoding id.
+    #[test]
+    fn golden_parity_4_7() {
+        let c = RseCodec::new(4, 7).unwrap();
+        assert_eq!(c.generator_row(4), [64, 120, 54, 15]);
+        assert_eq!(c.generator_row(5), [231, 210, 87, 99]);
+        assert_eq!(c.generator_row(6), [229, 191, 7, 92]);
+        let src: Vec<Vec<u8>> = (0..4u8)
+            .map(|i| (0..8u8).map(|b| 37 * i + 11 * b + 5).collect())
+            .collect();
+        let refs: Vec<&[u8]> = src.iter().map(|s| s.as_slice()).collect();
+        assert_eq!(
+            c.encode_refs(&refs).unwrap(),
+            [
+                [9, 161, 49, 169, 120, 226, 85, 68],
+                [204, 168, 89, 198, 86, 18, 36, 125],
+                [63, 126, 38, 208, 150, 23, 105, 105],
+            ]
+        );
+    }
+
+    /// FNV-1a 64 over the 85 parity symbols of the paper's ratio-1.5 block
+    /// shape, same provenance as [`golden_parity_4_7`].
+    #[test]
+    fn golden_parity_digest_170_255() {
+        let mut state = 0x5EED_0000_0000_0001u64;
+        let src: Vec<Vec<u8>> = (0..170)
+            .map(|_| {
+                (0..1024)
+                    .map(|_| {
+                        state = state
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        (state >> 56) as u8
+                    })
+                    .collect()
+            })
+            .collect();
+        let refs: Vec<&[u8]> = src.iter().map(|s| s.as_slice()).collect();
+        let parity = RseCodec::new(170, 255).unwrap().encode_refs(&refs).unwrap();
+        assert_eq!(parity.len(), 85);
+        assert_eq!(parity[0][..4], [77, 176, 7, 137]);
+        assert_eq!(parity[84][1020..], [146, 235, 202, 32]);
+        let digest = parity
+            .iter()
+            .flatten()
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+        assert_eq!(digest, 0x5af5_92fa_5024_cb9f);
     }
 
     proptest! {

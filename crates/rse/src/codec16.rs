@@ -25,8 +25,12 @@ pub const MAX_N16: usize = MUL16_ORDER;
 
 /// A systematic `(k, n)` Reed-Solomon erasure codec over GF(2^16).
 ///
-/// Same construction as [`crate::RseCodec`] — generator `G = V · V_top⁻¹`
-/// on Vandermonde points `alpha^i` — one field up.
+/// Same generator as [`crate::RseCodec`] — `G = V · V_top⁻¹` on Vandermonde
+/// points `alpha^i` — one field up. Unlike `RseCodec`, which writes `G`
+/// down in closed form and solves for erased symbols only, this codec
+/// still builds `G` by inverting `V_top` and decodes by inverting the full
+/// `k × k` sub-generator: its only caller is the `ablation_gf216` bench,
+/// whose point is what GF(2^16) costs.
 ///
 /// ```
 /// use fec_rse::Rse16Codec;
