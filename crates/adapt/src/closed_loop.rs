@@ -436,7 +436,7 @@ pub fn clairvoyant_decision(params: GilbertParams) -> Decision {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fec_sim::CodeKind;
+    use fec_codec::builtin;
 
     fn quick_scenario() -> Scenario {
         Scenario {
@@ -466,7 +466,7 @@ mod tests {
         let report = runner.run();
         assert_eq!(report.epochs.len(), 12);
         // The first epoch runs on the prior.
-        assert_eq!(report.epochs[0].decision.code, CodeKind::LdgmTriangle);
+        assert_eq!(report.epochs[0].decision.code, builtin::ldgm_triangle());
         assert!(report.epochs[0].estimated_loss_bound.is_none());
         // Later epochs have estimates.
         assert!(report.epochs[4].estimated_loss_bound.is_some());
@@ -527,9 +527,9 @@ mod tests {
     fn clairvoyant_decisions_match_recommender() {
         let light = GilbertParams::new(0.0109, 0.7915).unwrap();
         let d = clairvoyant_decision(light);
-        assert_eq!(d.code, CodeKind::LdgmStaircase);
+        assert_eq!(d.code, builtin::ldgm_staircase());
         let heavy = GilbertParams::new(0.3, 0.4).unwrap();
         let d = clairvoyant_decision(heavy);
-        assert_eq!(d.code, CodeKind::LdgmTriangle);
+        assert_eq!(d.code, builtin::ldgm_triangle());
     }
 }

@@ -477,7 +477,7 @@ pub struct Replan {
 mod tests {
     use super::*;
     use fec_channel::{GilbertChannel, LossModel};
-    use fec_sim::CodeKind;
+    use fec_codec::builtin;
 
     fn feed(c: &mut AdaptiveController, params: GilbertParams, n: usize, seed: u64) {
         let mut ch = GilbertChannel::new(params, seed);
@@ -489,7 +489,7 @@ mod tests {
     #[test]
     fn prior_is_the_paper_high_loss_tuple() {
         let d = Decision::prior();
-        assert_eq!(d.code, CodeKind::LdgmTriangle);
+        assert_eq!(d.code, builtin::ldgm_triangle());
         assert_eq!(d.tx, TxModel::Random);
         assert_eq!(d.ratio, ExpansionRatio::R2_5);
     }
@@ -517,7 +517,7 @@ mod tests {
         assert_eq!(c.reconsider(), Reconsideration::Pending);
         assert_eq!(c.reconsider(), Reconsideration::Switched);
         let d = c.decision();
-        assert_eq!(d.code, CodeKind::LdgmStaircase, "low loss: Tx2+Staircase");
+        assert_eq!(d.code, builtin::ldgm_staircase(), "low loss: Tx2+Staircase");
         assert_eq!(d.tx, TxModel::SourceSeqParityRandom);
         assert_eq!(d.ratio, ExpansionRatio::R1_5);
         assert_eq!(c.switches(), 1);
@@ -593,12 +593,12 @@ mod tests {
             6,
         );
         assert_eq!(c.reconsider(), Reconsideration::Switched);
-        assert_eq!(c.decision().code, CodeKind::LdgmStaircase);
+        assert_eq!(c.decision().code, builtin::ldgm_staircase());
         // …then the channel degrades to 40% loss: back to the robust tuple.
         feed(&mut c, GilbertParams::new(0.2, 0.3).unwrap(), 25_000, 7);
         assert_eq!(c.reconsider(), Reconsideration::Switched);
         let d = c.decision();
-        assert_eq!(d.code, CodeKind::LdgmTriangle);
+        assert_eq!(d.code, builtin::ldgm_triangle());
         assert_eq!(d.tx, TxModel::Random);
         assert_eq!(d.ratio, ExpansionRatio::R2_5);
         // 40% loss at ratio 2.5 with a 1.35 margin: equation 3 wants
@@ -706,7 +706,7 @@ mod tests {
         let cand = c.candidate_for(&est);
         assert_eq!(
             cand.code,
-            CodeKind::LdgmTriangle,
+            builtin::ldgm_triangle(),
             "uncertainty keeps the robust §6.1 tuple, got {cand}"
         );
     }

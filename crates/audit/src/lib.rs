@@ -1,9 +1,10 @@
 //! `fec-audit` — the workspace soundness suite.
 //!
-//! Four source-level lints guard the three places this workspace is most
-//! exposed: hand-written SIMD `unsafe` (`fec-gf256`), hand-rolled wire
+//! Five source-level lints. Four guard the places this workspace is most
+//! exposed — hand-written SIMD `unsafe` (`fec-gf256`), hand-rolled wire
 //! parsers fed by an adversarial network (`fec-flute`, `fec-distrib`),
-//! and lock-free atomics on the hot path (`fec-telemetry`):
+//! lock-free atomics on the hot path (`fec-telemetry`) — and one keeps
+//! its size a decision:
 //!
 //! * [`lints::unsafe_audit`] — every `unsafe` token needs an adjacent
 //!   `SAFETY` justification, `unsafe` is confined to an allowlist of
@@ -20,6 +21,9 @@
 //!   pass.
 //! * [`lints::ci_coverage`] — every workspace member must be exercised by
 //!   at least one `cargo test` job in `.github/workflows/ci.yml`.
+//! * [`lints::size`] — code lines per first-party crate `src/` ratchet
+//!   against `audit/size.baseline.toml`: a crate grows only with an
+//!   explicit re-baseline.
 //!
 //! The scanner is a small hand-rolled lexer ([`lexer`]) rather than a full
 //! parser: the build is offline (no `syn`), and the lints only need to
@@ -44,11 +48,19 @@ pub enum Lint {
     Ordering,
     /// CI coverage of every workspace crate.
     Ci,
+    /// Per-crate code-line ratchet.
+    Size,
 }
 
 impl Lint {
     /// All lints, in the order `all` runs them.
-    pub const ALL: [Lint; 4] = [Lint::Unsafe, Lint::Panic, Lint::Ordering, Lint::Ci];
+    pub const ALL: [Lint; 5] = [
+        Lint::Unsafe,
+        Lint::Panic,
+        Lint::Ordering,
+        Lint::Ci,
+        Lint::Size,
+    ];
 
     /// The lint's CLI name.
     pub fn name(self) -> &'static str {
@@ -57,6 +69,7 @@ impl Lint {
             Lint::Panic => "panic",
             Lint::Ordering => "ordering",
             Lint::Ci => "ci",
+            Lint::Size => "size",
         }
     }
 }
@@ -392,6 +405,7 @@ pub fn run(lints: &[Lint], opts: &Options) -> Result<Outcome, String> {
             Lint::Panic => lints::panic_lint::run(&ws, opts)?,
             Lint::Ordering => lints::ordering_audit::run(&ws)?,
             Lint::Ci => lints::ci_coverage::run(&ws)?,
+            Lint::Size => lints::size::run(&ws, opts)?,
         };
         outcome.merge(one);
     }

@@ -3,6 +3,7 @@
 //! ```text
 //! cargo run -p fec-audit -- all                      # every lint, check mode
 //! cargo run -p fec-audit -- unsafe                   # one lint
+//! cargo run -p fec-audit -- size                     # per-crate code-line ratchet
 //! cargo run -p fec-audit -- unsafe --write-ledger    # regenerate docs/UNSAFE_LEDGER.md
 //! cargo run -p fec-audit -- all --update-baselines   # intentional re-baseline
 //! cargo run -p fec-audit -- panic --root /some/tree  # lint another workspace
@@ -15,7 +16,7 @@ use std::process::ExitCode;
 
 use fec_audit::{run, Lint, Options};
 
-const USAGE: &str = "usage: fec-audit <unsafe|panic|ordering|ci|all> \
+const USAGE: &str = "usage: fec-audit <unsafe|panic|ordering|ci|size|all> \
                      [--root PATH] [--update-baselines] [--write-ledger] [--verbose]";
 
 fn main() -> ExitCode {
@@ -33,6 +34,7 @@ fn main() -> ExitCode {
             "panic" => lints.push(Lint::Panic),
             "ordering" => lints.push(Lint::Ordering),
             "ci" => lints.push(Lint::Ci),
+            "size" => lints.push(Lint::Size),
             "all" => lints.extend(Lint::ALL),
             "--root" => match it.next() {
                 Some(p) => root = Some(PathBuf::from(p)),

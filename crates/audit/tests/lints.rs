@@ -3,7 +3,7 @@
 //! Each test fabricates a small workspace under `CARGO_TARGET_TMPDIR`
 //! with a seeded violation — an unjustified `unsafe`, a panic in a
 //! `deny(panic)` module, an unexplained `Ordering::Relaxed`, a crate
-//! missing from CI — and asserts the binary exits non-zero with a
+//! missing from CI, a crate grown past its size baseline — and asserts the binary exits non-zero with a
 //! `file:line` diagnostic. The final test runs `all` against the real
 //! committed tree, so `cargo test` itself enforces the lints.
 
@@ -217,6 +217,45 @@ fn crate_missing_from_ci_fails() {
     let root = write_tree("ci-covered", &covered);
     let out = audit(&root, &["ci"]);
     assert!(out.status.success(), "{}", stdout(&out));
+}
+
+#[test]
+fn size_ratchet_rejects_growth_but_not_comments_or_tests() {
+    let lib = "//! Two code lines.\n\npub fn f() -> u8 {\n    // a comment is not code\n    1\n}\n";
+    let root = write_tree(
+        "size-ratchet",
+        &[
+            ("Cargo.toml", WS_ONE_MEMBER),
+            ("crates/wire/Cargo.toml", WIRE_MANIFEST),
+            ("crates/wire/src/lib.rs", lib),
+            ("audit/size.baseline.toml", "[size]\nwire = 3\ntotal = 3\n"),
+        ],
+    );
+    let out = audit(&root, &["size"]);
+    assert!(out.status.success(), "{}", stdout(&out));
+
+    // Comments, blank lines and a unit-test module are free…
+    let padded = format!(
+        "{lib}\n// more prose\n\n#[cfg(test)]\nmod tests {{\n    #[test]\n    fn t() {{}}\n}}\n"
+    );
+    std::fs::write(root.join("crates/wire/src/lib.rs"), padded).expect("write");
+    let out = audit(&root, &["size"]);
+    assert!(out.status.success(), "{}", stdout(&out));
+
+    // …one more line of code is not, until someone re-baselines.
+    let grown = format!("{lib}pub const G: u8 = 2;\n");
+    std::fs::write(root.join("crates/wire/src/lib.rs"), grown).expect("write");
+    let out = audit(&root, &["size"]);
+    assert!(!out.status.success());
+    let text = stdout(&out);
+    assert!(text.contains("audit/size.baseline.toml"), "{text}");
+    assert!(
+        text.contains("size count for wire grew: 4 > baseline 3"),
+        "{text}"
+    );
+    let rebase = audit(&root, &["size", "--update-baselines"]);
+    assert!(rebase.status.success(), "{}", stdout(&rebase));
+    assert!(audit(&root, &["size"]).status.success());
 }
 
 /// The committed tree itself must be clean — this is what makes tier-1

@@ -23,9 +23,10 @@ use std::time::Instant;
 
 use fec_bench::{banner, output, Scale};
 use fec_channel::{GilbertChannel, GilbertParams, LossModel};
+use fec_codec::builtin;
 use fec_rse::{Partition, Rse16Codec, RseCodec};
 use fec_sched::{Layout, TxModel};
-use fec_sim::{CodeKind, ExpansionRatio, Experiment, Runner};
+use fec_sim::{ExpansionRatio, Experiment, Runner};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
@@ -80,7 +81,7 @@ fn rse8_inefficiency(
     seed: u64,
 ) -> (Option<f64>, u32) {
     let runner = Runner::new(
-        Experiment::new(CodeKind::Rse, k, ExpansionRatio::R2_5, tx),
+        Experiment::new(builtin::rse(), k, ExpansionRatio::R2_5, tx),
         1,
     )
     .expect("valid experiment");

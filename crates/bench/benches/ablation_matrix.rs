@@ -1,6 +1,7 @@
 //! Ablation: LDGM matrix design choices.
 //!
-//! DESIGN.md calls out two free parameters the paper fixes implicitly:
+//! docs/PAPER_MAP.md (§"Substitutions and conventions") calls out two
+//! free parameters the paper fixes implicitly:
 //! the lower-triangle fill rule of LDGM Triangle (deferred to reference
 //! [15]) and the left degree (fixed to 3). This bench measures both under
 //! Tx_model_4 so the chosen defaults are justified by data, not folklore:

@@ -28,8 +28,9 @@
 
 use fec_bench::{banner, output, Scale};
 use fec_channel::GilbertParams;
+use fec_codec::{builtin, CodecHandle};
 use fec_sched::TxModel;
-use fec_sim::{CodeKind, ExpansionRatio, Experiment, Runner};
+use fec_sim::{ExpansionRatio, Experiment, Runner};
 use std::fmt::Write as _;
 
 struct CellResult {
@@ -39,7 +40,7 @@ struct CellResult {
 
 /// Mean inefficiency of `(code, ratio, tx)` on one channel cell.
 fn run_cell(
-    code: CodeKind,
+    code: CodecHandle,
     k: usize,
     ratio: ExpansionRatio,
     tx: TxModel,
@@ -108,7 +109,7 @@ fn main() {
         let mut curve = Vec::new();
         for &w in &windows {
             let cell = run_cell(
-                CodeKind::LdgmStaircase,
+                builtin::ldgm_staircase(),
                 k,
                 ExpansionRatio::R2_5,
                 TxModel::WindowShuffle { window: w },
@@ -134,7 +135,7 @@ fn main() {
     // Reference: the real Tx_model_4 at the same scale.
     for (label, ch) in channels {
         let tx4 = run_cell(
-            CodeKind::LdgmStaircase,
+            builtin::ldgm_staircase(),
             k,
             ExpansionRatio::R2_5,
             TxModel::Random,
@@ -197,7 +198,7 @@ fn main() {
     let blocks = {
         let r = Runner::new(
             Experiment::new(
-                CodeKind::Rse,
+                builtin::rse(),
                 k_rse,
                 ExpansionRatio::R1_5,
                 TxModel::Interleaved,
@@ -221,7 +222,7 @@ fn main() {
         let mut curve = Vec::new();
         for &d in &depths {
             let cell = run_cell(
-                CodeKind::Rse,
+                builtin::rse(),
                 k_rse,
                 ExpansionRatio::R1_5,
                 TxModel::GroupInterleaved { depth: d },
@@ -243,7 +244,7 @@ fn main() {
         let (first, full) = (&curve[0], curve.last().expect("non-empty"));
         // Full depth == Tx_model_5: the paper's mandatory scheme for RSE.
         let tx5 = run_cell(
-            CodeKind::Rse,
+            builtin::rse(),
             k_rse,
             ExpansionRatio::R1_5,
             TxModel::Interleaved,

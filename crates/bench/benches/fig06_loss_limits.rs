@@ -10,8 +10,9 @@ use std::fmt::Write as _;
 
 use fec_bench::{banner, output, sweep, Scale};
 use fec_channel::analysis::FeasibilityLimit;
+use fec_codec::builtin;
 use fec_sched::TxModel;
-use fec_sim::{report, CodeKind, ExpansionRatio};
+use fec_sim::{report, ExpansionRatio};
 
 fn main() {
     let scale = Scale::from_env();
@@ -59,7 +60,7 @@ fn main() {
     let mut violations = 0;
     for ratio in [ExpansionRatio::R1_5, ExpansionRatio::R2_5] {
         let result = sweep(
-            &CodeKind::LdgmStaircase.resolve(),
+            &builtin::ldgm_staircase(),
             ratio,
             TxModel::Random,
             &scale,

@@ -6,15 +6,16 @@
 //! missing coupon near the end of the stream).
 
 use fec_bench::{banner, output, sweep, Scale};
+use fec_codec::builtin;
 use fec_sched::TxModel;
-use fec_sim::{report, CodeKind, ExpansionRatio};
+use fec_sim::{report, ExpansionRatio};
 
 fn main() {
     let scale = Scale::from_env();
     banner("Figure 7: no FEC, x2 repetition, random order", &scale);
 
     let result = sweep(
-        &CodeKind::LdgmStaircase.resolve(), // irrelevant: no parity is ever sent
+        &builtin::ldgm_staircase(), // irrelevant: no parity is ever sent
         ExpansionRatio::R2_5,
         TxModel::RepeatSource { copies: 2 },
         &scale,

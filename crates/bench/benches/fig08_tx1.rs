@@ -9,8 +9,9 @@
 //!   bursts wipe out whole blocks).
 
 use fec_bench::{banner, figure_grid, paper_codes, Scale};
+use fec_codec::builtin;
 use fec_sched::TxModel;
-use fec_sim::{CodeKind, ExpansionRatio, SweepResult};
+use fec_sim::{ExpansionRatio, SweepResult};
 
 fn check_shape(result: &SweepResult, label: &str) {
     for cell in &result.cells {
@@ -79,10 +80,10 @@ fn main() {
             check_shape(&c.result, &format!("{}@{ratio}", c.code));
         }
         // RSE loses more of the grid than the LDGM codes.
-        let rse = masked.iter().find(|(c, _)| *c == CodeKind::Rse).unwrap().1;
+        let rse = masked.iter().find(|(c, _)| *c == builtin::rse()).unwrap().1;
         for (code, m) in &masked {
             println!("ratio {ratio}: {code} masked cells = {m}");
-            if *code != CodeKind::Rse {
+            if *code != builtin::rse() {
                 assert!(
                     rse >= *m,
                     "RSE must cover a smaller area than {code} under Tx1"

@@ -9,8 +9,9 @@
 //! * at p = 0 everything is exactly 1.0 (sources arrive unscathed).
 
 use fec_bench::{banner, cell, figure_grid, paper_codes, Scale};
+use fec_codec::{builtin, CodecHandle};
 use fec_sched::TxModel;
-use fec_sim::{CodeKind, ExpansionRatio, SweepResult};
+use fec_sim::{ExpansionRatio, SweepResult};
 
 fn main() {
     let scale = Scale::from_env();
@@ -40,8 +41,8 @@ fn main() {
 
         // Low-loss corner: Staircase < Triangle (paper Tables 1 vs 2 at
         // p=1%, high q). Compare on the (p=1%, q in {60..100}%) cells.
-        let get = |kind: CodeKind| -> &SweepResult { &cell(&cells, kind, ratio).result };
-        let corner_mean = |kind: CodeKind| {
+        let get = |kind: CodecHandle| -> &SweepResult { &cell(&cells, kind, ratio).result };
+        let corner_mean = |kind: CodecHandle| {
             let r = get(kind);
             let vals: Vec<f64> = r
                 .cells
@@ -51,8 +52,8 @@ fn main() {
                 .collect();
             vals.iter().sum::<f64>() / vals.len().max(1) as f64
         };
-        let sc = corner_mean(CodeKind::LdgmStaircase);
-        let tri = corner_mean(CodeKind::LdgmTriangle);
+        let sc = corner_mean(builtin::ldgm_staircase());
+        let tri = corner_mean(builtin::ldgm_triangle());
         println!(
             "\nratio {ratio}: low-loss corner (p=1%, q>=60%): staircase {sc:.4} vs triangle {tri:.4}"
         );
@@ -63,8 +64,8 @@ fn main() {
 
         if ratio == ExpansionRatio::R2_5 {
             // LDGM largely outperforms RSE at ratio 2.5: compare grand means.
-            let rse = get(CodeKind::Rse).grand_mean().unwrap();
-            let tri_gm = get(CodeKind::LdgmTriangle).grand_mean().unwrap();
+            let rse = get(builtin::rse()).grand_mean().unwrap();
+            let tri_gm = get(builtin::ldgm_triangle()).grand_mean().unwrap();
             println!("grand means: RSE {rse:.4}, Triangle {tri_gm:.4}");
             assert!(
                 tri_gm < rse,

@@ -6,12 +6,14 @@
 //! * Triangle improves as `p_global` shrinks.
 //!
 //! Note on magnitudes: our Triangle fill (a documented substitution, see
-//! DESIGN.md) reproduces the *ordering* Triangle < Staircase with a smaller
-//! gap than the paper's ~0.03.
+//! docs/PAPER_MAP.md §"Substitutions and conventions") reproduces the
+//! *ordering* Triangle < Staircase with a smaller gap than the paper's
+//! ~0.03.
 
 use fec_bench::{banner, figure_grid, paper, paper_codes, Scale};
+use fec_codec::{builtin, CodecHandle};
 use fec_sched::TxModel;
-use fec_sim::{CodeKind, ExpansionRatio, SweepResult};
+use fec_sim::{ExpansionRatio, SweepResult};
 
 fn spread(result: &SweepResult) -> f64 {
     let vals: Vec<f64> = result.surface().map(|(_, _, m)| m).collect();
@@ -44,10 +46,10 @@ fn main() {
                 (c.code.clone(), gm, sp)
             })
             .collect();
-        let get = |k: CodeKind| means.iter().find(|(c, _, _)| *c == k).unwrap();
-        let rse = get(CodeKind::Rse);
-        let sc = get(CodeKind::LdgmStaircase);
-        let tri = get(CodeKind::LdgmTriangle);
+        let get = |k: CodecHandle| means.iter().find(|(c, _, _)| *c == k).unwrap();
+        let rse = get(builtin::rse());
+        let sc = get(builtin::ldgm_staircase());
+        let tri = get(builtin::ldgm_triangle());
 
         // Ordering: RSE worst, Triangle best. RSE's penalty is the block
         // count (coupon collector): below k ≈ 4000 it has too few blocks

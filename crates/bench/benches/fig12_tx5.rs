@@ -7,21 +7,16 @@
 //! * at p = 0 it is exactly 1.0 (interleaving reorders, never wastes).
 
 use fec_bench::{banner, output, sweep, Scale};
+use fec_codec::builtin;
 use fec_sched::TxModel;
-use fec_sim::{report, CodeKind, ExpansionRatio};
+use fec_sim::{report, ExpansionRatio};
 
 fn main() {
     let scale = Scale::from_env();
     banner("Figure 12: Tx_model_5 (interleaving) with RSE", &scale);
 
     for ratio in [ExpansionRatio::R2_5, ExpansionRatio::R1_5] {
-        let tx5 = sweep(
-            &CodeKind::Rse.resolve(),
-            ratio,
-            TxModel::Interleaved,
-            &scale,
-            false,
-        );
+        let tx5 = sweep(&builtin::rse(), ratio, TxModel::Interleaved, &scale, false);
         println!("\n--- RSE interleaved, ratio {ratio} ---");
         println!("{}", report::paper_table(&tx5));
         output::save(
@@ -46,7 +41,7 @@ fn main() {
         // ties flip either way at boundary cells with finite runs, so the
         // gate is a clear majority, not unanimity.)
         for other in [TxModel::SourceSeqParityRandom, TxModel::Random] {
-            let alt = sweep(&CodeKind::Rse.resolve(), ratio, other, &scale, false);
+            let alt = sweep(&builtin::rse(), ratio, other, &scale, false);
             let mut wins = 0;
             let mut losses = 0;
             for (c5, ca) in tx5.cells.iter().zip(&alt.cells) {

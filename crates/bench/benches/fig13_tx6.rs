@@ -7,8 +7,9 @@
 //!   the one schedule where Staircase beats Triangle.
 
 use fec_bench::{banner, figure_grid, paper_codes, Scale};
+use fec_codec::{builtin, CodecHandle};
 use fec_sched::TxModel;
-use fec_sim::{CodeKind, ExpansionRatio};
+use fec_sim::ExpansionRatio;
 
 fn main() {
     let scale = Scale::from_env();
@@ -40,10 +41,10 @@ fn main() {
         })
         .collect();
 
-    let get = |k: CodeKind| means.iter().find(|(c, _, _)| *c == k).unwrap();
-    let sc = get(CodeKind::LdgmStaircase);
-    let tri = get(CodeKind::LdgmTriangle);
-    let rse = get(CodeKind::Rse);
+    let get = |k: CodecHandle| means.iter().find(|(c, _, _)| *c == k).unwrap();
+    let sc = get(builtin::ldgm_staircase());
+    let tri = get(builtin::ldgm_triangle());
+    let rse = get(builtin::rse());
 
     // Constant performance for the LDGM codes (the paper's surfaces are
     // flat; the plateau noise shrinks like 1/sqrt(k), so the tolerance is

@@ -10,8 +10,9 @@
 use std::fmt::Write as _;
 
 use fec_bench::{banner, output, Scale};
+use fec_codec::builtin;
 use fec_sched::{RxModel, TxModel};
-use fec_sim::{CodeKind, ExpansionRatio, Experiment, Runner};
+use fec_sim::{ExpansionRatio, Experiment, Runner};
 
 fn main() {
     let scale = Scale::from_env();
@@ -21,7 +22,7 @@ fn main() {
     );
 
     let experiment = Experiment::new(
-        CodeKind::LdgmStaircase,
+        builtin::ldgm_staircase(),
         scale.k,
         ExpansionRatio::R2_5,
         TxModel::Random, // unused by run_reception, required by the type

@@ -4,8 +4,8 @@
 //! Select a subset with `FEC_REPRO_TABLES=1,5,9`; default is all nine.
 //! At the default reduced scale the absolute deltas reflect the smaller
 //! `k` (LDGM inefficiency shrinks slowly with k) — run with
-//! `FEC_REPRO_SCALE=paper` for the full-fidelity comparison recorded in
-//! EXPERIMENTS.md.
+//! `FEC_REPRO_SCALE=paper` for the full-fidelity comparison (the
+//! "Tables 1–9" row of docs/PAPER_MAP.md §"Figures").
 
 use fec_bench::{banner, compare, output, paper::PaperTable, Scale};
 use fec_distrib::{execute_plan, SweepPlan};
@@ -40,7 +40,7 @@ fn main() {
             track_total: false,
             threads: None,
         };
-        let experiment = Experiment::new(table.code, scale.k, table.ratio, table.tx);
+        let experiment = Experiment::new((table.code)(), scale.k, table.ratio, table.tx);
         // Through the sharded-sweep planner: the same plan document a
         // multi-host regeneration of this table would distribute.
         let plan = SweepPlan::new(experiment, config).expect("experiment from a published table");
@@ -49,7 +49,7 @@ fn main() {
         println!(
             "\n=== {} — {} / {} / ratio {} ===",
             table.id,
-            table.code.name(),
+            (table.code)().name(),
             table.tx.name(),
             table.ratio
         );

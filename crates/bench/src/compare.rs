@@ -81,7 +81,8 @@ pub fn compare(paper: &PaperTable, measured: &SweepResult) -> Comparison {
     c
 }
 
-/// Human-readable comparison block for bench output and EXPERIMENTS.md.
+/// Human-readable comparison block for the `paper_tables` bench output
+/// (docs/PAPER_MAP.md §"Figures", Tables 1–9).
 pub fn report(paper: &PaperTable, measured: &SweepResult) -> String {
     let c = compare(paper, measured);
     let mut out = String::new();
@@ -89,7 +90,7 @@ pub fn report(paper: &PaperTable, measured: &SweepResult) -> String {
         out,
         "{} ({} / {} / ratio {}):",
         paper.id,
-        paper.code.name(),
+        (paper.code)().name(),
         paper.tx.name(),
         paper.ratio
     );
@@ -149,7 +150,7 @@ mod tests {
             })
             .collect();
         SweepResult {
-            experiment: Experiment::new(table.code, 20_000, table.ratio, table.tx),
+            experiment: Experiment::new((table.code)(), 20_000, table.ratio, table.tx),
             config: SweepConfig {
                 grid_p: grid.clone(),
                 grid_q: grid,

@@ -1,7 +1,8 @@
 //! Shared infrastructure for the reproduction benches.
 //!
 //! Every `benches/*.rs` target regenerates one table or figure of the paper
-//! (see DESIGN.md §4 for the full index). This library provides:
+//! (see docs/PAPER_MAP.md §"Figures" for the full index). This library
+//! provides:
 //!
 //! * [`Scale`] — the `FEC_REPRO_*` environment knobs that trade fidelity
 //!   for runtime (defaults: `k = 2000`, 30 runs; `FEC_REPRO_SCALE=paper`
@@ -12,8 +13,8 @@
 //! * [`paper`] — the paper's appendix Tables 1–9 transcribed as ground
 //!   truth;
 //! * [`compare`] — paper-vs-measured delta reports;
-//! * [`output`] — writes results under `results/` so EXPERIMENTS.md can be
-//!   regenerated mechanically.
+//! * [`output`] — writes results under `results/` so every artifact in
+//!   docs/PAPER_MAP.md §"Figures" can be regenerated mechanically.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,7 +1,8 @@
 //! Results-file output for the reproduction benches.
 //!
 //! Everything a bench prints is also written under `results/` (or
-//! `$FEC_RESULTS_DIR`) so EXPERIMENTS.md can reference stable artifacts:
+//! `$FEC_RESULTS_DIR`) so a write-up of the benches docs/PAPER_MAP.md
+//! §"Figures" lists can reference stable artifacts:
 //! `results/<target>/<name>.{txt,csv,dat,json}`.
 
 use std::fs;

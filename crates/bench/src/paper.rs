@@ -6,8 +6,9 @@
 //! 1–6 and 9 use the full 14-value grid; Tables 7–8 were published on a
 //! 13-value grid (without 15%).
 
+use fec_codec::{builtin, CodecHandle};
 use fec_sched::TxModel;
-use fec_sim::{CodeKind, ExpansionRatio};
+use fec_sim::ExpansionRatio;
 
 /// The 14-value percentage grid of Tables 1–6 and 9.
 pub const GRID14: [u32; 14] = [0, 1, 5, 10, 15, 20, 30, 40, 50, 60, 70, 80, 90, 100];
@@ -19,8 +20,9 @@ pub const GRID13: [u32; 13] = [0, 1, 5, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100]
 pub struct PaperTable {
     /// Paper designation, e.g. "Table 1".
     pub id: &'static str,
-    /// The experiment it reports.
-    pub code: CodeKind,
+    /// The code it reports on (a `builtin::*` accessor: handles are not
+    /// `const`-constructible).
+    pub code: fn() -> CodecHandle,
     /// Transmission model used.
     pub tx: TxModel,
     /// FEC expansion ratio used.
@@ -73,7 +75,7 @@ impl PaperTable {
 /// Table 1: Tx_model_2, LDGM Triangle, FEC expansion ratio 2.5.
 pub static TABLE_1: PaperTable = PaperTable {
     id: "Table 1",
-    code: CodeKind::LdgmTriangle,
+    code: builtin::ldgm_triangle,
     tx: TxModel::SourceSeqParityRandom,
     ratio: ExpansionRatio::R2_5,
     grid_pct: &GRID14,
@@ -98,7 +100,7 @@ pub static TABLE_1: PaperTable = PaperTable {
 /// Table 2: Tx_model_2, LDGM Staircase, FEC expansion ratio 2.5.
 pub static TABLE_2: PaperTable = PaperTable {
     id: "Table 2",
-    code: CodeKind::LdgmStaircase,
+    code: builtin::ldgm_staircase,
     tx: TxModel::SourceSeqParityRandom,
     ratio: ExpansionRatio::R2_5,
     grid_pct: &GRID14,
@@ -123,7 +125,7 @@ pub static TABLE_2: PaperTable = PaperTable {
 /// Table 3: Tx_model_2, LDGM Triangle, FEC expansion ratio 1.5.
 pub static TABLE_3: PaperTable = PaperTable {
     id: "Table 3",
-    code: CodeKind::LdgmTriangle,
+    code: builtin::ldgm_triangle,
     tx: TxModel::SourceSeqParityRandom,
     ratio: ExpansionRatio::R1_5,
     grid_pct: &GRID14,
@@ -148,7 +150,7 @@ pub static TABLE_3: PaperTable = PaperTable {
 /// Table 4: Tx_model_2, LDGM Staircase, FEC expansion ratio 1.5.
 pub static TABLE_4: PaperTable = PaperTable {
     id: "Table 4",
-    code: CodeKind::LdgmStaircase,
+    code: builtin::ldgm_staircase,
     tx: TxModel::SourceSeqParityRandom,
     ratio: ExpansionRatio::R1_5,
     grid_pct: &GRID14,
@@ -173,7 +175,7 @@ pub static TABLE_4: PaperTable = PaperTable {
 /// Table 5: Tx_model_4, LDGM Triangle, FEC expansion ratio 2.5.
 pub static TABLE_5: PaperTable = PaperTable {
     id: "Table 5",
-    code: CodeKind::LdgmTriangle,
+    code: builtin::ldgm_triangle,
     tx: TxModel::Random,
     ratio: ExpansionRatio::R2_5,
     grid_pct: &GRID14,
@@ -198,7 +200,7 @@ pub static TABLE_5: PaperTable = PaperTable {
 /// Table 6: Tx_model_4, LDGM Triangle, FEC expansion ratio 1.5.
 pub static TABLE_6: PaperTable = PaperTable {
     id: "Table 6",
-    code: CodeKind::LdgmTriangle,
+    code: builtin::ldgm_triangle,
     tx: TxModel::Random,
     ratio: ExpansionRatio::R1_5,
     grid_pct: &GRID14,
@@ -223,7 +225,7 @@ pub static TABLE_6: PaperTable = PaperTable {
 /// Table 7: Tx_model_5 (interleaved), RSE, FEC expansion ratio 2.5.
 pub static TABLE_7: PaperTable = PaperTable {
     id: "Table 7",
-    code: CodeKind::Rse,
+    code: builtin::rse,
     tx: TxModel::Interleaved,
     ratio: ExpansionRatio::R2_5,
     grid_pct: &GRID13,
@@ -247,7 +249,7 @@ pub static TABLE_7: PaperTable = PaperTable {
 /// Table 8: Tx_model_5 (interleaved), RSE, FEC expansion ratio 1.5.
 pub static TABLE_8: PaperTable = PaperTable {
     id: "Table 8",
-    code: CodeKind::Rse,
+    code: builtin::rse,
     tx: TxModel::Interleaved,
     ratio: ExpansionRatio::R1_5,
     grid_pct: &GRID13,
@@ -271,7 +273,7 @@ pub static TABLE_8: PaperTable = PaperTable {
 /// Table 9: Tx_model_6, LDGM Staircase, FEC expansion ratio 2.5.
 pub static TABLE_9: PaperTable = PaperTable {
     id: "Table 9",
-    code: CodeKind::LdgmStaircase,
+    code: builtin::ldgm_staircase,
     tx: TxModel::PartialSourceRandom {
         source_fraction: 0.2,
     },
@@ -296,7 +298,7 @@ pub static TABLE_9: PaperTable = PaperTable {
 };
 
 /// Headline single-number references quoted in the paper's prose, used by
-/// shape tests and EXPERIMENTS.md.
+/// the shape checks of the figure benches (docs/PAPER_MAP.md §"Figures").
 pub mod prose {
     /// §4.6 / Fig. 11a: RSE under Tx4 at ratio 2.5 hovers around 1.25.
     pub const TX4_RSE_R2_5: f64 = 1.25;

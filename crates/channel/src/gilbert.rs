@@ -132,7 +132,8 @@ impl GilbertParams {
 
 /// A running Gilbert channel.
 ///
-/// Semantics (documented convention, see DESIGN.md): *sample-then-step* —
+/// Semantics (documented convention, see docs/PAPER_MAP.md
+/// §"Substitutions and conventions"): *sample-then-step* —
 /// the fate of packet `i` is decided by the state the chain is in when the
 /// packet is transmitted, after which one transition is taken. The chain
 /// starts in [`GilbertState::NoLoss`], so `p = 0` yields a perfect channel.

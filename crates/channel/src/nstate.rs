@@ -208,7 +208,8 @@ impl MarkovChannel {
 
 impl LossModel for MarkovChannel {
     fn next_is_lost(&mut self) -> bool {
-        // Sample-then-step, matching the Gilbert convention (DESIGN.md).
+        // Sample-then-step, matching the Gilbert convention
+        // (docs/PAPER_MAP.md §"Substitutions and conventions").
         let loss_p = self.model.loss[self.state];
         let lost = loss_p > 0.0 && (loss_p >= 1.0 || self.rng.gen::<f64>() < loss_p);
         let u: f64 = self.rng.gen();

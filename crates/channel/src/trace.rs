@@ -4,9 +4,10 @@
 //! traces, citing the GSM traces of Konrad et al. and the Internet traces of
 //! Yajnik et al. (whose Amherst→LA fit, `p = 0.0109, q = 0.7915`, drives the
 //! §6.2.1 use case). We do not have those raw traces — the substitution
-//! (DESIGN.md) is to *synthesise* traces from a Gilbert chain and verify the
-//! fitter recovers the parameters, plus a [`TraceChannel`] that replays any
-//! recorded boolean trace through the [`LossModel`] interface.
+//! (docs/PAPER_MAP.md §"Substitutions and conventions") is to *synthesise*
+//! traces from a Gilbert chain and verify the fitter recovers the
+//! parameters, plus a [`TraceChannel`] that replays any recorded boolean
+//! trace through the [`LossModel`] interface.
 
 use crate::{ChannelError, GilbertParams, LossModel};
 

@@ -5,23 +5,21 @@ use std::hash::{Hash, Hasher};
 use std::ops::Deref;
 use std::sync::Arc;
 
-use crate::{CodeKind, ErasureCode};
+use crate::ErasureCode;
 
 /// A shared handle to an erasure code: a thin, transparent wrapper around
 /// `Arc<dyn ErasureCode>`.
 ///
 /// The wrapper exists because coherence forbids implementing foreign
-/// traits (serde, `From<CodeKind>`, cross-type equality) directly on the
-/// `Arc`; it adds no state and [`Deref`]s to the trait object, so
-/// `handle.name()`, `handle.layout(…)` etc. all work unqualified. Clones
-/// are reference-count bumps.
+/// traits (serde) directly on the `Arc`; it adds no state and [`Deref`]s
+/// to the trait object, so `handle.name()`, `handle.layout(…)` etc. all
+/// work unqualified. Clones are reference-count bumps.
 ///
 /// Serialization writes the codec's [`serde_token`](ErasureCode::serde_token)
-/// (the pre-registry `CodeKind` variant names for the built-ins, so
-/// serialized `CodeSpec`s and sweep results are wire-compatible with
-/// older builds); deserialization resolves the token through the global
-/// [`registry`](crate::registry), so specs naming third-party codecs load
-/// once those codecs are registered.
+/// (for the built-ins, the names serialized `CodeSpec`s, sweep plans
+/// and results have always carried on disk); deserialization resolves the
+/// token through the global [`registry`](crate::registry), so specs naming
+/// third-party codecs load once those codecs are registered.
 #[derive(Clone)]
 pub struct CodecHandle(pub Arc<dyn ErasureCode>);
 
@@ -79,18 +77,6 @@ impl Hash for CodecHandle {
     }
 }
 
-impl PartialEq<CodeKind> for CodecHandle {
-    fn eq(&self, kind: &CodeKind) -> bool {
-        *self == kind.resolve()
-    }
-}
-
-impl PartialEq<CodecHandle> for CodeKind {
-    fn eq(&self, code: &CodecHandle) -> bool {
-        code == self
-    }
-}
-
 impl From<Arc<dyn ErasureCode>> for CodecHandle {
     fn from(code: Arc<dyn ErasureCode>) -> CodecHandle {
         CodecHandle(code)
@@ -106,12 +92,6 @@ impl<C: ErasureCode + 'static> From<Arc<C>> for CodecHandle {
 impl From<&CodecHandle> for CodecHandle {
     fn from(code: &CodecHandle) -> CodecHandle {
         code.clone()
-    }
-}
-
-impl From<CodeKind> for CodecHandle {
-    fn from(kind: CodeKind) -> CodecHandle {
-        kind.resolve()
     }
 }
 
@@ -133,23 +113,22 @@ impl serde::Deserialize for CodecHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builtin;
     use serde::{Deserialize, Serialize};
 
     #[test]
     fn deref_and_equality() {
-        let a: CodecHandle = CodeKind::Rse.into();
+        let a = builtin::rse();
         assert_eq!(a.id(), "rse");
-        assert_eq!(a, CodeKind::Rse);
-        assert_ne!(a, CodeKind::LdgmTriangle);
-        assert_eq!(CodeKind::Rse, a);
-        assert_eq!(a, crate::builtin::rse());
+        assert_eq!(a, CodecHandle::from(&a));
+        assert_ne!(a, builtin::ldgm_triangle());
         assert_eq!(format!("{a}"), "RSE");
         assert_eq!(format!("{a:?}"), "CodecHandle(rse)");
     }
 
     #[test]
     fn serde_round_trip_uses_compat_tokens() {
-        let h = crate::builtin::ldgm_staircase();
+        let h = builtin::ldgm_staircase();
         let v = h.to_value();
         assert_eq!(v, serde::Value::String("LdgmStaircase".into()));
         let back = CodecHandle::from_value(&v).unwrap();
@@ -158,5 +137,20 @@ mod tests {
         let alt = CodecHandle::from_value(&serde::Value::String("staircase".into())).unwrap();
         assert_eq!(alt, h);
         assert!(CodecHandle::from_value(&serde::Value::String("nope".into())).is_err());
+    }
+
+    /// The tokens are the on-disk format of every `CodeSpec`, sweep plan
+    /// and result ever written; they never move.
+    #[test]
+    fn serde_tokens_are_wire_stable() {
+        for (code, token) in [
+            (builtin::rse(), "Rse"),
+            (builtin::ldgm_staircase(), "LdgmStaircase"),
+            (builtin::ldgm_triangle(), "LdgmTriangle"),
+            (builtin::ldgm_plain(), "LdgmPlain"),
+        ] {
+            assert_eq!(code.serde_token(), token);
+            assert_eq!(code.to_value(), serde::Value::String(token.to_string()));
+        }
     }
 }

@@ -28,10 +28,7 @@
 //!   Triangle, plain LDGM) are pre-registered in the
 //!   [`registry::global`] registry;
 //! * [`conformance`] — the behavioural test suite every implementation
-//!   must pass;
-//! * [`CodeKind`] — the closed pre-registry enum, kept as a deprecated
-//!   alias that resolves through the registry so serialized specs stay
-//!   wire-compatible.
+//!   must pass.
 //!
 //! # Writing your own codec
 //!
@@ -177,13 +174,13 @@ pub mod builtin;
 pub mod conformance;
 mod error;
 mod handle;
-mod kind;
+mod ratio;
 pub mod registry;
 mod traits;
 
 pub use error::{BoxedError, CodecError};
 pub use handle::CodecHandle;
-pub use kind::{CodeKind, ExpansionRatio};
+pub use ratio::ExpansionRatio;
 pub use registry::CodecRegistry;
 pub use traits::{
     BlockParity, DecodeProgress, Decoder, Encoder, Envelope, ErasureCode, SessionParams,

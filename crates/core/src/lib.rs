@@ -47,5 +47,5 @@ pub use sender::Sender;
 pub use spec::CodeSpec;
 
 // Re-export the vocabulary types so applications need only this crate.
-pub use fec_codec::{CodeKind, CodecHandle, DecodeProgress, ErasureCode, ExpansionRatio};
+pub use fec_codec::{CodecHandle, DecodeProgress, ErasureCode, ExpansionRatio};
 pub use fec_sched::{RxModel, TxModel};

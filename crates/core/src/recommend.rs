@@ -319,12 +319,11 @@ impl MeasuredSelector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fec_sim::CodeKind;
 
     #[test]
     fn unknown_channel_prefers_triangle_tx4() {
         let recs = recommend(ChannelKnowledge::Unknown);
-        assert_eq!(recs[0].code, CodeKind::LdgmTriangle);
+        assert_eq!(recs[0].code, builtin::ldgm_triangle());
         assert_eq!(recs[0].tx, TxModel::Random);
         // Tx1/Tx3 never recommended.
         for r in &recs {
@@ -346,7 +345,7 @@ mod tests {
     fn known_low_loss_prefers_staircase_tx2() {
         let ch = GilbertParams::new(0.0109, 0.7915).unwrap(); // §6.2.1
         let recs = recommend(ChannelKnowledge::Known(ch));
-        assert_eq!(recs[0].code, CodeKind::LdgmStaircase);
+        assert_eq!(recs[0].code, builtin::ldgm_staircase());
         assert_eq!(recs[0].tx, TxModel::SourceSeqParityRandom);
         assert_eq!(recs[0].ratio, ExpansionRatio::R1_5, "low loss affords 1.5");
     }
@@ -355,7 +354,7 @@ mod tests {
     fn known_heavy_loss_prefers_triangle_tx4_at_2_5() {
         let ch = GilbertParams::new(0.3, 0.5).unwrap(); // 37.5% loss
         let recs = recommend(ChannelKnowledge::Known(ch));
-        assert_eq!(recs[0].code, CodeKind::LdgmTriangle);
+        assert_eq!(recs[0].code, builtin::ldgm_triangle());
         assert_eq!(recs[0].tx, TxModel::Random);
         assert_eq!(recs[0].ratio, ExpansionRatio::R2_5);
     }
@@ -368,7 +367,7 @@ mod tests {
             ChannelKnowledge::Known(GilbertParams::bernoulli(0.1).unwrap()),
         ] {
             for r in recommend(knowledge) {
-                if r.code == CodeKind::Rse {
+                if r.code == builtin::rse() {
                     assert_eq!(r.tx, TxModel::Interleaved, "RSE must interleave");
                 }
             }

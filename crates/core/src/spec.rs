@@ -31,8 +31,7 @@ pub struct CodeSpec {
 }
 
 impl CodeSpec {
-    /// A spec for any registered codec (a handle or a deprecated
-    /// `CodeKind`), with the default structure seed.
+    /// A spec for any registered codec, with the default structure seed.
     pub fn new(code: impl Into<CodecHandle>, k: usize, ratio: ExpansionRatio) -> CodeSpec {
         let code = code.into();
         let matrix_seed = if code.uses_matrix_seed() { 1 } else { 0 };

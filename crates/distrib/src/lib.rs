@@ -21,7 +21,7 @@
 //!    sums, Welford mean/M2, min/max). In-process, as self-exec'd
 //!    `fec-broadcast sweep-worker` subprocesses (plan JSON on stdin,
 //!    [`PartialSweep`] JSONL on stdout), or on other hosts entirely.
-//! 4. **Merge** ([`from_partials`], [`merge_files`], [`StreamingMerge`]):
+//! 4. **Merge** ([`from_partials`], [`merge_paths`], [`StreamingMerge`]):
 //!    completeness-checked reduction in canonical unit order, yielding a
 //!    [`SweepResult`] whose JSON serialization is byte-identical for
 //!    every execution strategy of the same plan. On-disk partials are
@@ -79,7 +79,7 @@ mod worker;
 pub use coordinator::Coordinator;
 pub use error::DistribError;
 pub use exec::{execute_plan, run_shard, run_shard_with_threads};
-pub use merge::{from_partials, merge_files, merge_paths, FromPartials, StreamingMerge};
+pub use merge::{from_partials, merge_paths, StreamingMerge};
 pub use partial::{PartialFile, PartialHeader, PartialSweep, UnitResult, PARTIAL_JSONL_FORMAT};
 pub use plan::SweepPlan;
 pub use shard::ShardSpec;

@@ -1,12 +1,14 @@
 //! Merging partial results back into a [`SweepResult`] — in memory or
 //! streamed unit-by-unit.
 
-use std::io::BufRead;
+use std::fs::File;
+use std::io::{BufRead, BufReader};
+use std::path::Path;
 
 use fec_sim::{finalize_cells, CellAccum, SweepResult, WorkUnit};
 
-use crate::partial::{PartialHeader, PARTIAL_JSONL_FORMAT};
-use crate::{DistribError, PartialFile, PartialSweep, SweepPlan, UnitResult};
+use crate::partial::{parse_unit_line, PartialHeader};
+use crate::{DistribError, PartialSweep, SweepPlan, UnitResult};
 
 /// Merges a set of partials into the plan's final [`SweepResult`], with
 /// completeness checking: every canonical unit must be accounted for
@@ -129,75 +131,23 @@ impl StreamingMerge {
     }
 
     /// Folds one partial file from a line reader without materialising
-    /// it: a JSONL file streams unit-by-unit; a legacy single-document
-    /// file is parsed whole (its one line *is* the whole file). Returns
-    /// the number of unit results folded from this source.
+    /// it: the header must carry this merge's plan, then units stream in
+    /// one line at a time. Returns the number of unit results folded from
+    /// this source.
     pub fn fold_reader(&mut self, reader: impl BufRead) -> Result<u64, DistribError> {
         let before = self.folded;
         let mut lines = reader.lines();
-        let first = loop {
-            match lines.next() {
-                None => {
-                    return Err(DistribError::Protocol {
-                        detail: "empty partial file".into(),
-                    })
-                }
-                Some(line) => {
-                    let line = line.map_err(|e| DistribError::Protocol {
-                        detail: format!("cannot read partial file: {e}"),
-                    })?;
-                    if !line.trim().is_empty() {
-                        break line;
-                    }
-                }
-            }
-        };
-        if let Ok(header) = serde_json::from_str::<PartialHeader>(&first) {
-            if header.format != PARTIAL_JSONL_FORMAT {
-                return Err(DistribError::Protocol {
-                    detail: format!("unknown partial format {:?}", header.format),
-                });
-            }
-            if header.plan.fingerprint() != self.fingerprint {
-                return Err(DistribError::PlanMismatch {
-                    expected: self.fingerprint,
-                    found: header.plan.fingerprint(),
-                });
-            }
-            for line in lines {
-                let line = line.map_err(|e| DistribError::Protocol {
-                    detail: format!("cannot read partial file: {e}"),
-                })?;
-                if line.trim().is_empty() {
-                    continue;
-                }
-                let ur: UnitResult =
-                    serde_json::from_str(&line).map_err(|e| DistribError::Protocol {
-                        detail: format!("malformed unit line: {e}"),
-                    })?;
-                self.fold_unit(&ur)?;
-            }
-        } else {
-            // Legacy single-document file — usually one line, but a
-            // pretty-printed document spans many: reassemble before
-            // parsing.
-            let mut text = first;
-            for line in lines {
-                let line = line.map_err(|e| DistribError::Protocol {
-                    detail: format!("cannot read partial file: {e}"),
-                })?;
-                text.push('\n');
-                text.push_str(&line);
-            }
-            let file = PartialFile::from_json(&text)?;
-            if file.plan.fingerprint() != self.fingerprint {
-                return Err(DistribError::PlanMismatch {
-                    expected: self.fingerprint,
-                    found: file.plan.fingerprint(),
-                });
-            }
-            for ur in &file.units {
-                self.fold_unit(ur)?;
+        let header = read_header(&mut lines)?;
+        if header.plan.fingerprint() != self.fingerprint {
+            return Err(DistribError::PlanMismatch {
+                expected: self.fingerprint,
+                found: header.plan.fingerprint(),
+            });
+        }
+        for line in lines {
+            let line = line.map_err(unreadable)?;
+            if !line.trim().is_empty() {
+                self.fold_unit(&parse_unit_line(&line)?)?;
             }
         }
         Ok(self.folded - before)
@@ -231,131 +181,69 @@ impl StreamingMerge {
     }
 }
 
-/// Merges partial files from disk in constant memory: the first file's
-/// header (or legacy document) fixes the plan, then every file streams
-/// its units into a [`StreamingMerge`] line by line. Returns the result
-/// and the number of unit results folded.
-pub fn merge_paths<P: AsRef<std::path::Path>>(
-    paths: &[P],
-) -> Result<(SweepResult, u64), DistribError> {
-    use std::io::BufReader;
+fn unreadable(e: std::io::Error) -> DistribError {
+    DistribError::Protocol {
+        detail: format!("cannot read partial file: {e}"),
+    }
+}
 
-    let open = |path: &std::path::Path| {
-        std::fs::File::open(path)
+/// Reads a partial file's header: its first non-blank line (a leading
+/// blank line, e.g. from a shell pipeline, is tolerated).
+fn read_header(lines: &mut std::io::Lines<impl BufRead>) -> Result<PartialHeader, DistribError> {
+    for line in lines {
+        let line = line.map_err(unreadable)?;
+        if !line.trim().is_empty() {
+            return PartialHeader::parse(&line);
+        }
+    }
+    Err(DistribError::Protocol {
+        detail: "empty partial file".into(),
+    })
+}
+
+/// Merges partial files from disk in constant memory: the first file's
+/// header fixes the plan, then every file streams its units into a
+/// [`StreamingMerge`] line by line. Returns the result and the number of
+/// unit results folded.
+pub fn merge_paths<P: AsRef<Path>>(paths: &[P]) -> Result<(SweepResult, u64), DistribError> {
+    let open = |path: &Path| {
+        File::open(path)
             .map(BufReader::new)
             .map_err(|e| DistribError::Protocol {
                 detail: format!("cannot read {}: {e}", path.display()),
             })
     };
-    let first_path = paths
+    // Every error names the file it came from.
+    let in_file = |path: &Path, e: DistribError| match e {
+        DistribError::PlanMismatch { expected, found } => DistribError::Protocol {
+            detail: format!(
+                "{} was produced by a different plan \
+                 (fingerprint {found:#018x}, expected {expected:#018x}); \
+                 every host must run the same sweep parameters",
+                path.display()
+            ),
+        },
+        DistribError::Protocol { detail } => DistribError::Protocol {
+            detail: format!("{}: {detail}", path.display()),
+        },
+        other => other,
+    };
+    let first = paths
         .first()
         .ok_or_else(|| DistribError::Protocol {
             detail: "no partial files to merge".into(),
         })?
         .as_ref();
-    // Peek the first file's plan from its first non-blank line. For a
-    // JSONL file only the header line is parsed twice; a legacy
-    // single-document file (whose one line *is* the whole file) is folded
-    // directly from the peek so it is never deserialized twice.
-    let mut first_reader = open(first_path)?;
-    let first_line = loop {
-        let mut line = String::new();
-        let n = first_reader
-            .read_line(&mut line)
-            .map_err(|e| DistribError::Protocol {
-                detail: format!("cannot read {}: {e}", first_path.display()),
-            })?;
-        if n == 0 {
-            return Err(DistribError::Protocol {
-                detail: format!("{}: empty partial file", first_path.display()),
-            });
-        }
-        if !line.trim().is_empty() {
-            break line;
-        }
-    };
-    let mut merge;
+    // Only the first file's header line is parsed twice: once here for
+    // the plan, once when the file streams through with the others.
+    let header = read_header(&mut open(first)?.lines()).map_err(|e| in_file(first, e))?;
+    let mut merge = StreamingMerge::new(header.plan);
     let mut folded = 0u64;
-    let rest: &[P] = match serde_json::from_str::<PartialHeader>(&first_line) {
-        Ok(header) => {
-            // JSONL: re-stream the whole first file below with the others.
-            drop(first_reader);
-            merge = StreamingMerge::new(header.plan);
-            paths
-        }
-        Err(_) => {
-            // Legacy single document: reassemble the rest of the file
-            // (pretty-printed documents span lines) and fold it from the
-            // peek so it is parsed exactly once.
-            let mut text = first_line;
-            for line in first_reader.lines() {
-                let line = line.map_err(|e| DistribError::Protocol {
-                    detail: format!("cannot read {}: {e}", first_path.display()),
-                })?;
-                text.push('\n');
-                text.push_str(&line);
-            }
-            let file = PartialFile::from_json(&text)?;
-            merge = StreamingMerge::new(file.plan.clone());
-            merge.fold_partial(&file.to_partial())?;
-            folded += file.units.len() as u64;
-            &paths[1..]
-        }
-    };
-    for path in rest {
+    for path in paths {
+        let path = path.as_ref();
         folded += merge
-            .fold_reader(open(path.as_ref())?)
-            .map_err(|e| match e {
-                DistribError::PlanMismatch { expected, found } => DistribError::Protocol {
-                    detail: format!(
-                        "{} was produced by a different plan \
-                         (fingerprint {found:#018x}, expected {expected:#018x}); \
-                         every host must run the same sweep parameters",
-                        path.as_ref().display()
-                    ),
-                },
-                other => other,
-            })?;
+            .fold_reader(open(path)?)
+            .map_err(|e| in_file(path, e))?;
     }
     merge.finish().map(|r| (r, folded))
-}
-
-/// Merges self-contained partial files (the multi-host workflow): all
-/// files must embed the identical plan; their unit sets together must
-/// cover it exactly.
-pub fn merge_files(files: &[PartialFile]) -> Result<SweepResult, DistribError> {
-    let first = files.first().ok_or_else(|| DistribError::Protocol {
-        detail: "no partial files to merge".into(),
-    })?;
-    let reference = first.plan.fingerprint();
-    for (i, f) in files.iter().enumerate().skip(1) {
-        let fp = f.plan.fingerprint();
-        if fp != reference {
-            return Err(DistribError::Protocol {
-                detail: format!(
-                    "partial file #{i} was produced by a different plan \
-                     (fingerprint {fp:#018x}, expected {reference:#018x}); \
-                     every host must run the same sweep parameters"
-                ),
-            });
-        }
-    }
-    let partials: Vec<PartialSweep> = files.iter().map(PartialFile::to_partial).collect();
-    from_partials(&first.plan, &partials)
-}
-
-/// Extension trait hanging the merge off [`SweepResult`] itself, so the
-/// call site reads `SweepResult::from_partials(&plan, &partials)`.
-pub trait FromPartials: Sized {
-    /// See [`from_partials`].
-    fn from_partials(plan: &SweepPlan, partials: &[PartialSweep]) -> Result<Self, DistribError>;
-}
-
-impl FromPartials for SweepResult {
-    fn from_partials(
-        plan: &SweepPlan,
-        partials: &[PartialSweep],
-    ) -> Result<SweepResult, DistribError> {
-        from_partials(plan, partials)
-    }
 }

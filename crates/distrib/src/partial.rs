@@ -31,7 +31,7 @@ pub struct PartialSweep {
 /// executed. This is what `fec-broadcast sweep --shard i/n --emit-partial`
 /// writes and what the `merge` subcommand combines, so multi-host users
 /// never have to ship the plan separately.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PartialFile {
     /// The complete plan (every host must have built the identical one).
     pub plan: SweepPlan,
@@ -39,8 +39,7 @@ pub struct PartialFile {
     pub units: Vec<UnitResult>,
 }
 
-/// First line of a JSONL partial file: the plan, tagged with the format
-/// name so readers can tell the two on-disk layouts apart.
+/// First line of a partial file: the plan, tagged with the format name.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PartialHeader {
     /// Always [`PARTIAL_JSONL_FORMAT`].
@@ -49,29 +48,39 @@ pub struct PartialHeader {
     pub plan: SweepPlan,
 }
 
-/// Format tag of the streaming partial-file layout.
+/// Format tag of the partial-file layout.
 pub const PARTIAL_JSONL_FORMAT: &str = "fec-partial/1";
 
+impl PartialHeader {
+    /// Parses a partial file's first non-blank line. Anything that is not
+    /// a [`PARTIAL_JSONL_FORMAT`] header is rejected by naming the format
+    /// a partial file must have.
+    pub(crate) fn parse(line: &str) -> Result<PartialHeader, DistribError> {
+        match serde_json::from_str::<PartialHeader>(line) {
+            Ok(header) if header.format == PARTIAL_JSONL_FORMAT => Ok(header),
+            _ => Err(DistribError::Protocol {
+                detail: format!(
+                    "not a {PARTIAL_JSONL_FORMAT} partial file: the first line must be a \
+                     {{\"format\":\"{PARTIAL_JSONL_FORMAT}\",\"plan\":…}} header, \
+                     followed by one unit result per line \
+                     (as written by `sweep --shard i/n --emit-partial`)"
+                ),
+            }),
+        }
+    }
+}
+
+/// Parses one unit line of a partial file.
+pub(crate) fn parse_unit_line(line: &str) -> Result<UnitResult, DistribError> {
+    serde_json::from_str(line).map_err(|e| DistribError::Protocol {
+        detail: format!("malformed unit line: {e}"),
+    })
+}
+
 impl PartialFile {
-    /// Serializes the file document (legacy single-document layout; the
-    /// CLI writes [`to_jsonl`](Self::to_jsonl) since the streamed-merge
-    /// rework, which `merge` folds unit-by-unit in constant memory).
-    pub fn to_json(&self) -> Result<String, DistribError> {
-        serde_json::to_string(self).map_err(|e| DistribError::Protocol {
-            detail: format!("partial file does not serialize: {e}"),
-        })
-    }
-
-    /// Parses a legacy single-document file.
-    pub fn from_json(json: &str) -> Result<PartialFile, DistribError> {
-        serde_json::from_str(json).map_err(|e| DistribError::Protocol {
-            detail: format!("malformed partial file: {e}"),
-        })
-    }
-
-    /// Serializes the streaming layout: one [`PartialHeader`] line
-    /// carrying the plan, then one [`UnitResult`] per line. A reader can
-    /// fold units as it goes instead of materialising the whole file.
+    /// Serializes the file: one [`PartialHeader`] line carrying the plan,
+    /// then one [`UnitResult`] per line. A reader can fold units as it
+    /// goes instead of materialising the whole file.
     pub fn to_jsonl(&self) -> Result<String, DistribError> {
         let err = |e: serde_json::Error| DistribError::Protocol {
             detail: format!("partial file does not serialize: {e}"),
@@ -89,42 +98,21 @@ impl PartialFile {
         Ok(out)
     }
 
-    /// Parses either on-disk layout (JSONL with a header line, or the
-    /// legacy single document — one line or pretty-printed), loading it
-    /// fully into memory. The constant-memory path is
-    /// [`merge_paths`](crate::merge_paths).
+    /// Parses a partial file, loading it fully into memory. The
+    /// constant-memory path is [`merge_paths`](crate::merge_paths).
     pub fn from_text(text: &str) -> Result<PartialFile, DistribError> {
         let mut lines = text.lines().filter(|l| !l.trim().is_empty());
         let first = lines.next().ok_or_else(|| DistribError::Protocol {
             detail: "empty partial file".into(),
         })?;
-        if let Ok(header) = serde_json::from_str::<PartialHeader>(first) {
-            if header.format != PARTIAL_JSONL_FORMAT {
-                return Err(DistribError::Protocol {
-                    detail: format!("unknown partial format {:?}", header.format),
-                });
-            }
-            let units = lines
-                .map(|l| {
-                    serde_json::from_str::<UnitResult>(l).map_err(|e| DistribError::Protocol {
-                        detail: format!("malformed unit line: {e}"),
-                    })
-                })
-                .collect::<Result<Vec<UnitResult>, DistribError>>()?;
-            return Ok(PartialFile {
-                plan: header.plan,
-                units,
-            });
-        }
-        PartialFile::from_json(text)
-    }
-
-    /// The fingerprint-tagged view used for merging.
-    pub fn to_partial(&self) -> PartialSweep {
-        PartialSweep {
-            fingerprint: self.plan.fingerprint(),
-            units: self.units.clone(),
-        }
+        let header = PartialHeader::parse(first)?;
+        let units = lines
+            .map(parse_unit_line)
+            .collect::<Result<Vec<UnitResult>, DistribError>>()?;
+        Ok(PartialFile {
+            plan: header.plan,
+            units,
+        })
     }
 }
 
@@ -158,8 +146,7 @@ mod tests {
             plan,
             units: vec![UnitResult { unit_id: 0, accum }],
         };
-        let back = PartialFile::from_json(&file.to_json().unwrap()).unwrap();
+        let back = PartialFile::from_text(&file.to_jsonl().unwrap()).unwrap();
         assert_eq!(back, file);
-        assert_eq!(back.to_partial().fingerprint, file.plan.fingerprint());
     }
 }

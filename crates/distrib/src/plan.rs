@@ -146,15 +146,19 @@ impl SweepPlan {
 mod tests {
     use super::*;
     use fec_codec::builtin;
+    use fec_sched::TxModel;
     use fec_sim::ExpansionRatio;
 
     fn plan() -> SweepPlan {
-        let exp = Experiment::new(
+        plan_of(Experiment::new(
             builtin::ldgm_staircase(),
             200,
             ExpansionRatio::R2_5,
-            fec_sched::TxModel::Random,
-        );
+            TxModel::Random,
+        ))
+    }
+
+    fn plan_of(exp: Experiment) -> SweepPlan {
         let cfg = SweepConfig {
             runs: 7,
             grid_p: vec![0.0, 0.1],
@@ -201,5 +205,41 @@ mod tests {
         p.config.grid_p = vec![1.5];
         assert!(SweepPlan::from_json(&p.to_json().unwrap()).is_err());
         assert!(SweepPlan::from_json("{not json").is_err());
+    }
+
+    /// Plan documents travel between hosts and builds, and partials are
+    /// matched to them by fingerprint: a document an earlier build wrote
+    /// must parse to the same plan, re-serialize byte for byte and keep
+    /// its fingerprint.
+    #[test]
+    fn golden_documents_keep_their_bytes_and_fingerprints() {
+        let golden = [
+            (
+                Experiment::new(
+                    builtin::rse(),
+                    200,
+                    ExpansionRatio::R1_5,
+                    TxModel::Interleaved,
+                ),
+                r#"{"experiment":{"code":"Rse","k":200,"ratio":"R1_5","tx":"Interleaved","channel":{"p":0,"q":1}},"config":{"runs":7,"grid_p":[0,0.1],"grid_q":[0.5],"seed":42,"matrix_pool":2,"track_total":false,"threads":1},"runs_per_unit":25}"#,
+                0x1269_2b95_3077_b8a8_u64,
+            ),
+            (
+                Experiment::new(
+                    builtin::ldgm_triangle(),
+                    200,
+                    ExpansionRatio::R2_5,
+                    TxModel::Random,
+                ),
+                r#"{"experiment":{"code":"LdgmTriangle","k":200,"ratio":"R2_5","tx":"Random","channel":{"p":0,"q":1}},"config":{"runs":7,"grid_p":[0,0.1],"grid_q":[0.5],"seed":42,"matrix_pool":2,"track_total":false,"threads":1},"runs_per_unit":25}"#,
+                0xe86f_2c76_fdee_d129_u64,
+            ),
+        ];
+        for (experiment, doc, fingerprint) in golden {
+            let parsed = SweepPlan::from_json(doc).unwrap();
+            assert_eq!(parsed, plan_of(experiment));
+            assert_eq!(parsed.to_json().unwrap(), doc);
+            assert_eq!(parsed.fingerprint(), fingerprint, "{doc}");
+        }
     }
 }

@@ -130,9 +130,18 @@ fn incomplete_and_conflicting_sets_are_rejected() {
     ));
 }
 
+/// A `fec-partial/1` file written by an earlier build (LDGM Triangle,
+/// one cell, one unit) and the merged result that build printed for it.
+const GOLDEN_PARTIAL: &str = r#"{"format":"fec-partial/1","plan":{"experiment":{"code":"LdgmTriangle","k":60,"ratio":"R1_5","tx":"Random","channel":{"p":0,"q":1}},"config":{"runs":3,"grid_p":[0.1],"grid_q":[0.5],"seed":7,"matrix_pool":1,"track_total":true,"threads":1},"runs_per_unit":25}}
+{"unit_id":0,"accum":{"cell_idx":0,"runs":3,"failures":0,"sum":3.2666666666666666,"mean":1.088888888888889,"m2":0.00907407407407407,"min":1.05,"max":1.1666666666666667,"received_sum":4}}
+"#;
+const GOLDEN_RESULT: &str = r#"{"experiment":{"code":"LdgmTriangle","k":60,"ratio":"R1_5","tx":"Random","channel":{"p":0,"q":1}},"config":{"runs":3,"grid_p":[0.1],"grid_q":[0.5],"seed":7,"matrix_pool":1,"track_total":true,"threads":1},"cells":[{"p":0.1,"q":0.5,"runs":3,"failures":0,"mean_inefficiency":1.0888888888888888,"mean_inefficiency_unmasked":1.0888888888888888,"min_inefficiency":1.05,"max_inefficiency":1.1666666666666667,"std_inefficiency":0.06735753140545632,"mean_received_ratio":1.3333333333333333}]}"#;
+
 /// The streamed merge (JSONL partial files folded line-by-line) must be
-/// byte-identical to the in-memory merge and to the single-process run,
-/// across both on-disk formats, with every rejection path intact.
+/// byte-identical to the in-memory merge and to the single-process run
+/// for every file the format admits — freshly written, written by an
+/// earlier build, led by a blank line — with every rejection path intact,
+/// and anything that is not `fec-partial/1` JSONL turned away by name.
 #[test]
 fn streamed_jsonl_merge_is_byte_identical_across_formats() {
     use fec_distrib::{merge_paths, PartialFile, StreamingMerge};
@@ -141,7 +150,6 @@ fn streamed_jsonl_merge_is_byte_identical_across_formats() {
     let dir = std::env::temp_dir().join(format!("fec-merge-stream-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
 
-    // Two JSONL shards plus one legacy single-document shard.
     let third = units.len() / 3;
     let shards = [
         &units[..third],
@@ -155,13 +163,7 @@ fn streamed_jsonl_merge_is_byte_identical_across_formats() {
             units: shard.to_vec(),
         };
         let path = dir.join(format!("p{i}.json"));
-        let text = if i == 1 {
-            // Legacy format in the middle — pretty-printed across many
-            // lines, as a hand-inspected PR-4-era file might be.
-            file.to_json()
-                .unwrap()
-                .replace(",\"units\"", ",\n\"units\"")
-        } else if i == 0 {
+        let text = if i == 0 {
             // A leading blank line (e.g. from a shell pipeline) must not
             // break the first-file plan peek.
             format!("\n{}", file.to_jsonl().unwrap())
@@ -175,18 +177,28 @@ fn streamed_jsonl_merge_is_byte_identical_across_formats() {
     assert_eq!(folded as usize, units.len());
     assert_eq!(&serde_json::to_string(&merged).unwrap(), expected);
 
-    // Argument order must not matter — including a legacy document first
-    // (which takes the fold-from-peek path).
+    // Argument order must not matter.
     let reordered = [paths[1].clone(), paths[2].clone(), paths[0].clone()];
     let (merged2, folded2) = merge_paths(&reordered).unwrap();
     assert_eq!(folded2, folded);
     assert_eq!(&serde_json::to_string(&merged2).unwrap(), expected);
 
-    // Round-trip through from_text agrees for both formats.
+    // Round-trip through from_text agrees.
     for path in &paths {
         let file = PartialFile::from_text(&std::fs::read_to_string(path).unwrap()).unwrap();
         assert_eq!(file.plan.fingerprint(), plan.fingerprint());
     }
+
+    // A file an earlier build wrote still merges, to the result that
+    // build computed — which is also what this build computes.
+    let golden_path = dir.join("golden.json");
+    std::fs::write(&golden_path, GOLDEN_PARTIAL).unwrap();
+    let (golden, golden_folded) = merge_paths(std::slice::from_ref(&golden_path)).unwrap();
+    assert_eq!(golden_folded, 1);
+    assert_eq!(serde_json::to_string(&golden).unwrap(), GOLDEN_RESULT);
+    let golden_plan = PartialFile::from_text(GOLDEN_PARTIAL).unwrap().plan;
+    let rerun = execute_plan(&golden_plan).unwrap();
+    assert_eq!(serde_json::to_string(&rerun).unwrap(), GOLDEN_RESULT);
 
     // Incremental API: folding unit-by-unit matches too, and missing
     // units are reported before finish.
@@ -200,10 +212,8 @@ fn streamed_jsonl_merge_is_byte_identical_across_formats() {
     assert_eq!(&serde_json::to_string(&incremental).unwrap(), expected);
 
     // An incomplete streamed merge still fails loudly.
-    let (first, rest) = (&paths[0], &paths[1..]);
-    let _ = rest;
     assert!(matches!(
-        merge_paths(std::slice::from_ref(first)).map(|_| ()),
+        merge_paths(&paths[..1]).map(|_| ()),
         Err(DistribError::Incomplete { .. })
     ));
 
@@ -217,6 +227,47 @@ fn streamed_jsonl_merge_is_byte_identical_across_formats() {
     let foreign_path = dir.join("foreign.json");
     std::fs::write(&foreign_path, foreign.to_jsonl().unwrap()).unwrap();
     assert!(merge_paths(&[paths[0].clone(), foreign_path]).is_err());
+
+    // A rerun shard is idempotent; one that disagrees is a conflict.
+    let (again, folded_again) = merge_paths(&[&paths[..], &paths[..1]].concat()).unwrap();
+    assert_eq!(folded_again as usize, units.len() + third);
+    assert_eq!(&serde_json::to_string(&again).unwrap(), expected);
+    let mut forged = units[0].clone();
+    forged.accum.received_sum += 1.0;
+    let conflict = PartialFile {
+        plan: plan.clone(),
+        units: vec![forged],
+    };
+    let conflict_path = dir.join("conflict.json");
+    std::fs::write(&conflict_path, conflict.to_jsonl().unwrap()).unwrap();
+    let err = merge_paths(&[&paths[..], std::slice::from_ref(&conflict_path)].concat())
+        .unwrap_err()
+        .to_string();
+    assert!(err.contains("conflicting"), "{err}");
+
+    // A single-document `{"plan":…,"units":[…]}` file is not a partial
+    // file: whether it comes first or later, the error names the file and
+    // the format it should have had.
+    let single_document = format!(
+        "{{\"plan\":{},\"units\":{}}}",
+        plan.to_json().unwrap(),
+        serde_json::to_string(&shards[1].to_vec()).unwrap()
+    );
+    let legacy_path = dir.join("legacy.json");
+    std::fs::write(&legacy_path, &single_document).unwrap();
+    for order in [
+        vec![legacy_path.clone(), paths[0].clone(), paths[2].clone()],
+        vec![paths[0].clone(), legacy_path.clone(), paths[2].clone()],
+    ] {
+        let err = merge_paths(&order).unwrap_err().to_string();
+        assert!(
+            err.contains("legacy.json: not a fec-partial/1 partial file")
+                && err.contains(r#"{"format":"fec-partial/1","plan":…}"#),
+            "{err}"
+        );
+    }
+    let err = PartialFile::from_text(&single_document).unwrap_err();
+    assert!(err.to_string().contains("not a fec-partial/1 partial file"));
 
     std::fs::remove_dir_all(&dir).ok();
 }

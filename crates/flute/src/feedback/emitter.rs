@@ -35,8 +35,9 @@ const MAX_RESIDUAL_RUNS: usize = 4096;
 
 /// Upper bound on per-path sequence tracks, so a buggy or hostile path
 /// index cannot balloon memory; observations at or above the cap fold
-/// into the last track (and trip a debug assertion first).
-const MAX_PATH_TRACKS: usize = 64;
+/// into the last track (and trip a debug assertion first). Whoever
+/// assigns path indices — one per receive socket — must stay below it.
+pub const MAX_PATH_TRACKS: usize = 64;
 
 /// EXT_SEQ tracking state for **one** path's sequence space.
 ///

@@ -37,7 +37,7 @@ mod emitter;
 mod wire;
 
 pub use aggregator::{AggregateOutcome, AggregateStats, AggregatorConfig, FeedbackAggregator};
-pub use emitter::{ReportConfig, ReportEmitter};
+pub use emitter::{ReportConfig, ReportEmitter, MAX_PATH_TRACKS};
 pub use wire::{
     LossRun, NackEntry, ReceptionReport, ReportEntry, REPORT_ENTRY_LEN, REPORT_HEADER_LEN,
     REPORT_MAGIC, REPORT_NACK_HEADER_LEN, REPORT_RUN_LEN, REPORT_VERSION, SEQ_MODULUS,

@@ -24,13 +24,13 @@
 //!   §2.2 decision to stay on GF(2^8) (its tables are runtime-initialised;
 //!   a compile-time multiplication table would need 8 GiB).
 //!
-//! Design notes (see DESIGN.md at the workspace root): no macro/type
-//! tricks; the GF(2^8) tables are `const fn`-generated so the common path
-//! has zero runtime initialisation and no dependencies. `unsafe` is denied
-//! crate-wide and allowed only inside the SIMD kernel backends (and the
-//! one slice-reinterpret helper they share), where every block carries a
-//! `SAFETY` comment and every backend is differentially tested against
-//! the scalar reference (`tests/kernel_props.rs`).
+//! Design notes (see docs/ARCHITECTURE.md §"Arithmetic: `fec-gf256`"): no
+//! macro/type tricks; the GF(2^8) tables are `const fn`-generated so the
+//! common path has zero runtime initialisation and no dependencies. `unsafe`
+//! is denied crate-wide and allowed only inside the SIMD kernel backends
+//! (and the one slice-reinterpret helper they share), where every block
+//! carries a `SAFETY` comment and every backend is differentially tested
+//! against the scalar reference (`tests/kernel_props.rs`).
 
 #![deny(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]

@@ -28,8 +28,9 @@ pub enum RightSide {
     /// scheduling.
     ///
     /// The paper defers the exact rule to its reference \[15\]; this fill is
-    /// our documented substitution (see DESIGN.md), selected empirically
-    /// against the paper's appendix tables.
+    /// our documented substitution (see docs/PAPER_MAP.md §"Substitutions
+    /// and conventions"), selected empirically against the paper's
+    /// appendix tables.
     Triangle,
 }
 
@@ -84,9 +85,10 @@ impl LdgmParams {
 /// ([`TriangleFill::PerRowUniform`]) was selected empirically to reproduce
 /// the paper's published behaviour: Triangle beats Staircase under random
 /// scheduling (Tx_model_4) while losing to it under Tx_model_2 at low loss
-/// — see DESIGN.md §"Substitutions" and EXPERIMENTS.md for measured deltas.
-/// The other rules are kept for the `ablation_matrix` bench, which shows how
-/// sensitive Triangle performance is to this choice.
+/// — see docs/PAPER_MAP.md §"Substitutions and conventions"; the
+/// `paper_tables` bench prints the measured deltas. The other rules are
+/// kept for the `ablation_matrix` bench, which shows how sensitive Triangle
+/// performance is to this choice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TriangleFill {
     /// `extra` entries per parity column, at uniform-random rows below the

@@ -11,7 +11,8 @@
 //! among the `k` source packets. (The paper's text says "one source packet
 //! and n/k parity packets", which would require `k · n/k > n − k` parity
 //! packets; we read it as the obvious intent, `(n − k)/k` parity per
-//! source — the deviation is documented in DESIGN.md.)
+//! source — the deviation is documented in docs/PAPER_MAP.md
+//! §"Substitutions and conventions".)
 
 use crate::{Layout, PacketRef};
 

@@ -31,7 +31,7 @@ mod sweep;
 
 pub use run::{RunResult, Runner};
 pub use seed::mix_seed;
-pub use spec::{layout_for, CodeKind, CodecHandle, ExpansionRatio, SimError};
+pub use spec::{CodecHandle, ExpansionRatio, SimError};
 pub use sweep::{
     finalize_cells, CellAccum, CellStats, GridSweep, SweepConfig, SweepResult, WorkUnit,
     DEFAULT_RUNS_PER_UNIT,
@@ -58,8 +58,8 @@ pub struct Experiment {
 
 impl Experiment {
     /// Convenience constructor with a perfect channel (grid sweeps replace
-    /// the channel per cell anyway). Accepts a codec handle, a `&`-ref to
-    /// one, or a deprecated [`CodeKind`] shorthand.
+    /// the channel per cell anyway). Accepts a codec handle or a `&`-ref to
+    /// one.
     pub fn new(
         code: impl Into<CodecHandle>,
         k: usize,

@@ -1,16 +1,11 @@
 //! Experiment vocabulary: codec handles, expansion ratios, errors.
 //!
 //! The codes themselves live in [`fec_codec`]; this module re-exports the
-//! vocabulary (`CodeKind` stays available as the deprecated closed
-//! shorthand) and keeps the simulation-facing error type.
+//! vocabulary and keeps the simulation-facing error type.
 
 use core::fmt;
 
-use fec_sched::Layout;
-
-// Re-exported so `fec_sim::{CodeKind, ExpansionRatio}` keeps working for
-// the whole workspace.
-pub use fec_codec::{CodeKind, CodecHandle, ExpansionRatio};
+pub use fec_codec::{CodecHandle, ExpansionRatio};
 
 /// Errors from experiment validation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,14 +36,6 @@ impl From<fec_codec::CodecError> for SimError {
     }
 }
 
-/// Builds the packet [`Layout`] for a `(code, k, ratio)` triple.
-///
-/// Compatibility wrapper: the layout is a codec property now — this simply
-/// resolves the code (a `CodeKind` or any codec handle) and asks it.
-pub fn layout_for(code: impl Into<CodecHandle>, k: usize, ratio: f64) -> Result<Layout, SimError> {
-    Ok(code.into().layout(k, ratio)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -65,7 +52,7 @@ mod tests {
 
     #[test]
     fn ldgm_layout_is_single_block() {
-        let l = layout_for(builtin::ldgm_staircase(), 1000, 2.5).unwrap();
+        let l = builtin::ldgm_staircase().layout(1000, 2.5).unwrap();
         assert_eq!(l.num_blocks(), 1);
         assert_eq!(l.total_packets(), 2500);
         assert_eq!(l.total_source(), 1000);
@@ -73,7 +60,7 @@ mod tests {
 
     #[test]
     fn rse_layout_is_blocked() {
-        let l = layout_for(builtin::rse(), 1000, 2.5).unwrap();
+        let l = builtin::rse().layout(1000, 2.5).unwrap();
         assert!(l.num_blocks() > 1);
         assert_eq!(l.total_source(), 1000);
         // Every block fits the GF(2^8) bound.
@@ -84,22 +71,22 @@ mod tests {
 
     #[test]
     fn paper_scale_rse_layout() {
-        let l = layout_for(builtin::rse(), 20_000, 2.5).unwrap();
+        let l = builtin::rse().layout(20_000, 2.5).unwrap();
         assert_eq!(l.num_blocks(), 197);
         assert_eq!(l.total_packets(), 49_953);
     }
 
     #[test]
     fn paper_scale_ldgm_layout() {
-        let l = layout_for(builtin::ldgm_triangle(), 20_000, 2.5).unwrap();
+        let l = builtin::ldgm_triangle().layout(20_000, 2.5).unwrap();
         assert_eq!(l.total_packets(), 50_000);
     }
 
     #[test]
     fn validation_errors() {
-        assert!(layout_for(builtin::rse(), 0, 2.5).is_err());
-        assert!(layout_for(builtin::ldgm_staircase(), 10, 0.5).is_err());
-        assert!(layout_for(builtin::ldgm_staircase(), 10, 1.0).is_err());
-        assert!(layout_for(builtin::rse(), 10, f64::NAN).is_err());
+        assert!(builtin::rse().layout(0, 2.5).is_err());
+        assert!(builtin::ldgm_staircase().layout(10, 0.5).is_err());
+        assert!(builtin::ldgm_staircase().layout(10, 1.0).is_err());
+        assert!(builtin::rse().layout(10, f64::NAN).is_err());
     }
 }

@@ -490,26 +490,16 @@ impl BatchReceiver {
     /// datagrams. Errors propagate raw so loops can route them through
     /// [`classify_recv_error`].
     pub fn recv_burst(&mut self, max: usize) -> io::Result<Vec<PoolBuf>> {
-        self.recv_inner(max, false)
-    }
-
-    /// Non-blocking poll: `Ok(vec![])` when nothing is queued (a
-    /// would-block or interrupted poll is "nothing", not an error).
-    pub fn try_recv_burst(&mut self, max: usize) -> io::Result<Vec<PoolBuf>> {
-        match self.recv_inner(max, true) {
-            Ok(bufs) => Ok(bufs),
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock
-                        | io::ErrorKind::TimedOut
-                        | io::ErrorKind::Interrupted
-                ) =>
-            {
-                Ok(Vec::new())
-            }
-            Err(e) => Err(e),
+        let n = max.clamp(1, MAX_BURST);
+        if self.ready.len() < n {
+            let need = n - self.ready.len();
+            self.ready.extend(self.pool.take_many(need));
         }
+        #[cfg(target_os = "linux")]
+        if self.backend == Backend::Batched {
+            return self.recv_mmsg(n);
+        }
+        self.recv_portable(n)
     }
 
     /// Non-blocking address-aware poll for control-plane sockets:
@@ -570,21 +560,8 @@ impl BatchReceiver {
         Ok(out)
     }
 
-    fn recv_inner(&mut self, max: usize, nonblocking: bool) -> io::Result<Vec<PoolBuf>> {
-        let n = max.clamp(1, MAX_BURST);
-        if self.ready.len() < n {
-            let need = n - self.ready.len();
-            self.ready.extend(self.pool.take_many(need));
-        }
-        #[cfg(target_os = "linux")]
-        if self.backend == Backend::Batched {
-            return self.recv_mmsg(n, nonblocking);
-        }
-        self.recv_portable(n, nonblocking)
-    }
-
     #[cfg(target_os = "linux")]
-    fn recv_mmsg(&mut self, n: usize, nonblocking: bool) -> io::Result<Vec<PoolBuf>> {
+    fn recv_mmsg(&mut self, n: usize) -> io::Result<Vec<PoolBuf>> {
         let mut lens = [0usize; MAX_BURST];
         let got = {
             let mut slices: Vec<&mut [u8]> = self
@@ -598,7 +575,6 @@ impl BatchReceiver {
                 &mut self.scratch,
                 &mut slices,
                 &mut lens,
-                nonblocking,
                 self.gro_enabled,
             ) {
                 Ok(got) => got,
@@ -639,12 +615,8 @@ impl BatchReceiver {
         Ok(out)
     }
 
-    fn recv_portable(&mut self, n: usize, nonblocking: bool) -> io::Result<Vec<PoolBuf>> {
-        // First datagram: blocking (unless asked not to), honouring the
-        // socket's read timeout.
-        if nonblocking {
-            self.socket.set_nonblocking(true)?;
-        }
+    fn recv_portable(&mut self, n: usize) -> io::Result<Vec<PoolBuf>> {
+        // First datagram: blocking, honouring the socket's read timeout.
         let first = loop {
             let res = match self.ready.first_mut() {
                 Some(buf) => self.socket.recv(buf.spare_mut()),
@@ -652,25 +624,20 @@ impl BatchReceiver {
             };
             match res {
                 Ok(len) => break Ok(len),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted && !nonblocking => continue,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => break Err(e),
             }
         };
         let first_len = match first {
             Ok(len) => len,
             Err(e) => {
-                if nonblocking {
-                    let _ = self.socket.set_nonblocking(false);
-                }
                 self.metrics.record_empty_syscall();
                 return Err(e);
             }
         };
         let mut lens = vec![first_len];
         // Opportunistic non-blocking drain of whatever else is queued.
-        if !nonblocking {
-            let _ = self.socket.set_nonblocking(true);
-        }
+        let _ = self.socket.set_nonblocking(true);
         let mut syscalls = 1u64;
         while lens.len() < n {
             let res = match self.ready.get_mut(lens.len()) {

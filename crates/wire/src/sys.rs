@@ -22,9 +22,6 @@ use std::os::fd::AsRawFd;
 /// returns whatever else is already queued without blocking again.
 const MSG_WAITFORONE: i32 = 0x10000;
 
-/// `MSG_DONTWAIT`: per-call non-blocking behaviour.
-const MSG_DONTWAIT: i32 = 0x40;
-
 /// `SOL_UDP` / `UDP_SEGMENT` / `UDP_GRO`: the UDP segmentation-offload
 /// socket options (Linux ≥ 4.18 / 5.0). `UDP_SEGMENT` makes one send
 /// carry many equal-size datagrams through the stack as a single skb;
@@ -190,16 +187,15 @@ impl Default for MmsgScratch {
     }
 }
 
-/// One `recvmmsg` burst: waits for the first datagram (unless
-/// `nonblocking`), then drains whatever else is queued, up to
-/// `bufs.len()`. Received lengths land in `lens`; returns the datagram
-/// count. The socket's `SO_RCVTIMEO` is honoured (`WouldBlock` on expiry).
+/// One `recvmmsg` burst: waits for the first datagram, then drains
+/// whatever else is queued, up to `bufs.len()`. Received lengths land in
+/// `lens`; returns the datagram count. The socket's `SO_RCVTIMEO` is
+/// honoured (`WouldBlock` on expiry).
 pub fn recv_burst(
     socket: &UdpSocket,
     scratch: &mut MmsgScratch,
     bufs: &mut [&mut [u8]],
     lens: &mut [usize],
-    nonblocking: bool,
     with_control: bool,
 ) -> io::Result<usize> {
     let n = bufs.len().min(lens.len());
@@ -214,11 +210,6 @@ pub fn recv_burst(
         },
         with_control,
     );
-    let flags = if nonblocking {
-        MSG_WAITFORONE | MSG_DONTWAIT
-    } else {
-        MSG_WAITFORONE
-    };
     // SAFETY: `scratch.hdrs` holds exactly `n` initialised mmsghdr records
     // and `vlen == n` bounds the kernel's writes to them. Each record's
     // single iovec points into a distinct caller-owned `&mut [u8]` that
@@ -233,7 +224,7 @@ pub fn recv_burst(
             socket.as_raw_fd(),
             scratch.hdrs.as_mut_ptr(),
             n as u32,
-            flags,
+            MSG_WAITFORONE,
             std::ptr::null_mut(),
         )
     };
@@ -357,22 +348,11 @@ mod tests {
         let mut rscratch = MmsgScratch::new();
         // Loopback delivery is immediate but give the kernel a moment.
         std::thread::sleep(std::time::Duration::from_millis(20));
-        let got = recv_burst(&rx, &mut rscratch, &mut slices, &mut lens, false, false).unwrap();
+        let got = recv_burst(&rx, &mut rscratch, &mut slices, &mut lens, false).unwrap();
         assert_eq!(got, 5, "MSG_WAITFORONE should drain the queued burst");
         for (i, payload) in payloads.iter().enumerate() {
             assert_eq!(lens[i], payload.len());
             assert_eq!(&storage[i][..lens[i]], payload.as_slice());
         }
-    }
-
-    #[test]
-    fn nonblocking_recv_reports_wouldblock() {
-        let rx = UdpSocket::bind("127.0.0.1:0").unwrap();
-        let mut storage = vec![0u8; 2048];
-        let mut slices = vec![storage.as_mut_slice()];
-        let mut lens = [0usize; 1];
-        let mut scratch = MmsgScratch::new();
-        let err = recv_burst(&rx, &mut scratch, &mut slices, &mut lens, true, false).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
     }
 }

@@ -88,13 +88,16 @@ fn portable_backend_roundtrip() {
 fn try_recv_on_idle_socket_is_empty_not_error() {
     let socket = UdpSocket::bind("127.0.0.1:0").unwrap();
     let mut rx = BatchReceiver::new(socket, BufferPool::new(), Backend::detect());
-    assert!(rx.try_recv_burst(MAX_BURST).unwrap().is_empty());
+    assert!(rx.try_recv_burst_from(MAX_BURST).unwrap().is_empty());
     let mut rx_portable = BatchReceiver::new(
         UdpSocket::bind("127.0.0.1:0").unwrap(),
         BufferPool::new(),
         Backend::Portable,
     );
-    assert!(rx_portable.try_recv_burst(MAX_BURST).unwrap().is_empty());
+    assert!(rx_portable
+        .try_recv_burst_from(MAX_BURST)
+        .unwrap()
+        .is_empty());
 }
 
 #[test]

@@ -20,6 +20,7 @@ use std::net::UdpSocket;
 use std::thread;
 use std::time::Duration;
 
+use fec_broadcast::codec::builtin;
 use fec_broadcast::flute::{FluteReceiver, FluteSender, SenderConfig};
 use fec_broadcast::prelude::*;
 
@@ -62,7 +63,7 @@ fn main() {
                 1,
                 "udp://demo/2mib.bin",
                 &object_for_sender,
-                CodeKind::LdgmTriangle,
+                builtin::ldgm_triangle(),
                 ExpansionRatio::R1_5,
                 SYMBOL_SIZE,
                 0xC0FFEE,

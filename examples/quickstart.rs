@@ -5,6 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use fec_broadcast::codec::builtin;
 use fec_broadcast::prelude::*;
 
 fn main() {
@@ -15,7 +16,7 @@ fn main() {
     // LDGM Triangle at FEC expansion ratio 2.5, the paper's recommendation
     // for unknown channels, transmitted in fully random order (Tx_model_4).
     let spec = CodeSpec::for_object(
-        CodeKind::LdgmTriangle,
+        builtin::ldgm_triangle(),
         ExpansionRatio::R2_5,
         object.len(),
         symbol_size,

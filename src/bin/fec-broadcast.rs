@@ -605,8 +605,7 @@ fn cmd_merge(opts: &HashMap<String, String>, files: &[String]) -> Result<(), Str
     }
     // Streamed merge: each file folds into the plan's slot table one JSONL
     // unit line at a time, so multi-host merges at paper scale never load
-    // a whole partial file into memory (legacy single-document partials
-    // still work).
+    // a whole partial file into memory.
     let (result, total_units) = distrib::merge_paths(files).map_err(|e| e.to_string())?;
     eprintln!(
         "merged {} partial file(s) covering {total_units} work units\n",
@@ -771,7 +770,7 @@ fn cmd_send(opts: &HashMap<String, String>) -> Result<(), String> {
                  --adaptive or --fanout (run the feedback loop on one path)"
                 .into())
         }
-        (Some(paths), None) => split_addrs(paths),
+        (Some(paths), None) => split_addrs("paths", paths)?,
         (None, Some(dest)) => vec![dest.as_str()],
         (None, None) => Vec::new(),
     };
@@ -891,11 +890,23 @@ fn cmd_send(opts: &HashMap<String, String>) -> Result<(), String> {
 }
 
 /// Splits a comma-separated `addr:port` list (`--paths`, `--listen`).
-fn split_addrs(list: &str) -> Vec<&str> {
-    list.split(',')
+/// Every address is one path, and a receiver keeps at most
+/// `MAX_PATH_TRACKS` per-path EXT_SEQ spaces apart: beyond that, gaps on
+/// one path would register as loss on another.
+fn split_addrs<'a>(flag: &str, list: &'a str) -> Result<Vec<&'a str>, String> {
+    use fec_broadcast::flute::feedback::MAX_PATH_TRACKS;
+    let addrs: Vec<&str> = list
+        .split(',')
         .map(str::trim)
         .filter(|s| !s.is_empty())
-        .collect()
+        .collect();
+    if addrs.len() > MAX_PATH_TRACKS {
+        return Err(format!(
+            "--{flag} names {} addresses; a session has at most {MAX_PATH_TRACKS} paths",
+            addrs.len()
+        ));
+    }
+    Ok(addrs)
 }
 
 /// Maps `--pace <micros>` onto the wire engine's token bucket.
@@ -930,7 +941,7 @@ fn cmd_recv(opts: &HashMap<String, String>) -> Result<(), String> {
     let listen = opts
         .get("listen")
         .ok_or("--listen is required (addr:port, or a1:p1,a2:p2,... to bond)")?;
-    let addrs = split_addrs(listen);
+    let addrs = split_addrs("listen", listen)?;
     if addrs.is_empty() {
         return Err("--listen needs at least one addr:port".into());
     }

@@ -66,8 +66,6 @@ pub mod prelude {
     pub use fec_distrib::{Coordinator, PartialFile, PartialSweep, ShardSpec, SweepPlan};
     pub use fec_flute::{FluteReceiver, FluteSender, ObjectStatus, ReceiverEvent, SenderConfig};
     pub use fec_sched::{Layout, PacketRef, RxModel, TxModel};
-    pub use fec_sim::{
-        CodeKind, ExpansionRatio, Experiment, GridSweep, Runner, SweepConfig, SweepResult,
-    };
+    pub use fec_sim::{ExpansionRatio, Experiment, GridSweep, Runner, SweepConfig, SweepResult};
     pub use fec_telemetry::{Event, EventLog, JsonlSink, MetricsServer, Registry, SessionSummary};
 }

@@ -165,6 +165,31 @@ fn duplicate_flag_is_reported() {
     assert!(stderr.contains("given twice"));
 }
 
+/// A receiver tracks at most 64 per-path EXT_SEQ spaces, so a 65th
+/// `--listen` socket (or `--paths` destination) would share a track with
+/// another path: both lists are refused before any socket is bound.
+#[test]
+fn more_paths_than_sequence_tracks_are_rejected() {
+    let addrs = |n: usize| -> String {
+        (0..n)
+            .map(|i| format!("127.0.0.1:{}", 40_000 + i))
+            .collect::<Vec<_>>()
+            .join(",")
+    };
+    let (ok, _, stderr) = run(&["recv", "--listen", &addrs(65)]);
+    assert!(!ok);
+    assert!(
+        stderr.contains("--listen names 65 addresses; a session has at most 64 paths"),
+        "{stderr}"
+    );
+    let (ok, _, stderr) = run(&["send", "--file", "Cargo.toml", "--paths", &addrs(65)]);
+    assert!(!ok);
+    assert!(
+        stderr.contains("--paths names 65 addresses; a session has at most 64 paths"),
+        "{stderr}"
+    );
+}
+
 /// Full send/recv round trip over loopback UDP with injected loss: the
 /// receiver is started first, the sender broadcasts a temp file at ratio
 /// 2.5 through a 10% Gilbert channel, and the reconstructed file must be

@@ -2,10 +2,12 @@
 //! `fec-sim`) must agree packet-for-packet with the real byte-moving
 //! session layer (`fec-core`) on identical schedules and loss sequences.
 //!
-//! This is the load-bearing test of the whole reproduction: every number in
-//! EXPERIMENTS.md is computed by the structural path, and this test is what
-//! entitles those numbers to speak for the real codec.
+//! This is the load-bearing test of the whole reproduction: every figure
+//! and table in docs/PAPER_MAP.md §"Figures" is computed by the structural
+//! path, and this test is what entitles those numbers to speak for the real
+//! codec.
 
+use fec_broadcast::codec::builtin;
 use fec_broadcast::prelude::*;
 
 fn object(len: usize, seed: u8) -> Vec<u8> {
@@ -18,7 +20,7 @@ fn object(len: usize, seed: u8) -> Vec<u8> {
 /// structural decoder; returns (payload_done_at, structural_done_at) as
 /// received-packet counts.
 fn run_both(
-    kind: CodeKind,
+    code: &CodecHandle,
     k: usize,
     ratio: ExpansionRatio,
     tx: TxModel,
@@ -26,7 +28,7 @@ fn run_both(
     seed: u64,
 ) -> (Option<u64>, Option<u64>) {
     let symbol = 8;
-    let spec = CodeSpec::new(kind, k, ratio).with_matrix_seed(seed ^ 0xAB);
+    let spec = CodeSpec::new(code, k, ratio).with_matrix_seed(seed ^ 0xAB);
     let obj = object(k * symbol, seed as u8);
     let sender = Sender::new(spec.clone(), &obj, symbol).expect("sender");
     let mut receiver = Receiver::new(spec.clone(), obj.len(), symbol).expect("receiver");
@@ -73,7 +75,7 @@ fn run_both(
 
 #[test]
 fn ldgm_structural_matches_payload_across_schedules_and_channels() {
-    for kind in [CodeKind::LdgmStaircase, CodeKind::LdgmTriangle] {
+    for kind in [builtin::ldgm_staircase(), builtin::ldgm_triangle()] {
         for tx in TxModel::paper_models() {
             for (ci, channel) in [
                 GilbertParams::perfect(),
@@ -85,7 +87,7 @@ fn ldgm_structural_matches_payload_across_schedules_and_channels() {
             {
                 for seed in 0..3u64 {
                     let (p, s) = run_both(
-                        kind,
+                        &kind,
                         150,
                         ExpansionRatio::R2_5,
                         tx,
@@ -115,7 +117,7 @@ fn rse_structural_matches_payload_across_schedules_and_channels() {
         {
             for seed in 0..3u64 {
                 let (p, s) = run_both(
-                    CodeKind::Rse,
+                    &builtin::rse(),
                     300, // multiple blocks at ratio 2.5
                     ExpansionRatio::R2_5,
                     tx,
@@ -131,13 +133,13 @@ fn rse_structural_matches_payload_across_schedules_and_channels() {
 #[test]
 fn ratio_1_5_also_agrees() {
     for kind in [
-        CodeKind::Rse,
-        CodeKind::LdgmStaircase,
-        CodeKind::LdgmTriangle,
+        builtin::rse(),
+        builtin::ldgm_staircase(),
+        builtin::ldgm_triangle(),
     ] {
         for seed in 0..4u64 {
             let (p, s) = run_both(
-                kind,
+                &kind,
                 240,
                 ExpansionRatio::R1_5,
                 TxModel::Random,
@@ -154,9 +156,9 @@ fn ratio_1_5_also_agrees() {
 #[test]
 fn runner_results_are_internally_consistent() {
     for kind in [
-        CodeKind::Rse,
-        CodeKind::LdgmStaircase,
-        CodeKind::LdgmTriangle,
+        builtin::rse(),
+        builtin::ldgm_staircase(),
+        builtin::ldgm_triangle(),
     ] {
         let exp = Experiment::new(kind, 200, ExpansionRatio::R2_5, TxModel::Random)
             .with_channel(GilbertParams::new(0.1, 0.5).unwrap());

@@ -2,6 +2,7 @@
 //! asserting *byte-exact* object recovery across codes, schedules and
 //! channels.
 
+use fec_broadcast::codec::builtin;
 use fec_broadcast::prelude::*;
 
 fn object(len: usize, seed: u8) -> Vec<u8> {
@@ -42,12 +43,12 @@ fn session(
 fn all_codes_all_models_perfect_channel() {
     let symbol = 32;
     for kind in [
-        CodeKind::Rse,
-        CodeKind::LdgmStaircase,
-        CodeKind::LdgmTriangle,
+        builtin::rse(),
+        builtin::ldgm_staircase(),
+        builtin::ldgm_triangle(),
     ] {
         let k = 180;
-        let spec = CodeSpec::new(kind, k, ExpansionRatio::R2_5).with_matrix_seed(5);
+        let spec = CodeSpec::new(&kind, k, ExpansionRatio::R2_5).with_matrix_seed(5);
         let obj = object(k * symbol - 7, 1);
         for tx in TxModel::paper_models() {
             let n = session(&spec, &obj, symbol, tx, None, 42)
@@ -62,15 +63,15 @@ fn all_codes_survive_moderate_bursty_loss() {
     let symbol = 16;
     let channel = GilbertParams::new(0.05, 0.5).unwrap(); // ~9% loss, bursts of 2
     for kind in [
-        CodeKind::Rse,
-        CodeKind::LdgmStaircase,
-        CodeKind::LdgmTriangle,
+        builtin::rse(),
+        builtin::ldgm_staircase(),
+        builtin::ldgm_triangle(),
     ] {
         let k = 300;
-        let spec = CodeSpec::new(kind, k, ExpansionRatio::R2_5).with_matrix_seed(9);
+        let spec = CodeSpec::new(&kind, k, ExpansionRatio::R2_5).with_matrix_seed(9);
         let obj = object(k * symbol, 2);
         // Robust schedules only (Tx1 legitimately dies under bursts).
-        let tx = if kind == CodeKind::Rse {
+        let tx = if kind == builtin::rse() {
             TxModel::Interleaved
         } else {
             TxModel::Random

@@ -1,6 +1,7 @@
 //! End-to-end FLUTE delivery across the full stack: object → ALC datagrams
 //! → lossy channel → wire parsing → FEC decode → byte-exact file.
 
+use fec_broadcast::codec::builtin;
 use fec_broadcast::flute::{FluteReceiver, FluteSender, ObjectStatus, SenderConfig};
 use fec_broadcast::prelude::*;
 
@@ -30,14 +31,14 @@ fn deliver_with_loss(
 #[test]
 fn all_codes_lossless() {
     let cases = [
-        (CodeKind::Rse, ExpansionRatio::R1_5, TxModel::Interleaved),
+        (builtin::rse(), ExpansionRatio::R1_5, TxModel::Interleaved),
         (
-            CodeKind::LdgmStaircase,
+            builtin::ldgm_staircase(),
             ExpansionRatio::R2_5,
             TxModel::tx6_paper(),
         ),
         (
-            CodeKind::LdgmTriangle,
+            builtin::ldgm_triangle(),
             ExpansionRatio::R2_5,
             TxModel::Random,
         ),
@@ -46,7 +47,7 @@ fn all_codes_lossless() {
         let data = object_bytes(20_000 + i * 997, i as u8);
         let mut sender = FluteSender::new(SenderConfig::new(42));
         sender
-            .add_object(1, "test.bin", &data, kind, ratio, 64, 7, tx)
+            .add_object(1, "test.bin", &data, &kind, ratio, 64, 7, tx)
             .expect("add object");
         let mut receiver = FluteReceiver::new(42);
         deliver_with_loss(&sender, &mut receiver, 3, None);
@@ -70,7 +71,7 @@ fn triangle_tx4_survives_bursty_channel() {
             5,
             "movie.ts",
             &data,
-            CodeKind::LdgmTriangle,
+            builtin::ldgm_triangle(),
             ExpansionRatio::R2_5,
             128,
             11,
@@ -101,7 +102,7 @@ fn rse_interleaved_survives_bursty_channel() {
             1,
             "fw.img",
             &data,
-            CodeKind::Rse,
+            builtin::rse(),
             ExpansionRatio::R2_5,
             100,
             0,
@@ -125,7 +126,7 @@ fn fdt_loss_is_survivable() {
             1,
             "a",
             &data,
-            CodeKind::LdgmStaircase,
+            builtin::ldgm_staircase(),
             ExpansionRatio::R2_5,
             32,
             3,
@@ -160,7 +161,7 @@ fn two_carousel_cycles_complete_under_heavy_loss() {
             1,
             "big.bin",
             &data,
-            CodeKind::LdgmTriangle,
+            builtin::ldgm_triangle(),
             ExpansionRatio::R1_5,
             64,
             2,
@@ -190,7 +191,7 @@ fn heterogeneous_receivers_share_one_transmission() {
             1,
             "shared.bin",
             &data,
-            CodeKind::LdgmTriangle,
+            builtin::ldgm_triangle(),
             ExpansionRatio::R2_5,
             64,
             13,

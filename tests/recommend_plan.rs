@@ -6,6 +6,7 @@
 //! truncated transmission.
 
 use fec_broadcast::channel::{fit_gilbert, LossTrace};
+use fec_broadcast::codec::builtin;
 use fec_broadcast::prelude::*;
 
 #[test]
@@ -28,7 +29,7 @@ fn full_operational_loop_on_a_known_channel() {
 
     // 2. Rule-based recommendation agrees this is the low-loss regime.
     let recs = recommend(ChannelKnowledge::Known(fitted));
-    assert_eq!(recs[0].code, CodeKind::LdgmStaircase);
+    assert_eq!(recs[0].code, builtin::ldgm_staircase());
     assert_eq!(recs[0].tx, TxModel::SourceSeqParityRandom);
 
     // 3. Measured selection over the candidate tuples, with the paper's
@@ -108,7 +109,7 @@ fn planner_tolerance_improves_delivery() {
     let channel = GilbertParams::bernoulli(0.1).unwrap();
     let k = 600;
     let experiment = Experiment::new(
-        CodeKind::LdgmTriangle,
+        builtin::ldgm_triangle(),
         k,
         ExpansionRatio::R2_5,
         TxModel::Random,

@@ -2,11 +2,12 @@
 //! scale (small k, few runs, coarse grids — seconds, not minutes; the
 //! benches re-verify at higher fidelity).
 
+use fec_broadcast::codec::builtin;
 use fec_broadcast::prelude::*;
 
 /// Mean inefficiency at one (p, q) point; None if any run failed.
 fn point(
-    code: CodeKind,
+    code: &CodecHandle,
     k: usize,
     ratio: ExpansionRatio,
     tx: TxModel,
@@ -28,12 +29,12 @@ fn point(
 fn perfect_channel_is_free_for_systematic_schedules() {
     // §4.3/§4.4: Tx1 and Tx2 at p = 0 give exactly 1.0 for every code.
     for code in [
-        CodeKind::Rse,
-        CodeKind::LdgmStaircase,
-        CodeKind::LdgmTriangle,
+        builtin::rse(),
+        builtin::ldgm_staircase(),
+        builtin::ldgm_triangle(),
     ] {
         for tx in [TxModel::SourceSeqParitySeq, TxModel::SourceSeqParityRandom] {
-            let m = point(code, 200, ExpansionRatio::R2_5, tx, 0.0, 0.5, 5).unwrap();
+            let m = point(&code, 200, ExpansionRatio::R2_5, tx, 0.0, 0.5, 5).unwrap();
             assert_eq!(m, 1.0, "{code:?}/{tx:?}");
         }
     }
@@ -44,7 +45,7 @@ fn tx2_beats_tx1_for_rse_under_bursts() {
     // §4.4: random parity order fixes RSE's tail-block problem.
     let (p, q) = (0.05, 0.3); // bursty
     let tx1 = point(
-        CodeKind::Rse,
+        &builtin::rse(),
         400,
         ExpansionRatio::R2_5,
         TxModel::SourceSeqParitySeq,
@@ -53,7 +54,7 @@ fn tx2_beats_tx1_for_rse_under_bursts() {
         8,
     );
     let tx2 = point(
-        CodeKind::Rse,
+        &builtin::rse(),
         400,
         ExpansionRatio::R2_5,
         TxModel::SourceSeqParityRandom,
@@ -74,7 +75,7 @@ fn interleaving_rescues_rse_from_bursts() {
     // RSE sails through.
     let (p, q) = (0.1, 0.2); // mean burst length 5
     let seq = point(
-        CodeKind::Rse,
+        &builtin::rse(),
         400,
         ExpansionRatio::R2_5,
         TxModel::SourceSeqParitySeq,
@@ -83,7 +84,7 @@ fn interleaving_rescues_rse_from_bursts() {
         8,
     );
     let il = point(
-        CodeKind::Rse,
+        &builtin::rse(),
         400,
         ExpansionRatio::R2_5,
         TxModel::Interleaved,
@@ -102,7 +103,7 @@ fn staircase_beats_triangle_at_low_loss_under_tx2() {
     // §6.1: "LDGM Staircase is more efficient with Tx_model_2 and a low p".
     let (p, q) = (0.01, 0.8);
     let sc = point(
-        CodeKind::LdgmStaircase,
+        &builtin::ldgm_staircase(),
         2000,
         ExpansionRatio::R2_5,
         TxModel::SourceSeqParityRandom,
@@ -112,7 +113,7 @@ fn staircase_beats_triangle_at_low_loss_under_tx2() {
     )
     .unwrap();
     let tri = point(
-        CodeKind::LdgmTriangle,
+        &builtin::ldgm_triangle(),
         2000,
         ExpansionRatio::R2_5,
         TxModel::SourceSeqParityRandom,
@@ -132,7 +133,7 @@ fn triangle_beats_staircase_under_tx4() {
     let mut tri_sum = 0.0;
     for (p, q) in [(0.0, 1.0), (0.1, 0.6), (0.2, 0.6), (0.3, 0.7)] {
         sc_sum += point(
-            CodeKind::LdgmStaircase,
+            &builtin::ldgm_staircase(),
             4000,
             ExpansionRatio::R2_5,
             TxModel::Random,
@@ -142,7 +143,7 @@ fn triangle_beats_staircase_under_tx4() {
         )
         .unwrap();
         tri_sum += point(
-            CodeKind::LdgmTriangle,
+            &builtin::ldgm_triangle(),
             4000,
             ExpansionRatio::R2_5,
             TxModel::Random,
@@ -163,7 +164,7 @@ fn staircase_beats_triangle_under_tx6() {
     // §4.8: "the fact that LDGM Staircase performs better than Triangle is
     // rather unusual".
     let sc = point(
-        CodeKind::LdgmStaircase,
+        &builtin::ldgm_staircase(),
         1500,
         ExpansionRatio::R2_5,
         TxModel::tx6_paper(),
@@ -173,7 +174,7 @@ fn staircase_beats_triangle_under_tx6() {
     )
     .unwrap();
     let tri = point(
-        CodeKind::LdgmTriangle,
+        &builtin::ldgm_triangle(),
         1500,
         ExpansionRatio::R2_5,
         TxModel::tx6_paper(),
@@ -189,9 +190,9 @@ fn staircase_beats_triangle_under_tx6() {
 fn tx3_needs_all_parity_plus_one_source_at_ratio_2_5() {
     // §4.5's exact result for large-block codes on a perfect channel.
     let k = 1000;
-    for code in [CodeKind::LdgmStaircase, CodeKind::LdgmTriangle] {
+    for code in [builtin::ldgm_staircase(), builtin::ldgm_triangle()] {
         let m = point(
-            code,
+            &code,
             k,
             ExpansionRatio::R2_5,
             TxModel::ParitySeqSourceRandom,
@@ -209,7 +210,7 @@ fn tx3_needs_all_parity_plus_one_source_at_ratio_2_5() {
 fn no_fec_repetition_fails_with_loss() {
     // §4.2: with p > 0 the x2 repetition scheme loses some packet twice.
     let m = point(
-        CodeKind::LdgmStaircase,
+        &builtin::ldgm_staircase(),
         2000,
         ExpansionRatio::R2_5,
         TxModel::RepeatSource { copies: 2 },
@@ -220,7 +221,7 @@ fn no_fec_repetition_fails_with_loss() {
     assert_eq!(m, None, "repetition must fail at 17% loss");
     // And at p = 0 it works but wastes ~2x.
     let perfect = point(
-        CodeKind::LdgmStaircase,
+        &builtin::ldgm_staircase(),
         2000,
         ExpansionRatio::R2_5,
         TxModel::RepeatSource { copies: 2 },
@@ -240,8 +241,8 @@ fn infeasible_region_always_fails() {
     // §3.2 Fig. 6: outside the fundamental limit no code can decode. Pick
     // clearly-infeasible points for ratio 2.5 (needs >= 40% delivery).
     for (p, q) in [(0.9, 0.1), (0.7, 0.2), (1.0, 0.3)] {
-        for code in [CodeKind::Rse, CodeKind::LdgmStaircase] {
-            let m = point(code, 300, ExpansionRatio::R2_5, TxModel::Random, p, q, 5);
+        for code in [builtin::rse(), builtin::ldgm_staircase()] {
+            let m = point(&code, 300, ExpansionRatio::R2_5, TxModel::Random, p, q, 5);
             assert_eq!(m, None, "{code:?} at ({p},{q}) must fail");
         }
     }
@@ -251,12 +252,12 @@ fn infeasible_region_always_fails() {
 fn inefficiency_never_below_one() {
     // Fundamental: you cannot decode k packets from fewer than k.
     for code in [
-        CodeKind::Rse,
-        CodeKind::LdgmStaircase,
-        CodeKind::LdgmTriangle,
+        builtin::rse(),
+        builtin::ldgm_staircase(),
+        builtin::ldgm_triangle(),
     ] {
         for tx in TxModel::paper_models() {
-            if let Some(m) = point(code, 150, ExpansionRatio::R2_5, tx, 0.05, 0.5, 4) {
+            if let Some(m) = point(&code, 150, ExpansionRatio::R2_5, tx, 0.05, 0.5, 4) {
                 assert!(m >= 1.0, "{code:?}/{tx:?}: inefficiency {m} < 1");
             }
         }
@@ -270,7 +271,7 @@ fn rx1_sweet_spot_beats_extremes() {
     let k = 3000;
     let runner = Runner::new(
         Experiment::new(
-            CodeKind::LdgmStaircase,
+            builtin::ldgm_staircase(),
             k,
             ExpansionRatio::R2_5,
             TxModel::Random,
