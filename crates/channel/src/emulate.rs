@@ -319,61 +319,6 @@ impl LinkEmulator {
     }
 }
 
-/// A [`LinkEmulator`] mounted in front of any burst sink, so emulated and
-/// real wire paths run the *same* engine code: the burst goes through the
-/// loss/duplication/reordering gate, and the survivors ride the inner
-/// sink (typically a `fec_wire::BatchSender`) onto the wire.
-///
-/// `send_burst` reports the number of survivors actually forwarded —
-/// callers read drop counts off [`EmulatedSink::stats`].
-pub struct EmulatedSink<S: fec_wire::BurstSink> {
-    link: LinkEmulator,
-    inner: S,
-}
-
-impl<S: fec_wire::BurstSink> EmulatedSink<S> {
-    /// Mounts `link` in front of `inner`.
-    pub fn new(link: LinkEmulator, inner: S) -> EmulatedSink<S> {
-        EmulatedSink { link, inner }
-    }
-
-    /// Link delivery statistics so far.
-    pub fn stats(&self) -> LinkStats {
-        self.link.stats()
-    }
-
-    /// The wrapped sink.
-    pub fn inner_mut(&mut self) -> &mut S {
-        &mut self.inner
-    }
-
-    /// Releases held-back (reordered) datagrams through the inner sink.
-    pub fn flush(&mut self) -> std::io::Result<usize> {
-        let late = self.link.flush();
-        if late.is_empty() {
-            return Ok(0);
-        }
-        let refs: Vec<&[u8]> = late.iter().map(|d| d.as_slice()).collect();
-        self.inner.send_burst(&refs)
-    }
-
-    /// Unmounts, returning the link (with its stats) and the inner sink.
-    pub fn into_parts(self) -> (LinkEmulator, S) {
-        (self.link, self.inner)
-    }
-}
-
-impl<S: fec_wire::BurstSink> fec_wire::BurstSink for EmulatedSink<S> {
-    fn send_burst(&mut self, datagrams: &[&[u8]]) -> std::io::Result<usize> {
-        let survivors = self.link.transmit_batch(datagrams);
-        if survivors.is_empty() {
-            return Ok(0);
-        }
-        let refs: Vec<&[u8]> = survivors.iter().map(|d| d.as_slice()).collect();
-        self.inner.send_burst(&refs)
-    }
-}
-
 impl core::fmt::Debug for LinkEmulator {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         write!(
@@ -569,34 +514,6 @@ mod tests {
         batched.extend(two.flush());
         assert_eq!(per, batched);
         assert_eq!(one.stats(), two.stats());
-    }
-
-    #[test]
-    fn emulated_sink_forwards_survivors_and_reports_drops() {
-        struct CaptureSink(Vec<Vec<u8>>);
-        impl fec_wire::BurstSink for CaptureSink {
-            fn send_burst(&mut self, datagrams: &[&[u8]]) -> std::io::Result<usize> {
-                self.0.extend(datagrams.iter().map(|d| d.to_vec()));
-                Ok(datagrams.len())
-            }
-        }
-        let mut sink = EmulatedSink::new(
-            LinkEmulator::new(gilbert(0.1, 0.4, 5), 6),
-            CaptureSink(Vec::new()),
-        );
-        let sent = datagrams(2_000);
-        let mut forwarded = 0usize;
-        for chunk in sent.chunks(64) {
-            let refs: Vec<&[u8]> = chunk.iter().map(|d| d.as_slice()).collect();
-            forwarded += fec_wire::BurstSink::send_burst(&mut sink, &refs).unwrap();
-        }
-        forwarded += sink.flush().unwrap();
-        let s = sink.stats();
-        assert_eq!(s.offered(), 2_000);
-        assert!(s.dropped() > 200, "{s:?}");
-        assert_eq!(forwarded as u64, s.delivered());
-        let (_, capture) = sink.into_parts();
-        assert_eq!(capture.0.len() as u64, s.delivered());
     }
 
     #[test]

@@ -34,7 +34,7 @@ mod nstate;
 mod trace;
 
 pub use drift::{DriftingChannel, Regime};
-pub use emulate::{EmulatedSink, LinkConfig, LinkEmulator, LinkStats};
+pub use emulate::{LinkConfig, LinkEmulator, LinkStats};
 pub use gilbert::{ChannelError, GilbertChannel, GilbertParams, GilbertState};
 pub use nstate::{MarkovChannel, MarkovLossModel};
 pub use trace::{fit_gilbert, LossTrace, TraceChannel, TransitionCounts};

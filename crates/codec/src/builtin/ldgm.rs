@@ -239,13 +239,7 @@ impl Decoder for LdgmSessionDecoder {
         packet: PacketRef,
         payload: &[u8],
     ) -> Result<DecodeProgress, CodecError> {
-        self.inner
-            .push(packet.esi, payload)
-            .map_err(|e| CodecError::Decode {
-                code: self.id.to_string(),
-                source: Box::new(e),
-            })?;
-        Ok(self.progress())
+        self.add_symbols(&[Symbol { packet, payload }])
     }
 
     fn add_symbols(&mut self, batch: &[Symbol<'_>]) -> Result<DecodeProgress, CodecError> {

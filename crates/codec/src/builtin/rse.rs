@@ -246,53 +246,37 @@ fn solve_block(codecs: &[RseCodec], block: &mut RseBlock) -> Result<usize, Codec
     Ok(block.k - block.src_received)
 }
 
-impl RseSessionDecoder {
-    /// Buffers one symbol without attempting a solve. Returns `true` if
-    /// the symbol was novel (not a duplicate, block not already solved).
-    fn buffer_symbol(&mut self, packet: PacketRef, payload: &[u8]) -> bool {
-        self.received += 1;
-        let block = &mut self.blocks[packet.block as usize];
-        if block.solved.is_some() || block.seen[packet.esi as usize] {
-            return false;
-        }
-        block.seen[packet.esi as usize] = true;
-        block.packets.push((packet.esi, payload.to_vec()));
-        if (packet.esi as usize) < block.k {
-            // A systematic source symbol is known the moment it arrives,
-            // before the block as a whole decodes.
-            block.src_received += 1;
-            self.decoded_source += 1;
-        }
-        true
-    }
-}
-
 impl Decoder for RseSessionDecoder {
     fn add_symbol(
         &mut self,
         packet: PacketRef,
         payload: &[u8],
     ) -> Result<DecodeProgress, CodecError> {
-        if self.buffer_symbol(packet, payload) {
-            let block = &mut self.blocks[packet.block as usize];
-            if block.packets.len() >= block.k {
-                self.decoded_source += solve_block(&self.codecs, block)?;
-            }
-        }
-        Ok(self.progress())
+        self.add_symbols(&[Symbol { packet, payload }])
     }
 
     fn add_symbols(&mut self, batch: &[Symbol<'_>]) -> Result<DecodeProgress, CodecError> {
         // Buffer the whole burst first, then solve each block it completed
         // exactly once — and look at no block the burst did not touch (an
         // object at the paper's k = 20 000 has 118 of them).
+        self.received += batch.len() as u64;
         let mut solvable: Vec<u32> = Vec::new();
         for s in batch {
-            if self.buffer_symbol(s.packet, s.payload) {
-                let block = &self.blocks[s.packet.block as usize];
-                if block.packets.len() >= block.k {
-                    solvable.push(s.packet.block);
-                }
+            let esi = s.packet.esi;
+            let block = &mut self.blocks[s.packet.block as usize];
+            if block.solved.is_some() || block.seen[esi as usize] {
+                continue; // a duplicate, or its block is already whole
+            }
+            block.seen[esi as usize] = true;
+            block.packets.push((esi, s.payload.to_vec()));
+            if (esi as usize) < block.k {
+                // A systematic source symbol is known the moment it arrives,
+                // before the block as a whole decodes.
+                block.src_received += 1;
+                self.decoded_source += 1;
+            }
+            if block.packets.len() >= block.k {
+                solvable.push(s.packet.block);
             }
         }
         for b in solvable {

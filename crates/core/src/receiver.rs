@@ -65,12 +65,7 @@ impl Receiver {
 
     /// Feeds one packet; duplicates are counted but harmless.
     pub fn push(&mut self, packet: &Packet) -> Result<DecodeProgress, CoreError> {
-        self.check(packet)?;
-        self.decoder
-            .add_symbol(packet.packet_ref(), &packet.payload)
-            .map_err(|e| CoreError::Codec {
-                detail: e.to_string(),
-            })
+        self.push_batch(std::slice::from_ref(packet))
     }
 
     /// Feeds a batch of packets through the codec's batched entry point

@@ -7,18 +7,7 @@ use crate::{from_partials, DistribError, PartialSweep, ShardSpec, SweepPlan, Uni
 /// Executes one shard of a plan in this process (across the plan's
 /// configured worker threads) and returns its partial result.
 pub fn run_shard(plan: &SweepPlan, shard: &ShardSpec) -> Result<PartialSweep, DistribError> {
-    run_shard_with_threads(plan, shard, plan.config.threads)
-}
-
-/// Like [`run_shard`] with an explicit executor-thread override (the
-/// worker subcommand uses this; the plan — and thus the fingerprint and
-/// the merged result — is untouched).
-pub fn run_shard_with_threads(
-    plan: &SweepPlan,
-    shard: &ShardSpec,
-    threads: Option<usize>,
-) -> Result<PartialSweep, DistribError> {
-    let sweep = plan.prepare_with_threads(threads)?;
+    let sweep = plan.prepare()?;
     let units = shard.select(&plan.units())?;
     let accums = sweep.execute_units(&units);
     Ok(PartialSweep {

@@ -78,7 +78,7 @@ mod worker;
 
 pub use coordinator::Coordinator;
 pub use error::DistribError;
-pub use exec::{execute_plan, run_shard, run_shard_with_threads};
+pub use exec::{execute_plan, run_shard};
 pub use merge::{from_partials, merge_paths, StreamingMerge};
 pub use partial::{PartialFile, PartialHeader, PartialSweep, UnitResult, PARTIAL_JSONL_FORMAT};
 pub use plan::SweepPlan;

@@ -128,17 +128,10 @@ impl SweepPlan {
     /// Prepares the executable sweep (validates deeply and builds the
     /// codec's structural pool).
     pub fn prepare(&self) -> Result<GridSweep, DistribError> {
-        self.prepare_with_threads(self.config.threads)
-    }
-
-    /// Like [`SweepPlan::prepare`], but overriding the number of executor
-    /// threads without touching the plan itself (the worker subcommand uses
-    /// this so a coordinator can divide the host's cores among workers
-    /// while every participant keeps fingerprinting the identical plan).
-    pub fn prepare_with_threads(&self, threads: Option<usize>) -> Result<GridSweep, DistribError> {
-        let mut config = self.config.clone();
-        config.threads = threads;
-        Ok(GridSweep::new(self.experiment.clone(), config)?)
+        Ok(GridSweep::new(
+            self.experiment.clone(),
+            self.config.clone(),
+        )?)
     }
 }
 

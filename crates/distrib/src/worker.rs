@@ -18,7 +18,8 @@ use crate::{DistribError, PartialSweep, ShardSpec, SweepPlan, UnitResult};
 /// the plan's `config.threads`, and that to 1. With more than one thread
 /// the partial lines stream in completion order — each line is a
 /// self-describing single-unit [`PartialSweep`], so the merge does not
-/// care.
+/// care. A failed write ends the run with that error after at most the
+/// units already in flight.
 pub fn run_worker(
     input: &mut dyn Read,
     output: &mut dyn Write,
@@ -31,15 +32,15 @@ pub fn run_worker(
     let sweep = plan.prepare()?;
     let fingerprint = plan.fingerprint();
     let units = shard.select(&plan.units())?;
-    let threads = threads
-        .or(plan.config.threads)
-        .unwrap_or(1)
-        .clamp(1, units.len().max(1));
+    let threads = threads.or(plan.config.threads).unwrap_or(1);
 
-    let mut emit = |unit_id: u32, accum| -> Result<(), DistribError> {
+    let emit = |i: usize, accum| -> Result<(), DistribError> {
         let line = serde_json::to_string(&PartialSweep {
             fingerprint,
-            units: vec![UnitResult { unit_id, accum }],
+            units: vec![UnitResult {
+                unit_id: units[i].unit_id,
+                accum,
+            }],
         })
         .map_err(|e| DistribError::Protocol {
             detail: format!("partial does not serialize: {e}"),
@@ -47,43 +48,8 @@ pub fn run_worker(
         writeln!(output, "{line}").map_err(DistribError::from)?;
         output.flush().map_err(DistribError::from)
     };
-
-    if threads <= 1 {
-        for unit in units {
-            let accum = sweep.execute_unit(&unit);
-            emit(unit.unit_id, accum)?;
-        }
-        return Ok(());
-    }
-
-    // Streamed pool: executor threads push completed units into a
-    // channel; the protocol thread writes each line as it lands.
-    let (work_tx, work_rx) = crossbeam_channel::unbounded();
-    let (done_tx, done_rx) = crossbeam_channel::unbounded();
-    for unit in &units {
-        work_tx.send(*unit).expect("queue open");
-    }
-    drop(work_tx);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let work_rx = work_rx.clone();
-            let done_tx = done_tx.clone();
-            let sweep = &sweep;
-            scope.spawn(move || {
-                while let Ok(unit) = work_rx.recv() {
-                    let accum = sweep.execute_unit(&unit);
-                    if done_tx.send((unit, accum)).is_err() {
-                        break; // collector hung up (emit failed): stop early
-                    }
-                }
-            });
-        }
-        drop(done_tx);
-        while let Ok((unit, accum)) = done_rx.recv() {
-            emit(unit.unit_id, accum)?;
-        }
-        Ok(())
-    })
+    let (_executed, streamed) = sweep.execute_streamed(&units, threads, emit);
+    streamed
 }
 
 /// Parses one worker stdout line into a [`PartialSweep`].
@@ -157,6 +123,54 @@ mod tests {
             serde_json::to_string(&crate::execute_plan(&default_plan).unwrap()).unwrap(),
             serde_json::to_string(&via_gridsweep).unwrap()
         );
+    }
+
+    /// A stdout whose reader went away.
+    struct BrokenPipe;
+
+    impl Write for BrokenPipe {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(std::io::ErrorKind::BrokenPipe.into())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn broken_stdout_stops_the_shard_instead_of_finishing_it() {
+        let plan = plan();
+        let doc = plan.to_json().unwrap();
+        let units = plan.units();
+        for threads in [1, 2] {
+            assert!(
+                units.len() > threads + 1,
+                "the shard must outlast the bound"
+            );
+            let err = run_worker(
+                &mut doc.as_bytes(),
+                &mut BrokenPipe,
+                &ShardSpec::all(),
+                Some(threads),
+            )
+            .unwrap_err();
+            assert!(matches!(err, DistribError::Io { .. }), "{err}");
+            // The same refusal handed straight to the executor `run_worker`
+            // streams through, which reports how much it ran: the unit
+            // whose line failed, plus at most one more per thread that was
+            // already in flight — never the rest of the shard.
+            let (executed, streamed) =
+                plan.prepare()
+                    .unwrap()
+                    .execute_streamed(&units, threads, |_, _| Err(()));
+            assert_eq!(streamed, Err(()));
+            assert!(
+                executed <= threads + 1,
+                "{executed} of {} units ran at {threads} thread(s)",
+                units.len()
+            );
+        }
     }
 
     #[test]

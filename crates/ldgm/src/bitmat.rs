@@ -58,18 +58,6 @@ impl BitMatrix {
         }
     }
 
-    /// Number of rows.
-    #[inline]
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    #[inline]
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
     #[inline]
     fn word_index(&self, r: usize, c: usize) -> (usize, u64) {
         debug_assert!(r < self.rows && c < self.cols, "bit index out of range");

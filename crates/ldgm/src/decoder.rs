@@ -1,16 +1,21 @@
 //! Iterative (peeling) LDGM decoder over actual packet payloads.
 //!
-//! The algorithm is the paper's §2.3.2: each check equation starts with all
-//! its variables unknown. Every arriving packet makes one variable known;
-//! its value is folded (XORed) into every equation containing it. When an
-//! equation drops to a single unknown variable, that variable's value is the
-//! equation's accumulator, and the discovery cascades recursively. Decoding
-//! can stop at any time and completes when all `k` source packets are known.
+//! The algorithm is the paper's §2.3.2, and the walk itself lives in
+//! [`crate::peel`]; this module is its byte store. Every arriving packet
+//! makes one variable known; its value is folded (XORed) into every
+//! equation containing it. When an equation drops to a single unknown
+//! variable, that variable's value is the equation's accumulator, and the
+//! discovery cascades. Decoding can stop at any time and completes when
+//! all `k` source packets are known; [`Decoder::try_complete`] adds the
+//! GF(2) elimination of [`crate::gauss`] for a decoder that has stalled.
 
 use std::sync::Arc;
 
 use fec_gf256::kernels::xor_slice;
 
+use crate::bitmat::RowOp;
+use crate::gauss::Residual;
+use crate::peel::{Hook, Peeler};
 use crate::{LdgmError, SparseMatrix};
 
 /// Result of feeding one packet into the decoder.
@@ -66,93 +71,104 @@ impl MemoryStats {
 /// lifetimes.
 pub struct Decoder {
     matrix: Arc<SparseMatrix>,
-    symbol_len: usize,
-    /// Unknown-variable count per check equation.
-    eq_unknowns: Vec<u32>,
-    /// XOR of the known variables per equation (lazily allocated).
+    peel: Peeler,
+    store: Store,
+}
+
+/// What the cascade's steps mean in payload bytes.
+struct Store {
+    k: usize,
+    /// XOR of the variables folded so far, per equation (lazily allocated).
     eq_acc: Vec<Option<Vec<u8>>>,
-    /// Whether each variable is known (received or solved).
-    known: Vec<bool>,
     /// Retained values: sources permanently (they are the output), parity
     /// only transiently while waiting on the cascade stack — once a parity
     /// value has been folded into its equations it is freed (streaming
     /// decoding; this is what makes large-block LDGM memory-friendly).
     var_value: Vec<Option<Vec<u8>>>,
-    decoded_source: usize,
-    received: u64,
+    /// The variable whose equations are being visited, and its value if it
+    /// is a parity (taken out of `var_value`; a source is read in place).
+    popped: usize,
+    popped_parity: Option<Vec<u8>>,
     memory: MemoryStats,
+}
+
+impl Store {
+    #[inline]
+    fn track_alloc(&mut self) {
+        self.memory.current_symbols += 1;
+        self.memory.peak_symbols = self.memory.peak_symbols.max(self.memory.current_symbols);
+    }
+}
+
+impl Hook for Store {
+    fn pop(&mut self, v: usize) {
+        self.popped = v;
+        self.popped_parity = None;
+        if v >= self.k {
+            // After this pass through its equations a parity value is
+            // never read again.
+            self.popped_parity = self.var_value[v].take();
+            self.memory.current_symbols -= 1;
+        }
+    }
+
+    fn fold(&mut self, e: usize) {
+        if self.eq_acc[e].is_none() {
+            self.track_alloc();
+        }
+        let value = self
+            .popped_parity
+            .as_ref()
+            .or(self.var_value[self.popped].as_ref())
+            .expect("variable on stack is known");
+        let acc = self.eq_acc[e].get_or_insert_with(|| vec![0u8; value.len()]);
+        xor_slice(acc, value);
+    }
+
+    fn solve(&mut self, e: usize, u: usize) {
+        // The accumulator buffer is moved, not freed: it becomes the
+        // variable's value (net zero).
+        self.var_value[u] = self.eq_acc[e].take();
+    }
+
+    fn spent(&mut self, e: usize) {
+        if self.eq_acc[e].take().is_some() {
+            self.memory.current_symbols -= 1;
+        }
+    }
 }
 
 impl Decoder {
     /// Creates a decoder for packets of `symbol_len` bytes.
     pub fn new(matrix: Arc<SparseMatrix>, symbol_len: usize) -> Decoder {
-        let m = matrix.num_checks();
-        let n = matrix.n();
-        let eq_unknowns = (0..m).map(|i| matrix.row(i).len() as u32).collect();
         Decoder {
-            matrix,
-            symbol_len,
-            eq_unknowns,
-            eq_acc: vec![None; m],
-            known: vec![false; n],
-            var_value: vec![None; n],
-            decoded_source: 0,
-            received: 0,
-            memory: MemoryStats {
-                current_symbols: 0,
-                peak_symbols: 0,
-                symbol_len,
+            peel: Peeler::new(&matrix),
+            store: Store {
+                k: matrix.k(),
+                eq_acc: vec![None; matrix.num_checks()],
+                var_value: vec![None; matrix.n()],
+                popped: 0,
+                popped_parity: None,
+                memory: MemoryStats {
+                    symbol_len,
+                    ..MemoryStats::default()
+                },
             },
+            matrix,
         }
     }
 
-    #[inline]
-    fn track_alloc(&mut self) {
-        self.memory.current_symbols += 1;
-        if self.memory.current_symbols > self.memory.peak_symbols {
-            self.memory.peak_symbols = self.memory.current_symbols;
-        }
-    }
-
-    /// Feeds one received packet (`id < n`; ids `0..k` are source packets).
+    /// Feeds one received packet (`id < n`; ids `0..k` are source packets):
+    /// [`Decoder::push_batch`] of one.
     pub fn push(&mut self, id: u32, payload: &[u8]) -> Result<PushOutcome, LdgmError> {
-        if id as usize >= self.matrix.n() {
-            return Err(LdgmError::BadPacketId {
-                id,
-                n: self.matrix.n(),
-            });
-        }
-        if payload.len() != self.symbol_len {
-            return Err(LdgmError::SymbolLengthMismatch {
-                expected: self.symbol_len,
-                got: payload.len(),
-            });
-        }
-        self.received += 1;
-        if self.is_complete() || self.known[id as usize] {
-            return Ok(if self.is_complete() {
-                PushOutcome::Complete
-            } else {
-                PushOutcome::Useless
-            });
-        }
-        self.learn(id as usize, payload.to_vec());
-        Ok(if self.is_complete() {
-            PushOutcome::Complete
-        } else {
-            PushOutcome::Progress {
-                decoded_source: self.decoded_source,
-            }
-        })
+        self.push_batch(&[(id, payload)])
     }
 
-    /// Feeds a burst of received packets in one call.
+    /// Feeds a burst of received packets in order.
     ///
-    /// Reaches the same decoder state as [`Decoder::push`]ing each
-    /// `(id, payload)` in order, but the whole batch is validated up front
-    /// and duplicate/known variables are skipped without entering the
-    /// peeling machinery, so a receiver can hand over an entire
-    /// loss-schedule window at once.
+    /// The whole batch is validated up front and duplicate/known variables
+    /// are skipped without entering the peeling machinery, so a receiver
+    /// can hand over an entire loss-schedule window at once.
     ///
     /// Returns [`PushOutcome::Complete`] once all `k` source packets are
     /// known, [`PushOutcome::Progress`] if **this batch** taught the
@@ -161,8 +177,7 @@ impl Decoder {
     ///
     /// # Errors
     /// Fails on the first invalid id or payload length **without
-    /// consuming any of the batch** (all-or-nothing validation — unlike a
-    /// `push` loop, which would consume the valid prefix first).
+    /// consuming any of the batch** (all-or-nothing validation).
     pub fn push_batch(&mut self, batch: &[(u32, &[u8])]) -> Result<PushOutcome, LdgmError> {
         for &(id, payload) in batch {
             if id as usize >= self.matrix.n() {
@@ -171,135 +186,110 @@ impl Decoder {
                     n: self.matrix.n(),
                 });
             }
-            if payload.len() != self.symbol_len {
+            if payload.len() != self.store.memory.symbol_len {
                 return Err(LdgmError::SymbolLengthMismatch {
-                    expected: self.symbol_len,
+                    expected: self.store.memory.symbol_len,
                     got: payload.len(),
                 });
             }
         }
-        self.received += batch.len() as u64;
-        let decoded_before = self.decoded_source;
+        self.peel.received += batch.len() as u64;
         let mut learned = false;
         for &(id, payload) in batch {
-            if !self.is_complete() && !self.known[id as usize] {
-                self.learn(id as usize, payload.to_vec());
+            if !self.is_complete() && !self.peel.known[id as usize] {
+                self.learn(id, payload.to_vec());
                 learned = true;
             }
         }
         Ok(if self.is_complete() {
             PushOutcome::Complete
-        } else if learned || self.decoded_source > decoded_before {
+        } else if learned {
             PushOutcome::Progress {
-                decoded_source: self.decoded_source,
+                decoded_source: self.peel.decoded_source,
             }
         } else {
             PushOutcome::Useless
         })
     }
 
-    /// Marks variable `var` as known and cascades the peeling.
-    fn learn(&mut self, var: usize, value: Vec<u8>) {
-        debug_assert!(!self.known[var]);
-        if var < self.matrix.k() {
-            self.decoded_source += 1;
-        }
-        self.known[var] = true;
-        self.var_value[var] = Some(value);
-        self.track_alloc();
-        let mut stack = vec![var];
+    /// Stores the value of the unknown variable `var` and cascades.
+    fn learn(&mut self, var: u32, value: Vec<u8>) {
+        self.store.var_value[var as usize] = Some(value);
+        self.store.track_alloc();
+        self.peel.learn(&self.matrix, var, &mut self.store);
+    }
 
-        while let Some(v) = stack.pop() {
-            // Sources are retained (they are the output), so their value is
-            // cloned for processing; a parity value is consumed here — after
-            // this pass through its equations it is never read again.
-            let value = if v < self.matrix.k() {
-                self.var_value[v]
+    /// Runs Gaussian elimination over the residual system of a stalled
+    /// decoder and feeds every determined variable back into the cascade.
+    /// Returns `true` if the object is now fully decoded; a failed attempt
+    /// leaves the decoder valid for further packets and retries.
+    ///
+    /// Cost: one dense elimination over (live equations × unknowns) plus one
+    /// payload XOR per mirrored row operation. Near the decoding threshold
+    /// the residual is small; far below it, this is wasted work — callers
+    /// should gate on `received() >= k`.
+    pub fn try_complete(&mut self) -> bool {
+        if self.is_complete() {
+            return true;
+        }
+        let mut residual = Residual::build(&self.matrix, &self.peel.known);
+
+        // Right-hand sides: the equations' accumulators (XOR of their known
+        // variables). `None` accumulator ⇒ nothing folded yet ⇒ zero RHS.
+        let symbol_len = self.store.memory.symbol_len;
+        let mut rhs: Vec<Vec<u8>> = residual
+            .equations
+            .iter()
+            .map(|&e| {
+                self.store.eq_acc[e]
                     .clone()
-                    .expect("variable on stack is known")
-            } else {
-                let taken = self.var_value[v]
-                    .take()
-                    .expect("variable on stack is known");
-                self.memory.current_symbols -= 1;
-                taken
-            };
-            for &e in self.matrix.col(v) {
-                let e = e as usize;
-                if self.eq_unknowns[e] == 0 {
-                    continue; // equation already fully resolved
-                }
-                if self.eq_acc[e].is_none() {
-                    self.eq_acc[e] = Some(vec![0u8; self.symbol_len]);
-                    // Inline track_alloc: &mut self is unavailable while
-                    // iterating the matrix column (field-precise borrows).
-                    self.memory.current_symbols += 1;
-                    self.memory.peak_symbols =
-                        self.memory.peak_symbols.max(self.memory.current_symbols);
-                }
-                let acc = self.eq_acc[e].as_mut().expect("just ensured");
-                xor_slice(acc, &value);
-                self.eq_unknowns[e] -= 1;
-                if self.eq_unknowns[e] == 1 {
-                    // One unprocessed variable left. If it is still globally
-                    // unknown, its value is the accumulator (the XOR of all
-                    // the others, since the row XORs to zero). It may instead
-                    // already be known but pending on the stack — then the
-                    // equation taught us nothing new and is simply spent.
-                    let unknown = self
-                        .matrix
-                        .row(e)
-                        .iter()
-                        .map(|&c| c as usize)
-                        .find(|&c| !self.known[c]);
-                    match unknown {
-                        Some(u) => {
-                            // The accumulator buffer is moved, not freed:
-                            // it becomes the variable's value (net zero).
-                            let solved =
-                                self.eq_acc[e].take().expect("accumulator allocated above");
-                            self.eq_unknowns[e] = 0;
-                            if u < self.matrix.k() {
-                                self.decoded_source += 1;
-                            }
-                            self.known[u] = true;
-                            self.var_value[u] = Some(solved);
-                            stack.push(u);
-                        }
-                        None => {
-                            self.eq_unknowns[e] = 0;
-                            if self.eq_acc[e].take().is_some() {
-                                self.memory.current_symbols -= 1;
-                            }
-                        }
-                    }
-                }
+                    .unwrap_or_else(|| vec![0u8; symbol_len])
+            })
+            .collect();
+
+        // Reduce, mirroring every row operation onto the RHS vector.
+        let determined = residual.determine(|op| match op {
+            RowOp::Xor { src, dst } => {
+                let folded = std::mem::take(&mut rhs[src]);
+                xor_slice(&mut rhs[dst], &folded);
+                rhs[src] = folded;
+            }
+            RowOp::Swap { a, b } => rhs.swap(a, b),
+        });
+
+        // A determined pivot row reads `x_v = rhs[row]` directly (its row
+        // has no other unknowns left). An earlier injection's cascade may
+        // already have solved a later one.
+        for (row, var) in determined {
+            if !self.peel.known[var as usize] {
+                self.learn(var, std::mem::take(&mut rhs[row]));
             }
         }
+        self.is_complete()
     }
 
     /// True once all `k` source packets are known.
     #[inline]
     pub fn is_complete(&self) -> bool {
-        self.decoded_source == self.matrix.k()
+        self.peel.is_complete(&self.matrix)
     }
 
     /// Source packets currently known (received or solved).
     #[inline]
     pub fn decoded_source(&self) -> usize {
-        self.decoded_source
+        self.peel.decoded_source
     }
 
     /// Total packets pushed, duplicates included.
     #[inline]
     pub fn received(&self) -> u64 {
-        self.received
+        self.peel.received
     }
 
     /// Current and peak payload-buffer usage (§7's memory metric).
     #[inline]
     pub fn memory_stats(&self) -> MemoryStats {
-        self.memory
+        self.store.memory
     }
 
     /// Returns the recovered source packets once complete.
@@ -307,52 +297,20 @@ impl Decoder {
         if !self.is_complete() {
             return None;
         }
-        let k = self.matrix.k();
-        let mut out = Vec::with_capacity(k);
-        for v in 0..k {
-            out.push(self.var_value[v].take().expect("complete decoder"));
-        }
-        Some(out)
+        self.store.var_value.truncate(self.matrix.k());
+        self.store.var_value.into_iter().collect()
     }
 
     /// Peeks at a recovered source packet (None until it is known).
     pub fn source_packet(&self, idx: usize) -> Option<&[u8]> {
         assert!(idx < self.matrix.k(), "source index out of range");
-        self.var_value[idx].as_deref()
+        self.store.var_value[idx].as_deref()
     }
 
     /// Whether a variable (source or parity) is known. Parity values are
     /// freed after use, so "known" does not imply the bytes are still held.
     pub fn is_known(&self, id: u32) -> bool {
-        self.known[id as usize]
-    }
-
-    // ----- crate-private hooks for the hybrid ML decoder (`crate::gauss`) --
-
-    /// The shared parity-check matrix.
-    pub(crate) fn matrix(&self) -> &SparseMatrix {
-        &self.matrix
-    }
-
-    /// Symbol length this decoder was constructed with.
-    pub(crate) fn symbol_len(&self) -> usize {
-        self.symbol_len
-    }
-
-    /// XOR of the known variables already folded into equation `e`
-    /// (`None` ⇒ nothing folded yet, i.e. an all-zero accumulator).
-    pub(crate) fn eq_accumulator(&self, e: usize) -> Option<&[u8]> {
-        self.eq_acc[e].as_deref()
-    }
-
-    /// Injects an externally-solved variable value (from Gaussian
-    /// elimination) and lets the peeling cascade run on it. A no-op if the
-    /// variable became known in the meantime (an earlier injection's cascade
-    /// may already have solved it). Does **not** count as a received packet.
-    pub(crate) fn inject_solved(&mut self, var: usize, value: Vec<u8>) {
-        if !self.known[var] {
-            self.learn(var, value);
-        }
+        self.peel.known[id as usize]
     }
 }
 
@@ -362,8 +320,8 @@ impl core::fmt::Debug for Decoder {
             f,
             "Decoder(k={}, decoded={}, received={})",
             self.matrix.k(),
-            self.decoded_source,
-            self.received
+            self.peel.decoded_source,
+            self.peel.received
         )
     }
 }

@@ -11,18 +11,18 @@
 //! “full” decoding and Raptor's inactivation decoding), and the paper lists
 //! better decoders among its future works (§7).
 //!
-//! This module provides both halves of the comparison:
+//! Elimination is not a second decoder but a second phase of the one
+//! `peel.rs` cascade, over the one `Residual` system (unknown
+//! variables × still-live equations):
 //!
-//! * [`MlStructuralDecoder`] — index-only, for Monte-Carlo sweeps: peels
-//!   per packet, and answers “would Gaussian elimination finish *now*?” on
-//!   demand. [`ml_necessary`] binary-searches an arrival order for the
-//!   exact ML completion point (decodability is monotone in the received
-//!   set, so bisection is sound).
-//! * [`MlDecoder`] — payload-carrying: wraps the peeling [`Decoder`] and,
-//!   when asked, extracts the residual system (unknown variables ×
-//!   still-live equations, with the equations' XOR accumulators as
-//!   right-hand sides), reduces it with [`BitMatrix::reduce`], and injects
-//!   every *determined* variable back into the peeler.
+//! * [`StructuralDecoder::ml_complete`] — index-only, for Monte-Carlo
+//!   sweeps: “would Gaussian elimination finish *now*?”, on demand.
+//!   [`ml_necessary`] binary-searches an arrival order for the exact ML
+//!   completion point (decodability is monotone in the received set, so
+//!   bisection is sound).
+//! * [`Decoder::try_complete`](crate::Decoder::try_complete) — the same
+//!   reduction with the equations' XOR accumulators mirrored as right-hand
+//!   sides; every *determined* variable goes back into the cascade.
 //!
 //! Determinedness, not full rank, is the success criterion: the receiver
 //! only needs the `k` source packets, so a rank-deficient residual system is
@@ -31,38 +31,35 @@
 //! whose row has weight 1 (no free-variable contribution); the module tests
 //! include the counterexamples that justify the rule.
 
-use std::sync::Arc;
-
 use crate::bitmat::{BitMatrix, RowOp};
-use crate::{Decoder, LdgmError, PushOutcome, SparseMatrix, StructuralDecoder};
-
-use fec_gf256::kernels::xor_slice;
+use crate::{SparseMatrix, StructuralDecoder};
 
 /// The residual GF(2) system of a stalled peeling decoder: one row per
 /// still-live check equation, one column per unknown variable.
-struct Residual {
+pub(crate) struct Residual {
     /// Variable id of each matrix column.
     unknown_ids: Vec<u32>,
     /// Row index → check-equation index (for RHS extraction).
-    equations: Vec<usize>,
+    pub(crate) equations: Vec<usize>,
     /// The bit matrix (rows × unknowns).
     a: BitMatrix,
 }
 
 impl Residual {
-    /// Builds the residual system from a known-variable predicate.
-    fn build(matrix: &SparseMatrix, is_known: impl Fn(u32) -> bool) -> Residual {
+    /// Builds the residual system of a decoder whose variables are
+    /// `known` (indexed by variable id).
+    pub(crate) fn build(matrix: &SparseMatrix, known: &[bool]) -> Residual {
         let mut col_of = vec![u32::MAX; matrix.n()];
         let mut unknown_ids = Vec::new();
-        for v in 0..matrix.n() as u32 {
-            if !is_known(v) {
-                col_of[v as usize] = unknown_ids.len() as u32;
-                unknown_ids.push(v);
+        for (v, &is_known) in known.iter().enumerate() {
+            if !is_known {
+                col_of[v] = unknown_ids.len() as u32;
+                unknown_ids.push(v as u32);
             }
         }
         let mut equations = Vec::new();
         for e in 0..matrix.num_checks() {
-            if matrix.row(e).iter().any(|&v| !is_known(v)) {
+            if matrix.row(e).iter().any(|&v| !known[v as usize]) {
                 equations.push(e);
             }
         }
@@ -85,7 +82,7 @@ impl Residual {
     /// Reduces the system (mirroring row ops through `on_op`) and returns
     /// `(row, variable_id)` for every **determined** unknown: a pivot whose
     /// RREF row has no free-variable entries, i.e. row weight exactly 1.
-    fn determine(&mut self, on_op: impl FnMut(RowOp)) -> Vec<(usize, u32)> {
+    pub(crate) fn determine(&mut self, on_op: impl FnMut(RowOp)) -> Vec<(usize, u32)> {
         let pivots = self.a.reduce(on_op);
         pivots
             .into_iter()
@@ -96,7 +93,7 @@ impl Residual {
 
     /// True when every unknown **source** variable is determined. (Parity
     /// variables may stay free; the receiver does not need them.)
-    fn all_sources_determined(&mut self, k: usize) -> bool {
+    pub(crate) fn all_sources_determined(&mut self, k: usize) -> bool {
         let unknown_sources = self
             .unknown_ids
             .iter()
@@ -114,55 +111,6 @@ impl Residual {
     }
 }
 
-/// Index-only hybrid decoder for Monte-Carlo sweeps.
-///
-/// `push` runs plain peeling (identical to [`StructuralDecoder`]);
-/// [`ml_complete`](Self::ml_complete) answers whether Gaussian elimination
-/// over the residual system would recover all remaining source packets from
-/// what has been received so far.
-#[derive(Debug)]
-pub struct MlStructuralDecoder<'m> {
-    peeler: StructuralDecoder<'m>,
-    matrix: &'m SparseMatrix,
-}
-
-impl<'m> MlStructuralDecoder<'m> {
-    /// Creates a decoder over a shared matrix.
-    pub fn new(matrix: &'m SparseMatrix) -> MlStructuralDecoder<'m> {
-        MlStructuralDecoder {
-            peeler: StructuralDecoder::new(matrix),
-            matrix,
-        }
-    }
-
-    /// Feeds one received packet id through the peeling pass; returns `true`
-    /// once peeling alone has recovered all `k` source packets.
-    pub fn push(&mut self, id: u32) -> bool {
-        self.peeler.push(id)
-    }
-
-    /// Whether plain peeling has already finished.
-    pub fn peeling_complete(&self) -> bool {
-        self.peeler.is_complete()
-    }
-
-    /// Would Gaussian elimination finish *now*? Runs a fresh elimination
-    /// over the residual system (O(rows · unknowns² / 64)); call it when
-    /// needed, not per packet.
-    pub fn ml_complete(&self) -> bool {
-        if self.peeler.is_complete() {
-            return true;
-        }
-        let mut residual = Residual::build(self.matrix, |v| self.peeler.is_known(v));
-        residual.all_sources_determined(self.matrix.k())
-    }
-
-    /// Total packets pushed, duplicates included.
-    pub fn received(&self) -> u64 {
-        self.peeler.received()
-    }
-}
-
 /// Smallest number of packets of `order` (a transmission/reception order,
 /// deduplicated or not) after which **ML decoding** completes, or `None` if
 /// even the full sequence is insufficient.
@@ -177,12 +125,8 @@ pub fn ml_necessary(matrix: &SparseMatrix, order: &[u32]) -> Option<usize> {
         return None;
     }
     let decodable_at = |count: usize| -> bool {
-        let mut dec = MlStructuralDecoder::new(matrix);
-        for &id in &order[..count] {
-            if dec.push(id) {
-                return true;
-            }
-        }
+        let mut dec = StructuralDecoder::new(matrix);
+        dec.push_batch(&order[..count]);
         dec.ml_complete()
     };
     if !decodable_at(order.len()) {
@@ -206,130 +150,18 @@ pub fn ml_necessary(matrix: &SparseMatrix, order: &[u32]) -> Option<usize> {
 /// (the paper's decoder), or `None`. Companion to [`ml_necessary`] so the
 /// ablation bench reads symmetrically.
 pub fn peeling_necessary(matrix: &SparseMatrix, order: &[u32]) -> Option<usize> {
-    let mut dec = StructuralDecoder::new(matrix);
-    for (i, &id) in order.iter().enumerate() {
-        if dec.push(id) {
-            return Some(i + 1);
-        }
-    }
-    None
-}
-
-/// Payload-carrying hybrid decoder: peels per packet, eliminates on demand.
-///
-/// Typical use: `push` everything the channel delivers; when the stream ends
-/// (or at checkpoints), call [`try_complete`](Self::try_complete). If it
-/// returns `true`, [`into_source`](Self::into_source) yields the object.
-pub struct MlDecoder {
-    inner: Decoder,
-}
-
-impl MlDecoder {
-    /// Creates a decoder for packets of `symbol_len` bytes.
-    pub fn new(matrix: Arc<SparseMatrix>, symbol_len: usize) -> MlDecoder {
-        MlDecoder {
-            inner: Decoder::new(matrix, symbol_len),
-        }
-    }
-
-    /// Feeds one received packet through the peeling pass.
-    pub fn push(&mut self, id: u32, payload: &[u8]) -> Result<PushOutcome, LdgmError> {
-        self.inner.push(id, payload)
-    }
-
-    /// True once all `k` source packets are known (by peeling or by a
-    /// previous successful elimination).
-    pub fn is_complete(&self) -> bool {
-        self.inner.is_complete()
-    }
-
-    /// Source packets currently known.
-    pub fn decoded_source(&self) -> usize {
-        self.inner.decoded_source()
-    }
-
-    /// Total packets pushed, duplicates included.
-    pub fn received(&self) -> u64 {
-        self.inner.received()
-    }
-
-    /// Runs Gaussian elimination over the residual system and injects every
-    /// determined variable back into the peeler (whose cascade may solve
-    /// further ones, though elimination already determines everything
-    /// determinable). Returns `true` if the object is now fully decoded.
-    ///
-    /// Cost: one dense elimination over (live equations × unknowns) plus one
-    /// payload XOR per mirrored row operation. Near the decoding threshold
-    /// the residual is small; far below it, this is wasted work — callers
-    /// should gate on `received() >= k`.
-    pub fn try_complete(&mut self) -> bool {
-        if self.inner.is_complete() {
-            return true;
-        }
-        let mut residual = Residual::build(self.inner.matrix(), |v| self.inner.is_known(v));
-
-        // Right-hand sides: the equations' accumulators (XOR of their known
-        // variables). `None` accumulator ⇒ nothing folded yet ⇒ zero RHS.
-        let symbol_len = self.inner.symbol_len();
-        let mut rhs: Vec<Vec<u8>> = residual
-            .equations
-            .iter()
-            .map(|&e| {
-                self.inner
-                    .eq_accumulator(e)
-                    .map(|acc| acc.to_vec())
-                    .unwrap_or_else(|| vec![0u8; symbol_len])
-            })
-            .collect();
-
-        // Reduce, mirroring every row operation onto the RHS vector.
-        let determined = residual.determine(|op| match op {
-            RowOp::Xor { src, dst } => {
-                let (s, d) = if src < dst {
-                    let (head, tail) = rhs.split_at_mut(dst);
-                    (&head[src], &mut tail[0])
-                } else {
-                    let (head, tail) = rhs.split_at_mut(src);
-                    (&tail[0], &mut head[dst])
-                };
-                xor_slice(d, s);
-            }
-            RowOp::Swap { a, b } => rhs.swap(a, b),
-        });
-
-        // A determined pivot row reads `x_v = rhs[row]` directly (its row
-        // has no other unknowns left).
-        for (row, var) in determined {
-            self.inner
-                .inject_solved(var as usize, std::mem::take(&mut rhs[row]));
-        }
-        self.inner.is_complete()
-    }
-
-    /// Returns the recovered source packets once complete.
-    pub fn into_source(self) -> Option<Vec<Vec<u8>>> {
-        self.inner.into_source()
-    }
-
-    /// Peeks at a recovered source packet.
-    pub fn source_packet(&self, idx: usize) -> Option<&[u8]> {
-        self.inner.source_packet(idx)
-    }
-}
-
-impl core::fmt::Debug for MlDecoder {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "Ml{:?}", self.inner)
-    }
+    let done_at = StructuralDecoder::new(matrix).push_batch(order)?;
+    Some(done_at + 1)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Encoder, LdgmParams, RightSide};
+    use crate::{Decoder, Encoder, LdgmParams, RightSide};
     use rand::rngs::SmallRng;
     use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
+    use std::sync::Arc;
 
     fn build(k: usize, n: usize, right: RightSide, seed: u64) -> Arc<SparseMatrix> {
         Arc::new(SparseMatrix::build(LdgmParams::new(k, n, right, seed)).unwrap())
@@ -412,7 +244,7 @@ mod tests {
                 let Some(need) = ml_necessary(&m, &order) else {
                     continue;
                 };
-                let mut dec = MlDecoder::new(Arc::clone(&m), len);
+                let mut dec = Decoder::new(Arc::clone(&m), len);
                 for &id in &order[..need] {
                     let payload: &[u8] = if (id as usize) < k {
                         &src[id as usize]
@@ -448,7 +280,7 @@ mod tests {
                 &parity[id as usize - k]
             }
         };
-        let mut dec = MlDecoder::new(Arc::clone(&m), len);
+        let mut dec = Decoder::new(Arc::clone(&m), len);
         for &id in &order[..need - 1] {
             dec.push(id, payload_of(id)).unwrap();
         }
@@ -462,35 +294,6 @@ mod tests {
         assert_eq!(dec.into_source().unwrap(), src);
     }
 
-    /// The structural and payload ML decoders agree on success at the same
-    /// reception count.
-    #[test]
-    fn structural_and_payload_ml_agree() {
-        let (k, n, len) = (50, 125, 4);
-        for seed in 0..10u64 {
-            let m = build(k, n, RightSide::Triangle, seed);
-            let src = random_payloads(k, len, seed);
-            let refs: Vec<&[u8]> = src.iter().map(|s| s.as_slice()).collect();
-            let parity = Encoder::new(&m).encode(&refs).unwrap();
-            let mut order: Vec<u32> = (0..n as u32).collect();
-            order.shuffle(&mut SmallRng::seed_from_u64(seed ^ 0xAB));
-            for cut in [k, k + 5, k + 12, n] {
-                let mut sd = MlStructuralDecoder::new(&m);
-                let mut pd = MlDecoder::new(Arc::clone(&m), len);
-                for &id in &order[..cut] {
-                    sd.push(id);
-                    let payload: &[u8] = if (id as usize) < k {
-                        &src[id as usize]
-                    } else {
-                        &parity[id as usize - k]
-                    };
-                    pd.push(id, payload).unwrap();
-                }
-                assert_eq!(sd.ml_complete(), pd.try_complete(), "seed {seed} cut {cut}");
-            }
-        }
-    }
-
     /// Fewer than k packets can never decode (information-theoretic bound),
     /// and ml_necessary must refuse short orders outright.
     #[test]
@@ -498,7 +301,7 @@ mod tests {
         let m = build(40, 100, RightSide::Staircase, 5);
         let order: Vec<u32> = (0..39).collect();
         assert_eq!(ml_necessary(&m, &order), None);
-        let mut dec = MlStructuralDecoder::new(&m);
+        let mut dec = StructuralDecoder::new(&m);
         for id in 0..30 {
             dec.push(id);
         }
@@ -514,20 +317,20 @@ mod tests {
     #[test]
     fn all_sources_trivially_complete() {
         let m = build(30, 75, RightSide::Triangle, 8);
-        let mut dec = MlStructuralDecoder::new(&m);
+        let mut dec = StructuralDecoder::new(&m);
         for id in 0..30 {
             let done = dec.push(id);
             assert_eq!(done, id == 29);
         }
-        assert!(dec.peeling_complete() && dec.ml_complete());
+        assert!(dec.is_complete() && dec.ml_complete());
     }
 
     /// Duplicate packets consume budget but never change decodability.
     #[test]
     fn duplicates_are_neutral_for_ml() {
         let m = build(40, 100, RightSide::Staircase, 21);
-        let mut with_dups = MlStructuralDecoder::new(&m);
-        let mut without = MlStructuralDecoder::new(&m);
+        let mut with_dups = StructuralDecoder::new(&m);
+        let mut without = StructuralDecoder::new(&m);
         for id in 0..35u32 {
             with_dups.push(id);
             with_dups.push(id); // duplicate

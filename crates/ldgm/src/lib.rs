@@ -22,18 +22,19 @@
 //! for iterative decoding to finish — measuring that ratio under different
 //! packet schedules and channels is the whole point of the paper.
 //!
-//! Two decoders share the same peeling schedule:
-//! * [`Decoder`] moves payload bytes and reconstructs the object;
-//! * [`StructuralDecoder`] tracks only indices and is what the Monte-Carlo
-//!   sweeps run on. A cross-validation property test asserts the two agree
-//!   packet-for-packet on every random instance.
+//! There is one peeling cascade (`peel.rs`) and two views of it:
+//! * [`Decoder`] runs it with a payload store and reconstructs the object;
+//! * [`StructuralDecoder`] runs it with no store at all — indices only —
+//!   and is what the Monte-Carlo sweeps run on. The two cannot disagree
+//!   about when an object decodes; `tests/oracle.rs` checks both against a
+//!   naive decoder that shares no code with this crate.
 //!
 //! Beyond the paper's iterative decoder, the [`gauss`] module adds the
-//! **hybrid peeling + Gaussian-elimination** (“maximum-likelihood”) decoders
-//! that later-generation codecs standardised (RFC 5170 full decoding,
-//! Raptor inactivation): [`MlDecoder`] / [`MlStructuralDecoder`] solve the
-//! residual stopping-set system over GF(2) ([`bitmat`]) when peeling
-//! stalls. The `ablation_ml` bench quantifies how much inefficiency the
+//! second phase that later-generation codecs standardised (RFC 5170 full
+//! decoding, Raptor inactivation): when peeling stalls,
+//! [`Decoder::try_complete`] / [`StructuralDecoder::ml_complete`] solve the
+//! residual stopping-set system over GF(2) ([`bitmat`]). Nothing calls them
+//! by default; the `ablation_ml` bench quantifies how much inefficiency the
 //! paper's conclusions inherit from the suboptimal decoder.
 
 #![forbid(unsafe_code)]
@@ -44,12 +45,13 @@ mod decoder;
 mod encoder;
 pub mod gauss;
 mod matrix;
+mod peel;
 pub mod prng;
 mod structural;
 
 pub use decoder::{Decoder, MemoryStats, PushOutcome};
 pub use encoder::Encoder;
-pub use gauss::{ml_necessary, peeling_necessary, MlDecoder, MlStructuralDecoder};
+pub use gauss::{ml_necessary, peeling_necessary};
 pub use matrix::{LdgmError, LdgmParams, MatrixStats, RightSide, SparseMatrix, TriangleFill};
 pub use structural::StructuralDecoder;
 

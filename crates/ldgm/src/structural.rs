@@ -1,37 +1,26 @@
 //! Index-only peeling decoder: the Monte-Carlo fast path.
 //!
-//! Identical peeling logic to [`crate::Decoder`], minus the payload bytes —
-//! because peeling is *confluent* (the set of solvable variables after any
-//! packet prefix does not depend on propagation order), the two decoders
-//! complete at exactly the same received-packet count. The workspace
-//! integration suite cross-validates this on random instances.
+//! [`crate::peel`]'s cascade with the no-op hook — the walk
+//! [`crate::Decoder`] runs, minus the payload bytes, so the two complete
+//! at exactly the same received-packet count by construction.
 
+use crate::gauss::Residual;
+use crate::peel::Peeler;
 use crate::SparseMatrix;
 
 /// Payload-free iterative decoder used by `fec-sim` sweeps.
 #[derive(Clone)]
 pub struct StructuralDecoder<'m> {
     matrix: &'m SparseMatrix,
-    eq_unknowns: Vec<u32>,
-    var_known: Vec<bool>,
-    decoded_source: usize,
-    received: u64,
-    /// Reusable cascade stack (kept across pushes to avoid re-allocation).
-    stack: Vec<u32>,
+    peel: Peeler,
 }
 
 impl<'m> StructuralDecoder<'m> {
     /// Creates a decoder over a shared matrix.
     pub fn new(matrix: &'m SparseMatrix) -> StructuralDecoder<'m> {
-        let m = matrix.num_checks();
-        let eq_unknowns = (0..m).map(|i| matrix.row(i).len() as u32).collect();
         StructuralDecoder {
             matrix,
-            eq_unknowns,
-            var_known: vec![false; matrix.n()],
-            decoded_source: 0,
-            received: 0,
-            stack: Vec::new(),
+            peel: Peeler::new(matrix),
         }
     }
 
@@ -41,19 +30,13 @@ impl<'m> StructuralDecoder<'m> {
     /// # Panics
     /// Panics on an out-of-range id (scheduler bug, not channel input).
     pub fn push(&mut self, id: u32) -> bool {
-        assert!((id as usize) < self.matrix.n(), "packet id out of range");
-        self.received += 1;
-        if self.var_known[id as usize] {
-            return self.is_complete();
-        }
-        self.learn(id);
+        self.push_batch(&[id]);
         self.is_complete()
     }
 
     /// Feeds a whole window of received packet ids; every id is counted.
     ///
-    /// Returns the index within `ids` at which decoding first completed
-    /// (the same index a [`StructuralDecoder::push`] loop would report),
+    /// Returns the index within `ids` at which decoding first completed,
     /// or `None` if the decoder is still incomplete afterwards. The sweep
     /// engine feeds loss-schedule batches through this to amortise its
     /// per-packet dispatch.
@@ -64,9 +47,9 @@ impl<'m> StructuralDecoder<'m> {
         let mut done_at = None;
         for (i, &id) in ids.iter().enumerate() {
             assert!((id as usize) < self.matrix.n(), "packet id out of range");
-            self.received += 1;
-            if !self.var_known[id as usize] {
-                self.learn(id);
+            self.peel.received += 1;
+            if !self.peel.known[id as usize] {
+                self.peel.learn(self.matrix, id, &mut ());
             }
             if done_at.is_none() && self.is_complete() {
                 done_at = Some(i);
@@ -75,79 +58,44 @@ impl<'m> StructuralDecoder<'m> {
         done_at
     }
 
-    fn learn(&mut self, var: u32) {
-        self.mark_known(var);
-        self.stack.push(var);
-        while let Some(v) = self.stack.pop() {
-            for idx in 0..self.matrix.col(v as usize).len() {
-                let e = self.matrix.col(v as usize)[idx] as usize;
-                if self.eq_unknowns[e] == 0 {
-                    continue;
-                }
-                self.eq_unknowns[e] -= 1;
-                if self.eq_unknowns[e] == 1 {
-                    // Same subtlety as the payload decoder: the remaining
-                    // variable may already be known but pending on the stack,
-                    // in which case the equation is simply spent.
-                    let unknown = self
-                        .matrix
-                        .row(e)
-                        .iter()
-                        .copied()
-                        .find(|&c| !self.var_known[c as usize]);
-                    self.eq_unknowns[e] = 0;
-                    if let Some(u) = unknown {
-                        self.mark_known(u);
-                        self.stack.push(u);
-                    }
-                }
-            }
-        }
-    }
-
-    #[inline]
-    fn mark_known(&mut self, var: u32) {
-        debug_assert!(!self.var_known[var as usize]);
-        self.var_known[var as usize] = true;
-        if (var as usize) < self.matrix.k() {
-            self.decoded_source += 1;
-        }
+    /// Would Gaussian elimination over the residual system recover every
+    /// remaining source packet from what has been received so far? Runs a
+    /// fresh elimination (O(rows · unknowns² / 64)); call it when peeling
+    /// has stalled, not per packet.
+    pub fn ml_complete(&self) -> bool {
+        self.is_complete()
+            || Residual::build(self.matrix, &self.peel.known)
+                .all_sources_determined(self.matrix.k())
     }
 
     /// True once all `k` source packets are known.
     #[inline]
     pub fn is_complete(&self) -> bool {
-        self.decoded_source == self.matrix.k()
+        self.peel.is_complete(self.matrix)
     }
 
     /// Source packets currently known (received or solved).
     #[inline]
     pub fn decoded_source(&self) -> usize {
-        self.decoded_source
+        self.peel.decoded_source
     }
 
     /// Total packets pushed, duplicates included.
     #[inline]
     pub fn received(&self) -> u64 {
-        self.received
+        self.peel.received
     }
 
     /// Whether a particular variable (source or parity) is known.
     #[inline]
     pub fn is_known(&self, id: u32) -> bool {
-        self.var_known[id as usize]
+        self.peel.known[id as usize]
     }
 
     /// Resets to the freshly-constructed state, keeping allocations. Lets a
     /// sweep reuse one decoder object across runs on the same matrix.
     pub fn reset(&mut self) {
-        for (i, u) in self.eq_unknowns.iter_mut().enumerate() {
-            *u = self.matrix.row(i).len() as u32;
-        }
-        self.var_known.fill(false);
-        self.decoded_source = 0;
-        self.received = 0;
-        self.stack.clear();
+        self.peel.reset(self.matrix);
     }
 }
 
@@ -157,8 +105,8 @@ impl core::fmt::Debug for StructuralDecoder<'_> {
             f,
             "StructuralDecoder(k={}, decoded={}, received={})",
             self.matrix.k(),
-            self.decoded_source,
-            self.received
+            self.peel.decoded_source,
+            self.peel.received
         )
     }
 }
@@ -166,9 +114,7 @@ impl core::fmt::Debug for StructuralDecoder<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Decoder, Encoder, LdgmParams, RightSide};
-    use rand::seq::SliceRandom;
-    use rand::{Rng, SeedableRng};
+    use crate::{LdgmParams, RightSide};
 
     #[test]
     fn completes_on_all_sources() {
@@ -198,61 +144,6 @@ mod tests {
         d.reset();
         let trace2: Vec<bool> = (0..10u32).map(|i| d.push(i)).collect();
         assert_eq!(trace1, trace2);
-    }
-
-    /// The structural decoder and the payload decoder must complete at the
-    /// same packet index on the same arrival sequence — this is the
-    /// contract that makes the Monte-Carlo sweeps faithful.
-    #[test]
-    fn agrees_with_payload_decoder() {
-        for right in [
-            RightSide::Identity,
-            RightSide::Staircase,
-            RightSide::Triangle,
-        ] {
-            for seed in 0..10u64 {
-                let k = 60;
-                let n = 150;
-                let m = std::sync::Arc::new(
-                    SparseMatrix::build(LdgmParams::new(k, n, right, seed)).unwrap(),
-                );
-                let mut rng = rand::rngs::SmallRng::seed_from_u64(seed ^ 0xBEEF);
-                let src: Vec<Vec<u8>> = (0..k)
-                    .map(|_| (0..8).map(|_| rng.gen::<u8>()).collect())
-                    .collect();
-                let refs: Vec<&[u8]> = src.iter().map(|s| s.as_slice()).collect();
-                let parity = Encoder::new(&m).encode(&refs).unwrap();
-
-                let mut order: Vec<u32> = (0..n as u32).collect();
-                order.shuffle(&mut rng);
-                // Drop a random prefix-fraction to create losses.
-                let keep = k + rng.gen_range(0..(n - k));
-                order.truncate(keep);
-
-                let mut sd = StructuralDecoder::new(&m);
-                let mut pd = Decoder::new(m.clone(), 8);
-                let mut s_done_at = None;
-                let mut p_done_at = None;
-                for (i, &id) in order.iter().enumerate() {
-                    let payload: &[u8] = if (id as usize) < k {
-                        &src[id as usize]
-                    } else {
-                        &parity[id as usize - k]
-                    };
-                    if sd.push(id) && s_done_at.is_none() {
-                        s_done_at = Some(i);
-                    }
-                    if pd.push(id, payload).unwrap().is_complete() && p_done_at.is_none() {
-                        p_done_at = Some(i);
-                    }
-                }
-                assert_eq!(s_done_at, p_done_at, "{right} seed {seed}");
-                assert_eq!(sd.decoded_source(), pd.decoded_source());
-                if pd.is_complete() {
-                    assert_eq!(pd.into_source().unwrap(), src);
-                }
-            }
-        }
     }
 
     #[test]

@@ -17,8 +17,9 @@
 //! `nreceived/k` surfaces.
 //!
 //! Parallelism follows the workspace guides: scoped threads (structured
-//! concurrency, panics propagate) fed by a `crossbeam` work queue; no async
-//! runtime, because this is pure CPU-bound work.
+//! concurrency, panics propagate) pulling from one work queue
+//! ([`GridSweep::execute_streamed`], which `fec-distrib`'s workers stream
+//! through as well); no async runtime, because this is pure CPU-bound work.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -141,45 +141,20 @@ impl Runner {
 
     /// Executes run number `run_idx` against any [`LossModel`] — a
     /// [`DriftingChannel`](fec_channel::DriftingChannel), a replayed
-    /// [`TraceChannel`](fec_channel::TraceChannel), an n-state chain…
+    /// [`TraceChannel`](fec_channel::TraceChannel), an n-state chain… —
+    /// and also returns the per-packet loss observations a receiver would
+    /// infer from schedule gaps (`observed[i]` is the fate of the `i`-th
+    /// *transmitted* packet). `n_sent` optionally truncates the
+    /// transmission — the §6.2 planned-transmission mode.
     ///
     /// Unlike [`Runner::run_with_channel`] the model is **stateful and
     /// external**: consecutive runs against the same model see consecutive
     /// stretches of one loss process, which is exactly what a closed
     /// adaptive loop needs (the channel does not reset between objects).
-    pub fn run_with_model(
-        &self,
-        model: &mut dyn LossModel,
-        master_seed: u64,
-        run_idx: u64,
-        track_total: bool,
-    ) -> RunResult {
-        let sched_seed = mix_seed(master_seed, &[TAG_SCHED, run_idx]);
-        let schedule = self.experiment.tx.schedule(&self.layout, sched_seed);
-        if track_total {
-            // The whole schedule is consumed regardless, so batching the
-            // session calls cannot change how far the external model
-            // advances.
-            self.walk(&schedule, |_| model.next_is_lost(), run_idx, true)
-        } else {
-            // An external model's state is shared across runs and the
-            // per-packet walk stops consuming it exactly at decode
-            // completion — batching would overdraw the loss process, so
-            // this path stays scalar.
-            self.walk_scalar(&schedule, |_| model.next_is_lost(), run_idx, false)
-        }
-    }
-
-    /// Like [`Runner::run_with_model`], but also returns the per-packet
-    /// loss observations a receiver would infer from schedule gaps
-    /// (`observed[i]` is the fate of the `i`-th *transmitted* packet), and
-    /// optionally truncates the transmission to `n_sent` packets — the
-    /// §6.2 planned-transmission mode.
-    ///
-    /// The whole (truncated) schedule is always consumed, so the
-    /// observation vector covers every transmitted packet even after
-    /// decoding completes; [`RunResult::n_received`] is correspondingly
-    /// exact.
+    /// The whole (truncated) schedule is always consumed — the model
+    /// advances by exactly `n_sent` draws per run — so the observation
+    /// vector covers every transmitted packet even after decoding
+    /// completes; [`RunResult::n_received`] is correspondingly exact.
     pub fn run_observed(
         &self,
         model: &mut dyn LossModel,
@@ -224,13 +199,13 @@ impl Runner {
     /// [`Runner::WALK_BATCH`]-sized windows
     /// ([`StructuralSession::add_batch`]).
     ///
-    /// Produces exactly the [`RunResult`] of the per-packet walk: the loss
-    /// predicate is still consumed once per transmitted packet, in order,
-    /// and the completion index inside a window pins `n_necessary` to the
-    /// packet. With `track_total = false` the walk stops at the window in
-    /// which decoding completed (the predicate may then be consumed up to
-    /// one window past the completing packet — callers whose predicate
-    /// state outlives the run use [`Runner::walk_scalar`] instead).
+    /// The loss predicate is consumed once per transmitted packet, in
+    /// order, and the completion index inside a window pins `n_necessary`
+    /// to the packet. With `track_total = false` the walk stops at the
+    /// window in which decoding completed, so the predicate may be
+    /// consumed up to one window past the completing packet — a caller
+    /// whose predicate state outlives the run passes `track_total = true`
+    /// ([`Runner::run_observed`] does).
     fn walk(
         &self,
         sequence: &[PacketRef],
@@ -255,48 +230,13 @@ impl Runner {
                 if n_necessary.is_none() {
                     n_necessary = Some(n_received + done as u64 + 1);
                     if !track_total {
-                        // The per-packet walk stops receiving at the
-                        // completing packet; mirror its count exactly.
+                        // Reception stops at the completing packet.
                         n_received = n_necessary.expect("just set");
                         break;
                     }
                 }
             }
             n_received += batch.len() as u64;
-        }
-        RunResult {
-            decoded: n_necessary.is_some(),
-            n_necessary,
-            n_received,
-            n_sent: sequence.len() as u64,
-        }
-    }
-
-    /// The per-packet reference walk: identical results to [`Runner::walk`],
-    /// but the loss predicate is never consumed past the completing packet.
-    /// Used when the predicate drives an external stateful [`LossModel`]
-    /// whose position must stay exact across runs.
-    fn walk_scalar(
-        &self,
-        sequence: &[PacketRef],
-        mut is_lost: impl FnMut(usize) -> bool,
-        run_idx: u64,
-        track_total: bool,
-    ) -> RunResult {
-        let mut session = self.make_session(run_idx);
-        let mut n_received = 0u64;
-        let mut n_necessary = None;
-        for (i, &r) in sequence.iter().enumerate() {
-            if is_lost(i) {
-                continue;
-            }
-            n_received += 1;
-            if session.add(r) && n_necessary.is_none() {
-                n_necessary = Some(n_received);
-                if !track_total {
-                    break;
-                }
-            }
         }
         RunResult {
             decoded: n_necessary.is_some(),
@@ -550,7 +490,7 @@ mod tests {
     }
 
     #[test]
-    fn run_with_model_matches_run_with_channel() {
+    fn run_observed_matches_run_with_channel() {
         // A fresh GilbertChannel driven via the dyn path must reproduce the
         // dedicated Gilbert path exactly (same seed derivation).
         let r = Runner::new(
@@ -565,9 +505,9 @@ mod tests {
         .unwrap();
         let params = GilbertParams::new(0.1, 0.5).unwrap();
         let direct = r.run_with_channel(params, 42, 3, true);
-        let chan_seed = crate::mix_seed(42, &[2 /* TAG_CHAN */, 3]);
+        let chan_seed = crate::mix_seed(42, &[TAG_CHAN, 3]);
         let mut model = GilbertChannel::new(params, chan_seed);
-        let via_model = r.run_with_model(&mut model, 42, 3, true);
+        let (via_model, _) = r.run_observed(&mut model, 42, 3, None);
         assert_eq!(direct, via_model);
     }
 
@@ -631,33 +571,10 @@ mod tests {
         )
         .unwrap();
         let mut model = GilbertChannel::new(GilbertParams::new(0.5, 0.0).unwrap(), 3);
-        let first = r.run_with_model(&mut model, 1, 0, true);
+        let (first, _) = r.run_observed(&mut model, 1, 0, None);
         assert!(first.n_received < first.n_sent);
-        let second = r.run_with_model(&mut model, 1, 1, true);
+        let (second, _) = r.run_observed(&mut model, 1, 1, None);
         assert_eq!(second.n_received, 0, "absorbing state persisted");
-    }
-
-    #[test]
-    fn batched_walk_matches_scalar_walk() {
-        // `run_with_channel` goes through the batched walk;
-        // `run_with_model` with `track_total = false` stays on the scalar
-        // walk. Same seed derivation → the two must produce identical
-        // results for every code family.
-        for code in [builtin::ldgm_staircase(), builtin::rse()] {
-            let r = Runner::new(
-                exp(code.clone(), 300, ExpansionRatio::R2_5, TxModel::Random),
-                2,
-            )
-            .unwrap();
-            let params = GilbertParams::new(0.15, 0.4).unwrap();
-            for run_idx in 0..5 {
-                let batched = r.run_with_channel(params, 21, run_idx, false);
-                let chan_seed = crate::mix_seed(21, &[TAG_CHAN, run_idx]);
-                let mut model = GilbertChannel::new(params, chan_seed);
-                let scalar = r.run_with_model(&mut model, 21, run_idx, false);
-                assert_eq!(batched, scalar, "{code} run {run_idx}");
-            }
-        }
     }
 
     #[test]

@@ -18,6 +18,8 @@
 //! shards, subprocesses and hosts and merges byte-identical results.
 
 use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::sync_channel;
 
 use fec_channel::{grid, GilbertParams};
 use serde::{Deserialize, Serialize};
@@ -449,9 +451,6 @@ impl GridSweep {
     /// locally and reduces through the same [`finalize_cells`] fold the
     /// distributed merge uses, so the output is byte-identical to any
     /// sharded execution of the same configuration.
-    ///
-    /// Structured concurrency: workers are scoped, a panic in any worker
-    /// propagates to the caller, and every unit's result is accounted for.
     pub fn execute(&self) -> SweepResult {
         let units = self.config.units(DEFAULT_RUNS_PER_UNIT);
         let accums = self.execute_units(&units);
@@ -468,44 +467,72 @@ impl GridSweep {
         let threads = self
             .config
             .threads
-            .or_else(|| {
-                std::thread::available_parallelism()
-                    .ok()
-                    .map(NonZeroUsize::get)
-            })
-            .unwrap_or(1)
-            .max(1)
-            .min(units.len().max(1));
-
-        let (work_tx, work_rx) = crossbeam_channel::unbounded::<(usize, WorkUnit)>();
-        let (done_tx, done_rx) = crossbeam_channel::unbounded::<(usize, CellAccum)>();
-        for (i, unit) in units.iter().enumerate() {
-            work_tx.send((i, *unit)).expect("queue open");
-        }
-        drop(work_tx);
-
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get));
         let mut results: Vec<Option<CellAccum>> = vec![None; units.len()];
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                let work_rx = work_rx.clone();
-                let done_tx = done_tx.clone();
-                scope.spawn(move || {
-                    while let Ok((i, unit)) = work_rx.recv() {
-                        let accum = self.execute_unit(&unit);
-                        done_tx.send((i, accum)).expect("collector open");
-                    }
-                });
-            }
-            drop(done_tx);
-            while let Ok((i, accum)) = done_rx.recv() {
-                results[i] = Some(accum);
-            }
+        let (_, collected) = self.execute_streamed(units, threads, |i, accum| {
+            results[i] = Some(accum);
+            Ok::<(), std::convert::Infallible>(())
         });
-
+        let Ok(()) = collected;
         results
             .into_iter()
             .map(|a| a.expect("every unit completed"))
             .collect()
+    }
+
+    /// The work-queue executor every sweep path runs on: executes `units`
+    /// on `threads` workers (clamped to `1..=units.len()`; one worker means
+    /// inline, on the caller's thread) and hands each accumulator to
+    /// `consume` — on the caller's thread, in completion order — together
+    /// with its unit's position in `units`.
+    ///
+    /// Results change hands by rendezvous: a worker takes its next unit
+    /// only once the caller's thread has accepted its last result. So when
+    /// `consume` fails, no further unit is handed out; the ones in flight
+    /// (at most one per worker) finish and are discarded, and the error
+    /// comes back. The first value returned is how many units were
+    /// executed.
+    ///
+    /// Structured concurrency: workers are scoped and a panic in any of
+    /// them propagates to the caller.
+    pub fn execute_streamed<E>(
+        &self,
+        units: &[WorkUnit],
+        threads: usize,
+        mut consume: impl FnMut(usize, CellAccum) -> Result<(), E>,
+    ) -> (usize, Result<(), E>) {
+        let threads = threads.clamp(1, units.len().max(1));
+        if threads == 1 {
+            for (i, unit) in units.iter().enumerate() {
+                if let Err(e) = consume(i, self.execute_unit(unit)) {
+                    return (i + 1, Err(e));
+                }
+            }
+            return (units.len(), Ok(()));
+        }
+
+        let next = AtomicUsize::new(0);
+        let (done_tx, done_rx) = sync_channel::<(usize, CellAccum)>(0);
+        let streamed = std::thread::scope(|scope| {
+            for _ in 0..threads {
+                let (next, done_tx) = (&next, done_tx.clone());
+                scope.spawn(move || loop {
+                    let i = next.fetch_add(1, Ordering::SeqCst);
+                    let Some(unit) = units.get(i) else { break };
+                    if done_tx.send((i, self.execute_unit(unit))).is_err() {
+                        break; // the consumer failed and hung up
+                    }
+                });
+            }
+            drop(done_tx);
+            // `done_rx` moves into the loop, so an early return drops it
+            // and every pending or later `send` fails.
+            for (i, accum) in done_rx {
+                consume(i, accum)?;
+            }
+            Ok(())
+        });
+        (next.into_inner().min(units.len()), streamed)
     }
 
     /// Executes one work unit: `run_len` trials of its cell starting at

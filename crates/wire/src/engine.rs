@@ -102,14 +102,6 @@ impl Backend {
     }
 }
 
-/// Anything that accepts a burst of datagrams for transmission: the real
-/// [`BatchSender`], or an impairment stage wrapping one (see
-/// `fec-channel`'s `EmulatedSink`). Returns how many datagrams were
-/// forwarded to the wire (an impairment stage reports survivors).
-pub trait BurstSink {
-    fn send_burst(&mut self, datagrams: &[&[u8]]) -> io::Result<usize>;
-}
-
 /// Burst sender over a connected UDP socket, with token-bucket pacing.
 pub struct BatchSender {
     socket: UdpSocket,
@@ -368,12 +360,6 @@ impl BatchSender {
         }
         self.metrics.record(logical, bytes, syscalls);
         Ok(logical)
-    }
-}
-
-impl BurstSink for BatchSender {
-    fn send_burst(&mut self, datagrams: &[&[u8]]) -> io::Result<usize> {
-        BatchSender::send_burst(self, datagrams)
     }
 }
 

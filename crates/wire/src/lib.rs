@@ -27,7 +27,7 @@ pub mod pool;
 mod sys;
 
 pub use engine::{
-    classify_recv_error, Backend, BatchReceiver, BatchSender, BurstSink, RecvDisposition, MAX_BURST,
+    classify_recv_error, Backend, BatchReceiver, BatchSender, RecvDisposition, MAX_BURST,
 };
 pub use pacing::{Pacer, PacerSet, TokenBucket};
 pub use pool::{BufferPool, PoolBuf, DEFAULT_BUF_CAPACITY, DEFAULT_POOL_CAPACITY};
