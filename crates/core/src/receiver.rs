@@ -45,19 +45,19 @@ impl Receiver {
         })
     }
 
-    /// Validates a packet against the session geometry.
-    fn check(&self, packet: &Packet) -> Result<(), CoreError> {
-        let r = packet.packet_ref();
+    /// Validates a symbol against the session geometry.
+    fn check(&self, symbol: &Symbol<'_>) -> Result<(), CoreError> {
+        let r = symbol.packet;
         if !self.layout.contains(r) {
             return Err(CoreError::UnknownPacket {
                 block: r.block,
                 esi: r.esi,
             });
         }
-        if packet.payload.len() != self.symbol_size {
+        if symbol.payload.len() != self.symbol_size {
             return Err(CoreError::WrongSymbolSize {
                 expected: self.symbol_size,
-                got: packet.payload.len(),
+                got: symbol.payload.len(),
             });
         }
         Ok(())
@@ -68,12 +68,9 @@ impl Receiver {
         self.push_batch(std::slice::from_ref(packet))
     }
 
-    /// Feeds a batch of packets through the codec's batched entry point
-    /// (the hook SIMD/batched decode kernels land behind).
+    /// Feeds a batch of packets: [`push_symbols`](Self::push_symbols) over
+    /// their payloads.
     pub fn push_batch(&mut self, packets: &[Packet]) -> Result<DecodeProgress, CoreError> {
-        for p in packets {
-            self.check(p)?;
-        }
         let batch: Vec<Symbol<'_>> = packets
             .iter()
             .map(|p| Symbol {
@@ -81,8 +78,25 @@ impl Receiver {
                 payload: &p.payload,
             })
             .collect();
+        self.push_symbols(&batch)
+    }
+
+    /// Feeds a batch of *borrowed* symbols through the codec's batched
+    /// entry point (the hook SIMD/batched decode kernels land behind).
+    ///
+    /// The payloads may point anywhere — typically into the receive
+    /// buffers a socket drain filled — and are only read during the call:
+    /// the decoder copies what it keeps into its own store, so a symbol
+    /// is copied once between the wire and the decoded object. The batch
+    /// is validated against the session geometry first and rejected as a
+    /// whole, with nothing consumed, if any symbol is outside the layout
+    /// or has the wrong size.
+    pub fn push_symbols(&mut self, symbols: &[Symbol<'_>]) -> Result<DecodeProgress, CoreError> {
+        for s in symbols {
+            self.check(s)?;
+        }
         self.decoder
-            .add_symbols(&batch)
+            .add_symbols(symbols)
             .map_err(|e| CoreError::Codec {
                 detail: e.to_string(),
             })
@@ -236,6 +250,34 @@ mod tests {
         let progress = rx.push_batch(&pkts).unwrap();
         assert!(progress.is_decoded());
         assert_eq!(progress.received, pkts.len() as u64);
+        assert_eq!(rx.into_object().unwrap(), obj);
+    }
+
+    /// Borrowed symbols decode like owned packets, and a batch with one
+    /// symbol outside the geometry is refused whole: nothing consumed.
+    #[test]
+    fn borrowed_symbols_decode_and_a_bad_batch_consumes_nothing() {
+        let spec = CodeSpec::ldgm_staircase(30, ExpansionRatio::R2_5);
+        let obj = object(30 * 8);
+        let sender = Sender::new(spec.clone(), &obj, 8).unwrap();
+        let mut rx = Receiver::new(spec, obj.len(), 8).unwrap();
+        let refs = TxModel::Random.schedule(sender.layout(), 5);
+        let mut symbols: Vec<Symbol<'_>> = refs
+            .iter()
+            .map(|&packet| Symbol {
+                packet,
+                payload: sender.symbol(packet).unwrap(),
+            })
+            .collect();
+        let good = symbols[3];
+        symbols[3].payload = &good.payload[..7];
+        assert!(matches!(
+            rx.push_symbols(&symbols),
+            Err(CoreError::WrongSymbolSize { .. })
+        ));
+        assert_eq!(rx.progress().received, 0);
+        symbols[3] = good;
+        assert!(rx.push_symbols(&symbols).unwrap().is_decoded());
         assert_eq!(rx.into_object().unwrap(), obj);
     }
 

@@ -106,8 +106,8 @@ impl Sender {
         self.layout.total_source()
     }
 
-    /// Materialises the packet for a scheduling reference.
-    pub fn packet(&self, r: PacketRef) -> Result<Packet, CoreError> {
+    /// The stored symbol behind a scheduling reference.
+    fn stored(&self, r: PacketRef) -> Result<&Bytes, CoreError> {
         if !self.layout.contains(r) {
             return Err(CoreError::UnknownPacket {
                 block: r.block,
@@ -115,11 +115,26 @@ impl Sender {
             });
         }
         let (kb, _) = self.layout.block(r.block as usize);
-        let payload = if (r.esi as usize) < kb {
-            self.source[self.block_src_offset[r.block as usize] + r.esi as usize].clone()
+        Ok(if (r.esi as usize) < kb {
+            &self.source[self.block_src_offset[r.block as usize] + r.esi as usize]
         } else {
-            self.parity[r.block as usize][r.esi as usize - kb].clone()
-        };
+            &self.parity[r.block as usize][r.esi as usize - kb]
+        })
+    }
+
+    /// Borrows the encoding symbol for a scheduling reference: the
+    /// `symbol_size` bytes a datagram carries, with no reference-count
+    /// traffic and no copy. A framing layer that writes the symbol
+    /// straight into its own datagram buffer (as `fec-flute` does) wants
+    /// this; [`packet`](Self::packet) is the same lookup wrapped in an
+    /// owning [`Packet`].
+    pub fn symbol(&self, r: PacketRef) -> Result<&[u8], CoreError> {
+        self.stored(r).map(|symbol| &symbol[..])
+    }
+
+    /// Materialises the packet for a scheduling reference.
+    pub fn packet(&self, r: PacketRef) -> Result<Packet, CoreError> {
+        let payload = self.stored(r)?.clone();
         Ok(Packet::new(r.block, r.esi, payload))
     }
 
@@ -198,6 +213,11 @@ mod tests {
         for r in s.layout().all_packets() {
             let p = s.packet(r).unwrap();
             assert_eq!(p.payload.len(), 16);
+            assert_eq!(
+                s.symbol(r).unwrap(),
+                &p.payload[..],
+                "same lookup, borrowed"
+            );
         }
     }
 
@@ -231,6 +251,10 @@ mod tests {
         ));
         assert!(matches!(
             s.packet(PacketRef { block: 1, esi: 0 }),
+            Err(CoreError::UnknownPacket { .. })
+        ));
+        assert!(matches!(
+            s.symbol(PacketRef { block: 0, esi: 10 }),
             Err(CoreError::UnknownPacket { .. })
         ));
     }

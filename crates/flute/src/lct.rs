@@ -56,6 +56,24 @@ pub const HET_FDT: u8 = 192;
 /// skip it per RFC 3451 rules.
 pub const HET_SEQ: u8 = 193;
 
+/// Offset of the header byte that carries the `A` and `B` flags.
+pub(crate) const FLAGS_AT: usize = 1;
+/// Close-session flag (`A`) within the byte at [`FLAGS_AT`].
+pub(crate) const FLAG_CLOSE_SESSION: u8 = 1 << 1;
+/// Close-object flag (`B`) within the byte at [`FLAGS_AT`].
+pub(crate) const FLAG_CLOSE_OBJECT: u8 = 1;
+
+/// The 24-bit big-endian content of a fixed extension word.
+fn word24([b1, b2, b3]: [u8; 3]) -> u32 {
+    u32::from_be_bytes([0, b1, b2, b3])
+}
+
+/// EXT_FDT content as `(version, instance_id)`.
+fn unpack_fdt(data: [u8; 3]) -> (u8, u32) {
+    let packed = word24(data);
+    ((packed >> 20) as u8, packed & 0xF_FFFF)
+}
+
 /// One LCT header extension.
 ///
 /// RFC 3451 defines two encodings: HET < 128 means variable length (HEL
@@ -120,10 +138,7 @@ impl HeaderExtension {
     /// Decodes an EXT_SEQ payload back into the sequence number.
     pub fn as_seq(&self) -> Option<u32> {
         match self {
-            HeaderExtension::Fixed { het, data } if *het == HET_SEQ => {
-                let [b1, b2, b3] = *data;
-                Some(u32::from_be_bytes([0, b1, b2, b3]))
-            }
+            HeaderExtension::Fixed { het, data } if *het == HET_SEQ => Some(word24(*data)),
             _ => None,
         }
     }
@@ -138,11 +153,7 @@ impl HeaderExtension {
     /// Decodes an EXT_FDT payload back into `(version, instance_id)`.
     pub fn as_fdt(&self) -> Option<(u8, u32)> {
         match self {
-            HeaderExtension::Fixed { het, data } if *het == HET_FDT => {
-                let [b1, b2, b3] = *data;
-                let packed = u32::from_be_bytes([0, b1, b2, b3]);
-                Some(((packed >> 20) as u8, packed & 0xF_FFFF))
-            }
+            HeaderExtension::Fixed { het, data } if *het == HET_FDT => Some(unpack_fdt(*data)),
             _ => None,
         }
     }
@@ -233,6 +244,14 @@ impl LctHeader {
     /// with HET < 128, oversized content) or if the total header exceeds
     /// the 8-bit `HDR_LEN` budget.
     pub fn to_bytes(&self) -> Result<Vec<u8>, FluteError> {
+        let mut out = Vec::with_capacity(self.wire_len());
+        self.write_into(&mut out)?;
+        Ok(out)
+    }
+
+    /// [`to_bytes`](Self::to_bytes) appended to `out`, so a caller that
+    /// knows what follows the header can size one buffer for both.
+    pub(crate) fn write_into(&self, out: &mut Vec<u8>) -> Result<(), FluteError> {
         for ext in &self.extensions {
             match ext {
                 HeaderExtension::Variable { het, data } => {
@@ -264,7 +283,6 @@ impl LctHeader {
         }
         debug_assert_eq!(total % 4, 0);
 
-        let mut out = Vec::with_capacity(total);
         // V=1 | C=0 | PSI=0 | S=1 | O=01 | H=0 | Res | A | B
         let mut b0 = (LCT_VERSION << 4) & 0xF0;
         b0 |= 0; // C = 0: 32-bit CCI
@@ -273,10 +291,10 @@ impl LctHeader {
         b1 |= 1 << 5; // O = 01: 32-bit TOI
                       // H = 0 (bit 4), reserved bits 3..2 zero
         if self.close_session {
-            b1 |= 1 << 1;
+            b1 |= FLAG_CLOSE_SESSION;
         }
         if self.close_object {
-            b1 |= 1;
+            b1 |= FLAG_CLOSE_OBJECT;
         }
         out.push(b0);
         out.push(b1);
@@ -286,15 +304,45 @@ impl LctHeader {
         out.extend_from_slice(&self.tsi.to_be_bytes());
         out.extend_from_slice(&self.toi.to_be_bytes());
         for ext in &self.extensions {
-            ext.encode_into(&mut out);
+            ext.encode_into(out);
         }
-        debug_assert_eq!(out.len(), total);
-        Ok(out)
+        Ok(())
     }
 
     /// Parses a header from the front of `data`; returns the header and its
-    /// wire length (offset of the payload).
+    /// wire length (offset of the payload). This is [`LctView::walk`] with
+    /// every extension copied out.
     pub fn parse(data: &[u8]) -> Result<(LctHeader, usize), FluteError> {
+        LctView::walk(data, true).map(|view| (view.header, view.len))
+    }
+}
+
+/// A datagram read in place: the LCT header's fixed fields, the extensions
+/// this crate acts on decoded or borrowed from the caller's buffer, and
+/// the bytes after the header. [`LctHeader::parse`] is the same walk with
+/// the extensions copied out, so there is one header grammar.
+#[derive(Debug)]
+pub(crate) struct LctView<'a> {
+    /// The fixed fields. `extensions` is filled only on request: left
+    /// empty, reading a datagram allocates nothing.
+    pub(crate) header: LctHeader,
+    /// Header length in bytes.
+    pub(crate) len: usize,
+    /// What follows the header: payload ID and symbol on a data datagram,
+    /// the FDT document on TOI 0.
+    pub(crate) body: &'a [u8],
+    /// The first EXT_SEQ's sequence number.
+    pub(crate) seq: Option<u32>,
+    /// The first EXT_FTI's content (possibly zero-padded).
+    pub(crate) fti: Option<&'a [u8]>,
+    /// The first EXT_FDT's instance ID.
+    pub(crate) fdt_instance: Option<u32>,
+}
+
+impl<'a> LctView<'a> {
+    /// Walks the header at the front of `data`, bounds-checked and total,
+    /// copying every extension into `header.extensions` when `owned`.
+    pub(crate) fn walk(data: &'a [u8], owned: bool) -> Result<LctView<'a>, FluteError> {
         let mut r = Reader::new(data, "LCT header");
         let b0 = r.u8()?;
         let b1 = r.u8()?;
@@ -318,8 +366,6 @@ impl LctHeader {
                 reason: format!("TSI/TOI shape S={s} O={o} H={h} (only 32-bit supported)"),
             });
         }
-        let close_session = (b1 >> 1) & 1 == 1;
-        let close_object = b1 & 1 == 1;
         let hdr_len = r.u8()? as usize * 4;
         let codepoint = r.u8()?;
         if hdr_len < FIXED_LEN {
@@ -341,10 +387,18 @@ impl LctHeader {
                 reason: format!("nonzero CCI {cci}"),
             });
         }
-        let tsi = r.u32_be()?;
-        let toi = r.u32_be()?;
+        let mut header = LctHeader::new(r.u32_be()?, r.u32_be()?, codepoint);
+        header.close_session = b1 & FLAG_CLOSE_SESSION != 0;
+        header.close_object = b1 & FLAG_CLOSE_OBJECT != 0;
+        let mut view = LctView {
+            header,
+            len: hdr_len,
+            body: data.get(hdr_len..).unwrap_or_default(),
+            seq: None,
+            fti: None,
+            fdt_instance: None,
+        };
 
-        let mut extensions = Vec::new();
         while r.pos() < hdr_len {
             let het = r.u8()?;
             if het >= 128 {
@@ -353,10 +407,18 @@ impl LctHeader {
                         reason: "fixed extension spills past HDR_LEN".into(),
                     });
                 }
-                extensions.push(HeaderExtension::Fixed {
-                    het,
-                    data: r.array::<3>()?,
-                });
+                let data = r.array::<3>()?;
+                match het {
+                    HET_SEQ if view.seq.is_none() => view.seq = Some(word24(data)),
+                    HET_FDT if view.fdt_instance.is_none() => {
+                        view.fdt_instance = Some(unpack_fdt(data).1);
+                    }
+                    _ => {}
+                }
+                if owned {
+                    let ext = HeaderExtension::Fixed { het, data };
+                    view.header.extensions.push(ext);
+                }
             } else {
                 if hdr_len - r.pos() < 1 {
                     return Err(FluteError::Malformed {
@@ -376,23 +438,18 @@ impl LctHeader {
                         reason: format!("extension of {len} bytes spills past HDR_LEN"),
                     });
                 }
-                extensions.push(HeaderExtension::Variable {
-                    het,
-                    data: r.take(len - 2)?.to_vec(),
-                });
+                let data = r.take(len - 2)?;
+                if het == HET_FTI && view.fti.is_none() {
+                    view.fti = Some(data);
+                }
+                if owned {
+                    let data = data.to_vec();
+                    let ext = HeaderExtension::Variable { het, data };
+                    view.header.extensions.push(ext);
+                }
             }
         }
-        Ok((
-            LctHeader {
-                tsi,
-                toi,
-                codepoint,
-                close_session,
-                close_object,
-                extensions,
-            },
-            hdr_len,
-        ))
+        Ok(view)
     }
 }
 
@@ -580,6 +637,68 @@ mod tests {
         #[test]
         fn fuzz_parse_no_panic(data in proptest::collection::vec(any::<u8>(), 0..80)) {
             let _ = LctHeader::parse(&data);
+        }
+
+        /// The borrowed view and the owned header come from one walk: for
+        /// any extension list (repeats and unknown types included), any
+        /// truncation and any flipped bit they agree on `Ok`/`Err`, and
+        /// the view's decoded extensions are the owned header's first of
+        /// each type.
+        #[test]
+        fn view_equals_owned_header(
+            fixed in (any::<u32>(), any::<u32>(), any::<u8>(), any::<bool>(), any::<bool>()),
+            extensions in proptest::collection::vec(
+                (
+                    prop_oneof![Just(HET_FTI), Just(HET_NOP), Just(HET_FDT), Just(HET_SEQ), Just(250u8)],
+                    proptest::collection::vec(any::<u8>(), 3..12),
+                ),
+                0..5,
+            ),
+            flips in proptest::collection::vec(any::<usize>(), 16),
+        ) {
+            let mut header = LctHeader::new(fixed.0, fixed.1, fixed.2);
+            (header.close_session, header.close_object) = (fixed.3, fixed.4);
+            for (het, data) in extensions {
+                header = header.with_extension(if het >= 128 {
+                    HeaderExtension::Fixed { het, data: [data[0], data[1], data[2]] }
+                } else {
+                    HeaderExtension::Variable { het, data }
+                });
+            }
+            let wire = header.to_bytes().unwrap();
+            let mut inputs: Vec<Vec<u8>> = (0..=wire.len()).map(|cut| wire[..cut].to_vec()).collect();
+            for flip in flips {
+                let mut damaged = wire.clone();
+                let bit = flip % (wire.len() * 8);
+                damaged[bit / 8] ^= 1 << (bit % 8);
+                inputs.push(damaged);
+            }
+            for data in &inputs {
+                match (LctView::walk(data, false), LctHeader::parse(data)) {
+                    (Err(viewed), Err(owned)) => prop_assert_eq!(viewed, owned),
+                    (Ok(mut view), Ok((owned, len))) => {
+                        prop_assert_eq!(view.len, len);
+                        prop_assert_eq!(
+                            view.seq,
+                            owned.find_extension(HET_SEQ).and_then(HeaderExtension::as_seq)
+                        );
+                        prop_assert_eq!(
+                            view.fdt_instance,
+                            owned.find_extension(HET_FDT).and_then(HeaderExtension::as_fdt).map(|f| f.1)
+                        );
+                        let fti = owned.find_extension(HET_FTI).map(|ext| match ext {
+                            HeaderExtension::Variable { data, .. } => &data[..],
+                            HeaderExtension::Fixed { .. } => unreachable!("HET 64 is variable"),
+                        });
+                        prop_assert_eq!(view.fti, fti);
+                        prop_assert!(view.header.extensions.is_empty());
+                        view.header.extensions = owned.extensions.clone();
+                        prop_assert_eq!(view.header, owned);
+                    }
+                    (viewed, owned) => prop_assert!(false, "view {viewed:?} but parse {owned:?}"),
+                }
+            }
+            prop_assert_eq!(LctHeader::parse(&wire).unwrap().1, wire.len());
         }
     }
 }

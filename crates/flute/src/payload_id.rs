@@ -22,9 +22,10 @@
 //! decides the split — so a third-party registered code gets the right
 //! layout automatically.
 
-use fec_codec::CodecHandle;
+use std::sync::PoisonError;
 
-use crate::fti::code_for_fti;
+use fec_codec::{registry, CodecHandle};
+
 use crate::reader::Reader;
 use crate::FluteError;
 
@@ -47,9 +48,19 @@ impl PayloadIdFormat {
         }
     }
 
-    /// The layout behind an LCT codepoint (registry-resolved).
+    /// The layout behind an LCT codepoint (registry-resolved). The one bit
+    /// is read under the registry's read lock; no handle leaves it.
     pub fn for_fti(fti: u8) -> Result<PayloadIdFormat, FluteError> {
-        Ok(PayloadIdFormat::for_code(&code_for_fti(fti)?))
+        // A poisoned lock still guards a valid registry: registration
+        // validates first and then only appends.
+        let codecs = registry::global()
+            .read()
+            .unwrap_or_else(PoisonError::into_inner);
+        let code = codecs.codes().iter().find(|c| c.fti_id() == Some(fti));
+        code.map(PayloadIdFormat::for_code)
+            .ok_or_else(|| FluteError::Unsupported {
+                reason: format!("FEC Encoding ID {fti}"),
+            })
     }
 }
 

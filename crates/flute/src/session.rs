@@ -14,19 +14,21 @@ use std::collections::HashMap;
 
 use bytes::Bytes;
 
+use fec_codec::Symbol;
 use fec_core::{
-    CodeSpec, CodecHandle, ExpansionRatio, Packet, Receiver as CoreReceiver, Sender as CoreSender,
+    CodeSpec, CodecHandle, ExpansionRatio, Receiver as CoreReceiver, Sender as CoreSender,
 };
-use fec_sched::TxModel;
+use fec_sched::{Layout, PacketRef, TxModel};
 
 use fec_telemetry::Registry;
 
-use crate::alc::AlcPacket;
+use crate::alc::{split_symbol, AlcPacket, DataFrame};
 use crate::fdt::{FdtInstance, FileEntry};
-use crate::feedback::{ReceptionReport, ReportConfig, ReportEmitter};
+use crate::feedback::{ReceptionReport, ReportConfig, ReportEmitter, SEQ_MODULUS};
 use crate::fti::ObjectTransmissionInfo;
+use crate::lct::LctView;
 use crate::metrics::{ReceiverMetrics, StreamMetrics};
-use crate::payload_id::FecPayloadId;
+use crate::payload_id::{FecPayloadId, PayloadIdFormat};
 use crate::{FluteError, FDT_TOI};
 
 /// How many data packets a receiver will buffer for an object whose OTI is
@@ -80,6 +82,15 @@ struct SessionObject {
     oti: ObjectTransmissionInfo,
     sender: CoreSender,
     tx: TxModel,
+}
+
+impl SessionObject {
+    /// The header template of this object's data datagrams.
+    fn frame(&self, config: &SenderConfig) -> Result<DataFrame, FluteError> {
+        let fti = config.fti_in_data_packets.then(|| self.oti.to_bytes());
+        let sequenced = config.sequence_datagrams;
+        DataFrame::new(config.tsi, self.toi, self.codepoint, fti, sequenced)
+    }
 }
 
 /// The sending half of a FLUTE session: owns the encoded objects and emits
@@ -204,6 +215,8 @@ impl FluteSender {
         SessionStream {
             sender: self,
             emissions,
+            frames: vec![None; self.objects.len()],
+            fdt_xml: Bytes::from(self.fdt().to_xml().into_bytes()),
             current: 0,
             path_seqs: vec![0],
             since_fdt: 0,
@@ -231,6 +244,13 @@ impl FluteSender {
 pub struct SessionStream<'a> {
     sender: &'a FluteSender,
     emissions: Vec<fec_core::PlannedEmission>,
+    /// Each object's data-datagram header template, built when the
+    /// stream first emits that object: a stream resolves per-object facts
+    /// (OTI blob, payload-ID format, header layout) once.
+    frames: Vec<Option<DataFrame>>,
+    /// The session's FDT document, rendered once: the objects cannot
+    /// change while the stream borrows the sender.
+    fdt_xml: Bytes,
     current: usize,
     /// One EXT_SEQ counter per bonded path (`path_seqs[p]` is the next
     /// sequence number stamped on path `p`), lazily grown. Each path is
@@ -261,6 +281,13 @@ impl SessionStream<'_> {
     /// reached its target. Single-path shorthand for
     /// [`next_datagram_routed`](Self::next_datagram_routed) with every
     /// packet on path 0.
+    ///
+    /// A data datagram costs one allocation and one copy of its symbol:
+    /// the returned `Vec` is sized exactly (`capacity() == len()`), filled
+    /// from the object's header template and the symbol borrowed from the
+    /// encoded object ([`fec_core::Sender::symbol`]). The codec registry,
+    /// the OTI serialiser and the header builder run once per object, when
+    /// the stream first emits it.
     pub fn next_datagram(&mut self) -> Result<Option<Vec<u8>>, FluteError> {
         Ok(self.next_datagram_routed(|_| 0)?.map(|(_, d)| d))
     }
@@ -287,56 +314,45 @@ impl SessionStream<'_> {
             let path = route(true);
             return self.fdt_datagram_on(path).map(|d| Some((path, d)));
         }
+        let sender = self.sender;
         loop {
-            if self.current >= self.emissions.len() {
+            let idx = self.current;
+            let Some(emission) = self.emissions.get_mut(idx) else {
                 return Ok(None);
-            }
-            if self.emissions[self.current].is_done() {
+            };
+            // Classify before consuming so the scheduler sees what it is
+            // routing; the subsequent `next_ref_on` returns the peeked
+            // packet and credits the chosen path's cursor.
+            let Some(peeked) = emission.peek_ref() else {
                 self.current += 1;
                 continue;
-            }
+            };
             // A data packet is definitely coming: emit any due FDT repeat
             // first (this ordering also guarantees the session never
             // trails off with a lone FDT after the A-flagged packet).
-            if self.sender.config.fdt_interval > 0
-                && self.since_fdt >= self.sender.config.fdt_interval
-            {
+            if sender.config.fdt_interval > 0 && self.since_fdt >= sender.config.fdt_interval {
                 self.since_fdt = 0;
                 let path = route(true);
                 return self.fdt_datagram_on(path).map(|d| Some((path, d)));
             }
-            let object = &self.sender.objects[self.current];
-            // Classify before consuming so the scheduler sees what it is
-            // routing; the subsequent `next_ref_on` returns the peeked
-            // packet and credits the chosen path's cursor.
-            let peeked = self.emissions[self.current].peek_ref().expect("not done");
+            let object = &sender.objects[idx];
             let path = route(object.sender.layout().is_source(peeked));
-            let emission = &mut self.emissions[self.current];
             // Peek just succeeded, so the consume cannot come back empty;
             // the fallback keeps this branch panic-free all the same.
             let r = emission.next_ref_on(path).unwrap_or(peeked);
             debug_assert_eq!(r, peeked, "peek/consume must agree");
-            let packet = object.sender.packet(r)?;
-            let mut alc = AlcPacket::data(
-                self.sender.config.tsi,
-                object.toi,
-                object.codepoint,
-                FecPayloadId::new(packet.block, packet.esi),
-                packet.payload,
-            );
-            if self.sender.config.fti_in_data_packets {
-                alc = alc.with_fti(object.oti.to_bytes());
-            }
-            if emission.is_done() {
-                alc = alc.closing_object();
-                if self.current + 1 == self.emissions.len() {
-                    alc = alc.closing_session();
-                }
-            }
+            let close_object = emission.is_done();
+            let close_session = close_object && idx + 1 == self.emissions.len();
+            let symbol = object.sender.symbol(r)?;
+            let seq = self.next_seq_on(path);
+            let frame = match &mut self.frames[idx] {
+                Some(frame) => frame,
+                slot => slot.insert(object.frame(&sender.config)?),
+            };
+            let id = FecPayloadId::new(r.block, r.esi);
+            let datagram = frame.datagram(id, (close_object, close_session), seq, symbol)?;
             self.data_emitted += 1;
             self.since_fdt += 1;
-            let idx = self.current;
-            let datagram = self.seal_on(path, alc)?;
             if let Some(m) = &self.metrics {
                 m.data.inc();
                 m.bytes.add(datagram.len() as u64);
@@ -353,12 +369,12 @@ impl SessionStream<'_> {
     }
 
     fn fdt_datagram_on(&mut self, path: usize) -> Result<Vec<u8>, FluteError> {
-        let alc = AlcPacket::fdt(
-            self.sender.config.tsi,
-            self.sender.config.fdt_instance_id,
-            Bytes::from(self.sender.fdt().to_xml().into_bytes()),
-        );
-        let datagram = self.seal_on(path, alc)?;
+        let config = &self.sender.config;
+        let mut alc = AlcPacket::fdt(config.tsi, config.fdt_instance_id, self.fdt_xml.clone());
+        if let Some(seq) = self.next_seq_on(path) {
+            alc = alc.with_sequence(seq);
+        }
+        let datagram = alc.to_bytes()?;
         if let Some(m) = &self.metrics {
             m.fdt.inc();
             m.bytes.add(datagram.len() as u64);
@@ -366,20 +382,21 @@ impl SessionStream<'_> {
         Ok(datagram)
     }
 
-    /// Stamps `alc` with the next EXT_SEQ of `path`'s sequence space.
-    /// Each bonded path is its own monotone space — stamping from a
-    /// shared counter would make every inter-path interleaving look like
-    /// loss or reordering to the receiver's per-path tracks.
-    fn seal_on(&mut self, path: usize, mut alc: AlcPacket) -> Result<Vec<u8>, FluteError> {
-        if self.sender.config.sequence_datagrams {
-            if self.path_seqs.len() <= path {
-                self.path_seqs.resize(path + 1, 0);
-            }
-            let seq = self.path_seqs[path];
-            alc = alc.with_sequence(seq);
-            self.path_seqs[path] = (seq + 1) % crate::feedback::SEQ_MODULUS;
+    /// The next EXT_SEQ of `path`'s sequence space, or `None` when the
+    /// session is unsequenced. Each bonded path is its own monotone space
+    /// — stamping from a shared counter would make every inter-path
+    /// interleaving look like loss or reordering to the receiver's
+    /// per-path tracks.
+    fn next_seq_on(&mut self, path: usize) -> Option<u32> {
+        if !self.sender.config.sequence_datagrams {
+            return None;
         }
-        alc.to_bytes()
+        if self.path_seqs.len() <= path {
+            self.path_seqs.resize(path + 1, 0);
+        }
+        let seq = self.path_seqs[path];
+        self.path_seqs[path] = (seq + 1) % SEQ_MODULUS;
+        Some(seq)
     }
 
     /// Datagrams sequenced on path `path` so far (the next EXT_SEQ it
@@ -529,12 +546,51 @@ pub enum ObjectStatus {
     ClosedIncomplete,
 }
 
+/// What a receiver holds once an object's OTI is known: the OTI and the
+/// geometry every datagram of the object is read in and checked against,
+/// resolved once instead of per datagram.
+struct Geometry {
+    oti: ObjectTransmissionInfo,
+    codepoint: u8,
+    format: PayloadIdFormat,
+    layout: Layout,
+}
+
+impl Geometry {
+    /// Resolves `oti` into the geometry and a decoder for it.
+    fn resolve(oti: ObjectTransmissionInfo) -> Result<(Geometry, CoreReceiver), FluteError> {
+        let spec = oti.code_spec()?;
+        let layout = spec.layout()?;
+        let receiver =
+            CoreReceiver::new(spec, oti.transfer_length as usize, oti.symbol_size as usize)?;
+        let geometry = Geometry {
+            codepoint: oti.fti_id(),
+            format: PayloadIdFormat::for_code(&oti.code),
+            layout,
+            oti,
+        };
+        Ok((geometry, receiver))
+    }
+
+    /// Whether `packet` addresses a symbol of this object and `symbol` has
+    /// the advertised size — what the decoder would otherwise refuse,
+    /// failing the whole burst around it.
+    fn admits(&self, packet: PacketRef, symbol: &[u8]) -> bool {
+        self.layout.contains(packet) && symbol.len() == usize::from(self.oti.symbol_size)
+    }
+}
+
+#[derive(Default)]
 struct ObjectState {
-    oti: Option<ObjectTransmissionInfo>,
+    geometry: Option<Geometry>,
     receiver: Option<CoreReceiver>,
-    /// Data packets held until the OTI is known.
-    pre_oti: Vec<(FecPayloadId, Bytes)>,
+    /// Data symbols held until the OTI is known — the only place the
+    /// receive path owns symbol bytes.
+    pre_oti: Vec<(PacketRef, Vec<u8>)>,
     decoded: Option<Vec<u8>>,
+    /// Sticky: outlives [`FluteReceiver::take_object`], so a carousel's
+    /// later cycles stay duplicates of a finished object.
+    complete: bool,
     packets_received: u64,
     closed: bool,
     /// Distinct ESIs seen per block — only populated in NACK mode (see
@@ -544,24 +600,12 @@ struct ObjectState {
 }
 
 impl ObjectState {
-    fn new() -> ObjectState {
-        ObjectState {
-            oti: None,
-            receiver: None,
-            pre_oti: Vec::new(),
-            decoded: None,
-            packets_received: 0,
-            closed: false,
-            seen_esis: std::collections::BTreeMap::new(),
-        }
-    }
-
     fn status(&self) -> ObjectStatus {
-        if self.decoded.is_some() {
+        if self.complete {
             ObjectStatus::Complete
         } else if self.closed {
             ObjectStatus::ClosedIncomplete
-        } else if self.oti.is_none() {
+        } else if self.geometry.is_none() {
             ObjectStatus::AwaitingOti
         } else {
             ObjectStatus::Decoding
@@ -570,54 +614,60 @@ impl ObjectState {
 
     /// Learns the OTI (idempotent; conflicting OTIs are an error).
     fn set_oti(&mut self, oti: ObjectTransmissionInfo) -> Result<(), FluteError> {
-        match &self.oti {
-            Some(existing) if *existing != oti => Err(FluteError::Session {
+        match &self.geometry {
+            Some(existing) if existing.oti != oti => Err(FluteError::Session {
                 reason: "conflicting OTI for the same TOI".into(),
             }),
             Some(_) => Ok(()),
-            None => {
-                let spec = oti.code_spec()?;
-                let receiver = CoreReceiver::new(
-                    spec,
-                    oti.transfer_length as usize,
-                    oti.symbol_size as usize,
-                )?;
-                self.oti = Some(oti);
-                self.receiver = Some(receiver);
-                // Drain everything buffered before the OTI arrived, as one
-                // batch — the late-FDT catch-up is the single largest
-                // symbol burst a receiver ever sees.
-                let buffered = std::mem::take(&mut self.pre_oti);
-                self.feed_batch(buffered)
-            }
+            None => self.start(Geometry::resolve(oti)?),
         }
     }
 
-    /// Feeds a burst of data packets for this object through the decoder's
-    /// batched entry point ([`CoreReceiver::push_batch`]), which defers
-    /// block solves to the end of the batch instead of attempting one per
-    /// symbol.
-    fn feed_batch(&mut self, packets: Vec<(FecPayloadId, Bytes)>) -> Result<(), FluteError> {
-        if self.decoded.is_some() || packets.is_empty() {
+    /// Starts decoding under a freshly resolved geometry.
+    fn start(&mut self, (geometry, receiver): (Geometry, CoreReceiver)) -> Result<(), FluteError> {
+        // Drain everything buffered before the OTI arrived, as one batch —
+        // the late-FDT catch-up is the single largest symbol burst a
+        // receiver ever sees. Nothing could judge those datagrams on
+        // arrival: what the geometry refuses is dropped, and uncounted,
+        // here.
+        let buffered = std::mem::take(&mut self.pre_oti);
+        let symbols: Vec<Symbol<'_>> = buffered
+            .iter()
+            .filter(|(packet, payload)| geometry.admits(*packet, payload))
+            .map(|(packet, payload)| Symbol {
+                packet: *packet,
+                payload,
+            })
+            .collect();
+        self.packets_received -= (buffered.len() - symbols.len()) as u64;
+        self.geometry = Some(geometry);
+        self.receiver = Some(receiver);
+        self.feed(&symbols)
+    }
+
+    /// Feeds a burst of this object's symbols, borrowed from the receive
+    /// buffers, through the decoder's batched entry point
+    /// ([`CoreReceiver::push_symbols`]), which defers block solves to the
+    /// end of the batch instead of attempting one per symbol.
+    fn feed(&mut self, symbols: &[Symbol<'_>]) -> Result<(), FluteError> {
+        if self.complete || symbols.is_empty() {
             return Ok(()); // late duplicates after completion are normal
         }
         let Some(receiver) = self.receiver.as_mut() else {
-            if self.pre_oti.len() + packets.len() > MAX_PRE_OTI_BUFFER {
+            if self.pre_oti.len() + symbols.len() > MAX_PRE_OTI_BUFFER {
                 return Err(FluteError::Session {
                     reason: format!("{MAX_PRE_OTI_BUFFER} packets buffered with no OTI in sight"),
                 });
             }
-            self.pre_oti.extend(packets);
+            self.pre_oti
+                .extend(symbols.iter().map(|s| (s.packet, s.payload.to_vec())));
             return Ok(());
         };
-        let batch: Vec<Packet> = packets
-            .into_iter()
-            .map(|(id, payload)| Packet::new(id.sbn, id.esi, payload))
-            .collect();
-        let progress = receiver.push_batch(&batch)?;
-        if progress.is_decoded() {
-            let receiver = self.receiver.take().expect("just used it");
-            self.decoded = Some(receiver.into_object()?);
+        if receiver.push_symbols(symbols)?.is_decoded() {
+            if let Some(receiver) = self.receiver.take() {
+                self.decoded = Some(receiver.into_object()?);
+                self.complete = true;
+            }
         }
         Ok(())
     }
@@ -659,11 +709,6 @@ pub struct FluteReceiver {
     last_nacked: Vec<crate::feedback::NackEntry>,
     metrics: Option<ReceiverMetrics>,
     registry: Option<Registry>,
-    /// Bonded path the datagrams currently being pushed arrived on; set
-    /// by [`push_datagrams_on`](Self::push_datagrams_on) around the
-    /// shared push path so the emitter's EXT_SEQ accounting lands on the
-    /// right per-path track. 0 for the single-path API.
-    observe_path: usize,
 }
 
 impl FluteReceiver {
@@ -679,7 +724,6 @@ impl FluteReceiver {
             last_nacked: Vec::new(),
             metrics: None,
             registry: None,
-            observe_path: 0,
         }
     }
 
@@ -749,16 +793,10 @@ impl FluteReceiver {
             let Some(state) = self.objects.get(&toi) else {
                 continue;
             };
-            if state.decoded.is_some() {
+            if state.complete {
                 continue;
             }
-            let Some(oti) = &state.oti else {
-                continue;
-            };
-            let Ok(spec) = oti.code_spec() else {
-                continue;
-            };
-            let Ok(layout) = spec.layout() else {
+            let Some(Geometry { oti, layout, .. }) = &state.geometry else {
                 continue;
             };
             for b in 0..layout.num_blocks() {
@@ -766,7 +804,7 @@ impl FluteReceiver {
                 let seen = state.seen_esis.get(&(b as u32));
                 let have = seen.map_or(0, |s| s.len());
                 let needed = if have >= k {
-                    if !spec.code.is_large_block() {
+                    if !oti.code.is_large_block() {
                         // Enough distinct symbols for an MDS block: it
                         // will solve, nothing to request.
                         continue;
@@ -834,16 +872,19 @@ impl FluteReceiver {
         self.emitter.as_mut().and_then(ReportEmitter::flush)
     }
 
-    /// Feeds one raw datagram (as read from the socket).
+    /// Feeds one raw datagram (as read from the socket). Unlike the burst
+    /// entry point, which skips what it cannot parse, this one names the
+    /// reason: a malformed datagram is an `Err`.
     pub fn push_datagram(&mut self, datagram: &[u8]) -> Result<ReceiverEvent, FluteError> {
-        // Surface malformed datagrams as errors (the batched path skips
-        // them so one corrupt datagram cannot sink a whole burst).
-        AlcPacket::from_bytes(datagram)?;
-        let events = self.push_datagrams(std::slice::from_ref(&datagram))?;
-        Ok(events
-            .into_iter()
-            .next()
-            .expect("one datagram yields one event"))
+        let event = self.push_datagrams(&[datagram])?.pop();
+        if event == Some(ReceiverEvent::Rejected) {
+            // Off the hot path: parse again, for the error the burst path
+            // skipped over. A datagram that parses was refused by the
+            // session (bad FTI blob, garbled FDT, outside the object's
+            // geometry) and stays an event.
+            AlcPacket::from_bytes(datagram)?;
+        }
+        Ok(event.unwrap_or(ReceiverEvent::Rejected))
     }
 
     /// Feeds a burst of raw datagrams — everything a socket drain produced
@@ -851,14 +892,26 @@ impl FluteReceiver {
     ///
     /// Consecutive data packets of the same object are funnelled through
     /// the decoder's batched entry point
-    /// ([`push_batch`](fec_core::Receiver::push_batch)), which defers
+    /// ([`push_symbols`](fec_core::Receiver::push_symbols)), which defers
     /// block solves to the end of the burst; a burst that completes an
     /// object reports [`ReceiverEvent::ObjectComplete`] on that object's
     /// last datagram of the burst. FDT packets act as batch barriers so
-    /// metadata still applies in arrival order. Malformed datagrams are
-    /// skipped with [`ReceiverEvent::Rejected`] (one corrupt datagram
-    /// must not cost the burst); `Err` is reserved for session-fatal
-    /// states such as conflicting OTIs.
+    /// metadata still applies in arrival order.
+    ///
+    /// Every datagram is read in place: once an object's OTI is known,
+    /// nothing is allocated per datagram and its symbol is copied exactly
+    /// once, from the caller's buffer into the decoder's store (only
+    /// symbols that arrive before the OTI are buffered as owned bytes).
+    /// The buffers are only borrowed for the duration of the call.
+    ///
+    /// Malformed datagrams are skipped with [`ReceiverEvent::Rejected`]
+    /// (one corrupt datagram must not cost the burst), and so is a
+    /// well-formed data datagram the object's geometry refuses — an
+    /// (SBN, ESI) outside the layout, a symbol of the wrong size, an
+    /// EXT_FTI no decoder can be built from. A rejected datagram touches
+    /// no counter: not [`packets_received`](Self::packets_received), not
+    /// the report emitter, not the `A`/`B` flags. `Err` is reserved for
+    /// session-fatal states such as conflicting OTIs.
     pub fn push_datagrams<D: AsRef<[u8]>>(
         &mut self,
         datagrams: &[D],
@@ -877,39 +930,33 @@ impl FluteReceiver {
         path: usize,
         datagrams: &[D],
     ) -> Result<Vec<ReceiverEvent>, FluteError> {
-        self.observe_path = path;
         let mut events = Vec::with_capacity(datagrams.len());
         // Per-TOI bursts awaiting a batched feed, in first-seen order,
         // plus the event slot of each data datagram (to upgrade the right
         // entry to ObjectComplete once its burst decodes).
-        let mut pending: Vec<(u32, Vec<(FecPayloadId, Bytes)>)> = Vec::new();
+        let mut pending: Vec<(u32, Vec<Symbol<'_>>)> = Vec::new();
         let mut data_slots: Vec<(usize, u32)> = Vec::new();
 
         for datagram in datagrams {
-            let packet = match AlcPacket::from_bytes(datagram.as_ref()) {
-                Ok(p) => p,
-                Err(_) => {
-                    // Network garbage must not sink the burst's good
-                    // datagrams: skip it and keep going.
-                    events.push(ReceiverEvent::Rejected);
-                    continue;
-                }
+            // Network garbage must not sink the burst's good datagrams:
+            // skip it and keep going.
+            let Ok(view) = LctView::walk(datagram.as_ref(), false) else {
+                events.push(ReceiverEvent::Rejected);
+                continue;
             };
-            if packet.header.tsi != self.tsi {
+            if view.header.tsi != self.tsi {
                 events.push(ReceiverEvent::ForeignSession);
                 continue;
             }
-            if let Some(em) = self.emitter.as_mut() {
-                em.observe_on(self.observe_path, packet.header.toi, packet.sequence());
-            }
-            if packet.header.close_session {
-                self.session_closed = true;
-            }
-            if packet.header.toi == FDT_TOI {
+            if view.header.toi == FDT_TOI {
+                if let Some(em) = self.emitter.as_mut() {
+                    em.observe_on(path, FDT_TOI, view.seq);
+                }
+                self.session_closed |= view.header.close_session;
                 // The FDT may unlock buffered objects; keep arrival order
                 // by flushing the bursts collected so far first.
                 self.flush_pending(&mut pending, &mut events, &mut data_slots)?;
-                match self.accept_fdt(&packet) {
+                match self.accept_fdt(&view) {
                     Ok(event) => events.push(event),
                     // A garbled FDT payload (bad UTF-8, bad XML, missing
                     // EXT_FDT) is one bad datagram, not a dead session. A
@@ -921,54 +968,46 @@ impl FluteReceiver {
                 continue;
             }
 
-            let toi = packet.header.toi;
-            // EXT_FTI on the packet lets decoding start before any FDT
-            // arrives. A corrupt FTI blob is per-datagram garbage: reject
-            // it before touching object state, keeping the burst alive.
-            let oti_known = self.objects.get(&toi).is_some_and(|s| s.oti.is_some());
-            let fresh_oti = if oti_known {
-                None
-            } else {
-                match packet.fti_blob() {
-                    Some(blob) => match ObjectTransmissionInfo::from_bytes(blob) {
-                        Ok(oti) => Some(oti),
-                        Err(_) => {
-                            events.push(ReceiverEvent::Rejected);
-                            continue;
-                        }
-                    },
-                    None => None,
-                }
+            let toi = view.header.toi;
+            let Some((symbol, fresh)) = self.judge(&view) else {
+                events.push(ReceiverEvent::Rejected);
+                continue;
             };
-            let state = self.objects.entry(toi).or_insert_with(ObjectState::new);
-            if packet.header.close_object {
-                state.closed = true;
+            if fresh.is_some() {
+                // Symbols of this object collected earlier in the burst
+                // were judged without a geometry: route them through the
+                // pre-OTI buffer, which `start` drains against it.
+                self.flush_pending(&mut pending, &mut events, &mut data_slots)?;
             }
+            if let Some(em) = self.emitter.as_mut() {
+                em.observe_on(path, toi, view.seq);
+            }
+            self.session_closed |= view.header.close_session;
+            let state = self.objects.entry(toi).or_default();
+            state.closed |= view.header.close_object;
             state.packets_received += 1;
-            if let Some(oti) = fresh_oti {
-                // Conflicting OTIs (vs an FDT seen earlier) stay fatal.
-                state.set_oti(oti)?;
+            if let Some(resolved) = fresh {
+                state.start(resolved)?;
             }
-            let id = packet.payload_id.expect("data packets carry a payload ID");
-            if self.nack_mode {
-                state.seen_esis.entry(id.sbn).or_default().insert(id.esi);
-            }
-            match pending.iter_mut().find(|(t, _)| *t == toi) {
-                Some((_, batch)) => batch.push((id, packet.payload)),
-                None => pending.push((toi, vec![(id, packet.payload)])),
+            if !state.complete {
+                if self.nack_mode {
+                    let PacketRef { block, esi } = symbol.packet;
+                    state.seen_esis.entry(block).or_default().insert(esi);
+                }
+                match pending.iter_mut().find(|(t, _)| *t == toi) {
+                    Some((_, batch)) => batch.push(symbol),
+                    None => pending.push((toi, vec![symbol])),
+                }
             }
             data_slots.push((events.len(), toi));
             events.push(ReceiverEvent::ObjectProgress { toi });
         }
         self.flush_pending(&mut pending, &mut events, &mut data_slots)?;
         if self.emitter.is_some() {
-            // Completion flags are sticky in the emitter, so a scan per
-            // burst is enough even if the application later takes the
-            // decoded objects out.
             let complete: Vec<u32> = self
                 .objects
                 .iter()
-                .filter(|(_, s)| s.decoded.is_some())
+                .filter(|(_, s)| s.complete)
                 .map(|(&toi, _)| toi)
                 .collect();
             let session_done = self.all_complete();
@@ -999,19 +1038,57 @@ impl FluteReceiver {
         Ok(events)
     }
 
+    /// Judges a data datagram on the borrowed view, before it touches any
+    /// state: its symbol, plus the geometry and decoder its EXT_FTI starts
+    /// when the object's OTI was still unknown — or `None` for a datagram
+    /// to reject. The payload-ID format comes from the object once its OTI
+    /// is known; the registry is asked only before that.
+    fn judge<'a>(
+        &self,
+        view: &LctView<'a>,
+    ) -> Option<(Symbol<'a>, Option<(Geometry, CoreReceiver)>)> {
+        let state = self.objects.get(&view.header.toi);
+        let known = state.and_then(|s| s.geometry.as_ref());
+        let format = match known {
+            Some(geometry) if geometry.codepoint == view.header.codepoint => geometry.format,
+            _ => PayloadIdFormat::for_fti(view.header.codepoint).ok()?,
+        };
+        let (id, payload) = split_symbol(view.body, format).ok()?;
+        let packet = PacketRef {
+            block: id.sbn,
+            esi: id.esi,
+        };
+        // EXT_FTI on the packet lets decoding start before any FDT
+        // arrives. A blob that is corrupt, or that no decoder can be
+        // built from, is per-datagram garbage.
+        let fresh = match (known, view.fti) {
+            (None, Some(blob)) => {
+                let oti = ObjectTransmissionInfo::from_bytes(blob);
+                Some(oti.and_then(Geometry::resolve).ok()?)
+            }
+            _ => None,
+        };
+        let geometry = known.or(fresh.as_ref().map(|(geometry, _)| geometry));
+        geometry
+            .is_none_or(|g| g.admits(packet, payload))
+            .then_some((Symbol { packet, payload }, fresh))
+    }
+
     /// Feeds the collected per-object bursts down to the decoders and
     /// upgrades each newly-completed object's last event of the burst.
     fn flush_pending(
         &mut self,
-        pending: &mut Vec<(u32, Vec<(FecPayloadId, Bytes)>)>,
+        pending: &mut Vec<(u32, Vec<Symbol<'_>>)>,
         events: &mut [ReceiverEvent],
         data_slots: &mut Vec<(usize, u32)>,
     ) -> Result<(), FluteError> {
         for (toi, batch) in pending.drain(..) {
-            let state = self.objects.get_mut(&toi).expect("pending implies state");
-            let was_complete = state.decoded.is_some();
-            state.feed_batch(batch)?;
-            if !was_complete && state.decoded.is_some() {
+            let Some(state) = self.objects.get_mut(&toi) else {
+                continue;
+            };
+            let was_complete = state.complete;
+            state.feed(&batch)?;
+            if !was_complete && state.complete {
                 if let Some(&(slot, _)) = data_slots.iter().rev().find(|(_, t)| *t == toi) {
                     events[slot] = ReceiverEvent::ObjectComplete { toi };
                 }
@@ -1021,18 +1098,16 @@ impl FluteReceiver {
         Ok(())
     }
 
-    fn accept_fdt(&mut self, packet: &AlcPacket) -> Result<ReceiverEvent, FluteError> {
-        let instance_id = packet
-            .fdt_instance_id()
-            .ok_or_else(|| FluteError::Malformed {
-                reason: "FDT packet without EXT_FDT".into(),
-            })?;
+    fn accept_fdt(&mut self, view: &LctView<'_>) -> Result<ReceiverEvent, FluteError> {
+        let instance_id = view.fdt_instance.ok_or_else(|| FluteError::Malformed {
+            reason: "FDT packet without EXT_FDT".into(),
+        })?;
         if let Some(existing) = &self.fdt {
             if existing.instance_id >= instance_id {
                 return Ok(ReceiverEvent::FdtIgnored);
             }
         }
-        let text = std::str::from_utf8(&packet.payload).map_err(|_| FluteError::Xml {
+        let text = std::str::from_utf8(view.body).map_err(|_| FluteError::Xml {
             reason: "FDT payload is not UTF-8".into(),
         })?;
         let fdt = FdtInstance::from_xml_with_id(text, instance_id)?;
@@ -1041,10 +1116,7 @@ impl FluteReceiver {
         // FDT agrees with the EXT_FTI we acted on (set_oti is idempotent
         // and rejects conflicts).
         for file in &fdt.files {
-            let state = self
-                .objects
-                .entry(file.toi)
-                .or_insert_with(ObjectState::new);
+            let state = self.objects.entry(file.toi).or_default();
             state.set_oti(file.oti.clone())?;
         }
         self.fdt = Some(fdt);
@@ -1076,7 +1148,9 @@ impl FluteReceiver {
         self.objects.get(&toi).and_then(|s| s.decoded.as_deref())
     }
 
-    /// Removes and returns a decoded object.
+    /// Removes and returns a decoded object. The object stays
+    /// [`ObjectStatus::Complete`]: later datagrams for it (a carousel's
+    /// next cycle) are counted as duplicates and buffer nothing.
     pub fn take_object(&mut self, toi: u32) -> Option<Vec<u8>> {
         self.objects.get_mut(&toi).and_then(|s| s.decoded.take())
     }
@@ -1086,11 +1160,10 @@ impl FluteReceiver {
     pub fn all_complete(&self) -> bool {
         match &self.fdt {
             None => false,
-            Some(fdt) => fdt.files.iter().all(|f| {
-                self.objects
-                    .get(&f.toi)
-                    .is_some_and(|s| s.decoded.is_some())
-            }),
+            Some(fdt) => fdt
+                .files
+                .iter()
+                .all(|f| self.objects.get(&f.toi).is_some_and(|s| s.complete)),
         }
     }
 }
@@ -1269,6 +1342,133 @@ mod tests {
         assert_eq!(stream.queue_repair(&[bogus]), 0);
         assert_eq!(stream.repairs_sent(), 3);
         drop(stale);
+    }
+
+    /// A carousel keeps cycling after the application took the decoded
+    /// object out: every later datagram of that TOI is a duplicate of a
+    /// finished object, not a symbol with no decoder to go to.
+    #[test]
+    fn taken_object_stays_complete_through_later_carousel_cycles() {
+        let data = object_bytes(3000 * 16);
+        let sender = session_with_object(&data, TxModel::Random);
+        let mut receiver = FluteReceiver::new(7);
+        receiver.enable_reports(ReportConfig::default());
+        receiver.enable_nacks();
+        receiver
+            .push_datagrams(&sender.datagrams(1).unwrap())
+            .unwrap();
+        assert_eq!(receiver.take_object(1).unwrap(), data);
+        let after_first_cycle = receiver.packets_received(1);
+
+        for cycle in 2..=4 {
+            let datagrams = sender.datagrams(cycle).unwrap();
+            let events = receiver
+                .push_datagrams(&datagrams)
+                .expect("a taken object must not break the session");
+            assert!(events.iter().all(|e| matches!(
+                e,
+                ReceiverEvent::ObjectProgress { toi: 1 }
+                    | ReceiverEvent::FdtIgnored
+                    | ReceiverEvent::FdtReceived
+            )));
+            assert_eq!(receiver.object_status(1), Some(ObjectStatus::Complete));
+            assert!(receiver.all_complete());
+            assert!(receiver.missing_symbols().is_empty(), "nothing to NACK");
+        }
+        let state = &receiver.objects[&1];
+        assert!(state.pre_oti.is_empty(), "late datagrams buffer nothing");
+        assert!(state.receiver.is_none() && state.decoded.is_none());
+        assert_eq!(
+            receiver.packets_received(1),
+            after_first_cycle + 3 * sender.data_packet_count(),
+            "late datagrams still count as received duplicates"
+        );
+        assert!(receiver.take_object(1).is_none(), "taken once");
+    }
+
+    /// A well-formed data datagram the object's geometry refuses — an ESI
+    /// outside the layout, a symbol of the wrong size — is rejected on its
+    /// own, before any counter sees it, and its burst decodes around it.
+    #[test]
+    fn datagram_outside_the_geometry_is_rejected_uncounted() {
+        let data = object_bytes(600);
+        let sender = session_with_object(&data, TxModel::Random);
+        let genuine = sender.datagrams(4).unwrap();
+        let codepoint = AlcPacket::from_bytes(&genuine[1]).unwrap().header.codepoint;
+        let forge = |esi: u32, len: usize| {
+            AlcPacket::data(
+                7,
+                1,
+                codepoint,
+                FecPayloadId::new(0, esi),
+                Bytes::from(vec![0xAB; len]),
+            )
+            .closing_session()
+            .to_bytes()
+            .unwrap()
+        };
+        let mut burst = genuine.clone();
+        burst.insert(5, forge(9999, 16)); // outside the layout
+        burst.insert(9, forge(3, 15)); // inside it, one byte short
+        burst.truncate(20);
+
+        let mut receiver = FluteReceiver::new(7);
+        let events = receiver.push_datagrams(&burst).unwrap();
+        let rejected = |events: &[ReceiverEvent]| {
+            events
+                .iter()
+                .filter(|e| matches!(e, ReceiverEvent::Rejected))
+                .count()
+        };
+        assert_eq!(rejected(&events), 2);
+        assert_eq!(receiver.packets_received(1), 17, "20 - FDT - 2 forgeries");
+        assert!(
+            !receiver.session_closed(),
+            "a rejected A flag closes nothing"
+        );
+        assert_eq!(
+            receiver.push_datagram(&forge(9999, 16)).unwrap(),
+            ReceiverEvent::Rejected
+        );
+
+        // A forgery ahead of the burst's first EXT_FTI is judged when that
+        // OTI starts the decoder, in the same burst.
+        let mut no_fdt: Vec<Vec<u8>> = genuine[1..].to_vec();
+        no_fdt.insert(0, forge(9999, 16));
+        let mut receiver = FluteReceiver::new(7);
+        assert_eq!(rejected(&receiver.push_datagrams(&no_fdt).unwrap()), 0);
+        assert_eq!(receiver.packets_received(1), genuine.len() as u64 - 1);
+        assert_eq!(receiver.object(1).unwrap(), &data[..]);
+
+        // Before the OTI is known nothing can judge a datagram: it is
+        // buffered and counted, then dropped and uncounted at the drain.
+        let mut config = SenderConfig::new(7);
+        config.fti_in_data_packets = false;
+        config.fdt_interval = 0;
+        let mut sender = FluteSender::new(config);
+        sender
+            .add_object(
+                1,
+                "x",
+                &data,
+                fec_codec::builtin::ldgm_staircase(),
+                ExpansionRatio::R2_5,
+                16,
+                99,
+                TxModel::Random,
+            )
+            .unwrap();
+        let genuine = sender.datagrams(4).unwrap();
+        let mut late_fdt: Vec<Vec<u8>> = genuine[1..].to_vec();
+        late_fdt.insert(3, forge(9999, 16));
+        late_fdt.insert(7, forge(3, 15));
+        let mut receiver = FluteReceiver::new(7);
+        let events = receiver.push_datagrams(&late_fdt).unwrap();
+        assert_eq!(rejected(&events), 0);
+        assert_eq!(receiver.packets_received(1), late_fdt.len() as u64);
+        receiver.push_datagram(&genuine[0]).unwrap();
+        assert_eq!(receiver.packets_received(1), genuine.len() as u64 - 1);
+        assert_eq!(receiver.object(1).unwrap(), &data[..]);
     }
 
     #[test]
@@ -1677,13 +1877,32 @@ mod tests {
         assert_eq!(batch, streamed);
         assert!(stream.is_done());
         assert_eq!(stream.data_emitted(), sender.data_packet_count());
-        // Every datagram carries a distinct, consecutive EXT_SEQ.
-        for (i, dg) in batch.iter().enumerate() {
+        // Every datagram carries a distinct, consecutive EXT_SEQ, in a
+        // buffer allocated once at its exact size and never grown.
+        for (i, dg) in streamed.iter().enumerate() {
             assert_eq!(
                 AlcPacket::from_bytes(dg).unwrap().sequence(),
                 Some(i as u32)
             );
+            assert_eq!(dg.capacity(), dg.len());
         }
+    }
+
+    /// The 24-bit EXT_SEQ space wraps to 0 on the FDT and the data
+    /// datagrams alike.
+    #[test]
+    fn ext_seq_wraps_at_the_modulus() {
+        let sender = session_with_object(&object_bytes(100), TxModel::Random);
+        let mut stream = sender.stream(1);
+        stream.path_seqs[0] = SEQ_MODULUS - 2;
+        let seqs: Vec<Option<u32>> = (0..4)
+            .map(|_| {
+                let dg = stream.next_datagram().unwrap().unwrap();
+                AlcPacket::from_bytes(&dg).unwrap().sequence()
+            })
+            .collect();
+        let expected = [SEQ_MODULUS - 2, SEQ_MODULUS - 1, 0, 1].map(Some);
+        assert_eq!(seqs, expected);
     }
 
     #[test]

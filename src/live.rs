@@ -174,9 +174,11 @@ pub fn push_salvaging<D: AsRef<[u8]>>(
     let (events, undecodable) = match session.push_datagrams_on(path, burst) {
         Ok(events) => (events, 0),
         Err(burst_error) => {
-            // The batched path hit a datagram it could not even skip
-            // (e.g. a forged payload ID the decoder rejects). Replay
-            // one-by-one: good datagrams land, bad ones are dropped.
+            // The batched path hit a session-fatal state (a conflicting
+            // OTI, a codec failure): what it can judge per datagram —
+            // garbage, a payload ID or symbol size outside the object's
+            // geometry — it has already skipped. Replay one-by-one:
+            // good datagrams land, bad ones are dropped.
             let mut events = Vec::with_capacity(burst.len());
             let mut undecodable = 0u64;
             for dg in burst {

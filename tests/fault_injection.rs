@@ -237,6 +237,7 @@ mod wire_faults {
     use fec_broadcast::flute::{AlcPacket, FecPayloadId, FluteReceiver, FluteSender, SenderConfig};
     use fec_broadcast::live::{self, BurstSource, DrainStats, ReceiveConfig};
     use fec_broadcast::prelude::{ExpansionRatio, TxModel};
+    use fec_broadcast::telemetry::Registry;
     use fec_broadcast::wire::{BufferPool, PoolBuf};
 
     const TSI: u32 = 77;
@@ -449,12 +450,20 @@ mod wire_faults {
 
         // Plant the faults mid-schedule, after the FTI is known (so the
         // forgery reaches the decoder) but long before decode completes.
+        let genuine = datagrams.len() as u64;
+        let fdts = datagrams
+            .iter()
+            .filter(|dg| AlcPacket::from_bytes(dg).unwrap().payload_id.is_none())
+            .count() as u64;
         datagrams.insert(5, b"not an alc packet".to_vec());
         datagrams.insert(9, forged);
         datagrams.insert(12, vec![0xFF; 3]);
 
         let rx = feed(datagrams);
+        let registry = Registry::new();
         let mut session = FluteReceiver::new(TSI);
+        session.attach_telemetry(&registry);
+        session.enable_reports(ReportConfig::default());
         let outcome = live::receive_session(&mut session, &rx, |_| Ok(()), &receive_config())
             .expect("malformed datagrams must not sink the session");
 
@@ -464,6 +473,20 @@ mod wire_faults {
             "the two garbage datagrams and the forged packet must all be \
              counted as rejected (got {})",
             outcome.rejected
+        );
+        // The numerator of the inefficiency ratio: every genuine data
+        // datagram counted once, the forgery and the garbage never — not
+        // when their burst is pushed, not on a one-by-one replay of it.
+        assert_eq!(
+            outcome.datagrams,
+            genuine + 3,
+            "the whole schedule fits one decode burst"
+        );
+        assert_eq!(session.packets_received(1), genuine - fdts);
+        assert_eq!(
+            registry.counter("fec_rx_late_or_duplicate_total", "").get(),
+            0,
+            "the report emitter must see every EXT_SEQ once"
         );
         assert_eq!(
             session.take_object(1).unwrap(),
