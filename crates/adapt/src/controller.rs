@@ -267,11 +267,6 @@ impl AdaptiveController {
         n
     }
 
-    /// Read access to one path's estimator, if that path ever observed.
-    pub fn path_estimator(&self, path: usize) -> Option<&OnlineGilbertEstimator> {
-        self.paths.get(path)
-    }
-
     /// Number of paths with estimators (highest observed path + 1).
     pub fn path_count(&self) -> usize {
         self.paths.len()

@@ -21,9 +21,10 @@
 //!   pass.
 //! * [`lints::ci_coverage`] — every workspace member must be exercised by
 //!   at least one `cargo test` job in `.github/workflows/ci.yml`.
-//! * [`lints::size`] — code lines per first-party crate `src/` ratchet
-//!   against `audit/size.baseline.toml`: a crate grows only with an
-//!   explicit re-baseline.
+//! * [`lints::size`] — code lines per first-party crate `src/`, and over
+//!   the whole tree (`tree_total`: tests, benches, examples and shims
+//!   too), ratchet against `audit/size.baseline.toml`: either grows only
+//!   with an explicit re-baseline.
 //!
 //! The scanner is a small hand-rolled lexer ([`lexer`]) rather than a full
 //! parser: the build is offline (no `syn`), and the lints only need to

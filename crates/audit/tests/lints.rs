@@ -3,8 +3,9 @@
 //! Each test fabricates a small workspace under `CARGO_TARGET_TMPDIR`
 //! with a seeded violation — an unjustified `unsafe`, a panic in a
 //! `deny(panic)` module, an unexplained `Ordering::Relaxed`, a crate
-//! missing from CI, a crate grown past its size baseline — and asserts the binary exits non-zero with a
-//! `file:line` diagnostic. The final test runs `all` against the real
+//! missing from CI, a crate or the whole tree grown past its size
+//! baseline — and asserts the binary exits non-zero with a `file:line`
+//! diagnostic. The final test runs `all` against the real
 //! committed tree, so `cargo test` itself enforces the lints.
 
 use std::path::{Path, PathBuf};
@@ -21,6 +22,10 @@ fn audit(root: &Path, args: &[&str]) -> Output {
 
 fn stdout(out: &Output) -> String {
     String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
+fn stderr(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stderr).into_owned()
 }
 
 /// Materialises a throwaway workspace tree under the test tmpdir.
@@ -228,7 +233,10 @@ fn size_ratchet_rejects_growth_but_not_comments_or_tests() {
             ("Cargo.toml", WS_ONE_MEMBER),
             ("crates/wire/Cargo.toml", WIRE_MANIFEST),
             ("crates/wire/src/lib.rs", lib),
-            ("audit/size.baseline.toml", "[size]\nwire = 3\ntotal = 3\n"),
+            (
+                "audit/size.baseline.toml",
+                "[size]\nwire = 3\ntotal = 3\ntree_total = 8\n",
+            ),
         ],
     );
     let out = audit(&root, &["size"]);
@@ -256,6 +264,53 @@ fn size_ratchet_rejects_growth_but_not_comments_or_tests() {
     let rebase = audit(&root, &["size", "--update-baselines"]);
     assert!(rebase.status.success(), "{}", stdout(&rebase));
     assert!(audit(&root, &["size"]).status.success());
+}
+
+/// The whole-tree figure counts what the per-crate one leaves out — unit
+/// tests, `tests/`, the shims — and moves the same way: down freely, up
+/// only through a re-baseline.
+#[test]
+fn tree_ratchet_counts_tests_and_shims_and_only_goes_down() {
+    let lib = "pub fn f() -> u8 {\n    1\n}\n\n#[cfg(test)]\nmod tests {}\n";
+    let root = write_tree(
+        "tree-ratchet",
+        &[
+            (
+                "Cargo.toml",
+                "[workspace]\nmembers = [\"crates/wire\", \"crates/shims/dep\"]\n",
+            ),
+            ("crates/wire/Cargo.toml", WIRE_MANIFEST),
+            ("crates/wire/src/lib.rs", lib),
+            ("crates/wire/tests/t.rs", "fn t() {}\nfn u() {}\n"),
+            ("crates/shims/dep/Cargo.toml", "[package]\nname = \"dep\"\n"),
+            ("crates/shims/dep/src/lib.rs", "pub struct Dep;\n"),
+            (
+                "audit/size.baseline.toml",
+                "[size]\nwire = 3\ntotal = 3\ntree_total = 8\n",
+            ),
+        ],
+    );
+    let out = audit(&root, &["size"]);
+    assert!(out.status.success(), "{}", stdout(&out));
+    assert!(stderr(&out).contains("tree_total 8 "), "{}", stderr(&out));
+
+    // One more line in a shim: no crate's `src/` moved, the tree did.
+    let shim = root.join("crates/shims/dep/src/lib.rs");
+    std::fs::write(&shim, "pub struct Dep;\npub struct More;\n").expect("write");
+    let out = audit(&root, &["size"]);
+    assert!(!out.status.success());
+    let text = stdout(&out);
+    assert!(
+        text.contains("size count for tree_total grew: 9 > baseline 8"),
+        "{text}"
+    );
+    assert!(!text.contains("for wire grew"), "{text}");
+
+    // Deleting a test more than pays for it.
+    std::fs::write(root.join("crates/wire/tests/t.rs"), "").expect("write");
+    let out = audit(&root, &["size"]);
+    assert!(out.status.success(), "{}", stdout(&out));
+    assert!(stderr(&out).contains("tree_total 7 "), "{}", stderr(&out));
 }
 
 /// The committed tree itself must be clean — this is what makes tier-1

@@ -70,8 +70,8 @@ pub fn sweep_plan(
 /// Routed through the sharded-sweep planner ([`fec_distrib::execute_plan`])
 /// so every figure and ablation bench produces output byte-identical to a
 /// sharded execution of [`sweep_plan`]'s document — a bench grid can be
-/// farmed out to `fec-broadcast sweep-worker` processes and merged without
-/// invalidating previously published `results/`.
+/// farmed out as `fec-broadcast sweep --shard i/n` runs and merged
+/// without invalidating previously published `results/`.
 ///
 /// # Panics
 /// Panics if the experiment is invalid — bench targets are developer tools,

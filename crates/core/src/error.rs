@@ -18,11 +18,6 @@ pub enum CoreError {
         /// Number of symbols the object actually needs.
         actual_k: usize,
     },
-    /// A wire packet failed to parse.
-    MalformedPacket {
-        /// Human-readable reason.
-        reason: String,
-    },
     /// A packet refers to a block/ESI outside the session layout.
     UnknownPacket {
         /// Block number in the packet.
@@ -62,7 +57,6 @@ impl fmt::Display for CoreError {
                 f,
                 "object needs {actual_k} symbols but the spec declares k = {expected_k}"
             ),
-            CoreError::MalformedPacket { reason } => write!(f, "malformed packet: {reason}"),
             CoreError::UnknownPacket { block, esi } => {
                 write!(f, "packet {block}:{esi} outside the session layout")
             }

@@ -17,14 +17,11 @@
 //!   deploy, rule-based or measured;
 //! * [`TransmissionPlan`] — the §6.2 `n_sent` optimisation (equation 3):
 //!   stop transmitting once the expected deliveries cover
-//!   `inef_ratio * k + ε`;
-//! * [`Carousel`] — endless cyclic transmission with per-cycle
-//!   re-scheduling, the delivery loop the paper's systems run (§1, §7).
+//!   `inef_ratio * k + ε`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod carousel;
 mod emission;
 mod error;
 mod packet;
@@ -34,10 +31,9 @@ mod recommend;
 mod sender;
 mod spec;
 
-pub use carousel::Carousel;
 pub use emission::{Amendment, PlannedEmission};
 pub use error::CoreError;
-pub use packet::{Packet, PACKET_HEADER_LEN};
+pub use packet::Packet;
 pub use plan::{optimal_n_sent, TransmissionPlan};
 pub use receiver::Receiver;
 pub use recommend::{

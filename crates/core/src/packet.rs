@@ -1,32 +1,10 @@
-//! Wire packet format.
-//!
-//! A deliberately small, explicit header — the spirit of ALC/LBT headers
-//! without the protocol machinery the paper does not use:
-//!
-//! ```text
-//!  0      2      3      4          8          12
-//!  +------+------+------+----------+----------+----------------+
-//!  | 0xFE C1     | ver  | reserved | block    | esi   | payload |
-//!  +------+------+------+----------+----------+-------+---------+
-//!    magic (2B)    1B     1B         4B BE      4B BE    rest
-//! ```
-//!
-//! All multi-byte fields are big-endian (network order).
+//! The packet value sender and receiver exchange.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use fec_sched::PacketRef;
 
-use crate::CoreError;
-
-/// Magic bytes identifying a `fec-broadcast` packet.
-const MAGIC: [u8; 2] = [0xFE, 0xC1];
-/// Wire format version.
-const VERSION: u8 = 1;
-
-/// Fixed header length in bytes.
-pub const PACKET_HEADER_LEN: usize = 12;
-
-/// One encoding packet on the wire.
+/// One encoding packet: a symbol and its address. On a network it travels
+/// inside a FLUTE/ALC datagram (`fec-flute`), which is the wire format.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Packet {
     /// Source block number.
@@ -52,110 +30,6 @@ impl Packet {
         PacketRef {
             block: self.block,
             esi: self.esi,
-        }
-    }
-
-    /// Serialises header + payload.
-    pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(PACKET_HEADER_LEN + self.payload.len());
-        buf.put_slice(&MAGIC);
-        buf.put_u8(VERSION);
-        buf.put_u8(0); // reserved
-        buf.put_u32(self.block);
-        buf.put_u32(self.esi);
-        buf.put_slice(&self.payload);
-        buf.freeze()
-    }
-
-    /// Parses a packet from wire bytes (zero-copy payload slice).
-    pub fn from_bytes(data: &[u8]) -> Result<Packet, CoreError> {
-        if data.len() < PACKET_HEADER_LEN {
-            return Err(CoreError::MalformedPacket {
-                reason: format!("{} bytes, header needs {PACKET_HEADER_LEN}", data.len()),
-            });
-        }
-        if data[0..2] != MAGIC {
-            return Err(CoreError::MalformedPacket {
-                reason: "bad magic".into(),
-            });
-        }
-        if data[2] != VERSION {
-            return Err(CoreError::MalformedPacket {
-                reason: format!("unsupported version {}", data[2]),
-            });
-        }
-        let block = u32::from_be_bytes(data[4..8].try_into().expect("4 bytes"));
-        let esi = u32::from_be_bytes(data[8..12].try_into().expect("4 bytes"));
-        Ok(Packet {
-            block,
-            esi,
-            payload: Bytes::copy_from_slice(&data[PACKET_HEADER_LEN..]),
-        })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use proptest::prelude::*;
-
-    #[test]
-    fn roundtrip() {
-        let p = Packet::new(7, 1234, Bytes::from_static(b"hello world"));
-        let wire = p.to_bytes();
-        assert_eq!(wire.len(), PACKET_HEADER_LEN + 11);
-        let back = Packet::from_bytes(&wire).unwrap();
-        assert_eq!(p, back);
-    }
-
-    #[test]
-    fn truncated_header_rejected() {
-        assert!(matches!(
-            Packet::from_bytes(&[0xFE, 0xC1, 1, 0]),
-            Err(CoreError::MalformedPacket { .. })
-        ));
-    }
-
-    #[test]
-    fn bad_magic_rejected() {
-        let mut wire = Packet::new(0, 0, Bytes::new()).to_bytes().to_vec();
-        wire[0] = 0x00;
-        assert!(matches!(
-            Packet::from_bytes(&wire),
-            Err(CoreError::MalformedPacket { .. })
-        ));
-    }
-
-    #[test]
-    fn future_version_rejected() {
-        let mut wire = Packet::new(0, 0, Bytes::new()).to_bytes().to_vec();
-        wire[2] = 9;
-        assert!(matches!(
-            Packet::from_bytes(&wire),
-            Err(CoreError::MalformedPacket { .. })
-        ));
-    }
-
-    #[test]
-    fn empty_payload_allowed() {
-        let p = Packet::new(1, 2, Bytes::new());
-        let back = Packet::from_bytes(&p.to_bytes()).unwrap();
-        assert_eq!(back.payload.len(), 0);
-    }
-
-    proptest! {
-        #[test]
-        fn roundtrip_arbitrary(block in any::<u32>(), esi in any::<u32>(),
-                               payload in proptest::collection::vec(any::<u8>(), 0..200)) {
-            let p = Packet::new(block, esi, Bytes::from(payload));
-            let back = Packet::from_bytes(&p.to_bytes()).unwrap();
-            prop_assert_eq!(p, back);
-        }
-
-        /// Parsing arbitrary garbage never panics.
-        #[test]
-        fn fuzz_parse_no_panic(data in proptest::collection::vec(any::<u8>(), 0..64)) {
-            let _ = Packet::from_bytes(&data);
         }
     }
 }

@@ -102,12 +102,6 @@ impl Receiver {
             })
     }
 
-    /// Parses wire bytes and pushes the packet.
-    pub fn push_bytes(&mut self, wire: &[u8]) -> Result<DecodeProgress, CoreError> {
-        let packet = Packet::from_bytes(wire)?;
-        self.push(&packet)
-    }
-
     /// Current progress snapshot.
     pub fn progress(&self) -> DecodeProgress {
         self.decoder.progress()
@@ -223,21 +217,6 @@ mod tests {
             assert!(rx.missing_source() <= before, "never regresses");
         }
         assert_eq!(rx.missing_source(), 0, "decoded means no residual");
-    }
-
-    #[test]
-    fn wire_roundtrip() {
-        let spec = CodeSpec::ldgm_staircase(20, ExpansionRatio::R2_5);
-        let obj = object(20 * 8);
-        let sender = Sender::new(spec.clone(), &obj, 8).unwrap();
-        let mut rx = Receiver::new(spec, obj.len(), 8).unwrap();
-        for pkt in sender.transmission(TxModel::SourceSeqParitySeq, 0) {
-            let wire = pkt.to_bytes();
-            if rx.push_bytes(&wire).unwrap().is_decoded() {
-                break;
-            }
-        }
-        assert_eq!(rx.into_object().unwrap(), obj);
     }
 
     #[test]

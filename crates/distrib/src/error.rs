@@ -30,18 +30,6 @@ pub enum DistribError {
         /// Total number of missing units.
         missing_count: usize,
     },
-    /// A worker subprocess failed.
-    Worker {
-        /// Which worker (shard index).
-        shard: usize,
-        /// What it reported (exit status and stderr tail).
-        detail: String,
-    },
-    /// An I/O failure while speaking the worker protocol.
-    Io {
-        /// Human-readable description.
-        detail: String,
-    },
 }
 
 impl fmt::Display for DistribError {
@@ -62,10 +50,6 @@ impl fmt::Display for DistribError {
                 "partial set is incomplete: {missing_count} unit(s) missing \
                  (first: {missing:?})"
             ),
-            DistribError::Worker { shard, detail } => {
-                write!(f, "worker {shard} failed: {detail}")
-            }
-            DistribError::Io { detail } => write!(f, "i/o error: {detail}"),
         }
     }
 }
@@ -82,13 +66,5 @@ impl std::error::Error for DistribError {
 impl From<SimError> for DistribError {
     fn from(e: SimError) -> DistribError {
         DistribError::Sim(e)
-    }
-}
-
-impl From<std::io::Error> for DistribError {
-    fn from(e: std::io::Error) -> DistribError {
-        DistribError::Io {
-            detail: e.to_string(),
-        }
     }
 }

@@ -33,3 +33,34 @@ pub fn execute_plan(plan: &SweepPlan) -> Result<SweepResult, DistribError> {
     let partial = run_shard(plan, &ShardSpec::all())?;
     from_partials(plan, &[partial])
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fec_codec::builtin;
+    use fec_sim::{ExpansionRatio, Experiment, GridSweep, SweepConfig};
+
+    #[test]
+    fn default_slicing_matches_the_plain_grid_sweep() {
+        let experiment = Experiment::new(
+            builtin::ldgm_staircase(),
+            150,
+            ExpansionRatio::R2_5,
+            fec_sched::TxModel::Random,
+        );
+        let config = SweepConfig {
+            runs: 4,
+            grid_p: vec![0.0, 0.2],
+            grid_q: vec![0.3, 0.8],
+            matrix_pool: 2,
+            threads: Some(2),
+            ..SweepConfig::default()
+        };
+        let plan = SweepPlan::new(experiment.clone(), config.clone()).unwrap();
+        let via_gridsweep = GridSweep::new(experiment, config).unwrap().execute();
+        assert_eq!(
+            serde_json::to_string(&execute_plan(&plan).unwrap()).unwrap(),
+            serde_json::to_string(&via_gridsweep).unwrap()
+        );
+    }
+}

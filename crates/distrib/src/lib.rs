@@ -5,7 +5,7 @@
 //! cores are the ceiling of the in-process [`GridSweep`]
 //! (`fec_sim::GridSweep`). This crate turns that loop into an explicit
 //! **plan → shard → execute → merge** pipeline so a sweep can spread over
-//! processes and hosts, resume from partial files, and still produce
+//! hosts, resume from partial files, and still produce
 //! output *byte-identical* to the single-process run:
 //!
 //! 1. **Plan** ([`SweepPlan`]): a serializable document fixing the
@@ -16,11 +16,11 @@
 //! 2. **Shard** ([`ShardSpec`]): `i/n` round-robin over unit ids, or an
 //!    explicit unit list. Any partitioning axis — by cell, by run-range —
 //!    is just a choice of unit subsets.
-//! 3. **Execute** ([`run_shard`], [`Coordinator`], [`run_worker`]): units
-//!    reduce into mergeable accumulators (`fec_sim::CellAccum` — counts,
-//!    sums, Welford mean/M2, min/max). In-process, as self-exec'd
-//!    `fec-broadcast sweep-worker` subprocesses (plan JSON on stdin,
-//!    [`PartialSweep`] JSONL on stdout), or on other hosts entirely.
+//! 3. **Execute** ([`run_shard`], [`execute_plan`]): units reduce into
+//!    mergeable accumulators (`fec_sim::CellAccum` — counts, sums,
+//!    Welford mean/M2, min/max) on the in-process work queue
+//!    (`GridSweep::execute_streamed`) — all of a plan on one host's
+//!    cores, or one shard of it per host.
 //! 4. **Merge** ([`from_partials`], [`merge_paths`], [`StreamingMerge`]):
 //!    completeness-checked reduction in canonical unit order, yielding a
 //!    [`SweepResult`] whose JSON serialization is byte-identical for
@@ -51,11 +51,11 @@
 //! println!("{}", fec_sim::report::paper_table(&result));
 //! ```
 //!
-//! ## Across processes and hosts
+//! ## Across hosts
 //!
 //! ```text
-//! # one machine, N worker subprocesses:
-//! fec-broadcast sweep --code staircase --tx 4 --ratio 2.5 --workers 8
+//! # one machine: every core, one process
+//! fec-broadcast sweep --code staircase --tx 4 --ratio 2.5
 //!
 //! # many machines: run complementary shards anywhere…
 //! hostA$ fec-broadcast sweep … --shard 0/2 --emit-partial --out a.partial.json
@@ -67,23 +67,19 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod coordinator;
 mod error;
 mod exec;
 mod merge;
 mod partial;
 mod plan;
 mod shard;
-mod worker;
 
-pub use coordinator::Coordinator;
 pub use error::DistribError;
 pub use exec::{execute_plan, run_shard};
 pub use merge::{from_partials, merge_paths, StreamingMerge};
 pub use partial::{PartialFile, PartialHeader, PartialSweep, UnitResult, PARTIAL_JSONL_FORMAT};
 pub use plan::SweepPlan;
 pub use shard::ShardSpec;
-pub use worker::{parse_partial_line, run_worker};
 
 // Re-exported so downstreams driving the pipeline have the sim-side types
 // at hand without a separate import.

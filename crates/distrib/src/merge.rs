@@ -115,8 +115,7 @@ impl StreamingMerge {
         Ok(())
     }
 
-    /// Folds a fingerprint-tagged batch (the worker protocol's stream
-    /// element).
+    /// Folds a fingerprint-tagged batch (one shard's in-memory result).
     pub fn fold_partial(&mut self, partial: &PartialSweep) -> Result<(), DistribError> {
         if partial.fingerprint != self.fingerprint {
             return Err(DistribError::PlanMismatch {

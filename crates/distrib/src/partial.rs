@@ -1,6 +1,6 @@
 //! fec-audit: deny(panic)
 //!
-//! Partial sweep results: what workers stream and hosts ship.
+//! Partial sweep results: what a shard produces and hosts ship.
 
 use fec_sim::CellAccum;
 use serde::{Deserialize, Serialize};
@@ -16,9 +16,8 @@ pub struct UnitResult {
     pub accum: CellAccum,
 }
 
-/// A set of unit results tied to a plan by fingerprint — the worker
-/// protocol's stream element (workers emit one single-unit `PartialSweep`
-/// JSON line per completed unit) and the in-memory merge input.
+/// A set of unit results tied to a plan by fingerprint: what
+/// [`run_shard`](crate::run_shard) returns and the in-memory merge input.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PartialSweep {
     /// [`SweepPlan::fingerprint`] of the plan these units belong to.

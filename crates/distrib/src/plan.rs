@@ -46,7 +46,7 @@ impl SweepPlan {
 
     /// Same plan with a different run-range slicing granularity.
     ///
-    /// Finer slices shard a small grid across more workers; note that the
+    /// Finer slices shard a small grid across more hosts; note that the
     /// float fold order (and so the last-ulp of the merged statistics)
     /// follows the slicing, so only executions of the **same** plan are
     /// guaranteed byte-identical.
@@ -109,7 +109,7 @@ impl SweepPlan {
         h
     }
 
-    /// Serializes the plan for the worker protocol / plan files.
+    /// Serializes the plan (the document partial files carry).
     pub fn to_json(&self) -> Result<String, DistribError> {
         serde_json::to_string(self).map_err(|e| DistribError::Protocol {
             detail: format!("plan does not serialize: {e}"),

@@ -329,11 +329,6 @@ impl ReportEmitter {
         (self.observed_ever && (self.dirty || self.session_complete)).then(|| self.build())
     }
 
-    /// Datagrams observed since the last emitted digest.
-    pub fn pending_observations(&self) -> usize {
-        self.observed_since_report
-    }
-
     /// The number of observations the next [`poll`](Self::poll) waits
     /// for: `report_every` scaled by the population hint and the current
     /// backoff, jittered.

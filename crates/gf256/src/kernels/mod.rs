@@ -30,7 +30,6 @@
 
 use std::sync::OnceLock;
 
-use crate::gf2p16::Gf2p16;
 use crate::tables::MUL;
 
 mod portable;
@@ -55,8 +54,6 @@ pub struct Kernels {
     mul: fn(dst: &mut [u8], c: u8),
     /// `dst[i] ^= c * src[i]`, `c >= 2`.
     addmul: fn(dst: &mut [u8], src: &[u8], c: u8),
-    /// `dst[i] ^= c * src[i]` over GF(2^16), `c` not 0 or 1.
-    addmul16: fn(dst: &mut [Gf2p16], src: &[Gf2p16], c: Gf2p16),
     /// `dst[i] ^= srcs[0][i] ^ srcs[1][i] ^ …` in one pass.
     xor_many: fn(dst: &mut [u8], srcs: &[&[u8]]),
     /// `dst[i] ^= Σ_j coeffs[j] * srcs[j][i]` in one pass.
@@ -111,24 +108,6 @@ impl Kernels {
             1 => (self.xor)(dst, src),
             _ => (self.addmul)(dst, src, c),
         }
-    }
-
-    /// `dst[i] ^= c * src[i]` over GF(2^16) symbols.
-    ///
-    /// # Panics
-    /// Panics if the slices have different lengths.
-    pub fn addmul_slice16(&self, dst: &mut [Gf2p16], src: &[Gf2p16], c: Gf2p16) {
-        assert_eq!(dst.len(), src.len(), "symbol length mismatch");
-        if c.is_zero() {
-            return;
-        }
-        if c == Gf2p16::ONE {
-            // GF(2^16) addition is a plain XOR of the element bytes, so the
-            // wide byte kernels apply unchanged.
-            (self.xor)(gf16_bytes_mut(dst), gf16_bytes(src));
-            return;
-        }
-        (self.addmul16)(dst, src, c);
     }
 
     /// `dst[i] ^= srcs[0][i] ^ srcs[1][i] ^ …` — a whole XOR equation row
@@ -190,30 +169,11 @@ impl core::fmt::Debug for Kernels {
     }
 }
 
-/// Reinterprets GF(2^16) symbols as raw bytes (for the XOR fast path).
-#[allow(unsafe_code)]
-fn gf16_bytes_mut(s: &mut [Gf2p16]) -> &mut [u8] {
-    let len = core::mem::size_of_val(s);
-    // SAFETY: `Gf2p16` is `#[repr(transparent)]` over `u16`, so the slice
-    // is exactly `len` initialised bytes with no padding; `u8` has weaker
-    // alignment, and the unique borrow transfers to the returned slice.
-    unsafe { core::slice::from_raw_parts_mut(s.as_mut_ptr().cast::<u8>(), len) }
-}
-
-/// Shared-borrow variant of [`gf16_bytes_mut`].
-#[allow(unsafe_code)]
-fn gf16_bytes(s: &[Gf2p16]) -> &[u8] {
-    let len = core::mem::size_of_val(s);
-    // SAFETY: as in `gf16_bytes_mut`, minus the uniqueness requirement.
-    unsafe { core::slice::from_raw_parts(s.as_ptr().cast::<u8>(), len) }
-}
-
 static SCALAR: Kernels = Kernels {
     name: "scalar",
     xor: scalar::xor,
     mul: scalar::mul,
     addmul: scalar::addmul,
-    addmul16: crate::gf2p16::addmul16_scalar,
     xor_many: scalar::xor_many,
     addmul_many: scalar::addmul_many,
 };
@@ -223,7 +183,6 @@ static PORTABLE: Kernels = Kernels {
     xor: portable::xor,
     mul: portable::mul,
     addmul: portable::addmul,
-    addmul16: crate::gf2p16::addmul16_scalar,
     xor_many: portable::xor_many,
     addmul_many: portable::addmul_many,
 };

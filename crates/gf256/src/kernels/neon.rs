@@ -19,7 +19,6 @@ static NEON: Kernels = Kernels {
     xor: xor_neon,
     mul: mul_neon,
     addmul: addmul_neon,
-    addmul16: crate::gf2p16::addmul16_scalar,
     xor_many: xor_many_neon,
     addmul_many: addmul_many_neon,
 };

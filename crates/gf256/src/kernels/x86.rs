@@ -26,7 +26,6 @@ static SSE2: Kernels = Kernels {
     xor: xor_128,
     mul: portable::mul,
     addmul: portable::addmul,
-    addmul16: crate::gf2p16::addmul16_scalar,
     xor_many: xor_many_128,
     addmul_many: portable::addmul_many,
 };
@@ -36,7 +35,6 @@ static SSSE3: Kernels = Kernels {
     xor: xor_128,
     mul: mul_ssse3,
     addmul: addmul_ssse3,
-    addmul16: crate::gf2p16::addmul16_scalar,
     xor_many: xor_many_128,
     addmul_many: addmul_many_ssse3,
 };
@@ -46,7 +44,6 @@ static AVX2: Kernels = Kernels {
     xor: xor_avx2,
     mul: mul_avx2,
     addmul: addmul_avx2,
-    addmul16: crate::gf2p16::addmul16_scalar,
     xor_many: xor_many_avx2,
     addmul_many: addmul_many_avx2,
 };

@@ -18,37 +18,28 @@
 //!   Vandermonde constructors, used to build systematic generator matrices
 //!   and to solve the decoding systems,
 //! * [`poly`] — polynomial evaluation/interpolation, kept as an independent
-//!   mathematical oracle for property tests,
-//! * [`gf2p16`] — the GF(2^16) extension field plus its own kernels and
-//!   matrix, used by the `ablation_gf216` bench to quantify the paper's
-//!   §2.2 decision to stay on GF(2^8) (its tables are runtime-initialised;
-//!   a compile-time multiplication table would need 8 GiB).
+//!   mathematical oracle for property tests.
 //!
 //! Design notes (see docs/ARCHITECTURE.md §"Arithmetic: `fec-gf256`"): no
 //! macro/type tricks; the GF(2^8) tables are `const fn`-generated so the
 //! common path has zero runtime initialisation and no dependencies. `unsafe`
-//! is denied crate-wide and allowed only inside the SIMD kernel backends
-//! (and the one slice-reinterpret helper they share), where every block
-//! carries a `SAFETY` comment and every backend is differentially tested
-//! against the scalar reference (`tests/kernel_props.rs`).
+//! is denied crate-wide and allowed only inside the SIMD kernel backends,
+//! where every block carries a `SAFETY` comment and every backend is
+//! differentially tested against the scalar reference
+//! (`tests/kernel_props.rs`).
 
 #![deny(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
 
 mod field;
-pub mod gf2p16;
 pub mod kernels;
 mod matrix;
 pub mod poly;
 mod tables;
 
 pub use field::Gf256;
-pub use gf2p16::{Gf2p16, Matrix16};
 pub use matrix::{Matrix, MatrixError};
-
-/// Number of elements in the field (2^8).
-pub const FIELD_SIZE: usize = 256;
 
 /// Multiplicative order of the field: every non-zero element satisfies
 /// `x^255 = 1`. This also bounds the number of *distinct* evaluation points

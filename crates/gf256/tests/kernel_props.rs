@@ -14,7 +14,7 @@
 //! * the `c = 0` / `c = 1` addmul fast paths and all-zero data.
 
 use fec_gf256::kernels::{self, Kernels};
-use fec_gf256::{Gf256, Gf2p16};
+use fec_gf256::Gf256;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -169,29 +169,6 @@ fn fused_many_handles_trivial_coefficients() {
         let mut expect = init.clone();
         backend.xor_acc_many(&mut expect, &refs);
         assert_eq!(got, expect, "all-one row equals XOR: {}", backend.name());
-    }
-}
-
-#[test]
-fn addmul16_matches_reference_on_every_backend() {
-    let mut rng = SmallRng::seed_from_u64(0x1616);
-    for &len in &[0usize, 1, 7, 8, 9, 100, 1000] {
-        let src: Vec<Gf2p16> = (0..len).map(|_| Gf2p16(rng.gen())).collect();
-        let init: Vec<Gf2p16> = (0..len).map(|_| Gf2p16(rng.gen())).collect();
-        for &c in &[
-            Gf2p16::ZERO,
-            Gf2p16::ONE,
-            Gf2p16(2),
-            Gf2p16(0x1234),
-            Gf2p16(0xFFFF),
-        ] {
-            let expect: Vec<Gf2p16> = init.iter().zip(&src).map(|(&d, &s)| d + c * s).collect();
-            for backend in kernels::backends() {
-                let mut got = init.clone();
-                backend.addmul_slice16(&mut got, &src, c);
-                assert_eq!(got, expect, "addmul16 {} len {len} c {c}", backend.name());
-            }
-        }
     }
 }
 

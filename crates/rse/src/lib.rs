@@ -25,13 +25,11 @@
 
 pub mod block;
 mod codec;
-mod codec16;
 mod error;
 mod structural;
 
 pub use block::{BlockParams, Partition};
 pub use codec::RseCodec;
-pub use codec16::{Rse16Codec, MAX_N16};
 pub use error::RseError;
 pub use structural::StructuralObjectDecoder;
 

@@ -1,6 +1,5 @@
 //! Offline stand-in for the subset of the `bytes` crate this workspace uses:
-//! cheaply-cloneable immutable byte buffers ([`Bytes`]), a growable builder
-//! ([`BytesMut`]) and the [`BufMut`] write trait.
+//! cheaply-cloneable immutable byte buffers ([`Bytes`]).
 //!
 //! [`Bytes`] here is an `Arc<[u8]>` — clones are reference-count bumps, as
 //! with the real crate; sub-slicing without copying is not provided because
@@ -93,12 +92,6 @@ impl From<&[u8]> for Bytes {
     }
 }
 
-impl From<BytesMut> for Bytes {
-    fn from(b: BytesMut) -> Bytes {
-        Bytes::from(b.buf)
-    }
-}
-
 impl fmt::Debug for Bytes {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "b\"")?;
@@ -127,80 +120,6 @@ impl<'a> IntoIterator for &'a Bytes {
     }
 }
 
-/// Write interface for growable byte buffers.
-pub trait BufMut {
-    /// Appends a slice.
-    fn put_slice(&mut self, src: &[u8]);
-
-    /// Appends one byte.
-    fn put_u8(&mut self, v: u8) {
-        self.put_slice(&[v]);
-    }
-
-    /// Appends a big-endian `u16`.
-    fn put_u16(&mut self, v: u16) {
-        self.put_slice(&v.to_be_bytes());
-    }
-
-    /// Appends a big-endian `u32`.
-    fn put_u32(&mut self, v: u32) {
-        self.put_slice(&v.to_be_bytes());
-    }
-
-    /// Appends a big-endian `u64`.
-    fn put_u64(&mut self, v: u64) {
-        self.put_slice(&v.to_be_bytes());
-    }
-}
-
-/// A growable byte buffer that freezes into [`Bytes`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BytesMut {
-    buf: Vec<u8>,
-}
-
-impl BytesMut {
-    /// An empty buffer.
-    pub fn new() -> BytesMut {
-        BytesMut { buf: Vec::new() }
-    }
-
-    /// An empty buffer with reserved capacity.
-    pub fn with_capacity(cap: usize) -> BytesMut {
-        BytesMut {
-            buf: Vec::with_capacity(cap),
-        }
-    }
-
-    /// Current length in bytes.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True if empty.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Converts into an immutable [`Bytes`].
-    pub fn freeze(self) -> Bytes {
-        Bytes::from(self.buf)
-    }
-}
-
-impl BufMut for BytesMut {
-    fn put_slice(&mut self, src: &[u8]) {
-        self.buf.extend_from_slice(src);
-    }
-}
-
-impl Deref for BytesMut {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        &self.buf
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,16 +133,6 @@ mod tests {
         assert_eq!(b.len(), 5);
         assert!(!b.is_empty());
         assert_eq!(b.to_vec(), b"hello".to_vec());
-    }
-
-    #[test]
-    fn builder_writes_big_endian() {
-        let mut m = BytesMut::with_capacity(16);
-        m.put_slice(b"AB");
-        m.put_u8(7);
-        m.put_u32(0x0102_0304);
-        let b = m.freeze();
-        assert_eq!(&b[..], &[b'A', b'B', 7, 1, 2, 3, 4]);
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //!
 //! Parallelism follows the workspace guides: scoped threads (structured
 //! concurrency, panics propagate) pulling from one work queue
-//! ([`GridSweep::execute_streamed`], which `fec-distrib`'s workers stream
-//! through as well); no async runtime, because this is pure CPU-bound work.
+//! ([`GridSweep::execute_streamed`]); no async runtime, because this is
+//! pure CPU-bound work.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -15,7 +15,7 @@
 //!
 //! [`GridSweep::execute`] is the degenerate single-process path over that
 //! pipeline; the `fec-distrib` crate drives the same three stages across
-//! shards, subprocesses and hosts and merges byte-identical results.
+//! shards and hosts and merges byte-identical results.
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -669,6 +669,40 @@ mod tests {
             GridSweep::new(exp, cfg).unwrap().execute().cells
         };
         assert_eq!(mk(1), mk(4), "results must not depend on scheduling");
+    }
+
+    #[test]
+    fn a_failing_consumer_stops_the_queue_instead_of_draining_it() {
+        let exp = Experiment::new(
+            builtin::ldgm_staircase(),
+            150,
+            ExpansionRatio::R2_5,
+            TxModel::Random,
+        );
+        let cfg = SweepConfig {
+            runs: 4,
+            grid_p: vec![0.0, 0.2],
+            grid_q: vec![0.3, 0.8],
+            matrix_pool: 2,
+            ..SweepConfig::default()
+        };
+        let units = cfg.units(2);
+        let sweep = GridSweep::new(exp, cfg).unwrap();
+        for threads in [1, 2] {
+            assert!(
+                units.len() > threads + 1,
+                "the queue must outlast the bound"
+            );
+            // The unit whose result was refused, plus at most one more per
+            // thread that was already in flight — never the rest.
+            let (executed, streamed) = sweep.execute_streamed(&units, threads, |_, _| Err(()));
+            assert_eq!(streamed, Err(()));
+            assert!(
+                executed <= threads + 1,
+                "{executed} of {} units ran at {threads} thread(s)",
+                units.len()
+            );
+        }
     }
 
     #[test]

@@ -204,11 +204,6 @@ impl BatchSender {
         self.backend
     }
 
-    /// Replaces the pacing policy.
-    pub fn set_pacer(&mut self, pacer: Pacer) {
-        self.pacer = pacer;
-    }
-
     /// Sends every datagram, pacing and chunking into [`MAX_BURST`]
     /// syscall bursts; blocks until all are handed to the kernel.
     pub fn send_burst(&mut self, datagrams: &[&[u8]]) -> io::Result<usize> {

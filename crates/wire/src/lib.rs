@@ -29,5 +29,5 @@ mod sys;
 pub use engine::{
     classify_recv_error, Backend, BatchReceiver, BatchSender, RecvDisposition, MAX_BURST,
 };
-pub use pacing::{Pacer, PacerSet, TokenBucket};
+pub use pacing::{Pacer, TokenBucket};
 pub use pool::{BufferPool, PoolBuf, DEFAULT_BUF_CAPACITY, DEFAULT_POOL_CAPACITY};

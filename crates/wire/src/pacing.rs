@@ -84,9 +84,10 @@ impl Pacer {
         Pacer::Bucket(TokenBucket::new(rate, burst))
     }
 
-    /// Compatibility constructor for the CLI's `--pace N` flag (N µs per
-    /// datagram): `N = 0` means unlimited, otherwise a bucket at
-    /// `1e6 / N` datagrams/s with a one-syscall burst allowance.
+    /// One datagram every `micros` µs: a bucket at `1e6 / micros`
+    /// datagrams/s with a one-syscall burst allowance; 0 means unlimited.
+    /// (The CLI's `--pace` comes here for every value but its default 0,
+    /// which it maps to a finite ceiling of its own.)
     pub fn per_datagram_micros(micros: u64) -> Pacer {
         if micros == 0 {
             Pacer::Unlimited
@@ -110,106 +111,6 @@ impl Pacer {
     /// True when this pacer never blocks.
     pub fn is_unlimited(&self) -> bool {
         matches!(self, Pacer::Unlimited)
-    }
-}
-
-/// One pacer per bonded path, reconfigurable in place when the bond's
-/// share allocation moves.
-///
-/// A bonded sender owns one socket per path and must bound each path's
-/// rate independently — a share is a promise to *that* link, and paths
-/// share nothing but the aggregate budget. `PacerSet` keeps the per-path
-/// buckets together so a share re-allocation is one
-/// [`reallocate`](Self::reallocate) call: paths whose share stays
-/// positive get a fresh bucket at the new rate, paths squeezed to zero
-/// (outage) stop being grantable at all.
-#[derive(Debug, Clone)]
-pub struct PacerSet {
-    pacers: Vec<Option<Pacer>>,
-    burst: u32,
-}
-
-impl PacerSet {
-    /// A set of `paths` unlimited pacers (no shaping until the first
-    /// [`reallocate`](Self::reallocate)). `burst` caps each path's
-    /// back-to-back burst once rates are applied.
-    pub fn unlimited(paths: usize, burst: u32) -> PacerSet {
-        PacerSet {
-            pacers: (0..paths).map(|_| Some(Pacer::Unlimited)).collect(),
-            burst,
-        }
-    }
-
-    /// A set shaped to `shares` (datagrams/s per path) from the start.
-    pub fn from_shares(shares: &[f64], burst: u32) -> PacerSet {
-        let mut set = PacerSet {
-            pacers: vec![None; shares.len()],
-            burst,
-        };
-        set.reallocate(shares);
-        set
-    }
-
-    /// Number of paths in the set.
-    pub fn len(&self) -> usize {
-        self.pacers.len()
-    }
-
-    /// True when the set has no paths.
-    pub fn is_empty(&self) -> bool {
-        self.pacers.is_empty()
-    }
-
-    /// Applies a new share allocation: path `p` is re-bucketed at
-    /// `shares[p]` datagrams/s, disabled entirely when its share is zero
-    /// (or not finite), and left untouched when the share did not move
-    /// materially (so accumulated bucket state survives small wobbles).
-    /// Extra shares grow the set; missing trailing shares disable those
-    /// paths.
-    pub fn reallocate(&mut self, shares: &[f64]) {
-        if shares.len() > self.pacers.len() {
-            self.pacers.resize(shares.len(), None);
-        }
-        for (p, pacer) in self.pacers.iter_mut().enumerate() {
-            let share = shares.get(p).copied().unwrap_or(0.0);
-            if !share.is_finite() || share <= 0.0 {
-                *pacer = None;
-                continue;
-            }
-            let unchanged = matches!(
-                pacer,
-                Some(Pacer::Bucket(b)) if (b.rate() - share).abs() <= b.rate() * 1e-9
-            );
-            if !unchanged {
-                *pacer = Some(Pacer::rate(share, self.burst));
-            }
-        }
-    }
-
-    /// True when path `p` currently has a positive share.
-    pub fn is_enabled(&self, path: usize) -> bool {
-        matches!(self.pacers.get(path), Some(Some(_)))
-    }
-
-    /// Takes `n` tokens on path `p`, sleeping off any debt. Returns
-    /// false (without sleeping) when the path is disabled or unknown —
-    /// the caller should route the burst elsewhere.
-    pub fn acquire(&mut self, path: usize, n: u32) -> bool {
-        match self.pacers.get_mut(path) {
-            Some(Some(pacer)) => {
-                pacer.acquire(n);
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// The configured rate of path `p` (None when disabled/unlimited).
-    pub fn rate(&self, path: usize) -> Option<f64> {
-        match self.pacers.get(path) {
-            Some(Some(Pacer::Bucket(b))) => Some(b.rate()),
-            _ => None,
-        }
     }
 }
 
@@ -264,41 +165,6 @@ mod tests {
         // 50 datagrams at 100/s with a 4-burst head start: ≥ 0.46 s of
         // enforced waiting (46 paced sends at 10 ms each).
         assert!(total_wait.as_secs_f64() >= 0.459, "{total_wait:?}");
-    }
-
-    #[test]
-    fn pacer_set_tracks_shares() {
-        let mut set = PacerSet::from_shares(&[1000.0, 0.0, 500.0], 64);
-        assert_eq!(set.len(), 3);
-        assert!(set.is_enabled(0) && !set.is_enabled(1) && set.is_enabled(2));
-        assert_eq!(set.rate(0), Some(1000.0));
-        assert!(!set.acquire(1, 8), "zero-share path refuses grants");
-        assert!(set.acquire(0, 8));
-        // Re-allocation: path 0 squeezed out, path 1 revived, NaN is a
-        // disable, unknown paths refuse.
-        set.reallocate(&[0.0, 250.0, f64::NAN]);
-        assert!(!set.is_enabled(0) && set.is_enabled(1) && !set.is_enabled(2));
-        assert_eq!(set.rate(1), Some(250.0));
-        assert!(!set.acquire(9, 1), "unknown path refuses grants");
-        // Growing the set adds paths.
-        set.reallocate(&[0.0, 250.0, 0.0, 100.0]);
-        assert_eq!(set.len(), 4);
-        assert!(set.is_enabled(3));
-    }
-
-    #[test]
-    fn pacer_set_unchanged_share_keeps_bucket_state() {
-        let mut set = PacerSet::from_shares(&[100.0], 4);
-        // Drain the initial burst, then re-apply the same share: the
-        // bucket must keep its debt (a fresh bucket would refill it).
-        assert!(set.acquire(0, 4));
-        set.reallocate(&[100.0]);
-        match set.pacers[0].as_mut().unwrap() {
-            Pacer::Bucket(b) => {
-                assert!(b.wait_for(1, Instant::now()) > Duration::ZERO)
-            }
-            Pacer::Unlimited => panic!("expected bucket"),
-        }
     }
 
     #[test]

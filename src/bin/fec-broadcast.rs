@@ -44,12 +44,11 @@ fn main() -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
-    let result = match command.as_str() {
+    let result = check_flags(command, &opts).and_then(|()| match command.as_str() {
         "codecs" => cmd_codecs(&opts),
         "recommend" => cmd_recommend(&opts),
         "plan" => cmd_plan(&opts),
         "sweep" => cmd_sweep(&opts),
-        "sweep-worker" => cmd_sweep_worker(&opts),
         "merge" => cmd_merge(&opts, &positionals),
         "map" => cmd_map(&opts),
         "adapt" => cmd_adapt(&opts),
@@ -60,7 +59,7 @@ fn main() -> ExitCode {
             Ok(())
         }
         other => Err(format!("unknown command {other:?}")),
-    };
+    });
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
@@ -86,23 +85,13 @@ USAGE:
 
   fec-broadcast sweep --code <name> --tx <1..6> --ratio <r>
                       [--k <k>] [--runs <n>] [--coarse] [--seed <n>]
-                      [--workers <n>] [--out <file>]
-                      [--shard <i/n> --emit-partial]
+                      [--out <file>] [--shard <i/n> --emit-partial]
                       [--metrics-addr <addr:port>] [--telemetry-log <path>]
-      Monte-Carlo (p,q) grid sweep; prints a paper-style inefficiency table.
-      --workers N fans the sweep out over N single-threaded `sweep-worker`
-      subprocesses (process count is the parallelism knob; without the
-      flag the sweep uses an in-process thread pool over all cores, and
-      the output bytes are identical either way). --shard i/n runs
+      Monte-Carlo (p,q) grid sweep on an in-process work queue over all
+      cores; prints a paper-style inefficiency table. --shard i/n runs
       only that round-robin slice of the plan and --emit-partial saves it
       as a self-contained partial file (--out, default stdout) for a later
       `merge` — the multi-host recipe. --out saves the merged result JSON.
-
-  fec-broadcast sweep-worker [--shard <i/n>] [--threads <n>]
-      Worker half of the subprocess protocol: reads a sweep plan JSON
-      document on stdin, streams one partial-result JSON line per
-      completed work unit on stdout. Spawned by `sweep --workers`; also
-      usable directly by external schedulers.
 
   fec-broadcast merge <partial.json>... [--out <file>]
       Combines partial files produced by `sweep --shard i/n --emit-partial`
@@ -126,9 +115,9 @@ USAGE:
                      [--window <pkts>] [--replan-every <pkts>]
                      [--metrics-addr <addr:port>] [--telemetry-log <path>]
       FLUTE/ALC file broadcast over UDP. --loss-p/--loss-q inject Gilbert
-      losses at the sender for reproducible demos. --pace sleeps that many
-      microseconds between datagrams (default 0: full speed), stretching a
-      session out so a human — or a Prometheus scrape — can watch it.
+      losses at the sender for reproducible demos. --pace spaces datagrams
+      that many microseconds apart so a human — or a Prometheus scrape —
+      can watch a session (default 0: a 213 000 datagram/s ceiling).
       With --adaptive (--fanout is accepted as a synonym) the sender binds
       --report-addr for reception-report digests from any number of
       receivers: digests are keyed by source address and deduped per
@@ -171,6 +160,46 @@ JSON document (goodput, overhead vs the static worst case, estimator
 trajectory) on exit.
 
 Probabilities are given as fractions (0.05 = 5%).";
+
+/// Every flag each subcommand reads — the USAGE synopses above, as data.
+/// A flag that is not listed is refused instead of silently ignored.
+const FLAGS: [(&str, &str); 9] = [
+    ("codecs", ""),
+    ("recommend", "p q high-loss"),
+    ("plan", "k ratio inef p q tolerance"),
+    (
+        "sweep",
+        "code tx ratio k runs coarse seed out shard emit-partial metrics-addr telemetry-log",
+    ),
+    ("merge", "out"),
+    ("map", "ratio"),
+    ("adapt", "k epochs seed window no-plan"),
+    (
+        "send",
+        "file dest paths tsi code tx ratio symbol seed loss-p loss-q pace adaptive fanout \
+         report-addr window replan-every metrics-addr telemetry-log",
+    ),
+    (
+        "recv",
+        "listen tsi out timeout report-to report-every population jitter-seed backoff nack \
+         metrics-addr telemetry-log",
+    ),
+];
+
+/// `recv` flags that shape reception reports: without `--report-to` there
+/// is no report for them to act on.
+const REPORT_FLAGS: &str = "report-every population jitter-seed backoff nack";
+
+/// Refuses any flag `command` does not read (an unknown command is the
+/// dispatcher's error, not this one's).
+fn check_flags(command: &str, opts: &HashMap<String, String>) -> Result<(), String> {
+    let Some((_, known)) = FLAGS.iter().find(|(name, _)| *name == command) else {
+        return Ok(());
+    };
+    let unknown = |key: &&String| !known.split_whitespace().any(|flag| flag == *key);
+    let refuse = |key: &String| Err(format!("unknown option --{key} for '{command}'"));
+    opts.keys().filter(unknown).min().map_or(Ok(()), refuse)
+}
 
 /// Minimal `--key value` / `--flag` parser; non-flag arguments that do not
 /// follow a `--key` are collected as positionals (the `merge` subcommand's
@@ -215,6 +244,12 @@ fn get_usize(opts: &HashMap<String, String>, key: &str, default: usize) -> Resul
             .map_err(|_| format!("--{key} {v:?} is not an integer")),
         None => Ok(default),
     }
+}
+
+/// A flag that is a 32-bit quantity where it lands (a TSI, a run count).
+fn get_u32(opts: &HashMap<String, String>, key: &str, default: u32) -> Result<u32, String> {
+    let n = get_usize(opts, key, default as usize)?;
+    u32::try_from(n).map_err(|_| format!("--{key} {n} does not fit in 32 bits"))
 }
 
 fn channel_from(opts: &HashMap<String, String>) -> Result<Option<GilbertParams>, String> {
@@ -453,7 +488,7 @@ fn sweep_plan(opts: &HashMap<String, String>) -> Result<(SweepPlan, String), Str
     let tx = parse_tx(opts, None)?;
     let ratio = ratio_from(require_f64(opts, "ratio")?)?;
     let k = get_usize(opts, "k", 2000)?;
-    let runs = get_usize(opts, "runs", 20)? as u32;
+    let runs = get_u32(opts, "runs", 20)?;
     let seed = get_usize(opts, "seed", SweepConfig::default().seed as usize)? as u64;
     let grid = if opts.contains_key("coarse") {
         fec_broadcast::channel::grid::GridKind::Coarse.to_vec()
@@ -479,7 +514,7 @@ fn sweep_plan(opts: &HashMap<String, String>) -> Result<(SweepPlan, String), Str
     Ok((plan, description))
 }
 
-fn print_sweep_result(result: &fec_broadcast::sim::SweepResult) {
+fn print_sweep_result(result: &SweepResult) {
     println!("{}", report::paper_table(result));
     println!(
         "grand mean {} over {} decodable cells ({} masked)",
@@ -539,30 +574,9 @@ fn cmd_sweep(opts: &HashMap<String, String>) -> Result<(), String> {
         return Err("--emit-partial requires --shard i/n".into());
     }
 
-    // An explicit --workers N (including N = 1) always goes through the
-    // coordinator — N single-threaded subprocesses, so process count is
-    // the parallelism knob and `--workers 4` vs `--workers 1` measures
-    // real scaling. Without the flag the sweep runs in-process on the
-    // thread pool (all cores). Same bytes either way.
     let mut telemetry = Telemetry::from_opts(opts)?;
-    let result = if opts.contains_key("workers") {
-        let workers = get_usize(opts, "workers", 1)?.max(1);
-        println!(
-            "sweeping {description} across {workers} worker process(es) \
-             ({} work units)…\n",
-            plan.unit_count()
-        );
-        let mut coordinator = Coordinator::self_exec(workers).map_err(|e| e.to_string())?;
-        if telemetry.enabled() {
-            // Work units stream into the registry as workers report them,
-            // so a mid-run scrape shows live progress.
-            coordinator = coordinator.with_telemetry(&telemetry.registry);
-        }
-        coordinator.run(&plan).map_err(|e| e.to_string())?
-    } else {
-        println!("sweeping {description}…\n");
-        distrib::execute_plan(&plan).map_err(|e| e.to_string())?
-    };
+    println!("sweeping {description}…\n");
+    let result = execute_observed(&plan, &telemetry.registry).map_err(|e| e.to_string())?;
     telemetry.record(Event::SweepProgress {
         units_done: plan.unit_count() as u64,
         units_total: plan.unit_count() as u64,
@@ -577,24 +591,29 @@ fn cmd_sweep(opts: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-/// The subprocess half of `sweep --workers` (also usable by external
-/// schedulers): plan JSON on stdin, one partial JSON line per completed
-/// unit on stdout. Keep stdout pure — all diagnostics go to stderr.
-fn cmd_sweep_worker(opts: &HashMap<String, String>) -> Result<(), String> {
-    let shard = match opts.get("shard") {
-        Some(s) => ShardSpec::parse(s).map_err(|e| e.to_string())?,
-        None => ShardSpec::all(),
-    };
-    let threads = opts
-        .get("threads")
-        .map(|v| {
-            v.parse::<usize>()
-                .map_err(|_| format!("--threads {v:?} is not an integer"))
-        })
-        .transpose()?;
-    let mut stdin = std::io::stdin().lock();
-    let mut stdout = std::io::stdout().lock();
-    distrib::run_worker(&mut stdin, &mut stdout, &shard, threads).map_err(|e| e.to_string())
+/// Runs every unit of `plan` on the in-process work queue, folding each
+/// accumulator into the merge as it completes and counting it into
+/// `registry`, so a mid-run scrape shows live progress
+/// (`fec_sweep_units_total` climbing to `fec_sweep_units_planned`).
+fn execute_observed(
+    plan: &SweepPlan,
+    registry: &Registry,
+) -> Result<SweepResult, distrib::DistribError> {
+    let sweep = plan.prepare()?;
+    let units = plan.units();
+    let planned = registry.gauge("fec_sweep_units_planned", "Work units in the plan.");
+    planned.set(units.len() as f64);
+    let done = registry.counter("fec_sweep_units_total", "Work units executed so far.");
+    let cores = || std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let threads = plan.config.threads.unwrap_or_else(cores);
+    let mut merge = distrib::StreamingMerge::new(plan.clone());
+    let (_, folded) = sweep.execute_streamed(&units, threads, |i, accum| {
+        done.inc();
+        let unit_id = units[i].unit_id;
+        merge.fold_unit(&distrib::UnitResult { unit_id, accum })
+    });
+    folded?;
+    merge.finish()
 }
 
 fn cmd_merge(opts: &HashMap<String, String>, files: &[String]) -> Result<(), String> {
@@ -653,7 +672,7 @@ fn cmd_adapt(opts: &HashMap<String, String>) -> Result<(), String> {
     use fec_broadcast::adapt::{AdaptiveRunner, ControllerConfig, Scenario};
 
     let k = get_usize(opts, "k", 400)?;
-    let epochs = get_usize(opts, "epochs", 36)? as u32;
+    let epochs = get_u32(opts, "epochs", 36)?;
     let seed = get_usize(opts, "seed", 0x5EED_AD47)? as u64;
     let window = get_usize(opts, "window", 2_500)?;
     if k == 0 || epochs == 0 {
@@ -747,7 +766,7 @@ fn cmd_send(opts: &HashMap<String, String>) -> Result<(), String> {
     use fec_broadcast::flute::{FluteSender, SenderConfig};
 
     let path = opts.get("file").ok_or("--file is required")?;
-    let tsi = get_usize(opts, "tsi", 1)? as u32;
+    let tsi = get_u32(opts, "tsi", 1)?;
     let code = parse_code(
         opts,
         Some(registry::resolve("ldgm-triangle").expect("builtin")),
@@ -911,12 +930,12 @@ fn split_addrs<'a>(flag: &str, list: &'a str) -> Result<Vec<&'a str>, String> {
 
 /// Maps `--pace <micros>` onto the wire engine's token bucket.
 /// `--pace 1000` stretches a loopback session to something a metrics
-/// scrape (or a human with `curl`) can observe mid-flight. The default
-/// keeps the historical gentle throttle — the old loop napped 300 µs
-/// every 64 datagrams (≈213k datagrams/s), enough to keep a loopback
-/// receiver's kernel queue from overflowing at full blast — while any
-/// explicit value paces at exactly `1e6 / micros` datagrams/s with a
-/// one-syscall burst allowance.
+/// scrape (or a human with `curl`) can observe mid-flight: any explicit
+/// value paces at exactly `1e6 / micros` datagrams/s with a one-syscall
+/// burst allowance. 0, the default, is *not* handed to
+/// `Pacer::per_datagram_micros` (where 0 means unlimited): a loopback
+/// receiver's kernel queue overflows at full blast, so the CLI caps an
+/// unpaced session at 213 000 datagrams/s instead.
 fn pacer_from_micros(micros: u64) -> Pacer {
     if micros == 0 {
         Pacer::rate(213_000.0, MAX_BURST as u32)
@@ -945,7 +964,13 @@ fn cmd_recv(opts: &HashMap<String, String>) -> Result<(), String> {
     if addrs.is_empty() {
         return Err("--listen needs at least one addr:port".into());
     }
-    let tsi = get_usize(opts, "tsi", 1)? as u32;
+    let report_flag = REPORT_FLAGS.split(' ').find(|f| opts.contains_key(*f));
+    if let (None, Some(flag)) = (opts.get("report-to"), report_flag) {
+        return Err(format!(
+            "unknown option --{flag} for 'recv' without --report-to"
+        ));
+    }
+    let tsi = get_u32(opts, "tsi", 1)?;
     let timeout = get_usize(opts, "timeout", 10)? as u64;
     let report_every = get_usize(opts, "report-every", 128)?.max(1);
 
@@ -1009,7 +1034,7 @@ fn cmd_recv(opts: &HashMap<String, String>) -> Result<(), String> {
             report_every,
             population_hint: (get_usize(opts, "population", 1)? as u64).max(1),
             jitter_seed: get_usize(opts, "jitter-seed", 0)? as u64,
-            max_backoff_exp: get_usize(opts, "backoff", 0)? as u32,
+            max_backoff_exp: get_u32(opts, "backoff", 0)?,
             ..ReportConfig::default()
         });
         if opts.contains_key("nack") {
@@ -1099,5 +1124,80 @@ fn channel_from_keys(
             .map_err(|e| e.to_string()),
         (None, None) => Ok(None),
         _ => Err(format!("--{p_key} and --{q_key} must be given together")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The counters a scrape of `sweep --metrics-addr` shows: the planned
+    /// unit count is there before the first unit is, the done count climbs
+    /// one unit at a time to meet it, and the result is the library's.
+    #[test]
+    fn sweep_progress_counters_track_the_executor() {
+        let grid = vec![0.0, 0.05, 0.1, 0.2];
+        let plan = SweepPlan::new(
+            Experiment::new(
+                registry::resolve("ldgm-staircase").unwrap(),
+                300,
+                ExpansionRatio::R2_5,
+                TxModel::Random,
+            ),
+            SweepConfig {
+                runs: 40,
+                grid_p: grid.clone(),
+                grid_q: grid,
+                seed: 7,
+                threads: Some(2),
+                ..SweepConfig::default()
+            },
+        )
+        .unwrap()
+        .with_runs_per_unit(2);
+        let planned = plan.unit_count();
+        assert_eq!(planned, 320);
+
+        let metrics = Registry::new();
+        let units_planned = metrics.gauge("fec_sweep_units_planned", "");
+        let units_done = metrics.counter("fec_sweep_units_total", "");
+        let mut samples = vec![(units_planned.get(), units_done.get())];
+        let result = std::thread::scope(|scope| {
+            let sweep = scope.spawn(|| execute_observed(&plan, &metrics));
+            while !sweep.is_finished() {
+                // Counter first: the gauge is set before any unit counts.
+                let done = units_done.get();
+                let sample = (units_planned.get(), done);
+                if samples.last() != Some(&sample) {
+                    samples.push(sample);
+                }
+                std::thread::yield_now();
+            }
+            sweep.join().expect("sweep thread").unwrap()
+        });
+        samples.push((units_planned.get(), units_done.get()));
+
+        assert_eq!(samples[0], (0.0, 0));
+        assert_eq!(samples[samples.len() - 1], (planned as f64, planned as u64));
+        for pair in samples.windows(2) {
+            assert!(pair[0].1 <= pair[1].1, "done count fell: {pair:?}");
+        }
+        for &(gauge, done) in &samples {
+            assert!(gauge == 0.0 || gauge == planned as f64, "{gauge}");
+            assert!(
+                done == 0 || gauge == planned as f64,
+                "counted before planned"
+            );
+        }
+        assert!(
+            samples
+                .iter()
+                .any(|&(gauge, done)| gauge == planned as f64 && done > 0 && done < planned as u64),
+            "no scrape saw the sweep under way: {samples:?}"
+        );
+        assert_eq!(
+            serde_json::to_string(&result).unwrap(),
+            serde_json::to_string(&distrib::execute_plan(&plan).unwrap()).unwrap()
+        );
     }
 }

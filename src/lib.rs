@@ -60,10 +60,10 @@ pub mod prelude {
         CodecHandle, CodecRegistry, DecodeProgress, Envelope, ErasureCode, SessionParams,
     };
     pub use fec_core::{
-        recommend, Carousel, ChannelKnowledge, CodeSpec, MeasuredSelector, Packet, Receiver,
-        Recommendation, Sender, TransmissionPlan,
+        recommend, ChannelKnowledge, CodeSpec, MeasuredSelector, Packet, Receiver, Recommendation,
+        Sender, TransmissionPlan,
     };
-    pub use fec_distrib::{Coordinator, PartialFile, PartialSweep, ShardSpec, SweepPlan};
+    pub use fec_distrib::{PartialFile, PartialSweep, ShardSpec, SweepPlan};
     pub use fec_flute::{FluteReceiver, FluteSender, ObjectStatus, ReceiverEvent, SenderConfig};
     pub use fec_sched::{Layout, PacketRef, RxModel, TxModel};
     pub use fec_sim::{ExpansionRatio, Experiment, GridSweep, Runner, SweepConfig, SweepResult};

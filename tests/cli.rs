@@ -165,6 +165,90 @@ fn duplicate_flag_is_reported() {
     assert!(stderr.contains("given twice"));
 }
 
+/// A flag a subcommand does not read is an error naming the flag and the
+/// subcommand — not a run at the defaults (`send --rato 2.5` used to
+/// broadcast at ratio 1.5 and exit 0). One misspelling per subcommand,
+/// each beside arguments that are otherwise complete.
+#[test]
+fn unknown_flags_are_refused_per_subcommand() {
+    let cases = [
+        ("codecs --verbose", "--verbose for 'codecs'"),
+        ("recommend --hi-loss", "--hi-loss for 'recommend'"),
+        (
+            "plan --k 100 --ratio 1.5 --inef 1.05 --p 0.01 --q 0.5 --tolerence 3",
+            "--tolerence for 'plan'",
+        ),
+        (
+            "sweep --code rse --tx 5 --ratio 2.5 --k 100 --runs 1 --coarse --threads 4",
+            "--threads for 'sweep'",
+        ),
+        (
+            "merge a.partial.json --output merged.json",
+            "--output for 'merge'",
+        ),
+        ("map --rato 2.0", "--rato for 'map'"),
+        ("adapt --k 100 --epoch 3", "--epoch for 'adapt'"),
+        (
+            "send --file Cargo.toml --dest 127.0.0.1:9 --rato 2.5",
+            "--rato for 'send'",
+        ),
+        (
+            "recv --listen 127.0.0.1:0 --time-out 1",
+            "--time-out for 'recv'",
+        ),
+    ];
+    for (line, named) in cases {
+        let (ok, stdout, stderr) = run(&line.split(' ').collect::<Vec<_>>());
+        assert!(!ok, "{line} ran: {stdout}");
+        assert!(
+            stderr.starts_with(&format!("error: unknown option {named}\n")),
+            "{line}: {stderr}"
+        );
+    }
+}
+
+/// `recv`'s report-shaping flags act on reports: without `--report-to`
+/// they used to enable nothing and exit 0.
+#[test]
+fn report_flags_need_a_report_destination() {
+    for flag in [
+        "--nack",
+        "--population",
+        "--jitter-seed",
+        "--backoff",
+        "--report-every",
+    ] {
+        let (ok, _, stderr) = run(&["recv", "--listen", "127.0.0.1:0", flag, "2"]);
+        assert!(!ok, "{flag}");
+        assert!(
+            stderr.starts_with(&format!(
+                "error: unknown option {flag} for 'recv' without --report-to\n"
+            )),
+            "{flag}: {stderr}"
+        );
+    }
+}
+
+/// A value too wide for where it lands is an error, not a wrap
+/// (`--tsi 4294967297` used to join session 1).
+#[test]
+fn thirty_two_bit_flags_are_range_checked() {
+    for line in [
+        "recv --listen 127.0.0.1:0 --tsi 4294967297",
+        "send --file Cargo.toml --dest 127.0.0.1:9 --tsi 4294967297",
+        "sweep --code rse --tx 5 --ratio 2.5 --k 100 --coarse --runs 4294967297",
+        "adapt --k 100 --epochs 4294967297",
+        "recv --listen 127.0.0.1:0 --report-to 127.0.0.1:9 --backoff 4294967297",
+    ] {
+        let (ok, _, stderr) = run(&line.split(' ').collect::<Vec<_>>());
+        assert!(!ok, "{line}");
+        assert!(
+            stderr.contains("4294967297 does not fit in 32 bits"),
+            "{line}: {stderr}"
+        );
+    }
+}
+
 /// A receiver tracks at most 64 per-path EXT_SEQ spaces, so a 65th
 /// `--listen` socket (or `--paths` destination) would share a track with
 /// another path: both lists are refused before any socket is bound.

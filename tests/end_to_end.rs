@@ -117,35 +117,6 @@ fn carousel_retransmission_recovers_catastrophic_receivers() {
 }
 
 #[test]
-fn wire_format_roundtrip_through_bytes() {
-    let symbol = 48;
-    let k = 64;
-    let spec = CodeSpec::rse(k, ExpansionRatio::R1_5);
-    let obj = object(k * symbol - 11, 4);
-    let sender = Sender::new(spec.clone(), &obj, symbol).expect("sender");
-    let mut rx = Receiver::new(spec, obj.len(), symbol).expect("receiver");
-    // Serialise every packet to bytes and back, shuffled order, every third lost.
-    let mut wires: Vec<Vec<u8>> = TxModel::Random
-        .schedule(sender.layout(), 5)
-        .into_iter()
-        .map(|r| sender.packet(r).unwrap().to_bytes().to_vec())
-        .collect();
-    wires.retain({
-        let mut i = 0;
-        move |_| {
-            i += 1;
-            i % 3 != 0
-        }
-    });
-    for wire in &wires {
-        if rx.push_bytes(wire).expect("parse+push").is_decoded() {
-            break;
-        }
-    }
-    assert_eq!(rx.into_object().unwrap(), obj);
-}
-
-#[test]
 fn one_byte_object() {
     let spec = CodeSpec::ldgm_staircase(1, ExpansionRatio::Custom(5.0));
     let obj = vec![0xA7u8];

@@ -1,9 +1,8 @@
 //! End-to-end acceptance for the sharded sweep engine: the same plan run
-//! single-process, via `--workers N` subprocesses, via `--shard i/n
-//! --emit-partial` + `merge`, and via the raw `sweep-worker` protocol must
-//! all produce byte-identical merged JSON.
+//! single-process, via `--shard i/n --emit-partial` + `merge`, and through
+//! the library's `run_shard` / `from_partials` must all produce
+//! byte-identical merged JSON.
 
-use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
 
@@ -56,7 +55,6 @@ fn cli_plan() -> SweepPlan {
 fn all_execution_strategies_are_byte_identical() {
     let dir = tmp_dir("strategies");
     let single = dir.join("single.json");
-    let workers = dir.join("workers.json");
     let merged = dir.join("merged.json");
 
     // 1. Single process.
@@ -64,15 +62,7 @@ fn all_execution_strategies_are_byte_identical() {
     let reference = std::fs::read(&single).expect("single result written");
     assert!(!reference.is_empty());
 
-    // 2. Four coordinated worker subprocesses.
-    run_to_file(&["--workers", "4"], &workers);
-    assert_eq!(
-        reference,
-        std::fs::read(&workers).unwrap(),
-        "--workers 4 must be byte-identical to the single-process run"
-    );
-
-    // 3. Multi-host recipe: four independent shard runs, partials shipped
+    // 2. Multi-host recipe: four independent shard runs, partials shipped
     //    to `merge`.
     let mut partial_paths = Vec::new();
     for i in 0..4 {
@@ -95,41 +85,16 @@ fn all_execution_strategies_are_byte_identical() {
         "shard + merge must be byte-identical to the single-process run"
     );
 
-    // 4. The raw worker protocol: plan JSON on stdin, partial JSONL on
-    //    stdout, merged through the library.
+    // 3. The same shards through the library.
     let plan = cli_plan();
-    let doc = plan.to_json().unwrap();
-    let mut partials = Vec::new();
-    for i in 0..3u32 {
-        let mut child = bin()
-            .args([
-                "sweep-worker",
-                "--shard",
-                &format!("{i}/3"),
-                "--threads",
-                "2",
-            ])
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .spawn()
-            .expect("worker spawns");
-        child
-            .stdin
-            .take()
-            .unwrap()
-            .write_all(doc.as_bytes())
-            .unwrap();
-        let out = child.wait_with_output().unwrap();
-        assert!(out.status.success(), "worker {i} failed");
-        for line in String::from_utf8(out.stdout).unwrap().lines() {
-            partials.push(distrib::parse_partial_line(line).unwrap());
-        }
-    }
-    let via_protocol = distrib::from_partials(&plan, &partials).unwrap();
+    let partials: Vec<_> = (0..3)
+        .map(|index| distrib::run_shard(&plan, &ShardSpec::RoundRobin { index, count: 3 }).unwrap())
+        .collect();
+    let via_library = distrib::from_partials(&plan, &partials).unwrap();
     assert_eq!(
         String::from_utf8(reference.clone()).unwrap(),
-        serde_json::to_string(&via_protocol).unwrap(),
-        "raw sweep-worker protocol must reproduce the single-process run"
+        serde_json::to_string(&via_library).unwrap(),
+        "library shards must reproduce the single-process run"
     );
 
     // The CLI plan is the library plan: a partial file from disk carries
@@ -203,19 +168,4 @@ fn merge_rejects_incomplete_and_mismatched_sets() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("--emit-partial"));
 
     std::fs::remove_dir_all(&dir).ok();
-}
-
-/// `sweep --workers` must actually distribute: with a plan of many units,
-/// every worker subprocess contributes part of the result. (Speedup itself
-/// is asserted by the CI job's timing, not here — CI runners' core counts
-/// vary.)
-#[test]
-fn coordinator_uses_every_worker() {
-    let plan = cli_plan();
-    let coordinator = distrib::Coordinator::new(env!("CARGO_BIN_EXE_fec-broadcast"), 4);
-    assert_eq!(coordinator.effective_workers(&plan), 4);
-    let partials = coordinator.collect_partials(&plan).unwrap();
-    assert_eq!(partials.len(), plan.unit_count(), "one partial per unit");
-    let result = distrib::from_partials(&plan, &partials).unwrap();
-    assert_eq!(result.cells.len(), 64);
 }
