@@ -1,74 +1,89 @@
-//! `fec-broadcast` — command-line front end for the paper's workflows.
+//! `fec-broadcast` — command-line front end for the paper's workflows;
+//! `fec-broadcast help` prints every subcommand's synopsis ([`USAGE`]).
 //!
-//! ```text
-//! fec-broadcast recommend [--p <p> --q <q>] [--high-loss]
-//! fec-broadcast plan --k <k> --ratio <r> --inef <i> --p <p> --q <q> [--tolerance <n>]
-//! fec-broadcast sweep --code <rse|staircase|triangle> --tx <1..6> --ratio <r>
-//!                     [--k <k>] [--runs <n>] [--coarse]
-//! fec-broadcast map [--ratio <r>]
-//! ```
-//!
-//! Argument parsing is deliberately hand-rolled (the workspace's dependency
-//! budget has no CLI crate); every command prints a paper-style report to
-//! stdout.
+//! Argument parsing is deliberately hand-rolled (the workspace's
+//! dependency budget has no CLI crate): argv is tokenised once into
+//! [`Args`], and each subcommand's parse declares every flag it reads
+//! exactly once — name, arity, type, range, default — into typed
+//! arguments (`SweepArgs`, `SendArgs`, `RecvArgs`; locals for the small
+//! commands) before anything runs. Every command prints a paper-style
+//! report to stdout.
 
-use std::collections::HashMap;
 use std::process::ExitCode;
+use std::time::Duration;
 
 use fec_broadcast::channel::analysis::FeasibilityLimit;
+use fec_broadcast::channel::grid::GridKind::{Coarse, Paper};
 use fec_broadcast::channel::LinkEmulator;
-use fec_broadcast::codec::{registry, CodecHandle};
+use fec_broadcast::codec::registry;
 use fec_broadcast::distrib;
+use fec_broadcast::flute::feedback::{ReportConfig, MAX_PATH_TRACKS};
 use fec_broadcast::live;
 use fec_broadcast::prelude::*;
 use fec_broadcast::sim::report;
 use fec_broadcast::wire::{Backend, BatchReceiver, BatchSender, BufferPool, Pacer, MAX_BURST};
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some((command, rest)) = args.split_first() else {
-        eprintln!("{USAGE}");
-        return ExitCode::FAILURE;
-    };
-    let (opts, positionals) = match parse_opts(rest) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            return ExitCode::FAILURE;
+/// Every `println!` below is this one: a closed stdout (`sweep … | head`)
+/// ends the command quietly — the reader has seen enough — where std's
+/// panics in the middle of a report.
+macro_rules! println {
+    ($($arg:tt)*) => { print_line(format_args!($($arg)*)) };
+}
+
+fn print_line(line: std::fmt::Arguments) {
+    use std::io::Write;
+    if let Err(e) = writeln!(std::io::stdout(), "{line}") {
+        let closed = e.kind() == std::io::ErrorKind::BrokenPipe;
+        if !closed {
+            eprintln!("error: stdout: {e}");
         }
-    };
-    if command != "merge" && !positionals.is_empty() {
-        eprintln!(
-            "error: unexpected positional argument {:?}\n\n{USAGE}",
-            positionals[0]
-        );
-        return ExitCode::FAILURE;
-    }
-    let result = check_flags(command, &opts).and_then(|()| match command.as_str() {
-        "codecs" => cmd_codecs(&opts),
-        "recommend" => cmd_recommend(&opts),
-        "plan" => cmd_plan(&opts),
-        "sweep" => cmd_sweep(&opts),
-        "merge" => cmd_merge(&opts, &positionals),
-        "map" => cmd_map(&opts),
-        "adapt" => cmd_adapt(&opts),
-        "send" => cmd_send(&opts),
-        "recv" => cmd_recv(&opts),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown command {other:?}")),
-    });
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            ExitCode::FAILURE
-        }
+        std::process::exit(i32::from(!closed));
     }
 }
 
+fn main() -> ExitCode {
+    let mut argv = std::env::args().skip(1);
+    let command = argv.next().unwrap_or_default();
+    // Wrong arguments are answered with the subcommand's synopsis (an
+    // unknown command with all of them); a command that fails at run time
+    // — socket, file, decode timeout — with its error alone.
+    let failure = match run(&mut Args::new(&command, argv)) {
+        Ok(ran) => ran.err(),
+        Err(e) => Some(format!("{e}\n\n{}", synopsis(&command))),
+    };
+    let Some(e) = failure else {
+        return ExitCode::SUCCESS;
+    };
+    eprintln!("error: {e}");
+    ExitCode::FAILURE
+}
+
+/// Parses `a` as its subcommand's arguments, then runs it. The outer
+/// error says the arguments were wrong; the inner one that the command
+/// failed at run time (the commands that only print cannot).
+fn run(a: &mut Args) -> Result<Result<(), String>, String> {
+    match a.command.as_str() {
+        "codecs" => cmd_codecs(a).map(Ok),
+        "recommend" => cmd_recommend(a).map(Ok),
+        "plan" => cmd_plan(a).map(Ok),
+        "sweep" => SweepArgs::parse(a).map(cmd_sweep),
+        "merge" => parse_merge(a).map(cmd_merge),
+        "map" => cmd_map(a).map(Ok),
+        "adapt" => cmd_adapt(a).map(Ok),
+        "send" => SendArgs::parse(a).map(cmd_send),
+        "recv" => RecvArgs::parse(a).map(cmd_recv),
+        "help" | "--help" | "-h" => {
+            println!("{USAGE}");
+            Ok(Ok(()))
+        }
+        "" => Err("no command given".into()),
+        other => Err(format!("unknown command {other:?}")),
+    }
+}
+
+/// Each synopsis names every flag its subcommand's parse reads, with the
+/// same placeholder — `tests::every_synopsis_is_what_its_parse_reads`
+/// holds the two to each other, both ways.
 const USAGE: &str = "\
 fec-broadcast — FEC scheduling & loss-distribution toolkit (INRIA RR-5578)
 
@@ -105,27 +120,29 @@ USAGE:
                       [--no-plan]
       Closed-loop demo: online Gilbert estimation + adaptive tuple/plan
       selection on a regime-switching channel, compared against the best
-      and worst static configurations in hindsight.
+      and worst static configurations in hindsight. --window is the
+      estimator's sliding window, 2..=10000000 packets (default 2500).
 
   fec-broadcast send --file <path> (--dest <addr:port> | --paths <a1:p1,a2:p2,...>)
                      [--tsi <n>] [--code <name>] [--tx <1..6>]
                      [--ratio <r>] [--symbol <bytes>] [--seed <n>]
                      [--loss-p <p> --loss-q <q>] [--pace <micros>]
-                     [--adaptive --report-addr <addr:port>]
-                     [--window <pkts>] [--replan-every <pkts>]
+                     [--adaptive --report-addr <addr:port>
+                      [--window <pkts>] [--replan-every <pkts>]]
                      [--metrics-addr <addr:port>] [--telemetry-log <path>]
       FLUTE/ALC file broadcast over UDP. --loss-p/--loss-q inject Gilbert
       losses at the sender for reproducible demos. --pace spaces datagrams
       that many microseconds apart so a human — or a Prometheus scrape —
       can watch a session (default 0: a 213 000 datagram/s ceiling).
-      With --adaptive (--fanout is accepted as a synonym) the sender binds
-      --report-addr for reception-report digests from any number of
-      receivers: digests are keyed by source address and deduped per
-      receiver, the worst receiver's loss sketch drives the online
-      channel estimate, the transmission is truncated/extended live
-      (§6.2 re-planning), receiver NACKs become targeted repair symbols,
-      and the session ends when every tracked receiver reports it
-      complete. Receivers run `recv --report-to` with the same address
+      With --adaptive the sender binds --report-addr for reception-report
+      digests from any number of receivers: digests are keyed by source
+      address and deduped per receiver, the worst receiver's loss sketch
+      drives the online channel estimate (over a sliding --window of
+      2..=10000000 packets, default 20000), the transmission is
+      truncated/extended live (§6.2 re-planning, every --replan-every
+      datagrams, default 64), receiver NACKs become targeted repair
+      symbols, and the session ends when every tracked receiver reports
+      it complete. Receivers run `recv --report-to` with the same address
       (add `--nack --population <n>` when many of them listen).
       --paths stripes the schedule across several destinations with a
       credit scheduler: source symbols prefer the first-listed (fastest)
@@ -135,9 +152,9 @@ USAGE:
 
   fec-broadcast recv --listen <addr:port>[,<addr:port>...] [--tsi <n>] [--out <path>]
                      [--timeout <secs>]
-                     [--report-to <addr:port>] [--report-every <pkts>]
-                     [--population <n>] [--jitter-seed <n>]
-                     [--backoff <exp>] [--nack]
+                     [--report-to <addr:port> [--report-every <pkts>]
+                      [--population <n>] [--jitter-seed <n>]
+                      [--backoff <exp>] [--nack]]
                      [--metrics-addr <addr:port>] [--telemetry-log <path>]
       Join a FLUTE session and reconstruct the broadcast file. With
       --report-to, emit reception-report digests (one per --report-every
@@ -161,99 +178,220 @@ trajectory) on exit.
 
 Probabilities are given as fractions (0.05 = 5%).";
 
-/// Every flag each subcommand reads — the USAGE synopses above, as data.
-/// A flag that is not listed is refused instead of silently ignored.
-const FLAGS: [(&str, &str); 9] = [
-    ("codecs", ""),
-    ("recommend", "p q high-loss"),
-    ("plan", "k ratio inef p q tolerance"),
-    (
-        "sweep",
-        "code tx ratio k runs coarse seed out shard emit-partial metrics-addr telemetry-log",
-    ),
-    ("merge", "out"),
-    ("map", "ratio"),
-    ("adapt", "k epochs seed window no-plan"),
-    (
-        "send",
-        "file dest paths tsi code tx ratio symbol seed loss-p loss-q pace adaptive fanout \
-         report-addr window replan-every metrics-addr telemetry-log",
-    ),
-    (
-        "recv",
-        "listen tsi out timeout report-to report-every population jitter-seed backoff nack \
-         metrics-addr telemetry-log",
-    ),
-];
-
-/// `recv` flags that shape reception reports: without `--report-to` there
-/// is no report for them to act on.
-const REPORT_FLAGS: &str = "report-every population jitter-seed backoff nack";
-
-/// Refuses any flag `command` does not read (an unknown command is the
-/// dispatcher's error, not this one's).
-fn check_flags(command: &str, opts: &HashMap<String, String>) -> Result<(), String> {
-    let Some((_, known)) = FLAGS.iter().find(|(name, _)| *name == command) else {
-        return Ok(());
-    };
-    let unknown = |key: &&String| !known.split_whitespace().any(|flag| flag == *key);
-    let refuse = |key: &String| Err(format!("unknown option --{key} for '{command}'"));
-    opts.keys().filter(unknown).min().map_or(Ok(()), refuse)
+/// `command`'s synopsis lines out of [`USAGE`] (its prose is indented less
+/// than they continue) — all of `USAGE` for a command it does not list.
+fn synopsis(command: &str) -> String {
+    let first = |l: &&str| l.starts_with("  fec-") && l.split(' ').nth(3) == Some(command);
+    let continued = |l: &&str| first(l) || l.starts_with("          ");
+    let lines: Vec<&str> = USAGE
+        .lines()
+        .skip_while(|l| !first(l))
+        .take_while(continued)
+        .collect();
+    match lines.is_empty() {
+        true => USAGE.to_string(),
+        false => format!("usage:\n{}", lines.join("\n")),
+    }
 }
 
-/// Minimal `--key value` / `--flag` parser; non-flag arguments that do not
-/// follow a `--key` are collected as positionals (the `merge` subcommand's
-/// partial files).
-fn parse_opts(args: &[String]) -> Result<(HashMap<String, String>, Vec<String>), String> {
-    let mut out = HashMap::new();
-    let mut positionals = Vec::new();
-    let mut it = args.iter().peekable();
-    while let Some(arg) = it.next() {
-        let Some(key) = arg.strip_prefix("--") else {
-            positionals.push(arg.clone());
-            continue;
-        };
-        let value = match it.peek() {
-            Some(v) if !v.starts_with("--") => it.next().expect("peeked").clone(),
-            _ => String::from("true"), // bare flag
-        };
-        if out.insert(key.to_string(), value).is_some() {
-            return Err(format!("--{key} given twice"));
+type Name = &'static str;
+type Range = std::ops::RangeInclusive<u64>;
+/// What asking for a flag yields: `None` when argv did not have it.
+type Flag<T> = Result<Option<T>, String>;
+
+/// argv after the subcommand, tokenised once. The cursor knows nothing
+/// about any subcommand: a parse asks it for each flag it reads — a
+/// switch takes its own token only, a value flag always takes the next
+/// one too — and whatever nobody asked for is the error [`Args::rest`]
+/// reports.
+struct Args {
+    command: String,
+    /// `None` once a flag has taken the token.
+    tokens: Vec<Option<String>>,
+    /// Every flag asked for so far: name, placeholder (`None`: a switch)
+    /// and whether argv had it.
+    declared: Vec<(Name, Option<Name>, bool)>,
+}
+
+const ANY: Range = 0..=u64::MAX;
+const POSITIVE: Range = 1..=u64::MAX;
+
+impl Args {
+    fn new(command: &str, argv: impl Iterator<Item = String>) -> Args {
+        Args {
+            command: command.to_string(),
+            tokens: argv.map(Some).collect(),
+            declared: Vec::new(),
         }
     }
-    Ok((out, positionals))
-}
 
-fn get_f64(opts: &HashMap<String, String>, key: &str) -> Result<Option<f64>, String> {
-    opts.get(key)
-        .map(|v| {
-            v.parse::<f64>()
-                .map_err(|_| format!("--{key} {v:?} is not a number"))
-        })
-        .transpose()
-}
+    /// Takes `--name` out of argv: the index after it, if it was there.
+    fn take(&mut self, name: Name, hint: Option<Name>) -> Flag<usize> {
+        let flag = Some(format!("--{name}"));
+        let at = self.tokens.iter().position(|token| *token == flag);
+        self.declared.push((name, hint, at.is_some()));
+        let Some(at) = at else { return Ok(None) };
+        self.tokens[at] = None;
+        match self.tokens.contains(&flag) {
+            true => Err(format!("--{name} given twice")),
+            false => Ok(Some(at + 1)),
+        }
+    }
 
-fn require_f64(opts: &HashMap<String, String>, key: &str) -> Result<f64, String> {
-    get_f64(opts, key)?.ok_or_else(|| format!("--{key} is required"))
-}
+    fn switch(&mut self, name: Name) -> Result<bool, String> {
+        Ok(self.take(name, None)?.is_some())
+    }
 
-fn get_usize(opts: &HashMap<String, String>, key: &str, default: usize) -> Result<usize, String> {
-    match opts.get(key) {
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("--{key} {v:?} is not an integer")),
-        None => Ok(default),
+    fn value(&mut self, name: Name, hint: Name) -> Flag<String> {
+        let Some(next) = self.take(name, Some(hint))? else {
+            return Ok(None);
+        };
+        match self.tokens.get_mut(next).and_then(Option::take) {
+            Some(value) if !value.starts_with("--") => Ok(Some(value)),
+            _ => Err(format!("--{name} needs a value: --{name} {hint}")),
+        }
+    }
+
+    /// A value of type `T` — `what` it must look like, for the error.
+    fn parsed<T: std::str::FromStr>(&mut self, name: Name, hint: Name, what: &str) -> Flag<T> {
+        let parse = |v: String| {
+            v.parse()
+                .map_err(|_| format!("--{name} {v:?} is not {what}"))
+        };
+        self.value(name, hint)?.map(parse).transpose()
+    }
+
+    /// An integer inside `range`, as the integer type it lands in.
+    fn int<T: TryFrom<u64>>(&mut self, name: Name, hint: Name, range: Range) -> Flag<T> {
+        let Some(n) = self.parsed::<u64>(name, hint, "an integer")? else {
+            return Ok(None);
+        };
+        let ((lo, hi), bits) = (range.into_inner(), 8 * std::mem::size_of::<T>());
+        match T::try_from(n) {
+            Ok(landed) if (lo..=hi).contains(&n) => Ok(Some(landed)),
+            Ok(_) if (n, lo) == (0, 1) => Err(format!("--{name} must be positive")),
+            Ok(_) => Err(format!("--{name} {n} must be in {lo}..={hi}")),
+            Err(_) => Err(format!("--{name} {n} does not fit in {bits} bits")),
+        }
+    }
+
+    /// The flags declared since `declared[mode]` only mean something under
+    /// that one: any of them given without it is refused.
+    fn only_under(&self, mode: usize) -> Result<(), String> {
+        let mut group = self.declared.iter().skip(mode);
+        match (group.next(), group.find(|flag| flag.2)) {
+            (Some((mode, _, false)), Some((stray, ..))) => Err(format!(
+                "unknown option --{stray} for '{}' without --{mode}",
+                self.command
+            )),
+            _ => Ok(()),
+        }
+    }
+
+    /// Ends the parse: a `--flag` nobody declared is refused, and what
+    /// else is left are the positional arguments.
+    fn rest(&mut self) -> Result<Vec<String>, String> {
+        let rest: Vec<String> = self.tokens.drain(..).flatten().collect();
+        match rest.iter().find(|token| token.starts_with("--")) {
+            Some(flag) => Err(format!("unknown option {flag} for '{}'", self.command)),
+            None => Ok(rest),
+        }
+    }
+
+    /// [`rest`](Args::rest) for a subcommand without positionals.
+    fn finish(&mut self) -> Result<(), String> {
+        match self.rest()?.first() {
+            Some(stray) => Err(format!("unexpected argument {stray:?}")),
+            None => Ok(()),
+        }
     }
 }
 
-/// A flag that is a 32-bit quantity where it lands (a TSI, a run count).
-fn get_u32(opts: &HashMap<String, String>, key: &str, default: u32) -> Result<u32, String> {
-    let n = get_usize(opts, key, default as usize)?;
-    u32::try_from(n).map_err(|_| format!("--{key} {n} does not fit in 32 bits"))
+/// The estimator window `adapt` and `send --adaptive` accept: at least one
+/// transition, at most 10 MB of loss history.
+const WINDOW: Range = 2..=10_000_000;
+
+/// Flags more than one subcommand reads, each declared here once.
+impl Args {
+    /// A Gilbert channel from a `--<p> --<q>` pair: both or neither.
+    fn channel(&mut self, p: Name, q: Name) -> Flag<GilbertParams> {
+        let p_value = self.parsed(p, "<p>", "a number")?;
+        match (p_value, self.parsed(q, "<q>", "a number")?) {
+            (Some(p), Some(q)) => GilbertParams::new(p, q)
+                .map(Some)
+                .map_err(|e| e.to_string()),
+            (None, None) => Ok(None),
+            _ => Err(format!("--{p} and --{q} must be given together")),
+        }
+    }
+
+    /// `--code`, against the codec registry (any registered name or alias).
+    fn code(&mut self) -> Flag<CodecHandle> {
+        let names = registered_names();
+        let unknown = |e| format!("{e} (try `fec-broadcast codecs`; registered: {names})");
+        let resolve = |token: String| registry::resolve(&token).map_err(unknown);
+        self.value("code", "<name>")?.map(resolve).transpose()
+    }
+
+    /// `--tx`, as a paper model number.
+    fn tx(&mut self) -> Flag<TxModel> {
+        let model = |number: usize| TxModel::paper_models()[number - 1];
+        Ok(self.int("tx", "<1..6>", 1..=6)?.map(model))
+    }
+
+    /// `--ratio`, mapped onto the paper's enum values where exact.
+    fn ratio(&mut self) -> Flag<ExpansionRatio> {
+        let exact = |r: f64| match r {
+            r if !(1.0..f64::INFINITY).contains(&r) => Err(format!("--ratio {r} must be >= 1")),
+            r if (r - 1.5).abs() < 1e-12 => Ok(ExpansionRatio::R1_5),
+            r if (r - 2.5).abs() < 1e-12 => Ok(ExpansionRatio::R2_5),
+            r => Ok(ExpansionRatio::Custom(r)),
+        };
+        let ratio = self.parsed("ratio", "<r>", "a number")?;
+        ratio.map(exact).transpose()
+    }
+
+    /// A comma-separated `addr:port` list (`--paths`, `--listen`). Every
+    /// address is one path, and a receiver keeps at most
+    /// `MAX_PATH_TRACKS` per-path EXT_SEQ spaces apart: beyond that, gaps
+    /// on one path would register as loss on another.
+    fn addrs(&mut self, name: Name, hint: Name) -> Flag<Vec<String>> {
+        let list = self.value(name, hint)?.unwrap_or_default();
+        let addrs = list.split(',').map(str::trim).filter(|s| !s.is_empty());
+        let addrs: Vec<String> = addrs.map(String::from).collect();
+        if addrs.len() > MAX_PATH_TRACKS {
+            return Err(format!(
+                "--{name} names {} addresses; a session has at most {MAX_PATH_TRACKS} paths",
+                addrs.len()
+            ));
+        }
+        Ok(Some(addrs).filter(|addrs| !addrs.is_empty()))
+    }
+
+    fn window(&mut self) -> Flag<usize> {
+        self.int("window", "<pkts>", WINDOW)
+    }
+
+    fn telemetry(&mut self) -> Result<TelemetryArgs, String> {
+        Ok(TelemetryArgs {
+            metrics_addr: self.value("metrics-addr", "<addr:port>")?,
+            log: self.value("telemetry-log", "<path>")?,
+        })
+    }
 }
 
-fn channel_from(opts: &HashMap<String, String>) -> Result<Option<GilbertParams>, String> {
-    channel_from_keys(opts, "p", "q")
+fn registered_names() -> String {
+    let names: Vec<String> = registry::registered()
+        .iter()
+        .map(|c| c.id().to_string())
+        .collect();
+    names.join(", ")
+}
+
+/// `--metrics-addr` / `--telemetry-log` of `send`, `recv` and `sweep`.
+struct TelemetryArgs {
+    metrics_addr: Option<String>,
+    log: Option<String>,
 }
 
 /// Observability context shared by `send`, `recv` and `sweep`: the metric
@@ -269,31 +407,27 @@ struct Telemetry {
 }
 
 impl Telemetry {
-    /// Parses `--metrics-addr` / `--telemetry-log`; with neither flag the
-    /// registry is disabled and every instrument call is a no-op.
-    fn from_opts(opts: &HashMap<String, String>) -> Result<Telemetry, String> {
-        let metrics_addr = opts.get("metrics-addr");
-        let log_path = opts.get("telemetry-log");
-        let registry = if metrics_addr.is_some() || log_path.is_some() {
+    /// With neither flag the registry is disabled and every instrument
+    /// call is a no-op.
+    fn open(args: &TelemetryArgs) -> Result<Telemetry, String> {
+        let registry = if args.metrics_addr.is_some() || args.log.is_some() {
             Registry::new()
         } else {
             Registry::disabled()
         };
-        let server = metrics_addr
-            .map(|addr| {
-                MetricsServer::bind(addr, registry.clone())
-                    .map_err(|e| format!("metrics endpoint {addr}: {e}"))
-            })
-            .transpose()?;
+        let bind = |addr: &String| {
+            MetricsServer::bind(addr, registry.clone())
+                .map_err(|e| format!("metrics endpoint {addr}: {e}"))
+        };
+        let server = args.metrics_addr.as_ref().map(bind).transpose()?;
         if let Some(server) = &server {
             eprintln!("serving metrics on http://{}/metrics", server.local_addr());
         }
-        let sink = log_path
-            .map(|p| {
-                JsonlSink::create(std::path::Path::new(p))
-                    .map_err(|e| format!("telemetry log {p}: {e}"))
-            })
-            .transpose()?;
+        let create = |p: &String| {
+            JsonlSink::create(std::path::Path::new(p))
+                .map_err(|e| format!("telemetry log {p}: {e}"))
+        };
+        let sink = args.log.as_ref().map(create).transpose()?;
         Ok(Telemetry {
             registry,
             _server: server,
@@ -316,23 +450,20 @@ impl Telemetry {
 
     /// Flushes buffered events to the JSONL sink, if one was requested.
     fn drain(&mut self) -> Result<(), String> {
-        match &mut self.sink {
-            Some(sink) => {
-                sink.drain_from(&self.events)
-                    .and_then(|_| sink.flush())
-                    .map_err(|e| format!("telemetry log: {e}"))?;
-            }
-            None => {
-                let _ = self.events.drain();
-            }
-        }
-        Ok(())
+        let Some(sink) = &mut self.sink else {
+            return Ok(());
+        };
+        let flushed = sink.drain_from(&self.events).and_then(|_| sink.flush());
+        flushed.map_err(|e| format!("telemetry log: {e}"))
     }
 }
 
-fn cmd_recommend(opts: &HashMap<String, String>) -> Result<(), String> {
-    let knowledge = match (channel_from(opts)?, opts.contains_key("high-loss")) {
-        (Some(ch), _) => {
+fn cmd_recommend(a: &mut Args) -> Result<(), String> {
+    let channel = a.channel("p", "q")?;
+    let high_loss = a.switch("high-loss")?;
+    a.finish()?;
+    let knowledge = match channel {
+        Some(ch) => {
             println!(
                 "channel: p = {}, q = {} (p_global = {:.2}%, mean burst {:.1})\n",
                 ch.p(),
@@ -342,8 +473,8 @@ fn cmd_recommend(opts: &HashMap<String, String>) -> Result<(), String> {
             );
             ChannelKnowledge::Known(ch)
         }
-        (None, true) => ChannelKnowledge::UnknownHighLoss,
-        (None, false) => ChannelKnowledge::Unknown,
+        None if high_loss => ChannelKnowledge::UnknownHighLoss,
+        None => ChannelKnowledge::Unknown,
     };
     for (i, rec) in recommend(knowledge).iter().enumerate() {
         println!(
@@ -358,15 +489,17 @@ fn cmd_recommend(opts: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_plan(opts: &HashMap<String, String>) -> Result<(), String> {
-    let k = get_usize(opts, "k", 0)?;
-    if k == 0 {
-        return Err("--k is required".into());
-    }
-    let ratio = require_f64(opts, "ratio")?;
-    let inef = require_f64(opts, "inef")?;
-    let channel = channel_from(opts)?.ok_or("--p and --q are required")?;
-    let tolerance = get_usize(opts, "tolerance", 0)? as u64;
+fn cmd_plan(a: &mut Args) -> Result<(), String> {
+    let k: Option<usize> = a.int("k", "<k>", POSITIVE)?;
+    let ratio = a.ratio()?;
+    let inef = a.parsed("inef", "<i>", "a number")?;
+    let channel = a.channel("p", "q")?;
+    let tolerance = a.int("tolerance", "<n>", ANY)?.unwrap_or(0);
+    a.finish()?;
+    let k = k.ok_or("--k is required")?;
+    let ratio = ratio.ok_or("--ratio is required")?.as_f64();
+    let inef = inef.ok_or("--inef is required")?;
+    let channel = channel.ok_or("--p and --q are required")?;
     let n_total = (k as f64 * ratio).floor() as u64;
     let plan = TransmissionPlan::new(k, n_total, inef, channel, tolerance);
     println!(
@@ -392,36 +525,8 @@ fn cmd_plan(opts: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-/// Parses `--code` against the codec registry (any registered name or
-/// alias), defaulting to the paper's universal recommendation.
-fn parse_code(
-    opts: &HashMap<String, String>,
-    default: Option<CodecHandle>,
-) -> Result<CodecHandle, String> {
-    match opts.get("code") {
-        Some(token) => registry::resolve(token).map_err(|e| {
-            format!(
-                "{e} (try `fec-broadcast codecs`; registered: {})",
-                registered_names().join(", ")
-            )
-        }),
-        None => default.ok_or_else(|| {
-            format!(
-                "--code is required (one of: {})",
-                registered_names().join(", ")
-            )
-        }),
-    }
-}
-
-fn registered_names() -> Vec<String> {
-    registry::registered()
-        .iter()
-        .map(|c| c.id().to_string())
-        .collect()
-}
-
-fn cmd_codecs(_opts: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_codecs(a: &mut Args) -> Result<(), String> {
+    a.finish()?;
     println!(
         "{:<16} {:<16} {:>6} {:>12} {:>13} {:>6} {:>6}",
         "name", "display", "fti", "k range", "ratio range", "seed", "block"
@@ -452,69 +557,69 @@ ablation-only codecs (no FTI id) cannot be used with `send`."
     Ok(())
 }
 
-/// Parses `--tx` as a paper model number.
-fn parse_tx(opts: &HashMap<String, String>, default: Option<TxModel>) -> Result<TxModel, String> {
-    match opts.get("tx").map(String::as_str) {
-        Some("1") => Ok(TxModel::SourceSeqParitySeq),
-        Some("2") => Ok(TxModel::SourceSeqParityRandom),
-        Some("3") => Ok(TxModel::ParitySeqSourceRandom),
-        Some("4") => Ok(TxModel::Random),
-        Some("5") => Ok(TxModel::Interleaved),
-        Some("6") => Ok(TxModel::tx6_paper()),
-        Some(other) => Err(format!("unknown --tx {other:?} (1..6)")),
-        None => default.ok_or_else(|| "--tx is required (1..6)".into()),
+struct SweepArgs {
+    /// What `--code --tx --ratio --k --runs --coarse --seed` ask for:
+    /// identical flags on different hosts (or different `--shard` values)
+    /// must produce the identical plan document, or their partials will
+    /// not merge.
+    plan: SweepPlan,
+    description: String,
+    out: Option<String>,
+    /// `--shard i/n --emit-partial`: run that slice, save its partial.
+    shard: Option<ShardSpec>,
+    telemetry: TelemetryArgs,
+}
+
+impl SweepArgs {
+    fn parse(a: &mut Args) -> Result<SweepArgs, String> {
+        let (code, tx, ratio) = (a.code()?, a.tx()?, a.ratio()?);
+        let k: usize = a.int("k", "<k>", POSITIVE)?.unwrap_or(2000);
+        let runs = a.int("runs", "<n>", ANY)?.unwrap_or(20);
+        let coarse = a.switch("coarse")?;
+        let seed = a.int("seed", "<n>", ANY)?;
+        let out = a.value("out", "<file>")?;
+        let shard_mode = a.declared.len();
+        let shard = a.value("shard", "<i/n>")?;
+        let emit_partial = a.switch("emit-partial")?;
+        a.only_under(shard_mode)?;
+        let telemetry = a.telemetry()?;
+        a.finish()?;
+        if shard.is_some() && !emit_partial {
+            return Err(
+                "--shard requires --emit-partial (save the slice, `merge` it later)".into(),
+            );
+        }
+        let shard = shard.map(|spec| ShardSpec::parse(&spec).map_err(|e| e.to_string()));
+        let codes = registered_names();
+        let code = code.ok_or(format!("--code is required (one of: {codes})"))?;
+        let tx = tx.ok_or("--tx is required (1..6)")?;
+        let ratio = ratio.ok_or("--ratio is required")?;
+        let description = format!(
+            "{} / {} / ratio {ratio} at k = {k}, {runs} runs per cell",
+            code.name(),
+            tx.name()
+        );
+        let grid = if coarse { Coarse } else { Paper }.to_vec();
+        let config = SweepConfig {
+            runs,
+            grid_p: grid.clone(),
+            grid_q: grid,
+            seed: seed.unwrap_or(SweepConfig::default().seed),
+            ..SweepConfig::default()
+        };
+        let plan = SweepPlan::new(Experiment::new(code, k, ratio, tx), config);
+        Ok(SweepArgs {
+            plan: plan.map_err(|e| e.to_string())?,
+            description,
+            out,
+            shard: shard.transpose()?,
+            telemetry,
+        })
     }
 }
 
-/// Maps a numeric ratio onto the paper's enum values where exact.
-fn ratio_from(r: f64) -> Result<ExpansionRatio, String> {
-    if r < 1.0 {
-        return Err(format!("--ratio {r} must be >= 1"));
-    }
-    Ok(if (r - 1.5).abs() < 1e-12 {
-        ExpansionRatio::R1_5
-    } else if (r - 2.5).abs() < 1e-12 {
-        ExpansionRatio::R2_5
-    } else {
-        ExpansionRatio::Custom(r)
-    })
-}
-
-/// Builds the sweep plan every `sweep`-family invocation shares: identical
-/// flags on different hosts (or different `--shard` values) must produce
-/// the identical plan document, or their partials will not merge.
-fn sweep_plan(opts: &HashMap<String, String>) -> Result<(SweepPlan, String), String> {
-    let code = parse_code(opts, None)?;
-    let tx = parse_tx(opts, None)?;
-    let ratio = ratio_from(require_f64(opts, "ratio")?)?;
-    let k = get_usize(opts, "k", 2000)?;
-    let runs = get_u32(opts, "runs", 20)?;
-    let seed = get_usize(opts, "seed", SweepConfig::default().seed as usize)? as u64;
-    let grid = if opts.contains_key("coarse") {
-        fec_broadcast::channel::grid::GridKind::Coarse.to_vec()
-    } else {
-        fec_broadcast::channel::grid::GridKind::Paper.to_vec()
-    };
-
-    let experiment = Experiment::new(code.clone(), k, ratio, tx);
-    let config = SweepConfig {
-        runs,
-        grid_p: grid.clone(),
-        grid_q: grid,
-        seed,
-        ..SweepConfig::default()
-    };
-    let description = format!(
-        "{} / {} / ratio {} at k = {k}, {runs} runs per cell",
-        code.name(),
-        tx.name(),
-        ratio.as_f64()
-    );
-    let plan = SweepPlan::new(experiment, config).map_err(|e| e.to_string())?;
-    Ok((plan, description))
-}
-
-fn print_sweep_result(result: &SweepResult) {
+/// Prints the paper-style table, then saves the result where `--out` says.
+fn report_sweep(result: &SweepResult, out: Option<String>, what: &str) -> Result<(), String> {
     println!("{}", report::paper_table(result));
     println!(
         "grand mean {} over {} decodable cells ({} masked)",
@@ -524,38 +629,30 @@ fn print_sweep_result(result: &SweepResult) {
         result.cells.len() - result.masked_cells(),
         result.masked_cells()
     );
+    let Some(path) = out else { return Ok(()) };
+    let json = serde_json::to_string(result).map_err(|e| e.to_string())?;
+    write_or_print(Some(path), &json, what)
 }
 
-fn write_or_print(out: Option<&String>, json: &str, what: &str) -> Result<(), String> {
+fn write_or_print(out: Option<String>, json: &str, what: &str) -> Result<(), String> {
     match out {
         Some(path) => {
-            std::fs::write(path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
+            std::fs::write(&path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
             eprintln!("{what} saved to {path}");
-            Ok(())
         }
-        None => {
-            println!("{json}");
-            Ok(())
-        }
+        None => println!("{json}"),
     }
+    Ok(())
 }
 
-fn cmd_sweep(opts: &HashMap<String, String>) -> Result<(), String> {
-    let (plan, description) = sweep_plan(opts)?;
+fn cmd_sweep(args: SweepArgs) -> Result<(), String> {
+    let (plan, description) = (args.plan, args.description);
 
     // Multi-host path: run one round-robin shard and save its partial.
-    if let Some(shard_arg) = opts.get("shard") {
-        let shard = ShardSpec::parse(shard_arg).map_err(|e| e.to_string())?;
-        if !opts.contains_key("emit-partial") {
-            return Err(
-                "--shard requires --emit-partial (run the slice, save the partial, \
-                 combine later with `merge`)"
-                    .into(),
-            );
-        }
+    if let Some(shard) = &args.shard {
         eprintln!("sweeping shard {shard} of {description}…");
-        let partial = distrib::run_shard(&plan, &shard).map_err(|e| e.to_string())?;
-        let units = partial.units.len();
+        let partial = distrib::run_shard(&plan, shard).map_err(|e| e.to_string())?;
+        let what = format!("partial result ({} work units)", partial.units.len());
         let file = PartialFile {
             plan,
             units: partial.units,
@@ -563,18 +660,10 @@ fn cmd_sweep(opts: &HashMap<String, String>) -> Result<(), String> {
         // JSONL (header line + one unit per line) so `merge` can fold the
         // file unit-by-unit in constant memory.
         let jsonl = file.to_jsonl().map_err(|e| e.to_string())?;
-        write_or_print(
-            opts.get("out"),
-            jsonl.trim_end(),
-            &format!("partial result ({units} work units)"),
-        )?;
-        return Ok(());
-    }
-    if opts.contains_key("emit-partial") {
-        return Err("--emit-partial requires --shard i/n".into());
+        return write_or_print(args.out, jsonl.trim_end(), &what);
     }
 
-    let mut telemetry = Telemetry::from_opts(opts)?;
+    let mut telemetry = Telemetry::open(&args.telemetry)?;
     println!("sweeping {description}…\n");
     let result = execute_observed(&plan, &telemetry.registry).map_err(|e| e.to_string())?;
     telemetry.record(Event::SweepProgress {
@@ -582,13 +671,7 @@ fn cmd_sweep(opts: &HashMap<String, String>) -> Result<(), String> {
         units_total: plan.unit_count() as u64,
     });
     telemetry.drain()?;
-    print_sweep_result(&result);
-    if let Some(path) = opts.get("out") {
-        let json = serde_json::to_string(&result).map_err(|e| e.to_string())?;
-        std::fs::write(path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
-        eprintln!("sweep result saved to {path}");
-    }
-    Ok(())
+    report_sweep(&result, args.out, "sweep result")
 }
 
 /// Runs every unit of `plan` on the in-process work queue, folding each
@@ -616,34 +699,33 @@ fn execute_observed(
     merge.finish()
 }
 
-fn cmd_merge(opts: &HashMap<String, String>, files: &[String]) -> Result<(), String> {
+/// The partial files to combine, and `--out`.
+fn parse_merge(a: &mut Args) -> Result<(Vec<String>, Option<String>), String> {
+    let out = a.value("out", "<file>")?;
+    let files = a.rest()?;
     if files.is_empty() {
         return Err("merge needs at least one partial file \
                     (produced by `sweep --shard i/n --emit-partial`)"
             .into());
     }
+    Ok((files, out))
+}
+
+fn cmd_merge((files, out): (Vec<String>, Option<String>)) -> Result<(), String> {
     // Streamed merge: each file folds into the plan's slot table one JSONL
     // unit line at a time, so multi-host merges at paper scale never load
     // a whole partial file into memory.
-    let (result, total_units) = distrib::merge_paths(files).map_err(|e| e.to_string())?;
+    let (result, total_units) = distrib::merge_paths(&files).map_err(|e| e.to_string())?;
     eprintln!(
         "merged {} partial file(s) covering {total_units} work units\n",
         files.len()
     );
-    print_sweep_result(&result);
-    if let Some(path) = opts.get("out") {
-        let json = serde_json::to_string(&result).map_err(|e| e.to_string())?;
-        std::fs::write(path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
-        eprintln!("merged sweep result saved to {path}");
-    }
-    Ok(())
+    report_sweep(&result, out, "merged sweep result")
 }
 
-fn cmd_map(opts: &HashMap<String, String>) -> Result<(), String> {
-    let ratio = get_f64(opts, "ratio")?.unwrap_or(2.5);
-    if ratio < 1.0 {
-        return Err("--ratio must be >= 1".into());
-    }
+fn cmd_map(a: &mut Args) -> Result<(), String> {
+    let ratio = a.ratio()?.map_or(2.5, |r| r.as_f64());
+    a.finish()?;
     let limit = FeasibilityLimit::ideal(ratio);
     println!(
         "decodable region for expansion ratio {ratio} (needs {:.0}% delivery):",
@@ -668,20 +750,13 @@ fn cmd_map(opts: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_adapt(opts: &HashMap<String, String>) -> Result<(), String> {
-    use fec_broadcast::adapt::{AdaptiveRunner, ControllerConfig, Scenario};
-
-    let k = get_usize(opts, "k", 400)?;
-    let epochs = get_u32(opts, "epochs", 36)?;
-    let seed = get_usize(opts, "seed", 0x5EED_AD47)? as u64;
-    let window = get_usize(opts, "window", 2_500)?;
-    if k == 0 || epochs == 0 {
-        return Err("--k and --epochs must be positive".into());
-    }
-    if window < 2 {
-        return Err("--window must be at least 2".into());
-    }
-
+fn cmd_adapt(a: &mut Args) -> Result<(), String> {
+    let k: usize = a.int("k", "<k>", POSITIVE)?.unwrap_or(400);
+    let epochs = a.int::<u32>("epochs", "<n>", POSITIVE)?.unwrap_or(36);
+    let seed = a.int("seed", "<n>", ANY)?.unwrap_or(0x5EED_AD47);
+    let window = a.window()?.unwrap_or(2_500);
+    let no_plan = a.switch("no-plan")?;
+    a.finish()?;
     let scenario = Scenario::regime_switching(k, epochs, seed);
     let config = ControllerConfig {
         window,
@@ -690,10 +765,9 @@ fn cmd_adapt(opts: &HashMap<String, String>) -> Result<(), String> {
         ..ControllerConfig::default()
     };
     let mut runner = AdaptiveRunner::new(scenario, config);
-    if opts.contains_key("no-plan") {
+    if no_plan {
         runner = runner.without_plan_truncation();
     }
-
     println!(
         "closed loop: k = {k}, {epochs} epochs, estimation window {window} packets\n\
          regimes (cycling):"
@@ -762,41 +836,82 @@ fn cmd_adapt(opts: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_send(opts: &HashMap<String, String>) -> Result<(), String> {
-    use fec_broadcast::flute::{FluteSender, SenderConfig};
+struct SendArgs {
+    file: String,
+    /// `--dest`, or every address of `--paths`.
+    dests: Vec<String>,
+    tsi: u32,
+    code: CodecHandle,
+    tx: TxModel,
+    ratio: ExpansionRatio,
+    symbol: usize,
+    seed: u64,
+    /// `--loss-p/--loss-q`: Gilbert loss injected at the sender.
+    injected: Option<GilbertParams>,
+    pace_micros: u64,
+    /// `--adaptive`: where digests arrive, and the feedback loop's knobs.
+    feedback: Option<(String, live::SendConfig)>,
+    telemetry: TelemetryArgs,
+}
 
-    let path = opts.get("file").ok_or("--file is required")?;
-    let tsi = get_u32(opts, "tsi", 1)?;
-    let code = parse_code(
-        opts,
-        Some(registry::resolve("ldgm-triangle").expect("builtin")),
-    )?;
-    let tx = parse_tx(opts, Some(TxModel::Random))?;
-    let ratio = ratio_from(get_f64(opts, "ratio")?.unwrap_or(1.5))?;
-    let symbol = get_usize(opts, "symbol", 1024)?;
-    let seed = get_usize(opts, "seed", 1)? as u64;
-    let pace_micros = get_usize(opts, "pace", 0)? as u64;
-    let injected = channel_from_keys(opts, "loss-p", "loss-q")?;
-    // --fanout is a spelling of --adaptive: one receiver reporting is a
-    // population of one.
-    let adaptive = opts.contains_key("adaptive") || opts.contains_key("fanout");
-    let dests: Vec<&str> = match (opts.get("paths"), opts.get("dest")) {
-        (Some(_), Some(_)) => {
-            return Err("--paths replaces --dest (give every destination in --paths)".into())
+impl SendArgs {
+    fn parse(a: &mut Args) -> Result<SendArgs, String> {
+        let file = a.value("file", "<path>")?;
+        let dest = a.value("dest", "<addr:port>")?;
+        let paths = a.addrs("paths", "<a1:p1,a2:p2,...>")?;
+        let tsi = a.int("tsi", "<n>", ANY)?.unwrap_or(1);
+        let code = a.code()?;
+        let tx = a.tx()?.unwrap_or(TxModel::Random);
+        let ratio = a.ratio()?.unwrap_or(ExpansionRatio::R1_5);
+        let symbol = a.int("symbol", "<bytes>", POSITIVE)?.unwrap_or(1024);
+        let seed = a.int("seed", "<n>", ANY)?.unwrap_or(1);
+        let injected = a.channel("loss-p", "loss-q")?;
+        let pace_micros = a.int("pace", "<micros>", ANY)?.unwrap_or(0);
+        let adaptive_mode = a.declared.len();
+        let adaptive = a.switch("adaptive")?;
+        let report_addr = a.value("report-addr", "<addr:port>")?;
+        let lib = live::SendConfig::default();
+        let config = live::SendConfig {
+            window: a.window()?.unwrap_or(lib.window),
+            replan_every: a
+                .int("replan-every", "<pkts>", POSITIVE)?
+                .unwrap_or(lib.replan_every),
+        };
+        a.only_under(adaptive_mode)?;
+        let telemetry = a.telemetry()?;
+        a.finish()?;
+        if paths.is_some() && dest.is_some() {
+            return Err("--paths replaces --dest (give every destination in --paths)".into());
         }
-        (Some(_), None) if adaptive => {
+        if paths.is_some() && adaptive {
             return Err("--paths stripes a static schedule; it cannot combine with \
-                 --adaptive or --fanout (run the feedback loop on one path)"
-                .into())
+                 --adaptive (run the feedback loop on one path)"
+                .into());
         }
-        (Some(paths), None) => split_addrs("paths", paths)?,
-        (None, Some(dest)) => vec![dest.as_str()],
-        (None, None) => Vec::new(),
-    };
-    if dests.is_empty() {
-        return Err("--dest is required (addr:port), or --paths a1:p1,a2:p2,...".into());
+        let dests = paths.or(dest.map(|dest| vec![dest]));
+        let report_addr = report_addr
+            .ok_or("--adaptive requires --report-addr (addr:port to receive digests on)");
+        let feedback = adaptive.then_some(report_addr).transpose()?;
+        Ok(SendArgs {
+            file: file.ok_or("--file is required")?,
+            dests: dests.ok_or("--dest is required (addr:port), or --paths a1:p1,a2:p2,...")?,
+            tsi,
+            code: code.unwrap_or(registry::resolve("ldgm-triangle").expect("builtin")),
+            tx,
+            ratio,
+            symbol,
+            seed,
+            injected,
+            pace_micros,
+            feedback: feedback.map(|addr| (addr, config)),
+            telemetry,
+        })
     }
+}
 
+fn cmd_send(args: SendArgs) -> Result<(), String> {
+    let (path, dests, code) = (&args.file, &args.dests, &args.code);
+    let (tsi, tx, ratio, symbol, seed) = (args.tsi, args.tx, args.ratio, args.symbol, args.seed);
     let object = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let name = std::path::Path::new(path)
         .file_name()
@@ -817,7 +932,7 @@ fn cmd_send(opts: &HashMap<String, String>) -> Result<(), String> {
         )
         .map_err(|e| e.to_string())?;
 
-    let mut telemetry = Telemetry::from_opts(opts)?;
+    let mut telemetry = Telemetry::open(&args.telemetry)?;
     // One wire stack per path. Injected loss (if any) walks an
     // independent Gilbert process per path, seeded per index, so a demo
     // shows genuinely heterogeneous links; path 0 keeps the loss-process
@@ -830,19 +945,17 @@ fn cmd_send(opts: &HashMap<String, String>) -> Result<(), String> {
             socket,
             resolve_dest(dest)?,
             Backend::detect(),
-            pacer_from_micros(pace_micros),
+            pacer_from_micros(args.pace_micros),
         )
         .map_err(|e| format!("connect {dest}: {e}"))?;
-        if telemetry.enabled() {
-            wire_tx.attach_telemetry(&telemetry.registry);
-        }
+        wire_tx.attach_telemetry(&telemetry.registry);
         // Opportunistic UDP GSO: the wire format is unchanged (the kernel
         // segments super-datagrams), so a refusal just means
         // per-datagram sends.
         if wire_tx.enable_gso().is_ok() {
             eprintln!("wire: UDP generic segmentation offload active on path {i}");
         }
-        let link = injected.map(|params| {
+        let link = args.injected.map(|params| {
             let link_seed = seed.wrapping_add((i as u64).wrapping_mul(0x9E37_79B9)) ^ 0x10c0;
             LinkEmulator::new(Box::new(GilbertChannel::new(params, link_seed)), link_seed)
         });
@@ -852,23 +965,16 @@ fn cmd_send(opts: &HashMap<String, String>) -> Result<(), String> {
     // The reception-report return channel, if anyone reports. Digests
     // ride the batched engine's address-aware control-plane poll: the
     // source address is the aggregator's receiver key.
-    let mut report_rx = if adaptive {
-        let addr = opts
-            .get("report-addr")
-            .ok_or("--adaptive requires --report-addr (addr:port to receive digests on)")?;
-        let socket = std::net::UdpSocket::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
-        let mut rx =
-            BatchReceiver::new(socket, BufferPool::with_config(2048, 64), Backend::detect());
-        if telemetry.enabled() {
+    let mut report_rx = match &args.feedback {
+        Some((addr, _)) => {
+            let socket =
+                std::net::UdpSocket::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
+            let mut rx =
+                BatchReceiver::new(socket, BufferPool::with_config(2048, 64), Backend::detect());
             rx.attach_telemetry(&telemetry.registry);
+            Some(rx)
         }
-        Some(rx)
-    } else {
-        None
-    };
-    let config = live::SendConfig {
-        window: get_usize(opts, "window", 20_000)?,
-        replan_every: get_usize(opts, "replan-every", 64)?,
+        None => None,
     };
     let outcome = live::send_session(
         &session,
@@ -877,7 +983,9 @@ fn cmd_send(opts: &HashMap<String, String>) -> Result<(), String> {
         report_rx
             .as_mut()
             .map(|rx| rx as &mut dyn live::DigestSource),
-        &config,
+        &args
+            .feedback
+            .map_or_else(Default::default, |(_, config)| config),
         telemetry
             .enabled()
             .then_some((&telemetry.registry, &telemetry.events)),
@@ -908,26 +1016,6 @@ fn cmd_send(opts: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-/// Splits a comma-separated `addr:port` list (`--paths`, `--listen`).
-/// Every address is one path, and a receiver keeps at most
-/// `MAX_PATH_TRACKS` per-path EXT_SEQ spaces apart: beyond that, gaps on
-/// one path would register as loss on another.
-fn split_addrs<'a>(flag: &str, list: &'a str) -> Result<Vec<&'a str>, String> {
-    use fec_broadcast::flute::feedback::MAX_PATH_TRACKS;
-    let addrs: Vec<&str> = list
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .collect();
-    if addrs.len() > MAX_PATH_TRACKS {
-        return Err(format!(
-            "--{flag} names {} addresses; a session has at most {MAX_PATH_TRACKS} paths",
-            addrs.len()
-        ));
-    }
-    Ok(addrs)
-}
-
 /// Maps `--pace <micros>` onto the wire engine's token bucket.
 /// `--pace 1000` stretches a loopback session to something a metrics
 /// scrape (or a human with `curl`) can observe mid-flight: any explicit
@@ -953,40 +1041,71 @@ fn resolve_dest(dest: &str) -> Result<std::net::SocketAddr, String> {
         .ok_or_else(|| format!("{dest}: no usable address"))
 }
 
-fn cmd_recv(opts: &HashMap<String, String>) -> Result<(), String> {
-    use fec_broadcast::flute::feedback::ReportConfig;
-    use fec_broadcast::flute::FluteReceiver;
+struct RecvArgs {
+    listen: Vec<String>,
+    tsi: u32,
+    out: Option<String>,
+    timeout: Duration,
+    /// `--report-to`: the sender's feedback port, how digests are shaped,
+    /// and whether they carry NACKs.
+    report: Option<(String, ReportConfig, bool)>,
+    telemetry: TelemetryArgs,
+}
 
-    let listen = opts
-        .get("listen")
-        .ok_or("--listen is required (addr:port, or a1:p1,a2:p2,... to bond)")?;
-    let addrs = split_addrs("listen", listen)?;
-    if addrs.is_empty() {
-        return Err("--listen needs at least one addr:port".into());
+impl RecvArgs {
+    fn parse(a: &mut Args) -> Result<RecvArgs, String> {
+        let listen = a.addrs("listen", "<addr:port>")?;
+        let tsi = a.int("tsi", "<n>", ANY)?.unwrap_or(1);
+        let out = a.value("out", "<path>")?;
+        let timeout = a.int("timeout", "<secs>", POSITIVE)?.unwrap_or(10);
+        let report_mode = a.declared.len();
+        let report_to = a.value("report-to", "<addr:port>")?;
+        let lib = ReportConfig::default();
+        let config = ReportConfig {
+            // Deliberately not the library's 256: one digest per 128
+            // datagrams is what the CLI has always documented and done.
+            report_every: a.int("report-every", "<pkts>", POSITIVE)?.unwrap_or(128),
+            population_hint: a
+                .int("population", "<n>", POSITIVE)?
+                .unwrap_or(lib.population_hint),
+            jitter_seed: a.int("jitter-seed", "<n>", ANY)?.unwrap_or(lib.jitter_seed),
+            max_backoff_exp: a
+                .int("backoff", "<exp>", ANY)?
+                .unwrap_or(lib.max_backoff_exp),
+            ..lib
+        };
+        let nack = a.switch("nack")?;
+        a.only_under(report_mode)?;
+        let telemetry = a.telemetry()?;
+        a.finish()?;
+        Ok(RecvArgs {
+            listen: listen.ok_or("--listen is required (addr:port, or a1:p1,a2:p2,... to bond)")?,
+            tsi,
+            out,
+            timeout: Duration::from_secs(timeout),
+            report: report_to.map(|addr| (addr, config, nack)),
+            telemetry,
+        })
     }
-    let report_flag = REPORT_FLAGS.split(' ').find(|f| opts.contains_key(*f));
-    if let (None, Some(flag)) = (opts.get("report-to"), report_flag) {
-        return Err(format!(
-            "unknown option --{flag} for 'recv' without --report-to"
-        ));
-    }
-    let tsi = get_u32(opts, "tsi", 1)?;
-    let timeout = get_usize(opts, "timeout", 10)? as u64;
-    let report_every = get_usize(opts, "report-every", 128)?.max(1);
+}
 
-    let mut telemetry = Telemetry::from_opts(opts)?;
+fn cmd_recv(args: RecvArgs) -> Result<(), String> {
+    let (listen, tsi, timeout) = (&args.listen, args.tsi, args.timeout);
+    let mut telemetry = Telemetry::open(&args.telemetry)?;
     println!(
-        "listening on {listen} for FLUTE session tsi {tsi} \
-         ({} path(s), timeout {timeout}s)…",
-        addrs.len()
+        "listening on {} for FLUTE session tsi {tsi} \
+         ({} path(s), timeout {}s)…",
+        listen.join(","),
+        listen.len(),
+        timeout.as_secs()
     );
 
     // The reception-report return channel, if the sender runs adaptively.
-    let reporting = match opts.get("report-to") {
-        Some(addr) => {
+    let reporting = match &args.report {
+        Some((addr, ..)) => {
             let report_socket =
                 std::net::UdpSocket::bind("0.0.0.0:0").map_err(|e| e.to_string())?;
-            Some((report_socket, addr.clone()))
+            Some((report_socket, addr))
         }
         None => None,
     };
@@ -1007,10 +1126,10 @@ fn cmd_recv(opts: &HashMap<String, String>) -> Result<(), String> {
         pool.attach_telemetry(&telemetry.registry);
     }
     let (datagram_tx, datagram_rx) = std::sync::mpsc::channel();
-    for (path, addr) in addrs.iter().enumerate() {
+    for (path, addr) in listen.iter().enumerate() {
         let socket = std::net::UdpSocket::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
         socket
-            .set_read_timeout(Some(std::time::Duration::from_secs(timeout)))
+            .set_read_timeout(Some(timeout))
             .map_err(|e| e.to_string())?;
         let mut wire_rx = BatchReceiver::new(socket, pool.clone(), Backend::detect());
         wire_rx.request_recv_buffer(4 << 20);
@@ -1020,39 +1139,27 @@ fn cmd_recv(opts: &HashMap<String, String>) -> Result<(), String> {
         if wire_rx.enable_gro().is_ok() {
             eprintln!("wire: UDP generic receive offload active on {addr}");
         }
-        if telemetry.enabled() {
-            wire_rx.attach_telemetry(&telemetry.registry);
-        }
+        wire_rx.attach_telemetry(&telemetry.registry);
         drop(live::spawn_drain(wire_rx, path, datagram_tx.clone()));
     }
     // The decode side must observe disconnect when every drain ends.
     drop(datagram_tx);
 
     let mut session = FluteReceiver::new(tsi);
-    if reporting.is_some() {
-        session.enable_reports(ReportConfig {
-            report_every,
-            population_hint: (get_usize(opts, "population", 1)? as u64).max(1),
-            jitter_seed: get_usize(opts, "jitter-seed", 0)? as u64,
-            max_backoff_exp: get_u32(opts, "backoff", 0)?,
-            ..ReportConfig::default()
-        });
-        if opts.contains_key("nack") {
+    if let Some((_, config, nack)) = args.report {
+        session.enable_reports(config);
+        if nack {
             session.enable_nacks();
         }
     }
     if telemetry.enabled() {
         session.attach_telemetry(&telemetry.registry);
     }
-    let events = telemetry.events.clone();
-    let record_events = telemetry.enabled();
     let ship = |report: &fec_broadcast::flute::ReceptionReport| -> Result<(), String> {
-        if record_events {
-            events.record(Event::DigestEmitted {
-                report_seq: report.report_seq as u64,
-                observations: report.observations(),
-            });
-        }
+        telemetry.record(Event::DigestEmitted {
+            report_seq: report.report_seq as u64,
+            observations: report.observations(),
+        });
         if let Some((sock, addr)) = &reporting {
             let bytes = report.to_bytes().map_err(|e| e.to_string())?;
             sock.send_to(&bytes, addr.as_str())
@@ -1066,14 +1173,14 @@ fn cmd_recv(opts: &HashMap<String, String>) -> Result<(), String> {
     // the *lossy* return channel (a failed send is counted, never fatal),
     // and a malformed datagram costs itself, not its burst.
     let config = live::ReceiveConfig {
-        rejected_counter: Some(telemetry.registry.counter(
+        rejected_counter: telemetry.registry.counter(
             "fec_session_rejected_datagrams_total",
             "Datagrams the receiver rejected as malformed or undecodable.",
-        )),
-        ship_failure_counter: Some(telemetry.registry.counter(
+        ),
+        ship_failure_counter: telemetry.registry.counter(
             "fec_session_report_ship_failures_total",
             "Reception-report digests that failed to ship (lossy return channel).",
-        )),
+        ),
         ..Default::default()
     };
     let outcome = live::receive_session(&mut session, &datagram_rx, ship, &config)?;
@@ -1097,7 +1204,7 @@ fn cmd_recv(opts: &HashMap<String, String>) -> Result<(), String> {
         .unwrap_or_else(|| format!("toi-{toi}.bin"));
     let received = session.packets_received(toi);
     let object = session.take_object(toi).expect("object completed");
-    let out_path = opts.get("out").cloned().unwrap_or_else(|| {
+    let out_path = args.out.unwrap_or_else(|| {
         std::path::Path::new(&location)
             .file_name()
             .map(|n| n.to_string_lossy().into_owned())
@@ -1112,24 +1219,128 @@ fn cmd_recv(opts: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-/// A Gilbert channel from a `--<p_key>`/`--<q_key>` pair, if given.
-fn channel_from_keys(
-    opts: &HashMap<String, String>,
-    p_key: &str,
-    q_key: &str,
-) -> Result<Option<GilbertParams>, String> {
-    match (get_f64(opts, p_key)?, get_f64(opts, q_key)?) {
-        (Some(p), Some(q)) => GilbertParams::new(p, q)
-            .map(Some)
-            .map_err(|e| e.to_string()),
-        (None, None) => Ok(None),
-        _ => Err(format!("--{p_key} and --{q_key} must be given together")),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every subcommand `USAGE` lists.
+    fn commands() -> Vec<&'static str> {
+        let listed = USAGE.lines().filter(|l| l.starts_with("  fec-broadcast "));
+        listed.filter_map(|l| l.split(' ').nth(3)).collect()
+    }
+
+    /// Flags as a parse declares them: name and placeholder (`None`: a switch).
+    type Declared = Vec<(Name, Option<Name>)>;
+
+    /// Parses `argv` as `command`'s arguments: what the parse declared, and
+    /// what it made of them. Nothing here touches the outside world as
+    /// long as `argv` keeps the commands that only print from running.
+    fn declare(command: &str, argv: &[&str]) -> (Declared, Result<(), String>) {
+        let mut a = Args::new(command, argv.iter().map(|s| s.to_string()));
+        let parsed = match command {
+            "sweep" => SweepArgs::parse(&mut a).map(drop),
+            "merge" => parse_merge(&mut a).map(drop),
+            "send" => SendArgs::parse(&mut a).map(drop),
+            "recv" => RecvArgs::parse(&mut a).map(drop),
+            _ => run(&mut a).map(drop),
+        };
+        let declared = a.declared.iter().map(|&(name, hint, _)| (name, hint));
+        (declared.collect(), parsed)
+    }
+
+    /// The test that replaces a hand-kept flag table: for every
+    /// subcommand, the flags its parse asks the cursor for and the
+    /// `--name <placeholder>` words of its `help` synopsis are the same
+    /// list — no flag is read but undocumented, none documented but
+    /// refused, and arity and placeholder agree.
+    #[test]
+    fn every_synopsis_is_what_its_parse_reads() {
+        assert_eq!(commands().len(), 9);
+        for command in commands() {
+            // A stray positional ends every parse (but `merge`'s, which
+            // takes it for a file) after its last declaration.
+            let (mut declared, parsed) = declare(command, &["stray"]);
+            let stray = Err("unexpected argument \"stray\"".to_string());
+            assert!(
+                parsed == stray || command == "merge",
+                "{command}: {parsed:?}"
+            );
+
+            let synopsis = synopsis(command);
+            assert!(synopsis.starts_with(&format!("usage:\n  fec-broadcast {command}")));
+            let words: Vec<&str> = synopsis
+                .split(|c: char| c.is_whitespace() || "[]()|".contains(c))
+                .filter(|word| !word.is_empty())
+                .collect();
+            let mut listed = Vec::new();
+            for (i, word) in words.iter().enumerate() {
+                if let Some(name) = word.strip_prefix("--") {
+                    let hint = words.get(i + 1).filter(|next| next.starts_with('<'));
+                    listed.push((name, hint.copied()));
+                }
+            }
+            declared.sort();
+            listed.sort();
+            assert_eq!(declared, listed, "{command}");
+        }
+        assert_eq!(synopsis("frobnicate"), USAGE);
+        let window = format!("{}..={} packets", WINDOW.start(), WINDOW.end());
+        assert_eq!(USAGE.matches(&window).count(), 2, "adapt and send state it");
+    }
+
+    #[test]
+    fn switches_take_no_value_and_value_flags_always_take_one() {
+        for command in commands() {
+            for (name, hint) in declare(command, &["stray"]).0 {
+                let flag = format!("--{name}");
+                let Some(hint) = hint else {
+                    let refused = declare(command, &[&flag, "stray"]).1.unwrap_err();
+                    let out_of_mode = format!("unknown option {flag} for '{command}' without --");
+                    assert!(
+                        refused == "unexpected argument \"stray\""
+                            || refused.starts_with(&out_of_mode),
+                        "{command} {flag} stray: {refused}"
+                    );
+                    continue;
+                };
+                let needs = Err(format!("{flag} needs a value: {flag} {hint}"));
+                assert_eq!(declare(command, &[&flag]).1, needs, "{command} {flag} last");
+                assert_eq!(declare(command, &[&flag, "--stray"]).1, needs);
+            }
+        }
+    }
+
+    /// A mode's group defaults to what the library defaults to — the CLI
+    /// re-types no number the engine already has — and does not exist
+    /// without the mode.
+    #[test]
+    fn mode_groups_default_to_the_library_defaults() {
+        let args =
+            |command: &str, line: &str| Args::new(command, line.split(' ').map(String::from));
+        let base = "--file f --dest h:1";
+        let send = SendArgs::parse(&mut args(
+            "send",
+            &format!("{base} --adaptive --report-addr a:2"),
+        ));
+        let feedback = Some(("a:2".to_string(), live::SendConfig::default()));
+        assert_eq!(send.unwrap().feedback, feedback);
+        assert_eq!(
+            SendArgs::parse(&mut args("send", base)).unwrap().feedback,
+            None
+        );
+
+        let recv = RecvArgs::parse(&mut args("recv", "--listen h:1 --report-to a:2")).unwrap();
+        let documented = ReportConfig {
+            report_every: 128,
+            ..ReportConfig::default()
+        };
+        assert_eq!(recv.report, Some(("a:2".to_string(), documented, false)));
+        let quiet = RecvArgs::parse(&mut args("recv", "--listen h:1")).unwrap();
+        assert_eq!(
+            (quiet.report, quiet.timeout),
+            (None, Duration::from_secs(10))
+        );
+    }
 
     /// The counters a scrape of `sweep --metrics-addr` shows: the planned
     /// unit count is there before the first unit is, the done count climbs

@@ -210,28 +210,28 @@ pub struct ReceiveConfig {
     /// How long to wait for a datagram before shipping a timer-tick
     /// digest (so the sender's estimator never starves when quiet).
     pub flush_interval: Duration,
-    /// Most datagrams decoded per burst.
-    pub burst_cap: usize,
-    /// How many times the final FIN digest is repeated (the return
-    /// channel is lossy too).
-    pub fin_repeats: u32,
-    /// Counts datagrams rejected as malformed, when telemetry is on.
-    pub rejected_counter: Option<Counter>,
-    /// Counts digests that failed to ship, when telemetry is on.
-    pub ship_failure_counter: Option<Counter>,
+    /// Counts datagrams rejected as malformed (inert with telemetry off).
+    pub rejected_counter: Counter,
+    /// Counts digests that failed to ship (inert with telemetry off).
+    pub ship_failure_counter: Counter,
 }
 
 impl Default for ReceiveConfig {
     fn default() -> ReceiveConfig {
         ReceiveConfig {
             flush_interval: Duration::from_millis(250),
-            burst_cap: 4096,
-            fin_repeats: 3,
-            rejected_counter: None,
-            ship_failure_counter: None,
+            rejected_counter: Counter::noop(),
+            ship_failure_counter: Counter::noop(),
         }
     }
 }
+
+/// Most datagrams [`receive_session`] decodes per burst.
+const RECEIVE_BURST_CAP: usize = 4096;
+
+/// How many times [`receive_session`] repeats the final FIN digest (the
+/// return channel is lossy too).
+const FIN_REPEATS: u32 = 3;
 
 /// How a completed [`receive_session`] went.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -289,7 +289,7 @@ where
                 ))
             }
         }
-        while burst.len() < config.burst_cap {
+        while burst.len() < RECEIVE_BURST_CAP {
             match datagrams.try_recv() {
                 Ok(tagged) => burst.push(tagged),
                 Err(_) => break,
@@ -311,9 +311,7 @@ where
             let (events, rejected) = push_salvaging(session, path, &slice);
             if rejected > 0 {
                 outcome.rejected += rejected;
-                if let Some(c) = &config.rejected_counter {
-                    c.add(rejected);
-                }
+                config.rejected_counter.add(rejected);
             }
             for event in events {
                 if let ReceiverEvent::ObjectComplete { toi } = event {
@@ -327,7 +325,7 @@ where
     };
     // Final FIN digests (repeated: the return channel is lossy too) so an
     // adaptive sender stops transmitting immediately.
-    for _ in 0..config.fin_repeats {
+    for _ in 0..FIN_REPEATS {
         if let Some(report) = session.flush_report() {
             ship_lossy(&mut ship, &report, &mut outcome, config);
         }
@@ -346,9 +344,7 @@ fn ship_lossy<F>(
 {
     if let Err(e) = ship(report) {
         outcome.ship_failures += 1;
-        if let Some(c) = &config.ship_failure_counter {
-            c.inc();
-        }
+        config.ship_failure_counter.inc();
         if outcome.ship_failures <= 5 {
             eprintln!("digest not shipped (return channel is lossy by design): {e}");
         }

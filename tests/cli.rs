@@ -348,3 +348,125 @@ fn send_recv_roundtrip_over_udp() {
     assert_eq!(decoded, payload, "byte-exact delivery");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// What each of these got wrong at cc4041b is in the comment beside it;
+/// all are argument errors now: exit ≠ 0, `error: …` naming the flag,
+/// the subcommand's synopsis and nothing else, nothing on stdout.
+#[test]
+fn arguments_a_type_rules_out_are_refused() {
+    let adaptive = "send --file Cargo.toml --dest 127.0.0.1:9 --adaptive --report-addr 127.0.0.1:0";
+    let cases = [
+        // A switch ate the next token: `no` turned high-loss *on*.
+        ("recommend --high-loss no", "unexpected argument \"no\""),
+        // … and `7` vanished.
+        (
+            "adapt --no-plan 7 --k 50 --epochs 2",
+            "unexpected argument \"7\"",
+        ),
+        (
+            "recv --listen 127.0.0.1:0 --report-to 127.0.0.1:9 --nack 2",
+            "unexpected argument \"2\"",
+        ),
+        // Panicked in `OnlineGilbertEstimator::new`.
+        (
+            &format!("{adaptive} --window 1"),
+            "--window 1 must be in 2..=10000000",
+        ),
+        // Aborted on a 100 TB allocation.
+        (
+            &format!("{adaptive} --window 99999999999999"),
+            "--window 99999999999999 must be in 2..=10000000",
+        ),
+        // Silently ignored without --adaptive.
+        (
+            "send --file Cargo.toml --dest 127.0.0.1:9 --window 5",
+            "unknown option --window for 'send' without --adaptive",
+        ),
+        (
+            "send --file Cargo.toml --dest 127.0.0.1:9 --replan-every 9",
+            "unknown option --replan-every for 'send' without --adaptive",
+        ),
+        (
+            "sweep --code rse --tx 5 --ratio 2.5 --emit-partial",
+            "unknown option --emit-partial for 'sweep' without --shard",
+        ),
+        // Said "--k is required".
+        (
+            "plan --k 0 --ratio 1.5 --inef 1.05 --p 0.01 --q 0.5",
+            "--k must be positive",
+        ),
+        // Announced it was listening, then "cannot set a 0 duration timeout".
+        (
+            "recv --listen 127.0.0.1:0 --timeout 0",
+            "--timeout must be positive",
+        ),
+        // Silently became 1.
+        (
+            "recv --listen 127.0.0.1:0 --report-to 127.0.0.1:9 --report-every 0",
+            "--report-every must be positive",
+        ),
+        (
+            &format!("{adaptive} --replan-every 0"),
+            "--replan-every must be positive",
+        ),
+        // A value flag never goes without its value.
+        ("map --ratio", "--ratio needs a value: --ratio <r>"),
+        ("plan --k --ratio 1.5", "--k needs a value: --k <k>"),
+    ];
+    for (line, message) in cases {
+        let (ok, stdout, stderr) = run(&line.split(' ').collect::<Vec<_>>());
+        assert!(!ok && stdout.is_empty(), "{line} ran: {stdout}");
+        let command = line.split(' ').next().expect("a subcommand");
+        let synopsis = format!("error: {message}\n\nusage:\n  fec-broadcast {command}");
+        assert!(stderr.starts_with(&synopsis), "{line}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{line}: {stderr}");
+        // Only the failing subcommand's synopsis: no prose, no other command.
+        assert_eq!(stderr.matches("fec-broadcast").count(), 1, "{stderr}");
+        assert!(!stderr.contains("USAGE"), "{line}: {stderr}");
+    }
+}
+
+/// A command that fails at run time says what failed and nothing else:
+/// the arguments were fine, so no usage text follows.
+#[test]
+fn runtime_errors_print_no_usage() {
+    let (ok, _, stderr) = run(&["send", "--file", "/nonexistent", "--dest", "127.0.0.1:9"]);
+    assert!(!ok);
+    assert!(
+        stderr.starts_with("error: cannot read /nonexistent"),
+        "{stderr}"
+    );
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(!stderr.contains("USAGE") && !stderr.contains("usage"));
+
+    let (ok, _, stderr) = run(&["merge", "/nonexistent.partial"]);
+    assert!(!ok);
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+}
+
+/// `fec-broadcast … | head -1`: a reader that closes stdout early ends the
+/// command quietly (it used to panic with `failed printing to stdout:
+/// Broken pipe` and a backtrace). The report is four times what a pipe
+/// buffers, so the command is still printing when the reader hangs up.
+#[test]
+fn closed_stdout_ends_the_command_quietly() {
+    use std::io::{BufRead, BufReader, Read};
+    use std::process::Stdio;
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_fec-broadcast"))
+        .args(["adapt", "--k", "50", "--epochs", "3000"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut stdout = BufReader::with_capacity(64, child.stdout.take().expect("piped"));
+    let mut first = String::new();
+    stdout.read_line(&mut first).expect("one line");
+    assert!(first.starts_with("closed loop: k = 50"), "{first}");
+    drop(stdout);
+    let mut stderr = String::new();
+    let mut pipe = child.stderr.take().expect("piped");
+    pipe.read_to_string(&mut stderr).expect("stderr");
+    assert!(stderr.is_empty(), "{stderr}");
+    assert!(child.wait().expect("exits").success());
+}
