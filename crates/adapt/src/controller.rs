@@ -25,7 +25,6 @@ use fec_sim::{CodecHandle, ExpansionRatio};
 use serde::{Deserialize, Serialize};
 
 use crate::estimate::{ChannelEstimate, OnlineGilbertEstimator};
-use crate::share::PathEstimate;
 
 /// A deployable (code, transmission model, expansion ratio) tuple.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -165,12 +164,6 @@ pub struct AdaptiveController {
     backoff_remaining: u32,
     /// Latest population summary from a fan-out aggregator, if any.
     population: Option<PopulationSummary>,
-    /// Per-path estimators for bonded transport, lazily created on the
-    /// first [`observe_path_runs`](Self::observe_path_runs) for a path.
-    /// Independent of the central estimator: each path is its own loss
-    /// process, and mixing their runs would corrupt the burst statistics
-    /// of all of them.
-    paths: Vec<OnlineGilbertEstimator>,
 }
 
 impl AdaptiveController {
@@ -186,7 +179,6 @@ impl AdaptiveController {
             switches: 0,
             backoff_remaining: 0,
             population: None,
-            paths: Vec::new(),
         }
     }
 
@@ -240,62 +232,6 @@ impl AdaptiveController {
             n += len;
         }
         n
-    }
-
-    /// Folds one path's run-length loss sketch into that path's own
-    /// estimator (created on first use, same window as the central one).
-    /// Bonded transport keeps one estimator per path because each path
-    /// is an independent loss process; the central estimator still
-    /// receives whatever blend the caller chooses to
-    /// [`observe_runs`](Self::observe_runs) for planning. Returns the
-    /// per-packet observations folded.
-    pub fn observe_path_runs(
-        &mut self,
-        path: usize,
-        runs: impl IntoIterator<Item = (bool, u64)>,
-    ) -> u64 {
-        while self.paths.len() <= path {
-            self.paths
-                .push(OnlineGilbertEstimator::new(self.config.window));
-        }
-        let est = &mut self.paths[path];
-        let mut n = 0;
-        for (lost, len) in runs {
-            est.push_run(lost, len);
-            n += len;
-        }
-        n
-    }
-
-    /// Number of paths with estimators (highest observed path + 1).
-    pub fn path_count(&self) -> usize {
-        self.paths.len()
-    }
-
-    /// Snapshots every path's conservative loss bound for the share
-    /// allocator: the worst-case stationary bound once the estimate is
-    /// identifiable, the raw windowed loss rate while it warms up, and
-    /// clean-unknown before any observation. Liveness is always `true`
-    /// here — outage detection is transport evidence (silence on the
-    /// return channel), not an estimator property, so the bond overlays
-    /// it before allocating.
-    pub fn path_estimates(&self) -> Vec<PathEstimate> {
-        self.paths
-            .iter()
-            .map(|e| {
-                let loss_upper = match e.estimate() {
-                    Some(est) if e.window_len() >= self.config.min_observations => {
-                        est.p_global_upper()
-                    }
-                    _ if e.window_len() > 0 => e.window_loss_rate(),
-                    _ => return PathEstimate::unknown(),
-                };
-                PathEstimate {
-                    loss_upper,
-                    alive: true,
-                }
-            })
-            .collect()
     }
 
     /// Records the latest population summary from a fan-out aggregator.

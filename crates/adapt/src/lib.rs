@@ -59,7 +59,6 @@
 mod closed_loop;
 mod controller;
 mod estimate;
-mod share;
 
 pub use closed_loop::{
     clairvoyant_decision, AdaptiveRunner, Comparison, EpochOutcome, LoopReport, Scenario,
@@ -68,4 +67,3 @@ pub use controller::{
     AdaptiveController, ControllerConfig, Decision, PopulationSummary, Reconsideration, Replan,
 };
 pub use estimate::{ChannelEstimate, ConfidenceInterval, OnlineGilbertEstimator};
-pub use share::{blended_loss, PathEstimate, ShareAllocator};

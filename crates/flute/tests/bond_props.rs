@@ -1,6 +1,6 @@
 //! Property tests for the bonded transport invariants.
 //!
-//! Three guarantees the bonding suite leans on:
+//! Two guarantees the bonding suite leans on:
 //!
 //! 1. **Path assignment is semantically invisible.** FEC makes symbols
 //!    interchangeable, so *any* symbol-to-path assignment, under *any*
@@ -10,14 +10,10 @@
 //!    stamps its own sequence space; whatever the cross-path
 //!    interleaving, the receiver's loss sketch must total exactly the
 //!    interior per-path drops, with no phantom cross-path gaps.
-//! 3. **Share allocation is total-rate-conserving and sane** for any
-//!    estimate vector, including NaN/∞/negative loss bounds and
-//!    all-dead paths.
 
-use fec_adapt::{PathEstimate, ShareAllocator};
+use fec_core::ExpansionRatio;
 use fec_flute::feedback::{ReportConfig, ReportEmitter};
 use fec_flute::{FluteReceiver, FluteSender, SenderConfig};
-use fec_sim::ExpansionRatio;
 
 use proptest::prelude::*;
 
@@ -173,48 +169,5 @@ proptest! {
             "sketch lost {} != interior drops {} (cross-path mixing?)",
             lost, expected_lost
         );
-    }
-
-    /// Property 3: share allocation conserves the total rate and stays
-    /// finite/non-negative for adversarial estimates.
-    #[test]
-    fn share_allocation_conserves_total_under_adversarial_inputs(
-        total in 0.0f64..1.0e6,
-        kinds in proptest::collection::vec((0u8..6, 0.0f64..2.0, any::<bool>()), 1..12),
-    ) {
-        let paths: Vec<PathEstimate> = kinds
-            .iter()
-            .map(|&(kind, base, alive)| PathEstimate {
-                loss_upper: match kind {
-                    0 => f64::NAN,
-                    1 => f64::INFINITY,
-                    2 => f64::NEG_INFINITY,
-                    3 => -base,
-                    4 => base * 1.0e9,
-                    _ => base,
-                },
-                alive,
-            })
-            .collect();
-        let shares = ShareAllocator::new(total).allocate(&paths);
-        prop_assert_eq!(shares.len(), paths.len());
-        let mut sum = 0.0;
-        for (i, s) in shares.iter().enumerate() {
-            prop_assert!(s.is_finite(), "share {} not finite: {}", i, s);
-            prop_assert!(*s >= 0.0, "share {} negative: {}", i, s);
-            sum += s;
-        }
-        prop_assert!(
-            (sum - total).abs() <= total.abs() * 1e-9 + 1e-9,
-            "shares sum {} != total {}", sum, total
-        );
-        // Dead paths get exactly zero whenever any path is alive.
-        if paths.iter().any(|p| p.alive) {
-            for (p, s) in paths.iter().zip(&shares) {
-                if !p.alive {
-                    prop_assert_eq!(*s, 0.0, "dead path got {}", s);
-                }
-            }
-        }
     }
 }

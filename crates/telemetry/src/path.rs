@@ -1,9 +1,8 @@
 //! Per-path metric family for bonded (multipath) transport.
 //!
 //! A bonded sender stripes one emission across N paths; operators need
-//! to see, *per path*, how much rate the controller allocated, what the
-//! estimator thinks the path's loss is, how much traffic actually went
-//! out, and whether the path has been declared dead. One
+//! to see, *per path*, what share of the traffic it takes, how much
+//! actually went out, and whether the path has been retired. One
 //! [`PathMetrics`] bundle per path keeps those series under a single
 //! `fec_path_*` family, distinguished by a `path` label, so a
 //! Prometheus scrape shows the whole bond side by side.
@@ -13,17 +12,13 @@ use crate::registry::{Counter, Gauge, Registry};
 /// Handles for one bonded path's metric series.
 #[derive(Debug, Clone)]
 pub struct PathMetrics {
-    /// `fec_path_share` — packet-rate share (datagrams/s) the controller
-    /// currently allocates to this path (0 during an outage).
+    /// `fec_path_share` — the fraction of the traffic the scheduler
+    /// currently routes to this path (0 once it is retired).
     pub share: Gauge,
-    /// `fec_path_loss_upper` — the path estimator's conservative
-    /// stationary loss bound.
-    pub loss_upper: Gauge,
     /// `fec_path_datagrams_total` — datagrams handed to this path's
     /// socket/emulator.
     pub datagrams: Counter,
-    /// `fec_path_outages_total` — times the bond declared this path dead
-    /// and routed around it.
+    /// `fec_path_outages_total` — times a send failure retired this path.
     pub outages: Counter,
 }
 
@@ -36,12 +31,7 @@ impl PathMetrics {
         PathMetrics {
             share: registry.gauge_with(
                 "fec_path_share",
-                "Packet-rate share (datagrams/s) allocated to the path.",
-                labels,
-            ),
-            loss_upper: registry.gauge_with(
-                "fec_path_loss_upper",
-                "Conservative stationary loss bound estimated for the path.",
+                "Fraction of the traffic routed to the path.",
                 labels,
             ),
             datagrams: registry.counter_with(
@@ -51,7 +41,7 @@ impl PathMetrics {
             ),
             outages: registry.counter_with(
                 "fec_path_outages_total",
-                "Times the path was declared dead and routed around.",
+                "Times a send failure retired the path.",
                 labels,
             ),
         }
@@ -73,14 +63,12 @@ mod tests {
     fn path_family_renders_with_labels() {
         let registry = Registry::new();
         let paths = PathMetrics::register_all(&registry, 2);
-        paths[0].share.set(150.0);
+        paths[0].share.set(0.5);
         paths[0].datagrams.add(7);
-        paths[1].loss_upper.set(0.25);
         paths[1].outages.inc();
         let text = registry.render_prometheus();
-        assert!(text.contains("fec_path_share{path=\"0\"} 150"));
+        assert!(text.contains("fec_path_share{path=\"0\"} 0.5"));
         assert!(text.contains("fec_path_datagrams_total{path=\"0\"} 7"));
-        assert!(text.contains("fec_path_loss_upper{path=\"1\"} 0.25"));
         assert!(text.contains("fec_path_outages_total{path=\"1\"} 1"));
     }
 

@@ -148,7 +148,8 @@ USAGE:
       credit scheduler: source symbols prefer the first-listed (fastest)
       path, repair symbols the last — list links fastest-first. Pair
       with a `recv` whose --listen names the same addresses. --pace then
-      applies per path. Replaces --dest; not combinable with --adaptive.
+      applies per path. A path whose sends fail is retired and the rest
+      carry on. Replaces --dest.
 
   fec-broadcast recv --listen <addr:port>[,<addr:port>...] [--tsi <n>] [--out <path>]
                      [--timeout <secs>]
@@ -883,11 +884,6 @@ impl SendArgs {
         if paths.is_some() && dest.is_some() {
             return Err("--paths replaces --dest (give every destination in --paths)".into());
         }
-        if paths.is_some() && adaptive {
-            return Err("--paths stripes a static schedule; it cannot combine with \
-                 --adaptive (run the feedback loop on one path)"
-                .into());
-        }
         let dests = paths.or(dest.map(|dest| vec![dest]));
         let report_addr = report_addr
             .ok_or("--adaptive requires --report-addr (addr:port to receive digests on)");
@@ -991,7 +987,8 @@ fn cmd_send(args: SendArgs) -> Result<(), String> {
             .then_some((&telemetry.registry, &telemetry.events)),
     )?;
     println!(
-        "sent '{name}' ({} bytes) to {}: {} datagrams transmitted, {} dropped by injected loss\n\
+        "sent '{name}' ({} bytes) to {}: {} datagrams transmitted, {} dropped by \
+         injected loss or failed sends\n\
          session: tsi {tsi}, {} + {} @ ratio {}, {symbol}-byte symbols",
         object.len(),
         dests.join(","),
@@ -1004,8 +1001,13 @@ fn cmd_send(args: SendArgs) -> Result<(), String> {
     if dests.len() > 1 {
         for (i, (dest, p)) in dests.iter().zip(&outcome.paths).enumerate() {
             println!(
-                "  path {i} -> {dest}: {} datagrams ({} source, {} repair)",
-                p.datagrams, p.source, p.repair
+                "  path {i} -> {dest}: {} datagrams ({} source, {} repair){}",
+                p.datagrams,
+                p.source,
+                p.repair,
+                p.error
+                    .as_ref()
+                    .map_or_else(String::new, |e| format!(", retired: {e}"))
             );
         }
     }

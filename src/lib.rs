@@ -34,7 +34,6 @@
 pub mod live;
 
 pub use fec_adapt as adapt;
-pub use fec_bond as bond;
 pub use fec_channel as channel;
 pub use fec_codec as codec;
 pub use fec_core as core;
@@ -54,7 +53,6 @@ pub mod prelude {
     pub use fec_adapt::{
         AdaptiveController, AdaptiveRunner, ControllerConfig, OnlineGilbertEstimator, Scenario,
     };
-    pub use fec_bond::{BondConfig, BondedSession, PathScheduler};
     pub use fec_channel::{DriftingChannel, GilbertChannel, GilbertParams, LossModel, Regime};
     pub use fec_codec::{
         CodecHandle, CodecRegistry, DecodeProgress, Envelope, ErasureCode, SessionParams,

@@ -9,11 +9,12 @@
 //!
 //! * [`send_session`] — pulls bursts from a
 //!   [`SessionStream`](fec_flute::SessionStream), routes each datagram
-//!   through a [`PathScheduler`] over 1..N [`PathSink`]s, and drains
+//!   through a credit scheduler over 1..N [`PathSink`]s, and drains
 //!   reception-report digests from a [`DigestSource`] into the one
 //!   feedback consumer, [`FeedbackAggregator`]. A single path is N = 1
 //!   paths; a single receiver is a population of one; a static session
-//!   is a session nobody reports on.
+//!   is a session nobody reports on. A path whose sink fails is retired
+//!   and the survivors carry on.
 //! * [`receive_session`] — the decode loop, over datagrams tagged with
 //!   the path (bound socket) they arrived on; a single-socket receiver
 //!   tags everything 0. Reception reports ship through a *lossy* hook:
@@ -41,7 +42,6 @@ use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use fec_adapt::ControllerConfig;
-use fec_bond::PathScheduler;
 use fec_channel::LinkEmulator;
 use fec_flute::feedback::{AggregateOutcome, AggregatorConfig, FeedbackAggregator, NackEntry};
 use fec_flute::{FluteReceiver, FluteSender, ReceiverEvent, ReceptionReport};
@@ -446,7 +446,7 @@ impl Default for SendConfig {
 }
 
 /// What one path carried.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct PathOutcome {
     /// Datagrams delivered to the path's wire.
     pub datagrams: u64,
@@ -454,6 +454,89 @@ pub struct PathOutcome {
     pub source: u64,
     /// Repair symbols the scheduler routed here.
     pub repair: u64,
+    /// The send error that retired the path, if one did.
+    pub error: Option<String>,
+}
+
+/// Which path carries each datagram. Every live path earns an equal
+/// credit per datagram and the chosen path pays a whole one, so the paths
+/// take turns. Among the paths within one datagram of the richest credit,
+/// source symbols take the first-listed and repair symbols the last
+/// (Kurant, arXiv:0901.1479): list paths fastest first, and repair, which
+/// only matters after a loss, absorbs the slow paths' delay.
+struct PathScheduler {
+    lanes: Vec<Lane>,
+}
+
+#[derive(Clone, Copy)]
+struct Lane {
+    alive: bool,
+    credit: f64,
+    source: u64,
+    repair: u64,
+}
+
+impl PathScheduler {
+    fn new(paths: usize) -> PathScheduler {
+        let lane = Lane {
+            alive: true,
+            credit: 0.0,
+            source: 0,
+            repair: 0,
+        };
+        PathScheduler {
+            lanes: vec![lane; paths],
+        }
+    }
+
+    fn alive(&self) -> usize {
+        self.lanes.iter().filter(|l| l.alive).count()
+    }
+
+    /// `path`'s share of the traffic: 1/alive while it is live, else 0.
+    fn share(&self, path: usize) -> f64 {
+        match self.lanes.get(path) {
+            Some(lane) if lane.alive => 1.0 / self.alive() as f64,
+            _ => 0.0,
+        }
+    }
+
+    /// The path for the next datagram; `None` once every path is retired.
+    fn route(&mut self, is_source: bool) -> Option<usize> {
+        let deposit = 1.0 / self.alive() as f64;
+        for lane in self.lanes.iter_mut().filter(|l| l.alive) {
+            lane.credit += deposit;
+        }
+        let live = || self.lanes.iter().enumerate().filter(|(_, l)| l.alive);
+        let richest = live().map(|(_, l)| l.credit).reduce(f64::max)?;
+        // The band is never empty (the richest path is in it), and a
+        // starved path's credit soon towers over the rest, which is what
+        // bounds every path's drift from its turn.
+        let mut band = live()
+            .filter(|(_, l)| l.credit > richest - 1.0)
+            .map(|(i, _)| i);
+        let chosen = if is_source {
+            band.next()
+        } else {
+            band.next_back()
+        }?;
+        let lane = self.lanes.get_mut(chosen)?;
+        lane.credit -= 1.0;
+        *if is_source {
+            &mut lane.source
+        } else {
+            &mut lane.repair
+        } += 1;
+        Some(chosen)
+    }
+
+    /// Takes `path` out of rotation for good; returns the paths left.
+    fn retire(&mut self, path: usize) -> usize {
+        if let Some(lane) = self.lanes.get_mut(path) {
+            lane.alive = false;
+        }
+        self.alive()
+    }
 }
 
 /// How a [`send_session`] went.
@@ -461,7 +544,8 @@ pub struct PathOutcome {
 pub struct SendOutcome {
     /// Datagrams delivered to the wire, all paths.
     pub sent: u64,
-    /// Datagrams erased by the paths' injected loss.
+    /// Datagrams erased by the paths' injected loss or lost in a failed
+    /// send.
     pub dropped: u64,
     /// Per-path split, in path order.
     pub paths: Vec<PathOutcome>,
@@ -473,12 +557,18 @@ pub struct SendOutcome {
 /// The live send loop. Per round it drains every pending digest into a
 /// [`FeedbackAggregator`] keyed by source address, stops objects the
 /// whole tracked population decoded, turns the population's NACK union
-/// into targeted repair packets, emits one burst — each datagram routed
-/// by a [`PathScheduler`] with uniform shares and listing-order delay
-/// ranks (source symbols prefer early paths, repair symbols late ones,
-/// after Kurant's multipath-FEC ordering) — and every
+/// into targeted repair packets, emits one burst — each live path taking
+/// an equal turn, source symbols preferring early-listed paths and repair
+/// symbols late ones, after Kurant's multipath-FEC ordering — and every
 /// [`replan_every`](SendConfig::replan_every) datagrams re-plans the
 /// object in flight (§6.2) and advances the idle-eviction clock.
+///
+/// The first [`send_burst`](PathSink::send_burst) error on a path retires
+/// it for the rest of the session: the failed burst counts as dropped,
+/// later datagrams go to the surviving paths, and the error is printed
+/// once and kept in that path's [`PathOutcome`]. Only the last path's
+/// failure ends the session, with that error. A path that fails silently
+/// stays in rotation; feedback and NACK repair make up for it.
 ///
 /// The session ends when every tracked receiver reports it complete. If
 /// the planned emission runs dry first, the sender lingers 1.5 s for
@@ -531,10 +621,13 @@ pub fn send_session<P: PathSink>(
             agg.attach_telemetry(registry);
         }
         path_metrics = PathMetrics::register_all(registry, paths.len());
-        for m in &path_metrics {
-            m.share.set(1.0 / paths.len() as f64);
-        }
     }
+    let publish_shares = |scheduler: &PathScheduler| {
+        for (path, m) in path_metrics.iter().enumerate() {
+            m.share.set(scheduler.share(path));
+        }
+    };
+    publish_shares(&scheduler);
     let full_total = stream.full_total();
     record(Event::SessionStart {
         tsi: tsi as u64,
@@ -558,6 +651,7 @@ pub fn send_session<P: PathSink>(
     let mut outcomes = vec![PathOutcome::default(); paths.len()];
     let mut sent = 0u64;
     let mut offered = 0u64;
+    let mut failed = 0u64;
     let mut next_replan_at = replan_every as u64;
     let mut linger_until: Option<Instant> = None;
     let mut stopped: BTreeSet<u32> = BTreeSet::new();
@@ -718,8 +812,29 @@ pub fn send_session<P: PathSink>(
             if burst.is_empty() {
                 continue;
             }
-            let (delivered, bytes) = sink.send_burst(burst)?;
+            let result = sink.send_burst(burst);
+            let len = burst.len() as u64;
             burst.clear();
+            let (delivered, bytes) = match result {
+                Ok(carried) => carried,
+                Err(e) => {
+                    let alive = scheduler.retire(path);
+                    if alive == 0 {
+                        return Err(e);
+                    }
+                    eprintln!(
+                        "path {path} failed ({e}); retired for the rest of the session, \
+                         {alive} path(s) carry on"
+                    );
+                    failed += len;
+                    outcome.error = Some(e);
+                    if let Some(m) = path_metrics.get(path) {
+                        m.outages.inc();
+                    }
+                    publish_shares(&scheduler);
+                    continue;
+                }
+            };
             outcome.datagrams += delivered;
             sent += delivered;
             summary.bytes_sent += bytes;
@@ -749,9 +864,9 @@ pub fn send_session<P: PathSink>(
         }
     }
 
-    for (path, outcome) in outcomes.iter_mut().enumerate() {
-        outcome.source = scheduler.source_routed(path);
-        outcome.repair = scheduler.repair_routed(path);
+    for (outcome, lane) in outcomes.iter_mut().zip(&scheduler.lanes) {
+        outcome.source = lane.source;
+        outcome.repair = lane.repair;
     }
     summary.datagrams_sent = sent;
     summary.elapsed_secs = started.elapsed().as_secs_f64();
@@ -788,8 +903,60 @@ pub fn send_session<P: PathSink>(
     }
     Ok(SendOutcome {
         sent,
-        dropped: paths.iter().map(|p| p.dropped()).sum(),
+        dropped: failed + paths.iter().map(|p| p.dropped()).sum::<u64>(),
         paths: outcomes,
         summary,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::PathScheduler;
+
+    fn routed(s: &PathScheduler) -> Vec<u64> {
+        s.lanes.iter().map(|l| l.source + l.repair).collect()
+    }
+
+    #[test]
+    fn live_paths_take_equal_turns() {
+        let mut s = PathScheduler::new(3);
+        for i in 0..9_999 {
+            s.route(i % 3 != 0);
+        }
+        for n in routed(&s) {
+            assert!(n.abs_diff(3_333) <= 2, "{:?}", routed(&s));
+        }
+    }
+
+    #[test]
+    fn source_prefers_fast_repair_prefers_slow() {
+        let mut s = PathScheduler::new(2);
+        for i in 0..2_000 {
+            s.route(i % 2 == 0);
+        }
+        assert_eq!((s.lanes[0].source, s.lanes[1].repair), (1_000, 1_000));
+    }
+
+    #[test]
+    fn retired_paths_are_never_picked() {
+        let mut s = PathScheduler::new(3);
+        for i in 0..10 {
+            s.route(i % 2 == 0);
+        }
+        assert_eq!(s.retire(1), 2);
+        assert_eq!((s.share(0), s.share(1)), (0.5, 0.0));
+        let before = routed(&s)[1];
+        for i in 0..500 {
+            assert_ne!(s.route(i % 4 != 0), Some(1));
+        }
+        assert_eq!(routed(&s)[1], before);
+    }
+
+    #[test]
+    fn all_retired_routes_nowhere() {
+        let mut s = PathScheduler::new(2);
+        s.retire(0);
+        assert_eq!(s.retire(1), 0);
+        assert_eq!(s.route(true), None);
+    }
 }

@@ -1,249 +1,295 @@
 //! Bonding scenario suite: one FEC emission striped across
-//! heterogeneous lossy paths, driven through the full in-process
-//! control loop ([`BondedSession`]). Three scenarios, all
-//! deterministic and seeded:
+//! heterogeneous lossy paths by the shipped engine,
+//! [`live::send_session`], in the seeded world of `tests/support`.
 //!
-//! 1. **Degrade** one path mid-flight → the controller re-allocates
-//!    rate shares away from it within one re-plan interval.
-//! 2. **Kill** one path mid-flight → the bond declares an outage,
-//!    zeroes the dead path's share, amends the schedule (targeted
-//!    repair / extension — never a restart), and still delivers every
-//!    object byte-exactly.
-//! 3. **Asymmetric three-link convergence** → on bursty links the
-//!    bonded session finishes on fewer packets than the best single
-//!    path: striping breaks each link's loss bursts into isolated
-//!    erasures, the physical analogue of the paper's packet-scheduling
-//!    whitening (and the reason Tx_model_1-style sequential schedules
-//!    recover their footing under bonding).
+//! The engine's scheduler gives every live path an equal share: source
+//! symbols go to the first-listed path in the affordable band, repair
+//! symbols to the last (Kurant, arXiv:0901.1479). A path whose sink
+//! fails is retired for the rest of the session; a path that goes
+//! silently dead stays in rotation and delivery completes through
+//! feedback and NACK repair.
 
-use fec_broadcast::adapt::ControllerConfig;
-use fec_broadcast::bond::{BondConfig, BondedSession};
-use fec_broadcast::channel::{GilbertChannel, GilbertParams, LinkEmulator, LossModel};
-use fec_broadcast::flute::{FluteSender, SenderConfig};
+mod support;
+
+use std::cell::{Ref, RefCell};
+
+use fec_broadcast::channel::LinkEmulator;
+use fec_broadcast::live::{self, SendConfig, SendOutcome};
 use fec_broadcast::prelude::*;
+use support::{bursty, gilbert, Fault, Load, Member, World};
 
-const TSI: u32 = 55;
-const SYMBOL: usize = 64;
-const OBJ_LEN: usize = 12_000;
-const OBJECTS: u32 = 2;
+const LOAD: Load = Load {
+    tsi: 55,
+    objects: 2,
+    len: 12_000,
+};
 
-fn object_bytes(toi: u32) -> Vec<u8> {
-    (0..OBJ_LEN)
-        .map(|i| ((i as u32).wrapping_mul(41).wrapping_add(toi * 23) % 251) as u8)
-        .collect()
+const CONFIG: SendConfig = SendConfig {
+    window: 5_000,
+    replan_every: 64,
+};
+
+/// Receiver 1 behind `links`, asking for missing symbols.
+fn member(links: Vec<LinkEmulator>) -> Member {
+    LOAD.member(1, links).nacks()
 }
 
-fn build_sender(tx: TxModel, ratio: ExpansionRatio) -> FluteSender {
-    let mut config = SenderConfig::new(TSI);
-    config.fdt_interval = 120;
-    let mut sender = FluteSender::new(config);
-    for toi in 1..=OBJECTS {
-        sender
-            .add_object(
-                toi,
-                format!("file:///obj-{toi}.bin"),
-                &object_bytes(toi),
-                fec_broadcast::codec::registry::resolve("ldgm-triangle").unwrap(),
-                ratio,
-                SYMBOL,
-                0xD1CE + toi as u64,
-                tx,
-            )
-            .unwrap();
+/// The world's only receiver, after the session.
+fn receiver(world: &RefCell<World>) -> Ref<'_, Member> {
+    Ref::map(world.borrow(), |w| &w.members[0])
+}
+
+/// A feedback session of `session` over `links`, one path each, with
+/// `faults` scripted as `(at datagram, path, fault)`.
+fn run(
+    session: &FluteSender,
+    links: Vec<LinkEmulator>,
+    faults: &[(u64, usize, Fault)],
+    telemetry: Option<(&Registry, &EventLog)>,
+) -> (std::rc::Rc<RefCell<World>>, Result<SendOutcome, String>) {
+    let count = links.len();
+    let (world, mut paths, mut reports) = World::new(vec![member(links)], count);
+    for &(at, path, fault) in faults {
+        world.borrow_mut().at(at, path, fault);
     }
-    sender
+    let outcome = live::send_session(
+        session,
+        0x5EED,
+        &mut paths,
+        Some(&mut reports),
+        &CONFIG,
+        telemetry,
+    );
+    (world, outcome)
 }
 
-/// A Gilbert link with long-run loss `p_global` and mean burst length
-/// `burst` packets.
-fn bursty_link(p_global: f64, burst: f64, seed: u64) -> LinkEmulator {
-    let q = 1.0 / burst;
-    let p = p_global * q / (1.0 - p_global);
-    let model: Box<dyn LossModel> =
-        Box::new(GilbertChannel::new(GilbertParams::new(p, q).unwrap(), seed));
-    LinkEmulator::new(model, seed ^ 0x10DE)
-}
-
-fn assert_byte_exact(bond: &BondedSession<'_>) {
-    assert!(bond.is_complete(), "bond failed to deliver");
-    for toi in 1..=OBJECTS {
-        assert_eq!(
-            bond.receiver().object(toi).expect("decoded"),
-            &object_bytes(toi)[..],
-            "object {toi} corrupted"
+/// Each path's datagram count and FNV-1a hash for a static 3-path
+/// session and a feedback 2-path session, as text.
+fn routing_fingerprint() -> String {
+    let mut text = String::new();
+    let session = LOAD.session(TxModel::Random, ExpansionRatio::R2_5);
+    let links = (0..3).map(|i| gilbert(0.02, 0.4, 0x60 + i)).collect();
+    let (world, mut paths, _) = World::new(vec![member(links)], 3);
+    live::send_session(&session, 0x5EED, &mut paths, None, &CONFIG, None).unwrap();
+    for (i, lane) in world.borrow().lanes.iter().enumerate() {
+        text += &format!(
+            "static 3-path, path {i}: {} datagrams, fnv1a {:016x}\n",
+            lane.carried, lane.hash
         );
     }
+    let links = vec![bursty(0.04, 3.0, 0x71), bursty(0.06, 4.0, 0x72)];
+    let (world, mut paths, mut reports) = World::new(vec![member(links)], 2);
+    live::send_session(
+        &session,
+        0x5EED,
+        &mut paths,
+        Some(&mut reports),
+        &CONFIG,
+        None,
+    )
+    .unwrap();
+    receiver(&world).assert_byte_exact();
+    for (i, lane) in world.borrow().lanes.iter().enumerate() {
+        text += &format!(
+            "feedback 2-path, path {i}: {} datagrams, fnv1a {:016x}\n",
+            lane.carried, lane.hash
+        );
+    }
+    text
 }
 
-/// Scenario 1: degrading one path mid-flight shifts its rate share away
-/// within one re-plan interval.
+/// Recorded at b1de77a, while the scheduler still lived in its own
+/// crate: moving it into the engine and teaching it to retire paths
+/// changed no routing decision of a session whose paths all work.
 #[test]
-fn degraded_path_loses_share_within_one_replan_interval() {
-    let sender = build_sender(TxModel::Random, ExpansionRatio::R2_5);
-    let config = BondConfig {
-        total_rate: 1_000.0,
-        replan_every: 64,
-        outage_after: 100_000, // outage detection out of the picture here
-        dead_band: 0.02,
-        controller: ControllerConfig {
-            // Small estimation window + high min_observations: path
-            // estimates use the recent windowed loss rate, so a regime
-            // change shows up in the very next digest fold.
-            window: 128,
-            min_observations: 100_000,
-            ..ControllerConfig::default()
-        },
-    };
-    let links = vec![bursty_link(0.02, 2.0, 71), bursty_link(0.02, 2.0, 72)];
-    let mut bond = BondedSession::new(&sender, 0x5EED, links, config.clone());
-
-    // Warm up past several control rounds, stopping exactly at a
-    // re-plan boundary.
-    let warmup = config.replan_every * 6;
-    for _ in 0..warmup {
-        bond.step().unwrap();
-    }
-    let share_before = bond.controller().shares()[1];
-    let reallocs_before = bond.controller().reallocations();
-    assert!(
-        share_before > 400.0,
-        "healthy path holds ~half: {share_before}"
-    );
-
-    // Path 1 falls off a cliff: 50% bursty loss.
-    bond.degrade_path(1, GilbertParams::new(0.1, 0.1).unwrap(), 0xBAD);
-
-    // Exactly one re-plan interval later the share must have moved.
-    for _ in 0..config.replan_every {
-        bond.step().unwrap();
-    }
-    let share_after = bond.controller().shares()[1];
-    assert!(
-        bond.controller().reallocations() > reallocs_before,
-        "no re-allocation within one interval"
-    );
-    assert!(
-        share_after < share_before - config.dead_band * config.total_rate,
-        "degraded path kept its share: {share_before} -> {share_after}"
-    );
-
-    // And the transfer still completes byte-exactly.
-    bond.run(200_000).unwrap();
-    assert_byte_exact(&bond);
-    eprintln!(
-        "degrade: share {share_before:.0} -> {share_after:.0} within one interval, \
-         {} total datagrams",
-        bond.total_sent()
-    );
-}
-
-/// Scenario 2: a path dying mid-flight is routed around — share zeroed,
-/// schedule amended, delivery completes byte-exactly.
-#[test]
-fn killed_path_is_routed_around_and_delivery_completes() {
-    let sender = build_sender(TxModel::Random, ExpansionRatio::R2_5);
-    let config = BondConfig {
-        total_rate: 900.0,
-        replan_every: 64,
-        outage_after: 48,
-        dead_band: 0.02,
-        controller: ControllerConfig {
-            window: 5_000,
-            min_observations: 250,
-            ..ControllerConfig::default()
-        },
-    };
-    let links = vec![
-        bursty_link(0.02, 2.0, 81),
-        bursty_link(0.03, 2.0, 82),
-        bursty_link(0.04, 2.0, 83),
-    ];
-    let mut bond = BondedSession::new(&sender, 0x5EED, links, config);
-
-    for _ in 0..200 {
-        bond.step().unwrap();
-    }
-    let sent_at_kill = bond.sent_on(2);
-    bond.kill_path(2);
-    bond.run(400_000).unwrap();
-
-    assert_byte_exact(&bond);
-    assert!(bond.controller().is_dead(2), "outage never detected");
-    assert!(bond.controller().outages() >= 1);
+fn routing_is_unchanged_while_no_path_fails() {
     assert_eq!(
-        bond.controller().shares()[2],
-        0.0,
-        "dead path must hold zero share"
-    );
-    // Routing stopped: only the packets in flight before detection ever
-    // hit the dead wire.
-    let leaked = bond.sent_on(2) - sent_at_kill;
-    assert!(
-        leaked <= 2 * 48 + 64,
-        "kept routing to a dead path: {leaked} packets after kill"
-    );
-    // The schedule was amended (repair queued / plan extended), not
-    // restarted.
-    let (truncations, extensions) = bond.amendments();
-    assert!(
-        bond.repairs_queued() > 0 || extensions > 0 || truncations > 0,
-        "no schedule amendment despite a dead path"
-    );
-    eprintln!(
-        "kill: {} post-kill leak, {} repairs, {truncations} truncations, \
-         {extensions} extensions, {} total datagrams",
-        leaked,
-        bond.repairs_queued(),
-        bond.total_sent()
+        routing_fingerprint(),
+        include_str!("golden/bonded_routing.txt")
     );
 }
 
-/// Scenario 3: on asymmetric bursty links, the bonded session finishes
-/// on fewer packets than the best single path — cross-path striping
-/// breaks loss bursts that a single link inflicts on consecutive
-/// schedule packets.
 #[test]
-fn bonded_beats_best_single_path_on_asymmetric_bursty_links() {
-    // Sequential schedule (the paper's Tx_model_1 shape): wire
-    // adjacency equals symbol adjacency, so a burst on one link erases
-    // consecutive symbols — worst case for the decoder, and exactly
-    // what striping whitens.
-    let tx = TxModel::SourceSeqParitySeq;
-    let ratio = ExpansionRatio::R1_5;
-    let mk_links = || {
+fn clean_three_path_bond_delivers_byte_exactly() {
+    let session = LOAD.session(TxModel::Random, ExpansionRatio::R2_5);
+    let links = vec![
+        gilbert(0.01, 0.5, 11),
+        gilbert(0.02, 0.5, 22),
+        gilbert(0.03, 0.5, 33),
+    ];
+    let registry = Registry::new();
+    let events = EventLog::bounded(1 << 16);
+    let (world, outcome) = run(&session, links, &[], Some((&registry, &events)));
+    let outcome = outcome.unwrap();
+    receiver(&world).assert_byte_exact();
+    // Striping really happened: every path carried traffic.
+    for (path, p) in outcome.paths.iter().enumerate() {
+        assert!(p.datagrams > 0, "path {path} never used");
+    }
+    let text = registry.render_prometheus();
+    assert!(
+        text.contains("fec_path_datagrams_total{path=\"0\"}"),
+        "{text}"
+    );
+}
+
+#[test]
+fn single_path_bond_degenerates_to_plain_transfer() {
+    let session = LOAD.session(TxModel::Random, ExpansionRatio::R2_5);
+    let (world, outcome) = run(&session, vec![gilbert(0.02, 0.5, 7)], &[], None);
+    let outcome = outcome.unwrap();
+    receiver(&world).assert_byte_exact();
+    assert_eq!(outcome.paths.len(), 1);
+    assert_eq!(outcome.sent, outcome.paths[0].datagrams);
+}
+
+/// Loss well past what the plan expects: the planned emission runs dry
+/// and the receiver's NACKs, turned into targeted repair, finish the job.
+#[test]
+fn schedule_exhaustion_recovers_via_targeted_repair() {
+    let session = LOAD.session(TxModel::Random, ExpansionRatio::R2_5);
+    let links = vec![gilbert(0.10, 0.25, 97), gilbert(0.10, 0.25, 98)];
+    let registry = Registry::new();
+    let events = EventLog::bounded(1 << 16);
+    let (world, outcome) = run(&session, links, &[], Some((&registry, &events)));
+    outcome.unwrap();
+    receiver(&world).assert_byte_exact();
+    let repairs = events
+        .drain()
+        .into_iter()
+        .filter(|r| matches!(r.event, Event::RepairQueued { queued, .. } if queued > 0))
+        .count();
+    assert!(repairs > 0, "no targeted repair was queued");
+}
+
+/// A path that falls off a cliff mid-flight keeps its turn (nothing
+/// reallocates shares), and delivery still completes byte-exactly.
+#[test]
+fn degraded_path_keeps_its_turn_and_delivery_completes() {
+    let session = LOAD.session(TxModel::Random, ExpansionRatio::R2_5);
+    let links = vec![bursty(0.02, 2.0, 71), bursty(0.02, 2.0, 72)];
+    let degrade = Fault::Degrade(GilbertParams::new(0.1, 0.1).unwrap(), 0xBAD);
+    let (world, outcome) = run(&session, links, &[(128, 1, degrade)], None);
+    let outcome = outcome.unwrap();
+    receiver(&world).assert_byte_exact();
+    let split: Vec<u64> = outcome.paths.iter().map(|p| p.datagrams).collect();
+    assert!(
+        split.iter().all(|&n| n * 3 >= outcome.sent),
+        "equal turns must load both paths ({split:?})"
+    );
+}
+
+/// A path that dies silently mid-flight stays in rotation: the sender
+/// cannot tell, and feedback plus NACK repair complete the delivery.
+#[test]
+fn killed_path_stays_in_rotation_and_delivery_completes() {
+    let session = LOAD.session(TxModel::Random, ExpansionRatio::R2_5);
+    let links = vec![
+        bursty(0.02, 2.0, 81),
+        bursty(0.03, 2.0, 82),
+        bursty(0.04, 2.0, 83),
+    ];
+    let (world, outcome) = run(&session, links, &[(200, 2, Fault::Kill)], None);
+    let outcome = outcome.unwrap();
+    receiver(&world).assert_byte_exact();
+    let dead = &outcome.paths[2];
+    assert!(dead.error.is_none(), "a silent path is not a failing one");
+    assert!(
+        dead.datagrams * 4 >= outcome.sent,
+        "the dead path kept its turn: {} of {}",
+        dead.datagrams,
+        outcome.sent
+    );
+    eprintln!("kill: delivered after {} datagrams", outcome.sent);
+}
+
+/// A path whose sends fail is retired: its burst is dropped, its share
+/// gauge goes to 0 and the others' to 1/2, its outage counter to 1, and
+/// the survivors finish the session.
+#[test]
+fn failing_path_is_retired_and_the_survivors_finish() {
+    let session = LOAD.session(TxModel::Random, ExpansionRatio::R2_5);
+    let links = (0..3).map(|i| gilbert(0.02, 0.5, 40 + i)).collect();
+    let registry = Registry::new();
+    let events = EventLog::bounded(1 << 16);
+    let fail = [(100, 1, Fault::FailSend(1))];
+    let (world, outcome) = run(&session, links, &fail, Some((&registry, &events)));
+    let outcome = outcome.unwrap();
+    receiver(&world).assert_byte_exact();
+    let world = world.borrow();
+    let retired = &outcome.paths[1];
+    assert_eq!(
+        retired.error.as_deref(),
+        Some("scripted send failure on path 1")
+    );
+    // What path 1 was offered and did not deliver is what the sender
+    // counts as dropped: the failed burst.
+    assert!(outcome.dropped > 0);
+    assert_eq!(outcome.dropped, world.lanes[1].carried - retired.datagrams);
+    assert!(outcome.paths[0].datagrams + outcome.paths[2].datagrams > retired.datagrams);
+    let text = registry.render_prometheus();
+    for line in [
+        "fec_path_share{path=\"0\"} 0.5",
+        "fec_path_share{path=\"1\"} 0",
+        "fec_path_share{path=\"2\"} 0.5",
+        "fec_path_outages_total{path=\"1\"} 1",
+    ] {
+        assert!(text.contains(line), "{line} missing:\n{text}");
+    }
+}
+
+/// Retiring the last path ends the session with that path's error, as a
+/// single-path send always has.
+#[test]
+fn the_last_path_failing_ends_the_session() {
+    let session = LOAD.session(TxModel::Random, ExpansionRatio::R2_5);
+    let fail = [(0, 0, Fault::FailSend(1))];
+    let (_, outcome) = run(&session, vec![gilbert(0.02, 0.5, 9)], &fail, None);
+    assert_eq!(outcome.unwrap_err(), "scripted send failure on path 0");
+}
+
+/// The bonding claim, measured on the engine: on three asymmetric bursty
+/// links (10/12/14 % loss, mean bursts of 8/10/12 packets) under a
+/// sequential schedule, how many datagrams has a bonded session offered
+/// when its receiver decodes, against the best of the three links alone?
+/// Prints the mean saving with a 95 % confidence interval over 20 link
+/// realisations; asserts only byte-exact delivery.
+#[test]
+fn bonded_versus_best_single_path_over_twenty_realisations() {
+    const REALISATIONS: u64 = 20;
+    let session = LOAD.session(TxModel::SourceSeqParitySeq, ExpansionRatio::R1_5);
+    let links = |salt: u64| {
         vec![
-            bursty_link(0.10, 8.0, 911),
-            bursty_link(0.12, 10.0, 922),
-            bursty_link(0.14, 12.0, 933),
+            bursty(0.10, 8.0, 911 ^ (salt * 0x9E37)),
+            bursty(0.12, 10.0, 922 ^ (salt * 0x9E37)),
+            bursty(0.14, 12.0, 933 ^ (salt * 0x9E37)),
         ]
     };
-    let config = BondConfig {
-        total_rate: 900.0,
-        replan_every: 64,
-        outage_after: 100_000,
-        dead_band: 0.02,
-        controller: ControllerConfig {
-            window: 20_000,
-            min_observations: 500,
-            ..ControllerConfig::default()
-        },
+    let needed = |links: Vec<LinkEmulator>| {
+        let (world, outcome) = run(&session, links, &[], None);
+        outcome.unwrap();
+        let member = receiver(&world);
+        member.assert_byte_exact();
+        member.completed_at.unwrap() as f64
     };
-
-    let run = |links: Vec<LinkEmulator>| {
-        let sender = build_sender(tx, ratio);
-        let mut bond = BondedSession::new(&sender, 0x5EED, links, config.clone());
-        bond.run(400_000).unwrap();
-        assert_byte_exact(&bond);
-        bond.total_sent()
-    };
-
-    let singles: Vec<u64> = (0..3).map(|i| run(vec![mk_links().remove(i)])).collect();
-    let best_single = *singles.iter().min().unwrap();
-    let bonded = run(mk_links());
-
-    eprintln!("convergence: singles {singles:?}, bonded {bonded}");
-    assert!(
-        bonded < best_single,
-        "bonded ({bonded}) must beat the best single path ({best_single}; all: {singles:?})"
+    let savings: Vec<f64> = (0..REALISATIONS)
+        .map(|salt| {
+            let best = (0..3)
+                .map(|i| needed(vec![links(salt).remove(i)]))
+                .fold(f64::INFINITY, f64::min);
+            let bonded = needed(links(salt));
+            100.0 * (best - bonded) / best
+        })
+        .collect();
+    let n = savings.len() as f64;
+    let mean = savings.iter().sum::<f64>() / n;
+    let var = savings.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / (n - 1.0);
+    // Student's t at 19 degrees of freedom, two-sided 95 %.
+    let half = 2.093 * (var / n).sqrt();
+    eprintln!(
+        "bonded vs best single path over {REALISATIONS} realisations: mean saving \
+         {mean:.1} % ± {half:.1} % (95 % CI [{:.1} %, {:.1} %])",
+        mean - half,
+        mean + half
     );
 }

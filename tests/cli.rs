@@ -325,8 +325,11 @@ fn send_recv_roundtrip_over_udp() {
         "9",
         "--code",
         "triangle",
+        // Sequential, so decoding completes near the end of the schedule:
+        // under a random one the receiver could decode, exit and refuse
+        // the rest of the send (1 run in 5 of this suite at b1de77a).
         "--tx",
-        "4",
+        "1",
         "--ratio",
         "2.5",
         "--loss-p",
@@ -469,4 +472,145 @@ fn closed_stdout_ends_the_command_quietly() {
     pipe.read_to_string(&mut stderr).expect("stderr");
     assert!(stderr.is_empty(), "{stderr}");
     assert!(child.wait().expect("exits").success());
+}
+
+/// A free loopback port: bound, read and released.
+fn free_port() -> String {
+    let probe = std::net::UdpSocket::bind("127.0.0.1:0").expect("probe bind");
+    format!("127.0.0.1:{}", probe.local_addr().expect("addr").port())
+}
+
+/// A scratch directory holding a 200 kB payload, and its path.
+fn payload(tag: &str) -> (std::path::PathBuf, Vec<u8>) {
+    let dir = std::env::temp_dir().join(format!("fec-cli-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let payload: Vec<u8> = (0..200_000usize).map(|i| (i * 41 % 251) as u8).collect();
+    std::fs::write(dir.join("payload.bin"), &payload).expect("write temp file");
+    (dir, payload)
+}
+
+/// Starts `recv` with `args` (after `--out <dir>/decoded.bin`) and gives
+/// it a moment to bind.
+fn spawn_recv(dir: &std::path::Path, args: &[&str]) -> std::process::Child {
+    let out = dir.join("decoded.bin");
+    let child = Command::new(env!("CARGO_BIN_EXE_fec-broadcast"))
+        .args(["recv", "--tsi", "9", "--timeout", "30"])
+        .args(["--out", out.to_str().expect("utf8 path")])
+        .args(args)
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn receiver");
+    std::thread::sleep(std::time::Duration::from_millis(300));
+    child
+}
+
+/// Waits for the receiver and checks it wrote `payload` byte-exactly.
+fn assert_received(receiver: std::process::Child, dir: &std::path::Path, payload: &[u8]) {
+    let out = receiver.wait_with_output().expect("receiver exits");
+    assert!(
+        out.status.success(),
+        "recv failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let decoded = std::fs::read(dir.join("decoded.bin")).expect("decoded file exists");
+    assert_eq!(decoded, payload, "byte-exact delivery");
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// A bonded send whose second destination refuses every datagram: the
+/// failing path is retired (stderr names it) and the first path finishes
+/// the delivery. At b1de77a the first refused send ended the session
+/// with `error: Connection refused`.
+#[test]
+fn a_refusing_path_does_not_end_a_bonded_send() {
+    let (dir, payload) = payload("retire");
+    let (live, closed) = (free_port(), free_port());
+    let receiver = spawn_recv(&dir, &["--listen", &live]);
+    let file = dir.join("payload.bin");
+    let (ok, stdout, stderr) = run(&[
+        "send",
+        "--file",
+        file.to_str().expect("utf8 path"),
+        "--paths",
+        &format!("{live},{closed}"),
+        "--tsi",
+        "9",
+        // A sequential schedule decodes only near its end, so the
+        // receiver cannot exit (and refuse path 0 too) while the sender
+        // still has much to send.
+        "--tx",
+        "1",
+        "--ratio",
+        "1.5",
+    ]);
+    assert!(ok, "send failed: {stdout}\n{stderr}");
+    assert!(stderr.contains("path 1 failed"), "{stderr}");
+    assert!(stdout.contains(&format!("path 1 -> {closed}")), "{stdout}");
+    assert!(stdout.contains("retired:"), "{stdout}");
+    assert_received(receiver, &dir, &payload);
+}
+
+/// Bonding and feedback compose over real sockets: two paths, one
+/// receiver reporting with NACKs, and the sender stops on the receiver's
+/// completion report before the full schedule is out.
+#[test]
+fn bonded_adaptive_send_over_loopback() {
+    let (dir, payload) = payload("bond-adaptive");
+    let (a, b, report) = (free_port(), free_port(), free_port());
+    let paths = format!("{a},{b}");
+    let receiver = spawn_recv(
+        &dir,
+        &[
+            "--listen",
+            &paths,
+            "--report-to",
+            &report,
+            "--report-every",
+            "64",
+            "--nack",
+        ],
+    );
+    let file = dir.join("payload.bin");
+    let (ok, stdout, stderr) = run(&[
+        "send",
+        "--file",
+        file.to_str().expect("utf8 path"),
+        "--paths",
+        &paths,
+        "--tsi",
+        "9",
+        "--tx",
+        "4",
+        "--ratio",
+        "2.5",
+        "--symbol",
+        "512",
+        "--adaptive",
+        "--report-addr",
+        &report,
+        "--loss-p",
+        "0.01",
+        "--loss-q",
+        "0.6",
+        // Slow enough that a receiver lagging on a loaded host is not
+        // evicted as idle before its reports arrive.
+        "--pace",
+        "200",
+    ]);
+    assert!(ok, "send failed: {stdout}\n{stderr}");
+    assert!(stdout.contains("path 0 ->") && stdout.contains("path 1 ->"));
+    // "… reported the session complete after <sent> datagrams (<planned>
+    // planned, <full> full)": the receiver's report ended the session
+    // before the full schedule went out.
+    let line = stderr
+        .lines()
+        .find(|l| l.contains("reported the session complete"))
+        .unwrap_or_else(|| panic!("no completion report: {stderr}"));
+    let numbers: Vec<u64> = line
+        .split(|c: char| !c.is_ascii_digit())
+        .filter_map(|w| w.parse().ok())
+        .collect();
+    assert!(numbers[1] < numbers[3], "{stderr}");
+    assert_received(receiver, &dir, &payload);
 }

@@ -3,6 +3,8 @@
 //! on the FLUTE wire) garbage and truncation — with errors, never panics,
 //! and must still decode afterwards.
 
+mod support;
+
 use fec_broadcast::prelude::*;
 use proptest::prelude::*;
 
@@ -115,96 +117,64 @@ fn ldgm_spec_with_no_checks_is_rejected_cleanly() {
 }
 
 /// Bonded fault injection: one member of a bonded path set turns
-/// hostile — storming malformed datagrams and transient socket errors —
-/// while its neighbours stay clean. The bond must complete byte-exactly
-/// with every fault counted, none fatal.
+/// hostile — storming malformed datagrams and failing sends — while its
+/// neighbours stay clean. The engine must retire the failing path and
+/// complete byte-exactly with every fault counted, none fatal.
 mod bonded_faults {
-    use fec_broadcast::bond::{BondConfig, BondedSession, Poison};
-    use fec_broadcast::channel::{GilbertChannel, GilbertParams, LinkEmulator, LossModel};
-    use fec_broadcast::flute::{FluteSender, SenderConfig};
+    use fec_broadcast::live::{self, SendConfig};
     use fec_broadcast::prelude::{ExpansionRatio, TxModel};
 
-    const TSI: u32 = 88;
-    const SYMBOL: usize = 64;
-    const OBJ_LEN: usize = 9_000;
+    use crate::support::{gilbert, Fault, Load, World};
 
-    fn object_bytes(toi: u32) -> Vec<u8> {
-        (0..OBJ_LEN)
-            .map(|i| ((i as u32).wrapping_mul(31).wrapping_add(toi * 17) % 251) as u8)
-            .collect()
-    }
+    const LOAD: Load = Load {
+        tsi: 88,
+        objects: 2,
+        len: 9_000,
+    };
 
-    fn quiet_link(seed: u64) -> LinkEmulator {
-        let model: Box<dyn LossModel> = Box::new(GilbertChannel::new(
-            GilbertParams::new(0.01, 0.5).unwrap(),
-            seed,
-        ));
-        LinkEmulator::new(model, seed ^ 0xFA17)
-    }
-
-    /// One path storms malformed datagrams and transient socket errors;
-    /// the other two stay clean. Delivery completes byte-exactly, the
-    /// faults are counted, and nothing is fatal.
+    /// Path 1 garbles every 2nd datagram and fails every 5th send; paths
+    /// 0 and 2 stay clean. Delivery completes byte-exactly, the garbage
+    /// is rejected, and the failing path is retired, not fatal.
     #[test]
     fn hostile_path_storm_is_counted_not_fatal() {
-        let mut config = SenderConfig::new(TSI);
-        config.fdt_interval = 100;
-        let mut sender = FluteSender::new(config);
-        for toi in 1..=2u32 {
-            sender
-                .add_object(
-                    toi,
-                    format!("file:///hostile-{toi}.bin"),
-                    &object_bytes(toi),
-                    fec_broadcast::codec::registry::resolve("ldgm-triangle").unwrap(),
-                    ExpansionRatio::R2_5,
-                    SYMBOL,
-                    0xF007 + toi as u64,
-                    TxModel::Random,
-                )
-                .unwrap();
-        }
+        let sender = LOAD.session(TxModel::Random, ExpansionRatio::R2_5);
+        let links = (0..3).map(|i| gilbert(0.01, 0.5, 101 * (i + 1))).collect();
+        let member = LOAD.member(1, links).nacks();
+        let (world, mut paths, mut reports) = World::new(vec![member], 3);
+        world.borrow_mut().at(0, 1, Fault::Garble(2));
+        world.borrow_mut().at(0, 1, Fault::FailSend(5));
 
-        let links = vec![quiet_link(101), quiet_link(202), quiet_link(303)];
-        let mut bond = BondedSession::new(&sender, 0x5EED, links, BondConfig::default());
-        // Path 1 goes hostile for the whole transfer: every 2nd delivery
-        // arrives with a corrupted header, every 5th send errors out.
-        bond.poison_path(
-            1,
-            Poison {
-                garble_every: 2,
-                drop_every: 5,
-            },
-        );
+        let outcome = live::send_session(
+            &sender,
+            0x5EED,
+            &mut paths,
+            Some(&mut reports),
+            &SendConfig::default(),
+            None,
+        )
+        .expect("a hostile path must not sink the session");
 
-        bond.run(200_000).unwrap();
-
-        assert!(bond.is_complete(), "hostile path sank the bond");
-        for toi in 1..=2u32 {
-            assert_eq!(
-                bond.receiver().object(toi).expect("decoded"),
-                &object_bytes(toi)[..],
-                "object {toi} corrupted by the hostile path"
-            );
-        }
+        let world = world.borrow();
+        let member = &world.members[0];
+        member.assert_byte_exact();
         // The storm really happened, and every fault was accounted for.
         assert!(
-            bond.rx_rejected() > 0,
-            "malformed datagrams must surface as rejected events"
+            member.rejected > 0,
+            "malformed datagrams must surface as rejected"
         );
-        assert!(
-            bond.io_errors() > 0,
-            "transient socket errors must be counted"
-        );
+        let retired = outcome.paths[1].error.as_deref();
+        assert_eq!(retired, Some("scripted send failure on path 1"));
         // The clean paths carried real traffic throughout.
         for path in [0usize, 2] {
-            assert!(bond.sent_on(path) > 0, "clean path {path} never used");
+            assert!(
+                outcome.paths[path].datagrams > 0,
+                "clean path {path} never used"
+            );
+            assert!(outcome.paths[path].error.is_none());
         }
         eprintln!(
-            "hostile storm: {} rejected, {} io errors, {} total datagrams",
-            bond.rx_rejected(),
-            bond.io_errors(),
-            bond.total_sent()
+            "hostile storm: {} rejected, {} dropped, {} total datagrams",
+            member.rejected, outcome.dropped, outcome.sent
         );
     }
 }
