@@ -3,12 +3,14 @@
 //!
 //! Each *epoch* transmits one `k`-packet object through a shared
 //! [`DriftingChannel`] that never resets — exactly the situation of a
-//! long-lived broadcast server whose network weather changes. Before each
-//! epoch the controller reconsiders its (code, tx, ratio) tuple from loss
-//! feedback alone; after the epoch it ingests the reception report. The
-//! same harness runs **static** senders (one fixed tuple, full `n`
-//! transmission) over the identical channel law, giving the two baselines
-//! the paper's methodology suggests:
+//! long-lived broadcast server whose network weather changes. The loop
+//! drives the controller exactly as the live feedback loop does: before
+//! each epoch one `replan` reconsiders the (code, tx, ratio) tuple from
+//! loss feedback alone and plans the object; after the epoch
+//! `observe_runs` ingests the reception report and `record_outcome` the
+//! decode result. The same harness runs **static** senders (one fixed
+//! tuple, full `n` transmission) over the identical channel law, giving
+//! the two baselines the paper's methodology suggests:
 //!
 //! * the **static oracle** — the best single tuple in hindsight (min
 //!   penalized mean inefficiency over the whole scenario);
@@ -23,11 +25,13 @@
 use std::collections::HashMap;
 
 use fec_channel::{DriftingChannel, GilbertParams, Regime};
-use fec_core::recommend_known;
 use fec_sim::{mix_seed, Experiment, RunResult, Runner};
 use serde::{Deserialize, Serialize};
 
 use crate::controller::{AdaptiveController, ControllerConfig, Decision, Reconsideration};
+
+/// LDGM matrix pool per runner.
+const MATRIX_POOL: usize = 2;
 
 /// A closed-loop workload: object size, epoch count and the channel's
 /// regime schedule.
@@ -41,8 +45,6 @@ pub struct Scenario {
     pub regimes: Vec<Regime>,
     /// Master seed; the channel path and every schedule derive from it.
     pub seed: u64,
-    /// LDGM matrix pool per runner.
-    pub matrix_pool: usize,
 }
 
 impl Scenario {
@@ -68,7 +70,6 @@ impl Scenario {
                 Regime::new(GilbertParams::new(0.06, 0.5).expect("valid"), span), // ~10.7%
             ],
             seed,
-            matrix_pool: 2,
         }
     }
 
@@ -242,7 +243,7 @@ impl AdaptiveRunner {
                 decision.ratio,
                 decision.tx,
             );
-            Runner::new(exp, scenario.matrix_pool).expect("scenario decisions are valid")
+            Runner::new(exp, MATRIX_POOL).expect("scenario decisions are valid")
         })
     }
 
@@ -256,28 +257,26 @@ impl AdaptiveRunner {
 
         for epoch in 0..scenario.epochs {
             let true_params = channel.current();
-            let recon = controller.reconsider();
-            let decision = controller.decision();
+            let replan = controller.replan(scenario.k);
             let bound = controller.estimate().map(|e| e.p_global_upper());
-            let plan = self
-                .plan_truncation
-                .then(|| controller.plan(scenario.k))
-                .flatten();
-            let planned_n_sent = plan.map(|p| p.n_sent);
+            let planned_n_sent = replan
+                .plan
+                .filter(|_| self.plan_truncation)
+                .map(|p| p.n_sent);
 
-            let runner = Self::runner_for(&mut cache, scenario, &decision);
+            let runner = Self::runner_for(&mut cache, scenario, &replan.decision);
             let (result, observed) =
                 runner.run_observed(&mut channel, scenario.seed, epoch as u64, planned_n_sent);
-            controller.observe_all(&observed);
+            controller.observe_runs(observed.iter().map(|&lost| (lost, 1)));
             controller.record_outcome(result.decoded);
 
             epochs.push(EpochOutcome::from_run(
                 epoch,
-                decision,
+                replan.decision,
                 true_params,
                 bound,
                 planned_n_sent,
-                recon == Reconsideration::Switched,
+                replan.reconsideration == Reconsideration::Switched,
                 result,
             ));
         }
@@ -421,18 +420,6 @@ impl Comparison {
     }
 }
 
-/// What perfect knowledge would deploy for `params` (diagnostic helper for
-/// reports: lets a reader compare the controller's choice against the
-/// clairvoyant one).
-pub fn clairvoyant_decision(params: GilbertParams) -> Decision {
-    let top = &recommend_known(params, params.global_loss_probability())[0];
-    Decision {
-        code: top.code.clone(),
-        tx: top.tx,
-        ratio: top.ratio,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -447,7 +434,6 @@ mod tests {
                 Regime::new(GilbertParams::new(0.15, 0.25).unwrap(), 3_000),
             ],
             seed: 0xAD47,
-            matrix_pool: 2,
         }
     }
 
@@ -455,7 +441,6 @@ mod tests {
         ControllerConfig {
             window: 3_000,
             min_observations: 400,
-            confirm_after: 1,
             ..ControllerConfig::default()
         }
     }
@@ -521,15 +506,5 @@ mod tests {
         let fates_a: Vec<u64> = a.epochs.iter().map(|e| e.n_received).collect();
         let fates_b: Vec<u64> = b.epochs.iter().map(|e| e.n_received).collect();
         assert_eq!(fates_a, fates_b);
-    }
-
-    #[test]
-    fn clairvoyant_decisions_match_recommender() {
-        let light = GilbertParams::new(0.0109, 0.7915).unwrap();
-        let d = clairvoyant_decision(light);
-        assert_eq!(d.code, builtin::ldgm_staircase());
-        let heavy = GilbertParams::new(0.3, 0.4).unwrap();
-        let d = clairvoyant_decision(heavy);
-        assert_eq!(d.code, builtin::ldgm_triangle());
     }
 }

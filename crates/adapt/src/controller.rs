@@ -4,16 +4,20 @@
 //! estimate and deploy whatever comes out — thrashes: near a decision
 //! boundary (say `p_global ≈ 5%`), estimation noise flips the chosen tuple
 //! every few objects, and every flip costs a re-encode and an out-of-band
-//! `CodeSpec` update to every receiver. The controller therefore:
+//! `CodeSpec` update to every receiver. Every closed loop drives the
+//! controller through the same three calls —
+//! [`observe_runs`](AdaptiveController::observe_runs) →
+//! [`replan`](AdaptiveController::replan) →
+//! [`record_outcome`](AdaptiveController::record_outcome) — and each
+//! `replan`:
 //!
 //! 1. maps the current [`ChannelEstimate`] through
 //!    [`recommend_known`](fec_core::recommend_known) using the estimate's
 //!    **worst-case** loss bound (uncertain estimates degrade toward robust
 //!    tuples, per the paper's unknown-channel advice);
-//! 2. applies **hysteresis**: a differing recommendation must persist for
-//!    `confirm_after` consecutive reconsiderations *and* the loss bound
-//!    must have moved by more than `dead_band` relative to the bound the
-//!    active tuple was adopted under;
+//! 2. applies **hysteresis**: a differing recommendation is adopted only
+//!    once the loss bound has moved by more than `DEAD_BAND` relative to
+//!    the bound the active tuple was adopted under;
 //! 3. derives the §6.2 transmission plan (equation 3) for the active tuple
 //!    from the conservative loss bound and the configured inefficiency
 //!    margin.
@@ -69,32 +73,33 @@ impl core::fmt::Display for Decision {
     }
 }
 
+/// Relative dead-band on the conservative loss bound: a differing
+/// candidate is ignored while the bound stays within this factor of the
+/// bound the active decision was adopted under.
+const DEAD_BAND: f64 = 0.25;
+
+/// Extra packets added to every plan (the paper's ε), on top of the
+/// automatic variance cushion.
+const PLAN_TOLERANCE: u64 = 16;
+
+/// After a decode failure, plan truncation is suspended (the full schedule
+/// is sent) until this many objects decode again — the channel just proved
+/// it was worse than the estimate.
+const FAILURE_BACKOFF: u32 = 2;
+
 /// Controller tuning knobs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ControllerConfig {
     /// Sliding estimation window, in packets.
     pub window: usize,
     /// Observations required before the controller trusts an estimate at
-    /// all (below this it stays on [`Decision::prior`]).
+    /// all (below this it stays on [`Decision::prior`]). A window shorter
+    /// than this is trusted once full.
     pub min_observations: usize,
-    /// A differing recommendation must recur this many consecutive
-    /// reconsiderations before the controller switches.
-    pub confirm_after: u32,
-    /// Relative dead-band on the conservative loss bound: candidates are
-    /// ignored while the bound stays within this factor of the bound the
-    /// active decision was adopted under.
-    pub dead_band: f64,
     /// Inefficiency ratio assumed when planning `n_sent` (equation 3)
     /// before any measurement of the actual tuple exists. Conservative by
     /// default: small-object LDGM inefficiency plus margin.
     pub assumed_inefficiency: f64,
-    /// Extra packets added to every plan (the paper's ε), on top of the
-    /// automatic variance cushion.
-    pub plan_tolerance: u64,
-    /// After a decode failure, suspend plan truncation (send the full
-    /// schedule) until this many objects decode again — the channel just
-    /// proved it was worse than the estimate.
-    pub failure_backoff: u32,
 }
 
 impl Default for ControllerConfig {
@@ -102,11 +107,7 @@ impl Default for ControllerConfig {
         ControllerConfig {
             window: 20_000,
             min_observations: 500,
-            confirm_after: 2,
-            dead_band: 0.25,
             assumed_inefficiency: 1.35,
-            plan_tolerance: 16,
-            failure_backoff: 2,
         }
     }
 }
@@ -123,11 +124,6 @@ pub struct PopulationSummary {
     /// Worst per-receiver cumulative loss fraction observed (lost /
     /// (received + lost)), 0.0 when nothing has been lost anywhere.
     pub worst_loss: f64,
-    /// The worst receiver's Gilbert (p, q) as folded into the central
-    /// estimator, when identifiable.
-    pub worst_p: Option<f64>,
-    /// See [`worst_p`](Self::worst_p).
-    pub worst_q: Option<f64>,
     /// Completion-fraction quantiles across the population, ascending:
     /// 10th, 50th and 90th percentile of per-receiver session progress
     /// (completed objects / objects seen), each in `[0, 1]`.
@@ -141,8 +137,6 @@ pub enum Reconsideration {
     NoEstimate,
     /// The recommendation matches the active decision.
     Unchanged,
-    /// A differing recommendation is pending confirmation.
-    Pending,
     /// The loss bound moved too little to justify churn.
     HeldByDeadBand,
     /// The controller switched to a new decision.
@@ -158,7 +152,6 @@ pub struct AdaptiveController {
     /// Conservative loss bound the active decision was adopted under
     /// (`None` while running on the prior).
     adopted_bound: Option<f64>,
-    pending: Option<(Decision, u32)>,
     switches: u64,
     /// Objects that must decode before planning resumes.
     backoff_remaining: u32,
@@ -175,16 +168,10 @@ impl AdaptiveController {
             estimator,
             active: Decision::prior(),
             adopted_bound: None,
-            pending: None,
             switches: 0,
             backoff_remaining: 0,
             population: None,
         }
-    }
-
-    /// The tuning in force.
-    pub fn config(&self) -> &ControllerConfig {
-        &self.config
     }
 
     /// The currently deployed tuple.
@@ -203,22 +190,14 @@ impl AdaptiveController {
     }
 
     /// The current channel estimate, if identifiable and past
-    /// `min_observations`.
+    /// `min_observations` (or past a full window, when the window is the
+    /// shorter of the two).
     pub fn estimate(&self) -> Option<ChannelEstimate> {
-        if self.estimator.window_len() < self.config.min_observations {
+        let trusted_after = self.config.min_observations.min(self.config.window);
+        if self.estimator.window_len() < trusted_after {
             return None;
         }
         self.estimator.estimate()
-    }
-
-    /// Feeds one per-packet observation (`true` = lost).
-    pub fn observe(&mut self, lost: bool) {
-        self.estimator.push(lost);
-    }
-
-    /// Feeds a batch of observations (e.g. one object's reception report).
-    pub fn observe_all(&mut self, losses: &[bool]) {
-        self.estimator.extend(losses.iter().copied());
     }
 
     /// Feeds run-length-encoded observations — the shape a reception
@@ -244,33 +223,27 @@ impl AdaptiveController {
         self.population = Some(summary);
     }
 
-    /// The latest population summary, if an aggregator provided one.
-    pub fn population(&self) -> Option<&PopulationSummary> {
-        self.population.as_ref()
-    }
-
     /// Reports whether the last object decoded. A failure suspends plan
-    /// truncation for [`ControllerConfig::failure_backoff`] successful
-    /// objects: the channel just demonstrated it was worse than the
-    /// estimate (typically a regime switch the window has not flushed
-    /// yet), so the sender falls back to full transmissions while the
-    /// estimator catches up.
+    /// truncation for `FAILURE_BACKOFF` (2) successful objects: the
+    /// channel just demonstrated it was worse than the estimate (typically
+    /// a regime switch the window has not flushed yet), so the sender
+    /// falls back to full transmissions while the estimator catches up.
     pub fn record_outcome(&mut self, decoded: bool) {
         if decoded {
             self.backoff_remaining = self.backoff_remaining.saturating_sub(1);
         } else {
-            self.backoff_remaining = self.config.failure_backoff;
+            self.backoff_remaining = FAILURE_BACKOFF;
         }
     }
 
     /// True while planning is suspended by a recent decode failure.
-    pub fn in_failure_backoff(&self) -> bool {
+    pub fn in_backoff(&self) -> bool {
         self.backoff_remaining > 0
     }
 
     /// What the recommender would deploy for `estimate`, evaluated at the
     /// estimate's conservative loss bound.
-    pub fn candidate_for(&self, estimate: &ChannelEstimate) -> Decision {
+    fn candidate_for(estimate: &ChannelEstimate) -> Decision {
         let top = &recommend_known(estimate.params, estimate.p_global_upper())[0];
         Decision {
             code: top.code.clone(),
@@ -280,17 +253,15 @@ impl AdaptiveController {
     }
 
     /// Re-evaluates the decision against the current estimate, applying
-    /// hysteresis. Call between objects (or on a timer), not per packet.
-    pub fn reconsider(&mut self) -> Reconsideration {
+    /// the dead-band hysteresis.
+    fn reconsider(&mut self) -> Reconsideration {
         let Some(estimate) = self.estimate() else {
-            self.pending = None;
             return Reconsideration::NoEstimate;
         };
         let bound = estimate.p_global_upper();
-        let candidate = self.candidate_for(&estimate);
+        let candidate = Self::candidate_for(&estimate);
 
         if candidate == self.active {
-            self.pending = None;
             // Keep the adopted bound tracking reality while the decision is
             // stable, so the dead-band is measured from recent conditions
             // rather than a stale adoption point.
@@ -303,27 +274,16 @@ impl AdaptiveController {
         // the relative test meaningful near zero loss.
         if let Some(adopted) = self.adopted_bound {
             let moved = (bound - adopted).abs();
-            let threshold = (adopted * self.config.dead_band).max(0.005);
+            let threshold = (adopted * DEAD_BAND).max(0.005);
             if moved < threshold {
-                self.pending = None;
                 return Reconsideration::HeldByDeadBand;
             }
         }
 
-        let count = match &self.pending {
-            Some((p, count)) if *p == candidate => count + 1,
-            _ => 1,
-        };
-        if count >= self.config.confirm_after {
-            self.active = candidate;
-            self.adopted_bound = Some(bound);
-            self.pending = None;
-            self.switches += 1;
-            Reconsideration::Switched
-        } else {
-            self.pending = Some((candidate, count));
-            Reconsideration::Pending
-        }
+        self.active = candidate;
+        self.adopted_bound = Some(bound);
+        self.switches += 1;
+        Reconsideration::Switched
     }
 
     /// The §6.2 transmission plan for a `k`-packet object under the active
@@ -337,8 +297,8 @@ impl AdaptiveController {
     /// Returns `None` — meaning *send everything* — while no usable
     /// estimate exists, during [failure backoff](Self::record_outcome), or
     /// when even `n` packets cannot cover the bound (the plan would lie).
-    pub fn plan(&self, k: usize) -> Option<TransmissionPlan> {
-        if self.in_failure_backoff() {
+    fn plan(&self, k: usize) -> Option<TransmissionPlan> {
+        if self.in_backoff() {
             return None;
         }
         let estimate = self.estimate()?;
@@ -372,16 +332,16 @@ impl AdaptiveController {
             n_total,
             self.config.assumed_inefficiency,
             channel,
-            self.config.plan_tolerance + cushion,
+            PLAN_TOLERANCE + cushion,
         );
         plan.is_sufficient().then_some(plan)
     }
 
-    /// The one-call re-plan hook a live feedback loop drives between
-    /// reports: [`reconsider`](Self::reconsider) the tuple, then
-    /// [`plan`](Self::plan) the `k`-packet object in flight under
-    /// whatever decision is now active. A `plan` of `None` means *send
-    /// the full schedule*.
+    /// The one re-plan call every closed loop drives between feedback
+    /// rounds: reconsider the tuple against the current estimate (with
+    /// dead-band hysteresis), then plan the `k`-packet object in flight
+    /// under whatever decision is now active. A `plan` of `None` means
+    /// *send the full schedule*.
     pub fn replan(&mut self, k: usize) -> Replan {
         let reconsideration = self.reconsider();
         Replan {
@@ -412,9 +372,12 @@ mod tests {
 
     fn feed(c: &mut AdaptiveController, params: GilbertParams, n: usize, seed: u64) {
         let mut ch = GilbertChannel::new(params, seed);
-        for _ in 0..n {
-            c.observe(ch.next_is_lost());
-        }
+        c.observe_runs((0..n).map(|_| (ch.next_is_lost(), 1)));
+    }
+
+    /// `n` packets losing exactly one in every `period`, in runs.
+    fn feed_periodic(c: &mut AdaptiveController, period: u64, n: u64) {
+        c.observe_runs((0..n / period).flat_map(|_| [(false, period - 1), (true, 1)]));
     }
 
     #[test]
@@ -428,94 +391,81 @@ mod tests {
     #[test]
     fn no_estimate_keeps_the_prior() {
         let mut c = AdaptiveController::new(ControllerConfig::default());
-        assert_eq!(c.reconsider(), Reconsideration::NoEstimate);
-        assert_eq!(c.decision(), Decision::prior());
-        assert!(c.plan(1000).is_none(), "no estimate -> send everything");
+        let r = c.replan(1000);
+        assert_eq!(r.reconsideration, Reconsideration::NoEstimate);
+        assert_eq!(r.decision, Decision::prior());
+        assert!(r.plan.is_none(), "no estimate -> send everything");
         // A few observations below min_observations change nothing.
         feed(&mut c, GilbertParams::new(0.01, 0.8).unwrap(), 100, 1);
-        assert_eq!(c.reconsider(), Reconsideration::NoEstimate);
+        assert_eq!(c.replan(1000).reconsideration, Reconsideration::NoEstimate);
+    }
+
+    #[test]
+    fn a_window_shorter_than_min_observations_is_trusted_once_full() {
+        let mut c = AdaptiveController::new(ControllerConfig {
+            window: 300,
+            ..ControllerConfig::default()
+        });
+        feed(&mut c, GilbertParams::new(0.01, 0.8).unwrap(), 1_000, 4);
+        assert_eq!(c.estimator().window_len(), 300);
+        assert!(c.estimate().is_some(), "min_observations = 500 > window");
+        assert_ne!(c.replan(1000).reconsideration, Reconsideration::NoEstimate);
     }
 
     #[test]
     fn converges_to_low_loss_tuple_and_plans() {
-        let mut c = AdaptiveController::new(ControllerConfig {
-            confirm_after: 2,
-            ..ControllerConfig::default()
-        });
+        let mut c = AdaptiveController::new(ControllerConfig::default());
         let light = GilbertParams::new(0.0109, 0.7915).unwrap(); // §6.2.1
         feed(&mut c, light, 30_000, 2);
-        // First differing recommendation goes pending, second confirms.
-        assert_eq!(c.reconsider(), Reconsideration::Pending);
-        assert_eq!(c.reconsider(), Reconsideration::Switched);
+        // The first differing recommendation is adopted at once.
+        let r = c.replan(10_000);
+        assert_eq!(r.reconsideration, Reconsideration::Switched);
         let d = c.decision();
         assert_eq!(d.code, builtin::ldgm_staircase(), "low loss: Tx2+Staircase");
         assert_eq!(d.tx, TxModel::SourceSeqParityRandom);
         assert_eq!(d.ratio, ExpansionRatio::R1_5);
         assert_eq!(c.switches(), 1);
         // And the plan saves real bandwidth at 1.35% loss.
-        let plan = c.plan(10_000).unwrap();
+        let plan = r.plan.unwrap();
         assert!(plan.is_sufficient());
         assert!(plan.n_sent < plan.n_total, "plan truncates the schedule");
         assert!(plan.savings_fraction() > 0.05);
-    }
-
-    #[test]
-    fn hysteresis_blocks_single_blips() {
-        let mut c = AdaptiveController::new(ControllerConfig {
-            confirm_after: 3,
-            ..ControllerConfig::default()
-        });
-        feed(
-            &mut c,
-            GilbertParams::new(0.0109, 0.7915).unwrap(),
-            30_000,
-            3,
-        );
-        assert_eq!(c.reconsider(), Reconsideration::Pending);
-        assert_eq!(c.reconsider(), Reconsideration::Pending);
-        assert_eq!(c.decision(), Decision::prior(), "not confirmed yet");
-        assert_eq!(c.reconsider(), Reconsideration::Switched);
-        assert_eq!(c.switches(), 1);
         // Stable conditions afterwards: no further churn.
         for _ in 0..10 {
-            assert_eq!(c.reconsider(), Reconsideration::Unchanged);
+            assert_eq!(c.replan(10_000).reconsideration, Reconsideration::Unchanged);
         }
         assert_eq!(c.switches(), 1);
     }
 
     #[test]
     fn dead_band_holds_near_the_boundary() {
-        // Adopt under one bound, then nudge conditions slightly: the
-        // dead-band must keep the decision even if the recommender flips.
-        let mut c = AdaptiveController::new(ControllerConfig {
-            confirm_after: 1,
-            dead_band: 10.0, // absurdly wide on purpose
-            ..ControllerConfig::default()
-        });
-        let light = GilbertParams::new(0.01, 0.8).unwrap();
-        feed(&mut c, light, 25_000, 5);
-        assert_eq!(c.reconsider(), Reconsideration::Switched);
+        // Adopt Staircase just under the 5% low-loss threshold (1 loss in
+        // 25 packets), then cross it by a hair (1 in 21): the recommender
+        // flips to Triangle, but the bound moved less than DEAD_BAND of
+        // the adopted bound, so the decision holds.
+        let mut c = AdaptiveController::new(ControllerConfig::default());
+        feed_periodic(&mut c, 25, 25_000);
+        assert_eq!(c.replan(1000).reconsideration, Reconsideration::Switched);
         let adopted = c.decision();
-        // Moderate loss now: candidate differs, but the bound moved less
-        // than dead_band * adopted bound.
-        feed(&mut c, GilbertParams::new(0.03, 0.7).unwrap(), 5_000, 6);
-        let r = c.reconsider();
-        assert!(
-            matches!(
-                r,
-                Reconsideration::HeldByDeadBand | Reconsideration::Unchanged
-            ),
-            "got {r:?}"
+        assert_eq!(adopted.code, builtin::ldgm_staircase());
+        feed_periodic(&mut c, 21, 21_000);
+        let est = c.estimate().unwrap();
+        assert_ne!(AdaptiveController::candidate_for(&est), adopted);
+        assert_eq!(
+            c.replan(1000).reconsideration,
+            Reconsideration::HeldByDeadBand
         );
         assert_eq!(c.decision(), adopted);
+        // A move well past the band (1 in 12, ~8% loss) is adopted.
+        feed_periodic(&mut c, 12, 24_000);
+        assert_eq!(c.replan(1000).reconsideration, Reconsideration::Switched);
+        assert_eq!(c.decision().code, builtin::ldgm_triangle());
+        assert_eq!(c.switches(), 2);
     }
 
     #[test]
     fn heavy_loss_switches_to_robust_tuple() {
-        let mut c = AdaptiveController::new(ControllerConfig {
-            confirm_after: 1,
-            ..ControllerConfig::default()
-        });
+        let mut c = AdaptiveController::new(ControllerConfig::default());
         // First adopt a low-loss tuple…
         feed(
             &mut c,
@@ -523,44 +473,41 @@ mod tests {
             25_000,
             6,
         );
-        assert_eq!(c.reconsider(), Reconsideration::Switched);
+        assert_eq!(c.replan(2_000).reconsideration, Reconsideration::Switched);
         assert_eq!(c.decision().code, builtin::ldgm_staircase());
         // …then the channel degrades to 40% loss: back to the robust tuple.
         feed(&mut c, GilbertParams::new(0.2, 0.3).unwrap(), 25_000, 7);
-        assert_eq!(c.reconsider(), Reconsideration::Switched);
+        let r = c.replan(2_000);
+        assert_eq!(r.reconsideration, Reconsideration::Switched);
         let d = c.decision();
         assert_eq!(d.code, builtin::ldgm_triangle());
         assert_eq!(d.tx, TxModel::Random);
         assert_eq!(d.ratio, ExpansionRatio::R2_5);
         // 40% loss at ratio 2.5 with a 1.35 margin: equation 3 wants
         // ~1.35k/0.6 ≈ 2.25k of the 2.5k available — sufficient, barely.
-        let plan = c.plan(2_000).unwrap();
-        assert!(plan.is_sufficient());
+        assert!(r.plan.unwrap().is_sufficient());
     }
 
     #[test]
     fn impossible_channels_yield_no_plan() {
-        let mut c = AdaptiveController::new(ControllerConfig {
-            confirm_after: 1,
-            ..ControllerConfig::default()
-        });
+        let mut c = AdaptiveController::new(ControllerConfig::default());
         // 60% loss: ratio 2.5 needs 40% delivery; with the 1.35 margin the
         // plan cannot be sufficient -> None (send everything, hope).
         feed(&mut c, GilbertParams::bernoulli(0.6).unwrap(), 25_000, 8);
-        c.reconsider();
-        assert!(c.plan(2_000).is_none());
+        assert!(c.replan(2_000).plan.is_none());
     }
 
     #[test]
     fn observe_runs_matches_observe_and_replan_plans() {
         let light = GilbertParams::new(0.0109, 0.7915).unwrap();
         let mut ch = GilbertChannel::new(light, 13);
-        // Record 30k observations, once as scalars and once as runs.
+        // Record 30k observations, once one packet at a time and once as
+        // runs.
         let mut scalar = AdaptiveController::new(ControllerConfig::default());
         let mut runs: Vec<(bool, u64)> = Vec::new();
         for _ in 0..30_000 {
             let lost = ch.next_is_lost();
-            scalar.observe(lost);
+            scalar.observe_runs([(lost, 1)]);
             match runs.last_mut() {
                 Some((l, len)) if *l == lost => *len += 1,
                 _ => runs.push((lost, 1)),
@@ -574,33 +521,24 @@ mod tests {
         );
 
         // The replan hook reconsiders and plans in one call.
-        let r1 = by_run.replan(10_000);
-        let r2 = by_run.replan(10_000);
-        assert_eq!(r1.reconsideration, Reconsideration::Pending);
-        assert_eq!(r2.reconsideration, Reconsideration::Switched);
-        let plan = r2.plan.expect("light channel is plannable");
+        let r = by_run.replan(10_000);
+        assert_eq!(r.reconsideration, Reconsideration::Switched);
+        let plan = r.plan.expect("light channel is plannable");
         assert!(plan.n_sent < plan.n_total);
-        assert_eq!(r2.decision, by_run.decision());
+        assert_eq!(r.decision, by_run.decision());
     }
 
     #[test]
     fn population_summary_widens_the_plan_cushion() {
-        let mut c = AdaptiveController::new(ControllerConfig {
-            confirm_after: 1,
-            ..ControllerConfig::default()
-        });
+        let mut c = AdaptiveController::new(ControllerConfig::default());
         feed(&mut c, GilbertParams::new(0.02, 0.6).unwrap(), 30_000, 11);
-        c.reconsider();
-        let solo = c.plan(10_000).expect("plannable channel");
+        let solo = c.replan(10_000).plan.expect("plannable channel");
         c.note_population(PopulationSummary {
             receivers: 1_000_000,
             worst_loss: 0.05,
-            worst_p: Some(0.02),
-            worst_q: Some(0.6),
             completion_quantiles: [0.1, 0.5, 0.9],
         });
-        assert_eq!(c.population().unwrap().receivers, 1_000_000);
-        let fleet = c.plan(10_000).expect("still plannable");
+        let fleet = c.replan(10_000).plan.expect("still plannable");
         // √(2 ln 10⁶) ≈ 5.3 sigmas instead of 3: a wider cushion, but
         // still a truncating plan.
         assert!(
@@ -614,11 +552,9 @@ mod tests {
         c.note_population(PopulationSummary {
             receivers: 1,
             worst_loss: 0.0,
-            worst_p: None,
-            worst_q: None,
             completion_quantiles: [1.0, 1.0, 1.0],
         });
-        assert_eq!(c.plan(10_000).unwrap().n_sent, solo.n_sent);
+        assert_eq!(c.replan(10_000).plan.unwrap().n_sent, solo.n_sent);
     }
 
     #[test]
@@ -628,13 +564,12 @@ mod tests {
         // threshold, so the controller must stay conservative.
         let mut c = AdaptiveController::new(ControllerConfig {
             min_observations: 600,
-            confirm_after: 1,
             ..ControllerConfig::default()
         });
         feed(&mut c, GilbertParams::new(0.035, 0.75).unwrap(), 700, 9);
         let est = c.estimate().unwrap();
         assert!(est.p_global_upper() > est.p_global());
-        let cand = c.candidate_for(&est);
+        let cand = AdaptiveController::candidate_for(&est);
         assert_eq!(
             cand.code,
             builtin::ldgm_triangle(),

@@ -94,7 +94,6 @@ pub struct OnlineGilbertEstimator {
     window: VecDeque<bool>,
     capacity: usize,
     counts: TransitionCounts,
-    total_observed: u64,
 }
 
 impl OnlineGilbertEstimator {
@@ -114,7 +113,6 @@ impl OnlineGilbertEstimator {
             window: VecDeque::with_capacity(window + 1),
             capacity: window,
             counts: TransitionCounts::default(),
-            total_observed: 0,
         }
     }
 
@@ -125,18 +123,10 @@ impl OnlineGilbertEstimator {
             self.counts.record(back, lost);
         }
         self.window.push_back(lost);
-        self.total_observed += 1;
         if self.window.len() > self.capacity {
             let evicted = self.window.pop_front().expect("non-empty");
             let new_front = *self.window.front().expect("window > 1");
             self.counts.unrecord(evicted, new_front);
-        }
-    }
-
-    /// Records a batch of observations.
-    pub fn extend(&mut self, losses: impl IntoIterator<Item = bool>) {
-        for l in losses {
-            self.push(l);
         }
     }
 
@@ -152,7 +142,6 @@ impl OnlineGilbertEstimator {
         if len > cap {
             self.window.clear();
             self.counts = TransitionCounts::default();
-            self.total_observed += len - cap;
             for _ in 0..cap {
                 self.push(lost);
             }
@@ -163,21 +152,9 @@ impl OnlineGilbertEstimator {
         }
     }
 
-    /// Forgets everything (e.g. after an out-of-band signal that the path
-    /// changed).
-    pub fn reset(&mut self) {
-        self.window.clear();
-        self.counts = TransitionCounts::default();
-    }
-
     /// Observations currently in the window.
     pub fn window_len(&self) -> usize {
         self.window.len()
-    }
-
-    /// Lifetime observation count (survives window eviction and resets).
-    pub fn total_observed(&self) -> u64 {
-        self.total_observed
     }
 
     /// The windowed transition counts (the estimator's whole state).
@@ -281,7 +258,9 @@ mod tests {
         let mut ch = GilbertChannel::new(params, 11);
         let trace = LossTrace::record(&mut ch, 5_000);
         let mut est = OnlineGilbertEstimator::new(5_000);
-        est.extend(trace.losses().iter().copied());
+        for &lost in trace.losses() {
+            est.push(lost);
+        }
         let online = est.estimate().unwrap();
         let offline = fec_channel::fit_gilbert(&trace).unwrap();
         assert!((online.params.p() - offline.p()).abs() < 1e-12);
@@ -366,7 +345,9 @@ mod tests {
         // delivered→lost transition; p̂ must reflect it even though q is
         // unidentifiable.
         let mut est = OnlineGilbertEstimator::new(100);
-        est.extend([false, false, true]);
+        for lost in [false, false, true] {
+            est.push(lost);
+        }
         let e = est.estimate().unwrap();
         assert_eq!(e.params.p(), 0.5, "good=2, good_to_bad=1");
         assert!(
@@ -376,7 +357,9 @@ mod tests {
         assert!(e.p_global() > 0.0);
         // Symmetric case: a recovery as the final element.
         let mut est = OnlineGilbertEstimator::new(100);
-        est.extend([true, true, false]);
+        for lost in [true, true, false] {
+            est.push(lost);
+        }
         let e = est.estimate().unwrap();
         assert_eq!(e.params.q(), 0.5, "bad=2, bad_to_good=1");
         assert!(e.p_global() < 1.0, "an observed recovery is not an outage");
@@ -428,7 +411,6 @@ mod tests {
                 assert_eq!(est.counts(), &recount, "step {i}");
             }
         }
-        assert_eq!(est.total_observed(), 400);
         assert_eq!(est.window_len(), 50);
     }
 
@@ -455,23 +437,11 @@ mod tests {
             }
             assert_eq!(by_run.counts(), scalar.counts());
             assert_eq!(by_run.window_len(), scalar.window_len());
-            assert_eq!(by_run.total_observed(), scalar.total_observed());
         }
         assert_eq!(
             by_run.estimate().unwrap().params,
             scalar.estimate().unwrap().params
         );
-    }
-
-    #[test]
-    fn reset_clears_the_window() {
-        let mut est = OnlineGilbertEstimator::new(100);
-        feed(&mut est, GilbertParams::new(0.3, 0.3).unwrap(), 100, 1);
-        assert!(est.estimate().is_some());
-        est.reset();
-        assert!(est.estimate().is_none());
-        assert_eq!(est.window_len(), 0);
-        assert!(est.total_observed() > 0, "lifetime counter survives");
     }
 
     #[test]

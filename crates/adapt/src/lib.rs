@@ -19,25 +19,26 @@
 //!   and a worst-case stationary-loss bound for conservative planning;
 //! * [`AdaptiveController`] — maps estimates through the §6.1 rules
 //!   ([`fec_core::recommend_known`]) and equation 3
-//!   ([`fec_core::TransmissionPlan`]), with hysteresis (confirmation
-//!   counting + a loss-bound dead-band) so estimation noise near decision
-//!   boundaries does not thrash the deployed tuple;
+//!   ([`fec_core::TransmissionPlan`]), with hysteresis (a loss-bound
+//!   dead-band) so estimation noise near decision boundaries does not
+//!   thrash the deployed tuple;
 //! * [`AdaptiveRunner`] — closed-loop simulation against a
 //!   [`fec_channel::DriftingChannel`], with static baselines (best and
 //!   worst fixed tuple in hindsight) for the comparison that justifies the
 //!   whole exercise.
 //!
-//! The controller is transport-agnostic: observations arrive either
-//! per-packet ([`AdaptiveController::observe`]) or as the run-length
-//! sketches a live reception-report digest carries
-//! ([`AdaptiveController::observe_runs`] /
-//! [`OnlineGilbertEstimator::push_run`]), and
-//! [`AdaptiveController::replan`] is the one-call reconsider-and-plan
-//! hook a feedback loop drives between digests. The live UDP transport —
-//! EXT_SEQ sequence stamping, digest wire format, receiver-side emitter
-//! and sender-side ingestion — lives in `fec_flute::feedback`, which
-//! depends on this crate; `tests/adaptive_flute.rs` closes the loop over
-//! real sockets.
+//! The controller is transport-agnostic, and every loop drives it through
+//! one contract: [`AdaptiveController::observe_runs`] folds observations
+//! in the run-length shape a live reception-report digest carries (a
+//! per-packet fate is a run of one), [`AdaptiveController::replan`]
+//! reconsiders the tuple and plans the object in flight, and
+//! [`AdaptiveController::record_outcome`] reports whether it decoded.
+//! [`AdaptiveRunner`] and the live sender make exactly these calls, so the
+//! controller validated in simulation is the one the live loop runs. The
+//! live UDP transport — EXT_SEQ sequence stamping, digest wire format,
+//! receiver-side emitter and sender-side ingestion — lives in
+//! `fec_flute::feedback`, which depends on this crate;
+//! `tests/adaptive_flute.rs` closes the loop over real sockets.
 //!
 //! ```
 //! use fec_adapt::{AdaptiveRunner, ControllerConfig, Scenario};
@@ -46,7 +47,6 @@
 //! let config = ControllerConfig {
 //!     window: 2_000,
 //!     min_observations: 300,
-//!     confirm_after: 1,
 //!     ..ControllerConfig::default()
 //! };
 //! let comparison = AdaptiveRunner::new(scenario, config).compare();
@@ -60,9 +60,7 @@ mod closed_loop;
 mod controller;
 mod estimate;
 
-pub use closed_loop::{
-    clairvoyant_decision, AdaptiveRunner, Comparison, EpochOutcome, LoopReport, Scenario,
-};
+pub use closed_loop::{AdaptiveRunner, Comparison, EpochOutcome, LoopReport, Scenario};
 pub use controller::{
     AdaptiveController, ControllerConfig, Decision, PopulationSummary, Reconsideration, Replan,
 };

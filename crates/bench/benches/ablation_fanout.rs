@@ -593,7 +593,6 @@ fn measure_nack_vs_whole(m: usize, seed: u64) -> NackRunResult {
         AggregatorConfig::default(),
         ControllerConfig {
             min_observations: 150,
-            confirm_after: 1,
             assumed_inefficiency: 1.0, // RSE is MDS
             ..ControllerConfig::default()
         },

@@ -555,9 +555,9 @@ impl FeedbackAggregator {
         evicted
     }
 
-    /// The fleet-level view: receiver count, the worst receiver's loss,
-    /// the worst-case Gilbert estimate, completion quantiles (10th/50th/
-    /// 90th percentile of per-receiver progress).
+    /// The fleet-level view: receiver count, the worst receiver's loss and
+    /// completion quantiles (10th/50th/90th percentile of per-receiver
+    /// progress).
     pub fn summary(&self) -> PopulationSummary {
         let worst_loss = self
             .worst
@@ -571,12 +571,9 @@ impl FeedbackAggregator {
                 }
             })
             .unwrap_or(0.0);
-        let est = self.controller.estimate();
         PopulationSummary {
             receivers: self.receivers.len() as u64,
             worst_loss,
-            worst_p: est.as_ref().map(|e| e.params.p()),
-            worst_q: est.as_ref().map(|e| e.params.q()),
             completion_quantiles: [
                 self.completion_quantile(0.10),
                 self.completion_quantile(0.50),
@@ -782,7 +779,6 @@ mod tests {
             AggregatorConfig::default(),
             ControllerConfig {
                 min_observations: 500,
-                confirm_after: 1,
                 ..ControllerConfig::default()
             },
         );
@@ -817,13 +813,13 @@ mod tests {
         a.ingest(addr(1), &r);
         assert_eq!(a.completed().collect::<Vec<_>>(), vec![1]);
         assert!(a.is_complete(1));
-        assert!(a.controller().in_failure_backoff(), "one outcome, not two");
+        assert!(a.controller().in_backoff(), "one outcome, not two");
         // The same completion in a later digest is not a new outcome.
         let mut r2 = light_digest(2, 1);
         r2.entries[0].complete = true;
         r2.session_complete = true;
         a.ingest(addr(1), &r2);
-        assert!(a.controller().in_failure_backoff(), "still one outcome");
+        assert!(a.controller().in_backoff(), "still one outcome");
         assert!(a.session_complete());
     }
 
@@ -857,7 +853,7 @@ mod tests {
         done.entries[0].complete = true;
         a.ingest(addr(1), &done);
         assert!(a.is_complete(1));
-        assert!(a.controller().in_failure_backoff());
+        assert!(a.controller().in_backoff());
 
         for _ in 0..3 {
             a.advance_tick();
@@ -879,7 +875,7 @@ mod tests {
         assert_eq!(a.receiver_count(), 1);
         assert!(a.is_complete(1), "completion state restored");
         assert!(
-            a.controller().in_failure_backoff(),
+            a.controller().in_backoff(),
             "re-tracking must not record the outcome a second time"
         );
         assert!(a.session_complete(), "the session still ends");

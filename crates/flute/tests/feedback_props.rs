@@ -149,7 +149,6 @@ proptest! {
         let delivered = impair(&digests, &copies, &shuffle_keys);
         let config = ControllerConfig {
             min_observations: 200,
-            confirm_after: 1,
             ..ControllerConfig::default()
         };
         let mut fb = aggregator(config);

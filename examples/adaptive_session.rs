@@ -29,15 +29,16 @@ fn main() {
     let mut controller = AdaptiveController::new(ControllerConfig {
         window: 1_200,
         min_observations: 150,
-        confirm_after: 1,
         ..ControllerConfig::default()
     });
 
     println!("adaptive broadcast of {objects} objects, k = {k}, {symbol}-byte symbols\n");
 
     for object_id in 0..objects {
-        controller.reconsider();
-        let decision = controller.decision();
+        // One re-plan per object: the tuple to encode under and, if the
+        // estimate supports one, the §6.2 plan to truncate the schedule to.
+        let replan = controller.replan(k);
+        let decision = replan.decision;
         let true_params = channel.current();
 
         // Encode this object under the currently deployed tuple.
@@ -47,9 +48,8 @@ fn main() {
         let spec = CodeSpec::new(decision.code.clone(), k, decision.ratio).with_matrix_seed(11);
         let sender = Sender::new(spec.clone(), &object, symbol).unwrap();
 
-        // Plan the transmission if the estimate supports one.
         let schedule_seed = 1000 + object_id as u64;
-        let packets = match controller.plan(k) {
+        let packets = match replan.plan {
             Some(plan) => sender.planned_transmission(&plan, decision.tx, schedule_seed),
             None => sender.transmission(decision.tx, schedule_seed),
         };
@@ -69,7 +69,7 @@ fn main() {
                 needed = Some(i + 1);
             }
         }
-        controller.observe_all(&observed);
+        controller.observe_runs(observed.iter().map(|&lost| (lost, 1)));
         let decoded = needed.is_some();
         controller.record_outcome(decoded);
         if decoded {

@@ -762,7 +762,6 @@ fn cmd_adapt(a: &mut Args) -> Result<(), String> {
     let config = ControllerConfig {
         window,
         min_observations: (k / 2).max(200),
-        confirm_after: 1,
         ..ControllerConfig::default()
     };
     let mut runner = AdaptiveRunner::new(scenario, config);

@@ -605,7 +605,6 @@ pub fn send_session<P: PathSink>(
         AggregatorConfig::default(),
         ControllerConfig {
             window: config.window,
-            confirm_after: 1,
             ..ControllerConfig::default()
         },
     );

@@ -26,7 +26,6 @@ fn config() -> ControllerConfig {
         // Small window so regime switches are tracked within ~2 epochs.
         window: 2_500,
         min_observations: 500,
-        confirm_after: 1,
         ..ControllerConfig::default()
     }
 }

@@ -141,6 +141,20 @@ fn adapt_runs_the_closed_loop() {
     assert!(stdout.contains("oracle gap"));
 }
 
+/// A window shorter than the controller's minimum observation count
+/// (here `max(k / 2, 200)` = 200 > 150) is trusted once full, so the loop
+/// still estimates instead of silently staying on its prior.
+#[test]
+fn adapt_with_a_short_window_still_estimates() {
+    let (ok, stdout, _) = run(&["adapt", "--k", "400", "--epochs", "12", "--window", "150"]);
+    assert!(ok, "{stdout}");
+    let estimated = stdout
+        .lines()
+        .filter_map(|line| line.split_whitespace().nth(2))
+        .any(|bound| bound.ends_with('%') && bound.trim_end_matches('%').parse::<f64>().is_ok());
+    assert!(estimated, "no epoch printed a numeric est-bound:\n{stdout}");
+}
+
 #[test]
 fn adapt_validates_arguments() {
     let (ok, _, stderr) = run(&["adapt", "--epochs", "0"]);

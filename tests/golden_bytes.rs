@@ -67,7 +67,6 @@ fn adaptive_loop_report_keeps_its_bytes() {
     let config = ControllerConfig {
         window: 2_000,
         min_observations: 400,
-        confirm_after: 1,
         ..ControllerConfig::default()
     };
     let report = AdaptiveRunner::new(scenario, config).run();

@@ -4,19 +4,16 @@
 //! **real HTTP connection** mid-flight, with the structured event log
 //! drained to JSONL and parsed back.
 
-use std::cell::RefCell;
-use std::collections::VecDeque;
+mod support;
+
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::rc::Rc;
 
 use fec_broadcast::channel::{GilbertParams, LinkConfig, LinkEmulator, LossModel};
-use fec_broadcast::flute::feedback::ReportConfig;
-use fec_broadcast::flute::{FluteReceiver, FluteSender, SenderConfig};
-use fec_broadcast::live::{self, DigestSource, PathSink, SendConfig};
+use fec_broadcast::live::{self, PathSink, SendConfig};
 use fec_broadcast::prelude::*;
 use fec_broadcast::telemetry::EventRecord;
-use fec_broadcast::wire::{BufferPool, PoolBuf};
+use support::{Load, World};
 
 const TSI: u32 = 33;
 
@@ -42,19 +39,10 @@ fn scrape(addr: std::net::SocketAddr) -> String {
     body.to_string()
 }
 
-/// The far end of the in-process link: the receiver and the digests it
-/// has queued for the return trip.
-struct FarEnd {
-    receiver: FluteReceiver,
-    digests: VecDeque<PoolBuf>,
-}
-
-/// The forward path: impaired link straight into the receiver, with one
-/// scrape of the metrics endpoint a quarter of the way through.
+/// The world's forward path, with one scrape of the metrics endpoint a
+/// quarter of the way through.
 struct ScrapedPath {
-    link: LinkEmulator,
-    far: Rc<RefCell<FarEnd>>,
-    pool: BufferPool,
+    path: support::Path,
     metrics_addr: SocketAddr,
     scrape_at: u64,
     on_wire: u64,
@@ -63,18 +51,7 @@ struct ScrapedPath {
 
 impl PathSink for ScrapedPath {
     fn send_burst(&mut self, burst: &[Vec<u8>]) -> Result<(u64, u64), String> {
-        let far = &mut *self.far.borrow_mut();
-        let delivered = self.link.transmit_batch(burst);
-        far.receiver.push_datagrams(&delivered).unwrap();
-        let report = if far.receiver.all_complete() {
-            far.receiver.flush_report()
-        } else {
-            far.receiver.poll_report()
-        };
-        if let Some(report) = report {
-            far.digests
-                .push_back(self.pool.buf_from(&report.to_bytes().unwrap()));
-        }
+        let sent = self.path.send_burst(burst)?;
         self.on_wire += burst.len() as u64;
         if !self.scraped_mid_session && self.on_wire >= self.scrape_at {
             // Mid-flight scrape: counters must already be moving.
@@ -82,25 +59,11 @@ impl PathSink for ScrapedPath {
             assert!(series_value(&body, "fec_session_datagrams_total{kind=\"data\"}") > 0.0);
             self.scraped_mid_session = true;
         }
-        Ok((
-            burst.len() as u64,
-            burst.iter().map(|d| d.len() as u64).sum(),
-        ))
+        Ok(sent)
     }
 
     fn dropped(&self) -> u64 {
-        0 // the link is the channel here, not sender-side injection
-    }
-}
-
-struct ReturnPath(Rc<RefCell<FarEnd>>);
-
-impl DigestSource for ReturnPath {
-    fn try_recv_digests(&mut self, max: usize) -> std::io::Result<Vec<(PoolBuf, SocketAddr)>> {
-        let receiver_addr = SocketAddr::from(([127, 0, 0, 1], 4000));
-        let digests = &mut self.0.borrow_mut().digests;
-        let n = max.min(digests.len());
-        Ok(digests.drain(..n).map(|d| (d, receiver_addr)).collect())
+        self.path.dropped()
     }
 }
 
@@ -124,28 +87,13 @@ fn live_session_exposes_metrics_and_events() {
     let events = EventLog::bounded(1024);
 
     // A two-object session over a bursty link, closed-loop as in the CLI.
-    let mut sender = FluteSender::new(SenderConfig::new(TSI));
-    let objects: Vec<Vec<u8>> = (1..=2u32)
-        .map(|toi| {
-            (0..12_000)
-                .map(|i| ((i as u32 * 37 + toi) % 251) as u8)
-                .collect()
-        })
-        .collect();
-    for (i, object) in objects.iter().enumerate() {
-        sender
-            .add_object(
-                i as u32 + 1,
-                format!("file:///obj-{}.bin", i + 1),
-                object,
-                fec_broadcast::codec::registry::resolve("ldgm-triangle").unwrap(),
-                ExpansionRatio::R2_5,
-                64,
-                11 + i as u64,
-                TxModel::Random,
-            )
-            .unwrap();
-    }
+    let load = Load {
+        tsi: TSI,
+        objects: 2,
+        len: 12_000,
+    };
+    let sender = load.session(TxModel::Random, ExpansionRatio::R2_5);
+    let objects: Vec<Vec<u8>> = (1..=load.objects).map(|toi| load.object(toi)).collect();
 
     let params = GilbertParams::new(0.02, 0.5).unwrap();
     let model: Box<dyn LossModel> = Box::new(GilbertChannel::new(params, 77));
@@ -159,27 +107,21 @@ fn live_session_exposes_metrics_and_events() {
         13,
     );
     link.attach_telemetry(&registry);
+    let mut member = load.member(1, vec![link]);
+    member.receiver.attach_telemetry(&registry);
 
-    let mut receiver = FluteReceiver::new(TSI);
-    receiver.enable_reports(ReportConfig {
-        report_every: 64,
-        ..ReportConfig::default()
-    });
-    receiver.attach_telemetry(&registry);
-    let far = Rc::new(RefCell::new(FarEnd {
-        receiver,
-        digests: VecDeque::new(),
-    }));
+    let (world, sinks, mut reports) = World::new(vec![member], 1);
     let full = sender.data_packet_count();
-    let mut paths = [ScrapedPath {
-        link,
-        far: far.clone(),
-        pool: BufferPool::with_config(2048, 64),
-        metrics_addr: server.local_addr(),
-        scrape_at: full / 4,
-        on_wire: 0,
-        scraped_mid_session: false,
-    }];
+    let mut paths: Vec<ScrapedPath> = sinks
+        .into_iter()
+        .map(|path| ScrapedPath {
+            path,
+            metrics_addr: server.local_addr(),
+            scrape_at: full / 4,
+            on_wire: 0,
+            scraped_mid_session: false,
+        })
+        .collect();
 
     // The engine registers the stream and feedback metric families and
     // writes the session's lifecycle into the event log itself.
@@ -187,7 +129,7 @@ fn live_session_exposes_metrics_and_events() {
         &sender,
         0xFEED,
         &mut paths,
-        Some(&mut ReturnPath(far.clone())),
+        Some(&mut reports),
         &SendConfig {
             window: 5_000,
             replan_every: 64,
@@ -200,7 +142,7 @@ fn live_session_exposes_metrics_and_events() {
         paths[0].scraped_mid_session,
         "session ended before the mid-flight scrape"
     );
-    let far = &mut *far.borrow_mut();
+    let far = &mut world.borrow_mut().members[0];
     for (i, object) in objects.iter().enumerate() {
         assert_eq!(
             far.receiver.object(i as u32 + 1).expect("decoded"),
