@@ -67,31 +67,6 @@ impl LinkStats {
         self.dropped as f64 / self.offered as f64
     }
 
-    /// Datagrams offered to the link.
-    pub fn offered(&self) -> u64 {
-        self.offered
-    }
-
-    /// Datagram copies that came out the far end (duplicates included).
-    pub fn delivered(&self) -> u64 {
-        self.delivered
-    }
-
-    /// Datagrams the loss model erased.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Extra copies created by duplication.
-    pub fn duplicated(&self) -> u64 {
-        self.duplicated
-    }
-
-    /// Datagrams delivered out of order.
-    pub fn reordered(&self) -> u64 {
-        self.reordered
-    }
-
     /// Fraction of offered datagrams that gained a duplicate copy.
     pub fn duplication_rate(&self) -> f64 {
         if self.offered == 0 {
@@ -148,7 +123,7 @@ pub struct LinkEmulator {
     /// Held-back datagrams: `(release_after_countdown, datagram)`.
     held: VecDeque<(usize, Vec<u8>)>,
     stats: LinkStats,
-    metrics: Option<LinkMetrics>,
+    metrics: LinkMetrics,
 }
 
 impl LinkEmulator {
@@ -166,7 +141,7 @@ impl LinkEmulator {
             rng: SmallRng::seed_from_u64(seed),
             held: VecDeque::new(),
             stats: LinkStats::default(),
-            metrics: None,
+            metrics: LinkMetrics::register(&Registry::disabled()),
         }
     }
 
@@ -176,8 +151,8 @@ impl LinkEmulator {
     /// (so lanes `0, 1, 2, …` walk unrelated sample paths) and fresh
     /// held/stats state. This is the cheap path to a fan-out population:
     /// configure one template link, then `fork` it once per receiver —
-    /// no telemetry registration, no datagram buffers, just two small
-    /// RNG states per receiver.
+    /// inert telemetry handles, no datagram buffers, just two small RNG
+    /// states per receiver.
     ///
     /// Deterministic: the same `(template seed, receiver)` pair always
     /// yields the same link behavior. Returns `None` when the underlying
@@ -195,7 +170,7 @@ impl LinkEmulator {
             rng: SmallRng::seed_from_u64(link_seed),
             held: VecDeque::new(),
             stats: LinkStats::default(),
-            metrics: None,
+            metrics: LinkMetrics::register(&Registry::disabled()),
         })
     }
 
@@ -226,7 +201,7 @@ impl LinkEmulator {
         metrics.dropped.add(self.stats.dropped);
         metrics.duplicated.add(self.stats.duplicated);
         metrics.reordered.add(self.stats.reordered);
-        self.metrics = Some(metrics);
+        self.metrics = metrics;
     }
 
     /// Offers one datagram to the link; returns the datagram copies that
@@ -235,9 +210,7 @@ impl LinkEmulator {
     /// held-back datagrams whose countdown expired).
     pub fn transmit(&mut self, datagram: &[u8]) -> Vec<Vec<u8>> {
         self.stats.offered += 1;
-        if let Some(m) = &self.metrics {
-            m.offered.inc();
-        }
+        self.metrics.offered.inc();
         let mut out = Vec::new();
         // Tick only the datagrams held by *earlier* transmits. A fresh
         // hold is pushed un-ticked and the expired ones are released
@@ -249,9 +222,7 @@ impl LinkEmulator {
         }
         if self.model.next_is_lost() {
             self.stats.dropped += 1;
-            if let Some(m) = &self.metrics {
-                m.dropped.inc();
-            }
+            self.metrics.dropped.inc();
         } else {
             let duplicate = self.config.duplicate_rate > 0.0
                 && self
@@ -264,9 +235,7 @@ impl LinkEmulator {
                 let countdown = self.rng.gen_range(1..=self.config.reorder_depth);
                 self.held.push_back((countdown, datagram.to_vec()));
                 self.stats.reordered += 1;
-                if let Some(m) = &self.metrics {
-                    m.reordered.inc();
-                }
+                self.metrics.reordered.inc();
             } else {
                 out.push(datagram.to_vec());
                 self.stats.delivered += 1;
@@ -275,9 +244,7 @@ impl LinkEmulator {
                 out.push(datagram.to_vec());
                 self.stats.delivered += 1;
                 self.stats.duplicated += 1;
-                if let Some(m) = &self.metrics {
-                    m.duplicated.inc();
-                }
+                self.metrics.duplicated.inc();
             }
         }
         while let Some((0, _)) = self.held.front() {
@@ -285,9 +252,7 @@ impl LinkEmulator {
             self.stats.delivered += 1;
             out.push(dg);
         }
-        if let Some(m) = &self.metrics {
-            m.delivered.add(out.len() as u64);
-        }
+        self.metrics.delivered.add(out.len() as u64);
         out
     }
 
@@ -295,9 +260,7 @@ impl LinkEmulator {
     pub fn flush(&mut self) -> Vec<Vec<u8>> {
         let out: Vec<Vec<u8>> = self.held.drain(..).map(|(_, dg)| dg).collect();
         self.stats.delivered += out.len() as u64;
-        if let Some(m) = &self.metrics {
-            m.delivered.add(out.len() as u64);
-        }
+        self.metrics.delivered.add(out.len() as u64);
         out
     }
 
@@ -432,15 +395,9 @@ mod tests {
         }
         link.flush();
         let s = link.stats();
-        // Accessors agree with the raw fields…
-        assert_eq!(s.offered(), s.offered);
-        assert_eq!(s.delivered(), s.delivered);
-        assert_eq!(s.dropped(), s.dropped);
-        assert_eq!(s.duplicated(), s.duplicated);
-        assert_eq!(s.reordered(), s.reordered);
         assert_eq!(s.impaired(), s.dropped + s.duplicated + s.reordered);
-        // …and every impairment actually occurred, distinctly.
-        assert!(s.dropped() > 0 && s.duplicated() > 0 && s.reordered() > 0);
+        // Every impairment actually occurred, distinctly.
+        assert!(s.dropped > 0 && s.duplicated > 0 && s.reordered > 0);
         assert!((s.loss_rate() - 0.09).abs() < 0.03, "{}", s.loss_rate());
         assert!(
             (s.duplication_rate() - 0.1 * (1.0 - s.loss_rate())).abs() < 0.03,
@@ -454,7 +411,7 @@ mod tests {
         );
         // Conservation: everything offered was dropped, delivered in
         // order, or delivered late; duplicates are extra copies.
-        assert_eq!(s.offered() + s.duplicated(), s.delivered() + s.dropped());
+        assert_eq!(s.offered + s.duplicated, s.delivered + s.dropped);
     }
 
     #[test]
@@ -481,11 +438,11 @@ mod tests {
         let s = link.stats();
         let text = registry.render_prometheus();
         for (fate, value) in [
-            ("offered", s.offered()),
-            ("delivered", s.delivered()),
-            ("dropped", s.dropped()),
-            ("duplicated", s.duplicated()),
-            ("reordered", s.reordered()),
+            ("offered", s.offered),
+            ("delivered", s.delivered),
+            ("dropped", s.dropped),
+            ("duplicated", s.duplicated),
+            ("reordered", s.reordered),
         ] {
             let line = format!("fec_link_datagrams_total{{fate=\"{fate}\"}} {value}");
             assert!(text.contains(&line), "missing {line:?} in:\n{text}");
@@ -549,7 +506,7 @@ mod tests {
             "{ra} {rb}"
         );
         // The template itself is untouched by forking.
-        assert_eq!(template.stats().offered(), 200);
+        assert_eq!(template.stats().offered, 200);
     }
 
     #[test]
@@ -575,7 +532,7 @@ mod tests {
                 .expect("stock models report a rate");
             assert!((rate - 0.2).abs() < 1e-9, "fork changed the rate: {rate}");
             forked.transmit(&[0u8; 8]);
-            assert_eq!(forked.stats().offered(), 1);
+            assert_eq!(forked.stats().offered, 1);
         }
     }
 

@@ -61,18 +61,6 @@ pub struct PlannedEmission {
     repair_queue: VecDeque<PacketRef>,
     repair_pending: BTreeSet<PacketRef>,
     repairs_sent: u64,
-    /// Per-path emission accounting for bonded transport: `path_sent[p]`
-    /// counts packets (scheduled + repair) credited to path `p` via
-    /// [`next_ref_on`](Self::next_ref_on). The vector grows lazily; the
-    /// single-path [`next_ref`](Self::next_ref) is path 0.
-    ///
-    /// Invariant: the per-path counters partition the emission exactly —
-    /// `sum(path_sent) == sent()`. The *schedule* itself stays one
-    /// monotone cursor: truncation via [`amend`](Self::amend) clamps the
-    /// target to `[cursor, schedule_len]` no matter which path consumed
-    /// the packets, so a truncation can never "unsend" traffic already
-    /// striped onto any path.
-    path_sent: Vec<u64>,
 }
 
 impl PlannedEmission {
@@ -87,7 +75,6 @@ impl PlannedEmission {
             repair_queue: VecDeque::new(),
             repair_pending: BTreeSet::new(),
             repairs_sent: 0,
-            path_sent: Vec::new(),
         }
     }
 
@@ -97,13 +84,23 @@ impl PlannedEmission {
     /// cursor resumes. A later [`amend`](Self::amend) that extends the
     /// target makes `next_ref` productive again.
     pub fn next_ref(&mut self) -> Option<PacketRef> {
-        self.next_ref_on(0)
+        if let Some(r) = self.repair_queue.pop_front() {
+            self.repair_pending.remove(&r);
+            self.repairs_sent += 1;
+            return Some(r);
+        }
+        if self.cursor >= self.target {
+            return None;
+        }
+        let r = self.schedule[self.cursor];
+        self.cursor += 1;
+        Some(r)
     }
 
     /// The packet [`next_ref`](Self::next_ref) would return, without
     /// advancing the cursor or the repair queue. A bonded sender peeks
     /// first to classify the packet (source vs repair symbol) and pick a
-    /// path, then consumes it with [`next_ref_on`](Self::next_ref_on).
+    /// path, then consumes it with [`next_ref`](Self::next_ref).
     pub fn peek_ref(&self) -> Option<PacketRef> {
         if let Some(&r) = self.repair_queue.front() {
             return Some(r);
@@ -112,46 +109,6 @@ impl PlannedEmission {
             return None;
         }
         Some(self.schedule[self.cursor])
-    }
-
-    /// [`next_ref`](Self::next_ref), credited to path `path` for bonded
-    /// transport. Per-path counters partition `sent()` exactly; the
-    /// schedule cursor itself stays a single monotone sequence shared by
-    /// all paths (see the struct-level invariant).
-    pub fn next_ref_on(&mut self, path: usize) -> Option<PacketRef> {
-        let r = if let Some(r) = self.repair_queue.pop_front() {
-            self.repair_pending.remove(&r);
-            self.repairs_sent += 1;
-            r
-        } else {
-            if self.cursor >= self.target {
-                return None;
-            }
-            let r = self.schedule[self.cursor];
-            self.cursor += 1;
-            r
-        };
-        if self.path_sent.len() <= path {
-            self.path_sent.resize(path + 1, 0);
-        }
-        self.path_sent[path] += 1;
-        debug_assert_eq!(
-            self.path_sent.iter().sum::<u64>(),
-            self.sent(),
-            "per-path cursors must partition the emission"
-        );
-        Some(r)
-    }
-
-    /// Packets credited to path `path` so far (0 for paths never used).
-    pub fn path_sent(&self, path: usize) -> u64 {
-        self.path_sent.get(path).copied().unwrap_or(0)
-    }
-
-    /// Number of paths that have carried at least one packet slot
-    /// (highest path index used + 1).
-    pub fn path_count(&self) -> usize {
-        self.path_sent.len()
     }
 
     /// Queues targeted repair packets (from NACK digests) ahead of the
@@ -451,27 +408,6 @@ mod tests {
     }
 
     #[test]
-    fn per_path_cursors_partition_the_emission() {
-        let s = sender(60);
-        let mut e = s.emission(TxModel::Random, 11);
-        let full = TxModel::Random.schedule(s.layout(), 11);
-        // Stripe round-robin over three paths: the refs come out in the
-        // same single schedule order, only the crediting differs.
-        let mut refs = Vec::new();
-        for i in 0.. {
-            match e.next_ref_on(i % 3) {
-                Some(r) => refs.push(r),
-                None => break,
-            }
-        }
-        assert_eq!(refs, full);
-        assert_eq!(e.path_count(), 3);
-        let total: u64 = (0..3).map(|p| e.path_sent(p)).sum();
-        assert_eq!(total, e.sent());
-        assert_eq!(e.path_sent(7), 0, "unused path reads zero");
-    }
-
-    #[test]
     fn peek_matches_next_and_does_not_advance() {
         let s = sender(40);
         let mut e = s.emission(TxModel::Random, 5);
@@ -479,36 +415,27 @@ mod tests {
         for _ in 0..10 {
             let peeked = e.peek_ref();
             assert_eq!(peeked, e.peek_ref(), "peek is idempotent");
-            assert_eq!(peeked, e.next_ref_on(1));
+            assert_eq!(peeked, e.next_ref());
         }
         while e.next_ref().is_some() {}
         assert_eq!(e.peek_ref(), None);
     }
 
     #[test]
-    fn truncation_after_striped_sends_cannot_unsend_any_path() {
+    fn truncation_clamps_the_target_to_the_cursor() {
         let s = sender(100);
         let mut e = s.emission(TxModel::Random, 3);
-        for i in 0..150 {
-            e.next_ref_on(i % 4).unwrap();
+        for _ in 0..150 {
+            e.next_ref().unwrap();
         }
-        let before: Vec<u64> = (0..4).map(|p| e.path_sent(p)).collect();
-        // Demand fewer packets than the 150 already striped out: the
-        // target clamps to the shared cursor, and no path's counter can
-        // move backwards.
+        // Demand fewer packets than the 150 already sent: the target
+        // clamps to the cursor, and the sent count cannot move backwards.
         let tiny = plan(100, s.packet_count(), 0.0, 0);
         assert!(tiny.n_sent < 150);
         e.amend(Some(&tiny));
         assert_eq!(e.target(), 150, "clamped to what was already sent");
+        assert_eq!(e.sent(), 150);
         assert!(e.is_done());
-        for (p, &b) in before.iter().enumerate() {
-            assert_eq!(e.path_sent(p), b);
-        }
-        assert_eq!(
-            (0..4).map(|p| e.path_sent(p)).sum::<u64>(),
-            e.sent(),
-            "partition holds across amendment"
-        );
     }
 
     #[test]

@@ -136,7 +136,7 @@ impl AlcPacket {
     }
 
     /// Parses a datagram: the walk the receive path runs in place
-    /// ([`LctView::walk`], [`split_symbol`]) with every piece copied out.
+    /// (`LctView::walk`, `split_symbol`) with every piece copied out.
     pub fn from_bytes(data: &[u8]) -> Result<AlcPacket, FluteError> {
         let LctView { header, body, .. } = LctView::walk(data, true)?;
         let (payload_id, payload) = if header.toi == FDT_TOI {

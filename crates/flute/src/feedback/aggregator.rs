@@ -201,7 +201,7 @@ pub struct FeedbackAggregator {
     /// Union of missing ESIs across the population, keyed `(toi, block)`.
     nack_union: BTreeMap<(u32, u32), BTreeSet<u32>>,
     stats: AggregateStats,
-    metrics: Option<AggregatorMetrics>,
+    metrics: AggregatorMetrics,
 }
 
 impl FeedbackAggregator {
@@ -225,7 +225,7 @@ impl FeedbackAggregator {
             completion_hist: [0; COMPLETION_BUCKETS],
             nack_union: BTreeMap::new(),
             stats: AggregateStats::default(),
-            metrics: None,
+            metrics: AggregatorMetrics::register(&Registry::disabled()),
         }
     }
 
@@ -247,7 +247,7 @@ impl FeedbackAggregator {
         m.nack_symbols.add(self.stats.nack_symbols);
         m.throttled.add(self.stats.throttled);
         m.receivers.set(self.receivers.len() as f64);
-        self.metrics = Some(m);
+        self.metrics = m;
     }
 
     /// Parses and ingests one raw digest datagram from `src`.
@@ -265,9 +265,7 @@ impl FeedbackAggregator {
         self.stats.ingested += 1;
         if report.tsi != self.tsi {
             self.stats.foreign += 1;
-            if let Some(m) = &self.metrics {
-                m.foreign.inc();
-            }
+            self.metrics.foreign.inc();
             return AggregateOutcome::ForeignSession;
         }
 
@@ -277,9 +275,7 @@ impl FeedbackAggregator {
             if let Some(state) = self.receivers.get(&src) {
                 if report.report_seq <= state.last_report_seq {
                     self.stats.deduped += 1;
-                    if let Some(m) = &self.metrics {
-                        m.deduped.inc();
-                    }
+                    self.metrics.deduped.inc();
                     return AggregateOutcome::Deduped;
                 }
             }
@@ -288,9 +284,7 @@ impl FeedbackAggregator {
             // the summary undercounts instead of the sender exhausting
             // memory.
             self.stats.accepted += 1;
-            if let Some(m) = &self.metrics {
-                m.accepted.inc();
-            }
+            self.metrics.accepted.inc();
             return AggregateOutcome::Accepted;
         }
 
@@ -370,9 +364,7 @@ impl FeedbackAggregator {
         };
 
         self.receivers.insert(src, state);
-        if let Some(m) = &self.metrics {
-            m.receivers.set(self.receivers.len() as f64);
-        }
+        self.metrics.receivers.set(self.receivers.len() as f64);
 
         // Union the NACK section (skip objects the population already
         // finished — a straggler's stale NACK must not reopen repair),
@@ -409,15 +401,11 @@ impl FeedbackAggregator {
         }
         if fresh_symbols > 0 {
             self.stats.nack_symbols += fresh_symbols;
-            if let Some(m) = &self.metrics {
-                m.nack_symbols.add(fresh_symbols);
-            }
+            self.metrics.nack_symbols.add(fresh_symbols);
         }
         if throttled_symbols > 0 {
             self.stats.throttled += throttled_symbols;
-            if let Some(m) = &self.metrics {
-                m.throttled.add(throttled_symbols);
-            }
+            self.metrics.throttled.add(throttled_symbols);
         }
         if let Some(s) = self.receivers.get_mut(&src) {
             s.nack_used = self.config.nack_budget.saturating_sub(nack_remaining);
@@ -428,36 +416,33 @@ impl FeedbackAggregator {
         for _ in &newly_population_complete {
             self.controller.record_outcome(true);
         }
-        if let Some(m) = &self.metrics {
-            m.completed.add(newly_population_complete.len() as u64);
-        }
+        self.metrics
+            .completed
+            .add(newly_population_complete.len() as u64);
 
         if folds {
             self.worst = Some(src);
             let observations = self.controller.observe_runs(report.run_pairs());
             self.stats.folded += 1;
             self.stats.observations += observations;
-            if let Some(m) = &self.metrics {
-                m.folded.inc();
-                m.observations.add(observations);
-                if let Some(est) = self.controller.estimate() {
-                    m.p.set(est.params.p());
-                    m.q.set(est.params.q());
-                    m.p_upper.set(est.p_global_upper());
-                    m.p_ci_low.set(est.p_ci.lo);
-                    m.p_ci_high.set(est.p_ci.hi);
-                    m.q_ci_low.set(est.q_ci.lo);
-                    m.q_ci_high.set(est.q_ci.hi);
-                }
-                m.window
-                    .set(self.controller.estimator().window_len() as f64);
+            let m = &self.metrics;
+            m.folded.inc();
+            m.observations.add(observations);
+            if let Some(est) = self.controller.estimate() {
+                m.p.set(est.params.p());
+                m.q.set(est.params.q());
+                m.p_upper.set(est.p_global_upper());
+                m.p_ci_low.set(est.p_ci.lo);
+                m.p_ci_high.set(est.p_ci.hi);
+                m.q_ci_low.set(est.q_ci.lo);
+                m.q_ci_high.set(est.q_ci.hi);
             }
+            m.window
+                .set(self.controller.estimator().window_len() as f64);
             AggregateOutcome::Folded { observations }
         } else {
             self.stats.accepted += 1;
-            if let Some(m) = &self.metrics {
-                m.accepted.inc();
-            }
+            self.metrics.accepted.inc();
             AggregateOutcome::Accepted
         }
     }
@@ -548,10 +533,8 @@ impl FeedbackAggregator {
             }
         }
         self.stats.evicted += evicted as u64;
-        if let Some(m) = &self.metrics {
-            m.evicted.add(evicted as u64);
-            m.receivers.set(self.receivers.len() as f64);
-        }
+        self.metrics.evicted.add(evicted as u64);
+        self.metrics.receivers.set(self.receivers.len() as f64);
         evicted
     }
 
@@ -604,9 +587,7 @@ impl FeedbackAggregator {
     /// the tuple and re-plans a `k`-packet in-flight object (see
     /// [`AdaptiveController::replan`]).
     pub fn replan(&mut self, k: usize) -> Replan {
-        if let Some(m) = &self.metrics {
-            m.replans.inc();
-        }
+        self.metrics.replans.inc();
         self.controller.note_population(self.summary());
         self.controller.replan(k)
     }
@@ -615,9 +596,7 @@ impl FeedbackAggregator {
     /// population completing it — the channel beat the plan.
     pub fn record_failure(&mut self) {
         self.controller.record_outcome(false);
-        if let Some(m) = &self.metrics {
-            m.backoffs.inc();
-        }
+        self.metrics.backoffs.inc();
     }
 
     /// Drains the unioned NACK requests as per-block missing-ESI lists,

@@ -28,9 +28,9 @@ use super::wire::{LossRun, NackEntry, ReceptionReport, ReportEntry, SEQ_MODULUS}
 use crate::metrics::EmitterMetrics;
 use crate::FDT_TOI;
 
-/// Loss runs retained per session for residual (post-FEC) attribution
-/// when telemetry is on. Beyond this the oldest are folded into the
-/// repaired count (the common fate) to bound memory.
+/// Loss runs retained per session for residual (post-FEC) attribution.
+/// Beyond this the oldest are folded into the repaired count (the common
+/// fate) to bound memory.
 const MAX_RESIDUAL_RUNS: usize = 4096;
 
 /// Upper bound on per-path sequence tracks, so a buggy or hostile path
@@ -133,11 +133,12 @@ pub struct ReportEmitter {
     threshold: usize,
     /// Missing-ESI lists to attach to the next digest (NACK mode).
     pending_nacks: Vec<NackEntry>,
-    metrics: Option<EmitterMetrics>,
+    metrics: EmitterMetrics,
     /// Loss runs not yet claimed by a completed object: `(attributed
-    /// TOI, run length)`. Only populated while telemetry is attached —
-    /// the digest wire format never carries this.
-    residual_runs: Vec<(u32, u32)>,
+    /// TOI, run length)`, oldest first. The digest wire format never
+    /// carries this; [`finalize_residual`](Self::finalize_residual)
+    /// reports it.
+    residual_runs: VecDeque<(u32, u32)>,
 }
 
 impl ReportEmitter {
@@ -163,8 +164,8 @@ impl ReportEmitter {
             loss_since_report: false,
             threshold: 0,
             pending_nacks: Vec::new(),
-            metrics: None,
-            residual_runs: Vec::new(),
+            metrics: EmitterMetrics::register(&Registry::disabled()),
+            residual_runs: VecDeque::new(),
         };
         em.threshold = em.next_threshold();
         em
@@ -173,9 +174,11 @@ impl ReportEmitter {
     /// Starts recording this emitter's loss-process observations into
     /// `registry`: EXT_SEQ gap counters, the link loss-run-length
     /// histogram, and the repaired-vs-residual run accounting (see
-    /// [`finalize_residual`](Self::finalize_residual)).
+    /// [`finalize_residual`](Self::finalize_residual)). Runs observed
+    /// before the call are still attributed: the residual accounting runs
+    /// whether or not a registry is attached.
     pub fn attach_telemetry(&mut self, registry: &Registry) {
-        self.metrics = Some(EmitterMetrics::register(registry));
+        self.metrics = EmitterMetrics::register(registry);
     }
 
     /// Records one received datagram of the session: its TOI and its
@@ -228,16 +231,12 @@ impl ReportEmitter {
                     // At or behind the highest seen *on this path*: a
                     // duplicate or a reordered late arrival. Its loss was
                     // already sketched; leave the pattern alone.
-                    if let Some(m) = &self.metrics {
-                        m.late_or_duplicate.inc();
-                    }
+                    self.metrics.late_or_duplicate.inc();
                     return;
                 }
                 if gap > 0 {
-                    if let Some(m) = &self.metrics {
-                        m.seq_gaps.inc();
-                        m.lost_packets.add(gap as u64);
-                    }
+                    self.metrics.seq_gaps.inc();
+                    self.metrics.lost_packets.add(gap as u64);
                     self.push_run(true, gap, toi);
                 }
                 self.push_run(false, 1, toi);
@@ -262,25 +261,21 @@ impl ReportEmitter {
     pub fn mark_complete(&mut self, toi: u32) {
         self.dirty = true;
         self.counters.entry(toi).or_default().complete = true;
-        if let Some(m) = &self.metrics {
-            // Every loss run attributed to this object is now known
-            // repaired: the erasure code filled the gaps.
-            let before = self.residual_runs.len();
-            self.residual_runs.retain(|&(t, _)| t != toi);
-            m.repaired_runs
-                .add((before - self.residual_runs.len()) as u64);
-        }
+        // Every loss run attributed to this object is now known repaired:
+        // the erasure code filled the gaps.
+        let before = self.residual_runs.len();
+        self.residual_runs.retain(|&(t, _)| t != toi);
+        self.metrics
+            .repaired_runs
+            .add((before - self.residual_runs.len()) as u64);
     }
 
     /// Folds the loss runs of still-undecoded objects into the residual
-    /// (post-FEC) loss histogram. Call once at session end; no-op without
-    /// telemetry.
+    /// (post-FEC) loss histogram. Call once at session end.
     pub fn finalize_residual(&mut self) {
-        if let Some(m) = &self.metrics {
-            for (_, len) in self.residual_runs.drain(..) {
-                m.residual_run_length.observe(len as f64);
-                m.residual_lost_packets.add(len as u64);
-            }
+        for (_, len) in self.residual_runs.drain(..) {
+            self.metrics.residual_run_length.observe(len as f64);
+            self.metrics.residual_lost_packets.add(len as u64);
         }
     }
 
@@ -348,18 +343,16 @@ impl ReportEmitter {
             }
             let c = self.counters.entry(attributed_toi).or_default();
             c.lost = c.lost.saturating_add(len);
-            if let Some(m) = &self.metrics {
-                // Each gap is one complete link-level loss run (runs can
-                // only merge across a digest boundary, which is rare and
-                // biases the histogram short, never long).
-                m.loss_run_length.observe(len as f64);
-                if attributed_toi != FDT_TOI {
-                    if self.residual_runs.len() == MAX_RESIDUAL_RUNS {
-                        self.residual_runs.remove(0);
-                        m.repaired_runs.inc();
-                    }
-                    self.residual_runs.push((attributed_toi, len));
+            // Each gap is one complete link-level loss run (runs can only
+            // merge across a digest boundary, which is rare and biases the
+            // histogram short, never long).
+            self.metrics.loss_run_length.observe(len as f64);
+            if attributed_toi != FDT_TOI {
+                if self.residual_runs.len() == MAX_RESIDUAL_RUNS {
+                    self.residual_runs.pop_front();
+                    self.metrics.repaired_runs.inc();
                 }
+                self.residual_runs.push_back((attributed_toi, len));
             }
         }
         match self.runs.back_mut() {
@@ -369,9 +362,7 @@ impl ReportEmitter {
                 if self.runs.len() > self.config.max_runs {
                     self.runs.pop_front();
                     self.truncated = true;
-                    if let Some(m) = &self.metrics {
-                        m.sketch_truncations.inc();
-                    }
+                    self.metrics.sketch_truncations.inc();
                 }
             }
         }
@@ -400,14 +391,13 @@ impl ReportEmitter {
             runs: self.runs.iter().copied().collect(),
             nacks: std::mem::take(&mut self.pending_nacks),
         };
-        if let Some(m) = &self.metrics {
-            m.digests.inc();
-            // Digests this one replaced versus the unsuppressed base
-            // cadence: the feedback traffic the population scheme saved.
-            let base = self.config.report_every.max(1);
-            m.suppressed
-                .add((self.observed_since_report / base).saturating_sub(1) as u64);
-        }
+        self.metrics.digests.inc();
+        // Digests this one replaced versus the unsuppressed base cadence:
+        // the feedback traffic the population scheme saved.
+        let base = self.config.report_every.max(1);
+        self.metrics
+            .suppressed
+            .add((self.observed_since_report / base).saturating_sub(1) as u64);
         self.next_report_seq = self.next_report_seq.wrapping_add(1);
         self.runs.clear();
         self.truncated = false;
@@ -807,6 +797,21 @@ mod tests {
                 len: 3
             }]
         );
+    }
+
+    /// Residual attribution runs whether or not telemetry is attached: a
+    /// gap observed before `attach_telemetry` still reaches the residual
+    /// counters at finalization.
+    #[test]
+    fn residual_runs_are_tracked_before_attach() {
+        let mut em = ReportEmitter::new(7, ReportConfig::default());
+        em.observe(1, Some(0));
+        em.observe(1, Some(5)); // a 4-packet gap
+        let live = Registry::new();
+        em.attach_telemetry(&live);
+        em.finalize_residual();
+        let lost = live.counter("fec_residual_lost_packets_total", "");
+        assert_eq!(lost.get(), 4);
     }
 
     #[test]

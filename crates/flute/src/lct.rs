@@ -310,7 +310,7 @@ impl LctHeader {
     }
 
     /// Parses a header from the front of `data`; returns the header and its
-    /// wire length (offset of the payload). This is [`LctView::walk`] with
+    /// wire length (offset of the payload). This is `LctView::walk` with
     /// every extension copied out.
     pub fn parse(data: &[u8]) -> Result<(LctHeader, usize), FluteError> {
         LctView::walk(data, true).map(|view| (view.header, view.len))

@@ -1,9 +1,11 @@
 //! Metric bundles for the session layer.
 //!
-//! Each instrumented type owns an `Option` of one of these bundles:
-//! `None` until `attach_telemetry` is called, so un-observed sessions pay
-//! a single branch per would-be update. Registration happens once, here;
-//! the hot paths only touch the pre-registered atomic handles.
+//! Each instrumented type owns one of these bundles from construction,
+//! registered on `Registry::disabled()` (inert handles: one branch per
+//! would-be update); `attach_telemetry` re-registers it on a live
+//! registry. Registration happens here; the hot paths only touch the
+//! pre-registered atomic handles, and nothing a type computes depends on
+//! which registry its bundle sits on.
 
 use fec_telemetry::{Counter, Gauge, Histogram, Registry};
 
@@ -28,7 +30,7 @@ pub(crate) struct StreamMetrics {
 }
 
 impl StreamMetrics {
-    pub fn register(registry: &Registry, tois: &[u32]) -> StreamMetrics {
+    pub fn register(registry: &Registry, tois: impl Iterator<Item = u32>) -> StreamMetrics {
         let datagrams = "fec_session_datagrams_total";
         let datagrams_help = "Datagrams emitted by the session stream, by kind.";
         StreamMetrics {
@@ -39,7 +41,6 @@ impl StreamMetrics {
                 "Wire bytes emitted by the session stream.",
             ),
             per_object: tois
-                .iter()
                 .map(|toi| {
                     registry.counter_with(
                         "fec_session_object_packets_total",

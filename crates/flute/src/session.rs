@@ -204,6 +204,7 @@ impl FluteSender {
     /// [`amend_plan`](SessionStream::amend_plan) whenever the feedback
     /// loop produces a fresh [`TransmissionPlan`](fec_core::TransmissionPlan).
     pub fn stream(&self, schedule_seed: u64) -> SessionStream<'_> {
+        let tois = self.objects.iter().map(|o| o.toi);
         let emissions = self
             .objects
             .iter()
@@ -222,7 +223,7 @@ impl FluteSender {
             since_fdt: 0,
             fdt_sent: false,
             data_emitted: 0,
-            metrics: None,
+            metrics: StreamMetrics::register(&Registry::disabled(), tois),
         }
     }
 
@@ -262,7 +263,7 @@ pub struct SessionStream<'a> {
     since_fdt: usize,
     fdt_sent: bool,
     data_emitted: u64,
-    metrics: Option<StreamMetrics>,
+    metrics: StreamMetrics,
 }
 
 impl SessionStream<'_> {
@@ -271,11 +272,10 @@ impl SessionStream<'_> {
     /// the planned-vs-full schedule gauges). A disabled registry costs
     /// one branch per datagram.
     pub fn attach_telemetry(&mut self, registry: &Registry) {
-        let tois: Vec<u32> = self.sender.objects.iter().map(|o| o.toi).collect();
-        let metrics = StreamMetrics::register(registry, &tois);
-        metrics.planned.set(self.planned_total() as f64);
-        metrics.full.set(self.full_total() as f64);
-        self.metrics = Some(metrics);
+        let tois = self.sender.objects.iter().map(|o| o.toi);
+        self.metrics = StreamMetrics::register(registry, tois);
+        self.metrics.planned.set(self.planned_total() as f64);
+        self.metrics.full.set(self.full_total() as f64);
     }
     /// The next wire datagram, or `None` once every object's emission
     /// reached its target. Single-path shorthand for
@@ -300,8 +300,7 @@ impl SessionStream<'_> {
     /// the source path) and `false` for repair symbols — the hook a
     /// Kurant-style path scheduler uses to put source packets on
     /// fast-propagation paths and repair on slower ones. The datagram is
-    /// sequenced in the chosen path's own EXT_SEQ space and the packet
-    /// is credited to that path's emission cursor.
+    /// sequenced in the chosen path's own EXT_SEQ space.
     pub fn next_datagram_routed<F>(
         &mut self,
         mut route: F,
@@ -321,8 +320,8 @@ impl SessionStream<'_> {
                 return Ok(None);
             };
             // Classify before consuming so the scheduler sees what it is
-            // routing; the subsequent `next_ref_on` returns the peeked
-            // packet and credits the chosen path's cursor.
+            // routing; the subsequent `next_ref` returns the peeked
+            // packet.
             let Some(peeked) = emission.peek_ref() else {
                 self.current += 1;
                 continue;
@@ -339,7 +338,7 @@ impl SessionStream<'_> {
             let path = route(object.sender.layout().is_source(peeked));
             // Peek just succeeded, so the consume cannot come back empty;
             // the fallback keeps this branch panic-free all the same.
-            let r = emission.next_ref_on(path).unwrap_or(peeked);
+            let r = emission.next_ref().unwrap_or(peeked);
             debug_assert_eq!(r, peeked, "peek/consume must agree");
             let close_object = emission.is_done();
             let close_session = close_object && idx + 1 == self.emissions.len();
@@ -353,11 +352,9 @@ impl SessionStream<'_> {
             let datagram = frame.datagram(id, (close_object, close_session), seq, symbol)?;
             self.data_emitted += 1;
             self.since_fdt += 1;
-            if let Some(m) = &self.metrics {
-                m.data.inc();
-                m.bytes.add(datagram.len() as u64);
-                m.per_object[idx].inc();
-            }
+            self.metrics.data.inc();
+            self.metrics.bytes.add(datagram.len() as u64);
+            self.metrics.per_object[idx].inc();
             return Ok(Some((path, datagram)));
         }
     }
@@ -375,10 +372,8 @@ impl SessionStream<'_> {
             alc = alc.with_sequence(seq);
         }
         let datagram = alc.to_bytes()?;
-        if let Some(m) = &self.metrics {
-            m.fdt.inc();
-            m.bytes.add(datagram.len() as u64);
-        }
+        self.metrics.fdt.inc();
+        self.metrics.bytes.add(datagram.len() as u64);
         Ok(datagram)
     }
 
@@ -420,14 +415,12 @@ impl SessionStream<'_> {
         if matches!(amendment, fec_core::Amendment::Extended { .. }) && idx < self.current {
             self.current = idx;
         }
-        if let Some(m) = &self.metrics {
-            match amendment {
-                fec_core::Amendment::Truncated { .. } => m.amend_truncated.inc(),
-                fec_core::Amendment::Extended { .. } => m.amend_extended.inc(),
-                fec_core::Amendment::Unchanged => {}
-            }
-            m.planned.set(self.planned_total() as f64);
+        match amendment {
+            fec_core::Amendment::Truncated { .. } => self.metrics.amend_truncated.inc(),
+            fec_core::Amendment::Extended { .. } => self.metrics.amend_extended.inc(),
+            fec_core::Amendment::Unchanged => {}
         }
+        self.metrics.planned.set(self.planned_total() as f64);
         Ok(amendment)
     }
 
@@ -474,12 +467,10 @@ impl SessionStream<'_> {
     pub fn stop_object(&mut self, toi: u32) -> Result<fec_core::Amendment, FluteError> {
         let idx = self.object_index(toi)?;
         let amendment = self.emissions[idx].stop();
-        if let Some(m) = &self.metrics {
-            if matches!(amendment, fec_core::Amendment::Truncated { .. }) {
-                m.stops.inc();
-            }
-            m.planned.set(self.planned_total() as f64);
+        if matches!(amendment, fec_core::Amendment::Truncated { .. }) {
+            self.metrics.stops.inc();
         }
+        self.metrics.planned.set(self.planned_total() as f64);
         Ok(amendment)
     }
 
@@ -707,8 +698,9 @@ pub struct FluteReceiver {
     emitter: Option<ReportEmitter>,
     nack_mode: bool,
     last_nacked: Vec<crate::feedback::NackEntry>,
-    metrics: Option<ReceiverMetrics>,
-    registry: Option<Registry>,
+    metrics: ReceiverMetrics,
+    /// Where an emitter enabled later registers its bundle.
+    registry: Registry,
 }
 
 impl FluteReceiver {
@@ -722,8 +714,8 @@ impl FluteReceiver {
             emitter: None,
             nack_mode: false,
             last_nacked: Vec::new(),
-            metrics: None,
-            registry: None,
+            metrics: ReceiverMetrics::register(&Registry::disabled()),
+            registry: Registry::disabled(),
         }
     }
 
@@ -734,9 +726,7 @@ impl FluteReceiver {
     /// [`flush_report`](Self::flush_report).
     pub fn enable_reports(&mut self, config: ReportConfig) {
         let mut emitter = ReportEmitter::new(self.tsi, config);
-        if let Some(registry) = &self.registry {
-            emitter.attach_telemetry(registry);
-        }
+        emitter.attach_telemetry(&self.registry);
         self.emitter = Some(emitter);
     }
 
@@ -747,18 +737,18 @@ impl FluteReceiver {
     /// Call order relative to [`enable_reports`](Self::enable_reports)
     /// does not matter.
     pub fn attach_telemetry(&mut self, registry: &Registry) {
-        self.metrics = Some(ReceiverMetrics::register(registry));
+        self.metrics = ReceiverMetrics::register(registry);
         if let Some(emitter) = self.emitter.as_mut() {
             emitter.attach_telemetry(registry);
         }
-        self.registry = Some(registry.clone());
+        self.registry = registry.clone();
     }
 
     /// Folds the loss runs of still-undecoded objects into the residual
     /// (post-FEC) loss metrics. Call once, when the session is over from
     /// this receiver's point of view; without it the residual histograms
     /// stay empty (every run is presumed repairable until the session
-    /// ends). No-op when telemetry or reports are off.
+    /// ends). No-op when reports are off.
     pub fn finalize_telemetry(&mut self) {
         if let Some(emitter) = self.emitter.as_mut() {
             emitter.finalize_residual();
@@ -1020,19 +1010,18 @@ impl FluteReceiver {
                 }
             }
         }
-        if let Some(m) = &self.metrics {
-            for event in &events {
-                match event {
-                    ReceiverEvent::FdtReceived => m.fdt.inc(),
-                    ReceiverEvent::FdtIgnored => m.fdt_ignored.inc(),
-                    ReceiverEvent::ObjectProgress { .. } => m.data.inc(),
-                    ReceiverEvent::ObjectComplete { .. } => {
-                        m.data.inc();
-                        m.completed.inc();
-                    }
-                    ReceiverEvent::ForeignSession => m.foreign.inc(),
-                    ReceiverEvent::Rejected => m.rejected.inc(),
+        let m = &self.metrics;
+        for event in &events {
+            match event {
+                ReceiverEvent::FdtReceived => m.fdt.inc(),
+                ReceiverEvent::FdtIgnored => m.fdt_ignored.inc(),
+                ReceiverEvent::ObjectProgress { .. } => m.data.inc(),
+                ReceiverEvent::ObjectComplete { .. } => {
+                    m.data.inc();
+                    m.completed.inc();
                 }
+                ReceiverEvent::ForeignSession => m.foreign.inc(),
+                ReceiverEvent::Rejected => m.rejected.inc(),
             }
         }
         Ok(events)

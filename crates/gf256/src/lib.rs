@@ -16,9 +16,7 @@
 //!   overridable via `FEC_FORCE_KERNEL`,
 //! * [`Matrix`] — a dense matrix over GF(2^8) with Gauss-Jordan inversion and
 //!   Vandermonde constructors, used to build systematic generator matrices
-//!   and to solve the decoding systems,
-//! * [`poly`] — polynomial evaluation/interpolation, kept as an independent
-//!   mathematical oracle for property tests.
+//!   and to solve the decoding systems.
 //!
 //! Design notes (see docs/ARCHITECTURE.md §"Arithmetic: `fec-gf256`"): no
 //! macro/type tricks; the GF(2^8) tables are `const fn`-generated so the
@@ -35,7 +33,6 @@
 mod field;
 pub mod kernels;
 mod matrix;
-pub mod poly;
 mod tables;
 
 pub use field::Gf256;

@@ -9,7 +9,10 @@
 //!   fixed-bucket histograms. Handles are plain atomics behind an `Arc`,
 //!   so instrumented code pays one relaxed atomic op per update — and one
 //!   predictable branch (and nothing else) when the registry was built
-//!   with [`Registry::disabled`]. Registration allocates; updates never
+//!   with [`Registry::disabled`], the only off switch: every instrumented
+//!   type registers its handles there at construction, and its
+//!   `attach_telemetry(&Registry)` re-registers them on the caller's
+//!   registry. Registration allocates; updates never
 //!   do. The whole registry renders to Prometheus text exposition format
 //!   via [`Registry::render_prometheus`] (byte layout golden-tested) and
 //!   is served over HTTP by [`MetricsServer`].
@@ -38,8 +41,8 @@
 //! // A disabled registry hands out inert handles: same call sites, no
 //! // work, no output.
 //! let off = Registry::disabled();
-//! let noop = off.counter("demo_datagrams_total", "Datagrams sent.");
-//! noop.inc();
+//! let inert = off.counter("demo_datagrams_total", "Datagrams sent.");
+//! inert.inc();
 //! assert_eq!(off.render_prometheus(), "");
 //! ```
 

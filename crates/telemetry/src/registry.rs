@@ -28,11 +28,6 @@ use std::sync::{Arc, Mutex};
 pub struct Counter(Option<Arc<AtomicU64>>);
 
 impl Counter {
-    /// An inert counter (what disabled registries hand out).
-    pub fn noop() -> Counter {
-        Counter(None)
-    }
-
     /// Adds one.
     #[inline]
     pub fn inc(&self) {
@@ -62,11 +57,6 @@ impl Counter {
 pub struct Gauge(Option<Arc<AtomicU64>>);
 
 impl Gauge {
-    /// An inert gauge.
-    pub fn noop() -> Gauge {
-        Gauge(None)
-    }
-
     /// Sets the gauge.
     #[inline]
     pub fn set(&self, value: f64) {
@@ -106,11 +96,6 @@ struct HistogramCells {
 pub struct Histogram(Option<Arc<HistogramCells>>);
 
 impl Histogram {
-    /// An inert histogram.
-    pub fn noop() -> Histogram {
-        Histogram(None)
-    }
-
     /// Records one observation.
     pub fn observe(&self, value: f64) {
         let Some(cells) = &self.0 else {

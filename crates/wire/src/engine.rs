@@ -138,7 +138,7 @@ impl BatchSender {
             socket,
             backend,
             pacer,
-            metrics: DirectionMetrics::noop(),
+            metrics: DirectionMetrics::register(&Registry::disabled(), "send"),
             #[cfg(target_os = "linux")]
             scratch: crate::sys::MmsgScratch::new(),
             #[cfg(target_os = "linux")]
@@ -191,7 +191,7 @@ impl BatchSender {
 
     /// Registers send-side engine metrics.
     pub fn attach_telemetry(&mut self, registry: &Registry) {
-        self.metrics = DirectionMetrics::attach(registry, "send");
+        self.metrics = DirectionMetrics::register(registry, "send");
     }
 
     /// The underlying socket (e.g. for reading the local address).
@@ -385,7 +385,7 @@ impl BatchReceiver {
             backend,
             pool,
             ready: Vec::new(),
-            metrics: DirectionMetrics::noop(),
+            metrics: DirectionMetrics::register(&Registry::disabled(), "recv"),
             #[cfg(target_os = "linux")]
             scratch: crate::sys::MmsgScratch::new(),
             #[cfg(target_os = "linux")]
@@ -441,7 +441,7 @@ impl BatchReceiver {
 
     /// Registers recv-side engine metrics.
     pub fn attach_telemetry(&mut self, registry: &Registry) {
-        self.metrics = DirectionMetrics::attach(registry, "recv");
+        self.metrics = DirectionMetrics::register(registry, "recv");
     }
 
     /// The underlying socket.

@@ -1,7 +1,8 @@
 //! Telemetry bundle for the wire engine: syscall and datagram counters
 //! plus a batch-size histogram, labelled by direction (`op="send"` /
-//! `op="recv"`). The whole bundle defaults to no-op handles so an
-//! unattached engine pays one predicted branch per update.
+//! `op="recv"`). An engine registers its bundle on
+//! `Registry::disabled()` when it is built, so until `attach_telemetry`
+//! it pays one predicted branch per update.
 
 use fec_telemetry::{Counter, Histogram, Registry};
 
@@ -19,18 +20,8 @@ pub(crate) struct DirectionMetrics {
 }
 
 impl DirectionMetrics {
-    /// Inert handles (the default until `attach_telemetry`).
-    pub fn noop() -> DirectionMetrics {
-        DirectionMetrics {
-            syscalls: Counter::noop(),
-            datagrams: Counter::noop(),
-            bytes: Counter::noop(),
-            batch: Histogram::noop(),
-        }
-    }
-
     /// Registers the `op`-labelled series.
-    pub fn attach(registry: &Registry, op: &str) -> DirectionMetrics {
+    pub fn register(registry: &Registry, op: &str) -> DirectionMetrics {
         let labels = [("op", op)];
         DirectionMetrics {
             syscalls: registry.counter_with(

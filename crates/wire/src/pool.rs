@@ -10,8 +10,9 @@
 //!
 //! The pool is `Clone` (an `Arc` handle) and thread-safe: the drain thread
 //! takes buffers, the decode thread drops them, and both touch one mutex
-//! for a push/pop of a pointer-sized element. Telemetry (hit/miss
-//! counters) attaches lazily via [`BufferPool::attach_telemetry`].
+//! for a push/pop of a pointer-sized element. The hit/miss counters are
+//! registered on `Registry::disabled()` when the pool is built;
+//! [`BufferPool::attach_telemetry`] moves them to a live registry.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -29,13 +30,23 @@ struct State {
     free: Vec<Vec<u8>>,
     hits: u64,
     misses: u64,
-    metrics: Option<PoolMetrics>,
+    metrics: PoolMetrics,
 }
 
-#[derive(Clone)]
 struct PoolMetrics {
     hits: Counter,
     misses: Counter,
+}
+
+impl PoolMetrics {
+    fn register(registry: &Registry) -> PoolMetrics {
+        let name = "fec_wire_pool_total";
+        let help = "Buffer pool requests by outcome";
+        PoolMetrics {
+            hits: registry.counter_with(name, help, &[("outcome", "hit")]),
+            misses: registry.counter_with(name, help, &[("outcome", "miss")]),
+        }
+    }
 }
 
 struct Shared {
@@ -76,7 +87,7 @@ impl BufferPool {
                     free: Vec::new(),
                     hits: 0,
                     misses: 0,
-                    metrics: None,
+                    metrics: PoolMetrics::register(&Registry::disabled()),
                 }),
                 retain,
                 buf_capacity: buf_capacity.max(1),
@@ -86,22 +97,11 @@ impl BufferPool {
 
     /// Registers hit/miss counters and back-fills counts accrued so far.
     pub fn attach_telemetry(&self, registry: &Registry) {
-        let metrics = PoolMetrics {
-            hits: registry.counter_with(
-                "fec_wire_pool_total",
-                "Buffer pool requests by outcome",
-                &[("outcome", "hit")],
-            ),
-            misses: registry.counter_with(
-                "fec_wire_pool_total",
-                "Buffer pool requests by outcome",
-                &[("outcome", "miss")],
-            ),
-        };
+        let metrics = PoolMetrics::register(registry);
         let mut state = lock(&self.shared);
         metrics.hits.add(state.hits);
         metrics.misses.add(state.misses);
-        state.metrics = Some(metrics);
+        state.metrics = metrics;
     }
 
     /// Pops a buffer from the free list (or allocates on a miss). The
@@ -113,16 +113,12 @@ impl BufferPool {
             match state.free.pop() {
                 Some(buf) => {
                     state.hits += 1;
-                    if let Some(m) = &state.metrics {
-                        m.hits.inc();
-                    }
+                    state.metrics.hits.inc();
                     Some(buf)
                 }
                 None => {
                     state.misses += 1;
-                    if let Some(m) = &state.metrics {
-                        m.misses.inc();
-                    }
+                    state.metrics.misses.inc();
                     None
                 }
             }
@@ -151,10 +147,8 @@ impl BufferPool {
             let misses = (n - popped.len()) as u64;
             state.hits += hits;
             state.misses += misses;
-            if let Some(m) = &state.metrics {
-                m.hits.add(hits);
-                m.misses.add(misses);
-            }
+            state.metrics.hits.add(hits);
+            state.metrics.misses.add(misses);
         }
         let mut out: Vec<PoolBuf> = popped
             .into_iter()

@@ -63,7 +63,7 @@ impl PathSink for ForwardPath {
     }
 
     fn dropped(&self) -> u64 {
-        self.link.stats().dropped()
+        self.link.stats().dropped
     }
 }
 

@@ -1123,9 +1123,7 @@ fn cmd_recv(args: RecvArgs) -> Result<(), String> {
     // half of `send --paths`), so per-path sequence accounting stays
     // honest.
     let pool = BufferPool::new();
-    if telemetry.enabled() {
-        pool.attach_telemetry(&telemetry.registry);
-    }
+    pool.attach_telemetry(&telemetry.registry);
     let (datagram_tx, datagram_rx) = std::sync::mpsc::channel();
     for (path, addr) in listen.iter().enumerate() {
         let socket = std::net::UdpSocket::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
@@ -1153,9 +1151,7 @@ fn cmd_recv(args: RecvArgs) -> Result<(), String> {
             session.enable_nacks();
         }
     }
-    if telemetry.enabled() {
-        session.attach_telemetry(&telemetry.registry);
-    }
+    session.attach_telemetry(&telemetry.registry);
     let ship = |report: &fec_broadcast::flute::ReceptionReport| -> Result<(), String> {
         telemetry.record(Event::DigestEmitted {
             report_seq: report.report_seq as u64,
@@ -1174,14 +1170,7 @@ fn cmd_recv(args: RecvArgs) -> Result<(), String> {
     // the *lossy* return channel (a failed send is counted, never fatal),
     // and a malformed datagram costs itself, not its burst.
     let config = live::ReceiveConfig {
-        rejected_counter: telemetry.registry.counter(
-            "fec_session_rejected_datagrams_total",
-            "Datagrams the receiver rejected as malformed or undecodable.",
-        ),
-        ship_failure_counter: telemetry.registry.counter(
-            "fec_session_report_ship_failures_total",
-            "Reception-report digests that failed to ship (lossy return channel).",
-        ),
+        registry: telemetry.registry.clone(),
         ..Default::default()
     };
     let outcome = live::receive_session(&mut session, &datagram_rx, ship, &config)?;

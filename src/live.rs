@@ -210,18 +210,16 @@ pub struct ReceiveConfig {
     /// How long to wait for a datagram before shipping a timer-tick
     /// digest (so the sender's estimator never starves when quiet).
     pub flush_interval: Duration,
-    /// Counts datagrams rejected as malformed (inert with telemetry off).
-    pub rejected_counter: Counter,
-    /// Counts digests that failed to ship (inert with telemetry off).
-    pub ship_failure_counter: Counter,
+    /// Where the loop's own counters (rejected datagrams, unshipped
+    /// digests) register; [`Registry::disabled`] by default.
+    pub registry: Registry,
 }
 
 impl Default for ReceiveConfig {
     fn default() -> ReceiveConfig {
         ReceiveConfig {
             flush_interval: Duration::from_millis(250),
-            rejected_counter: Counter::noop(),
-            ship_failure_counter: Counter::noop(),
+            registry: Registry::disabled(),
         }
     }
 }
@@ -252,8 +250,8 @@ pub struct ReceiveOutcome {
 /// reception-report digests through `ship` until an object completes.
 ///
 /// `ship` is treated as *lossy by design*: a failure is logged and
-/// counted (see [`ReceiveConfig::ship_failure_counter`]) but never ends
-/// the session — the sender's digest protocol already tolerates missing
+/// counted (`fec_session_report_ship_failures_total` on
+/// [`ReceiveConfig::registry`]) but never ends the session — the sender's digest protocol already tolerates missing
 /// reports, exactly like it tolerates lost data datagrams.
 ///
 /// Errors only when the channel disconnects (every drain thread saw the
@@ -267,6 +265,14 @@ pub fn receive_session<F>(
 where
     F: FnMut(&ReceptionReport) -> Result<(), String>,
 {
+    let rejected_counter = config.registry.counter(
+        "fec_session_rejected_datagrams_total",
+        "Datagrams the receiver rejected as malformed or undecodable.",
+    );
+    let ship_failure_counter = config.registry.counter(
+        "fec_session_report_ship_failures_total",
+        "Reception-report digests that failed to ship (lossy return channel).",
+    );
     let mut outcome = ReceiveOutcome::default();
     let mut burst: Vec<(usize, PoolBuf)> = Vec::new();
     let toi = 'decode: loop {
@@ -277,7 +283,7 @@ where
                 // Idle tick: ship whatever the emitter has batched so the
                 // sender's estimator never starves on a quiet channel.
                 if let Some(report) = session.flush_report() {
-                    ship_lossy(&mut ship, &report, &mut outcome, config);
+                    ship_lossy(&mut ship, &report, &mut outcome, &ship_failure_counter);
                 }
                 continue;
             }
@@ -311,7 +317,7 @@ where
             let (events, rejected) = push_salvaging(session, path, &slice);
             if rejected > 0 {
                 outcome.rejected += rejected;
-                config.rejected_counter.add(rejected);
+                rejected_counter.add(rejected);
             }
             for event in events {
                 if let ReceiverEvent::ObjectComplete { toi } = event {
@@ -320,14 +326,14 @@ where
             }
         }
         if let Some(report) = session.poll_report() {
-            ship_lossy(&mut ship, &report, &mut outcome, config);
+            ship_lossy(&mut ship, &report, &mut outcome, &ship_failure_counter);
         }
     };
     // Final FIN digests (repeated: the return channel is lossy too) so an
     // adaptive sender stops transmitting immediately.
     for _ in 0..FIN_REPEATS {
         if let Some(report) = session.flush_report() {
-            ship_lossy(&mut ship, &report, &mut outcome, config);
+            ship_lossy(&mut ship, &report, &mut outcome, &ship_failure_counter);
         }
     }
     outcome.toi = toi;
@@ -338,13 +344,13 @@ fn ship_lossy<F>(
     ship: &mut F,
     report: &ReceptionReport,
     outcome: &mut ReceiveOutcome,
-    config: &ReceiveConfig,
+    failures: &Counter,
 ) where
     F: FnMut(&ReceptionReport) -> Result<(), String>,
 {
     if let Err(e) = ship(report) {
         outcome.ship_failures += 1;
-        config.ship_failure_counter.inc();
+        failures.inc();
         if outcome.ship_failures <= 5 {
             eprintln!("digest not shipped (return channel is lossy by design): {e}");
         }
@@ -406,7 +412,7 @@ impl PathSink for WirePath {
     }
 
     fn dropped(&self) -> u64 {
-        self.link.as_ref().map_or(0, |link| link.stats().dropped())
+        self.link.as_ref().map_or(0, |link| link.stats().dropped)
     }
 }
 
@@ -550,7 +556,7 @@ pub struct SendOutcome {
     /// Per-path split, in path order.
     pub paths: Vec<PathOutcome>,
     /// Goodput, overhead versus the static worst case, control activity
-    /// and (with telemetry on) the estimator trajectory — finalized.
+    /// and the estimator trajectory — finalized.
     pub summary: SessionSummary,
 }
 
@@ -577,9 +583,11 @@ pub struct SendOutcome {
 /// too. Without a `feedback` source nobody can report, so the session is
 /// the full schedule, once.
 ///
-/// With `telemetry`, the stream, the aggregator and the paths register
-/// their metric families and every control decision lands in the event
-/// log.
+/// The stream, the aggregator and the paths register their metric
+/// families on `telemetry`'s registry (on [`Registry::disabled`] without
+/// one), and every control decision lands in its event log. What the
+/// session computes — the [`SendOutcome`], estimator trajectory included
+/// — is the same either way.
 pub fn send_session<P: PathSink>(
     session: &FluteSender,
     seed: u64,
@@ -613,14 +621,10 @@ pub fn send_session<P: PathSink>(
     let closed_loop = feedback.is_some();
     let mut scheduler = PathScheduler::new(paths.len());
     let mut stream = session.stream(seed);
-    let mut path_metrics = Vec::new();
-    if let Some((registry, _)) = telemetry {
-        stream.attach_telemetry(registry);
-        if closed_loop {
-            agg.attach_telemetry(registry);
-        }
-        path_metrics = PathMetrics::register_all(registry, paths.len());
-    }
+    let registry = telemetry.map_or_else(Registry::disabled, |(registry, _)| registry.clone());
+    stream.attach_telemetry(&registry);
+    agg.attach_telemetry(&registry);
+    let path_metrics = PathMetrics::register_all(&registry, paths.len());
     let publish_shares = |scheduler: &PathScheduler| {
         for (path, m) in path_metrics.iter().enumerate() {
             m.share.set(scheduler.share(path));
@@ -689,7 +693,7 @@ pub fn send_session<P: PathSink>(
                         observations: report.observations(),
                         applied,
                     });
-                    if telemetry.is_none() || !matches!(outcome, AggregateOutcome::Folded { .. }) {
+                    if !matches!(outcome, AggregateOutcome::Folded { .. }) {
                         continue;
                     }
                     if let Some(est) = agg.controller().estimate() {

@@ -112,6 +112,8 @@ fn feedback_and_multipath_compose() {
     world.borrow().members[0].assert_byte_exact();
     assert!(outcome.sent < outcome.summary.full_schedule);
     assert!(outcome.summary.replans > 0);
+    // The estimator trajectory is part of the outcome, telemetry or not.
+    assert!(!outcome.summary.estimator.is_empty());
     let split: Vec<u64> = outcome.paths.iter().map(|p| p.datagrams).collect();
     assert_eq!(split.iter().sum::<u64>(), outcome.sent);
     assert!(
