@@ -2,9 +2,9 @@
 //!
 //! Five source-level lints. Four guard the places this workspace is most
 //! exposed — hand-written SIMD `unsafe` (`fec-gf256`), hand-rolled wire
-//! parsers fed by an adversarial network (`fec-flute`, `fec-distrib`),
-//! lock-free atomics on the hot path (`fec-telemetry`) — and one keeps
-//! its size a decision:
+//! parsers fed by an adversarial network (`fec-flute`, `fec-sim`'s
+//! partial files), lock-free atomics on the hot path (`fec-telemetry`) —
+//! and one keeps its size a decision:
 //!
 //! * [`lints::unsafe_audit`] — every `unsafe` token needs an adjacent
 //!   `SAFETY` justification, `unsafe` is confined to an allowlist of

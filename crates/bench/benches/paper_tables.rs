@@ -8,8 +8,7 @@
 //! "Tables 1–9" row of docs/PAPER_MAP.md §"Figures").
 
 use fec_bench::{banner, compare, output, paper::PaperTable, Scale};
-use fec_distrib::{execute_plan, SweepPlan};
-use fec_sim::{report, Experiment, SweepConfig};
+use fec_sim::{report, Experiment, GridSweep, SweepConfig};
 
 fn selected() -> Vec<usize> {
     match std::env::var("FEC_REPRO_TABLES") {
@@ -41,10 +40,9 @@ fn main() {
             threads: None,
         };
         let experiment = Experiment::new((table.code)(), scale.k, table.ratio, table.tx);
-        // Through the sharded-sweep planner: the same plan document a
-        // multi-host regeneration of this table would distribute.
-        let plan = SweepPlan::new(experiment, config).expect("experiment from a published table");
-        let result = execute_plan(&plan).expect("experiment from a published table");
+        let result = GridSweep::new(experiment, config)
+            .expect("experiment from a published table")
+            .execute();
 
         println!(
             "\n=== {} — {} / {} / ratio {} ===",

@@ -27,9 +27,8 @@ mod scale;
 pub use scale::Scale;
 
 use fec_codec::{registry, CodecHandle};
-use fec_distrib::SweepPlan;
 use fec_sched::TxModel;
-use fec_sim::{report, ExpansionRatio, Experiment, SweepConfig, SweepResult};
+use fec_sim::{report, ExpansionRatio, Experiment, GridSweep, SweepConfig, SweepResult};
 
 /// The paper's three codecs as registry handles, in paper order
 /// (everything the recommenders consider; a registered third-party codec
@@ -38,39 +37,11 @@ pub fn paper_codes() -> Vec<CodecHandle> {
     registry::candidates()
 }
 
-/// Builds the [`SweepPlan`] for a `(code, ratio, tx)` tuple at the given
-/// scale — the same plan document a sharded/multi-host execution of the
-/// figure would distribute.
-///
-/// # Panics
-/// Panics if the experiment is invalid — bench targets are developer tools,
-/// so configuration bugs should abort loudly.
-pub fn sweep_plan(
-    code: &CodecHandle,
-    ratio: ExpansionRatio,
-    tx: TxModel,
-    scale: &Scale,
-    track_total: bool,
-) -> SweepPlan {
-    let experiment = Experiment::new(code.clone(), scale.k, ratio, tx);
-    let config = SweepConfig {
-        runs: scale.runs,
-        grid_p: scale.grid.clone(),
-        grid_q: scale.grid.clone(),
-        seed: scale.seed,
-        matrix_pool: scale.matrix_pool(),
-        track_total,
-        threads: None,
-    };
-    SweepPlan::new(experiment, config).expect("valid experiment")
-}
-
 /// Runs one grid sweep for a `(code, ratio, tx)` tuple at the given scale.
 ///
-/// Routed through the sharded-sweep planner ([`fec_distrib::execute_plan`])
-/// so every figure and ablation bench produces output byte-identical to a
-/// sharded execution of [`sweep_plan`]'s document — a bench grid can be
-/// farmed out as `fec-broadcast sweep --shard i/n` runs and merged
+/// [`GridSweep::execute`] folds the default unit slicing, so the output is
+/// byte-identical to a sharded execution of the same sweep — a bench grid
+/// can be farmed out as `fec-broadcast sweep --shard i/n` runs and merged
 /// without invalidating previously published `results/`.
 ///
 /// # Panics
@@ -83,8 +54,19 @@ pub fn sweep(
     scale: &Scale,
     track_total: bool,
 ) -> SweepResult {
-    fec_distrib::execute_plan(&sweep_plan(code, ratio, tx, scale, track_total))
+    let experiment = Experiment::new(code.clone(), scale.k, ratio, tx);
+    let config = SweepConfig {
+        runs: scale.runs,
+        grid_p: scale.grid.clone(),
+        grid_q: scale.grid.clone(),
+        seed: scale.seed,
+        matrix_pool: scale.matrix_pool(),
+        track_total,
+        threads: None,
+    };
+    GridSweep::new(experiment, config)
         .expect("valid experiment")
+        .execute()
 }
 
 /// One `(code, ratio)` cell of a figure's sweep matrix.

@@ -19,7 +19,9 @@
 //! Parallelism follows the workspace guides: scoped threads (structured
 //! concurrency, panics propagate) pulling from one work queue
 //! ([`GridSweep::execute_streamed`]); no async runtime, because this is
-//! pure CPU-bound work.
+//! pure CPU-bound work. Past one host, a [`SweepPlan`] is cut into
+//! [`Shard`]s whose partial files a [`StreamingMerge`] folds back into
+//! the single-process result, byte for byte.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,11 +29,15 @@
 pub mod report;
 mod run;
 mod seed;
+mod shard;
 mod spec;
 mod sweep;
 
 pub use run::{RunResult, Runner};
 pub use seed::mix_seed;
+pub use shard::{
+    merge_paths, PartialFile, PartialHeader, Shard, StreamingMerge, SweepPlan, UnitResult,
+};
 pub use spec::{CodecHandle, ExpansionRatio, SimError};
 pub use sweep::{
     finalize_cells, CellAccum, CellStats, GridSweep, SweepConfig, SweepResult, WorkUnit,

@@ -7,7 +7,7 @@ use core::fmt;
 
 pub use fec_codec::{CodecHandle, ExpansionRatio};
 
-/// Errors from experiment validation.
+/// Errors from experiment validation and multi-host sweeps.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum SimError {
@@ -16,12 +16,19 @@ pub enum SimError {
         /// Human-readable reason.
         reason: String,
     },
+    /// A shard spec, partial file or unit result the multi-host pipeline
+    /// refuses.
+    Shard {
+        /// The whole message: what is wrong, in which file and unit.
+        detail: String,
+    },
 }
 
 impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SimError::BadExperiment { reason } => write!(f, "invalid experiment: {reason}"),
+            SimError::Shard { detail } => f.write_str(detail),
         }
     }
 }

@@ -14,8 +14,9 @@
 //!    public [`CellStats`] ([`finalize_cells`]).
 //!
 //! [`GridSweep::execute`] is the degenerate single-process path over that
-//! pipeline; the `fec-distrib` crate drives the same three stages across
-//! shards and hosts and merges byte-identical results.
+//! pipeline; a [`Shard`](crate::Shard) runs the same three stages on one
+//! slice per host, and [`StreamingMerge`](crate::StreamingMerge) folds the
+//! slices into byte-identical results.
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -106,23 +107,34 @@ impl SweepConfig {
     /// given the same configuration and `runs_per_unit` agree on every
     /// unit's id, cell, run range and (via [`mix_seed`]) random stream.
     pub fn units(&self, runs_per_unit: u32) -> Vec<WorkUnit> {
+        (0..=u32::MAX)
+            .map_while(|unit_id| self.unit(unit_id, runs_per_unit))
+            .collect()
+    }
+
+    /// How many units [`SweepConfig::units`] enumerates, without
+    /// enumerating them.
+    pub fn unit_count(&self, runs_per_unit: u32) -> u64 {
+        let slices_per_cell = self.runs.div_ceil(runs_per_unit.max(1));
+        (self.cell_count() as u64).saturating_mul(u64::from(slices_per_cell))
+    }
+
+    /// Unit `unit_id` of [`SweepConfig::units`], computed from its id
+    /// alone; `None` past the last unit.
+    pub fn unit(&self, unit_id: u32, runs_per_unit: u32) -> Option<WorkUnit> {
         let per_unit = runs_per_unit.max(1);
         let slices_per_cell = self.runs.div_ceil(per_unit);
-        let mut units = Vec::with_capacity(self.cell_count() * slices_per_cell as usize);
-        for cell_idx in 0..self.cell_count() as u32 {
-            let mut run_start = 0;
-            while run_start < self.runs {
-                let run_len = per_unit.min(self.runs - run_start);
-                units.push(WorkUnit {
-                    unit_id: units.len() as u32,
-                    cell_idx,
-                    run_start,
-                    run_len,
-                });
-                run_start += run_len;
-            }
+        let cell_idx = unit_id.checked_div(slices_per_cell)?;
+        if cell_idx as usize >= self.cell_count() {
+            return None;
         }
-        units
+        let run_start = unit_id % slices_per_cell * per_unit;
+        Some(WorkUnit {
+            unit_id,
+            cell_idx,
+            run_start,
+            run_len: per_unit.min(self.runs - run_start),
+        })
     }
 }
 
@@ -291,8 +303,10 @@ fn merge_extreme(a: Option<f64>, b: Option<f64>, pick: fn(f64, f64) -> f64) -> O
 ///
 /// # Panics
 /// Panics if a cell's accumulated run count differs from `config.runs`
-/// (an incomplete or duplicated shard set; `fec-distrib` checks
+/// (an incomplete or duplicated shard set; [`StreamingMerge`] checks
 /// completeness before calling).
+///
+/// [`StreamingMerge`]: crate::StreamingMerge
 pub fn finalize_cells(config: &SweepConfig, accums: &[CellAccum]) -> Vec<CellStats> {
     let mut cells = Vec::with_capacity(config.cell_count());
     let mut it = accums.iter().peekable();
@@ -716,9 +730,12 @@ mod tests {
         let units = cfg.units(4);
         // 4 cells × ceil(10/4)=3 slices.
         assert_eq!(units.len(), 12);
+        assert_eq!(cfg.unit_count(4), 12);
         for (i, u) in units.iter().enumerate() {
             assert_eq!(u.unit_id as usize, i);
+            assert_eq!(cfg.unit(u.unit_id, 4), Some(*u));
         }
+        assert_eq!(cfg.unit(12, 4), None);
         // Per-cell slices are [0..4), [4..8), [8..10).
         let cell0: Vec<(u32, u32)> = units
             .iter()

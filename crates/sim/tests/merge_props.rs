@@ -1,5 +1,5 @@
 //! Merge-algebra properties: any partition of a plan's units, with the
-//! partials and their unit lists in any order, must merge into a
+//! partitions and their unit lists in any order, must merge into a
 //! `SweepResult` whose JSON serialization is byte-identical to the
 //! single-process run of the same plan — plus the numeric-stability check
 //! for the Welford `std_inefficiency` path.
@@ -7,48 +7,73 @@
 use std::sync::OnceLock;
 
 use fec_codec::builtin;
-use fec_distrib::{
-    execute_plan, from_partials, run_shard, DistribError, PartialSweep, ShardSpec, SweepPlan,
+use fec_sim::{
+    finalize_cells, merge_paths, mix_seed, CellAccum, ExpansionRatio, Experiment, GridSweep,
+    PartialFile, PartialHeader, SimError, StreamingMerge, SweepConfig, SweepPlan, SweepResult,
     UnitResult,
 };
-use fec_sim::{CellAccum, ExpansionRatio, Experiment, SweepConfig};
 use proptest::prelude::*;
-use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 
 const GROUPS: usize = 5;
 
 /// The shared fixture: a small but non-trivial plan (4 cells × 3 units
 /// per cell, with failures in the hopeless cell), its per-unit results,
-/// and the single-process reference JSON.
+/// and the single-process reference JSON (the canonical fold, without the
+/// merge).
 fn reference() -> &'static (SweepPlan, Vec<UnitResult>, String) {
     static REFERENCE: OnceLock<(SweepPlan, Vec<UnitResult>, String)> = OnceLock::new();
     REFERENCE.get_or_init(|| {
-        let plan = SweepPlan::new(
-            Experiment::new(
-                builtin::ldgm_staircase(),
-                150,
-                ExpansionRatio::R2_5,
-                fec_sched::TxModel::Random,
-            ),
-            SweepConfig {
-                runs: 6,
-                grid_p: vec![0.0, 0.9],
-                grid_q: vec![0.1, 0.8],
-                seed: 0x00D1_571B,
-                matrix_pool: 2,
-                track_total: true,
-                threads: Some(2),
-            },
-        )
-        .unwrap()
-        .with_runs_per_unit(2);
-        let all = run_shard(&plan, &ShardSpec::all()).unwrap();
-        let expected =
-            serde_json::to_string(&execute_plan(&plan).unwrap()).expect("result serializes");
-        (plan, all.units, expected)
+        let plan = SweepPlan {
+            runs_per_unit: 2,
+            ..SweepPlan::new(
+                Experiment::new(
+                    builtin::ldgm_staircase(),
+                    150,
+                    ExpansionRatio::R2_5,
+                    fec_sched::TxModel::Random,
+                ),
+                SweepConfig {
+                    runs: 6,
+                    grid_p: vec![0.0, 0.9],
+                    grid_q: vec![0.1, 0.8],
+                    seed: 0x00D1_571B,
+                    matrix_pool: 2,
+                    track_total: true,
+                    threads: Some(2),
+                },
+            )
+        };
+        let sweep = GridSweep::new(plan.experiment.clone(), plan.config.clone()).unwrap();
+        let units = plan.units();
+        let accums = sweep.execute_units(&units);
+        let single = SweepResult {
+            experiment: plan.experiment.clone(),
+            config: plan.config.clone(),
+            cells: finalize_cells(&plan.config, &accums),
+        };
+        let expected = serde_json::to_string(&single).expect("result serializes");
+        let all = units
+            .iter()
+            .zip(accums)
+            .map(|(u, accum)| UnitResult {
+                unit_id: u.unit_id,
+                accum,
+            })
+            .collect();
+        (plan, all, expected)
     })
+}
+
+/// Folds `units` into a merge of `plan`, in the order given.
+fn merge_all(
+    plan: &SweepPlan,
+    units: impl IntoIterator<Item = UnitResult>,
+) -> Result<SweepResult, SimError> {
+    let mut merge = StreamingMerge::new(plan.clone());
+    for unit in units {
+        merge.fold_unit(unit)?;
+    }
+    merge.finish()
 }
 
 proptest! {
@@ -59,23 +84,18 @@ proptest! {
     ) {
         let (plan, units, expected) = reference();
         prop_assert_eq!(units.len(), assignment.len(), "fixture has 12 units");
-        let mut groups: Vec<Vec<UnitResult>> = vec![Vec::new(); GROUPS];
+        let mut groups: Vec<(usize, Vec<UnitResult>)> =
+            (0..GROUPS).map(|g| (g, Vec::new())).collect();
         for (unit, &g) in units.iter().zip(&assignment) {
-            groups[g].push(unit.clone());
+            groups[g].1.push(unit.clone());
         }
-        let fingerprint = plan.fingerprint();
-        let mut partials: Vec<PartialSweep> = groups
-            .into_iter()
-            .filter(|g| !g.is_empty())
-            .map(|units| PartialSweep { fingerprint, units })
-            .collect();
-        // Arbitrary arrival order, inside and across partials.
-        let mut rng = SmallRng::seed_from_u64(order_seed);
-        partials.shuffle(&mut rng);
-        for partial in &mut partials {
-            partial.units.shuffle(&mut rng);
+        // Arbitrary arrival order, inside and across partitions.
+        let shuffled = |tag: u64, i: u64| mix_seed(order_seed, &[tag, i]);
+        groups.sort_by_key(|(g, _)| shuffled(0, *g as u64));
+        for (_, group) in &mut groups {
+            group.sort_by_key(|u| shuffled(1, u64::from(u.unit_id)));
         }
-        let merged = from_partials(plan, &partials).unwrap();
+        let merged = merge_all(plan, groups.into_iter().flat_map(|(_, group)| group)).unwrap();
         let json = serde_json::to_string(&merged).expect("result serializes");
         prop_assert_eq!(&json, expected);
     }
@@ -84,50 +104,59 @@ proptest! {
 #[test]
 fn incomplete_and_conflicting_sets_are_rejected() {
     let (plan, units, _) = reference();
-    let fingerprint = plan.fingerprint();
+    let rejection = |units: Vec<UnitResult>| merge_all(plan, units).unwrap_err().to_string();
 
     // Missing units.
-    let partial = PartialSweep {
-        fingerprint,
-        units: units[..units.len() - 2].to_vec(),
-    };
-    match from_partials(plan, &[partial]) {
-        Err(DistribError::Incomplete { missing_count, .. }) => assert_eq!(missing_count, 2),
-        other => panic!("expected Incomplete, got {other:?}"),
-    }
+    let err = rejection(units[..units.len() - 2].to_vec());
+    assert!(
+        err.contains("incomplete: 2 unit(s) missing (first: [10, 11])"),
+        "{err}"
+    );
 
     // Identical duplicates are idempotent (a rerun shard).
-    let everything = PartialSweep {
-        fingerprint,
-        units: units.clone(),
-    };
-    let first_again = PartialSweep {
-        fingerprint,
-        units: vec![units[0].clone()],
-    };
-    assert!(from_partials(plan, &[everything.clone(), first_again]).is_ok());
+    assert!(merge_all(plan, units.iter().chain(&units[..1]).cloned()).is_ok());
 
     // Conflicting duplicates are not.
     let mut forged = units[0].clone();
     forged.accum.received_sum += 1.0;
-    let conflict = PartialSweep {
-        fingerprint,
-        units: vec![forged],
-    };
-    assert!(matches!(
-        from_partials(plan, &[everything, conflict]),
-        Err(DistribError::Protocol { .. })
-    ));
+    let err = rejection(units.iter().cloned().chain([forged]).collect());
+    assert!(
+        err.contains("unit 0 was reported twice with conflicting results"),
+        "{err}"
+    );
 
-    // Foreign fingerprints never merge.
-    let foreign = PartialSweep {
-        fingerprint: fingerprint ^ 1,
+    // Nor is a unit the plan does not have, or one with more failures
+    // than runs.
+    let mut stray = units[0].clone();
+    stray.unit_id = 12;
+    let err = rejection(vec![stray]);
+    assert!(
+        err.contains("unit 12 is not in the plan (12 units)"),
+        "{err}"
+    );
+    let mut impossible = units[0].clone();
+    impossible.accum.failures = impossible.accum.runs + 1;
+    let err = rejection(vec![impossible]);
+    assert!(
+        err.contains("unit 0 accumulator reports 3 failure(s) in 2 run(s)"),
+        "{err}"
+    );
+
+    // Foreign plans never merge.
+    let mut foreign_plan = plan.clone();
+    foreign_plan.config.seed ^= 1;
+    let foreign = PartialFile {
+        plan: foreign_plan,
         units: units.clone(),
     };
-    assert!(matches!(
-        from_partials(plan, &[foreign]),
-        Err(DistribError::PlanMismatch { .. })
-    ));
+    let err = StreamingMerge::new(plan.clone())
+        .fold_reader("foreign.json", foreign.to_jsonl().unwrap().as_bytes())
+        .unwrap_err()
+        .to_string();
+    assert!(
+        err.contains("foreign.json was produced by a different plan"),
+        "{err}"
+    );
 }
 
 /// A `fec-partial/1` file written by an earlier build (LDGM Triangle,
@@ -138,14 +167,12 @@ const GOLDEN_PARTIAL: &str = r#"{"format":"fec-partial/1","plan":{"experiment":{
 const GOLDEN_RESULT: &str = r#"{"experiment":{"code":"LdgmTriangle","k":60,"ratio":"R1_5","tx":"Random","channel":{"p":0,"q":1}},"config":{"runs":3,"grid_p":[0.1],"grid_q":[0.5],"seed":7,"matrix_pool":1,"track_total":true,"threads":1},"cells":[{"p":0.1,"q":0.5,"runs":3,"failures":0,"mean_inefficiency":1.0888888888888888,"mean_inefficiency_unmasked":1.0888888888888888,"min_inefficiency":1.05,"max_inefficiency":1.1666666666666667,"std_inefficiency":0.06735753140545632,"mean_received_ratio":1.3333333333333333}]}"#;
 
 /// The streamed merge (JSONL partial files folded line-by-line) must be
-/// byte-identical to the in-memory merge and to the single-process run
-/// for every file the format admits — freshly written, written by an
-/// earlier build, led by a blank line — with every rejection path intact,
-/// and anything that is not `fec-partial/1` JSONL turned away by name.
+/// byte-identical to the single-process run for every file the format
+/// admits — freshly written, written by an earlier build, led by a blank
+/// line — with every rejection path intact, and anything that is not
+/// `fec-partial/1` JSONL turned away by name.
 #[test]
 fn streamed_jsonl_merge_is_byte_identical_across_formats() {
-    use fec_distrib::{merge_paths, PartialFile, StreamingMerge};
-
     let (plan, units, expected) = reference();
     let dir = std::env::temp_dir().join(format!("fec-merge-stream-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -183,10 +210,12 @@ fn streamed_jsonl_merge_is_byte_identical_across_formats() {
     assert_eq!(folded2, folded);
     assert_eq!(&serde_json::to_string(&merged2).unwrap(), expected);
 
-    // Round-trip through from_text agrees.
-    for path in &paths {
-        let file = PartialFile::from_text(&std::fs::read_to_string(path).unwrap()).unwrap();
-        assert_eq!(file.plan.fingerprint(), plan.fingerprint());
+    // Every file carries the plan: each folds, alone, into a merge of it.
+    for (path, shard) in paths.iter().zip(shards) {
+        let text = std::fs::read_to_string(path).unwrap();
+        let mut merge = StreamingMerge::new(plan.clone());
+        let folded = merge.fold_reader("p.json", text.as_bytes()).unwrap();
+        assert_eq!(folded as usize, shard.len());
     }
 
     // A file an earlier build wrote still merges, to the result that
@@ -196,26 +225,20 @@ fn streamed_jsonl_merge_is_byte_identical_across_formats() {
     let (golden, golden_folded) = merge_paths(std::slice::from_ref(&golden_path)).unwrap();
     assert_eq!(golden_folded, 1);
     assert_eq!(serde_json::to_string(&golden).unwrap(), GOLDEN_RESULT);
-    let golden_plan = PartialFile::from_text(GOLDEN_PARTIAL).unwrap().plan;
-    let rerun = execute_plan(&golden_plan).unwrap();
+    let header = GOLDEN_PARTIAL.lines().next().unwrap();
+    let golden_plan = serde_json::from_str::<PartialHeader>(header).unwrap().plan;
+    let rerun = GridSweep::new(golden_plan.experiment, golden_plan.config)
+        .unwrap()
+        .execute();
     assert_eq!(serde_json::to_string(&rerun).unwrap(), GOLDEN_RESULT);
 
-    // Incremental API: folding unit-by-unit matches too, and missing
-    // units are reported before finish.
-    let mut stream = StreamingMerge::new(plan.clone());
-    assert_eq!(stream.missing(), units.len());
-    for ur in units {
-        stream.fold_unit(ur).unwrap();
-    }
-    assert_eq!(stream.missing(), 0);
-    let incremental = stream.finish().unwrap();
+    // Unit by unit in canonical order matches too.
+    let incremental = merge_all(plan, units.iter().cloned()).unwrap();
     assert_eq!(&serde_json::to_string(&incremental).unwrap(), expected);
 
     // An incomplete streamed merge still fails loudly.
-    assert!(matches!(
-        merge_paths(&paths[..1]).map(|_| ()),
-        Err(DistribError::Incomplete { .. })
-    ));
+    let err = merge_paths(&paths[..1]).unwrap_err().to_string();
+    assert!(err.contains("incomplete"), "{err}");
 
     // A foreign-plan JSONL file is rejected by fingerprint.
     let mut foreign_plan = plan.clone();
@@ -250,7 +273,7 @@ fn streamed_jsonl_merge_is_byte_identical_across_formats() {
     // the format it should have had.
     let single_document = format!(
         "{{\"plan\":{},\"units\":{}}}",
-        plan.to_json().unwrap(),
+        serde_json::to_string(plan).unwrap(),
         serde_json::to_string(&shards[1].to_vec()).unwrap()
     );
     let legacy_path = dir.join("legacy.json");
@@ -266,7 +289,9 @@ fn streamed_jsonl_merge_is_byte_identical_across_formats() {
             "{err}"
         );
     }
-    let err = PartialFile::from_text(&single_document).unwrap_err();
+    let err = StreamingMerge::new(plan.clone())
+        .fold_reader("legacy.json", single_document.as_bytes())
+        .unwrap_err();
     assert!(err.to_string().contains("not a fec-partial/1 partial file"));
 
     std::fs::remove_dir_all(&dir).ok();

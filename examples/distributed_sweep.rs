@@ -8,9 +8,8 @@
 //! ```
 
 use fec_broadcast::codec::builtin;
-use fec_broadcast::distrib::{execute_plan, from_partials, run_shard, ShardSpec, SweepPlan};
 use fec_broadcast::prelude::*;
-use fec_broadcast::sim::report;
+use fec_broadcast::sim::{report, Shard, StreamingMerge, SweepPlan, UnitResult};
 
 fn main() {
     // 1. Plan: freeze the experiment, grid, seed and unit decomposition.
@@ -25,32 +24,36 @@ fn main() {
         seed: 0xFEC,
         ..SweepConfig::quick(12)
     };
-    let plan = SweepPlan::new(experiment, config).expect("valid plan");
+    let plan = SweepPlan::new(experiment, config);
     println!(
         "plan: {} cells x {} runs = {} work units (fingerprint {:#018x})",
         plan.config.cell_count(),
         plan.config.runs,
-        plan.unit_count(),
+        plan.units().len(),
         plan.fingerprint()
     );
 
     // 2+3. Shard and execute: three complementary round-robin shards,
     // exactly what three hosts given `--shard i/3` would each compute.
-    let partials: Vec<_> = (0..3)
-        .map(|index| {
-            let shard = ShardSpec::RoundRobin { index, count: 3 };
-            let partial = run_shard(&plan, &shard).expect("shard executes");
-            println!("shard {shard}: {} units", partial.units.len());
-            partial
-        })
-        .collect();
-
-    // 4. Merge, with completeness checking.
-    let merged = from_partials(&plan, &partials).expect("complete set");
+    let sweep = GridSweep::new(plan.experiment.clone(), plan.config.clone()).expect("valid plan");
+    let mut merge = StreamingMerge::new(plan.clone());
+    for index in 0..3 {
+        let shard = Shard { index, count: 3 };
+        let units = shard.select(&plan.units());
+        println!("shard {shard}: {} units", units.len());
+        // 4. Merge, with completeness checking, as each unit arrives.
+        for (unit, accum) in units.iter().zip(sweep.execute_units(&units)) {
+            let unit_id = unit.unit_id;
+            merge
+                .fold_unit(UnitResult { unit_id, accum })
+                .expect("plan unit");
+        }
+    }
+    let merged = merge.finish().expect("complete set");
     println!("\n{}", report::paper_table(&merged));
 
     // The whole point: identical bytes to the single-process run.
-    let single = execute_plan(&plan).expect("plan executes");
+    let single = sweep.execute();
     let merged_json = serde_json::to_string(&merged).unwrap();
     let single_json = serde_json::to_string(&single).unwrap();
     assert_eq!(merged_json, single_json);

@@ -16,11 +16,12 @@ use fec_broadcast::channel::analysis::FeasibilityLimit;
 use fec_broadcast::channel::grid::GridKind::{Coarse, Paper};
 use fec_broadcast::channel::LinkEmulator;
 use fec_broadcast::codec::registry;
-use fec_broadcast::distrib;
 use fec_broadcast::flute::feedback::{ReportConfig, MAX_PATH_TRACKS};
 use fec_broadcast::live;
 use fec_broadcast::prelude::*;
-use fec_broadcast::sim::report;
+use fec_broadcast::sim::{
+    merge_paths, report, PartialFile, Shard, SimError, StreamingMerge, SweepPlan, UnitResult,
+};
 use fec_broadcast::wire::{Backend, BatchReceiver, BatchSender, BufferPool, Pacer, MAX_BURST};
 
 /// Every `println!` below is this one: a closed stdout (`sweep … | head`)
@@ -567,7 +568,7 @@ struct SweepArgs {
     description: String,
     out: Option<String>,
     /// `--shard i/n --emit-partial`: run that slice, save its partial.
-    shard: Option<ShardSpec>,
+    shard: Option<Shard>,
     telemetry: TelemetryArgs,
 }
 
@@ -575,7 +576,7 @@ impl SweepArgs {
     fn parse(a: &mut Args) -> Result<SweepArgs, String> {
         let (code, tx, ratio) = (a.code()?, a.tx()?, a.ratio()?);
         let k: usize = a.int("k", "<k>", POSITIVE)?.unwrap_or(2000);
-        let runs = a.int("runs", "<n>", ANY)?.unwrap_or(20);
+        let runs = a.int("runs", "<n>", POSITIVE)?.unwrap_or(20);
         let coarse = a.switch("coarse")?;
         let seed = a.int("seed", "<n>", ANY)?;
         let out = a.value("out", "<file>")?;
@@ -590,7 +591,7 @@ impl SweepArgs {
                 "--shard requires --emit-partial (save the slice, `merge` it later)".into(),
             );
         }
-        let shard = shard.map(|spec| ShardSpec::parse(&spec).map_err(|e| e.to_string()));
+        let shard = shard.map(|spec| Shard::parse(&spec).map_err(|e| e.to_string()));
         let codes = registered_names();
         let code = code.ok_or(format!("--code is required (one of: {codes})"))?;
         let tx = tx.ok_or("--tx is required (1..6)")?;
@@ -608,9 +609,8 @@ impl SweepArgs {
             seed: seed.unwrap_or(SweepConfig::default().seed),
             ..SweepConfig::default()
         };
-        let plan = SweepPlan::new(Experiment::new(code, k, ratio, tx), config);
         Ok(SweepArgs {
-            plan: plan.map_err(|e| e.to_string())?,
+            plan: SweepPlan::new(Experiment::new(code, k, ratio, tx), config),
             description,
             out,
             shard: shard.transpose()?,
@@ -650,16 +650,20 @@ fn cmd_sweep(args: SweepArgs) -> Result<(), String> {
     let (plan, description) = (args.plan, args.description);
 
     // Multi-host path: run one round-robin shard and save its partial.
-    if let Some(shard) = &args.shard {
+    if let Some(shard) = args.shard {
         eprintln!("sweeping shard {shard} of {description}…");
-        let partial = distrib::run_shard(&plan, shard).map_err(|e| e.to_string())?;
-        let what = format!("partial result ({} work units)", partial.units.len());
-        let file = PartialFile {
-            plan,
-            units: partial.units,
-        };
+        let sweep = GridSweep::new(plan.experiment.clone(), plan.config.clone());
+        let units = shard.select(&plan.units());
+        let accums = sweep.map_err(|e| e.to_string())?.execute_units(&units);
+        let what = format!("partial result ({} work units)", units.len());
+        let units = units.iter().zip(accums).map(|(u, accum)| {
+            let unit_id = u.unit_id;
+            UnitResult { unit_id, accum }
+        });
         // JSONL (header line + one unit per line) so `merge` can fold the
-        // file unit-by-unit in constant memory.
+        // file unit by unit.
+        let units = units.collect();
+        let file = PartialFile { plan, units };
         let jsonl = file.to_jsonl().map_err(|e| e.to_string())?;
         return write_or_print(args.out, jsonl.trim_end(), &what);
     }
@@ -667,9 +671,10 @@ fn cmd_sweep(args: SweepArgs) -> Result<(), String> {
     let mut telemetry = Telemetry::open(&args.telemetry)?;
     println!("sweeping {description}…\n");
     let result = execute_observed(&plan, &telemetry.registry).map_err(|e| e.to_string())?;
+    let units = plan.config.unit_count(plan.runs_per_unit);
     telemetry.record(Event::SweepProgress {
-        units_done: plan.unit_count() as u64,
-        units_total: plan.unit_count() as u64,
+        units_done: units,
+        units_total: units,
     });
     telemetry.drain()?;
     report_sweep(&result, args.out, "sweep result")
@@ -679,22 +684,19 @@ fn cmd_sweep(args: SweepArgs) -> Result<(), String> {
 /// accumulator into the merge as it completes and counting it into
 /// `registry`, so a mid-run scrape shows live progress
 /// (`fec_sweep_units_total` climbing to `fec_sweep_units_planned`).
-fn execute_observed(
-    plan: &SweepPlan,
-    registry: &Registry,
-) -> Result<SweepResult, distrib::DistribError> {
-    let sweep = plan.prepare()?;
+fn execute_observed(plan: &SweepPlan, registry: &Registry) -> Result<SweepResult, SimError> {
+    let sweep = GridSweep::new(plan.experiment.clone(), plan.config.clone())?;
     let units = plan.units();
     let planned = registry.gauge("fec_sweep_units_planned", "Work units in the plan.");
     planned.set(units.len() as f64);
     let done = registry.counter("fec_sweep_units_total", "Work units executed so far.");
     let cores = || std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let threads = plan.config.threads.unwrap_or_else(cores);
-    let mut merge = distrib::StreamingMerge::new(plan.clone());
+    let mut merge = StreamingMerge::new(plan.clone());
     let (_, folded) = sweep.execute_streamed(&units, threads, |i, accum| {
         done.inc();
         let unit_id = units[i].unit_id;
-        merge.fold_unit(&distrib::UnitResult { unit_id, accum })
+        merge.fold_unit(UnitResult { unit_id, accum })
     });
     folded?;
     merge.finish()
@@ -716,7 +718,7 @@ fn cmd_merge((files, out): (Vec<String>, Option<String>)) -> Result<(), String> 
     // Streamed merge: each file folds into the plan's slot table one JSONL
     // unit line at a time, so multi-host merges at paper scale never load
     // a whole partial file into memory.
-    let (result, total_units) = distrib::merge_paths(&files).map_err(|e| e.to_string())?;
+    let (result, total_units) = merge_paths(&files).map_err(|e| e.to_string())?;
     eprintln!(
         "merged {} partial file(s) covering {total_units} work units\n",
         files.len()
@@ -1353,11 +1355,9 @@ mod tests {
                 threads: Some(2),
                 ..SweepConfig::default()
             },
-        )
-        .unwrap()
-        .with_runs_per_unit(2);
-        let planned = plan.unit_count();
-        assert_eq!(planned, 320);
+        );
+        let planned = plan.units().len();
+        assert_eq!(planned, 32);
 
         let metrics = Registry::new();
         let units_planned = metrics.gauge("fec_sweep_units_planned", "");
@@ -1396,9 +1396,10 @@ mod tests {
                 .any(|&(gauge, done)| gauge == planned as f64 && done > 0 && done < planned as u64),
             "no scrape saw the sweep under way: {samples:?}"
         );
+        let library = GridSweep::new(plan.experiment, plan.config).unwrap();
         assert_eq!(
             serde_json::to_string(&result).unwrap(),
-            serde_json::to_string(&distrib::execute_plan(&plan).unwrap()).unwrap()
+            serde_json::to_string(&library.execute()).unwrap()
         );
     }
 }

@@ -37,7 +37,6 @@ pub use fec_adapt as adapt;
 pub use fec_channel as channel;
 pub use fec_codec as codec;
 pub use fec_core as core;
-pub use fec_distrib as distrib;
 pub use fec_flute as flute;
 pub use fec_gf256 as gf256;
 pub use fec_ldgm as ldgm;
@@ -61,7 +60,6 @@ pub mod prelude {
         recommend, ChannelKnowledge, CodeSpec, MeasuredSelector, Packet, Receiver, Recommendation,
         Sender, TransmissionPlan,
     };
-    pub use fec_distrib::{PartialFile, PartialSweep, ShardSpec, SweepPlan};
     pub use fec_flute::{FluteReceiver, FluteSender, ObjectStatus, ReceiverEvent, SenderConfig};
     pub use fec_sched::{Layout, PacketRef, RxModel, TxModel};
     pub use fec_sim::{ExpansionRatio, Experiment, GridSweep, Runner, SweepConfig, SweepResult};

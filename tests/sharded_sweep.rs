@@ -1,13 +1,14 @@
 //! End-to-end acceptance for the sharded sweep engine: the same plan run
 //! single-process, via `--shard i/n --emit-partial` + `merge`, and through
-//! the library's `run_shard` / `from_partials` must all produce
-//! byte-identical merged JSON.
+//! the library's `Shard` / `StreamingMerge` must all produce
+//! byte-identical merged JSON — and `merge` must survive what a partial
+//! file claims.
 
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
 
-use fec_broadcast::distrib::{self, PartialFile, SweepPlan};
 use fec_broadcast::prelude::*;
+use fec_broadcast::sim::{PartialHeader, Shard, StreamingMerge, SweepPlan, UnitResult};
 
 const SWEEP_ARGS: &[&str] = &[
     "sweep", "--code", "rse", "--tx", "4", "--ratio", "2.5", "--k", "300", "--runs", "4",
@@ -48,7 +49,7 @@ fn cli_plan() -> SweepPlan {
         seed: 1234,
         ..SweepConfig::default()
     };
-    SweepPlan::new(experiment, config).unwrap()
+    SweepPlan::new(experiment, config)
 }
 
 #[test]
@@ -87,10 +88,16 @@ fn all_execution_strategies_are_byte_identical() {
 
     // 3. The same shards through the library.
     let plan = cli_plan();
-    let partials: Vec<_> = (0..3)
-        .map(|index| distrib::run_shard(&plan, &ShardSpec::RoundRobin { index, count: 3 }).unwrap())
-        .collect();
-    let via_library = distrib::from_partials(&plan, &partials).unwrap();
+    let sweep = GridSweep::new(plan.experiment.clone(), plan.config.clone()).unwrap();
+    let mut merge = StreamingMerge::new(plan.clone());
+    for index in 0..3 {
+        let units = Shard { index, count: 3 }.select(&plan.units());
+        for (u, accum) in units.iter().zip(sweep.execute_units(&units)) {
+            let unit_id = u.unit_id;
+            merge.fold_unit(UnitResult { unit_id, accum }).unwrap();
+        }
+    }
+    let via_library = merge.finish().unwrap();
     assert_eq!(
         String::from_utf8(reference.clone()).unwrap(),
         serde_json::to_string(&via_library).unwrap(),
@@ -99,8 +106,8 @@ fn all_execution_strategies_are_byte_identical() {
 
     // The CLI plan is the library plan: a partial file from disk carries
     // the same fingerprint.
-    let from_disk =
-        PartialFile::from_text(&std::fs::read_to_string(&partial_paths[0]).unwrap()).unwrap();
+    let text = std::fs::read_to_string(&partial_paths[0]).unwrap();
+    let from_disk: PartialHeader = serde_json::from_str(text.lines().next().unwrap()).unwrap();
     assert_eq!(from_disk.plan.fingerprint(), plan.fingerprint());
 
     std::fs::remove_dir_all(&dir).ok();
@@ -166,6 +173,25 @@ fn merge_rejects_incomplete_and_mismatched_sets() {
         .expect("binary runs");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--emit-partial"));
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A partial file is untrusted: a header that claims 2^32 − 1 one-run
+/// units in each of the paper's 196 cells (13 TB of unit table if taken at
+/// its word) and carries none is an incomplete set, reported as one.
+#[test]
+fn merge_memory_follows_the_lines_read_not_the_header() {
+    let dir = tmp_dir("claims");
+    let path = dir.join("huge.json");
+    let header = r#"{"format":"fec-partial/1","plan":{"experiment":{"code":"LdgmStaircase","k":2000,"ratio":"R2_5","tx":"Random","channel":{"p":0,"q":1}},"config":{"runs":4294967295,"grid_p":GRID,"grid_q":GRID,"seed":42,"matrix_pool":4,"track_total":false,"threads":null},"runs_per_unit":1}}"#
+        .replace("GRID", "[0,0.01,0.05,0.1,0.15,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1]");
+    std::fs::write(&path, header).unwrap();
+
+    let out = bin().arg("merge").arg(&path).output().expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("incomplete"), "{stderr}");
 
     std::fs::remove_dir_all(&dir).ok();
 }
