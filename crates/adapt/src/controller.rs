@@ -3,9 +3,9 @@
 //! Closing the loop naively — re-run the §6.1 recommender on every fresh
 //! estimate and deploy whatever comes out — thrashes: near a decision
 //! boundary (say `p_global ≈ 5%`), estimation noise flips the chosen tuple
-//! every few objects, and every flip costs a re-encode and an out-of-band
-//! `CodeSpec` update to every receiver. Every closed loop drives the
-//! controller through the same three calls —
+//! every few objects, and every flip costs a re-encode and a new FDT
+//! instance to every receiver. The closed loop drives the controller
+//! through three calls —
 //! [`observe_runs`](AdaptiveController::observe_runs) →
 //! [`replan`](AdaptiveController::replan) →
 //! [`record_outcome`](AdaptiveController::record_outcome) — and each
@@ -23,9 +23,10 @@
 //!    margin.
 
 use fec_channel::GilbertParams;
-use fec_core::{recommend, recommend_known, ChannelKnowledge, TransmissionPlan};
+use fec_core::{
+    recommend, recommend_known, ChannelKnowledge, CodecHandle, ExpansionRatio, TransmissionPlan,
+};
 use fec_sched::TxModel;
-use fec_sim::{CodecHandle, ExpansionRatio};
 use serde::{Deserialize, Serialize};
 
 use crate::estimate::{ChannelEstimate, OnlineGilbertEstimator};
@@ -337,7 +338,7 @@ impl AdaptiveController {
         plan.is_sufficient().then_some(plan)
     }
 
-    /// The one re-plan call every closed loop drives between feedback
+    /// The one re-plan call the closed loop drives between feedback
     /// rounds: reconsider the tuple against the current estimate (with
     /// dead-band hysteresis), then plan the `k`-packet object in flight
     /// under whatever decision is now active. A `plan` of `None` means
@@ -357,8 +358,9 @@ impl AdaptiveController {
 pub struct Replan {
     /// What reconsidering the estimate did to the active tuple.
     pub reconsideration: Reconsideration,
-    /// The tuple in force after reconsideration (applies to *future*
-    /// objects; the object in flight keeps its encoding).
+    /// The tuple in force after reconsideration: the live engine deploys
+    /// it on every object that comes due from now on; the object in
+    /// flight keeps its encoding.
     pub decision: Decision,
     /// The §6.2 plan for the in-flight object, `None` = send everything.
     pub plan: Option<TransmissionPlan>,

@@ -11,8 +11,7 @@
 //! choice itself feeds back into perceived burstiness, so the loop must
 //! keep estimating after it acts).
 //!
-//! This crate closes that loop on top of the reproduction's existing
-//! machinery:
+//! This crate is the decision half of that loop:
 //!
 //! * [`OnlineGilbertEstimator`] — sliding-window maximum likelihood over
 //!   the chain's transition counts, with Wilson 95% confidence intervals
@@ -21,46 +20,46 @@
 //!   ([`fec_core::recommend_known`]) and equation 3
 //!   ([`fec_core::TransmissionPlan`]), with hysteresis (a loss-bound
 //!   dead-band) so estimation noise near decision boundaries does not
-//!   thrash the deployed tuple;
-//! * [`AdaptiveRunner`] — closed-loop simulation against a
-//!   [`fec_channel::DriftingChannel`], with static baselines (best and
-//!   worst fixed tuple in hindsight) for the comparison that justifies the
-//!   whole exercise.
+//!   thrash the deployed tuple.
 //!
-//! The controller is transport-agnostic, and every loop drives it through
-//! one contract: [`AdaptiveController::observe_runs`] folds observations
-//! in the run-length shape a live reception-report digest carries (a
+//! The controller is transport-agnostic and is driven through one
+//! contract: [`AdaptiveController::observe_runs`] folds observations in
+//! the run-length shape a live reception-report digest carries (a
 //! per-packet fate is a run of one), [`AdaptiveController::replan`]
 //! reconsiders the tuple and plans the object in flight, and
 //! [`AdaptiveController::record_outcome`] reports whether it decoded.
-//! [`AdaptiveRunner`] and the live sender make exactly these calls, so the
-//! controller validated in simulation is the one the live loop runs. The
-//! live UDP transport — EXT_SEQ sequence stamping, digest wire format,
-//! receiver-side emitter and sender-side ingestion — lives in
-//! `fec_flute::feedback`, which depends on this crate;
-//! `tests/adaptive_flute.rs` closes the loop over real sockets.
+//! There is one closed loop: the live sender, `fec_broadcast::live::
+//! send_session`, which plans each object in flight and deploys the
+//! decided tuple on every object that comes due. Its return channel —
+//! EXT_SEQ stamping, the digest wire format, the receiver-side emitter and
+//! the sender-side aggregator — lives in `fec_flute::feedback`, which
+//! depends on this crate; `fec_broadcast::world` runs the loop in-process
+//! against a drifting channel and the static tuples it must beat.
 //!
 //! ```
-//! use fec_adapt::{AdaptiveRunner, ControllerConfig, Scenario};
+//! use fec_adapt::{AdaptiveController, ControllerConfig, Decision, Reconsideration};
 //!
-//! let scenario = Scenario::regime_switching(200, 6, 42);
-//! let config = ControllerConfig {
-//!     window: 2_000,
-//!     min_observations: 300,
-//!     ..ControllerConfig::default()
-//! };
-//! let comparison = AdaptiveRunner::new(scenario, config).compare();
-//! assert!(comparison.beats_worst_case());
+//! let mut controller = AdaptiveController::new(ControllerConfig::default());
+//! // No feedback yet: the conservative prior, sent in full.
+//! let replan = controller.replan(1_000);
+//! assert_eq!(replan.decision, Decision::prior());
+//! assert!(replan.plan.is_none());
+//!
+//! // A digest's loss sketch: 30 000 packets, one in every hundred lost.
+//! controller.observe_runs((0..300).flat_map(|_| [(false, 99), (true, 1)]));
+//! let replan = controller.replan(1_000);
+//! assert_eq!(replan.reconsideration, Reconsideration::Switched);
+//! let plan = replan.plan.expect("a 1% channel is plannable");
+//! assert!(plan.n_sent < plan.n_total, "equation 3 truncates the schedule");
+//! controller.record_outcome(true);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod closed_loop;
 mod controller;
 mod estimate;
 
-pub use closed_loop::{AdaptiveRunner, Comparison, EpochOutcome, LoopReport, Scenario};
 pub use controller::{
     AdaptiveController, ControllerConfig, Decision, PopulationSummary, Reconsideration, Replan,
 };

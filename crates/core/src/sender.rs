@@ -28,7 +28,6 @@ impl Sender {
     /// Encodes `object` under `spec` with `symbol_size`-byte symbols.
     pub fn new(spec: CodeSpec, object: &[u8], symbol_size: usize) -> Result<Sender, CoreError> {
         spec.validate_object(object.len(), symbol_size)?;
-        let layout = spec.layout()?;
 
         // Split into k padded symbols.
         let mut source: Vec<Bytes> = Vec::with_capacity(spec.k);
@@ -42,6 +41,25 @@ impl Sender {
             }
         }
         debug_assert_eq!(source.len(), spec.k);
+        Sender::encode(spec, source, symbol_size, object.len())
+    }
+
+    /// Encodes this sender's object again under `spec` — another code or
+    /// ratio over the same `k` source symbols. The source symbols are
+    /// shared with this sender (reference-count bumps, no copy); only the
+    /// parity is new.
+    pub fn reencode(&self, spec: CodeSpec) -> Result<Sender, CoreError> {
+        spec.validate_object(self.object_len, self.symbol_size)?;
+        Sender::encode(spec, self.source.clone(), self.symbol_size, self.object_len)
+    }
+
+    fn encode(
+        spec: CodeSpec,
+        source: Vec<Bytes>,
+        symbol_size: usize,
+        object_len: usize,
+    ) -> Result<Sender, CoreError> {
+        let layout = spec.layout()?;
 
         // Per-block source offsets.
         let mut block_src_offset = Vec::with_capacity(layout.num_blocks());
@@ -69,7 +87,7 @@ impl Sender {
             spec,
             layout,
             symbol_size,
-            object_len: object.len(),
+            object_len,
             source,
             parity,
             block_src_offset,
@@ -287,6 +305,26 @@ mod tests {
         let planned = s.planned_transmission(&plan, TxModel::Random, 77);
         assert_eq!(planned.len() as u64, plan.n_sent);
         assert_eq!(&full[..planned.len()], &planned[..]);
+    }
+
+    #[test]
+    fn reencode_shares_the_source_and_equals_a_fresh_encode() {
+        let data = object(20 * 8);
+        let a = Sender::new(CodeSpec::ldgm_triangle(20, ExpansionRatio::R2_5), &data, 8).unwrap();
+        let spec = CodeSpec::rse(20, ExpansionRatio::R1_5);
+        let b = a.reencode(spec.clone()).unwrap();
+        let fresh = Sender::new(spec, &data, 8).unwrap();
+        assert_eq!(b.packet_count(), 30);
+        for r in b.layout().all_packets() {
+            assert_eq!(b.packet(r).unwrap(), fresh.packet(r).unwrap());
+        }
+        let first = PacketRef { block: 0, esi: 0 };
+        assert!(std::ptr::eq(
+            a.symbol(first).unwrap(),
+            b.symbol(first).unwrap()
+        ));
+        // Another k is another object.
+        assert!(a.reencode(CodeSpec::rse(21, ExpansionRatio::R1_5)).is_err());
     }
 
     #[test]

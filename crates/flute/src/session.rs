@@ -8,12 +8,17 @@
 //! datagrams in any order, with any losses and duplications; it starts
 //! decoding an object as soon as it learns the OTI — from EXT_FTI on the
 //! data packets themselves or from an FDT instance, whichever arrives
-//! first — and buffers early data packets until then.
+//! first — and buffers early data packets until then. A stream may
+//! re-encode an object it has not started sending and announce it in a
+//! newer FDT instance, so an OTI an FDT listed stays provisional until the
+//! object accepts a symbol: a newer instance, or an EXT_FTI that differs,
+//! replaces it.
 
 use std::collections::HashMap;
 
 use bytes::Bytes;
 
+use fec_adapt::Decision;
 use fec_codec::Symbol;
 use fec_core::{
     CodeSpec, CodecHandle, ExpansionRatio, Receiver as CoreReceiver, Sender as CoreSender,
@@ -78,19 +83,85 @@ impl SenderConfig {
 struct SessionObject {
     toi: u32,
     content_location: String,
-    codepoint: u8,
     oti: ObjectTransmissionInfo,
     sender: CoreSender,
     tx: TxModel,
 }
 
 impl SessionObject {
+    /// Object `toi` as `sender` encoded it, announced under the OTI its
+    /// spec induces.
+    fn new(toi: u32, name: String, sender: CoreSender, tx: TxModel) -> Result<Self, FluteError> {
+        let length = sender.object_len() as u64;
+        let oti = ObjectTransmissionInfo::from_spec(sender.spec(), sender.symbol_size(), length)?;
+        Ok(SessionObject {
+            toi,
+            content_location: name,
+            oti,
+            sender,
+            tx,
+        })
+    }
+
     /// The header template of this object's data datagrams.
     fn frame(&self, config: &SenderConfig) -> Result<DataFrame, FluteError> {
         let fti = config.fti_in_data_packets.then(|| self.oti.to_bytes());
         let sequenced = config.sequence_datagrams;
-        DataFrame::new(config.tsi, self.toi, self.codepoint, fti, sequenced)
+        DataFrame::new(config.tsi, self.toi, self.oti.fti_id(), fti, sequenced)
     }
+
+    /// The (code, transmission model, ratio) tuple this object goes out
+    /// under.
+    fn decision(&self) -> Decision {
+        let spec = self.sender.spec();
+        let (code, ratio) = (spec.code.clone(), spec.ratio);
+        Decision {
+            code,
+            tx: self.tx,
+            ratio,
+        }
+    }
+
+    /// This object encoded again under `decision`, from its own source
+    /// symbols: same TOI, location, symbol size and matrix seed.
+    fn reencode(&self, decision: &Decision) -> Result<SessionObject, FluteError> {
+        let spec = self.sender.spec();
+        let spec = CodeSpec::new(decision.code.clone(), spec.k, decision.ratio)
+            .with_matrix_seed(spec.matrix_seed);
+        let sender = self.sender.reencode(spec)?;
+        SessionObject::new(self.toi, self.content_location.clone(), sender, decision.tx)
+    }
+}
+
+/// An FDT instance listing `objects`.
+fn fdt_of<'o>(
+    config: &SenderConfig,
+    instance_id: u32,
+    objects: impl Iterator<Item = &'o SessionObject>,
+) -> FdtInstance {
+    let mut fdt = FdtInstance::new(instance_id, config.expires);
+    for o in objects {
+        let entry = FileEntry::new(o.toi, o.content_location.clone(), o.oti.clone());
+        fdt = fdt.with_file(entry);
+    }
+    fdt
+}
+
+/// The next EXT_SEQ of `path`'s sequence space, or `None` when the
+/// session is unsequenced. Each bonded path is its own monotone space —
+/// stamping from a shared counter would make every inter-path
+/// interleaving look like loss or reordering to the receiver's per-path
+/// tracks.
+fn next_seq(path_seqs: &mut Vec<u32>, sequenced: bool, path: usize) -> Option<u32> {
+    if !sequenced {
+        return None;
+    }
+    if path_seqs.len() <= path {
+        path_seqs.resize(path + 1, 0);
+    }
+    let seq = path_seqs[path];
+    path_seqs[path] = (seq + 1) % SEQ_MODULUS;
+    Some(seq)
 }
 
 /// The sending half of a FLUTE session: owns the encoded objects and emits
@@ -137,17 +208,9 @@ impl FluteSender {
         }
         let spec = CodeSpec::for_object(code, ratio, object.len(), symbol_size)?
             .with_matrix_seed(matrix_seed);
-        let oti = ObjectTransmissionInfo::from_spec(&spec, symbol_size, object.len() as u64)?;
-        let codepoint = oti.fti_id();
         let sender = CoreSender::new(spec, object, symbol_size)?;
-        self.objects.push(SessionObject {
-            toi,
-            content_location: content_location.into(),
-            codepoint,
-            oti,
-            sender,
-            tx,
-        });
+        let object = SessionObject::new(toi, content_location.into(), sender, tx)?;
+        self.objects.push(object);
         Ok(())
     }
 
@@ -157,17 +220,11 @@ impl FluteSender {
         self.config.tsi
     }
 
-    /// The session's current FDT instance.
+    /// The session's FDT instance, as added (a stream announces its
+    /// redeployments in later instances of its own).
     pub fn fdt(&self) -> FdtInstance {
-        let mut fdt = FdtInstance::new(self.config.fdt_instance_id, self.config.expires);
-        for o in &self.objects {
-            fdt = fdt.with_file(FileEntry::new(
-                o.toi,
-                o.content_location.clone(),
-                o.oti.clone(),
-            ));
-        }
-        fdt
+        let config = &self.config;
+        fdt_of(config, config.fdt_instance_id, self.objects.iter())
     }
 
     /// One FDT announcement datagram.
@@ -216,12 +273,15 @@ impl FluteSender {
         SessionStream {
             sender: self,
             emissions,
+            redeployed: self.objects.iter().map(|_| None).collect(),
+            schedule_seed,
             frames: vec![None; self.objects.len()],
+            fdt_instance_id: self.config.fdt_instance_id,
             fdt_xml: Bytes::from(self.fdt().to_xml().into_bytes()),
             current: 0,
             path_seqs: vec![0],
             since_fdt: 0,
-            fdt_sent: false,
+            fdt_due: true,
             data_emitted: 0,
             metrics: StreamMetrics::register(&Registry::disabled(), tois),
         }
@@ -242,15 +302,24 @@ impl FluteSender {
 /// *under the plan in force when it is emitted*; a later extension simply
 /// keeps sending (receivers treat the flags as advisory status, not as a
 /// hard stop).
+///
+/// An object none of whose data has left can still change its tuple
+/// ([`deploy`](Self::deploy)); the stream then announces it in a new FDT
+/// instance. A stream that never redeploys sends only the sender's
+/// instance.
 pub struct SessionStream<'a> {
     sender: &'a FluteSender,
     emissions: Vec<fec_core::PlannedEmission>,
+    /// Objects re-encoded by [`deploy`](Self::deploy), by index.
+    redeployed: Vec<Option<SessionObject>>,
+    schedule_seed: u64,
     /// Each object's data-datagram header template, built when the
     /// stream first emits that object: a stream resolves per-object facts
-    /// (OTI blob, payload-ID format, header layout) once.
+    /// (OTI blob, payload-ID format, header layout) once. `None` also
+    /// means none of the object's data has left.
     frames: Vec<Option<DataFrame>>,
-    /// The session's FDT document, rendered once: the objects cannot
-    /// change while the stream borrows the sender.
+    fdt_instance_id: u32,
+    /// The current FDT instance's document, rendered once per instance.
     fdt_xml: Bytes,
     current: usize,
     /// One EXT_SEQ counter per bonded path (`path_seqs[p]` is the next
@@ -261,7 +330,9 @@ pub struct SessionStream<'a> {
     /// path 0.
     path_seqs: Vec<u32>,
     since_fdt: usize,
-    fdt_sent: bool,
+    /// An FDT datagram goes out before anything else: at the start, and
+    /// after a redeploy.
+    fdt_due: bool,
     data_emitted: u64,
     metrics: StreamMetrics,
 }
@@ -308,8 +379,9 @@ impl SessionStream<'_> {
     where
         F: FnMut(bool) -> usize,
     {
-        if !self.fdt_sent {
-            self.fdt_sent = true;
+        if self.fdt_due {
+            self.fdt_due = false;
+            self.since_fdt = 0;
             let path = route(true);
             return self.fdt_datagram_on(path).map(|d| Some((path, d)));
         }
@@ -334,7 +406,8 @@ impl SessionStream<'_> {
                 let path = route(true);
                 return self.fdt_datagram_on(path).map(|d| Some((path, d)));
             }
-            let object = &sender.objects[idx];
+            let object = self.redeployed[idx].as_ref();
+            let object = object.unwrap_or(&sender.objects[idx]);
             let path = route(object.sender.layout().is_source(peeked));
             // Peek just succeeded, so the consume cannot come back empty;
             // the fallback keeps this branch panic-free all the same.
@@ -343,7 +416,7 @@ impl SessionStream<'_> {
             let close_object = emission.is_done();
             let close_session = close_object && idx + 1 == self.emissions.len();
             let symbol = object.sender.symbol(r)?;
-            let seq = self.next_seq_on(path);
+            let seq = next_seq(&mut self.path_seqs, sender.config.sequence_datagrams, path);
             let frame = match &mut self.frames[idx] {
                 Some(frame) => frame,
                 slot => slot.insert(object.frame(&sender.config)?),
@@ -367,8 +440,8 @@ impl SessionStream<'_> {
 
     fn fdt_datagram_on(&mut self, path: usize) -> Result<Vec<u8>, FluteError> {
         let config = &self.sender.config;
-        let mut alc = AlcPacket::fdt(config.tsi, config.fdt_instance_id, self.fdt_xml.clone());
-        if let Some(seq) = self.next_seq_on(path) {
+        let mut alc = AlcPacket::fdt(config.tsi, self.fdt_instance_id, self.fdt_xml.clone());
+        if let Some(seq) = next_seq(&mut self.path_seqs, config.sequence_datagrams, path) {
             alc = alc.with_sequence(seq);
         }
         let datagram = alc.to_bytes()?;
@@ -377,21 +450,44 @@ impl SessionStream<'_> {
         Ok(datagram)
     }
 
-    /// The next EXT_SEQ of `path`'s sequence space, or `None` when the
-    /// session is unsequenced. Each bonded path is its own monotone space
-    /// — stamping from a shared counter would make every inter-path
-    /// interleaving look like loss or reordering to the receiver's
-    /// per-path tracks.
-    fn next_seq_on(&mut self, path: usize) -> Option<u32> {
-        if !self.sender.config.sequence_datagrams {
-            return None;
-        }
-        if self.path_seqs.len() <= path {
-            self.path_seqs.resize(path + 1, 0);
-        }
-        let seq = self.path_seqs[path];
-        self.path_seqs[path] = (seq + 1) % SEQ_MODULUS;
-        Some(seq)
+    /// Deploys `toi` under decision `to`, if one is given, and returns the
+    /// tuple its data goes out under. A differing decision re-encodes the
+    /// object from its own source symbols (same TOI, symbol size and
+    /// matrix seed) and announces it in a new FDT instance, which goes out
+    /// before anything else. An object keeps its tuple once its data has
+    /// started to leave, and in a session whose data packets carry no
+    /// EXT_FTI: a receiver that lost the new instance would read the new
+    /// encoding under the old announcement.
+    pub fn deploy(&mut self, toi: u32, to: Option<&Decision>) -> Result<Decision, FluteError> {
+        let idx = self.object_index(toi)?;
+        let object = self.redeployed[idx].as_ref();
+        let object = object.unwrap_or(&self.sender.objects[idx]);
+        let current = object.decision();
+        let fixed = self.frames[idx].is_some() || !self.sender.config.fti_in_data_packets;
+        let Some(decision) = to.filter(|d| **d != current && !fixed) else {
+            return Ok(current);
+        };
+        let object = object.reencode(decision)?;
+        let seed = self.schedule_seed ^ (toi as u64) << 32;
+        self.emissions[idx] = object.sender.emission(decision.tx, seed);
+        self.redeployed[idx] = Some(object);
+        self.fdt_instance_id = self.fdt_instance_id.wrapping_add(1);
+        let added = self.sender.objects.iter().zip(&self.redeployed);
+        let objects = added.map(|(added, redeployed)| redeployed.as_ref().unwrap_or(added));
+        let fdt = fdt_of(&self.sender.config, self.fdt_instance_id, objects);
+        self.fdt_xml = Bytes::from(fdt.to_xml().into_bytes());
+        self.fdt_due = true;
+        self.metrics.planned.set(self.planned_total() as f64);
+        self.metrics.full.set(self.full_total() as f64);
+        Ok(decision.clone())
+    }
+
+    /// The object whose data the stream starts next, while none of it has
+    /// left: the last moment it can still be [redeployed](Self::deploy).
+    pub fn due(&self) -> Option<u32> {
+        let idx = self.in_flight()?;
+        let toi = self.sender.objects[idx].toi;
+        self.frames[idx].is_none().then_some(toi)
     }
 
     /// Datagrams sequenced on path `path` so far (the next EXT_SEQ it
@@ -438,7 +534,8 @@ impl SessionStream<'_> {
             let Ok(idx) = self.object_index(req.toi) else {
                 continue;
             };
-            let layout = self.sender.objects[idx].sender.layout();
+            let object = self.redeployed[idx].as_ref();
+            let layout = object.unwrap_or(&self.sender.objects[idx]).sender.layout();
             let refs: Vec<fec_sched::PacketRef> = req
                 .esis
                 .iter()
@@ -486,11 +583,13 @@ impl SessionStream<'_> {
 
     /// The TOI currently being emitted, if the stream is not done.
     pub fn current_toi(&self) -> Option<u32> {
+        self.in_flight().map(|i| self.sender.objects[i].toi)
+    }
+
+    fn in_flight(&self) -> Option<usize> {
         // `current` only advances when a later datagram is pulled, so skip
         // finished emissions to answer "what is in flight *now*".
-        (self.current..self.emissions.len())
-            .find(|&i| !self.emissions[i].is_done())
-            .map(|i| self.sender.objects[i].toi)
+        (self.current..self.emissions.len()).find(|&i| !self.emissions[i].is_done())
     }
 
     /// Source packet count (`k`) of one object — the planner's input.
@@ -512,8 +611,8 @@ impl SessionStream<'_> {
         self.emissions.iter().map(|e| e.target()).sum()
     }
 
-    /// Sum of the full per-object schedules (what a plan-free session
-    /// would send).
+    /// Sum of the full per-object schedules as the objects are deployed
+    /// now (what a plan-free session would send; a redeploy changes it).
     pub fn full_total(&self) -> u64 {
         self.emissions.iter().map(|e| e.schedule_len()).sum()
     }
@@ -582,6 +681,10 @@ struct ObjectState {
     /// Sticky: outlives [`FluteReceiver::take_object`], so a carousel's
     /// later cycles stay duplicates of a finished object.
     complete: bool,
+    /// The geometry came from an FDT and no symbol has been accepted
+    /// under it yet: a newer instance or a data packet's EXT_FTI may still
+    /// replace it (the sender redeployed the object before sending it).
+    provisional: bool,
     packets_received: u64,
     closed: bool,
     /// Distinct ESIs seen per block — only populated in NACK mode (see
@@ -603,18 +706,21 @@ impl ObjectState {
         }
     }
 
-    /// Learns the OTI (idempotent; conflicting OTIs are an error).
+    /// Learns the OTI an FDT lists (idempotent). A provisional OTI gives
+    /// way to a differing one; once a symbol was accepted, a conflict is
+    /// an error.
     fn set_oti(&mut self, oti: ObjectTransmissionInfo) -> Result<(), FluteError> {
         match &self.geometry {
-            Some(existing) if existing.oti != oti => Err(FluteError::Session {
+            Some(existing) if existing.oti == oti => Ok(()),
+            Some(_) if !self.provisional => Err(FluteError::Session {
                 reason: "conflicting OTI for the same TOI".into(),
             }),
-            Some(_) => Ok(()),
-            None => self.start(Geometry::resolve(oti)?),
+            _ => self.start(Geometry::resolve(oti)?),
         }
     }
 
-    /// Starts decoding under a freshly resolved geometry.
+    /// Starts decoding under a freshly resolved geometry, which stays
+    /// provisional unless buffered symbols were accepted under it.
     fn start(&mut self, (geometry, receiver): (Geometry, CoreReceiver)) -> Result<(), FluteError> {
         // Drain everything buffered before the OTI arrived, as one batch —
         // the late-FDT catch-up is the single largest symbol burst a
@@ -631,6 +737,7 @@ impl ObjectState {
             })
             .collect();
         self.packets_received -= (buffered.len() - symbols.len()) as u64;
+        self.provisional = symbols.is_empty();
         self.geometry = Some(geometry);
         self.receiver = Some(receiver);
         self.feed(&symbols)
@@ -979,6 +1086,7 @@ impl FluteReceiver {
             if let Some(resolved) = fresh {
                 state.start(resolved)?;
             }
+            state.provisional = false;
             if !state.complete {
                 if self.nack_mode {
                     let PacketRef { block, esi } = symbol.packet;
@@ -1048,16 +1156,19 @@ impl FluteReceiver {
             esi: id.esi,
         };
         // EXT_FTI on the packet lets decoding start before any FDT
-        // arrives. A blob that is corrupt, or that no decoder can be
-        // built from, is per-datagram garbage.
-        let fresh = match (known, view.fti) {
-            (None, Some(blob)) => {
-                let oti = ObjectTransmissionInfo::from_bytes(blob);
-                Some(oti.and_then(Geometry::resolve).ok()?)
+        // arrives, and replaces a provisional OTI it contradicts (the FDT
+        // instance announcing a redeploy was lost). A blob that is
+        // corrupt, or that no decoder can be built from, is per-datagram
+        // garbage.
+        let fresh = match view.fti {
+            Some(blob) if known.is_none() || state.is_some_and(|s| s.provisional) => {
+                let oti = ObjectTransmissionInfo::from_bytes(blob).ok()?;
+                let differs = known.is_none_or(|geometry| geometry.oti != oti);
+                differs.then(|| Geometry::resolve(oti)).transpose().ok()?
             }
             _ => None,
         };
-        let geometry = known.or(fresh.as_ref().map(|(geometry, _)| geometry));
+        let geometry = fresh.as_ref().map(|(geometry, _)| geometry).or(known);
         geometry
             .is_none_or(|g| g.admits(packet, payload))
             .then_some((Symbol { packet, payload }, fresh))
@@ -1101,9 +1212,9 @@ impl FluteReceiver {
         })?;
         let fdt = FdtInstance::from_xml_with_id(text, instance_id)?;
         // Every listed file whose OTI we did not know yet can start
-        // decoding; for files already decoding, this cross-checks that the
-        // FDT agrees with the EXT_FTI we acted on (set_oti is idempotent
-        // and rejects conflicts).
+        // decoding, and one not sent yet takes the newer instance's OTI;
+        // for files already decoding, this cross-checks that the FDT
+        // agrees with the OTI we acted on (set_oti rejects conflicts).
         for file in &fdt.files {
             let state = self.objects.entry(file.toi).or_default();
             state.set_oti(file.oti.clone())?;
@@ -2147,6 +2258,111 @@ mod tests {
         fdt.files[0].oti.symbol_size *= 2;
         let forged = AlcPacket::fdt(7, fdt.instance_id, Bytes::from(fdt.to_xml().into_bytes()));
         assert!(receiver.push_datagram(&forged.to_bytes().unwrap()).is_err());
+    }
+
+    /// TOI 1 added as LDGM Triangle at 2.5 and redeployed as LDGM
+    /// Staircase at 1.5 (same k and symbol size) after FDT instance 0 went
+    /// out: datagram 1 is instance 1, the rest the new encoding.
+    fn redeployed_session(data: &[u8]) -> Vec<Vec<u8>> {
+        let mut sender = FluteSender::new(SenderConfig::new(7));
+        let triangle = fec_codec::builtin::ldgm_triangle();
+        let (ratio, tx) = (ExpansionRatio::R2_5, TxModel::Random);
+        sender
+            .add_object(1, "x", data, triangle, ratio, 16, 99, tx)
+            .unwrap();
+        let staircase = Decision {
+            code: fec_codec::builtin::ldgm_staircase(),
+            tx,
+            ratio: ExpansionRatio::R1_5,
+        };
+        let mut stream = sender.stream(3);
+        let mut datagrams = vec![stream.next_datagram().unwrap().unwrap()];
+        assert_eq!(stream.deploy(1, Some(&staircase)).unwrap(), staircase);
+        while let Some(dg) = stream.next_datagram().unwrap() {
+            datagrams.push(dg);
+        }
+        let instance = |dg: &[u8]| AlcPacket::from_bytes(dg).unwrap().fdt_instance_id();
+        assert_eq!(instance(&datagrams[0]), Some(0));
+        assert_eq!(instance(&datagrams[1]), Some(1));
+        datagrams
+    }
+
+    fn is_fdt(datagram: &[u8]) -> bool {
+        AlcPacket::from_bytes(datagram).unwrap().header.toi == FDT_TOI
+    }
+
+    #[test]
+    fn a_newer_fdt_instance_replaces_a_provisional_oti() {
+        let data = object_bytes(300 * 16);
+        let datagrams = redeployed_session(&data);
+        let mut receiver = FluteReceiver::new(7);
+        receiver.push_datagram(&datagrams[0]).unwrap();
+        assert_eq!(receiver.object_status(1), Some(ObjectStatus::Decoding));
+        for dg in &datagrams[1..] {
+            receiver.push_datagram(dg).unwrap();
+        }
+        assert_eq!(receiver.object(1).unwrap(), &data[..]);
+        let announced = &receiver.fdt().unwrap().file(1).unwrap().oti;
+        assert_eq!(announced.code, fec_codec::builtin::ldgm_staircase());
+    }
+
+    #[test]
+    fn ext_fti_replaces_a_provisional_oti_when_the_newer_instance_is_lost() {
+        let data = object_bytes(300 * 16);
+        let datagrams = redeployed_session(&data);
+        let mut receiver = FluteReceiver::new(7);
+        receiver.push_datagram(&datagrams[0]).unwrap();
+        for dg in datagrams[1..].iter().filter(|dg| !is_fdt(dg)) {
+            receiver.push_datagram(dg).unwrap();
+        }
+        assert_eq!(receiver.object(1).unwrap(), &data[..]);
+        assert_eq!(
+            receiver.fdt().unwrap().instance_id,
+            0,
+            "only instance 0 arrived"
+        );
+    }
+
+    #[test]
+    fn only_an_object_not_yet_sent_changes_its_tuple() {
+        let sender = session_with_object(&object_bytes(1000), TxModel::Random);
+        let mut stream = sender.stream(5);
+        let added = stream.deploy(1, None).unwrap();
+        assert_eq!(stream.deploy(1, Some(&added)).unwrap(), added, "same tuple");
+        let rse = Decision {
+            code: fec_codec::builtin::rse(),
+            tx: TxModel::Interleaved,
+            ratio: ExpansionRatio::R1_5,
+        };
+        let full = stream.full_total();
+        assert_eq!(stream.due(), Some(1));
+        assert_eq!(stream.deploy(1, Some(&rse)).unwrap(), rse);
+        assert_eq!(stream.deploy(1, None).unwrap(), rse);
+        assert!(stream.full_total() < full, "n shrank with the ratio");
+        assert!(is_fdt(&stream.next_datagram().unwrap().unwrap()));
+        assert!(!is_fdt(&stream.next_datagram().unwrap().unwrap()));
+        assert_eq!(stream.due(), None, "in flight");
+        assert_eq!(stream.deploy(1, Some(&added)).unwrap(), rse, "kept");
+        assert!(stream.deploy(9, None).is_err(), "unknown TOI");
+
+        // Without EXT_FTI on the data a lost FDT instance would go unseen.
+        let mut config = SenderConfig::new(7);
+        config.fti_in_data_packets = false;
+        let mut sender = FluteSender::new(config);
+        let staircase = fec_codec::builtin::ldgm_staircase();
+        sender
+            .add_object(
+                1,
+                "x",
+                &object_bytes(64),
+                staircase,
+                added.ratio,
+                16,
+                1,
+                added.tx,
+            )
+            .unwrap();
+        assert_eq!(sender.stream(5).deploy(1, Some(&rse)).unwrap(), added);
     }
 
     #[test]

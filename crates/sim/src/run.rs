@@ -139,48 +139,6 @@ impl Runner {
         self.walk(&schedule, |_| gilbert.next_is_lost(), run_idx, track_total)
     }
 
-    /// Executes run number `run_idx` against any [`LossModel`] — a
-    /// [`DriftingChannel`](fec_channel::DriftingChannel), a replayed
-    /// [`TraceChannel`](fec_channel::TraceChannel), an n-state chain… —
-    /// and also returns the per-packet loss observations a receiver would
-    /// infer from schedule gaps (`observed[i]` is the fate of the `i`-th
-    /// *transmitted* packet). `n_sent` optionally truncates the
-    /// transmission — the §6.2 planned-transmission mode.
-    ///
-    /// Unlike [`Runner::run_with_channel`] the model is **stateful and
-    /// external**: consecutive runs against the same model see consecutive
-    /// stretches of one loss process, which is exactly what a closed
-    /// adaptive loop needs (the channel does not reset between objects).
-    /// The whole (truncated) schedule is always consumed — the model
-    /// advances by exactly `n_sent` draws per run — so the observation
-    /// vector covers every transmitted packet even after decoding
-    /// completes; [`RunResult::n_received`] is correspondingly exact.
-    pub fn run_observed(
-        &self,
-        model: &mut dyn LossModel,
-        master_seed: u64,
-        run_idx: u64,
-        n_sent: Option<u64>,
-    ) -> (RunResult, Vec<bool>) {
-        let sched_seed = mix_seed(master_seed, &[TAG_SCHED, run_idx]);
-        let mut schedule = self.experiment.tx.schedule(&self.layout, sched_seed);
-        if let Some(limit) = n_sent {
-            schedule.truncate(limit as usize);
-        }
-        let mut observed = Vec::with_capacity(schedule.len());
-        let result = self.walk(
-            &schedule,
-            |_| {
-                let lost = model.next_is_lost();
-                observed.push(lost);
-                lost
-            },
-            run_idx,
-            true,
-        );
-        (result, observed)
-    }
-
     /// Executes a §5 reception-model run: the arrival sequence is given
     /// directly, nothing is lost.
     pub fn run_reception(&self, rx: RxModel, master_seed: u64, run_idx: u64) -> RunResult {
@@ -204,8 +162,7 @@ impl Runner {
     /// to the packet. With `track_total = false` the walk stops at the
     /// window in which decoding completed, so the predicate may be
     /// consumed up to one window past the completing packet — a caller
-    /// whose predicate state outlives the run passes `track_total = true`
-    /// ([`Runner::run_observed`] does).
+    /// whose predicate state outlives the run passes `track_total = true`.
     fn walk(
         &self,
         sequence: &[PacketRef],
@@ -487,94 +444,6 @@ mod tests {
         .unwrap();
         let out = r.run_reception(RxModel::ParityOnlyRandom, 5, 0);
         assert!(out.decoded);
-    }
-
-    #[test]
-    fn run_observed_matches_run_with_channel() {
-        // A fresh GilbertChannel driven via the dyn path must reproduce the
-        // dedicated Gilbert path exactly (same seed derivation).
-        let r = Runner::new(
-            exp(
-                builtin::ldgm_staircase(),
-                300,
-                ExpansionRatio::R2_5,
-                TxModel::Random,
-            ),
-            2,
-        )
-        .unwrap();
-        let params = GilbertParams::new(0.1, 0.5).unwrap();
-        let direct = r.run_with_channel(params, 42, 3, true);
-        let chan_seed = crate::mix_seed(42, &[TAG_CHAN, 3]);
-        let mut model = GilbertChannel::new(params, chan_seed);
-        let (via_model, _) = r.run_observed(&mut model, 42, 3, None);
-        assert_eq!(direct, via_model);
-    }
-
-    #[test]
-    fn observed_losses_cover_every_transmitted_packet() {
-        let r = Runner::new(
-            exp(
-                builtin::ldgm_staircase(),
-                200,
-                ExpansionRatio::R2_5,
-                TxModel::Random,
-            ),
-            2,
-        )
-        .unwrap();
-        let mut model = GilbertChannel::new(GilbertParams::new(0.1, 0.5).unwrap(), 9);
-        let (out, observed) = r.run_observed(&mut model, 5, 0, None);
-        assert_eq!(observed.len() as u64, out.n_sent);
-        let delivered = observed.iter().filter(|&&l| !l).count() as u64;
-        assert_eq!(delivered, out.n_received);
-        assert!(out.decoded);
-    }
-
-    #[test]
-    fn observed_run_honours_the_transmission_plan() {
-        let r = Runner::new(
-            exp(
-                builtin::ldgm_staircase(),
-                200,
-                ExpansionRatio::R2_5,
-                TxModel::Random,
-            ),
-            2,
-        )
-        .unwrap();
-        // Truncate to 260 of the 500 packets: decodes on a perfect channel
-        // (needs ~k), and the observation stream stops at the plan.
-        let mut model = GilbertChannel::new(GilbertParams::perfect(), 1);
-        let (out, observed) = r.run_observed(&mut model, 5, 0, Some(260));
-        assert_eq!(out.n_sent, 260);
-        assert_eq!(observed.len(), 260);
-        assert!(out.decoded);
-        // An impossible plan (fewer than k packets) must fail the run.
-        let mut model = GilbertChannel::new(GilbertParams::perfect(), 1);
-        let (out, _) = r.run_observed(&mut model, 5, 0, Some(150));
-        assert!(!out.decoded);
-    }
-
-    #[test]
-    fn external_model_state_carries_across_runs() {
-        // Two consecutive runs against one absorbing channel: the first run
-        // triggers the absorbing Loss state, so the second receives nothing.
-        let r = Runner::new(
-            exp(
-                builtin::ldgm_staircase(),
-                100,
-                ExpansionRatio::R2_5,
-                TxModel::Random,
-            ),
-            1,
-        )
-        .unwrap();
-        let mut model = GilbertChannel::new(GilbertParams::new(0.5, 0.0).unwrap(), 3);
-        let (first, _) = r.run_observed(&mut model, 1, 0, None);
-        assert!(first.n_received < first.n_sent);
-        let (second, _) = r.run_observed(&mut model, 1, 1, None);
-        assert_eq!(second.n_received, 0, "absorbing state persisted");
     }
 
     #[test]

@@ -37,7 +37,8 @@ pub struct SessionSummary {
     pub object_bytes: u64,
     /// `object_bytes / elapsed_secs` (0 when the clock reads zero).
     pub goodput_bytes_per_sec: f64,
-    /// Static worst-case schedule length (packets) before feedback.
+    /// Full schedule length (packets) at session start: what the static
+    /// sender, which never re-plans or redeploys, would have sent.
     pub full_schedule: u64,
     /// `datagrams_sent / full_schedule`: < 1.0 means feedback saved
     /// transmissions versus the static plan.

@@ -12,6 +12,7 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
+use fec_broadcast::adapt::Decision;
 use fec_broadcast::channel::analysis::FeasibilityLimit;
 use fec_broadcast::channel::grid::GridKind::{Coarse, Paper};
 use fec_broadcast::channel::LinkEmulator;
@@ -23,6 +24,7 @@ use fec_broadcast::sim::{
     merge_paths, report, PartialFile, Shard, SimError, StreamingMerge, SweepPlan, UnitResult,
 };
 use fec_broadcast::wire::{Backend, BatchReceiver, BatchSender, BufferPool, Pacer, MAX_BURST};
+use fec_broadcast::world::{self, Workload};
 
 /// Every `println!` below is this one: a closed stdout (`sweep … | head`)
 /// ends the command quietly — the reader has seen enough — where std's
@@ -118,11 +120,11 @@ USAGE:
       ASCII feasibility region (paper Fig. 6) for the given expansion ratio.
 
   fec-broadcast adapt [--k <k>] [--epochs <n>] [--seed <n>] [--window <pkts>]
-                      [--no-plan]
-      Closed-loop demo: online Gilbert estimation + adaptive tuple/plan
-      selection on a regime-switching channel, compared against the best
-      and worst static configurations in hindsight. --window is the
-      estimator's sliding window, 2..=10000000 packets (default 2500).
+      The live send engine's closed loop, in process: --epochs objects over
+      a regime-switching channel, each re-planned in flight and redeployed
+      under the controller's tuple when due, against every static tuple
+      sent in full. --window is the estimator's sliding window,
+      2..=10000000 packets (default 2500).
 
   fec-broadcast send --file <path> (--dest <addr:port> | --paths <a1:p1,a2:p2,...>)
                      [--tsi <n>] [--code <name>] [--tx <1..6>]
@@ -753,28 +755,24 @@ fn cmd_map(a: &mut Args) -> Result<(), String> {
     Ok(())
 }
 
+/// A failing session is a `--k` outside the codecs' envelope, so every
+/// error here is an argument error.
 fn cmd_adapt(a: &mut Args) -> Result<(), String> {
     let k: usize = a.int("k", "<k>", POSITIVE)?.unwrap_or(400);
     let epochs = a.int::<u32>("epochs", "<n>", POSITIVE)?.unwrap_or(36);
     let seed = a.int("seed", "<n>", ANY)?.unwrap_or(0x5EED_AD47);
     let window = a.window()?.unwrap_or(2_500);
-    let no_plan = a.switch("no-plan")?;
     a.finish()?;
-    let scenario = Scenario::regime_switching(k, epochs, seed);
-    let config = ControllerConfig {
-        window,
-        min_observations: (k / 2).max(200),
-        ..ControllerConfig::default()
-    };
-    let mut runner = AdaptiveRunner::new(scenario, config);
-    if no_plan {
-        runner = runner.without_plan_truncation();
+    // Every object is encoded before its session starts (16-byte symbols).
+    if k as u64 * u64::from(epochs) > 1 << 22 {
+        return Err("--k × --epochs must stay within 4194304 source symbols".into());
     }
+    let workload = Workload::drifting(k, epochs, seed);
     println!(
         "closed loop: k = {k}, {epochs} epochs, estimation window {window} packets\n\
          regimes (cycling):"
     );
-    for (i, r) in runner.scenario().regimes.iter().enumerate() {
+    for (i, r) in workload.regimes().iter().enumerate() {
         println!(
             "  {}: p = {:.3}, q = {:.3} (p_global = {:.1}%, mean burst {:.1}) for {} packets",
             i,
@@ -786,50 +784,64 @@ fn cmd_adapt(a: &mut Args) -> Result<(), String> {
         );
     }
 
-    let comparison = runner.compare();
+    // The static sessions go first: nobody reports on them, so they print
+    // nothing on stderr, and a reader that hangs up early ends the
+    // command here.
+    println!("\nstatic baselines (every object at its full schedule, nobody reporting):");
+    let mut statics = Vec::new();
+    for decision in world::static_candidates() {
+        let (report, _) = workload.run(&decision, None)?;
+        let cost = report.penalized_mean_inefficiency();
+        println!("  {cost:.4}  ({} failures)  {decision}", report.failures());
+        statics.push((cost, decision));
+    }
+    statics.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let (Some(best), Some(worst)) = (statics.first(), statics.last()) else {
+        return Err("no static candidates".into());
+    };
+
+    let config = live::SendConfig {
+        window,
+        ..Default::default()
+    };
+    let (adaptive, _) = workload.run(&Decision::prior(), Some(&config))?;
     println!(
         "\n{:>5} {:>9} {:>9} {:>7} {:>7} {:>7}  decision",
         "epoch", "true-loss", "est-bound", "sent", "inef", "status"
     );
-    for e in &comparison.adaptive.epochs {
-        let true_params = GilbertParams::new(e.true_p, e.true_q).map_err(|err| err.to_string())?;
+    for (epoch, o) in adaptive.objects.iter().enumerate() {
+        let (inefficiency, status) = match o.n_necessary {
+            Some(n) => (format!("{:.3}", n as f64 / k as f64), "ok"),
+            None => ("-".into(), "FAIL"),
+        };
         println!(
             "{:>5} {:>8.1}% {:>9} {:>7} {:>7} {:>7}  {}{}",
-            e.epoch,
-            true_params.global_loss_probability() * 100.0,
-            e.estimated_loss_bound
+            epoch,
+            o.true_loss * 100.0,
+            o.estimated_loss_bound
                 .map_or_else(|| "-".into(), |b| format!("{:.1}%", b * 100.0)),
-            e.n_sent,
-            e.inefficiency(comparison.adaptive.k)
-                .map_or_else(|| "-".into(), |i| format!("{i:.3}")),
-            if e.decoded { "ok" } else { "FAIL" },
-            e.decision,
-            if e.switched { "  <- switched" } else { "" },
+            o.n_sent,
+            inefficiency,
+            status,
+            o.decision,
+            if o.switched { "  <- switched" } else { "" },
         );
     }
 
+    let cost = adaptive.penalized_mean_inefficiency();
     println!("\nsummary (penalized mean inefficiency; failures charged at the tuple's ratio):");
     println!(
-        "  adaptive    : {:.4}  ({} switches, {} failures, mean sent ratio {:.3})",
-        comparison.adaptive.penalized_mean_inefficiency(),
-        comparison.adaptive.switches,
-        comparison.adaptive.failures(),
-        comparison.adaptive.mean_sent_ratio()
+        "  adaptive    : {cost:.4}  ({} switches, {} failures, mean sent ratio {:.3})",
+        adaptive.switches(),
+        adaptive.failures(),
+        adaptive.mean_sent_ratio()
     );
-    println!(
-        "  static best : {:.4}  ({})",
-        comparison.oracle.penalized_mean_inefficiency(),
-        comparison.oracle_decision
-    );
-    println!(
-        "  static worst: {:.4}  ({})",
-        comparison.worst.penalized_mean_inefficiency(),
-        comparison.worst_decision
-    );
+    println!("  static best : {:.4}  ({})", best.0, best.1);
+    println!("  static worst: {:.4}  ({})", worst.0, worst.1);
     println!(
         "  oracle gap {:.3}x; {} the static worst case",
-        comparison.oracle_gap(),
-        if comparison.beats_worst_case() {
+        cost / best.0,
+        if cost < worst.0 {
             "beats"
         } else {
             "DOES NOT beat"

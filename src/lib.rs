@@ -32,6 +32,7 @@
 //! ```
 
 pub mod live;
+pub mod world;
 
 pub use fec_adapt as adapt;
 pub use fec_channel as channel;
@@ -49,9 +50,7 @@ pub use fec_wire as wire;
 /// One-stop imports for applications and examples.
 pub mod prelude {
     pub use bytes::Bytes;
-    pub use fec_adapt::{
-        AdaptiveController, AdaptiveRunner, ControllerConfig, OnlineGilbertEstimator, Scenario,
-    };
+    pub use fec_adapt::{AdaptiveController, ControllerConfig, OnlineGilbertEstimator};
     pub use fec_channel::{DriftingChannel, GilbertChannel, GilbertParams, LossModel, Regime};
     pub use fec_codec::{
         CodecHandle, CodecRegistry, DecodeProgress, Envelope, ErasureCode, SessionParams,

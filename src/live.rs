@@ -41,7 +41,7 @@ use std::net::SocketAddr;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use fec_adapt::ControllerConfig;
+use fec_adapt::{ControllerConfig, Decision, Reconsideration};
 use fec_channel::LinkEmulator;
 use fec_flute::feedback::{AggregateOutcome, AggregatorConfig, FeedbackAggregator, NackEntry};
 use fec_flute::{FluteReceiver, FluteSender, ReceiverEvent, ReceptionReport};
@@ -545,6 +545,18 @@ impl PathScheduler {
     }
 }
 
+/// The tuple one object's data went out under.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Deployment {
+    /// The object.
+    pub toi: u32,
+    /// Its (code, transmission model, expansion ratio).
+    pub decision: Decision,
+    /// The controller's conservative loss bound when the object came due;
+    /// `None` while there was no estimate.
+    pub loss_bound: Option<f64>,
+}
+
 /// How a [`send_session`] went.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SendOutcome {
@@ -555,6 +567,8 @@ pub struct SendOutcome {
     pub dropped: u64,
     /// Per-path split, in path order.
     pub paths: Vec<PathOutcome>,
+    /// One entry per object, in the order the objects came due.
+    pub deployments: Vec<Deployment>,
     /// Goodput, overhead versus the static worst case, control activity
     /// and the estimator trajectory — finalized.
     pub summary: SessionSummary,
@@ -569,6 +583,14 @@ pub struct SendOutcome {
 /// [`replan_every`](SendConfig::replan_every) datagrams re-plans the
 /// object in flight (§6.2) and advances the idle-eviction clock.
 ///
+/// The tuple follows the controller. When an object comes due after a
+/// re-plan that had an estimate, the stream re-encodes it under the
+/// controller's decision if that differs from the object's tuple, and
+/// announces it in a new FDT instance before any of its data leaves
+/// ([`SessionStream::deploy`](fec_flute::SessionStream::deploy));
+/// objects already in flight keep theirs. No estimate, no redeploy: a
+/// session nobody reports on sends every object as it was added.
+///
 /// The first [`send_burst`](PathSink::send_burst) error on a path retires
 /// it for the rest of the session: the failed burst counts as dropped,
 /// later datagrams go to the surviving paths, and the error is printed
@@ -578,10 +600,10 @@ pub struct SendOutcome {
 ///
 /// The session ends when every tracked receiver reports it complete. If
 /// the planned emission runs dry first, the sender lingers 1.5 s for
-/// digests in flight, then backs off to the full schedule (recording the
-/// failure with the controller), and gives up only once that is exhausted
-/// too. Without a `feedback` source nobody can report, so the session is
-/// the full schedule, once.
+/// digests in flight, then backs off to the full schedule as the objects
+/// are deployed now (recording the failure with the controller), and
+/// gives up only once that is exhausted too. Without a `feedback` source
+/// nobody can report, so the session is the full schedule, once.
 ///
 /// The stream, the aggregator and the paths register their metric
 /// families on `telemetry`'s registry (on [`Registry::disabled`] without
@@ -659,6 +681,9 @@ pub fn send_session<P: PathSink>(
     let mut linger_until: Option<Instant> = None;
     let mut stopped: BTreeSet<u32> = BTreeSet::new();
     let mut repairs_queued = 0u64;
+    // The tuple of the last re-plan that had an estimate.
+    let mut decided: Option<Decision> = None;
+    let mut deployments: Vec<Deployment> = Vec::with_capacity(tois.len());
 
     loop {
         if let Some(source) = feedback.as_deref_mut() {
@@ -752,6 +777,15 @@ pub fn send_session<P: PathSink>(
 
         let mut pulled = 0usize;
         while pulled < burst_cap {
+            let last = deployments.last().map(|d| d.toi);
+            if let Some(toi) = stream.due().filter(|&toi| last != Some(toi)) {
+                let decision = stream.deploy(toi, decided.as_ref());
+                deployments.push(Deployment {
+                    toi,
+                    decision: decision.map_err(|e| e.to_string())?,
+                    loss_bound: agg.controller().estimate().map(|e| e.p_global_upper()),
+                });
+            }
             let Some((path, dg)) = stream
                 .next_datagram_routed(|is_source| scheduler.route(is_source).unwrap_or(0))
                 .map_err(|e| e.to_string())?
@@ -774,35 +808,38 @@ pub fn send_session<P: PathSink>(
             match linger_until {
                 None => linger_until = Some(now + LINGER),
                 Some(deadline) if now < deadline => {}
-                Some(_) if stream.planned_total() < full_total => {
-                    // The plan was too optimistic: fall back to the full
-                    // schedules and keep going.
+                Some(_) => {
+                    // Objects still open fall back to their full schedules
+                    // as deployed now. One the population already decoded
+                    // stays stopped even if its receivers have since gone
+                    // quiet and been evicted.
+                    let planned = stream.planned_total();
+                    let open = || tois.iter().copied().filter(|toi| !stopped.contains(toi));
+                    for toi in open() {
+                        stream.amend_plan(toi, None).map_err(|e| e.to_string())?;
+                    }
+                    if stream.is_done() {
+                        let [_, median, _] = agg.summary().completion_quantiles;
+                        eprintln!(
+                            "full schedule exhausted without a completion report \
+                             ({} receivers tracked, median completion {:.0}%; \
+                             receivers gone, or losses beyond the code budget)",
+                            agg.receiver_count(),
+                            median * 100.0
+                        );
+                        break;
+                    }
+                    // The plan was too optimistic: keep going.
                     eprintln!(
-                        "no completion report after the planned {} datagrams; \
-                         reverting to the full schedule",
-                        stream.planned_total()
+                        "no completion report after the planned {planned} datagrams; \
+                         reverting to the full schedule"
                     );
                     agg.record_failure();
                     summary.backoffs += 1;
-                    // Only objects still open: one the population already
-                    // decoded stays stopped even if its receivers have
-                    // since gone quiet and been evicted.
-                    for &toi in tois.iter().filter(|toi| !stopped.contains(toi)) {
+                    for toi in open() {
                         record(Event::BackoffTriggered { reverted: toi });
-                        stream.amend_plan(toi, None).map_err(|e| e.to_string())?;
                     }
                     linger_until = None;
-                }
-                Some(_) => {
-                    let [_, median, _] = agg.summary().completion_quantiles;
-                    eprintln!(
-                        "full schedule exhausted without a completion report \
-                         ({} receivers tracked, median completion {:.0}%; \
-                         receivers gone, or losses beyond the code budget)",
-                        agg.receiver_count(),
-                        median * 100.0
-                    );
-                    break;
                 }
             }
             std::thread::sleep(IDLE_NAP);
@@ -854,6 +891,9 @@ pub fn send_session<P: PathSink>(
                 .and_then(|toi| stream.source_count(toi).map(|k| (toi, k)))
             {
                 let replan = agg.replan(k as usize);
+                if replan.reconsideration != Reconsideration::NoEstimate {
+                    decided = Some(replan.decision.clone());
+                }
                 summary.replans += 1;
                 stream
                     .amend_plan(toi, replan.plan.as_ref())
@@ -908,6 +948,7 @@ pub fn send_session<P: PathSink>(
         sent,
         dropped: failed + paths.iter().map(|p| p.dropped()).sum::<u64>(),
         paths: outcomes,
+        deployments,
         summary,
     })
 }

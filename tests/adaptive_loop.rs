@@ -1,5 +1,6 @@
-//! Acceptance test for the `fec-adapt` closed loop: on a regime-switching
-//! Gilbert channel the adaptive controller must
+//! Acceptance test for the closed loop, run on the live engine in the
+//! in-process world (`fec_broadcast::world`): on a regime-switching
+//! Gilbert channel the adaptive session must
 //!
 //! 1. achieve a lower penalized mean inefficiency than the **static worst
 //!    case** (the fixed tuple an unlucky non-adaptive operator would have
@@ -10,70 +11,76 @@
 //!    transmission at the oracle's own expansion ratio would.
 //!
 //! The margin in (2) is the price of learning: the controller spends its
-//! first epochs on the conservative prior and a few more confirming each
+//! first objects on the conservative prior and a few more confirming each
 //! regime switch, while the oracle is granted hindsight for free.
 
-use fec_broadcast::adapt::{AdaptiveRunner, ControllerConfig, Scenario};
+use fec_broadcast::adapt::Decision;
+use fec_broadcast::flute::FluteReceiver;
+use fec_broadcast::live::SendConfig;
+use fec_broadcast::world::{static_candidates, Report, Workload};
 
-fn scenario() -> Scenario {
+fn workload() -> Workload {
     // Three regimes — calm, congested-bursty, moderate — each spanning
-    // several epochs at k = 400 (schedule length ≤ 1000 packets/epoch).
-    Scenario::regime_switching(400, 36, 0x5EED_AD47)
+    // several objects at k = 400 (schedule length ≤ 1000 packets/object).
+    Workload::drifting(400, 36, 0x5EED_AD47)
 }
 
-fn config() -> ControllerConfig {
-    ControllerConfig {
-        // Small window so regime switches are tracked within ~2 epochs.
+fn adaptive() -> (Report, FluteReceiver) {
+    // Small window so regime switches are tracked within ~2 objects.
+    let config = SendConfig {
         window: 2_500,
-        min_observations: 500,
-        ..ControllerConfig::default()
-    }
+        ..SendConfig::default()
+    };
+    workload().run(&Decision::prior(), Some(&config)).unwrap()
 }
 
 #[test]
 fn adaptive_beats_static_worst_case_and_tracks_oracle() {
-    let comparison = AdaptiveRunner::new(scenario(), config()).compare();
-
-    let adaptive = comparison.adaptive.penalized_mean_inefficiency();
-    let oracle = comparison.oracle.penalized_mean_inefficiency();
-    let worst = comparison.worst.penalized_mean_inefficiency();
+    let (adaptive, _) = adaptive();
+    let mut statics: Vec<(Decision, Report)> = static_candidates()
+        .into_iter()
+        .map(|d| {
+            let (report, _) = workload().run(&d, None).unwrap();
+            (d, report)
+        })
+        .collect();
+    let cost = |r: &Report| r.penalized_mean_inefficiency();
+    statics.sort_by(|a, b| cost(&a.1).total_cmp(&cost(&b.1)));
+    let (oracle_decision, oracle) = statics.first().unwrap();
+    let (worst_decision, worst) = statics.last().unwrap();
+    let (adaptive_cost, oracle_cost, worst_cost) = (cost(&adaptive), cost(oracle), cost(worst));
 
     eprintln!(
-        "adaptive {adaptive:.4} | oracle {:?} {oracle:.4} | worst {:?} {worst:.4} | switches {}",
-        comparison.oracle_decision, comparison.worst_decision, comparison.adaptive.switches
+        "adaptive {adaptive_cost:.4} | oracle {oracle_decision} {oracle_cost:.4} | \
+         worst {worst_decision} {worst_cost:.4} | switches {}",
+        adaptive.switches()
     );
-    for (d, r) in &comparison.statics {
+    for (d, r) in &statics {
         eprintln!(
-            "  static {d:?}: penalized {:.4}, failures {}/{}",
-            r.penalized_mean_inefficiency(),
+            "  static {d}: penalized {:.4}, failures {}/{}",
+            cost(r),
             r.failures(),
-            r.epochs.len()
+            r.objects.len()
         );
     }
 
-    // (1) The reason to adapt at all.
+    // (1) The reason to adapt at all, by a material margin: the worst
+    // static tuple fails outright in the heavy regime.
     assert!(
-        comparison.beats_worst_case(),
-        "adaptive {adaptive:.4} must beat static worst case {worst:.4}"
-    );
-    // The gap must be material, not a rounding artifact: the worst static
-    // tuple fails outright in the heavy regime.
-    assert!(
-        adaptive < worst * 0.9,
-        "adaptive {adaptive:.4} should be well clear of worst {worst:.4}"
+        adaptive_cost < worst_cost * 0.9,
+        "adaptive {adaptive_cost:.4} should be well clear of worst {worst_cost:.4}"
     );
 
     // (2) The documented oracle margin.
     assert!(
-        comparison.oracle_gap() <= 1.25,
-        "adaptive {adaptive:.4} within 1.25x of oracle {oracle:.4} (gap {:.3})",
-        comparison.oracle_gap()
+        adaptive_cost <= oracle_cost * 1.25,
+        "adaptive {adaptive_cost:.4} within 1.25x of oracle {oracle_cost:.4}"
     );
 
-    // (3) Planning saves sender bandwidth: fewer packets on the wire than
-    // any full static send at ratio >= the oracle's.
-    let adaptive_sent = comparison.adaptive.mean_sent_ratio();
-    let oracle_sent = comparison.oracle.mean_sent_ratio();
+    // (3) Planning and feedback save sender bandwidth: fewer packets on
+    // the wire than the oracle's full static send.
+    let adaptive_sent = adaptive.mean_sent_ratio();
+    let oracle_sent = oracle.mean_sent_ratio();
     eprintln!("sent ratios: adaptive {adaptive_sent:.3} vs oracle (full) {oracle_sent:.3}");
     assert!(
         adaptive_sent < oracle_sent,
@@ -83,21 +90,21 @@ fn adaptive_beats_static_worst_case_and_tracks_oracle() {
 
 #[test]
 fn adaptive_controller_actually_adapts() {
-    let report = AdaptiveRunner::new(scenario(), config()).run();
-    // The regime schedule forces at least one decision change, and
-    // hysteresis keeps churn far below one switch per epoch.
-    assert!(report.switches >= 1, "no adaptation happened");
+    let (report, _) = adaptive();
+    let objects = report.objects.len();
+    // The regime schedule forces at least one tuple change, and
+    // hysteresis keeps churn far below one switch per object.
+    assert!(report.switches() >= 1, "no adaptation happened");
     assert!(
-        report.switches <= report.epochs.len() as u64 / 3,
-        "thrashing: {} switches in {} epochs",
-        report.switches,
-        report.epochs.len()
+        report.switches() <= objects / 3,
+        "thrashing: {} switches in {objects} objects",
+        report.switches()
     );
     // Distinct tuples were actually deployed.
     let mut deployed: Vec<String> = report
-        .epochs
+        .objects
         .iter()
-        .map(|e| format!("{:?}", e.decision))
+        .map(|o| o.decision.to_string())
         .collect();
     deployed.sort();
     deployed.dedup();
@@ -105,8 +112,32 @@ fn adaptive_controller_actually_adapts() {
     // And decode reliability stayed high despite the heavy regime.
     let failures = report.failures();
     assert!(
-        failures <= report.epochs.len() as u32 / 6,
-        "{failures} failures in {} epochs",
-        report.epochs.len()
+        failures <= objects / 6,
+        "{failures} failures in {objects} objects"
     );
+}
+
+/// The engine deploys the controller's tuple: after a regime switch a
+/// later object goes out under another FTI than TOI 1's, and the receiver
+/// — fed through `live::push_salvaging` — decodes both byte-exactly.
+#[test]
+fn a_later_object_goes_out_under_another_fti_and_decodes() {
+    let (report, receiver) = adaptive();
+    let fdt = receiver.fdt().expect("the receiver holds an FDT");
+    let oti = |toi: u32| &fdt.file(toi).expect("listed").oti;
+    let switched = report
+        .objects
+        .iter()
+        .find(|o| o.switched && o.n_necessary.is_some())
+        .expect("a redeployed object decoded");
+    assert_ne!(oti(switched.toi), oti(1));
+    assert_ne!(oti(switched.toi).n, oti(1).n, "another ratio on the wire");
+    for toi in [1, switched.toi] {
+        let decoded = receiver.object(toi).expect("decoded");
+        assert_eq!(decoded, &workload().object(toi)[..], "object {toi}");
+    }
+    // Every object that decoded decoded byte-exactly.
+    for o in report.objects.iter().filter(|o| o.n_necessary.is_some()) {
+        assert_eq!(receiver.object(o.toi), Some(&workload().object(o.toi)[..]));
+    }
 }

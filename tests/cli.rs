@@ -142,7 +142,7 @@ fn adapt_runs_the_closed_loop() {
 }
 
 /// A window shorter than the controller's minimum observation count
-/// (here `max(k / 2, 200)` = 200 > 150) is trusted once full, so the loop
+/// (the engine's 500 > 150) is trusted once full, so the loop
 /// still estimates instead of silently staying on its prior.
 #[test]
 fn adapt_with_a_short_window_still_estimates() {
@@ -375,11 +375,6 @@ fn arguments_a_type_rules_out_are_refused() {
     let cases = [
         // A switch ate the next token: `no` turned high-loss *on*.
         ("recommend --high-loss no", "unexpected argument \"no\""),
-        // … and `7` vanished.
-        (
-            "adapt --no-plan 7 --k 50 --epochs 2",
-            "unexpected argument \"7\"",
-        ),
         (
             "recv --listen 127.0.0.1:0 --report-to 127.0.0.1:9 --nack 2",
             "unexpected argument \"2\"",
@@ -393,6 +388,11 @@ fn arguments_a_type_rules_out_are_refused() {
         (
             &format!("{adaptive} --window 99999999999999"),
             "--window 99999999999999 must be in 2..=10000000",
+        ),
+        // Would encode 200 million symbols before the session starts.
+        (
+            "adapt --k 100000000 --epochs 2",
+            "--k × --epochs must stay within 4194304 source symbols",
         ),
         // Silently ignored without --adaptive.
         (

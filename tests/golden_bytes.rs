@@ -1,17 +1,20 @@
-//! Golden bytes for the simulator's two serialised outputs, recorded at
-//! 66b505f — before the LDGM peeling cascade, the batched walk and the
-//! work-queue executor each became the only copy of their loop. Every
-//! inefficiency figure, `recommend` table and closed-loop report in the
-//! tree is one of these two documents at a larger scale, so "same bytes"
-//! here is the statement that the refactor moved no number.
+//! Golden bytes for two serialised outputs. The sweep documents were
+//! recorded at 66b505f — before the LDGM peeling cascade, the batched walk
+//! and the work-queue executor each became the only copy of their loop —
+//! and every inefficiency figure and `recommend` table in the tree is one
+//! of them at a larger scale. The closed-loop report is the live engine's
+//! in the in-process world, as `fec-broadcast adapt` runs it. "Same
+//! bytes" here is the statement that a refactor moved no number.
 //!
 //! The files under `tests/golden/` are compared byte for byte; they are
 //! never regenerated by the suite.
 
-use fec_broadcast::adapt::{AdaptiveRunner, ControllerConfig, Scenario};
+use fec_broadcast::adapt::Decision;
 use fec_broadcast::codec::{builtin, CodecHandle};
+use fec_broadcast::live::SendConfig;
 use fec_broadcast::sched::TxModel;
 use fec_broadcast::sim::{ExpansionRatio, Experiment, GridSweep, SweepConfig};
+use fec_broadcast::world::Workload;
 
 /// One small fixed-seed grid sweep, two worker threads (so the pooled
 /// executor, not the serial branch, produces the accumulators), whole
@@ -57,19 +60,21 @@ fn rse_tx5_sweep_keeps_its_bytes() {
     );
 }
 
-/// The external-`LossModel` path: `AdaptiveRunner` drives one drifting
-/// channel through `Runner::run_observed` epoch after epoch, with plan
-/// truncation, so the report pins how far every run advances the shared
-/// loss process as well as what it decodes.
+/// The closed loop on the engine: the world's adaptive session over a
+/// drifting channel, one object redeployed after another as the
+/// controller decides. The report pins each object's tuple, the estimate
+/// it came due under, how much of it went out and what it took to decode
+/// — and no wall-clock figure.
 #[test]
 fn adaptive_loop_report_keeps_its_bytes() {
-    let scenario = Scenario::regime_switching(200, 14, 0x601D_AD47);
-    let config = ControllerConfig {
+    let workload = Workload::drifting(200, 14, 0x601D_AD47);
+    let config = SendConfig {
         window: 2_000,
-        min_observations: 400,
-        ..ControllerConfig::default()
+        ..SendConfig::default()
     };
-    let report = AdaptiveRunner::new(scenario, config).run();
+    let (report, _) = workload
+        .run(&Decision::prior(), Some(&config))
+        .expect("the session runs");
     assert_eq!(
         serde_json::to_string_pretty(&report).expect("serialisable") + "\n",
         include_str!("golden/adaptive_loop_report.json")

@@ -12,7 +12,7 @@ mod support;
 
 use fec_broadcast::live::{self, SendConfig};
 use fec_broadcast::prelude::*;
-use support::{gilbert, Load, Member, World};
+use support::{gilbert, Fault, Load, Member, World};
 
 /// Two 16 KB objects, k = 250 each, encoded at the worst-case prior's
 /// ratio 2.5: 1250 data packets if sent statically.
@@ -143,4 +143,57 @@ fn a_session_nobody_reports_on_is_the_full_schedule_once() {
         assert_eq!(outcome.summary.replans, 0);
         assert_eq!(outcome.summary.digests_applied, 0);
     }
+}
+
+/// The controller moves to a ratio-1.5 tuple and the objects still to
+/// come are redeployed under it, so the session's full schedule shrinks;
+/// then the path dies with objects left open. The plan runs dry, the
+/// sender lingers, reverts the open objects to their full schedules as
+/// deployed now, sends them, and — with nothing left to revert — ends on
+/// "full schedule exhausted". Judged against the schedule the session
+/// started with (or with the objects receivers had already stopped
+/// counted in), a backoff always looked possible, and the sender backed
+/// off every 1.5 s forever.
+#[test]
+fn a_dead_path_after_a_redeploy_exhausts_the_full_schedule() {
+    let (done, outcome) = std::sync::mpsc::channel();
+    let session = std::thread::spawn(move || {
+        let load = Load {
+            tsi: 43,
+            objects: 6,
+            len: 64 * 300,
+        };
+        let session = load.session(TxModel::Random, ExpansionRatio::R2_5);
+        let (world, mut paths, mut reports) =
+            World::new(vec![load.member(5, vec![gilbert(0.005, 0.8, 0xD1E)])], 1);
+        world.borrow_mut().at(1_500, 0, Fault::Kill);
+        let outcome = live::send_session(
+            &session,
+            0x5EED,
+            &mut paths,
+            Some(&mut reports),
+            &CONFIG,
+            None,
+        );
+        let complete = world.borrow().members[0].receiver.all_complete();
+        done.send((outcome, complete)).ok();
+    });
+    let (outcome, complete) = outcome
+        .recv_timeout(std::time::Duration::from_secs(120))
+        .expect("the session ends");
+    session.join().expect("the session thread");
+    let outcome = outcome.unwrap();
+    let redeployed = outcome
+        .deployments
+        .iter()
+        .filter(|d| d.decision.ratio == ExpansionRatio::R1_5)
+        .count();
+    assert!(redeployed >= 2, "{:?}", outcome.deployments);
+    assert!(!complete);
+    assert!(outcome.summary.objects_completed < 6);
+    assert!(
+        outcome.summary.backoffs <= 1,
+        "{}",
+        outcome.summary.backoffs
+    );
 }
