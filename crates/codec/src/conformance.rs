@@ -228,6 +228,28 @@ pub fn check_shape(code: &CodecHandle, k: usize, ratio: f64) {
         "{ctx}: decoded from k-1 symbols (violates information limit)"
     );
 
+    // The same limit on the structural path, which the simulator relies on
+    // to fail a run the channel left short of k without decoding it: no
+    // k - 1 packets of any schedule (or of the duplicated stream) complete
+    // a session, one at a time or as one batch.
+    let factory = code
+        .structural_factory(k, ratio, &[SEED])
+        .unwrap_or_else(|e| panic!("{ctx}: structural_factory failed: {e}"));
+    let mut streams: Vec<(&str, Vec<PacketRef>)> = TxModel::paper_models()
+        .into_iter()
+        .map(|tx| (tx.name(), tx.schedule(&enc.layout, 7)))
+        .collect();
+    streams.push(("duplicated", doubled));
+    for (name, stream) in &streams {
+        let short = &stream[..stream.len().min(k - 1)];
+        let mut looped = factory.session(0);
+        assert!(
+            !short.iter().any(|&r| looped.add(r)) && factory.session(0).add_batch(short).is_none(),
+            "{ctx}: structural session completed from {} < k packets of {name}",
+            short.len()
+        );
+    }
+
     // Batched entry point must agree with the one-by-one path.
     let params = SessionParams {
         k,
@@ -256,9 +278,6 @@ pub fn check_shape(code: &CodecHandle, k: usize, ratio: f64) {
 
     // Structural sessions must agree with the payload decoder on *when*
     // decoding completes (same structure seed, same sequence).
-    let factory = code
-        .structural_factory(k, ratio, &[SEED])
-        .unwrap_or_else(|e| panic!("{ctx}: structural_factory failed: {e}"));
     let mut structural = factory.session(0);
     let mut payload_dec = code.decoder(&params).expect("decoder");
     let mut structural_at = None;

@@ -151,6 +151,12 @@ pub trait StructuralFactory: Send + Sync {
 }
 
 /// One structural decoding run.
+///
+/// A session never completes from fewer than `k` packets (duplicates
+/// count as packets): an erasure code cannot recover `k` symbols from
+/// fewer. The simulator relies on it — a run whose channel delivers fewer
+/// than `k` packets is recorded as a failure without being decoded — and
+/// [`conformance::check`](crate::conformance::check) enforces it.
 pub trait StructuralSession {
     /// Records the arrival of `packet`; true once the object is decodable.
     fn add(&mut self, packet: PacketRef) -> bool;

@@ -47,29 +47,32 @@ impl<'m> Encoder<'m> {
 
         let m = self.matrix.num_checks();
         let mut parity: Vec<Vec<u8>> = Vec::with_capacity(m);
+        // One gather buffer for every row. Its borrows of `parity` cannot
+        // outlive a row, so it is handed back emptied, retyped as a
+        // `'static` vector (collecting a vector's own `into_iter` reuses
+        // its allocation).
+        let mut spare: Vec<&'static [u8]> = Vec::new();
         for i in 0..m {
             let mut acc = vec![0u8; sym_len];
             // Gather the whole row and apply it as ONE fused multi-source
             // XOR: the accumulator streams through the kernel backend once
             // per row instead of once per non-zero entry.
-            let row: Vec<&[u8]> = self
-                .matrix
-                .row(i)
-                .iter()
-                .filter_map(|&c| {
-                    let c = c as usize;
-                    if c < k {
-                        Some(source[c])
-                    } else if c != k + i {
-                        // Earlier parity (guaranteed c - k < i by
-                        // construction).
-                        Some(parity[c - k].as_slice())
-                    } else {
-                        None
-                    }
-                })
-                .collect();
+            let mut row: Vec<&[u8]> = spare;
+            row.extend(self.matrix.row(i).iter().filter_map(|&c| {
+                let c = c as usize;
+                if c < k {
+                    Some(source[c])
+                } else if c != k + i {
+                    // Earlier parity (guaranteed c - k < i by
+                    // construction).
+                    Some(parity[c - k].as_slice())
+                } else {
+                    None
+                }
+            }));
             xor_acc_many(&mut acc, &row);
+            row.clear();
+            spare = row.into_iter().map(|_| -> &'static [u8] { &[] }).collect();
             parity.push(acc);
         }
         Ok(parity)

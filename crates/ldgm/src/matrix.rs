@@ -5,6 +5,20 @@
 //! both CSR (row → columns) and CSC (column → rows) form because encoding
 //! walks rows while peeling decoding walks the column of each arriving
 //! packet.
+//!
+//! **Bit identity is the wire contract.** Sender and receiver each build
+//! the matrix from the seed the FLUTE OTI carries, so every array here —
+//! which entries, and their order within each row and column — must be
+//! the same on both sides and across versions; an entry that moves is a
+//! sender/receiver mismatch, not a slower code. `tests/fingerprints.rs`
+//! pins the CSR + CSC bytes of a table of geometries.
+//!
+//! Construction is paid once per object on each side, so it is kept
+//! linear: the Park–Miller draws fold instead of dividing twice
+//! ([`crate::prng`]), and [`SparseMatrix::build_with_fill`] assembles both
+//! indices by counting passes — bucket by column, scatter into rows in
+//! ascending column order, scatter back into columns in ascending row
+//! order — with no comparison sort.
 
 use core::fmt;
 
@@ -187,6 +201,8 @@ pub struct SparseMatrix {
     row_cols: Vec<u32>,
     col_ptr: Vec<u32>,
     col_rows: Vec<u32>,
+    /// XOR of each row's column ids, where the peeling cascade starts.
+    row_xor: Vec<u32>,
     right: RightSide,
     seed: u64,
 }
@@ -242,61 +258,52 @@ impl SparseMatrix {
         }
 
         let mut rng = PmRand::new(seed);
-        let mut entries: Vec<(u32, u32)> = Vec::new(); // (row, col)
+        // (row, col), unique by construction; `assemble` checks it in
+        // debug builds.
+        let mut entries: Vec<(u32, u32)> = Vec::with_capacity(left_degree * k + 3 * m);
 
         build_left_part(k, m, left_degree, &mut rng, &mut entries);
         build_right_part(k, m, right, fill, &mut rng, &mut entries);
 
-        // Assemble CSR/CSC. Entries are unique by construction; a debug
-        // assertion below guards against regressions.
-        entries.sort_unstable();
+        Ok(SparseMatrix::assemble(params, &entries))
+    }
+
+    /// CSR + CSC from unordered `(row, col)` entries by counting passes:
+    /// bucket the entries by column, transpose the buckets into rows (read
+    /// in ascending column order), then transpose the rows back into
+    /// columns. Every row and every column comes out sorted — the arrays a
+    /// sort of the entries would give — in O(nnz + n).
+    fn assemble(p: LdgmParams, entries: &[(u32, u32)]) -> SparseMatrix {
+        let (n, m) = (p.n, p.n - p.k);
+        let row_ptr = offsets(m, entries.iter().map(|e| e.0));
+        let col_ptr = offsets(n, entries.iter().map(|e| e.1));
+        let mut by_col = vec![0u32; entries.len()];
+        let mut next = col_ptr.clone();
+        for &(r, c) in entries {
+            by_col[next[c as usize] as usize] = r;
+            next[c as usize] += 1;
+        }
+        let row_cols = transpose(&col_ptr, &by_col, &row_ptr);
+        let row = |i: usize| &row_cols[row_ptr[i] as usize..row_ptr[i + 1] as usize];
         debug_assert!(
-            entries.windows(2).all(|w| w[0] != w[1]),
+            (0..m).all(|i| row(i).windows(2).all(|w| w[0] < w[1])),
             "duplicate entry in parity check matrix"
         );
-
-        let nnz = entries.len();
-        let mut row_ptr = vec![0u32; m + 1];
-        let mut col_ptr = vec![0u32; n + 1];
-        for &(r, c) in &entries {
-            row_ptr[r as usize + 1] += 1;
-            col_ptr[c as usize + 1] += 1;
-        }
-        for i in 0..m {
-            row_ptr[i + 1] += row_ptr[i];
-        }
-        for j in 0..n {
-            col_ptr[j + 1] += col_ptr[j];
-        }
-        let mut row_cols = vec![0u32; nnz];
-        {
-            let mut next = row_ptr.clone();
-            for &(r, c) in &entries {
-                let slot = next[r as usize];
-                row_cols[slot as usize] = c;
-                next[r as usize] += 1;
-            }
-        }
-        let mut col_rows = vec![0u32; nnz];
-        {
-            let mut next = col_ptr.clone();
-            for &(r, c) in &entries {
-                let slot = next[c as usize];
-                col_rows[slot as usize] = r;
-                next[c as usize] += 1;
-            }
-        }
-
-        Ok(SparseMatrix {
-            k,
+        let col_rows = transpose(&row_ptr, &row_cols, &col_ptr);
+        let row_xor = (0..m)
+            .map(|i| row(i).iter().fold(0, |x, &c| x ^ c))
+            .collect();
+        SparseMatrix {
+            k: p.k,
             n,
             row_ptr,
             row_cols,
             col_ptr,
             col_rows,
-            right,
-            seed,
-        })
+            row_xor,
+            right: p.right,
+            seed: p.seed,
+        }
     }
 
     /// Number of source packets.
@@ -339,6 +346,12 @@ impl SparseMatrix {
     #[inline]
     pub fn row(&self, i: usize) -> &[u32] {
         &self.row_cols[self.row_ptr[i] as usize..self.row_ptr[i + 1] as usize]
+    }
+
+    /// XOR of the variables in check equation `i`.
+    #[inline]
+    pub(crate) fn row_xor(&self, i: usize) -> u32 {
+        self.row_xor[i]
     }
 
     /// Check equations containing variable `v`.
@@ -395,6 +408,32 @@ pub struct MatrixStats {
     pub source_col_weight_max: usize,
     /// Fraction of non-zero entries.
     pub density: f64,
+}
+
+/// Bucket offsets: `ptr[b]..ptr[b + 1]` is bucket `b`'s slice, sized by
+/// how often `b` occurs among `keys`.
+fn offsets(buckets: usize, keys: impl Iterator<Item = u32>) -> Vec<u32> {
+    let mut ptr = vec![0u32; buckets + 1];
+    keys.for_each(|b| ptr[b as usize + 1] += 1);
+    for b in 0..buckets {
+        ptr[b + 1] += ptr[b];
+    }
+    ptr
+}
+
+/// The transpose of a bucketed index: `j` in bucket `i` of `(ptr, vals)`
+/// becomes `i` in bucket `j` of the result (offsets `out_ptr`). Buckets are
+/// read in order, so every result bucket comes out ascending.
+fn transpose(ptr: &[u32], vals: &[u32], out_ptr: &[u32]) -> Vec<u32> {
+    let mut next = out_ptr.to_vec();
+    let mut out = vec![0u32; vals.len()];
+    for (i, w) in ptr.windows(2).enumerate() {
+        for &j in &vals[w[0] as usize..w[1] as usize] {
+            out[next[j as usize] as usize] = i as u32;
+            next[j as usize] += 1;
+        }
+    }
+    out
 }
 
 /// Builds `H1`: a regular bipartite graph where every source column has
@@ -562,6 +601,110 @@ mod tests {
 
     fn build(k: usize, n: usize, right: RightSide, seed: u64) -> SparseMatrix {
         SparseMatrix::build(LdgmParams::new(k, n, right, seed)).unwrap()
+    }
+
+    /// The entries `build_with_fill` assembles, in generation order.
+    fn entries(p: LdgmParams, fill: TriangleFill) -> Vec<(u32, u32)> {
+        let m = p.n - p.k;
+        let mut rng = PmRand::new(p.seed);
+        let mut entries = Vec::new();
+        build_left_part(p.k, m, p.left_degree, &mut rng, &mut entries);
+        build_right_part(p.k, m, p.right, fill, &mut rng, &mut entries);
+        entries
+    }
+
+    /// Reference: the sort-based assembly the counting passes replaced.
+    fn assemble_by_sort(p: LdgmParams, entries: &[(u32, u32)]) -> SparseMatrix {
+        let (k, n, m) = (p.k, p.n, p.n - p.k);
+        let mut entries = entries.to_vec();
+        entries.sort_unstable();
+        assert!(entries.windows(2).all(|w| w[0] != w[1]), "duplicate entry");
+        let nnz = entries.len();
+        let mut row_ptr = vec![0u32; m + 1];
+        let mut col_ptr = vec![0u32; n + 1];
+        for &(r, c) in &entries {
+            row_ptr[r as usize + 1] += 1;
+            col_ptr[c as usize + 1] += 1;
+        }
+        for i in 0..m {
+            row_ptr[i + 1] += row_ptr[i];
+        }
+        for j in 0..n {
+            col_ptr[j + 1] += col_ptr[j];
+        }
+        let mut row_cols = vec![0u32; nnz];
+        let mut next = row_ptr.clone();
+        for &(r, c) in &entries {
+            row_cols[next[r as usize] as usize] = c;
+            next[r as usize] += 1;
+        }
+        let mut col_rows = vec![0u32; nnz];
+        let mut next = col_ptr.clone();
+        for &(r, c) in &entries {
+            col_rows[next[c as usize] as usize] = r;
+            next[c as usize] += 1;
+        }
+        SparseMatrix {
+            k,
+            n,
+            row_ptr,
+            row_cols,
+            col_ptr,
+            col_rows,
+            row_xor: Vec::new(),
+            right: p.right,
+            seed: p.seed,
+        }
+    }
+
+    fn same_arrays(a: &SparseMatrix, b: &SparseMatrix) -> bool {
+        a.row_ptr == b.row_ptr
+            && a.row_cols == b.row_cols
+            && a.col_ptr == b.col_ptr
+            && a.col_rows == b.col_rows
+    }
+
+    /// All seven fill rules, by index.
+    fn fill_rule(idx: usize, extra: u8) -> TriangleFill {
+        match idx {
+            0 => TriangleFill::PerColumn(extra),
+            1 => TriangleFill::GeometricDouble,
+            2 => TriangleFill::GeometricTriple,
+            3 => TriangleFill::ThirdDiagonal,
+            4 => TriangleFill::PerRow(extra),
+            5 => TriangleFill::PerRowUniform,
+            _ => TriangleFill::HalvingTree,
+        }
+    }
+
+    // Default config, so `PROPTEST_CASES` scales it (CI runs 1024 cases).
+    proptest! {
+        #[test]
+        fn counting_assembly_equals_sort_assembly(
+            k in 1usize..300,
+            extra in 0usize..300,
+            left_degree in 1usize..6,
+            right_idx in 0usize..3,
+            fill_idx in 0usize..7,
+            fill_extra in 0u8..4,
+            seed in any::<u64>(),
+        ) {
+            let right = [RightSide::Identity, RightSide::Staircase, RightSide::Triangle][right_idx];
+            let fill = fill_rule(fill_idx, fill_extra);
+            let n = k + left_degree + extra;
+            let p = LdgmParams { k, n, left_degree, right, seed };
+            let built = SparseMatrix::build_with_fill(p, fill).unwrap();
+            let mut generated = entries(p, fill);
+            prop_assert!(same_arrays(&built, &assemble_by_sort(p, &generated)));
+            prop_assert!((0..n - k).all(|i| {
+                built.row_xor(i) == built.row(i).iter().fold(0, |x, &c| x ^ c)
+            }));
+            // The counting passes see a set: any entry order gives the same
+            // arrays.
+            generated.reverse();
+            let reversed = SparseMatrix::assemble(p, &generated);
+            prop_assert!(same_arrays(&built, &reversed));
+        }
     }
 
     #[test]

@@ -8,6 +8,12 @@
 //! variable is already known and merely pending on the stack, so the
 //! equation has nothing left to teach). Solved variables cascade.
 //!
+//! Besides its unprocessed count, each equation keeps the XOR of its
+//! unprocessed variables' *ids*: it starts as the XOR of the row (which
+//! the matrix stores) and every fold XORs the folded id out. When the
+//! count reaches one, that XOR is the last variable's id, so the cascade
+//! never scans a row.
+//!
 //! [`Peeler`] owns that bookkeeping and nothing else. What a step means in
 //! bytes is the [`Hook`]'s business: [`crate::StructuralDecoder`] peels
 //! with the no-op hook `()`, [`crate::Decoder`] with its payload store —
@@ -32,11 +38,20 @@ pub(crate) trait Hook {
 
 impl Hook for () {}
 
+/// A check equation's unprocessed variables.
+#[derive(Clone, Copy)]
+struct Unprocessed {
+    /// How many (0 = resolved).
+    count: u32,
+    /// XOR of their ids: the last one's id once `count` is 1.
+    ids: u32,
+}
+
 /// Index-level decoder state shared by both decoders.
 #[derive(Clone, Default)]
 pub(crate) struct Peeler {
-    /// Unprocessed-variable count per check equation (0 = resolved).
-    eq_unknowns: Vec<u32>,
+    /// Per check equation.
+    eqs: Vec<Unprocessed>,
     /// Whether each variable is known (received or solved).
     pub(crate) known: Vec<bool>,
     pub(crate) decoded_source: usize,
@@ -55,9 +70,12 @@ impl Peeler {
 
     /// Back to the freshly-constructed state, keeping allocations.
     pub(crate) fn reset(&mut self, matrix: &SparseMatrix) {
-        self.eq_unknowns.clear();
-        self.eq_unknowns
-            .extend((0..matrix.num_checks()).map(|e| matrix.row(e).len() as u32));
+        self.eqs.clear();
+        self.eqs
+            .extend((0..matrix.num_checks()).map(|e| Unprocessed {
+                count: matrix.row(e).len() as u32,
+                ids: matrix.row_xor(e),
+            }));
         self.known.clear();
         self.known.resize(matrix.n(), false);
         self.decoded_source = 0;
@@ -87,32 +105,153 @@ impl Peeler {
             hook.pop(v as usize);
             for &e in matrix.col(v as usize) {
                 let e = e as usize;
-                if self.eq_unknowns[e] == 0 {
+                let eq = &mut self.eqs[e];
+                if eq.count == 0 {
                     continue; // equation already fully resolved
                 }
                 hook.fold(e);
-                self.eq_unknowns[e] -= 1;
-                if self.eq_unknowns[e] == 1 {
-                    // One unprocessed variable left. If it is still
-                    // globally unknown the equation solves it (the row
-                    // XORs to zero); it may instead already be known but
-                    // pending on the stack — then the equation is spent.
-                    let unknown = matrix
-                        .row(e)
-                        .iter()
-                        .copied()
-                        .find(|&c| !self.known[c as usize]);
-                    self.eq_unknowns[e] = 0;
-                    match unknown {
-                        Some(u) => {
-                            hook.solve(e, u as usize);
-                            self.mark_known(matrix, u);
-                            self.stack.push(u);
-                        }
-                        None => hook.spent(e),
+                eq.count -= 1;
+                eq.ids ^= v;
+                if eq.count == 1 {
+                    // One unprocessed variable left, named by the XOR. If
+                    // it is still globally unknown the equation solves it
+                    // (the row XORs to zero); it may instead already be
+                    // known but pending on the stack — then the equation
+                    // is spent.
+                    eq.count = 0;
+                    let u = eq.ids;
+                    if self.known[u as usize] {
+                        hook.spent(e);
+                    } else {
+                        hook.solve(e, u as usize);
+                        self.mark_known(matrix, u);
+                        self.stack.push(u);
                     }
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{LdgmParams, RightSide};
+    use rand::seq::SliceRandom;
+    use rand::SeedableRng;
+
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Step {
+        Pop(usize),
+        Fold(usize),
+        Solve(usize, usize),
+        Spent(usize),
+    }
+
+    #[derive(Default)]
+    struct Recorder(Vec<Step>);
+
+    impl Hook for Recorder {
+        fn pop(&mut self, v: usize) {
+            self.0.push(Step::Pop(v));
+        }
+        fn fold(&mut self, e: usize) {
+            self.0.push(Step::Fold(e));
+        }
+        fn solve(&mut self, e: usize, u: usize) {
+            self.0.push(Step::Solve(e, u));
+        }
+        fn spent(&mut self, e: usize) {
+            self.0.push(Step::Spent(e));
+        }
+    }
+
+    /// Reference: the cascade with unprocessed counts only, scanning the
+    /// row for its not-yet-known variable when the count reaches one.
+    fn row_scan_trace(matrix: &SparseMatrix, arrivals: &[u32]) -> (Vec<Step>, Vec<bool>) {
+        let mut unprocessed: Vec<u32> = (0..matrix.num_checks())
+            .map(|e| matrix.row(e).len() as u32)
+            .collect();
+        let mut known = vec![false; matrix.n()];
+        let mut steps = Vec::new();
+        let mut stack = Vec::new();
+        for &id in arrivals {
+            if known[id as usize] {
+                continue;
+            }
+            known[id as usize] = true;
+            stack.push(id);
+            while let Some(v) = stack.pop() {
+                steps.push(Step::Pop(v as usize));
+                for &e in matrix.col(v as usize) {
+                    let e = e as usize;
+                    if unprocessed[e] == 0 {
+                        continue;
+                    }
+                    steps.push(Step::Fold(e));
+                    unprocessed[e] -= 1;
+                    if unprocessed[e] == 1 {
+                        unprocessed[e] = 0;
+                        match matrix.row(e).iter().find(|&&c| !known[c as usize]) {
+                            Some(&u) => {
+                                steps.push(Step::Solve(e, u as usize));
+                                known[u as usize] = true;
+                                stack.push(u);
+                            }
+                            None => steps.push(Step::Spent(e)),
+                        }
+                    }
+                }
+            }
+        }
+        (steps, known)
+    }
+
+    #[test]
+    fn id_xor_trace_equals_row_scan_trace() {
+        let (k, n) = (120, 300);
+        let (mut solved, mut spent) = (0, 0);
+        for right in [
+            RightSide::Identity,
+            RightSide::Staircase,
+            RightSide::Triangle,
+        ] {
+            for seed in 0..8u64 {
+                let matrix = SparseMatrix::build(LdgmParams::new(k, n, right, seed)).unwrap();
+                let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+                // A shuffle of everything with a tail of repeats, and
+                // parity first then sources (the order that leaves
+                // variables pending on the stack).
+                let mut shuffled: Vec<u32> = (0..n as u32).collect();
+                shuffled.shuffle(&mut rng);
+                shuffled.extend_from_within(..n / 4);
+                let mut parity_first: Vec<u32> = (k as u32..n as u32).collect();
+                parity_first.shuffle(&mut rng);
+                let mut sources: Vec<u32> = (0..k as u32).collect();
+                sources.shuffle(&mut rng);
+                parity_first.extend(sources);
+
+                for arrivals in [shuffled, parity_first] {
+                    let mut peeler = Peeler::new(&matrix);
+                    let mut recorder = Recorder::default();
+                    for &id in &arrivals {
+                        if !peeler.known[id as usize] {
+                            peeler.learn(&matrix, id, &mut recorder);
+                        }
+                    }
+                    let (reference, known) = row_scan_trace(&matrix, &arrivals);
+                    assert_eq!(recorder.0, reference, "{right} seed {seed}");
+                    assert_eq!(peeler.known, known);
+                    for step in &reference {
+                        match step {
+                            Step::Solve(..) => solved += 1,
+                            Step::Spent(_) => spent += 1,
+                            _ => {}
+                        }
+                    }
+                }
+            }
+        }
+        assert!(solved > 0 && spent > 0, "both endings exercised");
     }
 }

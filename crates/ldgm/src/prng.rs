@@ -36,7 +36,12 @@ impl PmRand {
     /// Next raw value in `1..M`.
     #[inline]
     pub fn next_raw(&mut self) -> u32 {
-        self.state = (self.state * A) % M;
+        // `x mod (2^31 - 1)` without a division: 2^31 ≡ 1, so the high
+        // bits fold onto the low ones. `x < 2^46`, so one fold leaves a
+        // value below 2M, and `x` is never a multiple of M.
+        let x = self.state * A;
+        let folded = (x & M) + (x >> 31);
+        self.state = if folded >= M { folded - M } else { folded };
         self.state as u32
     }
 
@@ -44,16 +49,17 @@ impl PmRand {
     ///
     /// # Panics
     /// Panics if `bound == 0`.
+    #[inline]
     pub fn below(&mut self, bound: u32) -> u32 {
         assert!(bound > 0, "PmRand::below(0)");
-        // Largest multiple of `bound` not exceeding the raw range (M-1 values
-        // in 1..M; shift to 0..M-1 by subtracting 1).
-        let range = (M - 1) as u32;
-        let limit = range - range % bound;
         loop {
             let v = self.next_raw() - 1; // 0..M-1
-            if v < limit {
-                return v % bound;
+            let r = v % bound;
+            // Accept `v` iff its whole block `[v - r, v - r + bound)` fits
+            // in the M-1 raw values `0..M-1`: exactly the draws below the
+            // largest multiple of `bound` in range, with one division.
+            if u64::from(v - r) + u64::from(bound) < M {
+                return r;
             }
         }
     }
@@ -70,6 +76,80 @@ impl PmRand {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{Rng, SeedableRng};
+
+    /// Reference step: the textbook `% M`.
+    fn next_raw_mod(state: &mut u64) -> u32 {
+        *state = (*state * A) % M;
+        *state as u32
+    }
+
+    /// Reference `below`: the two-division form (the limit, then the
+    /// residue) the one-division acceptance test must agree with draw for
+    /// draw.
+    fn below_two_divisions(state: &mut u64, bound: u32) -> u32 {
+        let range = (M - 1) as u32;
+        let limit = range - range % bound;
+        loop {
+            let v = next_raw_mod(state) - 1;
+            if v < limit {
+                return v % bound;
+            }
+        }
+    }
+
+    /// `A · A_INV ≡ 1 (mod M)`.
+    const A_INV: u64 = 1_407_677_000;
+
+    /// Edge states, random states, and states whose next state `t` is
+    /// small: there the fold lands at `t + M` and its final subtraction
+    /// matters (a few in a million random states do).
+    fn random_states(count: usize) -> Vec<u64> {
+        assert_eq!(A * A_INV % M, 1);
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(0x0F01D);
+        let mut states = vec![1, 2, A, M / 2, M / 2 + 1, M - 2, M - 1];
+        states.extend((1..=64).map(|t| t * A_INV % M));
+        states.extend((0..count).map(|_| rng.gen_range(1..M)));
+        states
+    }
+
+    #[test]
+    fn fold_equals_mod_m() {
+        for state in random_states(200_000) {
+            let mut fast = PmRand { state };
+            let mut reference = state;
+            assert_eq!(
+                fast.next_raw(),
+                next_raw_mod(&mut reference),
+                "state {state}"
+            );
+            assert_eq!(fast.state, reference);
+        }
+    }
+
+    #[test]
+    fn one_division_below_equals_two_division_below() {
+        let range = (M - 1) as u32;
+        // 1, 2 and 3 are the smallest bounds; M - 2 rejects one raw value
+        // and range / 2 + 1 rejects almost half, so the loop is exercised.
+        let mut bounds = vec![1, 2, 3, 7, 1000, range / 2 + 1, range - 1, range];
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(0xB0B);
+        bounds.extend((0..32).map(|_| rng.gen_range(1..=range)));
+        for &bound in &bounds {
+            for state in random_states(200) {
+                let mut fast = PmRand { state };
+                let mut reference = state;
+                for _ in 0..16 {
+                    assert_eq!(
+                        fast.below(bound),
+                        below_two_divisions(&mut reference, bound),
+                        "bound {bound}, state {state}"
+                    );
+                }
+                assert_eq!(fast.state, reference, "same draws consumed");
+            }
+        }
+    }
 
     #[test]
     fn known_park_miller_sequence() {

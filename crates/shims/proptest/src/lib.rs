@@ -421,9 +421,15 @@ pub mod test_runner {
         pub cases: u32,
     }
 
+    /// 64 cases, or `PROPTEST_CASES` when set (as with the real crate, an
+    /// explicit [`ProptestConfig::with_cases`] is not overridden).
     impl Default for ProptestConfig {
         fn default() -> ProptestConfig {
-            ProptestConfig { cases: 64 }
+            let cases = std::env::var("PROPTEST_CASES")
+                .ok()
+                .and_then(|v| v.parse().ok())
+                .unwrap_or(64);
+            ProptestConfig { cases }
         }
     }
 

@@ -135,8 +135,22 @@ impl Runner {
         let sched_seed = mix_seed(master_seed, &[TAG_SCHED, run_idx]);
         let chan_seed = mix_seed(master_seed, &[TAG_CHAN, run_idx]);
         let schedule = self.experiment.tx.schedule(&self.layout, sched_seed);
+        // The channel is local to the run, so drawing every fate up front
+        // is unobservable. No codec completes from fewer than k packets
+        // (the `StructuralSession` contract), so a run the channel leaves
+        // short of k is a failure without decoding anything.
         let mut gilbert = GilbertChannel::new(channel, chan_seed);
-        self.walk(&schedule, |_| gilbert.next_is_lost(), run_idx, track_total)
+        let lost: Vec<bool> = schedule.iter().map(|_| gilbert.next_is_lost()).collect();
+        let survivors = lost.iter().filter(|&&l| !l).count() as u64;
+        if survivors < self.experiment.k as u64 {
+            return RunResult {
+                decoded: false,
+                n_necessary: None,
+                n_received: survivors,
+                n_sent: schedule.len() as u64,
+            };
+        }
+        self.walk(&schedule, |i| lost[i], run_idx, track_total)
     }
 
     /// Executes a §5 reception-model run: the arrival sequence is given
@@ -340,6 +354,48 @@ mod tests {
         assert!(!out.decoded);
         assert_eq!(out.n_necessary, None);
         assert!(out.n_received < 200);
+    }
+
+    #[test]
+    fn early_exit_equals_the_full_walk() {
+        // Reference: the walk with the channel drawn lazily and no exit.
+        fn full_walk(r: &Runner, ch: GilbertParams, seed: u64, run: u64, track: bool) -> RunResult {
+            let schedule = r
+                .experiment
+                .tx
+                .schedule(&r.layout, mix_seed(seed, &[TAG_SCHED, run]));
+            let mut gilbert = GilbertChannel::new(ch, mix_seed(seed, &[TAG_CHAN, run]));
+            r.walk(&schedule, |_| gilbert.next_is_lost(), run, track)
+        }
+        let (mut hopeless, mut decoded) = (0, 0);
+        for (code, tx) in [
+            (builtin::ldgm_triangle(), TxModel::Random),
+            (builtin::ldgm_staircase(), TxModel::SourceSeqParityRandom),
+            (builtin::rse(), TxModel::Interleaved),
+        ] {
+            let k = 200;
+            let r = Runner::new(exp(code, k, ExpansionRatio::R1_5, tx), 2).unwrap();
+            for p in [0.0, 0.05, 0.3, 0.6] {
+                for q in [0.05, 0.3, 0.9] {
+                    let ch = GilbertParams::new(p, q).unwrap();
+                    for run in 0..4 {
+                        for track in [false, true] {
+                            let got = r.run_with_channel(ch, 17, run, track);
+                            assert_eq!(got, full_walk(&r, ch, 17, run, track), "p={p} q={q}");
+                            if got.decoded {
+                                decoded += 1;
+                            } else if got.n_received < k as u64 {
+                                hopeless += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            hopeless > 0 && decoded > 0,
+            "{hopeless} hopeless, {decoded} decoded"
+        );
     }
 
     #[test]
