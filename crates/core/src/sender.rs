@@ -164,33 +164,8 @@ impl Sender {
             .collect()
     }
 
-    /// Generates a §6.2 *planned* transmission: the `tx`-model order
-    /// truncated to `plan.n_sent` packets. This is the sender half of the
-    /// adaptive loop — a controller measures the channel, builds a
-    /// [`TransmissionPlan`](crate::TransmissionPlan), and the sender emits
-    /// exactly the planned prefix instead of all `n` packets.
-    ///
-    /// The truncation keeps the schedule's own randomization, so the
-    /// delivered subset has the same distribution the plan's inefficiency
-    /// estimate was measured under.
-    pub fn planned_transmission(
-        &self,
-        plan: &crate::TransmissionPlan,
-        tx: TxModel,
-        seed: u64,
-    ) -> Vec<Packet> {
-        let mut schedule = tx.schedule(&self.layout, seed);
-        schedule.truncate(plan.n_sent as usize);
-        schedule
-            .into_iter()
-            .map(|r| self.packet(r).expect("schedule refs are valid"))
-            .collect()
-    }
-
     /// Starts an incremental, *amendable* emission of this object's
-    /// schedule (the live counterpart of
-    /// [`planned_transmission`](Self::planned_transmission)): packets come
-    /// out one [`next_ref`](crate::PlannedEmission::next_ref) at a time
+    /// schedule, the §6.2 *planned* transmission: packets come out one [`next_ref`](crate::PlannedEmission::next_ref) at a time
     /// and a fresh [`TransmissionPlan`](crate::TransmissionPlan) can move
     /// the stopping point mid-flight via
     /// [`amend`](crate::PlannedEmission::amend). Materialise each
@@ -289,22 +264,6 @@ mod tests {
         let s = Sender::new(spec, &object(50 * 4), 4).unwrap();
         let pkts = s.transmission(TxModel::Interleaved, 1);
         assert_eq!(pkts.len() as u64, s.packet_count());
-    }
-
-    #[test]
-    fn planned_transmission_is_a_schedule_prefix() {
-        use crate::TransmissionPlan;
-        use fec_channel::GilbertParams;
-
-        let spec = CodeSpec::ldgm_staircase(100, ExpansionRatio::R2_5);
-        let s = Sender::new(spec, &object(100 * 8), 8).unwrap();
-        let channel = GilbertParams::bernoulli(0.1).unwrap();
-        let plan = TransmissionPlan::new(100, s.packet_count(), 1.1, channel, 5);
-        assert!(plan.n_sent < s.packet_count());
-        let full = s.transmission(TxModel::Random, 77);
-        let planned = s.planned_transmission(&plan, TxModel::Random, 77);
-        assert_eq!(planned.len() as u64, plan.n_sent);
-        assert_eq!(&full[..planned.len()], &planned[..]);
     }
 
     #[test]

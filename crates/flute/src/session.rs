@@ -227,16 +227,6 @@ impl FluteSender {
         fdt_of(config, config.fdt_instance_id, self.objects.iter())
     }
 
-    /// One FDT announcement datagram.
-    pub fn fdt_datagram(&self) -> Result<Vec<u8>, FluteError> {
-        AlcPacket::fdt(
-            self.config.tsi,
-            self.config.fdt_instance_id,
-            Bytes::from(self.fdt().to_xml().into_bytes()),
-        )
-        .to_bytes()
-    }
-
     /// Emits the complete session as wire datagrams: FDT first, then every
     /// object's packets in its schedule (objects back to back), with FDT
     /// repeats every `fdt_interval` data packets, the `B` flag on each
@@ -2173,7 +2163,7 @@ mod tests {
     #[test]
     fn stale_fdt_instances_ignored() {
         let sender = session_with_object(&object_bytes(100), TxModel::Random);
-        let fdt_dg = sender.fdt_datagram().unwrap();
+        let fdt_dg = sender.stream(1).fdt_datagram().unwrap();
         let mut receiver = FluteReceiver::new(7);
         assert_eq!(
             receiver.push_datagram(&fdt_dg).unwrap(),

@@ -95,17 +95,6 @@ pub enum Event {
         /// Symbols actually queued (deduped against packets in flight).
         queued: u64,
     },
-    /// Periodic link-emulator impairment snapshot.
-    LinkImpairment {
-        /// Datagrams offered to the link.
-        offered: u64,
-        /// Datagrams dropped.
-        dropped: u64,
-        /// Datagrams duplicated.
-        duplicated: u64,
-        /// Datagrams delivered out of order.
-        reordered: u64,
-    },
     /// Distributed sweep progress.
     SweepProgress {
         /// Work units merged so far.

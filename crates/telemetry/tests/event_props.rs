@@ -9,7 +9,7 @@ use proptest::prelude::*;
 /// Builds one of every [`Event`] variant from generated primitives; the
 /// selector wraps, so every variant is reachable from any `u8`.
 fn build_event(variant: u8, a: u64, b: u64, c: u64, x: f64, y: f64, flag: bool) -> Event {
-    match variant % 11 {
+    match variant % 10 {
         0 => Event::SessionStart {
             tsi: a,
             objects: b as u32,
@@ -47,12 +47,6 @@ fn build_event(variant: u8, a: u64, b: u64, c: u64, x: f64, y: f64, flag: bool) 
             toi: a as u32,
             requested: b,
             queued: c,
-        },
-        9 => Event::LinkImpairment {
-            offered: a,
-            dropped: b,
-            duplicated: c,
-            reordered: a.wrapping_add(b),
         },
         _ => Event::SweepProgress {
             units_done: a,

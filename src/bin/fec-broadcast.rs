@@ -160,18 +160,19 @@ USAGE:
                       [--population <n>] [--jitter-seed <n>]
                       [--backoff <exp>] [--nack]]
                      [--metrics-addr <addr:port>] [--telemetry-log <path>]
-      Join a FLUTE session and reconstruct the broadcast file. With
-      --report-to, emit reception-report digests (one per --report-every
-      received datagrams, default 128) to the sender's feedback port.
-      --population scales the digest interval by n/log₂n (RTCP-style
-      suppression: aggregate feedback stays O(log n) across n receivers);
-      --jitter-seed de-synchronises report times ±25%; --backoff doubles
-      the interval up to 2^exp while the channel stays clean. --nack adds
-      per-block missing-ESI lists to each digest so an adaptive sender
-      can emit targeted repairs. Several comma-separated --listen
-      addresses bond the receive: one socket + drain thread per address,
-      datagrams path-tagged into a single decoder (the receiving half of
-      `send --paths`).
+      Join a FLUTE session and write every file it decodes, until every
+      file its FDT lists has (--out names the file of a one-file
+      session). With --report-to, emit reception-report digests (one per
+      --report-every received datagrams, default 128) to the sender's
+      feedback port. --population scales the digest interval by n/log₂n
+      (RTCP-style suppression: aggregate feedback stays O(log n) across
+      n receivers); --jitter-seed de-synchronises report times ±25%;
+      --backoff doubles the interval up to 2^exp while the channel stays
+      clean. --nack adds per-block missing-ESI lists to each digest so
+      an adaptive sender can emit targeted repairs. Several
+      comma-separated --listen addresses bond the receive: one socket +
+      drain thread per address, datagrams path-tagged into a single
+      decoder (the receiving half of `send --paths`).
 
 Observability (send / recv / sweep): --metrics-addr serves a Prometheus
 text endpoint (`curl http://addr:port/metrics`) for the lifetime of the
@@ -1182,45 +1183,46 @@ fn cmd_recv(args: RecvArgs) -> Result<(), String> {
     // The decode loop lives in [`live::receive_session`]: bursts from the
     // drain threads feed the decoder's batched path, digests ship through
     // the *lossy* return channel (a failed send is counted, never fatal),
-    // and a malformed datagram costs itself, not its burst.
+    // a malformed datagram costs itself, not its burst, and the loop runs
+    // until every object the FDT lists is decoded.
     let config = live::ReceiveConfig {
         registry: telemetry.registry.clone(),
         ..Default::default()
     };
-    let outcome = live::receive_session(&mut session, &datagram_rx, ship, &config)?;
-    let live::ReceiveOutcome { toi, datagrams, .. } = outcome;
-    if outcome.rejected > 0 || outcome.ship_failures > 0 {
+    let reception = live::receive_session(&mut session, &datagram_rx, ship, &config)?;
+    if reception.rejected > 0 || reception.ship_failures > 0 {
         eprintln!(
             "survived wire faults: {} datagrams rejected, {} digests unshipped",
-            outcome.rejected, outcome.ship_failures
+            reception.rejected, reception.ship_failures
         );
     }
-    telemetry.record(Event::ObjectComplete { toi });
+    for (&toi, &received) in &reception.completed {
+        telemetry.record(Event::ObjectComplete { toi });
+        let location = session
+            .fdt()
+            .and_then(|f| f.file(toi))
+            .map(|f| f.content_location.clone())
+            .unwrap_or_else(|| format!("toi-{toi}.bin"));
+        let object = session.take_object(toi).expect("object completed");
+        let out_path = match &args.out {
+            Some(out) if reception.completed.len() == 1 => out.clone(),
+            _ => std::path::Path::new(&location)
+                .file_name()
+                .map(|n| n.to_string_lossy().into_owned())
+                .unwrap_or_else(|| format!("toi-{toi}.bin")),
+        };
+        std::fs::write(&out_path, &object).map_err(|e| format!("cannot write {out_path}: {e}"))?;
+        println!(
+            "decoded '{location}' -> {out_path}: {} bytes from {received} data packets \
+             ({} datagrams consumed)",
+            object.len(),
+            reception.datagrams
+        );
+    }
     // Attribute any loss runs still unrepaired to the residual histogram
     // before the final scrape / event drain.
     session.finalize_telemetry();
-    telemetry.drain()?;
-
-    let location = session
-        .fdt()
-        .and_then(|f| f.file(toi))
-        .map(|f| f.content_location.clone())
-        .unwrap_or_else(|| format!("toi-{toi}.bin"));
-    let received = session.packets_received(toi);
-    let object = session.take_object(toi).expect("object completed");
-    let out_path = args.out.unwrap_or_else(|| {
-        std::path::Path::new(&location)
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_else(|| format!("toi-{toi}.bin"))
-    });
-    std::fs::write(&out_path, &object).map_err(|e| format!("cannot write {out_path}: {e}"))?;
-    println!(
-        "decoded '{location}' -> {out_path}: {} bytes from {received} data packets \
-         ({datagrams} datagrams consumed)",
-        object.len()
-    );
-    Ok(())
+    telemetry.drain()
 }
 
 #[cfg(test)]

@@ -15,10 +15,21 @@
 //!   paths; a single receiver is a population of one; a static session
 //!   is a session nobody reports on. A path whose sink fails is retired
 //!   and the survivors carry on.
-//! * [`receive_session`] — the decode loop, over datagrams tagged with
-//!   the path (bound socket) they arrived on; a single-socket receiver
-//!   tags everything 0. Reception reports ship through a *lossy* hook:
-//!   failures are counted and logged, never fatal.
+//! * [`Reception`] — the receive step, the one thing every receive loop
+//!   does: decode a burst that arrived on a path (a burst the batched
+//!   path rejects is replayed one datagram at a time, so a bad datagram
+//!   costs itself, not its 4000-odd good neighbours), record each object
+//!   it completes with its packet count at that moment, pick the digest
+//!   to ship (the FIN digest once done), flush when idle, and say when
+//!   the session is done: every object the FDT lists is decoded. The
+//!   in-process [`world`](crate::world)'s members run it one datagram at
+//!   a time.
+//! * [`receive_session`] — that step as a blocking loop over datagrams
+//!   tagged with the path (bound socket) they arrived on; a single-socket
+//!   receiver tags everything 0. It runs until the session is done, or
+//!   until the channel goes idle with something decoded. Reception
+//!   reports ship through a *lossy* hook: failures are counted and
+//!   logged, never fatal.
 //! * [`drain_loop`] / [`spawn_drain`] — pull bursts from a
 //!   [`BurstSource`] (the batched engine's [`BatchReceiver`], or a
 //!   scripted source in tests) and forward datagrams to the decode
@@ -26,10 +37,6 @@
 //!   [`fec_wire::classify_recv_error`]: interrupted
 //!   syscalls retry, only an idle read timeout ends the session, and
 //!   anything else is logged, counted, and survived.
-//! * [`push_salvaging`] — feeds a burst to the FLUTE receiver and, if
-//!   the batched path reports an error, replays the burst one datagram
-//!   at a time so the bad datagram is skipped instead of sinking its
-//!   4000-odd good neighbours.
 //!
 //! Everything here handles bytes from the network (digests on the send
 //! side, datagrams on the receive side), so the module is panic-free by
@@ -45,9 +52,7 @@ use fec_adapt::{ControllerConfig, Decision, Reconsideration};
 use fec_channel::LinkEmulator;
 use fec_flute::feedback::{AggregateOutcome, AggregatorConfig, FeedbackAggregator, NackEntry};
 use fec_flute::{FluteReceiver, FluteSender, ReceiverEvent, ReceptionReport};
-use fec_telemetry::{
-    Counter, EstimatorSample, Event, EventLog, PathMetrics, Registry, SessionSummary,
-};
+use fec_telemetry::{EstimatorSample, Event, EventLog, PathMetrics, Registry, SessionSummary};
 use fec_wire::{
     classify_recv_error, BatchReceiver, BatchSender, PoolBuf, RecvDisposition, MAX_BURST,
 };
@@ -166,7 +171,7 @@ where
 /// and how many datagrams were rejected — both the per-datagram
 /// [`ReceiverEvent::Rejected`] skips the batched path already performs
 /// and any salvage-pass casualties.
-pub fn push_salvaging<D: AsRef<[u8]>>(
+fn push_salvaging<D: AsRef<[u8]>>(
     session: &mut FluteReceiver,
     path: usize,
     burst: &[D],
@@ -205,6 +210,74 @@ pub fn push_salvaging<D: AsRef<[u8]>>(
     (events, skipped + undecodable)
 }
 
+/// One receiver's progress through a session, and the receive step that
+/// advances it: [`decode`](Self::decode) each burst, then ship
+/// [`digest`](Self::digest); ship [`idle`](Self::idle) when the channel
+/// is quiet; stop once [`is_done`](Self::is_done). Every receive loop is
+/// this step: [`receive_session`] over the drain threads' bursts, the
+/// in-process world's members one datagram at a time.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
+pub struct Reception {
+    /// Per decoded object: the data packets the receiver held when it
+    /// decoded, the numerator of the paper's inefficiency ratio.
+    pub completed: BTreeMap<u32, u64>,
+    /// Datagrams decoded (accepted or rejected).
+    pub datagrams: u64,
+    /// Datagrams rejected as malformed or undecodable.
+    pub rejected: u64,
+    /// Digests that failed to ship down the return channel.
+    pub ship_failures: u64,
+    done: bool,
+}
+
+impl Reception {
+    /// Decodes `burst`, which arrived on `path`, into `session`; a bad
+    /// datagram costs itself, not its burst. Records every object the
+    /// burst completes with its packet count at that moment.
+    pub fn decode<D: AsRef<[u8]>>(
+        &mut self,
+        session: &mut FluteReceiver,
+        path: usize,
+        burst: &[D],
+    ) {
+        let (events, rejected) = push_salvaging(session, path, burst);
+        self.datagrams += burst.len() as u64;
+        self.rejected += rejected;
+        for event in events {
+            if let ReceiverEvent::ObjectComplete { toi } = event {
+                self.completed.insert(toi, session.packets_received(toi));
+            }
+        }
+        self.done = session.all_complete();
+    }
+
+    /// Whether every object the FDT lists is decoded: the end of the
+    /// session, and the condition the digests' FIN flag carries.
+    pub fn is_done(&self) -> bool {
+        self.done
+    }
+
+    /// The digest to ship after a burst: the FIN digest once the session
+    /// is done, else whatever the report batching releases.
+    pub fn digest(&self, session: &mut FluteReceiver) -> Option<ReceptionReport> {
+        if self.done {
+            session.flush_report()
+        } else {
+            session.poll_report()
+        }
+    }
+
+    /// The idle flush: what the emitter has batched, so the sender's
+    /// estimator never starves on a quiet channel. Nothing once done.
+    pub fn idle(&self, session: &mut FluteReceiver) -> Option<ReceptionReport> {
+        if self.done {
+            None
+        } else {
+            session.flush_report()
+        }
+    }
+}
+
 /// Knobs for [`receive_session`]. The defaults match the CLI.
 pub struct ReceiveConfig {
     /// How long to wait for a datagram before shipping a timer-tick
@@ -227,41 +300,32 @@ impl Default for ReceiveConfig {
 /// Most datagrams [`receive_session`] decodes per burst.
 const RECEIVE_BURST_CAP: usize = 4096;
 
-/// How many times [`receive_session`] repeats the final FIN digest (the
+/// How many times [`receive_session`] ships the final FIN digest (the
 /// return channel is lossy too).
 const FIN_REPEATS: u32 = 3;
 
-/// How a completed [`receive_session`] went.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct ReceiveOutcome {
-    /// The object that completed.
-    pub toi: u32,
-    /// Datagrams consumed (accepted or rejected).
-    pub datagrams: u64,
-    /// Datagrams rejected as malformed or undecodable.
-    pub rejected: u64,
-    /// Digests that failed to ship down the return channel.
-    pub ship_failures: u64,
-}
-
-/// The receive decode loop: pull path-tagged datagrams from the drain
-/// threads' channel, decode in bursts grouped by path (so the per-path
-/// EXT_SEQ gap accounting stays honest across a bond), and ship
-/// reception-report digests through `ship` until an object completes.
+/// The receive loop: the [`Reception`] step over path-tagged datagrams
+/// from the drain threads' channel, decoded in bursts grouped by path (so
+/// the per-path EXT_SEQ gap accounting stays honest across a bond), with
+/// an idle flush every [`flush_interval`](ReceiveConfig::flush_interval)
+/// the channel stays quiet. It runs until the session is done, then ships
+/// the FIN digest three times (the return channel is lossy too) so an
+/// adaptive sender stops at once.
 ///
 /// `ship` is treated as *lossy by design*: a failure is logged and
 /// counted (`fec_session_report_ship_failures_total` on
-/// [`ReceiveConfig::registry`]) but never ends the session — the sender's digest protocol already tolerates missing
-/// reports, exactly like it tolerates lost data datagrams.
+/// [`ReceiveConfig::registry`]) but never ends the session — the sender's
+/// digest protocol already tolerates missing reports, exactly like it
+/// tolerates lost data datagrams.
 ///
-/// Errors only when the channel disconnects (every drain thread saw the
-/// read timeout expire) before any object completed.
+/// When the channel disconnects first (every drain thread saw the read
+/// timeout expire), returns what completed; errors only if nothing did.
 pub fn receive_session<F>(
     session: &mut FluteReceiver,
     datagrams: &mpsc::Receiver<(usize, PoolBuf)>,
     mut ship: F,
     config: &ReceiveConfig,
-) -> Result<ReceiveOutcome, String>
+) -> Result<Reception, String>
 where
     F: FnMut(&ReceptionReport) -> Result<(), String>,
 {
@@ -273,88 +337,56 @@ where
         "fec_session_report_ship_failures_total",
         "Reception-report digests that failed to ship (lossy return channel).",
     );
-    let mut outcome = ReceiveOutcome::default();
-    let mut burst: Vec<(usize, PoolBuf)> = Vec::new();
-    let toi = 'decode: loop {
-        burst.clear();
-        match datagrams.recv_timeout(config.flush_interval) {
-            Ok(tagged) => burst.push(tagged),
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                // Idle tick: ship whatever the emitter has batched so the
-                // sender's estimator never starves on a quiet channel.
-                if let Some(report) = session.flush_report() {
-                    ship_lossy(&mut ship, &report, &mut outcome, &ship_failure_counter);
-                }
-                continue;
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                return Err(format!(
-                    "timed out after {} datagrams without completing the object \
-                     (losses beyond the code's budget, or no sender running)",
-                    outcome.datagrams
-                ))
-            }
-        }
-        while burst.len() < RECEIVE_BURST_CAP {
-            match datagrams.try_recv() {
-                Ok(tagged) => burst.push(tagged),
-                Err(_) => break,
-            }
-        }
-        outcome.datagrams += burst.len() as u64;
-        // Decode path-by-path (arrival order preserved within each path:
-        // that is all the per-path sequence tracks care about).
-        let path_count = burst.iter().map(|(p, _)| p + 1).max().unwrap_or(0);
-        for path in 0..path_count {
-            let slice: Vec<&PoolBuf> = burst
-                .iter()
-                .filter(|(p, _)| *p == path)
-                .map(|(_, dg)| dg)
-                .collect();
-            if slice.is_empty() {
-                continue;
-            }
-            let (events, rejected) = push_salvaging(session, path, &slice);
-            if rejected > 0 {
-                outcome.rejected += rejected;
-                rejected_counter.add(rejected);
-            }
-            for event in events {
-                if let ReceiverEvent::ObjectComplete { toi } = event {
-                    break 'decode toi;
-                }
-            }
-        }
-        if let Some(report) = session.poll_report() {
-            ship_lossy(&mut ship, &report, &mut outcome, &ship_failure_counter);
-        }
-    };
-    // Final FIN digests (repeated: the return channel is lossy too) so an
-    // adaptive sender stops transmitting immediately.
-    for _ in 0..FIN_REPEATS {
-        if let Some(report) = session.flush_report() {
-            ship_lossy(&mut ship, &report, &mut outcome, &ship_failure_counter);
-        }
-    }
-    outcome.toi = toi;
-    Ok(outcome)
-}
-
-fn ship_lossy<F>(
-    ship: &mut F,
-    report: &ReceptionReport,
-    outcome: &mut ReceiveOutcome,
-    failures: &Counter,
-) where
-    F: FnMut(&ReceptionReport) -> Result<(), String>,
-{
-    if let Err(e) = ship(report) {
-        outcome.ship_failures += 1;
-        failures.inc();
-        if outcome.ship_failures <= 5 {
+    let mut ship_failures = 0u64;
+    let mut ship_lossy = |report: Option<ReceptionReport>| {
+        let Some(Err(e)) = report.map(|report| ship(&report)) else {
+            return;
+        };
+        ship_failures += 1;
+        ship_failure_counter.inc();
+        if ship_failures <= 5 {
             eprintln!("digest not shipped (return channel is lossy by design): {e}");
         }
+    };
+    let mut reception = Reception::default();
+    while !reception.is_done() {
+        let first = match datagrams.recv_timeout(config.flush_interval) {
+            Ok(tagged) => tagged,
+            Err(mpsc::RecvTimeoutError::Timeout) => {
+                ship_lossy(reception.idle(session));
+                continue;
+            }
+            Err(mpsc::RecvTimeoutError::Disconnected) => break,
+        };
+        let burst = std::iter::once(first).chain(datagrams.try_iter());
+        let mut burst: Vec<_> = burst.take(RECEIVE_BURST_CAP).collect();
+        let rejected = reception.rejected;
+        // Decode path by path (the sort is stable, so arrival order holds
+        // within each path: all the per-path sequence tracks care about).
+        burst.sort_by_key(|(path, _)| *path);
+        for group in burst.chunk_by(|a, b| a.0 == b.0) {
+            let path = group.first().map_or(0, |(path, _)| *path);
+            let slice: Vec<&PoolBuf> = group.iter().map(|(_, dg)| dg).collect();
+            reception.decode(session, path, &slice);
+        }
+        rejected_counter.add(reception.rejected - rejected);
+        ship_lossy(reception.digest(session));
     }
+    if reception.is_done() {
+        // The burst that finished the session shipped the first FIN.
+        for _ in 1..FIN_REPEATS {
+            ship_lossy(reception.digest(session));
+        }
+    }
+    reception.ship_failures = ship_failures;
+    if reception.completed.is_empty() {
+        return Err(format!(
+            "timed out after {} datagrams without completing an object \
+             (losses beyond the code's budget, or no sender running)",
+            reception.datagrams
+        ));
+    }
+    Ok(reception)
 }
 
 /// How long a sender whose planned emission ran dry waits for digests

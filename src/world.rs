@@ -10,12 +10,12 @@
 //! * Each path takes a scripted fault schedule ([`World::at`]): kill it,
 //!   degrade its loss process, garble every nth datagram, fail every nth
 //!   send.
-//! * Members decode through [`push_salvaging`], the receive loop's own
-//!   entry point, one datagram at a time, so an object's packet count at
-//!   decode is exact. After each burst a member polls for a digest; once
-//!   it holds every object it sends its final digest and leaves.
+//! * Members run the receive loop's own step, [`Reception`], one
+//!   datagram at a time, so an object's packet count at decode is exact.
+//!   After each burst a member ships the step's digest; once it holds
+//!   every object it ships its FIN digest and leaves.
 //! * A digest poll that finds the queue empty is the members' idle tick:
-//!   every member still in the session flushes a report.
+//!   every member still in the session ships the step's idle flush.
 //!
 //! Each path records how many datagrams it was offered and an FNV-1a hash
 //! of them in send order, the routing fingerprint a golden test pins. The
@@ -47,13 +47,13 @@ use fec_channel::{DriftingChannel, GilbertChannel, GilbertParams, LinkEmulator, 
 use fec_codec::builtin;
 use fec_core::ExpansionRatio;
 use fec_flute::feedback::{ReceptionReport, ReportConfig};
-use fec_flute::{FluteReceiver, FluteSender, LctHeader, ReceiverEvent, SenderConfig, FDT_TOI};
+use fec_flute::{FluteReceiver, FluteSender, LctHeader, SenderConfig, FDT_TOI};
 use fec_sched::TxModel;
 use fec_sim::mix_seed;
 use fec_wire::{BufferPool, PoolBuf};
 use serde::Serialize;
 
-use crate::live::{push_salvaging, send_session, DigestSource, PathSink, SendConfig};
+use crate::live::{send_session, DigestSource, PathSink, Reception, SendConfig};
 
 /// Bytes per symbol of a [`Workload`]: it counts packets, not bytes.
 const SYMBOL: usize = 16;
@@ -149,7 +149,7 @@ impl Workload {
                 true_loss: truth.map_or(0.0, |params| params.global_loss_probability()),
                 estimated_loss_bound: d.loss_bound,
                 n_sent: sent.map_or(0, |&(_, n)| n),
-                n_necessary: member.needed.get(&d.toi).copied(),
+                n_necessary: member.reception.completed.get(&d.toi).copied(),
             });
         }
         Ok((Report { k: self.k, objects }, member.receiver))
@@ -266,10 +266,8 @@ pub struct Member {
     pub receiver: FluteReceiver,
     /// Datagrams the paths had been offered when it finished.
     pub completed_at: Option<u64>,
-    /// Datagrams `push_salvaging` rejected.
-    pub rejected: u64,
-    /// Per object: its data datagrams the receiver held when it decoded.
-    needed: BTreeMap<u32, u64>,
+    /// What its receive step recorded.
+    pub reception: Reception,
 }
 
 impl Member {
@@ -280,8 +278,7 @@ impl Member {
             links,
             receiver,
             completed_at: None,
-            rejected: 0,
-            needed: BTreeMap::new(),
+            reception: Reception::default(),
         }
     }
 
@@ -293,7 +290,7 @@ impl Member {
 
     /// Delivers `burst` through this member's link for `path`, one
     /// datagram at a time, and returns the digest it sends after the
-    /// burst: its final one once it holds every object, which is also
+    /// burst: its FIN digest once it holds every object, which is also
     /// when it leaves the session (the world stops delivering to it).
     fn hear(
         &mut self,
@@ -304,20 +301,10 @@ impl Member {
         let link = self.links.get_mut(path);
         let link = link.ok_or_else(|| format!("{} has no link for path {path}", self.addr))?;
         for datagram in link.transmit_batch(burst) {
-            let (events, rejected) = push_salvaging(&mut self.receiver, path, &[datagram]);
-            self.rejected += rejected;
-            for event in events {
-                if let ReceiverEvent::ObjectComplete { toi } = event {
-                    self.needed.insert(toi, self.receiver.packets_received(toi));
-                }
-            }
+            self.reception.decode(&mut self.receiver, path, &[datagram]);
         }
-        Ok(if self.receiver.all_complete() {
-            self.completed_at = Some(offered);
-            self.receiver.flush_report()
-        } else {
-            self.receiver.poll_report()
-        })
+        self.completed_at = self.reception.is_done().then_some(offered);
+        Ok(self.reception.digest(&mut self.receiver))
     }
 }
 
@@ -485,9 +472,8 @@ impl DigestSource for Reports {
         let world = &mut *self.0.borrow_mut();
         if world.digests.is_empty() {
             // The members' idle tick: the sender has gone quiet.
-            let present = |m: &&mut Member| m.completed_at.is_none();
-            for member in world.members.iter_mut().filter(present) {
-                if let Some(report) = member.receiver.flush_report() {
+            for member in &mut world.members {
+                if let Some(report) = member.reception.idle(&mut member.receiver) {
                     let bytes = report.to_bytes().map_err(io::Error::other)?;
                     world.digests.push_back((bytes, member.addr));
                 }

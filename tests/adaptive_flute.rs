@@ -8,8 +8,9 @@
 //!    plan** — the full `ratio 2.5` schedule a feedback-free sender ships
 //!    (§6.2's "significantly less than the n packets that would have been
 //!    sent otherwise"), and
-//! 3. doing it through the real machinery — the send loop under test is
-//!    [`live::send_session`], the one the CLI runs: EXT_SEQ gap
+//! 3. doing it through the real machinery — the loops under test are
+//!    [`live::send_session`] and [`live::receive_session`], the ones the
+//!    CLI runs: EXT_SEQ gap
 //!    detection, reception-report digests over a return socket,
 //!    digest-driven online estimation, and mid-flight plan amendments.
 //!
@@ -18,12 +19,13 @@
 //! transport stays genuinely UDP end to end.
 
 use std::net::UdpSocket;
-use std::time::{Duration, Instant};
+use std::sync::mpsc;
+use std::time::Duration;
 
 use fec_broadcast::channel::{GilbertParams, LinkEmulator, LossModel};
-use fec_broadcast::flute::feedback::ReportConfig;
+use fec_broadcast::flute::feedback::{ReceptionReport, ReportConfig};
 use fec_broadcast::flute::{FluteReceiver, FluteSender, SenderConfig};
-use fec_broadcast::live::{self, SendConfig, SendOutcome, WirePath};
+use fec_broadcast::live::{self, ReceiveConfig, SendConfig, SendOutcome, WirePath};
 use fec_broadcast::prelude::*;
 use fec_broadcast::wire::{Backend, BatchReceiver, BatchSender, BufferPool, Pacer};
 
@@ -111,56 +113,33 @@ fn run_sender(
     (outcome, truncations)
 }
 
-/// The receive loop (the CLI's `recv --report-to` in library form).
+/// The receive side is the loop the CLI's `recv --report-to` ships —
+/// [`live::receive_session`] over a drain thread on the batched engine —
+/// and it runs to the end of the session: every object decoded, the FIN
+/// digest shipped. Ten quiet seconds end it early.
 fn run_receiver(data_socket: UdpSocket, report_dest: std::net::SocketAddr) -> FluteReceiver {
     let report_socket = UdpSocket::bind("127.0.0.1:0").unwrap();
     data_socket
-        .set_read_timeout(Some(Duration::from_millis(200)))
+        .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
+    let (tx, rx) = mpsc::channel();
+    let wire = BatchReceiver::new(data_socket, BufferPool::new(), Backend::detect());
+    drop(live::spawn_drain(wire, 0, tx));
     let mut session = FluteReceiver::new(TSI);
     session.enable_reports(ReportConfig {
         report_every: 48,
         ..ReportConfig::default()
     });
-    let mut buf = [0u8; 65536];
-    let mut last_data = Instant::now();
-    loop {
-        match data_socket.recv_from(&mut buf) {
-            Ok((len, _)) => {
-                last_data = Instant::now();
-                session.push_datagrams(&[&buf[..len]]).unwrap();
-                if let Some(report) = session.poll_report() {
-                    report_socket
-                        .send_to(&report.to_bytes().unwrap(), report_dest)
-                        .unwrap();
-                }
-            }
-            Err(_) => {
-                // Idle tick: flush pending observations so the sender's
-                // estimator keeps breathing, and give up after 10 quiet
-                // seconds.
-                if let Some(report) = session.flush_report() {
-                    report_socket
-                        .send_to(&report.to_bytes().unwrap(), report_dest)
-                        .unwrap();
-                }
-                if last_data.elapsed() > Duration::from_secs(10) {
-                    break;
-                }
-            }
-        }
-        if session.all_complete() {
-            // FIN digests, repeated — the return channel is lossy too.
-            for _ in 0..3 {
-                if let Some(report) = session.flush_report() {
-                    report_socket
-                        .send_to(&report.to_bytes().unwrap(), report_dest)
-                        .unwrap();
-                }
-            }
-            break;
-        }
-    }
+    let ship = |report: &ReceptionReport| {
+        let bytes = report.to_bytes().map_err(|e| e.to_string())?;
+        let sent = report_socket.send_to(&bytes, report_dest);
+        sent.map(drop).map_err(|e| e.to_string())
+    };
+    let config = ReceiveConfig {
+        flush_interval: Duration::from_millis(200),
+        ..ReceiveConfig::default()
+    };
+    live::receive_session(&mut session, &rx, ship, &config).unwrap();
     session
 }
 

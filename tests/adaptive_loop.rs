@@ -119,7 +119,8 @@ fn adaptive_controller_actually_adapts() {
 
 /// The engine deploys the controller's tuple: after a regime switch a
 /// later object goes out under another FTI than TOI 1's, and the receiver
-/// — fed through `live::push_salvaging` — decodes both byte-exactly.
+/// — running the shipped receive step, `live::Reception` — decodes both
+/// byte-exactly.
 #[test]
 fn a_later_object_goes_out_under_another_fti_and_decodes() {
     let (report, receiver) = adaptive();

@@ -161,7 +161,7 @@ mod bonded_faults {
         member.assert_byte_exact();
         // The storm really happened, and every fault was accounted for.
         assert!(
-            member.rejected > 0,
+            member.reception.rejected > 0,
             "malformed datagrams must surface as rejected"
         );
         let retired = outcome.paths[1].error.as_deref();
@@ -176,7 +176,7 @@ mod bonded_faults {
         }
         eprintln!(
             "hostile storm: {} rejected, {} dropped, {} total datagrams",
-            member.rejected, outcome.dropped, outcome.sent
+            member.reception.rejected, outcome.dropped, outcome.sent
         );
     }
 }
@@ -193,7 +193,7 @@ mod wire_faults {
     use std::time::Duration;
 
     use bytes::Bytes;
-    use fec_broadcast::flute::feedback::ReportConfig;
+    use fec_broadcast::flute::feedback::{ReceptionReport, ReportConfig};
     use fec_broadcast::flute::{AlcPacket, FecPayloadId, FluteReceiver, FluteSender, SenderConfig};
     use fec_broadcast::live::{self, BurstSource, DrainStats, ReceiveConfig};
     use fec_broadcast::prelude::{ExpansionRatio, TxModel};
@@ -299,23 +299,26 @@ mod wire_faults {
         (0..len).map(|i| (i * 13 % 251) as u8).collect()
     }
 
-    /// The full datagram schedule for one small object, in wire order.
-    fn schedule(object: &[u8]) -> Vec<Vec<u8>> {
+    /// The full datagram schedule of a session carrying `objects` as TOIs
+    /// 1, 2, …, in wire order.
+    fn schedule(objects: &[&[u8]]) -> Vec<Vec<u8>> {
         let mut config = SenderConfig::new(TSI);
         config.fdt_interval = 1000;
         let mut sender = FluteSender::new(config);
-        sender
-            .add_object(
-                1,
-                "file:///wire-fault.bin",
-                object,
-                fec_broadcast::codec::registry::resolve("ldgm-staircase").unwrap(),
-                ExpansionRatio::R2_5,
-                SYMBOL,
-                0xFA11,
-                TxModel::Random,
-            )
-            .unwrap();
+        for (toi, object) in (1..).zip(objects) {
+            sender
+                .add_object(
+                    toi,
+                    format!("file:///wire-fault-{toi}.bin"),
+                    object,
+                    fec_broadcast::codec::registry::resolve("ldgm-staircase").unwrap(),
+                    ExpansionRatio::R2_5,
+                    SYMBOL,
+                    0xFA11,
+                    TxModel::Random,
+                )
+                .unwrap();
+        }
         let mut stream = sender.stream(0xFA11);
         let mut datagrams = Vec::new();
         while let Some(dg) = stream.next_datagram().unwrap() {
@@ -324,15 +327,14 @@ mod wire_faults {
         datagrams
     }
 
+    /// A channel holding `datagrams` whose drains have all ended: once
+    /// they are read, it reports the session idle.
     fn feed(datagrams: Vec<Vec<u8>>) -> mpsc::Receiver<(usize, PoolBuf)> {
         let pool = BufferPool::new();
         let (tx, rx) = mpsc::channel();
         for dg in &datagrams {
             tx.send((0, pool.buf_from(dg))).unwrap();
         }
-        // Leak the sender so `receive_session` never sees a disconnect:
-        // the object completes long before the channel drains dry.
-        std::mem::forget(tx);
         rx
     }
 
@@ -348,7 +350,7 @@ mod wire_faults {
     #[test]
     fn digest_ship_failure_does_not_abort_receive() {
         let object = object_bytes(4000);
-        let rx = feed(schedule(&object));
+        let rx = feed(schedule(&[&object]));
 
         let mut session = FluteReceiver::new(TSI);
         session.enable_reports(ReportConfig {
@@ -367,7 +369,7 @@ mod wire_faults {
         )
         .expect("a dead return channel must not abort the receive");
 
-        assert_eq!(outcome.toi, 1);
+        assert!(outcome.completed.contains_key(&1));
         assert!(attempts > 0, "the session must have tried to ship digests");
         assert_eq!(
             outcome.ship_failures, attempts,
@@ -386,7 +388,7 @@ mod wire_faults {
     #[test]
     fn malformed_datagram_mid_burst_still_decodes() {
         let object = object_bytes(4000);
-        let mut datagrams = schedule(&object);
+        let mut datagrams = schedule(&[&object]);
 
         // Forge a syntactically valid ALC packet whose payload ID the
         // decoder must reject (ESI far beyond n). Borrow the codepoint
@@ -427,7 +429,7 @@ mod wire_faults {
         let outcome = live::receive_session(&mut session, &rx, |_| Ok(()), &receive_config())
             .expect("malformed datagrams must not sink the session");
 
-        assert_eq!(outcome.toi, 1);
+        assert_eq!(outcome.completed.get(&1), Some(&(genuine - fdts)));
         assert!(
             outcome.rejected >= 3,
             "the two garbage datagrams and the forged packet must all be \
@@ -453,5 +455,61 @@ mod wire_faults {
             object,
             "the burst's good datagrams must still decode the object"
         );
+    }
+
+    /// The shipped loop receives a whole session: it runs until every
+    /// object the FDT lists is decoded, not to the first one, and its last
+    /// digest carries the FIN flag. Object 1's 5000 datagrams overflow the
+    /// loop's first decode burst (4096), which decodes it and nothing else.
+    #[test]
+    fn receive_session_decodes_every_object_of_the_session() {
+        let objects: Vec<Vec<u8>> = [128_000, 4000, 5000].map(object_bytes).into();
+        let refs: Vec<&[u8]> = objects.iter().map(Vec::as_slice).collect();
+        let rx = feed(schedule(&refs));
+        let mut session = FluteReceiver::new(TSI);
+        session.enable_reports(ReportConfig::default());
+        let mut last: Option<ReceptionReport> = None;
+        let ship = |report: &ReceptionReport| {
+            last = Some(report.clone());
+            Ok(())
+        };
+        let reception = live::receive_session(&mut session, &rx, ship, &receive_config())
+            .expect("a clean three-object session decodes");
+
+        assert!(reception.is_done());
+        assert_eq!(reception.completed.len(), 3);
+        for (toi, object) in (1..).zip(&objects) {
+            assert_eq!(
+                session.take_object(toi).as_ref(),
+                Some(object),
+                "object {toi}"
+            );
+        }
+        let last = last.expect("digests were shipped");
+        assert!(
+            last.session_complete,
+            "the final digest carries the FIN flag"
+        );
+    }
+
+    /// An object decoded from EXT_FTI with every FDT lost cannot tell the
+    /// receiver the session is over: the loop returns it, as a success,
+    /// once the channel goes idle.
+    #[test]
+    fn an_object_without_its_fdt_returns_once_the_channel_goes_idle() {
+        let object = object_bytes(4000);
+        let mut datagrams = schedule(&[&object]);
+        datagrams.retain(|dg| AlcPacket::from_bytes(dg).unwrap().payload_id.is_some());
+        let rx = feed(datagrams);
+        let mut session = FluteReceiver::new(TSI);
+        let reception = live::receive_session(&mut session, &rx, |_| Ok(()), &receive_config())
+            .expect("the decoded object is a success without an FDT");
+
+        assert!(
+            !reception.is_done(),
+            "without an FDT the session is never done"
+        );
+        assert_eq!(reception.completed.keys().collect::<Vec<_>>(), [&1]);
+        assert_eq!(session.take_object(1).unwrap(), object);
     }
 }
