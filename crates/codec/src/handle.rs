@@ -28,11 +28,6 @@ impl CodecHandle {
     pub fn new(code: impl ErasureCode + 'static) -> CodecHandle {
         CodecHandle(Arc::new(code))
     }
-
-    /// The underlying shared trait object.
-    pub fn arc(&self) -> &Arc<dyn ErasureCode> {
-        &self.0
-    }
 }
 
 impl Deref for CodecHandle {

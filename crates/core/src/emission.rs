@@ -1,9 +1,9 @@
 //! Incremental, amendable packet emission — the sender half of a *live*
 //! adaptive loop.
 //!
-//! [`Sender::transmission`](crate::Sender::transmission) materialises a
-//! whole schedule up front, which is the right shape for offline study
-//! but not for a sender that keeps listening while it transmits:
+//! [`TxModel::schedule`](fec_sched::TxModel::schedule) orders a whole
+//! schedule up front, which is the right shape for offline study but not
+//! for a sender that keeps listening while it transmits:
 //! reception reports arrive *mid-object*, and each re-plan should move
 //! the stopping point of the transmission already in flight.
 //! [`PlannedEmission`] holds the schedule as a cursor instead:

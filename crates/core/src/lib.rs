@@ -8,8 +8,9 @@
 //!   configuration (code, object size, expansion ratio, matrix seed) that
 //!   sender and receivers share out of band (e.g. in an FDT);
 //! * [`Sender`] / [`Receiver`] — byte-true encoding sessions: the sender
-//!   turns an object into addressable [`Packet`]s, the receiver consumes
-//!   packets in any order, across any losses, and reproduces the object
+//!   encodes an object once and lends each symbol by its
+//!   [`PacketRef`](fec_sched::PacketRef), the receiver consumes borrowed
+//!   symbols in any order, across any losses, and reproduces the object
 //!   exactly;
 //! * [`recommend`](crate::recommend()) and [`MeasuredSelector`] — the
 //!   paper's §6 decision procedure: given what you know about the channel,
@@ -24,7 +25,6 @@
 
 mod emission;
 mod error;
-mod packet;
 mod plan;
 mod receiver;
 mod recommend;
@@ -33,7 +33,6 @@ mod spec;
 
 pub use emission::{Amendment, PlannedEmission};
 pub use error::CoreError;
-pub use packet::Packet;
 pub use plan::{optimal_n_sent, TransmissionPlan};
 pub use receiver::Receiver;
 pub use recommend::{

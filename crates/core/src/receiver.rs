@@ -1,9 +1,9 @@
 //! The receiving side of a broadcast session.
 
 use fec_codec::{Decoder, Symbol};
-use fec_sched::Layout;
+use fec_sched::{Layout, PacketRef};
 
-use crate::{CodeSpec, CoreError, DecodeProgress, Packet};
+use crate::{CodeSpec, CoreError, DecodeProgress};
 
 /// A decoding session: push packets in any order until the object is whole.
 ///
@@ -63,22 +63,11 @@ impl Receiver {
         Ok(())
     }
 
-    /// Feeds one packet; duplicates are counted but harmless.
-    pub fn push(&mut self, packet: &Packet) -> Result<DecodeProgress, CoreError> {
-        self.push_batch(std::slice::from_ref(packet))
-    }
-
-    /// Feeds a batch of packets: [`push_symbols`](Self::push_symbols) over
-    /// their payloads.
-    pub fn push_batch(&mut self, packets: &[Packet]) -> Result<DecodeProgress, CoreError> {
-        let batch: Vec<Symbol<'_>> = packets
-            .iter()
-            .map(|p| Symbol {
-                packet: p.packet_ref(),
-                payload: &p.payload,
-            })
-            .collect();
-        self.push_symbols(&batch)
+    /// Feeds one symbol, a batch of one for
+    /// [`push_symbols`](Self::push_symbols); duplicates are counted but
+    /// harmless.
+    pub fn push(&mut self, packet: PacketRef, payload: &[u8]) -> Result<DecodeProgress, CoreError> {
+        self.push_symbols(&[Symbol { packet, payload }])
     }
 
     /// Feeds a batch of *borrowed* symbols through the codec's batched
@@ -159,12 +148,21 @@ impl core::fmt::Debug for Receiver {
 mod tests {
     use super::*;
     use crate::{Sender, TxModel};
-    use bytes::Bytes;
     use fec_codec::{builtin, CodecHandle};
     use fec_sim::ExpansionRatio;
 
     fn object(len: usize) -> Vec<u8> {
         (0..len).map(|i| (i * 131 % 251) as u8).collect()
+    }
+
+    /// The sender's symbols in `tx` order, borrowed.
+    fn symbols(sender: &Sender, tx: TxModel, seed: u64) -> Vec<Symbol<'_>> {
+        let refs = tx.schedule(sender.layout(), seed);
+        let symbol = |packet| Symbol {
+            packet,
+            payload: sender.symbol(packet).unwrap(),
+        };
+        refs.into_iter().map(symbol).collect()
     }
 
     fn roundtrip(code: CodecHandle, k: usize, sym: usize, drop_every: usize) {
@@ -174,11 +172,11 @@ mod tests {
         let sender = Sender::new(spec.clone(), &obj, sym).unwrap();
         let mut rx = Receiver::new(spec, obj.len(), sym).unwrap();
         let mut decoded = false;
-        for (i, pkt) in sender.transmission(TxModel::Random, 99).iter().enumerate() {
+        for (i, s) in symbols(&sender, TxModel::Random, 99).iter().enumerate() {
             if drop_every > 0 && i % drop_every == 0 {
                 continue; // deterministic "loss"
             }
-            if rx.push(pkt).unwrap().is_decoded() {
+            if rx.push(s.packet, s.payload).unwrap().is_decoded() {
                 decoded = true;
                 break;
             }
@@ -209,9 +207,9 @@ mod tests {
         let sender = Sender::new(spec.clone(), &obj, 8).unwrap();
         let mut rx = Receiver::new(spec, obj.len(), 8).unwrap();
         assert_eq!(rx.missing_source(), 20, "nothing recovered yet");
-        for pkt in sender.transmission(TxModel::SourceSeqParitySeq, 0) {
+        for s in symbols(&sender, TxModel::SourceSeqParitySeq, 0) {
             let before = rx.missing_source();
-            if rx.push(&pkt).unwrap().is_decoded() {
+            if rx.push(s.packet, s.payload).unwrap().is_decoded() {
                 break;
             }
             assert!(rx.missing_source() <= before, "never regresses");
@@ -225,29 +223,22 @@ mod tests {
         let obj = object(30 * 8);
         let sender = Sender::new(spec.clone(), &obj, 8).unwrap();
         let mut rx = Receiver::new(spec, obj.len(), 8).unwrap();
-        let pkts = sender.transmission(TxModel::Random, 5);
-        let progress = rx.push_batch(&pkts).unwrap();
+        let batch = symbols(&sender, TxModel::Random, 5);
+        let progress = rx.push_symbols(&batch).unwrap();
         assert!(progress.is_decoded());
-        assert_eq!(progress.received, pkts.len() as u64);
+        assert_eq!(progress.received, batch.len() as u64);
         assert_eq!(rx.into_object().unwrap(), obj);
     }
 
-    /// Borrowed symbols decode like owned packets, and a batch with one
-    /// symbol outside the geometry is refused whole: nothing consumed.
+    /// A batch with one symbol outside the geometry is refused whole:
+    /// nothing consumed.
     #[test]
     fn borrowed_symbols_decode_and_a_bad_batch_consumes_nothing() {
         let spec = CodeSpec::ldgm_staircase(30, ExpansionRatio::R2_5);
         let obj = object(30 * 8);
         let sender = Sender::new(spec.clone(), &obj, 8).unwrap();
         let mut rx = Receiver::new(spec, obj.len(), 8).unwrap();
-        let refs = TxModel::Random.schedule(sender.layout(), 5);
-        let mut symbols: Vec<Symbol<'_>> = refs
-            .iter()
-            .map(|&packet| Symbol {
-                packet,
-                payload: sender.symbol(packet).unwrap(),
-            })
-            .collect();
+        let mut symbols = symbols(&sender, TxModel::Random, 5);
         let good = symbols[3];
         symbols[3].payload = &good.payload[..7];
         assert!(matches!(
@@ -273,29 +264,30 @@ mod tests {
         ));
     }
 
+    /// Symbols outside the session geometry are refused with the reason
+    /// and not counted as received.
     #[test]
-    fn wrong_symbol_size_rejected() {
-        let spec = CodeSpec::ldgm_staircase(10, ExpansionRatio::R2_5);
+    fn symbols_outside_the_geometry_are_rejected() {
+        let spec = CodeSpec::ldgm_staircase(10, ExpansionRatio::R2_5); // n = 25
         let mut rx = Receiver::new(spec, 100, 10).unwrap();
-        let pkt = Packet::new(0, 0, Bytes::from_static(b"short"));
-        assert!(matches!(
-            rx.push(&pkt),
-            Err(CoreError::WrongSymbolSize {
-                expected: 10,
-                got: 5
-            })
-        ));
-    }
-
-    #[test]
-    fn unknown_packet_rejected() {
-        let spec = CodeSpec::ldgm_staircase(10, ExpansionRatio::R2_5);
-        let mut rx = Receiver::new(spec, 100, 10).unwrap();
-        let pkt = Packet::new(3, 0, Bytes::from(vec![0u8; 10]));
-        assert!(matches!(
-            rx.push(&pkt),
-            Err(CoreError::UnknownPacket { .. })
-        ));
+        let unknown = |block, esi| CoreError::UnknownPacket { block, esi };
+        let cases: [(u32, u32, &[u8], CoreError); 3] = [
+            (3, 0, &[0; 10], unknown(3, 0)),   // unknown block
+            (0, 25, &[0; 10], unknown(0, 25)), // ESI past the block
+            (
+                0,
+                0,
+                b"short",
+                CoreError::WrongSymbolSize {
+                    expected: 10,
+                    got: 5,
+                },
+            ),
+        ];
+        for (block, esi, payload, expected) in cases {
+            assert_eq!(rx.push(PacketRef { block, esi }, payload), Err(expected));
+            assert_eq!(rx.progress().received, 0);
+        }
     }
 
     #[test]
@@ -304,15 +296,15 @@ mod tests {
         let obj = object(30 * 4);
         let sender = Sender::new(spec.clone(), &obj, 4).unwrap();
         let mut rx = Receiver::new(spec, obj.len(), 4).unwrap();
-        let pkts = sender.transmission(TxModel::SourceSeqParitySeq, 0);
-        rx.push(&pkts[0]).unwrap();
-        rx.push(&pkts[0]).unwrap();
+        let batch = symbols(&sender, TxModel::SourceSeqParitySeq, 0);
+        rx.push_symbols(&batch[..1]).unwrap();
+        rx.push_symbols(&batch[..1]).unwrap();
         let p = rx.progress();
         assert_eq!(p.received, 2);
         assert_eq!(p.decoded_source, 1);
         // Finish and verify.
-        for pkt in &pkts[1..] {
-            if rx.push(pkt).unwrap().is_decoded() {
+        for s in &batch[1..] {
+            if rx.push(s.packet, s.payload).unwrap().is_decoded() {
                 break;
             }
         }
@@ -326,9 +318,12 @@ mod tests {
         let sender = Sender::new(spec.clone(), &obj, 4).unwrap();
         let mut rx = Receiver::new(spec, obj.len(), 4).unwrap();
         // Feed 100 parity+source mixed packets: exactly k distinct suffices.
-        let pkts = sender.transmission(TxModel::Random, 5);
-        for (i, pkt) in pkts.iter().take(100).enumerate() {
-            let p = rx.push(pkt).unwrap();
+        for (i, s) in symbols(&sender, TxModel::Random, 5)
+            .iter()
+            .take(100)
+            .enumerate()
+        {
+            let p = rx.push(s.packet, s.payload).unwrap();
             assert_eq!(p.is_decoded(), i == 99, "decoded at packet {i}");
         }
         assert_eq!(rx.into_object().unwrap(), obj);
@@ -344,7 +339,7 @@ mod tests {
         let sender = Sender::new(tx_spec, &obj, 8).unwrap();
         let mut rx = Receiver::new(rx_spec, obj.len(), 8).unwrap();
         for r in sender.layout().source_sequential() {
-            rx.push(&sender.packet(r).unwrap()).unwrap();
+            rx.push(r, sender.symbol(r).unwrap()).unwrap();
         }
         assert!(rx.is_decoded());
         assert_eq!(rx.into_object().unwrap(), obj);

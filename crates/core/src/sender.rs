@@ -1,14 +1,15 @@
 //! The sending side of a broadcast session.
 
-use bytes::Bytes;
+use std::sync::Arc;
+
 use fec_sched::{Layout, PacketRef, TxModel};
 
-use crate::{CodeSpec, CoreError, Packet};
+use crate::{CodeSpec, CoreError};
 
 /// A fully-encoded object, ready to emit packets in any schedule.
 ///
 /// Construction performs the complete FEC encoding (source symbol split +
-/// all parity symbols) through the spec's codec session, so `packet()` is
+/// all parity symbols) through the spec's codec session, so `symbol()` is
 /// a cheap lookup afterwards — the natural shape for a carousel sender
 /// that cycles its schedule.
 pub struct Sender {
@@ -16,10 +17,12 @@ pub struct Sender {
     layout: Layout,
     symbol_size: usize,
     object_len: usize,
-    /// Global source symbols (zero-padded to `symbol_size`).
-    source: Vec<Bytes>,
-    /// Parity symbols per block (`parity[b][j]` is ESI `k_b + j`).
-    parity: Vec<Vec<Bytes>>,
+    /// The `k` source symbols back to back, the last one zero-padded to
+    /// `symbol_size`: one buffer, shared with every re-encode.
+    source: Arc<Vec<u8>>,
+    /// Parity symbols per block as the encoder returned them
+    /// (`parity[b][j]` is ESI `k_b + j`).
+    parity: Vec<Vec<Vec<u8>>>,
     /// Global index of each block's first source symbol.
     block_src_offset: Vec<usize>,
 }
@@ -28,26 +31,16 @@ impl Sender {
     /// Encodes `object` under `spec` with `symbol_size`-byte symbols.
     pub fn new(spec: CodeSpec, object: &[u8], symbol_size: usize) -> Result<Sender, CoreError> {
         spec.validate_object(object.len(), symbol_size)?;
-
-        // Split into k padded symbols.
-        let mut source: Vec<Bytes> = Vec::with_capacity(spec.k);
-        for chunk in object.chunks(symbol_size) {
-            if chunk.len() == symbol_size {
-                source.push(Bytes::copy_from_slice(chunk));
-            } else {
-                let mut padded = vec![0u8; symbol_size];
-                padded[..chunk.len()].copy_from_slice(chunk);
-                source.push(Bytes::from(padded));
-            }
-        }
-        debug_assert_eq!(source.len(), spec.k);
-        Sender::encode(spec, source, symbol_size, object.len())
+        let mut source = Vec::with_capacity(spec.k * symbol_size);
+        source.extend_from_slice(object);
+        source.resize(spec.k * symbol_size, 0);
+        Sender::encode(spec, Arc::new(source), symbol_size, object.len())
     }
 
     /// Encodes this sender's object again under `spec` — another code or
-    /// ratio over the same `k` source symbols. The source symbols are
-    /// shared with this sender (reference-count bumps, no copy); only the
-    /// parity is new.
+    /// ratio over the same `k` source symbols. The source buffer is
+    /// shared with this sender (a reference-count bump, no copy); only
+    /// the parity is new.
     pub fn reencode(&self, spec: CodeSpec) -> Result<Sender, CoreError> {
         spec.validate_object(self.object_len, self.symbol_size)?;
         Sender::encode(spec, self.source.clone(), self.symbol_size, self.object_len)
@@ -55,7 +48,7 @@ impl Sender {
 
     fn encode(
         spec: CodeSpec,
-        source: Vec<Bytes>,
+        source: Arc<Vec<u8>>,
         symbol_size: usize,
         object_len: usize,
     ) -> Result<Sender, CoreError> {
@@ -70,7 +63,7 @@ impl Sender {
         }
 
         // Encode parity through the codec session.
-        let refs: Vec<&[u8]> = source.iter().map(|s| s.as_ref()).collect();
+        let refs: Vec<&[u8]> = source.chunks_exact(symbol_size).collect();
         let parity = spec
             .code
             .encoder(&spec.session_params(symbol_size))
@@ -78,10 +71,6 @@ impl Sender {
             .map_err(|e| CoreError::Codec {
                 detail: e.to_string(),
             })?;
-        let parity: Vec<Vec<Bytes>> = parity
-            .into_iter()
-            .map(|block| block.into_iter().map(Bytes::from).collect())
-            .collect();
 
         Ok(Sender {
             spec,
@@ -124,8 +113,12 @@ impl Sender {
         self.layout.total_source()
     }
 
-    /// The stored symbol behind a scheduling reference.
-    fn stored(&self, r: PacketRef) -> Result<&Bytes, CoreError> {
+    /// Borrows the encoding symbol for a scheduling reference: the
+    /// `symbol_size` bytes a datagram carries, with no copy. A framing
+    /// layer writes it straight into its own datagram buffer (as
+    /// `fec-flute` does); a receiver takes it as a
+    /// [`Symbol`](fec_codec::Symbol).
+    pub fn symbol(&self, r: PacketRef) -> Result<&[u8], CoreError> {
         if !self.layout.contains(r) {
             return Err(CoreError::UnknownPacket {
                 block: r.block,
@@ -134,42 +127,19 @@ impl Sender {
         }
         let (kb, _) = self.layout.block(r.block as usize);
         Ok(if (r.esi as usize) < kb {
-            &self.source[self.block_src_offset[r.block as usize] + r.esi as usize]
+            let at = (self.block_src_offset[r.block as usize] + r.esi as usize) * self.symbol_size;
+            &self.source[at..at + self.symbol_size]
         } else {
             &self.parity[r.block as usize][r.esi as usize - kb]
         })
-    }
-
-    /// Borrows the encoding symbol for a scheduling reference: the
-    /// `symbol_size` bytes a datagram carries, with no reference-count
-    /// traffic and no copy. A framing layer that writes the symbol
-    /// straight into its own datagram buffer (as `fec-flute` does) wants
-    /// this; [`packet`](Self::packet) is the same lookup wrapped in an
-    /// owning [`Packet`].
-    pub fn symbol(&self, r: PacketRef) -> Result<&[u8], CoreError> {
-        self.stored(r).map(|symbol| &symbol[..])
-    }
-
-    /// Materialises the packet for a scheduling reference.
-    pub fn packet(&self, r: PacketRef) -> Result<Packet, CoreError> {
-        let payload = self.stored(r)?.clone();
-        Ok(Packet::new(r.block, r.esi, payload))
-    }
-
-    /// Generates the full transmission as packets, in `tx`-model order.
-    pub fn transmission(&self, tx: TxModel, seed: u64) -> Vec<Packet> {
-        tx.schedule(&self.layout, seed)
-            .into_iter()
-            .map(|r| self.packet(r).expect("schedule refs are valid"))
-            .collect()
     }
 
     /// Starts an incremental, *amendable* emission of this object's
     /// schedule, the §6.2 *planned* transmission: packets come out one [`next_ref`](crate::PlannedEmission::next_ref) at a time
     /// and a fresh [`TransmissionPlan`](crate::TransmissionPlan) can move
     /// the stopping point mid-flight via
-    /// [`amend`](crate::PlannedEmission::amend). Materialise each
-    /// reference with [`packet`](Self::packet).
+    /// [`amend`](crate::PlannedEmission::amend). Look each reference up
+    /// with [`symbol`](Self::symbol).
     pub fn emission(&self, tx: TxModel, seed: u64) -> crate::PlannedEmission {
         crate::PlannedEmission::full(tx.schedule(&self.layout, seed))
     }
@@ -204,13 +174,7 @@ mod tests {
         assert_eq!(s.packet_count(), 25);
         assert_eq!(s.source_count(), 10);
         for r in s.layout().all_packets() {
-            let p = s.packet(r).unwrap();
-            assert_eq!(p.payload.len(), 16);
-            assert_eq!(
-                s.symbol(r).unwrap(),
-                &p.payload[..],
-                "same lookup, borrowed"
-            );
+            assert_eq!(s.symbol(r).unwrap().len(), 16);
         }
     }
 
@@ -221,49 +185,35 @@ mod tests {
         let s = Sender::new(spec, &object(300 * 8), 8).unwrap();
         assert!(s.layout().num_blocks() >= 3);
         // Source packets carry the original bytes verbatim.
-        let p = s.packet(PacketRef { block: 0, esi: 0 }).unwrap();
-        assert_eq!(&p.payload[..], &object(300 * 8)[..8]);
+        let first = s.symbol(PacketRef { block: 0, esi: 0 }).unwrap();
+        assert_eq!(first, &object(300 * 8)[..8]);
     }
 
     #[test]
     fn padding_on_final_symbol() {
         let spec = CodeSpec::ldgm_staircase(3, ExpansionRatio::R2_5);
         let s = Sender::new(spec, &object(40), 16).unwrap(); // 40 = 2*16 + 8
-        let last = s.packet(PacketRef { block: 0, esi: 2 }).unwrap();
-        assert_eq!(&last.payload[..8], &object(40)[32..]);
-        assert_eq!(&last.payload[8..], &[0u8; 8]);
+        let last = s.symbol(PacketRef { block: 0, esi: 2 }).unwrap();
+        assert_eq!(&last[..8], &object(40)[32..]);
+        assert_eq!(&last[8..], &[0u8; 8]);
     }
 
     #[test]
     fn unknown_packet_ref_rejected() {
         let spec = CodeSpec::ldgm_staircase(4, ExpansionRatio::R2_5);
         let s = Sender::new(spec, &object(64), 16).unwrap();
-        assert!(matches!(
-            s.packet(PacketRef { block: 0, esi: 10 }),
-            Err(CoreError::UnknownPacket { .. })
-        ));
-        assert!(matches!(
-            s.packet(PacketRef { block: 1, esi: 0 }),
-            Err(CoreError::UnknownPacket { .. })
-        ));
-        assert!(matches!(
-            s.symbol(PacketRef { block: 0, esi: 10 }),
-            Err(CoreError::UnknownPacket { .. })
-        ));
+        for r in [
+            PacketRef { block: 0, esi: 10 },
+            PacketRef { block: 1, esi: 0 },
+        ] {
+            assert!(matches!(s.symbol(r), Err(CoreError::UnknownPacket { .. })));
+        }
     }
 
     #[test]
     fn object_length_mismatch_rejected() {
         let spec = CodeSpec::ldgm_staircase(4, ExpansionRatio::R2_5);
         assert!(Sender::new(spec, &object(65), 16).is_err()); // needs k=5
-    }
-
-    #[test]
-    fn transmission_covers_schedule() {
-        let spec = CodeSpec::rse(50, ExpansionRatio::R1_5);
-        let s = Sender::new(spec, &object(50 * 4), 4).unwrap();
-        let pkts = s.transmission(TxModel::Interleaved, 1);
-        assert_eq!(pkts.len() as u64, s.packet_count());
     }
 
     #[test]
@@ -275,15 +225,32 @@ mod tests {
         let fresh = Sender::new(spec, &data, 8).unwrap();
         assert_eq!(b.packet_count(), 30);
         for r in b.layout().all_packets() {
-            assert_eq!(b.packet(r).unwrap(), fresh.packet(r).unwrap());
+            assert_eq!(b.symbol(r).unwrap(), fresh.symbol(r).unwrap());
         }
-        let first = PacketRef { block: 0, esi: 0 };
-        assert!(std::ptr::eq(
-            a.symbol(first).unwrap(),
-            b.symbol(first).unwrap()
-        ));
         // Another k is another object.
         assert!(a.reencode(CodeSpec::rse(21, ExpansionRatio::R1_5)).is_err());
+    }
+
+    /// A re-encode reads its source symbols out of the original's buffer
+    /// (the same memory, not a copy) and carries parity of its own.
+    #[test]
+    fn reencode_keeps_the_source_memory_and_makes_new_parity() {
+        let data = object(40 * 8 - 3);
+        let spec = CodeSpec::ldgm_triangle(40, ExpansionRatio::R2_5).with_matrix_seed(1);
+        let a = Sender::new(spec.clone(), &data, 8).unwrap();
+        let b = a.reencode(spec.with_matrix_seed(2)).unwrap();
+        let (k, _) = a.layout().block(0);
+        let mut parity_differs = false;
+        for r in a.layout().all_packets() {
+            let (old, new) = (a.symbol(r).unwrap(), b.symbol(r).unwrap());
+            if (r.esi as usize) < k {
+                assert!(std::ptr::eq(old, new), "source {r:?} was copied");
+            } else {
+                assert!(!std::ptr::eq(old, new));
+                parity_differs |= old != new;
+            }
+        }
+        assert!(parity_differs, "another matrix seed is another parity");
     }
 
     #[test]
@@ -292,7 +259,7 @@ mod tests {
         let a = Sender::new(spec.clone(), &object(20 * 8), 8).unwrap();
         let b = Sender::new(spec, &object(20 * 8), 8).unwrap();
         for r in a.layout().all_packets() {
-            assert_eq!(a.packet(r).unwrap(), b.packet(r).unwrap());
+            assert_eq!(a.symbol(r).unwrap(), b.symbol(r).unwrap());
         }
     }
 }

@@ -21,8 +21,6 @@
 //! implementation sends the FDT unencoded in a single datagram (documented
 //! deviation; real stacks may FEC-encode large FDTs like any other object).
 
-use bytes::Bytes;
-
 use crate::lct::{
     HeaderExtension, LctHeader, LctView, FLAGS_AT, FLAG_CLOSE_OBJECT, FLAG_CLOSE_SESSION, HET_FDT,
     HET_FTI, HET_SEQ,
@@ -38,14 +36,14 @@ pub struct AlcPacket {
     /// The FEC payload ID — `None` exactly for FDT (TOI 0) packets.
     pub payload_id: Option<FecPayloadId>,
     /// The encoding symbol (data packets) or FDT XML bytes (TOI 0).
-    pub payload: Bytes,
+    pub payload: Vec<u8>,
 }
 
 impl AlcPacket {
     /// Builds a data packet carrying one encoding symbol. `codepoint` is
     /// the object's FEC Encoding ID (see
     /// [`fti_for_code`](crate::fti::fti_for_code)).
-    pub fn data(tsi: u32, toi: u32, codepoint: u8, id: FecPayloadId, symbol: Bytes) -> AlcPacket {
+    pub fn data(tsi: u32, toi: u32, codepoint: u8, id: FecPayloadId, symbol: Vec<u8>) -> AlcPacket {
         debug_assert_ne!(toi, FDT_TOI, "TOI 0 is reserved for the FDT");
         AlcPacket {
             header: LctHeader::new(tsi, toi, codepoint),
@@ -56,7 +54,7 @@ impl AlcPacket {
 
     /// Builds an FDT instance packet (TOI 0, EXT_FDT attached, codepoint 0:
     /// the FDT travels without FEC).
-    pub fn fdt(tsi: u32, instance_id: u32, xml: Bytes) -> AlcPacket {
+    pub fn fdt(tsi: u32, instance_id: u32, xml: Vec<u8>) -> AlcPacket {
         AlcPacket {
             header: LctHeader::new(tsi, FDT_TOI, 0)
                 .with_extension(HeaderExtension::fdt(1, instance_id)),
@@ -149,7 +147,7 @@ impl AlcPacket {
         Ok(AlcPacket {
             header,
             payload_id,
-            payload: Bytes::copy_from_slice(payload),
+            payload: payload.to_vec(),
         })
     }
 }
@@ -194,7 +192,7 @@ impl DataFrame {
         sequenced: bool,
     ) -> Result<DataFrame, FluteError> {
         let mut prototype =
-            AlcPacket::data(tsi, toi, codepoint, FecPayloadId::new(0, 0), Bytes::new());
+            AlcPacket::data(tsi, toi, codepoint, FecPayloadId::new(0, 0), Vec::new());
         if let Some(blob) = fti {
             prototype = prototype.with_fti(blob);
         }
@@ -259,7 +257,7 @@ mod tests {
             1,
             3,
             FecPayloadId::new(0, 1234),
-            Bytes::from_static(b"symbol bytes"),
+            b"symbol bytes".to_vec(),
         );
         let wire = p.to_bytes().unwrap();
         let back = AlcPacket::from_bytes(&wire).unwrap();
@@ -269,7 +267,7 @@ mod tests {
 
     #[test]
     fn fdt_packet_roundtrip() {
-        let p = AlcPacket::fdt(9, 77, Bytes::from_static(b"<FDT-Instance/>"));
+        let p = AlcPacket::fdt(9, 77, b"<FDT-Instance/>".to_vec());
         let wire = p.to_bytes().unwrap();
         let back = AlcPacket::from_bytes(&wire).unwrap();
         assert_eq!(back.fdt_instance_id(), Some(77));
@@ -280,15 +278,15 @@ mod tests {
     #[test]
     fn fti_extension_is_recoverable() {
         let blob = vec![1, 2, 3, 4, 5, 6, 7];
-        let p = AlcPacket::data(1, 2, 129, FecPayloadId::new(3, 4), Bytes::new())
-            .with_fti(blob.clone());
+        let p =
+            AlcPacket::data(1, 2, 129, FecPayloadId::new(3, 4), Vec::new()).with_fti(blob.clone());
         let back = AlcPacket::from_bytes(&p.to_bytes().unwrap()).unwrap();
         assert_eq!(&back.fti_blob().unwrap()[..blob.len()], &blob[..]);
     }
 
     #[test]
     fn flags_survive() {
-        let p = AlcPacket::data(1, 2, 4, FecPayloadId::new(0, 0), Bytes::new())
+        let p = AlcPacket::data(1, 2, 4, FecPayloadId::new(0, 0), Vec::new())
             .closing_object()
             .closing_session();
         let back = AlcPacket::from_bytes(&p.to_bytes().unwrap()).unwrap();
@@ -297,19 +295,19 @@ mod tests {
 
     #[test]
     fn data_packet_requires_payload_id() {
-        let mut p = AlcPacket::data(1, 2, 3, FecPayloadId::new(0, 0), Bytes::new());
+        let mut p = AlcPacket::data(1, 2, 3, FecPayloadId::new(0, 0), Vec::new());
         p.payload_id = None;
         assert!(p.to_bytes().is_err());
     }
 
     #[test]
     fn unknown_codepoint_rejected_on_parse() {
-        let mut p = AlcPacket::data(1, 2, 3, FecPayloadId::new(0, 0), Bytes::new());
+        let mut p = AlcPacket::data(1, 2, 3, FecPayloadId::new(0, 0), Vec::new());
         p.header.codepoint = 200;
         // Build fails (codepoint drives the payload-ID layout)…
         assert!(p.to_bytes().is_err());
         // …and a forged wire packet fails on parse.
-        let mut wire = AlcPacket::data(1, 2, 3, FecPayloadId::new(0, 0), Bytes::new())
+        let mut wire = AlcPacket::data(1, 2, 3, FecPayloadId::new(0, 0), Vec::new())
             .to_bytes()
             .unwrap();
         wire[3] = 200;
@@ -318,7 +316,7 @@ mod tests {
 
     #[test]
     fn empty_symbol_allowed() {
-        let p = AlcPacket::data(1, 2, 3, FecPayloadId::new(0, 5), Bytes::new());
+        let p = AlcPacket::data(1, 2, 3, FecPayloadId::new(0, 5), Vec::new());
         let back = AlcPacket::from_bytes(&p.to_bytes().unwrap()).unwrap();
         assert_eq!(back.payload.len(), 0);
     }
@@ -338,7 +336,7 @@ mod tests {
                 toi,
                 4,
                 FecPayloadId::new(sbn, esi),
-                Bytes::from(payload),
+                payload,
             );
             p.header.close_object = close;
             let back = AlcPacket::from_bytes(&p.to_bytes().unwrap()).unwrap();
@@ -375,7 +373,7 @@ mod tests {
             for (seq, esi) in [(seq, esi), ((seq + 1) % SEQ_MODULUS, esi / 2)] {
                 let id = FecPayloadId::new(sbn, esi);
                 let mut packet =
-                    AlcPacket::data(tsi, toi, codepoint, id, Bytes::from(payload.clone()));
+                    AlcPacket::data(tsi, toi, codepoint, id, payload.clone());
                 if let Some(blob) = fti.clone() {
                     packet = packet.with_fti(blob);
                 }
@@ -409,9 +407,9 @@ mod tests {
             flips in proptest::collection::vec(any::<usize>(), 24),
         ) {
             let mut packet = if fdt {
-                AlcPacket::fdt(tsi, toi % (1 << 20), Bytes::from(payload))
+                AlcPacket::fdt(tsi, toi % (1 << 20), payload)
             } else {
-                AlcPacket::data(tsi, toi, codepoint, FecPayloadId::new(id.0, id.1), Bytes::from(payload))
+                AlcPacket::data(tsi, toi, codepoint, FecPayloadId::new(id.0, id.1), payload)
             };
             if let Some(blob) = fti {
                 packet = packet.with_fti(blob);

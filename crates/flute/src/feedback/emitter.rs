@@ -252,11 +252,6 @@ impl ReportEmitter {
         }
     }
 
-    /// Number of paths that have contributed sequenced observations.
-    pub fn path_tracks(&self) -> usize {
-        self.tracks.len()
-    }
-
     /// Marks one object as fully decoded.
     pub fn mark_complete(&mut self, toi: u32) {
         self.dirty = true;
@@ -752,7 +747,6 @@ mod tests {
         em.observe_on(0, 1, Some(1));
         em.observe_on(1, 1, Some(5));
         em.observe_on(0, 1, Some(2));
-        assert_eq!(em.path_tracks(), 2);
         let r = em.flush().unwrap();
         // Only path 1's gap counts as loss; in a mixed sequence space
         // path 0's seq 1 and 2 (arriving after path 1's seq 5) would

@@ -16,8 +16,6 @@
 
 use std::collections::HashMap;
 
-use bytes::Bytes;
-
 use fec_adapt::Decision;
 use fec_codec::Symbol;
 use fec_core::{
@@ -267,7 +265,7 @@ impl FluteSender {
             schedule_seed,
             frames: vec![None; self.objects.len()],
             fdt_instance_id: self.config.fdt_instance_id,
-            fdt_xml: Bytes::from(self.fdt().to_xml().into_bytes()),
+            fdt_xml: self.fdt().to_xml().into_bytes(),
             current: 0,
             path_seqs: vec![0],
             since_fdt: 0,
@@ -310,7 +308,7 @@ pub struct SessionStream<'a> {
     frames: Vec<Option<DataFrame>>,
     fdt_instance_id: u32,
     /// The current FDT instance's document, rendered once per instance.
-    fdt_xml: Bytes,
+    fdt_xml: Vec<u8>,
     current: usize,
     /// One EXT_SEQ counter per bonded path (`path_seqs[p]` is the next
     /// sequence number stamped on path `p`), lazily grown. Each path is
@@ -465,7 +463,7 @@ impl SessionStream<'_> {
         let added = self.sender.objects.iter().zip(&self.redeployed);
         let objects = added.map(|(added, redeployed)| redeployed.as_ref().unwrap_or(added));
         let fdt = fdt_of(&self.sender.config, self.fdt_instance_id, objects);
-        self.fdt_xml = Bytes::from(fdt.to_xml().into_bytes());
+        self.fdt_xml = fdt.to_xml().into_bytes();
         self.fdt_due = true;
         self.metrics.planned.set(self.planned_total() as f64);
         self.metrics.full.set(self.full_total() as f64);
@@ -1486,16 +1484,10 @@ mod tests {
         let genuine = sender.datagrams(4).unwrap();
         let codepoint = AlcPacket::from_bytes(&genuine[1]).unwrap().header.codepoint;
         let forge = |esi: u32, len: usize| {
-            AlcPacket::data(
-                7,
-                1,
-                codepoint,
-                FecPayloadId::new(0, esi),
-                Bytes::from(vec![0xAB; len]),
-            )
-            .closing_session()
-            .to_bytes()
-            .unwrap()
+            AlcPacket::data(7, 1, codepoint, FecPayloadId::new(0, esi), vec![0xAB; len])
+                .closing_session()
+                .to_bytes()
+                .unwrap()
         };
         let mut burst = genuine.clone();
         burst.insert(5, forge(9999, 16)); // outside the layout
@@ -1799,7 +1791,7 @@ mod tests {
             1,
             template.header.codepoint,
             FecPayloadId { sbn: 0, esi: 9999 },
-            Bytes::from(vec![0u8; 16]),
+            vec![0u8; 16],
         )
         .with_fti(vec![0xFF; 3])
         .to_bytes()
@@ -1825,7 +1817,7 @@ mod tests {
         let sender = session_with_object(&data, TxModel::Random);
         let mut burst = sender.datagrams(4).unwrap();
         // Valid ALC framing, EXT_FDT present, but the payload is not XML.
-        let bad_fdt = AlcPacket::fdt(7, 99, Bytes::from(b"\xFF\xFEnot xml".to_vec()))
+        let bad_fdt = AlcPacket::fdt(7, 99, b"\xFF\xFEnot xml".to_vec())
             .to_bytes()
             .unwrap();
         burst.insert(1, bad_fdt);
@@ -1833,7 +1825,7 @@ mod tests {
         let no_ext = AlcPacket {
             header: crate::LctHeader::new(7, FDT_TOI, 0),
             payload_id: None,
-            payload: Bytes::from(b"<FDT/>".to_vec()),
+            payload: b"<FDT/>".to_vec(),
         }
         .to_bytes()
         .unwrap();
@@ -2246,7 +2238,7 @@ mod tests {
         let mut fdt = sender.fdt();
         fdt.instance_id += 1;
         fdt.files[0].oti.symbol_size *= 2;
-        let forged = AlcPacket::fdt(7, fdt.instance_id, Bytes::from(fdt.to_xml().into_bytes()));
+        let forged = AlcPacket::fdt(7, fdt.instance_id, fdt.to_xml().into_bytes());
         assert!(receiver.push_datagram(&forged.to_bytes().unwrap()).is_err());
     }
 

@@ -119,20 +119,6 @@ impl BitMatrix {
         head[lo * w..lo * w + w].swap_with_slice(&mut tail[..w]);
     }
 
-    /// Column of the first set bit of row `r`, if any.
-    pub fn leading_one(&self, r: usize) -> Option<usize> {
-        let w = self.words_per_row;
-        for (i, word) in self.words[r * w..(r + 1) * w].iter().enumerate() {
-            if *word != 0 {
-                let c = i * 64 + word.trailing_zeros() as usize;
-                // A stray bit beyond `cols` would be a construction bug.
-                debug_assert!(c < self.cols);
-                return Some(c);
-            }
-        }
-        None
-    }
-
     /// Number of set bits in row `r`.
     pub fn row_weight(&self, r: usize) -> usize {
         let w = self.words_per_row;
@@ -226,8 +212,7 @@ mod tests {
     fn zero_matrix_has_rank_zero() {
         let m = BitMatrix::zero(4, 7);
         assert_eq!(m.rank(), 0);
-        assert!(m.row_is_zero(2));
-        assert_eq!(m.leading_one(0), None);
+        assert!(m.row_is_zero(0) && m.row_is_zero(2));
     }
 
     #[test]

@@ -203,7 +203,6 @@ pub struct SparseMatrix {
     col_rows: Vec<u32>,
     /// XOR of each row's column ids, where the peeling cascade starts.
     row_xor: Vec<u32>,
-    right: RightSide,
     seed: u64,
 }
 
@@ -301,7 +300,6 @@ impl SparseMatrix {
             col_ptr,
             col_rows,
             row_xor,
-            right: p.right,
             seed: p.seed,
         }
     }
@@ -322,12 +320,6 @@ impl SparseMatrix {
     #[inline]
     pub fn num_checks(&self) -> usize {
         self.n - self.k
-    }
-
-    /// Shape of the parity part this matrix was built with.
-    #[inline]
-    pub fn right_side(&self) -> RightSide {
-        self.right
     }
 
     /// The construction seed.
@@ -652,7 +644,6 @@ mod tests {
             col_ptr,
             col_rows,
             row_xor: Vec::new(),
-            right: p.right,
             seed: p.seed,
         }
     }

@@ -6,8 +6,8 @@
 //! `send`/`recv` calls, so callers never branch on platform. Receive
 //! bursts land in pooled buffers ([`crate::pool::BufferPool`]) and feed
 //! the downstream batched decode paths (`FluteReceiver::push_datagrams`,
-//! `Receiver::push_batch`) — one syscall's worth of datagrams becomes one
-//! deferred block solve.
+//! `Receiver::push_symbols`) — one syscall's worth of datagrams becomes
+//! one deferred block solve.
 //!
 //! Error discipline for live loops lives in [`classify_recv_error`]: an
 //! interrupted syscall is retried, an idle timeout may end a session, and

@@ -107,11 +107,6 @@ impl Pacer {
             }
         }
     }
-
-    /// True when this pacer never blocks.
-    pub fn is_unlimited(&self) -> bool {
-        matches!(self, Pacer::Unlimited)
-    }
 }
 
 #[cfg(test)]
@@ -169,7 +164,7 @@ mod tests {
 
     #[test]
     fn pace_flag_compat() {
-        assert!(Pacer::per_datagram_micros(0).is_unlimited());
+        assert!(matches!(Pacer::per_datagram_micros(0), Pacer::Unlimited));
         match Pacer::per_datagram_micros(1000) {
             Pacer::Bucket(b) => assert!((b.rate() - 1000.0).abs() < 1e-9),
             Pacer::Unlimited => panic!("expected bucket"),

@@ -63,7 +63,7 @@ fn main() {
         assert!(cycle <= 50, "carousel failed to converge");
         let schedule = rec.tx.schedule(sender.layout(), cycle as u64);
         for r in schedule {
-            let packet = sender.packet(r).expect("valid ref");
+            let symbol = sender.symbol(r).expect("valid ref");
             for client in clients.iter_mut() {
                 let Some(rx) = client.receiver.as_mut() else {
                     continue;
@@ -72,7 +72,7 @@ fn main() {
                     continue;
                 }
                 client.received += 1;
-                if rx.push(&packet).expect("valid packet").is_decoded() {
+                if rx.push(r, symbol).expect("valid symbol").is_decoded() {
                     let rx = client.receiver.take().expect("present");
                     assert_eq!(rx.into_object().expect("decoded"), object);
                     client.finished_at_cycle = Some(cycle);

@@ -106,11 +106,8 @@ fn main() {
             if ch.next_is_lost() {
                 continue;
             }
-            if rx
-                .push(&sender.packet(r).expect("ref"))
-                .expect("push")
-                .is_decoded()
-            {
+            let symbol = sender.symbol(r).expect("ref");
+            if rx.push(r, symbol).expect("push").is_decoded() {
                 assert_eq!(rx.into_object().expect("decoded"), object);
                 delivered += 1;
                 break;

@@ -210,11 +210,16 @@ fn main() {
     let object: Vec<u8> = (0..k * symbol - 3).map(|i| (i % 251) as u8).collect();
     let sender = Sender::new(spec.clone(), &object, symbol).expect("encode");
     let mut receiver = Receiver::new(spec.clone(), object.len(), symbol).expect("receiver");
-    for (i, packet) in sender.transmission(TxModel::Random, 7).iter().enumerate() {
+    for (i, r) in TxModel::Random
+        .schedule(sender.layout(), 7)
+        .into_iter()
+        .enumerate()
+    {
         if i == 3 {
             continue; // one erasure
         }
-        if receiver.push(packet).expect("valid packet").is_decoded() {
+        let symbol = sender.symbol(r).expect("valid ref");
+        if receiver.push(r, symbol).expect("valid symbol").is_decoded() {
             break;
         }
     }

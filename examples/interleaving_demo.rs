@@ -25,11 +25,8 @@ fn attempt(
             continue;
         }
         received += 1;
-        if rx
-            .push(&sender.packet(r).expect("ref"))
-            .expect("push")
-            .is_decoded()
-        {
+        let symbol = sender.symbol(r).expect("ref");
+        if rx.push(r, symbol).expect("push").is_decoded() {
             assert_eq!(rx.into_object().expect("decoded"), object);
             return Ok(received);
         }

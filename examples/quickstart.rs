@@ -51,8 +51,8 @@ fn main() {
             lost += 1;
             continue;
         }
-        let packet = sender.packet(r).expect("valid ref");
-        let progress = receiver.push(&packet).expect("valid packet");
+        let symbol = sender.symbol(r).expect("valid ref");
+        let progress = receiver.push(r, symbol).expect("valid symbol");
         if progress.is_decoded() {
             println!(
                 "decoded after {} received packets (sent {sent}, lost {lost}) — inefficiency {:.3}",

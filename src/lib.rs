@@ -23,8 +23,7 @@
 //!     if channel.next_is_lost() {
 //!         continue;
 //!     }
-//!     let pkt = sender.packet(r).unwrap();
-//!     if receiver.push(&pkt).unwrap().is_decoded() {
+//!     if receiver.push(r, sender.symbol(r).unwrap()).unwrap().is_decoded() {
 //!         break;
 //!     }
 //! }
@@ -49,15 +48,14 @@ pub use fec_wire as wire;
 
 /// One-stop imports for applications and examples.
 pub mod prelude {
-    pub use bytes::Bytes;
     pub use fec_adapt::{AdaptiveController, ControllerConfig, OnlineGilbertEstimator};
     pub use fec_channel::{DriftingChannel, GilbertChannel, GilbertParams, LossModel, Regime};
     pub use fec_codec::{
-        CodecHandle, CodecRegistry, DecodeProgress, Envelope, ErasureCode, SessionParams,
+        CodecHandle, CodecRegistry, DecodeProgress, Envelope, ErasureCode, SessionParams, Symbol,
     };
     pub use fec_core::{
-        recommend, ChannelKnowledge, CodeSpec, MeasuredSelector, Packet, Receiver, Recommendation,
-        Sender, TransmissionPlan,
+        recommend, ChannelKnowledge, CodeSpec, MeasuredSelector, Receiver, Recommendation, Sender,
+        TransmissionPlan,
     };
     pub use fec_flute::{FluteReceiver, FluteSender, ObjectStatus, ReceiverEvent, SenderConfig};
     pub use fec_sched::{Layout, PacketRef, RxModel, TxModel};

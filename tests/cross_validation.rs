@@ -52,8 +52,8 @@ fn run_both(
             continue;
         }
         received += 1;
-        let pkt = sender.packet(r).expect("valid");
-        if receiver.push(&pkt).expect("ok").is_decoded() && payload_done.is_none() {
+        let symbol = sender.symbol(r).expect("valid");
+        if receiver.push(r, symbol).expect("ok").is_decoded() && payload_done.is_none() {
             payload_done = Some(received);
         }
         if structural.add(r) && structural_done.is_none() {

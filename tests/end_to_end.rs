@@ -29,8 +29,8 @@ fn session(
                 continue;
             }
         }
-        let pkt = sender.packet(r).expect("valid ref");
-        if rx.push(&pkt).expect("valid packet").is_decoded() {
+        let symbol = sender.symbol(r).expect("valid ref");
+        if rx.push(r, symbol).expect("valid symbol").is_decoded() {
             let n = rx.progress().received;
             assert_eq!(rx.into_object().expect("decoded"), obj, "byte mismatch");
             return Some(n);
@@ -106,8 +106,8 @@ fn carousel_retransmission_recovers_catastrophic_receivers() {
             if channel.next_is_lost() {
                 continue;
             }
-            let pkt = sender.packet(r).expect("valid");
-            if rx.push(&pkt).expect("ok").is_decoded() {
+            let symbol = sender.symbol(r).expect("valid");
+            if rx.push(r, symbol).expect("ok").is_decoded() {
                 break 'outer;
             }
         }
@@ -126,13 +126,16 @@ fn one_byte_object() {
     // packets (H1 row weight <= 1), so parity alone may already decode.
     // Feed parity first; fall back to the source packet if needed.
     for r in sender.layout().parity_sequential() {
-        if rx.push(&sender.packet(r).unwrap()).unwrap().is_decoded() {
+        if rx.push(r, sender.symbol(r).unwrap()).unwrap().is_decoded() {
             break;
         }
     }
     if !rx.is_decoded() {
-        let src = sender.packet(PacketRef { block: 0, esi: 0 }).unwrap();
-        assert!(rx.push(&src).unwrap().is_decoded());
+        let src = PacketRef { block: 0, esi: 0 };
+        assert!(rx
+            .push(src, sender.symbol(src).unwrap())
+            .unwrap()
+            .is_decoded());
     }
     assert_eq!(rx.into_object().unwrap(), obj);
 }

@@ -20,22 +20,21 @@ fn fresh(k: usize, symbol: usize) -> (CodeSpec, Vec<u8>, Sender, Receiver) {
 fn decoding_succeeds_after_a_flood_of_bad_input() {
     let (_, obj, sender, mut rx) = fresh(60, 16);
 
-    let good = sender.packet(PacketRef { block: 0, esi: 0 }).unwrap();
+    let first = PacketRef { block: 0, esi: 0 };
+    let good = sender.symbol(first).unwrap();
     // 1. Wrong-session packet (bad block).
-    let alien = Packet::new(9, 0, good.payload.clone());
-    assert!(rx.push(&alien).is_err());
+    assert!(rx.push(PacketRef { block: 9, esi: 0 }, good).is_err());
     // 2. Payload of the wrong size.
-    let stubby = Packet::new(0, 0, Bytes::from_static(b"short"));
-    assert!(rx.push(&stubby).is_err());
+    assert!(rx.push(first, b"short").is_err());
     // 3. A duplicate storm of one legitimate packet.
     for _ in 0..100 {
-        rx.push(&good).unwrap();
+        rx.push(first, good).unwrap();
     }
     assert_eq!(rx.progress().decoded_source, 1);
 
     // After all that abuse, a normal transmission still decodes cleanly.
     for r in TxModel::Random.schedule(sender.layout(), 3) {
-        if rx.push(&sender.packet(r).unwrap()).unwrap().is_decoded() {
+        if rx.push(r, sender.symbol(r).unwrap()).unwrap().is_decoded() {
             break;
         }
     }
@@ -46,15 +45,8 @@ fn decoding_succeeds_after_a_flood_of_bad_input() {
 fn errors_do_not_count_as_received() {
     let (_, _, sender, mut rx) = fresh(10, 8);
     let before = rx.progress().received;
-    let alien = Packet::new(
-        42,
-        0,
-        sender
-            .packet(PacketRef { block: 0, esi: 0 })
-            .unwrap()
-            .payload,
-    );
-    let _ = rx.push(&alien);
+    let good = sender.symbol(PacketRef { block: 0, esi: 0 }).unwrap();
+    let _ = rx.push(PacketRef { block: 42, esi: 0 }, good);
     assert_eq!(
         rx.progress().received,
         before,
@@ -70,8 +62,8 @@ fn corrupted_payload_is_detected_by_length_only_by_design() {
     // payload errors, a right-size corrupted one is accepted (garbage in,
     // garbage out, like the real FLUTE stack without integrity checks).
     let (_, _, _, mut rx) = fresh(10, 8);
-    let corrupted = Packet::new(0, 0, Bytes::from(vec![0xFF; 8]));
-    assert!(rx.push(&corrupted).is_ok());
+    let corrupted = [0xFF; 8];
+    assert!(rx.push(PacketRef { block: 0, esi: 0 }, &corrupted).is_ok());
 }
 
 proptest! {
@@ -82,8 +74,7 @@ proptest! {
     #[test]
     fn arbitrary_headers_never_panic(block in 0u32..20, esi in 0u32..2000) {
         let (_, _, _, mut rx) = fresh(10, 8);
-        let pkt = Packet::new(block, esi, Bytes::from(vec![0u8; 8]));
-        let _ = rx.push(&pkt);
+        let _ = rx.push(PacketRef { block, esi }, &[0u8; 8]);
         // The receiver is still usable.
         let p = rx.progress();
         prop_assert!(p.decoded_source <= p.total_source);
@@ -192,7 +183,6 @@ mod wire_faults {
     use std::sync::mpsc;
     use std::time::Duration;
 
-    use bytes::Bytes;
     use fec_broadcast::flute::feedback::{ReceptionReport, ReportConfig};
     use fec_broadcast::flute::{AlcPacket, FecPayloadId, FluteReceiver, FluteSender, SenderConfig};
     use fec_broadcast::live::{self, BurstSource, DrainStats, ReceiveConfig};
@@ -405,7 +395,7 @@ mod wire_faults {
             1,
             template.header.codepoint,
             FecPayloadId { sbn: 0, esi: 9999 },
-            Bytes::from(template.payload.to_vec()),
+            template.payload,
         )
         .to_bytes()
         .unwrap();

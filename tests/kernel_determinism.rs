@@ -74,15 +74,18 @@ fn science_report() -> String {
         let object: Vec<u8> = (0..120 * 64 - 11).map(|i| (i * 37 % 253) as u8).collect();
         let sender = Sender::new(spec.clone(), &object, 64).expect("sender");
         let mut rx = Receiver::new(spec, object.len(), 64).expect("receiver");
-        let packets = sender.transmission(TxModel::Random, 5);
-        let survivors: Vec<_> = packets
-            .iter()
+        let survivors: Vec<Symbol<'_>> = TxModel::Random
+            .schedule(sender.layout(), 5)
+            .into_iter()
             .enumerate()
             .filter(|(i, _)| i % 7 != 0)
-            .map(|(_, p)| p.clone())
+            .map(|(_, packet)| Symbol {
+                packet,
+                payload: sender.symbol(packet).expect("valid ref"),
+            })
             .collect();
         for window in survivors.chunks(48) {
-            if rx.push_batch(window).expect("push_batch").is_decoded() {
+            if rx.push_symbols(window).expect("push_symbols").is_decoded() {
                 break;
             }
         }

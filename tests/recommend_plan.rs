@@ -64,7 +64,7 @@ fn full_operational_loop_on_a_known_channel() {
             if ch.next_is_lost() {
                 continue;
             }
-            if rx.push(&sender.packet(r).unwrap()).unwrap().is_decoded() {
+            if rx.push(r, sender.symbol(r).unwrap()).unwrap().is_decoded() {
                 assert_eq!(rx.into_object().unwrap(), obj);
                 delivered += 1;
                 break;
