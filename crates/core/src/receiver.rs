@@ -264,30 +264,29 @@ mod tests {
         ));
     }
 
-    /// Symbols outside the session geometry are refused with the reason
-    /// and not counted as received.
-    #[test]
-    fn symbols_outside_the_geometry_are_rejected() {
+    /// Pushes one symbol to a fresh k = 10, n = 25 receiver and checks it
+    /// is refused with `expected` and not counted as received.
+    fn assert_refused(block: u32, esi: u32, payload: &[u8], expected: CoreError) {
         let spec = CodeSpec::ldgm_staircase(10, ExpansionRatio::R2_5); // n = 25
         let mut rx = Receiver::new(spec, 100, 10).unwrap();
+        assert_eq!(rx.push(PacketRef { block, esi }, payload), Err(expected));
+        assert_eq!(rx.progress().received, 0);
+    }
+
+    #[test]
+    fn wrong_symbol_size_rejected() {
+        let expected = CoreError::WrongSymbolSize {
+            expected: 10,
+            got: 5,
+        };
+        assert_refused(0, 0, b"short", expected);
+    }
+
+    #[test]
+    fn unknown_packet_rejected() {
         let unknown = |block, esi| CoreError::UnknownPacket { block, esi };
-        let cases: [(u32, u32, &[u8], CoreError); 3] = [
-            (3, 0, &[0; 10], unknown(3, 0)),   // unknown block
-            (0, 25, &[0; 10], unknown(0, 25)), // ESI past the block
-            (
-                0,
-                0,
-                b"short",
-                CoreError::WrongSymbolSize {
-                    expected: 10,
-                    got: 5,
-                },
-            ),
-        ];
-        for (block, esi, payload, expected) in cases {
-            assert_eq!(rx.push(PacketRef { block, esi }, payload), Err(expected));
-            assert_eq!(rx.progress().received, 0);
-        }
+        assert_refused(3, 0, &[0; 10], unknown(3, 0)); // unknown block
+        assert_refused(0, 25, &[0; 10], unknown(0, 25)); // ESI past the block
     }
 
     #[test]
