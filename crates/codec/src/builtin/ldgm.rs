@@ -9,8 +9,8 @@ use fec_ldgm::{
 use fec_sched::{Layout, PacketRef, TxModel};
 
 use crate::{
-    BlockParity, CodecError, DecodeProgress, Decoder, Encoder, Envelope, ErasureCode,
-    ExpansionRatio, SessionParams, StructuralFactory, StructuralSession, Symbol,
+    CodecError, DecodeProgress, Decoder, Encoder, Envelope, ErasureCode, ExpansionRatio,
+    SessionParams, StructuralFactory, StructuralSession, Symbol,
 };
 
 /// A large-block LDGM code (§2.3): plain, Staircase or Triangle, selected
@@ -215,15 +215,28 @@ struct LdgmSessionEncoder {
 }
 
 impl Encoder for LdgmSessionEncoder {
-    fn encode(&mut self, source: &[&[u8]]) -> Result<BlockParity, CodecError> {
-        let parity =
-            LdgmEncoder::new(&self.matrix)
-                .encode(source)
-                .map_err(|e| CodecError::Encode {
-                    code: self.id.to_string(),
-                    source: Box::new(e),
-                })?;
-        Ok(vec![parity])
+    fn parity<'s>(
+        &mut self,
+        block: usize,
+        esi: u32,
+        earlier: &dyn Fn(u32) -> Option<&'s [u8]>,
+        out: &mut [u8],
+    ) -> Result<(), CodecError> {
+        let fail = |source: crate::BoxedError| CodecError::Encode {
+            code: self.id.to_string(),
+            source,
+        };
+        let k = self.matrix.k();
+        if block != 0 || (esi as usize) < k {
+            return Err(fail(
+                format!("no parity symbol {esi} in block {block}").into(),
+            ));
+        }
+        // Single block: the ESI is the variable id, and parity row
+        // `esi - k` reads source symbols and earlier parity only.
+        LdgmEncoder::new(&self.matrix)
+            .parity(esi as usize - k, |c| earlier(c as u32), out)
+            .map_err(|e| fail(Box::new(e)))
     }
 }
 

@@ -1,11 +1,11 @@
 //! Blocked Reed-Solomon behind the [`ErasureCode`] trait.
 
-use fec_rse::{Partition, RseCodec, StructuralObjectDecoder};
+use fec_rse::{Partition, RseCodec, RseError, StructuralObjectDecoder};
 use fec_sched::{Layout, PacketRef, TxModel};
 
 use crate::{
-    BlockParity, CodecError, DecodeProgress, Decoder, Encoder, Envelope, ErasureCode,
-    ExpansionRatio, SessionParams, StructuralFactory, StructuralSession, Symbol,
+    CodecError, DecodeProgress, Decoder, Encoder, Envelope, ErasureCode, ExpansionRatio,
+    SessionParams, StructuralFactory, StructuralSession, Symbol,
 };
 
 /// Reed-Solomon erasure over GF(2^8), segmented into RFC 5052-style
@@ -123,11 +123,7 @@ impl ErasureCode for RseCode {
     fn encoder(&self, params: &SessionParams) -> Result<Box<dyn Encoder>, CodecError> {
         let partition = self.partition(params.k, params.ratio)?;
         let (codecs, codec_of) = block_codecs(&partition)?;
-        Ok(Box::new(RseSessionEncoder {
-            partition,
-            codecs,
-            codec_of,
-        }))
+        Ok(Box::new(RseSessionEncoder { codecs, codec_of }))
     }
 
     fn decoder(&self, params: &SessionParams) -> Result<Box<dyn Decoder>, CodecError> {
@@ -168,27 +164,35 @@ impl ErasureCode for RseCode {
 }
 
 struct RseSessionEncoder {
-    partition: Partition,
     codecs: Vec<RseCodec>,
     /// Index into `codecs`, per block.
     codec_of: Vec<usize>,
 }
 
 impl Encoder for RseSessionEncoder {
-    fn encode(&mut self, source: &[&[u8]]) -> Result<BlockParity, CodecError> {
-        let mut all = Vec::with_capacity(self.partition.num_blocks());
-        let mut start = 0usize;
-        for (b, &codec) in self.partition.blocks().iter().zip(&self.codec_of) {
-            let parity = self.codecs[codec]
-                .encode_refs(&source[start..start + b.k])
-                .map_err(|e| CodecError::Encode {
-                    code: "rse".into(),
-                    source: Box::new(e),
-                })?;
-            all.push(parity);
-            start += b.k;
-        }
-        Ok(all)
+    fn parity<'s>(
+        &mut self,
+        block: usize,
+        esi: u32,
+        earlier: &dyn Fn(u32) -> Option<&'s [u8]>,
+        out: &mut [u8],
+    ) -> Result<(), CodecError> {
+        let fail = |source: crate::BoxedError| CodecError::Encode {
+            code: "rse".into(),
+            source,
+        };
+        let codec = match self.codec_of.get(block) {
+            Some(&c) => &self.codecs[c],
+            None => return Err(fail(format!("no block {block}").into())),
+        };
+        // A parity row reads the block's source symbols only.
+        let source = (0..codec.k() as u32)
+            .map(|j| earlier(j).ok_or(j))
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(|j| fail(format!("source symbol {j} of block {block} missing").into()))?;
+        codec
+            .parity_symbol(esi, &source, out)
+            .map_err(|e: RseError| fail(Box::new(e)))
     }
 }
 

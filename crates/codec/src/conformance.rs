@@ -1,10 +1,13 @@
 //! Codec conformance harness: behavioural checks every
 //! [`ErasureCode`](crate::ErasureCode) implementation must pass.
 //!
-//! [`check`] round-trips a codec across all paper transmission models,
-//! duplicate / out-of-order / truncated packet streams, a deterministic
-//! loss pattern, the batched decoder entry point, payload-vs-structural
-//! agreement, and the corners of its declared `(k, ratio)` envelope.
+//! [`check`] encodes parity one symbol at a time — each block in
+//! ascending ESI order, then again in reverse with a fresh encoder, which
+//! must give the same bytes — and round-trips the codec across all paper
+//! transmission models, duplicate / out-of-order / truncated packet
+//! streams, a deterministic loss pattern, the batched decoder entry
+//! point, payload-vs-structural agreement, and the corners of its
+//! declared `(k, ratio)` envelope.
 //! [`check_batched`] (run from `check`) additionally hammers the batched
 //! entry points with adversarial windows: odd symbol sizes, in-batch
 //! duplicates, reordering, already-decoded symbols, and a
@@ -21,7 +24,7 @@
 
 use fec_sched::{Layout, PacketRef, TxModel};
 
-use crate::{CodecHandle, SessionParams, Symbol};
+use crate::{CodecHandle, Encoder, SessionParams, Symbol};
 
 /// Symbol size used by the schedule/stream checks (small, to keep the
 /// harness fast); [`check_batched`] additionally sweeps adversarial
@@ -87,35 +90,55 @@ impl EncodedObject {
             .unwrap_or_else(|e| panic!("{ctx}: layout failed: {e}"));
         assert_eq!(layout.total_source(), k as u64, "{ctx}: layout k mismatch");
         let object = object_sized(k, symbol_size);
-        let source = symbols(&object, k, symbol_size);
-        let refs: Vec<&[u8]> = source.iter().map(|s| s.as_slice()).collect();
         let params = SessionParams {
             k,
             ratio,
             symbol_size,
             seed: SEED,
         };
-        let parity = code
-            .encoder(&params)
-            .unwrap_or_else(|e| panic!("{ctx}: encoder failed: {e}"))
-            .encode(&refs)
-            .unwrap_or_else(|e| panic!("{ctx}: encode failed: {e}"));
-        assert_eq!(
-            parity.len(),
-            layout.num_blocks(),
-            "{ctx}: encoder must yield parity for every block"
-        );
+        let [mut up, mut down] = [(); 2].map(|_| {
+            code.encoder(&params)
+                .unwrap_or_else(|e| panic!("{ctx}: encoder failed: {e}"))
+        });
+        let parity = |encoder: &mut Box<dyn Encoder>, b: usize, esi: u32, block: &[Vec<u8>]| {
+            // Exactly the symbols below `esi`: a lookup past them is a
+            // contract violation the encoder must report, not read.
+            let earlier = |j: u32| block.get(j as usize).filter(|_| j < esi).map(Vec::as_slice);
+            let mut out = vec![0u8; symbol_size];
+            encoder
+                .parity(b, esi, &earlier, &mut out)
+                .unwrap_or_else(|e| panic!("{ctx}: parity ({b}, {esi}) failed: {e}"));
+            out
+        };
+        // Block by block: the source symbols, then each parity symbol in
+        // ascending ESI order.
+        let mut source = symbols(&object, k, symbol_size).into_iter();
         let mut payloads = Vec::with_capacity(layout.total_packets() as usize);
-        let mut src_off = 0usize;
-        for (b, block_parity) in parity.iter().enumerate() {
+        let mut starts = Vec::with_capacity(layout.num_blocks());
+        for b in 0..layout.num_blocks() {
             let (kb, nb) = layout.block(b);
-            assert_eq!(block_parity.len(), nb - kb, "{ctx}: block {b} parity count");
-            payloads.extend_from_slice(&source[src_off..src_off + kb]);
-            for p in block_parity {
-                assert_eq!(p.len(), symbol_size, "{ctx}: parity symbol size");
-                payloads.push(p.clone());
+            starts.push(payloads.len());
+            payloads.extend(source.by_ref().take(kb));
+            for esi in kb..nb {
+                let symbol = parity(&mut up, b, esi as u32, &payloads[starts[b]..]);
+                payloads.push(symbol);
             }
-            src_off += kb;
+        }
+        // A second encoder asked for every parity symbol in reverse — last
+        // block first, highest ESI first — must write the same bytes: the
+        // output depends on the symbols below the ESI, not on which calls
+        // came before, so a sender may encode each symbol when it is first
+        // emitted and keep it.
+        for b in (0..layout.num_blocks()).rev() {
+            let (kb, nb) = layout.block(b);
+            let block = &payloads[starts[b]..starts[b] + nb];
+            for esi in (kb..nb).rev() {
+                assert_eq!(
+                    parity(&mut down, b, esi as u32, block),
+                    block[esi],
+                    "{ctx}: parity ({b}, {esi}) depends on the call order"
+                );
+            }
         }
         (EncodedObject { layout, payloads }, object)
     }

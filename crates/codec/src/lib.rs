@@ -41,8 +41,8 @@
 //! ```
 //! use std::sync::Arc;
 //! use fec_codec::{
-//!     BlockParity, CodecError, DecodeProgress, Decoder, Encoder, Envelope,
-//!     ErasureCode, SessionParams, StructuralFactory, StructuralSession,
+//!     CodecError, DecodeProgress, Decoder, Encoder, Envelope, ErasureCode,
+//!     SessionParams, StructuralFactory, StructuralSession,
 //! };
 //! use fec_sched::{Layout, PacketRef};
 //!
@@ -86,12 +86,17 @@
 //!
 //! struct XorEncoder;
 //! impl Encoder for XorEncoder {
-//!     fn encode(&mut self, source: &[&[u8]]) -> Result<BlockParity, CodecError> {
-//!         let mut parity = source[0].to_vec();
-//!         for s in &source[1..] {
-//!             parity.iter_mut().zip(*s).for_each(|(p, b)| *p ^= b);
+//!     // The one parity symbol, ESI k: the XOR of the k source symbols
+//!     // below it, written when a sender first emits it.
+//!     fn parity<'s>(
+//!         &mut self, _block: usize, esi: u32,
+//!         earlier: &dyn Fn(u32) -> Option<&'s [u8]>, out: &mut [u8],
+//!     ) -> Result<(), CodecError> {
+//!         for j in 0..esi {
+//!             let s = earlier(j).ok_or_else(|| CodecError::encode(&XorParity, "source missing"))?;
+//!             out.iter_mut().zip(s).for_each(|(p, b)| *p ^= b);
 //!         }
-//!         Ok(vec![vec![parity]]) // one block, one parity symbol
+//!         Ok(())
 //!     }
 //! }
 //!
@@ -183,6 +188,6 @@ pub use handle::CodecHandle;
 pub use ratio::ExpansionRatio;
 pub use registry::CodecRegistry;
 pub use traits::{
-    BlockParity, DecodeProgress, Decoder, Encoder, Envelope, ErasureCode, SessionParams,
-    StructuralFactory, StructuralSession, Symbol,
+    DecodeProgress, Decoder, Encoder, Envelope, ErasureCode, SessionParams, StructuralFactory,
+    StructuralSession, Symbol,
 };

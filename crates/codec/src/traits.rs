@@ -85,15 +85,28 @@ impl DecodeProgress {
     }
 }
 
-/// Parity symbols produced by an [`Encoder`]: `parity[block][i]` is the
-/// payload of ESI `k_b + i` in block `block`.
-pub type BlockParity = Vec<Vec<Vec<u8>>>;
-
-/// A per-object encoding session.
+/// A per-object encoding session: one parity symbol per call.
+///
+/// A sender asks for parity the first time it emits it, so a symbol that
+/// never leaves is never encoded.
 pub trait Encoder: Send {
-    /// Encodes the `k` padded source symbols (all `symbol_size` bytes
-    /// long, concatenated across blocks in layout order) into parity.
-    fn encode(&mut self, source: &[&[u8]]) -> Result<BlockParity, CodecError>;
+    /// Writes parity symbol `esi` (`k_b <= esi < n_b`) of `block` into
+    /// `out`, which arrives zero-filled and one symbol long.
+    ///
+    /// `earlier(j)` returns symbol `j` of the same block for every
+    /// `j < esi`: the padded source symbols below `k_b`, then the parity
+    /// this session already wrote. A caller fills each block's parity in
+    /// ascending ESI order, so codes whose parity chains on earlier parity
+    /// (LDGM Staircase and Triangle) read it from there. The output must
+    /// depend on `(block, esi)` and those symbols only, never on which
+    /// calls came before — the conformance harness checks it.
+    fn parity<'s>(
+        &mut self,
+        block: usize,
+        esi: u32,
+        earlier: &dyn Fn(u32) -> Option<&'s [u8]>,
+        out: &mut [u8],
+    ) -> Result<(), CodecError>;
 }
 
 /// A per-object decoding session: feed symbols in any order, across any

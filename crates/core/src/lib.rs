@@ -8,8 +8,8 @@
 //!   configuration (code, object size, expansion ratio, matrix seed) that
 //!   sender and receivers share out of band (e.g. in an FDT);
 //! * [`Sender`] / [`Receiver`] — byte-true encoding sessions: the sender
-//!   encodes an object once and lends each symbol by its
-//!   [`PacketRef`](fec_sched::PacketRef), the receiver consumes borrowed
+//!   lends each symbol by its [`PacketRef`](fec_sched::PacketRef),
+//!   encoding a parity symbol the first time it is asked for, the receiver consumes borrowed
 //!   symbols in any order, across any losses, and reproduces the object
 //!   exactly;
 //! * [`recommend`](crate::recommend()) and [`MeasuredSelector`] — the

@@ -1,17 +1,22 @@
 //! The sending side of a broadcast session.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
+use fec_codec::Encoder;
 use fec_sched::{Layout, PacketRef, TxModel};
 
 use crate::{CodeSpec, CoreError};
 
-/// A fully-encoded object, ready to emit packets in any schedule.
+/// An object ready to emit packets in any schedule, its parity encoded
+/// the first time it is emitted.
 ///
-/// Construction performs the complete FEC encoding (source symbol split +
-/// all parity symbols) through the spec's codec session, so `symbol()` is
-/// a cheap lookup afterwards — the natural shape for a carousel sender
-/// that cycles its schedule.
+/// Construction splits the object into source symbols and builds the
+/// spec's encoder; no parity is computed yet. The first
+/// [`symbol`](Self::symbol) call for a parity symbol encodes its block's
+/// parity up to that ESI, and every later call for it is a lookup. So a
+/// carousel that cycles its schedule encodes each symbol once, and an
+/// emission that stops early (§6.2: "send significantly less than n")
+/// never pays for the parity it does not send.
 pub struct Sender {
     spec: CodeSpec,
     layout: Layout,
@@ -20,66 +25,78 @@ pub struct Sender {
     /// The `k` source symbols back to back, the last one zero-padded to
     /// `symbol_size`: one buffer, shared with every re-encode.
     source: Arc<Vec<u8>>,
-    /// Parity symbols per block as the encoder returned them
-    /// (`parity[b][j]` is ESI `k_b + j`).
-    parity: Vec<Vec<Vec<u8>>>,
-    /// Global index of each block's first source symbol.
-    block_src_offset: Vec<usize>,
+    /// One slot per parity symbol, block after block, set once when the
+    /// symbol is first encoded.
+    parity: Box<[OnceLock<Box<[u8]>>]>,
+    /// Per block, the global index of its first source symbol and the
+    /// index of its first slot in `parity`.
+    first: Vec<(usize, usize)>,
+    /// Taken only to encode: a lookup of encoded parity never locks.
+    encoding: Mutex<Encoding>,
 }
 
+/// The encoder and, per block, its high-water mark: how many parity
+/// symbols of the block are encoded (always a prefix in ESI order).
+struct Encoding {
+    encoder: Box<dyn Encoder>,
+    filled: Vec<usize>,
+}
+
+// One sender serves every thread that emits its object.
+const _: () = {
+    const fn shared<T: Send + Sync>() {}
+    shared::<Sender>()
+};
+
 impl Sender {
-    /// Encodes `object` under `spec` with `symbol_size`-byte symbols.
+    /// Splits `object` into `symbol_size`-byte symbols under `spec`.
     pub fn new(spec: CodeSpec, object: &[u8], symbol_size: usize) -> Result<Sender, CoreError> {
         spec.validate_object(object.len(), symbol_size)?;
         let mut source = Vec::with_capacity(spec.k * symbol_size);
         source.extend_from_slice(object);
         source.resize(spec.k * symbol_size, 0);
-        Sender::encode(spec, Arc::new(source), symbol_size, object.len())
+        Sender::with_source(spec, Arc::new(source), symbol_size, object.len())
     }
 
-    /// Encodes this sender's object again under `spec` — another code or
-    /// ratio over the same `k` source symbols. The source buffer is
-    /// shared with this sender (a reference-count bump, no copy); only
-    /// the parity is new.
+    /// This sender's object under `spec` — another code or ratio over the
+    /// same `k` source symbols. The source buffer is shared with this
+    /// sender (a reference-count bump, no copy); the parity is the new
+    /// spec's, encoded as it is emitted.
     pub fn reencode(&self, spec: CodeSpec) -> Result<Sender, CoreError> {
         spec.validate_object(self.object_len, self.symbol_size)?;
-        Sender::encode(spec, self.source.clone(), self.symbol_size, self.object_len)
+        Sender::with_source(spec, self.source.clone(), self.symbol_size, self.object_len)
     }
 
-    fn encode(
+    fn with_source(
         spec: CodeSpec,
         source: Arc<Vec<u8>>,
         symbol_size: usize,
         object_len: usize,
     ) -> Result<Sender, CoreError> {
         let layout = spec.layout()?;
-
-        // Per-block source offsets.
-        let mut block_src_offset = Vec::with_capacity(layout.num_blocks());
-        let mut off = 0usize;
-        for b in 0..layout.num_blocks() {
-            block_src_offset.push(off);
-            off += layout.block(b).0;
-        }
-
-        // Encode parity through the codec session.
-        let refs: Vec<&[u8]> = source.chunks_exact(symbol_size).collect();
-        let parity = spec
+        let encoder = spec
             .code
             .encoder(&spec.session_params(symbol_size))
-            .and_then(|mut enc| enc.encode(&refs))
-            .map_err(|e| CoreError::Codec {
-                detail: e.to_string(),
-            })?;
-
+            .map_err(codec_error)?;
+        let mut first = Vec::with_capacity(layout.num_blocks());
+        let (mut src, mut par) = (0, 0);
+        for b in 0..layout.num_blocks() {
+            let (kb, nb) = layout.block(b);
+            first.push((src, par));
+            (src, par) = (src + kb, par + nb - kb);
+        }
         Ok(Sender {
+            parity: (0..par).map(|_| OnceLock::new()).collect(),
+            encoding: Mutex::new(Encoding {
+                encoder,
+                filled: vec![0; first.len()],
+            }),
+            first,
             spec,
             layout,
             symbol_size,
             object_len,
             source,
-            parity,
-            block_src_offset,
         })
     }
 
@@ -125,13 +142,59 @@ impl Sender {
                 esi: r.esi,
             });
         }
-        let (kb, _) = self.layout.block(r.block as usize);
-        Ok(if (r.esi as usize) < kb {
-            let at = (self.block_src_offset[r.block as usize] + r.esi as usize) * self.symbol_size;
-            &self.source[at..at + self.symbol_size]
-        } else {
-            &self.parity[r.block as usize][r.esi as usize - kb]
-        })
+        let b = r.block as usize;
+        let (kb, _) = self.layout.block(b);
+        let esi = r.esi as usize;
+        if esi < kb {
+            return Ok(self.source_symbol(b, esi));
+        }
+        match self.parity[self.first[b].1 + esi - kb].get() {
+            Some(p) => Ok(p),
+            None => self.encode_through(b, esi - kb),
+        }
+    }
+
+    /// Source symbol `esi` of block `b`.
+    fn source_symbol(&self, b: usize, esi: usize) -> &[u8] {
+        let at = (self.first[b].0 + esi) * self.symbol_size;
+        &self.source[at..at + self.symbol_size]
+    }
+
+    /// Encodes block `b`'s parity up to its `j`-th parity symbol, and
+    /// returns that one.
+    fn encode_through(&self, b: usize, j: usize) -> Result<&[u8], CoreError> {
+        let (kb, nb) = self.layout.block(b);
+        let slots = &self.parity[self.first[b].1..][..nb - kb];
+        // A panicking encoder leaves the high-water mark behind the last
+        // slot it set, so the state behind a poisoned lock is still whole.
+        let mut encoding = self.encoding.lock().unwrap_or_else(PoisonError::into_inner);
+        let Encoding { encoder, filled } = &mut *encoding;
+        while filled[b] <= j {
+            let next = filled[b];
+            let earlier = |esi: u32| match (esi as usize).checked_sub(kb) {
+                None => Some(self.source_symbol(b, esi as usize)),
+                Some(p) => slots[..next].get(p)?.get().map(|s| &s[..]),
+            };
+            let mut out = vec![0u8; self.symbol_size];
+            encoder
+                .parity(b, (kb + next) as u32, &earlier, &mut out)
+                .map_err(codec_error)?;
+            slots[next].get_or_init(|| out.into_boxed_slice());
+            filled[b] += 1;
+        }
+        slots[j]
+            .get()
+            .map(|s| &s[..])
+            .ok_or(CoreError::UnknownPacket {
+                block: b as u32,
+                esi: (kb + j) as u32,
+            })
+    }
+
+    /// How many parity symbols this sender has encoded so far: what its
+    /// emissions asked for, up to each block's highest ESI.
+    pub fn parity_encoded(&self) -> usize {
+        self.parity.iter().filter(|s| s.get().is_some()).count()
     }
 
     /// Starts an incremental, *amendable* emission of this object's
@@ -142,6 +205,12 @@ impl Sender {
     /// with [`symbol`](Self::symbol).
     pub fn emission(&self, tx: TxModel, seed: u64) -> crate::PlannedEmission {
         crate::PlannedEmission::full(tx.schedule(&self.layout, seed))
+    }
+}
+
+fn codec_error(e: fec_codec::CodecError) -> CoreError {
+    CoreError::Codec {
+        detail: e.to_string(),
     }
 }
 
@@ -161,7 +230,12 @@ impl core::fmt::Debug for Sender {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fec_codec::{
+        builtin, CodecError, CodecHandle, Decoder, Envelope, ErasureCode, SessionParams,
+        StructuralFactory,
+    };
     use fec_sim::ExpansionRatio;
+    use proptest::prelude::*;
 
     fn object(len: usize) -> Vec<u8> {
         (0..len).map(|i| (i * 31 % 251) as u8).collect()
@@ -260,6 +334,157 @@ mod tests {
         let b = Sender::new(spec, &object(20 * 8), 8).unwrap();
         for r in a.layout().all_packets() {
             assert_eq!(a.symbol(r).unwrap(), b.symbol(r).unwrap());
+        }
+    }
+
+    /// Per block, how many parity symbols are encoded.
+    fn filled(s: &Sender) -> Vec<usize> {
+        s.encoding.lock().unwrap().filled.clone()
+    }
+
+    #[test]
+    fn no_parity_is_encoded_before_a_parity_symbol_is_asked_for() {
+        let data = object(300 * 8);
+        let a = Sender::new(CodeSpec::rse(300, ExpansionRatio::R1_5), &data, 8).unwrap();
+        let b = a
+            .reencode(CodeSpec::ldgm_triangle(300, ExpansionRatio::R2_5))
+            .unwrap();
+        for s in [&a, &b] {
+            for r in s.layout().source_sequential() {
+                s.symbol(r).unwrap();
+            }
+            assert_eq!(s.parity_encoded(), 0, "{s:?}");
+            assert!(filled(s).iter().all(|&f| f == 0));
+        }
+    }
+
+    /// Tx_model_5 sends every block's source first, then its parity in
+    /// ascending ESI order: a sender that stops early has encoded each
+    /// block's parity up to the highest ESI it sent, and re-sending
+    /// encodes nothing again.
+    #[test]
+    fn an_rse_tx5_prefix_encodes_each_block_up_to_its_highest_esi() {
+        let spec = CodeSpec::rse(2040, ExpansionRatio::R1_5);
+        let s = Sender::new(spec, &object(2040 * 8), 8).unwrap();
+        let schedule = TxModel::Interleaved.schedule(s.layout(), 1);
+        let prefix = &schedule[..2040 + 258];
+        for _ in 0..2 {
+            for &r in prefix {
+                s.symbol(r).unwrap();
+            }
+            let mut want = vec![0; s.layout().num_blocks()];
+            for r in prefix {
+                let (kb, _) = s.layout().block(r.block as usize);
+                let sent = (r.esi as usize + 1).saturating_sub(kb);
+                want[r.block as usize] = want[r.block as usize].max(sent);
+            }
+            assert_eq!(filled(&s), want);
+            assert_eq!(s.parity_encoded(), want.iter().sum::<usize>());
+            assert!(s.parity_encoded() < 300, "of 1020 parity symbols");
+        }
+    }
+
+    /// A third-party code whose parity chains on earlier parity: parity
+    /// `esi` is symbol `esi - 1` XOR source `esi mod k`, rotated. Encode
+    /// only.
+    struct Chain;
+
+    struct ChainEncoder {
+        k: u32,
+    }
+
+    impl ErasureCode for Chain {
+        fn id(&self) -> &str {
+            "chain"
+        }
+        fn fti_id(&self) -> Option<u8> {
+            None
+        }
+        fn envelope(&self) -> Envelope {
+            Envelope {
+                min_k: 1,
+                max_k: 1 << 16,
+                min_ratio: 1.0,
+                max_ratio: 4.0,
+            }
+        }
+        fn layout(&self, k: usize, ratio: f64) -> Result<Layout, CodecError> {
+            Ok(Layout::single_block(k, (k as f64 * ratio) as usize))
+        }
+        fn encoder(&self, p: &SessionParams) -> Result<Box<dyn Encoder>, CodecError> {
+            Ok(Box::new(ChainEncoder { k: p.k as u32 }))
+        }
+        fn decoder(&self, _: &SessionParams) -> Result<Box<dyn Decoder>, CodecError> {
+            Err(CodecError::encode(self, "encode only"))
+        }
+        fn structural_factory(
+            &self,
+            _: usize,
+            _: f64,
+            _: &[u64],
+        ) -> Result<Box<dyn StructuralFactory>, CodecError> {
+            Err(CodecError::encode(self, "encode only"))
+        }
+    }
+
+    impl Encoder for ChainEncoder {
+        fn parity<'s>(
+            &mut self,
+            _block: usize,
+            esi: u32,
+            earlier: &dyn Fn(u32) -> Option<&'s [u8]>,
+            out: &mut [u8],
+        ) -> Result<(), CodecError> {
+            let (Some(prev), Some(src)) = (earlier(esi - 1), earlier(esi % self.k)) else {
+                return Err(CodecError::encode(&Chain, "missing symbol"));
+            };
+            for (o, (p, s)) in out.iter_mut().zip(prev.iter().zip(src)) {
+                *o = p ^ s.rotate_left(1);
+            }
+            Ok(())
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// Whatever order a schedule asks for symbols in, every symbol is
+        /// the one an ascending-ESI walk produces.
+        #[test]
+        fn symbols_do_not_depend_on_the_emission_order(
+            k in 1usize..400,
+            high in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let ratio = if high { ExpansionRatio::R2_5 } else { ExpansionRatio::R1_5 };
+            let data = object(k * 8 - 3);
+            let codes = [
+                builtin::ldgm_plain(),
+                builtin::ldgm_staircase(),
+                builtin::ldgm_triangle(),
+                builtin::rse(),
+                CodecHandle::new(Chain),
+            ];
+            for code in codes {
+                if !code.supports(k, ratio.as_f64()) {
+                    continue;
+                }
+                let spec = CodeSpec::new(code, k, ratio).with_matrix_seed(seed);
+                let ascending = Sender::new(spec.clone(), &data, 8).unwrap();
+                for r in ascending.layout().all_packets() {
+                    ascending.symbol(r).unwrap();
+                }
+                for tx in TxModel::paper_models() {
+                    let schedule = tx.schedule(ascending.layout(), seed);
+                    let reversed = schedule.iter().rev().copied().collect();
+                    for order in [schedule, reversed] {
+                        let s = Sender::new(spec.clone(), &data, 8).unwrap();
+                        for r in order {
+                            prop_assert_eq!(s.symbol(r).unwrap(), ascending.symbol(r).unwrap());
+                        }
+                    }
+                }
+            }
         }
     }
 }

@@ -178,7 +178,8 @@ impl FluteSender {
         }
     }
 
-    /// Adds one object to the session, FEC-encoding it immediately.
+    /// Adds one object to the session. Its parity is encoded as the
+    /// session's streams first emit it ([`fec_core::Sender`]).
     ///
     /// `toi` must be unique and non-zero; `tx` is the paper-style
     /// transmission model used for this object's packets.
@@ -2267,6 +2268,41 @@ mod tests {
         assert_eq!(instance(&datagrams[0]), Some(0));
         assert_eq!(instance(&datagrams[1]), Some(1));
         datagrams
+    }
+
+    /// A deploy to another tuple encodes no parity: the new encoding's
+    /// parity is computed as its datagrams leave, and under Tx_model_5
+    /// the first 300 carry source symbols.
+    #[test]
+    fn a_deploy_encodes_nothing_until_the_objects_parity_leaves() {
+        let data = object_bytes(300 * 16);
+        let mut sender = FluteSender::new(SenderConfig::new(7));
+        let triangle = fec_codec::builtin::ldgm_triangle();
+        let (ratio, tx) = (ExpansionRatio::R2_5, TxModel::Random);
+        sender
+            .add_object(1, "x", &data, triangle, ratio, 16, 99, tx)
+            .unwrap();
+        let rse = Decision {
+            code: fec_codec::builtin::rse(),
+            tx: TxModel::Interleaved,
+            ratio: ExpansionRatio::R1_5,
+        };
+        let mut stream = sender.stream(3);
+        assert_eq!(stream.deploy(1, Some(&rse)).unwrap(), rse);
+        let encoded = |stream: &SessionStream| {
+            let deployed = stream.redeployed[0].as_ref().unwrap();
+            deployed.sender.parity_encoded()
+        };
+        assert_eq!(encoded(&stream), 0);
+        let mut data_sent = 0;
+        while data_sent < 300 {
+            let dg = stream.next_datagram().unwrap().unwrap();
+            data_sent += usize::from(!is_fdt(&dg));
+        }
+        assert_eq!(encoded(&stream), 0, "300 source datagrams");
+        assert!(!is_fdt(&stream.next_datagram().unwrap().unwrap()));
+        assert_eq!(encoded(&stream), 1, "the first parity datagram");
+        assert_eq!(sender.objects[0].sender.parity_encoded(), 0, "never sent");
     }
 
     fn is_fdt(datagram: &[u8]) -> bool {

@@ -36,46 +36,61 @@ impl<'m> Encoder<'m> {
             });
         }
         let sym_len = source.first().map_or(0, |s| s.len());
-        for s in source {
-            if s.len() != sym_len {
-                return Err(LdgmError::SymbolLengthMismatch {
-                    expected: sym_len,
-                    got: s.len(),
-                });
-            }
-        }
-
-        let m = self.matrix.num_checks();
-        let mut parity: Vec<Vec<u8>> = Vec::with_capacity(m);
-        // One gather buffer for every row. Its borrows of `parity` cannot
-        // outlive a row, so it is handed back emptied, retyped as a
-        // `'static` vector (collecting a vector's own `into_iter` reuses
-        // its allocation).
-        let mut spare: Vec<&'static [u8]> = Vec::new();
-        for i in 0..m {
+        let mut parity: Vec<Vec<u8>> = Vec::with_capacity(self.matrix.num_checks());
+        for i in 0..self.matrix.num_checks() {
             let mut acc = vec![0u8; sym_len];
-            // Gather the whole row and apply it as ONE fused multi-source
-            // XOR: the accumulator streams through the kernel backend once
-            // per row instead of once per non-zero entry.
-            let mut row: Vec<&[u8]> = spare;
-            row.extend(self.matrix.row(i).iter().filter_map(|&c| {
-                let c = c as usize;
-                if c < k {
-                    Some(source[c])
-                } else if c != k + i {
-                    // Earlier parity (guaranteed c - k < i by
-                    // construction).
-                    Some(parity[c - k].as_slice())
-                } else {
-                    None
-                }
-            }));
-            xor_acc_many(&mut acc, &row);
-            row.clear();
-            spare = row.into_iter().map(|_| -> &'static [u8] { &[] }).collect();
+            let symbol = |c: usize| match source.get(c) {
+                Some(s) => Some(*s),
+                None => parity.get(c - k).map(Vec::as_slice),
+            };
+            self.parity(i, symbol, &mut acc)?;
             parity.push(acc);
         }
         Ok(parity)
+    }
+
+    /// Writes parity `i` (variable `k + i`) into `out`, which arrives
+    /// zero-filled: the XOR of every other variable of row `i`.
+    /// `symbol(c)` returns variable `c` — source symbol `c` for `c < k`,
+    /// parity `c - k` otherwise. Row `i` references only parity below
+    /// `i`, so filling parity in ascending order always has what it needs.
+    pub fn parity<'s>(
+        &self,
+        i: usize,
+        symbol: impl Fn(usize) -> Option<&'s [u8]>,
+        out: &mut [u8],
+    ) -> Result<(), LdgmError> {
+        let (k, n) = (self.matrix.k(), self.matrix.n());
+        if i >= self.matrix.num_checks() {
+            let id = (k + i) as u32;
+            return Err(LdgmError::BadPacketId { id, n });
+        }
+        // Gather the row a few variables at a time and apply each group
+        // as ONE fused multi-source XOR: the accumulator streams through
+        // the kernel backend once per group instead of once per entry.
+        const GROUP: usize = 16;
+        let mut group: [&[u8]; GROUP] = [&[]; GROUP];
+        let mut len = 0;
+        for &c in self.matrix.row(i) {
+            if c as usize == k + i {
+                continue;
+            }
+            let s = symbol(c as usize).ok_or(LdgmError::MissingSymbol { id: c })?;
+            if s.len() != out.len() {
+                return Err(LdgmError::SymbolLengthMismatch {
+                    expected: out.len(),
+                    got: s.len(),
+                });
+            }
+            group[len] = s;
+            len += 1;
+            if len == GROUP {
+                xor_acc_many(out, &group);
+                len = 0;
+            }
+        }
+        xor_acc_many(out, &group[..len]);
+        Ok(())
     }
 }
 

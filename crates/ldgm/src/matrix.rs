@@ -160,6 +160,12 @@ pub enum LdgmError {
         /// Symbols expected.
         expected: usize,
     },
+    /// Encoding a parity symbol needed a variable the caller did not
+    /// supply.
+    MissingSymbol {
+        /// The variable (packet ID) that was missing.
+        id: u32,
+    },
     /// A packet ID outside `0..n` was pushed into a decoder.
     BadPacketId {
         /// Offending ID.
@@ -181,6 +187,9 @@ impl fmt::Display for LdgmError {
                     f,
                     "encode needs exactly k={expected} source symbols, got {got}"
                 )
+            }
+            LdgmError::MissingSymbol { id } => {
+                write!(f, "encoding needs symbol {id}, which was not supplied")
             }
             LdgmError::BadPacketId { id, n } => write!(f, "packet id {id} out of range (n={n})"),
         }

@@ -119,25 +119,25 @@ impl RseCodec {
             });
         }
         let sym_len = source.first().map_or(0, |s| s.len());
-        for s in source {
-            if s.len() != sym_len {
-                return Err(RseError::SymbolLengthMismatch {
-                    expected: sym_len,
-                    got: s.len(),
-                });
-            }
-        }
-        let mut parity = Vec::with_capacity(self.parity_count());
-        for esi in self.k..self.n {
-            let mut sym = vec![0u8; sym_len];
-            kernels::dot_product(&mut sym, self.gen.row(esi), source);
-            parity.push(sym);
-        }
-        Ok(parity)
+        (self.k..self.n)
+            .map(|esi| {
+                let mut sym = vec![0u8; sym_len];
+                self.parity_symbol(esi as u32, source, &mut sym)?;
+                Ok(sym)
+            })
+            .collect()
     }
 
-    /// Computes a single parity symbol (ESI in `k..n`).
-    pub fn parity_symbol(&self, esi: u32, source: &[&[u8]]) -> Result<Vec<u8>, RseError> {
+    /// Writes parity symbol `esi` (in `k..n`) into `out`: one generator
+    /// row applied to the block's `k` source symbols. Rows are
+    /// independent, so any parity symbol can be computed alone, in any
+    /// order.
+    pub fn parity_symbol(
+        &self,
+        esi: u32,
+        source: &[&[u8]],
+        out: &mut [u8],
+    ) -> Result<(), RseError> {
         if (esi as usize) < self.k || (esi as usize) >= self.n {
             return Err(RseError::BadEsi { esi, n: self.n });
         }
@@ -147,10 +147,14 @@ impl RseCodec {
                 expected: self.k,
             });
         }
-        let sym_len = source.first().map_or(0, |s| s.len());
-        let mut sym = vec![0u8; sym_len];
-        kernels::dot_product(&mut sym, self.gen.row(esi as usize), source);
-        Ok(sym)
+        if let Some(s) = source.iter().find(|s| s.len() != out.len()) {
+            return Err(RseError::SymbolLengthMismatch {
+                expected: out.len(),
+                got: s.len(),
+            });
+        }
+        kernels::dot_product(out, self.gen.row(esi as usize), source);
+        Ok(())
     }
 
     /// Recovers the source symbols that are *not* among the first `k`
@@ -487,8 +491,9 @@ mod tests {
             let src = make_source(k, 8, seed);
             let refs: Vec<&[u8]> = src.iter().map(|s| s.as_slice()).collect();
             let bulk = c.encode_refs(&refs).unwrap();
-            for esi in k..n {
-                let one = c.parity_symbol(esi as u32, &refs).unwrap();
+            for esi in (k..n).rev() {
+                let mut one = vec![0u8; 8];
+                c.parity_symbol(esi as u32, &refs, &mut one).unwrap();
                 prop_assert_eq!(&one, &bulk[esi - k]);
             }
         }

@@ -13,8 +13,8 @@
 use std::sync::Arc;
 
 use fec_broadcast::codec::{
-    conformance, registry, BlockParity, CodecError, DecodeProgress, Decoder, Encoder, Envelope,
-    ErasureCode, SessionParams, StructuralFactory, StructuralSession,
+    conformance, registry, CodecError, DecodeProgress, Decoder, Encoder, Envelope, ErasureCode,
+    SessionParams, StructuralFactory, StructuralSession,
 };
 use fec_broadcast::prelude::*;
 
@@ -100,12 +100,20 @@ impl ErasureCode for XorParity {
 struct XorEncoder;
 
 impl Encoder for XorEncoder {
-    fn encode(&mut self, source: &[&[u8]]) -> Result<BlockParity, CodecError> {
-        let mut parity = source[0].to_vec();
-        for s in &source[1..] {
-            parity.iter_mut().zip(*s).for_each(|(p, b)| *p ^= b);
+    // The one parity symbol (ESI k) is the XOR of every source symbol
+    // below it; a sender calls this the first time it emits that symbol.
+    fn parity<'s>(
+        &mut self,
+        _block: usize,
+        esi: u32,
+        earlier: &dyn Fn(u32) -> Option<&'s [u8]>,
+        out: &mut [u8],
+    ) -> Result<(), CodecError> {
+        for j in 0..esi {
+            let s = earlier(j).ok_or_else(|| CodecError::encode(&XorParity, "source missing"))?;
+            out.iter_mut().zip(s).for_each(|(p, b)| *p ^= b);
         }
-        Ok(vec![vec![parity]]) // one block, one parity symbol
+        Ok(())
     }
 }
 
