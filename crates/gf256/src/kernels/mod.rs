@@ -12,11 +12,15 @@
 //! * `sse2` / `ssse3` / `avx2` (x86_64) and `neon` (aarch64) —
 //!   `std::arch` SIMD, detected once at first use. The GF(2⁸) multiply
 //!   kernels use the split-nibble table form (`tables::MUL_NIBBLES`):
-//!   one 16-byte shuffle per nibble replaces one table lookup per byte.
+//!   one 16-byte shuffle per nibble replaces one table lookup per byte;
+//! * `gfni` (x86_64 with GFNI, AVX-512F and AVX-512BW) — each multiply
+//!   is one affine instruction on a 64-byte register against the
+//!   constant's 8×8 bit matrix (`tables::MUL_AFFINE`); XOR is `avx2`'s.
 //!
-//! The active backend is chosen once (best detected wins) and can be
+//! The active backend is chosen once (best detected wins:
+//! `gfni > avx2 > ssse3 > sse2 > portable` on x86_64) and can be
 //! overridden with the `FEC_FORCE_KERNEL` environment variable
-//! (`scalar`, `portable`, `sse2`, `ssse3`, `avx2`, `neon`) — forcing a
+//! (`scalar`, `portable`, `sse2`, `ssse3`, `avx2`, `gfni`, `neon`) — forcing a
 //! backend the host cannot run panics rather than executing illegal
 //! instructions. Backend choice can never change decode results: every
 //! backend computes byte-identical output, which the differential
@@ -339,6 +343,20 @@ mod tests {
         assert_eq!(names.len(), before, "backend names must be unique");
         // The active backend is always one of the roster (possibly forced).
         assert!(list.iter().any(|k| k.name() == active_name()));
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn gfni_is_listed_exactly_when_the_cpu_runs_it_and_is_then_best() {
+        let runs_gfni = is_x86_feature_detected!("gfni")
+            && is_x86_feature_detected!("avx512f")
+            && is_x86_feature_detected!("avx512bw")
+            && is_x86_feature_detected!("avx2");
+        let list = backends();
+        assert_eq!(list.iter().any(|k| k.name() == "gfni"), runs_gfni);
+        if runs_gfni {
+            assert_eq!(list.last().map(|k| k.name()), Some("gfni"));
+        }
     }
 
     #[test]

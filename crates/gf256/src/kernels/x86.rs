@@ -1,4 +1,4 @@
-//! x86_64 `std::arch` backends: SSE2, SSSE3 and AVX2.
+//! x86_64 `std::arch` backends: SSE2, SSSE3, AVX2 and GFNI.
 //!
 //! * `sse2` — 16-byte XOR lanes only (SSE2 has no byte shuffle, so its
 //!   multiply kernels fall back to the portable table loops). Baseline on
@@ -8,6 +8,10 @@
 //!   register is multiplied by a constant with two shuffles into the
 //!   [`MUL_NIBBLES`] tables instead of sixteen table lookups.
 //! * `avx2` — the same shapes on 32-byte registers.
+//! * `gfni` — every multiply is one `vgf2p8affineqb` on a 64-byte
+//!   register, against the constant's 8x8 bit matrix ([`MUL_AFFINE`]):
+//!   no nibble split, no shuffles. Needs GFNI with AVX-512 (F and BW);
+//!   its XOR entries are AVX2's.
 //!
 //! Backends are appended to the roster only after
 //! `is_x86_feature_detected!` confirms the host supports them, and the
@@ -19,7 +23,7 @@
 use std::arch::x86_64::*;
 
 use super::{portable, Kernels};
-use crate::tables::MUL_NIBBLES;
+use crate::tables::{MUL_AFFINE, MUL_NIBBLES};
 
 static SSE2: Kernels = Kernels {
     name: "sse2",
@@ -48,10 +52,19 @@ static AVX2: Kernels = Kernels {
     addmul_many: addmul_many_avx2,
 };
 
+static GFNI: Kernels = Kernels {
+    name: "gfni",
+    xor: xor_avx2,
+    mul: mul_gfni,
+    addmul: addmul_gfni,
+    xor_many: xor_many_avx2,
+    addmul_many: addmul_many_gfni,
+};
+
 /// Appends every backend this CPU supports, worst to best.
 pub(super) fn append_detected(list: &mut Vec<&'static Kernels>) {
     // SSE2 is part of the x86_64 baseline, but go through the detector
-    // anyway so all three registrations read (and are audited) the same.
+    // anyway so every registration reads (and is audited) the same.
     if is_x86_feature_detected!("sse2") {
         list.push(&SSE2);
     }
@@ -60,6 +73,13 @@ pub(super) fn append_detected(list: &mut Vec<&'static Kernels>) {
     }
     if is_x86_feature_detected!("avx2") {
         list.push(&AVX2);
+        // GFNI reuses AVX2's XOR entries, hence the nesting.
+        if is_x86_feature_detected!("gfni")
+            && is_x86_feature_detected!("avx512f")
+            && is_x86_feature_detected!("avx512bw")
+        {
+            list.push(&GFNI);
+        }
     }
 }
 
@@ -472,6 +492,128 @@ unsafe fn addmul_many_avx2_impl(dst: &mut [u8], srcs: &[&[u8]], coeffs: &[u8]) {
             match c {
                 0 => {}
                 _ => addmul_avx2_impl(&mut dst[n..], &s[n..], c),
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// 512-bit lanes (GFNI affine multiplies; XOR entries are AVX2's).
+// ---------------------------------------------------------------------------
+
+fn addmul_gfni(dst: &mut [u8], src: &[u8], c: u8) {
+    // SAFETY: roster containment — registered only after
+    // `is_x86_feature_detected!` confirmed `gfni`, `avx512f` and `avx512bw`.
+    unsafe { addmul_gfni_impl(dst, src, c) }
+}
+
+/// # Safety
+/// Caller must be compiled with (and the CPU support) `gfni`, `avx512f`
+/// and `avx512bw`; `dst` and `src` must have equal lengths (the `Kernels`
+/// wrappers assert this).
+#[target_feature(enable = "gfni,avx512f,avx512bw")]
+unsafe fn addmul_gfni_impl(dst: &mut [u8], src: &[u8], c: u8) {
+    let n = dst.len() / 64 * 64;
+    let d = dst.as_mut_ptr();
+    let s = src.as_ptr();
+    // SAFETY: `i + 64 <= n <= len` for both slices; unaligned ops.
+    unsafe {
+        let a = _mm512_set1_epi64(MUL_AFFINE[c as usize] as i64);
+        let mut i = 0;
+        while i < n {
+            let x = _mm512_loadu_si512(s.add(i).cast::<__m512i>());
+            let p = _mm512_gf2p8affine_epi64_epi8::<0>(x, a);
+            let dv = _mm512_loadu_si512(d.add(i).cast::<__m512i>());
+            _mm512_storeu_si512(d.add(i).cast::<__m512i>(), _mm512_xor_si512(dv, p));
+            i += 64;
+        }
+    }
+    super::addmul_tail(&mut dst[n..], &src[n..], c);
+}
+
+fn mul_gfni(dst: &mut [u8], c: u8) {
+    // SAFETY: roster containment, as in `addmul_gfni`.
+    unsafe { mul_gfni_impl(dst, c) }
+}
+
+/// # Safety
+/// Caller must be compiled with (and the CPU support) `gfni`, `avx512f`
+/// and `avx512bw`.
+#[target_feature(enable = "gfni,avx512f,avx512bw")]
+unsafe fn mul_gfni_impl(dst: &mut [u8], c: u8) {
+    let n = dst.len() / 64 * 64;
+    let d = dst.as_mut_ptr();
+    // SAFETY: bounds as in `addmul_gfni_impl`.
+    unsafe {
+        let a = _mm512_set1_epi64(MUL_AFFINE[c as usize] as i64);
+        let mut i = 0;
+        while i < n {
+            let x = _mm512_loadu_si512(d.add(i).cast::<__m512i>());
+            let p = _mm512_gf2p8affine_epi64_epi8::<0>(x, a);
+            _mm512_storeu_si512(d.add(i).cast::<__m512i>(), p);
+            i += 64;
+        }
+    }
+    let row = &crate::tables::MUL[c as usize];
+    for b in &mut dst[n..] {
+        *b = row[*b as usize];
+    }
+}
+
+fn addmul_many_gfni(dst: &mut [u8], srcs: &[&[u8]], coeffs: &[u8]) {
+    // SAFETY: roster containment, as in `addmul_gfni`.
+    unsafe { addmul_many_gfni_impl(dst, srcs, coeffs) }
+}
+
+/// # Safety
+/// Caller must be compiled with (and the CPU support) `gfni`, `avx512f`
+/// and `avx512bw`; every source must have `dst`'s length and `coeffs`
+/// must have `srcs`'s length (asserted by `Kernels::addmul_acc_many`).
+#[target_feature(enable = "gfni,avx512f,avx512bw")]
+unsafe fn addmul_many_gfni_impl(dst: &mut [u8], srcs: &[&[u8]], coeffs: &[u8]) {
+    let n = dst.len() / 256 * 256;
+    let d = dst.as_mut_ptr();
+    // SAFETY: 256-byte blocks stay inside `n`; sources share `dst`'s
+    // length (wrapper assertion).
+    unsafe {
+        let mut i = 0;
+        while i < n {
+            let mut a0 = _mm512_loadu_si512(d.add(i).cast::<__m512i>());
+            let mut a1 = _mm512_loadu_si512(d.add(i + 64).cast::<__m512i>());
+            let mut a2 = _mm512_loadu_si512(d.add(i + 128).cast::<__m512i>());
+            let mut a3 = _mm512_loadu_si512(d.add(i + 192).cast::<__m512i>());
+            for (s, &c) in srcs.iter().zip(coeffs) {
+                if c == 0 {
+                    continue;
+                }
+                let p = s.as_ptr().add(i);
+                let x0 = _mm512_loadu_si512(p.cast::<__m512i>());
+                let x1 = _mm512_loadu_si512(p.add(64).cast::<__m512i>());
+                let x2 = _mm512_loadu_si512(p.add(128).cast::<__m512i>());
+                let x3 = _mm512_loadu_si512(p.add(192).cast::<__m512i>());
+                if c == 1 {
+                    a0 = _mm512_xor_si512(a0, x0);
+                    a1 = _mm512_xor_si512(a1, x1);
+                    a2 = _mm512_xor_si512(a2, x2);
+                    a3 = _mm512_xor_si512(a3, x3);
+                } else {
+                    let a = _mm512_set1_epi64(MUL_AFFINE[c as usize] as i64);
+                    a0 = _mm512_xor_si512(a0, _mm512_gf2p8affine_epi64_epi8::<0>(x0, a));
+                    a1 = _mm512_xor_si512(a1, _mm512_gf2p8affine_epi64_epi8::<0>(x1, a));
+                    a2 = _mm512_xor_si512(a2, _mm512_gf2p8affine_epi64_epi8::<0>(x2, a));
+                    a3 = _mm512_xor_si512(a3, _mm512_gf2p8affine_epi64_epi8::<0>(x3, a));
+                }
+            }
+            _mm512_storeu_si512(d.add(i).cast::<__m512i>(), a0);
+            _mm512_storeu_si512(d.add(i + 64).cast::<__m512i>(), a1);
+            _mm512_storeu_si512(d.add(i + 128).cast::<__m512i>(), a2);
+            _mm512_storeu_si512(d.add(i + 192).cast::<__m512i>(), a3);
+            i += 256;
+        }
+        for (s, &c) in srcs.iter().zip(coeffs) {
+            match c {
+                0 => {}
+                _ => addmul_gfni_impl(&mut dst[n..], &s[n..], c),
             }
         }
     }

@@ -12,8 +12,10 @@
 //!   payloads. They dispatch through a runtime-selected backend: a safe
 //!   `u64`-lane portable implementation everywhere, plus `std::arch`
 //!   SSE2/SSSE3/AVX2 (x86_64) and NEON (aarch64) backends using
-//!   split-nibble shuffle multiplies, detected once at first use and
-//!   overridable via `FEC_FORCE_KERNEL`,
+//!   split-nibble shuffle multiplies and a GFNI (x86_64 with AVX-512)
+//!   backend using bit-matrix affine multiplies, detected once at first
+//!   use (best wins, `gfni > avx2 > …`) and overridable via
+//!   `FEC_FORCE_KERNEL`,
 //! * [`Matrix`] — a dense matrix over GF(2^8) with Gauss-Jordan inversion and
 //!   Vandermonde constructors, used to build systematic generator matrices
 //!   and to solve the decoding systems.

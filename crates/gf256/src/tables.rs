@@ -36,6 +36,14 @@ pub const INV: [u8; 256] = build_inv();
 /// backend multiplies through identical tables.
 pub static MUL_NIBBLES: [[u8; 32]; 256] = build_mul_nibbles();
 
+/// Multiplication by each constant as an 8x8 bit matrix (2 KiB), the
+/// operand layout of the GFNI affine instruction (`vgf2p8affineqb`):
+/// byte `7 - i` of `MUL_AFFINE[c]` is row `i`, and bit `j` of that row is
+/// bit `i` of `c * 2^j`. So bit `i` of `c * b` is the parity of
+/// `row_i & b`. (`vgf2p8mulb` cannot be used instead: it is fixed to the
+/// polynomial `0x11B`, and this field is `0x11D`.)
+pub static MUL_AFFINE: [u64; 256] = build_mul_affine();
+
 const fn build_exp() -> [u8; 512] {
     let mut exp = [0u8; 512];
     let mut x: u16 = 1;
@@ -108,6 +116,28 @@ const fn build_mul_nibbles() -> [[u8; 32]; 256] {
             t[c][x] = mul_slow(c as u8, x as u8);
             t[c][16 + x] = mul_slow(c as u8, (x << 4) as u8);
             x += 1;
+        }
+        c += 1;
+    }
+    t
+}
+
+const fn build_mul_affine() -> [u64; 256] {
+    let mut t = [0u64; 256];
+    let mut c = 0;
+    while c < 256 {
+        let mut j = 0;
+        while j < 8 {
+            // Column `j` of the matrix is `c * 2^j`.
+            let column = mul_slow(c as u8, 1 << j);
+            let mut i = 0;
+            while i < 8 {
+                if (column >> i) & 1 != 0 {
+                    t[c] |= 1u64 << ((7 - i) * 8 + j);
+                }
+                i += 1;
+            }
+            j += 1;
         }
         c += 1;
     }
@@ -196,6 +226,23 @@ mod tests {
                 let lo = MUL_NIBBLES[c][b & 0xF];
                 let hi = MUL_NIBBLES[c][16 + (b >> 4)];
                 assert_eq!(lo ^ hi, MUL[c][b], "c = {c}, b = {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn affine_matrices_reproduce_mul() {
+        // Apply each matrix the way the instruction defines it: bit `i` of
+        // the product is the parity of byte `7 - i` ANDed with the input.
+        for c in 0..256usize {
+            let bytes = MUL_AFFINE[c].to_le_bytes();
+            for b in 0..256usize {
+                let mut product = 0u8;
+                for i in 0..8 {
+                    let parity = (bytes[7 - i] & b as u8).count_ones() as u8 & 1;
+                    product |= parity << i;
+                }
+                assert_eq!(product, MUL[c][b], "c = {c}, b = {b}");
             }
         }
     }

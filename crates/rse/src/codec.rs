@@ -28,7 +28,8 @@ use crate::{RseError, MAX_N};
 ///
 /// which is `O(k * n)` field operations with no inversion and no matrix
 /// product, and the same bytes as `V * V_top^{-1}` (the inverse is unique;
-/// `tests/oracle.rs` checks the equality shape by shape).
+/// `tests/oracle.rs` checks the equality shape by shape). The products and
+/// the quotient are taken as sums and differences of discrete logarithms.
 ///
 /// # Decoding
 ///
@@ -68,22 +69,37 @@ impl RseCodec {
         if k == 0 || k > n || n > MAX_N {
             return Err(RseError::BadParameters { k, n });
         }
-        // The points are distinct for n <= 255, so no factor below is zero.
+        // Everything is built in the log domain: `log(x_a + x_b)` for two
+        // point indexes, summed for the products and differenced for the
+        // quotient, then one `alpha_pow` per entry. The points `alpha^i`
+        // are distinct for n <= 255, so no sum `x_a + x_b` (a != b) is zero
+        // and every logarithm exists; the `0` fallback is never taken.
+        const ORDER: usize = fec_gf256::MUL_ORDER;
         let x: Vec<Gf256> = (0..n).map(Gf256::alpha_pow).collect();
-        let inv_d: Vec<Gf256> = (0..k)
-            .map(|j| {
-                let d: Gf256 = (0..k).filter(|&m| m != j).map(|m| x[j] + x[m]).product();
-                d.inv()
-            })
-            .collect();
+        let log_sum = |a: usize, b: usize| usize::from((x[a] + x[b]).log().unwrap_or(0));
+        // `log D_j`: each pair's sum is a factor of both ends.
+        let mut log_d = vec![0usize; k];
+        for j in 0..k {
+            for m in 0..j {
+                let l = log_sum(j, m);
+                log_d[j] += l;
+                log_d[m] += l;
+            }
+        }
+        log_d.iter_mut().for_each(|l| *l %= ORDER);
         let mut gen = Matrix::zero(n, k);
         for j in 0..k {
             gen.set(j, j, Gf256::ONE);
         }
+        let mut log_row = vec![0usize; k];
         for i in k..n {
-            let p: Gf256 = x[..k].iter().map(|&xm| x[i] + xm).product();
-            for j in 0..k {
-                gen.set(i, j, p * inv_d[j] / (x[i] + x[j]));
+            for (m, l) in log_row.iter_mut().enumerate() {
+                *l = log_sum(i, m);
+            }
+            let log_p = log_row.iter().sum::<usize>() % ORDER;
+            for (j, (&log_ij, &log_dj)) in log_row.iter().zip(&log_d).enumerate() {
+                // G[i][j] = P_i / ((x_i + x_j) * D_j); both subtrahends are < 255.
+                gen.set(i, j, Gf256::alpha_pow(log_p + 2 * ORDER - log_ij - log_dj));
             }
         }
         Ok(RseCodec { k, n, gen })

@@ -93,6 +93,42 @@ fn science_report() -> String {
         assert_eq!(decoded, object, "{id}: round-trip bytes");
         out.push_str(&format!("{id} digest {:016x}\n", fnv1a(&decoded)));
     }
+
+    // RSE at k = 340 (two 170/255 blocks) with 1 000-byte symbols:
+    // 1 000 = 3 x 256 + 232, so the fused rows' block loop, their 64-byte
+    // single-source loop and the byte tail all reach the digest, which
+    // covers every delivered symbol (parity included) as well as the
+    // decoded object.
+    let spec = CodeSpec::new(builtin::rse(), 340, ExpansionRatio::R1_5);
+    let object: Vec<u8> = (0..340 * 1000 - 7).map(|i| (i * 31 % 251) as u8).collect();
+    let sender = Sender::new(spec.clone(), &object, 1000).expect("sender");
+    let mut rx = Receiver::new(spec, object.len(), 1000).expect("receiver");
+    let mut delivered = Vec::new();
+    for (i, packet) in TxModel::Random
+        .schedule(sender.layout(), 7)
+        .into_iter()
+        .enumerate()
+    {
+        if i % 7 == 0 {
+            continue;
+        }
+        let payload = sender.symbol(packet).expect("valid ref");
+        delivered.extend_from_slice(payload);
+        if rx
+            .push_symbols(&[Symbol { packet, payload }])
+            .expect("push_symbols")
+            .is_decoded()
+        {
+            break;
+        }
+    }
+    let decoded = rx.into_object().expect("decodable with 6/7 delivery");
+    assert_eq!(decoded, object, "rse k = 340: round-trip bytes");
+    out.push_str(&format!(
+        "rse k340 s1000 delivered {:016x} decoded {:016x}\n",
+        fnv1a(&delivered),
+        fnv1a(&decoded)
+    ));
     out
 }
 
