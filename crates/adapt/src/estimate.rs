@@ -32,11 +32,6 @@ pub struct ConfidenceInterval {
 }
 
 impl ConfidenceInterval {
-    /// Interval width.
-    pub fn width(&self) -> f64 {
-        self.hi - self.lo
-    }
-
     /// Whether `v` lies inside the interval.
     pub fn contains(&self, v: f64) -> bool {
         (self.lo..=self.hi).contains(&v)
@@ -163,7 +158,7 @@ impl OnlineGilbertEstimator {
     }
 
     /// Loss fraction inside the window.
-    pub fn window_loss_rate(&self) -> f64 {
+    fn window_loss_rate(&self) -> f64 {
         if self.window.is_empty() {
             return 0.0;
         }
@@ -278,8 +273,9 @@ mod tests {
         assert!(coarse.q_ci.contains(params.q()), "{:?}", coarse.q_ci);
         feed(&mut est, params, 80_000, 2);
         let fine = est.estimate().unwrap();
-        assert!(fine.p_ci.width() < coarse.p_ci.width());
-        assert!(fine.q_ci.width() < coarse.q_ci.width());
+        let width = |ci: ConfidenceInterval| ci.hi - ci.lo;
+        assert!(width(fine.p_ci) < width(coarse.p_ci));
+        assert!(width(fine.q_ci) < width(coarse.q_ci));
         assert!(fine.p_ci.contains(params.p()));
     }
 

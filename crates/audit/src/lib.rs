@@ -1,10 +1,10 @@
 //! `fec-audit` — the workspace soundness suite.
 //!
-//! Five source-level lints. Four guard the places this workspace is most
+//! Six source-level lints. Four guard the places this workspace is most
 //! exposed — hand-written SIMD `unsafe` (`fec-gf256`), hand-rolled wire
 //! parsers fed by an adversarial network (`fec-flute`, `fec-sim`'s
 //! partial files), lock-free atomics on the hot path (`fec-telemetry`) —
-//! and one keeps its size a decision:
+//! and two keep its size a decision:
 //!
 //! * [`lints::unsafe_audit`] — every `unsafe` token needs an adjacent
 //!   `SAFETY` justification, `unsafe` is confined to an allowlist of
@@ -25,6 +25,9 @@
 //!   the whole tree (`tree_total`: tests, benches, examples and shims
 //!   too), ratchet against `audit/size.baseline.toml`: either grows only
 //!   with an explicit re-baseline.
+//! * [`lints::surface`] — every `pub` item in a first-party crate's `src/`
+//!   must be named in the code of some other file (`benchmark/src`
+//!   included), or carry `// audit:allow(surface) -- reason`.
 //!
 //! The scanner is a small hand-rolled lexer ([`lexer`]) rather than a full
 //! parser: the build is offline (no `syn`), and the lints only need to
@@ -51,16 +54,19 @@ pub enum Lint {
     Ci,
     /// Per-crate code-line ratchet.
     Size,
+    /// `pub` items that no other file names.
+    Surface,
 }
 
 impl Lint {
     /// All lints, in the order `all` runs them.
-    pub const ALL: [Lint; 5] = [
+    pub const ALL: [Lint; 6] = [
         Lint::Unsafe,
         Lint::Panic,
         Lint::Ordering,
         Lint::Ci,
         Lint::Size,
+        Lint::Surface,
     ];
 
     /// The lint's CLI name.
@@ -71,6 +77,7 @@ impl Lint {
             Lint::Ordering => "ordering",
             Lint::Ci => "ci",
             Lint::Size => "size",
+            Lint::Surface => "surface",
         }
     }
 }
@@ -147,11 +154,11 @@ impl Outcome {
 
 /// A workspace member crate.
 #[derive(Debug, Clone)]
-pub struct CrateInfo {
+struct CrateInfo {
     /// Package name from its `Cargo.toml`.
-    pub name: String,
+    name: String,
     /// Workspace-relative directory (empty for the root package).
-    pub dir: String,
+    dir: String,
 }
 
 /// Where a source file lives, for lint scoping.
@@ -251,14 +258,14 @@ pub struct Workspace {
     /// Workspace root directory.
     pub root: PathBuf,
     /// Member crates (root package included).
-    pub crates: Vec<CrateInfo>,
+    crates: Vec<CrateInfo>,
     /// Every `.rs` file under the members' source trees.
     pub files: Vec<SourceFile>,
 }
 
 impl Workspace {
     /// Scans the workspace rooted at `root`.
-    pub fn scan(root: &Path) -> Result<Workspace, String> {
+    fn scan(root: &Path) -> Result<Workspace, String> {
         let manifest = std::fs::read_to_string(root.join("Cargo.toml"))
             .map_err(|e| format!("cannot read {}/Cargo.toml: {e}", root.display()))?;
         let mut crates = Vec::new();
@@ -353,7 +360,7 @@ fn package_name(root: &Path, dir: &str) -> Result<String, String> {
 }
 
 /// Recursively collects and lexes `.rs` files under `dir`.
-fn collect_rs(
+pub(crate) fn collect_rs(
     dir: &Path,
     root: &Path,
     crate_name: &str,
@@ -407,6 +414,7 @@ pub fn run(lints: &[Lint], opts: &Options) -> Result<Outcome, String> {
             Lint::Ordering => lints::ordering_audit::run(&ws)?,
             Lint::Ci => lints::ci_coverage::run(&ws)?,
             Lint::Size => lints::size::run(&ws, opts)?,
+            Lint::Surface => lints::surface::run(&ws)?,
         };
         outcome.merge(one);
     }

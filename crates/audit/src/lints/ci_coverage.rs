@@ -13,7 +13,7 @@ use std::collections::BTreeSet;
 use crate::{Diagnostic, Outcome, Workspace};
 
 /// Workflow file, relative to the workspace root.
-pub const WORKFLOW_PATH: &str = ".github/workflows/ci.yml";
+const WORKFLOW_PATH: &str = ".github/workflows/ci.yml";
 
 const LINT: &str = "ci-coverage";
 

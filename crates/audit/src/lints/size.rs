@@ -18,14 +18,12 @@
 use std::collections::BTreeMap;
 
 use crate::lexer::Line;
-use crate::{Options, Outcome, Section, Workspace};
+use crate::{Options, Outcome, Workspace};
 
 /// Baseline file, relative to the workspace root.
 pub const BASELINE_PATH: &str = "audit/size.baseline.toml";
 
 const LINT: &str = "size";
-
-const SHIMS_DIR: &str = "crates/shims/";
 
 /// Baseline key of the whole-tree figure (no crate is named like it).
 const TREE_TOTAL: &str = "tree_total";
@@ -38,7 +36,7 @@ pub fn run(ws: &Workspace, opts: &Options) -> Result<Outcome, String> {
     let code_lines = |lines: &[Line]| lines.iter().filter(|l| !l.is_code_blank()).count() as u64;
     for file in &ws.files {
         tree_total += code_lines(&file.lines);
-        if file.section != Section::Lib || file.rel_path.starts_with(SHIMS_DIR) {
+        if !super::first_party_src(file) {
             continue;
         }
         *counts.entry(file.crate_name.clone()).or_default() +=

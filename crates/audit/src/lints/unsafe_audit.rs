@@ -20,13 +20,13 @@ use crate::{lexer, Diagnostic, Options, Outcome, Workspace};
 /// Path prefixes (workspace-relative) where `unsafe` is permitted: the
 /// SIMD kernel backends and the wire engine's raw `sendmmsg`/`recvmmsg`
 /// syscall shim.
-pub const ALLOWED_MODULES: [&str; 2] = ["crates/gf256/src/kernels/", "crates/wire/src/sys.rs"];
+const ALLOWED_MODULES: [&str; 2] = ["crates/gf256/src/kernels/", "crates/wire/src/sys.rs"];
 
 /// Baseline file, relative to the workspace root.
 pub const BASELINE_PATH: &str = "audit/unsafe.baseline.toml";
 
 /// Ledger file, relative to the workspace root.
-pub const LEDGER_PATH: &str = "docs/UNSAFE_LEDGER.md";
+const LEDGER_PATH: &str = "docs/UNSAFE_LEDGER.md";
 
 const LINT: &str = "unsafe-audit";
 

@@ -4,6 +4,7 @@
 //! cargo run -p fec-audit -- all                      # every lint, check mode
 //! cargo run -p fec-audit -- unsafe                   # one lint
 //! cargo run -p fec-audit -- size                     # per-crate code-line ratchet
+//! cargo run -p fec-audit -- surface                  # pub items no other file names
 //! cargo run -p fec-audit -- unsafe --write-ledger    # regenerate docs/UNSAFE_LEDGER.md
 //! cargo run -p fec-audit -- all --update-baselines   # intentional re-baseline
 //! cargo run -p fec-audit -- panic --root /some/tree  # lint another workspace
@@ -16,7 +17,7 @@ use std::process::ExitCode;
 
 use fec_audit::{run, Lint, Options};
 
-const USAGE: &str = "usage: fec-audit <unsafe|panic|ordering|ci|size|all> \
+const USAGE: &str = "usage: fec-audit <unsafe|panic|ordering|ci|size|surface|all> \
                      [--root PATH] [--update-baselines] [--write-ledger] [--verbose]";
 
 fn main() -> ExitCode {
@@ -35,6 +36,7 @@ fn main() -> ExitCode {
             "ordering" => lints.push(Lint::Ordering),
             "ci" => lints.push(Lint::Ci),
             "size" => lints.push(Lint::Size),
+            "surface" => lints.push(Lint::Surface),
             "all" => lints.extend(Lint::ALL),
             "--root" => match it.next() {
                 Some(p) => root = Some(PathBuf::from(p)),

@@ -4,9 +4,10 @@
 //! with a seeded violation — an unjustified `unsafe`, a panic in a
 //! `deny(panic)` module, an unexplained `Ordering::Relaxed`, a crate
 //! missing from CI, a crate or the whole tree grown past its size
-//! baseline — and asserts the binary exits non-zero with a `file:line`
-//! diagnostic. The final test runs `all` against the real
-//! committed tree, so `cargo test` itself enforces the lints.
+//! baseline, a `pub` item no other file names — and asserts the binary
+//! exits non-zero with a `file:line` diagnostic. The final test runs
+//! `all` against the real committed tree, so `cargo test` itself
+//! enforces the lints.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -311,6 +312,97 @@ fn tree_ratchet_counts_tests_and_shims_and_only_goes_down() {
     let out = audit(&root, &["size"]);
     assert!(out.status.success(), "{}", stdout(&out));
     assert!(stderr(&out).contains("tree_total 7 "), "{}", stderr(&out));
+}
+
+/// The surface lint, case by case. Each case adds files to a two-crate
+/// workspace (`wire` declares, `user` may call) with a shim crate, and
+/// lists the `file:line` findings it expects; none means a clean run.
+#[test]
+fn surface_denies_pub_items_no_other_file_names() {
+    let base = [
+        (
+            "Cargo.toml",
+            "[workspace]\nmembers = [\"crates/wire\", \"crates/user\", \"crates/shims/dep\"]\n",
+        ),
+        ("crates/wire/Cargo.toml", WIRE_MANIFEST),
+        ("crates/user/Cargo.toml", "[package]\nname = \"user\"\n"),
+        ("crates/shims/dep/Cargo.toml", "[package]\nname = \"dep\"\n"),
+        ("crates/shims/dep/src/lib.rs", "pub fn mirrored() {}\n"),
+    ];
+    type Case<'a> = (&'a str, &'a [(&'a str, &'a str)], &'a [&'a str]);
+    let cases: [Case; 6] = [
+        (
+            "own-file",
+            &[
+                (
+                    "crates/wire/src/lib.rs",
+                    "pub fn lonely() {}\n\npub const fn helper() -> u8 {\n    0\n}\n\n\
+                     pub fn caller() -> u8 {\n    lonely();\n    helper()\n}\n",
+                ),
+                ("crates/user/src/lib.rs", "fn f() -> u8 {\n    wire::caller()\n}\n"),
+            ],
+            &["crates/wire/src/lib.rs:1:", "crates/wire/src/lib.rs:3:"],
+        ),
+        (
+            "tests-and-examples",
+            &[
+                ("crates/wire/src/lib.rs", "pub fn tested() {}\npub struct Shown;\n"),
+                ("crates/user/tests/t.rs", "fn t() {\n    wire::tested();\n}\n"),
+                ("crates/user/examples/e.rs", "fn main() {\n    let _ = wire::Shown;\n}\n"),
+            ],
+            &[],
+        ),
+        (
+            "benchmark",
+            &[
+                ("crates/wire/src/lib.rs", "pub static BENCHED: u8 = 1;\n"),
+                (
+                    "benchmark/src/main.rs",
+                    "pub fn harness_only() {}\nfn main() {\n    let _ = wire::BENCHED;\n}\n",
+                ),
+            ],
+            &[],
+        ),
+        (
+            "comment-doc-string",
+            &[
+                ("crates/wire/src/lib.rs", "pub type Mentioned = u8;\n"),
+                (
+                    "crates/user/src/lib.rs",
+                    "//! Mentioned\n/// Mentioned\nfn f() -> &'static str {\n    \
+                     // Mentioned\n    \"Mentioned\"\n}\n",
+                ),
+            ],
+            &["crates/wire/src/lib.rs:1:"],
+        ),
+        (
+            "allowed",
+            &[(
+                "crates/wire/src/lib.rs",
+                "/// Kept.\n// audit:allow(surface) -- a reason a reader can check\npub enum Kept {}\n",
+            )],
+            &[],
+        ),
+        (
+            "out-of-scope",
+            &[(
+                "crates/wire/src/lib.rs",
+                "pub(crate) fn inner() {}\n\n#[cfg(test)]\nmod tests {\n    pub fn helper() {}\n}\n",
+            )],
+            &[],
+        ),
+    ];
+    for (case, files, expected) in cases {
+        let tree: Vec<(&str, &str)> = base.iter().chain(files).copied().collect();
+        let root = write_tree(&format!("surface-{case}"), &tree);
+        let out = audit(&root, &["surface"]);
+        let text = stdout(&out);
+        assert_eq!(out.status.success(), expected.is_empty(), "{case}: {text}");
+        assert_eq!(text.lines().count(), expected.len(), "{case}: {text}");
+        for at in expected {
+            assert!(text.contains(at), "{case}: no finding at {at} in:\n{text}");
+        }
+    }
 }
 
 /// The committed tree itself must be clean — this is what makes tier-1

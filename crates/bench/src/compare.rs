@@ -12,26 +12,26 @@ use crate::paper::PaperTable;
 /// from either side are skipped (e.g. a `coarse` measured grid against a
 /// 14-value paper grid, or the 13-value grids of Tables 7–8).
 #[derive(Debug, Clone, PartialEq)]
-pub struct Comparison {
+struct Comparison {
     /// Cells where both sides have a numeric value.
-    pub both_numeric: usize,
+    both_numeric: usize,
     /// Cells where both sides are masked (`-`).
-    pub both_masked: usize,
+    both_masked: usize,
     /// Cells numeric in the paper but masked in the measurement.
-    pub we_masked: usize,
+    we_masked: usize,
     /// Cells masked in the paper but numeric in the measurement.
-    pub paper_masked: usize,
+    paper_masked: usize,
     /// Mean absolute difference over `both_numeric` cells.
-    pub mean_abs_delta: f64,
+    mean_abs_delta: f64,
     /// Maximum absolute difference over `both_numeric` cells.
-    pub max_abs_delta: f64,
+    max_abs_delta: f64,
     /// Coordinates (p%, q%) of the worst cell.
-    pub worst_cell: Option<(u32, u32)>,
+    worst_cell: Option<(u32, u32)>,
 }
 
 impl Comparison {
     /// Fraction of comparable cells whose mask state agrees.
-    pub fn mask_agreement(&self) -> f64 {
+    fn mask_agreement(&self) -> f64 {
         let total = self.both_numeric + self.both_masked + self.we_masked + self.paper_masked;
         if total == 0 {
             return 1.0;
@@ -41,7 +41,7 @@ impl Comparison {
 }
 
 /// Compares a measured sweep against a published table.
-pub fn compare(paper: &PaperTable, measured: &SweepResult) -> Comparison {
+fn compare(paper: &PaperTable, measured: &SweepResult) -> Comparison {
     let paper_grid = paper.grid();
     let mut c = Comparison {
         both_numeric: 0,

@@ -70,6 +70,7 @@ pub fn sweep(
 }
 
 /// One `(code, ratio)` cell of a figure's sweep matrix.
+// audit:allow(surface) -- returned by `figure_grid`, whose cells the figure benches read
 pub struct FigureCell {
     /// The codec swept.
     pub code: CodecHandle,

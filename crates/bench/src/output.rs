@@ -12,7 +12,7 @@ use std::path::PathBuf;
 ///
 /// Defaults to `<workspace root>/results/<target>`; override the root with
 /// `FEC_RESULTS_DIR`.
-pub fn results_dir(target: &str) -> PathBuf {
+fn results_dir(target: &str) -> PathBuf {
     let root = std::env::var("FEC_RESULTS_DIR").map_or_else(
         |_| {
             // crates/bench -> workspace root is two levels up.

@@ -11,9 +11,9 @@ use fec_sched::TxModel;
 use fec_sim::ExpansionRatio;
 
 /// The 14-value percentage grid of Tables 1–6 and 9.
-pub const GRID14: [u32; 14] = [0, 1, 5, 10, 15, 20, 30, 40, 50, 60, 70, 80, 90, 100];
+const GRID14: [u32; 14] = [0, 1, 5, 10, 15, 20, 30, 40, 50, 60, 70, 80, 90, 100];
 /// The 13-value percentage grid of Tables 7–8 (no 15%).
-pub const GRID13: [u32; 13] = [0, 1, 5, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100];
+const GRID13: [u32; 13] = [0, 1, 5, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100];
 
 /// One published table.
 #[derive(Debug, Clone, Copy)]
@@ -73,7 +73,7 @@ impl PaperTable {
 }
 
 /// Table 1: Tx_model_2, LDGM Triangle, FEC expansion ratio 2.5.
-pub static TABLE_1: PaperTable = PaperTable {
+static TABLE_1: PaperTable = PaperTable {
     id: "Table 1",
     code: builtin::ldgm_triangle,
     tx: TxModel::SourceSeqParityRandom,
@@ -98,7 +98,7 @@ pub static TABLE_1: PaperTable = PaperTable {
 };
 
 /// Table 2: Tx_model_2, LDGM Staircase, FEC expansion ratio 2.5.
-pub static TABLE_2: PaperTable = PaperTable {
+static TABLE_2: PaperTable = PaperTable {
     id: "Table 2",
     code: builtin::ldgm_staircase,
     tx: TxModel::SourceSeqParityRandom,
@@ -123,7 +123,7 @@ pub static TABLE_2: PaperTable = PaperTable {
 };
 
 /// Table 3: Tx_model_2, LDGM Triangle, FEC expansion ratio 1.5.
-pub static TABLE_3: PaperTable = PaperTable {
+static TABLE_3: PaperTable = PaperTable {
     id: "Table 3",
     code: builtin::ldgm_triangle,
     tx: TxModel::SourceSeqParityRandom,
@@ -148,7 +148,7 @@ pub static TABLE_3: PaperTable = PaperTable {
 };
 
 /// Table 4: Tx_model_2, LDGM Staircase, FEC expansion ratio 1.5.
-pub static TABLE_4: PaperTable = PaperTable {
+static TABLE_4: PaperTable = PaperTable {
     id: "Table 4",
     code: builtin::ldgm_staircase,
     tx: TxModel::SourceSeqParityRandom,
@@ -198,7 +198,7 @@ pub static TABLE_5: PaperTable = PaperTable {
 };
 
 /// Table 6: Tx_model_4, LDGM Triangle, FEC expansion ratio 1.5.
-pub static TABLE_6: PaperTable = PaperTable {
+static TABLE_6: PaperTable = PaperTable {
     id: "Table 6",
     code: builtin::ldgm_triangle,
     tx: TxModel::Random,
@@ -223,7 +223,7 @@ pub static TABLE_6: PaperTable = PaperTable {
 };
 
 /// Table 7: Tx_model_5 (interleaved), RSE, FEC expansion ratio 2.5.
-pub static TABLE_7: PaperTable = PaperTable {
+static TABLE_7: PaperTable = PaperTable {
     id: "Table 7",
     code: builtin::rse,
     tx: TxModel::Interleaved,
@@ -247,7 +247,7 @@ pub static TABLE_7: PaperTable = PaperTable {
 };
 
 /// Table 8: Tx_model_5 (interleaved), RSE, FEC expansion ratio 1.5.
-pub static TABLE_8: PaperTable = PaperTable {
+static TABLE_8: PaperTable = PaperTable {
     id: "Table 8",
     code: builtin::rse,
     tx: TxModel::Interleaved,
@@ -271,7 +271,7 @@ pub static TABLE_8: PaperTable = PaperTable {
 };
 
 /// Table 9: Tx_model_6, LDGM Staircase, FEC expansion ratio 2.5.
-pub static TABLE_9: PaperTable = PaperTable {
+static TABLE_9: PaperTable = PaperTable {
     id: "Table 9",
     code: builtin::ldgm_staircase,
     tx: TxModel::PartialSourceRandom {
@@ -312,9 +312,6 @@ pub mod prose {
     pub const USECASE_P: f64 = 0.0109;
     /// §6.2.1 channel fit.
     pub const USECASE_Q: f64 = 0.7915;
-    /// §5.1 / Fig. 14: the Rx_model_1 sweet spot lies around 400–1000
-    /// received source packets for k = 20000.
-    pub const RX1_SWEET_SPOT: (usize, usize) = (400, 1000);
 }
 
 #[cfg(test)]

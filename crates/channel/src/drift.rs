@@ -4,7 +4,7 @@
 //! channels drift — cross-traffic builds up, a wireless receiver walks
 //! behind a wall, a peering link flaps. [`DriftingChannel`] models this as
 //! a schedule of Gilbert regimes, each active for a fixed number of
-//! packets, cycling (or holding the last regime). It is the workload the
+//! packets, cycling forever. It is the workload the
 //! `fec-adapt` closed loop is evaluated against: an online estimator must
 //! notice the regime change from loss observations alone and re-plan.
 //!
@@ -44,8 +44,6 @@ pub struct DriftingChannel {
     idx: usize,
     /// Packets left in the active regime.
     remaining: u64,
-    /// Whether to cycle back to the first regime (else hold the last).
-    cycle: bool,
     state: GilbertState,
     rng: SmallRng,
 }
@@ -56,19 +54,6 @@ impl DriftingChannel {
     /// # Panics
     /// Panics if `regimes` is empty or any regime lasts zero packets.
     pub fn cycling(regimes: Vec<Regime>, seed: u64) -> DriftingChannel {
-        DriftingChannel::build(regimes, seed, true)
-    }
-
-    /// A channel that walks `regimes` once, then holds the last one
-    /// indefinitely.
-    ///
-    /// # Panics
-    /// Panics if `regimes` is empty or any regime lasts zero packets.
-    pub fn holding(regimes: Vec<Regime>, seed: u64) -> DriftingChannel {
-        DriftingChannel::build(regimes, seed, false)
-    }
-
-    fn build(regimes: Vec<Regime>, seed: u64, cycle: bool) -> DriftingChannel {
         assert!(
             !regimes.is_empty(),
             "a drifting channel needs at least one regime"
@@ -82,7 +67,6 @@ impl DriftingChannel {
             regimes,
             idx: 0,
             remaining,
-            cycle,
             state: GilbertState::NoLoss,
             rng: SmallRng::seed_from_u64(seed),
         }
@@ -98,25 +82,13 @@ impl DriftingChannel {
         self.regimes[self.idx].params
     }
 
-    /// Index of the active regime.
-    pub fn regime_index(&self) -> usize {
-        self.idx
-    }
-
     /// Advances the regime schedule by one consumed packet.
     fn advance(&mut self) {
         self.remaining -= 1;
         if self.remaining > 0 {
             return;
         }
-        let last = self.idx + 1 == self.regimes.len();
-        if last && !self.cycle {
-            // Hold the final regime: keep `remaining` pinned at 1 so the
-            // counter never wraps.
-            self.remaining = 1;
-            return;
-        }
-        self.idx = if last { 0 } else { self.idx + 1 };
+        self.idx = (self.idx + 1) % self.regimes.len();
         self.remaining = self.regimes[self.idx].packets;
     }
 }
@@ -136,16 +108,9 @@ impl LossModel for DriftingChannel {
         lost
     }
 
-    /// The long-run loss rate: for cycling channels, the packet-weighted
-    /// average of the per-regime stationary rates (exact over whole
-    /// cycles); for holding channels, the final regime's stationary rate —
-    /// every earlier regime occupies a vanishing fraction of an unbounded
-    /// transmission.
+    /// The long-run loss rate: the packet-weighted average of the
+    /// per-regime stationary rates (exact over whole cycles).
     fn global_loss_probability(&self) -> Option<f64> {
-        if !self.cycle {
-            let last = self.regimes.last().expect("non-empty");
-            return Some(last.params.global_loss_probability());
-        }
         let total: u64 = self.regimes.iter().map(|r| r.packets).sum();
         let weighted: f64 = self
             .regimes
@@ -157,10 +122,9 @@ impl LossModel for DriftingChannel {
 
     /// Same regime schedule from the top, fresh chain and randomness.
     fn fork(&self, salt: u64) -> Option<Box<dyn LossModel>> {
-        Some(Box::new(DriftingChannel::build(
+        Some(Box::new(DriftingChannel::cycling(
             self.regimes.clone(),
             salt,
-            self.cycle,
         )))
     }
 }
@@ -191,15 +155,15 @@ mod tests {
             ],
             1,
         );
-        assert_eq!(ch.regime_index(), 0);
+        assert_eq!(ch.current(), GilbertParams::perfect());
         for _ in 0..5 {
             ch.next_is_lost();
         }
-        assert_eq!(ch.regime_index(), 1);
+        assert_eq!(ch.current(), params(1.0, 0.0));
         for _ in 0..3 {
             ch.next_is_lost();
         }
-        assert_eq!(ch.regime_index(), 0, "cycles back");
+        assert_eq!(ch.current(), GilbertParams::perfect(), "cycles back");
     }
 
     #[test]
@@ -227,22 +191,6 @@ mod tests {
     }
 
     #[test]
-    fn holding_channel_stays_in_last_regime() {
-        let mut ch = DriftingChannel::holding(
-            vec![
-                Regime::new(GilbertParams::perfect(), 3),
-                Regime::new(params(1.0, 1.0), 2),
-            ],
-            5,
-        );
-        for _ in 0..50 {
-            ch.next_is_lost();
-        }
-        assert_eq!(ch.regime_index(), 1);
-        assert_eq!(ch.current(), params(1.0, 1.0));
-    }
-
-    #[test]
     fn average_loss_is_packet_weighted() {
         let ch = DriftingChannel::cycling(
             vec![
@@ -253,21 +201,6 @@ mod tests {
         );
         let g = ch.global_loss_probability().unwrap();
         assert!((g - 0.1875).abs() < 1e-12, "got {g}");
-    }
-
-    #[test]
-    fn holding_channel_reports_final_regime_rate() {
-        // A holding channel spends all but a finite prefix in its last
-        // regime, so its long-run rate is that regime's alone.
-        let ch = DriftingChannel::holding(
-            vec![
-                Regime::new(params(0.01, 0.99), 1_000), // 1%
-                Regime::new(params(0.2, 0.3), 1_000),   // 40%
-            ],
-            1,
-        );
-        let g = ch.global_loss_probability().unwrap();
-        assert!((g - 0.4).abs() < 1e-12, "got {g}");
     }
 
     #[test]

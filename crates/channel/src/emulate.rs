@@ -67,22 +67,6 @@ impl LinkStats {
         self.dropped as f64 / self.offered as f64
     }
 
-    /// Fraction of offered datagrams that gained a duplicate copy.
-    pub fn duplication_rate(&self) -> f64 {
-        if self.offered == 0 {
-            return 0.0;
-        }
-        self.duplicated as f64 / self.offered as f64
-    }
-
-    /// Fraction of offered datagrams delivered out of order.
-    pub fn reordering_rate(&self) -> f64 {
-        if self.offered == 0 {
-            return 0.0;
-        }
-        self.reordered as f64 / self.offered as f64
-    }
-
     /// Datagrams impaired in any way (dropped, duplicated, or
     /// reordered) — the per-impairment breakdown summed back up.
     pub fn impaired(&self) -> u64 {
@@ -388,15 +372,15 @@ mod tests {
         // Every impairment actually occurred, distinctly.
         assert!(s.dropped > 0 && s.duplicated > 0 && s.reordered > 0);
         assert!((s.loss_rate() - 0.09).abs() < 0.03, "{}", s.loss_rate());
+        let duplication = s.duplicated as f64 / s.offered as f64;
+        let reordering = s.reordered as f64 / s.offered as f64;
         assert!(
-            (s.duplication_rate() - 0.1 * (1.0 - s.loss_rate())).abs() < 0.03,
-            "{}",
-            s.duplication_rate()
+            (duplication - 0.1 * (1.0 - s.loss_rate())).abs() < 0.03,
+            "{duplication}"
         );
         assert!(
-            (s.reordering_rate() - 0.2 * (1.0 - s.loss_rate())).abs() < 0.03,
-            "{}",
-            s.reordering_rate()
+            (reordering - 0.2 * (1.0 - s.loss_rate())).abs() < 0.03,
+            "{reordering}"
         );
         // Conservation: everything offered was dropped, delivered in
         // order, or delivered late; duplicates are extra copies.

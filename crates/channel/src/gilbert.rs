@@ -123,11 +123,6 @@ impl GilbertParams {
             Some(1.0 / self.q)
         }
     }
-
-    /// True if this is a memoryless chain (`q = 1 − p` within tolerance).
-    pub fn is_memoryless(&self) -> bool {
-        (self.q - (1.0 - self.p)).abs() < 1e-12
-    }
 }
 
 /// A running Gilbert channel.
@@ -177,11 +172,6 @@ impl GilbertChannel {
     pub fn state(&self) -> GilbertState {
         self.state
     }
-
-    /// Generates the fate of the next `count` packets (true = lost).
-    pub fn sample_losses(&mut self, count: usize) -> Vec<bool> {
-        (0..count).map(|_| self.next_is_lost()).collect()
-    }
 }
 
 impl LossModel for GilbertChannel {
@@ -213,6 +203,11 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The fate of the next `count` packets (true = lost).
+    fn sample_losses(ch: &mut GilbertChannel, count: usize) -> Vec<bool> {
+        (0..count).map(|_| ch.next_is_lost()).collect()
+    }
+
     #[test]
     fn parameter_validation() {
         assert!(GilbertParams::new(0.5, 0.5).is_ok());
@@ -225,7 +220,7 @@ mod tests {
     #[test]
     fn perfect_channel_never_loses() {
         let mut ch = GilbertChannel::new(GilbertParams::perfect(), 42);
-        assert!(ch.sample_losses(10_000).iter().all(|&l| !l));
+        assert!(sample_losses(&mut ch, 10_000).iter().all(|&l| !l));
         assert_eq!(ch.params().global_loss_probability(), 0.0);
     }
 
@@ -234,7 +229,7 @@ mod tests {
         // Paper: "No loss: this perfect channel corresponds to p = 0."
         for q in [0.0, 0.3, 1.0] {
             let mut ch = GilbertChannel::new(GilbertParams::new(0.0, q).unwrap(), 7);
-            assert!(ch.sample_losses(1000).iter().all(|&l| !l));
+            assert!(sample_losses(&mut ch, 1000).iter().all(|&l| !l));
         }
     }
 
@@ -242,7 +237,7 @@ mod tests {
     fn q_zero_loses_everything_after_first_loss() {
         let params = GilbertParams::new(0.3, 0.0).unwrap();
         let mut ch = GilbertChannel::new(params, 3);
-        let losses = ch.sample_losses(10_000);
+        let losses = sample_losses(&mut ch, 10_000);
         let first = losses.iter().position(|&l| l);
         let first = first.expect("with p=0.3 a loss happens quickly");
         assert!(
@@ -255,7 +250,7 @@ mod tests {
     fn all_loss_channel() {
         // p = 1, q = 0: first packet survives (start NoLoss), all others lost.
         let mut ch = GilbertChannel::new(GilbertParams::new(1.0, 0.0).unwrap(), 5);
-        let losses = ch.sample_losses(100);
+        let losses = sample_losses(&mut ch, 100);
         assert!(!losses[0]);
         assert!(losses[1..].iter().all(|&l| l));
     }
@@ -264,7 +259,7 @@ mod tests {
     fn alternating_channel() {
         // p = 1, q = 1 deterministically alternates: keep, lose, keep, …
         let mut ch = GilbertChannel::new(GilbertParams::new(1.0, 1.0).unwrap(), 5);
-        let losses = ch.sample_losses(10);
+        let losses = sample_losses(&mut ch, 10);
         assert_eq!(
             losses,
             vec![false, true, false, true, false, true, false, true, false, true]
@@ -285,7 +280,7 @@ mod tests {
         let params = GilbertParams::new(0.15, 0.45).unwrap();
         let mut ch = GilbertChannel::new(params, 11);
         let n = 300_000;
-        let lost = ch.sample_losses(n).iter().filter(|&&l| l).count();
+        let lost = sample_losses(&mut ch, n).iter().filter(|&&l| l).count();
         let rate = lost as f64 / n as f64;
         let expect = params.global_loss_probability(); // 0.25
         assert!(
@@ -297,11 +292,11 @@ mod tests {
     #[test]
     fn bernoulli_is_memoryless_and_iid() {
         let params = GilbertParams::bernoulli(0.3).unwrap();
-        assert!(params.is_memoryless());
+        assert!((params.q() - (1.0 - params.p())).abs() < 1e-12);
         // For an IID channel, P(loss | previous loss) == P(loss). Estimate
         // both and compare.
         let mut ch = GilbertChannel::new(params, 23);
-        let losses = ch.sample_losses(400_000);
+        let losses = sample_losses(&mut ch, 400_000);
         let mut after_loss = 0u32;
         let mut after_loss_lost = 0u32;
         for w in losses.windows(2) {
@@ -320,7 +315,7 @@ mod tests {
     fn burst_lengths_are_geometric() {
         let params = GilbertParams::new(0.1, 0.4).unwrap();
         let mut ch = GilbertChannel::new(params, 31);
-        let losses = ch.sample_losses(400_000);
+        let losses = sample_losses(&mut ch, 400_000);
         // Collect loss-burst lengths.
         let mut bursts = Vec::new();
         let mut cur = 0usize;
@@ -340,10 +335,10 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let params = GilbertParams::new(0.2, 0.3).unwrap();
-        let a = GilbertChannel::new(params, 99).sample_losses(1000);
-        let b = GilbertChannel::new(params, 99).sample_losses(1000);
+        let a = sample_losses(&mut GilbertChannel::new(params, 99), 1000);
+        let b = sample_losses(&mut GilbertChannel::new(params, 99), 1000);
         assert_eq!(a, b);
-        let c = GilbertChannel::new(params, 100).sample_losses(1000);
+        let c = sample_losses(&mut GilbertChannel::new(params, 100), 1000);
         assert_ne!(a, c);
     }
 
@@ -368,7 +363,7 @@ mod tests {
             let params = GilbertParams::new(p, q).unwrap();
             let mut ch = GilbertChannel::new(params, seed);
             let n = 60_000;
-            let lost = ch.sample_losses(n).iter().filter(|&&l| l).count();
+            let lost = sample_losses(&mut ch, n).iter().filter(|&&l| l).count();
             let rate = lost as f64 / n as f64;
             let expect = params.global_loss_probability();
             // Mixing is slowest for small p+q; 0.05 floors keep variance sane.

@@ -8,10 +8,7 @@ pub const PAPER_GRID: [f64; 14] = [
 
 /// A coarser 8-value grid for quick runs (keeps the paper's endpoints and
 /// its low-loss emphasis).
-pub const COARSE_GRID: [f64; 8] = [0.0, 0.01, 0.05, 0.20, 0.40, 0.60, 0.80, 1.00];
-
-/// Percent labels for [`PAPER_GRID`], as printed in the paper's appendix.
-pub const PAPER_GRID_PERCENT: [u32; 14] = [0, 1, 5, 10, 15, 20, 30, 40, 50, 60, 70, 80, 90, 100];
+const COARSE_GRID: [f64; 8] = [0.0, 0.01, 0.05, 0.20, 0.40, 0.60, 0.80, 1.00];
 
 /// Tolerance for matching a probability against a grid axis value.
 ///
@@ -19,10 +16,10 @@ pub const PAPER_GRID_PERCENT: [u32; 14] = [0, 1, 5, 10, 15, 20, 30, 40, 50, 60, 
 /// least 0.01 apart, so an absolute epsilon nine orders of magnitude below
 /// the spacing can never be ambiguous while still absorbing parse/arithmetic
 /// noise (`1.0 - 0.9 != 0.1` bit-for-bit).
-pub const GRID_EPSILON: f64 = 1e-9;
+const GRID_EPSILON: f64 = 1e-9;
 
 /// Resolves a probability to its index on a grid axis, tolerating float
-/// noise up to [`GRID_EPSILON`]. Returns `None` for off-grid values.
+/// noise up to `GRID_EPSILON`. Returns `None` for off-grid values.
 pub fn index_of(axis: &[f64], value: f64) -> Option<usize> {
     axis.iter().position(|&g| (g - value).abs() <= GRID_EPSILON)
 }
@@ -70,7 +67,9 @@ mod tests {
 
     #[test]
     fn percent_labels_match_values() {
-        for (v, pct) in PAPER_GRID.iter().zip(PAPER_GRID_PERCENT) {
+        // The percent labels the paper's appendix prints.
+        let percent = [0, 1, 5, 10, 15, 20, 30, 40, 50, 60, 70, 80, 90, 100];
+        for (v, pct) in PAPER_GRID.iter().zip(percent) {
             assert!((v * 100.0 - pct as f64).abs() < 1e-9);
         }
     }

@@ -145,14 +145,14 @@ impl MarkovLossModel {
     }
 
     /// Number of states.
-    pub fn num_states(&self) -> usize {
+    fn num_states(&self) -> usize {
         self.loss.len()
     }
 
     /// Stationary distribution, computed by power iteration (the chains
     /// used here are small and aperiodic in practice; iteration count is
     /// capped and the result normalised).
-    pub fn stationary(&self) -> Vec<f64> {
+    fn stationary(&self) -> Vec<f64> {
         let n = self.num_states();
         let mut pi = vec![1.0 / n as f64; n];
         for _ in 0..10_000 {

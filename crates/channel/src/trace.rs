@@ -58,14 +58,8 @@ impl LossTrace {
         self.run_lengths(true)
     }
 
-    /// Lengths of the maximal delivery runs (the complement of
-    /// [`LossTrace::burst_lengths`]).
-    pub fn good_run_lengths(&self) -> Vec<usize> {
-        self.run_lengths(false)
-    }
-
     /// Lengths of the maximal runs of `state` (`true` = loss bursts).
-    pub fn run_lengths(&self, state: bool) -> Vec<usize> {
+    fn run_lengths(&self, state: bool) -> Vec<usize> {
         let mut out = Vec::new();
         let mut cur = 0usize;
         for &l in &self.losses {
@@ -155,13 +149,13 @@ impl TransitionCounts {
 
     /// True when both `p` and `q` are identifiable (each state was left at
     /// least once observed, i.e. appeared as a pair's first element).
-    pub fn is_identifiable(&self) -> bool {
+    fn is_identifiable(&self) -> bool {
         self.good > 0 && self.bad > 0
     }
 
     /// The maximum-likelihood `(p, q)` point estimate, `None` while a state
     /// is unobserved.
-    pub fn mle(&self) -> Option<(f64, f64)> {
+    fn mle(&self) -> Option<(f64, f64)> {
         self.is_identifiable().then(|| {
             (
                 self.good_to_bad as f64 / self.good as f64,
@@ -288,10 +282,10 @@ mod tests {
     #[test]
     fn run_lengths_partition_the_trace() {
         let t = LossTrace::new(vec![false, true, true, false, true, false, false]);
-        assert_eq!(t.good_run_lengths(), vec![1, 1, 2]);
+        assert_eq!(t.run_lengths(false), vec![1, 1, 2]);
         assert_eq!(t.run_lengths(true), t.burst_lengths());
         let total: usize =
-            t.burst_lengths().iter().sum::<usize>() + t.good_run_lengths().iter().sum::<usize>();
+            t.burst_lengths().iter().sum::<usize>() + t.run_lengths(false).iter().sum::<usize>();
         assert_eq!(total, t.len());
     }
 

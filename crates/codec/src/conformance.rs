@@ -351,7 +351,7 @@ pub fn check_batched(code: &CodecHandle) {
 }
 
 /// One `(k, ratio, symbol_size)` shape of the batched conformance suite.
-pub fn check_batched_shape(code: &CodecHandle, k: usize, ratio: f64, symbol_size: usize) {
+fn check_batched_shape(code: &CodecHandle, k: usize, ratio: f64, symbol_size: usize) {
     let ctx = format!("{}(k={k}, ratio={ratio}, sym={symbol_size})", code.id());
     let (enc, object) = EncodedObject::build_sized(code, k, ratio, symbol_size);
     let params = SessionParams {
@@ -455,7 +455,7 @@ pub fn check_batched_shape(code: &CodecHandle, k: usize, ratio: f64, symbol_size
 /// The `(k, ratio)` shapes [`check`] exercises: a mid-size shape per paper
 /// ratio plus the corners of the codec's declared envelope (clamped to
 /// `MAX_TEST_K` (300) so huge envelopes stay testable).
-pub fn shapes(code: &CodecHandle) -> Vec<(usize, f64)> {
+fn shapes(code: &CodecHandle) -> Vec<(usize, f64)> {
     let env = code.envelope();
     let mut out = Vec::new();
     let mut push = |k: usize, ratio: f64| {

@@ -56,7 +56,7 @@ impl CodecRegistry {
 
     /// A registry pre-loaded with the built-in codecs (RSE, LDGM
     /// Staircase, LDGM Triangle, plain LDGM), in paper order.
-    pub fn with_builtins() -> CodecRegistry {
+    fn with_builtins() -> CodecRegistry {
         let mut r = CodecRegistry::new();
         for code in [
             builtin::rse(),

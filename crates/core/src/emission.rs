@@ -53,7 +53,6 @@ pub struct PlannedEmission {
     schedule: Vec<PacketRef>,
     cursor: usize,
     target: usize,
-    amendments: u64,
     /// NACK-driven targeted repair: served before the schedule, deduped
     /// while in queue, re-queueable once emitted (a repair can be lost
     /// too and re-NACKed).
@@ -70,7 +69,6 @@ impl PlannedEmission {
             schedule,
             cursor: 0,
             target,
-            amendments: 0,
             repair_queue: VecDeque::new(),
             repair_pending: BTreeSet::new(),
             repairs_sent: 0,
@@ -131,11 +129,6 @@ impl PlannedEmission {
         self.repairs_sent
     }
 
-    /// Targeted repair packets queued and not yet emitted.
-    pub fn repairs_pending(&self) -> u64 {
-        self.repair_queue.len() as u64
-    }
-
     /// Re-targets the emission. `Some(plan)` moves the stopping point to
     /// `plan.n_sent`; `None` reverts to the full schedule (the controller's
     /// "send everything" answer during failure backoff or estimator
@@ -152,9 +145,6 @@ impl PlannedEmission {
             self.cursor <= self.target && self.target <= self.schedule.len(),
             "truncation invariant: cursor <= target <= schedule_len"
         );
-        if new_target != old_target {
-            self.amendments += 1;
-        }
         match new_target.cmp(&old_target) {
             core::cmp::Ordering::Equal => Amendment::Unchanged,
             core::cmp::Ordering::Less => Amendment::Truncated {
@@ -182,7 +172,6 @@ impl PlannedEmission {
         if self.target == old_target {
             Amendment::Unchanged
         } else {
-            self.amendments += 1;
             Amendment::Truncated {
                 saved: (old_target - self.target) as u64,
             }
@@ -208,16 +197,6 @@ impl PlannedEmission {
     /// Length of the underlying schedule (`n`, the full transmission).
     pub fn schedule_len(&self) -> u64 {
         self.schedule.len() as u64
-    }
-
-    /// Packets the current target saves versus the full schedule.
-    pub fn saved(&self) -> u64 {
-        self.schedule_len() - self.target()
-    }
-
-    /// How many amend calls actually moved the target.
-    pub fn amendments(&self) -> u64 {
-        self.amendments
     }
 
     /// True once the emission reached its current target and no repair
@@ -270,7 +249,7 @@ mod tests {
         assert_eq!(refs.len() as u64, s.packet_count());
         assert_eq!(refs, TxModel::Random.schedule(s.layout(), 7));
         assert!(e.is_done());
-        assert_eq!(e.saved(), 0);
+        assert_eq!(e.target(), e.schedule_len());
     }
 
     #[test]
@@ -279,7 +258,8 @@ mod tests {
         let p = plan(100, s.packet_count(), 0.02, 4);
         assert!(p.n_sent < s.packet_count());
         let mut e = s.emission(TxModel::Random, 3);
-        assert_eq!(e.amend(Some(&p)), Amendment::Truncated { saved: e.saved() });
+        let saved = e.schedule_len() - p.n_sent;
+        assert_eq!(e.amend(Some(&p)), Amendment::Truncated { saved });
         let mut refs = Vec::new();
         while let Some(r) = e.next_ref() {
             refs.push(r);
@@ -369,7 +349,7 @@ mod tests {
         let fix_a = PacketRef { block: 0, esi: 1 };
         let fix_b = PacketRef { block: 1, esi: 2 };
         assert_eq!(e.queue_repair([fix_a, fix_b, fix_a]), 2, "in-queue dedup");
-        assert_eq!(e.repairs_pending(), 2);
+        assert_eq!(e.remaining(), e.schedule_len() + 2);
         // Repairs go out first, then the untouched schedule resumes.
         assert_eq!(e.next_ref(), Some(fix_a));
         assert_eq!(e.next_ref(), Some(fix_b));
@@ -402,7 +382,7 @@ mod tests {
         e.next_ref().unwrap();
         e.queue_repair([PacketRef { block: 0, esi: 9 }]);
         assert!(matches!(e.stop(), Amendment::Truncated { .. }));
-        assert_eq!(e.repairs_pending(), 0);
+        assert_eq!(e.remaining(), 0);
         assert_eq!(e.next_ref(), None, "completion outranks repair");
     }
 
@@ -442,10 +422,11 @@ mod tests {
         let s = sender(50);
         let p = plan(50, s.packet_count(), 0.02, 0);
         let mut e = s.emission(TxModel::Random, 1);
-        assert_eq!(e.amendments(), 0);
-        e.amend(Some(&p));
-        e.amend(Some(&p)); // same target: no-op
-        assert_eq!(e.amendments(), 1);
-        assert_eq!(e.amend(Some(&p)), Amendment::Unchanged);
+        assert!(matches!(e.amend(Some(&p)), Amendment::Truncated { .. }));
+        assert_eq!(
+            e.amend(Some(&p)),
+            Amendment::Unchanged,
+            "same target: no-op"
+        );
     }
 }

@@ -101,14 +101,6 @@ impl Receiver {
         self.progress().is_decoded()
     }
 
-    /// Source symbols still unrecovered — the residual (post-FEC) loss
-    /// this object would suffer if reception stopped now. Zero once
-    /// decoded.
-    pub fn missing_source(&self) -> usize {
-        let p = self.progress();
-        p.total_source.saturating_sub(p.decoded_source)
-    }
-
     /// Reassembles the object (consumes the receiver).
     pub fn into_object(self) -> Result<Vec<u8>, CoreError> {
         let progress = self.progress();
@@ -206,15 +198,20 @@ mod tests {
         let obj = object(20 * 8);
         let sender = Sender::new(spec.clone(), &obj, 8).unwrap();
         let mut rx = Receiver::new(spec, obj.len(), 8).unwrap();
-        assert_eq!(rx.missing_source(), 20, "nothing recovered yet");
+        // Source symbols still unrecovered: the residual (post-FEC) loss.
+        let missing = |rx: &Receiver| {
+            let p = rx.progress();
+            p.total_source - p.decoded_source
+        };
+        assert_eq!(missing(&rx), 20, "nothing recovered yet");
         for s in symbols(&sender, TxModel::SourceSeqParitySeq, 0) {
-            let before = rx.missing_source();
+            let before = missing(&rx);
             if rx.push(s.packet, s.payload).unwrap().is_decoded() {
                 break;
             }
-            assert!(rx.missing_source() <= before, "never regresses");
+            assert!(missing(&rx) <= before, "never regresses");
         }
-        assert_eq!(rx.missing_source(), 0, "decoded means no residual");
+        assert_eq!(missing(&rx), 0, "decoded means no residual");
     }
 
     #[test]

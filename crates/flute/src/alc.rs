@@ -23,7 +23,7 @@
 
 use crate::lct::{
     HeaderExtension, LctHeader, LctView, FLAGS_AT, FLAG_CLOSE_OBJECT, FLAG_CLOSE_SESSION, HET_FDT,
-    HET_FTI, HET_SEQ,
+    HET_SEQ,
 };
 use crate::payload_id::{FecPayloadId, PayloadIdFormat, PAYLOAD_ID_LEN};
 use crate::{FluteError, FDT_TOI};
@@ -89,26 +89,12 @@ impl AlcPacket {
         self
     }
 
-    /// Marks this as the object's final packet (`B` flag).
-    pub fn closing_object(mut self) -> AlcPacket {
-        self.header.close_object = true;
-        self
-    }
-
     /// The FDT instance ID, if this is an FDT packet with EXT_FDT.
     pub fn fdt_instance_id(&self) -> Option<u32> {
         self.header
             .find_extension(HET_FDT)
             .and_then(HeaderExtension::as_fdt)
             .map(|(_, id)| id)
-    }
-
-    /// The raw EXT_FTI content (possibly padded), if present.
-    pub fn fti_blob(&self) -> Option<&[u8]> {
-        match self.header.find_extension(HET_FTI)? {
-            HeaderExtension::Variable { data, .. } => Some(data),
-            HeaderExtension::Fixed { .. } => None,
-        }
     }
 
     /// Serialises the datagram into one buffer of exactly its wire size.
@@ -248,7 +234,16 @@ fn patch(frame: &mut [u8], at: usize, field: &[u8]) {
 mod tests {
     use super::*;
     use crate::feedback::SEQ_MODULUS;
+    use crate::lct::HET_FTI;
     use proptest::prelude::*;
+
+    /// The raw EXT_FTI content (possibly padded), if present.
+    fn fti_blob(p: &AlcPacket) -> Option<&[u8]> {
+        match p.header.find_extension(HET_FTI)? {
+            HeaderExtension::Variable { data, .. } => Some(data),
+            HeaderExtension::Fixed { .. } => None,
+        }
+    }
 
     #[test]
     fn data_packet_roundtrip() {
@@ -281,14 +276,13 @@ mod tests {
         let p =
             AlcPacket::data(1, 2, 129, FecPayloadId::new(3, 4), Vec::new()).with_fti(blob.clone());
         let back = AlcPacket::from_bytes(&p.to_bytes().unwrap()).unwrap();
-        assert_eq!(&back.fti_blob().unwrap()[..blob.len()], &blob[..]);
+        assert_eq!(&fti_blob(&back).unwrap()[..blob.len()], &blob[..]);
     }
 
     #[test]
     fn flags_survive() {
-        let p = AlcPacket::data(1, 2, 4, FecPayloadId::new(0, 0), Vec::new())
-            .closing_object()
-            .closing_session();
+        let mut p = AlcPacket::data(1, 2, 4, FecPayloadId::new(0, 0), Vec::new()).closing_session();
+        p.header.close_object = true;
         let back = AlcPacket::from_bytes(&p.to_bytes().unwrap()).unwrap();
         assert!(back.header.close_object && back.header.close_session);
     }
@@ -456,7 +450,7 @@ mod tests {
                 assert_eq!(view.header, owned.header);
                 assert_eq!(view.len, owned.header.wire_len());
                 assert_eq!(view.seq, owned.sequence());
-                assert_eq!(view.fti, owned.fti_blob());
+                assert_eq!(view.fti, fti_blob(&owned));
                 assert_eq!(view.fdt_instance, owned.fdt_instance_id());
                 assert_eq!(id, owned.payload_id);
                 assert_eq!(payload, &owned.payload[..]);

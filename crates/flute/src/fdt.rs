@@ -386,16 +386,8 @@ impl FdtInstance {
         out
     }
 
-    /// Parses an FDT XML document.
-    ///
-    /// The instance ID travels in EXT_FDT, not in the document, so the
-    /// caller provides it via [`FdtInstance::from_xml_with_id`];
-    /// `from_xml` defaults it to 0.
-    pub fn from_xml(text: &str) -> Result<FdtInstance, FluteError> {
-        FdtInstance::from_xml_with_id(text, 0)
-    }
-
-    /// Parses an FDT XML document, attaching the EXT_FDT instance ID.
+    /// Parses an FDT XML document, attaching the EXT_FDT instance ID
+    /// (the ID travels in EXT_FDT, not in the document).
     pub fn from_xml_with_id(text: &str, instance_id: u32) -> Result<FdtInstance, FluteError> {
         let mut cur = Cursor::new(text);
         cur.skip_prolog()?;
@@ -489,14 +481,14 @@ mod tests {
             nasty,
             oti(builtin::ldgm_triangle()),
         ));
-        let back = FdtInstance::from_xml(&fdt.to_xml()).unwrap();
+        let back = FdtInstance::from_xml_with_id(&fdt.to_xml(), 0).unwrap();
         assert_eq!(back.files[0].content_location, nasty);
     }
 
     #[test]
     fn empty_instance_roundtrip() {
         let fdt = FdtInstance::new(0, 99);
-        let back = FdtInstance::from_xml(&fdt.to_xml()).unwrap();
+        let back = FdtInstance::from_xml_with_id(&fdt.to_xml(), 0).unwrap();
         assert_eq!(back.files.len(), 0);
         assert_eq!(back.expires, 99);
     }
@@ -511,14 +503,14 @@ mod tests {
     #[test]
     fn rejects_wrong_root() {
         assert!(matches!(
-            FdtInstance::from_xml(r#"<Fdt Expires="1"></Fdt>"#),
+            FdtInstance::from_xml_with_id(r#"<Fdt Expires="1"></Fdt>"#, 0),
             Err(FluteError::Xml { .. })
         ));
     }
 
     #[test]
     fn rejects_missing_expires() {
-        assert!(FdtInstance::from_xml("<FDT-Instance></FDT-Instance>").is_err());
+        assert!(FdtInstance::from_xml_with_id("<FDT-Instance></FDT-Instance>", 0).is_err());
     }
 
     #[test]
@@ -530,13 +522,13 @@ mod tests {
             )
         };
         let zero = format!(r#"<FDT-Instance Expires="1">{}</FDT-Instance>"#, file(0));
-        assert!(FdtInstance::from_xml(&zero).is_err());
+        assert!(FdtInstance::from_xml_with_id(&zero, 0).is_err());
         let dup = format!(
             r#"<FDT-Instance Expires="1">{}{}</FDT-Instance>"#,
             file(5),
             file(5)
         );
-        assert!(FdtInstance::from_xml(&dup).is_err());
+        assert!(FdtInstance::from_xml_with_id(&dup, 0).is_err());
     }
 
     #[test]
@@ -547,33 +539,36 @@ mod tests {
             "FEC-OTI-FEC-Encoding-ID=\"3\"",
             "FEC-OTI-FEC-Encoding-ID=\"4\"",
         );
-        assert!(FdtInstance::from_xml(&xml).is_err());
+        assert!(FdtInstance::from_xml_with_id(&xml, 0).is_err());
     }
 
     #[test]
     fn rejects_comments_and_dtd() {
-        assert!(FdtInstance::from_xml("<!DOCTYPE x><FDT-Instance Expires=\"1\"/>").is_err());
         assert!(
-            FdtInstance::from_xml("<FDT-Instance Expires=\"1\"><!-- hi --></FDT-Instance>")
-                .is_err()
+            FdtInstance::from_xml_with_id("<!DOCTYPE x><FDT-Instance Expires=\"1\"/>", 0).is_err()
         );
+        assert!(FdtInstance::from_xml_with_id(
+            "<FDT-Instance Expires=\"1\"><!-- hi --></FDT-Instance>",
+            0
+        )
+        .is_err());
     }
 
     #[test]
     fn rejects_trailing_garbage() {
         let xml = format!("{}<oops/>", sample().to_xml());
-        assert!(FdtInstance::from_xml(&xml).is_err());
+        assert!(FdtInstance::from_xml_with_id(&xml, 0).is_err());
     }
 
     #[test]
     fn rejects_single_quoted_attributes() {
-        assert!(FdtInstance::from_xml("<FDT-Instance Expires='1'/>").is_err());
+        assert!(FdtInstance::from_xml_with_id("<FDT-Instance Expires='1'/>", 0).is_err());
     }
 
     #[test]
     fn rejects_unknown_entity() {
         let xml = r#"<FDT-Instance Expires="1" X="&bogus;"/>"#;
-        assert!(FdtInstance::from_xml(xml).is_err());
+        assert!(FdtInstance::from_xml_with_id(xml, 0).is_err());
     }
 
     #[test]
@@ -589,14 +584,14 @@ mod tests {
         fn location_roundtrip(loc in "[ -~]{1,60}") {
             let fdt = FdtInstance::new(0, 1)
                 .with_file(FileEntry::new(1, loc.clone(), oti(builtin::ldgm_staircase())));
-            let back = FdtInstance::from_xml(&fdt.to_xml()).unwrap();
+            let back = FdtInstance::from_xml_with_id(&fdt.to_xml(), 0).unwrap();
             prop_assert_eq!(&back.files[0].content_location, &loc);
         }
 
         /// Parsing arbitrary text never panics.
         #[test]
         fn fuzz_parse_no_panic(text in "[ -~<>\"&;=/]{0,120}") {
-            let _ = FdtInstance::from_xml(&text);
+            let _ = FdtInstance::from_xml_with_id(&text, 0);
         }
     }
 }

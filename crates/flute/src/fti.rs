@@ -57,7 +57,7 @@ pub fn fti_for_code(code: &CodecHandle) -> Result<u8, FluteError> {
 }
 
 /// Maximum transfer length representable in the 48-bit field.
-pub const MAX_TRANSFER_LENGTH: u64 = (1 << 48) - 1;
+const MAX_TRANSFER_LENGTH: u64 = (1 << 48) - 1;
 
 const BASE_LEN: usize = 17;
 const SEEDED_LEN: usize = BASE_LEN + 8;

@@ -31,18 +31,16 @@ use crate::reader::Reader;
 use crate::FluteError;
 
 /// Protocol version carried in the `V` field.
-pub const LCT_VERSION: u8 = 1;
+const LCT_VERSION: u8 = 1;
 
 /// Fixed LCT header size in bytes for this implementation's shape
 /// (flags word + CCI + TSI + TOI).
-pub const FIXED_LEN: usize = 16;
+const FIXED_LEN: usize = 16;
 
 /// Maximum header length in bytes representable by the 8-bit `HDR_LEN`
 /// word count.
-pub const MAX_HEADER_LEN: usize = 255 * 4;
+const MAX_HEADER_LEN: usize = 255 * 4;
 
-/// Header-extension type (HET) for EXT_NOP (RFC 3451).
-pub const HET_NOP: u8 = 0;
 /// Header-extension type for EXT_FTI (FEC Object Transmission Information).
 pub const HET_FTI: u8 = 64;
 /// Header-extension type for FLUTE's EXT_FDT (RFC 3926 §3.4.1).
@@ -144,7 +142,7 @@ impl HeaderExtension {
     }
 
     /// The extension's HET value.
-    pub fn het(&self) -> u8 {
+    fn het(&self) -> u8 {
         match self {
             HeaderExtension::Variable { het, .. } | HeaderExtension::Fixed { het, .. } => *het,
         }
@@ -649,7 +647,8 @@ mod tests {
             fixed in (any::<u32>(), any::<u32>(), any::<u8>(), any::<bool>(), any::<bool>()),
             extensions in proptest::collection::vec(
                 (
-                    prop_oneof![Just(HET_FTI), Just(HET_NOP), Just(HET_FDT), Just(HET_SEQ), Just(250u8)],
+                    // HET 0 is EXT_NOP (RFC 3451); 250 is unassigned.
+                    prop_oneof![Just(HET_FTI), Just(0u8), Just(HET_FDT), Just(HET_SEQ), Just(250u8)],
                     proptest::collection::vec(any::<u8>(), 3..12),
                 ),
                 0..5,

@@ -68,10 +68,10 @@ impl PayloadIdFormat {
 pub const PAYLOAD_ID_LEN: usize = 4;
 
 /// Maximum ESI in the packed large-block shape (20 bits).
-pub const MAX_LARGE_BLOCK_ESI: u32 = (1 << 20) - 1;
+const MAX_LARGE_BLOCK_ESI: u32 = (1 << 20) - 1;
 
 /// Maximum SBN in the packed large-block shape (12 bits).
-pub const MAX_LARGE_BLOCK_SBN: u32 = (1 << 12) - 1;
+const MAX_LARGE_BLOCK_SBN: u32 = (1 << 12) - 1;
 
 /// A decoded FEC Payload ID: which symbol of which block this packet
 /// carries.

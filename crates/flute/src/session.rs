@@ -43,10 +43,6 @@ const MAX_PRE_OTI_BUFFER: usize = 4096;
 pub struct SenderConfig {
     /// Transport session identifier.
     pub tsi: u32,
-    /// FDT instance identifier announced with the session's FDT.
-    pub fdt_instance_id: u32,
-    /// FDT `Expires` value (opaque seconds).
-    pub expires: u64,
     /// Attach EXT_FTI to every data packet (28 bytes of overhead per
     /// packet, but receivers can decode without ever seeing the FDT —
     /// the robust choice on lossy channels, and the default).
@@ -69,8 +65,6 @@ impl SenderConfig {
     pub fn new(tsi: u32) -> SenderConfig {
         SenderConfig {
             tsi,
-            fdt_instance_id: 0,
-            expires: 0,
             fti_in_data_packets: true,
             fdt_interval: 500,
             sequence_datagrams: true,
@@ -131,13 +125,9 @@ impl SessionObject {
     }
 }
 
-/// An FDT instance listing `objects`.
-fn fdt_of<'o>(
-    config: &SenderConfig,
-    instance_id: u32,
-    objects: impl Iterator<Item = &'o SessionObject>,
-) -> FdtInstance {
-    let mut fdt = FdtInstance::new(instance_id, config.expires);
+/// FDT instance `instance_id` listing `objects`, with `Expires="0"`.
+fn fdt_of<'o>(instance_id: u32, objects: impl Iterator<Item = &'o SessionObject>) -> FdtInstance {
+    let mut fdt = FdtInstance::new(instance_id, 0);
     for o in objects {
         let entry = FileEntry::new(o.toi, o.content_location.clone(), o.oti.clone());
         fdt = fdt.with_file(entry);
@@ -219,11 +209,10 @@ impl FluteSender {
         self.config.tsi
     }
 
-    /// The session's FDT instance, as added (a stream announces its
-    /// redeployments in later instances of its own).
+    /// The session's FDT instance, instance 0, as added (a stream
+    /// announces its redeployments in later instances of its own).
     pub fn fdt(&self) -> FdtInstance {
-        let config = &self.config;
-        fdt_of(config, config.fdt_instance_id, self.objects.iter())
+        fdt_of(0, self.objects.iter())
     }
 
     /// Emits the complete session as wire datagrams: FDT first, then every
@@ -265,13 +254,12 @@ impl FluteSender {
             redeployed: self.objects.iter().map(|_| None).collect(),
             schedule_seed,
             frames: vec![None; self.objects.len()],
-            fdt_instance_id: self.config.fdt_instance_id,
+            fdt_instance_id: 0,
             fdt_xml: self.fdt().to_xml().into_bytes(),
             current: 0,
             path_seqs: vec![0],
             since_fdt: 0,
             fdt_due: true,
-            data_emitted: 0,
             metrics: StreamMetrics::register(&Registry::disabled(), tois),
         }
     }
@@ -322,7 +310,6 @@ pub struct SessionStream<'a> {
     /// An FDT datagram goes out before anything else: at the start, and
     /// after a redeploy.
     fdt_due: bool,
-    data_emitted: u64,
     metrics: StreamMetrics,
 }
 
@@ -412,7 +399,6 @@ impl SessionStream<'_> {
             };
             let id = FecPayloadId::new(r.block, r.esi);
             let datagram = frame.datagram(id, (close_object, close_session), seq, symbol)?;
-            self.data_emitted += 1;
             self.since_fdt += 1;
             self.metrics.data.inc();
             self.metrics.bytes.add(datagram.len() as u64);
@@ -463,7 +449,7 @@ impl SessionStream<'_> {
         self.fdt_instance_id = self.fdt_instance_id.wrapping_add(1);
         let added = self.sender.objects.iter().zip(&self.redeployed);
         let objects = added.map(|(added, redeployed)| redeployed.as_ref().unwrap_or(added));
-        let fdt = fdt_of(&self.sender.config, self.fdt_instance_id, objects);
+        let fdt = fdt_of(self.fdt_instance_id, objects);
         self.fdt_xml = fdt.to_xml().into_bytes();
         self.fdt_due = true;
         self.metrics.planned.set(self.planned_total() as f64);
@@ -588,11 +574,6 @@ impl SessionStream<'_> {
             .iter()
             .find(|o| o.toi == toi)
             .map(|o| o.sender.source_count())
-    }
-
-    /// Data packets emitted so far (FDT datagrams excluded).
-    pub fn data_emitted(&self) -> u64 {
-        self.data_emitted
     }
 
     /// Sum of the current per-object targets.
@@ -790,7 +771,6 @@ pub struct FluteReceiver {
     tsi: u32,
     fdt: Option<FdtInstance>,
     objects: HashMap<u32, ObjectState>,
-    session_closed: bool,
     emitter: Option<ReportEmitter>,
     nack_mode: bool,
     last_nacked: Vec<crate::feedback::NackEntry>,
@@ -806,7 +786,6 @@ impl FluteReceiver {
             tsi,
             fdt: None,
             objects: HashMap::new(),
-            session_closed: false,
             emitter: None,
             nack_mode: false,
             last_nacked: Vec::new(),
@@ -865,7 +844,7 @@ impl FluteReceiver {
     /// short block (lowest first, so source symbols are preferred).
     /// Empty unless [`enable_nacks`](Self::enable_nacks) was called and
     /// something is actually missing.
-    pub fn missing_symbols(&self) -> Vec<crate::feedback::NackEntry> {
+    fn missing_symbols(&self) -> Vec<crate::feedback::NackEntry> {
         let mut out = Vec::new();
         if !self.nack_mode {
             return out;
@@ -1038,7 +1017,6 @@ impl FluteReceiver {
                 if let Some(em) = self.emitter.as_mut() {
                     em.observe_on(path, FDT_TOI, view.seq);
                 }
-                self.session_closed |= view.header.close_session;
                 // The FDT may unlock buffered objects; keep arrival order
                 // by flushing the bursts collected so far first.
                 self.flush_pending(&mut pending, &mut events, &mut data_slots)?;
@@ -1068,7 +1046,6 @@ impl FluteReceiver {
             if let Some(em) = self.emitter.as_mut() {
                 em.observe_on(path, toi, view.seq);
             }
-            self.session_closed |= view.header.close_session;
             let state = self.objects.entry(toi).or_default();
             state.closed |= view.header.close_object;
             state.packets_received += 1;
@@ -1217,11 +1194,6 @@ impl FluteReceiver {
         self.fdt.as_ref()
     }
 
-    /// Whether the sender has signalled the end of the session (`A` flag).
-    pub fn session_closed(&self) -> bool {
-        self.session_closed
-    }
-
     /// Status of one object.
     pub fn object_status(&self, toi: u32) -> Option<ObjectStatus> {
         self.objects.get(&toi).map(ObjectState::status)
@@ -1282,6 +1254,11 @@ mod tests {
         (0..len).map(|i| (i * 31 % 251) as u8).collect()
     }
 
+    /// Whether `dg` is a data datagram (not an FDT one).
+    fn is_data(dg: &[u8]) -> bool {
+        AlcPacket::from_bytes(dg).unwrap().payload_id.is_some()
+    }
+
     #[test]
     fn lossless_delivery_roundtrip() {
         let data = object_bytes(1000);
@@ -1298,7 +1275,6 @@ mod tests {
         assert!(receiver.all_complete());
         assert_eq!(receiver.object(1).unwrap(), &data[..]);
         assert_eq!(receiver.take_object(1).unwrap(), data);
-        assert!(receiver.session_closed());
         // FDT metadata arrived too.
         assert_eq!(
             receiver.fdt().unwrap().file(1).unwrap().content_location,
@@ -1505,10 +1481,6 @@ mod tests {
         };
         assert_eq!(rejected(&events), 2);
         assert_eq!(receiver.packets_received(1), 17, "20 - FDT - 2 forgeries");
-        assert!(
-            !receiver.session_closed(),
-            "a rejected A flag closes nothing"
-        );
         assert_eq!(
             receiver.push_datagram(&forge(9999, 16)).unwrap(),
             ReceiverEvent::Rejected
@@ -1959,7 +1931,8 @@ mod tests {
         }
         assert_eq!(batch, streamed);
         assert!(stream.is_done());
-        assert_eq!(stream.data_emitted(), sender.data_packet_count());
+        let data = streamed.iter().filter(|dg| is_data(dg)).count() as u64;
+        assert_eq!(data, sender.data_packet_count());
         // Every datagram carries a distinct, consecutive EXT_SEQ, in a
         // buffer allocated once at its exact size and never grown.
         for (i, dg) in streamed.iter().enumerate() {
@@ -2012,16 +1985,18 @@ mod tests {
         assert!(stream.amend_plan(99, None).is_err(), "unknown TOI");
 
         let mut emitted = 80u64;
+        let mut last = Vec::new();
         while let Some(dg) = stream.next_datagram().unwrap() {
             emitted += 1;
             receiver.push_datagram(&dg).unwrap();
+            last = dg;
         }
-        assert_eq!(stream.data_emitted(), stream.planned_total());
+        assert_eq!(receiver.packets_received(1), stream.planned_total());
         assert!(emitted < full, "truncated: {emitted} of {full}");
         // A lossless channel decodes from the planned prefix.
         assert_eq!(receiver.object(1).unwrap(), &data[..]);
         assert!(
-            receiver.session_closed(),
+            AlcPacket::from_bytes(&last).unwrap().header.close_session,
             "A flag rode the planned last packet"
         );
     }
@@ -2039,8 +2014,8 @@ mod tests {
         let thin = TransmissionPlan::new(k, full, 1.0, fec_channel::GilbertParams::perfect(), 0);
         stream.amend_plan(1, Some(&thin)).unwrap();
         let mut first_leg = 0u64;
-        while stream.next_datagram().unwrap().is_some() {
-            first_leg += 1;
+        while let Some(dg) = stream.next_datagram().unwrap() {
+            first_leg += is_data(&dg) as u64;
         }
         assert!(stream.is_done());
         // …then the backoff path reverts to the full schedule: the cursor
@@ -2054,12 +2029,11 @@ mod tests {
         let mut second_leg = 0u64;
         let mut receiver = FluteReceiver::new(7);
         while let Some(dg) = stream.next_datagram().unwrap() {
-            second_leg += 1;
+            second_leg += is_data(&dg) as u64;
             receiver.push_datagram(&dg).unwrap();
         }
         assert!(second_leg > 0, "extension revived the stream");
-        assert_eq!(stream.data_emitted(), full);
-        let _ = first_leg;
+        assert_eq!(first_leg + second_leg, full);
         // A decoded object stops mid-plan, idempotently.
         let mut stream2 = sender.stream(4);
         for _ in 0..10 {
@@ -2180,7 +2154,6 @@ mod tests {
             receiver.object_status(1),
             Some(ObjectStatus::ClosedIncomplete)
         );
-        assert!(receiver.session_closed());
     }
 
     #[test]

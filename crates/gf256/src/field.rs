@@ -28,8 +28,6 @@ impl Gf256 {
     pub const ZERO: Gf256 = Gf256(0);
     /// The multiplicative identity.
     pub const ONE: Gf256 = Gf256(1);
-    /// The field generator `alpha = 2`.
-    pub const ALPHA: Gf256 = Gf256(2);
 
     /// Returns `alpha^i` (exponent taken modulo 255).
     #[inline]
@@ -56,23 +54,6 @@ impl Gf256 {
     pub fn inv(self) -> Gf256 {
         assert!(self.0 != 0, "inverse of zero in GF(2^8)");
         Gf256(INV[self.0 as usize])
-    }
-
-    /// Raises `self` to the power `e` (with the convention `0^0 = 1`).
-    pub fn pow(self, mut e: u32) -> Gf256 {
-        if e == 0 {
-            return Gf256::ONE;
-        }
-        if self.0 == 0 {
-            return Gf256::ZERO;
-        }
-        // log-domain: (alpha^l)^e = alpha^(l*e mod 255)
-        let l = LOG[self.0 as usize] as u64;
-        e %= 255; // x^255 = 1 for non-zero x
-        if e == 0 {
-            return Gf256::ONE;
-        }
-        Gf256(EXP[((l * e as u64) % 255) as usize])
     }
 
     /// True if this is the additive identity.
@@ -246,15 +227,6 @@ mod tests {
         }
 
         #[test]
-        fn pow_matches_repeated_multiplication(a in any_gf(), e in 0u32..600) {
-            let mut acc = Gf256::ONE;
-            for _ in 0..e {
-                acc *= a;
-            }
-            prop_assert_eq!(a.pow(e), acc);
-        }
-
-        #[test]
         fn sub_is_add(a in any_gf(), b in any_gf()) {
             prop_assert_eq!(a - b, a + b);
         }
@@ -263,7 +235,8 @@ mod tests {
     #[test]
     fn fermat_little_theorem() {
         for x in 1..=255u8 {
-            assert_eq!(Gf256(x).pow(255), Gf256::ONE);
+            let x = Gf256(x);
+            assert_eq!((0..255).fold(Gf256::ONE, |acc, _| acc * x), Gf256::ONE);
         }
     }
 
@@ -271,8 +244,9 @@ mod tests {
     fn alpha_pow_wraps() {
         assert_eq!(Gf256::alpha_pow(0), Gf256::ONE);
         assert_eq!(Gf256::alpha_pow(255), Gf256::ONE);
-        assert_eq!(Gf256::alpha_pow(256), Gf256::ALPHA);
-        assert_eq!(Gf256::alpha_pow(1), Gf256::ALPHA);
+        // The field generator is alpha = 2.
+        assert_eq!(Gf256::alpha_pow(256), Gf256(2));
+        assert_eq!(Gf256::alpha_pow(1), Gf256(2));
     }
 
     #[test]
@@ -301,6 +275,6 @@ mod tests {
     fn log_of_zero_is_none() {
         assert_eq!(Gf256::ZERO.log(), None);
         assert_eq!(Gf256::ONE.log(), Some(0));
-        assert_eq!(Gf256::ALPHA.log(), Some(1));
+        assert_eq!(Gf256(2).log(), Some(1));
     }
 }

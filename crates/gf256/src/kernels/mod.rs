@@ -9,7 +9,7 @@
 //! * [`scalar`](self) — the byte-at-a-time reference every other backend
 //!   is differentially tested against (`tests/kernel_props.rs`);
 //! * `portable` — safe Rust widened to `u64` lanes, available everywhere;
-//! * `sse2` / `ssse3` / `avx2` (x86_64) and `neon` (aarch64) —
+//! * `ssse3` / `avx2` (x86_64) and `neon` (aarch64) —
 //!   `std::arch` SIMD, detected once at first use. The GF(2⁸) multiply
 //!   kernels use the split-nibble table form (`tables::MUL_NIBBLES`):
 //!   one 16-byte shuffle per nibble replaces one table lookup per byte;
@@ -18,11 +18,11 @@
 //!   constant's 8×8 bit matrix (`tables::MUL_AFFINE`); XOR is `avx2`'s.
 //!
 //! The active backend is chosen once (best detected wins:
-//! `gfni > avx2 > ssse3 > sse2 > portable` on x86_64) and can be
-//! overridden with the `FEC_FORCE_KERNEL` environment variable
-//! (`scalar`, `portable`, `sse2`, `ssse3`, `avx2`, `gfni`, `neon`) — forcing a
-//! backend the host cannot run panics rather than executing illegal
-//! instructions. Backend choice can never change decode results: every
+//! `gfni > avx2 > ssse3 > portable` on x86_64) and can be overridden
+//! with the `FEC_FORCE_KERNEL` environment variable (`scalar`,
+//! `portable`, `ssse3`, `avx2`, `gfni`, `neon`) — forcing an unknown
+//! name or a backend the host cannot run panics rather than executing
+//! illegal instructions. Backend choice can never change decode results: every
 //! backend computes byte-identical output, which the differential
 //! property tests and the workspace's cross-backend sweep test pin down.
 //!

@@ -1,12 +1,10 @@
-//! x86_64 `std::arch` backends: SSE2, SSSE3, AVX2 and GFNI.
+//! x86_64 `std::arch` backends: SSSE3, AVX2 and GFNI.
 //!
-//! * `sse2` — 16-byte XOR lanes only (SSE2 has no byte shuffle, so its
-//!   multiply kernels fall back to the portable table loops). Baseline on
-//!   every x86_64 CPU; kept as a distinct backend so the shuffle kernels
-//!   can be ablated against pure wide-XOR.
-//! * `ssse3` — adds `pshufb` split-nibble GF(2⁸) multiplies: each 16-byte
-//!   register is multiplied by a constant with two shuffles into the
-//!   [`MUL_NIBBLES`] tables instead of sixteen table lookups.
+//! * `ssse3` — 16-byte XOR lanes and `pshufb` split-nibble GF(2⁸)
+//!   multiplies: each 16-byte register is multiplied by a constant with
+//!   two shuffles into the [`MUL_NIBBLES`] tables instead of sixteen table
+//!   lookups. (Plain SSE2 would only add XOR lanes on top of `portable`'s
+//!   multiplies, so it is no backend of its own.)
 //! * `avx2` — the same shapes on 32-byte registers.
 //! * `gfni` — every multiply is one `vgf2p8affineqb` on a 64-byte
 //!   register, against the constant's 8x8 bit matrix ([`MUL_AFFINE`]):
@@ -22,17 +20,8 @@
 
 use std::arch::x86_64::*;
 
-use super::{portable, Kernels};
+use super::Kernels;
 use crate::tables::{MUL_AFFINE, MUL_NIBBLES};
-
-static SSE2: Kernels = Kernels {
-    name: "sse2",
-    xor: xor_128,
-    mul: portable::mul,
-    addmul: portable::addmul,
-    xor_many: xor_many_128,
-    addmul_many: portable::addmul_many,
-};
 
 static SSSE3: Kernels = Kernels {
     name: "ssse3",
@@ -63,11 +52,6 @@ static GFNI: Kernels = Kernels {
 
 /// Appends every backend this CPU supports, worst to best.
 pub(super) fn append_detected(list: &mut Vec<&'static Kernels>) {
-    // SSE2 is part of the x86_64 baseline, but go through the detector
-    // anyway so every registration reads (and is audited) the same.
-    if is_x86_feature_detected!("sse2") {
-        list.push(&SSE2);
-    }
     if is_x86_feature_detected!("ssse3") {
         list.push(&SSSE3);
     }
@@ -84,13 +68,14 @@ pub(super) fn append_detected(list: &mut Vec<&'static Kernels>) {
 }
 
 // ---------------------------------------------------------------------------
-// 128-bit lanes (SSE2 XOR, SSSE3 multiplies).
+// 128-bit lanes (SSE2 XOR, which every SSSE3 CPU has; SSSE3 multiplies).
 // ---------------------------------------------------------------------------
 
 fn xor_128(dst: &mut [u8], src: &[u8]) {
-    // SAFETY: this backend is only reachable through the roster, which
-    // `append_detected` populates after `is_x86_feature_detected!("sse2")`
-    // confirmed the instructions exist on this CPU.
+    // SAFETY: only the `ssse3` backend uses this function, and it is only
+    // reachable through the roster, which `append_detected` populates after
+    // `is_x86_feature_detected!("ssse3")` confirmed the CPU; every SSSE3
+    // CPU has SSE2.
     unsafe { xor_128_impl(dst, src) }
 }
 

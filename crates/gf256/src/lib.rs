@@ -11,7 +11,7 @@
 //!   fused `xor_acc_many` / `addmul_acc_many`, …) that move actual packet
 //!   payloads. They dispatch through a runtime-selected backend: a safe
 //!   `u64`-lane portable implementation everywhere, plus `std::arch`
-//!   SSE2/SSSE3/AVX2 (x86_64) and NEON (aarch64) backends using
+//!   SSSE3/AVX2 (x86_64) and NEON (aarch64) backends using
 //!   split-nibble shuffle multiplies and a GFNI (x86_64 with AVX-512)
 //!   backend using bit-matrix affine multiplies, detected once at first
 //!   use (best wins, `gfni > avx2 > …`) and overridable via

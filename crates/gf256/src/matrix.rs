@@ -62,7 +62,7 @@ impl Matrix {
     }
 
     /// Creates the identity matrix of size `n`.
-    pub fn identity(n: usize) -> Matrix {
+    fn identity(n: usize) -> Matrix {
         let mut m = Matrix::zero(n, n);
         for i in 0..n {
             m.set(i, i, Gf256::ONE);
@@ -170,17 +170,6 @@ impl Matrix {
             }
         }
         Ok(out)
-    }
-
-    /// Matrix-vector product `self * v`.
-    ///
-    /// # Panics
-    /// Panics if `v.len() != self.cols()`.
-    pub fn mul_vec(&self, v: &[Gf256]) -> Vec<Gf256> {
-        assert_eq!(v.len(), self.cols, "mul_vec shape");
-        (0..self.rows)
-            .map(|i| (0..self.cols).map(|j| self.get(i, j) * v[j]).sum::<Gf256>())
-            .collect()
     }
 
     /// Inverts a square matrix with Gauss-Jordan elimination.
@@ -367,10 +356,10 @@ mod tests {
         fn solve_via_inverse(n in 1usize..16, seed in any::<u64>()) {
             let a = random_matrix(n, seed);
             let mut rng = rand::rngs::SmallRng::seed_from_u64(seed ^ 0xDEAD);
-            let x: Vec<Gf256> = (0..n).map(|_| Gf256(rng.gen())).collect();
+            let x = Matrix::from_rows(n, 1, (0..n).map(|_| rng.gen()).collect());
             if let Ok(inv) = a.inverted() {
-                let b = a.mul_vec(&x);
-                let x2 = inv.mul_vec(&b);
+                let b = a.mul(&x).unwrap();
+                let x2 = inv.mul(&b).unwrap();
                 prop_assert_eq!(x, x2);
             }
         }

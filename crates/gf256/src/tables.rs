@@ -5,7 +5,7 @@
 //! primitive polynomial `x^8 + x^4 + x^3 + x^2 + 1` (`0x11D`).
 
 /// The primitive polynomial, with the implicit `x^8` term in bit 8.
-pub const PRIMITIVE_POLY: u16 = 0x11D;
+const PRIMITIVE_POLY: u16 = 0x11D;
 
 /// `EXP[i] = alpha^i` for `i in 0..255`, duplicated over `255..510` so that
 /// `EXP[log(a) + log(b)]` never needs a modulo reduction (the sum is at most

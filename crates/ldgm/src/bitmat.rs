@@ -94,7 +94,7 @@ impl BitMatrix {
     }
 
     /// `dst ^= src`. The rows must be distinct.
-    pub fn xor_rows(&mut self, src: usize, dst: usize) {
+    fn xor_rows(&mut self, src: usize, dst: usize) {
         assert_ne!(src, dst, "xor_rows requires distinct rows");
         let w = self.words_per_row;
         let (lo, hi) = (src.min(dst), src.max(dst));
@@ -126,12 +126,6 @@ impl BitMatrix {
             .iter()
             .map(|word| word.count_ones() as usize)
             .sum()
-    }
-
-    /// True if row `r` is all zeros.
-    pub fn row_is_zero(&self, r: usize) -> bool {
-        let w = self.words_per_row;
-        self.words[r * w..(r + 1) * w].iter().all(|&word| word == 0)
     }
 
     /// Reduces the matrix in place to **reduced row echelon form** and
@@ -212,7 +206,7 @@ mod tests {
     fn zero_matrix_has_rank_zero() {
         let m = BitMatrix::zero(4, 7);
         assert_eq!(m.rank(), 0);
-        assert!(m.row_is_zero(0) && m.row_is_zero(2));
+        assert!(m.row_weight(0) == 0 && m.row_weight(2) == 0);
     }
 
     #[test]
@@ -234,7 +228,7 @@ mod tests {
         m.flip(1, 64);
         assert!(!m.get(1, 64));
         assert_eq!(m.row_weight(1), 3);
-        assert!(m.row_is_zero(0) && m.row_is_zero(2));
+        assert!(m.row_weight(0) == 0 && m.row_weight(2) == 0);
     }
 
     #[test]
@@ -268,7 +262,7 @@ mod tests {
         m.swap_rows(0, 2);
         assert!(m.get(2, 64) && m.get(0, 0));
         m.swap_rows(1, 1); // self-swap is a no-op
-        assert!(m.row_is_zero(1));
+        assert!(m.row_weight(1) == 0);
     }
 
     #[test]
@@ -331,7 +325,7 @@ mod tests {
             }
             // Non-pivot rows (below the rank frontier) are zero.
             for r in pivots.len()..rows {
-                assert!(m.row_is_zero(r));
+                assert!(m.row_weight(r) == 0);
             }
         }
     }

@@ -57,13 +57,6 @@ pub struct MemoryStats {
     pub symbol_len: usize,
 }
 
-impl MemoryStats {
-    /// Peak payload memory in bytes.
-    pub fn peak_bytes(&self) -> usize {
-        self.peak_symbols * self.symbol_len
-    }
-}
-
 /// Payload-carrying iterative decoder.
 ///
 /// Owns its matrix via `Arc`, so long-lived receiver sessions can share one
@@ -552,7 +545,6 @@ mod tests {
         let stats = d.memory_stats();
         assert!(stats.peak_symbols >= 50, "at least the k sources are held");
         assert_eq!(stats.symbol_len, 16);
-        assert_eq!(stats.peak_bytes(), stats.peak_symbols * 16);
     }
 
     #[test]

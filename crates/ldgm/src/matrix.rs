@@ -134,7 +134,7 @@ pub enum TriangleFill {
 
 impl TriangleFill {
     /// The fill used by [`RightSide::Triangle`].
-    pub const DEFAULT: TriangleFill = TriangleFill::PerRowUniform;
+    const DEFAULT: TriangleFill = TriangleFill::PerRowUniform;
 }
 
 /// Errors from matrix construction.

@@ -11,7 +11,7 @@
 //! which is free to evolve.
 
 /// Modulus `2^31 - 1` (a Mersenne prime).
-pub const M: u64 = 0x7FFF_FFFF;
+const M: u64 = 0x7FFF_FFFF;
 /// Multiplier 16807 (a primitive root mod M).
 pub const A: u64 = 16807;
 
@@ -35,7 +35,7 @@ impl PmRand {
 
     /// Next raw value in `1..M`.
     #[inline]
-    pub fn next_raw(&mut self) -> u32 {
+    fn next_raw(&mut self) -> u32 {
         // `x mod (2^31 - 1)` without a division: 2^31 ≡ 1, so the high
         // bits fold onto the low ones. `x < 2^46`, so one fold leaves a
         // value below 2M, and `x` is never a multiple of M.

@@ -96,23 +96,6 @@ impl Partition {
     pub fn n_total(&self) -> usize {
         self.blocks.iter().map(|b| b.n).sum()
     }
-
-    /// Total parity symbols across blocks.
-    pub fn parity_total(&self) -> usize {
-        self.blocks.iter().map(|b| b.parity()).sum()
-    }
-
-    /// Maps a global source index `0..k_total` to `(block, esi)`.
-    pub fn locate_source(&self, mut idx: usize) -> (usize, usize) {
-        assert!(idx < self.k_total, "source index out of range");
-        for (b, blk) in self.blocks.iter().enumerate() {
-            if idx < blk.k {
-                return (b, idx);
-            }
-            idx -= blk.k;
-        }
-        unreachable!("k_total is the sum of block sizes");
-    }
 }
 
 #[cfg(test)]
@@ -144,7 +127,7 @@ mod tests {
         // Paper §4.5: with Tx_model_3 and p = 0, RSE decodes after exactly
         // 29903 packets: all parity except the last block's tail, plus k_b of
         // the last block. This pins down the whole partition geometry.
-        let total_parity = p.parity_total();
+        let total_parity: usize = p.blocks().iter().map(|b| b.parity()).sum();
         let last = *p.blocks().last().unwrap();
         assert_eq!(total_parity - last.parity() + last.k, 29_903);
     }
@@ -155,22 +138,6 @@ mod tests {
         // B = 4, a_large = 3, a_small = 2, num_large = 10 - 2*4 = 2.
         let ks: Vec<usize> = p.blocks().iter().map(|b| b.k).collect();
         assert_eq!(ks, vec![3, 3, 2, 2]);
-    }
-
-    #[test]
-    fn locate_source_walks_blocks() {
-        let p = Partition::new(10, 3, 1.0);
-        assert_eq!(p.locate_source(0), (0, 0));
-        assert_eq!(p.locate_source(2), (0, 2));
-        assert_eq!(p.locate_source(3), (1, 0));
-        assert_eq!(p.locate_source(9), (3, 1));
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn locate_source_out_of_range() {
-        let p = Partition::new(4, 2, 1.5);
-        let _ = p.locate_source(4);
     }
 
     #[test]
@@ -203,14 +170,6 @@ mod tests {
                 prop_assert!(b.n <= crate::MAX_N);
                 prop_assert!(b.n >= b.k);
                 prop_assert_eq!(b.n, ((b.k as f64) * ratio).floor() as usize);
-            }
-            // locate_source round-trips.
-            let mut global = 0usize;
-            for (bi, blk) in p.blocks().iter().enumerate() {
-                for esi in 0..blk.k {
-                    prop_assert_eq!(p.locate_source(global), (bi, esi));
-                    global += 1;
-                }
             }
         }
     }

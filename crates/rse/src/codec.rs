@@ -117,12 +117,6 @@ impl RseCodec {
         self.n
     }
 
-    /// Number of parity symbols (`n - k`).
-    #[inline]
-    pub fn parity_count(&self) -> usize {
-        self.n - self.k
-    }
-
     /// Encodes the parity symbols for a block (slice-of-slices form).
     ///
     /// Returns the `n - k` parity symbols; source symbols are transmitted

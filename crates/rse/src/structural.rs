@@ -19,7 +19,6 @@ pub struct StructuralObjectDecoder {
     /// Blocks not yet decodable.
     blocks_pending: usize,
     received: u64,
-    useful: u64,
 }
 
 impl StructuralObjectDecoder {
@@ -37,7 +36,6 @@ impl StructuralObjectDecoder {
             seen,
             blocks_pending,
             received: 0,
-            useful: 0,
         }
     }
 
@@ -58,7 +56,6 @@ impl StructuralObjectDecoder {
         }
         seen[esi] = true;
         if self.missing[block] > 0 {
-            self.useful += 1;
             self.missing[block] -= 1;
             if self.missing[block] == 0 {
                 self.blocks_pending -= 1;
@@ -95,12 +92,6 @@ impl StructuralObjectDecoder {
     pub fn received(&self) -> u64 {
         self.received
     }
-
-    /// Packets that actually reduced some block's deficit.
-    #[inline]
-    pub fn useful(&self) -> u64 {
-        self.useful
-    }
 }
 
 #[cfg(test)]
@@ -116,7 +107,6 @@ mod tests {
         assert!(!d.push(0, 2));
         assert!(d.push(0, 5));
         assert_eq!(d.received(), 4);
-        assert_eq!(d.useful(), 4);
     }
 
     #[test]
@@ -128,7 +118,6 @@ mod tests {
         assert!(!d.push(0, 0));
         assert!(d.push(0, 1));
         assert_eq!(d.received(), 4);
-        assert_eq!(d.useful(), 2);
     }
 
     #[test]
@@ -142,7 +131,6 @@ mod tests {
         assert!(!d.push(0, 2)); // extra for block 0: useless
         assert!(!d.push(1, 3));
         assert!(d.push(1, 0)); // block 1 done -> object done
-        assert_eq!(d.useful(), 4);
         assert_eq!(d.received(), 5);
     }
 

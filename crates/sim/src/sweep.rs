@@ -7,7 +7,7 @@
 //! 1. the configuration canonically enumerates [`WorkUnit`]s (cell ×
 //!    run-range slices, [`SweepConfig::units`]);
 //! 2. each unit executes independently into a mergeable [`CellAccum`]
-//!    ([`GridSweep::execute_unit`]) — seeds derive from
+//!    (`GridSweep::execute_unit`) — seeds derive from
 //!    `(master seed, cell index, absolute run index)` so results do not
 //!    depend on execution order or partitioning;
 //! 3. accumulators reduce associatively in canonical unit order into the
@@ -89,7 +89,7 @@ impl SweepConfig {
     }
 
     /// The `(p, q)` values of a row-major cell index (`p` outer).
-    pub fn cell_coords(&self, cell_idx: u32) -> Option<(f64, f64)> {
+    fn cell_coords(&self, cell_idx: u32) -> Option<(f64, f64)> {
         let cols = self.grid_q.len();
         if cols == 0 {
             return None;
@@ -555,7 +555,7 @@ impl GridSweep {
     /// Every random stream derives from `(config.seed, cell_idx, absolute
     /// run index)`, so the accumulator is identical no matter which
     /// process, thread or shard executes the unit.
-    pub fn execute_unit(&self, unit: &WorkUnit) -> CellAccum {
+    fn execute_unit(&self, unit: &WorkUnit) -> CellAccum {
         let (p, q) = self
             .config
             .cell_coords(unit.cell_idx)

@@ -133,7 +133,7 @@ impl BatchSender {
     }
 
     /// Wraps an already-connected socket.
-    pub fn from_connected(socket: UdpSocket, backend: Backend, pacer: Pacer) -> BatchSender {
+    fn from_connected(socket: UdpSocket, backend: Backend, pacer: Pacer) -> BatchSender {
         BatchSender {
             socket,
             backend,

@@ -8,7 +8,7 @@ use fec_telemetry::{Counter, Histogram, Registry};
 
 /// Histogram bounds for datagrams-per-syscall: powers of two up to the
 /// engine's burst cap.
-pub const BATCH_BOUNDS: [f64; 8] = [1.0, 2.0, 4.0, 8.0, 16.0, 24.0, 32.0, 64.0];
+const BATCH_BOUNDS: [f64; 8] = [1.0, 2.0, 4.0, 8.0, 16.0, 24.0, 32.0, 64.0];
 
 /// Per-direction engine metrics.
 #[derive(Clone)]

@@ -9,7 +9,7 @@
 //! emit at the planned rate; the bucket is what enforces that rate
 //! without per-datagram sleeps dominating the hot path.
 //!
-//! The arithmetic core ([`TokenBucket::wait_for`]) takes an explicit
+//! The arithmetic core (`TokenBucket::wait_for`) takes an explicit
 //! `Instant` so unit tests drive it with a synthetic clock; the blocking
 //! wrapper ([`Pacer::acquire`]) sleeps on the real one.
 
@@ -47,7 +47,7 @@ impl TokenBucket {
     /// proportionally afterwards — so the long-run rate stays bounded
     /// while bursts up to the cap go out back-to-back.
     /// Deterministic given `now` — the unit-testable core.
-    pub fn wait_for(&mut self, n: u32, now: Instant) -> Duration {
+    fn wait_for(&mut self, n: u32, now: Instant) -> Duration {
         let elapsed = now.saturating_duration_since(self.last).as_secs_f64();
         self.last = now;
         self.tokens = (self.tokens + elapsed * self.rate).min(self.burst);

@@ -222,7 +222,7 @@ impl PoolBuf {
     }
 
     /// Replaces the contents with `bytes` (clamped to capacity).
-    pub fn copy_from(&mut self, bytes: &[u8]) {
+    fn copy_from(&mut self, bytes: &[u8]) {
         let n = bytes.len().min(self.buf.len());
         if let (Some(dst), Some(src)) = (self.buf.get_mut(..n), bytes.get(..n)) {
             dst.copy_from_slice(src);

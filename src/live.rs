@@ -62,7 +62,7 @@ use fec_wire::{
 /// in ones and twos (an ICMP-reflected `ECONNREFUSED`, a spurious kernel
 /// hiccup); a thousand in a row with no successful read in between means
 /// retrying is just spinning.
-pub const TRANSIENT_ERROR_CAP: u32 = 1000;
+const TRANSIENT_ERROR_CAP: u32 = 1000;
 
 /// Anything a drain loop can pull datagram bursts from: the batched
 /// engine's [`BatchReceiver`] in production, a scripted source in tests.
@@ -103,8 +103,8 @@ pub struct DrainStats {
 /// * `WouldBlock` / `TimedOut` — the read timeout expired with no
 ///   traffic: the one legitimate way a session goes idle. Return.
 /// * anything else — log it, count it, sleep a moment, keep receiving.
-///   After [`TRANSIENT_ERROR_CAP`] consecutive failures give up (the
-///   socket is wedged, not hiccuping).
+///   After 1000 consecutive failures (`TRANSIENT_ERROR_CAP`) give up
+///   (the socket is wedged, not hiccuping).
 ///
 /// Also returns when the decode side hangs up (`tx` disconnected).
 pub fn drain_loop<S: BurstSource>(
@@ -488,6 +488,7 @@ impl Default for SendConfig {
 
 /// What one path carried.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
+// audit:allow(surface) -- the element type of `SendOutcome::paths`, which the CLI and tests read
 pub struct PathOutcome {
     /// Datagrams delivered to the path's wire.
     pub datagrams: u64,
@@ -582,6 +583,7 @@ impl PathScheduler {
 
 /// The tuple one object's data went out under.
 #[derive(Debug, Clone, PartialEq)]
+// audit:allow(surface) -- the element type of `SendOutcome::deployments`, which `world` reads
 pub struct Deployment {
     /// The object.
     pub toi: u32,

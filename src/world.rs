@@ -192,6 +192,7 @@ pub fn static_candidates() -> Vec<Decision> {
 
 /// One object's broadcast.
 #[derive(Debug, Clone, PartialEq, Serialize)]
+// audit:allow(surface) -- the element type of `Report::objects`, which the CLI and tests read
 pub struct ObjectOutcome {
     /// The object.
     pub toi: u32,
@@ -465,6 +466,7 @@ impl PathSink for Path {
 }
 
 /// The sender's return channel.
+// audit:allow(surface) -- returned by `World::new`; tests hand it to `send_session`
 pub struct Reports(Rc<RefCell<World>>);
 
 impl DigestSource for Reports {
