@@ -32,7 +32,10 @@ fn mean_inef(
             if ch.next_is_lost() {
                 continue;
             }
-            if dec.push(r.block as usize, r.esi as usize) {
+            if dec
+                .push_batch(&[(r.block as usize, r.esi as usize)])
+                .is_some()
+            {
                 sum += dec.received() as f64 / k;
                 done = true;
                 break;

@@ -129,7 +129,7 @@ fn measure_suppression(n: u64, window_mult: f64) -> SuppressionResult {
             if ch.next_is_lost() {
                 continue;
             }
-            em.observe(1, Some((seq % SEQ_MODULUS as u64) as u32));
+            em.observe_on(0, 1, Some((seq % SEQ_MODULUS as u64) as u32));
             if let Some(d) = em.poll() {
                 digests_total += 1;
                 bytes_total += d.to_bytes().expect("digest serializes").len() as u64;
@@ -522,7 +522,7 @@ impl Population {
             }
         }
         for (link, rx) in self.links.iter_mut().zip(&mut self.reals) {
-            for out in link.transmit(dg) {
+            for out in link.transmit_batch(&[dg]) {
                 rx.push_datagram(&out).expect("valid datagram");
             }
         }

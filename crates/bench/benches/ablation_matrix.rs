@@ -31,7 +31,7 @@ fn mean_inef(matrix: &SparseMatrix, runs: u32, seed: u64) -> Option<f64> {
         let mut dec = StructuralDecoder::new(matrix);
         let mut done = false;
         for &id in &order {
-            if dec.push(id) {
+            if dec.push_batch(&[id]).is_some() {
                 sum += dec.received() as f64 / k;
                 done = true;
                 break;

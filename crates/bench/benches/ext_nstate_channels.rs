@@ -90,8 +90,10 @@ fn measure(
             }
             received += 1;
             let complete = match (&mut ldgm, &mut rse) {
-                (Some(d), None) => d.push(r.esi),
-                (None, Some(d)) => d.push(r.block as usize, r.esi as usize),
+                (Some(d), None) => d.push_batch(&[r.esi]).is_some(),
+                (None, Some(d)) => d
+                    .push_batch(&[(r.block as usize, r.esi as usize)])
+                    .is_some(),
                 _ => unreachable!("exactly one decoder per setup"),
             };
             if complete {

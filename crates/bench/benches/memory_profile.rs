@@ -44,7 +44,11 @@ fn peak_memory(
         } else {
             &parity[id as usize - k]
         };
-        if decoder.push(id, payload).expect("valid").is_complete() {
+        if decoder
+            .push_batch(&[(id, payload)])
+            .expect("valid")
+            .is_complete()
+        {
             return Some(decoder.memory_stats().peak_symbols);
         }
     }

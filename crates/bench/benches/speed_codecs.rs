@@ -146,7 +146,11 @@ fn bench_decode(c: &mut Criterion) {
                     } else {
                         &parity2[id as usize - k]
                     };
-                    if dec.push(id, payload).expect("push").is_complete() {
+                    if dec
+                        .push_batch(&[(id, payload)])
+                        .expect("push")
+                        .is_complete()
+                    {
                         break;
                     }
                 }

@@ -5,8 +5,9 @@
 //! needs the same loss process applied to *datagrams on their way to a
 //! socket* — plus the two impairments UDP adds for free, duplication and
 //! reordering. [`LinkEmulator`] wraps any loss model into a deterministic
-//! datagram gate: feed each outgoing datagram through
-//! [`transmit`](LinkEmulator::transmit) and send whatever comes back.
+//! datagram gate: feed each outgoing burst through
+//! [`transmit_batch`](LinkEmulator::transmit_batch) and send whatever
+//! comes back.
 //!
 //! The emulator is transport-agnostic (it moves opaque byte vectors), so
 //! the same instance can impair a forward data channel or a reception-
@@ -177,11 +178,9 @@ impl LinkEmulator {
         self.metrics = metrics;
     }
 
-    /// Offers one datagram to the link; returns the datagram copies that
-    /// arrive at the far end *now*, in delivery order (possibly none —
-    /// lost or held back — and possibly several: duplicates and earlier
-    /// held-back datagrams whose countdown expired).
-    pub fn transmit(&mut self, datagram: &[u8]) -> Vec<Vec<u8>> {
+    /// Offers one datagram to the link: [`transmit_batch`](Self::transmit_batch)'s
+    /// step.
+    fn transmit(&mut self, datagram: &[u8]) -> Vec<Vec<u8>> {
         self.stats.offered += 1;
         self.metrics.offered.inc();
         let mut out = Vec::new();
@@ -237,10 +236,12 @@ impl LinkEmulator {
         out
     }
 
-    /// Offers a whole burst to the link; returns every datagram copy that
-    /// comes out the far end now, in delivery order. Semantically
-    /// identical to calling [`transmit`](LinkEmulator::transmit) per
-    /// datagram — this is the shape the batched wire engine feeds.
+    /// Offers a burst to the link (one datagram is a burst of one);
+    /// returns every datagram copy that comes out the far end now, in
+    /// delivery order. Per datagram that is possibly none — lost or held
+    /// back — and possibly several: duplicates and earlier held-back
+    /// datagrams whose countdown expired. How a stream is split into
+    /// bursts does not change what comes out.
     pub fn transmit_batch<D: AsRef<[u8]>>(&mut self, datagrams: &[D]) -> Vec<Vec<u8>> {
         let mut out = Vec::with_capacity(datagrams.len());
         for dg in datagrams {

@@ -247,14 +247,6 @@ struct LdgmSessionDecoder {
 }
 
 impl Decoder for LdgmSessionDecoder {
-    fn add_symbol(
-        &mut self,
-        packet: PacketRef,
-        payload: &[u8],
-    ) -> Result<DecodeProgress, CodecError> {
-        self.add_symbols(&[Symbol { packet, payload }])
-    }
-
     fn add_symbols(&mut self, batch: &[Symbol<'_>]) -> Result<DecodeProgress, CodecError> {
         // One pass over the burst: the LDGM batch entry point validates
         // everything up front and skips duplicates / already-solved
@@ -302,15 +294,11 @@ impl StructuralFactory for LdgmStructuralFactory {
 
 struct LdgmStructuralSession<'m> {
     inner: StructuralDecoder<'m>,
-    /// Reusable id buffer for the batched path.
+    /// Reusable id buffer for `add_batch`.
     scratch: Vec<u32>,
 }
 
 impl StructuralSession for LdgmStructuralSession<'_> {
-    fn add(&mut self, packet: PacketRef) -> bool {
-        self.inner.push(packet.esi)
-    }
-
     fn add_batch(&mut self, batch: &[PacketRef]) -> Option<usize> {
         // Large-block LDGM is single-block: the ESI is the variable id, so
         // the whole window forwards to the structural decoder in one call.

@@ -251,14 +251,6 @@ fn solve_block(codecs: &[RseCodec], block: &mut RseBlock) -> Result<usize, Codec
 }
 
 impl Decoder for RseSessionDecoder {
-    fn add_symbol(
-        &mut self,
-        packet: PacketRef,
-        payload: &[u8],
-    ) -> Result<DecodeProgress, CodecError> {
-        self.add_symbols(&[Symbol { packet, payload }])
-    }
-
     fn add_symbols(&mut self, batch: &[Symbol<'_>]) -> Result<DecodeProgress, CodecError> {
         // Buffer the whole burst first, then solve each block it completed
         // exactly once — and look at no block the burst did not touch (an
@@ -330,15 +322,11 @@ impl StructuralFactory for RseStructuralFactory {
 
 struct RseStructuralSession {
     inner: StructuralObjectDecoder,
-    /// Reusable `(block, esi)` buffer for the batched path.
+    /// Reusable `(block, esi)` buffer for `add_batch`.
     scratch: Vec<(usize, usize)>,
 }
 
 impl StructuralSession for RseStructuralSession {
-    fn add(&mut self, packet: PacketRef) -> bool {
-        self.inner.push(packet.block as usize, packet.esi as usize)
-    }
-
     fn add_batch(&mut self, batch: &[PacketRef]) -> Option<usize> {
         self.scratch.clear();
         self.scratch

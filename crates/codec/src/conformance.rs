@@ -5,13 +5,14 @@
 //! ascending ESI order, then again in reverse with a fresh encoder, which
 //! must give the same bytes — and round-trips the codec across all paper
 //! transmission models, duplicate / out-of-order / truncated packet
-//! streams, a deterministic loss pattern, the batched decoder entry
-//! point, payload-vs-structural agreement, and the corners of its
-//! declared `(k, ratio)` envelope.
-//! [`check_batched`] (run from `check`) additionally hammers the batched
-//! entry points with adversarial windows: odd symbol sizes, in-batch
-//! duplicates, reordering, already-decoded symbols, and a
-//! window-boundary-exact batched-vs-sequential equivalence check.
+//! streams, a deterministic loss pattern, one whole-schedule batch,
+//! payload-vs-structural agreement, and the corners of its declared
+//! `(k, ratio)` envelope. Symbols go in one at a time — a batch of one —
+//! unless a check says otherwise.
+//! [`check_batched`] (run from `check`) additionally feeds adversarial
+//! windows: odd symbol sizes, in-batch duplicates, reordering,
+//! already-decoded symbols, and a window-boundary-exact check that the
+//! windows and batches of one agree.
 //! It panics with a descriptive message on the first violation — call it
 //! from a `#[test]`:
 //!
@@ -74,10 +75,6 @@ struct EncodedObject {
 }
 
 impl EncodedObject {
-    fn build(code: &CodecHandle, k: usize, ratio: f64) -> (EncodedObject, Vec<u8>) {
-        EncodedObject::build_sized(code, k, ratio, SYMBOL_SIZE)
-    }
-
     fn build_sized(
         code: &CodecHandle,
         k: usize,
@@ -143,8 +140,9 @@ impl EncodedObject {
         (EncodedObject { layout, payloads }, object)
     }
 
-    fn payload(&self, r: PacketRef) -> &[u8] {
-        &self.payloads[self.layout.global_index(r) as usize]
+    fn symbol(&self, r: PacketRef) -> Symbol<'_> {
+        let payload = &self.payloads[self.layout.global_index(r) as usize];
+        Symbol { packet: r, payload }
     }
 }
 
@@ -168,8 +166,8 @@ fn decode_sequence(
     let mut fed = 0u64;
     for &r in sequence {
         let progress = dec
-            .add_symbol(r, enc.payload(r))
-            .unwrap_or_else(|e| panic!("{ctx}: add_symbol failed: {e}"));
+            .add_symbols(&[enc.symbol(r)])
+            .unwrap_or_else(|e| panic!("{ctx}: add_symbols failed: {e}"));
         fed += 1;
         assert_eq!(progress.received, fed, "{ctx}: received must count pushes");
         assert_eq!(progress.total_source, k, "{ctx}: total_source");
@@ -196,7 +194,7 @@ fn decode_sequence(
 /// Checks one `(k, ratio)` shape across schedules and stream corruptions.
 pub fn check_shape(code: &CodecHandle, k: usize, ratio: f64) {
     let ctx = format!("{}(k={k}, ratio={ratio})", code.id());
-    let (enc, object) = EncodedObject::build(code, k, ratio);
+    let (enc, object) = EncodedObject::build_sized(code, k, ratio, SYMBOL_SIZE);
 
     // Every paper schedule, loss-free. Schedules that deliver the whole
     // object (Tx1–Tx5 are permutations of all n packets) must decode to
@@ -267,13 +265,15 @@ pub fn check_shape(code: &CodecHandle, k: usize, ratio: f64) {
         let short = &stream[..stream.len().min(k - 1)];
         let mut looped = factory.session(0);
         assert!(
-            !short.iter().any(|&r| looped.add(r)) && factory.session(0).add_batch(short).is_none(),
+            !short.iter().any(|&r| looped.add_batch(&[r]).is_some())
+                && factory.session(0).add_batch(short).is_none(),
             "{ctx}: structural session completed from {} < k packets of {name}",
             short.len()
         );
     }
 
-    // Batched entry point must agree with the one-by-one path.
+    // The whole schedule as one batch must decode like the one-by-one
+    // feeds above.
     let params = SessionParams {
         k,
         ratio,
@@ -281,13 +281,7 @@ pub fn check_shape(code: &CodecHandle, k: usize, ratio: f64) {
         seed: SEED,
     };
     let mut batched = code.decoder(&params).expect("decoder");
-    let batch: Vec<Symbol<'_>> = schedule
-        .iter()
-        .map(|&r| Symbol {
-            packet: r,
-            payload: enc.payload(r),
-        })
-        .collect();
+    let batch: Vec<Symbol<'_>> = schedule.iter().map(|&r| enc.symbol(r)).collect();
     let progress = batched.add_symbols(&batch).expect("batched add");
     assert!(progress.is_decoded(), "{ctx}: batched path failed");
     assert_eq!(
@@ -306,13 +300,13 @@ pub fn check_shape(code: &CodecHandle, k: usize, ratio: f64) {
     let mut structural_at = None;
     let mut payload_at = None;
     for (i, &r) in lossy.iter().enumerate() {
-        if structural_at.is_none() && structural.add(r) {
+        if structural_at.is_none() && structural.add_batch(&[r]).is_some() {
             structural_at = Some(i);
         }
         if payload_at.is_none()
             && payload_dec
-                .add_symbol(r, enc.payload(r))
-                .expect("add_symbol")
+                .add_symbols(&[enc.symbol(r)])
+                .expect("add_symbols")
                 .is_decoded()
         {
             payload_at = Some(i);
@@ -332,14 +326,13 @@ pub fn check_shape(code: &CodecHandle, k: usize, ratio: f64) {
 /// prime, and a large prime that straddles every SIMD block width.
 const BATCH_SYMBOL_SIZES: &[usize] = &[1, 13, 1023];
 
-/// Batched-path conformance: [`Decoder::add_symbols`](crate::Decoder::add_symbols)
-/// must be indistinguishable from the
-/// [`Decoder::add_symbol`](crate::Decoder::add_symbol) loop, and
-/// [`StructuralSession::add_batch`](crate::StructuralSession::add_batch)
-/// from the [`add`](crate::StructuralSession::add) loop, under
-/// adversarial batches — odd symbol sizes, duplicates inside and across
-/// batches, reordered windows, and symbols arriving after their block
-/// (or the whole object) already decoded.
+/// Batch-split conformance: feeding a stream to
+/// [`Decoder::add_symbols`](crate::Decoder::add_symbols) in windows must be
+/// indistinguishable from feeding it in batches of one, and likewise for
+/// [`StructuralSession::add_batch`](crate::StructuralSession::add_batch),
+/// under adversarial windows — odd symbol sizes, duplicates inside and
+/// across windows, reordered windows, and symbols arriving after their
+/// block (or the whole object) already decoded.
 ///
 /// Run from [`check`]; callable on its own for quick iteration on a
 /// codec's batched path.
@@ -384,28 +377,23 @@ fn check_batched_shape(code: &CodecHandle, k: usize, ratio: f64, symbol_size: us
     // A final window of symbols the decoder has already solved.
     windows.push(schedule[..schedule.len().min(10)].to_vec());
 
-    // Feed the same windows to a batched and a sequential decoder; their
-    // progress must agree at every window boundary (not just at the end).
+    // Feed the same windows to one decoder whole and to another one symbol
+    // at a time; their progress must agree at every window boundary (not
+    // just at the end).
     let mut batched = code
         .decoder(&params)
         .unwrap_or_else(|e| panic!("{ctx}: decoder failed: {e}"));
     let mut sequential = code.decoder(&params).expect("decoder");
     for (w_idx, window) in windows.iter().enumerate() {
-        let batch: Vec<Symbol<'_>> = window
-            .iter()
-            .map(|&r| Symbol {
-                packet: r,
-                payload: enc.payload(r),
-            })
-            .collect();
+        let batch: Vec<Symbol<'_>> = window.iter().map(|&r| enc.symbol(r)).collect();
         let via_batch = batched
             .add_symbols(&batch)
             .unwrap_or_else(|e| panic!("{ctx}: add_symbols failed: {e}"));
         let mut via_loop = sequential.progress();
-        for &r in window {
+        for s in &batch {
             via_loop = sequential
-                .add_symbol(r, enc.payload(r))
-                .unwrap_or_else(|e| panic!("{ctx}: add_symbol failed: {e}"));
+                .add_symbols(&[*s])
+                .unwrap_or_else(|e| panic!("{ctx}: add_symbols of one failed: {e}"));
         }
         assert_eq!(
             via_batch, via_loop,
@@ -431,14 +419,14 @@ fn check_batched_shape(code: &CodecHandle, k: usize, ratio: f64, symbol_size: us
         assert_eq!(got, object, "{ctx}: {name} byte mismatch");
     }
 
-    // Structural sessions: the batched entry point must complete at the
-    // same packet index as the per-packet loop on the same stream.
+    // Structural sessions: a window must complete at the same packet index
+    // as batches of one on the same stream.
     let flat: Vec<PacketRef> = windows.iter().flatten().copied().collect();
     let factory = code
         .structural_factory(k, ratio, &[SEED])
         .unwrap_or_else(|e| panic!("{ctx}: structural_factory failed: {e}"));
     let mut looped = factory.session(0);
-    let loop_done = flat.iter().position(|&r| looped.add(r));
+    let loop_done = flat.iter().position(|&r| looped.add_batch(&[r]).is_some());
     for window in [&flat[..], &flat[..flat.len() / 2]] {
         let mut batched = factory.session(0);
         let batch_done = batched.add_batch(window);

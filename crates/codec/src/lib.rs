@@ -16,9 +16,9 @@
 //!   structural [`Layout`](fec_sched::Layout) hook, and constructors for
 //!   the three session kinds;
 //! * [`Encoder`] / [`Decoder`] — byte-true per-object sessions
-//!   (`add_symbol → DecodeProgress`, incremental, any order, duplicates
-//!   tolerated). [`Decoder::add_symbols`] is the batched entry point that
-//!   lets SIMD/batched kernels land behind the trait without an API break;
+//!   (`add_symbols → DecodeProgress`, incremental, any order, duplicates
+//!   tolerated). A batch is the one feed entry; a single symbol is a
+//!   batch of one;
 //! * [`StructuralFactory`] / [`StructuralSession`] — index-only decoding
 //!   for simulation, where only *when* an object becomes decodable
 //!   matters. The factory owns the expensive structure (LDGM matrix
@@ -42,7 +42,7 @@
 //! use std::sync::Arc;
 //! use fec_codec::{
 //!     CodecError, DecodeProgress, Decoder, Encoder, Envelope, ErasureCode,
-//!     SessionParams, StructuralFactory, StructuralSession,
+//!     SessionParams, StructuralFactory, StructuralSession, Symbol,
 //! };
 //! use fec_sched::{Layout, PacketRef};
 //!
@@ -108,10 +108,11 @@
 //!     fn distinct(&self) -> usize { self.have.iter().flatten().count() }
 //! }
 //! impl Decoder for XorDecoder {
-//!     fn add_symbol(&mut self, r: PacketRef, payload: &[u8])
-//!         -> Result<DecodeProgress, CodecError> {
-//!         self.received += 1;
-//!         self.have[r.esi as usize].get_or_insert_with(|| payload.to_vec());
+//!     fn add_symbols(&mut self, batch: &[Symbol<'_>]) -> Result<DecodeProgress, CodecError> {
+//!         for s in batch {
+//!             self.received += 1;
+//!             self.have[s.packet.esi as usize].get_or_insert_with(|| s.payload.to_vec());
+//!         }
 //!         Ok(self.progress())
 //!     }
 //!     fn progress(&self) -> DecodeProgress {
@@ -154,12 +155,18 @@
 //! }
 //! struct XorStructural { seen: Vec<bool>, distinct: usize, k: usize }
 //! impl StructuralSession for XorStructural {
-//!     fn add(&mut self, r: PacketRef) -> bool {
-//!         if !self.seen[r.esi as usize] {
-//!             self.seen[r.esi as usize] = true;
-//!             self.distinct += 1;
+//!     fn add_batch(&mut self, batch: &[PacketRef]) -> Option<usize> {
+//!         let mut done_at = None;
+//!         for (i, r) in batch.iter().enumerate() {
+//!             if !self.seen[r.esi as usize] {
+//!                 self.seen[r.esi as usize] = true;
+//!                 self.distinct += 1;
+//!             }
+//!             if done_at.is_none() && self.distinct >= self.k {
+//!                 done_at = Some(i);
+//!             }
 //!         }
-//!         self.distinct >= self.k
+//!         done_at
 //!     }
 //! }
 //!

@@ -51,7 +51,7 @@ impl Envelope {
     }
 }
 
-/// One received symbol, for the batched decoder entry point.
+/// One received symbol, as [`Decoder::add_symbols`] takes it.
 #[derive(Debug, Clone, Copy)]
 pub struct Symbol<'a> {
     /// Which encoding symbol this is.
@@ -112,34 +112,19 @@ pub trait Encoder: Send {
 /// A per-object decoding session: feed symbols in any order, across any
 /// losses and duplicates, until [`DecodeProgress::is_decoded`].
 pub trait Decoder: Send {
-    /// Feeds one symbol. Duplicates are counted but harmless. The packet
-    /// reference is trusted (session layers validate against the layout
-    /// before calling).
-    fn add_symbol(
-        &mut self,
-        packet: PacketRef,
-        payload: &[u8],
-    ) -> Result<DecodeProgress, CodecError>;
-
-    /// Feeds a batch of symbols.
+    /// Feeds a batch of symbols; one symbol is a batch of one.
+    /// Duplicates are counted but harmless. The packet references are
+    /// trusted (session layers validate against the layout before
+    /// calling).
     ///
-    /// For any batch of **valid** symbols this is semantically identical
-    /// to looping [`Decoder::add_symbol`] (the conformance harness pins
-    /// the equivalence at every batch boundary); implementations override
-    /// it to amortise per-call work. The built-ins do: RSE defers each
-    /// block's solve to the end of the batch, LDGM validates the burst up
-    /// front and skips known variables before the peeling machinery. On
-    /// an invalid symbol an implementation may reject the batch
-    /// atomically (nothing consumed) instead of consuming the valid
-    /// prefix the way a loop would — session layers validate packets
-    /// before they reach the codec, so only direct codec users see the
-    /// difference. The default implementation is the loop.
-    fn add_symbols(&mut self, batch: &[Symbol<'_>]) -> Result<DecodeProgress, CodecError> {
-        for s in batch {
-            self.add_symbol(s.packet, s.payload)?;
-        }
-        Ok(self.progress())
-    }
+    /// How a stream is split into batches must not change the progress
+    /// at any batch boundary: the conformance harness feeds the same
+    /// stream in windows and one symbol at a time and compares. A batch
+    /// lets an implementation amortise per-call work — the built-in RSE
+    /// defers each block's solve to the end of the batch, LDGM validates
+    /// the burst up front and skips known variables before the peeling
+    /// machinery.
+    fn add_symbols(&mut self, batch: &[Symbol<'_>]) -> Result<DecodeProgress, CodecError>;
 
     /// Current progress snapshot.
     fn progress(&self) -> DecodeProgress;
@@ -171,27 +156,14 @@ pub trait StructuralFactory: Send + Sync {
 /// than `k` packets is recorded as a failure without being decoded — and
 /// [`conformance::check`](crate::conformance::check) enforces it.
 pub trait StructuralSession {
-    /// Records the arrival of `packet`; true once the object is decodable.
-    fn add(&mut self, packet: PacketRef) -> bool;
-
-    /// Records a whole window of arrivals (a loss-schedule batch). Every
-    /// packet is processed; the return value is the index within `batch`
-    /// at which [`StructuralSession::add`] first returned `true`, or
-    /// `None` if the object is still undecodable afterwards.
-    ///
-    /// Semantically identical to looping [`StructuralSession::add`]; it
-    /// exists so implementations can amortise per-packet dispatch (the
-    /// sweep engine feeds batches of ~128 packets through one virtual
-    /// call). The default implementation is the loop.
-    fn add_batch(&mut self, batch: &[PacketRef]) -> Option<usize> {
-        let mut done_at = None;
-        for (i, &packet) in batch.iter().enumerate() {
-            if self.add(packet) && done_at.is_none() {
-                done_at = Some(i);
-            }
-        }
-        done_at
-    }
+    /// Records a window of arrivals (a loss-schedule batch; one packet is
+    /// a batch of one). Every packet is processed; the return value is
+    /// the index within `batch` of the first packet after which the
+    /// object is decodable (`Some(0)` if it already was), or `None` if it
+    /// is still undecodable afterwards. How a stream is split into
+    /// batches must not move that point; the sweep engine feeds windows
+    /// of ~128 packets through one virtual call.
+    fn add_batch(&mut self, batch: &[PacketRef]) -> Option<usize>;
 }
 
 /// An erasure code, as the rest of the workspace sees it.

@@ -4,7 +4,7 @@
 //!
 //! A [`ReportEmitter`] rides along the receive path (enable it with
 //! [`FluteReceiver::enable_reports`](crate::FluteReceiver::enable_reports)
-//! or drive it standalone via [`observe`](ReportEmitter::observe)): every
+//! or drive it standalone via [`observe_on`](ReportEmitter::observe_on)): every
 //! datagram's EXT_SEQ is compared against the expected next sequence
 //! number, turning the gap structure into the loss run sketch, while
 //! per-TOI counters accumulate. Digests are batched — one per
@@ -45,7 +45,7 @@ pub const MAX_PATH_TRACKS: usize = 64;
 /// gap detection is only meaningful within a path: mixing spaces would
 /// let a gap on path A register as loss (or mask reordering) on path B.
 /// The emitter therefore keeps one `SeqTrack` per observed path — the
-/// single-path [`ReportEmitter::observe`] is simply path 0.
+/// single-path session is simply path 0.
 #[derive(Debug, Default, Clone, Copy)]
 struct SeqTrack {
     /// Next EXT_SEQ expected on this path (modulo [`SEQ_MODULUS`]);
@@ -181,14 +181,9 @@ impl ReportEmitter {
         self.metrics = EmitterMetrics::register(registry);
     }
 
-    /// Records one received datagram of the session: its TOI and its
-    /// EXT_SEQ (if the sender attached one). Single-path shorthand for
-    /// [`observe_on`](Self::observe_on) path 0.
-    pub fn observe(&mut self, toi: u32, seq: Option<u32>) {
-        self.observe_on(0, toi, seq);
-    }
-
-    /// Records one received datagram that arrived on bonded path `path`.
+    /// Records one received datagram of the session that arrived on
+    /// bonded path `path` (0 on a single-path session): its TOI and its
+    /// EXT_SEQ (if the sender attached one).
     ///
     /// Each path carries its own EXT_SEQ sequence space, so the gap
     /// computation uses that path's track only: a gap on path A must
@@ -458,7 +453,7 @@ mod tests {
         let mut em = ReportEmitter::new(7, ReportConfig::default());
         // Sequences 0,1,2 then a 3-packet gap, then 6,7.
         for s in [0u32, 1, 2, 6, 7] {
-            em.observe(1, Some(s));
+            em.observe_on(0, 1, Some(s));
         }
         let r = em.flush().unwrap();
         assert_eq!(
@@ -480,7 +475,7 @@ mod tests {
         assert_eq!(r.highest_seq, Some(7));
         assert_eq!(r.report_seq, 1);
         // The sketch resets per digest; counters are cumulative.
-        em.observe(1, Some(8));
+        em.observe_on(0, 1, Some(8));
         let r2 = em.flush().unwrap();
         assert_eq!(r2.report_seq, 2);
         assert_eq!(r2.runs.len(), 1);
@@ -492,7 +487,7 @@ mod tests {
     fn duplicates_and_reordering_do_not_enter_the_sketch() {
         let mut em = ReportEmitter::new(7, ReportConfig::default());
         for s in [0u32, 1, 4, 4, 2] {
-            em.observe(1, Some(s));
+            em.observe_on(0, 1, Some(s));
         }
         let r = em.flush().unwrap();
         // 0,1 delivered; 2,3 gapped; 4 delivered; dup 4 and late 2 ignored
@@ -517,9 +512,9 @@ mod tests {
     #[test]
     fn sequence_wraparound_is_a_gap_not_a_reorder() {
         let mut em = ReportEmitter::new(7, ReportConfig::default());
-        em.observe(1, Some(SEQ_MODULUS - 2));
-        em.observe(1, Some(SEQ_MODULUS - 1));
-        em.observe(1, Some(1)); // seq 0 lost across the wrap
+        em.observe_on(0, 1, Some(SEQ_MODULUS - 2));
+        em.observe_on(0, 1, Some(SEQ_MODULUS - 1));
+        em.observe_on(0, 1, Some(1)); // seq 0 lost across the wrap
         let r = em.flush().unwrap();
         assert_eq!(
             r.runs,
@@ -549,10 +544,10 @@ mod tests {
         );
         assert!(em.flush().is_none(), "nothing observed yet");
         for s in 0..9u32 {
-            em.observe(1, Some(s));
+            em.observe_on(0, 1, Some(s));
             assert!(em.poll().is_none());
         }
-        em.observe(1, Some(9));
+        em.observe_on(0, 1, Some(9));
         let r = em.poll().expect("threshold reached");
         assert_eq!(r.observations(), 10);
         assert!(em.poll().is_none(), "threshold resets");
@@ -570,7 +565,7 @@ mod tests {
         );
         // Alternating delivered/lost: every observation is a new run.
         for i in 0..10u32 {
-            em.observe(1, Some(i * 2)); // gap of 1 before each after the first
+            em.observe_on(0, 1, Some(i * 2)); // gap of 1 before each after the first
         }
         let r = em.flush().unwrap();
         assert!(r.truncated);
@@ -583,8 +578,8 @@ mod tests {
     #[test]
     fn completion_flags_propagate() {
         let mut em = ReportEmitter::new(7, ReportConfig::default());
-        em.observe(0, Some(0));
-        em.observe(1, Some(1));
+        em.observe_on(0, 0, Some(0));
+        em.observe_on(0, 1, Some(1));
         em.mark_complete(1);
         em.mark_session_complete();
         let r = em.flush().unwrap();
@@ -609,14 +604,14 @@ mod tests {
             },
         );
         for s in 0..4u32 {
-            em.observe(1, Some(s));
+            em.observe_on(0, 1, Some(s));
         }
         let polled = em.poll().expect("threshold reached");
         assert_eq!(polled.report_seq, 1);
         assert!(em.flush().is_none(), "same-tick flush must not duplicate");
         assert!(em.poll().is_none());
         // New observations make the next flush meaningful again.
-        em.observe(1, Some(4));
+        em.observe_on(0, 1, Some(4));
         let flushed = em.flush().expect("dirty again");
         assert_eq!(flushed.report_seq, 2);
         assert!(em.flush().is_none(), "and it dedups again");
@@ -630,7 +625,7 @@ mod tests {
     #[test]
     fn fin_digests_flush_repeatedly() {
         let mut em = ReportEmitter::new(7, ReportConfig::default());
-        em.observe(1, Some(0));
+        em.observe_on(0, 1, Some(0));
         em.mark_complete(1);
         em.mark_session_complete();
         for i in 0..3 {
@@ -683,7 +678,7 @@ mod tests {
         let mut seq = 0u32;
         let clean_digest = |em: &mut ReportEmitter, seq: &mut u32| {
             while em.poll().is_none() {
-                em.observe(1, Some(*seq));
+                em.observe_on(0, 1, Some(*seq));
                 *seq += 1;
             }
         };
@@ -696,7 +691,7 @@ mod tests {
         clean_digest(&mut em, &mut seq);
         assert_eq!(em.current_threshold(), 32, "capped at 2^3");
         // A loss mid-interval cancels the backoff before the next poll.
-        em.observe(1, Some(seq + 3)); // 3-packet gap
+        em.observe_on(0, 1, Some(seq + 3)); // 3-packet gap
         assert_eq!(em.current_threshold(), 4, "loss resets to base");
         seq += 4;
         clean_digest(&mut em, &mut seq);
@@ -711,7 +706,7 @@ mod tests {
     #[test]
     fn nacks_attach_to_the_next_digest_once() {
         let mut em = ReportEmitter::new(7, ReportConfig::default());
-        em.observe(1, Some(0));
+        em.observe_on(0, 1, Some(0));
         em.set_nacks(vec![NackEntry {
             toi: 1,
             block: 0,
@@ -720,7 +715,7 @@ mod tests {
         let r = em.flush().unwrap();
         assert_eq!(r.nacks.len(), 1);
         assert_eq!(r.nack_symbols(), 2);
-        em.observe(1, Some(1));
+        em.observe_on(0, 1, Some(1));
         let r2 = em.flush().unwrap();
         assert!(r2.nacks.is_empty(), "carried once, then dropped");
         // Setting fresh NACKs alone makes the next flush meaningful.
@@ -799,8 +794,8 @@ mod tests {
     #[test]
     fn residual_runs_are_tracked_before_attach() {
         let mut em = ReportEmitter::new(7, ReportConfig::default());
-        em.observe(1, Some(0));
-        em.observe(1, Some(5)); // a 4-packet gap
+        em.observe_on(0, 1, Some(0));
+        em.observe_on(0, 1, Some(5)); // a 4-packet gap
         let live = Registry::new();
         em.attach_telemetry(&live);
         em.finalize_residual();
@@ -811,8 +806,8 @@ mod tests {
     #[test]
     fn unsequenced_datagrams_still_count() {
         let mut em = ReportEmitter::new(7, ReportConfig::default());
-        em.observe(1, None);
-        em.observe(1, None);
+        em.observe_on(0, 1, None);
+        em.observe_on(0, 1, None);
         let r = em.flush().unwrap();
         assert_eq!(r.entries[0].received, 2);
         assert_eq!(r.entries[0].lost, 0);

@@ -2084,7 +2084,7 @@ mod tests {
         let mut link = LinkEmulator::new(model, 17);
         let mut digests = 0u64;
         while let Some(dg) = stream.next_datagram().unwrap() {
-            for delivered in link.transmit(&dg) {
+            for delivered in link.transmit_batch(&[&dg]) {
                 receiver.push_datagram(&delivered).unwrap();
             }
             if let Some(report) = receiver.poll_report() {

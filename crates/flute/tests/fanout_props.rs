@@ -133,7 +133,7 @@ proptest! {
                 continue;
             }
             delivered += 1;
-            em.observe(1, Some((start + i as u32) % SEQ_MODULUS));
+            em.observe_on(0, 1, Some((start + i as u32) % SEQ_MODULUS));
             if let Some(d) = em.poll() {
                 ingest(&mut agg, d);
             }

@@ -151,13 +151,8 @@ impl Decoder {
         }
     }
 
-    /// Feeds one received packet (`id < n`; ids `0..k` are source packets):
-    /// [`Decoder::push_batch`] of one.
-    pub fn push(&mut self, id: u32, payload: &[u8]) -> Result<PushOutcome, LdgmError> {
-        self.push_batch(&[(id, payload)])
-    }
-
-    /// Feeds a burst of received packets in order.
+    /// Feeds a burst of received packets in order (`id < n`; ids `0..k`
+    /// are source packets). One packet is a batch of one.
     ///
     /// The whole batch is validated up front and duplicate/known variables
     /// are skipped without entering the peeling machinery, so a receiver
@@ -348,7 +343,7 @@ mod tests {
         let (m, src, _) = setup(20, 50, RightSide::Staircase, 1, 8);
         let mut d = Decoder::new(m.clone(), 8);
         for (i, s) in src.iter().enumerate() {
-            let out = d.push(i as u32, s).unwrap();
+            let out = d.push_batch(&[(i as u32, s)]).unwrap();
             if i + 1 == src.len() {
                 assert!(out.is_complete());
             }
@@ -377,7 +372,7 @@ mod tests {
             let mut d = Decoder::new(m.clone(), 16);
             let mut complete_at = None;
             for (i, (id, pl)) in packets.iter().enumerate() {
-                if d.push(*id, pl).unwrap().is_complete() {
+                if d.push_batch(&[(*id, pl)]).unwrap().is_complete() {
                     complete_at = Some(i + 1);
                     break;
                 }
@@ -407,7 +402,7 @@ mod tests {
         for window in all.chunks(13) {
             batched.push_batch(window).unwrap();
             for &(id, payload) in window {
-                sequential.push(id, payload).unwrap();
+                sequential.push_batch(&[(id, payload)]).unwrap();
             }
             assert_eq!(batched.decoded_source(), sequential.decoded_source());
             assert_eq!(batched.received(), sequential.received());
@@ -443,10 +438,10 @@ mod tests {
         let (m, src, _) = setup(10, 30, RightSide::Staircase, 5, 4);
         let mut d = Decoder::new(m.clone(), 4);
         assert!(matches!(
-            d.push(0, &src[0]).unwrap(),
+            d.push_batch(&[(0, &src[0])]).unwrap(),
             PushOutcome::Progress { .. }
         ));
-        assert_eq!(d.push(0, &src[0]).unwrap(), PushOutcome::Useless);
+        assert_eq!(d.push_batch(&[(0, &src[0])]).unwrap(), PushOutcome::Useless);
         assert_eq!(d.received(), 2);
     }
 
@@ -455,7 +450,7 @@ mod tests {
         let (m, _, _) = setup(10, 30, RightSide::Staircase, 5, 4);
         let mut d = Decoder::new(m.clone(), 4);
         assert_eq!(
-            d.push(30, &[0u8; 4]),
+            d.push_batch(&[(30, &[0u8; 4])]),
             Err(LdgmError::BadPacketId { id: 30, n: 30 })
         );
     }
@@ -465,7 +460,7 @@ mod tests {
         let (m, _, _) = setup(10, 30, RightSide::Staircase, 5, 4);
         let mut d = Decoder::new(m.clone(), 4);
         assert!(matches!(
-            d.push(0, &[0u8; 5]),
+            d.push_batch(&[(0, &[0u8; 5])]),
             Err(LdgmError::SymbolLengthMismatch { .. })
         ));
     }
@@ -481,7 +476,7 @@ mod tests {
         let (m, src, parity) = setup(k, 250, RightSide::Staircase, 9, 4);
         let mut d = Decoder::new(m.clone(), 4);
         for (i, p) in parity.iter().enumerate() {
-            let out = d.push((k + i) as u32, p).unwrap();
+            let out = d.push_batch(&[((k + i) as u32, p)]).unwrap();
             assert!(!out.is_complete(), "decoded from parity alone?!");
         }
         assert_eq!(d.decoded_source(), 0, "no equation should have activated");
@@ -491,7 +486,7 @@ mod tests {
         let mut fed = 0;
         for (i, s) in src.iter().enumerate() {
             fed += 1;
-            if d.push(i as u32, s).unwrap().is_complete() {
+            if d.push_batch(&[(i as u32, s)]).unwrap().is_complete() {
                 break;
             }
         }
@@ -504,7 +499,7 @@ mod tests {
     fn into_source_is_none_when_incomplete() {
         let (m, src, _) = setup(10, 30, RightSide::Triangle, 13, 4);
         let mut d = Decoder::new(m.clone(), 4);
-        d.push(0, &src[0]).unwrap();
+        d.push_batch(&[(0, &src[0])]).unwrap();
         assert!(d.into_source().is_none());
     }
 
@@ -513,7 +508,7 @@ mod tests {
         let (m, src, _) = setup(10, 30, RightSide::Staircase, 15, 4);
         let mut d = Decoder::new(m.clone(), 4);
         assert!(d.source_packet(0).is_none());
-        d.push(0, &src[0]).unwrap();
+        d.push_batch(&[(0, &src[0])]).unwrap();
         assert_eq!(d.source_packet(0), Some(src[0].as_slice()));
     }
 
@@ -533,7 +528,7 @@ mod tests {
             } else {
                 &parity[id as usize - 50]
             };
-            d.push(id, payload).unwrap();
+            d.push_batch(&[(id, payload)]).unwrap();
             let stats = d.memory_stats();
             assert!(stats.current_symbols <= stats.peak_symbols);
             // Bound: variables (n) + accumulators (m).
@@ -566,7 +561,7 @@ mod tests {
                 } else {
                     &parity[id as usize - k]
                 };
-                if d.push(id, payload).unwrap().is_complete() {
+                if d.push_batch(&[(id, payload)]).unwrap().is_complete() {
                     break;
                 }
             }
@@ -614,7 +609,7 @@ mod tests {
                 let budget = (k as f64 * 1.4) as usize;
                 let mut d = Decoder::new(m.clone(), 4);
                 for (id, pl) in packets.iter().take(budget) {
-                    if d.push(*id, pl).unwrap().is_complete() {
+                    if d.push_batch(&[(*id, pl)]).unwrap().is_complete() {
                         break;
                     }
                 }

@@ -251,7 +251,7 @@ mod tests {
                     } else {
                         &parity[id as usize - k]
                     };
-                    dec.push(id, payload).unwrap();
+                    dec.push_batch(&[(id, payload)]).unwrap();
                 }
                 assert!(dec.try_complete(), "{right} seed {seed}");
                 assert_eq!(dec.into_source().unwrap(), src, "{right} seed {seed}");
@@ -282,13 +282,13 @@ mod tests {
         };
         let mut dec = Decoder::new(Arc::clone(&m), len);
         for &id in &order[..need - 1] {
-            dec.push(id, payload_of(id)).unwrap();
+            dec.push_batch(&[(id, payload_of(id))]).unwrap();
         }
         assert!(!dec.try_complete(), "must fail one packet short");
         // Delivering the final packet must now finish (possibly via a second
         // elimination): partial injections from the failed attempt must not
         // have corrupted state.
-        dec.push(order[need - 1], payload_of(order[need - 1]))
+        dec.push_batch(&[(order[need - 1], payload_of(order[need - 1]))])
             .unwrap();
         assert!(dec.try_complete());
         assert_eq!(dec.into_source().unwrap(), src);
@@ -303,7 +303,7 @@ mod tests {
         assert_eq!(ml_necessary(&m, &order), None);
         let mut dec = StructuralDecoder::new(&m);
         for id in 0..30 {
-            dec.push(id);
+            dec.push_batch(&[id]);
         }
         // 30 sources received: 10 still unknown, residual must not claim
         // victory... but all unknowns ARE determined? No: only 30 of 40
@@ -319,7 +319,7 @@ mod tests {
         let m = build(30, 75, RightSide::Triangle, 8);
         let mut dec = StructuralDecoder::new(&m);
         for id in 0..30 {
-            let done = dec.push(id);
+            let done = dec.push_batch(&[id]).is_some();
             assert_eq!(done, id == 29);
         }
         assert!(dec.is_complete() && dec.ml_complete());
@@ -332,9 +332,9 @@ mod tests {
         let mut with_dups = StructuralDecoder::new(&m);
         let mut without = StructuralDecoder::new(&m);
         for id in 0..35u32 {
-            with_dups.push(id);
-            with_dups.push(id); // duplicate
-            without.push(id);
+            with_dups.push_batch(&[id]);
+            with_dups.push_batch(&[id]); // duplicate
+            without.push_batch(&[id]);
         }
         assert_eq!(with_dups.ml_complete(), without.ml_complete());
         assert_eq!(with_dups.received(), 70);

@@ -24,25 +24,17 @@ impl<'m> StructuralDecoder<'m> {
         }
     }
 
-    /// Feeds one received packet id; returns `true` once all `k` source
-    /// packets are known.
+    /// Feeds a window of received packet ids (one id is a window of one);
+    /// every id is counted.
     ///
-    /// # Panics
-    /// Panics on an out-of-range id (scheduler bug, not channel input).
-    pub fn push(&mut self, id: u32) -> bool {
-        self.push_batch(&[id]);
-        self.is_complete()
-    }
-
-    /// Feeds a whole window of received packet ids; every id is counted.
-    ///
-    /// Returns the index within `ids` at which decoding first completed,
-    /// or `None` if the decoder is still incomplete afterwards. The sweep
+    /// Returns the index within `ids` of the first id after which all `k`
+    /// source packets are known (`Some(0)` if they already were), or
+    /// `None` if the decoder is still incomplete afterwards. The sweep
     /// engine feeds loss-schedule batches through this to amortise its
     /// per-packet dispatch.
     ///
     /// # Panics
-    /// Panics on an out-of-range id.
+    /// Panics on an out-of-range id (scheduler bug, not channel input).
     pub fn push_batch(&mut self, ids: &[u32]) -> Option<usize> {
         let mut done_at = None;
         for (i, &id) in ids.iter().enumerate() {
@@ -121,7 +113,7 @@ mod tests {
         let m = SparseMatrix::build(LdgmParams::new(15, 40, RightSide::Staircase, 2)).unwrap();
         let mut d = StructuralDecoder::new(&m);
         for i in 0..15u32 {
-            let done = d.push(i);
+            let done = d.push_batch(&[i]).is_some();
             assert_eq!(done, i == 14);
         }
     }
@@ -130,8 +122,8 @@ mod tests {
     fn duplicates_counted_but_useless() {
         let m = SparseMatrix::build(LdgmParams::new(10, 30, RightSide::Staircase, 2)).unwrap();
         let mut d = StructuralDecoder::new(&m);
-        d.push(0);
-        d.push(0);
+        d.push_batch(&[0]);
+        d.push_batch(&[0]);
         assert_eq!(d.received(), 2);
         assert_eq!(d.decoded_source(), 1);
     }
@@ -140,9 +132,9 @@ mod tests {
     fn reset_restores_initial_state() {
         let m = SparseMatrix::build(LdgmParams::new(10, 30, RightSide::Triangle, 2)).unwrap();
         let mut d = StructuralDecoder::new(&m);
-        let trace1: Vec<bool> = (0..10u32).map(|i| d.push(i)).collect();
+        let trace1: Vec<bool> = (0..10u32).map(|i| d.push_batch(&[i]).is_some()).collect();
         d.reset();
-        let trace2: Vec<bool> = (0..10u32).map(|i| d.push(i)).collect();
+        let trace2: Vec<bool> = (0..10u32).map(|i| d.push_batch(&[i]).is_some()).collect();
         assert_eq!(trace1, trace2);
     }
 
@@ -150,6 +142,6 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_id_is_a_bug() {
         let m = SparseMatrix::build(LdgmParams::new(10, 30, RightSide::Staircase, 2)).unwrap();
-        StructuralDecoder::new(&m).push(30);
+        StructuralDecoder::new(&m).push_batch(&[30]);
     }
 }

@@ -185,8 +185,10 @@ fn check_instance(right: RightSide, matrix_seed: u64, orders: usize) {
         for (i, &id) in order.iter().enumerate() {
             oracle[id as usize] = Some(inst.symbols[id as usize].clone());
             inst.peel(&mut oracle);
-            bytes.push(id, &inst.symbols[id as usize]).unwrap();
-            index.push(id);
+            bytes
+                .push_batch(&[(id, &inst.symbols[id as usize])])
+                .unwrap();
+            index.push_batch(&[id]);
             if bytes_done.is_none() {
                 // The byte decoder stops learning once the object is whole.
                 for (v, held) in oracle.iter().enumerate() {
@@ -250,8 +252,10 @@ fn check_instance(right: RightSide, matrix_seed: u64, orders: usize) {
             let mut bytes = Decoder::new(Arc::clone(&inst.matrix), SYM);
             let mut index = StructuralDecoder::new(&inst.matrix);
             for &id in &order[..cut] {
-                bytes.push(id, &inst.symbols[id as usize]).unwrap();
-                index.push(id);
+                bytes
+                    .push_batch(&[(id, &inst.symbols[id as usize])])
+                    .unwrap();
+                index.push_batch(&[id]);
             }
             assert_eq!(index.ml_complete(), expect, "{ctx}: ml_complete @{cut}");
             assert_eq!(bytes.try_complete(), expect, "{ctx}: try_complete @{cut}");

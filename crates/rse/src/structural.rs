@@ -39,42 +39,28 @@ impl StructuralObjectDecoder {
         }
     }
 
-    /// Feeds one received packet, identified by `(block, esi)`.
-    ///
-    /// Returns `true` once the whole object is decodable. Duplicate packets
-    /// are counted as received (they consume channel budget) but are useless.
+    /// Feeds a window of `(block, esi)` arrivals (one packet is a window
+    /// of one). Every packet is counted as received; a duplicate consumes
+    /// channel budget but is useless. Returns the index within `packets`
+    /// of the first packet after which the whole object is decodable
+    /// (`Some(0)` if it already was), or `None` if still short afterwards.
     ///
     /// # Panics
     /// Panics on out-of-range block or ESI — the scheduler can never produce
     /// those, so this is an internal-consistency assertion, not I/O handling.
-    pub fn push(&mut self, block: usize, esi: usize) -> bool {
-        self.received += 1;
-        let seen = &mut self.seen[block];
-        assert!(esi < seen.len(), "ESI {esi} out of range for block {block}");
-        if seen[esi] {
-            return self.is_decoded();
-        }
-        seen[esi] = true;
-        if self.missing[block] > 0 {
-            self.missing[block] -= 1;
-            if self.missing[block] == 0 {
-                self.blocks_pending -= 1;
-            }
-        }
-        self.is_decoded()
-    }
-
-    /// Feeds a whole window of `(block, esi)` arrivals; every packet is
-    /// counted. Returns the index within `packets` at which the object
-    /// first became decodable (what a [`StructuralObjectDecoder::push`]
-    /// loop would report), or `None` if still short afterwards.
-    ///
-    /// # Panics
-    /// Panics on an out-of-range block or ESI.
     pub fn push_batch(&mut self, packets: &[(usize, usize)]) -> Option<usize> {
         let mut done_at = None;
         for (i, &(block, esi)) in packets.iter().enumerate() {
-            if self.push(block, esi) && done_at.is_none() {
+            self.received += 1;
+            let seen = &mut self.seen[block];
+            assert!(esi < seen.len(), "ESI {esi} out of range for block {block}");
+            if !std::mem::replace(&mut seen[esi], true) && self.missing[block] > 0 {
+                self.missing[block] -= 1;
+                if self.missing[block] == 0 {
+                    self.blocks_pending -= 1;
+                }
+            }
+            if done_at.is_none() && self.is_decoded() {
                 done_at = Some(i);
             }
         }
@@ -102,10 +88,10 @@ mod tests {
     fn single_block_decodes_at_k() {
         let p = Partition::new(4, 10, 2.0);
         let mut d = StructuralObjectDecoder::new(&p);
-        assert!(!d.push(0, 0));
-        assert!(!d.push(0, 7)); // parity counts the same
-        assert!(!d.push(0, 2));
-        assert!(d.push(0, 5));
+        assert!(d.push_batch(&[(0, 0)]).is_none());
+        assert!(d.push_batch(&[(0, 7)]).is_none()); // parity counts the same
+        assert!(d.push_batch(&[(0, 2)]).is_none());
+        assert!(d.push_batch(&[(0, 5)]).is_some());
         assert_eq!(d.received(), 4);
     }
 
@@ -113,10 +99,10 @@ mod tests {
     fn duplicates_consume_budget_but_do_not_help() {
         let p = Partition::new(2, 10, 2.0);
         let mut d = StructuralObjectDecoder::new(&p);
-        assert!(!d.push(0, 0));
-        assert!(!d.push(0, 0));
-        assert!(!d.push(0, 0));
-        assert!(d.push(0, 1));
+        assert!(d.push_batch(&[(0, 0)]).is_none());
+        assert!(d.push_batch(&[(0, 0)]).is_none());
+        assert!(d.push_batch(&[(0, 0)]).is_none());
+        assert!(d.push_batch(&[(0, 1)]).is_some());
         assert_eq!(d.received(), 4);
     }
 
@@ -126,11 +112,11 @@ mod tests {
         let p = Partition::new(4, 2, 2.0);
         assert_eq!(p.num_blocks(), 2);
         let mut d = StructuralObjectDecoder::new(&p);
-        assert!(!d.push(0, 0));
-        assert!(!d.push(0, 1)); // block 0 done
-        assert!(!d.push(0, 2)); // extra for block 0: useless
-        assert!(!d.push(1, 3));
-        assert!(d.push(1, 0)); // block 1 done -> object done
+        assert!(d.push_batch(&[(0, 0)]).is_none());
+        assert!(d.push_batch(&[(0, 1)]).is_none()); // block 0 done
+        assert!(d.push_batch(&[(0, 2)]).is_none()); // extra for block 0: useless
+        assert!(d.push_batch(&[(1, 3)]).is_none());
+        assert!(d.push_batch(&[(1, 0)]).is_some()); // block 1 done -> object done
         assert_eq!(d.received(), 5);
     }
 
@@ -138,8 +124,8 @@ mod tests {
     fn extra_packets_after_decode_still_counted_as_received() {
         let p = Partition::new(1, 10, 3.0);
         let mut d = StructuralObjectDecoder::new(&p);
-        assert!(d.push(0, 0));
-        assert!(d.push(0, 1));
+        assert!(d.push_batch(&[(0, 0)]).is_some());
+        assert!(d.push_batch(&[(0, 1)]).is_some());
         assert_eq!(d.received(), 2);
     }
 
@@ -148,6 +134,6 @@ mod tests {
     fn esi_out_of_range_is_a_bug() {
         let p = Partition::new(2, 10, 1.5);
         let mut d = StructuralObjectDecoder::new(&p);
-        d.push(0, 3); // n = floor(2*1.5) = 3 -> esi 3 invalid
+        d.push_batch(&[(0, 3)]); // n = floor(2*1.5) = 3 -> esi 3 invalid
     }
 }

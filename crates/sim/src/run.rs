@@ -52,13 +52,19 @@ struct CouponCounting<'l> {
 }
 
 impl StructuralSession for CouponCounting<'_> {
-    fn add(&mut self, r: PacketRef) -> bool {
-        let g = self.layout.global_index(r) as usize;
-        if self.layout.is_source(r) && !self.seen[g] {
-            self.seen[g] = true;
-            self.missing -= 1;
+    fn add_batch(&mut self, batch: &[PacketRef]) -> Option<usize> {
+        let mut done_at = None;
+        for (i, &r) in batch.iter().enumerate() {
+            let g = self.layout.global_index(r) as usize;
+            if self.layout.is_source(r) && !self.seen[g] {
+                self.seen[g] = true;
+                self.missing -= 1;
+            }
+            if done_at.is_none() && self.missing == 0 {
+                done_at = Some(i);
+            }
         }
-        self.missing == 0
+        done_at
     }
 }
 
@@ -434,6 +440,31 @@ mod tests {
         // Must wait for the last distinct coupon; with 2 copies shuffled the
         // expected completion is deep into the stream.
         assert!(out.n_necessary.unwrap() > 100);
+    }
+
+    #[test]
+    fn repetition_baseline_completes_at_the_last_new_coupon() {
+        // On a perfect channel the no-FEC run completes one past the packet
+        // that brings the last distinct source symbol of the schedule the
+        // run walks (it holds no parity). k = 300 puts that point past the
+        // first `WALK_BATCH` window.
+        let tx = TxModel::RepeatSource { copies: 2 };
+        let r = Runner::new(exp(builtin::rse(), 300, ExpansionRatio::R2_5, tx), 1).unwrap();
+        for (master, run_idx) in [(9, 0), (9, 1), (21, 5)] {
+            let schedule = tx.schedule(&r.layout, mix_seed(master, &[TAG_SCHED, run_idx]));
+            let mut seen = vec![false; r.layout.total_packets() as usize];
+            let last_new = (0..schedule.len())
+                .filter(|&i| {
+                    !std::mem::replace(&mut seen[r.layout.global_index(schedule[i]) as usize], true)
+                })
+                .last()
+                .unwrap();
+            assert!(last_new >= Runner::WALK_BATCH, "{last_new}");
+            for track_total in [false, true] {
+                let got = r.run(master, run_idx, track_total).n_necessary;
+                assert_eq!(got, Some(last_new as u64 + 1), "{master}/{run_idx}");
+            }
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use fec_broadcast::codec::{
     conformance, registry, CodecError, DecodeProgress, Decoder, Encoder, Envelope, ErasureCode,
-    SessionParams, StructuralFactory, StructuralSession,
+    SessionParams, StructuralFactory, StructuralSession, Symbol,
 };
 use fec_broadcast::prelude::*;
 
@@ -124,9 +124,11 @@ struct XorDecoder {
 }
 
 impl Decoder for XorDecoder {
-    fn add_symbol(&mut self, r: PacketRef, payload: &[u8]) -> Result<DecodeProgress, CodecError> {
-        self.received += 1;
-        self.have[r.esi as usize].get_or_insert_with(|| payload.to_vec());
+    fn add_symbols(&mut self, batch: &[Symbol<'_>]) -> Result<DecodeProgress, CodecError> {
+        for s in batch {
+            self.received += 1;
+            self.have[s.packet.esi as usize].get_or_insert_with(|| s.payload.to_vec());
+        }
         Ok(self.progress())
     }
 
@@ -184,12 +186,18 @@ struct XorStructural {
 }
 
 impl StructuralSession for XorStructural {
-    fn add(&mut self, r: PacketRef) -> bool {
-        if !self.seen[r.esi as usize] {
-            self.seen[r.esi as usize] = true;
-            self.distinct += 1;
+    fn add_batch(&mut self, batch: &[PacketRef]) -> Option<usize> {
+        let mut done_at = None;
+        for (i, r) in batch.iter().enumerate() {
+            if !self.seen[r.esi as usize] {
+                self.seen[r.esi as usize] = true;
+                self.distinct += 1;
+            }
+            if done_at.is_none() && self.distinct >= self.k {
+                done_at = Some(i);
+            }
         }
-        self.distinct >= self.k
+        done_at
     }
 }
 

@@ -470,7 +470,8 @@ impl DigestSource for BatchReceiver {
 /// CLI; a session without a [`DigestSource`] uses neither.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SendConfig {
-    /// Sliding estimation window of the channel estimator, in packets.
+    /// Sliding estimation window of the channel estimator, in packets;
+    /// at least 2 (one transition), or [`send_session`] refuses it.
     pub window: usize,
     /// Datagrams between re-plan rounds (each round also advances the
     /// aggregator's idle-eviction clock).
@@ -657,6 +658,9 @@ pub fn send_session<P: PathSink>(
 ) -> Result<SendOutcome, String> {
     if paths.is_empty() {
         return Err("a session needs at least one path".into());
+    }
+    if config.window < 2 {
+        return Err("an estimation window needs at least 2 packets (one transition)".into());
     }
     let tsi = session.tsi();
     let fdt = session.fdt();

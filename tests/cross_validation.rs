@@ -56,7 +56,7 @@ fn run_both(
         if receiver.push(r, symbol).expect("ok").is_decoded() && payload_done.is_none() {
             payload_done = Some(received);
         }
-        if structural.add(r) && structural_done.is_none() {
+        if structural.add_batch(&[r]).is_some() && structural_done.is_none() {
             structural_done = Some(received);
         }
         if payload_done.is_some() && structural_done.is_some() {

@@ -146,6 +146,22 @@ fn a_session_nobody_reports_on_is_the_full_schedule_once() {
     }
 }
 
+/// A window too short to hold one transition is refused up front, like
+/// an empty path list, even when nobody reports and the estimator would
+/// never see a packet.
+#[test]
+fn a_window_below_two_packets_is_an_error_not_a_panic() {
+    let session = build_session();
+    for window in [0, 1] {
+        let (world, mut paths, _) = World::new(vec![member(4, 0.02, 0.4, 1)], 1);
+        let config = SendConfig { window, ..CONFIG };
+        let err = live::send_session(&session, 0x5EED, &mut paths, None, &config, None)
+            .expect_err("window < 2 must be refused");
+        assert!(err.contains("estimation window"), "{err}");
+        assert_eq!(world.borrow().offered, 0, "nothing may leave");
+    }
+}
+
 /// The controller moves to a ratio-1.5 tuple and the objects still to
 /// come are redeployed under it, so the session's full schedule shrinks;
 /// then the path dies with objects left open. The plan runs dry, the
