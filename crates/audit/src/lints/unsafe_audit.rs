@@ -18,9 +18,14 @@ use crate::baseline::Baseline;
 use crate::{lexer, Diagnostic, Options, Outcome, Workspace};
 
 /// Path prefixes (workspace-relative) where `unsafe` is permitted: the
-/// SIMD kernel backends and the wire engine's raw `sendmmsg`/`recvmmsg`
-/// syscall shim.
-const ALLOWED_MODULES: [&str; 2] = ["crates/gf256/src/kernels/", "crates/wire/src/sys.rs"];
+/// SIMD kernel backends, the wire engine's raw `sendmmsg`/`recvmmsg`
+/// syscall shim, and the counting `#[global_allocator]` of the decoder
+/// allocation test (a test binary; `GlobalAlloc` is an unsafe trait).
+const ALLOWED_MODULES: [&str; 3] = [
+    "crates/gf256/src/kernels/",
+    "crates/wire/src/sys.rs",
+    "crates/core/tests/decode_allocations.rs",
+];
 
 /// Baseline file, relative to the workspace root.
 pub const BASELINE_PATH: &str = "audit/unsafe.baseline.toml";
@@ -80,8 +85,8 @@ pub fn run(ws: &Workspace, opts: &Options) -> Result<Outcome, String> {
                 lint: LINT,
                 message: format!(
                     "`unsafe` outside the allowlisted modules ({}); keep unsafe code \
-                     confined to the SIMD kernel backends and the wire syscall shim, \
-                     or extend the allowlist in \
+                     confined to the SIMD kernel backends, the wire syscall shim and \
+                     the allocation-counting test, or extend the allowlist in \
                      crates/audit/src/lints/unsafe_audit.rs with a review",
                     ALLOWED_MODULES.join(", ")
                 ),

@@ -1,10 +1,10 @@
 //! §7 future work, made measurable: "Other performance metrics will also be
 //! added, like the maximum memory requirements needed in each case."
 //!
-//! The LDGM payload decoder counts its live symbol buffers (retained source
-//! values, transient parity values, equation accumulators) and frees each
-//! parity payload as soon as it has been folded into its equations —
-//! streaming decoding. This bench profiles the peak across the six
+//! The LDGM payload decoder counts the symbols it must hold (retained
+//! source values, transient parity values, equation accumulators; a
+//! logical count, not allocations) and drops each parity value as soon as
+//! it has been folded into its equations — streaming decoding. This bench profiles the peak across the six
 //! transmission models and both codes on a mid-loss channel, quantifying a
 //! point the paper never measured: any order stays below `k + (n-k)`
 //! buffers, and parity-heavy schedules (Tx3, Tx6) are the memory-*friendly*

@@ -269,9 +269,9 @@ impl Decoder for LdgmSessionDecoder {
         }
     }
 
-    fn into_source(self: Box<Self>) -> Result<Vec<Vec<u8>>, CodecError> {
+    fn into_source(self: Box<Self>) -> Result<Vec<u8>, CodecError> {
         let progress = self.progress();
-        self.inner.into_source().ok_or(CodecError::NotDecoded {
+        self.inner.into_object().ok_or(CodecError::NotDecoded {
             decoded: progress.decoded_source,
             needed: progress.total_source,
         })

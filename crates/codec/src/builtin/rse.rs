@@ -129,23 +129,30 @@ impl ErasureCode for RseCode {
     fn decoder(&self, params: &SessionParams) -> Result<Box<dyn Decoder>, CodecError> {
         let partition = self.partition(params.k, params.ratio)?;
         let (codecs, codec_of) = block_codecs(&partition)?;
+        let mut first = 0;
         let blocks = partition
             .blocks()
             .iter()
             .zip(codec_of)
-            .map(|(b, codec)| RseBlock {
-                k: b.k,
-                codec,
-                packets: Vec::with_capacity(b.k),
-                seen: vec![false; b.n],
-                src_received: 0,
-                solved: None,
+            .map(|(b, codec)| {
+                first += b.k;
+                RseBlock {
+                    k: b.k,
+                    codec,
+                    first: first - b.k,
+                    seen: vec![false; b.n],
+                    src_received: 0,
+                    parity: Vec::new(),
+                    solved: false,
+                }
             })
             .collect();
         Ok(Box::new(RseSessionDecoder {
             k: params.k,
+            symbol_size: params.symbol_size,
             codecs,
             blocks,
+            object: vec![0u8; params.k * params.symbol_size],
             decoded_source: 0,
             received: 0,
         }))
@@ -201,84 +208,114 @@ struct RseBlock {
     k: usize,
     /// Index of this block's codec in the session's `codecs`.
     codec: usize,
-    /// Distinct received `(esi, payload)` pairs (until decoded).
-    packets: Vec<(u32, Vec<u8>)>,
+    /// Object index of the block's first source symbol.
+    first: usize,
     /// Which ESIs were seen (duplicate filter).
     seen: Vec<bool>,
-    /// Distinct *source* packets among them (already-known symbols).
+    /// Distinct source symbols received (each written into the object).
     src_received: usize,
-    /// Recovered source symbols once `k` packets arrived.
-    solved: Option<Vec<Vec<u8>>>,
+    /// Received `(esi, payload)` parity, only as many as the block can
+    /// use; freed when it solves.
+    parity: Vec<(u32, Vec<u8>)>,
+    solved: bool,
+}
+
+impl RseBlock {
+    /// Whether the block holds `k` distinct symbols.
+    fn solvable(&self) -> bool {
+        self.src_received + self.parity.len() >= self.k
+    }
 }
 
 struct RseSessionDecoder {
     k: usize,
+    symbol_size: usize,
     codecs: Vec<RseCodec>,
     blocks: Vec<RseBlock>,
+    /// The `k` source symbols back to back: the decoded object.
+    object: Vec<u8>,
     decoded_source: usize,
     received: u64,
 }
 
-/// Solves `block` from its buffered packets (call once it holds at least
-/// `k` distinct symbols). Only the first `k` are used, so a deferred
-/// batched solve and an eager per-symbol solve produce identical output.
-/// Received source payloads move into the result; only the erased ones are
-/// computed.
-fn solve_block(codecs: &[RseCodec], block: &mut RseBlock) -> Result<usize, CodecError> {
-    block.packets.truncate(block.k);
-    let refs: Vec<(u32, &[u8])> = block
-        .packets
-        .iter()
-        .map(|(esi, b)| (*esi, b.as_slice()))
+/// Solves `block` (call once it is solvable) from its received sources,
+/// read in place in `object`, and the parity that completes `k` of them
+/// (`recover_missing` reads the first `k`). Any `k` distinct symbols of
+/// an MDS code give the same bytes, so a deferred batched solve and an
+/// eager per-symbol solve agree. Only the erased sources are computed;
+/// each is copied into its place.
+fn solve_block(
+    codecs: &[RseCodec],
+    block: &mut RseBlock,
+    object: &mut [u8],
+    len: usize,
+) -> Result<usize, CodecError> {
+    let missing = block.k - block.src_received;
+    let sources = &object[block.first * len..(block.first + block.k) * len];
+    let received: Vec<(u32, &[u8])> = (0..block.k)
+        .filter(|&j| block.seen[j])
+        .map(|j| (j as u32, &sources[j * len..(j + 1) * len]))
+        .chain(block.parity.iter().map(|(esi, p)| (*esi, p.as_slice())))
         .collect();
     let recovered = codecs[block.codec]
-        .recover_missing(&refs)
+        .recover_missing(&received)
         .map_err(|e| CodecError::Decode {
             code: "rse".into(),
             source: Box::new(e),
         })?;
-    let mut solved = vec![Vec::new(); block.k];
-    for (esi, payload) in std::mem::take(&mut block.packets)
-        .into_iter()
-        .chain(recovered)
-    {
-        if (esi as usize) < block.k {
-            solved[esi as usize] = payload;
-        }
+    for (esi, payload) in recovered {
+        let at = (block.first + esi as usize) * len;
+        object[at..at + len].copy_from_slice(&payload);
     }
-    block.solved = Some(solved);
-    Ok(block.k - block.src_received)
+    block.solved = true;
+    block.parity = Vec::new();
+    Ok(missing)
 }
 
 impl Decoder for RseSessionDecoder {
     fn add_symbols(&mut self, batch: &[Symbol<'_>]) -> Result<DecodeProgress, CodecError> {
-        // Buffer the whole burst first, then solve each block it completed
+        // Every length is checked before anything is consumed: a symbol is
+        // written into the object as it is taken.
+        let len = self.symbol_size;
+        if let Some(s) = batch.iter().find(|s| s.payload.len() != len) {
+            return Err(CodecError::Decode {
+                code: "rse".into(),
+                source: Box::new(RseError::SymbolLengthMismatch {
+                    expected: len,
+                    got: s.payload.len(),
+                }),
+            });
+        }
+        // Take the whole burst first, then solve each block it completed
         // exactly once — and look at no block the burst did not touch (an
         // object at the paper's k = 20 000 has 118 of them).
         self.received += batch.len() as u64;
         let mut solvable: Vec<u32> = Vec::new();
         for s in batch {
-            let esi = s.packet.esi;
+            let esi = s.packet.esi as usize;
             let block = &mut self.blocks[s.packet.block as usize];
-            if block.solved.is_some() || block.seen[esi as usize] {
+            if block.solved || block.seen[esi] {
                 continue; // a duplicate, or its block is already whole
             }
-            block.seen[esi as usize] = true;
-            block.packets.push((esi, s.payload.to_vec()));
-            if (esi as usize) < block.k {
+            block.seen[esi] = true;
+            if esi < block.k {
                 // A systematic source symbol is known the moment it arrives,
                 // before the block as a whole decodes.
+                let at = (block.first + esi) * len;
+                self.object[at..at + len].copy_from_slice(s.payload);
                 block.src_received += 1;
                 self.decoded_source += 1;
+            } else if !block.solvable() {
+                block.parity.push((esi as u32, s.payload.to_vec()));
             }
-            if block.packets.len() >= block.k {
+            if block.solvable() {
                 solvable.push(s.packet.block);
             }
         }
         for b in solvable {
             let block = &mut self.blocks[b as usize];
-            if block.solved.is_none() {
-                self.decoded_source += solve_block(&self.codecs, block)?;
+            if !block.solved {
+                self.decoded_source += solve_block(&self.codecs, block, &mut self.object, len)?;
             }
         }
         Ok(self.progress())
@@ -292,18 +329,14 @@ impl Decoder for RseSessionDecoder {
         }
     }
 
-    fn into_source(self: Box<Self>) -> Result<Vec<Vec<u8>>, CodecError> {
+    fn into_source(self: Box<Self>) -> Result<Vec<u8>, CodecError> {
         if self.decoded_source != self.k {
             return Err(CodecError::NotDecoded {
                 decoded: self.decoded_source,
                 needed: self.k,
             });
         }
-        let mut out = Vec::with_capacity(self.k);
-        for b in self.blocks {
-            out.extend(b.solved.expect("all blocks decoded"));
-        }
-        Ok(out)
+        Ok(self.object)
     }
 }
 

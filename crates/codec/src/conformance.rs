@@ -172,10 +172,14 @@ fn decode_sequence(
         assert_eq!(progress.received, fed, "{ctx}: received must count pushes");
         assert_eq!(progress.total_source, k, "{ctx}: total_source");
         if progress.is_decoded() {
-            let mut out: Vec<u8> = dec
+            let mut out = dec
                 .into_source()
-                .unwrap_or_else(|e| panic!("{ctx}: into_source failed: {e}"))
-                .concat();
+                .unwrap_or_else(|e| panic!("{ctx}: into_source failed: {e}"));
+            assert_eq!(
+                out.len(),
+                k * SYMBOL_SIZE,
+                "{ctx}: into_source is k symbols"
+            );
             out.truncate(k * SYMBOL_SIZE - 5);
             return Some(out);
         }
@@ -289,7 +293,7 @@ pub fn check_shape(code: &CodecHandle, k: usize, ratio: f64) {
         schedule.len() as u64,
         "{ctx}: batched received count"
     );
-    let mut got: Vec<u8> = batched.into_source().expect("batched source").concat();
+    let mut got = batched.into_source().expect("batched source");
     got.truncate(object.len());
     assert_eq!(got, object, "{ctx}: batched byte mismatch");
 
@@ -411,10 +415,9 @@ fn check_batched_shape(code: &CodecHandle, k: usize, ratio: f64, symbol_size: us
         "{ctx}: every batched symbol (duplicates included) must be counted"
     );
     for (name, dec) in [("batched", batched), ("sequential", sequential)] {
-        let mut got: Vec<u8> = dec
+        let mut got = dec
             .into_source()
-            .unwrap_or_else(|e| panic!("{ctx}: {name} into_source failed: {e}"))
-            .concat();
+            .unwrap_or_else(|e| panic!("{ctx}: {name} into_source failed: {e}"));
         got.truncate(object.len());
         assert_eq!(got, object, "{ctx}: {name} byte mismatch");
     }

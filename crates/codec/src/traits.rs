@@ -129,9 +129,14 @@ pub trait Decoder: Send {
     /// Current progress snapshot.
     fn progress(&self) -> DecodeProgress;
 
-    /// Consumes the session, yielding the `k` source symbols in object
-    /// order. Fails with [`CodecError::NotDecoded`] before completion.
-    fn into_source(self: Box<Self>) -> Result<Vec<Vec<u8>>, CodecError>;
+    /// Consumes the session, yielding the object: the `k` source symbols
+    /// back to back in object order, `k × symbol_size` bytes in one
+    /// buffer. Fails with [`CodecError::NotDecoded`] before completion.
+    ///
+    /// The built-in decoders write each source symbol into that buffer
+    /// once, when it is received or solved, and hand the buffer over
+    /// here without copying it.
+    fn into_source(self: Box<Self>) -> Result<Vec<u8>, CodecError>;
 }
 
 /// A prepared index-only decoder pool for Monte-Carlo simulation.

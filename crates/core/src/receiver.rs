@@ -75,7 +75,8 @@ impl Receiver {
     ///
     /// The payloads may point anywhere — typically into the receive
     /// buffers a socket drain filled — and are only read during the call:
-    /// the decoder copies what it keeps into its own store, so a symbol
+    /// the built-in decoders copy a source symbol straight into the object
+    /// buffer [`into_object`](Self::into_object) hands over, so a symbol
     /// is copied once between the wire and the decoded object. The batch
     /// is validated against the session geometry first and rejected as a
     /// whole, with nothing consumed, if any symbol is outside the layout
@@ -101,7 +102,9 @@ impl Receiver {
         self.progress().is_decoded()
     }
 
-    /// Reassembles the object (consumes the receiver).
+    /// Hands over the decoded object (consumes the receiver): the
+    /// decoder's own buffer, with the last symbol's padding cut off. No
+    /// byte is copied.
     pub fn into_object(self) -> Result<Vec<u8>, CoreError> {
         let progress = self.progress();
         if !progress.is_decoded() {
@@ -110,15 +113,11 @@ impl Receiver {
                 needed: progress.total_source,
             });
         }
-        let symbols = self.decoder.into_source().map_err(|e| CoreError::Codec {
+        let mut object = self.decoder.into_source().map_err(|e| CoreError::Codec {
             detail: e.to_string(),
         })?;
-        let mut out = Vec::with_capacity(self.spec.k * self.symbol_size);
-        for s in symbols {
-            out.extend_from_slice(&s);
-        }
-        out.truncate(self.object_len);
-        Ok(out)
+        object.truncate(self.object_len);
+        Ok(object)
     }
 }
 

@@ -1,0 +1,103 @@
+//! Heap allocations per decoded object, counted from `Receiver::new` to
+//! `into_object` on the benchmark's three payload shapes.
+//!
+//! The built-in decoders keep one object buffer, write each source symbol
+//! into it once and hand it over from `into_object`, so the count does
+//! not grow with the number of symbols. The caps hold it there: a store
+//! that allocated per symbol again would make thousands.
+//!
+//! The counter is a `#[global_allocator]` over `std::alloc::System` that
+//! counts every allocation and reallocation made on the calling thread.
+//! It is the one `unsafe` outside the kernels and the syscall shim (the
+//! trait cannot be implemented without it), allowlisted by file in
+//! `fec-audit`.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use fec_channel::{GilbertChannel, GilbertParams, LossModel};
+use fec_codec::{builtin, Symbol};
+use fec_core::{CodeSpec, CodecHandle, ExpansionRatio, Receiver, Sender, TxModel};
+
+struct Counting;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+// SAFETY: both methods forward their arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; counting touches no memory
+// the allocator hands out. The provided `alloc_zeroed` and `realloc` go
+// through `alloc`, so they are counted too.
+unsafe impl GlobalAlloc for Counting {
+    // SAFETY: forwarded to `System::alloc` with the caller's layout.
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // A const-initialised `Cell` registers no destructor, so the slot
+        // stays reachable; ignoring `try_with`'s result keeps an
+        // allocation from ever panicking here.
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        System.alloc(layout)
+    }
+
+    // SAFETY: `ptr` came from this allocator, hence from `System`.
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+/// Allocations between `Receiver::new` and `into_object` (both
+/// included) for one object of `k` symbols of `symbol` bytes, sent under
+/// `tx` at ratio 1.5 through a seeded Gilbert(0.03, 0.4) gate when
+/// `lossy`, fed in bursts of 60.
+fn decode_allocations(code: CodecHandle, tx: TxModel, k: usize, symbol: usize, lossy: bool) -> u64 {
+    let spec = CodeSpec::new(code, k, ExpansionRatio::R1_5).with_matrix_seed(11);
+    let object: Vec<u8> = (0..k * symbol).map(|i| (i * 131 % 251) as u8).collect();
+    let sender = Sender::new(spec.clone(), &object, symbol).unwrap();
+    let mut gate = GilbertChannel::new(GilbertParams::new(0.03, 0.4).unwrap(), 7);
+    // Every symbol is encoded and the stream gated before counting starts.
+    let stream: Vec<Symbol<'_>> = tx
+        .schedule(sender.layout(), 3)
+        .into_iter()
+        .filter(|_| !(lossy && gate.next_is_lost()))
+        .map(|packet| Symbol {
+            packet,
+            payload: sender.symbol(packet).unwrap(),
+        })
+        .collect();
+
+    let before = allocations();
+    let mut rx = Receiver::new(spec, object.len(), symbol).unwrap();
+    for burst in stream.chunks(60) {
+        if rx.push_symbols(burst).unwrap().is_decoded() {
+            break;
+        }
+    }
+    let decoded = rx.into_object().unwrap();
+    let made = allocations() - before;
+    assert_eq!(decoded, object, "byte mismatch");
+    made
+}
+
+#[test]
+fn a_decoded_object_costs_a_bounded_number_of_allocations() {
+    // (workload, code, schedule, k, symbol bytes, lossy, cap); with one
+    // buffer per symbol the three made 3 187, 12 552 and 2 513.
+    #[rustfmt::skip]
+    let cases = [
+        ("bulk_ldgm", builtin::ldgm_triangle(), TxModel::Random, 2040, 1024, true, 256),
+        ("small_symbol", builtin::ldgm_staircase(), TxModel::Random, 8160, 64, false, 512),
+        ("bulk_rse", builtin::rse(), TxModel::Interleaved, 2040, 1024, true, 1024),
+    ];
+    for (name, code, tx, k, symbol, lossy, cap) in cases {
+        let made = decode_allocations(code, tx, k, symbol, lossy);
+        println!("{name}: {made} allocations (cap {cap})");
+        assert!(made <= cap, "{name}: {made} allocations, cap {cap}");
+    }
+}

@@ -8,7 +8,15 @@
 //! discovery cascades. Decoding can stop at any time and completes when
 //! all `k` source packets are known; [`Decoder::try_complete`] adds the
 //! GF(2) elimination of [`crate::gauss`] for a decoder that has stalled.
+//!
+//! The store is one object buffer of `k` symbols, which is also the
+//! decoder's output, plus fixed-size accumulator slots. A source symbol is
+//! written into the object once, when it is received or solved. An
+//! equation takes a slot on its first fold (a copy, so nothing is zeroed)
+//! and gives it back when it resolves; a solved parity waits in its
+//! equation's slot until the cascade pops it.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use fec_gf256::kernels::xor_slice;
@@ -17,6 +25,15 @@ use crate::bitmat::RowOp;
 use crate::gauss::Residual;
 use crate::peel::{Hook, Peeler};
 use crate::{LdgmError, SparseMatrix};
+
+/// Bytes per chunk of accumulator slots: well below the allocator's mmap
+/// threshold (128 KiB in glibc), above which every fresh chunk would
+/// fault its pages in one at a time.
+const SLOT_CHUNK_BYTES: usize = 32 << 10;
+
+/// "No slot": an equation before its first fold or after it resolved, a
+/// parity that is not waiting on the cascade stack.
+const NO_SLOT: u32 = u32::MAX;
 
 /// Result of feeding one packet into the decoder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,15 +63,27 @@ impl PushOutcome {
 ///
 /// The paper lists "maximum memory requirements" as a future-work metric
 /// (§7); these counters make it measurable per (code, schedule, channel) —
-/// see the `memory_profile` bench.
+/// see the `memory_profile` bench. They are logical: they count the
+/// symbols the §2.3.2 decoder must hold (known source values, parity
+/// values pending on the cascade stack, live accumulators), not
+/// allocations. The storage behind them is one object buffer allocated up
+/// front plus accumulator slots, handed out in chunks and recycled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MemoryStats {
-    /// Symbol buffers currently held (variable values + live accumulators).
+    /// Symbols currently held (variable values + live accumulators).
     pub current_symbols: usize,
     /// High-water mark of `current_symbols` over the decoder's lifetime.
     pub peak_symbols: usize,
-    /// Bytes per symbol buffer.
+    /// Bytes per symbol.
     pub symbol_len: usize,
+}
+
+impl MemoryStats {
+    #[inline]
+    fn hold(&mut self) {
+        self.current_symbols += 1;
+        self.peak_symbols = self.peak_symbols.max(self.current_symbols);
+    }
 }
 
 /// Payload-carrying iterative decoder.
@@ -68,64 +97,124 @@ pub struct Decoder {
     store: Store,
 }
 
+/// Symbol-sized accumulator slots, allocated a chunk at a time and
+/// recycled through a free list.
+struct Slots {
+    len: usize,
+    /// `log2` of the slots per chunk.
+    shift: u32,
+    chunks: Vec<Vec<u8>>,
+    /// Slots ever handed out; slot `issued` is the next fresh one.
+    issued: usize,
+    free: Vec<u32>,
+}
+
+impl Slots {
+    fn new(len: usize) -> Slots {
+        Slots {
+            len,
+            shift: (SLOT_CHUNK_BYTES / len.max(1)).max(1).ilog2(),
+            chunks: Vec::new(),
+            issued: 0,
+            free: Vec::new(),
+        }
+    }
+
+    /// A slot holding a copy of `value`.
+    fn take(&mut self, value: &[u8]) -> u32 {
+        if let Some(slot) = self.free.pop() {
+            self.get(slot).copy_from_slice(value);
+            return slot;
+        }
+        let chunk = self.issued >> self.shift;
+        if chunk == self.chunks.len() {
+            self.chunks.push(Vec::with_capacity(self.len << self.shift));
+        }
+        self.chunks[chunk].extend_from_slice(value);
+        self.issued += 1;
+        (self.issued - 1) as u32
+    }
+
+    fn get(&mut self, slot: u32) -> &mut [u8] {
+        let at = (slot as usize & ((1 << self.shift) - 1)) * self.len;
+        &mut self.chunks[slot as usize >> self.shift][at..at + self.len]
+    }
+}
+
+/// The byte range of symbol `idx` in a buffer of `len`-byte symbols.
+#[inline]
+fn span(idx: usize, len: usize) -> Range<usize> {
+    idx * len..(idx + 1) * len
+}
+
 /// What the cascade's steps mean in payload bytes.
 struct Store {
     k: usize,
-    /// XOR of the variables folded so far, per equation (lazily allocated).
-    eq_acc: Vec<Option<Vec<u8>>>,
-    /// Retained values: sources permanently (they are the output), parity
-    /// only transiently while waiting on the cascade stack — once a parity
-    /// value has been folded into its equations it is freed (streaming
-    /// decoding; this is what makes large-block LDGM memory-friendly).
-    var_value: Vec<Option<Vec<u8>>>,
-    /// The variable whose equations are being visited, and its value if it
-    /// is a parity (taken out of `var_value`; a source is read in place).
-    popped: usize,
-    popped_parity: Option<Vec<u8>>,
+    /// The `k` source symbols back to back: the decoded object.
+    object: Vec<u8>,
+    slots: Slots,
+    /// Per equation: the slot holding the XOR of the variables folded so
+    /// far (`NO_SLOT` before the first fold and once resolved).
+    eq_slot: Vec<u32>,
+    /// Per parity variable: the slot of a solved value waiting on the
+    /// cascade stack. Once a parity value has been folded into its
+    /// equations it is dropped (streaming decoding; this is what makes
+    /// large-block LDGM memory-friendly).
+    parity_slot: Vec<u32>,
+    /// The value of the popped parity, received or solved.
+    scratch: Vec<u8>,
+    /// The popped variable if it is a source (read in place in the
+    /// object); `None` while a parity in `scratch` is folded.
+    popped_source: Option<usize>,
     memory: MemoryStats,
-}
-
-impl Store {
-    #[inline]
-    fn track_alloc(&mut self) {
-        self.memory.current_symbols += 1;
-        self.memory.peak_symbols = self.memory.peak_symbols.max(self.memory.current_symbols);
-    }
 }
 
 impl Hook for Store {
     fn pop(&mut self, v: usize) {
-        self.popped = v;
-        self.popped_parity = None;
+        self.popped_source = (v < self.k).then_some(v);
         if v >= self.k {
             // After this pass through its equations a parity value is
-            // never read again.
-            self.popped_parity = self.var_value[v].take();
+            // never read again. A received one is in `scratch` already.
             self.memory.current_symbols -= 1;
+            let slot = std::mem::replace(&mut self.parity_slot[v - self.k], NO_SLOT);
+            if slot != NO_SLOT {
+                self.scratch.copy_from_slice(self.slots.get(slot));
+                self.slots.free.push(slot);
+            }
         }
     }
 
     fn fold(&mut self, e: usize) {
-        if self.eq_acc[e].is_none() {
-            self.track_alloc();
+        let value = match self.popped_source {
+            Some(v) => &self.object[span(v, self.memory.symbol_len)],
+            None => &self.scratch[..],
+        };
+        match self.eq_slot[e] {
+            NO_SLOT => {
+                self.eq_slot[e] = self.slots.take(value);
+                self.memory.hold();
+            }
+            slot => xor_slice(self.slots.get(slot), value),
         }
-        let value = self
-            .popped_parity
-            .as_ref()
-            .or(self.var_value[self.popped].as_ref())
-            .expect("variable on stack is known");
-        let acc = self.eq_acc[e].get_or_insert_with(|| vec![0u8; value.len()]);
-        xor_slice(acc, value);
     }
 
     fn solve(&mut self, e: usize, u: usize) {
-        // The accumulator buffer is moved, not freed: it becomes the
-        // variable's value (net zero).
-        self.var_value[u] = self.eq_acc[e].take();
+        // The accumulator becomes the variable's value (net zero): a
+        // source is written into the object and its slot recycled, a
+        // parity keeps the slot until it is popped.
+        let slot = std::mem::replace(&mut self.eq_slot[e], NO_SLOT);
+        if u < self.k {
+            self.object[span(u, self.memory.symbol_len)].copy_from_slice(self.slots.get(slot));
+            self.slots.free.push(slot);
+        } else {
+            self.parity_slot[u - self.k] = slot;
+        }
     }
 
     fn spent(&mut self, e: usize) {
-        if self.eq_acc[e].take().is_some() {
+        let slot = std::mem::replace(&mut self.eq_slot[e], NO_SLOT);
+        if slot != NO_SLOT {
+            self.slots.free.push(slot);
             self.memory.current_symbols -= 1;
         }
     }
@@ -134,14 +223,17 @@ impl Hook for Store {
 impl Decoder {
     /// Creates a decoder for packets of `symbol_len` bytes.
     pub fn new(matrix: Arc<SparseMatrix>, symbol_len: usize) -> Decoder {
+        let k = matrix.k();
         Decoder {
             peel: Peeler::new(&matrix),
             store: Store {
-                k: matrix.k(),
-                eq_acc: vec![None; matrix.num_checks()],
-                var_value: vec![None; matrix.n()],
-                popped: 0,
-                popped_parity: None,
+                k,
+                object: vec![0u8; k * symbol_len],
+                slots: Slots::new(symbol_len),
+                eq_slot: vec![NO_SLOT; matrix.num_checks()],
+                parity_slot: vec![NO_SLOT; matrix.n() - k],
+                scratch: vec![0u8; symbol_len],
+                popped_source: None,
                 memory: MemoryStats {
                     symbol_len,
                     ..MemoryStats::default()
@@ -185,7 +277,7 @@ impl Decoder {
         let mut learned = false;
         for &(id, payload) in batch {
             if !self.is_complete() && !self.peel.known[id as usize] {
-                self.learn(id, payload.to_vec());
+                self.learn(id, payload);
                 learned = true;
             }
         }
@@ -200,11 +292,18 @@ impl Decoder {
         })
     }
 
-    /// Stores the value of the unknown variable `var` and cascades.
-    fn learn(&mut self, var: u32, value: Vec<u8>) {
-        self.store.var_value[var as usize] = Some(value);
-        self.store.track_alloc();
-        self.peel.learn(&self.matrix, var, &mut self.store);
+    /// Stores the value of the unknown variable `var` and cascades: a
+    /// source goes into the object, a parity into the scratch symbol.
+    fn learn(&mut self, var: u32, value: &[u8]) {
+        let store = &mut self.store;
+        let held = if (var as usize) < store.k {
+            &mut store.object[span(var as usize, store.memory.symbol_len)]
+        } else {
+            &mut store.scratch[..]
+        };
+        held.copy_from_slice(value);
+        store.memory.hold();
+        self.peel.learn(&self.matrix, var, store);
     }
 
     /// Runs Gaussian elimination over the residual system of a stalled
@@ -223,15 +322,14 @@ impl Decoder {
         let mut residual = Residual::build(&self.matrix, &self.peel.known);
 
         // Right-hand sides: the equations' accumulators (XOR of their known
-        // variables). `None` accumulator ⇒ nothing folded yet ⇒ zero RHS.
-        let symbol_len = self.store.memory.symbol_len;
+        // variables). No slot ⇒ nothing folded yet ⇒ zero RHS.
+        let store = &mut self.store;
         let mut rhs: Vec<Vec<u8>> = residual
             .equations
             .iter()
-            .map(|&e| {
-                self.store.eq_acc[e]
-                    .clone()
-                    .unwrap_or_else(|| vec![0u8; symbol_len])
+            .map(|&e| match store.eq_slot[e] {
+                NO_SLOT => vec![0u8; store.memory.symbol_len],
+                slot => store.slots.get(slot).to_vec(),
             })
             .collect();
 
@@ -250,7 +348,7 @@ impl Decoder {
         // already have solved a later one.
         for (row, var) in determined {
             if !self.peel.known[var as usize] {
-                self.learn(var, std::mem::take(&mut rhs[row]));
+                self.learn(var, &rhs[row]);
             }
         }
         self.is_complete()
@@ -280,19 +378,19 @@ impl Decoder {
         self.store.memory
     }
 
-    /// Returns the recovered source packets once complete.
-    pub fn into_source(mut self) -> Option<Vec<Vec<u8>>> {
+    /// Returns the object once complete: the `k` source packets back to
+    /// back, in the buffer they were written into (no copy).
+    pub fn into_object(self) -> Option<Vec<u8>> {
         if !self.is_complete() {
             return None;
         }
-        self.store.var_value.truncate(self.matrix.k());
-        self.store.var_value.into_iter().collect()
+        Some(self.store.object)
     }
 
     /// Peeks at a recovered source packet (None until it is known).
     pub fn source_packet(&self, idx: usize) -> Option<&[u8]> {
         assert!(idx < self.matrix.k(), "source index out of range");
-        self.store.var_value[idx].as_deref()
+        self.peel.known[idx].then(|| &self.store.object[span(idx, self.store.memory.symbol_len)])
     }
 
     /// Whether a variable (source or parity) is known. Parity values are
@@ -348,7 +446,7 @@ mod tests {
                 assert!(out.is_complete());
             }
         }
-        assert_eq!(d.into_source().unwrap(), src);
+        assert_eq!(d.into_object().unwrap(), src.concat());
     }
 
     #[test]
@@ -379,7 +477,7 @@ mod tests {
             }
             let complete_at = complete_at.expect("all packets received must decode");
             assert!(complete_at >= 40, "cannot decode below k packets");
-            assert_eq!(d.into_source().unwrap(), src, "{right}");
+            assert_eq!(d.into_object().unwrap(), src.concat(), "{right}");
         }
     }
 
@@ -408,7 +506,7 @@ mod tests {
             assert_eq!(batched.received(), sequential.received());
         }
         assert!(batched.is_complete());
-        assert_eq!(batched.into_source().unwrap(), src);
+        assert_eq!(batched.into_object().unwrap(), src.concat());
     }
 
     #[test]
@@ -492,7 +590,7 @@ mod tests {
         }
         assert!(d.is_complete(), "all parity + all source must decode");
         assert!(fed <= 10, "needed {fed} source packets, expected a handful");
-        assert_eq!(d.into_source().unwrap(), src);
+        assert_eq!(d.into_object().unwrap(), src.concat());
     }
 
     #[test]
@@ -500,7 +598,7 @@ mod tests {
         let (m, src, _) = setup(10, 30, RightSide::Triangle, 13, 4);
         let mut d = Decoder::new(m.clone(), 4);
         d.push_batch(&[(0, &src[0])]).unwrap();
-        assert!(d.into_source().is_none());
+        assert!(d.into_object().is_none());
     }
 
     #[test]
@@ -614,7 +712,7 @@ mod tests {
                     }
                 }
                 if d.is_complete() {
-                    assert_eq!(d.into_source().unwrap(), src);
+                    assert_eq!(d.into_object().unwrap(), src.concat());
                     success += 1;
                 }
             }

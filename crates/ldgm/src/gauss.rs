@@ -254,7 +254,11 @@ mod tests {
                     dec.push_batch(&[(id, payload)]).unwrap();
                 }
                 assert!(dec.try_complete(), "{right} seed {seed}");
-                assert_eq!(dec.into_source().unwrap(), src, "{right} seed {seed}");
+                assert_eq!(
+                    dec.into_object().unwrap(),
+                    src.concat(),
+                    "{right} seed {seed}"
+                );
             }
         }
     }
@@ -291,7 +295,7 @@ mod tests {
         dec.push_batch(&[(order[need - 1], payload_of(order[need - 1]))])
             .unwrap();
         assert!(dec.try_complete());
-        assert_eq!(dec.into_source().unwrap(), src);
+        assert_eq!(dec.into_object().unwrap(), src.concat());
     }
 
     /// Fewer than k packets can never decode (information-theoretic bound),

@@ -219,7 +219,11 @@ fn check_instance(right: RightSide, matrix_seed: u64, orders: usize) {
         );
         assert_eq!(bytes.received(), order.len() as u64, "{ctx}");
         if oracle_done.is_some() {
-            assert_eq!(bytes.into_source().unwrap(), source, "{ctx}: peeled bytes");
+            assert_eq!(
+                bytes.into_object().unwrap(),
+                source.concat(),
+                "{ctx}: peeled bytes"
+            );
         }
 
         // Maximum likelihood: scan prefixes upward from k (fewer than k
@@ -261,8 +265,8 @@ fn check_instance(right: RightSide, matrix_seed: u64, orders: usize) {
             assert_eq!(bytes.try_complete(), expect, "{ctx}: try_complete @{cut}");
             if expect {
                 assert_eq!(
-                    bytes.into_source().unwrap(),
-                    source,
+                    bytes.into_object().unwrap(),
+                    source.concat(),
                     "{ctx}: ML bytes @{cut}"
                 );
             } else {

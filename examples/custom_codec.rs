@@ -81,7 +81,10 @@ impl ErasureCode for XorParity {
         self.layout(p.k, p.ratio)?;
         Ok(Box::new(XorDecoder {
             k: p.k,
-            have: vec![None; p.k + 1],
+            len: p.symbol_size,
+            object: vec![0; p.k * p.symbol_size],
+            have: vec![false; p.k],
+            parity: None,
             received: 0,
         }))
     }
@@ -119,7 +122,11 @@ impl Encoder for XorEncoder {
 
 struct XorDecoder {
     k: usize,
-    have: Vec<Option<Vec<u8>>>,
+    len: usize,
+    /// The `k` source symbols back to back: what `into_source` returns.
+    object: Vec<u8>,
+    have: Vec<bool>,
+    parity: Option<Vec<u8>>,
     received: u64,
 }
 
@@ -127,14 +134,21 @@ impl Decoder for XorDecoder {
     fn add_symbols(&mut self, batch: &[Symbol<'_>]) -> Result<DecodeProgress, CodecError> {
         for s in batch {
             self.received += 1;
-            self.have[s.packet.esi as usize].get_or_insert_with(|| s.payload.to_vec());
+            let i = s.packet.esi as usize;
+            if i == self.k {
+                self.parity.get_or_insert_with(|| s.payload.to_vec());
+            } else if !self.have[i] {
+                // A source symbol goes straight into the object.
+                self.have[i] = true;
+                self.object[i * self.len..][..self.len].copy_from_slice(s.payload);
+            }
         }
         Ok(self.progress())
     }
 
     fn progress(&self) -> DecodeProgress {
-        let missing = self.have[..self.k].iter().filter(|s| s.is_none()).count();
-        let solvable = missing == 0 || (missing == 1 && self.have[self.k].is_some());
+        let missing = self.have.iter().filter(|&&h| !h).count();
+        let solvable = missing == 0 || (missing == 1 && self.parity.is_some());
         DecodeProgress {
             received: self.received,
             decoded_source: if solvable { self.k } else { self.k - missing },
@@ -142,7 +156,7 @@ impl Decoder for XorDecoder {
         }
     }
 
-    fn into_source(self: Box<Self>) -> Result<Vec<Vec<u8>>, CodecError> {
+    fn into_source(self: Box<Self>) -> Result<Vec<u8>, CodecError> {
         let p = self.progress();
         if !p.is_decoded() {
             return Err(CodecError::NotDecoded {
@@ -150,18 +164,22 @@ impl Decoder for XorDecoder {
                 needed: p.total_source,
             });
         }
-        let mut have = self.have;
-        if let Some(hole) = (0..self.k).find(|&i| have[i].is_none()) {
-            let mut fill = have[self.k].clone().expect("parity present");
-            for (i, s) in have[..self.k].iter().enumerate() {
-                if i != hole {
-                    let s = s.as_ref().expect("only one hole");
-                    fill.iter_mut().zip(s).for_each(|(p, b)| *p ^= b);
-                }
+        let XorDecoder {
+            len,
+            mut object,
+            have,
+            parity,
+            ..
+        } = *self;
+        if let Some(hole) = have.iter().position(|&h| !h) {
+            // The hole is still zero: the parity XOR every symbol fills it.
+            let mut fill = parity.expect("parity present");
+            for s in object.chunks_exact(len) {
+                fill.iter_mut().zip(s).for_each(|(p, b)| *p ^= b);
             }
-            have[hole] = Some(fill);
+            object[hole * len..][..len].copy_from_slice(&fill);
         }
-        Ok(have.into_iter().take(self.k).map(Option::unwrap).collect())
+        Ok(object)
     }
 }
 
