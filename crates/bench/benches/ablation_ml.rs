@@ -3,9 +3,9 @@
 //! Every inefficiency surface in the paper is measured under the iterative
 //! (peeling) decoder of §2.3.2. Peeling stalls on stopping sets even when
 //! the received packets information-theoretically suffice; the optimal
-//! erasure decoder finishes the job with Gaussian elimination over the
-//! residual system (what RFC 5170 later standardised as "full" decoding and
-//! Raptor as inactivation decoding). This bench reruns the paper's central
+//! erasure decoder finishes the job by solving the residual system (what
+//! RFC 5170 later standardised as "full" decoding and RFC 6330 as
+//! inactivation decoding). This bench reruns the paper's central
 //! measurement — inefficiency under fully-random reception (Tx_model_4,
 //! which samples uniform packet subsets) — with both decoders, so the
 //! reader can see which part of `inef_ratio − 1` is the code and which part
@@ -22,8 +22,8 @@
 //!   losses that no decoder can repair. The "Staircase ≫ LDGM" finding is
 //!   about the code, not the decoder.
 //!
-//! ML decoding is quadratic-ish in the residual size, so this ablation runs
-//! at a reduced `k` (capped at 800) regardless of `FEC_REPRO_K`.
+//! `ml_necessary` is one forward pass of the incremental inactivation
+//! engine, so the ablation runs at the scale's own `k`.
 
 use fec_bench::{banner, output, Scale};
 use fec_ldgm::{ml_necessary, peeling_necessary, LdgmParams, RightSide, SparseMatrix};
@@ -74,10 +74,10 @@ fn measure(
 
 fn main() {
     let scale = Scale::from_env();
-    banner("Ablation: peeling vs hybrid ML (Gaussian) decoding", &scale);
-    let k = scale.k.min(800);
+    banner("Ablation: peeling vs maximum-likelihood decoding", &scale);
+    let k = scale.k;
     let runs = scale.runs.min(15);
-    println!("(capped at k = {k}, {runs} runs: ML cost is quadratic in the residual)\n");
+    println!("(k = {k}, {runs} runs)\n");
 
     let mut report = String::from("right_side,ratio,decoder,mean_inef,max_inef,failures\n");
     let mut summary: Vec<(RightSide, f64, f64, f64)> = Vec::new();

@@ -9,7 +9,7 @@ use fec_ldgm::{
 use fec_sched::{Layout, PacketRef, TxModel};
 
 use crate::{
-    CodecError, DecodeProgress, Decoder, Encoder, Envelope, ErasureCode, ExpansionRatio,
+    CodecError, DecodeProgress, Decoder, Decoding, Encoder, Envelope, ErasureCode, ExpansionRatio,
     SessionParams, StructuralFactory, StructuralSession, Symbol,
 };
 
@@ -191,6 +191,7 @@ impl ErasureCode for LdgmCode {
         k: usize,
         ratio: f64,
         seeds: &[u64],
+        decoding: Decoding,
     ) -> Result<Box<dyn StructuralFactory>, CodecError> {
         let (k, n) = self.checked_geometry(k, ratio)?;
         if seeds.is_empty() {
@@ -205,7 +206,7 @@ impl ErasureCode for LdgmCode {
             .iter()
             .map(|&seed| self.matrix(k, n, seed))
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(Box::new(LdgmStructuralFactory { matrices }))
+        Ok(Box::new(LdgmStructuralFactory { matrices, decoding }))
     }
 }
 
@@ -258,6 +259,12 @@ impl Decoder for LdgmSessionDecoder {
                 code: self.id.to_string(),
                 source: Box::new(e),
             })?;
+        // Peeling stalls on stopping sets the received symbols may already
+        // solve: every batch ends with the exact maximum-likelihood check
+        // (free until a counting gate opens near the completion point), so
+        // the object completes at the first batch whose symbols determine
+        // it.
+        self.inner.try_complete();
         Ok(self.progress())
     }
 
@@ -280,6 +287,7 @@ impl Decoder for LdgmSessionDecoder {
 
 struct LdgmStructuralFactory {
     matrices: Vec<SparseMatrix>,
+    decoding: Decoding,
 }
 
 impl StructuralFactory for LdgmStructuralFactory {
@@ -287,6 +295,7 @@ impl StructuralFactory for LdgmStructuralFactory {
         let matrix = &self.matrices[run_idx as usize % self.matrices.len()];
         Box::new(LdgmStructuralSession {
             inner: StructuralDecoder::new(matrix),
+            decoding: self.decoding,
             scratch: Vec::new(),
         })
     }
@@ -294,6 +303,7 @@ impl StructuralFactory for LdgmStructuralFactory {
 
 struct LdgmStructuralSession<'m> {
     inner: StructuralDecoder<'m>,
+    decoding: Decoding,
     /// Reusable id buffer for `add_batch`.
     scratch: Vec<u32>,
 }
@@ -304,6 +314,20 @@ impl StructuralSession for LdgmStructuralSession<'_> {
         // the whole window forwards to the structural decoder in one call.
         self.scratch.clear();
         self.scratch.extend(batch.iter().map(|r| r.esi));
-        self.inner.push_batch(&self.scratch)
+        match self.decoding {
+            Decoding::Iterative => self.inner.push_batch(&self.scratch),
+            // Asked after every packet, so the answer does not depend on
+            // how the stream is split into batches.
+            Decoding::MaximumLikelihood => {
+                let mut done_at = None;
+                for (i, &id) in self.scratch.iter().enumerate() {
+                    let peeled = self.inner.push_batch(&[id]).is_some();
+                    if done_at.is_none() && (peeled || self.inner.ml_complete()) {
+                        done_at = Some(i);
+                    }
+                }
+                done_at
+            }
+        }
     }
 }

@@ -4,7 +4,7 @@ use fec_rse::{Partition, RseCodec, RseError, StructuralObjectDecoder};
 use fec_sched::{Layout, PacketRef, TxModel};
 
 use crate::{
-    CodecError, DecodeProgress, Decoder, Encoder, Envelope, ErasureCode, ExpansionRatio,
+    CodecError, DecodeProgress, Decoder, Decoding, Encoder, Envelope, ErasureCode, ExpansionRatio,
     SessionParams, StructuralFactory, StructuralSession, Symbol,
 };
 
@@ -158,11 +158,14 @@ impl ErasureCode for RseCode {
         }))
     }
 
+    /// MDS: a block decodes from any `k` of its symbols under either
+    /// decoder.
     fn structural_factory(
         &self,
         k: usize,
         ratio: f64,
         _seeds: &[u64],
+        _decoding: Decoding,
     ) -> Result<Box<dyn StructuralFactory>, CodecError> {
         Ok(Box::new(RseStructuralFactory {
             partition: self.partition(k, ratio)?,

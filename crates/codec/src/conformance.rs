@@ -6,7 +6,8 @@
 //! must give the same bytes — and round-trips the codec across all paper
 //! transmission models, duplicate / out-of-order / truncated packet
 //! streams, a deterministic loss pattern, one whole-schedule batch,
-//! payload-vs-structural agreement, and the corners of its declared
+//! agreement between the payload decoder and its maximum-likelihood
+//! structural twin, and the corners of its declared
 //! `(k, ratio)` envelope. Symbols go in one at a time — a batch of one —
 //! unless a check says otherwise.
 //! [`check_batched`] (run from `check`) additionally feeds adversarial
@@ -25,7 +26,7 @@
 
 use fec_sched::{Layout, PacketRef, TxModel};
 
-use crate::{CodecHandle, Encoder, SessionParams, Symbol};
+use crate::{CodecHandle, Decoding, Encoder, SessionParams, Symbol};
 
 /// Symbol size used by the schedule/stream checks (small, to keep the
 /// harness fast); [`check_batched`] additionally sweeps adversarial
@@ -256,10 +257,15 @@ pub fn check_shape(code: &CodecHandle, k: usize, ratio: f64) {
     // The same limit on the structural path, which the simulator relies on
     // to fail a run the channel left short of k without decoding it: no
     // k - 1 packets of any schedule (or of the duplicated stream) complete
-    // a session, one at a time or as one batch.
-    let factory = code
-        .structural_factory(k, ratio, &[SEED])
-        .unwrap_or_else(|e| panic!("{ctx}: structural_factory failed: {e}"));
+    // a session of either decoder, one at a time or as one batch.
+    let factory = |decoding: Decoding| {
+        code.structural_factory(k, ratio, &[SEED], decoding)
+            .unwrap_or_else(|e| panic!("{ctx}: structural_factory failed: {e}"))
+    };
+    let (iterative, ml) = (
+        factory(Decoding::Iterative),
+        factory(Decoding::MaximumLikelihood),
+    );
     let mut streams: Vec<(&str, Vec<PacketRef>)> = TxModel::paper_models()
         .into_iter()
         .map(|tx| (tx.name(), tx.schedule(&enc.layout, 7)))
@@ -267,13 +273,15 @@ pub fn check_shape(code: &CodecHandle, k: usize, ratio: f64) {
     streams.push(("duplicated", doubled));
     for (name, stream) in &streams {
         let short = &stream[..stream.len().min(k - 1)];
-        let mut looped = factory.session(0);
-        assert!(
-            !short.iter().any(|&r| looped.add_batch(&[r]).is_some())
-                && factory.session(0).add_batch(short).is_none(),
-            "{ctx}: structural session completed from {} < k packets of {name}",
-            short.len()
-        );
+        for factory in [&iterative, &ml] {
+            let mut looped = factory.session(0);
+            assert!(
+                !short.iter().any(|&r| looped.add_batch(&[r]).is_some())
+                    && factory.session(0).add_batch(short).is_none(),
+                "{ctx}: structural session completed from {} < k packets of {name}",
+                short.len()
+            );
+        }
     }
 
     // The whole schedule as one batch must decode like the one-by-one
@@ -297,15 +305,20 @@ pub fn check_shape(code: &CodecHandle, k: usize, ratio: f64) {
     got.truncate(object.len());
     assert_eq!(got, object, "{ctx}: batched byte mismatch");
 
-    // Structural sessions must agree with the payload decoder on *when*
-    // decoding completes (same structure seed, same sequence).
-    let mut structural = factory.session(0);
+    // The maximum-likelihood structural session is the payload decoder's
+    // exact twin: they must agree on *when* decoding completes (same
+    // structure seed, same sequence). The iterative one never completes
+    // earlier.
+    let mut twin = ml.session(0);
+    let mut peeling = iterative.session(0);
     let mut payload_dec = code.decoder(&params).expect("decoder");
-    let mut structural_at = None;
-    let mut payload_at = None;
+    let (mut twin_at, mut peeling_at, mut payload_at) = (None, None, None);
     for (i, &r) in lossy.iter().enumerate() {
-        if structural_at.is_none() && structural.add_batch(&[r]).is_some() {
-            structural_at = Some(i);
+        if twin_at.is_none() && twin.add_batch(&[r]).is_some() {
+            twin_at = Some(i);
+        }
+        if peeling_at.is_none() && peeling.add_batch(&[r]).is_some() {
+            peeling_at = Some(i);
         }
         if payload_at.is_none()
             && payload_dec
@@ -315,13 +328,15 @@ pub fn check_shape(code: &CodecHandle, k: usize, ratio: f64) {
         {
             payload_at = Some(i);
         }
-        if structural_at.is_some() && payload_at.is_some() {
-            break;
-        }
     }
     assert_eq!(
-        structural_at, payload_at,
-        "{ctx}: structural and payload decoders disagree on completion"
+        twin_at, payload_at,
+        "{ctx}: maximum-likelihood structural and payload decoders disagree on completion"
+    );
+    assert!(
+        peeling_at.is_none_or(|p| payload_at.is_some_and(|q| q <= p)),
+        "{ctx}: iterative structural session ({peeling_at:?}) completed before the payload \
+         decoder ({payload_at:?})"
     );
 }
 
@@ -422,24 +437,26 @@ fn check_batched_shape(code: &CodecHandle, k: usize, ratio: f64, symbol_size: us
         assert_eq!(got, object, "{ctx}: {name} byte mismatch");
     }
 
-    // Structural sessions: a window must complete at the same packet index
-    // as batches of one on the same stream.
+    // Structural sessions of either decoder: a window must complete at the
+    // same packet index as batches of one on the same stream.
     let flat: Vec<PacketRef> = windows.iter().flatten().copied().collect();
-    let factory = code
-        .structural_factory(k, ratio, &[SEED])
-        .unwrap_or_else(|e| panic!("{ctx}: structural_factory failed: {e}"));
-    let mut looped = factory.session(0);
-    let loop_done = flat.iter().position(|&r| looped.add_batch(&[r]).is_some());
-    for window in [&flat[..], &flat[..flat.len() / 2]] {
-        let mut batched = factory.session(0);
-        let batch_done = batched.add_batch(window);
-        let expect = loop_done.filter(|&i| i < window.len());
-        assert_eq!(
-            batch_done,
-            expect,
-            "{ctx}: structural add_batch completion index (window {})",
-            window.len()
-        );
+    for decoding in [Decoding::Iterative, Decoding::MaximumLikelihood] {
+        let factory = code
+            .structural_factory(k, ratio, &[SEED], decoding)
+            .unwrap_or_else(|e| panic!("{ctx}: structural_factory failed: {e}"));
+        let mut looped = factory.session(0);
+        let loop_done = flat.iter().position(|&r| looped.add_batch(&[r]).is_some());
+        for window in [&flat[..], &flat[..flat.len() / 2]] {
+            let mut batched = factory.session(0);
+            let batch_done = batched.add_batch(window);
+            let expect = loop_done.filter(|&i| i < window.len());
+            assert_eq!(
+                batch_done,
+                expect,
+                "{ctx}: {decoding:?} structural add_batch completion index (window {})",
+                window.len()
+            );
+        }
     }
 }
 

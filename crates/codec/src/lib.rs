@@ -41,8 +41,8 @@
 //! ```
 //! use std::sync::Arc;
 //! use fec_codec::{
-//!     CodecError, DecodeProgress, Decoder, Encoder, Envelope, ErasureCode,
-//!     SessionParams, StructuralFactory, StructuralSession, Symbol,
+//!     CodecError, DecodeProgress, Decoder, Decoding, Encoder, Envelope,
+//!     ErasureCode, SessionParams, StructuralFactory, StructuralSession, Symbol,
 //! };
 //! use fec_sched::{Layout, PacketRef};
 //!
@@ -76,8 +76,9 @@
 //!         self.layout(p.k, p.ratio)?;
 //!         Ok(Box::new(XorDecoder::new(p.k, p.symbol_size)))
 //!     }
+//!     // Any k symbols decode, so both decoders finish at the same point.
 //!     fn structural_factory(
-//!         &self, k: usize, ratio: f64, _seeds: &[u64],
+//!         &self, k: usize, ratio: f64, _seeds: &[u64], _decoding: Decoding,
 //!     ) -> Result<Box<dyn StructuralFactory>, CodecError> {
 //!         self.layout(k, ratio)?;
 //!         Ok(Box::new(XorFactory { k }))
@@ -209,6 +210,6 @@ pub use handle::CodecHandle;
 pub use ratio::ExpansionRatio;
 pub use registry::CodecRegistry;
 pub use traits::{
-    DecodeProgress, Decoder, Encoder, Envelope, ErasureCode, SessionParams, StructuralFactory,
-    StructuralSession, Symbol,
+    DecodeProgress, Decoder, Decoding, Encoder, Envelope, ErasureCode, SessionParams,
+    StructuralFactory, StructuralSession, Symbol,
 };

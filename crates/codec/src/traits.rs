@@ -171,6 +171,22 @@ pub trait StructuralSession {
     fn add_batch(&mut self, batch: &[PacketRef]) -> Option<usize>;
 }
 
+/// Which decoder a structural session stands for.
+///
+/// A code whose decoding is optimal either way (an MDS code decodes from
+/// any `k` symbols of a block) decodes the same under both and may ignore
+/// the choice.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Decoding {
+    /// The paper's iterative decoder (§2.3.2 for LDGM): what the sweeps,
+    /// figures and tables measure.
+    Iterative,
+    /// Maximum-likelihood decoding: the object decodes as soon as the
+    /// symbols received determine it. The codec's byte-true
+    /// [`Decoder`] decodes this way, so this is its exact twin.
+    MaximumLikelihood,
+}
+
 /// An erasure code, as the rest of the workspace sees it.
 ///
 /// Implementations are stateless descriptors (all per-object state lives
@@ -268,12 +284,14 @@ pub trait ErasureCode: Send + Sync {
 
     /// Prepares an index-only decoder pool for simulation. `seeds` gives
     /// one seed per pooled structure instance (codes without seeded
-    /// structure may ignore it, but it is never empty).
+    /// structure may ignore it, but it is never empty); `decoding` picks
+    /// the decoder its sessions stand for.
     fn structural_factory(
         &self,
         k: usize,
         ratio: f64,
         seeds: &[u64],
+        decoding: Decoding,
     ) -> Result<Box<dyn StructuralFactory>, CodecError>;
 }
 

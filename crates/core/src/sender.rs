@@ -231,7 +231,7 @@ impl core::fmt::Debug for Sender {
 mod tests {
     use super::*;
     use fec_codec::{
-        builtin, CodecError, CodecHandle, Decoder, Envelope, ErasureCode, SessionParams,
+        builtin, CodecError, CodecHandle, Decoder, Decoding, Envelope, ErasureCode, SessionParams,
         StructuralFactory,
     };
     use fec_sim::ExpansionRatio;
@@ -422,6 +422,7 @@ mod tests {
             _: usize,
             _: f64,
             _: &[u64],
+            _: Decoding,
         ) -> Result<Box<dyn StructuralFactory>, CodecError> {
             Err(CodecError::encode(self, "encode only"))
         }

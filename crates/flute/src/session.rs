@@ -875,11 +875,12 @@ impl FluteReceiver {
                         continue;
                     }
                     // A large-block (LDGM) object can hold >= k symbols
-                    // and still be stuck — iterative decoding pays an
-                    // inefficiency overhead. Keep requesting a margin of
-                    // fresh symbols (lowest ESIs first, i.e. missing
-                    // *source* symbols, which always make progress)
-                    // until the solve goes through.
+                    // and still be short: the decoder completes by
+                    // maximum likelihood after every batch, so an object
+                    // still decoding here holds a rank-deficient set.
+                    // Keep requesting a margin of fresh symbols (lowest
+                    // ESIs first, i.e. missing *source* symbols, which
+                    // always add rank) until the solve goes through.
                     (k / 16).max(4)
                 } else {
                     k - have
@@ -1407,6 +1408,79 @@ mod tests {
         assert_eq!(stream.queue_repair(&[bogus]), 0);
         assert_eq!(stream.repairs_sent(), 3);
         drop(stale);
+    }
+
+    /// A receiver that can finish an object locally sends no NACK for
+    /// it. Here the symbols held stall the paper's peeling decoder but
+    /// determine the object: it completes (by maximum likelihood) and
+    /// leaves the missing-symbol section, while one symbol earlier it is
+    /// still decoding and NACKs its margin.
+    #[test]
+    fn ml_decodable_object_completes_and_is_not_nacked() {
+        use fec_codec::Decoding;
+
+        let (k, seed) = (200, 5);
+        let data = object_bytes(k * 16);
+        let code = fec_codec::builtin::ldgm_triangle();
+        let mut sender = FluteSender::new(SenderConfig::new(7));
+        sender
+            .add_object(
+                1,
+                "file:///ml.bin",
+                &data,
+                code.clone(),
+                ExpansionRatio::R1_5,
+                16,
+                seed,
+                TxModel::Random,
+            )
+            .unwrap();
+        let datagrams = sender.datagrams(1).unwrap();
+        let (fdt, data_dgs): (Vec<_>, Vec<_>) = datagrams.iter().partition(|dg| !is_data(dg));
+        // Every seventh data datagram lost.
+        let survivors: Vec<&Vec<u8>> = data_dgs
+            .into_iter()
+            .enumerate()
+            .filter_map(|(i, dg)| (i % 7 != 3).then_some(dg))
+            .collect();
+        let packet = |dg: &[u8]| PacketRef {
+            block: 0,
+            esi: AlcPacket::from_bytes(dg).unwrap().payload_id.unwrap().esi,
+        };
+        let done_at = |decoding| {
+            let factory = code.structural_factory(k, 1.5, &[seed], decoding).unwrap();
+            let mut session = factory.session(0);
+            survivors
+                .iter()
+                .position(|dg| session.add_batch(&[packet(dg)]).is_some())
+                .unwrap()
+        };
+        let ml = done_at(Decoding::MaximumLikelihood);
+        assert!(
+            ml < done_at(Decoding::Iterative),
+            "the set must stall peeling"
+        );
+
+        let mut receiver = FluteReceiver::new(7);
+        receiver.enable_reports(ReportConfig::default());
+        receiver.enable_nacks();
+        for dg in fdt {
+            receiver.push_datagram(dg).unwrap();
+        }
+        for dg in &survivors[..ml] {
+            receiver.push_datagram(dg).unwrap();
+        }
+        assert_eq!(receiver.object_status(1), Some(ObjectStatus::Decoding));
+        let margin = receiver.missing_symbols();
+        assert_eq!(margin.len(), 1);
+        assert_eq!(margin[0].esis.len(), (k / 16).max(4), "the NACK margin");
+
+        receiver.push_datagram(survivors[ml]).unwrap();
+        assert_eq!(receiver.object_status(1), Some(ObjectStatus::Complete));
+        assert_eq!(receiver.object(1).unwrap(), &data[..]);
+        assert!(receiver.missing_symbols().is_empty(), "nothing to NACK");
+        let digest = receiver.flush_report().expect("the completion is news");
+        assert!(digest.nacks.is_empty());
     }
 
     /// A carousel keeps cycling after the application took the decoded

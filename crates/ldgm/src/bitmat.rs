@@ -2,11 +2,12 @@
 //!
 //! Peeling (the paper's §2.3.2 algorithm) gives up on *stopping sets*:
 //! residual equation systems where every equation still has two or more
-//! unknowns. Those systems are small near the decoding threshold, and they
-//! are plain linear systems over GF(2) — exactly what Gaussian elimination
-//! solves. This module provides the dense bit-matrix that the [`crate::gauss`]
-//! hybrid decoders run elimination on; rows are packed 64 variables per
-//! `u64` word so a row XOR touches `cols / 64` words.
+//! unknowns. The inactivation engine of [`crate::gauss`] peels through
+//! them by declaring a few unknowns symbolic, which leaves a small dense
+//! system over those columns — exactly what Gaussian elimination solves.
+//! This module provides the dense bit-matrix it is solved in; rows are
+//! packed 64 variables per `u64` word so a row XOR touches `cols / 64`
+//! words.
 //!
 //! The matrix is deliberately minimal: no abstract traits, no generic
 //! scalars (smoltcp-style simplicity). It knows nothing about FEC; the
@@ -93,6 +94,12 @@ impl BitMatrix {
         self.words[w] ^= mask;
     }
 
+    /// Row `r`'s words, column `c` at bit `c % 64` of word `c / 64`.
+    pub(crate) fn row_mut(&mut self, r: usize) -> &mut [u64] {
+        let w = self.words_per_row;
+        &mut self.words[r * w..(r + 1) * w]
+    }
+
     /// `dst ^= src`. The rows must be distinct.
     fn xor_rows(&mut self, src: usize, dst: usize) {
         assert_ne!(src, dst, "xor_rows requires distinct rows");
@@ -120,7 +127,8 @@ impl BitMatrix {
     }
 
     /// Number of set bits in row `r`.
-    pub fn row_weight(&self, r: usize) -> usize {
+    #[cfg(test)]
+    fn row_weight(&self, r: usize) -> usize {
         let w = self.words_per_row;
         self.words[r * w..(r + 1) * w]
             .iter()

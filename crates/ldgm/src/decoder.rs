@@ -7,22 +7,24 @@
 //! variable, that variable's value is the equation's accumulator, and the
 //! discovery cascades. Decoding can stop at any time and completes when
 //! all `k` source packets are known; [`Decoder::try_complete`] adds the
-//! GF(2) elimination of [`crate::gauss`] for a decoder that has stalled.
+//! maximum-likelihood completion of [`crate::gauss`] for a decoder that
+//! has stalled.
 //!
 //! The store is one object buffer of `k` symbols, which is also the
 //! decoder's output, plus fixed-size accumulator slots. A source symbol is
 //! written into the object once, when it is received or solved. An
 //! equation takes a slot on its first fold (a copy, so nothing is zeroed)
 //! and gives it back when it resolves; a solved parity waits in its
-//! equation's slot until the cascade pops it.
+//! equation's slot until the cascade pops it. Maximum-likelihood
+//! completion works in the same slots: its row operations XOR one
+//! equation's accumulator into another's.
 
 use std::ops::Range;
 use std::sync::Arc;
 
 use fec_gf256::kernels::xor_slice;
 
-use crate::bitmat::RowOp;
-use crate::gauss::Residual;
+use crate::gauss::{Inactivation, NONE};
 use crate::peel::{Hook, Peeler};
 use crate::{LdgmError, SparseMatrix};
 
@@ -95,6 +97,7 @@ pub struct Decoder {
     matrix: Arc<SparseMatrix>,
     peel: Peeler,
     store: Store,
+    ml: Inactivation,
 }
 
 /// Symbol-sized accumulator slots, allocated a chunk at a time and
@@ -138,6 +141,31 @@ impl Slots {
     fn get(&mut self, slot: u32) -> &mut [u8] {
         let at = (slot as usize & ((1 << self.shift) - 1)) * self.len;
         &mut self.chunks[slot as usize >> self.shift][at..at + self.len]
+    }
+
+    /// Two distinct slots at once: `dst` to write, `src` to read.
+    fn pair(&mut self, dst: u32, src: u32) -> (&mut [u8], &[u8]) {
+        debug_assert_ne!(dst, src);
+        let len = self.len;
+        let at = |slot: u32| (slot as usize & ((1 << self.shift) - 1)) * len;
+        let (dc, sc) = (dst as usize >> self.shift, src as usize >> self.shift);
+        let (da, sa) = (at(dst), at(src));
+        if dc == sc {
+            let chunk = &mut self.chunks[dc];
+            if da < sa {
+                let (lo, hi) = chunk.split_at_mut(sa);
+                (&mut lo[da..da + len], &hi[..len])
+            } else {
+                let (lo, hi) = chunk.split_at_mut(da);
+                (&mut hi[..len], &lo[sa..sa + len])
+            }
+        } else if dc < sc {
+            let (lo, hi) = self.chunks.split_at_mut(sc);
+            (&mut lo[dc][da..da + len], &hi[0][sa..sa + len])
+        } else {
+            let (lo, hi) = self.chunks.split_at_mut(dc);
+            (&mut hi[0][da..da + len], &lo[sc][sa..sa + len])
+        }
     }
 }
 
@@ -212,12 +240,67 @@ impl Hook for Store {
     }
 
     fn spent(&mut self, e: usize) {
+        self.release(e);
+    }
+}
+
+impl Store {
+    /// XORs equation `src`'s accumulator into equation `dst`'s.
+    fn xor_accumulators(&mut self, src: usize, dst: usize) {
+        let from = self.eq_slot[src];
+        if from == NO_SLOT {
+            return; // nothing folded: a zero accumulator
+        }
+        match self.eq_slot[dst] {
+            NO_SLOT => {
+                // The scratch symbol is free between cascades.
+                self.scratch.copy_from_slice(self.slots.get(from));
+                self.eq_slot[dst] = self.slots.take(&self.scratch);
+                self.memory.hold();
+            }
+            to => {
+                let (to, from) = self.slots.pair(to, from);
+                xor_slice(to, from);
+            }
+        }
+    }
+
+    /// Gives equation `e`'s accumulator back, if it holds one.
+    fn release(&mut self, e: usize) {
         let slot = std::mem::replace(&mut self.eq_slot[e], NO_SLOT);
         if slot != NO_SLOT {
             self.slots.free.push(slot);
             self.memory.current_symbols -= 1;
         }
     }
+
+    /// Holds the value of the unknown variable `var` where the cascade
+    /// reads it: a source in the object, a parity in the scratch symbol.
+    fn place(&mut self, var: usize, value: Value<'_>) {
+        let held = if var < self.k {
+            &mut self.object[span(var, self.memory.symbol_len)]
+        } else {
+            &mut self.scratch[..]
+        };
+        match value {
+            Value::Bytes(bytes) => held.copy_from_slice(bytes),
+            Value::Accumulator(e) => match self.eq_slot.get(e as usize) {
+                Some(&slot) if slot != NO_SLOT => held.copy_from_slice(self.slots.get(slot)),
+                _ => held.fill(0), // no equation, or nothing folded into it
+            },
+        }
+        self.memory.hold();
+    }
+}
+
+/// Where a learned value comes from.
+enum Value<'a> {
+    /// A received payload.
+    Bytes(&'a [u8]),
+    /// The accumulator of an equation maximum-likelihood completion spent;
+    /// `NONE` for zero (an inactive variable the received set leaves
+    /// free).
+    Accumulator(u32),
 }
 
 impl Decoder {
@@ -239,6 +322,7 @@ impl Decoder {
                     ..MemoryStats::default()
                 },
             },
+            ml: Inactivation::default(),
             matrix,
         }
     }
@@ -277,7 +361,9 @@ impl Decoder {
         let mut learned = false;
         for &(id, payload) in batch {
             if !self.is_complete() && !self.peel.known[id as usize] {
-                self.learn(id, payload);
+                self.ml.arrived(id);
+                self.store.place(id as usize, Value::Bytes(payload));
+                self.peel.learn(&self.matrix, id, &mut self.store);
                 learned = true;
             }
         }
@@ -292,64 +378,49 @@ impl Decoder {
         })
     }
 
-    /// Stores the value of the unknown variable `var` and cascades: a
-    /// source goes into the object, a parity into the scratch symbol.
-    fn learn(&mut self, var: u32, value: &[u8]) {
-        let store = &mut self.store;
-        let held = if (var as usize) < store.k {
-            &mut store.object[span(var as usize, store.memory.symbol_len)]
-        } else {
-            &mut store.scratch[..]
-        };
-        held.copy_from_slice(value);
-        store.memory.hold();
-        self.peel.learn(&self.matrix, var, store);
-    }
-
-    /// Runs Gaussian elimination over the residual system of a stalled
-    /// decoder and feeds every determined variable back into the cascade.
-    /// Returns `true` if the object is now fully decoded; a failed attempt
-    /// leaves the decoder valid for further packets and retries.
+    /// Completes a stalled decoder by maximum-likelihood decoding, if what
+    /// it has received determines every source packet. Returns `true` once
+    /// the object is fully decoded; `false` leaves the decoder as it was,
+    /// ready for more packets and another call.
     ///
-    /// Cost: one dense elimination over (live equations × unknowns) plus one
-    /// payload XOR per mirrored row operation. Near the decoding threshold
-    /// the residual is small; far below it, this is wasted work — callers
-    /// should gate on `received() >= k`.
+    /// While the live equations are fewer than the unknowns it answers
+    /// `false` at once. The first call past that gate (a few packets
+    /// before the completion point, as a rule) builds the inactivation
+    /// engine's index phase over the residual; each later call only folds
+    /// in the packets received since, one row each over the inactive
+    /// columns, so the call is cheap enough to make after every batch.
+    /// When the answer is yes, one payload pass runs: the residual's row
+    /// operations are XORed through the equations' accumulator slots
+    /// (about two symbol XORs per residual edge, plus the dense part's),
+    /// each inactive value is learned, and the cascade finishes the
+    /// object.
     pub fn try_complete(&mut self) -> bool {
+        if !self.ml.decodable(&self.matrix, &self.peel) {
+            return false;
+        }
         if self.is_complete() {
             return true;
         }
-        let mut residual = Residual::build(&self.matrix, &self.peel.known);
-
-        // Right-hand sides: the equations' accumulators (XOR of their known
-        // variables). No slot ⇒ nothing folded yet ⇒ zero RHS.
         let store = &mut self.store;
-        let mut rhs: Vec<Vec<u8>> = residual
-            .equations
-            .iter()
-            .map(|&e| match store.eq_slot[e] {
-                NO_SLOT => vec![0u8; store.memory.symbol_len],
-                slot => store.slots.get(slot).to_vec(),
-            })
-            .collect();
-
-        // Reduce, mirroring every row operation onto the RHS vector.
-        let determined = residual.determine(|op| match op {
-            RowOp::Xor { src, dst } => {
-                let folded = std::mem::take(&mut rhs[src]);
-                xor_slice(&mut rhs[dst], &folded);
-                rhs[src] = folded;
-            }
-            RowOp::Swap { a, b } => rhs.swap(a, b),
+        let (dense, values) = self.ml.solve(&self.matrix, &self.peel, |src, dst| {
+            store.xor_accumulators(src, dst)
         });
-
-        // A determined pivot row reads `x_v = rhs[row]` directly (its row
-        // has no other unknowns left). An earlier injection's cascade may
-        // already have solved a later one.
-        for (row, var) in determined {
+        // The dense equations are spent: the cascade must not fold into
+        // accumulators that now hold inactive values.
+        for &e in dense {
+            self.peel.retire(e as usize);
+        }
+        for &(var, e) in values {
             if !self.peel.known[var as usize] {
-                self.learn(var, &rhs[row]);
+                self.store.place(var as usize, Value::Accumulator(e));
+                if e != NONE {
+                    self.store.release(e as usize);
+                }
+                self.peel.learn(&self.matrix, var, &mut self.store);
             }
+        }
+        for &e in dense {
+            self.store.release(e as usize);
         }
         self.is_complete()
     }

@@ -1,113 +1,429 @@
-//! Hybrid peeling + Gaussian-elimination (“maximum-likelihood”) decoding.
+//! Maximum-likelihood (ML) completion of a stalled peeling decoder, by
+//! incremental inactivation decoding.
 //!
 //! The paper evaluates LDGM codes under the pure **iterative (peeling)**
 //! decoder of §2.3.2, and all its inefficiency-ratio surfaces are peeling
 //! numbers. Peeling is linear-time but suboptimal: it stalls on *stopping
 //! sets* — residual systems where every remaining equation still has ≥ 2
 //! unknowns — even when the received packets carry enough information to
-//! solve the object. The optimal erasure decoder simply solves that residual
-//! linear system over GF(2) by Gaussian elimination; this is what
-//! later-generation codecs standardised (e.g. RFC 5170's LDPC-Staircase
-//! “full” decoding and Raptor's inactivation decoding), and the paper lists
-//! better decoders among its future works (§7).
+//! solve the object. The optimal erasure decoder solves that residual
+//! linear system over GF(2); later-generation codecs standardised it (RFC
+//! 5170's LDPC-Staircase "full" decoding, RFC 6330 §5.4's inactivation
+//! decoding), and the paper lists better decoders among its future works
+//! (§7).
 //!
-//! Elimination is not a second decoder but a second phase of the one
-//! `peel.rs` cascade, over the one `Residual` system (unknown
-//! variables × still-live equations):
+//! This module solves it the way RFC 6330 does, without ever building the
+//! residual as a dense matrix. Its engine (`Inactivation`) peels the
+//! residual on symbols: when no live equation has exactly one *active*
+//! unknown, it takes a live equation of least active degree and
+//! *inactivates* all but one of its unknowns — declares them symbolic
+//! columns — and peeling resumes. Every unknown ends up expressed as a
+//! GF(2) vector over the `I` inactive columns; the equations left with no
+//! active unknown are the only dense rows. The engine has two phases, both
+//! on the one `peel.rs` cascade:
 //!
-//! * [`StructuralDecoder::ml_complete`] — index-only, for Monte-Carlo
-//!   sweeps: “would Gaussian elimination finish *now*?”, on demand.
-//!   [`ml_necessary`] binary-searches an arrival order for the exact ML
-//!   completion point (decodability is monotone in the received set, so
-//!   bisection is sound).
-//! * [`Decoder::try_complete`](crate::Decoder::try_complete) — the same
-//!   reduction with the equations' XOR accumulators mirrored as right-hand
-//!   sides; every *determined* variable goes back into the cascade.
+//! * **Index phase** ([`StructuralDecoder::ml_complete`], and the decision
+//!   inside [`Decoder::try_complete`](crate::Decoder::try_complete)):
+//!   built once per object, on the first call where the live equations
+//!   are at least as many as the unknowns (see below), which happens
+//!   within a few packets of the completion point, where the residual is
+//!   small. The build is kept: each variable received afterwards adds one
+//!   row (its expression) to an echelon basis of the dense rows, so a
+//!   failed call costs nothing the next one repeats. [`ml_necessary`] is
+//!   one forward pass over an arrival order.
+//! * **Payload phase** (`Decoder::try_complete`, once the index phase says
+//!   the object decodes): the residual's row operations are mirrored onto
+//!   the equations' own accumulators (reusing the index phase's
+//!   triangulation when nothing arrived since), the dense part is reduced,
+//!   each inactive value is learned, and the ordinary cascade finishes the
+//!   object.
 //!
-//! Determinedness, not full rank, is the success criterion: the receiver
-//! only needs the `k` source packets, so a rank-deficient residual system is
-//! fine as long as every unknown **source** variable is pinned. In reduced
-//! row echelon form a variable is determined exactly when it is a pivot
-//! whose row has weight 1 (no free-variable contribution); the module tests
-//! include the counterexamples that justify the rule.
+//! The success criterion is that every unknown **source** is determined:
+//! the receiver does not need the parity. For the matrices this crate
+//! builds that is the same as every unknown being determined. Each
+//! unknown parity closes a live equation of its own (the right side is
+//! lower triangular with a unit diagonal), so the residual's parity
+//! columns are independent, and a solution space that left any unknown
+//! free would leave a source free too. Hence the exact test is that the
+//! dense rows pin every inactive column (`rank == I`), and a necessary
+//! condition is free to check: at least as many live equations as
+//! unknowns. That counting gate is what keeps the engine off the large
+//! residuals of the first packets past `k`.
 
 use crate::bitmat::{BitMatrix, RowOp};
+use crate::peel::{Peeler, Unprocessed};
 use crate::{SparseMatrix, StructuralDecoder};
 
-/// The residual GF(2) system of a stalled peeling decoder: one row per
-/// still-live check equation, one column per unknown variable.
-pub(crate) struct Residual {
-    /// Variable id of each matrix column.
-    unknown_ids: Vec<u32>,
-    /// Row index → check-equation index (for RHS extraction).
-    pub(crate) equations: Vec<usize>,
-    /// The bit matrix (rows × unknowns).
-    a: BitMatrix,
+/// "None": a variable no step has resolved, an equation outside the
+/// residual, a value with no accumulator.
+pub(crate) const NONE: u32 = u32::MAX;
+
+/// Marks an inactive variable's column in `Inactivation::expr_of`, and a
+/// dense equation's row in `Inactivation::row_of`.
+const FLAG: u32 = 1 << 31;
+
+/// The inactivation engine of one object: a triangulation of the residual
+/// and, between calls of the index phase, the echelon basis it feeds.
+///
+/// All storage is kept across calls; a build reuses it.
+#[derive(Clone, Default)]
+pub(crate) struct Inactivation {
+    /// Whether the index phase holds a build for the current object.
+    built: bool,
+    /// Whether the triangulation is of the current residual: nothing has
+    /// arrived since it was built.
+    fresh: bool,
+    /// Per step: `(equation, variable)`, the equation that solved the
+    /// variable or `NONE` for an inactivation.
+    steps: Vec<(u32, u32)>,
+    /// Per variable: the equation that solved it, `FLAG | column` if it
+    /// went inactive, `NONE` if no step resolved it.
+    expr_of: Vec<u32>,
+    /// The variable of each inactive column, in column order.
+    inactive: Vec<u32>,
+    /// Equations left with no active unknown: the dense rows.
+    dense: Vec<u32>,
+    /// Per equation: its row in `rows` (with `FLAG` once it is dense), or
+    /// `NONE` outside the residual.
+    row_of: Vec<u32>,
+    /// Per equation: its active unknowns, counted and XORed by id (the
+    /// cascade's own bookkeeping, copied at the start of a build).
+    active: Vec<Unprocessed>,
+    /// Equations down to one active unknown, waiting to solve it.
+    ones: Vec<u32>,
+    /// Equations that came down to two active unknowns, the first place
+    /// to look when peeling stalls (lazily: an entry may be stale).
+    twos: Vec<u32>,
+    /// `u64` words per vector over the inactive columns.
+    width: usize,
+    /// Per residual equation, `width` words: its row over the inactive
+    /// columns once every variable solved before it is substituted. A
+    /// solving row is then its variable's expression; a dense row is a
+    /// constraint on the inactive columns.
+    rows: Vec<u64>,
+    /// Echelon basis of the constraints on the inactive columns, `width`
+    /// words a row, each row reduced against the ones before it.
+    basis: Vec<u64>,
+    /// The pivot column of each basis row.
+    pivots: Vec<u32>,
+    /// Variables received since the build, not yet in the basis.
+    arrived: Vec<u32>,
+    /// Scratch vector, `width` words.
+    row: Vec<u64>,
+    /// The payload phase's answer: `(inactive variable, equation whose
+    /// accumulator holds its value)`, `NONE` for a free column (zero).
+    values: Vec<(u32, u32)>,
 }
 
-impl Residual {
-    /// Builds the residual system of a decoder whose variables are
-    /// `known` (indexed by variable id).
-    pub(crate) fn build(matrix: &SparseMatrix, known: &[bool]) -> Residual {
-        let mut col_of = vec![u32::MAX; matrix.n()];
-        let mut unknown_ids = Vec::new();
-        for (v, &is_known) in known.iter().enumerate() {
-            if !is_known {
-                col_of[v] = unknown_ids.len() as u32;
-                unknown_ids.push(v as u32);
+/// `dst ^= src`, word by word.
+fn xor_words(dst: &mut [u64], src: &[u64]) {
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d ^= s;
+    }
+}
+
+impl Inactivation {
+    /// Forgets the current object's build, keeping the storage.
+    pub(crate) fn reset(&mut self) {
+        self.built = false;
+        self.fresh = false;
+        self.arrived.clear();
+    }
+
+    /// Records a variable received from the channel (not solved by the
+    /// cascade): once the index phase is built it adds one constraint.
+    #[inline]
+    pub(crate) fn arrived(&mut self, var: u32) {
+        if self.built {
+            self.arrived.push(var);
+            self.fresh = false;
+        }
+    }
+
+    /// Index phase: is every source of the object determined by what
+    /// `peel` has received? Exact; builds on the first call that passes
+    /// the counting gate and keeps its work across calls.
+    pub(crate) fn decodable(&mut self, matrix: &SparseMatrix, peel: &Peeler) -> bool {
+        if peel.is_complete(matrix) {
+            return true;
+        }
+        if peel.live < peel.unknown {
+            return false; // too few equations to determine every unknown
+        }
+        if !self.built {
+            self.build(matrix, peel);
+        }
+        let mut arrived = std::mem::take(&mut self.arrived);
+        for &var in &arrived {
+            if self.load(var) {
+                self.insert();
             }
         }
-        let mut equations = Vec::new();
-        for e in 0..matrix.num_checks() {
-            if matrix.row(e).iter().any(|&v| !known[v as usize]) {
-                equations.push(e);
-            }
+        arrived.clear();
+        self.arrived = arrived;
+        self.pivots.len() == self.inactive.len()
+    }
+
+    /// Payload phase, for an object [`decodable`](Self::decodable) has
+    /// cleared: triangulates the current residual (unless the index
+    /// phase's triangulation still is it) and mirrors every row operation
+    /// onto the equations' accumulators, which hold their right-hand
+    /// sides, through `xor(src, dst)`: XOR equation `src`'s into `dst`'s.
+    /// Returns the equations it left dense (their accumulators are spent)
+    /// and the value of each inactive variable as `(variable, equation
+    /// whose accumulator holds it)`, `NONE` for zero. The accumulators of
+    /// every other equation are as they were.
+    pub(crate) fn solve(
+        &mut self,
+        matrix: &SparseMatrix,
+        peel: &Peeler,
+        mut xor: impl FnMut(usize, usize),
+    ) -> (&[u32], &[(u32, u32)]) {
+        if !self.fresh {
+            self.triangulate(matrix, peel);
+            self.forward(matrix);
         }
-        let mut a = BitMatrix::zero(equations.len(), unknown_ids.len());
-        for (r, &e) in equations.iter().enumerate() {
-            for &v in matrix.row(e) {
-                let c = col_of[v as usize];
-                if c != u32::MAX {
-                    a.set(r, c as usize, true);
+        self.built = false;
+        self.fresh = false;
+        self.fold(matrix, &mut xor, false);
+
+        // The dense rows to reduced row echelon form; a pivot row then
+        // holds its column's value with every free column set to zero.
+        let w = self.width;
+        let mut dense = BitMatrix::zero(self.dense.len(), self.inactive.len());
+        for (r, &e) in self.dense.iter().enumerate() {
+            let at = (self.row_of[e as usize] & !FLAG) as usize * w;
+            dense.row_mut(r).copy_from_slice(&self.rows[at..at + w]);
+        }
+        let order = &mut self.dense;
+        let pivots = dense.reduce(|op| match op {
+            RowOp::Xor { src, dst } => xor(order[src] as usize, order[dst] as usize),
+            RowOp::Swap { a, b } => order.swap(a, b),
+        });
+        self.values.clear();
+        self.values.extend(self.inactive.iter().map(|&v| (v, NONE)));
+        for (r, c) in pivots {
+            self.values[c].1 = self.dense[r];
+        }
+
+        // Undo the forward folds on the solving rows, so that their
+        // accumulators are the cascade's again.
+        self.fold(matrix, &mut xor, true);
+        (&self.dense, &self.values)
+    }
+
+    /// Builds the index phase on the current residual.
+    fn build(&mut self, matrix: &SparseMatrix, peel: &Peeler) {
+        self.triangulate(matrix, peel);
+        self.forward(matrix);
+        self.basis.clear();
+        self.pivots.clear();
+        for i in 0..self.dense.len() {
+            let at = (self.row_of[self.dense[i] as usize] & !FLAG) as usize * self.width;
+            self.row.copy_from_slice(&self.rows[at..at + self.width]);
+            self.insert();
+        }
+        self.arrived.clear();
+        self.built = true;
+        self.fresh = true;
+    }
+
+    /// Peels the residual of `peel` with inactivation, recording the
+    /// steps, the inactive columns and the dense rows.
+    fn triangulate(&mut self, matrix: &SparseMatrix, peel: &Peeler) {
+        self.active.clone_from(&peel.eqs);
+        self.expr_of.clear();
+        self.expr_of.resize(matrix.n(), NONE);
+        self.row_of.clear();
+        self.steps.clear();
+        self.inactive.clear();
+        self.dense.clear();
+        self.ones.clear();
+        self.twos.clear();
+        let mut rows = 0;
+        for (e, eq) in self.active.iter().enumerate() {
+            self.row_of.push(match eq.count {
+                0 => NONE,
+                count => {
+                    match count {
+                        1 => self.ones.push(e as u32),
+                        2 => self.twos.push(e as u32),
+                        _ => {}
+                    }
+                    rows += 1;
+                    rows - 1
+                }
+            });
+        }
+        loop {
+            while let Some(e) = self.ones.pop() {
+                let eq = &mut self.active[e as usize];
+                if eq.count == 1 {
+                    eq.count = 0;
+                    let u = eq.ids;
+                    self.expr_of[u as usize] = e;
+                    self.resolve(matrix, e, u);
+                }
+            }
+            // Stalled: a live equation of least active degree keeps one
+            // unknown, and the others go symbolic.
+            let Some(e) = self.least_degree() else {
+                break;
+            };
+            for &v in matrix.row(e as usize) {
+                if self.active[e as usize].count == 1 {
+                    break;
+                }
+                if !peel.known[v as usize] && self.expr_of[v as usize] == NONE {
+                    self.expr_of[v as usize] = FLAG | self.inactive.len() as u32;
+                    self.inactive.push(v);
+                    self.resolve(matrix, NONE, v);
                 }
             }
         }
-        Residual {
-            unknown_ids,
-            equations,
-            a,
+    }
+
+    /// A live equation with the fewest (≥ 2) active unknowns, if any: one
+    /// from the stack of twos, else the least by a scan.
+    fn least_degree(&mut self) -> Option<u32> {
+        while let Some(e) = self.twos.pop() {
+            if self.active[e as usize].count == 2 {
+                return Some(e);
+            }
+        }
+        (0..self.active.len() as u32)
+            .filter(|&e| self.active[e as usize].count >= 2)
+            .min_by_key(|&e| self.active[e as usize].count)
+    }
+
+    /// Records the step that resolves `var` (solved by equation `by`, or
+    /// inactivated when `by` is `NONE`) and folds it out of its equations.
+    fn resolve(&mut self, matrix: &SparseMatrix, by: u32, var: u32) {
+        self.steps.push((by, var));
+        for &f in matrix.col(var as usize) {
+            let eq = &mut self.active[f as usize];
+            if eq.count == 0 {
+                continue;
+            }
+            eq.count -= 1;
+            eq.ids ^= var;
+            match eq.count {
+                0 => {
+                    self.row_of[f as usize] |= FLAG;
+                    self.dense.push(f);
+                }
+                1 => self.ones.push(f),
+                2 => self.twos.push(f),
+                _ => {}
+            }
         }
     }
 
-    /// Reduces the system (mirroring row ops through `on_op`) and returns
-    /// `(row, variable_id)` for every **determined** unknown: a pivot whose
-    /// RREF row has no free-variable entries, i.e. row weight exactly 1.
-    pub(crate) fn determine(&mut self, on_op: impl FnMut(RowOp)) -> Vec<(usize, u32)> {
-        let pivots = self.a.reduce(on_op);
-        pivots
-            .into_iter()
-            .filter(|&(r, _)| self.a.row_weight(r) == 1)
-            .map(|(r, c)| (r, self.unknown_ids[c]))
-            .collect()
+    /// Substitutes every step into the later rows that hold its variable,
+    /// in step order: an inactive variable is its own column, a solved one
+    /// is its solving row. (An earlier solving row never holds the
+    /// variable: it had one active unknown left, and this one was still
+    /// active.)
+    fn forward(&mut self, matrix: &SparseMatrix) {
+        let w = self.inactive.len().div_ceil(64);
+        self.width = w;
+        self.row.clear();
+        self.row.resize(w, 0);
+        self.rows.clear();
+        self.rows
+            .resize(self.row_of.iter().filter(|&&r| r != NONE).count() * w, 0);
+        let mut column = 0;
+        for &(e, v) in &self.steps {
+            let from = match e {
+                NONE => None,
+                e => Some(self.row_of[e as usize] as usize * w),
+            };
+            for &f in matrix.col(v as usize) {
+                let to = self.row_of[f as usize];
+                if to == NONE || f == e {
+                    continue;
+                }
+                let to = (to & !FLAG) as usize * w;
+                match from {
+                    None => self.rows[to + column / 64] ^= 1 << (column % 64),
+                    Some(from) => {
+                        let (lo, hi) = self.rows.split_at_mut(from.max(to));
+                        let (dst, src) = if to < from {
+                            (&mut lo[to..to + w], &hi[..w])
+                        } else {
+                            (&mut hi[..w], &lo[from..from + w])
+                        };
+                        xor_words(dst, src);
+                    }
+                }
+            }
+            if e == NONE {
+                column += 1;
+            }
+        }
     }
 
-    /// True when every unknown **source** variable is determined. (Parity
-    /// variables may stay free; the receiver does not need them.)
-    pub(crate) fn all_sources_determined(&mut self, k: usize) -> bool {
-        let unknown_sources = self
-            .unknown_ids
-            .iter()
-            .filter(|&&v| (v as usize) < k)
-            .count();
-        if unknown_sources == 0 {
-            return true;
+    /// Mirrors [`forward`](Self::forward)'s row folds through `xor`, or with
+    /// `undo` takes them back off the solving rows, in reverse: a solving
+    /// row holds the same value when it is folded in both times, since
+    /// only rows after it change in between.
+    fn fold(&self, matrix: &SparseMatrix, xor: &mut impl FnMut(usize, usize), undo: bool) {
+        let apply = |&(e, u): &(u32, u32)| {
+            for &f in matrix.col(u as usize) {
+                let to = self.row_of[f as usize];
+                let target = if undo { to & FLAG == 0 } else { to != NONE };
+                if target && f != e {
+                    xor(e as usize, f as usize);
+                }
+            }
+        };
+        let solving = |step: &&(u32, u32)| step.0 != NONE;
+        if undo {
+            self.steps.iter().rev().filter(solving).for_each(apply);
+        } else {
+            self.steps.iter().filter(solving).for_each(apply);
         }
-        let determined = self.determine(|_| {});
-        determined
-            .iter()
-            .filter(|&&(_, v)| (v as usize) < k)
-            .count()
-            == unknown_sources
+    }
+
+    /// Loads `var`'s expression over the inactive columns into `row`;
+    /// `false` if it was known at the build.
+    fn load(&mut self, var: u32) -> bool {
+        let w = self.width;
+        match self.expr_of[var as usize] {
+            NONE => false,
+            x if x & FLAG != 0 => {
+                let column = (x & !FLAG) as usize;
+                self.row.fill(0);
+                self.row[column / 64] = 1 << (column % 64);
+                true
+            }
+            e => {
+                let at = self.row_of[e as usize] as usize * w;
+                self.row.copy_from_slice(&self.rows[at..at + w]);
+                true
+            }
+        }
+    }
+
+    /// Reduces `row` against the basis: afterwards it is zero at every
+    /// pivot column.
+    fn reduce(&mut self) {
+        let w = self.width;
+        for (r, &p) in self.pivots.iter().enumerate() {
+            if self.row[p as usize / 64] >> (p % 64) & 1 == 1 {
+                xor_words(&mut self.row, &self.basis[r * w..][..w]);
+            }
+        }
+    }
+
+    /// Adds the constraint in `row` to the basis, unless it is already
+    /// implied.
+    fn insert(&mut self) {
+        self.reduce();
+        if let Some((i, word)) = self.row.iter().enumerate().find(|(_, &word)| word != 0) {
+            self.pivots.push((i * 64) as u32 + word.trailing_zeros());
+            self.basis.extend_from_slice(&self.row);
+        }
     }
 }
 
@@ -115,35 +431,15 @@ impl Residual {
 /// deduplicated or not) after which **ML decoding** completes, or `None` if
 /// even the full sequence is insufficient.
 ///
-/// Uses bisection over prefixes: receiving more packets never makes an
-/// erasure system less solvable, so “ML-decodable after `i` packets” is
-/// monotone in `i`. Each probe replays a prefix through a fresh peeler and
-/// runs one elimination.
+/// One forward pass: the packets are fed in order and the index phase is
+/// asked after each one. It answers at once until the counting gate
+/// opens, is built there once, and every later packet adds one row.
 pub fn ml_necessary(matrix: &SparseMatrix, order: &[u32]) -> Option<usize> {
-    let k = matrix.k();
-    if order.len() < k {
-        return None;
-    }
-    let decodable_at = |count: usize| -> bool {
-        let mut dec = StructuralDecoder::new(matrix);
-        dec.push_batch(&order[..count]);
-        dec.ml_complete()
-    };
-    if !decodable_at(order.len()) {
-        return None;
-    }
-    // Invariant: decodable_at(hi) is true, decodable_at(lo - 1)… unknown;
-    // classic first-true bisection over [k, len].
-    let (mut lo, mut hi) = (k, order.len());
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if decodable_at(mid) {
-            hi = mid;
-        } else {
-            lo = mid + 1;
-        }
-    }
-    Some(lo)
+    let mut dec = StructuralDecoder::new(matrix);
+    order.iter().enumerate().find_map(|(i, &id)| {
+        dec.push_batch(&[id]);
+        dec.ml_complete().then_some(i + 1)
+    })
 }
 
 /// Smallest number of packets of `order` after which **peeling** completes
@@ -263,7 +559,39 @@ mod tests {
         }
     }
 
-    /// One packet short of the ML threshold, elimination must report failure
+    /// Pinning every source pins every unknown: the parity columns of the
+    /// residual are independent, so a completed decoder knows all `n`
+    /// variables, not only the `k` it needs.
+    #[test]
+    fn completion_pins_every_unknown() {
+        for right in [RightSide::Staircase, RightSide::Triangle] {
+            for seed in 0..6u64 {
+                let (k, n) = (60, 90);
+                let m = build(k, n, right, seed);
+                let src = random_payloads(k, 4, seed);
+                let refs: Vec<&[u8]> = src.iter().map(|s| s.as_slice()).collect();
+                let parity = Encoder::new(&m).encode(&refs).unwrap();
+                let mut order: Vec<u32> = (0..n as u32).collect();
+                order.shuffle(&mut SmallRng::seed_from_u64(seed));
+                let need = ml_necessary(&m, &order).expect("all n decode");
+                let mut dec = Decoder::new(Arc::clone(&m), 4);
+                for &id in &order[..need] {
+                    let payload = match (id as usize).checked_sub(k) {
+                        None => &src[id as usize],
+                        Some(p) => &parity[p],
+                    };
+                    dec.push_batch(&[(id, payload)]).unwrap();
+                }
+                assert!(dec.try_complete(), "{right} seed {seed}");
+                assert!(
+                    (0..n as u32).all(|v| dec.is_known(v)),
+                    "{right} seed {seed}"
+                );
+            }
+        }
+    }
+
+    /// One packet short of the ML threshold, completion must report failure
     /// (and not corrupt the decoder for a later retry).
     #[test]
     fn one_short_of_threshold_fails_then_recovers() {
@@ -289,9 +617,8 @@ mod tests {
             dec.push_batch(&[(id, payload_of(id))]).unwrap();
         }
         assert!(!dec.try_complete(), "must fail one packet short");
-        // Delivering the final packet must now finish (possibly via a second
-        // elimination): partial injections from the failed attempt must not
-        // have corrupted state.
+        // Delivering the final packet must now finish: the failed attempt
+        // must not have corrupted state.
         dec.push_batch(&[(order[need - 1], payload_of(order[need - 1]))])
             .unwrap();
         assert!(dec.try_complete());
@@ -317,7 +644,7 @@ mod tests {
     }
 
     /// Receiving all k source packets is always sufficient, and the ML path
-    /// agrees with peeling there (no elimination needed).
+    /// agrees with peeling there (no second phase needed).
     #[test]
     fn all_sources_trivially_complete() {
         let m = build(30, 75, RightSide::Triangle, 8);

@@ -31,11 +31,15 @@
 //!
 //! Beyond the paper's iterative decoder, the [`gauss`] module adds the
 //! second phase that later-generation codecs standardised (RFC 5170 full
-//! decoding, Raptor inactivation): when peeling stalls,
+//! decoding, RFC 6330 inactivation decoding): when peeling stalls,
 //! [`Decoder::try_complete`] / [`StructuralDecoder::ml_complete`] solve the
-//! residual stopping-set system over GF(2) ([`bitmat`]). Nothing calls them
-//! by default; the `ablation_ml` bench quantifies how much inefficiency the
-//! paper's conclusions inherit from the suboptimal decoder.
+//! residual stopping-set system over GF(2) with one incremental
+//! inactivation engine, cheap enough to ask after every batch. The codec
+//! layer's byte-true decoder does ([`Decoder::push_batch`] itself stays
+//! pure peeling), so every receiver completes at the maximum-likelihood
+//! point; the Monte-Carlo sweeps keep the paper's decoder, and the
+//! `ablation_ml` bench quantifies how much inefficiency the paper's
+//! conclusions inherit from it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -40,21 +40,25 @@ impl Hook for () {}
 
 /// A check equation's unprocessed variables.
 #[derive(Clone, Copy)]
-struct Unprocessed {
+pub(crate) struct Unprocessed {
     /// How many (0 = resolved).
-    count: u32,
+    pub(crate) count: u32,
     /// XOR of their ids: the last one's id once `count` is 1.
-    ids: u32,
+    pub(crate) ids: u32,
 }
 
 /// Index-level decoder state shared by both decoders.
 #[derive(Clone, Default)]
 pub(crate) struct Peeler {
     /// Per check equation.
-    eqs: Vec<Unprocessed>,
+    pub(crate) eqs: Vec<Unprocessed>,
     /// Whether each variable is known (received or solved).
     pub(crate) known: Vec<bool>,
     pub(crate) decoded_source: usize,
+    /// Variables not yet known.
+    pub(crate) unknown: usize,
+    /// Equations not yet resolved (unprocessed count above zero).
+    pub(crate) live: usize,
     /// Packets pushed, duplicates included (maintained by the owners).
     pub(crate) received: u64,
     /// Reusable cascade stack (kept across pushes to avoid re-allocation).
@@ -79,6 +83,8 @@ impl Peeler {
         self.known.clear();
         self.known.resize(matrix.n(), false);
         self.decoded_source = 0;
+        self.unknown = matrix.n();
+        self.live = self.eqs.iter().filter(|eq| eq.count > 0).count();
         self.received = 0;
         self.stack.clear();
     }
@@ -88,10 +94,21 @@ impl Peeler {
         self.decoded_source == matrix.k()
     }
 
+    /// Takes equation `e` out of the cascade: it is never folded into
+    /// again. Maximum-likelihood completion retires the equations it has
+    /// spent.
+    pub(crate) fn retire(&mut self, e: usize) {
+        if self.eqs[e].count > 0 {
+            self.eqs[e].count = 0;
+            self.live -= 1;
+        }
+    }
+
     #[inline]
     fn mark_known(&mut self, matrix: &SparseMatrix, var: u32) {
         debug_assert!(!self.known[var as usize]);
         self.known[var as usize] = true;
+        self.unknown -= 1;
         if (var as usize) < matrix.k() {
             self.decoded_source += 1;
         }
@@ -119,6 +136,7 @@ impl Peeler {
                     // known but pending on the stack — then the equation
                     // is spent.
                     eq.count = 0;
+                    self.live -= 1;
                     let u = eq.ids;
                     if self.known[u as usize] {
                         hook.spent(e);

@@ -2,9 +2,11 @@
 //!
 //! [`crate::peel`]'s cascade with the no-op hook — the walk
 //! [`crate::Decoder`] runs, minus the payload bytes, so the two complete
-//! at exactly the same received-packet count by construction.
+//! at exactly the same received-packet count by construction. The index
+//! phase of [`crate::gauss`]'s inactivation engine rides on it for the
+//! maximum-likelihood question.
 
-use crate::gauss::Residual;
+use crate::gauss::Inactivation;
 use crate::peel::Peeler;
 use crate::SparseMatrix;
 
@@ -13,6 +15,7 @@ use crate::SparseMatrix;
 pub struct StructuralDecoder<'m> {
     matrix: &'m SparseMatrix,
     peel: Peeler,
+    ml: Inactivation,
 }
 
 impl<'m> StructuralDecoder<'m> {
@@ -21,6 +24,7 @@ impl<'m> StructuralDecoder<'m> {
         StructuralDecoder {
             matrix,
             peel: Peeler::new(matrix),
+            ml: Inactivation::default(),
         }
     }
 
@@ -41,6 +45,7 @@ impl<'m> StructuralDecoder<'m> {
             assert!((id as usize) < self.matrix.n(), "packet id out of range");
             self.peel.received += 1;
             if !self.peel.known[id as usize] {
+                self.ml.arrived(id);
                 self.peel.learn(self.matrix, id, &mut ());
             }
             if done_at.is_none() && self.is_complete() {
@@ -50,14 +55,14 @@ impl<'m> StructuralDecoder<'m> {
         done_at
     }
 
-    /// Would Gaussian elimination over the residual system recover every
-    /// remaining source packet from what has been received so far? Runs a
-    /// fresh elimination (O(rows · unknowns² / 64)); call it when peeling
-    /// has stalled, not per packet.
-    pub fn ml_complete(&self) -> bool {
-        self.is_complete()
-            || Residual::build(self.matrix, &self.peel.known)
-                .all_sources_determined(self.matrix.k())
+    /// Would a maximum-likelihood decoder recover every source packet from
+    /// what has been received so far? Exact. While the live equations are
+    /// fewer than the unknowns it answers no at once; the first call past
+    /// that gate builds the inactivation engine's index phase, and each
+    /// later call only folds in the packets received since (one row each),
+    /// so it is cheap enough to ask after every packet.
+    pub fn ml_complete(&mut self) -> bool {
+        self.ml.decodable(self.matrix, &self.peel)
     }
 
     /// True once all `k` source packets are known.
@@ -88,6 +93,7 @@ impl<'m> StructuralDecoder<'m> {
     /// sweep reuse one decoder object across runs on the same matrix.
     pub fn reset(&mut self) {
         self.peel.reset(self.matrix);
+        self.ml.reset();
     }
 }
 

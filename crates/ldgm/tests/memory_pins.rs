@@ -4,7 +4,10 @@
 //!
 //! Each case is `(right side, matrix seed, arrival order)` at k = 200,
 //! n = 300; the figures were recorded with the one-buffer-per-symbol store
-//! this crate shipped before its object buffer and accumulator slots.
+//! this crate shipped before its object buffer and accumulator slots. The
+//! `ShuffledMl` peaks include `try_complete`'s payload pass, and three of
+//! them were re-recorded when the inactivation engine replaced the dense
+//! elimination (its injection order holds fewer symbols at once).
 
 use std::sync::Arc;
 
@@ -51,15 +54,15 @@ const PINNED: &[(RightSide, u64, Order, usize, usize)] = &[
     (Staircase, 0xdeadbeef, SourceFirst, 291, 37136),
     (Staircase, 0xdeadbeef, ParityFirst, 211, 24041),
     (Staircase, 0xdeadbeef, Shuffled, 222, 31726),
-    (Staircase, 0xdeadbeef, ShuffledMl, 223, 30865),
+    (Staircase, 0xdeadbeef, ShuffledMl, 221, 30865),
     (Triangle, 0x1, SourceFirst, 299, 37196),
     (Triangle, 0x1, ParityFirst, 210, 25720),
     (Triangle, 0x1, Shuffled, 234, 35256),
-    (Triangle, 0x1, ShuffledMl, 233, 33433),
+    (Triangle, 0x1, ShuffledMl, 231, 33433),
     (Triangle, 0xdeadbeef, SourceFirst, 291, 37136),
     (Triangle, 0xdeadbeef, ParityFirst, 211, 26587),
     (Triangle, 0xdeadbeef, Shuffled, 233, 33411),
-    (Triangle, 0xdeadbeef, ShuffledMl, 238, 31148),
+    (Triangle, 0xdeadbeef, ShuffledMl, 229, 31148),
 ];
 
 /// The final stats and the trajectory sum of one case.

@@ -1,7 +1,7 @@
 //! Single-experiment execution: schedule → channel → structural decode.
 
 use fec_channel::{GilbertChannel, GilbertParams, LossModel};
-use fec_codec::{StructuralFactory, StructuralSession};
+use fec_codec::{Decoding, StructuralFactory, StructuralSession};
 use fec_sched::{Layout, PacketRef, RxModel, TxModel};
 
 use crate::seed::mix_seed;
@@ -100,9 +100,11 @@ impl Runner {
         let seeds: Vec<u64> = (0..matrix_pool)
             .map(|i| mix_seed(0x5EED_BA5E, &[TAG_MATRIX, i as u64]))
             .collect();
-        let structural = experiment
-            .code
-            .structural_factory(experiment.k, ratio, &seeds)?;
+        // The paper's decoder: every sweep, figure and table measures it.
+        let structural =
+            experiment
+                .code
+                .structural_factory(experiment.k, ratio, &seeds, Decoding::Iterative)?;
         Ok(Runner {
             experiment,
             layout,

@@ -13,8 +13,8 @@
 use std::sync::Arc;
 
 use fec_broadcast::codec::{
-    conformance, registry, CodecError, DecodeProgress, Decoder, Encoder, Envelope, ErasureCode,
-    SessionParams, StructuralFactory, StructuralSession, Symbol,
+    conformance, registry, CodecError, DecodeProgress, Decoder, Decoding, Encoder, Envelope,
+    ErasureCode, SessionParams, StructuralFactory, StructuralSession, Symbol,
 };
 use fec_broadcast::prelude::*;
 
@@ -89,11 +89,13 @@ impl ErasureCode for XorParity {
         }))
     }
 
+    // Any k symbols decode, so both decoders finish at the same point.
     fn structural_factory(
         &self,
         k: usize,
         ratio: f64,
         _seeds: &[u64],
+        _decoding: Decoding,
     ) -> Result<Box<dyn StructuralFactory>, CodecError> {
         self.layout(k, ratio)?;
         Ok(Box::new(XorFactory { k }))

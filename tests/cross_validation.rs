@@ -1,13 +1,16 @@
 //! Cross-validation: the Monte-Carlo fast path (structural decoders in
-//! `fec-sim`) must agree packet-for-packet with the real byte-moving
-//! session layer (`fec-core`) on identical schedules and loss sequences.
+//! `fec-sim`) against the real byte-moving session layer (`fec-core`) on
+//! identical schedules and loss sequences.
 //!
-//! This is the load-bearing test of the whole reproduction: every figure
-//! and table in docs/PAPER_MAP.md §"Figures" is computed by the structural
-//! path, and this test is what entitles those numbers to speak for the real
-//! codec.
+//! This is the load-bearing test of the whole reproduction. The byte path
+//! decodes by maximum likelihood, so its structural twin under
+//! `Decoding::MaximumLikelihood` must agree with it packet for packet.
+//! Every figure and table in docs/PAPER_MAP.md §"Figures" is computed by
+//! the structural path under `Decoding::Iterative`, the paper's decoder;
+//! that one must never complete before the byte path, which is what lets
+//! those numbers speak for the real codec as an upper bound.
 
-use fec_broadcast::codec::builtin;
+use fec_broadcast::codec::{builtin, Decoding};
 use fec_broadcast::prelude::*;
 
 fn object(len: usize, seed: u8) -> Vec<u8> {
@@ -16,9 +19,10 @@ fn object(len: usize, seed: u8) -> Vec<u8> {
         .collect()
 }
 
-/// Feeds the same survivor sequence to the payload receiver and a
-/// structural decoder; returns (payload_done_at, structural_done_at) as
-/// received-packet counts.
+/// Feeds the same survivor sequence to the payload receiver and to both
+/// structural decoders; returns (payload_done_at, maximum-likelihood
+/// structural_done_at) as received-packet counts, after checking that the
+/// iterative structural decoder completes no earlier.
 fn run_both(
     code: &CodecHandle,
     k: usize,
@@ -37,16 +41,22 @@ fn run_both(
     // Monte-Carlo runner uses, from the same structure seed the session
     // uses.
     let layout = sender.layout().clone();
-    let factory = spec
-        .code
-        .structural_factory(k, ratio.as_f64(), &[spec.matrix_seed])
-        .expect("structural factory");
-    let mut structural = factory.session(0);
+    let factory = |decoding| {
+        spec.code
+            .structural_factory(k, ratio.as_f64(), &[spec.matrix_seed], decoding)
+            .expect("structural factory")
+    };
+    let (twin, paper) = (
+        factory(Decoding::MaximumLikelihood),
+        factory(Decoding::Iterative),
+    );
+    let (mut structural, mut iterative) = (twin.session(0), paper.session(0));
 
     let mut gilbert = GilbertChannel::new(channel, seed ^ 0x77);
     let mut received = 0u64;
     let mut payload_done = None;
     let mut structural_done = None;
+    let mut iterative_done = None;
     for r in tx.schedule(&layout, seed) {
         if gilbert.next_is_lost() {
             continue;
@@ -59,10 +69,17 @@ fn run_both(
         if structural.add_batch(&[r]).is_some() && structural_done.is_none() {
             structural_done = Some(received);
         }
-        if payload_done.is_some() && structural_done.is_some() {
+        if iterative.add_batch(&[r]).is_some() && iterative_done.is_none() {
+            iterative_done = Some(received);
+        }
+        if payload_done.is_some() && structural_done.is_some() && iterative_done.is_some() {
             break;
         }
     }
+    assert!(
+        iterative_done.is_none_or(|i| payload_done.is_some_and(|p| p <= i)),
+        "iterative structural decoder done at {iterative_done:?}, payload at {payload_done:?}"
+    );
     if payload_done.is_some() {
         assert_eq!(
             receiver.into_object().expect("decoded"),
