@@ -1,6 +1,6 @@
 //! Property tests for the fan-out feedback path.
 //!
-//! Two guarantees the million-receiver loop depends on:
+//! Three guarantees the million-receiver loop depends on:
 //!
 //! 1. **EXT_SEQ wraparound is invisible.** The 24-bit sequence space
 //!    wraps every ~16M packets; a receiver whose stream crosses the wrap
@@ -13,13 +13,18 @@
 //!    equal a clean single-stream replay of exactly the worst receiver's
 //!    accepted digest subset — population bookkeeping is O(1) per digest
 //!    and only the worst receiver's sketch reaches the estimator.
+//! 3. **The bookkeeping is the rules.** Counters, completion masks and
+//!    the cached worst receiver give, after every step, what a linear
+//!    scan over a plain list of receivers gives from the module doc's
+//!    rules alone.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::net::SocketAddr;
 
-use fec_adapt::{AdaptiveController, ControllerConfig};
+use fec_adapt::{AdaptiveController, ControllerConfig, PopulationSummary};
 use fec_flute::feedback::{
-    AggregateOutcome, AggregatorConfig, FeedbackAggregator, LossRun, ReceptionReport, ReportConfig,
-    ReportEmitter, ReportEntry, SEQ_MODULUS,
+    AggregateOutcome, AggregateStats, AggregatorConfig, FeedbackAggregator, LossRun, NackEntry,
+    ReceptionReport, ReportConfig, ReportEmitter, ReportEntry, SEQ_MODULUS,
 };
 
 use proptest::prelude::*;
@@ -255,5 +260,416 @@ proptest! {
 
         let s = agg.stats();
         prop_assert_eq!(s.ingested, s.folded + s.accepted + s.deduped + s.foreign);
+    }
+}
+
+// ---------------------------------------------------------------------
+// An independent oracle: the aggregator against a linear-scan model.
+// ---------------------------------------------------------------------
+
+/// The oracle's aggregator settings: a cap below the address pool, a
+/// short idle clock and a NACK budget a couple of digests exhaust.
+const ORACLE_TSI: u32 = 7;
+const ORACLE_MAX_RECEIVERS: usize = 4;
+const ORACLE_IDLE_TICKS: u64 = 2;
+const ORACLE_NACK_BUDGET: u64 = 5;
+/// The FDT, two mask-tracked objects and one past the 64-bit mask.
+const ORACLE_TOIS: [u32; 4] = [0, 1, 2, 70];
+
+/// One receiver as the model tracks it.
+struct ModelReceiver {
+    addr: SocketAddr,
+    last_seq: u32,
+    last_active: u64,
+    received: u64,
+    lost: u64,
+    objects: u32,
+    objects_complete: u32,
+    /// Every non-FDT TOI this receiver has ever reported complete.
+    completed: BTreeSet<u32>,
+    session_complete: bool,
+    nack_used: u64,
+    nack_window: u64,
+}
+
+/// The aggregator's rules from its module doc, written as a linear scan
+/// over a `Vec`: no counters, masks or histograms to keep in step.
+struct Model {
+    receivers: Vec<ModelReceiver>,
+    worst: Option<SocketAddr>,
+    tick: u64,
+    outcome_recorded: BTreeSet<u32>,
+    nack_union: BTreeMap<(u32, u32), BTreeSet<u32>>,
+    stats: AggregateStats,
+    controller: AdaptiveController,
+}
+
+impl Model {
+    fn new() -> Model {
+        Model {
+            receivers: Vec::new(),
+            worst: None,
+            tick: 0,
+            outcome_recorded: BTreeSet::new(),
+            nack_union: BTreeMap::new(),
+            stats: AggregateStats::default(),
+            controller: AdaptiveController::new(ControllerConfig::default()),
+        }
+    }
+
+    fn find(&self, addr: SocketAddr) -> Option<&ModelReceiver> {
+        self.receivers.iter().find(|r| r.addr == addr)
+    }
+
+    /// Every tracked receiver has reported `toi` complete.
+    fn is_complete(&self, toi: u32) -> bool {
+        !self.receivers.is_empty() && self.receivers.iter().all(|r| r.completed.contains(&toi))
+    }
+
+    fn completed(&self) -> Vec<u32> {
+        let seen: BTreeSet<u32> = self
+            .receivers
+            .iter()
+            .flat_map(|r| r.completed.iter().copied())
+            .collect();
+        seen.into_iter().filter(|&t| self.is_complete(t)).collect()
+    }
+
+    fn session_complete(&self) -> bool {
+        !self.receivers.is_empty() && self.receivers.iter().all(|r| r.session_complete)
+    }
+
+    fn ingest(&mut self, src: SocketAddr, d: &ReceptionReport) -> AggregateOutcome {
+        self.stats.ingested += 1;
+        if d.tsi != ORACLE_TSI {
+            self.stats.foreign += 1;
+            return AggregateOutcome::ForeignSession;
+        }
+        let i = match self.receivers.iter().position(|r| r.addr == src) {
+            Some(i) if d.report_seq <= self.receivers[i].last_seq => {
+                self.stats.deduped += 1;
+                return AggregateOutcome::Deduped;
+            }
+            Some(i) => i,
+            None if self.receivers.len() >= ORACLE_MAX_RECEIVERS => {
+                self.stats.accepted += 1;
+                return AggregateOutcome::Accepted;
+            }
+            None => {
+                self.receivers.push(ModelReceiver {
+                    addr: src,
+                    last_seq: 0,
+                    last_active: self.tick,
+                    received: 0,
+                    lost: 0,
+                    objects: 0,
+                    objects_complete: 0,
+                    completed: BTreeSet::new(),
+                    session_complete: false,
+                    nack_used: 0,
+                    nack_window: self.tick,
+                });
+                self.receivers.len() - 1
+            }
+        };
+
+        let tick = self.tick;
+        let r = &mut self.receivers[i];
+        if r.nack_window < tick {
+            r.nack_window = tick;
+            r.nack_used = 0;
+        }
+        r.last_seq = d.report_seq;
+        r.last_active = tick;
+        r.received = d.entries.iter().map(|e| u64::from(e.received)).sum();
+        r.lost = d.entries.iter().map(|e| u64::from(e.lost)).sum();
+        let objects: Vec<_> = d.entries.iter().filter(|e| e.toi != 0).collect();
+        r.objects = objects.len() as u32;
+        r.objects_complete = objects.iter().filter(|e| e.complete).count() as u32;
+        r.session_complete |= d.session_complete;
+        for e in objects.iter().filter(|e| e.complete) {
+            if self.receivers[i].completed.insert(e.toi)
+                && self.is_complete(e.toi)
+                && self.outcome_recorded.insert(e.toi)
+            {
+                self.controller.record_outcome(true);
+            }
+        }
+
+        // Worst by exact cross-multiplication, lower address on a tie;
+        // the incumbent folds its own digests.
+        let (lost, total) = (
+            self.receivers[i].lost,
+            self.receivers[i].lost + self.receivers[i].received,
+        );
+        let folds = match self.worst {
+            None => true,
+            Some(w) if w == src => true,
+            Some(w) => {
+                let w_state = self.find(w).expect("the worst receiver is tracked");
+                let w_total = w_state.lost + w_state.received;
+                let lhs = u128::from(lost) * u128::from(w_total.max(1));
+                let rhs = u128::from(w_state.lost) * u128::from(total.max(1));
+                lhs > rhs || (lhs == rhs && src <= w)
+            }
+        };
+
+        // NACK union, skipping population-complete objects (the FDT is
+        // never skipped), each symbol charged against the source budget.
+        let mut remaining = ORACLE_NACK_BUDGET - self.receivers[i].nack_used;
+        for n in &d.nacks {
+            if (n.toi != 0 && self.is_complete(n.toi)) || n.esis.is_empty() {
+                continue;
+            }
+            for &esi in &n.esis {
+                if remaining == 0 {
+                    self.stats.throttled += 1;
+                    continue;
+                }
+                remaining -= 1;
+                if self
+                    .nack_union
+                    .entry((n.toi, n.block))
+                    .or_default()
+                    .insert(esi)
+                {
+                    self.stats.nack_symbols += 1;
+                }
+            }
+        }
+        self.receivers[i].nack_used = ORACLE_NACK_BUDGET - remaining;
+
+        if folds {
+            self.worst = Some(src);
+            let observations: u64 = d.runs.iter().map(|r| u64::from(r.len)).sum();
+            self.controller
+                .observe_runs(d.runs.iter().map(|r| (r.lost, u64::from(r.len))));
+            self.stats.folded += 1;
+            self.stats.observations += observations;
+            AggregateOutcome::Folded { observations }
+        } else {
+            self.stats.accepted += 1;
+            AggregateOutcome::Accepted
+        }
+    }
+
+    fn advance_tick(&mut self) -> usize {
+        self.tick += 1;
+        let tick = self.tick;
+        let before = self.receivers.len();
+        self.receivers
+            .retain(|r| r.last_active + ORACLE_IDLE_TICKS >= tick);
+        if self.worst.is_some_and(|w| self.find(w).is_none()) {
+            self.worst = None;
+        }
+        let evicted = before - self.receivers.len();
+        self.stats.evicted += evicted as u64;
+        evicted
+    }
+
+    fn take_nack_requests(&mut self) -> Vec<NackEntry> {
+        std::mem::take(&mut self.nack_union)
+            .into_iter()
+            .filter(|((toi, _), _)| !self.is_complete(*toi))
+            .map(|((toi, block), esis)| NackEntry {
+                toi,
+                block,
+                esis: esis.into_iter().collect(),
+            })
+            .collect()
+    }
+
+    fn summary(&self) -> PopulationSummary {
+        let worst_loss = self
+            .worst
+            .and_then(|w| self.find(w))
+            .map(|r| match r.lost + r.received {
+                0 => 0.0,
+                total => r.lost as f64 / total as f64,
+            })
+            .unwrap_or(0.0);
+        // Completion in tenths, the fully-complete receiver in the top
+        // tenth; the quantile is the ceil(q·n)-th smallest.
+        let mut tenths: Vec<u64> = self
+            .receivers
+            .iter()
+            .map(|r| match r.objects {
+                0 => 0,
+                n => (u64::from(r.objects_complete) * 10 / u64::from(n)).min(10),
+            })
+            .collect();
+        tenths.sort_unstable();
+        let quantile = |q: f64| match tenths.len() {
+            0 => 0.0,
+            n => {
+                let rank = ((q * n as f64).ceil() as usize).max(1);
+                tenths[rank - 1] as f64 / 10.0
+            }
+        };
+        PopulationSummary {
+            receivers: self.receivers.len() as u64,
+            worst_loss,
+            completion_quantiles: [quantile(0.10), quantile(0.50), quantile(0.90)],
+        }
+    }
+}
+
+/// One step of the oracle run.
+#[derive(Debug, Clone)]
+enum OracleOp {
+    Ingest {
+        rx: u16,
+        digest: ReceptionReport,
+        through_wire: bool,
+    },
+    Tick,
+    TakeNacks,
+    Failure,
+}
+
+/// Deterministically expands `bits` into a small digest: entries on a
+/// subset of [`ORACLE_TOIS`], up to three runs, up to two NACKs, one in
+/// sixteen for a foreign session.
+fn oracle_digest(report_seq: u32, bits: u64) -> ReceptionReport {
+    let mut state = bits;
+    let mut next = |modulus: u64| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) % modulus
+    };
+    let tsi = if next(16) == 0 {
+        ORACLE_TSI + 1
+    } else {
+        ORACLE_TSI
+    };
+    let session_complete = next(4) == 0;
+    let entries = ORACLE_TOIS
+        .iter()
+        .filter_map(|&toi| {
+            (next(3) != 0).then(|| ReportEntry {
+                toi,
+                received: next(40) as u32,
+                lost: next(12) as u32,
+                complete: next(2) == 0,
+            })
+        })
+        .collect();
+    let runs = (0..next(4))
+        .map(|_| LossRun {
+            lost: next(2) == 0,
+            len: 1 + next(30) as u32,
+        })
+        .collect();
+    let nacks = (0..next(3))
+        .map(|_| {
+            let toi = ORACLE_TOIS[next(4) as usize];
+            let mut esis: Vec<u32> = (0..next(5)).map(|_| next(8) as u32).collect();
+            esis.sort_unstable();
+            esis.dedup();
+            NackEntry {
+                toi,
+                block: next(2) as u32,
+                esis,
+            }
+        })
+        .collect();
+    ReceptionReport {
+        tsi,
+        report_seq,
+        highest_seq: None,
+        session_complete,
+        truncated: false,
+        entries,
+        runs,
+        nacks,
+    }
+}
+
+fn oracle_ops() -> impl Strategy<Value = Vec<OracleOp>> {
+    proptest::collection::vec((0u8..14, 0u16..6, 0u32..6, any::<u64>()), 1..120).prop_map(|raw| {
+        raw.into_iter()
+            .map(|(kind, rx, seq, bits)| match kind {
+                0..=8 => OracleOp::Ingest {
+                    rx,
+                    digest: oracle_digest(seq, bits),
+                    through_wire: bits & 1 == 0,
+                },
+                9..=11 => OracleOp::Tick,
+                12 => OracleOp::TakeNacks,
+                _ => OracleOp::Failure,
+            })
+            .collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Per-source dedup, the receiver cap, the worst-receiver rule,
+    /// completion, eviction and the NACK budget agree with the
+    /// linear-scan model after every step of an interleaved run.
+    #[test]
+    fn aggregator_matches_linear_scan_model(ops in oracle_ops()) {
+        let mut agg = FeedbackAggregator::new(
+            ORACLE_TSI,
+            AggregatorConfig {
+                idle_ticks: ORACLE_IDLE_TICKS,
+                max_receivers: ORACLE_MAX_RECEIVERS,
+                nack_budget: ORACLE_NACK_BUDGET,
+            },
+            ControllerConfig::default(),
+        );
+        let mut model = Model::new();
+        for (step, op) in ops.iter().enumerate() {
+            match op {
+                OracleOp::Ingest { rx, digest, through_wire } => {
+                    let src = addr(*rx);
+                    let wire = digest.to_bytes().ok().filter(|_| *through_wire);
+                    let got = match &wire {
+                        Some(bytes) => agg.ingest_datagram(src, bytes).expect("well-formed digest"),
+                        None => agg.ingest(src, digest),
+                    };
+                    let want = model.ingest(src, digest);
+                    prop_assert_eq!(got, want, "step {}: {:?}", step, op);
+                }
+                OracleOp::Tick => {
+                    prop_assert_eq!(agg.advance_tick(), model.advance_tick(), "step {}", step);
+                }
+                OracleOp::TakeNacks => {
+                    prop_assert_eq!(
+                        agg.take_nack_requests(),
+                        model.take_nack_requests(),
+                        "step {}",
+                        step
+                    );
+                }
+                OracleOp::Failure => {
+                    agg.record_failure();
+                    model.controller.record_outcome(false);
+                }
+            }
+            prop_assert_eq!(agg.stats(), model.stats, "step {}", step);
+            prop_assert_eq!(agg.worst_receiver(), model.worst, "step {}", step);
+            prop_assert_eq!(agg.receiver_count(), model.receivers.len(), "step {}", step);
+            prop_assert_eq!(agg.summary(), model.summary(), "step {}", step);
+            for toi in ORACLE_TOIS {
+                prop_assert_eq!(agg.is_complete(toi), model.is_complete(toi), "step {} toi {}", step, toi);
+            }
+            prop_assert_eq!(agg.completed().collect::<Vec<_>>(), model.completed(), "step {}", step);
+            prop_assert_eq!(agg.session_complete(), model.session_complete(), "step {}", step);
+            prop_assert_eq!(
+                agg.controller().estimator().counts(),
+                model.controller.estimator().counts(),
+                "step {}",
+                step
+            );
+            prop_assert_eq!(
+                agg.controller().in_backoff(),
+                model.controller.in_backoff(),
+                "step {}",
+                step
+            );
+        }
     }
 }
