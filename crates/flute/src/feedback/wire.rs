@@ -269,8 +269,30 @@ impl ReceptionReport {
         Ok(out)
     }
 
+    /// A report with no entries, runs or NACKs: a parse target.
+    pub(crate) const EMPTY: ReceptionReport = ReceptionReport {
+        tsi: 0,
+        report_seq: 0,
+        highest_seq: None,
+        session_complete: false,
+        truncated: false,
+        entries: Vec::new(),
+        runs: Vec::new(),
+        nacks: Vec::new(),
+    };
+
     /// Parses a digest datagram.
     pub fn from_bytes(data: &[u8]) -> Result<ReceptionReport, FluteError> {
+        let mut report = ReceptionReport::EMPTY;
+        report.read_from(data)?;
+        Ok(report)
+    }
+
+    /// Parses a digest datagram into `self`, reusing the capacity of its
+    /// vectors (a NACK's ESI list included), so a caller that keeps one
+    /// report parses a stream of digests without allocating. After an
+    /// error the report's contents are unspecified.
+    pub(crate) fn read_from(&mut self, data: &[u8]) -> Result<(), FluteError> {
         let mut r = Reader::new(data, "reception report header");
         if r.array::<4>()? != REPORT_MAGIC {
             return Err(FluteError::Malformed {
@@ -318,10 +340,10 @@ impl ReceptionReport {
                 got: data.len(),
             });
         }
-        let tsi = r.u32_be()?;
-        let report_seq = r.u32_be()?;
+        self.tsi = r.u32_be()?;
+        self.report_seq = r.u32_be()?;
         let highest_raw = r.u32_be()?;
-        let highest_seq = if flags & FLAG_HAS_HIGHEST_SEQ != 0 {
+        self.highest_seq = if flags & FLAG_HAS_HIGHEST_SEQ != 0 {
             if highest_raw >= SEQ_MODULUS {
                 return Err(FluteError::Malformed {
                     reason: format!("highest_seq {highest_raw} exceeds the EXT_SEQ space"),
@@ -331,8 +353,11 @@ impl ReceptionReport {
         } else {
             None
         };
+        self.session_complete = flags & FLAG_SESSION_COMPLETE != 0;
+        self.truncated = flags & FLAG_TRUNCATED != 0;
 
-        let mut entries = Vec::with_capacity(entry_count);
+        self.entries.clear();
+        self.entries.reserve(entry_count);
         for _ in 0..entry_count {
             let toi = r.u32_be()?;
             let received = r.u32_be()?;
@@ -344,14 +369,15 @@ impl ReceptionReport {
                     reason: format!("reception report entry status {status:#04x}"),
                 });
             }
-            entries.push(ReportEntry {
+            self.entries.push(ReportEntry {
                 toi,
                 received,
                 lost,
                 complete: status & STATUS_COMPLETE != 0,
             });
         }
-        let mut runs = Vec::with_capacity(run_count);
+        self.runs.clear();
+        self.runs.reserve(run_count);
         for _ in 0..run_count {
             let word = r.u32_be()?;
             let len = word & !RUN_LOST_BIT;
@@ -360,13 +386,14 @@ impl ReceptionReport {
                     reason: "zero-length loss run".into(),
                 });
             }
-            runs.push(LossRun {
+            self.runs.push(LossRun {
                 lost: word & RUN_LOST_BIT != 0,
                 len,
             });
         }
-        let mut nacks = Vec::with_capacity(nack_count);
-        for _ in 0..nack_count {
+        // NACK entries already in the report lend their ESI lists to the
+        // new ones; the surplus is dropped at the end.
+        for i in 0..nack_count {
             let toi = r.u32_be()?;
             let block = r.u32_be()?;
             let esi_count = r.u16_be()? as usize;
@@ -376,15 +403,27 @@ impl ReceptionReport {
                     reason: format!("empty NACK for toi {toi} block {block}"),
                 });
             }
-            // Bound the pre-allocation by what the buffer can actually
-            // hold so a forged count cannot balloon memory.
-            let remaining = data.len().saturating_sub(r.pos()) / 4;
-            let mut esis = Vec::with_capacity(esi_count.min(remaining));
-            for _ in 0..esi_count {
-                esis.push(r.u32_be()?);
+            if i == self.nacks.len() {
+                self.nacks.push(NackEntry {
+                    toi,
+                    block,
+                    esis: Vec::new(),
+                });
             }
-            nacks.push(NackEntry { toi, block, esis });
+            if let Some(nack) = self.nacks.get_mut(i) {
+                nack.toi = toi;
+                nack.block = block;
+                nack.esis.clear();
+                // Bound the pre-allocation by what the buffer can
+                // actually hold so a forged count cannot balloon memory.
+                let remaining = data.len().saturating_sub(r.pos()) / 4;
+                nack.esis.reserve(esi_count.min(remaining));
+                for _ in 0..esi_count {
+                    nack.esis.push(r.u32_be()?);
+                }
+            }
         }
+        self.nacks.truncate(nack_count);
         if r.pos() != data.len() {
             return Err(FluteError::Malformed {
                 reason: format!(
@@ -393,16 +432,7 @@ impl ReceptionReport {
                 ),
             });
         }
-        Ok(ReceptionReport {
-            tsi,
-            report_seq,
-            highest_seq,
-            session_complete: flags & FLAG_SESSION_COMPLETE != 0,
-            truncated: flags & FLAG_TRUNCATED != 0,
-            entries,
-            runs,
-            nacks,
-        })
+        Ok(())
     }
 }
 
@@ -518,6 +548,34 @@ mod tests {
         let mut long = wire.clone();
         long.push(0);
         assert!(ReceptionReport::from_bytes(&long).is_err(), "trailing junk");
+    }
+
+    /// One kept report parsed again and again, across shapes and after
+    /// a rejected datagram, reads exactly what a fresh parse reads.
+    #[test]
+    fn read_from_reuses_one_report() {
+        let mut more_nacks = sample_with_nacks();
+        more_nacks.nacks.push(NackEntry {
+            toi: 4,
+            block: 1,
+            esis: (0..40).collect(),
+        });
+        let mut kept = ReceptionReport::EMPTY;
+        for report in [
+            sample_with_nacks(),
+            sample(),
+            more_nacks.clone(),
+            sample_with_nacks(),
+        ] {
+            let wire = report.to_bytes().unwrap();
+            kept.read_from(&wire).unwrap();
+            assert_eq!(kept, report);
+            assert_eq!(kept, ReceptionReport::from_bytes(&wire).unwrap());
+        }
+        let wire = more_nacks.to_bytes().unwrap();
+        assert!(kept.read_from(&wire[..wire.len() - 1]).is_err());
+        kept.read_from(&wire).unwrap();
+        assert_eq!(kept, more_nacks);
     }
 
     #[test]

@@ -544,17 +544,19 @@ fn oracle_digest(report_seq: u32, bits: u64) -> ReceptionReport {
         ORACLE_TSI
     };
     let session_complete = next(4) == 0;
-    let entries = ORACLE_TOIS
-        .iter()
-        .filter_map(|&toi| {
-            (next(3) != 0).then(|| ReportEntry {
+    let mut entries = Vec::new();
+    for toi in ORACLE_TOIS {
+        if next(3) != 0 {
+            entries.push(ReportEntry {
                 toi,
                 received: next(40) as u32,
-                lost: next(12) as u32,
+                // Mostly loss-free, so fractions tie and the address
+                // tie-break decides.
+                lost: next(12).saturating_sub(8) as u32,
                 complete: next(2) == 0,
-            })
-        })
-        .collect();
+            });
+        }
+    }
     let runs = (0..next(4))
         .map(|_| LossRun {
             lost: next(2) == 0,
