@@ -52,9 +52,11 @@
 //! worst receiver's counters are cached beside its address, so the
 //! comparison looks nothing up.
 //! [`ingest_datagram`](FeedbackAggregator::ingest_datagram) parses into a
-//! report the aggregator keeps, so parsing allocates nothing per digest,
-//! and eviction is one pass. `tests/fanout_props.rs` checks the
-//! bookkeeping against a linear-scan model of the rules above.
+//! report the aggregator keeps (the live sender reads it back through
+//! [`last_digest`](FeedbackAggregator::last_digest)), so parsing a digest
+//! allocates only its NACKs' ESI lists, and eviction is one pass.
+//! `tests/fanout_props.rs` checks the bookkeeping against a linear-scan
+//! model of the rules above.
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
@@ -313,6 +315,13 @@ impl FeedbackAggregator {
         outcome
     }
 
+    /// The digest the last [`ingest_datagram`](Self::ingest_datagram)
+    /// call parsed, for a caller that reports on it. Unspecified if that
+    /// call returned an error.
+    pub fn last_digest(&self) -> &ReceptionReport {
+        &self.report
+    }
+
     /// Ingests one parsed digest from `src`.
     pub fn ingest(&mut self, src: SocketAddr, report: &ReceptionReport) -> AggregateOutcome {
         self.stats.ingested += 1;
@@ -426,7 +435,12 @@ impl FeedbackAggregator {
         let mut fresh_symbols = 0u64;
         let mut throttled_symbols = 0u64;
         for nack in &report.nacks {
-            if nack.toi != FDT_TOI && covers(&self.toi_complete, nack.toi, population) {
+            if nack.toi != FDT_TOI
+                && self
+                    .toi_complete
+                    .get(&nack.toi)
+                    .is_some_and(|&count| covers(count, population))
+            {
                 continue;
             }
             if nack.esis.is_empty() {
@@ -636,16 +650,18 @@ impl FeedbackAggregator {
     /// complete (false while no receiver is tracked; a late joiner that
     /// has not completed it reopens the object).
     pub fn is_complete(&self, toi: u32) -> bool {
-        covers(&self.toi_complete, toi, self.receivers.len() as u64)
+        let population = self.receivers.len() as u64;
+        self.toi_complete
+            .get(&toi)
+            .is_some_and(|&count| covers(count, population))
     }
 
     /// TOIs complete across the whole currently tracked population.
     pub fn completed(&self) -> impl Iterator<Item = u32> + '_ {
+        let population = self.receivers.len() as u64;
         self.toi_complete
             .iter()
-            .filter(|(_, &count)| {
-                !self.receivers.is_empty() && count >= self.receivers.len() as u64
-            })
+            .filter(move |(_, &count)| covers(count, population))
             .map(|(&toi, _)| toi)
     }
 
@@ -703,13 +719,14 @@ fn note_receiver_completion(
     }
     let count = toi_complete.entry(toi).or_insert(0);
     *count += 1;
-    *count >= population && outcome_recorded.insert(toi)
+    covers(*count, population) && outcome_recorded.insert(toi)
 }
 
-/// Whether all of `population` receivers (none: never) have reported
-/// `toi` complete.
-fn covers(toi_complete: &BTreeMap<u32, u64>, toi: u32, population: u64) -> bool {
-    population > 0 && toi_complete.get(&toi).copied().unwrap_or(0) >= population
+/// Whether `count` completion votes cover all of `population` receivers
+/// (an empty population never completes): the one population-completion
+/// rule.
+fn covers(count: u64, population: u64) -> bool {
+    population > 0 && count >= population
 }
 
 #[cfg(test)]
@@ -863,6 +880,7 @@ mod tests {
             a.ingest_datagram(addr(1), &wire).unwrap(),
             AggregateOutcome::Folded { observations: 300 }
         );
+        assert_eq!(a.last_digest(), &light_digest(1, 3));
         assert!(a.ingest_datagram(addr(1), b"garbage").is_err());
     }
 

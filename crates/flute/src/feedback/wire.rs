@@ -289,9 +289,9 @@ impl ReceptionReport {
     }
 
     /// Parses a digest datagram into `self`, reusing the capacity of its
-    /// vectors (a NACK's ESI list included), so a caller that keeps one
-    /// report parses a stream of digests without allocating. After an
-    /// error the report's contents are unspecified.
+    /// entry, run and NACK vectors, so a caller that keeps one report
+    /// parses a stream of digests allocating only each NACK's ESI list.
+    /// After an error the report's contents are unspecified.
     pub(crate) fn read_from(&mut self, data: &[u8]) -> Result<(), FluteError> {
         let mut r = Reader::new(data, "reception report header");
         if r.array::<4>()? != REPORT_MAGIC {
@@ -391,9 +391,9 @@ impl ReceptionReport {
                 len,
             });
         }
-        // NACK entries already in the report lend their ESI lists to the
-        // new ones; the surplus is dropped at the end.
-        for i in 0..nack_count {
+        self.nacks.clear();
+        self.nacks.reserve(nack_count);
+        for _ in 0..nack_count {
             let toi = r.u32_be()?;
             let block = r.u32_be()?;
             let esi_count = r.u16_be()? as usize;
@@ -403,27 +403,15 @@ impl ReceptionReport {
                     reason: format!("empty NACK for toi {toi} block {block}"),
                 });
             }
-            if i == self.nacks.len() {
-                self.nacks.push(NackEntry {
-                    toi,
-                    block,
-                    esis: Vec::new(),
-                });
+            // Bound the pre-allocation by what the buffer can actually
+            // hold so a forged count cannot balloon memory.
+            let remaining = data.len().saturating_sub(r.pos()) / 4;
+            let mut esis = Vec::with_capacity(esi_count.min(remaining));
+            for _ in 0..esi_count {
+                esis.push(r.u32_be()?);
             }
-            if let Some(nack) = self.nacks.get_mut(i) {
-                nack.toi = toi;
-                nack.block = block;
-                nack.esis.clear();
-                // Bound the pre-allocation by what the buffer can
-                // actually hold so a forged count cannot balloon memory.
-                let remaining = data.len().saturating_sub(r.pos()) / 4;
-                nack.esis.reserve(esi_count.min(remaining));
-                for _ in 0..esi_count {
-                    nack.esis.push(r.u32_be()?);
-                }
-            }
+            self.nacks.push(NackEntry { toi, block, esis });
         }
-        self.nacks.truncate(nack_count);
         if r.pos() != data.len() {
             return Err(FluteError::Malformed {
                 reason: format!(

@@ -738,14 +738,14 @@ pub fn send_session<P: PathSink>(
                     break;
                 }
                 for (dg, src) in &digests {
-                    let report = match ReceptionReport::from_bytes(dg) {
-                        Ok(report) => report,
+                    let outcome = match agg.ingest_datagram(*src, dg) {
+                        Ok(outcome) => outcome,
                         Err(e) => {
                             eprintln!("ignoring malformed digest from {src}: {e}");
                             continue;
                         }
                     };
-                    let outcome = agg.ingest(*src, &report);
+                    let report = agg.last_digest();
                     // Fresh digests advance population state whether or
                     // not they reach the estimator; dedups and foreigners
                     // don't.
