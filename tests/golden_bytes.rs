@@ -17,9 +17,11 @@ use fec_broadcast::sim::{ExpansionRatio, Experiment, GridSweep, SweepConfig};
 use fec_broadcast::world::Workload;
 
 /// One small fixed-seed grid sweep, two worker threads (so the pooled
-/// executor, not the serial branch, produces the accumulators), whole
-/// schedule consumed (so `n_received` is pinned too).
-fn sweep_bytes(code: CodecHandle, tx: TxModel) -> String {
+/// executor, not the serial branch, produces the accumulators). With
+/// `track_total` the whole schedule is consumed (so `n_received` is pinned
+/// too); without it each run stops at decode completion or, when the
+/// channel leaves fewer than k survivors, before decoding anything.
+fn sweep_bytes(code: CodecHandle, tx: TxModel, track_total: bool) -> String {
     let experiment = Experiment::new(code, 240, ExpansionRatio::R2_5, tx);
     let config = SweepConfig {
         runs: 7,
@@ -27,7 +29,7 @@ fn sweep_bytes(code: CodecHandle, tx: TxModel) -> String {
         grid_q: vec![0.2, 0.7],
         seed: 0x601D,
         matrix_pool: 3,
-        track_total: true,
+        track_total,
         threads: Some(2),
     };
     let result = GridSweep::new(experiment, config)
@@ -39,7 +41,7 @@ fn sweep_bytes(code: CodecHandle, tx: TxModel) -> String {
 #[test]
 fn ldgm_staircase_tx4_sweep_keeps_its_bytes() {
     assert_eq!(
-        sweep_bytes(builtin::ldgm_staircase(), TxModel::Random),
+        sweep_bytes(builtin::ldgm_staircase(), TxModel::Random, true),
         include_str!("golden/sweep_ldgm_staircase_tx4.json")
     );
 }
@@ -47,7 +49,7 @@ fn ldgm_staircase_tx4_sweep_keeps_its_bytes() {
 #[test]
 fn ldgm_triangle_tx4_sweep_keeps_its_bytes() {
     assert_eq!(
-        sweep_bytes(builtin::ldgm_triangle(), TxModel::Random),
+        sweep_bytes(builtin::ldgm_triangle(), TxModel::Random, true),
         include_str!("golden/sweep_ldgm_triangle_tx4.json")
     );
 }
@@ -55,8 +57,18 @@ fn ldgm_triangle_tx4_sweep_keeps_its_bytes() {
 #[test]
 fn rse_tx5_sweep_keeps_its_bytes() {
     assert_eq!(
-        sweep_bytes(builtin::rse(), TxModel::Interleaved),
+        sweep_bytes(builtin::rse(), TxModel::Interleaved, true),
         include_str!("golden/sweep_rse_tx5.json")
+    );
+}
+
+/// The sweep's default walk (`track_total: false`): early exit at
+/// completion and the short-run gate.
+#[test]
+fn ldgm_triangle_tx4_early_exit_sweep_keeps_its_bytes() {
+    assert_eq!(
+        sweep_bytes(builtin::ldgm_triangle(), TxModel::Random, false),
+        include_str!("golden/sweep_ldgm_triangle_tx4_early_exit.json")
     );
 }
 
