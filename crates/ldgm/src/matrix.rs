@@ -22,6 +22,7 @@
 
 use core::fmt;
 
+use crate::peel::Unprocessed;
 use crate::prng::PmRand;
 
 /// Shape of the right-hand (parity) part of `H` (paper §2.3).
@@ -210,8 +211,9 @@ pub struct SparseMatrix {
     row_cols: Vec<u32>,
     col_ptr: Vec<u32>,
     col_rows: Vec<u32>,
-    /// XOR of each row's column ids, where the peeling cascade starts.
-    row_xor: Vec<u32>,
+    /// Each row's weight and the XOR of its column ids: the state the
+    /// peeling cascade starts from, copied whole on every reset.
+    start: Vec<Unprocessed>,
     seed: u64,
 }
 
@@ -298,8 +300,11 @@ impl SparseMatrix {
             "duplicate entry in parity check matrix"
         );
         let col_rows = transpose(&row_ptr, &row_cols, &col_ptr);
-        let row_xor = (0..m)
-            .map(|i| row(i).iter().fold(0, |x, &c| x ^ c))
+        let start = (0..m)
+            .map(|i| Unprocessed {
+                count: row(i).len() as u32,
+                ids: row(i).iter().fold(0, |x, &c| x ^ c),
+            })
             .collect();
         SparseMatrix {
             k: p.k,
@@ -308,7 +313,7 @@ impl SparseMatrix {
             row_cols,
             col_ptr,
             col_rows,
-            row_xor,
+            start,
             seed: p.seed,
         }
     }
@@ -349,10 +354,10 @@ impl SparseMatrix {
         &self.row_cols[self.row_ptr[i] as usize..self.row_ptr[i + 1] as usize]
     }
 
-    /// XOR of the variables in check equation `i`.
+    /// Every check equation with all its variables unprocessed.
     #[inline]
-    pub(crate) fn row_xor(&self, i: usize) -> u32 {
-        self.row_xor[i]
+    pub(crate) fn start(&self) -> &[Unprocessed] {
+        &self.start
     }
 
     /// Check equations containing variable `v`.
@@ -652,7 +657,7 @@ mod tests {
             row_cols,
             col_ptr,
             col_rows,
-            row_xor: Vec::new(),
+            start: Vec::new(),
             seed: p.seed,
         }
     }
@@ -696,9 +701,12 @@ mod tests {
             let built = SparseMatrix::build_with_fill(p, fill).unwrap();
             let mut generated = entries(p, fill);
             prop_assert!(same_arrays(&built, &assemble_by_sort(p, &generated)));
-            prop_assert!((0..n - k).all(|i| {
-                built.row_xor(i) == built.row(i).iter().fold(0, |x, &c| x ^ c)
+            prop_assert!(built.start().iter().enumerate().all(|(i, eq)| {
+                eq.count > 0
+                    && eq.count as usize == built.row(i).len()
+                    && eq.ids == built.row(i).iter().fold(0, |x, &c| x ^ c)
             }));
+            prop_assert_eq!(built.start().len(), n - k);
             // The counting passes see a set: any entry order gives the same
             // arrays.
             generated.reverse();

@@ -9,8 +9,9 @@
 //! equation has nothing left to teach). Solved variables cascade.
 //!
 //! Besides its unprocessed count, each equation keeps the XOR of its
-//! unprocessed variables' *ids*: it starts as the XOR of the row (which
-//! the matrix stores) and every fold XORs the folded id out. When the
+//! unprocessed variables' *ids*: it starts as the XOR of the row and every
+//! fold XORs the folded id out. The matrix stores every equation's start
+//! state ([`SparseMatrix::start`]), so a reset is one copy. When the
 //! count reaches one, that XOR is the last variable's id, so the cascade
 //! never scans a row.
 //!
@@ -39,11 +40,12 @@ pub(crate) trait Hook {
 impl Hook for () {}
 
 /// A check equation's unprocessed variables.
-#[derive(Clone, Copy)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct Unprocessed {
     /// How many (0 = resolved).
     pub(crate) count: u32,
-    /// XOR of their ids: the last one's id once `count` is 1.
+    /// XOR of their ids: the last one's id once `count` is 1, and
+    /// meaningless once it is 0.
     pub(crate) ids: u32,
 }
 
@@ -75,16 +77,14 @@ impl Peeler {
     /// Back to the freshly-constructed state, keeping allocations.
     pub(crate) fn reset(&mut self, matrix: &SparseMatrix) {
         self.eqs.clear();
-        self.eqs
-            .extend((0..matrix.num_checks()).map(|e| Unprocessed {
-                count: matrix.row(e).len() as u32,
-                ids: matrix.row_xor(e),
-            }));
+        self.eqs.extend_from_slice(matrix.start());
         self.known.clear();
         self.known.resize(matrix.n(), false);
         self.decoded_source = 0;
         self.unknown = matrix.n();
-        self.live = self.eqs.iter().filter(|eq| eq.count > 0).count();
+        // Every row holds its own parity variable (the identity diagonal),
+        // so no equation starts resolved.
+        self.live = matrix.num_checks();
         self.received = 0;
         self.stack.clear();
     }
@@ -104,17 +104,17 @@ impl Peeler {
         }
     }
 
-    #[inline]
+    #[inline(always)]
     fn mark_known(&mut self, matrix: &SparseMatrix, var: u32) {
         debug_assert!(!self.known[var as usize]);
         self.known[var as usize] = true;
         self.unknown -= 1;
-        if (var as usize) < matrix.k() {
-            self.decoded_source += 1;
-        }
+        self.decoded_source += usize::from((var as usize) < matrix.k());
     }
 
     /// Marks the unknown variable `var` as known and runs the cascade.
+    /// Inlined into each caller's per-id loop.
+    #[inline(always)]
     pub(crate) fn learn<H: Hook>(&mut self, matrix: &SparseMatrix, var: u32, hook: &mut H) {
         self.mark_known(matrix, var);
         self.stack.push(var);
@@ -123,11 +123,13 @@ impl Peeler {
             for &e in matrix.col(v as usize) {
                 let e = e as usize;
                 let eq = &mut self.eqs[e];
-                if eq.count == 0 {
-                    continue; // equation already fully resolved
+                // A resolved equation (count 0) stays resolved; its id XOR
+                // is never read again, so the fold need not branch on it.
+                let live = eq.count != 0;
+                if live {
+                    hook.fold(e);
                 }
-                hook.fold(e);
-                eq.count -= 1;
+                eq.count -= u32::from(live);
                 eq.ids ^= v;
                 if eq.count == 1 {
                     // One unprocessed variable left, named by the XOR. If

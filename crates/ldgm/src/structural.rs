@@ -40,16 +40,19 @@ impl<'m> StructuralDecoder<'m> {
     /// # Panics
     /// Panics on an out-of-range id (scheduler bug, not channel input).
     pub fn push_batch(&mut self, ids: &[u32]) -> Option<usize> {
-        let mut done_at = None;
+        let n = self.matrix.n();
+        // Only a cascade can complete the object, so completion is checked
+        // after each one (and once up front, for `Some(0)`).
+        let mut done_at = (self.is_complete() && !ids.is_empty()).then_some(0);
         for (i, &id) in ids.iter().enumerate() {
-            assert!((id as usize) < self.matrix.n(), "packet id out of range");
+            assert!((id as usize) < n, "packet id out of range");
             self.peel.received += 1;
             if !self.peel.known[id as usize] {
                 self.ml.arrived(id);
                 self.peel.learn(self.matrix, id, &mut ());
-            }
-            if done_at.is_none() && self.is_complete() {
-                done_at = Some(i);
+                if done_at.is_none() && self.is_complete() {
+                    done_at = Some(i);
+                }
             }
         }
         done_at

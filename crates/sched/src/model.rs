@@ -111,6 +111,21 @@ impl TxModel {
         }
     }
 
+    /// The length of [`TxModel::schedule`]'s order for `layout`, without
+    /// building it: every seed gives the same length. A simulator can draw
+    /// the channel's fates first and skip the schedule of a trial the
+    /// channel has already failed.
+    pub fn schedule_len(&self, layout: &Layout) -> u64 {
+        match *self {
+            TxModel::PartialSourceRandom { source_fraction } => {
+                (layout.total_source() as f64 * source_fraction).round() as u64
+                    + layout.total_parity()
+            }
+            TxModel::RepeatSource { copies } => u64::from(copies) * layout.total_source(),
+            _ => layout.total_packets(),
+        }
+    }
+
     /// Generates the full transmission order for `layout`.
     ///
     /// Every packet appears exactly once, except under
@@ -464,6 +479,32 @@ mod tests {
                 TxModel::GroupInterleaved { depth: 2 },
             ] {
                 assert_permutation(&l, &model.schedule(&l, seed));
+            }
+        }
+
+        #[test]
+        fn schedule_len_is_the_schedule_length(
+            sizes in proptest::collection::vec((1usize..15, 1usize..15), 1..6),
+            pct in 0u32..=100,
+            copies in 1u32..4,
+            width in 1usize..40,
+            seed in any::<u64>(),
+        ) {
+            let l = Layout::from_blocks(sizes.iter().map(|&(k, extra)| (k, k + extra)));
+            for model in [
+                TxModel::SourceSeqParitySeq,
+                TxModel::SourceSeqParityRandom,
+                TxModel::ParitySeqSourceRandom,
+                TxModel::Random,
+                TxModel::Interleaved,
+                TxModel::tx6_paper(),
+                TxModel::PartialSourceRandom { source_fraction: pct as f64 / 100.0 },
+                TxModel::RepeatSource { copies },
+                TxModel::WindowShuffle { window: width },
+                TxModel::GroupInterleaved { depth: width },
+            ] {
+                let len = model.schedule(&l, seed).len() as u64;
+                prop_assert_eq!(model.schedule_len(&l), len, "{}", model);
             }
         }
 

@@ -2,9 +2,10 @@
 //!
 //! An [`Experiment`] fixes a (FEC code, object size, expansion ratio,
 //! transmission model, channel) tuple. A [`Runner`] executes independent
-//! randomized runs of it: generate the transmission schedule, walk it
-//! through the Gilbert channel, feed survivors to a *structural* decoder,
-//! and record when decoding completed ([`RunResult`]). A [`GridSweep`]
+//! randomized runs of it: draw the Gilbert channel's fate for every
+//! transmitted position, fail a run left fewer than k survivors, generate
+//! the transmission schedule, feed its survivors to a *structural*
+//! decoder, and record when decoding completed ([`RunResult`]). A [`GridSweep`]
 //! repeats that over the paper's 14×14 `(p, q)` grid with `runs` trials per
 //! cell, in parallel, and aggregates with the paper's strict rule: **a cell
 //! where any run failed is masked** (printed as `-`), because a scheme that

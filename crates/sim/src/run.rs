@@ -1,4 +1,7 @@
-//! Single-experiment execution: schedule → channel → structural decode.
+//! fec-audit: deny(panic)
+//!
+//! Single-experiment execution: channel → gate → schedule → structural
+//! decode.
 
 use fec_channel::{GilbertChannel, GilbertParams, LossModel};
 use fec_codec::{Decoding, StructuralFactory, StructuralSession};
@@ -56,8 +59,12 @@ impl StructuralSession for CouponCounting<'_> {
         let mut done_at = None;
         for (i, &r) in batch.iter().enumerate() {
             let g = self.layout.global_index(r) as usize;
-            if self.layout.is_source(r) && !self.seen[g] {
-                self.seen[g] = true;
+            let fresh = self.layout.is_source(r)
+                && self
+                    .seen
+                    .get_mut(g)
+                    .is_some_and(|seen| !std::mem::replace(seen, true));
+            if fresh {
                 self.missing -= 1;
             }
             if done_at.is_none() && self.missing == 0 {
@@ -142,23 +149,32 @@ impl Runner {
     ) -> RunResult {
         let sched_seed = mix_seed(master_seed, &[TAG_SCHED, run_idx]);
         let chan_seed = mix_seed(master_seed, &[TAG_CHAN, run_idx]);
-        let schedule = self.experiment.tx.schedule(&self.layout, sched_seed);
-        // The channel is local to the run, so drawing every fate up front
-        // is unobservable. No codec completes from fewer than k packets
-        // (the `StructuralSession` contract), so a run the channel leaves
-        // short of k is a failure without decoding anything.
+        // Channel → gate → schedule → walk. The channel is local to the
+        // run, and its fates depend only on the position index and
+        // `chan_seed`, the schedule only on `sched_seed`: drawing every
+        // fate before the schedule exists is unobservable. No codec
+        // completes from fewer than k packets (the `StructuralSession`
+        // contract), so a run the channel leaves short of k is a failure
+        // without a schedule or a decode.
+        let n_sent = self.experiment.tx.schedule_len(&self.layout);
         let mut gilbert = GilbertChannel::new(channel, chan_seed);
-        let lost: Vec<bool> = schedule.iter().map(|_| gilbert.next_is_lost()).collect();
+        let lost: Vec<bool> = (0..n_sent).map(|_| gilbert.next_is_lost()).collect();
         let survivors = lost.iter().filter(|&&l| !l).count() as u64;
         if survivors < self.experiment.k as u64 {
             return RunResult {
                 decoded: false,
                 n_necessary: None,
                 n_received: survivors,
-                n_sent: schedule.len() as u64,
+                n_sent,
             };
         }
-        self.walk(&schedule, |i| lost[i], run_idx, track_total)
+        let schedule = self.experiment.tx.schedule(&self.layout, sched_seed);
+        let arrivals = schedule
+            .iter()
+            .zip(&lost)
+            .filter(|&(_, &l)| !l)
+            .map(|(&r, _)| r);
+        self.walk(arrivals, n_sent, run_idx, track_total)
     }
 
     /// Executes a §5 reception-model run: the arrival sequence is given
@@ -166,7 +182,8 @@ impl Runner {
     pub fn run_reception(&self, rx: RxModel, master_seed: u64, run_idx: u64) -> RunResult {
         let rx_seed = mix_seed(master_seed, &[TAG_SCHED, run_idx]);
         let arrivals = rx.reception(&self.layout, rx_seed);
-        self.walk(&arrivals, |_| false, run_idx, false)
+        let n_sent = arrivals.len() as u64;
+        self.walk(arrivals.into_iter(), n_sent, run_idx, false)
     }
 
     /// Survivor-window size for the batched walk: big enough to amortise
@@ -174,21 +191,19 @@ impl Runner {
     /// not decode far past its completion point.
     const WALK_BATCH: usize = 128;
 
-    /// Walks a packet sequence through a loss predicate into a fresh
-    /// structural decoding session, feeding the surviving packets down in
-    /// [`Runner::WALK_BATCH`]-sized windows
-    /// ([`StructuralSession::add_batch`]).
+    /// Feeds the packets that arrived, in order, into a fresh structural
+    /// decoding session in [`Runner::WALK_BATCH`]-sized windows
+    /// ([`StructuralSession::add_batch`]); `n_sent` is the length of the
+    /// transmission they survived.
     ///
-    /// The loss predicate is consumed once per transmitted packet, in
-    /// order, and the completion index inside a window pins `n_necessary`
-    /// to the packet. With `track_total = false` the walk stops at the
-    /// window in which decoding completed, so the predicate may be
-    /// consumed up to one window past the completing packet — a caller
-    /// whose predicate state outlives the run passes `track_total = true`.
+    /// The completion index inside a window pins `n_necessary` to the
+    /// packet. With `track_total = false` the walk stops at the completing
+    /// packet; with `true` it counts every arrival, but decodes nothing
+    /// past completion.
     fn walk(
         &self,
-        sequence: &[PacketRef],
-        mut is_lost: impl FnMut(usize) -> bool,
+        mut arrivals: impl Iterator<Item = PacketRef>,
+        n_sent: u64,
         run_idx: u64,
         track_total: bool,
     ) -> RunResult {
@@ -196,21 +211,19 @@ impl Runner {
         let mut n_received = 0u64;
         let mut n_necessary = None;
         let mut batch: Vec<PacketRef> = Vec::with_capacity(Self::WALK_BATCH);
-        let mut idx = 0;
-        while idx < sequence.len() {
+        loop {
             batch.clear();
-            while idx < sequence.len() && batch.len() < Self::WALK_BATCH {
-                if !is_lost(idx) {
-                    batch.push(sequence[idx]);
-                }
-                idx += 1;
+            batch.extend(arrivals.by_ref().take(Self::WALK_BATCH));
+            if batch.is_empty() {
+                break;
             }
-            if let Some(done) = session.add_batch(&batch) {
-                if n_necessary.is_none() {
-                    n_necessary = Some(n_received + done as u64 + 1);
+            if n_necessary.is_none() {
+                if let Some(done) = session.add_batch(&batch) {
+                    let at = n_received + done as u64 + 1;
+                    n_necessary = Some(at);
                     if !track_total {
                         // Reception stops at the completing packet.
-                        n_received = n_necessary.expect("just set");
+                        n_received = at;
                         break;
                     }
                 }
@@ -221,7 +234,7 @@ impl Runner {
             decoded: n_necessary.is_some(),
             n_necessary,
             n_received,
-            n_sent: sequence.len() as u64,
+            n_sent,
         }
     }
 
@@ -366,30 +379,76 @@ mod tests {
 
     #[test]
     fn early_exit_equals_the_full_walk() {
-        // Reference: the walk with the channel drawn lazily and no exit.
+        // Reference: the schedule first, one fate drawn per schedule entry,
+        // every arrival fed one packet at a time, no gate and no exit.
         fn full_walk(r: &Runner, ch: GilbertParams, seed: u64, run: u64, track: bool) -> RunResult {
             let schedule = r
                 .experiment
                 .tx
                 .schedule(&r.layout, mix_seed(seed, &[TAG_SCHED, run]));
             let mut gilbert = GilbertChannel::new(ch, mix_seed(seed, &[TAG_CHAN, run]));
-            r.walk(&schedule, |_| gilbert.next_is_lost(), run, track)
+            let mut session = r.make_session(run);
+            let (mut n_received, mut n_necessary) = (0, None);
+            for &packet in &schedule {
+                if !gilbert.next_is_lost() {
+                    n_received += 1;
+                    if n_necessary.is_none() && session.add_batch(&[packet]).is_some() {
+                        n_necessary = Some(n_received);
+                    }
+                }
+            }
+            RunResult {
+                decoded: n_necessary.is_some(),
+                n_necessary,
+                n_received: if track {
+                    n_received
+                } else {
+                    n_necessary.unwrap_or(n_received)
+                },
+                n_sent: schedule.len() as u64,
+            }
         }
-        let (mut hopeless, mut decoded) = (0, 0);
-        for (code, tx) in [
-            (builtin::ldgm_triangle(), TxModel::Random),
-            (builtin::ldgm_staircase(), TxModel::SourceSeqParityRandom),
-            (builtin::rse(), TxModel::Interleaved),
+        let k = 200;
+        let mut decoded = 0;
+        for (code, ratio, tx) in [
+            (
+                builtin::ldgm_triangle(),
+                ExpansionRatio::R1_5,
+                TxModel::Random,
+            ),
+            (
+                builtin::ldgm_staircase(),
+                ExpansionRatio::R1_5,
+                TxModel::SourceSeqParityRandom,
+            ),
+            (builtin::rse(), ExpansionRatio::R1_5, TxModel::Interleaved),
+            (
+                builtin::ldgm_triangle(),
+                ExpansionRatio::R2_5,
+                TxModel::tx6_paper(),
+            ),
+            (
+                builtin::rse(),
+                ExpansionRatio::R1_5,
+                TxModel::RepeatSource { copies: 2 },
+            ),
+            // Exactly k sent: a lossless run decodes with exactly k
+            // survivors, the gate's boundary.
+            (
+                builtin::rse(),
+                ExpansionRatio::R1_5,
+                TxModel::RepeatSource { copies: 1 },
+            ),
         ] {
-            let k = 200;
-            let r = Runner::new(exp(code, k, ExpansionRatio::R1_5, tx), 2).unwrap();
+            let r = Runner::new(exp(code, k, ratio, tx), 2).unwrap();
+            let mut hopeless = 0;
             for p in [0.0, 0.05, 0.3, 0.6] {
                 for q in [0.05, 0.3, 0.9] {
                     let ch = GilbertParams::new(p, q).unwrap();
                     for run in 0..4 {
                         for track in [false, true] {
                             let got = r.run_with_channel(ch, 17, run, track);
-                            assert_eq!(got, full_walk(&r, ch, 17, run, track), "p={p} q={q}");
+                            assert_eq!(got, full_walk(&r, ch, 17, run, track), "{tx} p={p} q={q}");
                             if got.decoded {
                                 decoded += 1;
                             } else if got.n_received < k as u64 {
@@ -399,11 +458,9 @@ mod tests {
                     }
                 }
             }
+            assert!(hopeless > 0, "{tx}: no run took the short path");
         }
-        assert!(
-            hopeless > 0 && decoded > 0,
-            "{hopeless} hopeless, {decoded} decoded"
-        );
+        assert!(decoded > 0, "no run decoded");
     }
 
     #[test]

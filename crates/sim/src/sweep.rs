@@ -423,6 +423,8 @@ impl SweepResult {
 pub struct GridSweep {
     runner: Runner,
     config: SweepConfig,
+    /// Every cell's channel, row-major (`p` outer), validated once.
+    channels: Vec<GilbertParams>,
 }
 
 impl GridSweep {
@@ -439,14 +441,21 @@ impl GridSweep {
                     reason: format!("empty {name} grid"),
                 });
             }
-            if g.iter().any(|v| !(0.0..=1.0).contains(v)) {
-                return Err(SimError::BadExperiment {
-                    reason: format!("{name} grid contains non-probability values"),
-                });
-            }
         }
+        let channels = config
+            .grid_p
+            .iter()
+            .flat_map(|&p| config.grid_q.iter().map(move |&q| GilbertParams::new(p, q)))
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(|e| SimError::BadExperiment {
+                reason: format!("grid: {e}"),
+            })?;
         let runner = Runner::new(experiment, config.matrix_pool)?;
-        Ok(GridSweep { runner, config })
+        Ok(GridSweep {
+            runner,
+            config,
+            channels,
+        })
     }
 
     /// The sweep's configuration.
@@ -554,16 +563,16 @@ impl GridSweep {
     ///
     /// Every random stream derives from `(config.seed, cell_idx, absolute
     /// run index)`, so the accumulator is identical no matter which
-    /// process, thread or shard executes the unit.
+    /// process, thread or shard executes the unit. A unit off the grid
+    /// runs no trials: its empty accumulator fails the run-count checks of
+    /// [`finalize_cells`] and of a merge.
     fn execute_unit(&self, unit: &WorkUnit) -> CellAccum {
-        let (p, q) = self
-            .config
-            .cell_coords(unit.cell_idx)
-            .expect("unit cell on grid");
-        let k = self.runner.experiment().k;
-        let channel = GilbertParams::new(p, q).expect("grid probabilities validated");
-        let cell_seed = mix_seed(self.config.seed, &[unit.cell_idx as u64]);
         let mut acc = CellAccum::new(unit.cell_idx);
+        let Some(&channel) = self.channels.get(unit.cell_idx as usize) else {
+            return acc;
+        };
+        let k = self.runner.experiment().k;
+        let cell_seed = mix_seed(self.config.seed, &[unit.cell_idx as u64]);
         for run_idx in unit.run_start..unit.run_start + unit.run_len {
             let out = self.runner.run_with_channel(
                 channel,
@@ -907,6 +916,26 @@ mod tests {
             ..SweepConfig::default()
         };
         assert!(GridSweep::new(exp, empty_grid).is_err());
+    }
+
+    #[test]
+    fn a_unit_off_the_grid_runs_no_trials() {
+        let exp = Experiment::new(builtin::rse(), 10, ExpansionRatio::R1_5, TxModel::Random);
+        let cfg = SweepConfig {
+            runs: 2,
+            grid_p: vec![0.1],
+            grid_q: vec![0.5],
+            threads: Some(1),
+            ..SweepConfig::default()
+        };
+        let sweep = GridSweep::new(exp, cfg).unwrap();
+        let off = WorkUnit {
+            unit_id: 1,
+            cell_idx: 1,
+            run_start: 0,
+            run_len: 2,
+        };
+        assert_eq!(sweep.execute_units(&[off]), vec![CellAccum::new(1)]);
     }
 
     #[test]
