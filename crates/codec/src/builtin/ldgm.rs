@@ -219,25 +219,36 @@ impl Encoder for LdgmSessionEncoder {
     fn parity<'s>(
         &mut self,
         block: usize,
-        esi: u32,
+        first: u32,
         earlier: &dyn Fn(u32) -> Option<&'s [u8]>,
-        out: &mut [u8],
+        out: &mut [&mut [u8]],
     ) -> Result<(), CodecError> {
         let fail = |source: crate::BoxedError| CodecError::Encode {
             code: self.id.to_string(),
             source,
         };
         let k = self.matrix.k();
-        if block != 0 || (esi as usize) < k {
+        if block != 0 || (first as usize) < k {
             return Err(fail(
-                format!("no parity symbol {esi} in block {block}").into(),
+                format!("no parity symbol {first} in block {block}").into(),
             ));
         }
         // Single block: the ESI is the variable id, and parity row
-        // `esi - k` reads source symbols and earlier parity only.
-        LdgmEncoder::new(&self.matrix)
-            .parity(esi as usize - k, |c| earlier(c as u32), out)
-            .map_err(|e| fail(Box::new(e)))
+        // `esi - k` reads source symbols and earlier parity only — the
+        // run's own earlier members from `out`.
+        let encoder = LdgmEncoder::new(&self.matrix);
+        let first = first as usize;
+        for i in 0..out.len() {
+            let (done, rest) = out.split_at_mut(i);
+            let symbol = |c: usize| match c.checked_sub(first) {
+                None => earlier(c as u32),
+                Some(at) => done.get(at).map(|s| &s[..]),
+            };
+            encoder
+                .parity(first + i - k, symbol, rest[0])
+                .map_err(|e| fail(Box::new(e)))?;
+        }
+        Ok(())
     }
 }
 

@@ -183,9 +183,9 @@ impl Encoder for RseSessionEncoder {
     fn parity<'s>(
         &mut self,
         block: usize,
-        esi: u32,
+        first: u32,
         earlier: &dyn Fn(u32) -> Option<&'s [u8]>,
-        out: &mut [u8],
+        out: &mut [&mut [u8]],
     ) -> Result<(), CodecError> {
         let fail = |source: crate::BoxedError| CodecError::Encode {
             code: "rse".into(),
@@ -195,13 +195,13 @@ impl Encoder for RseSessionEncoder {
             Some(&c) => &self.codecs[c],
             None => return Err(fail(format!("no block {block}").into())),
         };
-        // A parity row reads the block's source symbols only.
+        // Parity rows read the block's source symbols only.
         let source = (0..codec.k() as u32)
             .map(|j| earlier(j).ok_or(j))
             .collect::<Result<Vec<_>, _>>()
             .map_err(|j| fail(format!("source symbol {j} of block {block} missing").into()))?;
         codec
-            .parity_symbol(esi, &source, out)
+            .parity_symbols(first, &source, out)
             .map_err(|e: RseError| fail(Box::new(e)))
     }
 }

@@ -2,12 +2,13 @@
 //! [`ErasureCode`](crate::ErasureCode) implementation must pass.
 //!
 //! [`check`] encodes parity one symbol at a time — each block in
-//! ascending ESI order, then again in reverse with a fresh encoder, which
-//! must give the same bytes — and round-trips the codec across all paper
-//! transmission models, duplicate / out-of-order / truncated packet
-//! streams, a deterministic loss pattern, one whole-schedule batch,
-//! agreement between the payload decoder and its maximum-likelihood
-//! structural twin, and the corners of its declared
+//! ascending ESI order, then again as one run per block and in reverse,
+//! each with a fresh encoder, which must give the same bytes (also
+//! available alone as [`check_encoder`]) — and round-trips the codec
+//! across all paper transmission models, duplicate / out-of-order /
+//! truncated packet streams, a deterministic loss pattern, one
+//! whole-schedule batch, agreement between the payload decoder and its
+//! maximum-likelihood structural twin, and the corners of its declared
 //! `(k, ratio)` envelope. Symbols go in one at a time — a batch of one —
 //! unless a check says otherwise.
 //! [`check_batched`] (run from `check`) additionally feeds adversarial
@@ -94,22 +95,36 @@ impl EncodedObject {
             symbol_size,
             seed: SEED,
         };
-        let [mut up, mut down] = [(); 2].map(|_| {
+        let [mut up, mut whole, mut down] = [(); 3].map(|_| {
             code.encoder(&params)
                 .unwrap_or_else(|e| panic!("{ctx}: encoder failed: {e}"))
         });
-        let parity = |encoder: &mut Box<dyn Encoder>, b: usize, esi: u32, block: &[Vec<u8>]| {
-            // Exactly the symbols below `esi`: a lookup past them is a
+        // The run `first .. first + count` of block `b`, given the block's
+        // symbols in ESI order.
+        let parity = |encoder: &mut Box<dyn Encoder>,
+                      b: usize,
+                      first: usize,
+                      count: usize,
+                      block: &[Vec<u8>]| {
+            // Exactly the symbols below the run: a lookup past them is a
             // contract violation the encoder must report, not read.
-            let earlier = |j: u32| block.get(j as usize).filter(|_| j < esi).map(Vec::as_slice);
-            let mut out = vec![0u8; symbol_size];
+            let earlier = |j: u32| {
+                block
+                    .get(j as usize)
+                    .filter(|_| (j as usize) < first)
+                    .map(Vec::as_slice)
+            };
+            let mut run = vec![vec![0u8; symbol_size]; count];
+            let mut out: Vec<&mut [u8]> = run.iter_mut().map(Vec::as_mut_slice).collect();
             encoder
-                .parity(b, esi, &earlier, &mut out)
-                .unwrap_or_else(|e| panic!("{ctx}: parity ({b}, {esi}) failed: {e}"));
-            out
+                .parity(b, first as u32, &earlier, &mut out)
+                .unwrap_or_else(|e| {
+                    panic!("{ctx}: parity ({b}, {count} from {first}) failed: {e}")
+                });
+            run
         };
         // Block by block: the source symbols, then each parity symbol in
-        // ascending ESI order.
+        // ascending ESI order, a run of one at a time.
         let mut source = symbols(&object, k, symbol_size).into_iter();
         let mut payloads = Vec::with_capacity(layout.total_packets() as usize);
         let mut starts = Vec::with_capacity(layout.num_blocks());
@@ -118,22 +133,28 @@ impl EncodedObject {
             starts.push(payloads.len());
             payloads.extend(source.by_ref().take(kb));
             for esi in kb..nb {
-                let symbol = parity(&mut up, b, esi as u32, &payloads[starts[b]..]);
-                payloads.push(symbol);
+                let symbol = parity(&mut up, b, esi, 1, &payloads[starts[b]..]);
+                payloads.extend(symbol);
             }
         }
-        // A second encoder asked for every parity symbol in reverse — last
-        // block first, highest ESI first — must write the same bytes: the
-        // output depends on the symbols below the ESI, not on which calls
-        // came before, so a sender may encode each symbol when it is first
-        // emitted and keep it.
+        // A second encoder asked for each block's parity as one run, and a
+        // third for every parity symbol in reverse — last block first,
+        // highest ESI first — must write the same bytes: the output
+        // depends on the symbols below the ESI, not on how the parity was
+        // split into runs or which calls came before, so a sender may
+        // encode a run when a symbol is first emitted and keep it.
         for b in (0..layout.num_blocks()).rev() {
             let (kb, nb) = layout.block(b);
             let block = &payloads[starts[b]..starts[b] + nb];
+            assert_eq!(
+                parity(&mut whole, b, kb, nb - kb, block),
+                block[kb..],
+                "{ctx}: block {b}'s parity as one run differs from symbol by symbol"
+            );
             for esi in (kb..nb).rev() {
                 assert_eq!(
-                    parity(&mut down, b, esi as u32, block),
-                    block[esi],
+                    parity(&mut down, b, esi, 1, block),
+                    block[esi..=esi],
                     "{ctx}: parity ({b}, {esi}) depends on the call order"
                 );
             }
@@ -194,6 +215,13 @@ fn decode_sequence(
         "{ctx}: into_source before completion must fail"
     );
     None
+}
+
+/// Checks only the encoder at one `(k, ratio)` shape: each block's parity
+/// symbol by symbol, as one run and in reverse gives the same bytes. For
+/// encode-only codes; [`check_shape`] runs it too.
+pub fn check_encoder(code: &CodecHandle, k: usize, ratio: f64) {
+    EncodedObject::build_sized(code, k, ratio, SYMBOL_SIZE);
 }
 
 /// Checks one `(k, ratio)` shape across schedules and stream corruptions.

@@ -15,10 +15,11 @@
 //!   metadata (id, FTI codepoint, supported `(k, ratio)` [`Envelope`]), the
 //!   structural [`Layout`](fec_sched::Layout) hook, and constructors for
 //!   the three session kinds;
-//! * [`Encoder`] / [`Decoder`] — byte-true per-object sessions
-//!   (`add_symbols → DecodeProgress`, incremental, any order, duplicates
-//!   tolerated). A batch is the one feed entry; a single symbol is a
-//!   batch of one;
+//! * [`Encoder`] / [`Decoder`] — byte-true per-object sessions. An
+//!   encoder writes a run of parity symbols per call; a single symbol is
+//!   a run of one. A decoder takes symbols through `add_symbols →
+//!   DecodeProgress` (incremental, any order, duplicates tolerated); a
+//!   batch is the one feed entry, and a single symbol is a batch of one;
 //! * [`StructuralFactory`] / [`StructuralSession`] — index-only decoding
 //!   for simulation, where only *when* an object becomes decodable
 //!   matters. The factory owns the expensive structure (LDGM matrix
@@ -88,12 +89,15 @@
 //! struct XorEncoder;
 //! impl Encoder for XorEncoder {
 //!     // The one parity symbol, ESI k: the XOR of the k source symbols
-//!     // below it, written when a sender first emits it.
+//!     // below it, written (a run of one) when a sender first emits it.
 //!     fn parity<'s>(
-//!         &mut self, _block: usize, esi: u32,
-//!         earlier: &dyn Fn(u32) -> Option<&'s [u8]>, out: &mut [u8],
+//!         &mut self, _block: usize, first: u32,
+//!         earlier: &dyn Fn(u32) -> Option<&'s [u8]>, out: &mut [&mut [u8]],
 //!     ) -> Result<(), CodecError> {
-//!         for j in 0..esi {
+//!         let [out] = out else {
+//!             return Err(CodecError::encode(&XorParity, "one parity symbol only"));
+//!         };
+//!         for j in 0..first {
 //!             let s = earlier(j).ok_or_else(|| CodecError::encode(&XorParity, "source missing"))?;
 //!             out.iter_mut().zip(s).for_each(|(p, b)| *p ^= b);
 //!         }

@@ -85,27 +85,36 @@ impl DecodeProgress {
     }
 }
 
-/// A per-object encoding session: one parity symbol per call.
+/// A per-object encoding session: one run of parity symbols per call.
 ///
-/// A sender asks for parity the first time it emits it, so a symbol that
-/// never leaves is never encoded.
+/// A sender asks for parity the first time it emits it, so parity that
+/// never leaves is never encoded (`fec_core::Sender` asks for runs of
+/// eight, so a block pays for at most seven symbols it does not send). A
+/// single symbol is a run of one.
 pub trait Encoder: Send {
-    /// Writes parity symbol `esi` (`k_b <= esi < n_b`) of `block` into
-    /// `out`, which arrives zero-filled and one symbol long.
+    /// Writes the parity run `first .. first + out.len()` of `block` into
+    /// `out`: `out[i]` is ESI `first + i` (`k_b <= first`, and the run
+    /// ends at or before `n_b`), and each buffer arrives zero-filled and
+    /// one symbol long.
     ///
     /// `earlier(j)` returns symbol `j` of the same block for every
-    /// `j < esi`: the padded source symbols below `k_b`, then the parity
-    /// this session already wrote. A caller fills each block's parity in
-    /// ascending ESI order, so codes whose parity chains on earlier parity
-    /// (LDGM Staircase and Triangle) read it from there. The output must
-    /// depend on `(block, esi)` and those symbols only, never on which
-    /// calls came before — the conformance harness checks it.
+    /// `j < first`: the padded source symbols below `k_b`, then the
+    /// parity this session already wrote. A caller fills each block's
+    /// parity in ascending ESI order, so codes whose parity chains on
+    /// earlier parity (LDGM Staircase and Triangle) read it from there,
+    /// and read the earlier members of the run from `out`. The output must
+    /// depend on `(block, ESI)` and those symbols only, never on how the
+    /// parity was split into runs or which calls came before — the
+    /// conformance harness encodes a block as one run, one symbol at a
+    /// time and in reverse, and compares. A run lets an implementation
+    /// read its inputs once for many symbols: the built-in RSE applies the
+    /// run's generator rows in one kernel pass.
     fn parity<'s>(
         &mut self,
         block: usize,
-        esi: u32,
+        first: u32,
         earlier: &dyn Fn(u32) -> Option<&'s [u8]>,
-        out: &mut [u8],
+        out: &mut [&mut [u8]],
     ) -> Result<(), CodecError>;
 }
 

@@ -61,18 +61,17 @@ fn every_builtin_refuses_a_short_payload_and_consumes_nothing() {
             .map(|i| (0..len).map(|j| (i * 31 + j * 7) as u8).collect())
             .collect();
         let mut enc = code.encoder(&params).unwrap();
-        for esi in k..n {
-            let mut out = vec![0u8; len];
-            let done = &symbols;
-            enc.parity(
-                0,
-                esi as u32,
-                &|j| done.get(j as usize).map(Vec::as_slice),
-                &mut out,
-            )
-            .unwrap();
-            symbols.push(out);
-        }
+        let mut parity = vec![vec![0u8; len]; n - k];
+        let mut out: Vec<&mut [u8]> = parity.iter_mut().map(Vec::as_mut_slice).collect();
+        let done = &symbols;
+        enc.parity(
+            0,
+            k as u32,
+            &|j| done.get(j as usize).map(Vec::as_slice),
+            &mut out,
+        )
+        .unwrap();
+        symbols.extend(parity);
         // The first `lost` sources lost: parity `k..k + lost` completes
         // the block, the rest of it is past the first `k` received.
         let lost = k / 5;

@@ -9,7 +9,8 @@
 //!   sender and receivers share out of band (e.g. in an FDT);
 //! * [`Sender`] / [`Receiver`] — byte-true encoding sessions: the sender
 //!   lends each symbol by its [`PacketRef`](fec_sched::PacketRef),
-//!   encoding a parity symbol the first time it is asked for, the receiver consumes borrowed
+//!   encoding a run of parity the first time a symbol of it is asked
+//!   for, the receiver consumes borrowed
 //!   symbols in any order, across any losses, and reproduces the object
 //!   exactly;
 //! * [`recommend`](crate::recommend()) and [`MeasuredSelector`] — the

@@ -13,10 +13,13 @@ use crate::{CodeSpec, CoreError};
 /// Construction splits the object into source symbols and builds the
 /// spec's encoder; no parity is computed yet. The first
 /// [`symbol`](Self::symbol) call for a parity symbol encodes its block's
-/// parity up to that ESI, and every later call for it is a lookup. So a
+/// parity up to that ESI, in one run of at least `RUN` (8) symbols where
+/// the block has them, and every later call for it is a lookup. So a
 /// carousel that cycles its schedule encodes each symbol once, and an
 /// emission that stops early (§6.2: "send significantly less than n")
-/// never pays for the parity it does not send.
+/// pays for at most `RUN − 1` parity symbols per block past the highest
+/// ESI it sends. A run lets the encoder read the block's source once for
+/// many symbols (the RSE kernel carries eight rows per pass).
 pub struct Sender {
     spec: CodeSpec,
     layout: Layout,
@@ -41,6 +44,11 @@ struct Encoding {
     encoder: Box<dyn Encoder>,
     filled: Vec<usize>,
 }
+
+/// The fewest parity symbols one miss encodes (fewer only at a block's
+/// end): the rows one `gfni` kernel pass carries. The same for every
+/// code.
+const RUN: usize = 8;
 
 // One sender serves every thread that emits its object.
 const _: () = {
@@ -160,8 +168,9 @@ impl Sender {
         &self.source[at..at + self.symbol_size]
     }
 
-    /// Encodes block `b`'s parity up to its `j`-th parity symbol, and
-    /// returns that one.
+    /// Encodes block `b`'s parity up to its `j`-th parity symbol — at
+    /// least `RUN` symbols past the high-water mark, as far as the block
+    /// goes — in one run, and returns the `j`-th.
     fn encode_through(&self, b: usize, j: usize) -> Result<&[u8], CoreError> {
         let (kb, nb) = self.layout.block(b);
         let slots = &self.parity[self.first[b].1..][..nb - kb];
@@ -169,18 +178,24 @@ impl Sender {
         // slot it set, so the state behind a poisoned lock is still whole.
         let mut encoding = self.encoding.lock().unwrap_or_else(PoisonError::into_inner);
         let Encoding { encoder, filled } = &mut *encoding;
-        while filled[b] <= j {
-            let next = filled[b];
+        let next = filled[b];
+        if next <= j {
+            let end = (j + 1).max(next + RUN).min(nb - kb);
             let earlier = |esi: u32| match (esi as usize).checked_sub(kb) {
                 None => Some(self.source_symbol(b, esi as usize)),
                 Some(p) => slots[..next].get(p)?.get().map(|s| &s[..]),
             };
-            let mut out = vec![0u8; self.symbol_size];
+            let mut run: Vec<Box<[u8]>> = (next..end)
+                .map(|_| vec![0u8; self.symbol_size].into_boxed_slice())
+                .collect();
+            let mut out: Vec<&mut [u8]> = run.iter_mut().map(|s| &mut s[..]).collect();
             encoder
                 .parity(b, (kb + next) as u32, &earlier, &mut out)
                 .map_err(codec_error)?;
-            slots[next].get_or_init(|| out.into_boxed_slice());
-            filled[b] += 1;
+            for (slot, symbol) in slots[next..end].iter().zip(run) {
+                slot.get_or_init(|| symbol);
+            }
+            filled[b] = end;
         }
         slots[j]
             .get()
@@ -192,7 +207,8 @@ impl Sender {
     }
 
     /// How many parity symbols this sender has encoded so far: what its
-    /// emissions asked for, up to each block's highest ESI.
+    /// emissions asked for, up to each block's highest ESI and rounded up
+    /// to whole runs.
     pub fn parity_encoded(&self) -> usize {
         self.parity.iter().filter(|s| s.get().is_some()).count()
     }
@@ -359,9 +375,10 @@ mod tests {
     }
 
     /// Tx_model_5 sends every block's source first, then its parity in
-    /// ascending ESI order: a sender that stops early has encoded each
-    /// block's parity up to the highest ESI it sent, and re-sending
-    /// encodes nothing again.
+    /// ascending ESI order, so each miss starts a run of `RUN` at the
+    /// high-water mark: a sender that stops early has encoded each
+    /// block's parity up to the highest ESI it sent, rounded up to whole
+    /// runs, and re-sending encodes nothing again.
     #[test]
     fn an_rse_tx5_prefix_encodes_each_block_up_to_its_highest_esi() {
         let spec = CodeSpec::rse(2040, ExpansionRatio::R1_5);
@@ -378,8 +395,14 @@ mod tests {
                 let sent = (r.esi as usize + 1).saturating_sub(kb);
                 want[r.block as usize] = want[r.block as usize].max(sent);
             }
-            assert_eq!(filled(&s), want);
-            assert_eq!(s.parity_encoded(), want.iter().sum::<usize>());
+            let runs: Vec<usize> = (0..want.len())
+                .map(|b| {
+                    let (kb, nb) = s.layout().block(b);
+                    (want[b].div_ceil(RUN) * RUN).min(nb - kb)
+                })
+                .collect();
+            assert_eq!(filled(&s), runs);
+            assert_eq!(s.parity_encoded(), runs.iter().sum::<usize>());
             assert!(s.parity_encoded() < 300, "of 1020 parity symbols");
         }
     }
@@ -432,17 +455,37 @@ mod tests {
         fn parity<'s>(
             &mut self,
             _block: usize,
-            esi: u32,
+            first: u32,
             earlier: &dyn Fn(u32) -> Option<&'s [u8]>,
-            out: &mut [u8],
+            out: &mut [&mut [u8]],
         ) -> Result<(), CodecError> {
-            let (Some(prev), Some(src)) = (earlier(esi - 1), earlier(esi % self.k)) else {
-                return Err(CodecError::encode(&Chain, "missing symbol"));
-            };
-            for (o, (p, s)) in out.iter_mut().zip(prev.iter().zip(src)) {
-                *o = p ^ s.rotate_left(1);
+            for i in 0..out.len() {
+                let esi = first + i as u32;
+                // The run's earlier members are in `out`, the rest below it.
+                let (done, rest) = out.split_at_mut(i);
+                let prev = match done.last() {
+                    Some(p) => Some(&p[..]),
+                    None => earlier(esi - 1),
+                };
+                let (Some(prev), Some(src)) = (prev, earlier(esi % self.k)) else {
+                    return Err(CodecError::encode(&Chain, "missing symbol"));
+                };
+                for (o, (p, s)) in rest[0].iter_mut().zip(prev.iter().zip(src)) {
+                    *o = p ^ s.rotate_left(1);
+                }
             }
             Ok(())
+        }
+    }
+
+    /// The chaining code reads its earlier parity from `earlier` and from
+    /// its own run alike: symbol by symbol, one run per block and in
+    /// reverse give the same bytes.
+    #[test]
+    fn a_chaining_encoder_gives_the_same_parity_in_any_run() {
+        let chain = CodecHandle::new(Chain);
+        for (k, ratio) in [(1, 4.0), (7, 2.5), (40, 1.5), (300, 2.5)] {
+            fec_codec::conformance::check_encoder(&chain, k, ratio);
         }
     }
 

@@ -2319,7 +2319,8 @@ mod tests {
 
     /// A deploy to another tuple encodes no parity: the new encoding's
     /// parity is computed as its datagrams leave, and under Tx_model_5
-    /// the first 300 carry source symbols.
+    /// the first 300 carry source symbols. The first parity datagram
+    /// encodes one run: the eight lowest parity symbols of its block.
     #[test]
     fn a_deploy_encodes_nothing_until_the_objects_parity_leaves() {
         let data = object_bytes(300 * 16);
@@ -2348,7 +2349,7 @@ mod tests {
         }
         assert_eq!(encoded(&stream), 0, "300 source datagrams");
         assert!(!is_fdt(&stream.next_datagram().unwrap().unwrap()));
-        assert_eq!(encoded(&stream), 1, "the first parity datagram");
+        assert_eq!(encoded(&stream), 8, "the first parity datagram");
         assert_eq!(sender.objects[0].sender.parity_encoded(), 0, "never sent");
     }
 

@@ -26,11 +26,19 @@
 //! backend computes byte-identical output, which the differential
 //! property tests and the workspace's cross-backend sweep test pin down.
 //!
-//! Beyond the single-source forms, the fused multi-source kernels
-//! [`xor_acc_many`] and [`addmul_acc_many`] apply a whole coefficient row
-//! in one pass over the destination, which is what the LDGM encoder and
-//! the RSE generator/decoder inner loops actually need: the destination
+//! Beyond the single-source forms, the fused multi-source kernel
+//! [`xor_acc_many`] applies a whole XOR row in one pass over the
+//! destination, which is what the LDGM encoder needs: the destination
 //! stays in registers instead of being re-streamed once per source.
+//!
+//! [`addmul_rows`] is the many-row form the RSE generator and decoder
+//! run: `outs[r] ^= Σ_j coeffs[r·m + j] · srcs[j]` for every row `r` of a
+//! row-major `outs.len() × m` coefficient matrix. `gfni` holds up to
+//! eight rows' accumulators in registers, so each source tile is loaded
+//! once per group of eight rows rather than once per row: a block's
+//! parity run reads its sources once per eight symbols. Every other
+//! backend applies its one-row body once per row.
+//! [`Kernels::addmul_acc_many`] and [`dot_product`] are its one-row case.
 
 use std::sync::OnceLock;
 
@@ -60,9 +68,12 @@ pub struct Kernels {
     addmul: fn(dst: &mut [u8], src: &[u8], c: u8),
     /// `dst[i] ^= srcs[0][i] ^ srcs[1][i] ^ …` in one pass.
     xor_many: fn(dst: &mut [u8], srcs: &[&[u8]]),
-    /// `dst[i] ^= Σ_j coeffs[j] * srcs[j][i]` in one pass.
-    addmul_many: fn(dst: &mut [u8], srcs: &[&[u8]], coeffs: &[u8]),
+    /// `outs[r][i] ^= Σ_j coeffs[r * srcs.len() + j] * srcs[j][i]`, with
+    /// at least one source.
+    addmul_rows: AddmulRows,
 }
+
+type AddmulRows = fn(outs: &mut [&mut [u8]], srcs: &[&[u8]], coeffs: &[u8]);
 
 impl Kernels {
     /// The backend's name (the token `FEC_FORCE_KERNEL` accepts).
@@ -136,33 +147,48 @@ impl Kernels {
         }
     }
 
-    /// `dst[i] ^= Σ_j coeffs[j] * srcs[j][i]` — a coefficient row of a
-    /// generator/decoding matrix applied in one pass over `dst`.
+    /// `dst[i] ^= Σ_j coeffs[j] * srcs[j][i]` — one coefficient row
+    /// applied in one pass over `dst`: [`addmul_rows`](Self::addmul_rows)
+    /// with one row.
     ///
     /// # Panics
     /// Panics if `coeffs` and `srcs` have different lengths, or if any
     /// source length differs from `dst`.
     pub fn addmul_acc_many(&self, dst: &mut [u8], srcs: &[&[u8]], coeffs: &[u8]) {
+        self.addmul_rows(&mut [dst], srcs, coeffs);
+    }
+
+    /// `outs[r][i] ^= Σ_j coeffs[r * m + j] * srcs[j][i]` for every row
+    /// `r`, where `m = srcs.len()` and `coeffs` is the row-major
+    /// `outs.len() × m` coefficient matrix — a run of generator or
+    /// decoding rows applied to one set of sources.
+    ///
+    /// # Panics
+    /// Panics if `coeffs.len() != outs.len() * srcs.len()`, or if any
+    /// output or source length differs from the first output's.
+    pub fn addmul_rows(&self, outs: &mut [&mut [u8]], srcs: &[&[u8]], coeffs: &[u8]) {
         assert_eq!(
             coeffs.len(),
-            srcs.len(),
-            "addmul_acc_many: {} coefficients for {} sources",
+            outs.len() * srcs.len(),
+            "addmul_rows: {} coefficients for {} rows of {} sources",
             coeffs.len(),
+            outs.len(),
             srcs.len()
         );
-        for s in srcs {
+        let Some(len) = outs.first().map(|o| o.len()) else {
+            return;
+        };
+        for s in srcs.iter().copied().chain(outs.iter().map(|o| &o[..])) {
             assert_eq!(
-                dst.len(),
+                len,
                 s.len(),
-                "addmul_acc_many: length mismatch ({} vs {})",
-                dst.len(),
+                "addmul_rows: length mismatch ({} vs {})",
+                len,
                 s.len()
             );
         }
-        match srcs {
-            [] => {}
-            [one] => self.addmul_slice(dst, one, coeffs[0]),
-            _ => (self.addmul_many)(dst, srcs, coeffs),
+        if !srcs.is_empty() {
+            (self.addmul_rows)(outs, srcs, coeffs);
         }
     }
 }
@@ -179,7 +205,7 @@ static SCALAR: Kernels = Kernels {
     mul: scalar::mul,
     addmul: scalar::addmul,
     xor_many: scalar::xor_many,
-    addmul_many: scalar::addmul_many,
+    addmul_rows: scalar::addmul_rows,
 };
 
 static PORTABLE: Kernels = Kernels {
@@ -188,7 +214,7 @@ static PORTABLE: Kernels = Kernels {
     mul: portable::mul,
     addmul: portable::addmul,
     xor_many: portable::xor_many,
-    addmul_many: portable::addmul_many,
+    addmul_rows: portable::addmul_rows,
 };
 
 /// Every backend this binary can run on this host, worst to best
@@ -284,15 +310,17 @@ pub fn xor_acc_many(dst: &mut [u8], srcs: &[&[u8]]) {
     active().xor_acc_many(dst, srcs);
 }
 
-/// `dst[i] ^= Σ_j coeffs[j] * srcs[j][i]` in one fused pass (the RSE
-/// generator/decoding-row operation).
+/// `outs[r][i] ^= Σ_j coeffs[r * srcs.len() + j] * srcs[j][i]` for every
+/// row `r`: a run of generator or decoding rows (row-major `coeffs`)
+/// applied to one set of sources, each source read once per group of
+/// rows the backend carries (see the module docs).
 ///
 /// # Panics
-/// Panics if `coeffs` and `srcs` have different lengths, or if any source
-/// length differs from `dst`.
+/// Panics if `coeffs.len() != outs.len() * srcs.len()`, or if any output
+/// or source length differs from the first output's.
 #[inline]
-pub fn addmul_acc_many(dst: &mut [u8], srcs: &[&[u8]], coeffs: &[u8]) {
-    active().addmul_acc_many(dst, srcs, coeffs);
+pub fn addmul_rows(outs: &mut [&mut [u8]], srcs: &[&[u8]], coeffs: &[u8]) {
+    active().addmul_rows(outs, srcs, coeffs);
 }
 
 /// Dot product of a coefficient row with a set of symbol slices:
@@ -312,7 +340,20 @@ pub fn dot_product(out: &mut [u8], coeffs: &[u8], symbols: &[&[u8]]) {
         symbols.len()
     );
     out.fill(0);
-    active().addmul_acc_many(out, symbols, coeffs);
+    active().addmul_rows(&mut [out], symbols, coeffs);
+}
+
+/// Runs a one-row `addmul_many` body once per row of an `addmul_rows`
+/// call: the multi-row entry of every backend without a tiled one.
+fn each_row(
+    outs: &mut [&mut [u8]],
+    srcs: &[&[u8]],
+    coeffs: &[u8],
+    one_row: fn(&mut [u8], &[&[u8]], &[u8]),
+) {
+    for (out, row) in outs.iter_mut().zip(coeffs.chunks_exact(srcs.len())) {
+        one_row(out, srcs, row);
+    }
 }
 
 /// Shared tail/reference helper: `dst ^= c * src` one byte at a time via

@@ -20,7 +20,7 @@ static NEON: Kernels = Kernels {
     mul: mul_neon,
     addmul: addmul_neon,
     xor_many: xor_many_neon,
-    addmul_many: addmul_many_neon,
+    addmul_rows: addmul_rows_neon,
 };
 
 /// Appends the NEON backend when the host supports it.
@@ -167,6 +167,10 @@ unsafe fn mul_neon_impl(dst: &mut [u8], c: u8) {
     }
 }
 
+fn addmul_rows_neon(outs: &mut [&mut [u8]], srcs: &[&[u8]], coeffs: &[u8]) {
+    super::each_row(outs, srcs, coeffs, addmul_many_neon);
+}
+
 fn addmul_many_neon(dst: &mut [u8], srcs: &[&[u8]], coeffs: &[u8]) {
     // SAFETY: roster containment, as in `xor_neon`.
     unsafe { addmul_many_neon_impl(dst, srcs, coeffs) }
@@ -175,7 +179,7 @@ fn addmul_many_neon(dst: &mut [u8], srcs: &[&[u8]], coeffs: &[u8]) {
 /// # Safety
 /// Caller must be compiled with (and the CPU support) `neon`; every
 /// source must have `dst`'s length and `coeffs` must have `srcs`'s
-/// length (asserted by `Kernels::addmul_acc_many`).
+/// length (asserted by `Kernels::addmul_rows`).
 #[target_feature(enable = "neon")]
 unsafe fn addmul_many_neon_impl(dst: &mut [u8], srcs: &[&[u8]], coeffs: &[u8]) {
     let n = dst.len() / 64 * 64;

@@ -73,7 +73,11 @@ pub(super) fn xor_many(dst: &mut [u8], srcs: &[&[u8]]) {
     }
 }
 
-pub(super) fn addmul_many(dst: &mut [u8], srcs: &[&[u8]], coeffs: &[u8]) {
+pub(super) fn addmul_rows(outs: &mut [&mut [u8]], srcs: &[&[u8]], coeffs: &[u8]) {
+    super::each_row(outs, srcs, coeffs, addmul_many);
+}
+
+fn addmul_many(dst: &mut [u8], srcs: &[&[u8]], coeffs: &[u8]) {
     // Without byte shuffles there is nothing to amortise across sources —
     // the table gathers dominate and a per-chunk accumulator only gets in
     // the optimizer's way — so the portable fused form is the plain

@@ -34,7 +34,11 @@ pub(super) fn xor_many(dst: &mut [u8], srcs: &[&[u8]]) {
     }
 }
 
-pub(super) fn addmul_many(dst: &mut [u8], srcs: &[&[u8]], coeffs: &[u8]) {
+pub(super) fn addmul_rows(outs: &mut [&mut [u8]], srcs: &[&[u8]], coeffs: &[u8]) {
+    super::each_row(outs, srcs, coeffs, addmul_many);
+}
+
+fn addmul_many(dst: &mut [u8], srcs: &[&[u8]], coeffs: &[u8]) {
     for (src, &c) in srcs.iter().zip(coeffs) {
         match c {
             0 => {}

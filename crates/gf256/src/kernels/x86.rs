@@ -29,7 +29,7 @@ static SSSE3: Kernels = Kernels {
     mul: mul_ssse3,
     addmul: addmul_ssse3,
     xor_many: xor_many_128,
-    addmul_many: addmul_many_ssse3,
+    addmul_rows: addmul_rows_ssse3,
 };
 
 static AVX2: Kernels = Kernels {
@@ -38,7 +38,7 @@ static AVX2: Kernels = Kernels {
     mul: mul_avx2,
     addmul: addmul_avx2,
     xor_many: xor_many_avx2,
-    addmul_many: addmul_many_avx2,
+    addmul_rows: addmul_rows_avx2,
 };
 
 static GFNI: Kernels = Kernels {
@@ -47,7 +47,7 @@ static GFNI: Kernels = Kernels {
     mul: mul_gfni,
     addmul: addmul_gfni,
     xor_many: xor_many_avx2,
-    addmul_many: addmul_many_gfni,
+    addmul_rows: addmul_rows_gfni,
 };
 
 /// Appends every backend this CPU supports, worst to best.
@@ -213,6 +213,10 @@ unsafe fn mul_ssse3_impl(dst: &mut [u8], c: u8) {
     }
 }
 
+fn addmul_rows_ssse3(outs: &mut [&mut [u8]], srcs: &[&[u8]], coeffs: &[u8]) {
+    super::each_row(outs, srcs, coeffs, addmul_many_ssse3);
+}
+
 fn addmul_many_ssse3(dst: &mut [u8], srcs: &[&[u8]], coeffs: &[u8]) {
     // SAFETY: roster containment, as in `addmul_ssse3`.
     unsafe { addmul_many_ssse3_impl(dst, srcs, coeffs) }
@@ -221,13 +225,13 @@ fn addmul_many_ssse3(dst: &mut [u8], srcs: &[&[u8]], coeffs: &[u8]) {
 /// # Safety
 /// Caller must be compiled with (and the CPU support) `ssse3`; every
 /// source must have `dst`'s length and `coeffs` must have `srcs`'s
-/// length (asserted by `Kernels::addmul_acc_many`).
+/// length (asserted by `Kernels::addmul_rows`).
 #[target_feature(enable = "ssse3")]
 unsafe fn addmul_many_ssse3_impl(dst: &mut [u8], srcs: &[&[u8]], coeffs: &[u8]) {
     let n = dst.len() / 64 * 64;
     let d = dst.as_mut_ptr();
     // SAFETY: 64-byte blocks stay inside `n`; every source has `dst`'s
-    // length (asserted by the `Kernels::addmul_acc_many` wrapper).
+    // length (asserted by the `Kernels::addmul_rows` wrapper).
     unsafe {
         let mask = _mm_set1_epi8(0x0F);
         let mut i = 0;
@@ -432,6 +436,10 @@ unsafe fn mul_avx2_impl(dst: &mut [u8], c: u8) {
     }
 }
 
+fn addmul_rows_avx2(outs: &mut [&mut [u8]], srcs: &[&[u8]], coeffs: &[u8]) {
+    super::each_row(outs, srcs, coeffs, addmul_many_avx2);
+}
+
 fn addmul_many_avx2(dst: &mut [u8], srcs: &[&[u8]], coeffs: &[u8]) {
     // SAFETY: roster containment, as in `xor_avx2`.
     unsafe { addmul_many_avx2_impl(dst, srcs, coeffs) }
@@ -440,7 +448,7 @@ fn addmul_many_avx2(dst: &mut [u8], srcs: &[&[u8]], coeffs: &[u8]) {
 /// # Safety
 /// Caller must be compiled with (and the CPU support) `avx2`; every
 /// source must have `dst`'s length and `coeffs` must have `srcs`'s
-/// length (asserted by `Kernels::addmul_acc_many`).
+/// length (asserted by `Kernels::addmul_rows`).
 #[target_feature(enable = "avx2")]
 unsafe fn addmul_many_avx2_impl(dst: &mut [u8], srcs: &[&[u8]], coeffs: &[u8]) {
     let n = dst.len() / 64 * 64;
@@ -545,61 +553,97 @@ unsafe fn mul_gfni_impl(dst: &mut [u8], c: u8) {
     }
 }
 
-fn addmul_many_gfni(dst: &mut [u8], srcs: &[&[u8]], coeffs: &[u8]) {
-    // SAFETY: roster containment, as in `addmul_gfni`.
-    unsafe { addmul_many_gfni_impl(dst, srcs, coeffs) }
-}
+/// Rows one `gfni` pass carries. Eight rows of two 64-byte accumulators,
+/// two source tiles and a matrix keep about 20 of the 32 zmm registers
+/// live; a third tile per row would leave too few to hold them all.
+const GFNI_ROWS: usize = 8;
 
-/// # Safety
-/// Caller must be compiled with (and the CPU support) `gfni`, `avx512f`
-/// and `avx512bw`; every source must have `dst`'s length and `coeffs`
-/// must have `srcs`'s length (asserted by `Kernels::addmul_acc_many`).
-#[target_feature(enable = "gfni,avx512f,avx512bw")]
-unsafe fn addmul_many_gfni_impl(dst: &mut [u8], srcs: &[&[u8]], coeffs: &[u8]) {
-    let n = dst.len() / 256 * 256;
-    let d = dst.as_mut_ptr();
-    // SAFETY: 256-byte blocks stay inside `n`; sources share `dst`'s
-    // length (wrapper assertion).
-    unsafe {
-        let mut i = 0;
-        while i < n {
-            let mut a0 = _mm512_loadu_si512(d.add(i).cast::<__m512i>());
-            let mut a1 = _mm512_loadu_si512(d.add(i + 64).cast::<__m512i>());
-            let mut a2 = _mm512_loadu_si512(d.add(i + 128).cast::<__m512i>());
-            let mut a3 = _mm512_loadu_si512(d.add(i + 192).cast::<__m512i>());
-            for (s, &c) in srcs.iter().zip(coeffs) {
-                if c == 0 {
-                    continue;
-                }
-                let p = s.as_ptr().add(i);
-                let x0 = _mm512_loadu_si512(p.cast::<__m512i>());
-                let x1 = _mm512_loadu_si512(p.add(64).cast::<__m512i>());
-                let x2 = _mm512_loadu_si512(p.add(128).cast::<__m512i>());
-                let x3 = _mm512_loadu_si512(p.add(192).cast::<__m512i>());
-                if c == 1 {
-                    a0 = _mm512_xor_si512(a0, x0);
-                    a1 = _mm512_xor_si512(a1, x1);
-                    a2 = _mm512_xor_si512(a2, x2);
-                    a3 = _mm512_xor_si512(a3, x3);
-                } else {
-                    let a = _mm512_set1_epi64(MUL_AFFINE[c as usize] as i64);
-                    a0 = _mm512_xor_si512(a0, _mm512_gf2p8affine_epi64_epi8::<0>(x0, a));
-                    a1 = _mm512_xor_si512(a1, _mm512_gf2p8affine_epi64_epi8::<0>(x1, a));
-                    a2 = _mm512_xor_si512(a2, _mm512_gf2p8affine_epi64_epi8::<0>(x2, a));
-                    a3 = _mm512_xor_si512(a3, _mm512_gf2p8affine_epi64_epi8::<0>(x3, a));
-                }
-            }
-            _mm512_storeu_si512(d.add(i).cast::<__m512i>(), a0);
-            _mm512_storeu_si512(d.add(i + 64).cast::<__m512i>(), a1);
-            _mm512_storeu_si512(d.add(i + 128).cast::<__m512i>(), a2);
-            _mm512_storeu_si512(d.add(i + 192).cast::<__m512i>(), a3);
-            i += 256;
-        }
-        for (s, &c) in srcs.iter().zip(coeffs) {
-            match c {
-                0 => {}
-                _ => addmul_gfni_impl(&mut dst[n..], &s[n..], c),
+fn addmul_rows_gfni(outs: &mut [&mut [u8]], srcs: &[&[u8]], coeffs: &[u8]) {
+    let m = srcs.len();
+    for (group, coeffs) in outs.chunks_mut(GFNI_ROWS).zip(coeffs.chunks(GFNI_ROWS * m)) {
+        let done = match group.len() {
+            1 => tiles_gfni::<1>(group, srcs, coeffs),
+            2 => tiles_gfni::<2>(group, srcs, coeffs),
+            3 => tiles_gfni::<3>(group, srcs, coeffs),
+            4 => tiles_gfni::<4>(group, srcs, coeffs),
+            5 => tiles_gfni::<5>(group, srcs, coeffs),
+            6 => tiles_gfni::<6>(group, srcs, coeffs),
+            7 => tiles_gfni::<7>(group, srcs, coeffs),
+            _ => tiles_gfni::<GFNI_ROWS>(group, srcs, coeffs),
+        };
+        // The bytes past the last whole 64-byte tile.
+        for (out, row) in group.iter_mut().zip(coeffs.chunks_exact(m)) {
+            for (s, &c) in srcs.iter().zip(row) {
+                super::addmul_tail(&mut out[done..], &s[done..], c);
             }
         }
     }
+}
+
+/// Applies `R` rows to every whole 64-byte tile; returns the length they
+/// cover.
+fn tiles_gfni<const R: usize>(outs: &mut [&mut [u8]], srcs: &[&[u8]], coeffs: &[u8]) -> usize {
+    let len = outs[0].len();
+    let d: [*mut u8; R] = core::array::from_fn(|r| outs[r].as_mut_ptr());
+    // SAFETY: roster containment, as in `addmul_gfni`. `outs` holds
+    // exactly `R` rows (`addmul_rows_gfni` picks `R` from its length) and
+    // `coeffs` holds `R` rows of `srcs.len()`; every row and source is
+    // `len` bytes long (wrapper assertions).
+    unsafe {
+        let i = affine_tiles_gfni::<R, 2>(d, srcs, coeffs, 0, len);
+        affine_tiles_gfni::<R, 1>(d, srcs, coeffs, i, len)
+    }
+}
+
+/// Walks `T`-tile steps from `i` while they fit below `len`, folding every
+/// source into the `R` rows' accumulators; returns where it stopped.
+///
+/// # Safety
+/// Caller must be compiled with (and the CPU support) `gfni`, `avx512f`
+/// and `avx512bw`; every `d[r]` points at `len` writable bytes that no
+/// source overlaps, every source is `len` bytes long, and `coeffs` holds
+/// `R` rows of `srcs.len()` coefficients.
+#[target_feature(enable = "gfni,avx512f,avx512bw")]
+unsafe fn affine_tiles_gfni<const R: usize, const T: usize>(
+    d: [*mut u8; R],
+    srcs: &[&[u8]],
+    coeffs: &[u8],
+    mut i: usize,
+    len: usize,
+) -> usize {
+    let m = srcs.len();
+    let rows: [&[u8]; R] = core::array::from_fn(|r| &coeffs[r * m..][..m]);
+    while i + 64 * T <= len {
+        // SAFETY: `i + 64 * T <= len` bounds every load and store (the
+        // function's contract); unaligned ops. Each source tile is loaded
+        // once and multiplied into all `R` rows while it is in registers.
+        unsafe {
+            let mut acc = [[_mm512_setzero_si512(); T]; R];
+            for (tiles, &row) in acc.iter_mut().zip(&d) {
+                for (t, a) in tiles.iter_mut().enumerate() {
+                    *a = _mm512_loadu_si512(row.add(i + 64 * t).cast::<__m512i>());
+                }
+            }
+            for (j, s) in srcs.iter().enumerate() {
+                let p = s.as_ptr().add(i);
+                let mut x = [_mm512_setzero_si512(); T];
+                for (t, x) in x.iter_mut().enumerate() {
+                    *x = _mm512_loadu_si512(p.add(64 * t).cast::<__m512i>());
+                }
+                for (tiles, row) in acc.iter_mut().zip(&rows) {
+                    let c = _mm512_set1_epi64(MUL_AFFINE[row[j] as usize] as i64);
+                    for (a, &x) in tiles.iter_mut().zip(&x) {
+                        *a = _mm512_xor_si512(*a, _mm512_gf2p8affine_epi64_epi8::<0>(x, c));
+                    }
+                }
+            }
+            for (tiles, &row) in acc.iter().zip(&d) {
+                for (t, &a) in tiles.iter().enumerate() {
+                    _mm512_storeu_si512(row.add(i + 64 * t).cast::<__m512i>(), a);
+                }
+            }
+        }
+        i += 64 * T;
+    }
+    i
 }

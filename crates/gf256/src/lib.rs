@@ -8,8 +8,8 @@
 //!   `x^8 + x^4 + x^3 + x^2 + 1` (`0x11D`, the polynomial used by Rizzo's
 //!   classic `fec` codec and by CCSDS Reed-Solomon),
 //! * [`kernels`] — the hot slice kernels (`xor_slice`, `addmul_slice`, the
-//!   fused `xor_acc_many` / `addmul_acc_many`, …) that move actual packet
-//!   payloads. They dispatch through a runtime-selected backend: a safe
+//!   fused one-row `xor_acc_many`, the many-row `addmul_rows`, …) that
+//!   move actual packet payloads. They dispatch through a runtime-selected backend: a safe
 //!   `u64`-lane portable implementation everywhere, plus `std::arch`
 //!   SSSE3/AVX2 (x86_64) and NEON (aarch64) backends using
 //!   split-nibble shuffle multiplies and a GFNI (x86_64 with AVX-512)

@@ -132,7 +132,14 @@ impl Matrix {
     /// Borrow a row as raw bytes (coefficients).
     #[inline]
     pub fn row(&self, r: usize) -> &[u8] {
-        &self.data[r * self.cols..(r + 1) * self.cols]
+        self.row_span(r..r + 1)
+    }
+
+    /// Borrow a run of rows back to back: the row-major coefficient
+    /// matrix [`kernels::addmul_rows`](crate::kernels::addmul_rows) takes.
+    #[inline]
+    pub fn row_span(&self, rows: core::ops::Range<usize>) -> &[u8] {
+        &self.data[rows.start * self.cols..rows.end * self.cols]
     }
 
     /// Extracts the sub-matrix made of the given rows (in the given order).

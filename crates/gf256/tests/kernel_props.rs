@@ -11,7 +11,9 @@
 //! * buffers that are directly adjacent in one allocation (`split_at_mut`
 //!   neighbours), so an out-of-bounds lane read/write in one buffer would
 //!   corrupt the other and fail the comparison,
-//! * the `c = 0` / `c = 1` addmul fast paths and all-zero data.
+//! * the `c = 0` / `c = 1` addmul fast paths and all-zero data,
+//! * multi-row `addmul_rows` calls whose row count crosses the `gfni`
+//!   backend's eight-row group.
 
 use fec_gf256::kernels::{self, Kernels};
 use fec_gf256::Gf256;
@@ -221,6 +223,42 @@ proptest! {
             let mut got = init.clone();
             backend.addmul_acc_many(&mut got, &refs, &coeffs);
             prop_assert_eq!(&got, &expect, "{} len {} x{}", backend.name(), len, nsrc);
+        }
+    }
+
+    /// `addmul_rows` against one field-definition `addmul` per
+    /// (row, source) pair, on every backend: 0..=17 rows, so calls cross
+    /// the eight-row group, lengths up to 300 with tails past every
+    /// 64/128/256-byte step, and coefficients drawn so 0 and 1 are common.
+    #[test]
+    fn addmul_rows_matches_sequential_addmuls(
+        rows in 0usize..=17,
+        nsrc in 0usize..=6,
+        len in 0usize..=300,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let srcs: Vec<Vec<u8>> = (0..nsrc).map(|_| fill(&mut rng, len)).collect();
+        let refs: Vec<&[u8]> = srcs.iter().map(|s| s.as_slice()).collect();
+        let coeffs: Vec<u8> = (0..rows * nsrc)
+            .map(|_| match rng.gen_range(0..4) {
+                0 => 0,
+                1 => 1,
+                _ => rng.gen(),
+            })
+            .collect();
+        let init: Vec<Vec<u8>> = (0..rows).map(|_| fill(&mut rng, len)).collect();
+        let mut expect = init.clone();
+        for (out, row) in expect.iter_mut().zip(coeffs.chunks(nsrc.max(1))) {
+            for (s, &c) in refs.iter().zip(row) {
+                reference_addmul(out, s, c);
+            }
+        }
+        for backend in kernels::backends() {
+            let mut got = init.clone();
+            let mut outs: Vec<&mut [u8]> = got.iter_mut().map(|o| o.as_mut_slice()).collect();
+            backend.addmul_rows(&mut outs, &refs, &coeffs);
+            prop_assert_eq!(&got, &expect, "{} rows {} x{} len {}", backend.name(), rows, nsrc, len);
         }
     }
 }

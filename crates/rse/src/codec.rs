@@ -1,3 +1,5 @@
+//! fec-audit: deny(panic)
+//!
 //! The single-block systematic Reed-Solomon erasure codec.
 
 use fec_gf256::{kernels, Gf256, Matrix};
@@ -41,6 +43,13 @@ use crate::{RseError, MAX_N};
 /// Its matrix is a square minor of the parity rows, invertible because the
 /// code is MDS. Received source symbols are never multiplied by anything.
 ///
+/// # Row runs
+///
+/// Encoding a run of parity and both decoding steps (all `e` right-hand
+/// sides, then all `e` solved rows) are one
+/// [`kernels::addmul_rows`] call each, so every input symbol is read once
+/// per group of rows the kernel backend carries rather than once per row.
+///
 /// ```
 /// use fec_rse::RseCodec;
 /// let codec = RseCodec::new(4, 7).unwrap();
@@ -70,20 +79,26 @@ impl RseCodec {
             return Err(RseError::BadParameters { k, n });
         }
         // Everything is built in the log domain: `log(x_a + x_b)` for two
-        // point indexes, summed for the products and differenced for the
+        // points, summed for the products and differenced for the
         // quotient, then one `alpha_pow` per entry. The points `alpha^i`
         // are distinct for n <= 255, so no sum `x_a + x_b` (a != b) is zero
         // and every logarithm exists; the `0` fallback is never taken.
         const ORDER: usize = fec_gf256::MUL_ORDER;
         let x: Vec<Gf256> = (0..n).map(Gf256::alpha_pow).collect();
-        let log_sum = |a: usize, b: usize| usize::from((x[a] + x[b]).log().unwrap_or(0));
+        let (source_x, parity_x) = x.split_at(k);
+        let log_sum = |a: Gf256, b: Gf256| usize::from((a + b).log().unwrap_or(0));
         // `log D_j`: each pair's sum is a factor of both ends.
         let mut log_d = vec![0usize; k];
-        for j in 0..k {
-            for m in 0..j {
-                let l = log_sum(j, m);
-                log_d[j] += l;
-                log_d[m] += l;
+        for (j, &xj) in source_x.iter().enumerate() {
+            let (below, from_j) = log_d.split_at_mut(j);
+            let mut own = 0;
+            for (l, &xm) in below.iter_mut().zip(source_x) {
+                let s = log_sum(xj, xm);
+                *l += s;
+                own += s;
+            }
+            if let Some(l) = from_j.first_mut() {
+                *l += own;
             }
         }
         log_d.iter_mut().for_each(|l| *l %= ORDER);
@@ -92,9 +107,9 @@ impl RseCodec {
             gen.set(j, j, Gf256::ONE);
         }
         let mut log_row = vec![0usize; k];
-        for i in k..n {
-            for (m, l) in log_row.iter_mut().enumerate() {
-                *l = log_sum(i, m);
+        for (i, &xi) in (k..).zip(parity_x) {
+            for (l, &xm) in log_row.iter_mut().zip(source_x) {
+                *l = log_sum(xi, xm);
             }
             let log_p = log_row.iter().sum::<usize>() % ORDER;
             for (j, (&log_ij, &log_dj)) in log_row.iter().zip(&log_d).enumerate() {
@@ -122,33 +137,31 @@ impl RseCodec {
     /// Returns the `n - k` parity symbols; source symbols are transmitted
     /// verbatim (the code is systematic).
     pub fn encode_refs(&self, source: &[&[u8]]) -> Result<Vec<Vec<u8>>, RseError> {
-        if source.len() != self.k {
-            return Err(RseError::WrongSourceCount {
-                got: source.len(),
-                expected: self.k,
-            });
-        }
         let sym_len = source.first().map_or(0, |s| s.len());
-        (self.k..self.n)
-            .map(|esi| {
-                let mut sym = vec![0u8; sym_len];
-                self.parity_symbol(esi as u32, source, &mut sym)?;
-                Ok(sym)
-            })
-            .collect()
+        let mut parity = vec![vec![0u8; sym_len]; self.n - self.k];
+        let mut out: Vec<&mut [u8]> = parity.iter_mut().map(Vec::as_mut_slice).collect();
+        self.parity_symbols(self.k as u32, source, &mut out)?;
+        Ok(parity)
     }
 
-    /// Writes parity symbol `esi` (in `k..n`) into `out`: one generator
-    /// row applied to the block's `k` source symbols. Rows are
-    /// independent, so any parity symbol can be computed alone, in any
-    /// order.
-    pub fn parity_symbol(
+    /// Writes the parity run `first .. first + out.len()` (ESIs in
+    /// `k..n`) into `out`, one symbol per buffer: the run's generator rows
+    /// applied to the block's `k` source symbols. Rows are independent,
+    /// so a symbol has the same bytes whichever run computes it.
+    pub fn parity_symbols(
         &self,
-        esi: u32,
+        first: u32,
         source: &[&[u8]],
-        out: &mut [u8],
+        out: &mut [&mut [u8]],
     ) -> Result<(), RseError> {
-        if (esi as usize) < self.k || (esi as usize) >= self.n {
+        let rows = first as usize..first as usize + out.len();
+        if rows.start < self.k || rows.end > self.n {
+            // The first ESI of the run outside `k..n`.
+            let esi = if rows.start < self.k {
+                first
+            } else {
+                first.max(self.n as u32)
+            };
             return Err(RseError::BadEsi { esi, n: self.n });
         }
         if source.len() != self.k {
@@ -157,13 +170,18 @@ impl RseCodec {
                 expected: self.k,
             });
         }
-        if let Some(s) = source.iter().find(|s| s.len() != out.len()) {
-            return Err(RseError::SymbolLengthMismatch {
-                expected: out.len(),
-                got: s.len(),
-            });
+        let Some(len) = out.first().map(|o| o.len()) else {
+            return Ok(());
+        };
+        let lengths = source.iter().map(|s| s.len());
+        if let Some(got) = lengths
+            .chain(out.iter().map(|o| o.len()))
+            .find(|&l| l != len)
+        {
+            return Err(RseError::SymbolLengthMismatch { expected: len, got });
         }
-        kernels::dot_product(out, self.gen.row(esi as usize), source);
+        out.iter_mut().for_each(|o| o.fill(0));
+        kernels::addmul_rows(out, source, self.gen.row_span(rows));
         Ok(())
     }
 
@@ -178,13 +196,15 @@ impl RseCodec {
         &self,
         received: &[(u32, &[u8])],
     ) -> Result<Vec<(u32, Vec<u8>)>, RseError> {
-        let mut seen = [false; MAX_N];
+        // The first `k` received, by ESI.
+        let mut by_esi: [Option<&[u8]>; MAX_N] = [None; MAX_N];
         let mut sym_len: Option<usize> = None;
         for &(esi, payload) in received.iter().take(self.k) {
-            if (esi as usize) >= self.n {
-                return Err(RseError::BadEsi { esi, n: self.n });
-            }
-            if std::mem::replace(&mut seen[esi as usize], true) {
+            let slot = by_esi
+                .get_mut(esi as usize)
+                .filter(|_| (esi as usize) < self.n)
+                .ok_or(RseError::BadEsi { esi, n: self.n })?;
+            if slot.replace(payload).is_some() {
                 return Err(RseError::DuplicateEsi { esi });
             }
             match sym_len {
@@ -206,53 +226,46 @@ impl RseCodec {
         }
         let sym_len = sym_len.unwrap_or(0);
 
-        let missing: Vec<usize> = (0..self.k).filter(|&j| !seen[j]).collect();
+        let (sources, parities) = by_esi.split_at(self.k);
+        let missing: Vec<u32> = (0..)
+            .zip(sources)
+            .filter(|(_, s)| s.is_none())
+            .map(|(j, _)| j)
+            .collect();
         if missing.is_empty() {
             return Ok(Vec::new());
         }
-        let mut parities: Vec<(usize, &[u8])> = Vec::with_capacity(missing.len());
-        let mut source_esis: Vec<usize> = Vec::with_capacity(self.k - missing.len());
-        let mut source_payloads: Vec<&[u8]> = Vec::with_capacity(self.k - missing.len());
-        for &(esi, payload) in &received[..self.k] {
-            if (esi as usize) < self.k {
-                source_esis.push(esi as usize);
-                source_payloads.push(payload);
-            } else {
-                parities.push((esi as usize, payload));
-            }
-        }
+        let known: Vec<&[u8]> = sources.iter().flatten().copied().collect();
 
         // One equation per received parity (there are exactly as many as
-        // missing sources): fold the known sources into its payload, keep
-        // the coefficients of the unknown ones.
+        // missing sources): its generator row splits into the coefficients
+        // of the known sources, folded into its payload, and those of the
+        // unknown ones, a row of the minor.
         let e = missing.len();
-        let mut minor = Matrix::zero(e, e);
-        let mut known = Vec::with_capacity(source_esis.len());
+        let mut known_coeffs = Vec::with_capacity(e * known.len());
+        let mut minor = Vec::with_capacity(e * e);
         let mut rhs: Vec<Vec<u8>> = Vec::with_capacity(e);
-        for (r, &(esi, payload)) in parities.iter().enumerate() {
-            let row = self.gen.row(esi);
-            for (c, &j) in missing.iter().enumerate() {
-                minor.set(r, c, Gf256(row[j]));
+        for (esi, payload) in (self.k..).zip(parities) {
+            let Some(payload) = payload else { continue };
+            for (&c, s) in self.gen.row(esi).iter().zip(sources) {
+                match s {
+                    Some(_) => known_coeffs.push(c),
+                    None => minor.push(c),
+                }
             }
-            known.clear();
-            known.extend(source_esis.iter().map(|&j| row[j]));
-            let mut y = payload.to_vec();
-            kernels::addmul_acc_many(&mut y, &source_payloads, &known);
-            rhs.push(y);
+            rhs.push(payload.to_vec());
         }
-        let solve = minor
+        let mut rows: Vec<&mut [u8]> = rhs.iter_mut().map(Vec::as_mut_slice).collect();
+        kernels::addmul_rows(&mut rows, &known, &known_coeffs);
+
+        let solve = Matrix::from_rows(e, e, minor)
             .inverted()
-            .expect("a square minor of an MDS generator's parity rows is invertible");
-        let rhs: Vec<&[u8]> = rhs.iter().map(|y| y.as_slice()).collect();
-        Ok(missing
-            .iter()
-            .enumerate()
-            .map(|(c, &j)| {
-                let mut sym = vec![0u8; sym_len];
-                kernels::addmul_acc_many(&mut sym, &rhs, solve.row(c));
-                (j as u32, sym)
-            })
-            .collect())
+            .map_err(|_| RseError::SingularMinor)?;
+        let rhs: Vec<&[u8]> = rhs.iter().map(Vec::as_slice).collect();
+        let mut recovered = vec![vec![0u8; sym_len]; e];
+        let mut rows: Vec<&mut [u8]> = recovered.iter_mut().map(Vec::as_mut_slice).collect();
+        kernels::addmul_rows(&mut rows, &rhs, solve.row_span(0..e));
+        Ok(missing.into_iter().zip(recovered).collect())
     }
 
     /// Decodes the `k` source symbols from any `k` distinct received symbols.
@@ -262,13 +275,15 @@ impl RseCodec {
     pub fn decode(&self, received: &[(u32, &[u8])]) -> Result<Vec<Vec<u8>>, RseError> {
         let recovered = self.recover_missing(received)?;
         let mut out = vec![Vec::new(); self.k];
-        for &(esi, payload) in &received[..self.k] {
-            if (esi as usize) < self.k {
-                out[esi as usize] = payload.to_vec();
+        let sources = received
+            .iter()
+            .take(self.k)
+            .filter(|&&(esi, _)| (esi as usize) < self.k)
+            .map(|&(esi, payload)| (esi, payload.to_vec()));
+        for (esi, payload) in sources.chain(recovered) {
+            if let Some(slot) = out.get_mut(esi as usize) {
+                *slot = payload;
             }
-        }
-        for (esi, payload) in recovered {
-            out[esi as usize] = payload;
         }
         Ok(out)
     }
@@ -489,7 +504,7 @@ mod tests {
             );
         }
 
-        /// parity_symbol agrees with bulk encode.
+        /// A run of one agrees with bulk encode.
         #[test]
         fn single_parity_matches_bulk(
             k in 1usize..16,
@@ -503,7 +518,7 @@ mod tests {
             let bulk = c.encode_refs(&refs).unwrap();
             for esi in (k..n).rev() {
                 let mut one = vec![0u8; 8];
-                c.parity_symbol(esi as u32, &refs, &mut one).unwrap();
+                c.parity_symbols(esi as u32, &refs, &mut [&mut one]).unwrap();
                 prop_assert_eq!(&one, &bulk[esi - k]);
             }
         }

@@ -39,6 +39,10 @@ pub enum RseError {
         /// Length of the offending symbol.
         got: usize,
     },
+    /// The received parity rows' coefficients on the missing source
+    /// symbols form a singular matrix. An MDS generator never does; this
+    /// reports a broken generator instead of aborting.
+    SingularMinor,
     /// The number of source symbols given to `encode` is not `k`.
     WrongSourceCount {
         /// Symbols supplied.
@@ -64,6 +68,9 @@ impl fmt::Display for RseError {
             RseError::DuplicateEsi { esi } => write!(f, "duplicate ESI {esi}"),
             RseError::SymbolLengthMismatch { expected, got } => {
                 write!(f, "symbol length mismatch: expected {expected}, got {got}")
+            }
+            RseError::SingularMinor => {
+                f.write_str("the received parity rows cannot solve the missing sources")
             }
             RseError::WrongSourceCount { got, expected } => {
                 write!(

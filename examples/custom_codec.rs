@@ -106,15 +106,19 @@ struct XorEncoder;
 
 impl Encoder for XorEncoder {
     // The one parity symbol (ESI k) is the XOR of every source symbol
-    // below it; a sender calls this the first time it emits that symbol.
+    // below it; a sender asks for it, a run of one, the first time it
+    // emits that symbol.
     fn parity<'s>(
         &mut self,
         _block: usize,
-        esi: u32,
+        first: u32,
         earlier: &dyn Fn(u32) -> Option<&'s [u8]>,
-        out: &mut [u8],
+        out: &mut [&mut [u8]],
     ) -> Result<(), CodecError> {
-        for j in 0..esi {
+        let [out] = out else {
+            return Err(CodecError::encode(&XorParity, "one parity symbol only"));
+        };
+        for j in 0..first {
             let s = earlier(j).ok_or_else(|| CodecError::encode(&XorParity, "source missing"))?;
             out.iter_mut().zip(s).for_each(|(p, b)| *p ^= b);
         }
