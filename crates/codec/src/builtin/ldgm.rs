@@ -305,6 +305,7 @@ impl StructuralFactory for LdgmStructuralFactory {
     fn session(&self, run_idx: u64) -> Box<dyn StructuralSession + '_> {
         let matrix = &self.matrices[run_idx as usize % self.matrices.len()];
         Box::new(LdgmStructuralSession {
+            head: matrix.k() as u64 - 1,
             inner: StructuralDecoder::new(matrix),
             decoding: self.decoding,
             scratch: Vec::new(),
@@ -313,6 +314,8 @@ impl StructuralFactory for LdgmStructuralFactory {
 }
 
 struct LdgmStructuralSession<'m> {
+    /// `k − 1`: no fewer than `k` packets complete the object.
+    head: u64,
     inner: StructuralDecoder<'m>,
     decoding: Decoding,
     /// Reusable id buffer for `add_batch`.
@@ -327,14 +330,18 @@ impl StructuralSession for LdgmStructuralSession<'_> {
         self.scratch.extend(batch.iter().map(|r| r.esi));
         match self.decoding {
             Decoding::Iterative => self.inner.push_batch(&self.scratch),
-            // Asked after every packet, so the answer does not depend on
-            // how the stream is split into batches.
+            // The packets before the k-th go in as one window; from there
+            // the question is asked after every packet, so the answer does
+            // not depend on how the stream is split into batches.
             Decoding::MaximumLikelihood => {
+                let head = self.head.saturating_sub(self.inner.received());
+                let (head, rest) = self.scratch.split_at(self.scratch.len().min(head as usize));
+                self.inner.push_batch(head);
                 let mut done_at = None;
-                for (i, &id) in self.scratch.iter().enumerate() {
+                for (i, &id) in rest.iter().enumerate() {
                     let peeled = self.inner.push_batch(&[id]).is_some();
                     if done_at.is_none() && (peeled || self.inner.ml_complete()) {
-                        done_at = Some(i);
+                        done_at = Some(head.len() + i);
                     }
                 }
                 done_at

@@ -312,6 +312,33 @@ pub fn check_shape(code: &CodecHandle, k: usize, ratio: f64) {
         }
     }
 
+    // The simulator feeds its first k - 1 survivors as one batch: that
+    // head, then one packet at a time, must complete at the same packet as
+    // one at a time throughout, under both decoders.
+    for factory in [&iterative, &ml] {
+        for stream in [&schedule, &lossy] {
+            let mut looped = factory.session(0);
+            let one_by_one = stream
+                .iter()
+                .position(|&r| looped.add_batch(&[r]).is_some());
+            let (head, rest) = stream.split_at(stream.len().min(k - 1));
+            let mut headed = factory.session(0);
+            assert!(
+                headed.add_batch(head).is_none(),
+                "{ctx}: structural session completed from a head of {} < k packets",
+                head.len()
+            );
+            let after_head = rest
+                .iter()
+                .position(|&r| headed.add_batch(&[r]).is_some())
+                .map(|i| head.len() + i);
+            assert_eq!(
+                after_head, one_by_one,
+                "{ctx}: a head window of k - 1 packets moved the completion point"
+            );
+        }
+    }
+
     // The whole schedule as one batch must decode like the one-by-one
     // feeds above.
     let params = SessionParams {

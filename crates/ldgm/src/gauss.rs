@@ -431,23 +431,29 @@ impl Inactivation {
 /// deduplicated or not) after which **ML decoding** completes, or `None` if
 /// even the full sequence is insufficient.
 ///
-/// One forward pass: the packets are fed in order and the index phase is
-/// asked after each one. It answers at once until the counting gate
-/// opens, is built there once, and every later packet adds one row.
+/// One forward pass: no `k − 1` packets determine `k` sources, so they go
+/// in as one window, and the index phase is asked after each packet from
+/// there. It answers at once until the counting gate opens, is built there
+/// once, and every later packet adds one row.
 pub fn ml_necessary(matrix: &SparseMatrix, order: &[u32]) -> Option<usize> {
+    let (head, rest) = order.split_at(order.len().min(matrix.k() - 1));
     let mut dec = StructuralDecoder::new(matrix);
-    order.iter().enumerate().find_map(|(i, &id)| {
+    dec.push_batch(head);
+    rest.iter().enumerate().find_map(|(i, &id)| {
         dec.push_batch(&[id]);
-        dec.ml_complete().then_some(i + 1)
+        dec.ml_complete().then_some(head.len() + i + 1)
     })
 }
 
 /// Smallest number of packets of `order` after which **peeling** completes
 /// (the paper's decoder), or `None`. Companion to [`ml_necessary`] so the
-/// ablation bench reads symmetrically.
+/// ablation bench reads symmetrically; its first `k − 1` packets are one
+/// window too.
 pub fn peeling_necessary(matrix: &SparseMatrix, order: &[u32]) -> Option<usize> {
-    let done_at = StructuralDecoder::new(matrix).push_batch(order)?;
-    Some(done_at + 1)
+    let (head, rest) = order.split_at(order.len().min(matrix.k() - 1));
+    let mut dec = StructuralDecoder::new(matrix);
+    dec.push_batch(head);
+    Some(head.len() + dec.push_batch(rest)? + 1)
 }
 
 #[cfg(test)]

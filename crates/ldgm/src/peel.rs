@@ -15,6 +15,24 @@
 //! count reaches one, that XOR is the last variable's id, so the cascade
 //! never scans a row.
 //!
+//! A *window* of received ids whose completion point is not needed (one
+//! that cannot complete the object) can skip the per-id cascade
+//! ([`Peeler::fold_window`]): each id is folded into its live equations
+//! without resolving anything, every equation that drops to one
+//! unprocessed variable is collected, the collected ones are resolved,
+//! and one cascade runs from there. That reaches the state learning the
+//! ids one by one reaches, whatever their order. Peeling's result is a
+//! closure: the known set is the least set holding the received ids and
+//! every variable that a row with all its other variables known
+//! determines, and a least closure does not depend on the order in which
+//! the rule is applied. Once every known variable has been folded into
+//! every equation that holds it, an equation is still live exactly when
+//! two or more of its variables are unknown, and then its count and id
+//! XOR are those of its unknown variables. Within the window an equation
+//! may go on from one unprocessed variable to none: every variable it
+//! holds is then known, so it is spent. (A row of one variable never
+//! passes through one on a fold, so neither path resolves it.)
+//!
 //! [`Peeler`] owns that bookkeeping and nothing else. What a step means in
 //! bytes is the [`Hook`]'s business: [`crate::StructuralDecoder`] peels
 //! with the no-op hook `()`, [`crate::Decoder`] with its payload store —
@@ -65,6 +83,18 @@ pub(crate) struct Peeler {
     pub(crate) received: u64,
     /// Reusable cascade stack (kept across pushes to avoid re-allocation).
     stack: Vec<u32>,
+}
+
+/// What [`Peeler::fold_window`] reuses from one call to the next. Only
+/// the index-only decoder folds windows, so only it holds one.
+#[derive(Clone, Default)]
+pub(crate) struct WindowScratch {
+    /// The equations a fold brought down to one unprocessed variable: one
+    /// slot per equation and one spare.
+    ones: Vec<u32>,
+    /// One bit per variable: a large window's ids, visited in ascending
+    /// order (all zero between calls).
+    bits: Vec<u64>,
 }
 
 impl Peeler {
@@ -118,6 +148,80 @@ impl Peeler {
     pub(crate) fn learn<H: Hook>(&mut self, matrix: &SparseMatrix, var: u32, hook: &mut H) {
         self.mark_known(matrix, var);
         self.stack.push(var);
+        self.cascade(matrix, hook);
+    }
+
+    /// Learns a window of received ids (duplicates and known ids are
+    /// skipped) and reaches the state [`learn`](Self::learn) reaches on
+    /// them one by one, in one fold and one cascade: see the module doc.
+    /// The caller checks every id is in range. A window of at least
+    /// `n / 64` ids is visited in ascending order through the scratch
+    /// bitmap, a smaller one in the given order.
+    pub(crate) fn fold_window(
+        &mut self,
+        matrix: &SparseMatrix,
+        ids: &[u32],
+        scratch: &mut WindowScratch,
+    ) {
+        let WindowScratch { ones, bits } = scratch;
+        ones.resize(matrix.num_checks() + 1, 0);
+        bits.resize(matrix.n().div_ceil(64), 0);
+        let Peeler { eqs, known, .. } = self;
+        let (mut collected, mut folded, mut sources) = (0, 0, 0);
+        let mut fold = |v: u32| {
+            if std::mem::replace(&mut known[v as usize], true) {
+                return;
+            }
+            folded += 1;
+            sources += usize::from((v as usize) < matrix.k());
+            for &e in matrix.col(v as usize) {
+                let eq = &mut eqs[e as usize];
+                let live = eq.count != 0;
+                eq.count -= u32::from(live);
+                eq.ids ^= v;
+                // Written on every edge, kept when the count drops to one
+                // (at most once per equation, so `ones` has room).
+                ones[collected] = e;
+                collected += usize::from(eq.count == 1);
+            }
+        };
+        if ids.len() >= matrix.n() / 64 {
+            for &id in ids {
+                bits[id as usize / 64] |= 1 << (id % 64);
+            }
+            for (w, word) in bits.iter_mut().enumerate() {
+                let mut set = std::mem::take(word);
+                while set != 0 {
+                    fold((w * 64) as u32 + set.trailing_zeros());
+                    set &= set - 1;
+                }
+            }
+        } else {
+            ids.iter().for_each(|&id| fold(id));
+        }
+        self.unknown -= folded;
+        self.decoded_source += sources;
+        // Resolve what the fold collected: an equation still at one
+        // variable solves it, unless an equation before it in this pass
+        // already did (it is then pending on the stack, and this one is
+        // spent); one that went on to none is spent.
+        for &e in &ones[..collected] {
+            let eq = &mut self.eqs[e as usize];
+            let last = (eq.count == 1).then_some(eq.ids);
+            eq.count = 0;
+            self.live -= 1;
+            if let Some(u) = last.filter(|&u| !self.known[u as usize]) {
+                self.mark_known(matrix, u);
+                self.stack.push(u);
+            }
+        }
+        self.cascade(matrix, &mut ());
+    }
+
+    /// Pops the stack empty, folding each variable into its live
+    /// equations and resolving those that drop to one variable.
+    #[inline(always)]
+    fn cascade<H: Hook>(&mut self, matrix: &SparseMatrix, hook: &mut H) {
         while let Some(v) = self.stack.pop() {
             hook.pop(v as usize);
             for &e in matrix.col(v as usize) {
@@ -156,9 +260,10 @@ impl Peeler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{LdgmParams, RightSide};
+    use crate::{LdgmParams, RightSide, TriangleFill};
+    use proptest::prelude::*;
     use rand::seq::SliceRandom;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     enum Step {
@@ -273,5 +378,113 @@ mod tests {
             }
         }
         assert!(solved > 0 && spent > 0, "both endings exercised");
+    }
+
+    /// Everything the window fold promises to leave as `learn` would:
+    /// the known set, the counters, and each live equation's count and id
+    /// XOR (a resolved equation's id XOR is meaningless).
+    fn assert_same_state(folded: &Peeler, learned: &Peeler) {
+        prop_assert_eq!(&folded.known, &learned.known);
+        prop_assert_eq!(folded.decoded_source, learned.decoded_source);
+        prop_assert_eq!(folded.unknown, learned.unknown);
+        prop_assert_eq!(folded.live, learned.live);
+        for (e, (f, l)) in folded.eqs.iter().zip(&learned.eqs).enumerate() {
+            prop_assert_eq!(f.count, l.count, "equation {}", e);
+            if f.count != 0 {
+                prop_assert_eq!(f.ids, l.ids, "equation {}", e);
+            }
+        }
+    }
+
+    /// The packet index within `rest` at which the object completes, fed
+    /// one id at a time.
+    fn completes_at(peeler: &mut Peeler, matrix: &SparseMatrix, rest: &[u32]) -> Option<usize> {
+        rest.iter().position(|&id| {
+            if !peeler.known[id as usize] {
+                peeler.learn(matrix, id, &mut ());
+            }
+            peeler.is_complete(matrix)
+        })
+    }
+
+    proptest! {
+        // Default config, so `PROPTEST_CASES` scales it (CI runs 1024 cases).
+        #[test]
+        fn window_fold_equals_learning_id_by_id(
+            k in 1usize..200,
+            extra in 3usize..250,
+            right_idx in 0usize..3,
+            fill_idx in 0usize..7,
+            fill_extra in 0u8..4,
+            seed in any::<u64>(),
+            walked in 0.0f64..1.0,
+            shape in 0usize..5,
+            spread in 0.0f64..1.0,
+        ) {
+            let right = [RightSide::Identity, RightSide::Staircase, RightSide::Triangle][right_idx];
+            let fill = [
+                TriangleFill::PerColumn(fill_extra),
+                TriangleFill::GeometricDouble,
+                TriangleFill::GeometricTriple,
+                TriangleFill::ThirdDiagonal,
+                TriangleFill::PerRow(fill_extra),
+                TriangleFill::PerRowUniform,
+                TriangleFill::HalvingTree,
+            ][fill_idx];
+            let n = k + extra;
+            let matrix = SparseMatrix::build_with_fill(LdgmParams::new(k, n, right, seed), fill).unwrap();
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+            let mut order: Vec<u32> = (0..n as u32).collect();
+            order.shuffle(&mut rng);
+
+            // A fresh or mid-walk state: a prefix of the order learned id
+            // by id in both.
+            let (before, after) = order.split_at((walked * walked * n as f64) as usize);
+            let mut learned = Peeler::new(&matrix);
+            for &id in before {
+                if !learned.known[id as usize] {
+                    learned.learn(&matrix, id, &mut ());
+                }
+            }
+            let mut folded = learned.clone();
+
+            // The window: none, one, a run of the order, the parity ids
+            // still to come, or all of it; the runs carry duplicates and
+            // ids the prefix already made known. The run leaves variable 0
+            // out: a spent equation's id XOR is 0, so a fold that took it
+            // for a solve would show there.
+            let run = ((spread * after.len() as f64) as usize).max(2).min(after.len());
+            let mut window: Vec<u32> = match shape {
+                0 => Vec::new(),
+                1 => after.iter().take(1).copied().collect(),
+                2 => after[..run].iter().copied().filter(|&id| id != 0).collect(),
+                3 => after.iter().copied().filter(|&id| id as usize >= k).collect(),
+                _ => after.to_vec(),
+            };
+            if shape >= 2 && !window.is_empty() {
+                for _ in 0..rng.gen_range(0..=window.len() / 4) {
+                    let i = rng.gen_range(0..window.len());
+                    window.insert(rng.gen_range(0..=window.len()), window[i]);
+                }
+                for &id in before.iter().take(rng.gen_range(0..=before.len().min(8))) {
+                    window.insert(rng.gen_range(0..=window.len()), id);
+                }
+            }
+
+            for &id in &window {
+                if !learned.known[id as usize] {
+                    learned.learn(&matrix, id, &mut ());
+                }
+            }
+            folded.fold_window(&matrix, &window, &mut WindowScratch::default());
+            assert_same_state(&folded, &learned);
+
+            // Both go on id by id through the rest of the order.
+            prop_assert_eq!(
+                completes_at(&mut folded, &matrix, after),
+                completes_at(&mut learned, &matrix, after)
+            );
+            assert_same_state(&folded, &learned);
+        }
     }
 }

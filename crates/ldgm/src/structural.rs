@@ -7,7 +7,7 @@
 //! maximum-likelihood question.
 
 use crate::gauss::Inactivation;
-use crate::peel::Peeler;
+use crate::peel::{Peeler, WindowScratch};
 use crate::SparseMatrix;
 
 /// Payload-free iterative decoder used by `fec-sim` sweeps.
@@ -15,6 +15,7 @@ use crate::SparseMatrix;
 pub struct StructuralDecoder<'m> {
     matrix: &'m SparseMatrix,
     peel: Peeler,
+    window: WindowScratch,
     ml: Inactivation,
 }
 
@@ -24,6 +25,7 @@ impl<'m> StructuralDecoder<'m> {
         StructuralDecoder {
             matrix,
             peel: Peeler::new(matrix),
+            window: WindowScratch::default(),
             ml: Inactivation::default(),
         }
     }
@@ -37,15 +39,29 @@ impl<'m> StructuralDecoder<'m> {
     /// engine feeds loss-schedule batches through this to amortise its
     /// per-packet dispatch.
     ///
+    /// A window that leaves fewer than `k` packets received cannot
+    /// complete the object, so it needs no completion index: it is learned
+    /// in one fold, which reaches the state the ids reach one at a time.
+    ///
     /// # Panics
     /// Panics on an out-of-range id (scheduler bug, not channel input).
     pub fn push_batch(&mut self, ids: &[u32]) -> Option<usize> {
         let n = self.matrix.n();
+        assert!(
+            ids.iter().all(|&id| (id as usize) < n),
+            "packet id out of range"
+        );
+        if self.peel.received + (ids.len() as u64) < self.matrix.k() as u64 {
+            // Fewer than k distinct packets keep the inactivation engine's
+            // counting gate shut, so it is not built and records nothing.
+            self.peel.received += ids.len() as u64;
+            self.peel.fold_window(self.matrix, ids, &mut self.window);
+            return None;
+        }
         // Only a cascade can complete the object, so completion is checked
         // after each one (and once up front, for `Some(0)`).
         let mut done_at = (self.is_complete() && !ids.is_empty()).then_some(0);
         for (i, &id) in ids.iter().enumerate() {
-            assert!((id as usize) < n, "packet id out of range");
             self.peel.received += 1;
             if !self.peel.known[id as usize] {
                 self.ml.arrived(id);

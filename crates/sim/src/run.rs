@@ -1,7 +1,9 @@
 //! fec-audit: deny(panic)
 //!
 //! Single-experiment execution: channel → gate → schedule → structural
-//! decode.
+//! decode (head window, then the walk).
+
+use std::cell::Cell;
 
 use fec_channel::{GilbertChannel, GilbertParams, LossModel};
 use fec_codec::{Decoding, StructuralFactory, StructuralSession};
@@ -151,16 +153,23 @@ impl Runner {
         let chan_seed = mix_seed(master_seed, &[TAG_CHAN, run_idx]);
         // Channel → gate → schedule → walk. The channel is local to the
         // run, and its fates depend only on the position index and
-        // `chan_seed`, the schedule only on `sched_seed`: drawing every
-        // fate before the schedule exists is unobservable. No codec
-        // completes from fewer than k packets (the `StructuralSession`
-        // contract), so a run the channel leaves short of k is a failure
-        // without a schedule or a decode.
+        // `chan_seed`, the schedule only on `sched_seed`: drawing a fate
+        // before the schedule exists, or only when the walk reaches its
+        // position, is unobservable. No codec completes from fewer than k
+        // packets (the `StructuralSession` contract), so the gate draws
+        // fates until it has counted k survivors, and a run the channel
+        // leaves short of k is a failure without a schedule or a decode.
         let n_sent = self.experiment.tx.schedule_len(&self.layout);
+        let k = self.experiment.k as u64;
         let mut gilbert = GilbertChannel::new(channel, chan_seed);
-        let lost: Vec<bool> = (0..n_sent).map(|_| gilbert.next_is_lost()).collect();
-        let survivors = lost.iter().filter(|&&l| !l).count() as u64;
-        if survivors < self.experiment.k as u64 {
+        let mut fates = Vec::with_capacity(n_sent as usize);
+        let mut survivors = 0u64;
+        while survivors < k && (fates.len() as u64) < n_sent {
+            let lost = gilbert.next_is_lost();
+            survivors += u64::from(!lost);
+            fates.push(lost);
+        }
+        if survivors < k {
             return RunResult {
                 decoded: false,
                 n_necessary: None,
@@ -168,13 +177,30 @@ impl Runner {
                 n_sent,
             };
         }
-        let schedule = self.experiment.tx.schedule(&self.layout, sched_seed);
-        let arrivals = schedule
+        // The gate's survivors move to the front of its positions in
+        // place (as `Cell`s, read and written in one pass), so the head is
+        // no second copy: the first k − 1 are the walk's head window and
+        // the k-th arrives next. Every later position draws its fate when
+        // the walk reaches it.
+        let mut schedule = self.experiment.tx.schedule(&self.layout, sched_seed);
+        let drawn = fates.len().min(schedule.len());
+        let (gated, later) = schedule.split_at_mut(drawn);
+        let cells = Cell::from_mut(&mut *gated).as_slice_of_cells();
+        let mut kept = 0;
+        for (packet, &lost) in cells.iter().zip(&fates) {
+            if let Some(slot) = cells.get(kept) {
+                slot.set(packet.get());
+            }
+            kept += usize::from(!lost);
+        }
+        let (head, kth) = gated.split_at(kept.saturating_sub(1));
+        let later = later
             .iter()
-            .zip(&lost)
-            .filter(|&(_, &l)| !l)
+            .zip(std::iter::from_fn(|| Some(gilbert.next_is_lost())))
+            .filter(|&(_, lost)| !lost)
             .map(|(&r, _)| r);
-        self.walk(arrivals, n_sent, run_idx, track_total)
+        let rest = kth.iter().take(1).copied().chain(later);
+        self.walk(head, rest, n_sent, run_idx, track_total)
     }
 
     /// Executes a §5 reception-model run: the arrival sequence is given
@@ -183,18 +209,21 @@ impl Runner {
         let rx_seed = mix_seed(master_seed, &[TAG_SCHED, run_idx]);
         let arrivals = rx.reception(&self.layout, rx_seed);
         let n_sent = arrivals.len() as u64;
-        self.walk(arrivals.into_iter(), n_sent, run_idx, false)
+        let (head, rest) =
+            arrivals.split_at(arrivals.len().min(self.experiment.k.saturating_sub(1)));
+        self.walk(head, rest.iter().copied(), n_sent, run_idx, false)
     }
 
-    /// Survivor-window size for the batched walk: big enough to amortise
-    /// the per-call dispatch, small enough that an early-stopping run does
-    /// not decode far past its completion point.
+    /// Survivor-window size for the batched walk past the head: big enough
+    /// to amortise the per-call dispatch, small enough that an
+    /// early-stopping run does not decode far past its completion point.
     const WALK_BATCH: usize = 128;
 
     /// Feeds the packets that arrived, in order, into a fresh structural
-    /// decoding session in [`Runner::WALK_BATCH`]-sized windows
-    /// ([`StructuralSession::add_batch`]); `n_sent` is the length of the
-    /// transmission they survived.
+    /// decoding session ([`StructuralSession::add_batch`]): `head`, the
+    /// first k − 1 of them, as one window (they cannot complete the
+    /// object), then the `rest` in [`Runner::WALK_BATCH`]-sized windows;
+    /// `n_sent` is the length of the transmission they survived.
     ///
     /// The completion index inside a window pins `n_necessary` to the
     /// packet. With `track_total = false` the walk stops at the completing
@@ -202,7 +231,8 @@ impl Runner {
     /// past completion.
     fn walk(
         &self,
-        mut arrivals: impl Iterator<Item = PacketRef>,
+        head: &[PacketRef],
+        mut rest: impl Iterator<Item = PacketRef>,
         n_sent: u64,
         run_idx: u64,
         track_total: bool,
@@ -210,25 +240,31 @@ impl Runner {
         let mut session = self.make_session(run_idx);
         let mut n_received = 0u64;
         let mut n_necessary = None;
-        let mut batch: Vec<PacketRef> = Vec::with_capacity(Self::WALK_BATCH);
-        loop {
-            batch.clear();
-            batch.extend(arrivals.by_ref().take(Self::WALK_BATCH));
-            if batch.is_empty() {
-                break;
-            }
+        // One window; true once reception stops.
+        let mut feed = |window: &[PacketRef]| {
             if n_necessary.is_none() {
-                if let Some(done) = session.add_batch(&batch) {
+                if let Some(done) = session.add_batch(window) {
                     let at = n_received + done as u64 + 1;
                     n_necessary = Some(at);
                     if !track_total {
                         // Reception stops at the completing packet.
                         n_received = at;
-                        break;
+                        return true;
                     }
                 }
             }
-            n_received += batch.len() as u64;
+            n_received += window.len() as u64;
+            false
+        };
+        let mut stopped = feed(head);
+        let mut batch: Vec<PacketRef> = Vec::with_capacity(Self::WALK_BATCH);
+        while !stopped {
+            batch.clear();
+            batch.extend(rest.by_ref().take(Self::WALK_BATCH));
+            if batch.is_empty() {
+                break;
+            }
+            stopped = feed(&batch);
         }
         RunResult {
             decoded: n_necessary.is_some(),

@@ -22,7 +22,10 @@ fn object(len: usize, seed: u8) -> Vec<u8> {
 /// Feeds the same survivor sequence to the payload receiver and to both
 /// structural decoders; returns (payload_done_at, maximum-likelihood
 /// structural_done_at) as received-packet counts, after checking that the
-/// iterative structural decoder completes no earlier.
+/// iterative structural decoder completes no earlier. The structural
+/// decoders take the first k − 1 survivors as one batch, as the simulator
+/// does, and the rest one at a time; the payload receiver takes every
+/// packet one at a time.
 fn run_both(
     code: &CodecHandle,
     k: usize,
@@ -57,6 +60,7 @@ fn run_both(
     let mut payload_done = None;
     let mut structural_done = None;
     let mut iterative_done = None;
+    let mut head = Vec::with_capacity(k - 1);
     for r in tx.schedule(&layout, seed) {
         if gilbert.next_is_lost() {
             continue;
@@ -65,6 +69,14 @@ fn run_both(
         let symbol = sender.symbol(r).expect("valid");
         if receiver.push(r, symbol).expect("ok").is_decoded() && payload_done.is_none() {
             payload_done = Some(received);
+        }
+        if head.len() < k - 1 {
+            head.push(r);
+            if head.len() == k - 1 {
+                assert_eq!(structural.add_batch(&head), None, "completed below k");
+                assert_eq!(iterative.add_batch(&head), None, "completed below k");
+            }
+            continue;
         }
         if structural.add_batch(&[r]).is_some() && structural_done.is_none() {
             structural_done = Some(received);
