@@ -312,9 +312,10 @@ pub fn check_shape(code: &CodecHandle, k: usize, ratio: f64) {
         }
     }
 
-    // The simulator feeds its first k - 1 survivors as one batch: that
-    // head, then one packet at a time, must complete at the same packet as
-    // one at a time throughout, under both decoders.
+    // A session may learn the packets before the k-th in one pass (the
+    // simulator's first batch holds k survivors): a head of k - 1 packets
+    // as one batch, then one packet at a time, must complete at the same
+    // packet as one at a time throughout, under both decoders.
     for factory in [&iterative, &ml] {
         for stream in [&schedule, &lossy] {
             let mut looped = factory.session(0);

@@ -447,13 +447,10 @@ pub fn ml_necessary(matrix: &SparseMatrix, order: &[u32]) -> Option<usize> {
 
 /// Smallest number of packets of `order` after which **peeling** completes
 /// (the paper's decoder), or `None`. Companion to [`ml_necessary`] so the
-/// ablation bench reads symmetrically; its first `k − 1` packets are one
-/// window too.
+/// ablation bench reads symmetrically.
 pub fn peeling_necessary(matrix: &SparseMatrix, order: &[u32]) -> Option<usize> {
-    let (head, rest) = order.split_at(order.len().min(matrix.k() - 1));
-    let mut dec = StructuralDecoder::new(matrix);
-    dec.push_batch(head);
-    Some(head.len() + dec.push_batch(rest)? + 1)
+    let done_at = StructuralDecoder::new(matrix).push_batch(order)?;
+    Some(done_at + 1)
 }
 
 #[cfg(test)]

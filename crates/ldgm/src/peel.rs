@@ -92,8 +92,8 @@ pub(crate) struct WindowScratch {
     /// The equations a fold brought down to one unprocessed variable: one
     /// slot per equation and one spare.
     ones: Vec<u32>,
-    /// One bit per variable: a large window's ids, visited in ascending
-    /// order (all zero between calls).
+    /// One bit per variable: the window's ids, visited in ascending order
+    /// (all zero between calls).
     bits: Vec<u64>,
 }
 
@@ -154,9 +154,9 @@ impl Peeler {
     /// Learns a window of received ids (duplicates and known ids are
     /// skipped) and reaches the state [`learn`](Self::learn) reaches on
     /// them one by one, in one fold and one cascade: see the module doc.
-    /// The caller checks every id is in range. A window of at least
-    /// `n / 64` ids is visited in ascending order through the scratch
-    /// bitmap, a smaller one in the given order.
+    /// The caller checks every id is in range. The window is visited in
+    /// ascending order through the scratch bitmap, whose `n / 64` words
+    /// the fold scans, so the caller folds only windows at least that long.
     pub(crate) fn fold_window(
         &mut self,
         matrix: &SparseMatrix,
@@ -166,38 +166,31 @@ impl Peeler {
         let WindowScratch { ones, bits } = scratch;
         ones.resize(matrix.num_checks() + 1, 0);
         bits.resize(matrix.n().div_ceil(64), 0);
-        let Peeler { eqs, known, .. } = self;
+        for &id in ids {
+            bits[id as usize / 64] |= 1 << (id % 64);
+        }
         let (mut collected, mut folded, mut sources) = (0, 0, 0);
-        let mut fold = |v: u32| {
-            if std::mem::replace(&mut known[v as usize], true) {
-                return;
-            }
-            folded += 1;
-            sources += usize::from((v as usize) < matrix.k());
-            for &e in matrix.col(v as usize) {
-                let eq = &mut eqs[e as usize];
-                let live = eq.count != 0;
-                eq.count -= u32::from(live);
-                eq.ids ^= v;
-                // Written on every edge, kept when the count drops to one
-                // (at most once per equation, so `ones` has room).
-                ones[collected] = e;
-                collected += usize::from(eq.count == 1);
-            }
-        };
-        if ids.len() >= matrix.n() / 64 {
-            for &id in ids {
-                bits[id as usize / 64] |= 1 << (id % 64);
-            }
-            for (w, word) in bits.iter_mut().enumerate() {
-                let mut set = std::mem::take(word);
-                while set != 0 {
-                    fold((w * 64) as u32 + set.trailing_zeros());
-                    set &= set - 1;
+        for (w, word) in bits.iter_mut().enumerate() {
+            let mut set = std::mem::take(word);
+            while set != 0 {
+                let v = (w * 64) as u32 + set.trailing_zeros();
+                set &= set - 1;
+                if std::mem::replace(&mut self.known[v as usize], true) {
+                    continue;
+                }
+                folded += 1;
+                sources += usize::from((v as usize) < matrix.k());
+                for &e in matrix.col(v as usize) {
+                    let eq = &mut self.eqs[e as usize];
+                    let live = eq.count != 0;
+                    eq.count -= u32::from(live);
+                    eq.ids ^= v;
+                    // Written on every edge, kept when the count drops to
+                    // one (at most once per equation, so `ones` has room).
+                    ones[collected] = e;
+                    collected += usize::from(eq.count == 1);
                 }
             }
-        } else {
-            ids.iter().for_each(|&id| fold(id));
         }
         self.unknown -= folded;
         self.decoded_source += sources;

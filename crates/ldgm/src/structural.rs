@@ -39,9 +39,12 @@ impl<'m> StructuralDecoder<'m> {
     /// engine feeds loss-schedule batches through this to amortise its
     /// per-packet dispatch.
     ///
-    /// A window that leaves fewer than `k` packets received cannot
-    /// complete the object, so it needs no completion index: it is learned
+    /// The ids before the `k`-th packet received cannot complete the
+    /// object, so they need no completion index: a run of them at the
+    /// front of `ids`, at least two and at least `n / 64` long, is learned
     /// in one fold, which reaches the state the ids reach one at a time.
+    /// Every other id is learned on its own, so a single-id push stays
+    /// O(1).
     ///
     /// # Panics
     /// Panics on an out-of-range id (scheduler bug, not channel input).
@@ -51,17 +54,22 @@ impl<'m> StructuralDecoder<'m> {
             ids.iter().all(|&id| (id as usize) < n),
             "packet id out of range"
         );
-        if self.peel.received + (ids.len() as u64) < self.matrix.k() as u64 {
-            // Fewer than k distinct packets keep the inactivation engine's
-            // counting gate shut, so it is not built and records nothing.
-            self.peel.received += ids.len() as u64;
-            self.peel.fold_window(self.matrix, ids, &mut self.window);
-            return None;
-        }
         // Only a cascade can complete the object, so completion is checked
         // after each one (and once up front, for `Some(0)`).
         let mut done_at = (self.is_complete() && !ids.is_empty()).then_some(0);
-        for (i, &id) in ids.iter().enumerate() {
+        let head = (self.matrix.k() as u64).saturating_sub(self.peel.received + 1);
+        let head = ids.len().min(head as usize);
+        let folded = if head >= (n / 64).max(2) {
+            // Fewer than k distinct packets keep the inactivation engine's
+            // counting gate shut, so it is not built and records nothing.
+            self.peel.received += head as u64;
+            self.peel
+                .fold_window(self.matrix, &ids[..head], &mut self.window);
+            head
+        } else {
+            0
+        };
+        for (i, &id) in ids.iter().enumerate().skip(folded) {
             self.peel.received += 1;
             if !self.peel.known[id as usize] {
                 self.ml.arrived(id);

@@ -238,6 +238,8 @@ mod tests {
             Layout::single_block(10, 25),
             Layout::from_blocks([(4, 10), (4, 10), (3, 7)]),
             Layout::from_blocks([(1, 2)]),
+            // RSE's blocking of k = 250 at ratio 2.5 (n_b <= 255).
+            Layout::from_blocks([(84, 210), (83, 207), (83, 207)]),
         ]
     }
 

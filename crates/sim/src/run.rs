@@ -177,11 +177,10 @@ impl Runner {
                 n_sent,
             };
         }
-        // The gate's survivors move to the front of its positions in
-        // place (as `Cell`s, read and written in one pass), so the head is
-        // no second copy: the first k − 1 are the walk's head window and
-        // the k-th arrives next. Every later position draws its fate when
-        // the walk reaches it.
+        // The gate's k survivors move to the front of its positions in
+        // place (as `Cell`s, read and written in one pass), so the walk's
+        // head window is no second copy. Every later position draws its
+        // fate when the walk reaches it.
         let mut schedule = self.experiment.tx.schedule(&self.layout, sched_seed);
         let drawn = fates.len().min(schedule.len());
         let (gated, later) = schedule.split_at_mut(drawn);
@@ -193,14 +192,13 @@ impl Runner {
             }
             kept += usize::from(!lost);
         }
-        let (head, kth) = gated.split_at(kept.saturating_sub(1));
+        let (head, _) = gated.split_at(kept);
         let later = later
             .iter()
             .zip(std::iter::from_fn(|| Some(gilbert.next_is_lost())))
             .filter(|&(_, lost)| !lost)
             .map(|(&r, _)| r);
-        let rest = kth.iter().take(1).copied().chain(later);
-        self.walk(head, rest, n_sent, run_idx, track_total)
+        self.walk(head, later, n_sent, run_idx, track_total)
     }
 
     /// Executes a §5 reception-model run: the arrival sequence is given
@@ -209,8 +207,7 @@ impl Runner {
         let rx_seed = mix_seed(master_seed, &[TAG_SCHED, run_idx]);
         let arrivals = rx.reception(&self.layout, rx_seed);
         let n_sent = arrivals.len() as u64;
-        let (head, rest) =
-            arrivals.split_at(arrivals.len().min(self.experiment.k.saturating_sub(1)));
+        let (head, rest) = arrivals.split_at(arrivals.len().min(self.experiment.k));
         self.walk(head, rest.iter().copied(), n_sent, run_idx, false)
     }
 
@@ -221,9 +218,10 @@ impl Runner {
 
     /// Feeds the packets that arrived, in order, into a fresh structural
     /// decoding session ([`StructuralSession::add_batch`]): `head`, the
-    /// first k − 1 of them, as one window (they cannot complete the
-    /// object), then the `rest` in [`Runner::WALK_BATCH`]-sized windows;
-    /// `n_sent` is the length of the transmission they survived.
+    /// first k of them, as one window (a session learns the packets before
+    /// the k-th in one pass, as they cannot complete the object), then the
+    /// `rest` in [`Runner::WALK_BATCH`]-sized windows; `n_sent` is the
+    /// length of the transmission they survived.
     ///
     /// The completion index inside a window pins `n_necessary` to the
     /// packet. With `track_total = false` the walk stops at the completing

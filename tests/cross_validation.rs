@@ -23,9 +23,9 @@ fn object(len: usize, seed: u8) -> Vec<u8> {
 /// structural decoders; returns (payload_done_at, maximum-likelihood
 /// structural_done_at) as received-packet counts, after checking that the
 /// iterative structural decoder completes no earlier. The structural
-/// decoders take the first k − 1 survivors as one batch, as the simulator
-/// does, and the rest one at a time; the payload receiver takes every
-/// packet one at a time.
+/// decoders take the first k − 1 survivors as one batch (the packets a
+/// session learns in one pass) and the rest one at a time; the payload
+/// receiver takes every packet one at a time.
 fn run_both(
     code: &CodecHandle,
     k: usize,
