@@ -42,6 +42,24 @@ use std::time::{Duration, Instant};
 
 use fec_wire::{Backend, BatchReceiver, BatchSender, BufferPool, Pacer, MAX_BURST};
 
+/// The machine a run measured, as a JSON object: CPU model, the cores
+/// this process may use, and the kernel release (GSO/GRO depend on it).
+fn host() -> String {
+    let read = |path: &str| std::fs::read_to_string(path).unwrap_or_default();
+    let cpuinfo = read("/proc/cpuinfo");
+    let cpu = cpuinfo
+        .lines()
+        .find(|l| l.starts_with("model name"))
+        .and_then(|l| l.split(':').nth(1))
+        .map_or("unknown", str::trim);
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let kernel = read("/proc/sys/kernel/osrelease");
+    format!(
+        "{{\"cpu\": \"{cpu}\", \"cores\": {cores}, \"kernel\": \"{}\"}}",
+        kernel.trim()
+    )
+}
+
 const PAYLOAD: usize = 1200;
 
 struct Workload {
@@ -354,6 +372,7 @@ fn main() {
     let _ = writeln!(json, "{{");
     let _ = writeln!(json, "  \"bench\": \"ablation_wire\",");
     let _ = writeln!(json, "  \"arch\": \"{}\",", std::env::consts::ARCH);
+    let _ = writeln!(json, "  \"host\": {},", host());
     let _ = writeln!(json, "  \"mode\": \"{}\",", workload.mode);
     let _ = writeln!(json, "  \"payload_bytes\": {PAYLOAD},");
     let _ = writeln!(json, "  \"unique_datagrams\": {},", workload.unique);

@@ -1,13 +1,18 @@
+//! fec-audit: deny(panic)
+//!
 //! The batched datagram engine: burst send and receive behind one API.
 //!
 //! On Linux the hot paths are single `sendmmsg`/`recvmmsg` syscalls
 //! moving up to [`MAX_BURST`] datagrams; everywhere else (or under
 //! `FEC_FORCE_WIRE=portable`) the same API runs a loop of plain
 //! `send`/`recv` calls, so callers never branch on platform. Receive
-//! bursts land in pooled buffers ([`crate::pool::BufferPool`]) and feed
+//! bursts land in pooled slabs ([`crate::pool::BufferPool`]) and feed
 //! the downstream batched decode paths (`FluteReceiver::push_datagrams`,
 //! `Receiver::push_symbols`) — one syscall's worth of datagrams becomes
-//! one deferred block solve.
+//! one deferred block solve. With UDP GRO a coalesced super-datagram
+//! stays in the one slab it arrived in and leaves as one view per logical
+//! datagram; with UDP GSO a burst is copied once into a buffer the sender
+//! reuses and goes out as byte ranges of it.
 //!
 //! Error discipline for live loops lives in [`classify_recv_error`]: an
 //! interrupted syscall is retried, an idle timeout may end a session, and
@@ -102,6 +107,19 @@ impl Backend {
     }
 }
 
+/// One GSO super-datagram: bytes `start..end` of the sender's burst
+/// copy, `count` datagrams of `seg` bytes (the last may be shorter).
+#[cfg(target_os = "linux")]
+struct GsoGroup {
+    start: usize,
+    end: usize,
+    seg: usize,
+    count: usize,
+    /// Closed once a shorter-than-`seg` datagram lands (it can only be
+    /// the final segment).
+    open: bool,
+}
+
 /// Burst sender over a connected UDP socket, with token-bucket pacing.
 pub struct BatchSender {
     socket: UdpSocket,
@@ -118,6 +136,10 @@ pub struct BatchSender {
     /// The `UDP_SEGMENT` value currently set on the socket (0 = none).
     #[cfg(target_os = "linux")]
     gso_segment: usize,
+    /// The GSO burst copy, reused from call to call: each super-datagram
+    /// is a byte range of it.
+    #[cfg(target_os = "linux")]
+    coalesced: Vec<u8>,
 }
 
 impl BatchSender {
@@ -145,6 +167,8 @@ impl BatchSender {
             gso_enabled: false,
             #[cfg(target_os = "linux")]
             gso_segment: 0,
+            #[cfg(target_os = "linux")]
+            coalesced: Vec::new(),
         }
     }
 
@@ -231,64 +255,56 @@ impl BatchSender {
     /// Coalesces the chunk into GSO super-datagrams — runs of
     /// `seg`-size datagrams (the last of a run may be shorter) packed
     /// nose to tail — and ships each same-`seg` run of super-datagrams
-    /// through the wire path. The kernel re-segments on the way out, so
-    /// the peer sees the identical datagram sequence.
+    /// through the wire path. The chunk is copied once, into the reused
+    /// `coalesced` buffer, and each super-datagram is a byte range of it.
+    /// The kernel re-segments on the way out, so the peer sees the
+    /// identical datagram sequence.
     #[cfg(target_os = "linux")]
     fn send_chunk_gso(&mut self, chunk: &[&[u8]]) -> io::Result<usize> {
-        struct Group {
-            buf: Vec<u8>,
-            seg: usize,
-            count: usize,
-            /// Closed once a shorter-than-`seg` datagram lands (it can
-            /// only be the final segment).
-            open: bool,
-        }
-        let mut groups: Vec<Group> = Vec::new();
+        let mut joined = std::mem::take(&mut self.coalesced);
+        joined.clear();
+        let mut groups: Vec<GsoGroup> = Vec::new();
         for dg in chunk {
-            let joined = match groups.last_mut() {
+            let start = joined.len();
+            joined.extend_from_slice(dg);
+            let end = joined.len();
+            match groups.last_mut() {
                 Some(g)
                     if g.open
                         && dg.len() <= g.seg
                         && g.count < MAX_GSO_SEGMENTS
-                        && g.buf.len() + dg.len() <= MAX_GSO_BYTES =>
+                        && end - g.start <= MAX_GSO_BYTES =>
                 {
-                    g.buf.extend_from_slice(dg);
+                    g.end = end;
                     g.count += 1;
                     if dg.len() < g.seg {
                         g.open = false;
                     }
-                    true
                 }
-                _ => false,
-            };
-            if !joined {
-                groups.push(Group {
-                    buf: dg.to_vec(),
+                _ => groups.push(GsoGroup {
+                    start,
+                    end,
                     seg: dg.len().max(1),
                     count: 1,
                     open: !dg.is_empty(),
-                });
+                }),
             }
         }
-        let mut i = 0;
-        while i < groups.len() {
-            let seg = match groups.get(i) {
-                Some(g) => g.seg,
-                None => break,
-            };
-            let mut j = i + 1;
-            while groups.get(j).is_some_and(|g| g.seg == seg) {
-                j += 1;
-            }
-            let run = groups.get(i..j).unwrap_or_default();
-            self.ensure_gso_segment(seg)?;
-            let refs: Vec<&[u8]> = run.iter().map(|g| g.buf.as_slice()).collect();
+        for run in groups.chunk_by(|a, b| a.seg == b.seg) {
+            let Some(first) = run.first() else { continue };
+            self.ensure_gso_segment(first.seg)?;
+            let refs: Vec<&[u8]> = run
+                .iter()
+                .map(|g| joined.get(g.start..g.end).unwrap_or_default())
+                .collect();
             let logical: usize = run.iter().map(|g| g.count).sum();
             // GSO only enables on the batched backend, so the run always
             // goes out as one `sendmmsg` of super-datagrams.
             self.send_wire_mmsg(&refs, logical)?;
-            i = j;
         }
+        // Kept for the next call (an error above drops it; the next call
+        // grows a fresh one).
+        self.coalesced = joined;
         Ok(chunk.len())
     }
 
@@ -358,9 +374,11 @@ impl BatchSender {
     }
 }
 
-/// Burst receiver: one syscall drains up to [`MAX_BURST`] datagrams into
-/// pooled buffers. Keeps a pre-checked-out ring of buffers so a burst
-/// costs one pool lock, not one per datagram.
+/// Burst receiver: one syscall drains up to [`MAX_BURST`] wire messages
+/// into pooled slabs. Keeps a pre-checked-out ring of slabs so a burst
+/// costs one pool lock, not one per datagram, and refills only the slabs
+/// the last burst consumed: one per wire message, however many GRO
+/// datagrams each carried.
 pub struct BatchReceiver {
     socket: UdpSocket,
     backend: Backend,
@@ -504,13 +522,15 @@ impl BatchReceiver {
         let mut out: Vec<(PoolBuf, SocketAddr)> = Vec::new();
         let mut bytes = 0usize;
         while out.len() < n {
-            let res = match self.ready.first_mut() {
+            let res = match self.ready.last_mut() {
                 Some(buf) => self.socket.recv_from(buf.spare_mut()),
                 None => break,
             };
             match res {
                 Ok((len, src)) => {
-                    let mut buf = self.ready.remove(0);
+                    let Some(mut buf) = self.ready.pop() else {
+                        break;
+                    };
                     buf.set_len(len);
                     bytes += len;
                     out.push((buf, src));
@@ -570,26 +590,23 @@ impl BatchReceiver {
                 }
             }
         };
-        let mut out: Vec<PoolBuf> = self.ready.drain(..got).collect();
+        let mut out: Vec<PoolBuf> = Vec::with_capacity(MAX_BURST);
         let mut bytes = 0usize;
-        for (i, buf) in out.iter_mut().enumerate() {
+        for (i, mut buf) in self.ready.drain(..got).enumerate() {
             let len = lens.get(i).copied().unwrap_or(0);
             buf.set_len(len);
             bytes += len;
-        }
-        if self.gro_enabled {
-            // Split coalesced super-datagrams back into their logical
-            // datagrams using the kernel-reported segment size.
-            let wire = std::mem::take(&mut out);
-            for (i, buf) in wire.into_iter().enumerate() {
-                match self.scratch.gro_segment(i) {
-                    Some(seg) if buf.len() > seg => {
-                        for part in buf.chunks(seg) {
-                            out.push(self.pool.buf_from(part));
-                        }
-                    }
-                    _ => out.push(buf),
-                }
+            // A coalesced super-datagram splits back into its logical
+            // datagrams by the kernel-reported segment size: views of
+            // the slab the kernel scattered into, not copies.
+            let seg = if self.gro_enabled {
+                self.scratch.gro_segment(i)
+            } else {
+                None
+            };
+            match seg {
+                Some(seg) if len > seg => buf.split_into(seg, &mut out),
+                _ => out.push(buf),
             }
         }
         self.metrics.record(out.len(), bytes, 1);

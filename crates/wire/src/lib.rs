@@ -3,7 +3,8 @@
 //! Three pieces, composable but independently usable:
 //!
 //! * [`pool`] — a reusable buffer pool ([`BufferPool`]/[`PoolBuf`]) that
-//!   kills the per-datagram `to_vec()` allocation on the receive drain.
+//!   kills the per-datagram `to_vec()` allocation on the receive drain;
+//!   a GRO burst leaves as views of the one slab it arrived in.
 //! * [`pacing`] — token-bucket pacing ([`Pacer`]/[`TokenBucket`]) for the
 //!   send path, replacing per-datagram sleeps.
 //! * [`engine`] — [`BatchSender`]/[`BatchReceiver`]: `sendmmsg`/`recvmmsg`

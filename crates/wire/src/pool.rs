@@ -1,18 +1,33 @@
+//! fec-audit: deny(panic)
+//!
 //! A reusable datagram buffer pool.
 //!
 //! The receive hot path used to allocate a fresh `Vec<u8>` per datagram
 //! (`buf[..len].to_vec()`) just to move bytes across the drain-thread
 //! channel. [`BufferPool`] replaces that with a free list of fixed-size
-//! buffers: `take()` pops one (or allocates on a miss), [`PoolBuf`]'s
-//! `Drop` pushes it back. Buffers are pre-zeroed to their full capacity so
-//! the kernel can scatter into fully initialised storage — no `unsafe`,
-//! no uninitialised reads.
+//! slabs: `take()` pops one (or allocates on a miss) and hands it out as
+//! a [`PoolBuf`]. Slabs are pre-zeroed to their full capacity so the
+//! kernel can scatter into fully initialised storage — no `unsafe`, no
+//! uninitialised reads.
+//!
+//! A [`PoolBuf`] is a *view*: a reference-counted slab plus a byte range.
+//! A plain receive fills one slab per datagram and hands out its only
+//! view. A GRO receive leaves a coalesced super-datagram in the one slab
+//! the kernel scattered into and hands out one view per logical datagram
+//! — no copy, no further take. The slab goes back on the free list when
+//! its last view drops.
+//!
+//! Memory rule: a retained view pins its whole slab (`buf_capacity`
+//! bytes, 64 KiB by default), however short the view. A queued GRO burst
+//! of 64 datagrams pins one slab, not 64; a consumer that keeps a few
+//! datagrams of many bursts alive keeps every one of those slabs.
 //!
 //! The pool is `Clone` (an `Arc` handle) and thread-safe: the drain thread
-//! takes buffers, the decode thread drops them, and both touch one mutex
-//! for a push/pop of a pointer-sized element. The hit/miss counters are
-//! registered on `Registry::disabled()` when the pool is built;
-//! [`BufferPool::attach_telemetry`] moves them to a live registry.
+//! takes slabs, the decode thread drops the views, and the last drop of a
+//! slab touches one mutex for a push of a pointer-sized element. The
+//! hit/miss counters are registered on `Registry::disabled()` when the
+//! pool is built; [`BufferPool::attach_telemetry`] moves them to a live
+//! registry.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -51,13 +66,13 @@ impl PoolMetrics {
 
 struct Shared {
     state: Mutex<State>,
-    /// Max buffers retained on the free list; excess returns are freed.
+    /// Max slabs retained on the free list; excess returns are freed.
     retain: usize,
-    /// Capacity (and initialised length) of every pooled buffer.
+    /// Capacity (and initialised length) of every pooled slab.
     buf_capacity: usize,
 }
 
-/// A thread-safe free list of fixed-size, fully-initialised byte buffers.
+/// A thread-safe free list of fixed-size, fully-initialised byte slabs.
 #[derive(Clone)]
 pub struct BufferPool {
     shared: Arc<Shared>,
@@ -104,9 +119,9 @@ impl BufferPool {
         state.metrics = metrics;
     }
 
-    /// Pops a buffer from the free list (or allocates on a miss). The
-    /// buffer is zero-length as seen through [`PoolBuf`] but its full
-    /// capacity is initialised and reachable via `spare_mut`.
+    /// Pops a slab from the free list (or allocates on a miss) as the
+    /// only view of it: zero-length as seen through [`PoolBuf`], but its
+    /// full capacity is initialised and reachable for filling.
     pub fn take(&self) -> PoolBuf {
         let buf = {
             let mut state = lock(&self.shared);
@@ -124,14 +139,10 @@ impl BufferPool {
             }
         };
         let buf = buf.unwrap_or_else(|| vec![0u8; self.shared.buf_capacity]);
-        PoolBuf {
-            buf,
-            len: 0,
-            shared: Arc::clone(&self.shared),
-        }
+        PoolBuf::new(buf, &self.shared)
     }
 
-    /// Pops `n` buffers under a single lock, allocating any shortfall
+    /// Pops `n` slabs under a single lock, allocating any shortfall
     /// outside it. The engine refills its receive ring through this.
     pub fn take_many(&self, n: usize) -> Vec<PoolBuf> {
         let mut popped: Vec<Vec<u8>> = Vec::with_capacity(n);
@@ -152,19 +163,10 @@ impl BufferPool {
         }
         let mut out: Vec<PoolBuf> = popped
             .into_iter()
-            .map(|buf| PoolBuf {
-                buf,
-                len: 0,
-                shared: Arc::clone(&self.shared),
-            })
+            .map(|buf| PoolBuf::new(buf, &self.shared))
             .collect();
-        while out.len() < n {
-            out.push(PoolBuf {
-                buf: vec![0u8; self.shared.buf_capacity],
-                len: 0,
-                shared: Arc::clone(&self.shared),
-            });
-        }
+        let capacity = self.shared.buf_capacity;
+        out.resize_with(n, || PoolBuf::new(vec![0u8; capacity], &self.shared));
         out
     }
 
@@ -187,7 +189,7 @@ impl BufferPool {
         (state.hits, state.misses)
     }
 
-    /// Buffers currently idle on the free list.
+    /// Slabs currently idle on the free list.
     pub fn idle(&self) -> usize {
         lock(&self.shared).free.len()
     }
@@ -199,52 +201,109 @@ impl Default for BufferPool {
     }
 }
 
-/// A buffer checked out of a [`BufferPool`]; returns itself on drop.
-///
-/// Dereferences to the *valid prefix* (`..len`) — the portion a receive
-/// actually filled — while `spare_mut` exposes the full initialised
-/// capacity for the kernel to scatter into.
-pub struct PoolBuf {
-    buf: Vec<u8>,
-    len: usize,
+/// One pooled buffer, shared by every [`PoolBuf`] view of it; the last
+/// view to drop runs this `Drop` and the bytes go back on the free list.
+struct Slab {
+    bytes: Vec<u8>,
     shared: Arc<Shared>,
 }
 
+impl Drop for Slab {
+    fn drop(&mut self) {
+        let bytes = std::mem::take(&mut self.bytes);
+        let mut state = lock(&self.shared);
+        if state.free.len() < self.shared.retain {
+            state.free.push(bytes);
+        }
+    }
+}
+
+/// A view of bytes in a pooled slab: a reference-counted slab plus a byte
+/// range. A buffer fresh from [`BufferPool::take`] is the only view of its
+/// slab; a GRO receive splits one slab into a view per logical datagram.
+/// The slab returns to the free list when its last view drops, on
+/// whichever thread that happens.
+///
+/// Dereferences to the view's valid bytes — for a filled buffer, the
+/// prefix a receive actually wrote.
+pub struct PoolBuf {
+    slab: Arc<Slab>,
+    start: usize,
+    end: usize,
+}
+
 impl PoolBuf {
-    /// The whole initialised capacity, for filling.
-    pub fn spare_mut(&mut self) -> &mut [u8] {
-        &mut self.buf
+    fn new(bytes: Vec<u8>, shared: &Arc<Shared>) -> PoolBuf {
+        PoolBuf {
+            slab: Arc::new(Slab {
+                bytes,
+                shared: Arc::clone(shared),
+            }),
+            start: 0,
+            end: 0,
+        }
     }
 
-    /// Marks the first `len` bytes as valid (clamped to capacity).
-    pub fn set_len(&mut self, len: usize) {
-        self.len = len.min(self.buf.len());
+    /// The slab's whole initialised capacity, for filling; empty once
+    /// the slab is shared (a view never writes under another view).
+    pub(crate) fn spare_mut(&mut self) -> &mut [u8] {
+        match Arc::get_mut(&mut self.slab) {
+            Some(slab) => &mut slab.bytes,
+            None => &mut [],
+        }
+    }
+
+    /// Marks the first `len` bytes of the slab as valid (clamped to
+    /// capacity).
+    pub(crate) fn set_len(&mut self, len: usize) {
+        self.start = 0;
+        self.end = len.min(self.slab.bytes.len());
+    }
+
+    /// Splits the valid bytes, in order, into views of `seg` bytes each
+    /// (the last may be shorter) that share this buffer's slab.
+    pub(crate) fn split_into(self, seg: usize, out: &mut Vec<PoolBuf>) {
+        let seg = seg.max(1);
+        let mut start = self.start;
+        while self.end.saturating_sub(start) > seg {
+            out.push(PoolBuf {
+                slab: Arc::clone(&self.slab),
+                start,
+                end: start + seg,
+            });
+            start += seg;
+        }
+        out.push(PoolBuf { start, ..self });
     }
 
     /// Replaces the contents with `bytes` (clamped to capacity).
     fn copy_from(&mut self, bytes: &[u8]) {
-        let n = bytes.len().min(self.buf.len());
-        if let (Some(dst), Some(src)) = (self.buf.get_mut(..n), bytes.get(..n)) {
+        let spare = self.spare_mut();
+        let n = bytes.len().min(spare.len());
+        if let (Some(dst), Some(src)) = (spare.get_mut(..n), bytes.get(..n)) {
             dst.copy_from_slice(src);
         }
-        self.len = n;
+        self.set_len(n);
     }
 
-    /// The valid prefix length.
+    /// The valid length.
     pub fn len(&self) -> usize {
-        self.len
+        self.end.saturating_sub(self.start)
     }
 
     /// True when no bytes are valid.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 }
 
 impl std::ops::Deref for PoolBuf {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        self.buf.get(..self.len).unwrap_or_default()
+        self.slab
+            .bytes
+            .get(self.start..self.end)
+            .unwrap_or_default()
     }
 }
 
@@ -256,17 +315,7 @@ impl AsRef<[u8]> for PoolBuf {
 
 impl std::fmt::Debug for PoolBuf {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "PoolBuf({} bytes)", self.len)
-    }
-}
-
-impl Drop for PoolBuf {
-    fn drop(&mut self) {
-        let buf = std::mem::take(&mut self.buf);
-        let mut state = lock(&self.shared);
-        if state.free.len() < self.shared.retain {
-            state.free.push(buf);
-        }
+        write!(f, "PoolBuf({} bytes)", self.len())
     }
 }
 
@@ -305,6 +354,23 @@ mod tests {
         b.set_len(100);
         assert_eq!(b.len(), 8);
         assert_eq!(&*b, &[7u8; 8]);
+    }
+
+    #[test]
+    fn split_views_share_one_slab_until_the_last_drops() {
+        let pool = BufferPool::with_config(16, 4);
+        let mut b = pool.take();
+        b.copy_from(b"abcdefghij");
+        let mut views = Vec::new();
+        b.split_into(4, &mut views);
+        let bytes: Vec<&[u8]> = views.iter().map(|v| &**v).collect();
+        assert_eq!(bytes, [&b"abcd"[..], b"efgh", b"ij"]);
+        let last = views.pop();
+        drop(views);
+        assert_eq!(pool.idle(), 0, "a live view pins its slab");
+        drop(last);
+        assert_eq!(pool.idle(), 1);
+        assert_eq!(pool.stats(), (0, 1), "splitting takes nothing");
     }
 
     #[test]

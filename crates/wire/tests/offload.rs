@@ -169,3 +169,116 @@ fn offload_refuses_the_portable_backend() {
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
     }
 }
+
+/// `count` distinct payloads of `len` bytes each: a run GSO coalesces.
+fn equal_payloads(count: u32, len: usize) -> Vec<Vec<u8>> {
+    (0..count)
+        .map(|i| {
+            let mut p = i.to_be_bytes().to_vec();
+            p.resize(len, (i as u8).wrapping_mul(31));
+            p
+        })
+        .collect()
+}
+
+/// A GRO receiver drawing on `pool` and a GSO sender aimed at it, or
+/// `None` when the kernel refuses either offload.
+fn offload_pair(pool: BufferPool) -> Option<(BatchReceiver, BatchSender)> {
+    let rx_socket = UdpSocket::bind("127.0.0.1:0").unwrap();
+    rx_socket
+        .set_read_timeout(Some(Duration::from_millis(500)))
+        .unwrap();
+    let dest = rx_socket.local_addr().unwrap();
+    let mut rx = BatchReceiver::new(rx_socket, pool, Backend::Batched);
+    if let Err(err) = rx.enable_gro() {
+        eprintln!("skipping: kernel did not grant UDP GRO: {err}");
+        return None;
+    }
+    let tx = gso_sender(dest, Backend::platform_default())?;
+    Some((rx, tx))
+}
+
+/// Sends `want` as one burst and drains exactly that many datagrams.
+fn round_trip(
+    rx: &mut BatchReceiver,
+    tx: &mut BatchSender,
+    want: &[Vec<u8>],
+) -> Vec<fec_wire::PoolBuf> {
+    let refs: Vec<&[u8]> = want.iter().map(|p| p.as_slice()).collect();
+    assert_eq!(tx.send_burst(&refs).unwrap(), want.len());
+    let mut got = Vec::new();
+    while got.len() < want.len() {
+        let burst = rx.recv_burst(MAX_BURST).unwrap();
+        assert!(!burst.is_empty(), "timed out");
+        got.extend(burst);
+    }
+    let bytes: Vec<&[u8]> = got.iter().map(|b| &**b).collect();
+    assert_eq!(bytes, refs, "GRO views altered the datagrams");
+    got
+}
+
+#[test]
+fn gro_burst_takes_one_slab_per_wire_message_not_per_datagram() {
+    let pool = BufferPool::new();
+    let Some((mut rx, mut tx)) = offload_pair(pool.clone()) else {
+        return;
+    };
+    // 64 datagrams of 1000 B fit one GSO super-datagram (at most 64
+    // segments and 65 000 B), which a GRO socket reads as one message.
+    let want = equal_payloads(64, 1000);
+    let wire_messages = 1u64;
+    for _ in 0..2 {
+        round_trip(&mut rx, &mut tx, &want);
+    }
+    let (hits, misses) = pool.stats();
+    const ROUNDS: u64 = 4;
+    for _ in 0..ROUNDS {
+        round_trip(&mut rx, &mut tx, &want);
+    }
+    let (hits_after, misses_after) = pool.stats();
+    let takes = hits_after + misses_after - hits - misses;
+    // Each burst refills the ring with the slabs the previous one used.
+    assert!(
+        takes <= ROUNDS * wire_messages,
+        "{takes} pool takes for {ROUNDS} bursts of {} datagrams",
+        want.len()
+    );
+}
+
+#[test]
+fn a_slab_returns_to_the_pool_only_when_its_last_view_drops() {
+    let pool = BufferPool::new();
+    let Some((mut rx, mut tx)) = offload_pair(pool.clone()) else {
+        return;
+    };
+    let mut views = round_trip(&mut rx, &mut tx, &equal_payloads(16, 1000));
+    let idle = pool.idle();
+    let last = views.pop();
+    drop(views);
+    assert_eq!(pool.idle(), idle, "a live view must pin its slab");
+    drop(last);
+    assert_eq!(pool.idle(), idle + 1, "the last view returns the slab");
+}
+
+#[test]
+fn views_outlive_the_receiver_and_drop_on_another_thread() {
+    let pool = BufferPool::new();
+    let Some((mut rx, mut tx)) = offload_pair(pool.clone()) else {
+        return;
+    };
+    let want = equal_payloads(64, 1000);
+    let views = round_trip(&mut rx, &mut tx, &want);
+    drop((rx, tx));
+    let idle = pool.idle();
+    // As the live drain loop does: views cross an mpsc channel to the
+    // decode thread, which reads and drops them.
+    let (send, recv) = std::sync::mpsc::channel::<fec_wire::PoolBuf>();
+    let decoder =
+        std::thread::spawn(move || recv.iter().map(|view| view.to_vec()).collect::<Vec<_>>());
+    for view in views {
+        send.send(view).unwrap();
+    }
+    drop(send);
+    assert_eq!(decoder.join().unwrap(), want);
+    assert_eq!(pool.idle(), idle + 1, "the decode thread returned the slab");
+}
