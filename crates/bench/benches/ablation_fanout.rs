@@ -13,8 +13,10 @@
 //! 2. **Sender-side aggregation is cheap at scale.** Ingesting one
 //!    serialized digest from every one of `n` distinct receivers costs
 //!    O(1) estimator work per digest (only the worst receiver's sketch
-//!    folds); the bench times ingest and eviction per digest at each
-//!    tier and checks the aggregator's conservation invariant.
+//!    folds); the bench times ingest per digest, the steady tick (every
+//!    receiver reported, so nothing is due) and the eviction sweep (every
+//!    receiver due) at each tier, and checks the aggregator's
+//!    conservation invariant.
 //! 3. **NACK mode beats the whole schedule at equal delivery.** A
 //!    10⁴-receiver fate-simulated population (plus 16 real
 //!    `FluteReceiver`s behind forked `LinkEmulator`s, checked
@@ -163,6 +165,7 @@ struct AggregationResult {
     build_ns_per_digest: f64,
     ingest_ns_per_digest: f64,
     evict_ns_per_receiver: f64,
+    steady_tick_ns: f64,
     folded: u64,
     accepted: u64,
     nack_entries: usize,
@@ -272,14 +275,20 @@ fn measure_aggregation(n: u64) -> AggregationResult {
     assert!(!requests.is_empty(), "1/128 receivers NACKed");
     let nack_entries = requests.len();
 
-    // idle_ticks + 1 idle sweeps age every receiver out; the last one
-    // is the worst-case eviction scan.
+    // Every receiver reported this tick: the steady tick finds nobody due.
     let t2 = Instant::now();
-    let mut evicted = 0usize;
-    for _ in 0..=AggregatorConfig::default().idle_ticks {
-        evicted += agg.advance_tick();
+    let steady_evicted = agg.advance_tick();
+    let steady_tick_ns = t2.elapsed().as_nanos() as f64;
+    assert_eq!(steady_evicted, 0, "a fully heard tick evicts nobody");
+
+    // Silent from here on: the idle_ticks-th tick after the steady one
+    // finds every receiver due, and its sweep evicts them all.
+    for _ in 1..AggregatorConfig::default().idle_ticks {
+        assert_eq!(agg.advance_tick(), 0, "nobody due before idle_ticks");
     }
-    let evict_ns = t2.elapsed().as_nanos() as f64 / n as f64;
+    let t3 = Instant::now();
+    let evicted = agg.advance_tick();
+    let evict_ns = t3.elapsed().as_nanos() as f64 / n as f64;
     assert_eq!(evicted as u64, n, "idle receivers all evicted");
     assert_eq!(agg.receiver_count(), 0);
 
@@ -288,6 +297,7 @@ fn measure_aggregation(n: u64) -> AggregationResult {
         build_ns_per_digest: build_ns,
         ingest_ns_per_digest: ingest_ns,
         evict_ns_per_receiver: evict_ns,
+        steady_tick_ns,
         folded: s.folded,
         accepted: s.accepted,
         nack_entries,
@@ -776,8 +786,9 @@ fn main() {
         eprintln!("tier n={n}: measuring aggregation...");
         let agg = measure_aggregation(n);
         eprintln!(
-            "tier n={n}: ingest {:.0} ns/digest, evict {:.0} ns/receiver, rss {:.0} MB",
-            agg.ingest_ns_per_digest, agg.evict_ns_per_receiver, agg.rss_mb
+            "tier n={n}: ingest {:.0} ns/digest, steady tick {:.0} ns, \
+             evict {:.0} ns/receiver, rss {:.0} MB",
+            agg.ingest_ns_per_digest, agg.steady_tick_ns, agg.evict_ns_per_receiver, agg.rss_mb
         );
         assert!(
             agg.ingest_ns_per_digest < 50_000.0,
@@ -829,6 +840,7 @@ fn main() {
     let w = &mut json;
     writeln!(w, "{{").unwrap();
     writeln!(w, "  \"bench\": \"ablation_fanout\",").unwrap();
+    writeln!(w, "  \"host\": {},", fec_bench::output::host_json()).unwrap();
     writeln!(
         w,
         "  \"mode\": \"{}\",",
@@ -899,6 +911,7 @@ fn main() {
             agg.evict_ns_per_receiver
         )
         .unwrap();
+        writeln!(w, "        \"steady_tick_ns\": {:.0},", agg.steady_tick_ns).unwrap();
         writeln!(w, "        \"folded\": {},", agg.folded).unwrap();
         writeln!(w, "        \"accepted\": {},", agg.accepted).unwrap();
         writeln!(w, "        \"nack_entries\": {},", agg.nack_entries).unwrap();

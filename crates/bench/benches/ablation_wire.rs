@@ -27,6 +27,10 @@
 //!    loop backend with no offload, so the non-Linux fallback's overhead
 //!    is measured, not assumed.
 //!
+//! Each path runs [`REPEATS`] times, the paths interleaved run by run,
+//! and reports its median rate with the min and max; the headline ratio
+//! is the ratio of medians, so one slow or lucky run cannot move it.
+//!
 //! Every path must deliver a **byte-identical** object (each datagram is
 //! verified against its expected contents on arrival, and a checksum of
 //! the reassembled object lands in the JSON so cross-path identity is
@@ -42,25 +46,11 @@ use std::time::{Duration, Instant};
 
 use fec_wire::{Backend, BatchReceiver, BatchSender, BufferPool, Pacer, MAX_BURST};
 
-/// The machine a run measured, as a JSON object: CPU model, the cores
-/// this process may use, and the kernel release (GSO/GRO depend on it).
-fn host() -> String {
-    let read = |path: &str| std::fs::read_to_string(path).unwrap_or_default();
-    let cpuinfo = read("/proc/cpuinfo");
-    let cpu = cpuinfo
-        .lines()
-        .find(|l| l.starts_with("model name"))
-        .and_then(|l| l.split(':').nth(1))
-        .map_or("unknown", str::trim);
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let kernel = read("/proc/sys/kernel/osrelease");
-    format!(
-        "{{\"cpu\": \"{cpu}\", \"cores\": {cores}, \"kernel\": \"{}\"}}",
-        kernel.trim()
-    )
-}
-
 const PAYLOAD: usize = 1200;
+
+/// Runs per path; the paths take turns, so a drifting host slows each
+/// path's runs alike.
+const REPEATS: usize = 5;
 
 struct Workload {
     /// Distinct datagrams in the carousel.
@@ -123,9 +113,51 @@ impl PathResult {
     fn datagrams_per_sec(&self) -> f64 {
         self.received as f64 / self.elapsed.as_secs_f64()
     }
+}
 
-    fn mbits_per_sec(&self) -> f64 {
-        self.datagrams_per_sec() * (PAYLOAD as f64) * 8.0 / 1e6
+/// One path over all its runs: the median, min and max rate, and the
+/// totals. Every run must have delivered the same bytes.
+struct PathSummary {
+    name: &'static str,
+    median: f64,
+    min: f64,
+    max: f64,
+    received: u64,
+    elapsed: Duration,
+    checksum: u64,
+    offload: bool,
+}
+
+impl PathSummary {
+    fn new(runs: Vec<PathResult>) -> PathSummary {
+        let mut rates: Vec<f64> = runs.iter().map(PathResult::datagrams_per_sec).collect();
+        rates.sort_by(f64::total_cmp);
+        let mid = rates.len() / 2;
+        let median = if rates.len() % 2 == 1 {
+            rates[mid]
+        } else {
+            (rates[mid - 1] + rates[mid]) / 2.0
+        };
+        let first = &runs[0];
+        assert!(
+            runs.iter().all(|r| r.checksum == first.checksum),
+            "{} delivered different bytes across its runs",
+            first.name
+        );
+        PathSummary {
+            name: first.name,
+            median,
+            min: rates[0],
+            max: rates[rates.len() - 1],
+            received: runs.iter().map(|r| r.received).sum(),
+            elapsed: runs.iter().map(|r| r.elapsed).sum(),
+            checksum: first.checksum,
+            offload: runs.iter().all(|r| r.offload),
+        }
+    }
+
+    fn median_mbits_per_sec(&self) -> f64 {
+        self.median * (PAYLOAD as f64) * 8.0 / 1e6
     }
 }
 
@@ -312,43 +344,46 @@ fn main() {
     );
     println!("================================================================");
 
-    let results = [
-        run_per_syscall(&workload, &carousel),
-        run_engine(
+    let mut runs: [Vec<PathResult>; 3] = Default::default();
+    for _ in 0..REPEATS {
+        runs[0].push(run_per_syscall(&workload, &carousel));
+        runs[1].push(run_engine(
             "batched",
             Backend::platform_default(),
             true,
             &workload,
             &carousel,
-        ),
-        run_engine(
+        ));
+        runs[2].push(run_engine(
             "batched_portable",
             Backend::Portable,
             false,
             &workload,
             &carousel,
-        ),
-    ];
+        ));
+    }
+    let results = runs.map(PathSummary::new);
 
     println!(
-        "\n{:<18} {:>14} {:>12} {:>10} {:>12}",
-        "path", "datagrams/s", "Mbit/s", "received", "elapsed"
+        "\n{:<18} {:>14} {:>14} {:>14} {:>12} {:>10}",
+        "path", "median dgram/s", "min", "max", "Mbit/s", "received"
     );
     for r in &results {
         println!(
-            "{:<18} {:>14.0} {:>12.1} {:>10} {:>12.3?}",
+            "{:<18} {:>14.0} {:>14.0} {:>14.0} {:>12.1} {:>10}",
             r.name,
-            r.datagrams_per_sec(),
-            r.mbits_per_sec(),
-            r.received,
-            r.elapsed
+            r.median,
+            r.min,
+            r.max,
+            r.median_mbits_per_sec(),
+            r.received
         );
     }
 
     let baseline = &results[0];
     let batched = &results[1];
-    let speedup = batched.datagrams_per_sec() / baseline.datagrams_per_sec();
-    println!("\nbatched vs per_syscall: {speedup:.2}x datagrams/s");
+    let speedup = batched.median / baseline.median;
+    println!("\nbatched vs per_syscall: {speedup:.2}x median datagrams/s over {REPEATS} runs each");
 
     let identical = results.iter().all(|r| r.checksum == baseline.checksum);
     assert!(
@@ -372,19 +407,23 @@ fn main() {
     let _ = writeln!(json, "{{");
     let _ = writeln!(json, "  \"bench\": \"ablation_wire\",");
     let _ = writeln!(json, "  \"arch\": \"{}\",", std::env::consts::ARCH);
-    let _ = writeln!(json, "  \"host\": {},", host());
+    let _ = writeln!(json, "  \"host\": {},", fec_bench::output::host_json());
     let _ = writeln!(json, "  \"mode\": \"{}\",", workload.mode);
     let _ = writeln!(json, "  \"payload_bytes\": {PAYLOAD},");
     let _ = writeln!(json, "  \"unique_datagrams\": {},", workload.unique);
+    let _ = writeln!(json, "  \"repeats\": {REPEATS},");
     let _ = writeln!(json, "  \"paths\": [");
     for (i, r) in results.iter().enumerate() {
         let _ = writeln!(
             json,
-            "    {{\"name\": \"{}\", \"datagrams_per_sec\": {:.0}, \"mbits_per_sec\": {:.1}, \
-             \"received\": {}, \"elapsed_sec\": {:.4}, \"offload\": {}, \"checksum\": \"{:016x}\"}}{}",
+            "    {{\"name\": \"{}\", \"datagrams_per_sec\": {:.0}, \"datagrams_per_sec_min\": {:.0}, \
+             \"datagrams_per_sec_max\": {:.0}, \"mbits_per_sec\": {:.1}, \"received\": {}, \
+             \"elapsed_sec\": {:.4}, \"offload\": {}, \"checksum\": \"{:016x}\"}}{}",
             r.name,
-            r.datagrams_per_sec(),
-            r.mbits_per_sec(),
+            r.median,
+            r.min,
+            r.max,
+            r.median_mbits_per_sec(),
             r.received,
             r.elapsed.as_secs_f64(),
             r.offload,

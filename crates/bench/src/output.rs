@@ -40,6 +40,25 @@ pub fn save(target: &str, name: &str, contents: &str) {
     }
 }
 
+/// The machine a run measured, as a JSON object: CPU model, the cores
+/// this process may use (one when pinned with `taskset`), and the kernel
+/// release (GSO/GRO depend on it).
+pub fn host_json() -> String {
+    let read = |path: &str| fs::read_to_string(path).unwrap_or_default();
+    let cpuinfo = read("/proc/cpuinfo");
+    let cpu = cpuinfo
+        .lines()
+        .find(|l| l.starts_with("model name"))
+        .and_then(|l| l.split(':').nth(1))
+        .map_or("unknown", str::trim);
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let kernel = read("/proc/sys/kernel/osrelease");
+    format!(
+        "{{\"cpu\": \"{cpu}\", \"cores\": {cores}, \"kernel\": \"{}\"}}",
+        kernel.trim()
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -50,17 +50,25 @@
 //! A digest costs one walk of the receiver table: a single `entry`
 //! decides dedup and the cap and updates the state in place, and the
 //! worst receiver's counters are cached beside its address, so the
-//! comparison looks nothing up.
+//! comparison looks nothing up. The table is keyed by source, an IPv4
+//! source packed into one integer (address and port), so each step of
+//! that walk compares one word.
 //! [`ingest_datagram`](FeedbackAggregator::ingest_datagram) parses into a
 //! report the aggregator keeps (the live sender reads it back through
 //! [`last_digest`](FeedbackAggregator::last_digest)), so parsing a digest
-//! allocates only its NACKs' ESI lists, and eviction is one pass.
-//! `tests/fanout_props.rs` checks the bookkeeping against a linear-scan
-//! model of the rules above.
+//! allocates only its NACKs' ESI lists.
+//!
+//! A tick walks the table only when some receiver can be due. The
+//! aggregator keeps a lower bound on the oldest last-active tick, which
+//! each sweep recomputes, and counts the receivers heard this tick; when
+//! that count covers the table the bound is exact. So while every
+//! receiver reports each round a tick touches no receiver, and when one
+//! can be due, eviction is one pass. `tests/fanout_props.rs` checks the
+//! bookkeeping against a linear-scan model of the rules above.
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
-use std::net::SocketAddr;
+use std::net::{Ipv4Addr, SocketAddr, SocketAddrV6};
 
 use fec_adapt::{AdaptiveController, ControllerConfig, PopulationSummary, Replan};
 use fec_telemetry::Registry;
@@ -153,11 +161,12 @@ pub struct AggregateStats {
 }
 
 /// Compact per-receiver tracking state: 64 bytes (pinned below) beside
-/// a 32-byte `SocketAddr` key. With the B-tree's node overhead the
-/// `fanout_ingest` benchmark measures about 184 bytes of resident set
-/// per registered receiver (`feedback.bytes_per_receiver`), and
-/// `ablation_fanout` records 293 MB RSS at 10⁶ receivers, digests
-/// included (`BENCH_fanout.json`).
+/// a 32-byte [`SourceKey`], no larger than the `SocketAddr` it stands
+/// for. With the B-tree's node overhead the `fanout_ingest` benchmark
+/// measures 184.3 bytes of resident set per registered receiver
+/// (`feedback.bytes_per_receiver`), and `ablation_fanout` records
+/// 293 MB RSS at 10⁶ receivers, digests included
+/// (`BENCH_fanout.json`).
 #[derive(Debug, Clone, Copy)]
 struct ReceiverState {
     last_report_seq: u32,
@@ -180,6 +189,37 @@ struct ReceiverState {
 }
 
 const _: () = assert!(std::mem::size_of::<ReceiverState>() <= 64);
+
+/// The receiver table's key: an IPv4 source packed into one integer
+/// (`address << 16 | port`), so the B-tree compares one word per step
+/// instead of a whole `SocketAddr`; an IPv6 source keeps its address.
+/// The packing is lossless, so distinct sources stay distinct keys.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum SourceKey {
+    V4(u64),
+    V6(SocketAddrV6),
+}
+
+/// A key takes no more room than the `SocketAddr` it replaces.
+const _: () = assert!(std::mem::size_of::<SourceKey>() <= std::mem::size_of::<SocketAddr>());
+
+impl SourceKey {
+    fn new(addr: SocketAddr) -> SourceKey {
+        match addr {
+            SocketAddr::V4(a) => {
+                SourceKey::V4(u64::from(a.ip().to_bits()) << 16 | u64::from(a.port()))
+            }
+            SocketAddr::V6(a) => SourceKey::V6(a),
+        }
+    }
+
+    fn addr(self) -> SocketAddr {
+        match self {
+            SourceKey::V4(k) => SocketAddr::from((Ipv4Addr::from_bits((k >> 16) as u32), k as u16)),
+            SourceKey::V6(a) => SocketAddr::V6(a),
+        }
+    }
+}
 
 impl ReceiverState {
     /// A receiver first heard from at `tick`.
@@ -222,13 +262,20 @@ pub struct FeedbackAggregator {
     tsi: u32,
     config: AggregatorConfig,
     controller: AdaptiveController,
-    receivers: BTreeMap<SocketAddr, ReceiverState>,
+    receivers: BTreeMap<SourceKey, ReceiverState>,
     /// The current worst receiver (highest loss fraction; deterministic
     /// tie-break). `None` until the first digest. Only the worst's own
     /// digests change its counters, and each of them folds, so the cache
     /// is refreshed on every fold.
     worst: Option<Worst>,
     tick: u64,
+    /// A lower bound on every tracked receiver's `last_active`: no one is
+    /// due for eviction while the deadline stays at or below it. Digests
+    /// only raise `last_active`, so the bound holds until a sweep (which
+    /// recomputes it) or a fully heard tick (which sets it exactly).
+    active_floor: u64,
+    /// Tracked receivers whose `last_active` is the current tick.
+    heard_this_tick: usize,
     /// Per-TOI count of tracked receivers reporting the object complete.
     toi_complete: BTreeMap<u32, u64>,
     /// Dedup for completion reports on TOIs ≥ 64 (rare; TOIs < 64 use
@@ -268,6 +315,8 @@ impl FeedbackAggregator {
             receivers: BTreeMap::new(),
             worst: None,
             tick: 0,
+            active_floor: 0,
+            heard_this_tick: 0,
             toi_complete: BTreeMap::new(),
             complete_overflow: BTreeSet::new(),
             session_complete_count: 0,
@@ -334,13 +383,16 @@ impl FeedbackAggregator {
         // One walk of the receiver table: dedup, the cap and the update
         // all go through this entry. `population` counts the source.
         let tracked = self.receivers.len() as u64;
-        let (state, old_bucket, population) = match self.receivers.entry(src) {
+        let (state, old_bucket, population) = match self.receivers.entry(SourceKey::new(src)) {
             Entry::Occupied(entry) => {
                 // Per-receiver dedup: a monotone report_seq guard per source.
                 if report.report_seq <= entry.get().last_report_seq {
                     self.stats.deduped += 1;
                     self.metrics.deduped.inc();
                     return AggregateOutcome::Deduped;
+                }
+                if entry.get().last_active < self.tick {
+                    self.heard_this_tick += 1;
                 }
                 let bucket = entry.get().completion_bucket();
                 (entry.into_mut(), Some(bucket), tracked)
@@ -354,6 +406,7 @@ impl FeedbackAggregator {
                     self.metrics.accepted.inc();
                     return AggregateOutcome::Accepted;
                 }
+                self.heard_this_tick += 1;
                 (
                     entry.insert(ReceiverState::new(self.tick)),
                     None,
@@ -518,17 +571,28 @@ impl FeedbackAggregator {
     /// been silent for [`idle_ticks`](AggregatorConfig::idle_ticks) or
     /// more. Call once per replan round (or timer period). Returns the
     /// number of receivers evicted.
+    ///
+    /// The table is walked only when some receiver can be due: a tick
+    /// after every tracked receiver reported, or within `idle_ticks` of
+    /// the last sweep's oldest survivor, touches no receiver.
     pub fn advance_tick(&mut self) -> usize {
+        if self.heard_this_tick == self.receivers.len() {
+            // Everyone reported this tick: the oldest is exactly now.
+            self.active_floor = self.tick;
+        }
+        self.heard_this_tick = 0;
         self.tick += 1;
         let deadline = self.tick.saturating_sub(self.config.idle_ticks);
-        if self.tick < self.config.idle_ticks {
+        if deadline <= self.active_floor {
             return 0;
         }
         // One pass: every update below commutes, so eviction order does
-        // not matter.
+        // not matter. The survivors' oldest tick is the new floor.
         let mut evicted = 0usize;
+        let mut oldest = self.tick;
         self.receivers.retain(|&key, state| {
             if state.last_active >= deadline {
+                oldest = oldest.min(state.last_active);
                 return true;
             }
             evicted += 1;
@@ -548,23 +612,25 @@ impl FeedbackAggregator {
                     *c = c.saturating_sub(1);
                 }
             }
+            let addr = key.addr();
             while let Some(&(_, toi)) = self
                 .complete_overflow
-                .range((key, 0)..=(key, u32::MAX))
+                .range((addr, 0)..=(addr, u32::MAX))
                 .next()
             {
-                self.complete_overflow.remove(&(key, toi));
+                self.complete_overflow.remove(&(addr, toi));
                 if let Some(c) = self.toi_complete.get_mut(&toi) {
                     *c = c.saturating_sub(1);
                 }
             }
-            if self.worst.is_some_and(|w| w.addr == key) {
+            if self.worst.is_some_and(|w| w.addr == addr) {
                 // The worst receiver left; the next accepted digest
                 // re-seeds the comparison.
                 self.worst = None;
             }
             false
         });
+        self.active_floor = oldest;
         self.stats.evicted += evicted as u64;
         self.metrics.evicted.add(evicted as u64);
         self.metrics.receivers.set(self.receivers.len() as f64);

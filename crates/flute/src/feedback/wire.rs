@@ -340,9 +340,14 @@ impl ReceptionReport {
                 got: data.len(),
             });
         }
-        self.tsi = r.u32_be()?;
-        self.report_seq = r.u32_be()?;
-        let highest_raw = r.u32_be()?;
+        // The check above covers the header tail, every entry and every
+        // run: read them as whole records; only the NACK tail, whose
+        // length the header does not fix, goes field by field.
+        let [tsi, report_seq, highest_raw] = be_words(r.take(REPORT_HEADER_LEN - r.pos())?);
+        let entries = r.take(entry_count * REPORT_ENTRY_LEN)?;
+        let runs = r.take(run_count * REPORT_RUN_LEN)?;
+        self.tsi = tsi;
+        self.report_seq = report_seq;
         self.highest_seq = if flags & FLAG_HAS_HIGHEST_SEQ != 0 {
             if highest_raw >= SEQ_MODULUS {
                 return Err(FluteError::Malformed {
@@ -358,12 +363,11 @@ impl ReceptionReport {
 
         self.entries.clear();
         self.entries.reserve(entry_count);
-        for _ in 0..entry_count {
-            let toi = r.u32_be()?;
-            let received = r.u32_be()?;
-            let lost = r.u32_be()?;
-            let status = r.u8()?;
-            let _pad = r.take(3)?;
+        for entry in entries.as_chunks::<REPORT_ENTRY_LEN>().0 {
+            // The status byte leads the last word; its three pad bytes
+            // are ignored.
+            let [toi, received, lost, status_word] = be_words(entry);
+            let status = (status_word >> 24) as u8;
             if status & !STATUS_COMPLETE != 0 {
                 return Err(FluteError::Unsupported {
                     reason: format!("reception report entry status {status:#04x}"),
@@ -378,8 +382,8 @@ impl ReceptionReport {
         }
         self.runs.clear();
         self.runs.reserve(run_count);
-        for _ in 0..run_count {
-            let word = r.u32_be()?;
+        for &run in runs.as_chunks::<REPORT_RUN_LEN>().0 {
+            let word = u32::from_be_bytes(run);
             let len = word & !RUN_LOST_BIT;
             if len == 0 {
                 return Err(FluteError::Malformed {
@@ -422,6 +426,16 @@ impl ReceptionReport {
         }
         Ok(())
     }
+}
+
+/// The big-endian words in the first `4·N` bytes of a record the length
+/// check already covered.
+fn be_words<const N: usize>(bytes: &[u8]) -> [u32; N] {
+    let mut words = [0u32; N];
+    for (word, chunk) in words.iter_mut().zip(bytes.as_chunks::<4>().0) {
+        *word = u32::from_be_bytes(*chunk);
+    }
+    words
 }
 
 #[cfg(test)]
@@ -564,6 +578,167 @@ mod tests {
         assert!(kept.read_from(&wire[..wire.len() - 1]).is_err());
         kept.read_from(&wire).unwrap();
         assert_eq!(kept, more_nacks);
+    }
+
+    /// The parser before whole-record reads: one `Reader` call per field.
+    /// Kept as the reference `read_from` must agree with.
+    fn reference_parse(data: &[u8]) -> Result<ReceptionReport, FluteError> {
+        let mut r = Reader::new(data, "reception report header");
+        if r.array::<4>()? != REPORT_MAGIC {
+            return Err(FluteError::Malformed {
+                reason: "reception report magic mismatch".into(),
+            });
+        }
+        let version = r.u8()?;
+        if version != REPORT_VERSION {
+            return Err(FluteError::Unsupported {
+                reason: format!("reception report version {version}"),
+            });
+        }
+        let flags = r.u8()?;
+        if flags & !(FLAG_SESSION_COMPLETE | FLAG_HAS_HIGHEST_SEQ | FLAG_TRUNCATED | FLAG_HAS_NACKS)
+            != 0
+        {
+            return Err(FluteError::Unsupported {
+                reason: format!("reception report flags {flags:#04x}"),
+            });
+        }
+        let entry_count = r.u16_be()? as usize;
+        let run_count = r.u16_be()? as usize;
+        let nack_count = r.u16_be()? as usize;
+        let has_nacks = flags & FLAG_HAS_NACKS != 0;
+        if has_nacks != (nack_count > 0) {
+            return Err(FluteError::Malformed {
+                reason: format!(
+                    "NACK flag {} but nack_count {nack_count}",
+                    if has_nacks { "set" } else { "clear" }
+                ),
+            });
+        }
+        let fixed = REPORT_HEADER_LEN
+            + entry_count * REPORT_ENTRY_LEN
+            + run_count * REPORT_RUN_LEN
+            + nack_count * REPORT_NACK_HEADER_LEN;
+        if data.len() < fixed || (!has_nacks && data.len() != fixed) {
+            return Err(FluteError::Truncated {
+                what: "reception report body",
+                needed: fixed,
+                got: data.len(),
+            });
+        }
+        let mut out = ReceptionReport::EMPTY;
+        out.tsi = r.u32_be()?;
+        out.report_seq = r.u32_be()?;
+        let highest_raw = r.u32_be()?;
+        out.highest_seq = if flags & FLAG_HAS_HIGHEST_SEQ != 0 {
+            if highest_raw >= SEQ_MODULUS {
+                return Err(FluteError::Malformed {
+                    reason: format!("highest_seq {highest_raw} exceeds the EXT_SEQ space"),
+                });
+            }
+            Some(highest_raw)
+        } else {
+            None
+        };
+        out.session_complete = flags & FLAG_SESSION_COMPLETE != 0;
+        out.truncated = flags & FLAG_TRUNCATED != 0;
+        for _ in 0..entry_count {
+            let toi = r.u32_be()?;
+            let received = r.u32_be()?;
+            let lost = r.u32_be()?;
+            let status = r.u8()?;
+            let _pad = r.take(3)?;
+            if status & !STATUS_COMPLETE != 0 {
+                return Err(FluteError::Unsupported {
+                    reason: format!("reception report entry status {status:#04x}"),
+                });
+            }
+            out.entries.push(ReportEntry {
+                toi,
+                received,
+                lost,
+                complete: status & STATUS_COMPLETE != 0,
+            });
+        }
+        for _ in 0..run_count {
+            let word = r.u32_be()?;
+            let len = word & !RUN_LOST_BIT;
+            if len == 0 {
+                return Err(FluteError::Malformed {
+                    reason: "zero-length loss run".into(),
+                });
+            }
+            out.runs.push(LossRun {
+                lost: word & RUN_LOST_BIT != 0,
+                len,
+            });
+        }
+        for _ in 0..nack_count {
+            let toi = r.u32_be()?;
+            let block = r.u32_be()?;
+            let esi_count = r.u16_be()? as usize;
+            let _pad = r.u16_be()?;
+            if esi_count == 0 {
+                return Err(FluteError::Malformed {
+                    reason: format!("empty NACK for toi {toi} block {block}"),
+                });
+            }
+            let mut esis = Vec::new();
+            for _ in 0..esi_count {
+                esis.push(r.u32_be()?);
+            }
+            out.nacks.push(NackEntry { toi, block, esis });
+        }
+        if r.pos() != data.len() {
+            return Err(FluteError::Malformed {
+                reason: format!(
+                    "reception report carries {} trailing bytes",
+                    data.len() - r.pos()
+                ),
+            });
+        }
+        Ok(out)
+    }
+
+    /// Every single-byte flip (each bit, and all eight at once) and every
+    /// truncation of valid digests, with and without NACKs, parses to the
+    /// reference's report or fails with the reference's error, variant
+    /// and detail.
+    #[test]
+    fn read_from_agrees_with_the_field_by_field_reference() {
+        let mut fin = sample();
+        fin.session_complete = true;
+        fin.truncated = true;
+        fin.highest_seq = None;
+        let mut bare = sample();
+        bare.entries.clear();
+        bare.runs.clear();
+        let mut more_nacks = sample_with_nacks();
+        more_nacks.entries.clear();
+        more_nacks.nacks.push(NackEntry {
+            toi: 4,
+            block: 1,
+            esis: (0..5).collect(),
+        });
+        let mut kept = ReceptionReport::EMPTY;
+        let mut check = |bytes: &[u8], what: &str| {
+            let got = kept.read_from(bytes).map(|()| kept.clone());
+            assert_eq!(got, reference_parse(bytes), "{what}");
+        };
+        for report in [sample(), fin, bare, sample_with_nacks(), more_nacks] {
+            let wire = report.to_bytes().unwrap();
+            check(&wire, "valid");
+            for cut in 0..wire.len() {
+                check(&wire[..cut], &format!("cut {cut}"));
+            }
+            for at in 0..wire.len() {
+                for mask in (0..8).map(|bit| 1u8 << bit).chain([0xFF]) {
+                    let mut flipped = wire.clone();
+                    flipped[at] ^= mask;
+                    check(&flipped, &format!("byte {at} ^ {mask:#04x}"));
+                }
+            }
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!    rules alone.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::net::SocketAddr;
+use std::net::{Ipv6Addr, SocketAddr};
 
 use fec_adapt::{AdaptiveController, ControllerConfig, PopulationSummary};
 use fec_flute::feedback::{
@@ -275,6 +275,22 @@ const ORACLE_IDLE_TICKS: u64 = 2;
 const ORACLE_NACK_BUDGET: u64 = 5;
 /// The FDT, two mask-tracked objects and one past the 64-bit mask.
 const ORACLE_TOIS: [u32; 4] = [0, 1, 2, 70];
+/// Sources the oracle draws from: two ports on one IPv4 address, two
+/// more IPv4 addresses and two ports on one IPv6 address. Distinct
+/// sources must stay distinct receivers.
+const ORACLE_SOURCES: usize = 6;
+
+fn oracle_source(n: u16) -> SocketAddr {
+    let v6 = |port: u16| SocketAddr::from((Ipv6Addr::new(0xfd00, 0, 0, 0, 0, 0, 0, 1), port));
+    match usize::from(n) % ORACLE_SOURCES {
+        0 => SocketAddr::from(([10, 1, 0, 1], 4000)),
+        1 => SocketAddr::from(([10, 1, 0, 1], 4001)),
+        2 => SocketAddr::from(([10, 1, 0, 2], 4000)),
+        3 => SocketAddr::from(([10, 1, 0, 3], 4000)),
+        4 => v6(4000),
+        _ => v6(4001),
+    }
+}
 
 /// One receiver as the model tracks it.
 struct ModelReceiver {
@@ -523,6 +539,13 @@ enum OracleOp {
         through_wire: bool,
     },
     Tick,
+    /// A fresh digest from every source `reporters` selects, then a
+    /// tick: a tick after the whole tracked population reported walks
+    /// nothing, one after a part of it sweeps.
+    Round {
+        reporters: u8,
+        bits: u64,
+    },
     TakeNacks,
     Failure,
 }
@@ -589,7 +612,7 @@ fn oracle_digest(report_seq: u32, bits: u64) -> ReceptionReport {
 }
 
 fn oracle_ops() -> impl Strategy<Value = Vec<OracleOp>> {
-    proptest::collection::vec((0u8..14, 0u16..6, 0u32..6, any::<u64>()), 1..120).prop_map(|raw| {
+    proptest::collection::vec((0u8..17, 0u16..6, 0u32..6, any::<u64>()), 1..120).prop_map(|raw| {
         raw.into_iter()
             .map(|(kind, rx, seq, bits)| match kind {
                 0..=8 => OracleOp::Ingest {
@@ -599,6 +622,15 @@ fn oracle_ops() -> impl Strategy<Value = Vec<OracleOp>> {
                 },
                 9..=11 => OracleOp::Tick,
                 12 => OracleOp::TakeNacks,
+                // Half the rounds hear every source, half a random part.
+                13 | 14 => OracleOp::Round {
+                    reporters: if bits & 1 == 0 {
+                        u8::MAX
+                    } else {
+                        (bits >> 8) as u8
+                    },
+                    bits,
+                },
                 _ => OracleOp::Failure,
             })
             .collect()
@@ -626,7 +658,7 @@ proptest! {
         for (step, op) in ops.iter().enumerate() {
             match op {
                 OracleOp::Ingest { rx, digest, through_wire } => {
-                    let src = addr(*rx);
+                    let src = oracle_source(*rx);
                     let wire = digest.to_bytes().ok().filter(|_| *through_wire);
                     let got = match &wire {
                         Some(bytes) => agg.ingest_datagram(src, bytes).expect("well-formed digest"),
@@ -636,6 +668,20 @@ proptest! {
                     prop_assert_eq!(got, want, "step {}: {:?}", step, op);
                 }
                 OracleOp::Tick => {
+                    prop_assert_eq!(agg.advance_tick(), model.advance_tick(), "step {}", step);
+                }
+                OracleOp::Round { reporters, bits } => {
+                    for rx in (0..ORACLE_SOURCES as u16).filter(|rx| reporters & (1 << rx) != 0) {
+                        let src = oracle_source(rx);
+                        // In this session and one past the source's last
+                        // accepted sequence, so a tracked source is heard
+                        // this tick.
+                        let seq = model.find(src).map_or(1, |r| r.last_seq + 1);
+                        let mut digest = oracle_digest(seq, bits ^ u64::from(rx));
+                        digest.tsi = ORACLE_TSI;
+                        let got = agg.ingest(src, &digest);
+                        prop_assert_eq!(got, model.ingest(src, &digest), "step {} source {}", step, rx);
+                    }
                     prop_assert_eq!(agg.advance_tick(), model.advance_tick(), "step {}", step);
                 }
                 OracleOp::TakeNacks => {
