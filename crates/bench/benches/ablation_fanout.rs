@@ -15,8 +15,12 @@
 //!    O(1) estimator work per digest (only the worst receiver's sketch
 //!    folds); the bench times ingest per digest, the steady tick (every
 //!    receiver reported, so nothing is due) and the eviction sweep (every
-//!    receiver due) at each tier, and checks the aggregator's
-//!    conservation invariant.
+//!    receiver due) at each tier, records the resident bytes the table
+//!    adds per receiver, and checks the aggregator's conservation
+//!    invariant. Ingest is timed twice: the round that registers the
+//!    population, where every new worst receiver folds its whole sketch
+//!    into the estimator (a fixed cost that dominates small tiers), and
+//!    a steady round from the registered population, where one does.
 //! 3. **NACK mode beats the whole schedule at equal delivery.** A
 //!    10⁴-receiver fate-simulated population (plus 16 real
 //!    `FluteReceiver`s behind forked `LinkEmulator`s, checked
@@ -163,9 +167,16 @@ fn measure_suppression(n: u64, window_mult: f64) -> SuppressionResult {
 struct AggregationResult {
     digests: u64,
     build_ns_per_digest: f64,
+    /// The registering round: new receivers, each new worst one folding.
+    register_ns_per_digest: f64,
+    /// A steady round: every source tracked, only the worst folding.
     ingest_ns_per_digest: f64,
     evict_ns_per_receiver: f64,
     steady_tick_ns: f64,
+    /// Resident-set growth across the registering loop per receiver:
+    /// what tracking one receiver costs, digests excluded (they are
+    /// built before the first read).
+    table_bytes_per_receiver: f64,
     folded: u64,
     accepted: u64,
     nack_entries: usize,
@@ -179,7 +190,9 @@ fn receiver_addr(i: u64) -> SocketAddr {
     ))
 }
 
-fn synthesized_digest(i: u64) -> ReceptionReport {
+/// Receiver `i`'s digest number `report_seq`; its counters do not
+/// depend on the number, so a later digest never changes the worst.
+fn synthesized_digest(i: u64, report_seq: u32) -> ReceptionReport {
     let r = mix(i);
     let received = 40_000 + (r % 20_000) as u32;
     let lost = match i % 1000 {
@@ -200,7 +213,7 @@ fn synthesized_digest(i: u64) -> ReceptionReport {
     };
     ReceptionReport {
         tsi: TSI,
-        report_seq: 1,
+        report_seq,
         highest_seq: Some(((received + lost) as u64 % SEQ_MODULUS as u64) as u32),
         session_complete: false,
         truncated: false,
@@ -228,14 +241,13 @@ fn synthesized_digest(i: u64) -> ReceptionReport {
     }
 }
 
-fn rss_mb() -> f64 {
+fn rss_kib() -> f64 {
     let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
     status
         .lines()
         .find(|l| l.starts_with("VmRSS:"))
         .and_then(|l| l.split_whitespace().nth(1))
         .and_then(|kb| kb.parse::<f64>().ok())
-        .map(|kb| kb / 1024.0)
         .unwrap_or(0.0)
 }
 
@@ -245,7 +257,7 @@ fn measure_aggregation(n: u64) -> AggregationResult {
     let mut digests = Vec::with_capacity(n as usize);
     for i in 0..n {
         addrs.push(receiver_addr(i));
-        digests.push(synthesized_digest(i).to_bytes().expect("serializes"));
+        digests.push(synthesized_digest(i, 1).to_bytes().expect("serializes"));
     }
     let build_ns = t0.elapsed().as_nanos() as f64 / n as f64;
 
@@ -254,13 +266,14 @@ fn measure_aggregation(n: u64) -> AggregationResult {
         AggregatorConfig::default(),
         ControllerConfig::default(),
     );
+    let rss_before = rss_kib();
     let t1 = Instant::now();
     for (addr, bytes) in addrs.iter().zip(&digests) {
         agg.ingest_datagram(*addr, bytes)
             .expect("well-formed digest");
     }
-    let ingest_ns = t1.elapsed().as_nanos() as f64 / n as f64;
-    let rss = rss_mb();
+    let register_ns = t1.elapsed().as_nanos() as f64 / n as f64;
+    let rss = rss_kib();
 
     let s = agg.stats();
     assert_eq!(s.ingested, n, "every digest counted");
@@ -274,6 +287,21 @@ fn measure_aggregation(n: u64) -> AggregationResult {
     let requests = agg.take_nack_requests();
     assert!(!requests.is_empty(), "1/128 receivers NACKed");
     let nack_entries = requests.len();
+
+    // The steady round: every source tracked, the worst folding alone.
+    drop(digests);
+    let digests: Vec<Vec<u8>> = (0..n)
+        .map(|i| synthesized_digest(i, 2).to_bytes().expect("serializes"))
+        .collect();
+    let t1 = Instant::now();
+    for (addr, bytes) in addrs.iter().zip(&digests) {
+        agg.ingest_datagram(*addr, bytes)
+            .expect("well-formed digest");
+    }
+    let ingest_ns = t1.elapsed().as_nanos() as f64 / n as f64;
+    let steady = agg.stats();
+    assert_eq!(steady.folded - s.folded, 1, "only the worst folds");
+    assert_eq!(steady.accepted - s.accepted, n - 1, "everyone else updates");
 
     // Every receiver reported this tick: the steady tick finds nobody due.
     let t2 = Instant::now();
@@ -295,13 +323,15 @@ fn measure_aggregation(n: u64) -> AggregationResult {
     AggregationResult {
         digests: n,
         build_ns_per_digest: build_ns,
+        register_ns_per_digest: register_ns,
         ingest_ns_per_digest: ingest_ns,
         evict_ns_per_receiver: evict_ns,
         steady_tick_ns,
+        table_bytes_per_receiver: (rss - rss_before).max(0.0) * 1024.0 / n as f64,
         folded: s.folded,
         accepted: s.accepted,
         nack_entries,
-        rss_mb: rss,
+        rss_mb: rss / 1024.0,
     }
 }
 
@@ -786,9 +816,15 @@ fn main() {
         eprintln!("tier n={n}: measuring aggregation...");
         let agg = measure_aggregation(n);
         eprintln!(
-            "tier n={n}: ingest {:.0} ns/digest, steady tick {:.0} ns, \
-             evict {:.0} ns/receiver, rss {:.0} MB",
-            agg.ingest_ns_per_digest, agg.steady_tick_ns, agg.evict_ns_per_receiver, agg.rss_mb
+            "tier n={n}: register {:.0} ns/digest, ingest {:.0} ns/digest, \
+             steady tick {:.0} ns, evict {:.0} ns/receiver, table {:.1} B/receiver, \
+             rss {:.0} MB",
+            agg.register_ns_per_digest,
+            agg.ingest_ns_per_digest,
+            agg.steady_tick_ns,
+            agg.evict_ns_per_receiver,
+            agg.table_bytes_per_receiver,
+            agg.rss_mb
         );
         assert!(
             agg.ingest_ns_per_digest < 50_000.0,
@@ -901,6 +937,12 @@ fn main() {
         .unwrap();
         writeln!(
             w,
+            "        \"register_ns_per_digest\": {:.0},",
+            agg.register_ns_per_digest
+        )
+        .unwrap();
+        writeln!(
+            w,
             "        \"ingest_ns_per_digest\": {:.0},",
             agg.ingest_ns_per_digest
         )
@@ -912,6 +954,12 @@ fn main() {
         )
         .unwrap();
         writeln!(w, "        \"steady_tick_ns\": {:.0},", agg.steady_tick_ns).unwrap();
+        writeln!(
+            w,
+            "        \"table_bytes_per_receiver\": {:.1},",
+            agg.table_bytes_per_receiver
+        )
+        .unwrap();
         writeln!(w, "        \"folded\": {},", agg.folded).unwrap();
         writeln!(w, "        \"accepted\": {},", agg.accepted).unwrap();
         writeln!(w, "        \"nack_entries\": {},", agg.nack_entries).unwrap();

@@ -47,12 +47,17 @@
 //! (FeedbackAggregator::take_nack_requests) drains them for targeted
 //! repair emission.
 //!
-//! A digest costs one walk of the receiver table: a single `entry`
-//! decides dedup and the cap and updates the state in place, and the
+//! Receiver states sit in one dense slab behind a B-tree index per
+//! address family that maps the source to its slot: an IPv4 source is
+//! packed into one integer (address and port), an IPv6 source keeps its
+//! address. A digest costs one walk of its index: a single `entry`
+//! decides dedup and the cap, the state is updated in its slot, and the
 //! worst receiver's counters are cached beside its address, so the
-//! comparison looks nothing up. The table is keyed by source, an IPv4
-//! source packed into one integer (address and port), so each step of
-//! that walk compares one word.
+//! comparison looks nothing up. A new source appends to the slab; only
+//! an evicting sweep frees slots, by moving the survivors into a fresh
+//! slab in key order, so the slab has no holes and an idle flood's
+//! memory is given back.
+//!
 //! [`ingest_datagram`](FeedbackAggregator::ingest_datagram) parses into a
 //! report the aggregator keeps (the live sender reads it back through
 //! [`last_digest`](FeedbackAggregator::last_digest)), so parsing a digest
@@ -68,7 +73,7 @@
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
-use std::net::{Ipv4Addr, SocketAddr, SocketAddrV6};
+use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, SocketAddrV6};
 
 use fec_adapt::{AdaptiveController, ControllerConfig, PopulationSummary, Replan};
 use fec_telemetry::Registry;
@@ -160,13 +165,12 @@ pub struct AggregateStats {
     pub throttled: u64,
 }
 
-/// Compact per-receiver tracking state: 64 bytes (pinned below) beside
-/// a 32-byte [`SourceKey`], no larger than the `SocketAddr` it stands
-/// for. With the B-tree's node overhead the `fanout_ingest` benchmark
-/// measures 184.3 bytes of resident set per registered receiver
-/// (`feedback.bytes_per_receiver`), and `ablation_fanout` records
-/// 293 MB RSS at 10⁶ receivers, digests included
-/// (`BENCH_fanout.json`).
+/// Compact per-receiver tracking state: 64 bytes (pinned below) in the
+/// [`Table`]'s slab, plus an 8-byte key and a 4-byte slot in an index
+/// node. The `fanout_ingest` benchmark measures 93.7–93.9 bytes of
+/// resident set per registered receiver (`feedback.bytes_per_receiver`),
+/// and `ablation_fanout` 93.0 at 10⁶ receivers
+/// (`table_bytes_per_receiver` in `BENCH_fanout.json`).
 #[derive(Debug, Clone, Copy)]
 struct ReceiverState {
     last_report_seq: u32,
@@ -190,35 +194,104 @@ struct ReceiverState {
 
 const _: () = assert!(std::mem::size_of::<ReceiverState>() <= 64);
 
-/// The receiver table's key: an IPv4 source packed into one integer
-/// (`address << 16 | port`), so the B-tree compares one word per step
-/// instead of a whole `SocketAddr`; an IPv6 source keeps its address.
-/// The packing is lossless, so distinct sources stay distinct keys.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum SourceKey {
-    V4(u64),
-    V6(SocketAddrV6),
+/// The receiver table: every tracked state in one dense slab, found
+/// through a B-tree index per address family that maps the source to
+/// its slot. An IPv4 source is keyed by one integer (`address << 16 |
+/// port`, lossless). With the states out of the tree, an index node
+/// holds eleven 8-byte keys and 4-byte slots, so the walk a digest
+/// takes touches a few small nodes.
+#[derive(Debug, Default)]
+struct Table {
+    slab: Vec<ReceiverState>,
+    v4: BTreeMap<u64, u32>,
+    v6: BTreeMap<SocketAddrV6, u32>,
 }
 
-/// A key takes no more room than the `SocketAddr` it replaces.
-const _: () = assert!(std::mem::size_of::<SourceKey>() <= std::mem::size_of::<SocketAddr>());
-
-impl SourceKey {
-    fn new(addr: SocketAddr) -> SourceKey {
-        match addr {
-            SocketAddr::V4(a) => {
-                SourceKey::V4(u64::from(a.ip().to_bits()) << 16 | u64::from(a.port()))
-            }
-            SocketAddr::V6(a) => SourceKey::V6(a),
+impl Table {
+    /// `src`'s state, or a fresh one appended for it at `tick` while
+    /// fewer than `cap` receivers are tracked (then `true` beside it);
+    /// `None` for a new source when the table is full.
+    fn admit(&mut self, src: SocketAddr, cap: usize, tick: u64) -> Admission<'_> {
+        match src {
+            SocketAddr::V4(a) => admit(&mut self.v4, v4_key(a), &mut self.slab, cap, tick),
+            SocketAddr::V6(a) => admit(&mut self.v6, a, &mut self.slab, cap, tick),
         }
     }
 
-    fn addr(self) -> SocketAddr {
-        match self {
-            SourceKey::V4(k) => SocketAddr::from((Ipv4Addr::from_bits((k >> 16) as u32), k as u16)),
-            SourceKey::V6(a) => SocketAddr::V6(a),
-        }
+    /// Evicts every receiver last active before `deadline`, handing each
+    /// to `evict`, and moves the survivors into a fresh slab of exactly
+    /// their number, in index order, their slots following. Returns the
+    /// survivors' oldest last-active tick (`now` when none survives).
+    fn sweep(&mut self, deadline: u64, now: u64, evict: &mut Evict) -> u64 {
+        let old = std::mem::take(&mut self.slab);
+        let survivors = old.iter().filter(|s| s.last_active >= deadline).count();
+        self.slab = Vec::with_capacity(survivors);
+        let fresh = &mut self.slab;
+        sweep(&mut self.v4, &old, fresh, deadline, v4_addr, evict);
+        sweep(&mut self.v6, &old, fresh, deadline, SocketAddr::V6, evict);
+        self.slab.iter().map(|s| s.last_active).fold(now, u64::min)
     }
+}
+
+/// A tracked state, and whether it was admitted just now.
+type Admission<'a> = Option<(&'a mut ReceiverState, bool)>;
+
+/// What a sweep hands each evicted receiver to.
+type Evict<'a> = dyn FnMut(SocketAddr, &ReceiverState) + 'a;
+
+fn v4_key(a: SocketAddrV4) -> u64 {
+    u64::from(a.ip().to_bits()) << 16 | u64::from(a.port())
+}
+
+fn v4_addr(key: u64) -> SocketAddr {
+    SocketAddr::from((Ipv4Addr::from_bits((key >> 16) as u32), key as u16))
+}
+
+/// [`Table::admit`] through one family's index. `cap` is at most
+/// `u32::MAX`, so every slot fits its index entry.
+fn admit<'a, K: Ord>(
+    index: &mut BTreeMap<K, u32>,
+    key: K,
+    slab: &'a mut Vec<ReceiverState>,
+    cap: usize,
+    tick: u64,
+) -> Admission<'a> {
+    match index.entry(key) {
+        // Every indexed slot is in the slab.
+        Entry::Occupied(e) => slab.get_mut(*e.get() as usize).map(|s| (s, false)),
+        Entry::Vacant(e) if slab.len() < cap => {
+            e.insert(slab.len() as u32);
+            slab.push(ReceiverState::new(tick));
+            slab.last_mut().map(|s| (s, true))
+        }
+        Entry::Vacant(_) => None,
+    }
+}
+
+/// One family's share of [`Table::sweep`]: walks `index` in key order,
+/// evicting the receivers `old` holds last active before `deadline` and
+/// appending the others to `fresh` under their new slots.
+fn sweep<K: Ord + Copy>(
+    index: &mut BTreeMap<K, u32>,
+    old: &[ReceiverState],
+    fresh: &mut Vec<ReceiverState>,
+    deadline: u64,
+    addr: fn(K) -> SocketAddr,
+    evict: &mut Evict,
+) {
+    index.retain(|&key, slot| {
+        let Some(state) = old.get(*slot as usize) else {
+            return false;
+        };
+        if state.last_active < deadline {
+            evict(addr(key), state);
+            return false;
+        }
+        // Below `old.len()`, which every slot was.
+        *slot = fresh.len() as u32;
+        fresh.push(*state);
+        true
+    });
 }
 
 impl ReceiverState {
@@ -262,7 +335,7 @@ pub struct FeedbackAggregator {
     tsi: u32,
     config: AggregatorConfig,
     controller: AdaptiveController,
-    receivers: BTreeMap<SourceKey, ReceiverState>,
+    receivers: Table,
     /// The current worst receiver (highest loss fraction; deterministic
     /// tie-break). `None` until the first digest. Only the worst's own
     /// digests change its counters, and each of them folds, so the cache
@@ -308,11 +381,11 @@ impl FeedbackAggregator {
             tsi,
             config: AggregatorConfig {
                 idle_ticks: config.idle_ticks.max(1),
-                max_receivers: config.max_receivers.max(1),
+                max_receivers: config.max_receivers.clamp(1, u32::MAX as usize),
                 nack_budget: config.nack_budget,
             },
             controller: AdaptiveController::new(controller),
-            receivers: BTreeMap::new(),
+            receivers: Table::default(),
             worst: None,
             tick: 0,
             active_floor: 0,
@@ -346,7 +419,7 @@ impl FeedbackAggregator {
         m.evicted.add(self.stats.evicted);
         m.nack_symbols.add(self.stats.nack_symbols);
         m.throttled.add(self.stats.throttled);
-        m.receivers.set(self.receivers.len() as f64);
+        m.receivers.set(self.receivers.slab.len() as f64);
         self.metrics = m;
     }
 
@@ -380,38 +453,31 @@ impl FeedbackAggregator {
             return AggregateOutcome::ForeignSession;
         }
 
-        // One walk of the receiver table: dedup, the cap and the update
-        // all go through this entry. `population` counts the source.
-        let tracked = self.receivers.len() as u64;
-        let (state, old_bucket, population) = match self.receivers.entry(SourceKey::new(src)) {
-            Entry::Occupied(entry) => {
+        // One walk of the source's index: dedup, the cap and the update
+        // all go through this admission. `population` counts the source.
+        let tracked = self.receivers.slab.len() as u64;
+        let cap = self.config.max_receivers;
+        let (state, old_bucket, population) = match self.receivers.admit(src, cap, self.tick) {
+            Some((state, new)) => {
                 // Per-receiver dedup: a monotone report_seq guard per source.
-                if report.report_seq <= entry.get().last_report_seq {
+                if !new && report.report_seq <= state.last_report_seq {
                     self.stats.deduped += 1;
                     self.metrics.deduped.inc();
                     return AggregateOutcome::Deduped;
                 }
-                if entry.get().last_active < self.tick {
+                if new || state.last_active < self.tick {
                     self.heard_this_tick += 1;
                 }
-                let bucket = entry.get().completion_bucket();
-                (entry.into_mut(), Some(bucket), tracked)
+                let bucket = (!new).then(|| state.completion_bucket());
+                (state, bucket, tracked + u64::from(new))
             }
-            Entry::Vacant(entry) => {
-                if tracked >= self.config.max_receivers as u64 {
-                    // Over the cap: count the digest but do not track the
-                    // source — the summary undercounts instead of the
-                    // sender exhausting memory.
-                    self.stats.accepted += 1;
-                    self.metrics.accepted.inc();
-                    return AggregateOutcome::Accepted;
-                }
-                self.heard_this_tick += 1;
-                (
-                    entry.insert(ReceiverState::new(self.tick)),
-                    None,
-                    tracked + 1,
-                )
+            None => {
+                // Over the cap: count the digest but do not track the
+                // source — the summary undercounts instead of the
+                // sender exhausting memory.
+                self.stats.accepted += 1;
+                self.metrics.accepted.inc();
+                return AggregateOutcome::Accepted;
             }
         };
         if state.nack_window < self.tick {
@@ -576,7 +642,7 @@ impl FeedbackAggregator {
     /// after every tracked receiver reported, or within `idle_ticks` of
     /// the last sweep's oldest survivor, touches no receiver.
     pub fn advance_tick(&mut self) -> usize {
-        if self.heard_this_tick == self.receivers.len() {
+        if self.heard_this_tick == self.receivers.slab.len() {
             // Everyone reported this tick: the oldest is exactly now.
             self.active_floor = self.tick;
         }
@@ -589,51 +655,45 @@ impl FeedbackAggregator {
         // One pass: every update below commutes, so eviction order does
         // not matter. The survivors' oldest tick is the new floor.
         let mut evicted = 0usize;
-        let mut oldest = self.tick;
-        self.receivers.retain(|&key, state| {
-            if state.last_active >= deadline {
-                oldest = oldest.min(state.last_active);
-                return true;
-            }
-            evicted += 1;
-            if let Some(slot) = self.completion_hist.get_mut(state.completion_bucket()) {
-                *slot = slot.saturating_sub(1);
-            }
-            if state.session_complete {
-                self.session_complete_count = self.session_complete_count.saturating_sub(1);
-            }
-            // Drop its completion votes so per-TOI population completion
-            // keeps meaning "all *current* receivers".
-            let mut mask = state.complete_mask;
-            while mask != 0 {
-                let toi = mask.trailing_zeros();
-                mask &= mask - 1;
-                if let Some(c) = self.toi_complete.get_mut(&toi) {
-                    *c = c.saturating_sub(1);
+        self.active_floor = self
+            .receivers
+            .sweep(deadline, self.tick, &mut |addr, state| {
+                evicted += 1;
+                if let Some(slot) = self.completion_hist.get_mut(state.completion_bucket()) {
+                    *slot = slot.saturating_sub(1);
                 }
-            }
-            let addr = key.addr();
-            while let Some(&(_, toi)) = self
-                .complete_overflow
-                .range((addr, 0)..=(addr, u32::MAX))
-                .next()
-            {
-                self.complete_overflow.remove(&(addr, toi));
-                if let Some(c) = self.toi_complete.get_mut(&toi) {
-                    *c = c.saturating_sub(1);
+                if state.session_complete {
+                    self.session_complete_count = self.session_complete_count.saturating_sub(1);
                 }
-            }
-            if self.worst.is_some_and(|w| w.addr == addr) {
-                // The worst receiver left; the next accepted digest
-                // re-seeds the comparison.
-                self.worst = None;
-            }
-            false
-        });
-        self.active_floor = oldest;
+                // Drop its completion votes so per-TOI population completion
+                // keeps meaning "all *current* receivers".
+                let mut mask = state.complete_mask;
+                while mask != 0 {
+                    let toi = mask.trailing_zeros();
+                    mask &= mask - 1;
+                    if let Some(c) = self.toi_complete.get_mut(&toi) {
+                        *c = c.saturating_sub(1);
+                    }
+                }
+                while let Some(&(_, toi)) = self
+                    .complete_overflow
+                    .range((addr, 0)..=(addr, u32::MAX))
+                    .next()
+                {
+                    self.complete_overflow.remove(&(addr, toi));
+                    if let Some(c) = self.toi_complete.get_mut(&toi) {
+                        *c = c.saturating_sub(1);
+                    }
+                }
+                if self.worst.is_some_and(|w| w.addr == addr) {
+                    // The worst receiver left; the next accepted digest
+                    // re-seeds the comparison.
+                    self.worst = None;
+                }
+            });
         self.stats.evicted += evicted as u64;
         self.metrics.evicted.add(evicted as u64);
-        self.metrics.receivers.set(self.receivers.len() as f64);
+        self.metrics.receivers.set(self.receivers.slab.len() as f64);
         evicted
     }
 
@@ -653,7 +713,7 @@ impl FeedbackAggregator {
             })
             .unwrap_or(0.0);
         PopulationSummary {
-            receivers: self.receivers.len() as u64,
+            receivers: self.receivers.slab.len() as u64,
             worst_loss,
             completion_quantiles: [
                 self.completion_quantile(0.10),
@@ -716,7 +776,7 @@ impl FeedbackAggregator {
     /// complete (false while no receiver is tracked; a late joiner that
     /// has not completed it reopens the object).
     pub fn is_complete(&self, toi: u32) -> bool {
-        let population = self.receivers.len() as u64;
+        let population = self.receivers.slab.len() as u64;
         self.toi_complete
             .get(&toi)
             .is_some_and(|&count| covers(count, population))
@@ -724,7 +784,7 @@ impl FeedbackAggregator {
 
     /// TOIs complete across the whole currently tracked population.
     pub fn completed(&self) -> impl Iterator<Item = u32> + '_ {
-        let population = self.receivers.len() as u64;
+        let population = self.receivers.slab.len() as u64;
         self.toi_complete
             .iter()
             .filter(move |(_, &count)| covers(count, population))
@@ -734,12 +794,13 @@ impl FeedbackAggregator {
     /// Whether every currently tracked receiver has reported the whole
     /// session complete (false while no receiver is tracked).
     pub fn session_complete(&self) -> bool {
-        !self.receivers.is_empty() && self.session_complete_count >= self.receivers.len() as u64
+        !self.receivers.slab.is_empty()
+            && self.session_complete_count >= self.receivers.slab.len() as u64
     }
 
     /// Receivers currently tracked.
     pub fn receiver_count(&self) -> usize {
-        self.receivers.len()
+        self.receivers.slab.len()
     }
 
     /// The current worst receiver, if any digest has arrived.
@@ -762,7 +823,7 @@ impl FeedbackAggregator {
 /// when this report makes the object complete across the whole tracked
 /// `population` (the reporting receiver included) for the first time.
 /// A function over the fields it touches, so it runs while the caller
-/// holds the receiver's table entry.
+/// holds the receiver's state.
 fn note_receiver_completion(
     toi_complete: &mut BTreeMap<u32, u64>,
     complete_overflow: &mut BTreeSet<(SocketAddr, u32)>,
@@ -1160,6 +1221,42 @@ mod tests {
         assert_eq!(a.completed().collect::<Vec<_>>(), vec![70]);
         a.ingest(addr(1), &high(6, true));
         assert_eq!(a.completed().collect::<Vec<_>>(), vec![70, 200]);
+    }
+
+    /// A spoofed-source flood that reports once and goes silent is
+    /// evicted as a whole, and the sweep hands its slab back: what stays
+    /// is sized for the survivors, none here. New sources still land.
+    #[test]
+    fn an_idle_flood_gives_its_memory_back() {
+        let config = AggregatorConfig {
+            idle_ticks: 3,
+            ..AggregatorConfig::default()
+        };
+        let mut a = FeedbackAggregator::new(7, config, ControllerConfig::default());
+        let d = digest(1, 1, 99);
+        for i in 0..100_000u32 {
+            let src = SocketAddr::from((Ipv4Addr::from_bits(0x0a00_0000 + i), 4000));
+            assert_ne!(a.ingest(src, &d), AggregateOutcome::Deduped);
+        }
+        assert_eq!(a.receiver_count(), 100_000);
+        assert!(a.receivers.slab.capacity() >= 100_000);
+        // The tick that closes the flood's round, then `idle_ticks`
+        // silent ones: the last of them sweeps.
+        for _ in 0..config.idle_ticks {
+            assert_eq!(a.advance_tick(), 0, "nobody due yet");
+        }
+        assert_eq!(a.advance_tick(), 100_000);
+        assert_eq!(a.receiver_count(), 0);
+        assert_eq!(a.receivers.slab.capacity(), 0, "zero survivors, zero slots");
+        assert!(a.receivers.v4.is_empty() && a.receivers.v6.is_empty());
+        assert_eq!(a.worst_receiver(), None);
+
+        let v6 = SocketAddr::from((std::net::Ipv6Addr::LOCALHOST, 4000));
+        for src in [v6, addr(1)] {
+            assert!(matches!(a.ingest(src, &d), AggregateOutcome::Folded { .. }));
+        }
+        assert_eq!(a.ingest(addr(1), &d), AggregateOutcome::Deduped);
+        assert_eq!(a.receiver_count(), 2);
     }
 
     #[test]

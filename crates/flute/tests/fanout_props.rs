@@ -311,6 +311,8 @@ struct ModelReceiver {
 /// The aggregator's rules from its module doc, written as a linear scan
 /// over a `Vec`: no counters, masks or histograms to keep in step.
 struct Model {
+    /// The receiver cap.
+    max_receivers: usize,
     receivers: Vec<ModelReceiver>,
     worst: Option<SocketAddr>,
     tick: u64,
@@ -322,7 +324,12 @@ struct Model {
 
 impl Model {
     fn new() -> Model {
+        Model::with_cap(ORACLE_MAX_RECEIVERS)
+    }
+
+    fn with_cap(max_receivers: usize) -> Model {
         Model {
+            max_receivers,
             receivers: Vec::new(),
             worst: None,
             tick: 0,
@@ -367,7 +374,7 @@ impl Model {
                 return AggregateOutcome::Deduped;
             }
             Some(i) => i,
-            None if self.receivers.len() >= ORACLE_MAX_RECEIVERS => {
+            None if self.receivers.len() >= self.max_receivers => {
                 self.stats.accepted += 1;
                 return AggregateOutcome::Accepted;
             }
@@ -718,6 +725,175 @@ proptest! {
                 "step {}",
                 step
             );
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Sweeps that evict part of the population, then re-admission.
+// ---------------------------------------------------------------------
+
+/// Sources of the sweep cases: even numbers IPv4 (pairs of them share an
+/// address on different ports), odd numbers IPv6. Within a family a
+/// higher number sorts lower, so reporting in number order admits
+/// against key order and each sweep moves its survivors to new slots.
+const SWEEP_SOURCES: u16 = 12;
+
+fn sweep_source(n: u16) -> SocketAddr {
+    let rank = SWEEP_SOURCES - n % SWEEP_SOURCES;
+    if n.is_multiple_of(2) {
+        SocketAddr::from(([10, 2, 0, (rank / 4) as u8], 4000 + rank % 4))
+    } else {
+        SocketAddr::from((Ipv6Addr::new(0xfd00, 0, 0, 0, 0, 0, 0, rank), 4000))
+    }
+}
+
+/// The sweep cases' aggregator and model: the cap holds the whole pool,
+/// so only silence evicts.
+fn sweep_pair() -> (FeedbackAggregator, Model) {
+    let config = AggregatorConfig {
+        idle_ticks: ORACLE_IDLE_TICKS,
+        max_receivers: SWEEP_SOURCES.into(),
+        nack_budget: ORACLE_NACK_BUDGET,
+    };
+    let agg = FeedbackAggregator::new(ORACLE_TSI, config, ControllerConfig::default());
+    (agg, Model::with_cap(SWEEP_SOURCES.into()))
+}
+
+/// A fresh digest from every source in `reporters`, in number order,
+/// then a tick. Source `n` numbers its digests from `1000 · (n + 1)`
+/// (`sent` counts them), so sequence ranges grow with `n`: a source
+/// handed a higher source's state is deduped where the model accepts.
+fn sweep_round(
+    agg: &mut FeedbackAggregator,
+    model: &mut Model,
+    sent: &mut [u32],
+    reporters: u16,
+    bits: u64,
+) {
+    for n in (0..SWEEP_SOURCES).filter(|n| reporters & (1 << n) != 0) {
+        let src = sweep_source(n);
+        sent[usize::from(n)] += 1;
+        let mut digest = oracle_digest(
+            1000 * (u32::from(n) + 1) + sent[usize::from(n)],
+            bits ^ u64::from(n),
+        );
+        digest.tsi = ORACLE_TSI;
+        prop_assert_eq!(
+            agg.ingest(src, &digest),
+            model.ingest(src, &digest),
+            "source {}",
+            n
+        );
+    }
+    prop_assert_eq!(agg.advance_tick(), model.advance_tick());
+}
+
+/// Everything the aggregator exposes equals the model's view.
+fn agrees(agg: &FeedbackAggregator, model: &Model, step: usize) {
+    prop_assert_eq!(agg.stats(), model.stats, "step {}", step);
+    prop_assert_eq!(agg.worst_receiver(), model.worst, "step {}", step);
+    prop_assert_eq!(agg.receiver_count(), model.receivers.len(), "step {}", step);
+    prop_assert_eq!(agg.summary(), model.summary(), "step {}", step);
+    for toi in ORACLE_TOIS {
+        prop_assert_eq!(
+            agg.is_complete(toi),
+            model.is_complete(toi),
+            "step {} toi {}",
+            step,
+            toi
+        );
+    }
+    prop_assert_eq!(
+        agg.completed().collect::<Vec<_>>(),
+        model.completed(),
+        "step {}",
+        step
+    );
+    prop_assert_eq!(
+        agg.session_complete(),
+        model.session_complete(),
+        "step {}",
+        step
+    );
+    prop_assert_eq!(
+        agg.controller().estimator().counts(),
+        model.controller.estimator().counts(),
+        "step {}",
+        step
+    );
+    prop_assert_eq!(
+        agg.controller().in_backoff(),
+        model.controller.in_backoff(),
+        "step {}",
+        step
+    );
+}
+
+/// Two sweeps, scripted: the first evicts half the population, then
+/// evicted IPv4 and IPv6 sources come back beside four new ones,
+/// admitted against key order; the second sweep evicts the first
+/// survivors, and they, and sources gone since the first, come back.
+#[test]
+fn partial_sweeps_then_readmission_match_the_model() {
+    let (mut agg, mut model) = sweep_pair();
+    let mut sent = [0u32; SWEEP_SOURCES as usize];
+    let first_eight = 0x0FF;
+    let survivors = 0x00F;
+    let back = 0xF30; // 4 and 5 again, 8..12 for the first time
+    let script: [(u16, usize); 7] = [
+        (first_eight, 0),
+        (survivors, 0),
+        (survivors, 4), // this tick evicts 4..8
+        (survivors | back, 10),
+        (back, 10),
+        (back, 6), // this tick evicts 0..4
+        (0xFFF, 12),
+    ];
+    for (step, &(reporters, tracked)) in script.iter().enumerate() {
+        sweep_round(
+            &mut agg,
+            &mut model,
+            &mut sent,
+            reporters,
+            step as u64 * 0x9E37,
+        );
+        if step == 5 {
+            let _ = agg.take_nack_requests();
+            let _ = model.take_nack_requests();
+        }
+        agrees(&agg, &model, step);
+        if tracked > 0 {
+            prop_assert_eq!(agg.receiver_count(), tracked, "step {}", step);
+        }
+    }
+    prop_assert_eq!(agg.stats().evicted, 8);
+    sweep_round(&mut agg, &mut model, &mut sent, 0xFFF, 7);
+    agrees(&agg, &model, script.len());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Random rounds over the sweep pool: a source silent for
+    /// `idle_ticks` is swept while the others move slots, and comes
+    /// back as a new receiver; the last four sources join only after
+    /// the first eight steps. The aggregator agrees with the model after
+    /// every step.
+    #[test]
+    fn sweeps_and_readmission_match_the_model(
+        ops in proptest::collection::vec((0u8..8, any::<u16>(), any::<u64>()), 8..48),
+    ) {
+        let (mut agg, mut model) = sweep_pair();
+        let mut sent = [0u32; SWEEP_SOURCES as usize];
+        for (step, &(kind, reporters, bits)) in ops.iter().enumerate() {
+            let pool: u16 = if step < 8 { 0x0FF } else { 0xFFF };
+            match kind {
+                0..=5 => sweep_round(&mut agg, &mut model, &mut sent, reporters & pool, bits),
+                6 => prop_assert_eq!(agg.advance_tick(), model.advance_tick(), "step {}", step),
+                _ => prop_assert_eq!(agg.take_nack_requests(), model.take_nack_requests(), "step {}", step),
+            }
+            agrees(&agg, &model, step);
         }
     }
 }

@@ -10,7 +10,7 @@ use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use serde::{Deserialize, Serialize};
 
@@ -128,7 +128,10 @@ struct LogInner {
 ///
 /// Clones share the same buffer. Recording never blocks and never
 /// allocates beyond the event itself: when the buffer is full the oldest
-/// record is evicted and counted in [`EventLog::dropped`].
+/// record is evicted and counted in [`EventLog::dropped`]. The buffer is
+/// whole between statements, so a thread that panicked while holding
+/// the lock leaves it usable: a poisoned lock is taken over, not
+/// propagated.
 #[derive(Debug, Clone)]
 pub struct EventLog {
     inner: Arc<Mutex<LogInner>>,
@@ -148,9 +151,14 @@ impl EventLog {
         }
     }
 
+    /// The buffer, taken over if a panicking thread poisoned the lock.
+    fn lock(&self) -> MutexGuard<'_, LogInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Appends an event, evicting the oldest record if full.
     pub fn record(&self, event: Event) {
-        let mut inner = self.inner.lock().expect("event log poisoned");
+        let mut inner = self.lock();
         if inner.records.len() == inner.capacity {
             inner.records.pop_front();
             inner.dropped += 1;
@@ -162,13 +170,12 @@ impl EventLog {
 
     /// Removes and returns every buffered record, oldest first.
     pub fn drain(&self) -> Vec<EventRecord> {
-        let mut inner = self.inner.lock().expect("event log poisoned");
-        inner.records.drain(..).collect()
+        self.lock().records.drain(..).collect()
     }
 
     /// Records buffered right now.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("event log poisoned").records.len()
+        self.lock().records.len()
     }
 
     /// Whether the buffer is empty.
@@ -178,12 +185,12 @@ impl EventLog {
 
     /// Records evicted (lost) because the buffer was full.
     pub fn dropped(&self) -> u64 {
-        self.inner.lock().expect("event log poisoned").dropped
+        self.lock().dropped
     }
 
     /// Total events ever recorded (including later-evicted ones).
     pub fn recorded(&self) -> u64 {
-        self.inner.lock().expect("event log poisoned").next_seq
+        self.lock().next_seq
     }
 }
 
@@ -262,6 +269,31 @@ mod tests {
         let drained = log.drain();
         let seqs: Vec<u64> = drained.iter().map(|r| r.seq).collect();
         assert_eq!(seqs, vec![3, 4]);
+    }
+
+    #[test]
+    fn a_poisoned_log_still_records_and_drains() {
+        let log = EventLog::bounded(4);
+        log.record(Event::ObjectComplete { toi: 1 });
+        let holder = log.clone();
+        let panicked = std::thread::spawn(move || {
+            let _guard = holder.inner.lock().unwrap();
+            panic!("a recording thread dies holding the lock");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(log.inner.is_poisoned());
+        log.record(Event::ObjectComplete { toi: 2 });
+        assert_eq!((log.len(), log.recorded(), log.dropped()), (2, 2, 0));
+        let events: Vec<Event> = log.drain().into_iter().map(|r| r.event).collect();
+        assert_eq!(
+            events,
+            [
+                Event::ObjectComplete { toi: 1 },
+                Event::ObjectComplete { toi: 2 }
+            ]
+        );
+        assert!(log.is_empty());
     }
 
     #[test]
