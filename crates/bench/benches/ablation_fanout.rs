@@ -827,6 +827,11 @@ fn main() {
             agg.rss_mb
         );
         assert!(
+            agg.register_ns_per_digest < 50_000.0,
+            "registering a receiver must stay micro-scale: {} ns",
+            agg.register_ns_per_digest
+        );
+        assert!(
             agg.ingest_ns_per_digest < 50_000.0,
             "digest ingest must stay micro-scale: {} ns",
             agg.ingest_ns_per_digest

@@ -53,10 +53,11 @@
 //! address. A digest costs one walk of its index: a single `entry`
 //! decides dedup and the cap, the state is updated in its slot, and the
 //! worst receiver's counters are cached beside its address, so the
-//! comparison looks nothing up. A new source appends to the slab; only
-//! an evicting sweep frees slots, by moving the survivors into a fresh
-//! slab in key order, so the slab has no holes and an idle flood's
-//! memory is given back.
+//! comparison looks nothing up. A new source appends to the slab, so
+//! the slab is in arrival order; only an evicting sweep frees slots, by
+//! moving each survivor down over the evictions before it, so the slab
+//! has no holes, keeps arrival order, and gives an idle flood's memory
+//! back.
 //!
 //! [`ingest_datagram`](FeedbackAggregator::ingest_datagram) parses into a
 //! report the aggregator keeps (the live sender reads it back through
@@ -171,7 +172,7 @@ pub struct AggregateStats {
 /// resident set per registered receiver (`feedback.bytes_per_receiver`),
 /// and `ablation_fanout` 93.0 at 10⁶ receivers
 /// (`table_bytes_per_receiver` in `BENCH_fanout.json`).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct ReceiverState {
     last_report_seq: u32,
     last_active: u64,
@@ -219,16 +220,30 @@ impl Table {
     }
 
     /// Evicts every receiver last active before `deadline`, handing each
-    /// to `evict`, and moves the survivors into a fresh slab of exactly
-    /// their number, in index order, their slots following. Returns the
-    /// survivors' oldest last-active tick (`now` when none survives).
+    /// to `evict`, and closes the gaps in place: a survivor moves down by
+    /// the evictions before it, so the slab keeps arrival order and has no
+    /// holes, and a slab left under half full gives its spare capacity
+    /// back. Returns the survivors' oldest last-active tick (`now` when
+    /// none survives).
     fn sweep(&mut self, deadline: u64, now: u64, evict: &mut Evict) -> u64 {
-        let old = std::mem::take(&mut self.slab);
-        let survivors = old.iter().filter(|s| s.last_active >= deadline).count();
-        self.slab = Vec::with_capacity(survivors);
-        let fresh = &mut self.slab;
-        sweep(&mut self.v4, &old, fresh, deadline, v4_addr, evict);
-        sweep(&mut self.v6, &old, fresh, deadline, SocketAddr::V6, evict);
+        let survives = |s: &ReceiverState| s.last_active >= deadline;
+        let survivors = self.slab.iter().filter(|s| survives(s)).count();
+        if survivors < self.slab.len() {
+            // A survivor's new slot: the survivors before it. When nobody
+            // survives, nobody needs one.
+            let (mut slots, mut kept) = (Vec::with_capacity(self.slab.len()), 0);
+            for s in self.slab.iter().take_while(|_| survivors > 0) {
+                slots.push(kept);
+                kept += u32::from(survives(s));
+            }
+            let (slab, slots) = (&self.slab, &slots);
+            sweep(&mut self.v4, slab, slots, deadline, v4_addr, evict);
+            sweep(&mut self.v6, slab, slots, deadline, SocketAddr::V6, evict);
+            self.slab.retain(survives);
+            if self.slab.capacity() / 2 > survivors {
+                self.slab.shrink_to_fit();
+            }
+        }
         self.slab.iter().map(|s| s.last_active).fold(now, u64::min)
     }
 }
@@ -268,28 +283,29 @@ fn admit<'a, K: Ord>(
     }
 }
 
-/// One family's share of [`Table::sweep`]: walks `index` in key order,
-/// evicting the receivers `old` holds last active before `deadline` and
-/// appending the others to `fresh` under their new slots.
+/// One family's share of [`Table::sweep`]: evicts the receivers `slab`
+/// holds last active before `deadline` from `index` and points the
+/// others at their slot after compaction, `slots[old slot]`.
 fn sweep<K: Ord + Copy>(
     index: &mut BTreeMap<K, u32>,
-    old: &[ReceiverState],
-    fresh: &mut Vec<ReceiverState>,
+    slab: &[ReceiverState],
+    slots: &[u32],
     deadline: u64,
     addr: fn(K) -> SocketAddr,
     evict: &mut Evict,
 ) {
     index.retain(|&key, slot| {
-        let Some(state) = old.get(*slot as usize) else {
+        let Some(state) = slab.get(*slot as usize) else {
             return false;
         };
         if state.last_active < deadline {
             evict(addr(key), state);
             return false;
         }
-        // Below `old.len()`, which every slot was.
-        *slot = fresh.len() as u32;
-        fresh.push(*state);
+        let Some(&moved) = slots.get(*slot as usize) else {
+            return false;
+        };
+        *slot = moved;
         true
     });
 }
@@ -298,16 +314,9 @@ impl ReceiverState {
     /// A receiver first heard from at `tick`.
     fn new(tick: u64) -> ReceiverState {
         ReceiverState {
-            last_report_seq: 0,
             last_active: tick,
-            received: 0,
-            lost: 0,
-            objects: 0,
-            objects_complete: 0,
-            complete_mask: 0,
-            session_complete: false,
-            nack_used: 0,
             nack_window: tick,
+            ..ReceiverState::default()
         }
     }
 
@@ -1224,8 +1233,9 @@ mod tests {
     }
 
     /// A spoofed-source flood that reports once and goes silent is
-    /// evicted as a whole, and the sweep hands its slab back: what stays
-    /// is sized for the survivors, none here. New sources still land.
+    /// evicted as a whole, and the sweep hands its slab back: a slab
+    /// left under half full is shrunk to the survivors, none here. New
+    /// sources still land.
     #[test]
     fn an_idle_flood_gives_its_memory_back() {
         let config = AggregatorConfig {
@@ -1257,6 +1267,51 @@ mod tests {
         }
         assert_eq!(a.ingest(addr(1), &d), AggregateOutcome::Deduped);
         assert_eq!(a.receiver_count(), 2);
+    }
+
+    /// A sweep that evicts a tenth compacts the slab where it is, the
+    /// survivors in arrival order, not key order; a sweep that evicts
+    /// nobody leaves the slab alone.
+    #[test]
+    fn a_partial_sweep_compacts_in_place() {
+        let config = AggregatorConfig {
+            idle_ticks: 2,
+            ..AggregatorConfig::default()
+        };
+        let mut a = FeedbackAggregator::new(7, config, ControllerConfig::default());
+        // Arrival order is not key order.
+        let src = |i: u32| SocketAddrV4::new(Ipv4Addr::from_bits(0x0a00_0000 + i * 7919 % 1000), 9);
+        let round = |a: &mut FeedbackAggregator, seq, heard: &dyn Fn(u32) -> bool| {
+            for i in (0..1000).filter(|&i| heard(i)) {
+                assert_ne!(
+                    a.ingest(src(i).into(), &digest(seq, 1, 99)),
+                    AggregateOutcome::Deduped
+                );
+            }
+            a.advance_tick()
+        };
+        let stays = |i: u32| !i.is_multiple_of(10);
+        assert_eq!(round(&mut a, 1, &|_| true), 0);
+        assert_eq!(round(&mut a, 2, &stays), 0);
+        let (slab, capacity) = (a.receivers.slab.as_ptr(), a.receivers.slab.capacity());
+        assert_eq!(round(&mut a, 3, &stays), 100);
+        let mut by_slot: Vec<(u32, u64)> = a.receivers.v4.iter().map(|(&k, &s)| (s, k)).collect();
+        by_slot.sort_unstable();
+        let arrival: Vec<(u32, u64)> = (0..1000)
+            .filter(|&i| stays(i))
+            .map(|i| v4_key(src(i)))
+            .zip(0..)
+            .map(|(k, s)| (s, k))
+            .collect();
+        assert_eq!(by_slot, arrival);
+        assert_eq!(a.receivers.slab.as_ptr(), slab, "compacted where it is");
+        assert_eq!(a.receivers.slab.capacity(), capacity);
+        // Half the survivors skip each round: the floor lags, so the
+        // next tick sweeps, and finds nobody due.
+        assert_eq!(round(&mut a, 4, &|i| stays(i) && i % 2 == 1), 0);
+        assert_eq!(round(&mut a, 5, &|i| stays(i) && i % 2 == 0), 0);
+        assert_eq!(a.receivers.slab.as_ptr(), slab, "no eviction, no move");
+        assert_eq!(a.receiver_count(), 900);
     }
 
     #[test]

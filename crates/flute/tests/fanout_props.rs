@@ -736,7 +736,8 @@ proptest! {
 /// Sources of the sweep cases: even numbers IPv4 (pairs of them share an
 /// address on different ports), odd numbers IPv6. Within a family a
 /// higher number sorts lower, so reporting in number order admits
-/// against key order and each sweep moves its survivors to new slots.
+/// against key order: slab order and index order differ, and a sweep
+/// moves the survivors after an evicted slot to new slots.
 const SWEEP_SOURCES: u16 = 12;
 
 fn sweep_source(n: u16) -> SocketAddr {
