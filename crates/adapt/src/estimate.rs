@@ -84,10 +84,20 @@ impl ChannelEstimate {
 }
 
 /// Sliding-window online estimator of Gilbert `(p, q)`.
+///
+/// The window is held as runs of equal fate, so a run of any length costs
+/// O(1) amortised: one boundary transition, its same-state pairs added in
+/// one step, and a trim at the front.
 #[derive(Debug, Clone)]
 pub struct OnlineGilbertEstimator {
-    window: VecDeque<bool>,
-    capacity: usize,
+    /// The window's observations as `(lost, length)` runs, oldest first;
+    /// neighbouring runs differ in fate.
+    window: VecDeque<(bool, u64)>,
+    /// Observations in the window.
+    len: u64,
+    /// Lost observations in the window.
+    lost: u64,
+    capacity: u64,
     counts: TransitionCounts,
 }
 
@@ -105,8 +115,10 @@ impl OnlineGilbertEstimator {
             "estimation window must hold at least one transition"
         );
         OnlineGilbertEstimator {
-            window: VecDeque::with_capacity(window + 1),
-            capacity: window,
+            window: VecDeque::new(),
+            len: 0,
+            lost: 0,
+            capacity: window as u64,
             counts: TransitionCounts::default(),
         }
     }
@@ -114,15 +126,7 @@ impl OnlineGilbertEstimator {
     /// Records the fate of one packet (`true` = lost), in transmission
     /// order.
     pub fn push(&mut self, lost: bool) {
-        if let Some(&back) = self.window.back() {
-            self.counts.record(back, lost);
-        }
-        self.window.push_back(lost);
-        if self.window.len() > self.capacity {
-            let evicted = self.window.pop_front().expect("non-empty");
-            let new_front = *self.window.front().expect("window > 1");
-            self.counts.unrecord(evicted, new_front);
-        }
+        self.push_run(lost, 1);
     }
 
     /// Records one run of `len` consecutive packets that all shared the
@@ -131,25 +135,62 @@ impl OnlineGilbertEstimator {
     /// only contribute their final `capacity` observations, exactly as if
     /// they had been pushed one by one.
     pub fn push_run(&mut self, lost: bool, len: u64) {
-        // A run that alone overflows the window leaves the window entirely
-        // uniform; skip the evicted middle instead of churning through it.
-        let cap = self.capacity as u64;
-        if len > cap {
-            self.window.clear();
-            self.counts = TransitionCounts::default();
-            for _ in 0..cap {
-                self.push(lost);
-            }
+        // Of a run that alone fills the window, only its last `capacity`
+        // observations stay; the trim below evicts everything older.
+        let len = len.min(self.capacity);
+        if len == 0 {
             return;
         }
-        for _ in 0..len {
-            self.push(lost);
+        if let Some(&(back, _)) = self.window.back() {
+            self.counts.record(back, lost);
+        }
+        *stays(&mut self.counts, lost) += len - 1;
+        match self.window.back_mut() {
+            Some(back) if back.0 == lost => back.1 += len,
+            _ => self.window.push_back((lost, len)),
+        }
+        self.len += len;
+        if lost {
+            self.lost += len;
+        }
+        self.trim();
+    }
+
+    /// Evicts the oldest observations until the window fits its capacity,
+    /// unrecording the pair each evicted observation began.
+    fn trim(&mut self) {
+        while self.len > self.capacity {
+            let excess = self.len - self.capacity;
+            let Some(front) = self.window.front_mut() else {
+                break;
+            };
+            let (fate, evicted) = if excess < front.1 {
+                // Only same-state pairs leave with part of the front run.
+                front.1 -= excess;
+                *stays(&mut self.counts, front.0) -= excess;
+                (front.0, excess)
+            } else {
+                // The whole front run leaves, with the pair that joins it
+                // to the next run: the window still holds `capacity ≥ 2`
+                // observations after it, so that run exists.
+                let (fate, run) = *front;
+                self.window.pop_front();
+                *stays(&mut self.counts, fate) -= run - 1;
+                if let Some(&(next, _)) = self.window.front() {
+                    self.counts.unrecord(fate, next);
+                }
+                (fate, run)
+            };
+            self.len -= evicted;
+            if fate {
+                self.lost -= evicted;
+            }
         }
     }
 
     /// Observations currently in the window.
     pub fn window_len(&self) -> usize {
-        self.window.len()
+        self.len as usize
     }
 
     /// The windowed transition counts (the estimator's whole state).
@@ -159,10 +200,10 @@ impl OnlineGilbertEstimator {
 
     /// Loss fraction inside the window.
     fn window_loss_rate(&self) -> f64 {
-        if self.window.is_empty() {
+        if self.len == 0 {
             return 0.0;
         }
-        self.window.iter().filter(|&&l| l).count() as f64 / self.window.len() as f64
+        self.lost as f64 / self.len as f64
     }
 
     /// The current estimate, `None` until the window holds at least one
@@ -214,7 +255,7 @@ impl OnlineGilbertEstimator {
         } else {
             p_hi / (p_hi + q_lo)
         };
-        let n = self.window.len() as f64;
+        let n = self.len as f64;
         let loss_fraction = self.window_loss_rate();
         let rho = (1.0 - p_hat - q_hat).clamp(0.0, 0.99);
         let ess = ((n * (1.0 - rho) / (1.0 + rho)).round() as u64).max(1);
@@ -227,9 +268,19 @@ impl OnlineGilbertEstimator {
             params,
             p_ci: ConfidenceInterval { lo: p_lo, hi: p_hi },
             q_ci: ConfidenceInterval { lo: q_lo, hi: q_hi },
-            window_len: self.window.len(),
+            window_len: self.window_len(),
             stationary_upper,
         })
+    }
+}
+
+/// The count of same-state pairs (`lost → lost` or `delivered →
+/// delivered`) for observations of fate `lost`.
+fn stays(counts: &mut TransitionCounts, lost: bool) -> &mut u64 {
+    if lost {
+        &mut counts.bad
+    } else {
+        &mut counts.good
     }
 }
 
@@ -424,15 +475,25 @@ mod tests {
         runs.push((true, 500)); // overflows the 64-packet window outright
         runs.push((false, 3));
 
+        // `push` is itself a run of one, so the window is also checked
+        // against a recount of the last 64 observations.
         let mut by_run = OnlineGilbertEstimator::new(64);
         let mut scalar = OnlineGilbertEstimator::new(64);
+        let mut mirror: Vec<bool> = Vec::new();
         for &(lost, len) in &runs {
             by_run.push_run(lost, len);
             for _ in 0..len {
                 scalar.push(lost);
+                mirror.push(lost);
             }
+            let last = mirror[mirror.len().saturating_sub(64)..].to_vec();
+            let losses = last.iter().filter(|&&l| l).count() as u64;
+            let recount = LossTrace::new(last).transition_counts();
+            assert_eq!(by_run.counts(), &recount);
             assert_eq!(by_run.counts(), scalar.counts());
+            assert_eq!(by_run.window_len(), mirror.len().min(64));
             assert_eq!(by_run.window_len(), scalar.window_len());
+            assert_eq!((by_run.lost, scalar.lost), (losses, losses));
         }
         assert_eq!(
             by_run.estimate().unwrap().params,

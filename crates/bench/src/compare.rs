@@ -146,6 +146,7 @@ mod tests {
                     max_inefficiency: v,
                     std_inefficiency: None,
                     mean_received_ratio: None,
+                    n_necessary: Vec::new(),
                 }
             })
             .collect();

@@ -13,7 +13,7 @@
 use fec_channel::{analysis::FeasibilityLimit, GilbertParams};
 use fec_codec::{builtin, registry, CodecHandle};
 use fec_sched::TxModel;
-use fec_sim::{ExpansionRatio, Experiment, Runner, SimError};
+use fec_sim::{CellAccum, ExpansionRatio, Experiment, Runner, SimError};
 use serde::{Deserialize, Serialize};
 
 use crate::TransmissionPlan;
@@ -252,21 +252,14 @@ impl MeasuredSelector {
             let (code, tx, ratio) = (code.clone(), *tx, *ratio);
             let exp = Experiment::new(code.clone(), self.k, ratio, tx).with_channel(channel);
             let runner = Runner::new(exp, Runner::DEFAULT_MATRIX_POOL.min(self.runs as usize))?;
-            let mut failures = 0u32;
-            let mut sum = 0.0f64;
-            let mut successes = 0u32;
+            let seed = fec_sim::mix_seed(self.seed, &[idx as u64]);
+            let mut accum = CellAccum::new(0);
             for run in 0..self.runs {
-                let seed = fec_sim::mix_seed(self.seed, &[idx as u64]);
                 let res = runner.run(seed, run as u64, false);
-                match res.inefficiency(self.k) {
-                    Some(i) => {
-                        sum += i;
-                        successes += 1;
-                    }
-                    None => failures += 1,
-                }
+                accum.record(res.n_necessary, res.n_received);
             }
-            let mean = (successes > 0).then(|| sum / successes as f64);
+            let stats = accum.finalize(channel.p(), channel.q(), self.k, false);
+            let (mean, failures) = (stats.mean_inefficiency_unmasked, stats.failures);
             let plan = (failures == 0).then(|| {
                 TransmissionPlan::new(
                     self.k,

@@ -15,7 +15,12 @@
 //! `inef_ratio = n_necessary_for_decoding / k`; the secondary curve
 //! `n_received / k` (everything the channel delivered, even after decoding
 //! finished) bounds it from above and reproduces the paper's
-//! `nreceived/k` surfaces.
+//! `nreceived/k` surfaces. Behind the mean, every cell keeps the exact law
+//! of `n_necessary` over its successful runs ([`CellStats::n_necessary`]),
+//! so its quantiles ([`CellStats::quantile`]) and the share of runs that
+//! decode within a packet budget ([`CellStats::decode_probability`]) are
+//! exact too; the accumulators behind it are integers and merge exactly in
+//! any order.
 //!
 //! Parallelism follows the workspace guides: scoped threads (structured
 //! concurrency, panics propagate) pulling from one work queue

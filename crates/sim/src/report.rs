@@ -33,15 +33,21 @@ pub fn paper_table(result: &SweepResult) -> String {
     out
 }
 
-/// CSV export: `p,q,runs,failures,mean_inef,min,max,std,mean_received_ratio`.
+/// CSV export: `p,q,runs,failures,mean_inef,min,max,std,mean_received_ratio`
+/// and the median, 99th and 99.9th percentile inefficiency
+/// ([`CellStats::quantile`](crate::CellStats::quantile) over `k`), each
+/// empty where it falls among the failures.
 pub fn to_csv(result: &SweepResult) -> String {
     let mut out = String::from(
-        "p,q,runs,failures,mean_inef,min_inef,max_inef,std_inef,mean_received_ratio\n",
+        "p,q,runs,failures,mean_inef,min_inef,max_inef,std_inef,mean_received_ratio,\
+         q50_inef,q99_inef,q999_inef\n",
     );
+    let k = result.experiment.k as f64;
     for c in &result.cells {
+        let quantile = |f| opt(c.quantile(f).map(|n| n as f64 / k));
         let _ = writeln!(
             out,
-            "{},{},{},{},{},{},{},{},{}",
+            "{},{},{},{},{},{},{},{},{},{},{},{}",
             c.p,
             c.q,
             c.runs,
@@ -51,6 +57,9 @@ pub fn to_csv(result: &SweepResult) -> String {
             opt(c.max_inefficiency),
             opt(c.std_inefficiency),
             opt(c.mean_received_ratio),
+            quantile(0.5),
+            quantile(0.99),
+            quantile(0.999),
         );
     }
     out
@@ -148,8 +157,19 @@ mod tests {
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 1 + r.cells.len());
         assert!(lines[0].starts_with("p,q,runs"));
+        assert!(lines[0].ends_with(",q50_inef,q99_inef,q999_inef"));
+        assert!(lines.iter().all(|l| l.split(',').count() == 12), "{csv}");
         // Masked cells leave the mean column empty.
         assert!(lines.iter().any(|l| l.contains(",,")));
+        // The hopeless cell (p = 0.9, q = 0.1) never decodes: no quantile.
+        assert!(lines[3].starts_with("0.9,0.1,3,3,") && lines[3].ends_with(",,,"));
+        // A cell where every run decoded has its quantiles, ordered.
+        let perfect: Vec<f64> = lines[1]
+            .split(',')
+            .skip(9)
+            .map(|v| v.parse().unwrap())
+            .collect();
+        assert!(perfect[0] >= 1.0 && perfect[0] <= perfect[1] && perfect[1] <= perfect[2]);
     }
 
     #[test]

@@ -40,11 +40,6 @@ impl RunResult {
     pub fn inefficiency(&self, k: usize) -> Option<f64> {
         self.n_necessary.map(|n| n as f64 / k as f64)
     }
-
-    /// The paper's `n_received / k` upper-bound curve.
-    pub fn received_ratio(&self, k: usize) -> f64 {
-        self.n_received as f64 / k as f64
-    }
 }
 
 /// The §4.2 repetition baseline: no FEC at all, completion is "collected

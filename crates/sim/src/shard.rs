@@ -10,16 +10,20 @@
 //! 2. **Shard** ([`Shard`]): `i/n` takes every unit whose id is `i` mod `n`.
 //! 3. **Execute** the shard's units
 //!    ([`GridSweep::execute_units`](crate::GridSweep::execute_units)) and
-//!    save them as a `fec-partial/1` file ([`PartialFile`]): a
+//!    save them as a `fec-partial/2` file ([`PartialFile`]): a
 //!    [`PartialHeader`] line carrying the plan, then one [`UnitResult`] per
-//!    line.
+//!    line, each holding its runs' law of `n_necessary`.
 //! 4. **Merge** ([`StreamingMerge`], [`merge_paths`]): fold the units of
-//!    every file, in any order, then reduce them in canonical order.
+//!    every file, in any order, and add each into its cell; the integer
+//!    accumulators add exactly, so no order is canonical.
 //!
 //! A partial file is untrusted input. The merge parses it totally, holds
 //! only the units it has read — a unit's cell and run count follow from
 //! its id — and refuses a unit the plan does not have, an accumulator that
-//! does not fit its unit, and a duplicate that disagrees.
+//! does not fit its unit (a law out of order, a zero count, counts that
+//! do not add up to the unit's runs), and a duplicate that disagrees. A
+//! `fec-partial/1` file from an earlier build holds float sums, which
+//! cannot be turned back into a law, so it is refused by its format tag.
 //!
 //! ```no_run
 //! use fec_codec::builtin;
@@ -61,7 +65,12 @@ use crate::{
 };
 
 /// Format tag of the partial-file layout.
-const PARTIAL_JSONL_FORMAT: &str = "fec-partial/1";
+const PARTIAL_JSONL_FORMAT: &str = "fec-partial/2";
+
+/// The largest `n_necessary` a law may hold. Below it, a cell's `u128`
+/// law moments (see [`CellAccum::finalize`]) cannot overflow; every
+/// built-in codec's envelope stays far below it.
+const MAX_PACKETS_PER_RUN: u64 = u32::MAX as u64;
 
 /// A fully-specified sweep with a frozen work-unit decomposition.
 ///
@@ -70,8 +79,8 @@ const PARTIAL_JSONL_FORMAT: &str = "fec-partial/1";
 /// canonical [`WorkUnit`] enumeration every participant agrees on. Because
 /// every unit's random streams derive from `(seed, cell index, absolute run
 /// index)` alone, *who* executes a unit and *in which order* never changes
-/// its result; merging the per-unit accumulators in canonical order
-/// therefore reproduces the single-process sweep byte for byte.
+/// its result; merging the per-unit accumulators, which is exact, therefore
+/// reproduces the single-process sweep byte for byte.
 /// [`GridSweep::new`](crate::GridSweep::new) validates its shape.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SweepPlan {
@@ -80,7 +89,7 @@ pub struct SweepPlan {
     /// Grid, runs-per-cell, seed and aggregation options.
     pub config: SweepConfig,
     /// Maximum runs per work unit (the run-range slicing granularity);
-    /// the `fec-partial/1` format carries it.
+    /// the `fec-partial/2` format carries it.
     pub runs_per_unit: u32,
 }
 
@@ -178,7 +187,7 @@ pub struct UnitResult {
 /// First line of a partial file: the plan, tagged with the format name.
 #[derive(Debug, Serialize, Deserialize)]
 pub struct PartialHeader {
-    /// Always `fec-partial/1`.
+    /// Always `fec-partial/2`.
     pub format: String,
     /// The complete plan (identical on every host).
     pub plan: SweepPlan,
@@ -219,9 +228,10 @@ impl PartialFile {
 }
 
 /// The merge: unit results fold in one at a time, from any source in any
-/// order, and [`finish`](StreamingMerge::finish) reduces them in canonical
-/// unit order, so the result is byte-identical to the single-process sweep
-/// of the same plan however the units were partitioned.
+/// order, and [`finish`](StreamingMerge::finish) adds each into its cell.
+/// The accumulators add exactly, so the result is byte-identical to the
+/// single-process sweep of the same plan however the units were
+/// partitioned.
 ///
 /// Memory follows what was folded, never what a plan claims: a unit's cell
 /// and run count are computed from its id, and only the units read so far
@@ -244,9 +254,11 @@ impl StreamingMerge {
     }
 
     /// Folds one unit result. The unit must exist in the plan, its
-    /// accumulator must cover the unit's cell and run count with no more
-    /// failures than runs, and a duplicate must be bit-identical (an
-    /// idempotent re-run is fine, a conflicting one is an error).
+    /// accumulator must cover the unit's cell and run count, its law must
+    /// be strictly ascending with non-zero counts that add up, with the
+    /// failures, to the unit's runs (so there are no more failures than
+    /// runs), and a duplicate must be bit-identical (an idempotent re-run
+    /// is fine, a conflicting one is an error).
     pub fn fold_unit(&mut self, unit: UnitResult) -> Result<(), SimError> {
         self.fold(unit).map_err(protocol)
     }
@@ -266,12 +278,7 @@ impl StreamingMerge {
                 accum.cell_idx, accum.runs, planned.cell_idx, planned.run_len
             ));
         }
-        if accum.failures > accum.runs {
-            return Err(format!(
-                "unit {unit_id} accumulator reports {} failure(s) in {} run(s)",
-                accum.failures, accum.runs
-            ));
-        }
+        check_law(unit_id, &accum)?;
         match self.units.entry(unit_id) {
             Entry::Occupied(held) if *held.get() != accum => Err(format!(
                 "unit {unit_id} was reported twice with conflicting results"
@@ -338,8 +345,11 @@ impl StreamingMerge {
         if self.units.is_empty() {
             return Err(protocol("the plan has no work units"));
         }
-        let accums: Vec<CellAccum> = self.units.into_values().collect();
-        let cells = finalize_cells(&self.plan.config, &accums);
+        let cells = finalize_cells(
+            &self.plan.config,
+            self.plan.experiment.k,
+            self.units.into_values(),
+        );
         Ok(SweepResult {
             experiment: self.plan.experiment,
             config: self.plan.config,
@@ -381,8 +391,8 @@ pub fn merge_paths<P: AsRef<Path>>(paths: &[P]) -> Result<(SweepResult, u64), Si
 
 /// Reads a partial file's header: its first non-blank line (a leading
 /// blank line, e.g. from a shell pipeline, is tolerated). Anything that
-/// is not a `fec-partial/1` header is rejected by naming the format a
-/// partial file must have.
+/// is not a `fec-partial/2` header — a `fec-partial/1` one included — is
+/// rejected by naming the format a partial file must have.
 fn read_header(lines: &mut Lines<impl BufRead>) -> Result<PartialHeader, String> {
     for line in lines {
         let line = line.map_err(unreadable)?;
@@ -400,6 +410,32 @@ fn read_header(lines: &mut Lines<impl BufRead>) -> Result<PartialHeader, String>
         };
     }
     Err("empty partial file".into())
+}
+
+/// Refuses an accumulator whose law is not a law of its unit's runs:
+/// `n` strictly ascending and at most [`MAX_PACKETS_PER_RUN`], every count
+/// non-zero, and counts plus failures equal to the runs.
+fn check_law(unit_id: u32, accum: &CellAccum) -> Result<(), String> {
+    let law = &accum.law;
+    let descent = law.iter().zip(law.iter().skip(1)).find(|(a, b)| a.0 >= b.0);
+    let decoded = law.iter().fold(0u64, |sum, &(_, count)| {
+        sum.saturating_add(u64::from(count))
+    });
+    let refusal = if let Some((_, (n, _))) = descent {
+        format!("law is not strictly ascending at n = {n}")
+    } else if let Some((n, _)) = law.iter().find(|&&(_, count)| count == 0) {
+        format!("law has a zero count at n = {n}")
+    } else if let Some((n, _)) = law.last().filter(|&&(n, _)| n > MAX_PACKETS_PER_RUN) {
+        format!("law holds n = {n}, above {MAX_PACKETS_PER_RUN} packets per run")
+    } else if decoded.saturating_add(u64::from(accum.failures)) != u64::from(accum.runs) {
+        format!(
+            "accumulator reports {} failure(s) in {} run(s) and a law of {decoded} decoded run(s)",
+            accum.failures, accum.runs
+        )
+    } else {
+        return Ok(());
+    };
+    Err(format!("unit {unit_id} {refusal}"))
 }
 
 fn unreadable(e: std::io::Error) -> String {

@@ -184,7 +184,7 @@ fn merge_rejects_incomplete_and_mismatched_sets() {
 fn merge_memory_follows_the_lines_read_not_the_header() {
     let dir = tmp_dir("claims");
     let path = dir.join("huge.json");
-    let header = r#"{"format":"fec-partial/1","plan":{"experiment":{"code":"LdgmStaircase","k":2000,"ratio":"R2_5","tx":"Random","channel":{"p":0,"q":1}},"config":{"runs":4294967295,"grid_p":GRID,"grid_q":GRID,"seed":42,"matrix_pool":4,"track_total":false,"threads":null},"runs_per_unit":1}}"#
+    let header = r#"{"format":"fec-partial/2","plan":{"experiment":{"code":"LdgmStaircase","k":2000,"ratio":"R2_5","tx":"Random","channel":{"p":0,"q":1}},"config":{"runs":4294967295,"grid_p":GRID,"grid_q":GRID,"seed":42,"matrix_pool":4,"track_total":false,"threads":null},"runs_per_unit":1}}"#
         .replace("GRID", "[0,0.01,0.05,0.1,0.15,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1]");
     std::fs::write(&path, header).unwrap();
 
