@@ -23,8 +23,8 @@
 //! any order.
 //!
 //! Parallelism follows the workspace guides: scoped threads (structured
-//! concurrency, panics propagate) pulling from one work queue
-//! ([`GridSweep::execute_streamed`]); no async runtime, because this is
+//! concurrency, panics propagate) pulling from one work queue behind
+//! [`GridSweep::execute_observed`]; no async runtime, because this is
 //! pure CPU-bound work. Past one host, a [`SweepPlan`] is cut into
 //! [`Shard`]s whose partial files a [`StreamingMerge`] folds back into
 //! the single-process result, byte for byte.

@@ -463,10 +463,21 @@ impl GridSweep {
     /// distributed merge uses. The merge is exact, so the output is
     /// byte-identical to any sharded execution of the same configuration.
     pub fn execute(&self) -> SweepResult {
-        let units = self.config.units(DEFAULT_RUNS_PER_UNIT);
+        self.execute_observed(&self.config.units(DEFAULT_RUNS_PER_UNIT), || {})
+    }
+
+    /// [`execute`](Self::execute) over `units`, calling `unit_done` on the
+    /// caller's thread each time a unit's accumulator has been added into
+    /// its cell (a progress hook).
+    ///
+    /// # Panics
+    /// Panics if `units` do not cover every cell's runs exactly once, as
+    /// [`finalize_cells`] does.
+    pub fn execute_observed(&self, units: &[WorkUnit], mut unit_done: impl FnMut()) -> SweepResult {
         let mut cells = empty_cells(&self.config);
-        let (_, folded) = self.execute_streamed(&units, self.threads(), |_, accum| {
+        let (_, folded) = self.execute_streamed(units, self.threads(), |_, accum| {
             cells[accum.cell_idx as usize].merge(accum);
+            unit_done();
             Ok::<(), std::convert::Infallible>(())
         });
         let Ok(()) = folded;
@@ -513,7 +524,7 @@ impl GridSweep {
     ///
     /// Structured concurrency: workers are scoped and a panic in any of
     /// them propagates to the caller.
-    pub fn execute_streamed<E>(
+    fn execute_streamed<E>(
         &self,
         units: &[WorkUnit],
         threads: usize,

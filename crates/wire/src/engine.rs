@@ -14,6 +14,13 @@
 //! datagram; with UDP GSO a burst is copied once into a buffer the sender
 //! reuses and goes out as byte ranges of it.
 //!
+//! The receive ring is sized to what the kernel delivers, not to the
+//! burst cap: a `recvmmsg` offers slots for as many messages as the last
+//! drain filled plus one, doubling while calls come back full (see
+//! [`BatchReceiver`]). A GSO burst of 64 datagrams reaches a GRO socket
+//! as one or two messages, so the ring holds two to four 64 KiB slabs,
+//! not the 64 (4 MiB) a full burst of plain datagrams needs.
+//!
 //! Error discipline for live loops lives in [`classify_recv_error`]: an
 //! interrupted syscall is retried, an idle timeout may end a session, and
 //! anything else is a transient to log and survive — a drain loop must
@@ -374,11 +381,25 @@ impl BatchSender {
     }
 }
 
+/// Slots the first `recvmmsg` of a receiver offers, before any call has
+/// shown how many messages one call fills.
+#[cfg(target_os = "linux")]
+const FIRST_OFFER: usize = 2;
+
 /// Burst receiver: one syscall drains up to [`MAX_BURST`] wire messages
-/// into pooled slabs. Keeps a pre-checked-out ring of slabs so a burst
-/// costs one pool lock, not one per datagram, and refills only the slabs
-/// the last burst consumed: one per wire message, however many GRO
-/// datagrams each carried.
+/// into pooled slabs.
+///
+/// The receive ring holds slabs only for what the next syscall can fill.
+/// A `recvmmsg` call that filled every slot may have needed more, so the
+/// next one offers twice as many, up to [`MAX_BURST`]. A call that left
+/// slots empty ended a drain (it and the full calls just before it), and
+/// the next call offers one slot more than that whole drain filled. So a
+/// GRO burst of 64 datagrams, which arrives as one or two coalesced
+/// messages, keeps two to four slabs in the ring instead of 64, while a
+/// backlog that took several calls to drain is offered room to drain in
+/// one, and steady full bursts converge to the cap. A one-datagram read
+/// (the portable loop, the control-plane poll) takes its slab only when
+/// it is about to read.
 pub struct BatchReceiver {
     socket: UdpSocket,
     backend: Backend,
@@ -387,11 +408,29 @@ pub struct BatchReceiver {
     metrics: DirectionMetrics,
     #[cfg(target_os = "linux")]
     scratch: crate::sys::MmsgScratch,
+    /// Slots the next `recvmmsg` offers (see the type's docs).
+    #[cfg(target_os = "linux")]
+    offer: usize,
+    /// Messages the full calls of the current drain have filled.
+    #[cfg(target_os = "linux")]
+    drained: usize,
     /// UDP GRO: when on, the kernel may deliver bursts of same-size
     /// datagrams coalesced; the engine splits them back apart using the
     /// per-message segment size from the control message.
     #[cfg(target_os = "linux")]
     gro_enabled: bool,
+}
+
+/// The slab the next one-datagram read fills: the ring's spare, taken
+/// from `pool` only once the last one was filled.
+fn spare<'a>(ready: &'a mut Vec<PoolBuf>, pool: &BufferPool) -> &'a mut [u8] {
+    if ready.is_empty() {
+        ready.push(pool.take());
+    }
+    match ready.last_mut() {
+        Some(buf) => buf.spare_mut(),
+        None => &mut [],
+    }
 }
 
 impl BatchReceiver {
@@ -407,6 +446,10 @@ impl BatchReceiver {
             #[cfg(target_os = "linux")]
             scratch: crate::sys::MmsgScratch::new(),
             #[cfg(target_os = "linux")]
+            offer: FIRST_OFFER,
+            #[cfg(target_os = "linux")]
+            drained: 0,
+            #[cfg(target_os = "linux")]
             gro_enabled: false,
         }
     }
@@ -420,7 +463,9 @@ impl BatchReceiver {
     /// (and stays off) on kernels without UDP GRO.
     ///
     /// Note: with GRO on, `recv_burst(max)` bounds *wire messages*, so
-    /// more than `max` logical datagrams may be returned.
+    /// more than `max` logical datagrams may be returned, and the ring
+    /// offers slots for the one or two messages a GSO burst arrives as,
+    /// not for `max`.
     pub fn enable_gro(&mut self) -> io::Result<()> {
         #[cfg(target_os = "linux")]
         {
@@ -486,19 +531,17 @@ impl BatchReceiver {
 
     /// Blocks for the first datagram (honouring the socket read timeout),
     /// then drains whatever else is queued — one burst, at most `max`
-    /// datagrams. Errors propagate raw so loops can route them through
+    /// datagrams (wire messages, with GRO on). The batched backend offers
+    /// fewer slots than `max` while the last calls filled fewer (see the
+    /// type's docs). Errors propagate raw so loops can route them through
     /// [`classify_recv_error`].
     pub fn recv_burst(&mut self, max: usize) -> io::Result<Vec<PoolBuf>> {
-        let n = max.clamp(1, MAX_BURST);
-        if self.ready.len() < n {
-            let need = n - self.ready.len();
-            self.ready.extend(self.pool.take_many(need));
-        }
+        let max = max.clamp(1, MAX_BURST);
         #[cfg(target_os = "linux")]
         if self.backend == Backend::Batched {
-            return self.recv_mmsg(n);
+            return self.recv_mmsg(self.offer.min(max));
         }
-        self.recv_portable(n)
+        self.recv_portable(max)
     }
 
     /// Non-blocking address-aware poll for control-plane sockets:
@@ -507,26 +550,19 @@ impl BatchReceiver {
     ///
     /// The data plane never needs peer addresses, so the batched
     /// `recvmmsg` path deliberately skips `msg_name` bookkeeping; this
-    /// poll takes one `recv_from` syscall per datagram instead. That
-    /// trade is right for feedback traffic specifically because digest
-    /// suppression keeps the aggregate report rate O(log n) in the
-    /// receiver population — the stream this exists to serve is the one
-    /// stream designed never to be syscall-bound.
+    /// poll takes one `recv_from` syscall per datagram instead, and one
+    /// slab per datagram it reads. That trade is right for feedback
+    /// traffic specifically because digest suppression keeps the
+    /// aggregate report rate O(log n) in the receiver population — the
+    /// stream this exists to serve is the one stream designed never to be
+    /// syscall-bound.
     pub fn try_recv_burst_from(&mut self, max: usize) -> io::Result<Vec<(PoolBuf, SocketAddr)>> {
         let n = max.clamp(1, MAX_BURST);
-        if self.ready.len() < n {
-            let need = n - self.ready.len();
-            self.ready.extend(self.pool.take_many(need));
-        }
         self.socket.set_nonblocking(true)?;
         let mut out: Vec<(PoolBuf, SocketAddr)> = Vec::new();
         let mut bytes = 0usize;
         while out.len() < n {
-            let res = match self.ready.last_mut() {
-                Some(buf) => self.socket.recv_from(buf.spare_mut()),
-                None => break,
-            };
-            match res {
+            match self.socket.recv_from(spare(&mut self.ready, &self.pool)) {
                 Ok((len, src)) => {
                     let Some(mut buf) = self.ready.pop() else {
                         break;
@@ -555,14 +591,23 @@ impl BatchReceiver {
         if out.is_empty() {
             self.metrics.record_empty_syscall();
         } else {
-            // One syscall per datagram, plus the final would-block probe.
-            self.metrics.record(out.len(), bytes, out.len() as u64);
+            // One syscall per datagram, plus the final would-block probe
+            // when the queue ran dry before `n`.
+            let probe = u64::from(out.len() < n);
+            self.metrics
+                .record(out.len(), bytes, out.len() as u64 + probe);
         }
         Ok(out)
     }
 
+    /// One `recvmmsg` over `n` slots of the ring, refilled to `n` first;
+    /// sizes the next call's offer from what this drain filled.
     #[cfg(target_os = "linux")]
     fn recv_mmsg(&mut self, n: usize) -> io::Result<Vec<PoolBuf>> {
+        if self.ready.len() < n {
+            let need = n - self.ready.len();
+            self.ready.extend(self.pool.take_many(need));
+        }
         let mut lens = [0usize; MAX_BURST];
         let got = {
             let mut slices: Vec<&mut [u8]> = self
@@ -590,6 +635,12 @@ impl BatchReceiver {
                 }
             }
         };
+        self.drained = (self.drained + got).min(MAX_BURST);
+        self.offer = if got < n {
+            (std::mem::take(&mut self.drained) + 1).min(MAX_BURST)
+        } else {
+            (2 * n).max(self.offer).min(MAX_BURST)
+        };
         let mut out: Vec<PoolBuf> = Vec::with_capacity(MAX_BURST);
         let mut bytes = 0usize;
         for (i, mut buf) in self.ready.drain(..got).enumerate() {
@@ -609,55 +660,46 @@ impl BatchReceiver {
                 _ => out.push(buf),
             }
         }
+        // Slabs the next offer has no slot for go back to the pool.
+        self.ready.truncate(self.offer);
         self.metrics.record(out.len(), bytes, 1);
         Ok(out)
     }
 
-    fn recv_portable(&mut self, n: usize) -> io::Result<Vec<PoolBuf>> {
-        // First datagram: blocking, honouring the socket's read timeout.
-        let first = loop {
-            let res = match self.ready.first_mut() {
-                Some(buf) => self.socket.recv(buf.spare_mut()),
-                None => break Err(io::Error::from(io::ErrorKind::WouldBlock)),
-            };
-            match res {
-                Ok(len) => break Ok(len),
+    /// One `recv` per datagram into the ring's spare slab: the first
+    /// blocks, honouring the socket's read timeout; the rest drain
+    /// whatever else is queued without blocking.
+    fn recv_portable(&mut self, max: usize) -> io::Result<Vec<PoolBuf>> {
+        let mut out: Vec<PoolBuf> = Vec::new();
+        let mut bytes = 0usize;
+        let mut syscalls = 0u64;
+        while out.len() < max {
+            match self.socket.recv(spare(&mut self.ready, &self.pool)) {
+                Ok(len) => {
+                    syscalls += 1;
+                    let Some(mut buf) = self.ready.pop() else {
+                        break;
+                    };
+                    buf.set_len(len);
+                    bytes += len;
+                    out.push(buf);
+                    if out.len() == 1 {
+                        let _ = self.socket.set_nonblocking(true);
+                    }
+                }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => break Err(e),
-            }
-        };
-        let first_len = match first {
-            Ok(len) => len,
-            Err(e) => {
-                self.metrics.record_empty_syscall();
-                return Err(e);
-            }
-        };
-        let mut lens = vec![first_len];
-        // Opportunistic non-blocking drain of whatever else is queued.
-        let _ = self.socket.set_nonblocking(true);
-        let mut syscalls = 1u64;
-        while lens.len() < n {
-            let res = match self.ready.get_mut(lens.len()) {
-                Some(buf) => self.socket.recv(buf.spare_mut()),
-                None => break,
-            };
-            syscalls += 1;
-            match res {
-                Ok(len) => lens.push(len),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => break,
+                Err(e) if out.is_empty() => {
+                    self.metrics.record_empty_syscall();
+                    return Err(e);
+                }
+                Err(_) => {
+                    syscalls += 1;
+                    break;
+                }
             }
         }
         let _ = self.socket.set_nonblocking(false);
-        let got = lens.len();
-        let mut out: Vec<PoolBuf> = self.ready.drain(..got).collect();
-        let mut bytes = 0usize;
-        for (buf, len) in out.iter_mut().zip(lens) {
-            buf.set_len(len);
-            bytes += len;
-        }
-        self.metrics.record(got, bytes, syscalls);
+        self.metrics.record(out.len(), bytes, syscalls);
         Ok(out)
     }
 }

@@ -20,7 +20,12 @@
 //! Memory rule: a retained view pins its whole slab (`buf_capacity`
 //! bytes, 64 KiB by default), however short the view. A queued GRO burst
 //! of 64 datagrams pins one slab, not 64; a consumer that keeps a few
-//! datagrams of many bursts alive keeps every one of those slabs.
+//! datagrams of many bursts alive keeps every one of those slabs. The
+//! receive engine takes slabs only for what its next syscall can fill:
+//! one per datagram on a one-datagram read, and for a `recvmmsg` as many
+//! as the last drain filled plus one, so a GRO receiver keeps two to four
+//! slabs ahead, not `MAX_BURST`. The pool itself retains at most
+//! `retain` idle slabs.
 //!
 //! The pool is `Clone` (an `Arc` handle) and thread-safe: the drain thread
 //! takes slabs, the decode thread drops the views, and the last drop of a

@@ -1,3 +1,5 @@
+//! fec-audit: deny(panic)
+//!
 //! Hand-rolled FFI for Linux `recvmmsg(2)` / `sendmmsg(2)` (and a
 //! best-effort `SO_RCVBUF` bump).
 //!

@@ -167,3 +167,102 @@ fn paced_send_is_rate_bounded() {
         t0.elapsed()
     );
 }
+
+/// The `fec_wire_syscalls_total{op="recv"}` count in `registry`.
+fn recv_syscalls(registry: &Registry) -> u64 {
+    registry
+        .counter_with(
+            "fec_wire_syscalls_total",
+            "Datagram-path syscalls issued by the wire engine",
+            &[("op", "recv")],
+        )
+        .get()
+}
+
+/// Sends `rounds` bursts of `MAX_BURST` datagrams after one warm-up burst
+/// and returns the recv syscalls the drains of those rounds took; each
+/// round is one `recv_burst` call that must return the whole burst.
+fn steady_burst_syscalls(backend: Backend, rounds: u64) -> u64 {
+    let rx_socket = UdpSocket::bind("127.0.0.1:0").unwrap();
+    rx_socket
+        .set_read_timeout(Some(Duration::from_millis(500)))
+        .unwrap();
+    let dest = rx_socket.local_addr().unwrap();
+    let tx_socket = UdpSocket::bind("127.0.0.1:0").unwrap();
+    let mut tx = BatchSender::connect(tx_socket, dest, backend, Pacer::unlimited()).unwrap();
+    let registry = Registry::new();
+    let mut rx = BatchReceiver::new(rx_socket, BufferPool::with_config(2048, 128), backend);
+    rx.attach_telemetry(&registry);
+    rx.request_recv_buffer(1 << 20);
+
+    let payloads: Vec<Vec<u8>> = (0..MAX_BURST as u32)
+        .map(|i| {
+            let mut p = i.to_be_bytes().to_vec();
+            p.resize(200, i as u8);
+            p
+        })
+        .collect();
+    let refs: Vec<&[u8]> = payloads.iter().map(|p| p.as_slice()).collect();
+    // Warm-up: the first drain takes several calls while the ring grows.
+    tx.send_burst(&refs).unwrap();
+    let mut got = 0;
+    while got < refs.len() {
+        got += rx.recv_burst(MAX_BURST).unwrap().len();
+    }
+    let before = recv_syscalls(&registry);
+    for _ in 0..rounds {
+        tx.send_burst(&refs).unwrap();
+        let burst = rx.recv_burst(MAX_BURST).unwrap();
+        assert_eq!(burst.len(), refs.len(), "{} split a burst", backend.name());
+        let bytes: Vec<&[u8]> = burst.iter().map(|b| &**b).collect();
+        assert_eq!(bytes, refs, "backend {} altered a burst", backend.name());
+    }
+    recv_syscalls(&registry) - before
+}
+
+#[test]
+fn full_bursts_cost_one_recvmmsg_each_after_warm_up() {
+    if cfg!(target_os = "linux") {
+        assert_eq!(steady_burst_syscalls(Backend::Batched, 8), 8);
+    }
+}
+
+#[test]
+fn full_portable_bursts_cost_one_recv_per_datagram_after_warm_up() {
+    // No would-block probe and no ramp-up: a call that reads its `max`
+    // stops there.
+    assert_eq!(
+        steady_burst_syscalls(Backend::Portable, 8),
+        8 * MAX_BURST as u64
+    );
+}
+
+#[test]
+fn one_datagram_reads_take_a_slab_per_datagram_read() {
+    // The portable loop and the control-plane poll read one datagram per
+    // syscall, so neither takes slabs ahead for a whole burst.
+    let rx_socket = UdpSocket::bind("127.0.0.1:0").unwrap();
+    rx_socket
+        .set_read_timeout(Some(Duration::from_millis(500)))
+        .unwrap();
+    let dest = rx_socket.local_addr().unwrap();
+    let pool = BufferPool::new();
+    let mut rx = BatchReceiver::new(rx_socket, pool.clone(), Backend::Portable);
+    let registry = Registry::new();
+    rx.attach_telemetry(&registry);
+    let tx = UdpSocket::bind("127.0.0.1:0").unwrap();
+    for i in 0..3u8 {
+        tx.send_to(&[i; 40], dest).unwrap();
+    }
+    assert_eq!(rx.recv_burst(MAX_BURST).unwrap().len(), 3);
+    for i in 0..3u8 {
+        tx.send_to(&[i; 40], dest).unwrap();
+    }
+    assert_eq!(rx.try_recv_burst_from(MAX_BURST).unwrap().len(), 3);
+    // Three slabs per read, one spare for the read that found the queue
+    // empty; the first batch went back to the pool before the second.
+    let (_, misses) = pool.stats();
+    assert!(misses <= 4, "{misses} slabs allocated for 3 + 3 datagrams");
+    // Each drain is three reads and the read that found the queue empty.
+    assert_eq!(recv_syscalls(&registry), 8);
+}

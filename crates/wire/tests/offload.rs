@@ -231,7 +231,7 @@ fn gro_burst_takes_one_slab_per_wire_message_not_per_datagram() {
         round_trip(&mut rx, &mut tx, &want);
     }
     let (hits, misses) = pool.stats();
-    const ROUNDS: u64 = 4;
+    const ROUNDS: u64 = 6;
     for _ in 0..ROUNDS {
         round_trip(&mut rx, &mut tx, &want);
     }
@@ -242,6 +242,14 @@ fn gro_burst_takes_one_slab_per_wire_message_not_per_datagram() {
         takes <= ROUNDS * wire_messages,
         "{takes} pool takes for {ROUNDS} bursts of {} datagrams",
         want.len()
+    );
+    // The ring offers slots for the one or two messages a burst arrives
+    // as, so the whole session allocates a handful of 64 KiB slabs, not
+    // one per slot of a full burst.
+    assert!(
+        misses_after <= 4,
+        "{misses_after} slabs allocated for {} bursts",
+        ROUNDS + 2
     );
 }
 
@@ -281,4 +289,40 @@ fn views_outlive_the_receiver_and_drop_on_another_thread() {
     drop(send);
     assert_eq!(decoder.join().unwrap(), want);
     assert_eq!(pool.idle(), idle + 1, "the decode thread returned the slab");
+}
+
+#[test]
+fn plain_datagrams_queued_at_a_gro_socket_drain_in_a_few_calls() {
+    let rx_socket = UdpSocket::bind("127.0.0.1:0").unwrap();
+    rx_socket
+        .set_read_timeout(Some(Duration::from_millis(500)))
+        .unwrap();
+    let dest = rx_socket.local_addr().unwrap();
+    let mut rx = BatchReceiver::new(rx_socket, BufferPool::new(), Backend::Batched);
+    if let Err(err) = rx.enable_gro() {
+        eprintln!("skipping: kernel did not grant UDP GRO: {err}");
+        return;
+    }
+    rx.request_recv_buffer(1 << 20);
+    // Uncoalesced datagrams take one slot each: the ring grows from its
+    // small first offer by doubling while calls come back full.
+    let tx = UdpSocket::bind("127.0.0.1:0").unwrap();
+    let want = payloads(MAX_BURST as u32);
+    for p in &want {
+        tx.send_to(p, dest).unwrap();
+    }
+    let mut received: Vec<Vec<u8>> = Vec::new();
+    let mut calls = 0;
+    while received.len() < want.len() {
+        let burst = rx.recv_burst(MAX_BURST).unwrap();
+        assert!(!burst.is_empty(), "timed out");
+        calls += 1;
+        received.extend(burst.iter().map(|b| b.to_vec()));
+    }
+    assert_eq!(received, want, "GRO receiver altered plain datagrams");
+    assert!(
+        calls <= 7,
+        "{calls} calls to drain {} datagrams",
+        want.len()
+    );
 }

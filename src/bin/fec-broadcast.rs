@@ -21,7 +21,7 @@ use fec_broadcast::flute::feedback::{ReportConfig, MAX_PATH_TRACKS};
 use fec_broadcast::live;
 use fec_broadcast::prelude::*;
 use fec_broadcast::sim::{
-    merge_paths, report, PartialFile, Shard, SimError, StreamingMerge, SweepPlan, UnitResult,
+    merge_paths, report, PartialFile, Shard, SimError, SweepPlan, UnitResult,
 };
 use fec_broadcast::wire::{Backend, BatchReceiver, BatchSender, BufferPool, Pacer, MAX_BURST};
 use fec_broadcast::world::{self, Workload};
@@ -683,8 +683,8 @@ fn cmd_sweep(args: SweepArgs) -> Result<(), String> {
     report_sweep(&result, args.out, "sweep result")
 }
 
-/// Runs every unit of `plan` on the in-process work queue, folding each
-/// accumulator into the merge as it completes and counting it into
+/// Runs every unit of `plan` on the in-process work queue, adding each
+/// accumulator into its cell as it completes and counting it into
 /// `registry`, so a mid-run scrape shows live progress
 /// (`fec_sweep_units_total` climbing to `fec_sweep_units_planned`).
 fn execute_observed(plan: &SweepPlan, registry: &Registry) -> Result<SweepResult, SimError> {
@@ -693,16 +693,7 @@ fn execute_observed(plan: &SweepPlan, registry: &Registry) -> Result<SweepResult
     let planned = registry.gauge("fec_sweep_units_planned", "Work units in the plan.");
     planned.set(units.len() as f64);
     let done = registry.counter("fec_sweep_units_total", "Work units executed so far.");
-    let cores = || std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let threads = plan.config.threads.unwrap_or_else(cores);
-    let mut merge = StreamingMerge::new(plan.clone());
-    let (_, folded) = sweep.execute_streamed(&units, threads, |i, accum| {
-        done.inc();
-        let unit_id = units[i].unit_id;
-        merge.fold_unit(UnitResult { unit_id, accum })
-    });
-    folded?;
-    merge.finish()
+    Ok(sweep.execute_observed(&units, || done.inc()))
 }
 
 /// The partial files to combine, and `--out`.
@@ -979,8 +970,7 @@ fn cmd_send(args: SendArgs) -> Result<(), String> {
         Some((addr, _)) => {
             let socket =
                 std::net::UdpSocket::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
-            let mut rx =
-                BatchReceiver::new(socket, BufferPool::with_config(2048, 64), Backend::detect());
+            let mut rx = live::digest_receiver(socket);
             rx.attach_telemetry(&telemetry.registry);
             Some(rx)
         }

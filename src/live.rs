@@ -44,7 +44,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::io;
-use std::net::SocketAddr;
+use std::net::{SocketAddr, UdpSocket};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
@@ -54,7 +54,8 @@ use fec_flute::feedback::{AggregateOutcome, AggregatorConfig, FeedbackAggregator
 use fec_flute::{FluteReceiver, FluteSender, ReceiverEvent, ReceptionReport};
 use fec_telemetry::{EstimatorSample, Event, EventLog, PathMetrics, Registry, SessionSummary};
 use fec_wire::{
-    classify_recv_error, BatchReceiver, BatchSender, PoolBuf, RecvDisposition, MAX_BURST,
+    classify_recv_error, Backend, BatchReceiver, BatchSender, BufferPool, PoolBuf, RecvDisposition,
+    DEFAULT_BUF_CAPACITY, MAX_BURST,
 };
 
 /// Consecutive transient receive errors tolerated before the drain loop
@@ -464,6 +465,16 @@ impl DigestSource for BatchReceiver {
     fn try_recv_digests(&mut self, max: usize) -> io::Result<Vec<(PoolBuf, SocketAddr)>> {
         self.try_recv_burst_from(max)
     }
+}
+
+/// The batched engine over a sender's return-channel socket. Its slabs
+/// hold any UDP payload, so a NACK digest listing thousands of missing
+/// ESIs arrives whole, never cut at the slab's end; the control poll
+/// takes one slab per digest it reads, and the pool keeps a few idle
+/// between polls.
+pub fn digest_receiver(socket: UdpSocket) -> BatchReceiver {
+    let pool = BufferPool::with_config(DEFAULT_BUF_CAPACITY, 8);
+    BatchReceiver::new(socket, pool, Backend::detect())
 }
 
 /// Knobs for [`send_session`]'s feedback loop. The defaults match the

@@ -23,11 +23,13 @@ use std::sync::mpsc;
 use std::time::Duration;
 
 use fec_broadcast::channel::{GilbertParams, LinkEmulator, LossModel};
-use fec_broadcast::flute::feedback::{ReceptionReport, ReportConfig};
+use fec_broadcast::flute::feedback::{
+    AggregatorConfig, FeedbackAggregator, ReceptionReport, ReportConfig,
+};
 use fec_broadcast::flute::{FluteReceiver, FluteSender, SenderConfig};
 use fec_broadcast::live::{self, ReceiveConfig, SendConfig, SendOutcome, WirePath};
 use fec_broadcast::prelude::*;
-use fec_broadcast::wire::{Backend, BatchReceiver, BatchSender, BufferPool, Pacer};
+use fec_broadcast::wire::{Backend, BatchReceiver, BatchSender, BufferPool, Pacer, MAX_BURST};
 
 const TSI: u32 = 21;
 const SYMBOL: usize = 64;
@@ -84,11 +86,7 @@ fn run_sender(
     )
     .unwrap();
     let mut paths = [WirePath::new(wire, Some(LinkEmulator::new(model, 7)))];
-    let mut reports = BatchReceiver::new(
-        report_socket,
-        BufferPool::with_config(2048, 64),
-        Backend::detect(),
-    );
+    let mut reports = live::digest_receiver(report_socket);
     let registry = Registry::new();
     let events = EventLog::bounded(64);
     let outcome = live::send_session(
@@ -192,4 +190,73 @@ fn live_adaptive_session_beats_the_static_worst_case_plan() {
         outcome.summary.digests_applied
     );
     assert!(truncations >= 1, "no plan truncation happened");
+}
+
+/// A NACK receiver still short of most of an object lists up to
+/// `k - have` missing ESIs per block, 4 bytes each, so its digests run to
+/// kilobytes. Every one must reach the sender's aggregator whole through
+/// the control poll the CLI opens, not cut at a small slab's end.
+#[test]
+fn kilobyte_nack_digests_reach_the_aggregator_whole() {
+    // k = 2048 symbols of 64 bytes: an object still short of most of
+    // them asks for up to 8 KiB of ESIs in one digest.
+    let object = object_bytes(9, 2048 * SYMBOL);
+    let mut sender = FluteSender::new(SenderConfig::new(TSI));
+    sender
+        .add_object(
+            9,
+            "file:///big.bin",
+            &object,
+            fec_broadcast::codec::registry::resolve("ldgm-triangle").unwrap(),
+            ExpansionRatio::R1_5,
+            SYMBOL,
+            0xD16E,
+            TxModel::Random,
+        )
+        .unwrap();
+    let mut stream = sender.stream(0x5EED);
+    let mut receiver = FluteReceiver::new(TSI);
+    receiver.enable_reports(ReportConfig {
+        report_every: 64,
+        ..ReportConfig::default()
+    });
+    receiver.enable_nacks();
+
+    let report_socket = UdpSocket::bind("127.0.0.1:0").unwrap();
+    let report_addr = report_socket.local_addr().unwrap();
+    let mut control = live::digest_receiver(report_socket);
+    let reporter = UdpSocket::bind("127.0.0.1:0").unwrap();
+    let mut agg = FeedbackAggregator::new(
+        TSI,
+        AggregatorConfig::default(),
+        ControllerConfig::default(),
+    );
+
+    let (mut emitted, mut ingested, mut largest) = (0usize, 0usize, 0usize);
+    // 1 200 datagrams at 10 % loss: well short of decoding, so every
+    // digest carries a long NACK list.
+    for i in 0..1200u32 {
+        let dg = stream.next_datagram().unwrap().expect("schedule continues");
+        if i.wrapping_mul(2654435761) % 10 == 3 {
+            continue;
+        }
+        receiver.push_datagram(&dg).unwrap();
+        let Some(report) = receiver.poll_report() else {
+            continue;
+        };
+        let bytes = report.to_bytes().unwrap();
+        largest = largest.max(bytes.len());
+        emitted += 1;
+        reporter.send_to(&bytes, report_addr).unwrap();
+        // Loopback delivery is synchronous: the digest is queued now.
+        for (digest, src) in control.try_recv_burst_from(MAX_BURST).unwrap() {
+            assert_eq!(digest.len(), bytes.len(), "digest {emitted} was cut");
+            agg.ingest_datagram(src, &digest)
+                .unwrap_or_else(|e| panic!("digest {emitted} of {} B: {e}", bytes.len()));
+            ingested += 1;
+        }
+    }
+    assert!(emitted >= 10, "only {emitted} digests");
+    assert!(largest > 4096, "largest digest {largest} B");
+    assert_eq!(ingested, emitted, "digests lost on the way");
 }
