@@ -475,12 +475,10 @@ impl GridSweep {
     /// [`finalize_cells`] does.
     pub fn execute_observed(&self, units: &[WorkUnit], mut unit_done: impl FnMut()) -> SweepResult {
         let mut cells = empty_cells(&self.config);
-        let (_, folded) = self.execute_streamed(units, self.threads(), |_, accum| {
+        self.execute_streamed(units, |_, accum| {
             cells[accum.cell_idx as usize].merge(accum);
             unit_done();
-            Ok::<(), std::convert::Infallible>(())
         });
-        let Ok(()) = folded;
         let experiment = self.runner.experiment().clone();
         SweepResult {
             cells: finalize_cells(&self.config, experiment.k, cells),
@@ -493,11 +491,7 @@ impl GridSweep {
     /// returning one accumulator per unit in the same order as `units`.
     pub fn execute_units(&self, units: &[WorkUnit]) -> Vec<CellAccum> {
         let mut results = Vec::with_capacity(units.len());
-        let (_, collected) = self.execute_streamed(units, self.threads(), |i, accum| {
-            results.push((i, accum));
-            Ok::<(), std::convert::Infallible>(())
-        });
-        let Ok(()) = collected;
+        self.execute_streamed(units, |i, accum| results.push((i, accum)));
         results.sort_unstable_by_key(|&(i, _)| i);
         results.into_iter().map(|(_, accum)| accum).collect()
     }
@@ -510,58 +504,44 @@ impl GridSweep {
     }
 
     /// The work-queue executor every sweep path runs on: executes `units`
-    /// on `threads` workers (clamped to `1..=units.len()`; one worker means
-    /// inline, on the caller's thread) and hands each accumulator to
+    /// on the configured workers (clamped to `1..=units.len()`; one worker
+    /// means inline, on the caller's thread) and hands each accumulator to
     /// `consume` — on the caller's thread, in completion order — together
     /// with its unit's position in `units`.
     ///
     /// Results change hands by rendezvous: a worker takes its next unit
-    /// only once the caller's thread has accepted its last result. So when
-    /// `consume` fails, no further unit is handed out; the ones in flight
-    /// (at most one per worker) finish and are discarded, and the error
-    /// comes back. The first value returned is how many units were
-    /// executed.
+    /// only once the caller's thread has accepted its last result, so no
+    /// finished accumulator waits in a queue.
     ///
     /// Structured concurrency: workers are scoped and a panic in any of
     /// them propagates to the caller.
-    fn execute_streamed<E>(
-        &self,
-        units: &[WorkUnit],
-        threads: usize,
-        mut consume: impl FnMut(usize, CellAccum) -> Result<(), E>,
-    ) -> (usize, Result<(), E>) {
-        let threads = threads.clamp(1, units.len().max(1));
+    fn execute_streamed(&self, units: &[WorkUnit], mut consume: impl FnMut(usize, CellAccum)) {
+        let threads = self.threads().clamp(1, units.len().max(1));
         if threads == 1 {
             for (i, unit) in units.iter().enumerate() {
-                if let Err(e) = consume(i, self.execute_unit(unit)) {
-                    return (i + 1, Err(e));
-                }
+                consume(i, self.execute_unit(unit));
             }
-            return (units.len(), Ok(()));
+            return;
         }
 
         let next = AtomicUsize::new(0);
         let (done_tx, done_rx) = sync_channel::<(usize, CellAccum)>(0);
-        let streamed = std::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..threads {
                 let (next, done_tx) = (&next, done_tx.clone());
                 scope.spawn(move || loop {
                     let i = next.fetch_add(1, Ordering::SeqCst);
                     let Some(unit) = units.get(i) else { break };
                     if done_tx.send((i, self.execute_unit(unit))).is_err() {
-                        break; // the consumer failed and hung up
+                        break; // the consumer panicked and hung up
                     }
                 });
             }
             drop(done_tx);
-            // `done_rx` moves into the loop, so an early return drops it
-            // and every pending or later `send` fails.
             for (i, accum) in done_rx {
-                consume(i, accum)?;
+                consume(i, accum);
             }
-            Ok(())
         });
-        (next.into_inner().min(units.len()), streamed)
     }
 
     /// Executes one work unit: `run_len` trials of its cell starting at
@@ -697,40 +677,6 @@ mod tests {
             GridSweep::new(exp, cfg).unwrap().execute().cells
         };
         assert_eq!(mk(1), mk(4), "results must not depend on scheduling");
-    }
-
-    #[test]
-    fn a_failing_consumer_stops_the_queue_instead_of_draining_it() {
-        let exp = Experiment::new(
-            builtin::ldgm_staircase(),
-            150,
-            ExpansionRatio::R2_5,
-            TxModel::Random,
-        );
-        let cfg = SweepConfig {
-            runs: 4,
-            grid_p: vec![0.0, 0.2],
-            grid_q: vec![0.3, 0.8],
-            matrix_pool: 2,
-            ..SweepConfig::default()
-        };
-        let units = cfg.units(2);
-        let sweep = GridSweep::new(exp, cfg).unwrap();
-        for threads in [1, 2] {
-            assert!(
-                units.len() > threads + 1,
-                "the queue must outlast the bound"
-            );
-            // The unit whose result was refused, plus at most one more per
-            // thread that was already in flight — never the rest.
-            let (executed, streamed) = sweep.execute_streamed(&units, threads, |_, _| Err(()));
-            assert_eq!(streamed, Err(()));
-            assert!(
-                executed <= threads + 1,
-                "{executed} of {} units ran at {threads} thread(s)",
-                units.len()
-            );
-        }
     }
 
     #[test]

@@ -1175,11 +1175,7 @@ fn cmd_recv(args: RecvArgs) -> Result<(), String> {
     // the *lossy* return channel (a failed send is counted, never fatal),
     // a malformed datagram costs itself, not its burst, and the loop runs
     // until every object the FDT lists is decoded.
-    let config = live::ReceiveConfig {
-        registry: telemetry.registry.clone(),
-        ..Default::default()
-    };
-    let reception = live::receive_session(&mut session, &datagram_rx, ship, &config)?;
+    let reception = live::receive_session(&mut session, &datagram_rx, ship, &telemetry.registry)?;
     if reception.rejected > 0 || reception.ship_failures > 0 {
         eprintln!(
             "survived wire faults: {} datagrams rejected, {} digests unshipped",
@@ -1193,7 +1189,9 @@ fn cmd_recv(args: RecvArgs) -> Result<(), String> {
             .and_then(|f| f.file(toi))
             .map(|f| f.content_location.clone())
             .unwrap_or_else(|| format!("toi-{toi}.bin"));
-        let object = session.take_object(toi).expect("object completed");
+        let object = session
+            .take_object(toi)
+            .ok_or_else(|| format!("object {toi} completed but its bytes were already taken"))?;
         let out_path = match &args.out {
             Some(out) if reception.completed.len() == 1 => out.clone(),
             _ => std::path::Path::new(&location)

@@ -94,9 +94,10 @@ pub struct DrainStats {
     pub transients: u64,
 }
 
-/// Pulls bursts from `source` and forwards each datagram into `tx`, tagged
-/// with the index `path` of the socket it arrived on (so the decode loop
-/// can keep per-path EXT_SEQ accounting honest), until the session ends.
+/// Pulls bursts of at most [`MAX_BURST`] wire messages from `source` and
+/// forwards each datagram into `tx`, tagged with the index `path` of the
+/// socket it arrived on (so the decode loop can keep per-path EXT_SEQ
+/// accounting honest), until the session ends.
 /// The error discipline is the whole point:
 ///
 /// * `Interrupted` (`EINTR`) — retry immediately; a signal delivery is
@@ -112,12 +113,11 @@ pub fn drain_loop<S: BurstSource>(
     source: &mut S,
     path: usize,
     tx: &mpsc::Sender<(usize, PoolBuf)>,
-    max_burst: usize,
 ) -> DrainStats {
     let mut stats = DrainStats::default();
     let mut consecutive_transients = 0u32;
     loop {
-        match source.recv_burst(max_burst) {
+        match source.recv_burst(MAX_BURST) {
             Ok(burst) => {
                 consecutive_transients = 0;
                 stats.bursts += 1;
@@ -162,7 +162,7 @@ pub fn spawn_drain<S>(
 where
     S: BurstSource + Send + 'static,
 {
-    std::thread::spawn(move || drain_loop(&mut source, path, &tx, MAX_BURST))
+    std::thread::spawn(move || drain_loop(&mut source, path, &tx))
 }
 
 /// Feeds a burst that arrived on `path` through
@@ -279,24 +279,9 @@ impl Reception {
     }
 }
 
-/// Knobs for [`receive_session`]. The defaults match the CLI.
-pub struct ReceiveConfig {
-    /// How long to wait for a datagram before shipping a timer-tick
-    /// digest (so the sender's estimator never starves when quiet).
-    pub flush_interval: Duration,
-    /// Where the loop's own counters (rejected datagrams, unshipped
-    /// digests) register; [`Registry::disabled`] by default.
-    pub registry: Registry,
-}
-
-impl Default for ReceiveConfig {
-    fn default() -> ReceiveConfig {
-        ReceiveConfig {
-            flush_interval: Duration::from_millis(250),
-            registry: Registry::disabled(),
-        }
-    }
-}
+/// How long [`receive_session`] waits for a datagram before shipping a
+/// timer-tick digest, so the sender's estimator never starves when quiet.
+const FLUSH_INTERVAL: Duration = Duration::from_millis(250);
 
 /// Most datagrams [`receive_session`] decodes per burst.
 const RECEIVE_BURST_CAP: usize = 4096;
@@ -308,16 +293,15 @@ const FIN_REPEATS: u32 = 3;
 /// The receive loop: the [`Reception`] step over path-tagged datagrams
 /// from the drain threads' channel, decoded in bursts grouped by path (so
 /// the per-path EXT_SEQ gap accounting stays honest across a bond), with
-/// an idle flush every [`flush_interval`](ReceiveConfig::flush_interval)
-/// the channel stays quiet. It runs until the session is done, then ships
-/// the FIN digest three times (the return channel is lossy too) so an
-/// adaptive sender stops at once.
+/// an idle flush every 250 ms the channel stays quiet. It runs until the
+/// session is done, then ships the FIN digest three times (the return
+/// channel is lossy too) so an adaptive sender stops at once. Rejected
+/// datagrams and unshipped digests are counted on `registry`.
 ///
 /// `ship` is treated as *lossy by design*: a failure is logged and
-/// counted (`fec_session_report_ship_failures_total` on
-/// [`ReceiveConfig::registry`]) but never ends the session — the sender's
-/// digest protocol already tolerates missing reports, exactly like it
-/// tolerates lost data datagrams.
+/// counted (`fec_session_report_ship_failures_total`) but never ends the
+/// session — the sender's digest protocol already tolerates missing
+/// reports, exactly like it tolerates lost data datagrams.
 ///
 /// When the channel disconnects first (every drain thread saw the read
 /// timeout expire), returns what completed; errors only if nothing did.
@@ -325,16 +309,16 @@ pub fn receive_session<F>(
     session: &mut FluteReceiver,
     datagrams: &mpsc::Receiver<(usize, PoolBuf)>,
     mut ship: F,
-    config: &ReceiveConfig,
+    registry: &Registry,
 ) -> Result<Reception, String>
 where
     F: FnMut(&ReceptionReport) -> Result<(), String>,
 {
-    let rejected_counter = config.registry.counter(
+    let rejected_counter = registry.counter(
         "fec_session_rejected_datagrams_total",
         "Datagrams the receiver rejected as malformed or undecodable.",
     );
-    let ship_failure_counter = config.registry.counter(
+    let ship_failure_counter = registry.counter(
         "fec_session_report_ship_failures_total",
         "Reception-report digests that failed to ship (lossy return channel).",
     );
@@ -351,7 +335,7 @@ where
     };
     let mut reception = Reception::default();
     while !reception.is_done() {
-        let first = match datagrams.recv_timeout(config.flush_interval) {
+        let first = match datagrams.recv_timeout(FLUSH_INTERVAL) {
             Ok(tagged) => tagged,
             Err(mpsc::RecvTimeoutError::Timeout) => {
                 ship_lossy(reception.idle(session));
@@ -390,12 +374,14 @@ where
     Ok(reception)
 }
 
-/// How long a sender whose planned emission ran dry waits for digests
-/// still in flight before judging the plan (and, after a backoff to the
-/// full schedule, the session).
-const LINGER: Duration = Duration::from_millis(1500);
+/// How many quiet polls of its digest source a sender whose planned
+/// emission ran dry waits for digests still in flight before judging the
+/// plan (and, after a backoff to the full schedule, the session). The
+/// source naps after each one: on the wire that is [`IDLE_NAP`], so the
+/// linger lasts 1.5 s.
+const LINGER_NAPS: u32 = 75;
 
-/// How long the sender naps between feedback polls while lingering.
+/// How long the wire's digest source naps after a quiet poll.
 const IDLE_NAP: Duration = Duration::from_millis(20);
 
 /// One outgoing path of a live session: the wire in production, an
@@ -459,11 +445,19 @@ pub trait DigestSource {
     /// Every digest queued right now (at most `max`), without blocking;
     /// an empty vector means the return channel is quiet.
     fn try_recv_digests(&mut self, max: usize) -> io::Result<Vec<(PoolBuf, SocketAddr)>>;
+
+    /// Gives digests in flight time to land after a quiet poll, while the
+    /// sender lingers.
+    fn nap(&mut self);
 }
 
 impl DigestSource for BatchReceiver {
     fn try_recv_digests(&mut self, max: usize) -> io::Result<Vec<(PoolBuf, SocketAddr)>> {
         self.try_recv_burst_from(max)
+    }
+
+    fn nap(&mut self) {
+        std::thread::sleep(IDLE_NAP);
     }
 }
 
@@ -648,10 +642,11 @@ pub struct SendOutcome {
 /// stays in rotation; feedback and NACK repair make up for it.
 ///
 /// The session ends when every tracked receiver reports it complete. If
-/// the planned emission runs dry first, the sender lingers 1.5 s for
-/// digests in flight, then backs off to the full schedule as the objects
-/// are deployed now (recording the failure with the controller), and
-/// gives up only once that is exhausted too. Without a `feedback` source
+/// the planned emission runs dry first, the sender lingers for digests in
+/// flight — 75 quiet polls of `feedback`, each followed by its
+/// [`nap`](DigestSource::nap), 1.5 s on the wire — then backs off to the
+/// full schedule as the objects are deployed now (recording the failure
+/// with the controller), and gives up only once that is exhausted too. Without a `feedback` source
 /// nobody can report, so the session is the full schedule, once.
 ///
 /// The stream, the aggregator and the paths register their metric
@@ -730,7 +725,7 @@ pub fn send_session<P: PathSink>(
     let mut offered = 0u64;
     let mut failed = 0u64;
     let mut next_replan_at = replan_every as u64;
-    let mut linger_until: Option<Instant> = None;
+    let mut quiet_polls = 0u32;
     let mut stopped: BTreeSet<u32> = BTreeSet::new();
     let mut repairs_queued = 0u64;
     // The tuple of the last re-plan that had an estimate.
@@ -851,53 +846,49 @@ pub fn send_session<P: PathSink>(
             pulled += 1;
         }
         if pulled == 0 {
-            if !closed_loop {
+            let Some(source) = feedback.as_deref_mut() else {
                 break;
-            }
+            };
             // Planned emission (and repair queue) exhausted: linger for
             // digests still in flight before judging the plan.
-            let now = Instant::now();
-            match linger_until {
-                None => linger_until = Some(now + LINGER),
-                Some(deadline) if now < deadline => {}
-                Some(_) => {
-                    // Objects still open fall back to their full schedules
-                    // as deployed now. One the population already decoded
-                    // stays stopped even if its receivers have since gone
-                    // quiet and been evicted.
-                    let planned = stream.planned_total();
-                    let open = || tois.iter().copied().filter(|toi| !stopped.contains(toi));
-                    for toi in open() {
-                        stream.amend_plan(toi, None).map_err(|e| e.to_string())?;
-                    }
-                    if stream.is_done() {
-                        let [_, median, _] = agg.summary().completion_quantiles;
-                        eprintln!(
-                            "full schedule exhausted without a completion report \
-                             ({} receivers tracked, median completion {:.0}%; \
-                             receivers gone, or losses beyond the code budget)",
-                            agg.receiver_count(),
-                            median * 100.0
-                        );
-                        break;
-                    }
-                    // The plan was too optimistic: keep going.
+            quiet_polls += 1;
+            if quiet_polls > LINGER_NAPS {
+                quiet_polls = 0;
+                // Objects still open fall back to their full schedules as
+                // deployed now. One the population already decoded stays
+                // stopped even if its receivers have since gone quiet and
+                // been evicted.
+                let planned = stream.planned_total();
+                let open = || tois.iter().copied().filter(|toi| !stopped.contains(toi));
+                for toi in open() {
+                    stream.amend_plan(toi, None).map_err(|e| e.to_string())?;
+                }
+                if stream.is_done() {
+                    let [_, median, _] = agg.summary().completion_quantiles;
                     eprintln!(
-                        "no completion report after the planned {planned} datagrams; \
-                         reverting to the full schedule"
+                        "full schedule exhausted without a completion report \
+                         ({} receivers tracked, median completion {:.0}%; \
+                         receivers gone, or losses beyond the code budget)",
+                        agg.receiver_count(),
+                        median * 100.0
                     );
-                    agg.record_failure();
-                    summary.backoffs += 1;
-                    for toi in open() {
-                        record(Event::BackoffTriggered { reverted: toi });
-                    }
-                    linger_until = None;
+                    break;
+                }
+                // The plan was too optimistic: keep going.
+                eprintln!(
+                    "no completion report after the planned {planned} datagrams; \
+                     reverting to the full schedule"
+                );
+                agg.record_failure();
+                summary.backoffs += 1;
+                for toi in open() {
+                    record(Event::BackoffTriggered { reverted: toi });
                 }
             }
-            std::thread::sleep(IDLE_NAP);
+            source.nap();
             continue;
         }
-        linger_until = None;
+        quiet_polls = 0;
         offered += pulled as u64;
         let per_path = paths.iter_mut().zip(&mut bursts).zip(&mut outcomes);
         for (path, ((sink, burst), outcome)) in per_path.enumerate() {

@@ -15,7 +15,8 @@
 //!   After each burst a member ships the step's digest; once it holds
 //!   every object it ships its FIN digest and leaves.
 //! * A digest poll that finds the queue empty is the members' idle tick:
-//!   every member still in the session ships the step's idle flush.
+//!   every member still in the session ships the step's idle flush. Time
+//!   is that tick: the sender's nap between quiet polls returns at once.
 //!
 //! Each path records how many datagrams it was offered and an FNV-1a hash
 //! of them in send order, the routing fingerprint a golden test pins. The
@@ -486,6 +487,9 @@ impl DigestSource for Reports {
             |(b, from): (Vec<u8>, _)| (BufferPool::with_config(b.len(), 1).buf_from(&b), from);
         Ok(world.digests.drain(..n).map(pool).collect())
     }
+
+    /// Nothing is in flight: the quiet poll already ran the idle tick.
+    fn nap(&mut self) {}
 }
 
 #[cfg(test)]

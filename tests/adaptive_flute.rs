@@ -27,7 +27,7 @@ use fec_broadcast::flute::feedback::{
     AggregatorConfig, FeedbackAggregator, ReceptionReport, ReportConfig,
 };
 use fec_broadcast::flute::{FluteReceiver, FluteSender, SenderConfig};
-use fec_broadcast::live::{self, ReceiveConfig, SendConfig, SendOutcome, WirePath};
+use fec_broadcast::live::{self, SendConfig, SendOutcome, WirePath};
 use fec_broadcast::prelude::*;
 use fec_broadcast::wire::{Backend, BatchReceiver, BatchSender, BufferPool, Pacer, MAX_BURST};
 
@@ -133,11 +133,7 @@ fn run_receiver(data_socket: UdpSocket, report_dest: std::net::SocketAddr) -> Fl
         let sent = report_socket.send_to(&bytes, report_dest);
         sent.map(drop).map_err(|e| e.to_string())
     };
-    let config = ReceiveConfig {
-        flush_interval: Duration::from_millis(200),
-        ..ReceiveConfig::default()
-    };
-    live::receive_session(&mut session, &rx, ship, &config).unwrap();
+    live::receive_session(&mut session, &rx, ship, &Registry::disabled()).unwrap();
     session
 }
 

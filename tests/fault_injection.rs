@@ -181,11 +181,10 @@ mod bonded_faults {
 mod wire_faults {
     use std::io;
     use std::sync::mpsc;
-    use std::time::Duration;
 
     use fec_broadcast::flute::feedback::{ReceptionReport, ReportConfig};
     use fec_broadcast::flute::{AlcPacket, FecPayloadId, FluteReceiver, FluteSender, SenderConfig};
-    use fec_broadcast::live::{self, BurstSource, DrainStats, ReceiveConfig};
+    use fec_broadcast::live::{self, BurstSource, DrainStats};
     use fec_broadcast::prelude::{ExpansionRatio, TxModel};
     use fec_broadcast::telemetry::Registry;
     use fec_broadcast::wire::{BufferPool, PoolBuf};
@@ -246,7 +245,7 @@ mod wire_faults {
             Step::Burst(vec![vec![5u8; 50]]),
         ]);
         let (tx, rx) = mpsc::channel();
-        let stats = live::drain_loop(&mut source, 3, &tx, 64);
+        let stats = live::drain_loop(&mut source, 3, &tx);
         assert_eq!(
             stats,
             DrainStats {
@@ -281,7 +280,7 @@ mod wire_faults {
         ]);
         let (tx, rx) = mpsc::channel();
         drop(rx);
-        let stats = live::drain_loop(&mut source, 0, &tx, 64);
+        let stats = live::drain_loop(&mut source, 0, &tx);
         assert_eq!(stats.bursts, 1, "first failed send must end the loop");
     }
 
@@ -328,13 +327,6 @@ mod wire_faults {
         rx
     }
 
-    fn receive_config() -> ReceiveConfig {
-        ReceiveConfig {
-            flush_interval: Duration::from_millis(20),
-            ..ReceiveConfig::default()
-        }
-    }
-
     /// Bugfix 2: a digest that fails to ship must be logged and counted,
     /// never abort the receive — the return channel is lossy by design.
     #[test]
@@ -355,7 +347,7 @@ mod wire_faults {
                 attempts += 1;
                 Err("return channel down".to_string())
             },
-            &receive_config(),
+            &Registry::disabled(),
         )
         .expect("a dead return channel must not abort the receive");
 
@@ -416,7 +408,7 @@ mod wire_faults {
         let mut session = FluteReceiver::new(TSI);
         session.attach_telemetry(&registry);
         session.enable_reports(ReportConfig::default());
-        let outcome = live::receive_session(&mut session, &rx, |_| Ok(()), &receive_config())
+        let outcome = live::receive_session(&mut session, &rx, |_| Ok(()), &Registry::disabled())
             .expect("malformed datagrams must not sink the session");
 
         assert_eq!(outcome.completed.get(&1), Some(&(genuine - fdts)));
@@ -463,7 +455,7 @@ mod wire_faults {
             last = Some(report.clone());
             Ok(())
         };
-        let reception = live::receive_session(&mut session, &rx, ship, &receive_config())
+        let reception = live::receive_session(&mut session, &rx, ship, &Registry::disabled())
             .expect("a clean three-object session decodes");
 
         assert!(reception.is_done());
@@ -492,7 +484,7 @@ mod wire_faults {
         datagrams.retain(|dg| AlcPacket::from_bytes(dg).unwrap().payload_id.is_some());
         let rx = feed(datagrams);
         let mut session = FluteReceiver::new(TSI);
-        let reception = live::receive_session(&mut session, &rx, |_| Ok(()), &receive_config())
+        let reception = live::receive_session(&mut session, &rx, |_| Ok(()), &Registry::disabled())
             .expect("the decoded object is a success without an FDT");
 
         assert!(

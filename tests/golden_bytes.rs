@@ -5,9 +5,10 @@
 //! is one of them at a larger scale. They were re-pinned once, when each
 //! cell gained its law of `n_necessary` and its statistics came to be
 //! read off that law's exact integer moments: every earlier field kept
-//! its value to within 2.3e-16. The closed-loop report is the live engine's
-//! in the in-process world, as `fec-broadcast adapt` runs it. "Same
-//! bytes" here is the statement that a refactor moved no number.
+//! its value to within 2.3e-16. The closed-loop reports are the live
+//! engine's in the in-process world, as `fec-broadcast adapt` runs it: one
+//! that never lingers and one that does. "Same bytes" here is the
+//! statement that a refactor moved no number.
 //!
 //! The files under `tests/golden/` are compared byte for byte; they are
 //! never regenerated by the suite.
@@ -75,14 +76,9 @@ fn ldgm_triangle_tx4_early_exit_sweep_keeps_its_bytes() {
     );
 }
 
-/// The closed loop on the engine: the world's adaptive session over a
-/// drifting channel, one object redeployed after another as the
-/// controller decides. The report pins each object's tuple, the estimate
-/// it came due under, how much of it went out and what it took to decode
-/// — and no wall-clock figure.
-#[test]
-fn adaptive_loop_report_keeps_its_bytes() {
-    let workload = Workload::drifting(200, 14, 0x601D_AD47);
+/// The world's adaptive session over `workload`'s drifting channel,
+/// serialised.
+fn adaptive_report_bytes(workload: Workload) -> String {
     let config = SendConfig {
         window: 2_000,
         ..SendConfig::default()
@@ -90,8 +86,30 @@ fn adaptive_loop_report_keeps_its_bytes() {
     let (report, _) = workload
         .run(&Decision::prior(), Some(&config))
         .expect("the session runs");
+    serde_json::to_string_pretty(&report).expect("serialisable") + "\n"
+}
+
+/// The closed loop on the engine: the world's adaptive session over a
+/// drifting channel, one object redeployed after another as the
+/// controller decides. The report pins each object's tuple, the estimate
+/// it came due under, how much of it went out and what it took to decode
+/// — and no wall-clock figure.
+#[test]
+fn adaptive_loop_report_keeps_its_bytes() {
     assert_eq!(
-        serde_json::to_string_pretty(&report).expect("serialisable") + "\n",
+        adaptive_report_bytes(Workload::drifting(200, 14, 0x601D_AD47)),
         include_str!("golden/adaptive_loop_report.json")
+    );
+}
+
+/// A session whose planned emission runs dry before its last object
+/// decodes: the sender lingers for digests in flight, then judges the
+/// plan. Recorded while the linger still ran on a wall-clock deadline;
+/// counted in quiet polls, it moves no number.
+#[test]
+fn adaptive_linger_report_keeps_its_bytes() {
+    assert_eq!(
+        adaptive_report_bytes(Workload::drifting(400, 20, 0xAD47)),
+        include_str!("golden/adaptive_linger_report.json")
     );
 }

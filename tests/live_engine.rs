@@ -170,7 +170,10 @@ fn a_window_below_two_packets_is_an_error_not_a_panic() {
 /// "full schedule exhausted". Judged against the schedule the session
 /// started with (or with the objects receivers had already stopped
 /// counted in), a backoff always looked possible, and the sender backed
-/// off every 1.5 s forever.
+/// off every linger forever. The watchdog turns that into a failure, not
+/// a hang. Lingering counts quiet polls of the world, whose nap takes no
+/// time, so both lingers together take less wall time than the 1.5 s one
+/// linger takes on the wire.
 #[test]
 fn a_dead_path_after_a_redeploy_exhausts_the_full_schedule() {
     let (done, outcome) = std::sync::mpsc::channel();
@@ -184,6 +187,7 @@ fn a_dead_path_after_a_redeploy_exhausts_the_full_schedule() {
         let (world, mut paths, mut reports) =
             World::new(vec![load.member(5, vec![gilbert(0.005, 0.8, 0xD1E)])], 1);
         world.borrow_mut().at(1_500, 0, Fault::Kill);
+        let started = std::time::Instant::now();
         let outcome = live::send_session(
             &session,
             0x5EED,
@@ -192,10 +196,11 @@ fn a_dead_path_after_a_redeploy_exhausts_the_full_schedule() {
             &CONFIG,
             None,
         );
+        let elapsed = started.elapsed();
         let complete = world.borrow().members[0].receiver.all_complete();
-        done.send((outcome, complete)).ok();
+        done.send((outcome, complete, elapsed)).ok();
     });
-    let (outcome, complete) = outcome
+    let (outcome, complete, elapsed) = outcome
         .recv_timeout(std::time::Duration::from_secs(120))
         .expect("the session ends");
     session.join().expect("the session thread");
@@ -212,6 +217,10 @@ fn a_dead_path_after_a_redeploy_exhausts_the_full_schedule() {
         outcome.summary.backoffs <= 1,
         "{}",
         outcome.summary.backoffs
+    );
+    assert!(
+        elapsed < std::time::Duration::from_millis(1_500),
+        "the in-process world waited on the wall clock: {elapsed:?}"
     );
 }
 
