@@ -1,5 +1,6 @@
 //! Heap allocations per decoded object, counted from `Receiver::new` to
-//! `into_object` on the benchmark's three payload shapes.
+//! `into_object` on the benchmark's three payload shapes, and the bytes
+//! `Receiver::new` requests on the LDGM ones.
 //!
 //! The built-in decoders keep one object buffer, write each source symbol
 //! into it once and hand it over from `into_object`, so the count does
@@ -7,7 +8,8 @@
 //! that allocated per symbol again would make thousands.
 //!
 //! The counter is a `#[global_allocator]` over `std::alloc::System` that
-//! counts every allocation and reallocation made on the calling thread.
+//! counts every allocation and reallocation made on the calling thread,
+//! and the bytes each one asks for.
 //! It is the one `unsafe` outside the kernels and the syscall shim (the
 //! trait cannot be implemented without it), allowlisted by file in
 //! `fec-audit`.
@@ -23,6 +25,7 @@ struct Counting;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 // SAFETY: both methods forward their arguments unchanged to `System`,
@@ -36,6 +39,7 @@ unsafe impl GlobalAlloc for Counting {
         // stays reachable; ignoring `try_with`'s result keeps an
         // allocation from ever panicking here.
         let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        let _ = BYTES.try_with(|n| n.set(n.get() + layout.size() as u64));
         System.alloc(layout)
     }
 
@@ -50,6 +54,10 @@ static COUNTING: Counting = Counting;
 
 fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
+}
+
+fn bytes() -> u64 {
+    BYTES.with(Cell::get)
 }
 
 /// Allocations between `Receiver::new` and `into_object` (both
@@ -99,5 +107,41 @@ fn a_decoded_object_costs_a_bounded_number_of_allocations() {
         let made = decode_allocations(code, tx, k, symbol, lossy);
         println!("{name}: {made} allocations (cap {cap})");
         assert!(made <= cap, "{name}: {made} allocations, cap {cap}");
+    }
+}
+
+/// Bytes `Receiver::new` requests for one object of `k` symbols of
+/// `symbol` bytes at ratio 1.5.
+fn receiver_bytes(code: CodecHandle, k: usize, symbol: usize) -> u64 {
+    let spec = CodeSpec::new(code, k, ExpansionRatio::R1_5).with_matrix_seed(11);
+    let before = bytes();
+    let rx = Receiver::new(spec, k * symbol, symbol).unwrap();
+    let requested = bytes() - before;
+    drop(rx);
+    requested
+}
+
+#[test]
+fn a_receiver_requests_about_its_object_and_matrix() {
+    // (workload, code, k, symbol bytes, cap). The object is 522 240 B and
+    // 2 088 960 B, the matrix arrays the build keeps 358 040 B and
+    // 97 904 B, and the decoder's own state and the build's row order
+    // (plus, for Triangle, its fill draws) the rest: 976 112 B and
+    // 2 220 436 B requested. Each cap leaves less room than the matrix's
+    // `(row, col)` entry list (293 760 B and 73 440 B) or a bucket copy
+    // of its entries (130 556 B and 36 708 B) would take: the entry-list
+    // build requested 1 612 600 B and 2 375 476 B.
+    #[rustfmt::skip]
+    let cases = [
+        ("small_symbol", builtin::ldgm_staircase(), 8160, 64, 1_000_000),
+        ("bulk_ldgm", builtin::ldgm_triangle(), 2040, 1024, 2_240_000),
+    ];
+    for (name, code, k, symbol, cap) in cases {
+        let requested = receiver_bytes(code, k, symbol);
+        println!("{name}: Receiver::new requested {requested} B (cap {cap})");
+        assert!(
+            requested <= cap,
+            "{name}: {requested} B requested, cap {cap}"
+        );
     }
 }

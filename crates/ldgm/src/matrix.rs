@@ -13,12 +13,13 @@
 //! sender/receiver mismatch, not a slower code. `tests/fingerprints.rs`
 //! pins the CSR + CSC bytes of a table of geometries.
 //!
-//! Construction is paid once per object on each side, so it is kept
-//! linear: the Park–Miller draws fold instead of dividing twice
-//! ([`crate::prng`]), and [`SparseMatrix::build_with_fill`] assembles both
-//! indices by counting passes — bucket by column, scatter into rows in
-//! ascending column order, scatter back into columns in ascending row
-//! order — with no comparison sort.
+//! Construction is paid once per object on each side, so
+//! [`SparseMatrix::build_with_fill`] builds in one column-major pass, with
+//! no entry list and no sort of the entries. The left part's de-duplicated
+//! slot array already is the source half of the CSC (column `c` is slots
+//! `c·d..(c+1)·d`, each window sorted in place); the parity columns are
+//! appended one by one; and one counting transpose, whose row offsets come
+//! from row weights known as the entries are drawn, gives the CSR.
 
 use core::fmt;
 
@@ -268,47 +269,50 @@ impl SparseMatrix {
         }
 
         let mut rng = PmRand::new(seed);
-        // (row, col), unique by construction; `assemble` checks it in
-        // debug builds.
-        let mut entries: Vec<(u32, u32)> = Vec::with_capacity(left_degree * k + 3 * m);
-
-        build_left_part(k, m, left_degree, &mut rng, &mut entries);
-        build_right_part(k, m, right, fill, &mut rng, &mut entries);
-
-        Ok(SparseMatrix::assemble(params, &entries))
+        // Exact for the shipped right sides; an ablation fill may grow it.
+        let parity_nnz = match right {
+            RightSide::Identity => m,
+            RightSide::Staircase => 2 * m - 1,
+            RightSide::Triangle => (3 * m).saturating_sub(3),
+        };
+        let mut h = build_left_part(params, &mut rng, parity_nnz);
+        build_right_part(&mut h, right, fill, &mut rng);
+        Ok(SparseMatrix::from_columns(params, h))
     }
 
-    /// CSR + CSC from unordered `(row, col)` entries by counting passes:
-    /// bucket the entries by column, transpose the buckets into rows (read
-    /// in ascending column order), then transpose the rows back into
-    /// columns. Every row and every column comes out sorted — the arrays a
-    /// sort of the entries would give — in O(nnz + n).
-    fn assemble(p: LdgmParams, entries: &[(u32, u32)]) -> SparseMatrix {
-        let (n, m) = (p.n, p.n - p.k);
-        let row_ptr = offsets(m, entries.iter().map(|e| e.0));
-        let col_ptr = offsets(n, entries.iter().map(|e| e.1));
-        let mut by_col = vec![0u32; entries.len()];
-        let mut next = col_ptr.clone();
-        for &(r, c) in entries {
-            by_col[next[c as usize] as usize] = r;
-            next[c as usize] += 1;
-        }
-        let row_cols = transpose(&col_ptr, &by_col, &row_ptr);
-        let row = |i: usize| &row_cols[row_ptr[i] as usize..row_ptr[i + 1] as usize];
-        debug_assert!(
-            (0..m).all(|i| row(i).windows(2).all(|w| w[0] < w[1])),
-            "duplicate entry in parity check matrix"
-        );
-        let col_rows = transpose(&row_ptr, &row_cols, &col_ptr);
-        let start = (0..m)
-            .map(|i| Unprocessed {
-                count: row(i).len() as u32,
-                ids: row(i).iter().fold(0, |x, &c| x ^ c),
-            })
+    /// CSR from the CSC by one counting transpose: columns are read in
+    /// ascending order, so every row comes out ascending too — the arrays
+    /// a sort of the entries would give — and each row's `start` (weight,
+    /// XOR of its column ids) is filled in the same pass.
+    fn from_columns(p: LdgmParams, h: Csc) -> SparseMatrix {
+        let (m, col_ptr, col_rows, mut row_ptr) = (p.n - p.k, h.ptr, h.rows, h.weights);
+        row_ptr.iter_mut().fold(0, |at, w| {
+            *w += at;
+            *w
+        });
+        let mut row_cols = vec![0u32; col_rows.len()];
+        // `count` is the row's write cursor until the scatter is done.
+        let mut start: Vec<Unprocessed> = row_ptr[..m]
+            .iter()
+            .map(|&at| Unprocessed { count: at, ids: 0 })
             .collect();
+        for (c, w) in col_ptr.windows(2).enumerate() {
+            for &r in &col_rows[w[0] as usize..w[1] as usize] {
+                let eq = &mut start[r as usize];
+                row_cols[eq.count as usize] = c as u32;
+                eq.count += 1;
+                eq.ids ^= c as u32;
+            }
+        }
+        for (eq, row) in start.iter_mut().zip(row_ptr.windows(2)) {
+            debug_assert_eq!(eq.count, row[1], "row weights disagree with the columns");
+            let cols = &row_cols[row[0] as usize..row[1] as usize];
+            debug_assert!(cols.windows(2).all(|w| w[0] < w[1]), "duplicate entry in H");
+            eq.count -= row[0];
+        }
         SparseMatrix {
             k: p.k,
-            n,
+            n: p.n,
             row_ptr,
             row_cols,
             col_ptr,
@@ -416,63 +420,45 @@ pub struct MatrixStats {
     pub density: f64,
 }
 
-/// Bucket offsets: `ptr[b]..ptr[b + 1]` is bucket `b`'s slice, sized by
-/// how often `b` occurs among `keys`.
-fn offsets(buckets: usize, keys: impl Iterator<Item = u32>) -> Vec<u32> {
-    let mut ptr = vec![0u32; buckets + 1];
-    keys.for_each(|b| ptr[b as usize + 1] += 1);
-    for b in 0..buckets {
-        ptr[b + 1] += ptr[b];
-    }
-    ptr
+/// `H` in CSC form as it is built, column by column.
+struct Csc {
+    /// Column `c`'s rows are `rows[ptr[c]..ptr[c + 1]]`, ascending.
+    ptr: Vec<u32>,
+    rows: Vec<u32>,
+    /// Row `i`'s weight, at `[i + 1]` (its prefix sum is the CSR's
+    /// `row_ptr`).
+    weights: Vec<u32>,
 }
 
-/// The transpose of a bucketed index: `j` in bucket `i` of `(ptr, vals)`
-/// becomes `i` in bucket `j` of the result (offsets `out_ptr`). Buckets are
-/// read in order, so every result bucket comes out ascending.
-fn transpose(ptr: &[u32], vals: &[u32], out_ptr: &[u32]) -> Vec<u32> {
-    let mut next = out_ptr.to_vec();
-    let mut out = vec![0u32; vals.len()];
-    for (i, w) in ptr.windows(2).enumerate() {
-        for &j in &vals[w[0] as usize..w[1] as usize] {
-            out[next[j as usize] as usize] = i as u32;
-            next[j as usize] += 1;
-        }
-    }
-    out
-}
-
-/// Builds `H1`: a regular bipartite graph where every source column has
-/// exactly `left_degree` entries in distinct rows, and row weights are
-/// balanced to within one edge (RFC 5170-style slot assignment).
-fn build_left_part(
-    k: usize,
-    m: usize,
-    left_degree: usize,
-    rng: &mut PmRand,
-    entries: &mut Vec<(u32, u32)>,
-) {
+/// Builds `H1` column-major: a regular bipartite graph where every source
+/// column has exactly `left_degree` entries in distinct rows, and row
+/// weights are balanced to within one edge (RFC 5170-style slot
+/// assignment). The slot array is the source half of the CSC: column `c`
+/// is slots `c * left_degree..(c + 1) * left_degree`. `spare` more entries
+/// are reserved for the parity columns.
+fn build_left_part(p: LdgmParams, rng: &mut PmRand, spare: usize) -> Csc {
+    let (k, m, left_degree) = (p.k, p.n - p.k, p.left_degree);
+    let mut weights = vec![0u32; m + 1];
     let edges = left_degree * k;
-    let base = edges / m;
-    let extra = edges % m;
+    let (base, extra) = (edges / m, edges % m);
 
     // Rows that receive one extra edge are chosen at random (not always the
     // first `extra` rows) so no structural bias correlates with the
     // staircase position.
-    let mut rows: Vec<u32> = (0..m as u32).collect();
-    rng.shuffle(&mut rows);
+    let mut order: Vec<u32> = (0..m as u32).collect();
+    rng.shuffle(&mut order);
 
-    let mut slots: Vec<u32> = Vec::with_capacity(edges);
-    for (pos, &r) in rows.iter().enumerate() {
+    let mut slots: Vec<u32> = Vec::with_capacity(edges + spare);
+    for (pos, &r) in order.iter().enumerate() {
         let reps = base + usize::from(pos < extra);
+        weights[r as usize + 1] = reps as u32;
         slots.extend(std::iter::repeat_n(r, reps));
     }
     rng.shuffle(&mut slots);
 
-    for col in 0..k {
-        let start = col * left_degree;
-        // De-duplicate the degree-sized window by swapping offenders with
-        // random later slots.
+    for start in (0..edges).step_by(left_degree) {
+        // De-duplicate the window by swapping offenders with random later
+        // slots (so later windows never touch this one), then sort it.
         for i in start + 1..start + left_degree {
             let mut attempts = 0;
             while slots[start..i].contains(&slots[i]) {
@@ -484,6 +470,8 @@ fn build_left_part(
                     while slots[start..i].contains(&r) {
                         r = rng.below(m as u32);
                     }
+                    weights[slots[i] as usize + 1] -= 1;
+                    weights[r as usize + 1] += 1;
                     slots[i] = r;
                     break;
                 }
@@ -491,112 +479,125 @@ fn build_left_part(
                 slots.swap(i, j);
             }
         }
-        for &slot in &slots[start..start + left_degree] {
-            entries.push((slot, col as u32));
+        // Insertion order by compare-exchange, with no early exit: the
+        // window is `left_degree` long (3 in the paper), and min/max has no
+        // data-dependent branch, where `sort_unstable` mispredicts on
+        // shuffled rows (a k = 8 160 build takes 18 % longer with it).
+        let window = &mut slots[start..start + left_degree];
+        for i in 1..left_degree {
+            for j in (0..i).rev() {
+                let (a, b) = (window[j], window[j + 1]);
+                (window[j], window[j + 1]) = (a.min(b), a.max(b));
+            }
         }
     }
+    let (mut ptr, rows) = (Vec::with_capacity(p.n + 1), slots);
+    ptr.extend((0..=k).map(|c| (c * left_degree) as u32));
+    Csc { ptr, rows, weights }
 }
 
-/// Builds the parity part of `H` (columns `k..n`).
-fn build_right_part(
-    k: usize,
-    m: usize,
-    right: RightSide,
-    fill: TriangleFill,
-    rng: &mut PmRand,
-    entries: &mut Vec<(u32, u32)>,
-) {
-    let k = k as u32;
-    // Identity diagonal: parity i is defined by equation i.
-    for i in 0..m as u32 {
-        entries.push((i, k + i));
-    }
-    if matches!(right, RightSide::Staircase | RightSide::Triangle) {
-        for i in 1..m as u32 {
-            entries.push((i, k + i - 1));
+/// Appends the parity columns `k..n` of `H` to the CSC, each ascending:
+/// the diagonal, the staircase, then the fill, which lies strictly below
+/// both. A per-row fill is drawn first, in row order, one `u32` (the
+/// column) each; each column keeps room for the rows that drew it, and
+/// they are placed in row order, so they ascend.
+fn build_right_part(h: &mut Csc, right: RightSide, fill: TriangleFill, rng: &mut PmRand) {
+    let Csc { ptr, rows, weights } = h;
+    let m = weights.len() - 1;
+    let (staircase, triangle) = (right != RightSide::Identity, right == RightSide::Triangle);
+    // Equation `i >= 2` references `extra` distinct uniform-random earlier
+    // parity columns in `[0, i-2]`, as many as there are.
+    let extra = match (triangle, fill) {
+        (true, TriangleFill::PerRowUniform) => 1,
+        (true, TriangleFill::PerRow(extra)) => usize::from(extra),
+        _ => 0,
+    };
+    let want = |i: usize| extra.min(i.saturating_sub(1));
+    // Per parity column: how many rows drew it, then its write cursor.
+    let mut cursor = vec![0u32; if extra > 0 { m } else { 0 }];
+    let mut drawn: Vec<u32> = Vec::with_capacity(cursor.len());
+    for i in (2..m).filter(|_| extra > 0) {
+        let from = drawn.len();
+        while drawn.len() - from < want(i) {
+            let j = rng.below((i - 1) as u32);
+            if !drawn[from..].contains(&j) {
+                drawn.push(j);
+                cursor[j as usize] += 1;
+            }
         }
     }
-    if matches!(right, RightSide::Triangle) {
+    // Every equation holds its diagonal, all but the first its staircase.
+    for (i, w) in weights[1..].iter_mut().enumerate() {
+        *w += 1 + u32::from(staircase && i > 0) + want(i) as u32;
+    }
+
+    for j in 0..m {
+        rows.push(j as u32);
+        if staircase && j + 1 < m {
+            rows.push(j as u32 + 1);
+        }
+        let from = rows.len();
         match fill {
+            // Room for the rows that drew column j, where its cursor starts.
+            _ if extra > 0 => {
+                let drew = cursor
+                    .get_mut(j)
+                    .map_or(0, |c| std::mem::replace(c, from as u32));
+                rows.resize(from + drew as usize, 0);
+            }
+            _ if !triangle => {}
+            TriangleFill::PerRow(_) | TriangleFill::PerRowUniform => {}
             TriangleFill::PerColumn(extra) => {
-                // Column j gains `extra` distinct uniform-random rows in
-                // (j+1, m). Columns too close to the bottom get as many as
-                // fit.
-                for j in 0..m {
-                    let lo = j + 2;
-                    if lo >= m {
-                        continue;
-                    }
+                // `extra` distinct uniform-random rows in (j+1, m).
+                // Columns too close to the bottom get as many as fit.
+                let lo = j + 2;
+                if lo < m {
                     let span = (m - lo) as u32;
                     let want = (extra as u32).min(span) as usize;
-                    let mut picked: Vec<u32> = Vec::with_capacity(want);
-                    while picked.len() < want {
+                    while rows.len() - from < want {
                         let r = lo as u32 + rng.below(span);
-                        if !picked.contains(&r) {
-                            picked.push(r);
+                        if !rows[from..].contains(&r) {
+                            rows.push(r);
                         }
                     }
-                    for r in picked {
-                        entries.push((r, k + j as u32));
-                    }
+                    rows[from..].sort_unstable();
                 }
             }
-            TriangleFill::GeometricDouble => {
-                for j in 0..m {
-                    let mut off = 1usize;
-                    let mut i = j + 2;
-                    while i < m {
-                        entries.push((i as u32, k + j as u32));
-                        off <<= 1;
-                        i += off;
-                    }
-                }
-            }
-            TriangleFill::GeometricTriple => {
-                for j in 0..m {
-                    let mut off = 1usize;
-                    let mut i = j + 2;
-                    while i < m {
-                        entries.push((i as u32, k + j as u32));
-                        off *= 3;
-                        i += off;
-                    }
+            TriangleFill::GeometricDouble | TriangleFill::GeometricTriple => {
+                let factor = 2 + usize::from(fill == TriangleFill::GeometricTriple);
+                let mut off = 1usize;
+                let mut i = j + 2;
+                while i < m {
+                    rows.push(i as u32);
+                    off *= factor;
+                    i += off;
                 }
             }
             TriangleFill::ThirdDiagonal => {
-                for i in 2..m as u32 {
-                    entries.push((i, k + i - 2));
+                if j + 2 < m {
+                    rows.push(j as u32 + 2);
                 }
             }
-            TriangleFill::PerRowUniform => {
-                for i in 2..m {
-                    let j = rng.below((i - 1) as u32); // 0..=i-2
-                    entries.push((i as u32, k + j));
-                }
-            }
-            TriangleFill::PerRow(extra) => {
-                for i in 2..m {
-                    let span = (i - 1) as u32;
-                    let want = (extra as u32).min(span) as usize;
-                    let mut picked: Vec<u32> = Vec::with_capacity(want);
-                    while picked.len() < want {
-                        let j = rng.below(span);
-                        if !picked.contains(&j) {
-                            picked.push(j);
-                        }
-                    }
-                    for j in picked {
-                        entries.push((i as u32, k + j));
-                    }
-                }
-            }
+            // Equation i depends on check (i-1)/2, so column j holds rows
+            // 2j+1 and 2j+2 (from row 2 on).
             TriangleFill::HalvingTree => {
-                for i in 2..m {
-                    let j = ((i - 1) / 2) as u32;
-                    entries.push((i as u32, k + j));
-                }
+                rows.extend((2 * j + 1).max(2) as u32..(2 * j + 3).min(m) as u32)
             }
         }
+        if extra == 0 {
+            rows[from..]
+                .iter()
+                .for_each(|&r| weights[r as usize + 1] += 1);
+        }
+        ptr.push(rows.len() as u32);
+    }
+    let mut next = 0;
+    for i in (2..m).filter(|_| extra > 0) {
+        for &j in &drawn[next..next + want(i)] {
+            rows[cursor[j as usize] as usize] = i as u32;
+            cursor[j as usize] += 1;
+        }
+        next += want(i);
     }
 }
 
@@ -609,17 +610,132 @@ mod tests {
         SparseMatrix::build(LdgmParams::new(k, n, right, seed)).unwrap()
     }
 
-    /// The entries `build_with_fill` assembles, in generation order.
+    /// Reference generator: the `(row, col)` entries of `H`, in the order
+    /// the entry-list construction drew them. Its draws are the wire
+    /// contract `build_with_fill` keeps.
     fn entries(p: LdgmParams, fill: TriangleFill) -> Vec<(u32, u32)> {
         let m = p.n - p.k;
         let mut rng = PmRand::new(p.seed);
         let mut entries = Vec::new();
-        build_left_part(p.k, m, p.left_degree, &mut rng, &mut entries);
-        build_right_part(p.k, m, p.right, fill, &mut rng, &mut entries);
+        reference_left_part(p.k, m, p.left_degree, &mut rng, &mut entries);
+        reference_right_part(p.k, m, p.right, fill, &mut rng, &mut entries);
         entries
     }
 
-    /// Reference: the sort-based assembly the counting passes replaced.
+    fn reference_left_part(
+        k: usize,
+        m: usize,
+        left_degree: usize,
+        rng: &mut PmRand,
+        entries: &mut Vec<(u32, u32)>,
+    ) {
+        let edges = left_degree * k;
+        let (base, extra) = (edges / m, edges % m);
+        let mut rows: Vec<u32> = (0..m as u32).collect();
+        rng.shuffle(&mut rows);
+        let mut slots: Vec<u32> = Vec::with_capacity(edges);
+        for (pos, &r) in rows.iter().enumerate() {
+            slots.extend(std::iter::repeat_n(r, base + usize::from(pos < extra)));
+        }
+        rng.shuffle(&mut slots);
+        for col in 0..k {
+            let start = col * left_degree;
+            for i in start + 1..start + left_degree {
+                let mut attempts = 0;
+                while slots[start..i].contains(&slots[i]) {
+                    attempts += 1;
+                    if attempts > 64 || i + 1 >= slots.len() {
+                        let mut r = rng.below(m as u32);
+                        while slots[start..i].contains(&r) {
+                            r = rng.below(m as u32);
+                        }
+                        slots[i] = r;
+                        break;
+                    }
+                    let j = i + 1 + rng.below((slots.len() - i - 1) as u32) as usize;
+                    slots.swap(i, j);
+                }
+            }
+            for &slot in &slots[start..start + left_degree] {
+                entries.push((slot, col as u32));
+            }
+        }
+    }
+
+    fn reference_right_part(
+        k: usize,
+        m: usize,
+        right: RightSide,
+        fill: TriangleFill,
+        rng: &mut PmRand,
+        entries: &mut Vec<(u32, u32)>,
+    ) {
+        let k = k as u32;
+        entries.extend((0..m as u32).map(|i| (i, k + i)));
+        if right != RightSide::Identity {
+            entries.extend((1..m as u32).map(|i| (i, k + i - 1)));
+        }
+        if right != RightSide::Triangle {
+            return;
+        }
+        let geometric = |entries: &mut Vec<(u32, u32)>, factor: usize| {
+            for j in 0..m {
+                let (mut off, mut i) = (1usize, j + 2);
+                while i < m {
+                    entries.push((i as u32, k + j as u32));
+                    off *= factor;
+                    i += off;
+                }
+            }
+        };
+        match fill {
+            TriangleFill::PerColumn(extra) => {
+                for j in 0..m {
+                    let lo = j + 2;
+                    if lo >= m {
+                        continue;
+                    }
+                    let span = (m - lo) as u32;
+                    let mut picked: Vec<u32> = Vec::new();
+                    while picked.len() < (extra as u32).min(span) as usize {
+                        let r = lo as u32 + rng.below(span);
+                        if !picked.contains(&r) {
+                            picked.push(r);
+                        }
+                    }
+                    entries.extend(picked.into_iter().map(|r| (r, k + j as u32)));
+                }
+            }
+            TriangleFill::GeometricDouble => geometric(entries, 2),
+            TriangleFill::GeometricTriple => geometric(entries, 3),
+            TriangleFill::ThirdDiagonal => entries.extend((2..m as u32).map(|i| (i, k + i - 2))),
+            TriangleFill::PerRowUniform => {
+                for i in 2..m {
+                    let j = rng.below((i - 1) as u32);
+                    entries.push((i as u32, k + j));
+                }
+            }
+            TriangleFill::PerRow(extra) => {
+                for i in 2..m {
+                    let span = (i - 1) as u32;
+                    let mut picked: Vec<u32> = Vec::new();
+                    while picked.len() < (extra as u32).min(span) as usize {
+                        let j = rng.below(span);
+                        if !picked.contains(&j) {
+                            picked.push(j);
+                        }
+                    }
+                    entries.extend(picked.into_iter().map(|j| (i as u32, k + j)));
+                }
+            }
+            TriangleFill::HalvingTree => {
+                entries.extend((2..m).map(|i| (i as u32, k + ((i - 1) / 2) as u32)))
+            }
+        }
+    }
+
+    /// Reference assembly: sort the entries, then lay out both indices
+    /// and every row's `start`.
     fn assemble_by_sort(p: LdgmParams, entries: &[(u32, u32)]) -> SparseMatrix {
         let (k, n, m) = (p.k, p.n, p.n - p.k);
         let mut entries = entries.to_vec();
@@ -650,6 +766,11 @@ mod tests {
             col_rows[next[c as usize] as usize] = r;
             next[c as usize] += 1;
         }
+        let mut start = vec![Unprocessed { count: 0, ids: 0 }; m];
+        for &(r, c) in &entries {
+            start[r as usize].count += 1;
+            start[r as usize].ids ^= c;
+        }
         SparseMatrix {
             k,
             n,
@@ -657,16 +778,24 @@ mod tests {
             row_cols,
             col_ptr,
             col_rows,
-            start: Vec::new(),
+            start,
             seed: p.seed,
         }
     }
 
+    /// All four index arrays and every row's `start`.
     fn same_arrays(a: &SparseMatrix, b: &SparseMatrix) -> bool {
+        let starts = |m: &SparseMatrix| {
+            m.start
+                .iter()
+                .map(|eq| (eq.count, eq.ids))
+                .collect::<Vec<_>>()
+        };
         a.row_ptr == b.row_ptr
             && a.row_cols == b.row_cols
             && a.col_ptr == b.col_ptr
             && a.col_rows == b.col_rows
+            && starts(a) == starts(b)
     }
 
     /// All seven fill rules, by index.
@@ -699,19 +828,8 @@ mod tests {
             let n = k + left_degree + extra;
             let p = LdgmParams { k, n, left_degree, right, seed };
             let built = SparseMatrix::build_with_fill(p, fill).unwrap();
-            let mut generated = entries(p, fill);
-            prop_assert!(same_arrays(&built, &assemble_by_sort(p, &generated)));
-            prop_assert!(built.start().iter().enumerate().all(|(i, eq)| {
-                eq.count > 0
-                    && eq.count as usize == built.row(i).len()
-                    && eq.ids == built.row(i).iter().fold(0, |x, &c| x ^ c)
-            }));
-            prop_assert_eq!(built.start().len(), n - k);
-            // The counting passes see a set: any entry order gives the same
-            // arrays.
-            generated.reverse();
-            let reversed = SparseMatrix::assemble(p, &generated);
-            prop_assert!(same_arrays(&built, &reversed));
+            prop_assert!(same_arrays(&built, &assemble_by_sort(p, &entries(p, fill))));
+            prop_assert!(built.start().iter().all(|eq| eq.count > 0));
         }
     }
 

@@ -35,9 +35,12 @@ fn fingerprint(m: &SparseMatrix) -> u64 {
 
 type Pinned = (usize, usize, usize, RightSide, TriangleFill, u64, u64);
 
-/// `(k, n, left degree, right side, fill, seed, fingerprint)`. The last
-/// three geometries are `bulk_ldgm`'s, `sweep_grid`'s and
-/// `small_symbol`'s; the fill matters for Triangle only.
+/// `(k, n, left degree, right side, fill, seed, fingerprint)`; the fill
+/// matters for Triangle only. (2 040, 3 060), (5 000, 12 500) and
+/// (8 160, 12 240) are `bulk_ldgm`'s, `sweep_grid`'s and `small_symbol`'s
+/// geometries. The last twelve rows pin the other shipped shapes (ratio
+/// 2.5 at k = 2 040 and 8 160, ratio 1.5 at k = 5 000), computed with the
+/// entry-list construction that the column-major build replaced.
 #[rustfmt::skip]
 const PINNED: &[Pinned] = &[
     (4, 10, 3, Identity, PerRowUniform, 0x0, 0x277555728221a975),
@@ -256,6 +259,18 @@ const PINNED: &[Pinned] = &[
     (8160, 12240, 3, Triangle, PerRow(2), 0xfec00001, 0x5e2a93e194be7498),
     (8160, 12240, 3, Triangle, HalvingTree, 0x5eed, 0x681ef68d1ac2ece9),
     (8160, 12240, 3, Triangle, HalvingTree, 0xfec00001, 0xafa202a705532155),
+    (2040, 5100, 3, Staircase, PerRowUniform, 0x5eed, 0xc5aa4e8d5bbd14ef),
+    (2040, 5100, 3, Staircase, PerRowUniform, 0xfec00001, 0x8f379273c42bce33),
+    (2040, 5100, 3, Triangle, PerRowUniform, 0x5eed, 0x402e7d0af84c0031),
+    (2040, 5100, 3, Triangle, PerRowUniform, 0xfec00001, 0xa97a46024a6e0c54),
+    (5000, 7500, 3, Staircase, PerRowUniform, 0x5eed, 0x786fac617ee4b589),
+    (5000, 7500, 3, Staircase, PerRowUniform, 0xfec00001, 0x709d2801efd917b1),
+    (5000, 7500, 3, Triangle, PerRowUniform, 0x5eed, 0x28e48d9e288be8a2),
+    (5000, 7500, 3, Triangle, PerRowUniform, 0xfec00001, 0xf6a30a993856c90d),
+    (8160, 20400, 3, Staircase, PerRowUniform, 0x5eed, 0x3011e0f2ace9b0af),
+    (8160, 20400, 3, Staircase, PerRowUniform, 0xfec00001, 0x81114d50682f9547),
+    (8160, 20400, 3, Triangle, PerRowUniform, 0x5eed, 0x249e6d34bd2ac742),
+    (8160, 20400, 3, Triangle, PerRowUniform, 0xfec00001, 0x2e16382ff7074c5d),
 ];
 
 #[test]
