@@ -92,7 +92,11 @@ fn measure_backend(backend: &'static Kernels) -> BackendRow {
         backend.xor_acc_many(black_box(&mut dst), black_box(&refs));
     });
     let addmul_many = time_best(|| {
-        backend.addmul_acc_many(black_box(&mut dst), black_box(&refs), black_box(&coeffs));
+        backend.addmul_rows(
+            black_box(&mut [&mut dst[..]]),
+            black_box(&refs),
+            black_box(&coeffs),
+        );
     });
     black_box(dst[0]);
     BackendRow {

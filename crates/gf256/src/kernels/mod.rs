@@ -15,7 +15,8 @@
 //!   one 16-byte shuffle per nibble replaces one table lookup per byte;
 //! * `gfni` (x86_64 with GFNI, AVX-512F and AVX-512BW) — each multiply
 //!   is one affine instruction on a 64-byte register against the
-//!   constant's 8×8 bit matrix (`tables::MUL_AFFINE`); XOR is `avx2`'s.
+//!   constant's 8×8 bit matrix (`tables::MUL_AFFINE`); its `xor_many` is
+//!   `avx2`'s.
 //!
 //! The active backend is chosen once (best detected wins:
 //! `gfni > avx2 > ssse3 > portable` on x86_64) and can be overridden
@@ -26,19 +27,26 @@
 //! backend computes byte-identical output, which the differential
 //! property tests and the workspace's cross-backend sweep test pin down.
 //!
-//! Beyond the single-source forms, the fused multi-source kernel
-//! [`xor_acc_many`] applies a whole XOR row in one pass over the
-//! destination, which is what the LDGM encoder needs: the destination
-//! stays in registers instead of being re-streamed once per source.
+//! A backend implements two kernels, both fused over many sources:
 //!
-//! [`addmul_rows`] is the many-row form the RSE generator and decoder
-//! run: `outs[r] ^= Σ_j coeffs[r·m + j] · srcs[j]` for every row `r` of a
-//! row-major `outs.len() × m` coefficient matrix. `gfni` holds up to
-//! eight rows' accumulators in registers, so each source tile is loaded
-//! once per group of eight rows rather than once per row: a block's
-//! parity run reads its sources once per eight symbols. Every other
-//! backend applies its one-row body once per row.
-//! [`Kernels::addmul_acc_many`] and [`dot_product`] are its one-row case.
+//! * `xor_many` — `dst ^= srcs[0] ^ srcs[1] ^ …` in one pass over the
+//!   destination, which stays in registers instead of being re-streamed
+//!   once per source. [`xor_acc_many`] is the LDGM encoder's equation
+//!   row; [`xor_slice`] is its one-source case, the LDGM decoder's fold
+//!   and row operations, so the SIMD forms step 128 bytes at a time and
+//!   fold the first source in as they load `dst`: one source runs no
+//!   inner source loop.
+//! * `addmul_rows` — `outs[r] ^= Σ_j coeffs[r·m + j] · srcs[j]` for every
+//!   row `r` of a row-major `outs.len() × m` coefficient matrix: the RSE
+//!   generator and decoder ([`addmul_rows`]). `gfni` holds up to eight
+//!   rows' accumulators in registers, so each source tile is loaded once
+//!   per group of eight rows rather than once per row: a block's parity
+//!   run reads its sources once per eight symbols. Every other backend
+//!   applies its one-row body once per row. [`addmul_slice`] is the one
+//!   row, one source case.
+//!
+//! Scaling a row in place is left to [`Matrix`](crate::Matrix), whose
+//! rows hold at most 255 coefficients and go through the `MUL` table.
 
 use std::sync::OnceLock;
 
@@ -52,20 +60,13 @@ mod neon;
 #[cfg(target_arch = "x86_64")]
 mod x86;
 
-/// One kernel backend: a vtable of the payload operations.
+/// One kernel backend: a vtable of the two payload operations.
 ///
-/// All functions assume the length checks already happened in the public
-/// wrappers, and the multiply entries assume the trivial coefficients
-/// (`c = 0`, `c = 1`) were peeled off — backends only see the general
-/// case. Obtain instances from [`active`] or [`backends`].
+/// Both functions assume the length checks already happened in the
+/// public wrappers, and that there is at least one source. Obtain
+/// instances from [`active`] or [`backends`].
 pub struct Kernels {
     name: &'static str,
-    /// `dst[i] ^= src[i]`.
-    xor: fn(dst: &mut [u8], src: &[u8]),
-    /// `dst[i] = c * dst[i]`, `c >= 2`.
-    mul: fn(dst: &mut [u8], c: u8),
-    /// `dst[i] ^= c * src[i]`, `c >= 2`.
-    addmul: fn(dst: &mut [u8], src: &[u8], c: u8),
     /// `dst[i] ^= srcs[0][i] ^ srcs[1][i] ^ …` in one pass.
     xor_many: fn(dst: &mut [u8], srcs: &[&[u8]]),
     /// `outs[r][i] ^= Σ_j coeffs[r * srcs.len() + j] * srcs[j][i]`, with
@@ -86,6 +87,7 @@ impl Kernels {
     /// # Panics
     /// Panics if the slices have different lengths (mixed packet sizes are
     /// a framing bug upstream).
+    #[inline]
     pub fn xor_slice(&self, dst: &mut [u8], src: &[u8]) {
         assert_eq!(
             dst.len(),
@@ -94,22 +96,14 @@ impl Kernels {
             dst.len(),
             src.len()
         );
-        (self.xor)(dst, src);
-    }
-
-    /// `dst[i] = c * dst[i]` for all `i` (in-place scaling).
-    pub fn mul_slice(&self, dst: &mut [u8], c: u8) {
-        match c {
-            0 => dst.fill(0),
-            1 => {}
-            _ => (self.mul)(dst, c),
-        }
+        (self.xor_many)(dst, &[src]);
     }
 
     /// `dst[i] ^= c * src[i]` for all `i` — the Reed-Solomon workhorse.
     ///
     /// # Panics
     /// Panics if the slices have different lengths.
+    #[inline]
     pub fn addmul_slice(&self, dst: &mut [u8], src: &[u8], c: u8) {
         assert_eq!(
             dst.len(),
@@ -120,8 +114,8 @@ impl Kernels {
         );
         match c {
             0 => {}
-            1 => (self.xor)(dst, src),
-            _ => (self.addmul)(dst, src, c),
+            1 => (self.xor_many)(dst, &[src]),
+            _ => (self.addmul_rows)(&mut [dst], &[src], &[c]),
         }
     }
 
@@ -140,22 +134,9 @@ impl Kernels {
                 s.len()
             );
         }
-        match srcs {
-            [] => {}
-            [one] => (self.xor)(dst, one),
-            _ => (self.xor_many)(dst, srcs),
+        if !srcs.is_empty() {
+            (self.xor_many)(dst, srcs);
         }
-    }
-
-    /// `dst[i] ^= Σ_j coeffs[j] * srcs[j][i]` — one coefficient row
-    /// applied in one pass over `dst`: [`addmul_rows`](Self::addmul_rows)
-    /// with one row.
-    ///
-    /// # Panics
-    /// Panics if `coeffs` and `srcs` have different lengths, or if any
-    /// source length differs from `dst`.
-    pub fn addmul_acc_many(&self, dst: &mut [u8], srcs: &[&[u8]], coeffs: &[u8]) {
-        self.addmul_rows(&mut [dst], srcs, coeffs);
     }
 
     /// `outs[r][i] ^= Σ_j coeffs[r * m + j] * srcs[j][i]` for every row
@@ -201,18 +182,12 @@ impl core::fmt::Debug for Kernels {
 
 static SCALAR: Kernels = Kernels {
     name: "scalar",
-    xor: scalar::xor,
-    mul: scalar::mul,
-    addmul: scalar::addmul,
     xor_many: scalar::xor_many,
     addmul_rows: scalar::addmul_rows,
 };
 
 static PORTABLE: Kernels = Kernels {
     name: "portable",
-    xor: portable::xor,
-    mul: portable::mul,
-    addmul: portable::addmul,
     xor_many: portable::xor_many,
     addmul_rows: portable::addmul_rows,
 };
@@ -285,12 +260,6 @@ pub fn xor_slice(dst: &mut [u8], src: &[u8]) {
     active().xor_slice(dst, src);
 }
 
-/// `dst[i] = c * dst[i]` for all `i` (in-place scaling).
-#[inline]
-pub fn mul_slice(dst: &mut [u8], c: u8) {
-    active().mul_slice(dst, c);
-}
-
 /// `dst[i] ^= c * src[i]` for all `i` — the Reed-Solomon workhorse.
 ///
 /// # Panics
@@ -323,26 +292,6 @@ pub fn addmul_rows(outs: &mut [&mut [u8]], srcs: &[&[u8]], coeffs: &[u8]) {
     active().addmul_rows(outs, srcs, coeffs);
 }
 
-/// Dot product of a coefficient row with a set of symbol slices:
-/// `out = sum_i coeffs[i] * symbols[i]`.
-///
-/// `out` is cleared first. Empty input leaves `out` all-zero.
-///
-/// # Panics
-/// Panics if `coeffs` and `symbols` have different lengths, or if any symbol
-/// length differs from `out`.
-pub fn dot_product(out: &mut [u8], coeffs: &[u8], symbols: &[&[u8]]) {
-    assert_eq!(
-        coeffs.len(),
-        symbols.len(),
-        "dot_product: {} coefficients for {} symbols",
-        coeffs.len(),
-        symbols.len()
-    );
-    out.fill(0);
-    active().addmul_rows(&mut [out], symbols, coeffs);
-}
-
 /// Runs a one-row `addmul_many` body once per row of an `addmul_rows`
 /// call: the multi-row entry of every backend without a tiled one.
 fn each_row(
@@ -363,6 +312,37 @@ fn addmul_tail(dst: &mut [u8], src: &[u8], c: u8) {
     let row = &MUL[c as usize];
     for (d, s) in dst.iter_mut().zip(src) {
         *d ^= row[*s as usize];
+    }
+}
+
+/// `dst[i] ^= srcs[0][i] ^ srcs[1][i] ^ …` for `i >= from`: the bytes a
+/// SIMD `xor_many` leaves past its last whole register. Symbols are
+/// usually whole registers long, so an empty tail returns before the
+/// per-source slicing.
+#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+#[inline]
+fn xor_tail(dst: &mut [u8], srcs: &[&[u8]], from: usize) {
+    if from == dst.len() {
+        return;
+    }
+    for s in srcs {
+        for (d, x) in dst[from..].iter_mut().zip(&s[from..]) {
+            *d ^= x;
+        }
+    }
+}
+
+/// `dst[i] ^= Σ_j coeffs[j] * srcs[j][i]` for `i >= from`, by
+/// [`addmul_tail`]: the bytes a SIMD row body leaves past its last whole
+/// block. An empty tail returns at once, as in [`xor_tail`].
+#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+#[inline]
+fn addmul_row_tail(dst: &mut [u8], srcs: &[&[u8]], coeffs: &[u8], from: usize) {
+    if from == dst.len() {
+        return;
+    }
+    for (s, &c) in srcs.iter().zip(coeffs) {
+        addmul_tail(&mut dst[from..], &s[from..], c);
     }
 }
 
@@ -425,15 +405,6 @@ mod tests {
     }
 
     #[test]
-    fn mul_slice_special_cases() {
-        let mut a = vec![1u8, 2, 3, 0xFF];
-        mul_slice(&mut a, 1);
-        assert_eq!(a, vec![1, 2, 3, 0xFF]);
-        mul_slice(&mut a, 0);
-        assert_eq!(a, vec![0, 0, 0, 0]);
-    }
-
-    #[test]
     fn addmul_with_zero_is_noop() {
         let mut a = vec![5u8; 9];
         addmul_slice(&mut a, &[7u8; 9], 0);
@@ -490,14 +461,6 @@ mod tests {
             prop_assert_eq!(dst, expect);
         }
 
-        #[test]
-        fn mul_slice_matches_field_arithmetic(mut dst in proptest::collection::vec(any::<u8>(), 0..70),
-                                              c in any::<u8>()) {
-            let expect: Vec<u8> = dst.iter().map(|&d| (Gf256(c) * Gf256(d)).0).collect();
-            mul_slice(&mut dst, c);
-            prop_assert_eq!(dst, expect);
-        }
-
         /// addmul twice with the same coefficient cancels (characteristic 2).
         #[test]
         fn addmul_is_involutive(orig in proptest::collection::vec(any::<u8>(), 1..70),
@@ -512,10 +475,10 @@ mod tests {
             prop_assert_eq!(dst, orig);
         }
 
-        /// The fused row operation equals the sequence of single addmuls, on
-        /// every backend.
+        /// One fused row equals the sequence of single addmuls, on every
+        /// backend.
         #[test]
-        fn addmul_acc_many_matches_sequential(len in 0usize..70,
+        fn one_row_addmul_rows_matches_sequential(len in 0usize..70,
                                               coeffs in proptest::collection::vec(any::<u8>(), 0..6),
                                               seed in any::<u64>()) {
             let srcs: Vec<Vec<u8>> = (0..coeffs.len())
@@ -531,26 +494,9 @@ mod tests {
             }
             for backend in backends() {
                 let mut got = init.clone();
-                backend.addmul_acc_many(&mut got, &refs, &coeffs);
+                backend.addmul_rows(&mut [&mut got[..]], &refs, &coeffs);
                 prop_assert_eq!(&got, &expect, "backend {}", backend.name());
             }
         }
-    }
-
-    #[test]
-    fn dot_product_is_linear_combination() {
-        let s1 = [1u8, 0, 0];
-        let s2 = [0u8, 1, 0];
-        let s3 = [0u8, 0, 1];
-        let mut out = [0u8; 3];
-        dot_product(&mut out, &[3, 5, 7], &[&s1, &s2, &s3]);
-        assert_eq!(out, [3, 5, 7]);
-    }
-
-    #[test]
-    fn dot_product_empty_clears_out() {
-        let mut out = [9u8; 4];
-        dot_product(&mut out, &[], &[]);
-        assert_eq!(out, [0u8; 4]);
     }
 }

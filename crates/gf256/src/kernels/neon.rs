@@ -1,6 +1,7 @@
 //! aarch64 NEON backend: 16-byte XOR lanes and `vqtbl1q` split-nibble
 //! GF(2⁸) multiplies (the `MUL_NIBBLES` halves are exactly one table
-//! lookup register each).
+//! lookup register each). `xor_many` walks 128-byte steps of eight
+//! registers, as the x86 backends do.
 //!
 //! NEON is part of the aarch64 baseline, but registration still goes
 //! through `is_aarch64_feature_detected!` so the roster-containment
@@ -16,9 +17,6 @@ use crate::tables::MUL_NIBBLES;
 
 static NEON: Kernels = Kernels {
     name: "neon",
-    xor: xor_neon,
-    mul: mul_neon,
-    addmul: addmul_neon,
     xor_many: xor_many_neon,
     addmul_rows: addmul_rows_neon,
 };
@@ -30,67 +28,56 @@ pub(super) fn append_detected(list: &mut Vec<&'static Kernels>) {
     }
 }
 
-fn xor_neon(dst: &mut [u8], src: &[u8]) {
+fn xor_many_neon(dst: &mut [u8], srcs: &[&[u8]]) {
     // SAFETY: this backend is only reachable through the roster, which
     // `append_detected` populates after `is_aarch64_feature_detected!`
-    // confirmed NEON support.
-    unsafe { xor_neon_impl(dst, src) }
+    // confirmed NEON support. Every source has `dst`'s length (asserted
+    // by the `Kernels` wrappers).
+    let i = unsafe {
+        let i = xor_steps_neon::<8>(dst, srcs, 0);
+        xor_steps_neon::<1>(dst, srcs, i)
+    };
+    super::xor_tail(dst, srcs, i);
 }
 
-/// # Safety
-/// Caller must be compiled with (and the CPU support) `neon`; `dst` and
-/// `src` must have equal lengths (the `Kernels` wrappers assert this).
-#[target_feature(enable = "neon")]
-unsafe fn xor_neon_impl(dst: &mut [u8], src: &[u8]) {
-    let n = dst.len() / 16 * 16;
-    let d = dst.as_mut_ptr();
-    let s = src.as_ptr();
-    let mut i = 0;
-    while i < n {
-        // SAFETY: `i + 16 <= n <= len` for both slices; NEON loads and
-        // stores are unaligned-tolerant.
-        unsafe {
-            let a = vld1q_u8(d.add(i));
-            let b = vld1q_u8(s.add(i));
-            vst1q_u8(d.add(i), veorq_u8(a, b));
-        }
-        i += 16;
-    }
-    for (db, sb) in dst[n..].iter_mut().zip(&src[n..]) {
-        *db ^= sb;
-    }
-}
-
-fn xor_many_neon(dst: &mut [u8], srcs: &[&[u8]]) {
-    // SAFETY: roster containment, as in `xor_neon`.
-    unsafe { xor_many_neon_impl(dst, srcs) }
-}
-
+/// Walks `T`-register steps from `i` while they fit in `dst`, folding
+/// every source into registers that hold the step's `dst` bytes (the
+/// first as they are loaded); returns where it stopped.
+///
 /// # Safety
 /// Caller must be compiled with (and the CPU support) `neon`; every
-/// source must have `dst`'s length (asserted by `Kernels::xor_acc_many`).
+/// source must have `dst`'s length.
+#[inline]
 #[target_feature(enable = "neon")]
-unsafe fn xor_many_neon_impl(dst: &mut [u8], srcs: &[&[u8]]) {
-    let n = dst.len() / 16 * 16;
+unsafe fn xor_steps_neon<const T: usize>(dst: &mut [u8], srcs: &[&[u8]], mut i: usize) -> usize {
+    let len = dst.len();
     let d = dst.as_mut_ptr();
-    let mut i = 0;
-    while i < n {
-        // SAFETY: `i + 16 <= n`; every source has `dst`'s length
-        // (asserted by the `Kernels::xor_acc_many` wrapper).
+    let Some((first, rest)) = srcs.split_first() else {
+        return i;
+    };
+    let f = first.as_ptr();
+    while i + 16 * T <= len {
+        // SAFETY: `i + 16 * T <= len` bounds every load and store, for
+        // `dst` and for every source (the function's contract); NEON
+        // loads and stores are unaligned-tolerant.
         unsafe {
-            let mut acc = vld1q_u8(d.add(i));
-            for s in srcs {
-                acc = veorq_u8(acc, vld1q_u8(s.as_ptr().add(i)));
+            let mut acc = [vdupq_n_u8(0); T];
+            for (t, a) in acc.iter_mut().enumerate() {
+                *a = veorq_u8(vld1q_u8(d.add(i + 16 * t)), vld1q_u8(f.add(i + 16 * t)));
             }
-            vst1q_u8(d.add(i), acc);
+            for s in rest {
+                let p = s.as_ptr().add(i);
+                for (t, a) in acc.iter_mut().enumerate() {
+                    *a = veorq_u8(*a, vld1q_u8(p.add(16 * t)));
+                }
+            }
+            for (t, &a) in acc.iter().enumerate() {
+                vst1q_u8(d.add(i + 16 * t), a);
+            }
         }
-        i += 16;
+        i += 16 * T;
     }
-    for (j, db) in dst[n..].iter_mut().enumerate() {
-        for s in srcs {
-            *db ^= s[n + j];
-        }
-    }
+    i
 }
 
 /// Multiplies one 16-byte vector by a constant via two table lookups.
@@ -108,71 +95,12 @@ unsafe fn mul16b(x: uint8x16_t, lo: uint8x16_t, hi: uint8x16_t) -> uint8x16_t {
     veorq_u8(pl, ph)
 }
 
-fn addmul_neon(dst: &mut [u8], src: &[u8], c: u8) {
-    // SAFETY: roster containment, as in `xor_neon`.
-    unsafe { addmul_neon_impl(dst, src, c) }
-}
-
-/// # Safety
-/// Caller must be compiled with (and the CPU support) `neon`; `dst` and
-/// `src` must have equal lengths (the `Kernels` wrappers assert this).
-#[target_feature(enable = "neon")]
-unsafe fn addmul_neon_impl(dst: &mut [u8], src: &[u8], c: u8) {
-    let tab = MUL_NIBBLES[c as usize].as_ptr();
-    let n = dst.len() / 16 * 16;
-    let d = dst.as_mut_ptr();
-    let s = src.as_ptr();
-    // SAFETY: the nibble table row is 32 bytes (two 16-byte halves);
-    // slice bounds as in `xor_neon_impl`.
-    unsafe {
-        let lo = vld1q_u8(tab);
-        let hi = vld1q_u8(tab.add(16));
-        let mut i = 0;
-        while i < n {
-            let x = vld1q_u8(s.add(i));
-            let p = mul16b(x, lo, hi);
-            vst1q_u8(d.add(i), veorq_u8(vld1q_u8(d.add(i)), p));
-            i += 16;
-        }
-    }
-    super::addmul_tail(&mut dst[n..], &src[n..], c);
-}
-
-fn mul_neon(dst: &mut [u8], c: u8) {
-    // SAFETY: roster containment, as in `xor_neon`.
-    unsafe { mul_neon_impl(dst, c) }
-}
-
-/// # Safety
-/// Caller must be compiled with (and the CPU support) `neon`.
-#[target_feature(enable = "neon")]
-unsafe fn mul_neon_impl(dst: &mut [u8], c: u8) {
-    let tab = MUL_NIBBLES[c as usize].as_ptr();
-    let n = dst.len() / 16 * 16;
-    let d = dst.as_mut_ptr();
-    // SAFETY: as in `addmul_neon_impl`.
-    unsafe {
-        let lo = vld1q_u8(tab);
-        let hi = vld1q_u8(tab.add(16));
-        let mut i = 0;
-        while i < n {
-            let x = vld1q_u8(d.add(i));
-            vst1q_u8(d.add(i), mul16b(x, lo, hi));
-            i += 16;
-        }
-    }
-    let row = &crate::tables::MUL[c as usize];
-    for b in &mut dst[n..] {
-        *b = row[*b as usize];
-    }
-}
-
 fn addmul_rows_neon(outs: &mut [&mut [u8]], srcs: &[&[u8]], coeffs: &[u8]) {
     super::each_row(outs, srcs, coeffs, addmul_many_neon);
 }
 
 fn addmul_many_neon(dst: &mut [u8], srcs: &[&[u8]], coeffs: &[u8]) {
-    // SAFETY: roster containment, as in `xor_neon`.
+    // SAFETY: roster containment, as in `xor_many_neon`.
     unsafe { addmul_many_neon_impl(dst, srcs, coeffs) }
 }
 
@@ -223,11 +151,6 @@ unsafe fn addmul_many_neon_impl(dst: &mut [u8], srcs: &[&[u8]], coeffs: &[u8]) {
             vst1q_u8(d.add(i + 48), a3);
             i += 64;
         }
-        for (s, &c) in srcs.iter().zip(coeffs) {
-            match c {
-                0 => {}
-                _ => addmul_neon_impl(&mut dst[n..], &s[n..], c),
-            }
-        }
     }
+    super::addmul_row_tail(dst, srcs, coeffs, n);
 }

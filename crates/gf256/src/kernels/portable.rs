@@ -17,7 +17,7 @@ fn lane_split(len: usize) -> usize {
     len / LANE * LANE
 }
 
-pub(super) fn xor(dst: &mut [u8], src: &[u8]) {
+fn xor(dst: &mut [u8], src: &[u8]) {
     let n = lane_split(dst.len());
     let (dst_main, dst_tail) = dst.split_at_mut(n);
     let (src_main, src_tail) = src.split_at(n);
@@ -34,21 +34,7 @@ pub(super) fn xor(dst: &mut [u8], src: &[u8]) {
     }
 }
 
-pub(super) fn mul(dst: &mut [u8], c: u8) {
-    let row = &MUL[c as usize];
-    let n = lane_split(dst.len());
-    let (main, tail) = dst.split_at_mut(n);
-    for d in main.chunks_exact_mut(LANE) {
-        for b in d {
-            *b = row[*b as usize];
-        }
-    }
-    for b in tail {
-        *b = row[*b as usize];
-    }
-}
-
-pub(super) fn addmul(dst: &mut [u8], src: &[u8], c: u8) {
+fn addmul(dst: &mut [u8], src: &[u8], c: u8) {
     let row = &MUL[c as usize];
     let n = lane_split(dst.len());
     let (dst_main, dst_tail) = dst.split_at_mut(n);

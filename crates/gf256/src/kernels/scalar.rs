@@ -9,23 +9,10 @@
 //! implementation costs. Multiply kernels need no barrier: their
 //! byte-indexed table gathers do not auto-vectorise.
 
-use crate::tables::MUL;
-
-pub(super) fn xor(dst: &mut [u8], src: &[u8]) {
+fn xor(dst: &mut [u8], src: &[u8]) {
     for (d, s) in dst.iter_mut().zip(src) {
         *d ^= core::hint::black_box(*s);
     }
-}
-
-pub(super) fn mul(dst: &mut [u8], c: u8) {
-    let row = &MUL[c as usize];
-    for d in dst {
-        *d = row[*d as usize];
-    }
-}
-
-pub(super) fn addmul(dst: &mut [u8], src: &[u8], c: u8) {
-    super::addmul_tail(dst, src, c);
 }
 
 pub(super) fn xor_many(dst: &mut [u8], srcs: &[&[u8]]) {
@@ -43,7 +30,7 @@ fn addmul_many(dst: &mut [u8], srcs: &[&[u8]], coeffs: &[u8]) {
         match c {
             0 => {}
             1 => xor(dst, src),
-            _ => addmul(dst, src, c),
+            _ => super::addmul_tail(dst, src, c),
         }
     }
 }

@@ -9,7 +9,12 @@
 //! * `gfni` — every multiply is one `vgf2p8affineqb` on a 64-byte
 //!   register, against the constant's 8x8 bit matrix ([`MUL_AFFINE`]):
 //!   no nibble split, no shuffles. Needs GFNI with AVX-512 (F and BW);
-//!   its XOR entries are AVX2's.
+//!   its `xor_many` is AVX2's.
+//!
+//! Each `xor_many` walks 128-byte steps (eight or four registers per
+//! source), then one register at a time, then bytes, folding its first
+//! source in as it loads `dst`: with one source it is the LDGM decoder's
+//! fold, and runs no inner source loop.
 //!
 //! Backends are appended to the roster only after
 //! `is_x86_feature_detected!` confirms the host supports them, and the
@@ -25,27 +30,18 @@ use crate::tables::{MUL_AFFINE, MUL_NIBBLES};
 
 static SSSE3: Kernels = Kernels {
     name: "ssse3",
-    xor: xor_128,
-    mul: mul_ssse3,
-    addmul: addmul_ssse3,
     xor_many: xor_many_128,
     addmul_rows: addmul_rows_ssse3,
 };
 
 static AVX2: Kernels = Kernels {
     name: "avx2",
-    xor: xor_avx2,
-    mul: mul_avx2,
-    addmul: addmul_avx2,
     xor_many: xor_many_avx2,
     addmul_rows: addmul_rows_avx2,
 };
 
 static GFNI: Kernels = Kernels {
     name: "gfni",
-    xor: xor_avx2,
-    mul: mul_gfni,
-    addmul: addmul_gfni,
     xor_many: xor_many_avx2,
     addmul_rows: addmul_rows_gfni,
 };
@@ -57,7 +53,7 @@ pub(super) fn append_detected(list: &mut Vec<&'static Kernels>) {
     }
     if is_x86_feature_detected!("avx2") {
         list.push(&AVX2);
-        // GFNI reuses AVX2's XOR entries, hence the nesting.
+        // GFNI reuses AVX2's `xor_many`, hence the nesting.
         if is_x86_feature_detected!("gfni")
             && is_x86_feature_detected!("avx512f")
             && is_x86_feature_detected!("avx512bw")
@@ -71,70 +67,68 @@ pub(super) fn append_detected(list: &mut Vec<&'static Kernels>) {
 // 128-bit lanes (SSE2 XOR, which every SSSE3 CPU has; SSSE3 multiplies).
 // ---------------------------------------------------------------------------
 
-fn xor_128(dst: &mut [u8], src: &[u8]) {
+fn xor_many_128(dst: &mut [u8], srcs: &[&[u8]]) {
     // SAFETY: only the `ssse3` backend uses this function, and it is only
     // reachable through the roster, which `append_detected` populates after
     // `is_x86_feature_detected!("ssse3")` confirmed the CPU; every SSSE3
     // CPU has SSE2.
-    unsafe { xor_128_impl(dst, src) }
-}
-
-/// # Safety
-/// Caller must be compiled with (and the CPU support) `sse2`; `dst` and
-/// `src` must have equal lengths (the `Kernels` wrappers assert this).
-#[target_feature(enable = "sse2")]
-unsafe fn xor_128_impl(dst: &mut [u8], src: &[u8]) {
-    debug_assert_eq!(dst.len(), src.len());
-    let n = dst.len() / 16 * 16;
-    let d = dst.as_mut_ptr();
-    let s = src.as_ptr();
-    let mut i = 0;
-    while i < n {
-        // SAFETY: `i + 16 <= n <= len` for both slices, and `loadu`/`storeu`
-        // carry no alignment requirement.
-        unsafe {
-            let a = _mm_loadu_si128(d.add(i).cast::<__m128i>());
-            let b = _mm_loadu_si128(s.add(i).cast::<__m128i>());
-            _mm_storeu_si128(d.add(i).cast::<__m128i>(), _mm_xor_si128(a, b));
-        }
-        i += 16;
-    }
-    for (db, sb) in dst[n..].iter_mut().zip(&src[n..]) {
-        *db ^= sb;
-    }
-}
-
-fn xor_many_128(dst: &mut [u8], srcs: &[&[u8]]) {
-    // SAFETY: roster containment, as in `xor_128`.
     unsafe { xor_many_128_impl(dst, srcs) }
 }
 
 /// # Safety
 /// Caller must be compiled with (and the CPU support) `sse2`; every
-/// source must have `dst`'s length (asserted by `Kernels::xor_acc_many`).
+/// source must have `dst`'s length (asserted by the `Kernels` wrappers).
 #[target_feature(enable = "sse2")]
 unsafe fn xor_many_128_impl(dst: &mut [u8], srcs: &[&[u8]]) {
-    let n = dst.len() / 16 * 16;
+    // SAFETY: the callees need what this function's caller guarantees.
+    let i = unsafe {
+        let i = xor_steps_128::<8>(dst, srcs, 0);
+        xor_steps_128::<1>(dst, srcs, i)
+    };
+    super::xor_tail(dst, srcs, i);
+}
+
+/// Walks `T`-register steps from `i` while they fit in `dst`, folding
+/// every source into registers that hold the step's `dst` bytes (the
+/// first as they are loaded); returns where it stopped.
+///
+/// # Safety
+/// Caller must be compiled with (and the CPU support) `sse2`; every
+/// source must have `dst`'s length.
+#[inline]
+#[target_feature(enable = "sse2")]
+unsafe fn xor_steps_128<const T: usize>(dst: &mut [u8], srcs: &[&[u8]], mut i: usize) -> usize {
+    let len = dst.len();
     let d = dst.as_mut_ptr();
-    let mut i = 0;
-    while i < n {
-        // SAFETY: `i + 16 <= n` and every source has `dst`'s length
-        // (asserted by the `Kernels::xor_acc_many` wrapper).
+    let Some((first, rest)) = srcs.split_first() else {
+        return i;
+    };
+    let f = first.as_ptr();
+    while i + 16 * T <= len {
+        // SAFETY: `i + 16 * T <= len` bounds every load and store, for
+        // `dst` and for every source (the function's contract); unaligned
+        // ops.
         unsafe {
-            let mut acc = _mm_loadu_si128(d.add(i).cast::<__m128i>());
-            for s in srcs {
-                let v = _mm_loadu_si128(s.as_ptr().add(i).cast::<__m128i>());
-                acc = _mm_xor_si128(acc, v);
+            let mut acc = [_mm_setzero_si128(); T];
+            for (t, a) in acc.iter_mut().enumerate() {
+                *a = _mm_xor_si128(
+                    _mm_loadu_si128(d.add(i + 16 * t).cast::<__m128i>()),
+                    _mm_loadu_si128(f.add(i + 16 * t).cast::<__m128i>()),
+                );
             }
-            _mm_storeu_si128(d.add(i).cast::<__m128i>(), acc);
+            for s in rest {
+                let p = s.as_ptr().add(i);
+                for (t, a) in acc.iter_mut().enumerate() {
+                    *a = _mm_xor_si128(*a, _mm_loadu_si128(p.add(16 * t).cast::<__m128i>()));
+                }
+            }
+            for (t, &a) in acc.iter().enumerate() {
+                _mm_storeu_si128(d.add(i + 16 * t).cast::<__m128i>(), a);
+            }
         }
-        i += 16;
+        i += 16 * T;
     }
-    for (j, db) in dst[n..].iter_mut().enumerate() {
-        for s in srcs {
-            *db ^= s[n + j];
-        }
-    }
+    i
 }
 
 /// Multiplies one 16-byte register by a constant via two nibble shuffles.
@@ -151,74 +145,12 @@ unsafe fn mul16b(x: __m128i, lo: __m128i, hi: __m128i, mask: __m128i) -> __m128i
     _mm_xor_si128(pl, ph)
 }
 
-fn addmul_ssse3(dst: &mut [u8], src: &[u8], c: u8) {
-    // SAFETY: roster containment — registered only after
-    // `is_x86_feature_detected!("ssse3")` succeeded.
-    unsafe { addmul_ssse3_impl(dst, src, c) }
-}
-
-/// # Safety
-/// Caller must be compiled with (and the CPU support) `ssse3`; `dst` and
-/// `src` must have equal lengths (the `Kernels` wrappers assert this).
-#[target_feature(enable = "ssse3")]
-unsafe fn addmul_ssse3_impl(dst: &mut [u8], src: &[u8], c: u8) {
-    let tab = MUL_NIBBLES[c as usize].as_ptr();
-    let n = dst.len() / 16 * 16;
-    let d = dst.as_mut_ptr();
-    let s = src.as_ptr();
-    // SAFETY: the nibble table is 32 bytes; slice bounds as in `xor_128`.
-    unsafe {
-        let lo = _mm_loadu_si128(tab.cast::<__m128i>());
-        let hi = _mm_loadu_si128(tab.add(16).cast::<__m128i>());
-        let mask = _mm_set1_epi8(0x0F);
-        let mut i = 0;
-        while i < n {
-            let x = _mm_loadu_si128(s.add(i).cast::<__m128i>());
-            let p = mul16b(x, lo, hi, mask);
-            let dv = _mm_loadu_si128(d.add(i).cast::<__m128i>());
-            _mm_storeu_si128(d.add(i).cast::<__m128i>(), _mm_xor_si128(dv, p));
-            i += 16;
-        }
-    }
-    super::addmul_tail(&mut dst[n..], &src[n..], c);
-}
-
-fn mul_ssse3(dst: &mut [u8], c: u8) {
-    // SAFETY: roster containment, as in `addmul_ssse3`.
-    unsafe { mul_ssse3_impl(dst, c) }
-}
-
-/// # Safety
-/// Caller must be compiled with (and the CPU support) `ssse3`.
-#[target_feature(enable = "ssse3")]
-unsafe fn mul_ssse3_impl(dst: &mut [u8], c: u8) {
-    let tab = MUL_NIBBLES[c as usize].as_ptr();
-    let n = dst.len() / 16 * 16;
-    let d = dst.as_mut_ptr();
-    // SAFETY: as in `addmul_ssse3_impl`.
-    unsafe {
-        let lo = _mm_loadu_si128(tab.cast::<__m128i>());
-        let hi = _mm_loadu_si128(tab.add(16).cast::<__m128i>());
-        let mask = _mm_set1_epi8(0x0F);
-        let mut i = 0;
-        while i < n {
-            let x = _mm_loadu_si128(d.add(i).cast::<__m128i>());
-            _mm_storeu_si128(d.add(i).cast::<__m128i>(), mul16b(x, lo, hi, mask));
-            i += 16;
-        }
-    }
-    let row = &crate::tables::MUL[c as usize];
-    for b in &mut dst[n..] {
-        *b = row[*b as usize];
-    }
-}
-
 fn addmul_rows_ssse3(outs: &mut [&mut [u8]], srcs: &[&[u8]], coeffs: &[u8]) {
     super::each_row(outs, srcs, coeffs, addmul_many_ssse3);
 }
 
 fn addmul_many_ssse3(dst: &mut [u8], srcs: &[&[u8]], coeffs: &[u8]) {
-    // SAFETY: roster containment, as in `addmul_ssse3`.
+    // SAFETY: roster containment, as in `xor_many_128`.
     unsafe { addmul_many_ssse3_impl(dst, srcs, coeffs) }
 }
 
@@ -273,78 +205,70 @@ unsafe fn addmul_many_ssse3_impl(dst: &mut [u8], srcs: &[&[u8]], coeffs: &[u8]) 
             _mm_storeu_si128(d.add(i + 48).cast::<__m128i>(), a3);
             i += 64;
         }
-        for (s, &c) in srcs.iter().zip(coeffs) {
-            match c {
-                0 => {}
-                _ => addmul_ssse3_impl(&mut dst[n..], &s[n..], c),
-            }
-        }
     }
+    super::addmul_row_tail(dst, srcs, coeffs, n);
 }
 
 // ---------------------------------------------------------------------------
 // 256-bit lanes (AVX2).
 // ---------------------------------------------------------------------------
 
-fn xor_avx2(dst: &mut [u8], src: &[u8]) {
+fn xor_many_avx2(dst: &mut [u8], srcs: &[&[u8]]) {
     // SAFETY: roster containment — registered only after
     // `is_x86_feature_detected!("avx2")` succeeded.
-    unsafe { xor_avx2_impl(dst, src) }
-}
-
-/// # Safety
-/// Caller must be compiled with (and the CPU support) `avx2`; `dst` and
-/// `src` must have equal lengths (the `Kernels` wrappers assert this).
-#[target_feature(enable = "avx2")]
-unsafe fn xor_avx2_impl(dst: &mut [u8], src: &[u8]) {
-    let n = dst.len() / 32 * 32;
-    let d = dst.as_mut_ptr();
-    let s = src.as_ptr();
-    let mut i = 0;
-    while i < n {
-        // SAFETY: `i + 32 <= n <= len` for both slices; unaligned ops.
-        unsafe {
-            let a = _mm256_loadu_si256(d.add(i).cast::<__m256i>());
-            let b = _mm256_loadu_si256(s.add(i).cast::<__m256i>());
-            _mm256_storeu_si256(d.add(i).cast::<__m256i>(), _mm256_xor_si256(a, b));
-        }
-        i += 32;
-    }
-    for (db, sb) in dst[n..].iter_mut().zip(&src[n..]) {
-        *db ^= sb;
-    }
-}
-
-fn xor_many_avx2(dst: &mut [u8], srcs: &[&[u8]]) {
-    // SAFETY: roster containment, as in `xor_avx2`.
     unsafe { xor_many_avx2_impl(dst, srcs) }
 }
 
 /// # Safety
 /// Caller must be compiled with (and the CPU support) `avx2`; every
-/// source must have `dst`'s length (asserted by `Kernels::xor_acc_many`).
+/// source must have `dst`'s length (asserted by the `Kernels` wrappers).
 #[target_feature(enable = "avx2")]
 unsafe fn xor_many_avx2_impl(dst: &mut [u8], srcs: &[&[u8]]) {
-    let n = dst.len() / 32 * 32;
+    // SAFETY: the callees need what this function's caller guarantees.
+    let i = unsafe {
+        let i = xor_steps_avx2::<4>(dst, srcs, 0);
+        xor_steps_avx2::<1>(dst, srcs, i)
+    };
+    super::xor_tail(dst, srcs, i);
+}
+
+/// `xor_steps_128` on 32-byte registers.
+///
+/// # Safety
+/// Caller must be compiled with (and the CPU support) `avx2`; every
+/// source must have `dst`'s length.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn xor_steps_avx2<const T: usize>(dst: &mut [u8], srcs: &[&[u8]], mut i: usize) -> usize {
+    let len = dst.len();
     let d = dst.as_mut_ptr();
-    let mut i = 0;
-    while i < n {
-        // SAFETY: `i + 32 <= n`; sources share `dst`'s length (wrapper).
+    let Some((first, rest)) = srcs.split_first() else {
+        return i;
+    };
+    let f = first.as_ptr();
+    while i + 32 * T <= len {
+        // SAFETY: as in `xor_steps_128`, with 32-byte registers.
         unsafe {
-            let mut acc = _mm256_loadu_si256(d.add(i).cast::<__m256i>());
-            for s in srcs {
-                let v = _mm256_loadu_si256(s.as_ptr().add(i).cast::<__m256i>());
-                acc = _mm256_xor_si256(acc, v);
+            let mut acc = [_mm256_setzero_si256(); T];
+            for (t, a) in acc.iter_mut().enumerate() {
+                *a = _mm256_xor_si256(
+                    _mm256_loadu_si256(d.add(i + 32 * t).cast::<__m256i>()),
+                    _mm256_loadu_si256(f.add(i + 32 * t).cast::<__m256i>()),
+                );
             }
-            _mm256_storeu_si256(d.add(i).cast::<__m256i>(), acc);
+            for s in rest {
+                let p = s.as_ptr().add(i);
+                for (t, a) in acc.iter_mut().enumerate() {
+                    *a = _mm256_xor_si256(*a, _mm256_loadu_si256(p.add(32 * t).cast::<__m256i>()));
+                }
+            }
+            for (t, &a) in acc.iter().enumerate() {
+                _mm256_storeu_si256(d.add(i + 32 * t).cast::<__m256i>(), a);
+            }
         }
-        i += 32;
+        i += 32 * T;
     }
-    for (j, db) in dst[n..].iter_mut().enumerate() {
-        for s in srcs {
-            *db ^= s[n + j];
-        }
-    }
+    i
 }
 
 /// Multiplies one 32-byte register by a constant via two nibble shuffles
@@ -379,69 +303,12 @@ unsafe fn tables32(c: u8) -> (__m256i, __m256i) {
     }
 }
 
-fn addmul_avx2(dst: &mut [u8], src: &[u8], c: u8) {
-    // SAFETY: roster containment, as in `xor_avx2`.
-    unsafe { addmul_avx2_impl(dst, src, c) }
-}
-
-/// # Safety
-/// Caller must be compiled with (and the CPU support) `avx2`; `dst` and
-/// `src` must have equal lengths (the `Kernels` wrappers assert this).
-#[target_feature(enable = "avx2")]
-unsafe fn addmul_avx2_impl(dst: &mut [u8], src: &[u8], c: u8) {
-    let n = dst.len() / 32 * 32;
-    let d = dst.as_mut_ptr();
-    let s = src.as_ptr();
-    // SAFETY: bounds as in `xor_avx2_impl`.
-    unsafe {
-        let (lo, hi) = tables32(c);
-        let mask = _mm256_set1_epi8(0x0F);
-        let mut i = 0;
-        while i < n {
-            let x = _mm256_loadu_si256(s.add(i).cast::<__m256i>());
-            let p = mul32b(x, lo, hi, mask);
-            let dv = _mm256_loadu_si256(d.add(i).cast::<__m256i>());
-            _mm256_storeu_si256(d.add(i).cast::<__m256i>(), _mm256_xor_si256(dv, p));
-            i += 32;
-        }
-    }
-    super::addmul_tail(&mut dst[n..], &src[n..], c);
-}
-
-fn mul_avx2(dst: &mut [u8], c: u8) {
-    // SAFETY: roster containment, as in `xor_avx2`.
-    unsafe { mul_avx2_impl(dst, c) }
-}
-
-/// # Safety
-/// Caller must be compiled with (and the CPU support) `avx2`.
-#[target_feature(enable = "avx2")]
-unsafe fn mul_avx2_impl(dst: &mut [u8], c: u8) {
-    let n = dst.len() / 32 * 32;
-    let d = dst.as_mut_ptr();
-    // SAFETY: bounds as in `xor_avx2_impl`.
-    unsafe {
-        let (lo, hi) = tables32(c);
-        let mask = _mm256_set1_epi8(0x0F);
-        let mut i = 0;
-        while i < n {
-            let x = _mm256_loadu_si256(d.add(i).cast::<__m256i>());
-            _mm256_storeu_si256(d.add(i).cast::<__m256i>(), mul32b(x, lo, hi, mask));
-            i += 32;
-        }
-    }
-    let row = &crate::tables::MUL[c as usize];
-    for b in &mut dst[n..] {
-        *b = row[*b as usize];
-    }
-}
-
 fn addmul_rows_avx2(outs: &mut [&mut [u8]], srcs: &[&[u8]], coeffs: &[u8]) {
     super::each_row(outs, srcs, coeffs, addmul_many_avx2);
 }
 
 fn addmul_many_avx2(dst: &mut [u8], srcs: &[&[u8]], coeffs: &[u8]) {
-    // SAFETY: roster containment, as in `xor_avx2`.
+    // SAFETY: roster containment, as in `xor_many_avx2`.
     unsafe { addmul_many_avx2_impl(dst, srcs, coeffs) }
 }
 
@@ -481,86 +348,26 @@ unsafe fn addmul_many_avx2_impl(dst: &mut [u8], srcs: &[&[u8]], coeffs: &[u8]) {
             _mm256_storeu_si256(d.add(i + 32).cast::<__m256i>(), a1);
             i += 64;
         }
-        for (s, &c) in srcs.iter().zip(coeffs) {
-            match c {
-                0 => {}
-                _ => addmul_avx2_impl(&mut dst[n..], &s[n..], c),
-            }
-        }
     }
+    super::addmul_row_tail(dst, srcs, coeffs, n);
 }
 
 // ---------------------------------------------------------------------------
-// 512-bit lanes (GFNI affine multiplies; XOR entries are AVX2's).
+// 512-bit lanes (GFNI affine multiplies; `xor_many` is AVX2's).
 // ---------------------------------------------------------------------------
-
-fn addmul_gfni(dst: &mut [u8], src: &[u8], c: u8) {
-    // SAFETY: roster containment — registered only after
-    // `is_x86_feature_detected!` confirmed `gfni`, `avx512f` and `avx512bw`.
-    unsafe { addmul_gfni_impl(dst, src, c) }
-}
-
-/// # Safety
-/// Caller must be compiled with (and the CPU support) `gfni`, `avx512f`
-/// and `avx512bw`; `dst` and `src` must have equal lengths (the `Kernels`
-/// wrappers assert this).
-#[target_feature(enable = "gfni,avx512f,avx512bw")]
-unsafe fn addmul_gfni_impl(dst: &mut [u8], src: &[u8], c: u8) {
-    let n = dst.len() / 64 * 64;
-    let d = dst.as_mut_ptr();
-    let s = src.as_ptr();
-    // SAFETY: `i + 64 <= n <= len` for both slices; unaligned ops.
-    unsafe {
-        let a = _mm512_set1_epi64(MUL_AFFINE[c as usize] as i64);
-        let mut i = 0;
-        while i < n {
-            let x = _mm512_loadu_si512(s.add(i).cast::<__m512i>());
-            let p = _mm512_gf2p8affine_epi64_epi8::<0>(x, a);
-            let dv = _mm512_loadu_si512(d.add(i).cast::<__m512i>());
-            _mm512_storeu_si512(d.add(i).cast::<__m512i>(), _mm512_xor_si512(dv, p));
-            i += 64;
-        }
-    }
-    super::addmul_tail(&mut dst[n..], &src[n..], c);
-}
-
-fn mul_gfni(dst: &mut [u8], c: u8) {
-    // SAFETY: roster containment, as in `addmul_gfni`.
-    unsafe { mul_gfni_impl(dst, c) }
-}
-
-/// # Safety
-/// Caller must be compiled with (and the CPU support) `gfni`, `avx512f`
-/// and `avx512bw`.
-#[target_feature(enable = "gfni,avx512f,avx512bw")]
-unsafe fn mul_gfni_impl(dst: &mut [u8], c: u8) {
-    let n = dst.len() / 64 * 64;
-    let d = dst.as_mut_ptr();
-    // SAFETY: bounds as in `addmul_gfni_impl`.
-    unsafe {
-        let a = _mm512_set1_epi64(MUL_AFFINE[c as usize] as i64);
-        let mut i = 0;
-        while i < n {
-            let x = _mm512_loadu_si512(d.add(i).cast::<__m512i>());
-            let p = _mm512_gf2p8affine_epi64_epi8::<0>(x, a);
-            _mm512_storeu_si512(d.add(i).cast::<__m512i>(), p);
-            i += 64;
-        }
-    }
-    let row = &crate::tables::MUL[c as usize];
-    for b in &mut dst[n..] {
-        *b = row[*b as usize];
-    }
-}
 
 /// Rows one `gfni` pass carries. Eight rows of two 64-byte accumulators,
-/// two source tiles and a matrix keep about 20 of the 32 zmm registers
-/// live; a third tile per row would leave too few to hold them all.
+/// two source tiles, the first source's eight matrices and one more
+/// matrix keep 27 of the 32 zmm registers live; a third tile per row
+/// would not fit.
 const GFNI_ROWS: usize = 8;
 
 fn addmul_rows_gfni(outs: &mut [&mut [u8]], srcs: &[&[u8]], coeffs: &[u8]) {
     let m = srcs.len();
-    for (group, coeffs) in outs.chunks_mut(GFNI_ROWS).zip(coeffs.chunks(GFNI_ROWS * m)) {
+    let mut rest = coeffs;
+    for group in outs.chunks_mut(GFNI_ROWS) {
+        let (coeffs, after) = rest.split_at(group.len() * m);
+        rest = after;
         let done = match group.len() {
             1 => tiles_gfni::<1>(group, srcs, coeffs),
             2 => tiles_gfni::<2>(group, srcs, coeffs),
@@ -572,10 +379,8 @@ fn addmul_rows_gfni(outs: &mut [&mut [u8]], srcs: &[&[u8]], coeffs: &[u8]) {
             _ => tiles_gfni::<GFNI_ROWS>(group, srcs, coeffs),
         };
         // The bytes past the last whole 64-byte tile.
-        for (out, row) in group.iter_mut().zip(coeffs.chunks_exact(m)) {
-            for (s, &c) in srcs.iter().zip(row) {
-                super::addmul_tail(&mut out[done..], &s[done..], c);
-            }
+        for (r, out) in group.iter_mut().enumerate() {
+            super::addmul_row_tail(out, srcs, &coeffs[r * m..][..m], done);
         }
     }
 }
@@ -585,10 +390,11 @@ fn addmul_rows_gfni(outs: &mut [&mut [u8]], srcs: &[&[u8]], coeffs: &[u8]) {
 fn tiles_gfni<const R: usize>(outs: &mut [&mut [u8]], srcs: &[&[u8]], coeffs: &[u8]) -> usize {
     let len = outs[0].len();
     let d: [*mut u8; R] = core::array::from_fn(|r| outs[r].as_mut_ptr());
-    // SAFETY: roster containment, as in `addmul_gfni`. `outs` holds
-    // exactly `R` rows (`addmul_rows_gfni` picks `R` from its length) and
-    // `coeffs` holds `R` rows of `srcs.len()`; every row and source is
-    // `len` bytes long (wrapper assertions).
+    // SAFETY: roster containment — registered only after
+    // `is_x86_feature_detected!` confirmed `gfni`, `avx512f` and
+    // `avx512bw`. `outs` holds exactly `R` rows (`addmul_rows_gfni` picks
+    // `R` from its length) and `coeffs` holds `R` rows of `srcs.len()`;
+    // every row and source is `len` bytes long (wrapper assertions).
     unsafe {
         let i = affine_tiles_gfni::<R, 2>(d, srcs, coeffs, 0, len);
         affine_tiles_gfni::<R, 1>(d, srcs, coeffs, i, len)
@@ -612,26 +418,36 @@ unsafe fn affine_tiles_gfni<const R: usize, const T: usize>(
     len: usize,
 ) -> usize {
     let m = srcs.len();
-    let rows: [&[u8]; R] = core::array::from_fn(|r| &coeffs[r * m..][..m]);
+    let Some((first, rest)) = srcs.split_first() else {
+        return i;
+    };
+    // The first source's matrices stay in registers across the steps.
+    let c0: [__m512i; R] =
+        core::array::from_fn(|r| _mm512_set1_epi64(MUL_AFFINE[coeffs[r * m] as usize] as i64));
     while i + 64 * T <= len {
         // SAFETY: `i + 64 * T <= len` bounds every load and store (the
         // function's contract); unaligned ops. Each source tile is loaded
         // once and multiplied into all `R` rows while it is in registers.
         unsafe {
+            let p = first.as_ptr().add(i);
+            let mut x = [_mm512_setzero_si512(); T];
+            for (t, x) in x.iter_mut().enumerate() {
+                *x = _mm512_loadu_si512(p.add(64 * t).cast::<__m512i>());
+            }
             let mut acc = [[_mm512_setzero_si512(); T]; R];
-            for (tiles, &row) in acc.iter_mut().zip(&d) {
+            for ((tiles, &row), &c) in acc.iter_mut().zip(&d).zip(&c0) {
                 for (t, a) in tiles.iter_mut().enumerate() {
-                    *a = _mm512_loadu_si512(row.add(i + 64 * t).cast::<__m512i>());
+                    let dv = _mm512_loadu_si512(row.add(i + 64 * t).cast::<__m512i>());
+                    *a = _mm512_xor_si512(dv, _mm512_gf2p8affine_epi64_epi8::<0>(x[t], c));
                 }
             }
-            for (j, s) in srcs.iter().enumerate() {
+            for (j, s) in rest.iter().enumerate() {
                 let p = s.as_ptr().add(i);
-                let mut x = [_mm512_setzero_si512(); T];
                 for (t, x) in x.iter_mut().enumerate() {
                     *x = _mm512_loadu_si512(p.add(64 * t).cast::<__m512i>());
                 }
-                for (tiles, row) in acc.iter_mut().zip(&rows) {
-                    let c = _mm512_set1_epi64(MUL_AFFINE[row[j] as usize] as i64);
+                for (r, tiles) in acc.iter_mut().enumerate() {
+                    let c = _mm512_set1_epi64(MUL_AFFINE[coeffs[r * m + 1 + j] as usize] as i64);
                     for (a, &x) in tiles.iter_mut().zip(&x) {
                         *a = _mm512_xor_si512(*a, _mm512_gf2p8affine_epi64_epi8::<0>(x, c));
                     }

@@ -7,15 +7,17 @@
 //!   compile-time exp/log tables over the primitive polynomial
 //!   `x^8 + x^4 + x^3 + x^2 + 1` (`0x11D`, the polynomial used by Rizzo's
 //!   classic `fec` codec and by CCSDS Reed-Solomon),
-//! * [`kernels`] — the hot slice kernels (`xor_slice`, `addmul_slice`, the
-//!   fused one-row `xor_acc_many`, the many-row `addmul_rows`, …) that
-//!   move actual packet payloads. They dispatch through a runtime-selected backend: a safe
-//!   `u64`-lane portable implementation everywhere, plus `std::arch`
-//!   SSSE3/AVX2 (x86_64) and NEON (aarch64) backends using
-//!   split-nibble shuffle multiplies and a GFNI (x86_64 with AVX-512)
-//!   backend using bit-matrix affine multiplies, detected once at first
-//!   use (best wins, `gfni > avx2 > …`) and overridable via
-//!   `FEC_FORCE_KERNEL`,
+//! * [`kernels`] — the slice kernels that move actual packet payloads:
+//!   `xor_slice` and `xor_acc_many` (one and many sources), `addmul_slice`
+//!   and the many-row `addmul_rows`. Every backend implements two fused
+//!   kernels, a many-source XOR and a many-row multiply-accumulate, and
+//!   the one-source calls are their one-source case. They dispatch
+//!   through a runtime-selected backend: a safe `u64`-lane portable
+//!   implementation everywhere, plus `std::arch` SSSE3/AVX2 (x86_64) and
+//!   NEON (aarch64) backends using split-nibble shuffle multiplies and a
+//!   GFNI (x86_64 with AVX-512) backend using bit-matrix affine
+//!   multiplies, detected once at first use (best wins, `gfni > avx2 > …`)
+//!   and overridable via `FEC_FORCE_KERNEL`,
 //! * [`Matrix`] — a dense matrix over GF(2^8) with Gauss-Jordan inversion and
 //!   Vandermonde constructors, used to build systematic generator matrices
 //!   and to solve the decoding systems.

@@ -6,6 +6,7 @@
 
 use core::fmt;
 
+use crate::tables::MUL;
 use crate::Gf256;
 
 /// Errors from matrix operations.
@@ -234,7 +235,10 @@ impl Matrix {
     }
 
     fn scale_row(&mut self, r: usize, f: Gf256) {
-        crate::kernels::mul_slice(&mut self.data[r * self.cols..(r + 1) * self.cols], f.0);
+        let mul = &MUL[f.0 as usize];
+        for b in &mut self.data[r * self.cols..(r + 1) * self.cols] {
+            *b = mul[*b as usize];
+        }
     }
 
     /// `row[dst] += f * row[src]`.
@@ -377,6 +381,23 @@ mod tests {
             let i = Matrix::identity(n);
             prop_assert_eq!(a.mul(&i).unwrap(), a.clone());
             prop_assert_eq!(i.mul(&a).unwrap(), a);
+        }
+    }
+
+    #[test]
+    fn scale_row_matches_field_multiplication() {
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(0x5CA1E);
+        let data: Vec<u8> = (0..3 * 255).map(|_| rng.gen()).collect();
+        for c in 0..=255u8 {
+            let mut m = Matrix::from_rows(3, 255, data.clone());
+            m.scale_row(1, Gf256(c));
+            let expect: Vec<u8> = data[255..510]
+                .iter()
+                .map(|&d| (Gf256(c) * Gf256(d)).0)
+                .collect();
+            assert_eq!(m.row(1), &expect[..], "c {c}");
+            assert_eq!(m.row(0), &data[..255], "row 0 untouched, c {c}");
+            assert_eq!(m.row(2), &data[510..], "row 2 untouched, c {c}");
         }
     }
 

@@ -12,6 +12,8 @@
 //!   neighbours), so an out-of-bounds lane read/write in one buffer would
 //!   corrupt the other and fail the comparison,
 //! * the `c = 0` / `c = 1` addmul fast paths and all-zero data,
+//! * `xor_slice` and `addmul_slice`, the one-source cases that every
+//!   backend routes through its fused `xor_many` and `addmul_rows`,
 //! * multi-row `addmul_rows` calls whose row count crosses the `gfni`
 //!   backend's eight-row group.
 
@@ -59,11 +61,6 @@ fn every_backend_matches_reference_on_edge_lengths() {
                 let mut got = init.clone();
                 backend.addmul_slice(&mut got, &src, c);
                 assert_eq!(got, expect, "addmul {} len {len} c {c}", backend.name());
-
-                let mut got = init.clone();
-                backend.mul_slice(&mut got, c);
-                let expect_mul: Vec<u8> = init.iter().map(|&d| (Gf256(c) * Gf256(d)).0).collect();
-                assert_eq!(got, expect_mul, "mul {} len {len} c {c}", backend.name());
             }
         }
         let expect_xor: Vec<u8> = init.iter().zip(&src).map(|(a, b)| a ^ b).collect();
@@ -135,7 +132,7 @@ fn fused_many_matches_sequential_reference() {
                 assert_eq!(got, expect_xor, "xor_many {} len {len}", backend.name());
 
                 let mut got = init.clone();
-                backend.addmul_acc_many(&mut got, &refs, &coeffs);
+                backend.addmul_rows(&mut [&mut got[..]], &refs, &coeffs);
                 assert_eq!(
                     got,
                     expect_addmul,
@@ -158,7 +155,7 @@ fn fused_many_handles_trivial_coefficients() {
     let init = fill(&mut rng, len);
     for backend in kernels::backends() {
         let mut got = init.clone();
-        backend.addmul_acc_many(&mut got, &refs, &[0, 0, 0, 0]);
+        backend.addmul_rows(&mut [&mut got[..]], &refs, &[0, 0, 0, 0]);
         assert_eq!(
             got,
             init,
@@ -167,7 +164,7 @@ fn fused_many_handles_trivial_coefficients() {
         );
 
         let mut got = init.clone();
-        backend.addmul_acc_many(&mut got, &refs, &[1, 1, 1, 1]);
+        backend.addmul_rows(&mut [&mut got[..]], &refs, &[1, 1, 1, 1]);
         let mut expect = init.clone();
         backend.xor_acc_many(&mut expect, &refs);
         assert_eq!(got, expect, "all-one row equals XOR: {}", backend.name());
@@ -221,19 +218,19 @@ proptest! {
         }
         for backend in kernels::backends() {
             let mut got = init.clone();
-            backend.addmul_acc_many(&mut got, &refs, &coeffs);
+            backend.addmul_rows(&mut [&mut got[..]], &refs, &coeffs);
             prop_assert_eq!(&got, &expect, "{} len {} x{}", backend.name(), len, nsrc);
         }
     }
 
     /// `addmul_rows` against one field-definition `addmul` per
     /// (row, source) pair, on every backend: 0..=17 rows, so calls cross
-    /// the eight-row group, lengths up to 300 with tails past every
+    /// the eight-row group, one row of one source (`addmul_slice`'s
+    /// shape) in half the cases, lengths up to 300 with tails past every
     /// 64/128/256-byte step, and coefficients drawn so 0 and 1 are common.
     #[test]
     fn addmul_rows_matches_sequential_addmuls(
-        rows in 0usize..=17,
-        nsrc in 0usize..=6,
+        (rows, nsrc) in prop_oneof![Just((1usize, 1usize)), (0usize..=17, 0usize..=6)],
         len in 0usize..=300,
         seed in any::<u64>(),
     ) {

@@ -34,7 +34,7 @@ fn reference_decode(gen: &Matrix, received: &[(u32, &[u8])]) -> Vec<Vec<u8>> {
     (0..k)
         .map(|j| {
             let mut sym = vec![0u8; payloads[0].len()];
-            kernels::dot_product(&mut sym, a_inv.row(j), &payloads);
+            kernels::addmul_rows(&mut [&mut sym[..]], &payloads, a_inv.row(j));
             sym
         })
         .collect()
