@@ -404,6 +404,27 @@ mod tests {
         xor_slice(&mut a, &[0u8; 4]);
     }
 
+    /// A slice times a constant is a multiply-add into a zeroed
+    /// destination. `addmul_slice` shortcuts `c = 0` and `c = 1` before any
+    /// backend runs, so each backend's `addmul_rows` is driven directly.
+    #[test]
+    fn mul_slice_special_cases() {
+        let src = [1u8, 2, 3, 0xFF];
+        let mut a = [0u8; 4];
+        addmul_slice(&mut a, &src, 1);
+        assert_eq!(a, src);
+        let mut a = [0u8; 4];
+        addmul_slice(&mut a, &src, 0);
+        assert_eq!(a, [0u8; 4]);
+        for backend in backends() {
+            for (c, expect) in [(1u8, src), (0, [0u8; 4])] {
+                let mut got = [0u8; 4];
+                backend.addmul_rows(&mut [&mut got[..]], &[&src], &[c]);
+                assert_eq!(got, expect, "backend {} c {c}", backend.name());
+            }
+        }
+    }
+
     #[test]
     fn addmul_with_zero_is_noop() {
         let mut a = vec![5u8; 9];
@@ -459,6 +480,19 @@ mod tests {
                 .collect();
             addmul_slice(&mut dst, &src, c);
             prop_assert_eq!(dst, expect);
+        }
+
+        /// Every backend multiplies a slice by a constant, as a one-row,
+        /// one-source multiply-add into zeros, as the field does.
+        #[test]
+        fn mul_slice_matches_field_arithmetic(src in proptest::collection::vec(any::<u8>(), 0..70),
+                                              c in any::<u8>()) {
+            let expect: Vec<u8> = src.iter().map(|&s| (Gf256(c) * Gf256(s)).0).collect();
+            for backend in backends() {
+                let mut got = vec![0u8; src.len()];
+                backend.addmul_rows(&mut [&mut got[..]], &[&src[..]], &[c]);
+                prop_assert_eq!(&got, &expect, "backend {}", backend.name());
+            }
         }
 
         /// addmul twice with the same coefficient cancels (characteristic 2).
