@@ -61,8 +61,9 @@ fn bench_encode(c: &mut Criterion) {
             ("ldgm_triangle", RightSide::Triangle),
         ] {
             let m = SparseMatrix::build(LdgmParams::new(k, n, right, 3)).expect("matrix");
+            let encoder = LdgmEncoder::new(&m);
             group.bench_with_input(BenchmarkId::new(name, k), &k, |b, _| {
-                b.iter(|| LdgmEncoder::new(&m).encode(&refs).expect("encode").len())
+                b.iter(|| encoder.encode(&refs).expect("encode").len())
             });
         }
     }

@@ -170,8 +170,11 @@ impl ErasureCode for LdgmCode {
 
     fn encoder(&self, params: &SessionParams) -> Result<Box<dyn Encoder>, CodecError> {
         let (k, n) = self.checked_geometry(params.k, params.ratio)?;
+        // The encoder walks rows only: it keeps its transpose of the
+        // matrix, and the columns are dropped here.
         Ok(Box::new(LdgmSessionEncoder {
-            matrix: self.matrix(k, n, params.seed)?,
+            k,
+            rows: LdgmEncoder::new(&self.matrix(k, n, params.seed)?),
             id: self.id,
         }))
     }
@@ -211,7 +214,9 @@ impl ErasureCode for LdgmCode {
 }
 
 struct LdgmSessionEncoder {
-    matrix: SparseMatrix,
+    k: usize,
+    /// The rows of `H`, and no columns.
+    rows: LdgmEncoder,
     id: &'static str,
 }
 
@@ -227,7 +232,7 @@ impl Encoder for LdgmSessionEncoder {
             code: self.id.to_string(),
             source,
         };
-        let k = self.matrix.k();
+        let k = self.k;
         if block != 0 || (first as usize) < k {
             return Err(fail(
                 format!("no parity symbol {first} in block {block}").into(),
@@ -236,7 +241,6 @@ impl Encoder for LdgmSessionEncoder {
         // Single block: the ESI is the variable id, and parity row
         // `esi - k` reads source symbols and earlier parity only — the
         // run's own earlier members from `out`.
-        let encoder = LdgmEncoder::new(&self.matrix);
         let first = first as usize;
         for i in 0..out.len() {
             let (done, rest) = out.split_at_mut(i);
@@ -244,7 +248,7 @@ impl Encoder for LdgmSessionEncoder {
                 None => earlier(c as u32),
                 Some(at) => done.get(at).map(|s| &s[..]),
             };
-            encoder
+            self.rows
                 .parity(first + i - k, symbol, rest[0])
                 .map_err(|e| fail(Box::new(e)))?;
         }

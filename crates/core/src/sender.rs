@@ -11,15 +11,17 @@ use crate::{CodeSpec, CoreError};
 /// the first time it is emitted.
 ///
 /// Construction splits the object into source symbols and builds the
-/// spec's encoder; no parity is computed yet. The first
+/// spec's encoder; no parity is computed yet. A block's parity is cached
+/// in aligned runs of `RUN` (8) symbols, one buffer each. The first
 /// [`symbol`](Self::symbol) call for a parity symbol encodes its block's
-/// parity up to that ESI, in one run of at least `RUN` (8) symbols where
-/// the block has them, and every later call for it is a lookup. So a
-/// carousel that cycles its schedule encodes each symbol once, and an
-/// emission that stops early (§6.2: "send significantly less than n")
-/// pays for at most `RUN − 1` parity symbols per block past the highest
-/// ESI it sends. A run lets the encoder read the block's source once for
-/// many symbols (the RSE kernel carries eight rows per pass).
+/// parity from the high-water mark through the end of that symbol's run,
+/// and every later call for it is a lookup. So a carousel that cycles its
+/// schedule encodes each symbol once, and an emission that stops early
+/// (§6.2: "send significantly less than n") pays for at most `RUN − 1`
+/// parity symbols per block past the highest ESI it sends. A run lets the
+/// encoder read the block's source once for many symbols (the RSE kernel
+/// carries eight rows per pass). Once every block's parity is encoded the
+/// encoder is dropped: what the sender keeps is the source and the runs.
 pub struct Sender {
     spec: CodeSpec,
     layout: Layout,
@@ -28,26 +30,31 @@ pub struct Sender {
     /// The `k` source symbols back to back, the last one zero-padded to
     /// `symbol_size`: one buffer, shared with every re-encode.
     source: Arc<Vec<u8>>,
-    /// One slot per parity symbol, block after block, set once when the
-    /// symbol is first encoded.
+    /// One slot per run of parity symbols, block after block, set once
+    /// when the run is encoded: `RUN` symbols back to back, fewer in a
+    /// block's last run.
     parity: Box<[OnceLock<Box<[u8]>>]>,
     /// Per block, the global index of its first source symbol and the
-    /// index of its first slot in `parity`.
+    /// index of its first run in `parity`.
     first: Vec<(usize, usize)>,
     /// Taken only to encode: a lookup of encoded parity never locks.
     encoding: Mutex<Encoding>,
 }
 
 /// The encoder and, per block, its high-water mark: how many parity
-/// symbols of the block are encoded (always a prefix in ESI order).
+/// symbols of the block are encoded (always whole runs, a prefix in ESI
+/// order).
 struct Encoding {
-    encoder: Box<dyn Encoder>,
+    /// `None` once every block's parity is encoded.
+    encoder: Option<Box<dyn Encoder>>,
     filled: Vec<usize>,
+    /// Parity symbols not yet encoded, over all blocks.
+    pending: usize,
 }
 
-/// The fewest parity symbols one miss encodes (fewer only at a block's
-/// end): the rows one `gfni` kernel pass carries. The same for every
-/// code.
+/// Parity symbols per cached run (fewer only at a block's end), and so
+/// the fewest one miss encodes: the rows one `gfni` kernel pass carries.
+/// The same for every code.
 const RUN: usize = 8;
 
 // One sender serves every thread that emits its object.
@@ -87,17 +94,18 @@ impl Sender {
             .encoder(&spec.session_params(symbol_size))
             .map_err(codec_error)?;
         let mut first = Vec::with_capacity(layout.num_blocks());
-        let (mut src, mut par) = (0, 0);
+        let (mut src, mut runs, mut pending) = (0, 0, 0);
         for b in 0..layout.num_blocks() {
             let (kb, nb) = layout.block(b);
-            first.push((src, par));
-            (src, par) = (src + kb, par + nb - kb);
+            first.push((src, runs));
+            (src, runs, pending) = (src + kb, runs + (nb - kb).div_ceil(RUN), pending + nb - kb);
         }
         Ok(Sender {
-            parity: (0..par).map(|_| OnceLock::new()).collect(),
+            parity: (0..runs).map(|_| OnceLock::new()).collect(),
             encoding: Mutex::new(Encoding {
-                encoder,
+                encoder: Some(encoder),
                 filled: vec![0; first.len()],
+                pending,
             }),
             first,
             spec,
@@ -156,10 +164,16 @@ impl Sender {
         if esi < kb {
             return Ok(self.source_symbol(b, esi));
         }
-        match self.parity[self.first[b].1 + esi - kb].get() {
-            Some(p) => Ok(p),
-            None => self.encode_through(b, esi - kb),
+        let j = esi - kb;
+        match self.parity[self.first[b].1 + j / RUN].get() {
+            Some(run) => Ok(self.in_run(run, j)),
+            None => self.encode_through(b, j),
         }
+    }
+
+    /// Parity symbol `j` of a block, out of its run.
+    fn in_run<'r>(&self, run: &'r [u8], j: usize) -> &'r [u8] {
+        &run[j % RUN * self.symbol_size..][..self.symbol_size]
     }
 
     /// Source symbol `esi` of block `b`.
@@ -168,49 +182,66 @@ impl Sender {
         &self.source[at..at + self.symbol_size]
     }
 
-    /// Encodes block `b`'s parity up to its `j`-th parity symbol — at
-    /// least `RUN` symbols past the high-water mark, as far as the block
-    /// goes — in one run, and returns the `j`-th.
+    /// Encodes block `b`'s parity from its high-water mark through the run
+    /// of its `j`-th parity symbol, in one encoder call, and returns the
+    /// `j`-th.
     fn encode_through(&self, b: usize, j: usize) -> Result<&[u8], CoreError> {
         let (kb, nb) = self.layout.block(b);
-        let slots = &self.parity[self.first[b].1..][..nb - kb];
+        let runs = &self.parity[self.first[b].1..][..(nb - kb).div_ceil(RUN)];
+        let missing = || CoreError::UnknownPacket {
+            block: b as u32,
+            esi: (kb + j) as u32,
+        };
         // A panicking encoder leaves the high-water mark behind the last
-        // slot it set, so the state behind a poisoned lock is still whole.
+        // run it set, so the state behind a poisoned lock is still whole.
         let mut encoding = self.encoding.lock().unwrap_or_else(PoisonError::into_inner);
-        let Encoding { encoder, filled } = &mut *encoding;
+        let Encoding {
+            encoder,
+            filled,
+            pending,
+        } = &mut *encoding;
         let next = filled[b];
         if next <= j {
-            let end = (j + 1).max(next + RUN).min(nb - kb);
+            let end = ((j / RUN + 1) * RUN).min(nb - kb);
             let earlier = |esi: u32| match (esi as usize).checked_sub(kb) {
                 None => Some(self.source_symbol(b, esi as usize)),
-                Some(p) => slots[..next].get(p)?.get().map(|s| &s[..]),
+                Some(p) if p < next => runs[p / RUN].get().map(|run| self.in_run(run, p)),
+                Some(_) => None,
             };
-            let mut run: Vec<Box<[u8]>> = (next..end)
-                .map(|_| vec![0u8; self.symbol_size].into_boxed_slice())
+            let mut fresh: Vec<Box<[u8]>> = (next..end)
+                .step_by(RUN)
+                .map(|at| vec![0u8; (end - at).min(RUN) * self.symbol_size].into_boxed_slice())
                 .collect();
-            let mut out: Vec<&mut [u8]> = run.iter_mut().map(|s| &mut s[..]).collect();
+            let mut out: Vec<&mut [u8]> = fresh
+                .iter_mut()
+                .flat_map(|run| run.chunks_exact_mut(self.symbol_size))
+                .collect();
             encoder
+                .as_mut()
+                .ok_or_else(missing)?
                 .parity(b, (kb + next) as u32, &earlier, &mut out)
                 .map_err(codec_error)?;
-            for (slot, symbol) in slots[next..end].iter().zip(run) {
-                slot.get_or_init(|| symbol);
+            for (slot, run) in runs[next / RUN..].iter().zip(fresh) {
+                slot.get_or_init(|| run);
             }
             filled[b] = end;
+            *pending -= end - next;
+            if *pending == 0 {
+                *encoder = None;
+            }
         }
-        slots[j]
+        runs[j / RUN]
             .get()
-            .map(|s| &s[..])
-            .ok_or(CoreError::UnknownPacket {
-                block: b as u32,
-                esi: (kb + j) as u32,
-            })
+            .map(|run| self.in_run(run, j))
+            .ok_or_else(missing)
     }
 
     /// How many parity symbols this sender has encoded so far: what its
     /// emissions asked for, up to each block's highest ESI and rounded up
     /// to whole runs.
     pub fn parity_encoded(&self) -> usize {
-        self.parity.iter().filter(|s| s.get().is_some()).count()
+        let symbols = |run: &OnceLock<Box<[u8]>>| run.get().map_or(0, |r| r.len());
+        self.parity.iter().map(symbols).sum::<usize>() / self.symbol_size
     }
 
     /// Starts an incremental, *amendable* emission of this object's
@@ -358,6 +389,10 @@ mod tests {
         s.encoding.lock().unwrap().filled.clone()
     }
 
+    fn holds_encoder(s: &Sender) -> bool {
+        s.encoding.lock().unwrap().encoder.is_some()
+    }
+
     #[test]
     fn no_parity_is_encoded_before_a_parity_symbol_is_asked_for() {
         let data = object(300 * 8);
@@ -404,6 +439,39 @@ mod tests {
             assert_eq!(filled(&s), runs);
             assert_eq!(s.parity_encoded(), runs.iter().sum::<usize>());
             assert!(s.parity_encoded() < 300, "of 1020 parity symbols");
+        }
+    }
+
+    /// The encoder lives while some parity is not yet encoded and goes
+    /// with the last run: a carousel's later cycles are lookups only.
+    #[test]
+    fn the_encoder_is_dropped_once_every_block_is_encoded() {
+        let data = object(300 * 8);
+        let ldgm = CodeSpec::ldgm_staircase(300, ExpansionRatio::R1_5);
+        for spec in [ldgm, CodeSpec::rse(300, ExpansionRatio::R2_5)] {
+            let s = Sender::new(spec.clone(), &data, 8).unwrap();
+            let last = s.layout().num_blocks() as u32 - 1;
+            let (kb, nb) = s.layout().block(last as usize);
+            let last_run = (kb + (nb - kb - 1) / RUN * RUN) as u32;
+            let (tail, head): (Vec<PacketRef>, Vec<PacketRef>) = s
+                .layout()
+                .all_packets()
+                .into_iter()
+                .partition(|r| r.block == last && r.esi >= last_run);
+            for &r in &head {
+                s.symbol(r).unwrap();
+            }
+            assert!(holds_encoder(&s), "{spec:?}: parity is left");
+            for &r in &tail {
+                s.symbol(r).unwrap();
+            }
+            assert!(!holds_encoder(&s), "{spec:?}: all parity is encoded");
+            let total = (s.packet_count() - s.source_count()) as usize;
+            assert_eq!(s.parity_encoded(), total);
+            let fresh = Sender::new(spec, &data, 8).unwrap();
+            for r in head.into_iter().chain(tail) {
+                assert_eq!(s.symbol(r).unwrap(), fresh.symbol(r).unwrap());
+            }
         }
     }
 

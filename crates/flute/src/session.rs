@@ -616,9 +616,13 @@ struct Geometry {
     layout: Layout,
 }
 
+/// An object's geometry and decoder, each boxed: an object's table slot
+/// holds two pointers to them, and a finished object's slot stays small.
+type Started = (Box<Geometry>, Box<CoreReceiver>);
+
 impl Geometry {
     /// Resolves `oti` into the geometry and a decoder for it.
-    fn resolve(oti: ObjectTransmissionInfo) -> Result<(Geometry, CoreReceiver), FluteError> {
+    fn resolve(oti: ObjectTransmissionInfo) -> Result<Started, FluteError> {
         let spec = oti.code_spec()?;
         let layout = spec.layout()?;
         let receiver =
@@ -629,7 +633,7 @@ impl Geometry {
             layout,
             oti,
         };
-        Ok((geometry, receiver))
+        Ok((Box::new(geometry), Box::new(receiver)))
     }
 
     /// Whether `packet` addresses a symbol of this object and `symbol` has
@@ -642,8 +646,9 @@ impl Geometry {
 
 #[derive(Default)]
 struct ObjectState {
-    geometry: Option<Geometry>,
-    receiver: Option<CoreReceiver>,
+    geometry: Option<Box<Geometry>>,
+    /// Dropped when the object completes.
+    receiver: Option<Box<CoreReceiver>>,
     /// Data symbols held until the OTI is known — the only place the
     /// receive path owns symbol bytes.
     pre_oti: Vec<(PacketRef, Vec<u8>)>,
@@ -691,7 +696,7 @@ impl ObjectState {
 
     /// Starts decoding under a freshly resolved geometry, which stays
     /// provisional unless buffered symbols were accepted under it.
-    fn start(&mut self, (geometry, receiver): (Geometry, CoreReceiver)) -> Result<(), FluteError> {
+    fn start(&mut self, (geometry, receiver): Started) -> Result<(), FluteError> {
         // Drain everything buffered before the OTI arrived, as one batch —
         // the late-FDT catch-up is the single largest symbol burst a
         // receiver ever sees. Nothing could judge those datagrams on
@@ -861,9 +866,10 @@ impl FluteReceiver {
             if state.complete {
                 continue;
             }
-            let Some(Geometry { oti, layout, .. }) = &state.geometry else {
+            let Some(geometry) = &state.geometry else {
                 continue;
             };
+            let Geometry { oti, layout, .. } = &**geometry;
             for b in 0..layout.num_blocks() {
                 let (k, n) = layout.block(b);
                 let seen = state.seen_esis.get(&(b as u32));
@@ -1107,10 +1113,7 @@ impl FluteReceiver {
     /// when the object's OTI was still unknown — or `None` for a datagram
     /// to reject. The payload-ID format comes from the object once its OTI
     /// is known; the registry is asked only before that.
-    fn judge<'a>(
-        &self,
-        view: &LctView<'a>,
-    ) -> Option<(Symbol<'a>, Option<(Geometry, CoreReceiver)>)> {
+    fn judge<'a>(&self, view: &LctView<'a>) -> Option<(Symbol<'a>, Option<Started>)> {
         let state = self.objects.get(&view.header.toi);
         let known = state.and_then(|s| s.geometry.as_ref());
         let format = match known {

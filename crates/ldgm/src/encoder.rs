@@ -11,24 +11,67 @@ use fec_gf256::kernels::xor_acc_many;
 
 use crate::{LdgmError, SparseMatrix};
 
-/// Encoder for an LDGM code instance.
+/// Encoder for an LDGM code instance: the rows of `H`, the one
+/// orientation encoding walks.
 ///
-/// Borrows the matrix: the same (potentially large) matrix is shared by the
-/// encoder, the payload decoder and the structural decoder.
-#[derive(Debug, Clone, Copy)]
-pub struct Encoder<'m> {
-    matrix: &'m SparseMatrix,
+/// A [`SparseMatrix`] keeps columns only, for the decoders; the encoder
+/// transposes them once and owns the result, so a sender that has built
+/// its encoder can drop the matrix.
+#[derive(Debug, Clone)]
+pub struct Encoder {
+    k: usize,
+    n: usize,
+    /// Row `i`'s variables are `row_cols[row_ptr[i]..row_ptr[i + 1]]`,
+    /// ascending.
+    row_ptr: Vec<u32>,
+    row_cols: Vec<u32>,
 }
 
-impl<'m> Encoder<'m> {
-    /// Creates an encoder over a parity-check matrix.
-    pub fn new(matrix: &'m SparseMatrix) -> Encoder<'m> {
-        Encoder { matrix }
+impl Encoder {
+    /// Transposes `matrix`'s columns into rows, by one counting pass: the
+    /// row offsets are the prefix sums of the row weights the matrix keeps
+    /// for peeling, and columns are read in ascending order, so every row
+    /// comes out ascending.
+    pub fn new(matrix: &SparseMatrix) -> Encoder {
+        let mut row_ptr = Vec::with_capacity(matrix.num_checks() + 1);
+        row_ptr.push(0);
+        // `row_ptr[i + 1]` is row `i`'s write cursor until the scatter is
+        // done, and its end after.
+        row_ptr.push(0);
+        for eq in &matrix.start()[..matrix.num_checks() - 1] {
+            row_ptr.push(row_ptr[row_ptr.len() - 1] + eq.count);
+        }
+        let mut row_cols = vec![0u32; matrix.nnz()];
+        for c in 0..matrix.n() {
+            for &r in matrix.col(c) {
+                let at = &mut row_ptr[r as usize + 1];
+                row_cols[*at as usize] = c as u32;
+                *at += 1;
+            }
+        }
+        Encoder {
+            k: matrix.k(),
+            n: matrix.n(),
+            row_ptr,
+            row_cols,
+        }
+    }
+
+    /// Variables appearing in check equation `i`, ascending.
+    #[inline]
+    pub fn row(&self, i: usize) -> &[u32] {
+        &self.row_cols[self.row_ptr[i] as usize..self.row_ptr[i + 1] as usize]
+    }
+
+    /// Number of check equations (`n - k`): the parity symbols.
+    #[inline]
+    pub fn num_checks(&self) -> usize {
+        self.n - self.k
     }
 
     /// Computes all `n - k` parity packets for the given source packets.
     pub fn encode(&self, source: &[&[u8]]) -> Result<Vec<Vec<u8>>, LdgmError> {
-        let k = self.matrix.k();
+        let k = self.k;
         if source.len() != k {
             return Err(LdgmError::WrongSourceCount {
                 got: source.len(),
@@ -36,8 +79,8 @@ impl<'m> Encoder<'m> {
             });
         }
         let sym_len = source.first().map_or(0, |s| s.len());
-        let mut parity: Vec<Vec<u8>> = Vec::with_capacity(self.matrix.num_checks());
-        for i in 0..self.matrix.num_checks() {
+        let mut parity: Vec<Vec<u8>> = Vec::with_capacity(self.num_checks());
+        for i in 0..self.num_checks() {
             let mut acc = vec![0u8; sym_len];
             let symbol = |c: usize| match source.get(c) {
                 Some(s) => Some(*s),
@@ -60,8 +103,8 @@ impl<'m> Encoder<'m> {
         symbol: impl Fn(usize) -> Option<&'s [u8]>,
         out: &mut [u8],
     ) -> Result<(), LdgmError> {
-        let (k, n) = (self.matrix.k(), self.matrix.n());
-        if i >= self.matrix.num_checks() {
+        let (k, n) = (self.k, self.n);
+        if i >= self.num_checks() {
             let id = (k + i) as u32;
             return Err(LdgmError::BadPacketId { id, n });
         }
@@ -71,7 +114,7 @@ impl<'m> Encoder<'m> {
         const GROUP: usize = 16;
         let mut group: [&[u8]; GROUP] = [&[]; GROUP];
         let mut len = 0;
-        for &c in self.matrix.row(i) {
+        for &c in self.row(i) {
             if c as usize == k + i {
                 continue;
             }
@@ -115,9 +158,10 @@ mod tests {
     /// Every check equation must XOR to zero over (source ++ parity).
     fn assert_all_checks_hold(m: &SparseMatrix, src: &[Vec<u8>], parity: &[Vec<u8>]) {
         let sym = src.first().map_or(0, |s| s.len());
+        let rows = Encoder::new(m);
         for i in 0..m.num_checks() {
             let mut acc = vec![0u8; sym];
-            for &c in m.row(i) {
+            for &c in rows.row(i) {
                 let c = c as usize;
                 let sym_ref = if c < m.k() {
                     &src[c]

@@ -86,6 +86,12 @@ pub(crate) struct Inactivation {
     /// Per equation: its row in `rows` (with `FLAG` once it is dense), or
     /// `NONE` outside the residual.
     row_of: Vec<u32>,
+    /// The residual's equations, ascending: row `r` is equation `eqs[r]`.
+    eqs: Vec<u32>,
+    /// Row `r`'s unknown variables at the start of the triangulation,
+    /// ascending, are `vars[vars_at[r]..vars_at[r + 1]]`.
+    vars_at: Vec<u32>,
+    vars: Vec<u32>,
     /// Per equation: its active unknowns, counted and XORed by id (the
     /// cascade's own bookkeeping, copied at the start of a build).
     active: Vec<Unprocessed>,
@@ -230,6 +236,11 @@ impl Inactivation {
 
     /// Peels the residual of `peel` with inactivation, recording the
     /// steps, the inactive columns and the dense rows.
+    ///
+    /// The matrix keeps columns only, so the residual's rows are built
+    /// here first, from the columns of the unknown variables: read in
+    /// ascending order, they give each row its unknowns in the order the
+    /// matrix's rows list them.
     fn triangulate(&mut self, matrix: &SparseMatrix, peel: &Peeler) {
         self.active.clone_from(&peel.eqs);
         self.expr_of.clear();
@@ -240,7 +251,14 @@ impl Inactivation {
         self.dense.clear();
         self.ones.clear();
         self.twos.clear();
-        let mut rows = 0;
+        // Room for every equation, so the pushes below do not regrow.
+        self.eqs.clear();
+        self.eqs.reserve(self.active.len());
+        // `vars_at[r + 1]` is row `r`'s write cursor until the fill is
+        // done, and its end after.
+        self.vars_at.clear();
+        self.vars_at.reserve(self.active.len() + 2);
+        self.vars_at.extend([0, 0]);
         for (e, eq) in self.active.iter().enumerate() {
             self.row_of.push(match eq.count {
                 0 => NONE,
@@ -250,10 +268,26 @@ impl Inactivation {
                         2 => self.twos.push(e as u32),
                         _ => {}
                     }
-                    rows += 1;
-                    rows - 1
+                    // A live equation's count is its unknown variables'.
+                    let at = self.vars_at[self.vars_at.len() - 1];
+                    self.vars_at.push(at + count);
+                    self.eqs.push(e as u32);
+                    self.eqs.len() as u32 - 1
                 }
             });
+        }
+        let total = self.vars_at.pop().unwrap_or(0);
+        self.vars.clear();
+        self.vars.resize(total as usize, 0);
+        for v in (0..matrix.n()).filter(|&v| !peel.known[v]) {
+            for &f in matrix.col(v) {
+                let r = self.row_of[f as usize];
+                if r != NONE {
+                    let at = &mut self.vars_at[r as usize + 1];
+                    self.vars[*at as usize] = v as u32;
+                    *at += 1;
+                }
+            }
         }
         loop {
             while let Some(e) = self.ones.pop() {
@@ -270,11 +304,13 @@ impl Inactivation {
             let Some(e) = self.least_degree() else {
                 break;
             };
-            for &v in matrix.row(e as usize) {
+            let r = self.row_of[e as usize] as usize;
+            for at in self.vars_at[r]..self.vars_at[r + 1] {
                 if self.active[e as usize].count == 1 {
                     break;
                 }
-                if !peel.known[v as usize] && self.expr_of[v as usize] == NONE {
+                let v = self.vars[at as usize];
+                if self.expr_of[v as usize] == NONE {
                     self.expr_of[v as usize] = FLAG | self.inactive.len() as u32;
                     self.inactive.push(v);
                     self.resolve(matrix, NONE, v);
@@ -284,16 +320,20 @@ impl Inactivation {
     }
 
     /// A live equation with the fewest (≥ 2) active unknowns, if any: one
-    /// from the stack of twos, else the least by a scan.
+    /// from the stack of twos, else the first least by a scan of the
+    /// residual's equations.
     fn least_degree(&mut self) -> Option<u32> {
         while let Some(e) = self.twos.pop() {
             if self.active[e as usize].count == 2 {
                 return Some(e);
             }
         }
-        (0..self.active.len() as u32)
-            .filter(|&e| self.active[e as usize].count >= 2)
-            .min_by_key(|&e| self.active[e as usize].count)
+        let active = &self.active;
+        self.eqs
+            .iter()
+            .copied()
+            .filter(|&e| active[e as usize].count >= 2)
+            .min_by_key(|&e| active[e as usize].count)
     }
 
     /// Records the step that resolves `var` (solved by equation `by`, or
@@ -457,6 +497,7 @@ pub fn peeling_necessary(matrix: &SparseMatrix, order: &[u32]) -> Option<usize> 
 mod tests {
     use super::*;
     use crate::{Decoder, Encoder, LdgmParams, RightSide};
+    use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
@@ -464,6 +505,148 @@ mod tests {
 
     fn build(k: usize, n: usize, right: RightSide, seed: u64) -> Arc<SparseMatrix> {
         Arc::new(SparseMatrix::build(LdgmParams::new(k, n, right, seed)).unwrap())
+    }
+
+    /// The triangulation as it was while the matrix kept its rows: a stall
+    /// walks the chosen equation's whole row of `H` (here the encoder's),
+    /// and finds that equation by a scan of every equation.
+    fn reference_triangulate(
+        ml: &mut Inactivation,
+        matrix: &SparseMatrix,
+        rows: &Encoder,
+        peel: &Peeler,
+    ) {
+        ml.active.clone_from(&peel.eqs);
+        ml.expr_of.clear();
+        ml.expr_of.resize(matrix.n(), NONE);
+        ml.row_of.clear();
+        ml.steps.clear();
+        ml.inactive.clear();
+        ml.dense.clear();
+        ml.ones.clear();
+        ml.twos.clear();
+        let mut residual = 0;
+        for (e, eq) in ml.active.iter().enumerate() {
+            ml.row_of.push(match eq.count {
+                0 => NONE,
+                count => {
+                    match count {
+                        1 => ml.ones.push(e as u32),
+                        2 => ml.twos.push(e as u32),
+                        _ => {}
+                    }
+                    residual += 1;
+                    residual - 1
+                }
+            });
+        }
+        loop {
+            while let Some(e) = ml.ones.pop() {
+                let eq = &mut ml.active[e as usize];
+                if eq.count == 1 {
+                    eq.count = 0;
+                    let u = eq.ids;
+                    ml.expr_of[u as usize] = e;
+                    ml.resolve(matrix, e, u);
+                }
+            }
+            let mut least = None;
+            while let Some(e) = ml.twos.pop() {
+                if ml.active[e as usize].count == 2 {
+                    least = Some(e);
+                    break;
+                }
+            }
+            let least = least.or_else(|| {
+                (0..ml.active.len() as u32)
+                    .filter(|&e| ml.active[e as usize].count >= 2)
+                    .min_by_key(|&e| ml.active[e as usize].count)
+            });
+            let Some(e) = least else {
+                break;
+            };
+            for &v in rows.row(e as usize) {
+                if ml.active[e as usize].count == 1 {
+                    break;
+                }
+                if !peel.known[v as usize] && ml.expr_of[v as usize] == NONE {
+                    ml.expr_of[v as usize] = FLAG | ml.inactive.len() as u32;
+                    ml.inactive.push(v);
+                    ml.resolve(matrix, NONE, v);
+                }
+            }
+        }
+    }
+
+    /// What one triangulation decided (steps, inactive columns, dense
+    /// rows) and what the solve on it gives (the dense rows in reduced
+    /// order, each inactive value, every accumulator XOR).
+    #[allow(clippy::type_complexity)]
+    fn solved(
+        ml: &mut Inactivation,
+        matrix: &SparseMatrix,
+        peel: &Peeler,
+    ) -> (
+        Vec<(u32, u32)>,
+        Vec<u32>,
+        Vec<u32>,
+        Vec<u32>,
+        Vec<(u32, u32)>,
+        Vec<(usize, usize)>,
+    ) {
+        let decided = (ml.steps.clone(), ml.inactive.clone(), ml.dense.clone());
+        ml.forward(matrix);
+        ml.fresh = true;
+        let mut xors = Vec::new();
+        let (dense, values) = ml.solve(matrix, peel, |src, dst| xors.push((src, dst)));
+        let (dense, values) = (dense.to_vec(), values.to_vec());
+        (decided.0, decided.1, decided.2, dense, values, xors)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The residual's rows built from the columns of the unknowns, and
+        /// the least-degree scan over the residual only, take every
+        /// decision the row walk and the full scan took: after each
+        /// arrival until the object peels (the early, large residuals are
+        /// where a stall finds no equation of degree two and scans), the
+        /// steps, inactive columns, dense rows, values and accumulator
+        /// XORs are the reference's.
+        #[test]
+        fn triangulation_from_columns_equals_the_row_walk(
+            right_idx in 0usize..3,
+            left_degree in 2usize..5,
+            k in 10usize..100,
+            extra in 5usize..100,
+            seed in any::<u64>(),
+            order_seed in any::<u64>(),
+        ) {
+            let right = [RightSide::Identity, RightSide::Staircase, RightSide::Triangle][right_idx];
+            let n = k + extra;
+            let p = LdgmParams { k, n, left_degree, right, seed };
+            let matrix = SparseMatrix::build(p).unwrap();
+            let rows = Encoder::new(&matrix);
+            let mut order: Vec<u32> = (0..n as u32).collect();
+            order.shuffle(&mut SmallRng::seed_from_u64(order_seed));
+            let mut peel = Peeler::new(&matrix);
+            for &id in &order {
+                if !peel.known[id as usize] {
+                    peel.learn(&matrix, id, &mut ());
+                }
+                if peel.is_complete(&matrix) {
+                    break;
+                }
+                let mut columns = Inactivation::default();
+                columns.triangulate(&matrix, &peel);
+                let mut reference = Inactivation::default();
+                reference_triangulate(&mut reference, &matrix, &rows, &peel);
+                prop_assert_eq!(
+                    solved(&mut columns, &matrix, &peel),
+                    solved(&mut reference, &matrix, &peel)
+                );
+            }
+        }
     }
 
     fn random_payloads(k: usize, len: usize, seed: u64) -> Vec<Vec<u8>> {

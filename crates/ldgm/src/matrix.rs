@@ -1,10 +1,12 @@
 //! Sparse parity-check matrix construction for LDGM codes.
 //!
 //! The matrix `H` has `m = n - k` rows (check equations) and `n` columns
-//! (variables: `k` source packets then `m` parity packets). It is stored in
-//! both CSR (row → columns) and CSC (column → rows) form because encoding
-//! walks rows while peeling decoding walks the column of each arriving
-//! packet.
+//! (variables: `k` source packets then `m` parity packets). A
+//! [`SparseMatrix`] keeps it in CSC form (column → rows) only, because the
+//! decoders walk the column of each arriving packet; the encoder, which
+//! walks rows, transposes the columns once into its own CSR
+//! ([`Encoder::new`](crate::Encoder::new)), so each side holds the one
+//! orientation it reads.
 //!
 //! **Bit identity is the wire contract.** Sender and receiver each build
 //! the matrix from the seed the FLUTE OTI carries, so every array here —
@@ -18,8 +20,8 @@
 //! no entry list and no sort of the entries. The left part's de-duplicated
 //! slot array already is the source half of the CSC (column `c` is slots
 //! `c·d..(c+1)·d`, each window sorted in place); the parity columns are
-//! appended one by one; and one counting transpose, whose row offsets come
-//! from row weights known as the entries are drawn, gives the CSR.
+//! appended one by one; and one pass over the columns gives every row's
+//! peeling start state.
 
 use core::fmt;
 
@@ -200,7 +202,7 @@ impl fmt::Display for LdgmError {
 
 impl std::error::Error for LdgmError {}
 
-/// A binary sparse parity-check matrix in combined CSR + CSC form.
+/// A binary sparse parity-check matrix in CSC form.
 ///
 /// Row `i` encodes the equation "XOR of all variables in row `i` = 0";
 /// variable `k + i` is the parity packet defined by row `i`.
@@ -208,8 +210,6 @@ impl std::error::Error for LdgmError {}
 pub struct SparseMatrix {
     k: usize,
     n: usize,
-    row_ptr: Vec<u32>,
-    row_cols: Vec<u32>,
     col_ptr: Vec<u32>,
     col_rows: Vec<u32>,
     /// Each row's weight and the XOR of its column ids: the state the
@@ -276,47 +276,26 @@ impl SparseMatrix {
             RightSide::Triangle => (3 * m).saturating_sub(3),
         };
         let mut h = build_left_part(params, &mut rng, parity_nnz);
-        build_right_part(&mut h, right, fill, &mut rng);
+        build_right_part(&mut h, m, right, fill, &mut rng);
         Ok(SparseMatrix::from_columns(params, h))
     }
 
-    /// CSR from the CSC by one counting transpose: columns are read in
-    /// ascending order, so every row comes out ascending too — the arrays
-    /// a sort of the entries would give — and each row's `start` (weight,
-    /// XOR of its column ids) is filled in the same pass.
+    /// The matrix of the CSC, with each row's `start` (weight, XOR of its
+    /// column ids) from one pass over the columns.
     fn from_columns(p: LdgmParams, h: Csc) -> SparseMatrix {
-        let (m, col_ptr, col_rows, mut row_ptr) = (p.n - p.k, h.ptr, h.rows, h.weights);
-        row_ptr.iter_mut().fold(0, |at, w| {
-            *w += at;
-            *w
-        });
-        let mut row_cols = vec![0u32; col_rows.len()];
-        // `count` is the row's write cursor until the scatter is done.
-        let mut start: Vec<Unprocessed> = row_ptr[..m]
-            .iter()
-            .map(|&at| Unprocessed { count: at, ids: 0 })
-            .collect();
-        for (c, w) in col_ptr.windows(2).enumerate() {
-            for &r in &col_rows[w[0] as usize..w[1] as usize] {
+        let mut start = vec![Unprocessed { count: 0, ids: 0 }; p.n - p.k];
+        for (c, w) in h.ptr.windows(2).enumerate() {
+            for &r in &h.rows[w[0] as usize..w[1] as usize] {
                 let eq = &mut start[r as usize];
-                row_cols[eq.count as usize] = c as u32;
                 eq.count += 1;
                 eq.ids ^= c as u32;
             }
         }
-        for (eq, row) in start.iter_mut().zip(row_ptr.windows(2)) {
-            debug_assert_eq!(eq.count, row[1], "row weights disagree with the columns");
-            let cols = &row_cols[row[0] as usize..row[1] as usize];
-            debug_assert!(cols.windows(2).all(|w| w[0] < w[1]), "duplicate entry in H");
-            eq.count -= row[0];
-        }
         SparseMatrix {
             k: p.k,
             n: p.n,
-            row_ptr,
-            row_cols,
-            col_ptr,
-            col_rows,
+            col_ptr: h.ptr,
+            col_rows: h.rows,
             start,
             seed: p.seed,
         }
@@ -349,13 +328,7 @@ impl SparseMatrix {
     /// Number of non-zero entries.
     #[inline]
     pub fn nnz(&self) -> usize {
-        self.row_cols.len()
-    }
-
-    /// Variables appearing in check equation `i`.
-    #[inline]
-    pub fn row(&self, i: usize) -> &[u32] {
-        &self.row_cols[self.row_ptr[i] as usize..self.row_ptr[i + 1] as usize]
+        self.col_rows.len()
     }
 
     /// Every check equation with all its variables unprocessed.
@@ -370,18 +343,18 @@ impl SparseMatrix {
         &self.col_rows[self.col_ptr[v] as usize..self.col_ptr[v + 1] as usize]
     }
 
-    /// True if `(row, col)` is a non-zero entry (binary search in the row).
+    /// True if `(row, col)` is a non-zero entry (binary search in the
+    /// column).
     pub fn contains(&self, row: usize, col: usize) -> bool {
-        self.row(row).binary_search(&(col as u32)).is_ok()
+        self.col(col).binary_search(&(row as u32)).is_ok()
     }
 
     /// Degree/weight statistics, used by tests and the ablation benches.
     pub fn stats(&self) -> MatrixStats {
-        let m = self.num_checks();
         let mut row_min = usize::MAX;
         let mut row_max = 0;
-        for i in 0..m {
-            let w = self.row(i).len();
+        for eq in &self.start {
+            let w = eq.count as usize;
             row_min = row_min.min(w);
             row_max = row_max.max(w);
         }
@@ -398,7 +371,7 @@ impl SparseMatrix {
             row_weight_max: row_max,
             source_col_weight_min: src_col_min,
             source_col_weight_max: src_col_max,
-            density: self.nnz() as f64 / (m as f64 * self.n as f64),
+            density: self.nnz() as f64 / (self.num_checks() as f64 * self.n as f64),
         }
     }
 }
@@ -425,9 +398,6 @@ struct Csc {
     /// Column `c`'s rows are `rows[ptr[c]..ptr[c + 1]]`, ascending.
     ptr: Vec<u32>,
     rows: Vec<u32>,
-    /// Row `i`'s weight, at `[i + 1]` (its prefix sum is the CSR's
-    /// `row_ptr`).
-    weights: Vec<u32>,
 }
 
 /// Builds `H1` column-major: a regular bipartite graph where every source
@@ -438,7 +408,6 @@ struct Csc {
 /// are reserved for the parity columns.
 fn build_left_part(p: LdgmParams, rng: &mut PmRand, spare: usize) -> Csc {
     let (k, m, left_degree) = (p.k, p.n - p.k, p.left_degree);
-    let mut weights = vec![0u32; m + 1];
     let edges = left_degree * k;
     let (base, extra) = (edges / m, edges % m);
 
@@ -450,9 +419,7 @@ fn build_left_part(p: LdgmParams, rng: &mut PmRand, spare: usize) -> Csc {
 
     let mut slots: Vec<u32> = Vec::with_capacity(edges + spare);
     for (pos, &r) in order.iter().enumerate() {
-        let reps = base + usize::from(pos < extra);
-        weights[r as usize + 1] = reps as u32;
-        slots.extend(std::iter::repeat_n(r, reps));
+        slots.extend(std::iter::repeat_n(r, base + usize::from(pos < extra)));
     }
     rng.shuffle(&mut slots);
 
@@ -470,8 +437,6 @@ fn build_left_part(p: LdgmParams, rng: &mut PmRand, spare: usize) -> Csc {
                     while slots[start..i].contains(&r) {
                         r = rng.below(m as u32);
                     }
-                    weights[slots[i] as usize + 1] -= 1;
-                    weights[r as usize + 1] += 1;
                     slots[i] = r;
                     break;
                 }
@@ -493,7 +458,7 @@ fn build_left_part(p: LdgmParams, rng: &mut PmRand, spare: usize) -> Csc {
     }
     let (mut ptr, rows) = (Vec::with_capacity(p.n + 1), slots);
     ptr.extend((0..=k).map(|c| (c * left_degree) as u32));
-    Csc { ptr, rows, weights }
+    Csc { ptr, rows }
 }
 
 /// Appends the parity columns `k..n` of `H` to the CSC, each ascending:
@@ -501,9 +466,8 @@ fn build_left_part(p: LdgmParams, rng: &mut PmRand, spare: usize) -> Csc {
 /// both. A per-row fill is drawn first, in row order, one `u32` (the
 /// column) each; each column keeps room for the rows that drew it, and
 /// they are placed in row order, so they ascend.
-fn build_right_part(h: &mut Csc, right: RightSide, fill: TriangleFill, rng: &mut PmRand) {
-    let Csc { ptr, rows, weights } = h;
-    let m = weights.len() - 1;
+fn build_right_part(h: &mut Csc, m: usize, right: RightSide, fill: TriangleFill, rng: &mut PmRand) {
+    let Csc { ptr, rows } = h;
     let (staircase, triangle) = (right != RightSide::Identity, right == RightSide::Triangle);
     // Equation `i >= 2` references `extra` distinct uniform-random earlier
     // parity columns in `[0, i-2]`, as many as there are.
@@ -526,11 +490,6 @@ fn build_right_part(h: &mut Csc, right: RightSide, fill: TriangleFill, rng: &mut
             }
         }
     }
-    // Every equation holds its diagonal, all but the first its staircase.
-    for (i, w) in weights[1..].iter_mut().enumerate() {
-        *w += 1 + u32::from(staircase && i > 0) + want(i) as u32;
-    }
-
     for j in 0..m {
         rows.push(j as u32);
         if staircase && j + 1 < m {
@@ -584,11 +543,6 @@ fn build_right_part(h: &mut Csc, right: RightSide, fill: TriangleFill, rng: &mut
                 rows.extend((2 * j + 1).max(2) as u32..(2 * j + 3).min(m) as u32)
             }
         }
-        if extra == 0 {
-            rows[from..]
-                .iter()
-                .for_each(|&r| weights[r as usize + 1] += 1);
-        }
         ptr.push(rows.len() as u32);
     }
     let mut next = 0;
@@ -604,6 +558,7 @@ fn build_right_part(h: &mut Csc, right: RightSide, fill: TriangleFill, rng: &mut
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Encoder;
     use proptest::prelude::*;
 
     fn build(k: usize, n: usize, right: RightSide, seed: u64) -> SparseMatrix {
@@ -734,31 +689,22 @@ mod tests {
         }
     }
 
-    /// Reference assembly: sort the entries, then lay out both indices
-    /// and every row's `start`.
-    fn assemble_by_sort(p: LdgmParams, entries: &[(u32, u32)]) -> SparseMatrix {
+    /// Reference assembly: sort the entries, then lay out the CSC, every
+    /// row's `start` and, beside the matrix, the rows.
+    fn assemble_by_sort(p: LdgmParams, entries: &[(u32, u32)]) -> (SparseMatrix, Vec<Vec<u32>>) {
         let (k, n, m) = (p.k, p.n, p.n - p.k);
         let mut entries = entries.to_vec();
         entries.sort_unstable();
         assert!(entries.windows(2).all(|w| w[0] != w[1]), "duplicate entry");
         let nnz = entries.len();
-        let mut row_ptr = vec![0u32; m + 1];
+        let mut rows = vec![Vec::new(); m];
         let mut col_ptr = vec![0u32; n + 1];
         for &(r, c) in &entries {
-            row_ptr[r as usize + 1] += 1;
+            rows[r as usize].push(c);
             col_ptr[c as usize + 1] += 1;
-        }
-        for i in 0..m {
-            row_ptr[i + 1] += row_ptr[i];
         }
         for j in 0..n {
             col_ptr[j + 1] += col_ptr[j];
-        }
-        let mut row_cols = vec![0u32; nnz];
-        let mut next = row_ptr.clone();
-        for &(r, c) in &entries {
-            row_cols[next[r as usize] as usize] = c;
-            next[r as usize] += 1;
         }
         let mut col_rows = vec![0u32; nnz];
         let mut next = col_ptr.clone();
@@ -771,31 +717,34 @@ mod tests {
             start[r as usize].count += 1;
             start[r as usize].ids ^= c;
         }
-        SparseMatrix {
+        let matrix = SparseMatrix {
             k,
             n,
-            row_ptr,
-            row_cols,
             col_ptr,
             col_rows,
             start,
             seed: p.seed,
-        }
+        };
+        (matrix, rows)
     }
 
-    /// All four index arrays and every row's `start`.
-    fn same_arrays(a: &SparseMatrix, b: &SparseMatrix) -> bool {
+    /// Both CSC arrays and every row's `start`, and the rows the encoder
+    /// transposes out of `a` against the reference's.
+    fn same_arrays(a: &SparseMatrix, (b, rows): &(SparseMatrix, Vec<Vec<u32>>)) -> bool {
         let starts = |m: &SparseMatrix| {
             m.start
                 .iter()
                 .map(|eq| (eq.count, eq.ids))
                 .collect::<Vec<_>>()
         };
-        a.row_ptr == b.row_ptr
-            && a.row_cols == b.row_cols
-            && a.col_ptr == b.col_ptr
+        let encoder = Encoder::new(a);
+        a.col_ptr == b.col_ptr
             && a.col_rows == b.col_rows
             && starts(a) == starts(b)
+            && rows
+                .iter()
+                .enumerate()
+                .all(|(i, row)| encoder.row(i) == row)
     }
 
     /// All seven fill rules, by index.
@@ -908,8 +857,9 @@ mod tests {
         }
         // Default fill (PerRowUniform): every row i >= 2 gains exactly one
         // extra entry at a parity column strictly below the staircase pair.
+        let rows = Encoder::new(&mc);
         for i in 0..m {
-            let extra: Vec<usize> = mc
+            let extra: Vec<usize> = rows
                 .row(i)
                 .iter()
                 .map(|&c| c as usize)
@@ -954,8 +904,9 @@ mod tests {
         // Row i may only reference parities k+j with j <= i — required for
         // sequential encoding.
         let m = build(80, 200, RightSide::Triangle, 11);
+        let rows = Encoder::new(&m);
         for i in 0..m.num_checks() {
-            for &c in m.row(i) {
+            for &c in rows.row(i) {
                 if c as usize >= m.k() {
                     assert!(
                         c as usize - m.k() <= i,
@@ -970,19 +921,21 @@ mod tests {
     fn deterministic_given_seed() {
         let a = build(60, 150, RightSide::Triangle, 99);
         let b = build(60, 150, RightSide::Triangle, 99);
-        assert_eq!(a.row_cols, b.row_cols);
+        assert_eq!(a.col_ptr, b.col_ptr);
         assert_eq!(a.col_rows, b.col_rows);
         let c = build(60, 150, RightSide::Triangle, 100);
-        assert_ne!(a.row_cols, c.row_cols, "different seed, different graph");
+        assert_ne!(a.col_rows, c.col_rows, "different seed, different graph");
     }
 
     #[test]
     fn csr_csc_are_consistent() {
         let m = build(70, 180, RightSide::Staircase, 5);
-        // Every CSR entry appears in CSC and vice versa.
+        // Every entry of the encoder's rows appears in the columns and
+        // vice versa.
+        let rows = Encoder::new(&m);
         let mut from_rows: Vec<(u32, u32)> = Vec::new();
         for i in 0..m.num_checks() {
-            for &c in m.row(i) {
+            for &c in rows.row(i) {
                 from_rows.push((i as u32, c));
             }
         }
@@ -1032,8 +985,9 @@ mod tests {
             prop_assert_eq!(s.source_col_weight_min, 3);
             prop_assert_eq!(s.source_col_weight_max, 3);
             // Each row has distinct, sorted entries.
+            let rows = Encoder::new(&m);
             for i in 0..m.num_checks() {
-                let row = m.row(i);
+                let row = rows.row(i);
                 prop_assert!(row.windows(2).all(|w| w[0] < w[1]));
                 prop_assert!(row.iter().all(|&c| (c as usize) < n));
             }

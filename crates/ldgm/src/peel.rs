@@ -285,10 +285,12 @@ mod tests {
     }
 
     /// Reference: the cascade with unprocessed counts only, scanning the
-    /// row for its not-yet-known variable when the count reaches one.
+    /// row (the encoder's) for its not-yet-known variable when the count
+    /// reaches one.
     fn row_scan_trace(matrix: &SparseMatrix, arrivals: &[u32]) -> (Vec<Step>, Vec<bool>) {
+        let rows = crate::Encoder::new(matrix);
         let mut unprocessed: Vec<u32> = (0..matrix.num_checks())
-            .map(|e| matrix.row(e).len() as u32)
+            .map(|e| rows.row(e).len() as u32)
             .collect();
         let mut known = vec![false; matrix.n()];
         let mut steps = Vec::new();
@@ -310,7 +312,7 @@ mod tests {
                     unprocessed[e] -= 1;
                     if unprocessed[e] == 1 {
                         unprocessed[e] = 0;
-                        match matrix.row(e).iter().find(|&&c| !known[c as usize]) {
+                        match rows.row(e).iter().find(|&&c| !known[c as usize]) {
                             Some(&u) => {
                                 steps.push(Step::Solve(e, u as usize));
                                 known[u as usize] = true;

@@ -10,11 +10,13 @@
 
 use fec_ldgm::RightSide::{self, Identity, Staircase, Triangle};
 use fec_ldgm::TriangleFill::{self, *};
-use fec_ldgm::{LdgmParams, SparseMatrix};
+use fec_ldgm::{Encoder, LdgmParams, SparseMatrix};
 
 /// FNV-1a over every row (length, then columns) and every column (length,
-/// then rows), as little-endian `u32`s: the four index arrays exactly.
+/// then rows), as little-endian `u32`s: the encoder's rows and the
+/// matrix's columns exactly.
 fn fingerprint(m: &SparseMatrix) -> u64 {
+    let rows = Encoder::new(m);
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut eat = |w: u32| {
         for b in w.to_le_bytes() {
@@ -23,8 +25,8 @@ fn fingerprint(m: &SparseMatrix) -> u64 {
         }
     };
     for i in 0..m.num_checks() {
-        eat(m.row(i).len() as u32);
-        m.row(i).iter().for_each(|&c| eat(c));
+        eat(rows.row(i).len() as u32);
+        rows.row(i).iter().for_each(|&c| eat(c));
     }
     for v in 0..m.n() {
         eat(m.col(v).len() as u32);

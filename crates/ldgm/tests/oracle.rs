@@ -6,9 +6,9 @@
 //! nothing changes", maximum-likelihood decoding is textbook Gauss-Jordan
 //! over GF(2) with the known symbols folded into the right-hand side, and
 //! the parity symbols are computed here by walking the lower-triangular
-//! right side instead of calling `Encoder`. The only thing taken from
-//! `src/` is the matrix itself (`SparseMatrix::row`), which is the input,
-//! not the algorithm.
+//! right side instead of calling `Encoder::encode`. The only thing taken
+//! from `src/` is the matrix itself, read as the encoder's rows
+//! (`Encoder::row`), which is the input, not the algorithm.
 //!
 //! `Decoder` and `StructuralDecoder` share one cascade; comparing them with
 //! each other would prove nothing about it. Comparing both with this does.
@@ -16,7 +16,7 @@
 use std::sync::Arc;
 
 use fec_ldgm::{
-    ml_necessary, peeling_necessary, Decoder, LdgmParams, RightSide, SparseMatrix,
+    ml_necessary, peeling_necessary, Decoder, Encoder, LdgmParams, RightSide, SparseMatrix,
     StructuralDecoder,
 };
 use rand::rngs::SmallRng;
@@ -44,10 +44,11 @@ struct Instance {
 impl Instance {
     fn new(right: RightSide, seed: u64) -> Instance {
         let matrix = Arc::new(SparseMatrix::build(LdgmParams::new(K, N, right, seed)).unwrap());
+        let encoder = Encoder::new(&matrix);
         let rows: Vec<Vec<bool>> = (0..N - K)
             .map(|e| {
                 let mut dense = vec![false; N];
-                for &v in matrix.row(e) {
+                for &v in encoder.row(e) {
                     dense[v as usize] = true;
                 }
                 dense
