@@ -18,11 +18,10 @@
 //! 2. applies **hysteresis**: a differing recommendation is adopted only
 //!    once the loss bound has moved by more than `DEAD_BAND` relative to
 //!    the bound the active tuple was adopted under;
-//! 3. derives the §6.2 transmission plan (equation 3) for the active tuple
-//!    from the conservative loss bound and the configured inefficiency
-//!    margin.
+//! 3. derives the §6.2 transmission plan for the object in flight from the
+//!    exact law of arrivals at the estimate's conservative (p, q) corner
+//!    and the configured inefficiency margin.
 
-use fec_channel::GilbertParams;
 use fec_core::{
     recommend, recommend_known, ChannelKnowledge, CodecHandle, ExpansionRatio, TransmissionPlan,
 };
@@ -55,11 +54,6 @@ impl Decision {
             ratio: top.ratio,
         }
     }
-
-    /// The expansion ratio as a plain number.
-    pub fn ratio_value(&self) -> f64 {
-        self.ratio.as_f64()
-    }
 }
 
 impl core::fmt::Display for Decision {
@@ -78,10 +72,6 @@ impl core::fmt::Display for Decision {
 /// candidate is ignored while the bound stays within this factor of the
 /// bound the active decision was adopted under.
 const DEAD_BAND: f64 = 0.25;
-
-/// Extra packets added to every plan (the paper's ε), on top of the
-/// automatic variance cushion.
-const PLAN_TOLERANCE: u64 = 16;
 
 /// After a decode failure, plan truncation is suspended (the full schedule
 /// is sent) until this many objects decode again — the channel just proved
@@ -216,10 +206,9 @@ impl AdaptiveController {
 
     /// Records the latest population summary from a fan-out aggregator.
     /// The estimator already tracks the worst receiver's sketch; the
-    /// summary additionally widens the plan's variance cushion, because a
-    /// plan serving n receivers must cover the worst of n delivery
-    /// outcomes — the expected extreme deviation grows like √(2 ln n)
-    /// sigmas, not the single-receiver 3.
+    /// summary's receiver count N sets the plan's target: all N decode
+    /// together with probability `1 − ε`, so each must decode with
+    /// probability `(1 − ε)^(1/N)`.
     pub fn note_population(&mut self, summary: PopulationSummary) {
         self.population = Some(summary);
     }
@@ -287,55 +276,31 @@ impl AdaptiveController {
         Reconsideration::Switched
     }
 
-    /// The §6.2 transmission plan for a `k`-packet object under the active
-    /// decision: equation 3 at the conservative loss bound with the
-    /// configured inefficiency margin, plus a **variance cushion** —
-    /// equation 3 covers the *average* delivery count, and a bursty
-    /// channel's delivered total has standard deviation inflated by
-    /// `(1+ρ)/(1−ρ)` (ρ = 1−p−q, the chain's lag-1 correlation), so the
-    /// plan adds three of those sigmas worth of extra sends.
+    /// The §6.2 transmission plan for the `k`-packet object in flight:
+    /// the smallest n at which each of the population's N receivers gets
+    /// `⌈assumed_inefficiency · k⌉` packets with probability at least
+    /// `(1 − ε)^(1/N)` ([`TransmissionPlan::new`]). The channel is the
+    /// estimate's [conservative corner](ChannelEstimate::conservative_corner),
+    /// met in its stationary law. N is the latest
+    /// [`PopulationSummary`]'s receiver count, or 1.
+    ///
+    /// The object in flight may carry another tuple than the active one
+    /// (the first object, or one in flight at a switch), so n is searched
+    /// up to k × the largest ratio the recommender deploys; the emission
+    /// clamps it to the object's own schedule.
     ///
     /// Returns `None` — meaning *send everything* — while no usable
     /// estimate exists, during [failure backoff](Self::record_outcome), or
-    /// when even `n` packets cannot cover the bound (the plan would lie).
+    /// when even that many sends fall short.
     fn plan(&self, k: usize) -> Option<TransmissionPlan> {
         if self.in_backoff() {
             return None;
         }
-        let estimate = self.estimate()?;
-        let bound = estimate.p_global_upper();
-        if bound >= 1.0 {
-            return None;
-        }
-        let n_total = (k as f64 * self.active.ratio_value()).floor() as u64;
-        // Expected sends before cushioning (equation 3's numerator).
-        let base_sends = self.config.assumed_inefficiency * k as f64 / (1.0 - bound);
-        // Burstiness-inflated delivery variance, pessimistic within the CI.
-        let rho = (1.0 - estimate.p_ci.hi - estimate.q_ci.lo).clamp(-0.99, 0.99);
-        let inflation = ((1.0 + rho) / (1.0 - rho)).max(1.0);
-        let sigma = (base_sends * bound * (1.0 - bound) * inflation).sqrt();
-        // Serving n receivers, the plan must cover the worst of n delivery
-        // outcomes: the expected extreme of n near-independent channels
-        // sits √(2 ln n) sigmas out, so the cushion widens with the
-        // population (≈5.3σ at a million receivers) instead of the
-        // single-receiver 3σ.
-        let sigmas = match &self.population {
-            Some(p) if p.receivers > 1 => (2.0 * (p.receivers as f64).ln()).sqrt().max(3.0),
-            _ => 3.0,
-        };
-        let cushion = (sigmas * sigma / (1.0 - bound)).ceil() as u64;
-
-        // Equation 3 against a pessimistic channel with the right
-        // stationary rate (the plan only consumes p_global).
-        let channel = GilbertParams::bernoulli(bound).expect("bound in [0,1)");
-        let plan = TransmissionPlan::new(
-            k,
-            n_total,
-            self.config.assumed_inefficiency,
-            channel,
-            PLAN_TOLERANCE + cushion,
-        );
-        plan.is_sufficient().then_some(plan)
+        let corner = self.estimate()?.conservative_corner()?;
+        let need = (self.config.assumed_inefficiency * k as f64).ceil() as u64;
+        let n_max = (k as f64 * ExpansionRatio::R2_5.as_f64()).floor() as u64;
+        let receivers = self.population.map_or(1, |p| p.receivers);
+        TransmissionPlan::new(n_max, &[(need, 1)], corner, receivers)
     }
 
     /// The one re-plan call the closed loop drives between feedback
@@ -369,8 +334,10 @@ pub struct Replan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fec_channel::{GilbertChannel, LossModel};
+    use fec_channel::{GilbertChannel, GilbertParams, LossModel};
     use fec_codec::builtin;
+    use fec_core::{decode_probability, PlannedEmission, PLAN_EPSILON};
+    use fec_sched::PacketRef;
 
     fn feed(c: &mut AdaptiveController, params: GilbertParams, n: usize, seed: u64) {
         let mut ch = GilbertChannel::new(params, seed);
@@ -429,9 +396,8 @@ mod tests {
         assert_eq!(c.switches(), 1);
         // And the plan saves real bandwidth at 1.35% loss.
         let plan = r.plan.unwrap();
-        assert!(plan.is_sufficient());
-        assert!(plan.n_sent < plan.n_total, "plan truncates the schedule");
-        assert!(plan.savings_fraction() > 0.05);
+        assert!(plan.decode_probability >= 1.0 - PLAN_EPSILON);
+        assert!(plan.n_sent < 14_000, "plan truncates the R1.5 schedule");
         // Stable conditions afterwards: no further churn.
         for _ in 0..10 {
             assert_eq!(c.replan(10_000).reconsideration, Reconsideration::Unchanged);
@@ -486,8 +452,9 @@ mod tests {
         assert_eq!(d.tx, TxModel::Random);
         assert_eq!(d.ratio, ExpansionRatio::R2_5);
         // 40% loss at ratio 2.5 with a 1.35 margin: equation 3 wants
-        // ~1.35k/0.6 ≈ 2.25k of the 2.5k available — sufficient, barely.
-        assert!(r.plan.unwrap().is_sufficient());
+        // ~1.35k/0.6 ≈ 2.25k of the 2.5k available on average, but at the
+        // estimate's conservative corner no n ≤ 2.5k decodes w.p. 0.999.
+        assert!(r.plan.is_none());
     }
 
     #[test]
@@ -531,7 +498,7 @@ mod tests {
     }
 
     #[test]
-    fn population_summary_widens_the_plan_cushion() {
+    fn population_summary_raises_the_plan() {
         let mut c = AdaptiveController::new(ControllerConfig::default());
         feed(&mut c, GilbertParams::new(0.02, 0.6).unwrap(), 30_000, 11);
         let solo = c.replan(10_000).plan.expect("plannable channel");
@@ -541,22 +508,76 @@ mod tests {
             completion_quantiles: [0.1, 0.5, 0.9],
         });
         let fleet = c.replan(10_000).plan.expect("still plannable");
-        // √(2 ln 10⁶) ≈ 5.3 sigmas instead of 3: a wider cushion, but
-        // still a truncating plan.
+        // Each of 10⁶ receivers must decode w.p. 0.999^(1/10⁶): a later
+        // stop, but still a truncating plan.
         assert!(
             fleet.n_sent > solo.n_sent,
             "fleet {} vs solo {}",
             fleet.n_sent,
             solo.n_sent
         );
-        assert!(fleet.is_sufficient());
-        // A single-receiver population keeps the 3-sigma plan.
+        assert!(fleet.n_sent < 15_000);
+        assert!(fleet.decode_probability >= (1.0 - PLAN_EPSILON).powf(1e-6));
+        // A single-receiver population keeps the one-receiver plan.
         c.note_population(PopulationSummary {
             receivers: 1,
             worst_loss: 0.0,
             completion_quantiles: [1.0, 1.0, 1.0],
         });
         assert_eq!(c.replan(10_000).plan.unwrap().n_sent, solo.n_sent);
+    }
+
+    /// A plan is not capped at k × the active ratio: the object in flight
+    /// may carry another. At k = 100 on Gilbert(0.01, 0.4) the controller
+    /// sits on Staircase R1.5 and the plan asks for more than that tuple's
+    /// 150 packets, so an R2.5 object in flight is not cut at 150.
+    #[test]
+    fn a_plan_is_not_capped_at_the_active_ratio() {
+        let mut c = AdaptiveController::new(ControllerConfig::default());
+        feed(&mut c, GilbertParams::new(0.01, 0.4).unwrap(), 30_000, 3);
+        let r = c.replan(100);
+        assert_eq!(r.decision.code, builtin::ldgm_staircase());
+        assert_eq!(r.decision.ratio, ExpansionRatio::R1_5);
+        let plan = r.plan.expect("plannable channel");
+        assert!(plan.n_sent > 150 && plan.n_sent <= 250, "{}", plan.n_sent);
+        // An R2.5 object (n = 250) in flight keeps what the plan asks.
+        let schedule = (0..250).map(|esi| PacketRef { block: 0, esi }).collect();
+        let mut in_flight = PlannedEmission::full(schedule);
+        in_flight.amend(Some(&plan));
+        assert_eq!(in_flight.target(), plan.n_sent);
+    }
+
+    /// Every plan reaches `(1 − ε)^(1/N)` at the estimate's corner, and
+    /// ends no later than the law allows.
+    #[test]
+    fn every_plan_reaches_its_target_at_the_corner() {
+        for (params, receivers) in [
+            ((0.0109, 0.7915), 1),
+            ((0.02, 0.6), 300_000),
+            ((0.05, 0.5), 1),
+            ((0.01, 0.9), 1_000_000),
+        ] {
+            let mut c = AdaptiveController::new(ControllerConfig::default());
+            feed(
+                &mut c,
+                GilbertParams::new(params.0, params.1).unwrap(),
+                30_000,
+                5,
+            );
+            c.note_population(PopulationSummary {
+                receivers,
+                worst_loss: 0.05,
+                completion_quantiles: [0.1, 0.5, 0.9],
+            });
+            let plan = c.replan(2_040).plan.expect("plannable channel");
+            let target = (1.0 - PLAN_EPSILON).powf(1.0 / receivers as f64);
+            assert!(plan.decode_probability >= target, "{params:?}: {plan:?}");
+            let corner = c.estimate().unwrap().conservative_corner().unwrap();
+            let inef = ControllerConfig::default().assumed_inefficiency;
+            let need = [((inef * 2_040.0).ceil() as u64, 1)];
+            let one_less = decode_probability(&need, corner, plan.n_sent - 1);
+            assert!(one_less < target, "{params:?}: {plan:?}");
+        }
     }
 
     #[test]

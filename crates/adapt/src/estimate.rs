@@ -77,6 +77,17 @@ impl ChannelEstimate {
         self.stationary_upper
     }
 
+    /// The pessimistic channel consistent with the window: `p` at the
+    /// upper end of its interval, `q` at the lower end of its. q's
+    /// interval is vacuous (bursts that never end) on a window that never
+    /// left the loss state, so q rises where needed to keep the corner's
+    /// stationary loss within [`p_global_upper`](Self::p_global_upper).
+    pub fn conservative_corner(&self) -> Option<GilbertParams> {
+        let (p, bound) = (self.p_ci.hi, self.stationary_upper);
+        let q = self.q_ci.lo.max(p * (1.0 - bound) / bound).min(1.0);
+        GilbertParams::new(p, q).ok()
+    }
+
     /// Mean loss-burst length of the point estimate, if defined.
     pub fn mean_burst_length(&self) -> Option<f64> {
         self.params.mean_burst_length()

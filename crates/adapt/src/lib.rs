@@ -17,10 +17,11 @@
 //!   the chain's transition counts, with Wilson 95% confidence intervals
 //!   and a worst-case stationary-loss bound for conservative planning;
 //! * [`AdaptiveController`] — maps estimates through the §6.1 rules
-//!   ([`fec_core::recommend_known`]) and equation 3
-//!   ([`fec_core::TransmissionPlan`]), with hysteresis (a loss-bound
+//!   ([`fec_core::recommend_known`]), with hysteresis (a loss-bound
 //!   dead-band) so estimation noise near decision boundaries does not
-//!   thrash the deployed tuple.
+//!   thrash the deployed tuple, and plans each object in flight from the
+//!   exact law of arrivals at the estimate's conservative corner
+//!   ([`fec_core::TransmissionPlan`]).
 //!
 //! The controller is transport-agnostic and is driven through one
 //! contract: [`AdaptiveController::observe_runs`] folds observations in
@@ -50,7 +51,9 @@
 //! let replan = controller.replan(1_000);
 //! assert_eq!(replan.reconsideration, Reconsideration::Switched);
 //! let plan = replan.plan.expect("a 1% channel is plannable");
-//! assert!(plan.n_sent < plan.n_total, "equation 3 truncates the schedule");
+//! // Each receiver decodes w.p. 0.999 after fewer than the R1.5 tuple's
+//! // 1 500 packets.
+//! assert!(plan.n_sent < 1_500 && plan.decode_probability >= 0.999);
 //! controller.record_outcome(true);
 //! ```
 

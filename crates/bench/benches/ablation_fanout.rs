@@ -699,8 +699,8 @@ fn measure_nack_vs_whole(m: usize, seed: u64) -> NackRunResult {
     stream.amend_plan(1, Some(&plan)).expect("amendable");
     let planned_target = stream.planned_total();
     eprintln!(
-        "plan: n_sent={} n_total={} p_global={:.4} planned_target={planned_target}",
-        plan.n_sent, plan.n_total, plan.p_global
+        "plan: n_sent={} n_total={} decode_probability={:.6} planned_target={planned_target}",
+        plan.n_sent, plan.n_total, plan.decode_probability
     );
     while let Some(dg) = stream.next_datagram().expect("stream ok") {
         pop.deliver(&dg);

@@ -9,7 +9,7 @@
 use fec_bench::{banner, output, paper, Scale};
 use fec_channel::GilbertParams;
 use fec_codec::registry;
-use fec_core::{MeasuredSelector, TransmissionPlan};
+use fec_core::{decode_probability, optimal_n_sent, MeasuredSelector, TransmissionPlan};
 use fec_sched::TxModel;
 use fec_sim::ExpansionRatio;
 
@@ -53,7 +53,6 @@ fn main() {
         k: scale.k,
         runs: scale.runs,
         seed: scale.seed,
-        tolerance: 0,
         candidates,
     };
     let choices = selector.select(channel).expect("valid candidates");
@@ -121,7 +120,9 @@ fn main() {
     let k = 50_000_000usize.div_ceil(1024);
     let n = (k as f64 * 1.5).floor() as u64;
     let inef = best.mean_inefficiency.expect("reliable tuple");
-    let plan = TransmissionPlan::new(k, n, inef, channel, 0);
+    let need = [((inef * k as f64).ceil() as u64, 1)];
+    let eq3 = optimal_n_sent(k, inef, channel.global_loss_probability());
+    let plan = TransmissionPlan::new(n, &need, channel, 1).expect("n covers a 1.4% channel");
     println!("\n§6.2.1 plan at paper scale (k = {k}, n = {n}):");
     println!(
         "  measured inefficiency {:.4} (paper: {:.3})",
@@ -129,12 +130,16 @@ fn main() {
         paper::prose::USECASE_BEST_INEF
     );
     println!(
-        "  n_sent = {} packets (paper: ≈ 50041); savings = {} packets ({:.1}%)",
+        "  equation 3: n_sent = {eq3} packets (paper: ≈ 50041), decoded with probability {:.3}",
+        decode_probability(&need, channel, eq3)
+    );
+    println!(
+        "  plan: n_sent = {} packets, decoded with probability {:.4}; savings = {} packets ({:.1}%)",
         plan.n_sent,
+        plan.decode_probability,
         plan.savings_packets(),
         plan.savings_fraction() * 100.0
     );
-    assert!(plan.is_sufficient());
     assert!(
         (inef - paper::prose::USECASE_BEST_INEF).abs() < 0.02,
         "winning inefficiency {inef} too far from the paper's 1.011"

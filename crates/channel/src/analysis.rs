@@ -1,5 +1,7 @@
 //! Closed-form channel analysis (paper §3.2, Figs. 5 and 6).
 
+use std::iter::successors;
+
 use crate::GilbertParams;
 
 /// The global loss probability surface of Fig. 5: `p_global = p / (p + q)`
@@ -112,6 +114,73 @@ pub fn wilson_interval(successes: u64, trials: u64, z: f64) -> (f64, f64) {
     )
 }
 
+/// The exact law of `T_r`, the send index of the `r`-th arrival on a
+/// Gilbert channel run sample-then-step (as
+/// [`GilbertChannel`](crate::GilbertChannel) runs): the probability that
+/// fewer than `r` of the first `n` packets arrive, `P(T_r > n)`.
+///
+/// `loss_at_start` is the probability that the chain is in the loss state
+/// when the first packet is sent: 0 for
+/// [`GilbertChannel::new`](crate::GilbertChannel::new)'s NoLoss start,
+/// `params.global_loss_probability()` for a receiver that meets the chain
+/// in its stationary law.
+///
+/// Each arrival leaves the chain in NoLoss, so the run of losses before
+/// the next arrival is empty with probability `1 − p` and Geometric(q)
+/// (at least one loss) otherwise. From NoLoss, with `m = n − r`,
+///
+/// ```text
+/// P(T_r > r + m) = Σ_b Bin(r − 1, p)(b) · P(Bin(m, q) < b)
+/// ```
+///
+/// (b runs of losses fit in m lost sends iff m Bernoulli(q) trials end at
+/// least b of them); a Loss start puts one more run before the first
+/// arrival (`b + 1`). The shortfall is summed directly, not as
+/// `1 − P(T_r ≤ n)`, so a tail of 1e-12 keeps its digits. The cost is
+/// O(√r + √m) terms.
+pub fn arrival_shortfall(params: GilbertParams, loss_at_start: f64, r: u64, n: u64) -> f64 {
+    let (Some(gaps), Some(m)) = (r.checked_sub(1), n.checked_sub(r)) else {
+        return if r == 0 { 0.0 } else { 1.0 };
+    };
+    let (gaps_from, gaps) = binomial(gaps, params.p());
+    let (losses_from, mut cdf) = binomial(m, params.q());
+    // P(Bin(m, q) ≤ losses_from + i), summed from the lower tail up.
+    let mut sum = 0.0;
+    for w in &mut cdf {
+        sum += *w;
+        *w = sum;
+    }
+    let fewer_losses = |b: u64| match b.checked_sub(losses_from + 1) {
+        None => 0.0,
+        Some(i) => cdf.get(i as usize).copied().unwrap_or(1.0),
+    };
+    let runs = |b| (1.0 - loss_at_start) * fewer_losses(b) + loss_at_start * fewer_losses(b + 1);
+    (gaps_from..).zip(gaps).map(|(b, w)| w * runs(b)).sum()
+}
+
+/// `Bin(n, p)` as `(first value, probabilities)`: the terms above 1e-40 of
+/// the mode's, walked out from the mode by their ratio and normalised by
+/// their sum, so none underflows however large `n` is.
+fn binomial(n: u64, p: f64) -> (u64, Vec<f64>) {
+    if n == 0 || p <= 0.0 || p >= 1.0 {
+        return (if p >= 1.0 { n } else { 0 }, vec![1.0]);
+    }
+    let mode = (((n + 1) as f64 * p) as u64).min(n);
+    // Term b + 1 over term b.
+    let up = |b: u64| (n - b) as f64 * p / ((b + 1) as f64 * (1.0 - p));
+    let below = successors(Some((mode, 1.0)), |&(b, w)| {
+        (b > 0).then(|| (b - 1, w / up(b - 1)))
+    });
+    let above = successors(Some((mode, 1.0)), |&(b, w)| {
+        (b < n).then(|| (b + 1, w * up(b)))
+    });
+    let mut terms: Vec<(u64, f64)> = below.take_while(|t| t.1 > 1e-40).collect();
+    terms.reverse();
+    terms.extend(above.skip(1).take_while(|t| t.1 > 1e-40));
+    let total: f64 = terms.iter().map(|t| t.1).sum();
+    (terms[0].0, terms.iter().map(|t| t.1 / total).collect())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,6 +222,104 @@ mod tests {
                 prop_assert!(lo <= phat + 1e-12 && phat - 1e-12 <= hi);
             }
         }
+    }
+
+    /// `P(T_r ≤ n)` by a forward recursion over (chain state, arrivals so
+    /// far): each send samples its fate from the state, then steps. O(n·r).
+    fn arrival_cdf_by_recursion(params: GilbertParams, loss_at_start: f64, r: u64, n: u64) -> f64 {
+        let (p, q) = (params.p(), params.q());
+        let r = r as usize;
+        // [in NoLoss, in Loss] by arrivals so far, capped at r.
+        let mut no_loss = vec![0.0; r + 1];
+        let mut loss = vec![0.0; r + 1];
+        no_loss[0] = 1.0 - loss_at_start;
+        loss[0] = loss_at_start;
+        for _ in 0..n {
+            let (mut next_no_loss, mut next_loss) = (vec![0.0; r + 1], vec![0.0; r + 1]);
+            for a in 0..=r {
+                let arrived = (a + 1).min(r);
+                next_no_loss[arrived] += no_loss[a] * (1.0 - p);
+                next_loss[arrived] += no_loss[a] * p;
+                next_no_loss[a] += loss[a] * q;
+                next_loss[a] += loss[a] * (1.0 - q);
+            }
+            (no_loss, loss) = (next_no_loss, next_loss);
+        }
+        no_loss[r] + loss[r]
+    }
+
+    #[test]
+    fn arrival_law_matches_the_forward_recursion() {
+        let mut worst: f64 = 0.0;
+        for p in [0.0, 0.01, 0.2, 0.7, 1.0] {
+            for q in [0.0, 0.3, 0.7915, 1.0] {
+                let params = GilbertParams::new(p, q).unwrap();
+                let starts = [0.0, 1.0, params.global_loss_probability()];
+                for r in [1u64, 5, 40] {
+                    for n in [0, r - 1, r, r + 3, 2 * r + 10, 120] {
+                        for s in starts {
+                            let closed = 1.0 - arrival_shortfall(params, s, r, n);
+                            let recursed = arrival_cdf_by_recursion(params, s, r, n);
+                            worst = worst.max((closed - recursed).abs());
+                            assert!(
+                                (closed - recursed).abs() < 1e-12,
+                                "(p, q) = ({p}, {q}), r = {r}, n = {n}, start {s}: \
+                                 {closed} vs {recursed}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert!(worst < 1e-12, "{worst}");
+    }
+
+    /// The smallest `n` at which each of `receivers` independent
+    /// receivers gets `r` arrivals with probability at least
+    /// `0.999^(1/receivers)`.
+    fn quantile(params: GilbertParams, start: f64, r: u64, receivers: f64) -> u64 {
+        let miss = -(0.999f64.ln() / receivers).exp_m1();
+        (r..)
+            .find(|&n| arrival_shortfall(params, start, r, n) <= miss)
+            .unwrap()
+    }
+
+    /// One RSE block of k = 170 from the simulator's NoLoss start:
+    /// ⌈equation 3⌉'s decode probability, the 99.9 % quantile, and the n
+    /// at which all of 10⁶ receivers decode with probability 0.999.
+    #[test]
+    fn arrival_law_pins_the_single_block_figures() {
+        for ((p, q), eq3, decodes, q999, million) in [
+            ((0.0109, 0.7915), 173, 0.769, 181, 194),
+            ((0.05, 0.5), 187, 0.573, 214, 253),
+        ] {
+            let params = GilbertParams::new(p, q).unwrap();
+            let mean_sends = 170.0 / (1.0 - params.global_loss_probability());
+            assert_eq!(mean_sends.ceil() as u64, eq3);
+            let at_eq3 = 1.0 - arrival_shortfall(params, 0.0, 170, eq3);
+            assert!((at_eq3 - decodes).abs() < 5e-4, "({p}, {q}): {at_eq3}");
+            assert_eq!(quantile(params, 0.0, 170, 1.0), q999, "({p}, {q})");
+            assert_eq!(quantile(params, 0.0, 170, 1e6), million, "({p}, {q})");
+        }
+    }
+
+    #[test]
+    fn arrival_law_edge_cases() {
+        let ch = GilbertParams::new(0.2, 0.4).unwrap();
+        assert_eq!(arrival_shortfall(ch, 0.5, 0, 0), 0.0, "zero arrivals");
+        assert_eq!(arrival_shortfall(ch, 0.5, 10, 9), 1.0, "too few sends");
+        // A perfect channel delivers every packet from NoLoss.
+        assert_eq!(
+            arrival_shortfall(GilbertParams::perfect(), 0.0, 10, 10),
+            0.0
+        );
+        // An absorbing loss state delivers nothing from Loss.
+        let stuck = GilbertParams::new(0.1, 0.0).unwrap();
+        assert_eq!(arrival_shortfall(stuck, 1.0, 1, 1_000), 1.0);
+        // Large r and n: no term underflows, and the law is monotone in n.
+        let at = |n| arrival_shortfall(ch, 1.0 / 3.0, 50_000, n);
+        assert!(at(74_000) > at(76_000) && at(76_000) > at(80_000));
+        assert!(at(70_000) > 0.999 && at(80_000) < 1e-3);
     }
 
     #[test]

@@ -228,14 +228,11 @@ mod tests {
         Sender::new(spec, &object(k * 8), 8).unwrap()
     }
 
-    fn plan(k: usize, n_total: u64, p: f64, tolerance: u64) -> TransmissionPlan {
-        TransmissionPlan::new(
-            k,
-            n_total,
-            1.1,
-            GilbertParams::bernoulli(p).unwrap(),
-            tolerance,
-        )
+    /// A one-receiver plan for a need of 1.1·k on Bernoulli(`p`) loss.
+    fn plan(k: usize, n_total: u64, p: f64) -> TransmissionPlan {
+        let need = [((k as f64 * 1.1).ceil() as u64, 1)];
+        let channel = GilbertParams::bernoulli(p).unwrap();
+        TransmissionPlan::new(n_total, &need, channel, 1).unwrap()
     }
 
     #[test]
@@ -255,7 +252,7 @@ mod tests {
     #[test]
     fn amended_emission_is_a_schedule_prefix() {
         let s = sender(100);
-        let p = plan(100, s.packet_count(), 0.02, 4);
+        let p = plan(100, s.packet_count(), 0.02);
         assert!(p.n_sent < s.packet_count());
         let mut e = s.emission(TxModel::Random, 3);
         let saved = e.schedule_len() - p.n_sent;
@@ -278,7 +275,7 @@ mod tests {
         }
         // A plan demanding fewer packets than already went out clamps to
         // "stop now".
-        let tiny = plan(100, s.packet_count(), 0.0, 0); // n_sent ≈ 110
+        let tiny = plan(100, s.packet_count(), 0.0); // n_sent ≈ 110
         assert!(
             tiny.n_sent < 120,
             "plan of {} wants fewer than sent",
@@ -297,7 +294,7 @@ mod tests {
     #[test]
     fn extension_resumes_a_finished_emission() {
         let s = sender(100);
-        let p = plan(100, s.packet_count(), 0.02, 0);
+        let p = plan(100, s.packet_count(), 0.02);
         let mut e = s.emission(TxModel::Interleaved, 9);
         e.amend(Some(&p));
         while e.next_ref().is_some() {}
@@ -409,7 +406,7 @@ mod tests {
         }
         // Demand fewer packets than the 150 already sent: the target
         // clamps to the cursor, and the sent count cannot move backwards.
-        let tiny = plan(100, s.packet_count(), 0.0, 0);
+        let tiny = plan(100, s.packet_count(), 0.0);
         assert!(tiny.n_sent < 150);
         e.amend(Some(&tiny));
         assert_eq!(e.target(), 150, "clamped to what was already sent");
@@ -420,7 +417,7 @@ mod tests {
     #[test]
     fn amend_counts_only_real_moves() {
         let s = sender(50);
-        let p = plan(50, s.packet_count(), 0.02, 0);
+        let p = plan(50, s.packet_count(), 0.02);
         let mut e = s.emission(TxModel::Random, 1);
         assert!(matches!(e.amend(Some(&p)), Amendment::Truncated { .. }));
         assert_eq!(

@@ -17,9 +17,9 @@
 //!   paper's §6 decision procedure: given what you know about the channel,
 //!   which (code, transmission model, expansion ratio) tuple should you
 //!   deploy, rule-based or measured;
-//! * [`TransmissionPlan`] — the §6.2 `n_sent` optimisation (equation 3):
-//!   stop transmitting once the expected deliveries cover
-//!   `inef_ratio * k + ε`.
+//! * [`TransmissionPlan`] — the §6.2 `n_sent` optimisation: equation 3
+//!   sized from the exact law of arrivals instead of the mean, so every
+//!   receiver of a population decodes with a stated probability.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,7 +34,7 @@ mod spec;
 
 pub use emission::{Amendment, PlannedEmission};
 pub use error::CoreError;
-pub use plan::{optimal_n_sent, TransmissionPlan};
+pub use plan::{decode_probability, optimal_n_sent, TransmissionPlan, PLAN_EPSILON};
 pub use receiver::Receiver;
 pub use recommend::{
     recommend, recommend_known, ChannelKnowledge, MeasuredChoice, MeasuredSelector, Recommendation,

@@ -1,96 +1,114 @@
 //! The §6.2 transmission planner: adapt `n_sent` to the channel.
 //!
-//! Once the (code, schedule, ratio) tuple is fixed and its inefficiency
-//! ratio on the target channel is known, the sender does not need to emit
-//! all `n` packets: it can stop after
+//! Once the (code, schedule, ratio) tuple is fixed, the sender does not
+//! need to emit all `n` packets. The paper stops after
 //!
 //! ```text
 //! n_sent = n_necessary_for_decoding / (1 - p_global)        (equation 3)
 //! ```
 //!
-//! packets (plus a safety margin ε), because on average that already
-//! delivers `inef_ratio * k` survivors — "significantly less than the n
-//! packets that would have been sent otherwise, while preserving
-//! transmission reliability" (§6.2.1).
+//! packets, plus some ε, because on average that delivers
+//! `n_necessary_for_decoding` survivors. Covering the mean decodes about
+//! half the time: equation 3's 50 046 packets for §6.2.1's 50 MB object
+//! decode with probability 0.50.
+//!
+//! A [`TransmissionPlan`] takes the law of the packets a receiver needs
+//! and the exact law of arrivals on the Gilbert channel
+//! ([`arrival_shortfall`]), and sends the smallest `n` at which each of
+//! its N receivers decodes with probability at least `(1 − ε)^(1/N)`, so
+//! that all N decode together with probability at least `1 − ε`
+//! ([`PLAN_EPSILON`]). For §6.2.1's object that is 50 149 packets.
 
-use fec_channel::GilbertParams;
+use fec_channel::{analysis::arrival_shortfall, GilbertParams};
 use serde::{Deserialize, Serialize};
 
-/// Computes the optimal `n_sent` of equation 3, rounded up, plus
-/// `tolerance` extra packets.
+/// The probability a plan leaves for *some* receiver of its population not
+/// to decode: a plan for N receivers reaches `(1 − ε)^(1/N)` per receiver.
+pub const PLAN_EPSILON: f64 = 1e-3;
+
+/// Computes equation 3's `n_sent`, rounded up: the sends whose *mean*
+/// deliveries cover `inefficiency · k`.
 ///
 /// # Panics
 /// Panics if `inefficiency < 1` (impossible by definition) or
 /// `p_global >= 1` (nothing ever arrives).
-pub fn optimal_n_sent(k: usize, inefficiency: f64, p_global: f64, tolerance: u64) -> u64 {
+pub fn optimal_n_sent(k: usize, inefficiency: f64, p_global: f64) -> u64 {
     assert!(inefficiency >= 1.0, "inefficiency ratio is always >= 1");
     assert!(
         (0.0..1.0).contains(&p_global),
         "p_global must be in [0, 1), got {p_global}"
     );
     let needed = inefficiency * k as f64;
-    (needed / (1.0 - p_global)).ceil() as u64 + tolerance
+    (needed / (1.0 - p_global)).ceil() as u64
+}
+
+/// The probability that one receiver decodes from the first `n` sends on
+/// `channel`, met in its stationary law, when the packets it needs follow
+/// `need`: `(packets, weight)` pairs, as in
+/// [`CellStats::n_necessary`](fec_sim::CellStats::n_necessary). NaN for
+/// an empty law.
+///
+/// The need is taken as independent of where the losses fall. That is
+/// exact for an MDS block under any order that sends all its packets, and
+/// for a code sent in random order (Tx_model_4); for the other orders of
+/// a large-block code it is an approximation.
+pub fn decode_probability(need: &[(u64, u32)], channel: GilbertParams, n: u64) -> f64 {
+    let start = channel.global_loss_probability();
+    let missed = |&(r, w): &(u64, u32)| f64::from(w) * arrival_shortfall(channel, start, r, n);
+    let total: f64 = need.iter().map(|&(_, w)| f64::from(w)).sum();
+    1.0 - need.iter().map(missed).sum::<f64>() / total
 }
 
 /// A complete §6.2 transmission plan.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TransmissionPlan {
-    /// Source packet count.
-    pub k: usize,
-    /// Total encoding packets available (`n`).
+    /// The most packets the plan could send: the search's upper end.
     pub n_total: u64,
     /// Packets to actually transmit.
     pub n_sent: u64,
-    /// Measured/assumed inefficiency ratio on the target channel.
-    pub inefficiency: f64,
-    /// Channel global loss probability.
-    pub p_global: f64,
-    /// Extra packets added as tolerance (the paper's ε).
-    pub tolerance: u64,
+    /// The probability that one receiver decodes from `n_sent` sends.
+    pub decode_probability: f64,
 }
 
 impl TransmissionPlan {
-    /// Builds a plan from a channel and a measured inefficiency. `n_sent`
-    /// is capped at `n_total` (a plan can never send more than exists).
+    /// The smallest `n ≤ n_total` at which each of `receivers` receivers
+    /// decodes with probability at least `(1 − ε)^(1/N)`, the need
+    /// following `need` (see [`decode_probability`]). `None` when even
+    /// `n_total` sends fall short, or `need` is empty.
     pub fn new(
-        k: usize,
         n_total: u64,
-        inefficiency: f64,
+        need: &[(u64, u32)],
         channel: GilbertParams,
-        tolerance: u64,
-    ) -> TransmissionPlan {
-        let p_global = channel.global_loss_probability();
-        let n_sent = optimal_n_sent(k, inefficiency, p_global, tolerance).min(n_total);
-        TransmissionPlan {
-            k,
-            n_total,
-            n_sent,
-            inefficiency,
-            p_global,
-            tolerance,
+        receivers: u64,
+    ) -> Option<TransmissionPlan> {
+        let target = (1.0 - PLAN_EPSILON).powf(1.0 / receivers.max(1) as f64);
+        let reaches = |n| decode_probability(need, channel, n) >= target;
+        if !reaches(n_total) {
+            return None;
         }
+        // The decode probability grows with n: bisect for the first n
+        // that reaches the target.
+        let (mut lo, mut hi) = (0, n_total);
+        while lo < hi {
+            let m = lo + (hi - lo) / 2;
+            (lo, hi) = if reaches(m) { (lo, m) } else { (m + 1, hi) };
+        }
+        let decode_probability = decode_probability(need, channel, hi);
+        Some(TransmissionPlan {
+            n_total,
+            n_sent: hi,
+            decode_probability,
+        })
     }
 
-    /// Packets saved versus transmitting everything.
+    /// Packets saved versus sending all `n_total`.
     pub fn savings_packets(&self) -> u64 {
-        self.n_total - self.n_sent
+        self.n_total.saturating_sub(self.n_sent)
     }
 
     /// Fraction of the full transmission avoided.
     pub fn savings_fraction(&self) -> f64 {
         self.savings_packets() as f64 / self.n_total as f64
-    }
-
-    /// Expected number of packets a receiver gets under this plan.
-    pub fn expected_received(&self) -> f64 {
-        self.n_sent as f64 * (1.0 - self.p_global)
-    }
-
-    /// Whether the plan covers the requirement `expected_received >=
-    /// inefficiency * k` (always true by construction unless capped by
-    /// `n_total`).
-    pub fn is_sufficient(&self) -> bool {
-        self.expected_received() + 1e-9 >= self.inefficiency * self.k as f64
     }
 }
 
@@ -98,74 +116,127 @@ impl TransmissionPlan {
 mod tests {
     use super::*;
 
-    #[test]
-    fn formula_matches_paper_example_6_2_1() {
-        // §6.2.1: 50 MB object (10^6-byte MB), 1024-byte payloads:
-        // k = ceil(50e6 / 1024) = 48829 packets. Best tuple: (Tx2, LDGM
-        // Staircase, ratio 1.5) with inef ≈ 1.011 on the Yajnik channel
-        // (p = 0.0109, q = 0.7915, p_global ≈ 0.0135). The paper computes
-        // n_sent ≈ 51.24 MB ≈ 50041 packets and n = 73243.
+    /// §6.2.1: 50 MB object (10^6-byte MB), 1024-byte payloads:
+    /// k = ceil(50e6 / 1024) = 48829 packets. Best tuple: (Tx2, LDGM
+    /// Staircase, ratio 1.5) with inef ≈ 1.011 on the Yajnik channel
+    /// (p = 0.0109, q = 0.7915, p_global ≈ 0.0135).
+    fn section_6_2_1() -> (usize, u64, GilbertParams) {
         let k = 50_000_000usize.div_ceil(1024);
         assert_eq!(k, 48_829);
         let n = (k as f64 * 1.5).floor() as u64;
         assert_eq!(n, 73_243, "paper's n");
+        (k, n, GilbertParams::new(0.0109, 0.7915).unwrap())
+    }
 
-        let channel = GilbertParams::new(0.0109, 0.7915).unwrap();
+    #[test]
+    fn formula_matches_paper_example_6_2_1() {
+        // The paper computes n_sent ≈ 51.24 MB ≈ 50041 packets.
+        let (k, _, channel) = section_6_2_1();
         let p_global = channel.global_loss_probability();
         assert!((p_global - 0.0135).abs() < 2e-4);
+        let n_sent = optimal_n_sent(k, 1.011, p_global);
+        // Their rounding differs slightly; ours gives 50 046.
+        assert_eq!(n_sent, 50_046, "paper says ≈ 50041");
+    }
 
-        let n_sent = optimal_n_sent(k, 1.011, p_global, 0);
-        // Paper: ≈ 50041 packets (their rounding differs slightly; accept
-        // a small window around it).
+    #[test]
+    fn the_law_plans_past_equation_3_at_paper_scale() {
+        let (k, n, channel) = section_6_2_1();
+        let need = [((1.011 * k as f64).ceil() as u64, 1)];
+        let eq3 = optimal_n_sent(k, 1.011, channel.global_loss_probability());
+        let at_eq3 = decode_probability(&need, channel, eq3);
         assert!(
-            (50_020..=50_070).contains(&n_sent),
-            "n_sent = {n_sent}, paper says ≈ 50041"
+            (at_eq3 - 0.50).abs() < 0.02,
+            "equation 3 decodes w.p. {at_eq3}"
         );
-
-        let plan = TransmissionPlan::new(k, n, 1.011, channel, 0);
-        assert!(plan.is_sufficient());
+        let plan = TransmissionPlan::new(n, &need, channel, 1).unwrap();
+        assert_eq!(plan.n_sent, 50_149);
+        assert!(plan.decode_probability >= 1.0 - PLAN_EPSILON);
+        assert!(decode_probability(&need, channel, plan.n_sent - 1) < 1.0 - PLAN_EPSILON);
         // "significantly less than the n = 73243 packets"
         assert!(plan.savings_packets() > 20_000);
         assert!(plan.savings_fraction() > 0.3);
     }
 
+    /// One RSE block of k = 170 (n = 255) from the stationary start: the
+    /// 99.9 % quantile for one receiver and the n at which all of 10⁶
+    /// receivers decode with probability 0.999, beside ⌈equation 3⌉'s
+    /// decode probability.
+    #[test]
+    fn single_block_plans_from_the_stationary_start() {
+        for ((p, q), eq3, decodes, solo, million) in [
+            ((0.0109, 0.7915), 173, 0.766, 181, 194),
+            ((0.05, 0.5), 187, 0.563, 215, 253),
+        ] {
+            let channel = GilbertParams::new(p, q).unwrap();
+            let need = [(170, 1)];
+            assert_eq!(
+                optimal_n_sent(170, 1.0, channel.global_loss_probability()),
+                eq3
+            );
+            let at_eq3 = decode_probability(&need, channel, eq3);
+            assert!((at_eq3 - decodes).abs() < 5e-4, "({p}, {q}): {at_eq3}");
+            let plan = |receivers| TransmissionPlan::new(255, &need, channel, receivers);
+            assert_eq!(plan(1).unwrap().n_sent, solo, "({p}, {q})");
+            let fleet = plan(1_000_000).unwrap();
+            assert_eq!(fleet.n_sent, million, "({p}, {q})");
+            assert!(fleet.decode_probability >= (1.0 - PLAN_EPSILON).powf(1e-6));
+        }
+    }
+
+    #[test]
+    fn a_law_of_needs_plans_between_its_extremes() {
+        let channel = GilbertParams::new(0.02, 0.6).unwrap();
+        let plan = |need: &[(u64, u32)]| TransmissionPlan::new(2500, need, channel, 1);
+        let low = plan(&[(1050, 1)]).unwrap().n_sent;
+        let high = plan(&[(1100, 1)]).unwrap().n_sent;
+        let mixed = plan(&[(1050, 3), (1100, 1)]).unwrap().n_sent;
+        assert!(low < mixed && mixed <= high, "{low} {mixed} {high}");
+        assert!(TransmissionPlan::new(2500, &[], channel, 1).is_none());
+    }
+
     #[test]
     fn perfect_channel_sends_just_the_necessary() {
-        let plan = TransmissionPlan::new(1000, 2500, 1.05, GilbertParams::perfect(), 10);
-        assert_eq!(plan.n_sent, 1050 + 10);
-        assert!(plan.is_sufficient());
+        let plan = TransmissionPlan::new(2500, &[(1050, 1)], GilbertParams::perfect(), 7);
+        let plan = plan.unwrap();
+        assert_eq!(plan.n_sent, 1050);
+        assert_eq!(plan.decode_probability, 1.0);
     }
 
     #[test]
     fn plan_caps_at_n_total() {
-        // 60% loss at ratio 1.5 → would need more than n; the cap applies
-        // and the plan honestly reports insufficiency.
+        // 60% loss at ratio 1.5: even all n packets fall short.
         let ch = GilbertParams::bernoulli(0.6).unwrap();
-        let plan = TransmissionPlan::new(1000, 1500, 1.05, ch, 0);
-        assert_eq!(plan.n_sent, 1500);
-        assert!(!plan.is_sufficient());
+        assert!(TransmissionPlan::new(1500, &[(1050, 1)], ch, 1).is_none());
+        assert!(decode_probability(&[(1050, 1)], ch, 1500) < 1e-6);
     }
 
     #[test]
-    fn tolerance_is_added() {
-        assert_eq!(optimal_n_sent(100, 1.0, 0.0, 25), 125);
+    fn savings_never_underflow() {
+        let plan = TransmissionPlan {
+            n_total: 150,
+            n_sent: 171,
+            decode_probability: 0.999,
+        };
+        assert_eq!(plan.savings_packets(), 0);
     }
 
     #[test]
     #[should_panic(expected = "p_global must be in [0, 1)")]
     fn total_loss_rejected() {
-        optimal_n_sent(10, 1.0, 1.0, 0);
+        optimal_n_sent(10, 1.0, 1.0);
     }
 
     #[test]
     #[should_panic(expected = "inefficiency ratio is always >= 1")]
     fn sub_unit_inefficiency_rejected() {
-        optimal_n_sent(10, 0.9, 0.0, 0);
+        optimal_n_sent(10, 0.9, 0.0);
     }
 
     #[test]
     fn plan_serializes() {
-        let plan = TransmissionPlan::new(10, 25, 1.1, GilbertParams::perfect(), 1);
+        let plan = TransmissionPlan::new(25, &[(11, 1)], GilbertParams::perfect(), 1);
+        let plan = plan.unwrap();
         let json = serde_json::to_string(&plan).unwrap();
         let back: TransmissionPlan = serde_json::from_str(&json).unwrap();
         assert_eq!(plan, back);

@@ -188,8 +188,9 @@ pub struct MeasuredChoice {
     pub failures: u32,
     /// Runs executed.
     pub runs: u32,
-    /// The §6.2 plan derived from the measurement (only for fully
-    /// successful tuples).
+    /// The §6.2 plan for one receiver, from the measured law of
+    /// `n_necessary` (only for fully successful tuples, and only when all
+    /// `n` packets reach the plan's decode probability).
     pub plan: Option<TransmissionPlan>,
 }
 
@@ -210,8 +211,6 @@ pub struct MeasuredSelector {
     pub runs: u32,
     /// Master seed.
     pub seed: u64,
-    /// Safety margin added to each plan's `n_sent` (the paper's ε).
-    pub tolerance: u64,
     /// Candidate tuples to evaluate.
     pub candidates: Vec<(CodecHandle, TxModel, ExpansionRatio)>,
 }
@@ -238,7 +237,6 @@ impl MeasuredSelector {
             k,
             runs,
             seed: 0xBEA2,
-            tolerance: 0,
             candidates,
         }
     }
@@ -246,6 +244,11 @@ impl MeasuredSelector {
     /// Evaluates every candidate on `channel`, returning reliable tuples
     /// first, ordered by the `n_sent` their plan needs (fewest packets on
     /// the wire wins — this is the actual bandwidth cost of reliability).
+    ///
+    /// Each plan reads the cell's whole law of `n_necessary`. Under
+    /// Tx_model_4 the random order makes the need independent of where the
+    /// losses fall, so the plan's decode probability is exact for the
+    /// measured law; under the other orders it is an approximation.
     pub fn select(&self, channel: GilbertParams) -> Result<Vec<MeasuredChoice>, SimError> {
         let mut out = Vec::with_capacity(self.candidates.len());
         for (idx, (code, tx, ratio)) in self.candidates.iter().enumerate() {
@@ -260,15 +263,9 @@ impl MeasuredSelector {
             }
             let stats = accum.finalize(channel.p(), channel.q(), self.k, false);
             let (mean, failures) = (stats.mean_inefficiency_unmasked, stats.failures);
-            let plan = (failures == 0).then(|| {
-                TransmissionPlan::new(
-                    self.k,
-                    runner.layout().total_packets(),
-                    mean.expect("successes > 0"),
-                    channel,
-                    self.tolerance,
-                )
-            });
+            let n_total = runner.layout().total_packets();
+            let plan = TransmissionPlan::new(n_total, &stats.n_necessary, channel, 1)
+                .filter(|_| failures == 0);
             out.push(MeasuredChoice {
                 code,
                 tx,
@@ -279,31 +276,14 @@ impl MeasuredSelector {
                 plan,
             });
         }
-        out.sort_by(|a, b| {
-            match (a.is_reliable(), b.is_reliable()) {
-                (true, false) => return std::cmp::Ordering::Less,
-                (false, true) => return std::cmp::Ordering::Greater,
-                _ => {}
-            }
-            let key = |c: &MeasuredChoice| {
-                c.plan
-                    .as_ref()
-                    .map(|p| p.n_sent as f64)
-                    .or(c.mean_inefficiency.map(|m| m * c.runs as f64 * 1e9))
-                    .unwrap_or(f64::INFINITY)
-            };
-            key(a)
-                .partial_cmp(&key(b))
-                .expect("finite keys")
-                // Tie-break: prefer large-block codes (an order of
-                // magnitude faster to decode than blocked MDS, §6.2).
-                .then_with(
-                    || match (a.code.is_large_block(), b.code.is_large_block()) {
-                        (false, true) => std::cmp::Ordering::Greater,
-                        (true, false) => std::cmp::Ordering::Less,
-                        _ => std::cmp::Ordering::Equal,
-                    },
-                )
+        // Reliable tuples first, then the fewest planned sends (with no
+        // plan, the lowest mean inefficiency); ties go to large-block codes,
+        // an order of magnitude faster to decode than blocked MDS (§6.2).
+        out.sort_by_key(|c| {
+            let n_sent = c.plan.map_or(u64::MAX, |p| p.n_sent);
+            let mean = c.mean_inefficiency.filter(|_| c.plan.is_none());
+            let mean = mean.map_or(u64::MAX, f64::to_bits);
+            (!c.is_reliable(), n_sent, mean, !c.code.is_large_block())
         });
         Ok(out)
     }
@@ -379,7 +359,7 @@ mod tests {
         let first = &choices[0];
         assert!(first.is_reliable(), "top choice failed runs: {first:?}");
         let plan = first.plan.as_ref().unwrap();
-        assert!(plan.is_sufficient());
+        assert!(plan.decode_probability >= 1.0 - crate::PLAN_EPSILON);
         // At 1.35% loss the winner must be a ratio-1.5 scheme: its n_sent
         // beats every ratio-2.5 candidate by construction. (Which *code*
         // wins at k=600 is scale-dependent — RSE's coupon-collector penalty

@@ -2054,7 +2054,10 @@ mod tests {
             let dg = stream.next_datagram().unwrap().unwrap();
             receiver.push_datagram(&dg).unwrap();
         }
-        let plan = TransmissionPlan::new(k, full, 1.15, fec_channel::GilbertParams::perfect(), 4);
+        // 148 of the 312 packets: 1.15·k and four more.
+        let need = (k as f64 * 1.15).ceil() as u64 + 4;
+        let perfect = fec_channel::GilbertParams::perfect();
+        let plan = TransmissionPlan::new(full, &[(need, 1)], perfect, 1).unwrap();
         assert!(matches!(
             stream.amend_plan(1, Some(&plan)).unwrap(),
             Amendment::Truncated { .. }
@@ -2088,7 +2091,8 @@ mod tests {
         let full = stream.full_total();
         let k = stream.source_count(1).unwrap() as usize;
         // Truncate hard, run the stream dry…
-        let thin = TransmissionPlan::new(k, full, 1.0, fec_channel::GilbertParams::perfect(), 0);
+        let perfect = fec_channel::GilbertParams::perfect();
+        let thin = TransmissionPlan::new(full, &[(k as u64, 1)], perfect, 1).unwrap();
         stream.amend_plan(1, Some(&thin)).unwrap();
         let mut first_leg = 0u64;
         while let Some(dg) = stream.next_datagram().unwrap() {

@@ -4,7 +4,8 @@
 //! 2. Fit a Gilbert model to the trace (transition counting).
 //! 3. Rank candidate (code, schedule, ratio) tuples by *measured*
 //!    inefficiency at the fitted (p, q).
-//! 4. Compute the optimal `n_sent` (equation 3) and show the savings.
+//! 4. Plan `n_sent` from the exact law of arrivals, beside equation 3's
+//!    mean-based count, and show the savings.
 //! 5. Verify by delivering an object under the truncated plan.
 //!
 //! ```sh
@@ -12,6 +13,7 @@
 //! ```
 
 use fec_broadcast::channel::{fit_gilbert, LossTrace};
+use fec_broadcast::core::{decode_probability, optimal_n_sent};
 use fec_broadcast::prelude::*;
 
 fn main() {
@@ -39,8 +41,7 @@ fn main() {
     );
 
     // --- 3. Measured selection (the paper's Fig. 15 at reduced scale).
-    let mut selector = MeasuredSelector::new(3000, 12);
-    selector.tolerance = (selector.k / 25) as u64; // ε = 4%
+    let selector = MeasuredSelector::new(3000, 12);
     let choices = selector.select(fitted).expect("simulations run");
     println!(
         "{:<16} {:<12} {:>5} {:>8} {:>7}",
@@ -70,20 +71,18 @@ fn main() {
     // --- 4. Plan at the paper's object size: 50 MB in 1024-byte payloads.
     let k = 50_000_000usize.div_ceil(1024);
     let n = (k as f64 * best.ratio.as_f64()).floor() as u64;
-    let plan = TransmissionPlan::new(
-        k,
-        n,
-        best.mean_inefficiency.expect("reliable winner"),
-        fitted,
-        500, // ε in packets
-    );
+    let inef = best.mean_inefficiency.expect("reliable winner");
+    let need = [((inef * k as f64).ceil() as u64, 1)];
+    let eq3 = optimal_n_sent(k, inef, fitted.global_loss_probability());
+    let plan = TransmissionPlan::new(n, &need, fitted, 1).expect("n covers a 1.4% channel");
     println!(
-        "plan for the 50 MB object: send {} of {} packets ({:.1}% saved, expected {:.0} deliveries for {:.0} needed)",
+        "plan for the 50 MB object: send {} of {} packets ({:.1}% saved), decoded with \
+         probability {:.4}; equation 3's {eq3} decode with probability {:.3}",
         plan.n_sent,
         plan.n_total,
         plan.savings_fraction() * 100.0,
-        plan.expected_received(),
-        plan.inefficiency * plan.k as f64,
+        plan.decode_probability,
+        decode_probability(&need, fitted, eq3),
     );
 
     // --- 5. Validate the plan on a (smaller) real object.

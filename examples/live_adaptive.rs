@@ -22,7 +22,7 @@ fn main() {
     // prior's ratio 2.5: the sender does not know the channel yet.
     let workload = Workload::drifting(400, 12, 0x5EED);
     let prior = Decision::prior();
-    let per_object = (workload.k as f64 * prior.ratio_value()) as u64;
+    let per_object = (workload.k as f64 * prior.ratio.as_f64()) as u64;
     let full = per_object * workload.objects as u64;
     let channel = workload.regimes()[0].params;
     println!(
@@ -63,7 +63,7 @@ fn main() {
         );
     }
     let on_wire: u64 = report.objects.iter().map(|o| o.n_sent).sum();
-    let overhead = report.mean_sent_ratio() / prior.ratio_value();
+    let overhead = report.mean_sent_ratio() / prior.ratio.as_f64();
     println!(
         "\ndelivered all {} objects with {on_wire} data datagrams \
          ({:.0}% of the static worst-case {full}) after {} switch(es)",

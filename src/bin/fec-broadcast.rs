@@ -17,6 +17,7 @@ use fec_broadcast::channel::analysis::FeasibilityLimit;
 use fec_broadcast::channel::grid::GridKind::{Coarse, Paper};
 use fec_broadcast::channel::LinkEmulator;
 use fec_broadcast::codec::registry;
+use fec_broadcast::core::{decode_probability, optimal_n_sent};
 use fec_broadcast::flute::feedback::{ReportConfig, MAX_PATH_TRACKS};
 use fec_broadcast::live;
 use fec_broadcast::prelude::*;
@@ -98,8 +99,8 @@ USAGE:
   fec-broadcast recommend [--p <p> --q <q>] [--high-loss]
       Rule-based §6.1 recommendations. With --p/--q: for that known channel.
 
-  fec-broadcast plan --k <k> --ratio <r> --inef <i> --p <p> --q <q> [--tolerance <n>]
-      Equation-3 transmission plan: how many packets to actually send.
+  fec-broadcast plan --k <k> --ratio <r> --inef <i> --p <p> --q <q>
+      §6.2 plan: the fewest sends decoded w.p. 0.999, beside equation 3.
 
   fec-broadcast sweep --code <name> --tx <1..6> --ratio <r>
                       [--k <k>] [--runs <n>] [--coarse] [--seed <n>]
@@ -497,36 +498,35 @@ fn cmd_recommend(a: &mut Args) -> Result<(), String> {
 fn cmd_plan(a: &mut Args) -> Result<(), String> {
     let k: Option<usize> = a.int("k", "<k>", POSITIVE)?;
     let ratio = a.ratio()?;
-    let inef = a.parsed("inef", "<i>", "a number")?;
+    let inef: Option<f64> = a.parsed("inef", "<i>", "a number")?;
     let channel = a.channel("p", "q")?;
-    let tolerance = a.int("tolerance", "<n>", ANY)?.unwrap_or(0);
     a.finish()?;
     let k = k.ok_or("--k is required")?;
     let ratio = ratio.ok_or("--ratio is required")?.as_f64();
     let inef = inef.ok_or("--inef is required")?;
     let channel = channel.ok_or("--p and --q are required")?;
     let n_total = (k as f64 * ratio).floor() as u64;
-    let plan = TransmissionPlan::new(k, n_total, inef, channel, tolerance);
+    let need = [((inef * k as f64).ceil() as u64, 1)];
+    let decodes = |n| decode_probability(&need, channel, n);
+    let eq3 = optimal_n_sent(k, inef, channel.global_loss_probability());
     println!(
         "object: k = {k}, n = {n_total} (ratio {ratio}); channel p_global = {:.2}%",
-        plan.p_global * 100.0
+        channel.global_loss_probability() * 100.0
     );
     println!(
-        "send n_sent = {} packets (saves {} = {:.1}%)",
-        plan.n_sent,
-        plan.savings_packets(),
-        plan.savings_fraction() * 100.0
+        "equation 3: n_sent = {eq3}, decoded w.p. {:.4}",
+        decodes(eq3)
     );
-    println!(
-        "expected deliveries: {:.0} for a requirement of {:.0} ({})",
-        plan.expected_received(),
-        plan.inefficiency * k as f64,
-        if plan.is_sufficient() {
-            "sufficient"
-        } else {
-            "INSUFFICIENT — even n packets cannot cover this channel"
-        }
-    );
+    match TransmissionPlan::new(n_total, &need, channel, 1) {
+        Some(plan) => println!(
+            "plan: send {} packets (saves {} = {:.1}%), decoded w.p. {:.4}",
+            plan.n_sent,
+            plan.savings_packets(),
+            plan.savings_fraction() * 100.0,
+            plan.decode_probability
+        ),
+        None => println!("no plan: all {n_total} decode w.p. {:.4}", decodes(n_total)),
+    }
     Ok(())
 }
 

@@ -241,7 +241,7 @@ impl Report {
         let k = self.k as f64;
         let cost = |o: &ObjectOutcome| {
             o.n_necessary
-                .map_or(o.decision.ratio_value(), |n| n as f64 / k)
+                .map_or(o.decision.ratio.as_f64(), |n| n as f64 / k)
         };
         self.objects.iter().map(cost).sum::<f64>() / self.objects.len() as f64
     }

@@ -63,9 +63,10 @@ fn plan_reproduces_section_6_2_1() {
     ]);
     assert!(ok, "{stdout}");
     assert!(stdout.contains("n = 73243"), "{stdout}");
-    // n_sent ≈ 50041 (paper); our rounding gives 50046.
+    // Equation 3: n_sent ≈ 50041 (paper); our rounding gives 50046.
     assert!(stdout.contains("n_sent = 500"), "{stdout}");
-    assert!(stdout.contains("sufficient"));
+    // The exact law: each receiver decodes w.p. 0.999 from 50 149 sends.
+    assert!(stdout.contains("send 50149 packets"), "{stdout}");
 }
 
 #[test]
@@ -191,6 +192,10 @@ fn unknown_flags_are_refused_per_subcommand() {
         (
             "plan --k 100 --ratio 1.5 --inef 1.05 --p 0.01 --q 0.5 --tolerence 3",
             "--tolerence for 'plan'",
+        ),
+        (
+            "plan --k 100 --ratio 1.5 --inef 1.05 --p 0.01 --q 0.5 --tolerance 3",
+            "--tolerance for 'plan'",
         ),
         (
             "sweep --code rse --tx 5 --ratio 2.5 --k 100 --runs 1 --coarse --threads 4",

@@ -7,6 +7,7 @@
 
 use fec_broadcast::channel::{fit_gilbert, LossTrace};
 use fec_broadcast::codec::builtin;
+use fec_broadcast::core::PLAN_EPSILON;
 use fec_broadcast::prelude::*;
 
 #[test]
@@ -32,16 +33,16 @@ fn full_operational_loop_on_a_known_channel() {
     assert_eq!(recs[0].code, builtin::ldgm_staircase());
     assert_eq!(recs[0].tx, TxModel::SourceSeqParityRandom);
 
-    // 3. Measured selection over the candidate tuples, with the paper's
-    //    "some tolerance" ε set to 5% of k — a plan built from the *mean*
-    //    inefficiency alone would miss on roughly half the runs.
-    let mut selector = MeasuredSelector::new(1200, 6);
-    selector.tolerance = (selector.k / 20) as u64;
+    // 3. Measured selection over the candidate tuples. Each plan reads its
+    //    cell's whole law of n_necessary against the exact law of
+    //    arrivals — a plan built from the *mean* inefficiency alone would
+    //    miss on roughly half the runs.
+    let selector = MeasuredSelector::new(1200, 6);
     let choices = selector.select(fitted).expect("candidates run");
     let best = &choices[0];
     assert!(best.is_reliable());
     let plan = best.plan.as_ref().expect("reliable tuple has a plan");
-    assert!(plan.is_sufficient());
+    assert!(plan.decode_probability >= 1.0 - PLAN_EPSILON);
     assert!(
         plan.n_sent < plan.n_total,
         "a low-loss channel must allow truncation"
@@ -73,7 +74,7 @@ fn full_operational_loop_on_a_known_channel() {
     }
     assert!(
         delivered >= runs - 1,
-        "plan with 5% tolerance delivered only {delivered}/{runs}"
+        "the plan delivered only {delivered}/{runs}"
     );
 }
 
@@ -103,9 +104,10 @@ fn unknown_channel_recommendation_is_universal() {
     }
 }
 
+/// The plan states the probability that one receiver decodes; over 30
+/// seeds, its deliveries must be as many as that probability allows.
 #[test]
-fn planner_tolerance_improves_delivery() {
-    // ε > 0 (the paper's "some tolerance") must not reduce the success rate.
+fn planned_deliveries_match_the_stated_probability() {
     let channel = GilbertParams::bernoulli(0.1).unwrap();
     let k = 600;
     let experiment = Experiment::new(
@@ -122,33 +124,40 @@ fn planner_tolerance_improves_delivery() {
     for run in 0..runs {
         sum += runner.run(5, run, false).inefficiency(k).expect("decodes");
     }
-    let inef = sum / runs as f64;
+    let need = (sum / runs as f64 * k as f64).ceil() as u64;
+    let n_total = runner.layout().total_packets();
+    let plan = TransmissionPlan::new(n_total, &[(need, 1)], channel, 1).expect("plannable");
+    assert!(plan.n_sent < n_total);
 
-    let deliver_rate = |tolerance: u64| {
-        let plan =
-            TransmissionPlan::new(k, runner.layout().total_packets(), inef, channel, tolerance);
-        let mut ok = 0;
-        for seed in 100..130u64 {
-            // Count survivors of the truncated transmission against the
-            // requirement `survivors >= inef * k` (equation 2).
-            let schedule = TxModel::Random.schedule(runner.layout(), seed);
+    // Count survivors of the truncated transmission against the need
+    // (equation 2).
+    let seeds = 100..130u64;
+    let failures = seeds
+        .clone()
+        .filter(|&seed| {
             let mut ch = GilbertChannel::new(channel, seed ^ 0x5A5A);
-            let survivors = schedule
-                .iter()
-                .take(plan.n_sent as usize)
-                .filter(|_| !ch.next_is_lost())
-                .count() as f64;
-            if survivors >= inef * k as f64 {
-                ok += 1;
-            }
-        }
-        ok
+            let survivors = (0..plan.n_sent).filter(|_| !ch.next_is_lost()).count();
+            (survivors as u64) < need
+        })
+        .count();
+    // The most failures a decode probability of `plan.decode_probability`
+    // leaves in 30 trials, but for a tail of 10⁻³.
+    let (trials, miss) = (seeds.count(), 1.0 - plan.decode_probability);
+    let (mut bound, mut tail) = (0, 1.0);
+    let pmf = |f: usize| {
+        let choose: f64 = (0..f)
+            .map(|i| (trials - i) as f64 / (i + 1) as f64)
+            .product();
+        choose * miss.powi(f as i32) * (1.0 - miss).powi((trials - f) as i32)
     };
-    let bare = deliver_rate(0);
-    let padded = deliver_rate((k / 20) as u64); // 5% ε
-    assert!(padded >= bare, "tolerance must help: {padded} vs {bare}");
+    while tail >= 1e-3 {
+        tail -= pmf(bound);
+        bound += 1;
+    }
     assert!(
-        padded >= 28,
-        "5% tolerance should nearly always suffice, got {padded}/30"
+        failures < bound,
+        "{failures} of {trials} planned sends fell short; decode probability {:.4} allows {}",
+        plan.decode_probability,
+        bound - 1
     );
 }
