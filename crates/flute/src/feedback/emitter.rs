@@ -247,7 +247,8 @@ impl ReportEmitter {
         }
     }
 
-    /// Marks one object as fully decoded.
+    /// Marks one object as fully decoded: the loss runs attributed to it
+    /// so far, and any after, count as repaired.
     pub fn mark_complete(&mut self, toi: u32) {
         self.dirty = true;
         self.counters.entry(toi).or_default().complete = true;
@@ -333,11 +334,16 @@ impl ReportEmitter {
             }
             let c = self.counters.entry(attributed_toi).or_default();
             c.lost = c.lost.saturating_add(len);
+            let repaired = c.complete;
             // Each gap is one complete link-level loss run (runs can only
             // merge across a digest boundary, which is rare and biases the
             // histogram short, never long).
             self.metrics.loss_run_length.observe(len as f64);
-            if attributed_toi != FDT_TOI {
+            if repaired {
+                // A gap attributed to an object already decoded (a
+                // carousel's later cycle) cost it nothing.
+                self.metrics.repaired_runs.inc();
+            } else if attributed_toi != FDT_TOI {
                 if self.residual_runs.len() == MAX_RESIDUAL_RUNS {
                     self.residual_runs.pop_front();
                     self.metrics.repaired_runs.inc();
@@ -801,6 +807,25 @@ mod tests {
         em.finalize_residual();
         let lost = live.counter("fec_residual_lost_packets_total", "");
         assert_eq!(lost.get(), 4);
+    }
+
+    /// One mark settles an object for good: the runs attributed to it
+    /// before the mark and after it (a carousel's later cycle) all count
+    /// as repaired, and none reaches the residual at finalization.
+    #[test]
+    fn runs_after_the_completion_mark_count_as_repaired() {
+        let live = Registry::new();
+        let mut em = ReportEmitter::new(7, ReportConfig::default());
+        em.attach_telemetry(&live);
+        em.observe_on(0, 1, Some(0));
+        em.observe_on(0, 1, Some(3)); // a 2-packet gap before completion
+        em.mark_complete(1);
+        em.observe_on(0, 1, Some(6)); // a 2-packet gap after it
+        em.observe_on(0, 2, Some(9)); // object 2's gap stays residual
+        em.finalize_residual();
+        let repaired = live.counter("fec_repaired_loss_runs_total", "");
+        let residual = live.counter("fec_residual_lost_packets_total", "");
+        assert_eq!((repaired.get(), residual.get()), (2, 2));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! object accepts a symbol: a newer instance, or an EXT_FTI that differs,
 //! replaces it.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use fec_adapt::Decision;
 use fec_codec::Symbol;
@@ -653,8 +653,8 @@ struct ObjectState {
     /// receive path owns symbol bytes.
     pre_oti: Vec<(PacketRef, Vec<u8>)>,
     decoded: Option<Vec<u8>>,
-    /// Sticky: outlives [`FluteReceiver::take_object`], so a carousel's
-    /// later cycles stay duplicates of a finished object.
+    /// Sticky: a carousel's later cycles stay duplicates of a finished
+    /// object while its entry lives (see [`FluteReceiver::take_object`]).
     complete: bool,
     /// The geometry came from an FDT and no symbol has been accepted
     /// under it yet: a newer instance or a data packet's EXT_FTI may still
@@ -669,10 +669,9 @@ struct ObjectState {
 }
 
 impl ObjectState {
+    /// The status of an object not finished yet.
     fn status(&self) -> ObjectStatus {
-        if self.complete {
-            ObjectStatus::Complete
-        } else if self.closed {
+        if self.closed {
             ObjectStatus::ClosedIncomplete
         } else if self.geometry.is_none() {
             ObjectStatus::AwaitingOti
@@ -683,10 +682,11 @@ impl ObjectState {
 
     /// Learns the OTI an FDT lists (idempotent). A provisional OTI gives
     /// way to a differing one; once a symbol was accepted, a conflict is
-    /// an error.
-    fn set_oti(&mut self, oti: ObjectTransmissionInfo) -> Result<(), FluteError> {
+    /// an error. True when the symbols buffered before it complete the
+    /// object.
+    fn set_oti(&mut self, oti: ObjectTransmissionInfo) -> Result<bool, FluteError> {
         match &self.geometry {
-            Some(existing) if existing.oti == oti => Ok(()),
+            Some(existing) if existing.oti == oti => Ok(false),
             Some(_) if !self.provisional => Err(FluteError::Session {
                 reason: "conflicting OTI for the same TOI".into(),
             }),
@@ -695,8 +695,9 @@ impl ObjectState {
     }
 
     /// Starts decoding under a freshly resolved geometry, which stays
-    /// provisional unless buffered symbols were accepted under it.
-    fn start(&mut self, (geometry, receiver): Started) -> Result<(), FluteError> {
+    /// provisional unless buffered symbols were accepted under it. True
+    /// when those symbols complete the object.
+    fn start(&mut self, (geometry, receiver): Started) -> Result<bool, FluteError> {
         // Drain everything buffered before the OTI arrived, as one batch —
         // the late-FDT catch-up is the single largest symbol burst a
         // receiver ever sees. Nothing could judge those datagrams on
@@ -721,10 +722,11 @@ impl ObjectState {
     /// Feeds a burst of this object's symbols, borrowed from the receive
     /// buffers, through the decoder's batched entry point
     /// ([`CoreReceiver::push_symbols`]), which defers block solves to the
-    /// end of the batch instead of attempting one per symbol.
-    fn feed(&mut self, symbols: &[Symbol<'_>]) -> Result<(), FluteError> {
+    /// end of the batch instead of attempting one per symbol. True when
+    /// this burst completes the object.
+    fn feed(&mut self, symbols: &[Symbol<'_>]) -> Result<bool, FluteError> {
         if self.complete || symbols.is_empty() {
-            return Ok(()); // late duplicates after completion are normal
+            return Ok(false); // late duplicates after completion are normal
         }
         let Some(receiver) = self.receiver.as_mut() else {
             if self.pre_oti.len() + symbols.len() > MAX_PRE_OTI_BUFFER {
@@ -734,7 +736,7 @@ impl ObjectState {
             }
             self.pre_oti
                 .extend(symbols.iter().map(|s| (s.packet, s.payload.to_vec())));
-            return Ok(());
+            return Ok(false);
         };
         if receiver.push_symbols(symbols)?.is_decoded() {
             if let Some(receiver) = self.receiver.take() {
@@ -742,7 +744,38 @@ impl ObjectState {
                 self.complete = true;
             }
         }
-        Ok(())
+        Ok(self.complete)
+    }
+}
+
+/// The TOIs of the session's finished objects, as disjoint inclusive
+/// runs keyed by their first TOI: objects that finish in TOI order cost
+/// one run in all, however many there were.
+#[derive(Default)]
+struct FinishedTois(BTreeMap<u32, u32>);
+
+impl FinishedTois {
+    fn contains(&self, toi: u32) -> bool {
+        let below = self.0.range(..=toi).next_back();
+        below.is_some_and(|(_, &last)| toi <= last)
+    }
+
+    /// Adds `toi`, joining it to the runs it touches.
+    fn insert(&mut self, toi: u32) {
+        if self.contains(toi) {
+            return;
+        }
+        let next = toi.checked_add(1).and_then(|next| self.0.remove(&next));
+        let last = next.unwrap_or(toi);
+        // A run below `toi` ends before it, so its end + 1 cannot overflow.
+        match self.0.range_mut(..toi).next_back() {
+            Some((_, end)) if *end + 1 == toi => *end = last,
+            _ => _ = self.0.insert(toi, last),
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        self.0.iter().flat_map(|(&first, &last)| first..=last)
     }
 }
 
@@ -772,10 +805,21 @@ pub enum ReceiverEvent {
 }
 
 /// The receiving half of a FLUTE session.
+///
+/// An object's entry lives while it decodes and after it completes, until
+/// its bytes are taken and then another object's are: then it folds into
+/// the set of finished TOIs, so a long-lived receiver holds at most one
+/// taken entry, and its finished objects cost one run per stretch of
+/// consecutive TOIs.
 pub struct FluteReceiver {
     tsi: u32,
     fdt: Option<FdtInstance>,
     objects: HashMap<u32, ObjectState>,
+    /// Every object that completed, its entry live or folded.
+    finished: FinishedTois,
+    /// The object whose bytes were taken last: its entry folds at the
+    /// next take.
+    taken: Option<u32>,
     emitter: Option<ReportEmitter>,
     nack_mode: bool,
     last_nacked: Vec<crate::feedback::NackEntry>,
@@ -791,6 +835,8 @@ impl FluteReceiver {
             tsi,
             fdt: None,
             objects: HashMap::new(),
+            finished: FinishedTois::default(),
+            taken: None,
             emitter: None,
             nack_mode: false,
             last_nacked: Vec::new(),
@@ -803,11 +849,31 @@ impl FluteReceiver {
     /// accepted datagram is observed (EXT_SEQ gap detection + per-TOI
     /// counters) and digests become available through
     /// [`poll_report`](Self::poll_report) /
-    /// [`flush_report`](Self::flush_report).
+    /// [`flush_report`](Self::flush_report). Objects already complete are
+    /// reported complete.
     pub fn enable_reports(&mut self, config: ReportConfig) {
         let mut emitter = ReportEmitter::new(self.tsi, config);
         emitter.attach_telemetry(&self.registry);
         self.emitter = Some(emitter);
+        report_complete(self.emitter.as_mut(), self.finished.iter());
+        self.report_session_complete();
+    }
+
+    /// Records that object `toi` just completed: the one place a
+    /// completion is marked.
+    fn finish(&mut self, toi: u32) {
+        self.finished.insert(toi);
+        report_complete(self.emitter.as_mut(), [toi]);
+        self.report_session_complete();
+    }
+
+    /// Sets the digests' FIN flag once every file the FDT lists is done.
+    fn report_session_complete(&mut self) {
+        if self.emitter.is_some() && self.all_complete() {
+            if let Some(em) = self.emitter.as_mut() {
+                em.mark_session_complete();
+            }
+        }
     }
 
     /// Starts recording this receiver's activity into `registry`:
@@ -1040,7 +1106,17 @@ impl FluteReceiver {
             }
 
             let toi = view.header.toi;
-            let Some((symbol, fresh)) = self.judge(&view) else {
+            let state = self.objects.get(&toi);
+            if state.is_none() && self.finished.contains(toi) {
+                // A folded object's late datagram (a carousel's next
+                // cycle): a duplicate, and nothing is built for it.
+                if let Some(em) = self.emitter.as_mut() {
+                    em.observe_on(path, toi, view.seq);
+                }
+                events.push(ReceiverEvent::ObjectProgress { toi });
+                continue;
+            }
+            let Some((symbol, fresh)) = Self::judge(state, &view) else {
                 events.push(ReceiverEvent::Rejected);
                 continue;
             };
@@ -1056,9 +1132,7 @@ impl FluteReceiver {
             let state = self.objects.entry(toi).or_default();
             state.closed |= view.header.close_object;
             state.packets_received += 1;
-            if let Some(resolved) = fresh {
-                state.start(resolved)?;
-            }
+            let started_complete = fresh.map_or(Ok(false), |resolved| state.start(resolved))?;
             state.provisional = false;
             if !state.complete {
                 if self.nack_mode {
@@ -1072,25 +1146,11 @@ impl FluteReceiver {
             }
             data_slots.push((events.len(), toi));
             events.push(ReceiverEvent::ObjectProgress { toi });
-        }
-        self.flush_pending(&mut pending, &mut events, &mut data_slots)?;
-        if self.emitter.is_some() {
-            let complete: Vec<u32> = self
-                .objects
-                .iter()
-                .filter(|(_, s)| s.complete)
-                .map(|(&toi, _)| toi)
-                .collect();
-            let session_done = self.all_complete();
-            if let Some(em) = self.emitter.as_mut() {
-                for toi in complete {
-                    em.mark_complete(toi);
-                }
-                if session_done {
-                    em.mark_session_complete();
-                }
+            if started_complete {
+                self.finish(toi);
             }
         }
+        self.flush_pending(&mut pending, &mut events, &mut data_slots)?;
         let m = &self.metrics;
         for event in &events {
             match event {
@@ -1112,9 +1172,12 @@ impl FluteReceiver {
     /// state: its symbol, plus the geometry and decoder its EXT_FTI starts
     /// when the object's OTI was still unknown — or `None` for a datagram
     /// to reject. The payload-ID format comes from the object once its OTI
-    /// is known; the registry is asked only before that.
-    fn judge<'a>(&self, view: &LctView<'a>) -> Option<(Symbol<'a>, Option<Started>)> {
-        let state = self.objects.get(&view.header.toi);
+    /// is known; the registry is asked only before that. `state` is the
+    /// object's entry, if it has one.
+    fn judge<'a>(
+        state: Option<&ObjectState>,
+        view: &LctView<'a>,
+    ) -> Option<(Symbol<'a>, Option<Started>)> {
         let known = state.and_then(|s| s.geometry.as_ref());
         let format = match known {
             Some(geometry) if geometry.codepoint == view.header.codepoint => geometry.format,
@@ -1144,8 +1207,9 @@ impl FluteReceiver {
             .then_some((Symbol { packet, payload }, fresh))
     }
 
-    /// Feeds the collected per-object bursts down to the decoders and
-    /// upgrades each newly-completed object's last event of the burst.
+    /// Feeds the collected per-object bursts down to the decoders, and
+    /// finishes each object one completes, upgrading its last event of
+    /// the burst.
     fn flush_pending(
         &mut self,
         pending: &mut Vec<(u32, Vec<Symbol<'_>>)>,
@@ -1156,9 +1220,8 @@ impl FluteReceiver {
             let Some(state) = self.objects.get_mut(&toi) else {
                 continue;
             };
-            let was_complete = state.complete;
-            state.feed(&batch)?;
-            if !was_complete && state.complete {
+            if state.feed(&batch)? {
+                self.finish(toi);
                 if let Some(&(slot, _)) = data_slots.iter().rev().find(|(_, t)| *t == toi) {
                     events[slot] = ReceiverEvent::ObjectComplete { toi };
                 }
@@ -1185,11 +1248,18 @@ impl FluteReceiver {
         // decoding, and one not sent yet takes the newer instance's OTI;
         // for files already decoding, this cross-checks that the FDT
         // agrees with the OTI we acted on (set_oti rejects conflicts).
+        // A finished file has nothing left to learn.
         for file in &fdt.files {
+            if self.finished.contains(file.toi) {
+                continue;
+            }
             let state = self.objects.entry(file.toi).or_default();
-            state.set_oti(file.oti.clone())?;
+            if state.set_oti(file.oti.clone())? {
+                self.finish(file.toi);
+            }
         }
         self.fdt = Some(fdt);
+        self.report_session_complete();
         Ok(ReceiverEvent::FdtReceived)
     }
 
@@ -1198,12 +1268,18 @@ impl FluteReceiver {
         self.fdt.as_ref()
     }
 
-    /// Status of one object.
+    /// Status of one object: [`ObjectStatus::Complete`] once it is
+    /// finished, its entry live or folded.
     pub fn object_status(&self, toi: u32) -> Option<ObjectStatus> {
+        if self.finished.contains(toi) {
+            return Some(ObjectStatus::Complete);
+        }
         self.objects.get(&toi).map(ObjectState::status)
     }
 
-    /// Data packets received for one object (duplicates included).
+    /// Data packets received for one object (duplicates included), while
+    /// its entry lives: 0 once it has folded (see
+    /// [`take_object`](Self::take_object)).
     pub fn packets_received(&self, toi: u32) -> u64 {
         self.objects.get(&toi).map_or(0, |s| s.packets_received)
     }
@@ -1215,21 +1291,31 @@ impl FluteReceiver {
 
     /// Removes and returns a decoded object. The object stays
     /// [`ObjectStatus::Complete`]: later datagrams for it (a carousel's
-    /// next cycle) are counted as duplicates and buffer nothing.
+    /// next cycle) are counted as duplicates and buffer nothing. Its entry
+    /// — what [`packets_received`](Self::packets_received) reads — lives
+    /// until the next object is taken; then it folds into the finished
+    /// set, and later datagrams for it are no longer counted.
     pub fn take_object(&mut self, toi: u32) -> Option<Vec<u8>> {
-        self.objects.get_mut(&toi).and_then(|s| s.decoded.take())
+        let decoded = self.objects.get_mut(&toi)?.decoded.take()?;
+        if let Some(previous) = self.taken.replace(toi) {
+            self.objects.remove(&previous);
+        }
+        Some(decoded)
     }
 
     /// True once every file listed in the FDT is decoded. False while no
     /// FDT has been received (we cannot know the session's contents).
     pub fn all_complete(&self) -> bool {
-        match &self.fdt {
-            None => false,
-            Some(fdt) => fdt
-                .files
-                .iter()
-                .all(|f| self.objects.get(&f.toi).is_some_and(|s| s.complete)),
-        }
+        self.fdt
+            .as_ref()
+            .is_some_and(|fdt| fdt.files.iter().all(|f| self.finished.contains(f.toi)))
+    }
+}
+
+/// Marks `tois` complete in the report emitter, if reports are on.
+fn report_complete(emitter: Option<&mut ReportEmitter>, tois: impl IntoIterator<Item = u32>) {
+    if let Some(em) = emitter {
+        tois.into_iter().for_each(|toi| em.mark_complete(toi));
     }
 }
 
@@ -1526,6 +1612,120 @@ mod tests {
             "late datagrams still count as received duplicates"
         );
         assert!(receiver.take_object(1).is_none(), "taken once");
+    }
+
+    /// A sender with `count` small RSE objects, TOIs 1..=count.
+    fn session_with_objects(count: u32) -> (FluteSender, Vec<u8>) {
+        let data = object_bytes(256);
+        let mut sender = FluteSender::new(SenderConfig::new(7));
+        for toi in 1..=count {
+            #[rustfmt::skip]
+            sender.add_object(toi, format!("o{toi}"), &data, fec_codec::builtin::rse(), ExpansionRatio::R1_5, 64, 0, TxModel::Random).unwrap();
+        }
+        (sender, data)
+    }
+
+    fn toi_of(dg: &[u8]) -> u32 {
+        AlcPacket::from_bytes(dg).unwrap().header.toi
+    }
+
+    #[test]
+    fn finished_tois_join_into_runs() {
+        let mut finished = FinishedTois::default();
+        for toi in [5, 3, 7, 4, u32::MAX, 6, 4] {
+            finished.insert(toi);
+        }
+        let runs: Vec<(u32, u32)> = finished.0.iter().map(|(&f, &l)| (f, l)).collect();
+        assert_eq!(runs, vec![(3, 7), (u32::MAX, u32::MAX)]);
+        assert!(finished.contains(3) && finished.contains(7) && finished.contains(u32::MAX));
+        assert!(!finished.contains(2) && !finished.contains(8));
+        assert_eq!(finished.iter().count(), 6);
+    }
+
+    /// Object 1 folds when object 2 is taken. A full replay of object 1
+    /// (EXT_FTI and all) and an FDT that lists it re-create nothing: they
+    /// are duplicates of a finished object.
+    #[test]
+    fn a_folded_object_stays_finished_through_a_replay() {
+        let (sender, data) = session_with_objects(2);
+        let datagrams = sender.datagrams(1).unwrap();
+        let mut receiver = FluteReceiver::new(7);
+        receiver.push_datagrams(&datagrams).unwrap();
+        assert_eq!(receiver.take_object(1).as_deref(), Some(&data[..]));
+        assert!(
+            receiver.objects.contains_key(&1),
+            "lives until the next take"
+        );
+        assert_eq!(receiver.take_object(2).as_deref(), Some(&data[..]));
+        assert!(!receiver.objects.contains_key(&1), "folded");
+
+        let replay: Vec<Vec<u8>> = sender
+            .datagrams(2)
+            .unwrap()
+            .into_iter()
+            .filter(|dg| toi_of(dg) == 1)
+            .collect();
+        assert!(replay
+            .iter()
+            .all(|dg| LctView::walk(dg, false).unwrap().fti.is_some()));
+        let mut fdt = sender.fdt();
+        fdt.instance_id += 1;
+        let relisted = AlcPacket::fdt(7, fdt.instance_id, fdt.to_xml().into_bytes());
+        let mut burst = replay;
+        burst.push(relisted.to_bytes().unwrap());
+        let events = receiver.push_datagrams(&burst).unwrap();
+
+        assert!(events.iter().all(|e| matches!(
+            e,
+            ReceiverEvent::ObjectProgress { toi: 1 }
+                | ReceiverEvent::FdtReceived
+                | ReceiverEvent::FdtIgnored
+        )));
+        assert!(events.contains(&ReceiverEvent::FdtReceived));
+        assert!(!receiver.objects.contains_key(&1), "no entry re-created");
+        assert_eq!(receiver.object_status(1), Some(ObjectStatus::Complete));
+        assert!(receiver.all_complete());
+        assert!(receiver.take_object(1).is_none());
+    }
+
+    /// Reports enabled after an object completed still say it is: the
+    /// next digest marks it complete, and the session with it.
+    #[test]
+    fn reports_enabled_late_mark_what_already_completed() {
+        let (sender, _) = session_with_objects(1);
+        let datagrams = sender.datagrams(1).unwrap();
+        let mut receiver = FluteReceiver::new(7);
+        receiver.push_datagrams(&datagrams).unwrap();
+        assert!(receiver.all_complete());
+        receiver.enable_reports(ReportConfig::default());
+        let late = datagrams.iter().rfind(|dg| is_data(dg)).unwrap();
+        receiver.push_datagram(late).unwrap();
+        let digest = receiver.flush_report().expect("a digest");
+        assert!(digest.session_complete);
+        let entry = digest.entries.iter().find(|e| e.toi == 1).unwrap();
+        assert!(entry.complete);
+    }
+
+    /// A long-lived receiver that takes its objects in order holds at most
+    /// one entry, and its finished TOIs form one run. (Data datagrams
+    /// only: an FDT listing all 40 objects would give each an entry up
+    /// front.)
+    #[test]
+    fn objects_taken_in_order_leave_one_entry() {
+        const OBJECTS: u32 = 40;
+        let (sender, data) = session_with_objects(OBJECTS);
+        let mut datagrams = sender.datagrams(1).unwrap();
+        datagrams.retain(|dg| is_data(dg));
+        let mut receiver = FluteReceiver::new(7);
+        for dg in &datagrams {
+            if let ReceiverEvent::ObjectComplete { toi } = receiver.push_datagram(dg).unwrap() {
+                assert_eq!(receiver.take_object(toi).as_deref(), Some(&data[..]));
+                assert_eq!(receiver.objects.len(), 1, "toi {toi}");
+            }
+        }
+        assert_eq!(receiver.objects.len(), 1);
+        assert_eq!(receiver.finished.0.len(), 1);
+        assert_eq!(receiver.object_status(1), Some(ObjectStatus::Complete));
     }
 
     /// A well-formed data datagram the object's geometry refuses — an ESI

@@ -505,6 +505,19 @@ fn cmd_plan(a: &mut Args) -> Result<(), String> {
     let ratio = ratio.ok_or("--ratio is required")?.as_f64();
     let inef = inef.ok_or("--inef is required")?;
     let channel = channel.ok_or("--p and --q are required")?;
+    // Equation 3 is defined for neither: a receiver never needs fewer
+    // packets than k, and a channel that loses every packet never
+    // delivers the ones it needs.
+    if !(inef.is_finite() && inef >= 1.0) {
+        return Err(format!("--inef {inef} must be a finite number >= 1"));
+    }
+    if channel.global_loss_probability() >= 1.0 {
+        return Err(format!(
+            "--p {} --q {} loses every packet (p_global = 1)",
+            channel.p(),
+            channel.q()
+        ));
+    }
     let n_total = (k as f64 * ratio).floor() as u64;
     let need = [((inef * k as f64).ceil() as u64, 1)];
     let decodes = |n| decode_probability(&need, channel, n);

@@ -417,6 +417,19 @@ fn arguments_a_type_rules_out_are_refused() {
             "plan --k 0 --ratio 1.5 --inef 1.05 --p 0.01 --q 0.5",
             "--k must be positive",
         ),
+        // Panicked in `optimal_n_sent`.
+        (
+            "plan --k 100 --ratio 1.5 --inef 0.9 --p 0.01 --q 0.5",
+            "--inef 0.9 must be a finite number >= 1",
+        ),
+        (
+            "plan --k 100 --ratio 1.5 --inef NaN --p 0.01 --q 0.5",
+            "--inef NaN must be a finite number >= 1",
+        ),
+        (
+            "plan --k 100 --ratio 1.5 --inef 1.1 --p 0.01 --q 0",
+            "--p 0.01 --q 0 loses every packet (p_global = 1)",
+        ),
         // Announced it was listening, then "cannot set a 0 duration timeout".
         (
             "recv --listen 127.0.0.1:0 --timeout 0",
